@@ -89,6 +89,21 @@ fn bench_simplex(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_nps_fit(c: &mut Criterion) {
+    // The same 8-D/20-ref minimization as `simplex_downhill/8D_20refs_*`,
+    // through the production positioning path (see NpsFitFixture): the gap
+    // to the kernel row is what gathering and the outcome cost, the gap per
+    // evaluation is the dimension-major objective against the naive one.
+    let mut fixture = vcoord_bench::NpsFitFixture::new(8);
+    let evals = fixture.fit().evals;
+    let mut group = c.benchmark_group("nps_fit");
+    group.bench_function("8D_20refs", |b| b.iter(|| fixture.fit()));
+    group.finish();
+    println!(
+        "nps_fit/8D_20refs: {evals} evaluations per fit (ns per evaluation = ns per fit / {evals})"
+    );
+}
+
 fn bench_lanes(c: &mut Criterion) {
     // The batched SoA distance kernel against its scalar reference, at the
     // shape the EvalPlan sweep feeds it (one anchor against a contiguous
@@ -268,6 +283,6 @@ fn bench_matrix_ops(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_vivaldi_update, bench_simplex, bench_lanes, bench_eval_plan, bench_defense_inspect, bench_obs_disabled, bench_matrix_ops
+    targets = bench_vivaldi_update, bench_simplex, bench_nps_fit, bench_lanes, bench_eval_plan, bench_defense_inspect, bench_obs_disabled, bench_matrix_ops
 }
 criterion_main!(benches);

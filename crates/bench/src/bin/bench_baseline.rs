@@ -126,6 +126,21 @@ struct KernelStats {
     samples: usize,
 }
 
+impl KernelStats {
+    /// The same timings expressed per `k`-th of a call.
+    fn scaled(&self, k: f64) -> KernelStats {
+        KernelStats {
+            mean_s: self.mean_s * k,
+            median_s: self.median_s * k,
+            trimmed_mean_s: self.trimmed_mean_s * k,
+            p95_s: self.p95_s * k,
+            min_s: self.min_s * k,
+            max_s: self.max_s * k,
+            samples: self.samples,
+        }
+    }
+}
+
 /// Time `f` repeatedly (one timing per call) until the budget is spent.
 fn time_kernel<F: FnMut()>(budget: Duration, mut f: F) -> KernelStats {
     f(); // warm-up (page in code and scratch buffers)
@@ -225,6 +240,21 @@ fn main() {
                 std::hint::black_box(simplex_downhill_reference(objective, &start, &opts));
             }),
         ));
+    }
+    {
+        // The same 8-D/20-ref minimization through the production
+        // positioning path (see NpsFitFixture), per fit and — the fixture's
+        // evaluation count is deterministic — per objective evaluation.
+        let mut fixture = vcoord_bench::NpsFitFixture::new(8);
+        let evals = fixture.fit().evals;
+        let per_fit = time_kernel(budget, || {
+            std::hint::black_box(fixture.fit());
+        });
+        kernels.push((
+            "nps_fit_8d_20refs_per_eval".into(),
+            per_fit.scaled(1.0 / evals as f64),
+        ));
+        kernels.push(("nps_fit_8d_20refs".into(), per_fit));
     }
     {
         // The batched SoA distance kernel against its scalar reference, at

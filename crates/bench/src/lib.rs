@@ -14,7 +14,11 @@
 //!   smoke pass over representative figure runners (`figures_smoke`).
 
 use vcoord::netsim::SeedStream;
-use vcoord::space::{SimplexOptions, Space};
+use vcoord::nps::{
+    position_node_scratch, FitObjective, PositionOutcome, PositionScratch, RefSample,
+    SecurityPolicy,
+};
+use vcoord::space::{Coord, SimplexOptions, Space};
 
 /// Default output directory for figure CSVs.
 pub const DEFAULT_OUT_DIR: &str = "results";
@@ -71,6 +75,54 @@ pub fn fit_objective(refs: &[SimplexRef]) -> impl Fn(&[f64]) -> f64 + '_ {
     }
 }
 
+/// The whole-fit kernel: the [`simplex_fixture`] minimization run the way
+/// the NPS simulator runs it — one repositioning through
+/// [`position_node_scratch`] (gather, dimension-major objective, Simplex
+/// kernel, outcome) with the start as incumbent and the filter off, so it
+/// is exactly one fit. The objective is [`fit_objective`]'s, term for term,
+/// so this row, `simplex_*_20refs` and its oracle all walk the same
+/// trajectory and their times compare directly.
+pub struct NpsFitFixture {
+    space: Space,
+    samples: Vec<RefSample>,
+    start: Coord,
+    opts: SimplexOptions,
+    scratch: PositionScratch,
+}
+
+impl NpsFitFixture {
+    /// The `dim`-D fixture.
+    pub fn new(dim: usize) -> NpsFitFixture {
+        let (refs, opts, start) = simplex_fixture(dim);
+        NpsFitFixture {
+            space: Space::Euclidean(dim),
+            samples: refs
+                .into_iter()
+                .enumerate()
+                .map(|(i, (at, rtt))| RefSample::new(i, Coord::from_vec(at), rtt))
+                .collect(),
+            start: Coord::from_vec(start),
+            opts,
+            scratch: PositionScratch::new(),
+        }
+    }
+
+    /// One fit.
+    pub fn fit(&mut self) -> PositionOutcome {
+        position_node_scratch(
+            &self.space,
+            &self.samples,
+            &self.start,
+            Some(&self.start),
+            SecurityPolicy::off(),
+            &self.opts,
+            FitObjective::SquaredRelative,
+            &mut self.scratch,
+        )
+        .expect("20 references position the node")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,5 +140,15 @@ mod tests {
             r.value < f(&start),
             "minimization must improve on the start"
         );
+    }
+
+    #[test]
+    fn nps_fit_fixture_walks_the_simplex_fixture_trajectory() {
+        let (refs, opts, start) = simplex_fixture(8);
+        let direct = vcoord::space::simplex_downhill(fit_objective(&refs), &start, &opts);
+        let fit = NpsFitFixture::new(8).fit();
+        assert_eq!(fit.evals, direct.evals);
+        assert_eq!(fit.objective.to_bits(), direct.value.to_bits());
+        assert_eq!(fit.coord.vec, direct.point);
     }
 }

@@ -93,16 +93,31 @@ mod tests {
     use vcoord_obs::hdr;
 
     // The histogram is process-global and other tests in this binary drive
-    // whole simulations through it, so every assertion here works on
-    // snapshot *deltas* over locally recorded rounds.
+    // whole simulations through it, so every assertion here works on the
+    // snapshot *delta* over locally recorded rounds — retaken until no
+    // concurrent simulation landed a round inside the window (a snapshot
+    // reads the tallies one by one, so a foreign round can show up in the
+    // buckets or the eval total alone).
+    fn quiet_delta(rounds: &[usize]) -> EvalSnapshot {
+        let n = rounds.len() as u64;
+        let evals = rounds.iter().sum::<usize>() as u64;
+        for _ in 0..10_000 {
+            let before = snapshot();
+            for &r in rounds {
+                record_round(r);
+            }
+            let d = snapshot().delta_since(&before);
+            let in_buckets: u64 = d.0.buckets().iter().sum();
+            if d.rounds() == n && d.evals() == evals && in_buckets == n {
+                return d;
+            }
+        }
+        panic!("no snapshot window free of concurrent rounds in 10 000 tries");
+    }
 
     #[test]
     fn deltas_track_recorded_rounds() {
-        let before = snapshot();
-        record_round(10);
-        record_round(30);
-        record_round(200);
-        let d = snapshot().delta_since(&before);
+        let d = quiet_delta(&[10, 30, 200]);
         assert_eq!(d.rounds(), 3);
         assert_eq!(d.evals(), 240);
         assert!((d.mean() - 80.0).abs() < 1e-12);
@@ -112,9 +127,7 @@ mod tests {
 
     #[test]
     fn huge_rounds_keep_relative_resolution() {
-        let before = snapshot();
-        record_round(1_000_000);
-        let d = snapshot().delta_since(&before);
+        let d = quiet_delta(&[1_000_000]);
         assert_eq!(d.rounds(), 1);
         assert_eq!(d.evals(), 1_000_000);
         // The old linear layout saturated at 1 575 evals; the HDR buckets
@@ -124,12 +137,7 @@ mod tests {
 
     #[test]
     fn quantiles_split_mixed_rounds() {
-        let before = snapshot();
-        for _ in 0..9 {
-            record_round(50);
-        }
-        record_round(5_000);
-        let d = snapshot().delta_since(&before);
+        let d = quiet_delta(&[50, 50, 50, 50, 50, 50, 50, 50, 50, 5_000]);
         assert!((d.quantile(0.5) - 50.0).abs() <= hdr::width_of(50) as f64);
         assert!((d.quantile(1.0) - 5_000.0).abs() <= hdr::width_of(5_000) as f64);
     }

@@ -112,21 +112,101 @@ pub struct PositionOutcome {
     pub evals: usize,
 }
 
+/// The problem one Simplex fit evaluates against: the fitted samples
+/// gathered once per fit, dimension-major, so that an evaluation streams
+/// each coordinate column past one component of the trial point instead of
+/// chasing a `Vec` per reference.
+#[derive(Debug, Clone, Default)]
+struct FitProblem {
+    /// Reference coordinates of the `m` fitted samples: `cols[i * m + p]`
+    /// is component `i` of fitted sample `p`.
+    cols: Vec<f64>,
+    /// Reference heights per fitted sample; all zero unless the space has a
+    /// height component.
+    heights: Vec<f64>,
+    /// Measured RTT per fitted sample.
+    rtts: Vec<f64>,
+    /// Defense dampening weight per fitted sample.
+    weights: Vec<f64>,
+    /// The evaluation's working row, one slot per fitted sample: squared
+    /// distances while they accumulate, then the weighted terms the
+    /// objective sums (and [`CacheMode::Fill`] records).
+    terms: Vec<f64>,
+}
+
+impl FitProblem {
+    /// Gather `samples[idxs]`, in `idxs` order, for a `dim`-dimensional fit.
+    ///
+    /// # Panics
+    /// Panics if a gathered sample's coordinate is not `dim`-dimensional.
+    fn gather(&mut self, space: &Space, samples: &[RefSample], idxs: &[usize], dim: usize) {
+        let m = idxs.len();
+        self.cols.clear();
+        self.cols.resize(dim * m, 0.0);
+        self.heights.clear();
+        self.rtts.clear();
+        self.weights.clear();
+        for (p, &k) in idxs.iter().enumerate() {
+            let s = &samples[k];
+            assert_eq!(s.coord.vec.len(), dim, "reference dimension mismatch");
+            for (i, &c) in s.coord.vec.iter().enumerate() {
+                self.cols[i * m + p] = c;
+            }
+            self.heights.push(if space.has_height() {
+                s.coord.height
+            } else {
+                0.0
+            });
+            self.rtts.push(s.rtt);
+            self.weights.push(s.weight);
+        }
+        self.terms.clear();
+        self.terms.resize(m, 0.0);
+    }
+
+    /// Fill `terms` with every sample's `term(predicted − rtt, rtt) × weight`
+    /// for a node at `x` (height zero). `term` is a parameter so each
+    /// [`FitObjective`] gets its own straight-line, vectorizable loop.
+    ///
+    /// Per sample this performs the floating-point operations of
+    /// `space.distance` followed by the term, in the same order.
+    #[inline(always)]
+    fn weigh(&mut self, space: &Space, x: &[f64], term: impl Fn(f64, f64) -> f64) {
+        let m = self.rtts.len();
+        if let Space::Spherical { .. } = space {
+            for (p, t) in self.terms.iter_mut().enumerate() {
+                let there = [self.cols[p], self.cols[m + p]];
+                let rtt = self.rtts[p];
+                let diff = space.distance_flat(x, 0.0, &there, 0.0) - rtt;
+                *t = term(diff, rtt) * self.weights[p];
+            }
+            return;
+        }
+        self.terms.fill(0.0);
+        for (xi, col) in x.iter().zip(self.cols.chunks_exact(m)) {
+            for (acc, c) in self.terms.iter_mut().zip(col) {
+                let d = xi - c;
+                *acc += d * d;
+            }
+        }
+        // `dist + node height + reference height` with the node at height
+        // zero: `dist` is the square root of a sum of squares, never -0.0,
+        // so adding that zero is the identity — as is adding the zero
+        // `heights` of a space without a height component.
+        let per_sample = self.terms.iter_mut().zip(&self.heights);
+        for (((t, h), rtt), w) in per_sample.zip(&self.rtts).zip(&self.weights) {
+            *t = term(t.sqrt() + h - rtt, *rtt) * w;
+        }
+    }
+}
+
 /// Reusable buffers for one Simplex fit: the kernel's working state, the
-/// objective's evaluation coordinate, the gathered SoA reference rows
-/// feeding [`Space::distance_flat_batch`], and the initial-vertex term
-/// cache shared between a positioning's two cold fits.
-#[derive(Debug, Clone)]
+/// gathered problem, and the initial-vertex term cache shared between a
+/// positioning's two cold fits.
+#[derive(Debug, Clone, Default)]
 struct FitScratch {
     simplex: SimplexScratch,
-    probe: Coord,
-    /// Reference coordinates of the fitted samples, `dim`-strided, in
-    /// `idxs` order.
-    rows: Vec<f64>,
-    /// Reference heights, parallel to `rows`' logical rows.
-    heights: Vec<f64>,
-    /// Distance lane output, one slot per fitted sample.
-    dists: Vec<f64>,
+    problem: FitProblem,
     /// Cached `term * weight` contributions of the initial simplex
     /// vertices: entry `v * cache_stride + k` is sample `k`'s term at
     /// initial vertex `v`. Filled by a positioning's provisional fit and
@@ -135,20 +215,6 @@ struct FitScratch {
     /// Samples-per-vertex stride of `cache` (the full sample count of the
     /// positioning that filled it).
     cache_stride: usize,
-}
-
-impl Default for FitScratch {
-    fn default() -> FitScratch {
-        FitScratch {
-            simplex: SimplexScratch::new(),
-            probe: Coord::origin(0),
-            rows: Vec::new(),
-            heights: Vec::new(),
-            dists: Vec::new(),
-            cache: Vec::new(),
-            cache_stride: 0,
-        }
-    }
 }
 
 /// How one fit interacts with the initial-vertex term cache.
@@ -168,17 +234,18 @@ enum CacheMode {
 }
 
 /// Reusable buffers for [`position_node_scratch`]: the Simplex working
-/// state, the objective's evaluation coordinate, the SoA gather/lane
-/// buffers, and the usable/surviving sample index sets.
+/// state, the gathered fit problem, the usable/surviving sample index sets,
+/// and the security filter's median buffer.
 ///
 /// One long-lived scratch per simulation world makes every positioning
-/// round after the first run without heap allocation on the Simplex hot
-/// path (only the returned [`PositionOutcome`] is allocated).
+/// round after the first run without heap allocation beyond the returned
+/// [`PositionOutcome`] (its coordinate and `fit_errors`).
 #[derive(Debug, Clone, Default)]
 pub struct PositionScratch {
     fit: FitScratch,
     usable: Vec<usize>,
     surviving: Vec<usize>,
+    finite_errors: Vec<f64>,
 }
 
 impl PositionScratch {
@@ -225,15 +292,14 @@ pub fn position_node(
 
 /// Run one Simplex fit over `samples[idxs]`, minimizing `objective_kind`.
 ///
-/// Allocation-free apart from the returned coordinate: the Simplex state
-/// lives in the scratch and the objective evaluates through the reusable
-/// `probe` coordinate. All reference distances for one evaluation come from
-/// a single [`Space::distance_flat_batch`] call over rows gathered once per
-/// fit — bit-identical to the per-sample `space.distance` loop it replaces.
-/// `seed` warm-starts the kernel via [`simplex_downhill_resume`];
-/// `cache_mode` shares initial-vertex terms between a positioning's two
-/// cold fits (see [`CacheMode`]). Returns the fitted coordinate, the final
-/// objective value, and the number of objective evaluations performed.
+/// Allocation-free apart from the returned coordinate. The fitted samples
+/// are gathered once into a [`FitProblem`]; one evaluation fills its
+/// weighted-term row and sums it in sample order, which is bit-identical to
+/// the naive per-sample `space.distance` loop. `seed` warm-starts the
+/// kernel via [`simplex_downhill_resume`]; `cache_mode` shares
+/// initial-vertex terms between a positioning's two cold fits (see
+/// [`CacheMode`]). Returns the fitted coordinate, the final objective
+/// value, and the number of objective evaluations performed.
 #[allow(clippy::too_many_arguments)]
 fn fit_samples(
     space: &Space,
@@ -248,26 +314,12 @@ fn fit_samples(
 ) -> (Coord, f64, usize) {
     let FitScratch {
         simplex,
-        probe,
-        rows,
-        heights,
-        dists,
+        problem,
         cache,
         cache_stride,
     } = fit;
     let dim = start.vec.len();
-    probe.vec.clear();
-    probe.vec.resize(dim, 0.0);
-    probe.height = 0.0;
-    // Gather the fitted references once, SoA, in `idxs` order.
-    rows.clear();
-    heights.clear();
-    for &k in idxs {
-        rows.extend_from_slice(&samples[k].coord.vec);
-        heights.push(samples[k].coord.height);
-    }
-    dists.clear();
-    dists.resize(idxs.len(), 0.0);
+    problem.gather(space, samples, idxs, dim);
     if cache_mode == CacheMode::Fill {
         cache.clear();
         cache.resize((dim + 1) * samples.len(), 0.0);
@@ -278,33 +330,29 @@ fn fit_samples(
     let objective = |x: &[f64]| -> f64 {
         let e = eval_idx;
         eval_idx += 1;
-        if cache_mode == CacheMode::Use && e < n_init {
+        let initial = e < n_init;
+        if initial && cache_mode == CacheMode::Use {
             // The first `n + 1` evaluations are the initial vertices, which
             // are the same points the fill fit evaluated; re-summing its
             // per-sample terms in `idxs` order is bit-identical to
             // recomputing them.
             return idxs.iter().map(|&k| cache[e * *cache_stride + k]).sum();
         }
-        probe.vec.copy_from_slice(x);
-        space.distance_flat_batch(&probe.vec, probe.height, rows, heights, dists);
-        idxs.iter()
-            .zip(dists.iter())
-            .map(|(&k, &d)| {
-                let s = &samples[k];
-                let diff = d - s.rtt;
-                let term = match objective_kind {
-                    FitObjective::SquaredAbsolute => diff * diff,
-                    FitObjective::SquaredRelative => (diff / s.rtt) * (diff / s.rtt),
-                };
-                // Defense dampening: a trailing ×1.0 for full-strength
-                // samples, so the unweighted fit is preserved bit for bit.
-                let weighted = term * s.weight;
-                if cache_mode == CacheMode::Fill && e < n_init {
-                    cache[e * *cache_stride + k] = weighted;
-                }
-                weighted
-            })
-            .sum()
+        // Defense dampening (the `× weight` in `weigh`) is a trailing ×1.0
+        // for full-strength samples, so the unweighted fit is preserved
+        // bit for bit.
+        match objective_kind {
+            FitObjective::SquaredAbsolute => problem.weigh(space, x, |diff, _| diff * diff),
+            FitObjective::SquaredRelative => {
+                problem.weigh(space, x, |diff, rtt| (diff / rtt) * (diff / rtt))
+            }
+        }
+        if initial && cache_mode == CacheMode::Fill {
+            for (&k, &t) in idxs.iter().zip(&problem.terms) {
+                cache[e * *cache_stride + k] = t;
+            }
+        }
+        problem.terms.iter().sum()
     };
     let fit_span = vcoord_obs::span(vcoord_obs::metric_id!("simplex.fit_ns"));
     let result = match seed {
@@ -438,6 +486,7 @@ fn position_node_impl(
         fit,
         usable,
         surviving,
+        finite_errors,
     } = scratch;
     usable.clear();
     usable.extend(samples.iter().enumerate().filter_map(|(k, s)| {
@@ -458,11 +507,9 @@ fn position_node_impl(
 
     // Reference frame for outlier rejection: the incumbent when available,
     // otherwise a provisional fit over all samples. A cold provisional fit
-    // fills the initial-vertex term cache and is remembered so the final
-    // fit can be skipped outright when it would be an exact repeat.
-    let mut provisional: Option<(Coord, f64)> = None;
-    let frame: Coord = match incumbent {
-        Some(c) => c.clone(),
+    // fills the initial-vertex term cache.
+    let provisional: Option<(Coord, f64)> = match incumbent {
+        Some(_) => None,
         None => {
             let mode = if warm {
                 CacheMode::Off
@@ -481,22 +528,15 @@ fn position_node_impl(
                 None,
             );
             evals += e;
-            if !warm {
-                provisional = Some((c.clone(), v));
-            }
-            c
+            Some((c, v))
         }
     };
+    let frame = incumbent
+        .or(provisional.as_ref().map(|(c, _)| c))
+        .expect("no incumbent implies a provisional fit");
     let filter_span = vcoord_obs::span(vcoord_obs::metric_id!("nps.filter_ns"));
-    let fit_errors: Vec<f64> = samples
-        .iter()
-        .map(|s| fit_error(space, &frame, s))
-        .collect();
-    let filtered = if security.enabled {
-        apply_filter(&fit_errors, security).map(|idx| samples[idx].id)
-    } else {
-        None
-    };
+    let fit_errors: Vec<f64> = samples.iter().map(|s| fit_error(space, frame, s)).collect();
+    let filtered = filter_index(&fit_errors, security, finite_errors).map(|idx| samples[idx].id);
     drop(filter_span);
 
     // Final fit over the surviving samples (at most one eliminated).
@@ -512,31 +552,32 @@ fn position_node_impl(
     } else {
         &*usable
     };
+    // Only a cold provisional fit shares anything with the final fit. And
     // `surviving` preserves `usable`'s order, so equal length means the
-    // final fit would repeat the provisional fit bit for bit (same samples,
-    // start, options, cold kernel): reuse its result instead.
-    let dup_skip = provisional.is_some() && fit_over.len() == usable.len();
-    let (coord, objective_value) = if dup_skip {
-        provisional.expect("dup_skip implies a provisional fit")
-    } else {
-        let mode = if provisional.is_some() {
-            CacheMode::Use
-        } else {
-            CacheMode::Off
-        };
-        let (c, v, e) = fit_samples(
-            space,
-            samples,
-            fit_over,
-            start,
-            opts,
-            objective_kind,
-            fit,
-            mode,
-            seed,
-        );
-        evals += e;
-        (c, v)
+    // final fit would repeat it bit for bit (same samples, start, options,
+    // cold kernel): reuse its result instead.
+    let (coord, objective_value) = match provisional.filter(|_| !warm) {
+        Some(repeat) if fit_over.len() == usable.len() => repeat,
+        cold_provisional => {
+            let mode = if cold_provisional.is_some() {
+                CacheMode::Use
+            } else {
+                CacheMode::Off
+            };
+            let (c, v, e) = fit_samples(
+                space,
+                samples,
+                fit_over,
+                start,
+                opts,
+                objective_kind,
+                fit,
+                mode,
+                seed,
+            );
+            evals += e;
+            (c, v)
+        }
     };
 
     Some(PositionOutcome {
@@ -551,6 +592,15 @@ fn position_node_impl(
 /// The filter decision alone: index of the sample to eliminate, if both
 /// conditions hold. Exposed for direct unit testing.
 pub fn apply_filter(fit_errors: &[f64], policy: SecurityPolicy) -> Option<usize> {
+    filter_index(fit_errors, policy, &mut Vec::new())
+}
+
+/// [`apply_filter`] taking its median over the caller's `finite` buffer.
+fn filter_index(
+    fit_errors: &[f64],
+    policy: SecurityPolicy,
+    finite: &mut Vec<f64>,
+) -> Option<usize> {
     if !policy.enabled || fit_errors.is_empty() {
         return None;
     }
@@ -558,19 +608,16 @@ pub fn apply_filter(fit_errors: &[f64], policy: SecurityPolicy) -> Option<usize>
         .iter()
         .enumerate()
         .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))?;
-    let median = {
-        let mut v: Vec<f64> = fit_errors
-            .iter()
-            .copied()
-            .filter(|e| e.is_finite())
-            .collect();
-        if v.is_empty() {
-            return Some(max_idx); // everything infinite: drop the max
-        }
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        v[v.len() / 2]
-    };
-    if *max_err > policy.min_error && *max_err > policy.c * median {
+    finite.clear();
+    finite.extend(fit_errors.iter().copied().filter(|e| e.is_finite()));
+    if finite.is_empty() {
+        return Some(max_idx); // everything infinite: drop the max
+    }
+    // Upper median: the element a full sort would leave at `len / 2`.
+    let mid = finite.len() / 2;
+    let (_, median, _) =
+        finite.select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("finite"));
+    if *max_err > policy.min_error && *max_err > policy.c * *median {
         Some(max_idx)
     } else {
         None

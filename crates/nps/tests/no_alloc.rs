@@ -4,17 +4,23 @@
 //! kernels must stay at exactly one allocation per call (the returned
 //! point) — i.e. the `simplex.evals` / warm-vs-cold counters added to them
 //! must cost nothing when disabled, and `SimplexSeed::store` must reuse
-//! its capacity across rounds.
+//! its capacity across rounds. One whole positioning on a warmed-up
+//! [`PositionScratch`] must allocate exactly what its returned
+//! [`PositionOutcome`] owns: the coordinate and `fit_errors`.
+//!
+//! [`PositionOutcome`]: vcoord_nps::PositionOutcome
 //!
 //! This file holds exactly one `#[test]`: the libtest harness runs tests on
 //! worker threads, and a sibling test allocating concurrently would
 //! corrupt the global counter.
 
-use vcoord_nps::evals;
+use vcoord_nps::{
+    evals, position_node_scratch, FitObjective, PositionScratch, RefSample, SecurityPolicy,
+};
 use vcoord_obs::testing::{allocations, min_allocations_over, CountingAllocator};
 use vcoord_space::{
-    simplex_downhill_resume, simplex_downhill_scratch, ResumePolicy, SimplexOptions,
-    SimplexScratch, SimplexSeed,
+    simplex_downhill_resume, simplex_downhill_scratch, Coord, ResumePolicy, SimplexOptions,
+    SimplexScratch, SimplexSeed, Space,
 };
 
 #[global_allocator]
@@ -80,6 +86,68 @@ fn fit_hot_path_allocation_budget_holds_with_obs_off() {
     assert_eq!(
         allocs, CALLS,
         "warm-resume simplex kernel must allocate exactly the returned point per call"
+    );
+
+    // --- One whole positioning: gather, fit, filter (borrowed incumbent
+    // frame, median selected in the scratch) allocate nothing of their own
+    // — two allocations per call, the outcome's coordinate and its
+    // `fit_errors`. Reference 9 lies, so the filter does eliminate. Same
+    // budget with no incumbent on a clean set: the provisional fit *is*
+    // the result (duplicate-fit skip), not a clone of it. ---
+    let space = Space::Euclidean(3);
+    let truth = [40.0, -25.0, 10.0];
+    let mut samples: Vec<RefSample> = (0..12)
+        .map(|i| {
+            let at: Vec<f64> = (0..3)
+                .map(|d| ((i * 37 + d * 91) % 200) as f64 - 100.0)
+                .collect();
+            let rtt = at
+                .iter()
+                .zip(&truth)
+                .map(|(a, t)| (a - t) * (a - t))
+                .sum::<f64>()
+                .sqrt();
+            RefSample::new(i, Coord::from_vec(at), rtt)
+        })
+        .collect();
+    let incumbent = Coord::from_vec(truth.to_vec());
+    let start = Coord::from_vec(vec![30.0, -20.0, 5.0]);
+    let mut pos_scratch = PositionScratch::new();
+    let mut position = |samples: &[RefSample], incumbent: Option<&Coord>| {
+        position_node_scratch(
+            &space,
+            samples,
+            &start,
+            incumbent,
+            SecurityPolicy::paper(),
+            &opts,
+            FitObjective::SquaredAbsolute,
+            &mut pos_scratch,
+        )
+        .expect("12 references position a 3-D node")
+    };
+    assert_eq!(position(&samples, None).filtered, None); // sizes the scratch
+    let allocs = min_allocations_over(3, || {
+        for _ in 0..CALLS {
+            std::hint::black_box(position(&samples, None));
+        }
+    });
+    assert_eq!(
+        allocs,
+        2 * CALLS,
+        "a first positioning must allocate exactly its outcome (coordinate + fit_errors)"
+    );
+    samples[9].rtt *= 10.0;
+    assert_eq!(position(&samples, Some(&incumbent)).filtered, Some(9));
+    let allocs = min_allocations_over(3, || {
+        for _ in 0..CALLS {
+            std::hint::black_box(position(&samples, Some(&incumbent)));
+        }
+    });
+    assert_eq!(
+        allocs,
+        2 * CALLS,
+        "a repositioning must allocate exactly its outcome (coordinate + fit_errors)"
     );
 
     // Allocator sanity: the counter does observe real allocations.

@@ -6,27 +6,31 @@
 //! contraction / shrink moves and deterministic behaviour (no internal
 //! randomness; ties broken by index).
 //!
-//! Two entry points share one kernel: [`simplex_downhill`] allocates its own
-//! working state per call, while [`simplex_downhill_scratch`] reuses a
-//! caller-held [`SimplexScratch`] so the hot NPS repositioning path runs
-//! **allocation-free** (the only allocation left is the returned best point).
-//! The kernel replaces the original full index sort per iteration with an
+//! Three entry points share **one descent kernel**, written once and generic
+//! over vertex storage: `[f64; N]` on the stack for N = 1..=12 — every
+//! dimension the figures use, with each per-coordinate loop unrolled at
+//! compile time — and `Vec<f64>` borrowed from a caller-held
+//! [`SimplexScratch`] for anything larger. [`simplex_downhill`] brings its
+//! own scratch, [`simplex_downhill_scratch`] reuses the caller's, and either
+//! way the only allocation is the returned best point. The kernel keeps an
 //! incrementally maintained order array — a single ordered reinsertion on
-//! the common reflect/expand/contract moves — while performing *bit-identical*
-//! floating-point operations in the identical order, so optimization
-//! trajectories match the retained [`oracle`] exactly (property-tested in
-//! this module and relied on by the figure-CSV golden tests).
+//! the common reflect/expand/contract moves — in place of the original full
+//! index sort per iteration, while performing *bit-identical* floating-point
+//! operations in the identical order, so optimization trajectories match
+//! the retained [`oracle`] exactly (property-tested in this module and in
+//! `tests/simplex_properties.rs`, and relied on by the figure-CSV golden
+//! tests).
 //!
-//! A third entry point, [`simplex_downhill_resume`], supports *warm starts*:
-//! a caller-held [`SimplexSeed`] carries the converged simplex from one run
-//! to the next, and a [`ResumePolicy`] controls how the seed is re-inflated
-//! (damped restart) and how often a full cold restart is forced. With
-//! [`ResumePolicy::always_cold`] the resume path executes exactly the same
-//! floating-point program as [`simplex_downhill_scratch`] — the strict mode
-//! that keeps figure CSVs byte-identical — while warm policies trade that
-//! pin for far fewer objective evaluations per run. Every entry point counts
-//! objective evaluations in [`SimplexResult::evals`] so the saving is
-//! measurable.
+//! The third entry point, [`simplex_downhill_resume`], supports *warm
+//! starts*: a caller-held [`SimplexSeed`] carries the converged simplex from
+//! one run to the next, and a [`ResumePolicy`] controls how the seed is
+//! re-inflated (damped restart) and how often a full cold restart is forced.
+//! With [`ResumePolicy::always_cold`] the resume path executes exactly the
+//! same floating-point program as [`simplex_downhill_scratch`] — the strict
+//! mode that keeps figure CSVs byte-identical — and leaves the seed alone,
+//! while warm policies trade that pin for far fewer objective evaluations
+//! per run. Every entry point counts objective evaluations in
+//! [`SimplexResult::evals`] so the saving is measurable.
 
 /// Tuning knobs for [`simplex_downhill`].
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -137,7 +141,8 @@ impl ResumePolicy {
 /// Stores the final simplex of the previous run (best vertex first) plus the
 /// number of consecutive warm starts taken from it. An empty seed — or one
 /// whose dimension does not match the new problem — always produces a cold
-/// start.
+/// start. A cold-only policy ([`ResumePolicy::is_cold_only`]) never reads a
+/// seed and therefore never writes one.
 #[derive(Debug, Clone, Default)]
 pub struct SimplexSeed {
     /// Previous run's final vertices, best first; empty means "no seed".
@@ -168,12 +173,20 @@ impl SimplexSeed {
         self.streak = 0;
     }
 
+    /// Whether `policy` may warm-start an `n`-dimensional run from this seed.
+    fn resumes(&self, policy: &ResumePolicy, n: usize) -> bool {
+        !policy.is_cold_only()
+            && self.verts.len() == n + 1
+            && self.verts.iter().all(|v| v.len() == n)
+            && (policy.cold_every == 0 || self.streak + 1 < policy.cold_every)
+    }
+
     /// Capture the final simplex of a finished descent, best vertex first.
-    fn store(&mut self, scratch: &SimplexScratch, was_warm: bool) {
-        self.verts.resize_with(scratch.verts.len(), Vec::new);
-        for (slot, &idx) in self.verts.iter_mut().zip(&scratch.order) {
+    fn store<V: AsRef<[f64]>>(&mut self, verts: &[V], order: &[usize], was_warm: bool) {
+        self.verts.resize_with(verts.len(), Vec::new);
+        for (slot, &idx) in self.verts.iter_mut().zip(order) {
             slot.clear();
-            slot.extend_from_slice(&scratch.verts[idx]);
+            slot.extend_from_slice(verts[idx].as_ref());
         }
         self.streak = if was_warm {
             self.streak.saturating_add(1)
@@ -185,11 +198,12 @@ impl SimplexSeed {
 
 /// Reusable working state for [`simplex_downhill_scratch`].
 ///
-/// Holds the simplex vertices and objective values, the incrementally
-/// maintained vertex order, the centroid, and the trial-point buffers. A
-/// scratch grows to fit the largest dimension it has seen and never shrinks,
-/// so a long-lived scratch (e.g. one per [`NpsSim`] world) makes every
-/// positioning after the first allocation-free.
+/// Dimensions 1–12 (everything the figures sweep) run on fixed-size
+/// vertices that live on the stack and never touch a scratch; larger
+/// problems keep their simplex vertices, objective values, vertex order,
+/// centroid and trial points here. The buffers grow to fit the largest such
+/// dimension seen, so a long-lived scratch (e.g. one per [`NpsSim`] world)
+/// keeps every positioning allocation-free at any dimension.
 ///
 /// [`NpsSim`]: https://docs.rs/vcoord-nps
 #[derive(Debug, Clone, Default)]
@@ -198,17 +212,11 @@ pub struct SimplexScratch {
     verts: Vec<Vec<f64>>,
     /// Objective value per vertex, parallel to `verts`.
     vals: Vec<f64>,
-    /// Vertex indices sorted ascending by `(value, index)` — exactly the
-    /// stable-sort-by-value order of the reference implementation.
+    /// Vertex indices, see [`Simplex::order`].
     order: Vec<usize>,
-    /// Centroid of all vertices but the worst.
-    centroid: Vec<f64>,
-    /// Copy of the best vertex, pinned during a shrink.
-    best: Vec<f64>,
-    /// Reflection/contraction trial point.
-    trial: Vec<f64>,
-    /// Expansion trial point.
-    trial2: Vec<f64>,
+    /// Centroid, pinned best vertex, and the two trial points, see
+    /// [`Simplex::points`].
+    points: [Vec<f64>; 4],
 }
 
 impl SimplexScratch {
@@ -217,37 +225,95 @@ impl SimplexScratch {
         SimplexScratch::default()
     }
 
-    /// Size every buffer for an `n`-dimensional problem, retaining capacity.
-    fn reset(&mut self, n: usize) {
+    /// Size every buffer for an `n`-dimensional problem, retaining
+    /// capacity, and lend them out as one descent's working state.
+    fn view(&mut self, n: usize) -> Simplex<'_, Vec<f64>> {
         self.verts.resize_with(n + 1, Vec::new);
-        for v in &mut self.verts {
+        for v in self.verts.iter_mut().chain(&mut self.points) {
             v.clear();
             v.resize(n, 0.0);
         }
         self.vals.clear();
         self.vals.resize(n + 1, 0.0);
         self.order.clear();
-        self.centroid.clear();
-        self.centroid.resize(n, 0.0);
-        self.best.clear();
-        self.best.resize(n, 0.0);
-        self.trial.clear();
-        self.trial.resize(n, 0.0);
-        self.trial2.clear();
-        self.trial2.resize(n, 0.0);
+        self.order.resize(n + 1, 0);
+        Simplex {
+            verts: &mut self.verts,
+            vals: &mut self.vals,
+            order: &mut self.order,
+            points: &mut self.points,
+        }
     }
+}
+
+/// Stack storage for an `N`-dimensional descent (`M = N + 1` vertices).
+struct Fixed<const N: usize, const M: usize> {
+    verts: [[f64; N]; M],
+    vals: [f64; M],
+    order: [usize; M],
+    points: [[f64; N]; 4],
+}
+
+impl<const N: usize, const M: usize> Fixed<N, M> {
+    fn new() -> Self {
+        Fixed {
+            verts: [[0.0; N]; M],
+            vals: [0.0; M],
+            order: [0; M],
+            points: [[0.0; N]; 4],
+        }
+    }
+
+    fn view(&mut self) -> Simplex<'_, [f64; N]> {
+        Simplex {
+            verts: &mut self.verts,
+            vals: &mut self.vals,
+            order: &mut self.order,
+            points: &mut self.points,
+        }
+    }
+}
+
+/// One descent's working state, generic over the vertex storage `V`:
+/// `[f64; N]` borrowed from a [`Fixed`] on the stack, where every
+/// per-coordinate loop has a compile-time trip count, or `Vec<f64>`
+/// borrowed from a [`SimplexScratch`].
+struct Simplex<'a, V> {
+    /// `n + 1` simplex vertices of dimension `n`.
+    verts: &'a mut [V],
+    /// Objective value per vertex, parallel to `verts`.
+    vals: &'a mut [f64],
+    /// Vertex indices sorted ascending by `(value, index)` — exactly the
+    /// stable-sort-by-value order of the reference implementation.
+    order: &'a mut [usize],
+    /// The centroid of all vertices but the worst, a copy of the best
+    /// vertex (pinned during a shrink), the reflection/contraction trial
+    /// point, and the expansion trial point.
+    points: &'a mut [V; 4],
 }
 
 /// Compare two vertices by `(value, index)` — the total order equivalent to
 /// the reference implementation's *stable* sort by value over an
-/// index-ascending array.
+/// index-ascending array. Written without a branch on the comparison so
+/// counting predecessors (see `reinsert` in [`descend`]) stays
+/// straight-line; values are never NaN (`run` maps every non-finite
+/// objective value to `+∞`).
 #[inline]
 fn before(vals: &[f64], a: usize, b: usize) -> bool {
-    match vals[a].partial_cmp(&vals[b]) {
-        Some(std::cmp::Ordering::Less) => true,
-        Some(std::cmp::Ordering::Greater) => false,
-        _ => a < b,
-    }
+    let (va, vb) = (vals[a], vals[b]);
+    va < vb || (va == vb && a < b)
+}
+
+/// Re-establish `order` from scratch.
+#[inline]
+fn sort_order(order: &mut [usize], vals: &[f64]) {
+    order.sort_unstable_by(|&a, &b| {
+        if before(vals, a, b) {
+            std::cmp::Ordering::Less
+        } else {
+            std::cmp::Ordering::Greater
+        }
+    });
 }
 
 /// In-place lerp: `out[j] = from[j] + t * (to[j] - from[j])`.
@@ -298,7 +364,7 @@ where
 /// # Panics
 /// Panics if `x0` is empty.
 pub fn simplex_downhill_scratch<F>(
-    mut f: F,
+    f: F,
     x0: &[f64],
     opts: &SimplexOptions,
     scratch: &mut SimplexScratch,
@@ -306,23 +372,7 @@ pub fn simplex_downhill_scratch<F>(
 where
     F: FnMut(&[f64]) -> f64,
 {
-    assert!(!x0.is_empty(), "cannot optimize a zero-dimensional point");
-    let n = x0.len();
-    scratch.reset(n);
-    let mut evals = 0usize;
-    let mut eval = |x: &[f64]| -> f64 {
-        evals += 1;
-        let v = f(x);
-        if v.is_finite() {
-            v
-        } else {
-            f64::INFINITY
-        }
-    };
-    init_cold(&mut scratch.verts, x0, opts);
-    let (iterations, converged) = descend(&mut eval, opts, scratch, n);
-    vcoord_obs::counter_add(vcoord_obs::metric_id!("simplex.evals"), evals as u64);
-    finish(scratch, iterations, converged, evals)
+    minimize(f, x0, opts, None, scratch)
 }
 
 /// Minimize `f`, warm-starting from `seed` when `policy` allows it.
@@ -333,13 +383,13 @@ where
 /// identical results. On a warm start the previous run's simplex is
 /// re-inflated about its best vertex (see [`ResumePolicy`]) and the descent
 /// begins there, typically converging in far fewer objective evaluations.
-/// Either way the finished simplex is stored back into `seed` for the next
-/// call.
+/// Unless the policy is cold-only (which never reads a seed) the finished
+/// simplex is stored back into `seed` for the next call.
 ///
 /// # Panics
 /// Panics if `x0` is empty.
 pub fn simplex_downhill_resume<F>(
-    mut f: F,
+    f: F,
     x0: &[f64],
     opts: &SimplexOptions,
     policy: &ResumePolicy,
@@ -349,13 +399,46 @@ pub fn simplex_downhill_resume<F>(
 where
     F: FnMut(&[f64]) -> f64,
 {
+    minimize(f, x0, opts, Some((policy, seed)), scratch)
+}
+
+/// Pick the vertex storage for `x0`'s dimension and run the one kernel on
+/// it: a fixed-size instantiation up to 12-D (where the paper's
+/// dimensionality sweep tops out), the scratch's `Vec`s beyond.
+fn minimize<F>(
+    f: F,
+    x0: &[f64],
+    opts: &SimplexOptions,
+    resume: Option<(&ResumePolicy, &mut SimplexSeed)>,
+    scratch: &mut SimplexScratch,
+) -> SimplexResult
+where
+    F: FnMut(&[f64]) -> f64,
+{
     assert!(!x0.is_empty(), "cannot optimize a zero-dimensional point");
-    let n = x0.len();
-    let warm = !policy.is_cold_only()
-        && seed.verts.len() == n + 1
-        && seed.verts.iter().all(|v| v.len() == n)
-        && (policy.cold_every == 0 || seed.streak + 1 < policy.cold_every);
-    scratch.reset(n);
+    macro_rules! fixed_dims {
+        ($($n:literal)+) => {
+            match x0.len() {
+                $($n => run(f, x0, opts, resume, Fixed::<$n, { $n + 1 }>::new().view()),)+
+                n => run(f, x0, opts, resume, scratch.view(n)),
+            }
+        };
+    }
+    fixed_dims!(1 2 3 4 5 6 7 8 9 10 11 12)
+}
+
+/// One fit on storage `V`: initialize (cold or warm), descend, account.
+fn run<V, F>(
+    mut f: F,
+    x0: &[f64],
+    opts: &SimplexOptions,
+    resume: Option<(&ResumePolicy, &mut SimplexSeed)>,
+    mut s: Simplex<'_, V>,
+) -> SimplexResult
+where
+    V: AsRef<[f64]> + AsMut<[f64]>,
+    F: FnMut(&[f64]) -> f64,
+{
     let mut evals = 0usize;
     let mut eval = |x: &[f64]| -> f64 {
         evals += 1;
@@ -366,36 +449,67 @@ where
             f64::INFINITY
         }
     };
-    if warm {
-        init_warm(&mut scratch.verts, seed, opts, policy);
-    } else {
-        init_cold(&mut scratch.verts, x0, opts);
+    let warm = match &resume {
+        Some((policy, seed)) if seed.resumes(policy, x0.len()) => {
+            init_warm(s.verts, seed, opts, policy);
+            true
+        }
+        _ => {
+            init_axes(s.verts, x0, opts.initial_step);
+            false
+        }
+    };
+    let (iterations, converged) = descend(&mut eval, opts, &mut s);
+    // Only the resume entry point tallies how its fits start.
+    let tally_start = resume.is_some();
+    if let Some((policy, seed)) = resume {
+        if !policy.is_cold_only() {
+            seed.store(s.verts, s.order, warm);
+        }
     }
-    let (iterations, converged) = descend(&mut eval, opts, scratch, n);
-    seed.store(scratch, warm);
     if vcoord_obs::enabled() {
-        let which = if warm {
-            vcoord_obs::metric_id!("simplex.warm_start")
-        } else {
-            vcoord_obs::metric_id!("simplex.cold_restart")
-        };
-        vcoord_obs::counter_add(which, 1);
+        if tally_start {
+            let start = if warm {
+                vcoord_obs::metric_id!("simplex.warm_start")
+            } else {
+                vcoord_obs::metric_id!("simplex.cold_restart")
+            };
+            vcoord_obs::counter_add(start, 1);
+        }
         vcoord_obs::counter_add(vcoord_obs::metric_id!("simplex.evals"), evals as u64);
+        let exit = if converged {
+            vcoord_obs::metric_id!("simplex.exit_converged")
+        } else {
+            vcoord_obs::metric_id!("simplex.exit_cap")
+        };
+        vcoord_obs::counter_add(exit, 1);
     }
-    finish(scratch, iterations, converged, evals)
+    // `order` is valid at every exit of the descent, and its head is the
+    // first vertex of minimal value — the reference's `min_by` pick.
+    let best = s.order[0];
+    SimplexResult {
+        point: s.verts[best].as_ref().to_vec(),
+        value: s.vals[best],
+        iterations,
+        converged,
+        evals,
+    }
 }
 
-/// Initial simplex for a cold start: `x0` plus one vertex per axis.
+/// Axis simplex: `center` plus one vertex per axis, `step` away (outward
+/// once the component is past ±1). The cold-start simplex, and the
+/// fallback for a degenerate warm seed.
 #[inline]
-fn init_cold(verts: &mut [Vec<f64>], x0: &[f64], opts: &SimplexOptions) {
+fn init_axes<V: AsMut<[f64]>>(verts: &mut [V], center: &[f64], step: f64) {
     for (k, v) in verts.iter_mut().enumerate() {
-        v.copy_from_slice(x0);
+        let v = v.as_mut();
+        v.copy_from_slice(center);
         if k > 0 {
             let i = k - 1;
             v[i] += if v[i].abs() > 1.0 {
-                opts.initial_step.copysign(v[i])
+                step.copysign(v[i])
             } else {
-                opts.initial_step
+                step
             };
         }
     }
@@ -404,10 +518,10 @@ fn init_cold(verts: &mut [Vec<f64>], x0: &[f64], opts: &SimplexOptions) {
 /// Initial simplex for a warm start: the seed simplex re-inflated about its
 /// best vertex so its largest per-axis extent is at least
 /// `max(damping * initial_step, min_extent)`. A fully degenerate seed
-/// (zero extent) falls back to a cold-style axis simplex of that extent
-/// around the previous best point.
-fn init_warm(
-    verts: &mut [Vec<f64>],
+/// (zero extent) falls back to an axis simplex of that extent around the
+/// previous best point.
+fn init_warm<V: AsMut<[f64]>>(
+    verts: &mut [V],
     seed: &SimplexSeed,
     opts: &SimplexOptions,
     policy: &ResumePolicy,
@@ -427,97 +541,67 @@ fn init_warm(
             1.0
         };
         for (v, s) in verts.iter_mut().zip(&seed.verts) {
-            for ((x, sx), c) in v.iter_mut().zip(s).zip(center) {
+            for ((x, sx), c) in v.as_mut().iter_mut().zip(s).zip(center) {
                 *x = c + scale * (sx - c);
             }
         }
     } else {
-        for (k, v) in verts.iter_mut().enumerate() {
-            v.copy_from_slice(center);
-            if k > 0 {
-                let i = k - 1;
-                v[i] += if v[i].abs() > 1.0 {
-                    target.copysign(v[i])
-                } else {
-                    target
-                };
-            }
-        }
+        init_axes(verts, center, target);
     }
 }
 
-/// Best vertex and result assembly shared by every entry point.
-fn finish(
-    scratch: &SimplexScratch,
-    iterations: usize,
-    converged: bool,
-    evals: usize,
-) -> SimplexResult {
-    let (bi, bv) = scratch
-        .vals
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .expect("simplex has at least one vertex");
-    SimplexResult {
-        point: scratch.verts[bi].clone(),
-        value: *bv,
-        iterations,
-        converged,
-        evals,
-    }
-}
-
-/// The shared descent loop: evaluate the already-initialized vertices,
-/// establish the `(value, index)` order, and run the standard reflect /
-/// expand / contract / shrink moves until tolerance or the iteration cap.
+/// The descent loop — the only one besides the retained [`oracle`]:
+/// evaluate the already-initialized vertices, establish the
+/// `(value, index)` order, and run the standard reflect / expand / contract
+/// / shrink moves until tolerance or the iteration cap.
 ///
-/// Extracted verbatim from the PR 3 kernel so cold starts through any entry
-/// point perform bit-identical floating-point operations in the identical
-/// order.
-fn descend<E>(
-    eval: &mut E,
-    opts: &SimplexOptions,
-    scratch: &mut SimplexScratch,
-    n: usize,
-) -> (usize, bool)
+/// Every entry point, every dimension and both vertex storages run this
+/// source, performing the oracle's floating-point operations in the
+/// oracle's order, so trajectories are bit-identical throughout.
+fn descend<V, E>(eval: &mut E, opts: &SimplexOptions, s: &mut Simplex<'_, V>) -> (usize, bool)
 where
+    V: AsRef<[f64]> + AsMut<[f64]>,
     E: FnMut(&[f64]) -> f64,
 {
-    let SimplexScratch {
+    let Simplex {
         verts,
         vals,
         order,
-        centroid,
-        best: best_buf,
-        trial,
-        trial2,
-    } = scratch;
+        points,
+    } = s;
+    let [centroid, best_buf, trial, trial2] = &mut **points;
+    let (centroid, best_buf) = (centroid.as_mut(), best_buf.as_mut());
+    let (trial, trial2) = (trial.as_mut(), trial2.as_mut());
+    // Read off a vertex rather than `verts.len()`: a compile-time constant
+    // for array storage, so the loops below unroll.
+    let n = centroid.len();
     for (val, v) in vals.iter_mut().zip(verts.iter()) {
-        *val = eval(v);
+        *val = eval(v.as_ref());
     }
 
     // Establish the (value, index) order once; reflect/expand/contract
     // moves below maintain it with a single ordered reinsertion, and only
     // the rare shrink move pays for a full re-sort.
-    order.extend(0..=n);
-    order.sort_unstable_by(|&a, &b| {
-        if before(vals, a, b) {
-            std::cmp::Ordering::Less
-        } else {
-            std::cmp::Ordering::Greater
-        }
-    });
+    for (i, o) in order.iter_mut().enumerate() {
+        *o = i;
+    }
+    sort_order(order, vals);
 
     // Replace the worst vertex (at `order[n]`) with `src`/`value` and slot
-    // it back into the maintained order.
+    // it back into the maintained order. `order[..n]` is sorted, so the
+    // number of vertices before the newcomer *is* its position — counted
+    // rather than binary-searched, which needs no data-dependent branch.
     let reinsert =
-        |verts: &mut [Vec<f64>], vals: &mut [f64], order: &mut [usize], src: &[f64], value: f64| {
+        |verts: &mut [V], vals: &mut [f64], order: &mut [usize], src: &[f64], value: f64| {
             let worst = order[n];
-            verts[worst].copy_from_slice(src);
+            verts[worst].as_mut().copy_from_slice(src);
             vals[worst] = value;
-            let pos = order[..n].partition_point(|&o| before(vals, o, worst));
-            order[pos..=n].rotate_right(1);
+            let pos = order[..n]
+                .iter()
+                .filter(|&&o| before(vals, o, worst))
+                .count();
+            order.copy_within(pos..n, pos + 1);
+            order[pos] = worst;
         };
 
     let mut iterations = 0;
@@ -537,8 +621,8 @@ where
         // Centroid of all but the worst vertex, accumulated in order so the
         // floating-point sum matches the reference bit for bit.
         centroid.fill(0.0);
-        for &i in order.iter().take(n) {
-            for (c, x) in centroid.iter_mut().zip(&verts[i]) {
+        for &i in &order[..n] {
+            for (c, x) in centroid.iter_mut().zip(verts[i].as_ref()) {
                 *c += x;
             }
         }
@@ -547,11 +631,11 @@ where
         }
 
         // Reflection.
-        lerp_into(trial, centroid, &verts[worst], -opts.alpha);
+        lerp_into(trial, centroid, verts[worst].as_ref(), -opts.alpha);
         let fr = eval(trial);
         if fr < vals[best] {
             // Expansion.
-            lerp_into(trial2, centroid, &verts[worst], -opts.gamma);
+            lerp_into(trial2, centroid, verts[worst].as_ref(), -opts.gamma);
             let fe = eval(trial2);
             if fe < fr {
                 reinsert(verts, vals, order, trial2, fe);
@@ -570,7 +654,7 @@ where
         if fr < vals[worst] {
             lerp_into(trial2, centroid, trial, opts.rho);
         } else {
-            lerp_into(trial2, centroid, &verts[worst], opts.rho);
+            lerp_into(trial2, centroid, verts[worst].as_ref(), opts.rho);
         }
         let fc = eval(trial2);
         if fc < vals[worst].min(fr) {
@@ -579,24 +663,18 @@ where
         }
 
         // Shrink toward the best vertex; every value changes, so re-sort.
-        best_buf.copy_from_slice(&verts[best]);
-        for i in 0..=n {
+        best_buf.copy_from_slice(verts[best].as_ref());
+        for (i, v) in verts.iter_mut().enumerate() {
             if i == best {
                 continue;
             }
-            let v = &mut verts[i];
+            let v = v.as_mut();
             for (x, b) in v.iter_mut().zip(best_buf.iter()) {
                 *x = b + opts.sigma * (*x - b);
             }
             vals[i] = eval(v);
         }
-        order.sort_unstable_by(|&a, &b| {
-            if before(vals, a, b) {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Greater
-            }
-        });
+        sort_order(order, vals);
     }
 
     (iterations, converged)
@@ -941,6 +1019,7 @@ mod tests {
             let b: Vec<u64> = direct.point.iter().map(|v| v.to_bits()).collect();
             assert_eq!(a, b);
             assert_eq!(seed.warm_streak(), 0, "strict mode never warm-starts");
+            assert_eq!(seed.dim(), None, "a seed nobody will read is not written");
         }
     }
 

@@ -2,15 +2,18 @@
 //! retained oracle: on random quadratics and Rosenbrock starts the two must
 //! agree on the returned point (bit for bit), objective value, iteration
 //! count, convergence flag, and evaluation count — the guarantee behind the
-//! byte-identical figure CSVs — and pinning the warm-start resume seam:
-//! a cold-only policy is bitwise-inert, and a warm policy converges to a
+//! byte-identical figure CSVs — at every dimension the kernel has a
+//! fixed-size instantiation for (1..=12) and on its `Vec` fallback (13),
+//! over NPS-shaped latency-fit objectives with poisoned regions and
+//! truncating iteration caps; and pinning the warm-start resume seam: a
+//! cold-only policy is bitwise-inert, and a warm policy converges to a
 //! point within bounded distance of the cold oracle's optimum.
 
 use proptest::prelude::*;
 use vcoord_space::simplex::oracle::simplex_downhill_reference;
 use vcoord_space::{
-    simplex_downhill_resume, simplex_downhill_scratch, ResumePolicy, SimplexOptions, SimplexResult,
-    SimplexScratch, SimplexSeed,
+    simplex_downhill_resume, simplex_downhill_scratch, Coord, ResumePolicy, SimplexOptions,
+    SimplexResult, SimplexScratch, SimplexSeed, Space,
 };
 
 /// Full bit-level comparison of two runs (panics on divergence, which the
@@ -29,6 +32,88 @@ fn assert_identical(new: &SimplexResult, old: &SimplexResult) {
     let new_bits: Vec<u64> = new.point.iter().map(|v| v.to_bits()).collect();
     let old_bits: Vec<u64> = old.point.iter().map(|v| v.to_bits()).collect();
     prop_assert_eq!(new_bits, old_bits, "point diverges");
+}
+
+/// Largest dimension exercised: one past the last fixed-size instantiation.
+const MAX_DIM: usize = 13;
+/// Largest reference-set size exercised.
+const MAX_REFS: usize = 24;
+
+proptest! {
+    // 48 variant combinations to reach, 13 dimensions each.
+    #![proptest_config(ProptestConfig::default())]
+
+    /// The NPS latency fit, the naive way — one `Space::distance` per
+    /// reference per evaluation — at every dimension 1..=13 of each drawn
+    /// case: odd and even reference counts, absolute and relative terms,
+    /// full / dampened / zero weights, with and without heights, NaN and
+    /// +∞ regions next to the start, and caps that cut the descent short
+    /// (0 = no iteration at all).
+    #[test]
+    fn kernel_matches_oracle_on_latency_fits_at_every_dimension(
+        refs in 2usize..=MAX_REFS,
+        values in prop::collection::vec(-150.0f64..150.0, (MAX_REFS + 1) * MAX_DIM),
+        rtts in prop::collection::vec(1.0f64..400.0, MAX_REFS),
+        heights in prop::collection::vec(0.0f64..40.0, MAX_REFS),
+        weight_picks in prop::collection::vec(0usize..3, MAX_REFS),
+        variant in 0usize..48,
+    ) {
+        let relative = variant % 2 == 1;
+        let with_height = (variant / 2) % 2 == 1;
+        let max_iterations = [0, 1, 3, 150][(variant / 4) % 4];
+        let poison = variant / 16; // 0 none, 1 NaN slabs, 2 +∞ outside a box
+        let opts = SimplexOptions {
+            initial_step: 20.0,
+            tolerance: 1e-7,
+            max_iterations,
+            ..SimplexOptions::default()
+        };
+        let mut scratch = SimplexScratch::new();
+        for dim in 1..=MAX_DIM {
+            let space = if with_height {
+                Space::EuclideanHeight(dim)
+            } else {
+                Space::Euclidean(dim)
+            };
+            let (x0, ref_values) = values.split_at(dim);
+            let samples: Vec<(Coord, f64, f64)> = (0..refs)
+                .map(|p| {
+                    let coord = Coord {
+                        vec: ref_values[p * dim..(p + 1) * dim].to_vec(),
+                        height: heights[p],
+                    };
+                    (coord, rtts[p], [1.0, 0.25, 0.0][weight_picks[p]])
+                })
+                .collect();
+            let f = |x: &[f64]| -> f64 {
+                // Both regions swallow several initial vertices at once, so
+                // the descent starts from tied +∞ values (index tie-break)
+                // and, for the box, has to shrink its way back inside.
+                let strays = |i: usize| (x[i] - x0[i]).abs() > 15.0;
+                match poison {
+                    1 if strays(0) || strays(dim - 1) => return f64::NAN,
+                    2 if (0..dim).any(strays) => return f64::INFINITY,
+                    _ => {}
+                }
+                let at = Coord::from_vec(x.to_vec());
+                samples
+                    .iter()
+                    .map(|(coord, rtt, weight)| {
+                        let diff = space.distance(&at, coord) - rtt;
+                        let term = if relative {
+                            (diff / rtt) * (diff / rtt)
+                        } else {
+                            diff * diff
+                        };
+                        term * weight
+                    })
+                    .sum()
+            };
+            let kernel = simplex_downhill_scratch(f, x0, &opts, &mut scratch);
+            let oracle = simplex_downhill_reference(f, x0, &opts);
+            assert_identical(&kernel, &oracle);
+        }
+    }
 }
 
 proptest! {
