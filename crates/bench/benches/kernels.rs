@@ -104,6 +104,21 @@ fn bench_nps_fit(c: &mut Criterion) {
     );
 }
 
+fn bench_netsim_queue(c: &mut Criterion) {
+    // The event queue alone, in the three scheduling shapes of
+    // vcoord_bench::QueuePattern (also timed by bench-baseline): one run per
+    // iteration, so ns per event = ns per iteration / events.
+    let mut group = c.benchmark_group("netsim_queue");
+    for (pattern, name) in vcoord_bench::QueuePattern::ALL {
+        let events = vcoord_bench::netsim_queue_run(pattern);
+        group.bench_function(name, |b| {
+            b.iter(|| vcoord_bench::netsim_queue_run(black_box(pattern)))
+        });
+        println!("netsim_queue/{name}: {events} events per iteration");
+    }
+    group.finish();
+}
+
 fn bench_lanes(c: &mut Criterion) {
     // The batched SoA distance kernel against its scalar reference, at the
     // shape the EvalPlan sweep feeds it (one anchor against a contiguous
@@ -283,6 +298,6 @@ fn bench_matrix_ops(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_vivaldi_update, bench_simplex, bench_nps_fit, bench_lanes, bench_eval_plan, bench_defense_inspect, bench_obs_disabled, bench_matrix_ops
+    targets = bench_vivaldi_update, bench_simplex, bench_nps_fit, bench_netsim_queue, bench_lanes, bench_eval_plan, bench_defense_inspect, bench_obs_disabled, bench_matrix_ops
 }
 criterion_main!(benches);

@@ -256,6 +256,19 @@ fn main() {
         ));
         kernels.push(("nps_fit_8d_20refs".into(), per_fit));
     }
+    for (pattern, name) in vcoord_bench::QueuePattern::ALL {
+        // The event queue alone, per event, in the simulators' scheduling
+        // shapes (see vcoord_bench::QueuePattern): one run per sample, its
+        // event count being deterministic.
+        let events = vcoord_bench::netsim_queue_run(pattern);
+        let per_run = time_kernel(budget, || {
+            std::hint::black_box(vcoord_bench::netsim_queue_run(pattern));
+        });
+        kernels.push((
+            format!("netsim_queue_{name}_per_event"),
+            per_run.scaled(1.0 / events as f64),
+        ));
+    }
     {
         // The batched SoA distance kernel against its scalar reference, at
         // the EvalPlan working-set shape (96 sampled peers per node). Both

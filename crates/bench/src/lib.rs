@@ -13,7 +13,7 @@
 //!   construction (`attacks`), design-choice ablations (`ablations`), and a
 //!   smoke pass over representative figure runners (`figures_smoke`).
 
-use vcoord::netsim::SeedStream;
+use vcoord::netsim::{Engine, NodeId, Scheduler, SeedStream, World, TICK_MS};
 use vcoord::nps::{
     position_node_scratch, FitObjective, PositionOutcome, PositionScratch, RefSample,
     SecurityPolicy,
@@ -123,6 +123,94 @@ impl NpsFitFixture {
     }
 }
 
+/// Event-queue workloads for the `netsim_queue` kernel rows: the
+/// scheduling shapes the simulators put on [`Engine`], with the protocol
+/// work taken out. Every shape runs the paper's population
+/// ([`QUEUE_NODES`], one timer per node per tick) for [`QUEUE_TICKS`] ticks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueuePattern {
+    /// Each timer re-arms itself one tick later: pushes arrive in time
+    /// order (the shape of NPS rounds and of Vivaldi's probe ticks alone).
+    MonotoneTimers,
+    /// A Vivaldi probe cycle: the timer re-arms itself and sends one
+    /// response that arrives an RTT later, in front of every queued timer.
+    TimerAndResponse,
+    /// `MonotoneTimers` behind one event parked at the end of time, so no
+    /// push is ever in time order — the worst case for a sorted-run lane.
+    NonMonotone,
+}
+
+impl QueuePattern {
+    /// Every pattern with the name its kernel rows carry.
+    pub const ALL: [(QueuePattern, &'static str); 3] = [
+        (QueuePattern::MonotoneTimers, "monotone_timers"),
+        (QueuePattern::TimerAndResponse, "timer_and_response"),
+        (QueuePattern::NonMonotone, "non_monotone"),
+    ];
+}
+
+/// Population of a [`netsim_queue_run`].
+pub const QUEUE_NODES: usize = 1740;
+
+/// Length of a [`netsim_queue_run`], in ticks.
+pub const QUEUE_TICKS: u64 = 20;
+
+/// A message the size of a Vivaldi probe response (a coordinate, an error
+/// and an RTT), so events weigh what the simulator's do.
+type QueuePayload = [f64; 6];
+
+struct QueueWorld {
+    respond: bool,
+    /// Pseudo-RTT generator state (a 64-bit LCG; no RNG crate in the loop).
+    lcg: u64,
+}
+
+impl World for QueueWorld {
+    type Payload = QueuePayload;
+
+    fn on_timer(&mut self, sched: &mut Scheduler<QueuePayload>, node: NodeId, tag: u64) {
+        sched.timer_after(TICK_MS, node, tag);
+        if self.respond {
+            self.lcg = self
+                .lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let rtt = 1 + (self.lcg >> 33) % 400;
+            sched.deliver_after(rtt, (node + 1) % QUEUE_NODES, node, [0.0; 6]);
+        }
+    }
+
+    fn on_message(
+        &mut self,
+        _: &mut Scheduler<QueuePayload>,
+        _: NodeId,
+        _: NodeId,
+        _: QueuePayload,
+    ) {
+    }
+}
+
+/// Run `pattern` on a fresh engine; returns the number of events
+/// processed (deterministic per pattern), the divisor that turns a run's
+/// time into time per event.
+pub fn netsim_queue_run(pattern: QueuePattern) -> usize {
+    let mut engine: Engine<QueuePayload> = Engine::new();
+    if pattern == QueuePattern::NonMonotone {
+        engine.scheduler().timer_at(u64::MAX, 0, 0);
+    }
+    for node in 0..QUEUE_NODES {
+        // Scattered phases, as the simulators draw them.
+        engine
+            .scheduler()
+            .timer_at(node as u64 * 7919 % TICK_MS, node, 0);
+    }
+    let mut world = QueueWorld {
+        respond: pattern == QueuePattern::TimerAndResponse,
+        lcg: 2006,
+    };
+    engine.run_until(&mut world, QUEUE_TICKS * TICK_MS)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,6 +228,18 @@ mod tests {
             r.value < f(&start),
             "minimization must improve on the start"
         );
+    }
+
+    #[test]
+    fn queue_patterns_process_the_expected_events() {
+        // One timer per node per tick, plus node 0 (phase 0) firing once
+        // more on the horizon itself; in the probe-cycle shape one response
+        // per timer, bar those still in flight at the horizon.
+        let timers = QUEUE_TICKS as usize * QUEUE_NODES + 1;
+        assert_eq!(netsim_queue_run(QueuePattern::MonotoneTimers), timers);
+        assert_eq!(netsim_queue_run(QueuePattern::NonMonotone), timers);
+        let cycle = netsim_queue_run(QueuePattern::TimerAndResponse);
+        assert!((2 * timers - 100..=2 * timers).contains(&cycle), "{cycle}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::time::Time;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Index of a simulated node.
 pub type NodeId = usize;
@@ -34,11 +34,18 @@ struct Scheduled<P> {
     event: Event<P>,
 }
 
+impl<P> Scheduled<P> {
+    /// The total delivery order: time, then push order among ties.
+    fn key(&self) -> (Time, u64) {
+        (self.at, self.seq)
+    }
+}
+
 // Order by (at, seq) only — `seq` gives deterministic FIFO among ties.
 // BinaryHeap is a max-heap, so comparisons are reversed.
 impl<P> Ord for Scheduled<P> {
     fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        other.key().cmp(&self.key())
     }
 }
 impl<P> PartialOrd for Scheduled<P> {
@@ -48,7 +55,7 @@ impl<P> PartialOrd for Scheduled<P> {
 }
 impl<P> PartialEq for Scheduled<P> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<P> Eq for Scheduled<P> {}
@@ -59,10 +66,20 @@ impl<P> Eq for Scheduled<P> {}
 /// simulated times; the engine owns the clock. Scheduling in the past is
 /// clamped to "now" (and logged at DEBUG as an exceptional event) rather
 /// than panicking, so adversarial arithmetic cannot wedge a run.
+///
+/// The queue has two lanes holding disjoint events. A push whose time is
+/// not before the last event of `run` is appended to it; since `seq` only
+/// grows, `run` is then sorted by `(at, seq)` by construction and needs no
+/// sifting. Every other push goes to `heap`. The next event is the smaller
+/// `(at, seq)` of the two heads, so delivery order is the same total order
+/// a single heap gives, for any schedule. Periodic timers re-armed at
+/// `now + period` are monotone and ride `run`; only out-of-order events
+/// (short-latency messages scheduled behind a later timer) pay for the heap.
 pub struct Scheduler<P> {
     now: Time,
     seq: u64,
-    queue: BinaryHeap<Scheduled<P>>,
+    run: VecDeque<Scheduled<P>>,
+    heap: BinaryHeap<Scheduled<P>>,
 }
 
 impl<P> Scheduler<P> {
@@ -70,7 +87,8 @@ impl<P> Scheduler<P> {
         Scheduler {
             now: 0,
             seq: 0,
-            queue: BinaryHeap::new(),
+            run: VecDeque::new(),
+            heap: BinaryHeap::new(),
         }
     }
 
@@ -82,7 +100,27 @@ impl<P> Scheduler<P> {
 
     /// Number of events still queued.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.run.len() + self.heap.len()
+    }
+
+    /// Remove and return the next event in `(at, seq)` order, unless it
+    /// fires after `horizon`.
+    fn pop_due(&mut self, horizon: Time) -> Option<Scheduled<P>> {
+        let run_key = self.run.front().map(Scheduled::key);
+        let heap_key = self.heap.peek().map(Scheduled::key);
+        let from_run = match (run_key, heap_key) {
+            (Some(r), Some(h)) => r < h,
+            (r, _) => r.is_some(),
+        };
+        let (at, _) = if from_run { run_key? } else { heap_key? };
+        if at > horizon {
+            return None;
+        }
+        if from_run {
+            self.run.pop_front()
+        } else {
+            self.heap.pop()
+        }
     }
 
     fn push(&mut self, at: Time, event: Event<P>) {
@@ -97,7 +135,12 @@ impl<P> Scheduler<P> {
         };
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Scheduled { at, seq, event });
+        let scheduled = Scheduled { at, seq, event };
+        if self.run.back().map_or(true, |back| at >= back.at) {
+            self.run.push_back(scheduled);
+        } else {
+            self.heap.push(scheduled);
+        }
     }
 
     /// Fire a timer for `node` at absolute time `at`.
@@ -197,9 +240,10 @@ impl<P> Engine<P> {
         &mut self.sched
     }
 
-    /// Process one event; returns `false` when the queue is empty.
-    pub fn step<W: World<Payload = P>>(&mut self, world: &mut W) -> bool {
-        let Some(s) = self.sched.queue.pop() else {
+    /// Process the next event unless it fires after `horizon`; returns
+    /// `false` when nothing is due.
+    fn step_due<W: World<Payload = P>>(&mut self, world: &mut W, horizon: Time) -> bool {
+        let Some(s) = self.sched.pop_due(horizon) else {
             return false;
         };
         debug_assert!(s.at >= self.sched.now, "time went backwards");
@@ -213,15 +257,16 @@ impl<P> Engine<P> {
         true
     }
 
+    /// Process one event; returns `false` when the queue is empty.
+    pub fn step<W: World<Payload = P>>(&mut self, world: &mut W) -> bool {
+        self.step_due(world, Time::MAX)
+    }
+
     /// Run until the clock would pass `t` (events at exactly `t` are
     /// processed). Returns the number of events processed.
     pub fn run_until<W: World<Payload = P>>(&mut self, world: &mut W, t: Time) -> usize {
         let mut processed = 0;
-        while let Some(head) = self.sched.queue.peek() {
-            if head.at > t {
-                break;
-            }
-            self.step(world);
+        while self.step_due(world, t) {
             processed += 1;
         }
         // Advance the clock to t even if the queue drained early.

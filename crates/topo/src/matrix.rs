@@ -16,9 +16,13 @@ use serde::{Deserialize, Serialize};
 /// assert!(m.validate().is_ok());
 /// ```
 ///
-/// The diagonal is always zero. Storage is a full row-major `n × n` buffer —
-/// at the paper's scale (1740 nodes ⇒ ~24 MB) this is cheap and keeps the
-/// simulator's innermost read (`rtt(i, j)`) a single indexed load.
+/// The diagonal is always zero. Storage is a full row-major `n × n` buffer
+/// (1740 nodes ⇒ ~24 MB): evaluation reads whole rows of it per sweep, and
+/// a full delay matrix is what the figures measure the coordinates against.
+/// It is too large to be a cache-friendly *per-probe* read, though — one
+/// random cell is one cache and TLB miss — so protocol code that keeps
+/// returning to the same few cells (a Vivaldi node's springs) copies them
+/// out once instead of calling [`rtt`](RttMatrix::rtt) per probe.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RttMatrix {
     n: usize,

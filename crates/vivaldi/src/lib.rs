@@ -36,4 +36,4 @@ pub use adversary::{AttackStrategy, Collusion, CoordView, Honest, Lie, Probe, Pr
 pub use config::VivaldiConfig;
 pub use convergence::ConvergenceTracker;
 pub use defense::{Defense, DefenseStrategy, Verdict};
-pub use sim::VivaldiSim;
+pub use sim::{Spring, VivaldiSim};

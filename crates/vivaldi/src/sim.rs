@@ -7,9 +7,14 @@
 //! plus adversarial delay plus benign jitter), at which point the victim
 //! applies the Vivaldi update rule.
 //!
-//! State is stored struct-of-arrays (`coords`, `errors`, `neighbors`,
-//! `malicious`) so the whole coordinate table can be lent to adversaries as
-//! the knowledge oracle without copies.
+//! State is stored struct-of-arrays (`coords`, `errors`, `malicious`) so
+//! the whole coordinate table can be lent to adversaries as the knowledge
+//! oracle without copies. The one per-node table is `springs`: each node's
+//! [`Spring`]s carry the peer id together with the base RTT to it and its
+//! chaos strike count, so a tick's probe reads one slot of the prober's own
+//! ~1 KB row instead of a random cell of the n² latency matrix. The matrix
+//! fills the table in [`VivaldiSim::new`] and is read again only on the rare
+//! chaos paths (a retry, a replacement spring) and by the evaluation code.
 
 use crate::adversary::{AttackStrategy, CoordView, Lie, Probe, Protocol, Scenario};
 use crate::config::VivaldiConfig;
@@ -30,16 +35,21 @@ use vcoord_topo::RttMatrix;
 const TAG_PROBE: u64 = 0;
 
 /// Retry timers are odd tags packing the attempt and target peer:
-/// `1 | attempt << 1 | peer << 8`. Only scheduled when chaos is installed
-/// and a probe timed out, so a chaos-free run sees `TAG_PROBE` only.
+/// `1 | attempt << 1 | peer << 33` — the attempt gets all 32 bits of
+/// [`ProbePolicy::max_retries`](vcoord_chaos::ProbePolicy), the peer the
+/// 31 above them (a spring's peer id is a `u32`, and no n² matrix reaches
+/// 2³¹ nodes). Only scheduled when chaos is installed and a probe timed
+/// out, so a chaos-free run sees `TAG_PROBE` only.
 const TAG_RETRY_BIT: u64 = 1;
+const TAG_PEER_SHIFT: u32 = 33;
 
 fn retry_tag(peer: usize, attempt: u32) -> u64 {
-    TAG_RETRY_BIT | (u64::from(attempt) << 1) | ((peer as u64) << 8)
+    debug_assert!(peer < 1 << (64 - TAG_PEER_SHIFT));
+    TAG_RETRY_BIT | (u64::from(attempt) << 1) | ((peer as u64) << TAG_PEER_SHIFT)
 }
 
 fn retry_tag_decode(tag: u64) -> (usize, u32) {
-    ((tag >> 8) as usize, ((tag >> 1) & 0x7f) as u32)
+    ((tag >> TAG_PEER_SHIFT) as usize, (tag >> 1) as u32)
 }
 
 /// A probe response in flight.
@@ -48,6 +58,43 @@ struct Sample {
     coord: Coord,
     error: f64,
     rtt: f64,
+}
+
+/// One spring of a node: the neighbor it probes, the base RTT to it (a copy
+/// of the latency matrix cell, bit for bit) and, under chaos, the count of
+/// consecutive probe cycles to it that exhausted their retries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spring {
+    peer: u32,
+    strikes: u32,
+    rtt: f64,
+}
+
+impl Spring {
+    fn new(matrix: &RttMatrix, node: usize, peer: usize) -> Spring {
+        Spring {
+            peer: u32::try_from(peer).expect("peer id fits u32"),
+            strikes: 0,
+            rtt: matrix.rtt(node, peer),
+        }
+    }
+
+    /// The neighbor at the other end.
+    pub fn peer(&self) -> usize {
+        self.peer as usize
+    }
+
+    /// Base RTT to the peer in ms, before link jitter and faults.
+    pub fn rtt(&self) -> f64 {
+        self.rtt
+    }
+
+    /// Consecutive exhausted probe cycles (always 0 without chaos). At
+    /// `evict_after` strikes the stale spring is shed and a replacement
+    /// drawn from the chaos stream.
+    pub fn strikes(&self) -> u32 {
+        self.strikes
+    }
 }
 
 /// Probe/lie counters, exposed for tests and diagnostics.
@@ -70,7 +117,7 @@ struct VivaldiWorld {
     matrix: RttMatrix,
     coords: Vec<Coord>,
     errors: Vec<f64>,
-    neighbors: Vec<Vec<usize>>,
+    springs: Vec<Vec<Spring>>,
     malicious: Vec<bool>,
     scenario: Option<Scenario>,
     defense: Option<Defense>,
@@ -91,11 +138,6 @@ struct VivaldiWorld {
     /// without the chaos subsystem (all chaos randomness lives on the
     /// plan's own stream).
     chaos: Option<ChaosState>,
-    /// Consecutive exhausted probe cycles per neighbor-list slot, parallel
-    /// to `neighbors`; sized on [`VivaldiSim::install_chaos`], empty (and
-    /// untouched) otherwise. At `evict_after` strikes the stale neighbor
-    /// is shed and a replacement drawn from the chaos stream.
-    fail: Vec<Vec<u32>>,
     probe_rng: ChaCha12Rng,
     update_rng: ChaCha12Rng,
     adv_rng: ChaCha12Rng,
@@ -118,7 +160,10 @@ impl World for VivaldiWorld {
                     return;
                 }
             }
-            self.send_probe(sched, node, peer, attempt);
+            // The peer may have been evicted since the timeout, so the
+            // retry reads the matrix rather than the spring table.
+            let base_rtt = self.matrix.rtt(node, peer);
+            self.send_probe(sched, node, peer, base_rtt, attempt);
             return;
         }
         debug_assert_eq!(tag, TAG_PROBE);
@@ -133,7 +178,9 @@ impl World for VivaldiWorld {
                     self.coords[r] = self.config.space.origin();
                     self.errors[r] = self.config.initial_error;
                 }
-                self.fail[r].fill(0);
+                for spring in &mut self.springs[r] {
+                    spring.strikes = 0;
+                }
             }
             if chaos.is_down(node) {
                 return; // crashed nodes neither probe nor tick forward state
@@ -142,10 +189,15 @@ impl World for VivaldiWorld {
         if self.malicious[node] {
             return; // infected nodes no longer maintain their own position
         }
-        let Some(&peer) = self.neighbors[node].choose(&mut self.probe_rng) else {
+        let Some(&spring) = self.springs[node].choose(&mut self.probe_rng) else {
             return;
         };
-        self.send_probe(sched, node, peer, 0);
+        debug_assert_eq!(
+            spring.rtt.to_bits(),
+            self.matrix.rtt(node, spring.peer()).to_bits(),
+            "spring table out of sync with the matrix"
+        );
+        self.send_probe(sched, node, spring.peer(), spring.rtt, 0);
     }
 
     fn on_message(&mut self, sched: &mut Scheduler<Sample>, from: NodeId, to: NodeId, s: Sample) {
@@ -162,19 +214,20 @@ impl World for VivaldiWorld {
 }
 
 impl VivaldiWorld {
-    /// One probe attempt from `node` to `peer` (`attempt` 0 is the tick's
-    /// regular probe; higher attempts are chaos retries). Chaos-free runs
-    /// always take the `attempt == 0` path with no chaos branch taken.
+    /// One probe attempt from `node` to `peer` over a link of `base_rtt`
+    /// (`attempt` 0 is the tick's regular probe; higher attempts are chaos
+    /// retries). Chaos-free runs always take the `attempt == 0` path with
+    /// no chaos branch taken.
     fn send_probe(
         &mut self,
         sched: &mut Scheduler<Sample>,
         node: usize,
         peer: usize,
+        base_rtt: f64,
         attempt: u32,
     ) {
         self.counters.probes_sent += 1;
 
-        let base_rtt = self.matrix.rtt(node, peer);
         let Some(rtt) = self.config.link.apply(base_rtt, &mut self.probe_rng) else {
             self.counters.probes_lost += 1;
             return;
@@ -191,8 +244,8 @@ impl VivaldiWorld {
         };
         if self.chaos.is_some() {
             // The peer answered: clear its staleness strikes.
-            if let Some(idx) = self.neighbors[node].iter().position(|&p| p == peer) {
-                self.fail[node][idx] = 0;
+            if let Some(spring) = self.springs[node].iter_mut().find(|s| s.peer() == peer) {
+                spring.strikes = 0;
             }
         }
 
@@ -276,23 +329,24 @@ impl VivaldiWorld {
             sched.timer_after(time::from_ms_f64(delay), node, retry_tag(peer, attempt + 1));
             return;
         }
-        let Some(idx) = self.neighbors[node].iter().position(|&p| p == peer) else {
+        let springs = &mut self.springs[node];
+        let Some(idx) = springs.iter().position(|s| s.peer() == peer) else {
             return; // already evicted by an earlier cycle
         };
-        self.fail[node][idx] += 1;
-        if self.fail[node][idx] < chaos.evict_after() {
+        springs[idx].strikes += 1;
+        if springs[idx].strikes < chaos.evict_after() {
             return;
         }
-        self.neighbors[node].swap_remove(idx);
-        self.fail[node].swap_remove(idx);
+        springs.swap_remove(idx);
         chaos.note_eviction(node, peer, sched.now());
         // Exclude the dead peer itself from the replacement draw.
-        self.neighbors[node].push(peer);
-        let replacement = chaos.replacement(self.matrix.len(), node, &self.neighbors[node]);
-        self.neighbors[node].pop();
-        if let Some(repl) = replacement {
-            self.neighbors[node].push(repl);
-            self.fail[node].push(0);
+        let exclude: Vec<usize> = springs
+            .iter()
+            .map(Spring::peer)
+            .chain(std::iter::once(peer))
+            .collect();
+        if let Some(repl) = chaos.replacement(self.matrix.len(), node, &exclude) {
+            springs.push(Spring::new(&self.matrix, node, repl));
         }
     }
 
@@ -376,24 +430,25 @@ impl VivaldiSim {
     pub fn new(matrix: RttMatrix, config: VivaldiConfig, seeds: &SeedStream) -> VivaldiSim {
         assert!(matrix.len() >= 2, "need at least two nodes");
         let n = matrix.len();
-        let neighbors: Vec<Vec<usize>> = (0..n)
+        let springs: Vec<Vec<Spring>> = (0..n)
             .map(|i| {
                 let mut rng = seeds.rng_indexed("vivaldi/neighbors", i as u64);
-                select_neighbors(
+                let peers = select_neighbors(
                     &matrix,
                     i,
                     config.neighbors,
                     config.near_neighbors,
                     config.near_cutoff_ms,
                     &mut rng,
-                )
+                );
+                peers.iter().map(|&j| Spring::new(&matrix, i, j)).collect()
             })
             .collect();
 
         let world = VivaldiWorld {
             coords: vec![config.space.origin(); n],
             errors: vec![config.initial_error; n],
-            neighbors,
+            springs,
             malicious: vec![false; n],
             scenario: None,
             defense: None,
@@ -401,7 +456,6 @@ impl VivaldiSim {
             rep_banned: Vec::new(),
             rep_reinstated: Vec::new(),
             chaos: None,
-            fail: Vec::new(),
             probe_rng: seeds.rng("vivaldi/probe"),
             update_rng: seeds.rng("vivaldi/update"),
             adv_rng: seeds.rng("vivaldi/adversary"),
@@ -591,12 +645,9 @@ impl VivaldiSim {
             self.engine.now()
         );
         self.world.chaos = Some(ChaosState::new(plan, n, self.engine.now()));
-        self.world.fail = self
-            .world
-            .neighbors
-            .iter()
-            .map(|ns| vec![0; ns.len()])
-            .collect();
+        for spring in self.world.springs.iter_mut().flatten() {
+            spring.strikes = 0;
+        }
     }
 
     /// The installed fault schedule's runtime state, if any.
@@ -609,10 +660,10 @@ impl VivaldiSim {
         self.world.chaos.as_ref().map(|c| c.counters())
     }
 
-    /// Current neighbor lists (springs). Chaos staleness eviction mutates
-    /// these; without chaos they are fixed at construction.
-    pub fn neighbors(&self) -> &[Vec<usize>] {
-        &self.world.neighbors
+    /// Current spring table, one row per node. Chaos staleness eviction
+    /// mutates it; without chaos it is fixed at construction.
+    pub fn springs(&self) -> &[Vec<Spring>] {
+        &self.world.springs
     }
 }
 
@@ -905,12 +956,134 @@ mod tests {
         assert!(c.evictions > 0, "peers must evict dead neighbors: {c:?}");
         // Eviction keeps the spring count: replacements were drawn.
         let degree_ok = sim
-            .neighbors()
+            .springs()
             .iter()
             .enumerate()
             .filter(|(i, _)| *i >= 3)
             .all(|(_, ns)| !ns.is_empty());
         assert!(degree_ok);
+    }
+
+    /// Every spring's cached RTT is the matrix cell bit for bit, and no
+    /// row lists a peer twice or its own node.
+    fn assert_springs_true(sim: &VivaldiSim) {
+        for (node, row) in sim.springs().iter().enumerate() {
+            let mut peers: Vec<usize> = row.iter().map(Spring::peer).collect();
+            assert!(!peers.contains(&node), "node {node} springs to itself");
+            for s in row {
+                assert_eq!(
+                    s.rtt().to_bits(),
+                    sim.matrix().rtt(node, s.peer()).to_bits(),
+                    "stale rtt on spring {node}->{}",
+                    s.peer()
+                );
+            }
+            peers.sort_unstable();
+            peers.dedup();
+            assert_eq!(peers.len(), row.len(), "node {node} lists a peer twice");
+        }
+    }
+
+    #[test]
+    fn spring_table_stays_true_under_churn_and_bursts() {
+        use vcoord_chaos::BurstModel;
+
+        let mut sim = small_sim(40, 25);
+        assert_springs_true(&sim);
+        sim.run_ticks(60);
+        let tick = sim.config().tick_ms;
+        sim.install_chaos(
+            ChaosPlan::with_seed(7)
+                .churn_wave(40, 0.25, 2 * tick, 40 * tick)
+                .bursts(BurstModel::mild()),
+        );
+        sim.run_ticks(80);
+        let c = sim.chaos_counters().unwrap();
+        assert!(c.evictions > 0 && c.burst_losses > 0, "{c:?}");
+        assert_eq!(c.restarts, 10);
+        assert_springs_true(&sim);
+    }
+
+    #[test]
+    fn restart_wipes_strike_counts() {
+        use vcoord_chaos::ProbePolicy;
+
+        // Four of ten nodes are dead for good, eviction is out of reach, and
+        // a probe cycle (10 s + 20 s of backoff) outlasts a tick — so node 9
+        // collects strikes, and none can land between its restart and the
+        // next tick boundary.
+        let mut sim = small_sim(10, 26);
+        sim.run_ticks(20);
+        let tick = sim.config().tick_ms;
+        sim.install_chaos(
+            ChaosPlan::none()
+                .takedown(&[0, 1, 2, 3], 0, None)
+                .takedown(&[9], 40 * tick, Some(5 * tick))
+                .probe_policy(ProbePolicy {
+                    timeout_ms: 10_000.0,
+                    evict_after: u32::MAX,
+                    ..ProbePolicy::default()
+                }),
+        );
+        let strikes =
+            |sim: &VivaldiSim| -> u32 { sim.springs()[9].iter().map(|s| s.strikes()).sum() };
+        sim.run_ticks(40);
+        assert!(strikes(&sim) > 0, "node 9 never struck a dead peer");
+        assert!(sim.springs()[9]
+            .iter()
+            .all(|s| s.strikes() == 0 || s.peer() < 4));
+        sim.run_ticks(6);
+        assert_eq!(sim.chaos_counters().unwrap().restarts, 1);
+        assert_eq!(strikes(&sim), 0, "restart must wipe node 9's strikes");
+        assert_eq!(sim.chaos_counters().unwrap().evictions, 0);
+        assert_springs_true(&sim);
+    }
+
+    #[test]
+    fn retry_tag_round_trips_full_width_attempts() {
+        for (peer, attempt) in [(0, 0), (4, 128), (1739, 200), ((1 << 31) - 1, u32::MAX)] {
+            let tag = retry_tag(peer, attempt);
+            assert_ne!(tag & TAG_RETRY_BIT, 0);
+            assert_eq!(retry_tag_decode(tag), (peer, attempt));
+        }
+    }
+
+    #[test]
+    fn long_retry_chains_end_in_a_strike_on_the_probed_peer() {
+        use vcoord_chaos::ProbePolicy;
+
+        // 200 retries per cycle: attempts past 127 used to spill into the
+        // peer id (dead node 4 became live node 5, which answered) and wrap
+        // the decoded attempt, so the chain never reached `max_retries`.
+        let mut sim = small_sim(8, 27);
+        sim.run_ticks(20);
+        sim.install_chaos(
+            ChaosPlan::none()
+                .takedown(&[4], 0, None)
+                .probe_policy(ProbePolicy {
+                    timeout_ms: 50.0,
+                    max_retries: 200,
+                    backoff: 1.0,
+                    evict_after: u32::MAX,
+                }),
+        );
+        sim.run_ticks(40);
+        let mut cycles = 0;
+        for (node, row) in sim.springs().iter().enumerate() {
+            for s in row {
+                if s.peer() == 4 && node != 4 {
+                    cycles += u64::from(s.strikes());
+                } else {
+                    assert_eq!(s.strikes(), 0, "strike on live peer {}", s.peer());
+                }
+            }
+        }
+        assert!(cycles > 0, "no probe cycle to the dead peer completed");
+        // Only a cycle's last attempt times out without scheduling a retry,
+        // so the difference counts exhausted cycles: each one struck node 4.
+        let c = sim.chaos_counters().unwrap();
+        assert_eq!(c.timeouts - c.retries, cycles, "{c:?}");
+        assert!(c.retries >= 200 * cycles, "{c:?}");
     }
 
     #[test]
