@@ -74,5 +74,7 @@ pub use adaptive::{
 };
 pub use collusion::{Collusion, Group};
 pub use scenario::Scenario;
-pub use strategies::{Deflation, FrogBoiling, Inflation, NetworkPartition, Oscillation, RandomLie};
+pub use strategies::{
+    BurstThenReform, Deflation, FrogBoiling, Inflation, NetworkPartition, Oscillation, RandomLie,
+};
 pub use strategy::{AttackStrategy, CoordView, Honest, Lie, Probe, Protocol};

@@ -18,6 +18,8 @@
 //! * [`Inflation`] — report coordinates pushed radially far outward.
 //! * [`Deflation`] — report coordinates shrunk toward the origin.
 //! * [`RandomLie`] — disorder: a fresh random coordinate every probe.
+//! * [`BurstThenReform`] — a flagrant flat lie for a fixed number of
+//!   rounds, then honesty forever.
 //!
 //! All strategies honour the delay-only threat model. The coordinate-lie
 //! families (frog-boiling, oscillation, partition, inflation, deflation)
@@ -445,6 +447,65 @@ impl AttackStrategy for RandomLie {
 
     fn label(&self) -> &'static str {
         "random-lie"
+    }
+}
+
+/// *Burst, then reform*: every attacker reports its coordinate shifted a
+/// flat 250 ms along axis 0 for the first `attack_rounds` rounds after
+/// injection, then answers honestly forever — the minimal reform story
+/// the reputation-decay and probation tests and figures are built on. The
+/// flat offset is flagrant to a drift cap's vector-mean pull (no
+/// per-observer cancellation), so every attacker lands in the defense's
+/// ban set during the burst.
+#[derive(Debug, Clone)]
+pub struct BurstThenReform {
+    attack_rounds: u64,
+    injected_at: Option<u64>,
+}
+
+impl BurstThenReform {
+    /// Lie for `attack_rounds` rounds after injection, then reform.
+    pub fn new(attack_rounds: u64) -> BurstThenReform {
+        BurstThenReform {
+            attack_rounds,
+            injected_at: None,
+        }
+    }
+}
+
+impl AttackStrategy for BurstThenReform {
+    fn inject(
+        &mut self,
+        _attackers: &[usize],
+        _collusion: &mut Collusion,
+        view: &CoordView<'_>,
+        _rng: &mut ChaCha12Rng,
+    ) {
+        self.injected_at = Some(view.round);
+    }
+
+    fn respond(
+        &mut self,
+        probe: &Probe,
+        _collusion: &mut Collusion,
+        view: &CoordView<'_>,
+        _rng: &mut ChaCha12Rng,
+    ) -> Option<Lie> {
+        let start = self.injected_at.unwrap_or(0);
+        if view.round.saturating_sub(start) >= self.attack_rounds {
+            return None; // reformed
+        }
+        let mut coord = view.coords[probe.attacker].clone();
+        coord.vec[0] += 250.0;
+        Some(Lie {
+            coord,
+            error: LIE_ERROR,
+            delay_ms: 0.0,
+        })
+    }
+
+    fn label(&self) -> &'static str {
+        "burst-then-reform"
     }
 }
 

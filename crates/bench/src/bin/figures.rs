@@ -27,7 +27,8 @@
 //!
 //! Each figure prints as an aligned table and is written to
 //! `DIR/<id>.csv`. Shape notes (the qualitative claims the paper makes
-//! about each figure) are embedded as `#`-comments.
+//! about each figure) are embedded as `#`-comments. Exit codes: 0 ok, 1
+//! unknown figure id, 2 flag errors, 3 an output path that cannot be written.
 //!
 //! Every figure derives its seeds from `(master seed, figure id)` alone, so
 //! `--jobs` changes wall-clock time but never a CSV byte; the writer thread
@@ -43,7 +44,7 @@
 
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use vcoord::experiments::{registry, Scale};
@@ -136,6 +137,13 @@ fn load_baseline(scale_name: &str) -> BTreeMap<String, f64> {
                 .collect()
         })
         .unwrap_or_default()
+}
+
+/// Report an output path that cannot be written and exit with the
+/// bad-input code (3, as `obs-diff` / `obs-report` use it).
+fn cannot_write(path: &Path, err: std::io::Error) -> ! {
+    eprintln!("figures: cannot write {}: {err}", path.display());
+    std::process::exit(3);
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -272,12 +280,12 @@ fn main() {
         })
         .collect();
 
-    std::fs::create_dir_all(&args.out).expect("create output directory");
-    if let Some(dir) = &args.trace_out {
-        std::fs::create_dir_all(dir).expect("create trace directory");
-    }
-    if let Some(dir) = &args.profile {
-        std::fs::create_dir_all(dir).expect("create profile directory");
+    // Before any compute: an unwritable directory fails in milliseconds.
+    for dir in std::iter::once(&args.out)
+        .chain(&args.trace_out)
+        .chain(&args.profile)
+    {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| cannot_write(dir, e));
     }
     println!(
         "# vcoord figure harness — scale={} nodes={} reps={} seed={} jobs={}",
@@ -323,12 +331,12 @@ fn main() {
     let writer = std::thread::spawn(move || {
         let mut profile_file = profile_dir.map(|dir| {
             let path = dir.join("profile.jsonl");
-            let mut file = std::fs::File::create(&path).expect("create profile JSONL");
+            let mut file = std::fs::File::create(&path).unwrap_or_else(|e| cannot_write(&path, e));
             writeln!(
                 file,
                 "{{\"type\":\"meta\",\"run\":\"{run_id}\",\"scale\":\"{scale_name}\",\"seed\":{seed},\"jobs\":{jobs}}}"
             )
-            .expect("write profile meta");
+            .unwrap_or_else(|e| cannot_write(&path, e));
             (path, file)
         });
         let baseline = if progress {
@@ -351,8 +359,7 @@ fn main() {
             while let Some((fig, compute_secs, report, prof)) = pending.remove(&next) {
                 println!("{}", fig.to_table());
                 let path = out_dir.join(format!("{}.csv", fig.id));
-                let mut file = std::fs::File::create(&path).expect("create CSV");
-                file.write_all(fig.to_csv().as_bytes()).expect("write CSV");
+                std::fs::write(&path, fig.to_csv()).unwrap_or_else(|e| cannot_write(&path, e));
                 if let (Some(dir), Some(report)) = (&trace_dir, report) {
                     let meta = vcoord::obs::TraceMeta {
                         run: run_id.clone(),
@@ -362,12 +369,12 @@ fn main() {
                     };
                     let trace_path = dir.join(format!("{}.jsonl", fig.id));
                     std::fs::write(&trace_path, vcoord::obs::render_jsonl(&meta, &report))
-                        .expect("write trace");
+                        .unwrap_or_else(|e| cannot_write(&trace_path, e));
                     println!("wrote {}", trace_path.display());
                 }
-                if let (Some((_, file)), Some(prof)) = (&mut profile_file, prof) {
+                if let (Some((path, file)), Some(prof)) = (&mut profile_file, prof) {
                     file.write_all(prof.render(&fig.id).as_bytes())
-                        .expect("write profile row");
+                        .unwrap_or_else(|e| cannot_write(path, e));
                 }
                 println!(
                     "wrote {} ({} rows) in {compute_secs:.1}s\n",

@@ -71,6 +71,22 @@ fn unknown_figure_id_exits_one() {
 }
 
 #[test]
+fn unwritable_out_dir_exits_three_without_a_panic() {
+    let dir = tempdir("unwritable-out");
+    let blocker = dir.join("not-a-directory");
+    std::fs::write(&blocker, "a regular file").unwrap();
+    let out_dir = blocker.join("results");
+    let out = run(&["fig17", "--smoke", "--out", out_dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(3), "stderr:\n{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains(&format!("figures: cannot write {}:", out_dir.display())),
+        "stderr:\n{err}"
+    );
+    assert!(!err.contains("panicked"), "stderr:\n{err}");
+}
+
+#[test]
 fn smoke_run_writes_csv_with_rows() {
     let dir = tempdir("smoke-fig17");
     // fig17 evaluates closed-form geometry — the cheapest figure.

@@ -25,18 +25,16 @@
 //!   other corner: one burst is the last, at the price of every false
 //!   positive being banned forever.
 
-use crate::experiments::attack_figs::{mean_tails, strategy_by};
-use crate::experiments::harness::{
-    run_nps_defended, run_vivaldi_defended, DefenseOutcome, NpsFactory, VivaldiFactory,
-};
-use crate::experiments::{run_repetitions, FigureResult, Scale};
+use crate::experiments::attack_figs::strategy_by;
+use crate::experiments::harness::{plain, RunSpec, System};
+use crate::experiments::shapes::{Block, Cell, LevelSweep, Matrix};
+use crate::experiments::{FigureResult, Scale};
 use vcoord_attackkit::{
     AttackStrategy, DefenseModel, EvadingFrogBoil, SleeperCollusion, ThresholdProbe,
 };
 use vcoord_defense::{DefenseStrategy, DriftCap, DriftDecay, ResidualOutlier};
-use vcoord_metrics::Confusion;
-use vcoord_nps::NpsConfig;
-use vcoord_space::Space;
+use vcoord_nps::NpsSim;
+use vcoord_vivaldi::VivaldiSim;
 
 /// The adaptive attack labels swept by the `arms-sweep-*` figures, in CSV
 /// column order. `frog_boiling` rides along as the non-adaptive baseline
@@ -79,172 +77,126 @@ pub fn arms_defense_by(label: &str) -> Box<dyn DefenseStrategy> {
     }
 }
 
-/// One (attack × defense) cell of an arms sweep, merged across
-/// repetitions.
-struct ArmsCell {
-    err: f64,
-    drift: f64,
-    tpr: f64,
-    fpr: f64,
-    reinstated: f64,
+/// Per defense: error, drift, detection quality, reinstatements.
+const BLOCKS: [Block; 5] = [
+    ("err", 0, |c| c.err),
+    ("drift", 0, |c| c.drift),
+    ("tpr", 0, Cell::tpr),
+    ("fpr", 0, Cell::fpr),
+    ("reinstated", 0, |c| c.reinstated),
+];
+
+fn sweep_note(attack: &str, cells: &[Cell]) -> String {
+    format!(
+        "{attack}: drift-cap (err {:.2}, tpr {:.2}, fpr {:.2}); with decay (err {:.2}, \
+         tpr {:.2}, reinstated {:.1}); mad (err {:.2}, tpr {:.2}, fpr {:.2})",
+        cells[0].err,
+        cells[0].tpr(),
+        cells[0].fpr(),
+        cells[1].err,
+        cells[1].tpr(),
+        cells[1].reinstated,
+        cells[2].err,
+        cells[2].tpr(),
+        cells[2].fpr(),
+    )
 }
 
-/// Defense accounting merged across one cell's repetitions — the single
-/// aggregation every arms figure reduces its runs through.
-#[derive(Default)]
-struct DefenseAgg {
-    confusion: Confusion,
-    bans: u64,
-    reinstated: u64,
-    banned_honest: u64,
-    banned_malicious: u64,
-}
-
-fn aggregate_defense<'a>(outcomes: impl Iterator<Item = Option<&'a DefenseOutcome>>) -> DefenseAgg {
-    let mut agg = DefenseAgg::default();
-    for d in outcomes.flatten() {
-        agg.confusion.merge(&d.confusion);
-        agg.bans += d.bans;
-        agg.reinstated += d.reinstated;
-        agg.banned_honest += d.banned_honest_final;
-        agg.banned_malicious += d.banned_malicious_final;
-    }
-    agg
-}
-
-fn vivaldi_arms_cell(
-    scale: &Scale,
-    seed: u64,
-    attack: &'static str,
-    defense: &'static str,
-) -> ArmsCell {
-    let factory: VivaldiFactory<'_> =
-        &move |_sim, _attackers, _seeds| (arms_strategy_by(attack), None);
-    let runs = run_repetitions(scale.repetitions, |rep| {
-        run_vivaldi_defended(
-            scale,
-            Space::Euclidean(2),
-            scale.nodes,
-            FRACTION,
-            seed,
-            rep,
-            factory,
-            Some(&move |_sim, _seeds| arms_defense_by(defense)),
-        )
-    });
-    let agg = aggregate_defense(runs.iter().map(|r| r.defense.as_ref()));
-    ArmsCell {
-        err: mean_tails(&runs, |r| &r.attack_series),
-        drift: mean_tails(&runs, |r| &r.drift_series),
-        tpr: agg.confusion.tpr().unwrap_or(0.0),
-        fpr: agg.confusion.fpr().unwrap_or(0.0),
-        reinstated: agg.reinstated as f64 / runs.len().max(1) as f64,
+/// Adaptive attacks × (drift cap, decaying drift cap, MAD filter) at 30 %
+/// malicious on the default system `S`.
+fn sweep<'a, S: System>(id: &'a str, title: &'a str, scale: &'a Scale, seed: u64) -> Matrix<'a, S> {
+    Matrix {
+        id,
+        title,
+        base: RunSpec {
+            fraction: FRACTION,
+            ..RunSpec::new(scale, seed)
+        },
+        attacks: &ARMS_ATTACKS,
+        attack_by: arms_strategy_by,
+        defenses: &ARMS_DEFENSES,
+        defense_by: |label, _| arms_defense_by(label),
+        blocks: &BLOCKS,
+        note: sweep_note,
     }
 }
 
-fn nps_arms_cell(
-    scale: &Scale,
-    seed: u64,
-    attack: &'static str,
-    defense: &'static str,
-) -> ArmsCell {
-    let factory: NpsFactory<'_> = &move |_sim, _attackers, _seeds| (arms_strategy_by(attack), None);
-    let runs = run_repetitions(scale.repetitions, |rep| {
-        run_nps_defended(
-            scale,
-            NpsConfig::default(),
-            scale.nodes,
-            FRACTION,
-            seed,
-            rep,
-            factory,
-            Some(&move |_sim, _seeds| arms_defense_by(defense)),
-        )
-    });
-    let agg = aggregate_defense(runs.iter().map(|r| r.defense.as_ref()));
-    ArmsCell {
-        err: mean_tails(&runs, |r| &r.attack_series),
-        drift: mean_tails(&runs, |r| &r.drift_series),
-        tpr: agg.confusion.tpr().unwrap_or(0.0),
-        fpr: agg.confusion.fpr().unwrap_or(0.0),
-        reinstated: agg.reinstated as f64 / runs.len().max(1) as f64,
-    }
-}
-
-/// Assemble one arms sweep figure from `cell(attack, defense)`.
-fn arms_sweep_figure(
-    id: &str,
-    title: &str,
-    cell: impl Fn(&'static str, &'static str) -> ArmsCell,
-) -> FigureResult {
-    let mut columns = vec!["attack_idx".to_string()];
-    for d in ARMS_DEFENSES {
-        columns.push(format!("err_{d}"));
-    }
-    for d in ARMS_DEFENSES {
-        columns.push(format!("drift_{d}"));
-    }
-    for d in ARMS_DEFENSES {
-        columns.push(format!("tpr_{d}"));
-    }
-    for d in ARMS_DEFENSES {
-        columns.push(format!("fpr_{d}"));
-    }
-    for d in ARMS_DEFENSES {
-        columns.push(format!("reinstated_{d}"));
-    }
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
-    for (a_idx, attack) in ARMS_ATTACKS.iter().enumerate() {
-        let cells: Vec<ArmsCell> = ARMS_DEFENSES.iter().map(|d| cell(attack, d)).collect();
-        let mut row = vec![a_idx as f64];
-        row.extend(cells.iter().map(|c| c.err));
-        row.extend(cells.iter().map(|c| c.drift));
-        row.extend(cells.iter().map(|c| c.tpr));
-        row.extend(cells.iter().map(|c| c.fpr));
-        row.extend(cells.iter().map(|c| c.reinstated));
-        rows.push(row);
-        notes.push(format!(
-            "{attack}: drift-cap (err {:.2}, tpr {:.2}, fpr {:.2}); with decay (err {:.2}, \
-             tpr {:.2}, reinstated {:.1}); mad (err {:.2}, tpr {:.2}, fpr {:.2})",
-            cells[0].err,
-            cells[0].tpr,
-            cells[0].fpr,
-            cells[1].err,
-            cells[1].tpr,
-            cells[1].reinstated,
-            cells[2].err,
-            cells[2].tpr,
-            cells[2].fpr,
-        ));
-    }
-    FigureResult {
-        id: id.into(),
-        title: title.into(),
-        columns,
-        rows,
-        notes,
-    }
+fn vivaldi_sweep(scale: &Scale, seed: u64) -> Matrix<'_, VivaldiSim> {
+    sweep(
+        "arms-sweep-vivaldi",
+        "Adaptive (defense-aware) attacks vs defenses on Vivaldi: error and detection quality",
+        scale,
+        seed,
+    )
 }
 
 /// `arms-sweep-vivaldi` — adaptive attacks × (drift cap, decaying drift
 /// cap, MAD filter) on Vivaldi at 30 % malicious.
 pub fn arms_sweep_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
-    arms_sweep_figure(
-        "arms-sweep-vivaldi",
-        "Adaptive (defense-aware) attacks vs defenses on Vivaldi: error and detection quality",
-        |attack, defense| vivaldi_arms_cell(scale, seed, attack, defense),
-    )
+    vivaldi_sweep(scale, seed).figure()
 }
 
 /// `arms-sweep-nps` — the same matrix on NPS (default 3-layer hierarchy,
 /// built-in security filter on).
 pub fn arms_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
-    arms_sweep_figure(
+    sweep::<NpsSim>(
         "arms-sweep-nps",
         "Adaptive (defense-aware) attacks vs defenses on NPS: error and detection quality",
-        |attack, defense| nps_arms_cell(scale, seed, attack, defense),
+        scale,
+        seed,
     )
+    .figure()
+}
+
+/// One Vivaldi cell at 30 % malicious: `attack` against `defense`.
+fn vivaldi_cell(
+    scale: &Scale,
+    seed: u64,
+    attack: impl Fn() -> Box<dyn AttackStrategy> + Sync,
+    defense: impl Fn() -> Box<dyn DefenseStrategy> + Sync,
+) -> Cell {
+    Cell::run(&RunSpec::<VivaldiSim> {
+        fraction: FRACTION,
+        adversary: &plain(attack),
+        defense: Some(&|_| defense()),
+        ..RunSpec::new(scale, seed)
+    })
+}
+
+/// A frog-boiling contender of the deployed-cap figures: its column
+/// suffix and its strategy.
+type Contender = (&'static str, fn() -> Box<dyn AttackStrategy>);
+
+/// Two frog-boiling contenders at matched 5 ms/round budget against drift
+/// caps swept over the deployed bound: per cap, each contender's detection
+/// quality and drift, then each contender's `last` column.
+fn cap_duel(
+    id: &str,
+    title: &str,
+    scale: &Scale,
+    seed: u64,
+    contenders: [Contender; 2],
+    last: (&str, fn(&Cell) -> f64),
+    note: fn(f64, &Cell, &Cell) -> String,
+) -> FigureResult {
+    let mut columns = vec!["point_idx".to_string(), "deployed_cap_ms".to_string()];
+    for (name, _) in contenders {
+        columns.extend(["tpr", "fpr", "drift"].map(|stat| format!("{stat}_{name}")));
+    }
+    columns.extend(contenders.map(|(name, _)| format!("{}_{name}", last.0)));
+    let mut fig = FigureResult::new(id, title, columns);
+    for (i, cap) in [10.0, 20.0, 40.0, 80.0, 160.0].into_iter().enumerate() {
+        let [a, b] = contenders
+            .map(|(_, make)| vivaldi_cell(scale, seed, make, || Box::new(DriftCap::new(cap))));
+        let mut row = vec![i as f64, cap];
+        for cell in [&a, &b] {
+            row.extend([cell.tpr(), cell.fpr(), cell.drift]);
+        }
+        row.extend([(last.1)(&a), (last.1)(&b)]);
+        fig.rows.push(row);
+        fig.notes.push(note(cap, &a, &b));
+    }
+    fig
 }
 
 /// `arms-evasion-roc` — classic vs evading frog-boiling at matched 5
@@ -253,64 +205,28 @@ pub fn arms_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
 /// tighter than the model measure how wrong the attacker's belief may be
 /// before evasion fails.
 pub fn arms_evasion_roc(scale: &Scale, seed: u64) -> FigureResult {
-    let caps = [10.0, 20.0, 40.0, 80.0, 160.0];
-    let columns = vec![
-        "point_idx".to_string(),
-        "deployed_cap_ms".to_string(),
-        "tpr_frog".to_string(),
-        "fpr_frog".to_string(),
-        "drift_frog".to_string(),
-        "tpr_evading".to_string(),
-        "fpr_evading".to_string(),
-        "drift_evading".to_string(),
-        "j_frog".to_string(),
-        "j_evading".to_string(),
-    ];
-    let point = |attack: &'static str, cap: f64| {
-        let factory: VivaldiFactory<'_> =
-            &move |_sim, _attackers, _seeds| (arms_strategy_by(attack), None);
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_defended(
-                scale,
-                Space::Euclidean(2),
-                scale.nodes,
-                FRACTION,
-                seed,
-                rep,
-                factory,
-                Some(&move |_sim, _seeds| Box::new(DriftCap::new(cap)) as Box<dyn DefenseStrategy>),
+    cap_duel(
+        "arms-evasion-roc",
+        "Evasion vs the drift cap on Vivaldi: classic and defense-modeling frog-boiling \
+         at matched budget",
+        scale,
+        seed,
+        [
+            ("frog", || arms_strategy_by("frog_boiling")),
+            ("evading", || arms_strategy_by("evading_frog")),
+        ],
+        ("j", |c| c.confusion.youden_j().unwrap_or(0.0)),
+        |cap, frog, evading| {
+            format!(
+                "cap {cap} ms: classic frog tpr {:.2} (drift {:.2} ms/tick), \
+                 evading frog tpr {:.2} (drift {:.2} ms/tick) at matched 5 ms/round budget",
+                frog.tpr(),
+                frog.drift,
+                evading.tpr(),
+                evading.drift,
             )
-        });
-        let agg = aggregate_defense(runs.iter().map(|r| r.defense.as_ref()));
-        (
-            agg.confusion.tpr().unwrap_or(0.0),
-            agg.confusion.fpr().unwrap_or(0.0),
-            mean_tails(&runs, |r| &r.drift_series),
-            agg.confusion.youden_j().unwrap_or(0.0),
-        )
-    };
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
-    for (i, &cap) in caps.iter().enumerate() {
-        let (f_tpr, f_fpr, f_drift, f_j) = point("frog_boiling", cap);
-        let (e_tpr, e_fpr, e_drift, e_j) = point("evading_frog", cap);
-        rows.push(vec![
-            i as f64, cap, f_tpr, f_fpr, f_drift, e_tpr, e_fpr, e_drift, f_j, e_j,
-        ]);
-        notes.push(format!(
-            "cap {cap} ms: classic frog tpr {f_tpr:.2} (drift {f_drift:.2} ms/tick), \
-             evading frog tpr {e_tpr:.2} (drift {e_drift:.2} ms/tick) at matched 5 ms/round budget"
-        ));
-    }
-    FigureResult {
-        id: "arms-evasion-roc".into(),
-        title: "Evasion vs the drift cap on Vivaldi: classic and defense-modeling frog-boiling \
-                at matched budget"
-            .into(),
-        columns,
-        rows,
-        notes,
-    }
+        },
+    )
 }
 
 /// `arms-evasion-learning` — the fixed-model evader vs the *learning*
@@ -325,71 +241,33 @@ pub fn arms_evasion_roc(scale: &Scale, seed: u64) -> FigureResult {
 ///
 /// [`CapLearner`]: vcoord_attackkit::CapLearner
 pub fn arms_evasion_learning(scale: &Scale, seed: u64) -> FigureResult {
-    let caps = [10.0, 20.0, 40.0, 80.0, 160.0];
-    let columns = vec![
-        "point_idx".to_string(),
-        "deployed_cap_ms".to_string(),
-        "tpr_fixed".to_string(),
-        "fpr_fixed".to_string(),
-        "drift_fixed".to_string(),
-        "tpr_learning".to_string(),
-        "fpr_learning".to_string(),
-        "drift_learning".to_string(),
-        "err_fixed".to_string(),
-        "err_learning".to_string(),
-    ];
-    let point = |learning: bool, cap: f64| {
-        let factory: VivaldiFactory<'_> = &move |_sim, _attackers, _seeds| {
-            let evader = if learning {
-                EvadingFrogBoil::learning(5.0, DefenseModel::default())
-            } else {
-                EvadingFrogBoil::new(5.0, DefenseModel::default())
-            };
-            (Box::new(evader) as Box<dyn AttackStrategy>, None)
-        };
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_defended(
-                scale,
-                Space::Euclidean(2),
-                scale.nodes,
-                FRACTION,
-                seed,
-                rep,
-                factory,
-                Some(&move |_sim, _seeds| Box::new(DriftCap::new(cap)) as Box<dyn DefenseStrategy>),
+    cap_duel(
+        "arms-evasion-learning",
+        "Learned evasion vs the drift cap on Vivaldi: fixed-model cliff against the \
+         cap-learner's recovery over deployed bounds",
+        scale,
+        seed,
+        [
+            ("fixed", || {
+                Box::new(EvadingFrogBoil::new(5.0, DefenseModel::default()))
+            }),
+            ("learning", || {
+                Box::new(EvadingFrogBoil::learning(5.0, DefenseModel::default()))
+            }),
+        ],
+        ("err", |c| c.err),
+        |cap, fixed, learning| {
+            format!(
+                "cap {cap} ms: fixed-model evader tpr {:.2} (drift {:.2}), \
+                 learning evader tpr {:.2} (drift {:.2}) — both believe 80 ms \
+                 at injection, only the learner revises",
+                fixed.tpr(),
+                fixed.drift,
+                learning.tpr(),
+                learning.drift,
             )
-        });
-        let agg = aggregate_defense(runs.iter().map(|r| r.defense.as_ref()));
-        (
-            agg.confusion.tpr().unwrap_or(0.0),
-            agg.confusion.fpr().unwrap_or(0.0),
-            mean_tails(&runs, |r| &r.drift_series),
-            mean_tails(&runs, |r| &r.attack_series),
-        )
-    };
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
-    for (i, &cap) in caps.iter().enumerate() {
-        let (f_tpr, f_fpr, f_drift, f_err) = point(false, cap);
-        let (l_tpr, l_fpr, l_drift, l_err) = point(true, cap);
-        rows.push(vec![
-            i as f64, cap, f_tpr, f_fpr, f_drift, l_tpr, l_fpr, l_drift, f_err, l_err,
-        ]);
-        notes.push(format!(
-            "cap {cap} ms: fixed-model evader tpr {f_tpr:.2} (drift {f_drift:.2}), \
-             learning evader tpr {l_tpr:.2} (drift {l_drift:.2}) — both believe 80 ms \
-             at injection, only the learner revises"
-        ));
-    }
-    FigureResult {
-        id: "arms-evasion-learning".into(),
-        title: "Learned evasion vs the drift cap on Vivaldi: fixed-model cliff against the \
-                cap-learner's recovery over deployed bounds"
-            .into(),
-        columns,
-        rows,
-        notes,
-    }
+        },
+    )
 }
 
 /// `arms-decay-tradeoff` — the sleeper against drift caps with reputation
@@ -399,84 +277,53 @@ pub fn arms_evasion_learning(scale: &Scale, seed: u64) -> FigureResult {
 /// laggards trip it, so permanence has a measurable defamation cost —
 /// exactly the FPR-vs-exposure trade decay is supposed to navigate.
 pub fn arms_decay_tradeoff(scale: &Scale, seed: u64) -> FigureResult {
-    let half_lives = [0.0, 20.0, 40.0, 80.0];
     let cap = 40.0;
-    let columns = vec![
-        "point_idx".to_string(),
-        "half_life_rounds".to_string(),
-        "err".to_string(),
-        "drift".to_string(),
-        "tpr".to_string(),
-        "fpr".to_string(),
-        "bans".to_string(),
-        "reinstated".to_string(),
-        "banned_honest_final".to_string(),
-        "banned_malicious_final".to_string(),
-    ];
-    let factory: VivaldiFactory<'_> =
-        &|_sim, _attackers, _seeds| (arms_strategy_by("sleeper"), None);
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
-    for (i, &hl) in half_lives.iter().enumerate() {
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_defended(
-                scale,
-                Space::Euclidean(2),
-                scale.nodes,
-                FRACTION,
-                seed,
-                rep,
-                factory,
-                Some(&move |_sim, _seeds| -> Box<dyn DefenseStrategy> {
-                    if hl > 0.0 {
-                        Box::new(DriftCap::with_decay(cap, DriftDecay::new(hl)))
-                    } else {
-                        Box::new(DriftCap::new(cap))
-                    }
-                }),
-            )
-        });
-        let agg = aggregate_defense(runs.iter().map(|r| r.defense.as_ref()));
-        let n = runs.len().max(1) as f64;
-        let err = mean_tails(&runs, |r| &r.attack_series);
-        let drift = mean_tails(&runs, |r| &r.drift_series);
-        let fpr = agg.confusion.fpr().unwrap_or(0.0);
-        rows.push(vec![
-            i as f64,
-            hl,
-            err,
-            drift,
-            agg.confusion.tpr().unwrap_or(0.0),
-            fpr,
-            agg.bans as f64 / n,
-            agg.reinstated as f64 / n,
-            agg.banned_honest as f64 / n,
-            agg.banned_malicious as f64 / n,
-        ]);
-        notes.push(format!(
-            "half-life {}: err {err:.2}, drift {drift:.2} ms/tick, fpr {fpr:.2}, \
-             {:.1} bans / {:.1} reinstated per run, steady-state banned: \
-             {:.1} honest / {:.1} malicious",
-            if hl > 0.0 {
-                format!("{hl:.0} rounds")
-            } else {
-                "none (permanent)".to_string()
-            },
-            agg.bans as f64 / n,
-            agg.reinstated as f64 / n,
-            agg.banned_honest as f64 / n,
-            agg.banned_malicious as f64 / n,
-        ));
-    }
-    FigureResult {
-        id: "arms-decay-tradeoff".into(),
+    LevelSweep {
+        id: "arms-decay-tradeoff",
         title: "Sleeper collusion vs drift-cap reputation decay on Vivaldi: forgiveness \
-                half-life against burst exposure"
-            .into(),
-        columns,
-        rows,
-        notes,
+                half-life against burst exposure",
+        level_column: "half_life_rounds",
+        levels: &[0.0, 20.0, 40.0, 80.0],
+        columns: &[
+            ("err", |c, _| c.err),
+            ("drift", |c, _| c.drift),
+            ("tpr", |c, _| c.tpr()),
+            ("fpr", |c, _| c.fpr()),
+            ("bans", |c, _| c.bans),
+            ("reinstated", |c, _| c.reinstated),
+            ("banned_honest_final", |c, _| c.banned_honest),
+            ("banned_malicious_final", |c, _| c.banned_malicious),
+        ],
+        note: &|hl, c, _| {
+            format!(
+                "half-life {}: err {:.2}, drift {:.2} ms/tick, fpr {:.2}, \
+                 {:.1} bans / {:.1} reinstated per run, steady-state banned: \
+                 {:.1} honest / {:.1} malicious",
+                if hl > 0.0 {
+                    format!("{hl:.0} rounds")
+                } else {
+                    "none (permanent)".to_string()
+                },
+                c.err,
+                c.drift,
+                c.fpr(),
+                c.bans,
+                c.reinstated,
+                c.banned_honest,
+                c.banned_malicious,
+            )
+        },
     }
+    .figure(|hl| {
+        let sleeper = || arms_strategy_by("sleeper");
+        vivaldi_cell(scale, seed, sleeper, || {
+            if hl > 0.0 {
+                Box::new(DriftCap::with_decay(cap, DriftDecay::new(hl)))
+            } else {
+                Box::new(DriftCap::new(cap))
+            }
+        })
+    })
 }
 
 #[cfg(test)]
@@ -499,17 +346,18 @@ mod tests {
         // 80 ms cap, the classic frog is caught near-perfectly while the
         // evader — same 5 ms/round budget — goes essentially undetected.
         let scale = Scale::smoke();
-        let classic = vivaldi_arms_cell(&scale, 2006, "frog_boiling", "drift_cap");
-        let evading = vivaldi_arms_cell(&scale, 2006, "evading_frog", "drift_cap");
+        let sweep = vivaldi_sweep(&scale, 2006);
+        let classic = sweep.cell("frog_boiling", "drift_cap");
+        let evading = sweep.cell("evading_frog", "drift_cap");
         assert!(
-            classic.tpr > 0.9,
+            classic.tpr() > 0.9,
             "classic frog must be caught: tpr {:.2}",
-            classic.tpr
+            classic.tpr()
         );
         assert!(
-            evading.tpr < 0.25,
+            evading.tpr() < 0.25,
             "the evader must collapse drift-cap detection: tpr {:.2}",
-            evading.tpr
+            evading.tpr()
         );
         // And evasion is not free: the evader's realized drift undercuts
         // the classic frog's (the throttle is a real cost).

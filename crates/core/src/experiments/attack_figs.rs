@@ -12,13 +12,14 @@
 //! up as a steady non-zero drift — the signature any displacement-threshold
 //! defence has to contend with.
 
-use crate::experiments::harness::{run_nps, run_vivaldi, NpsFactory, VivaldiFactory};
-use crate::experiments::{average_series, run_repetitions, FigureResult, Scale};
+use crate::experiments::harness::{plain, repeat, RunSpec, System};
+use crate::experiments::shapes::{attacked_err, mean_series, pct, series_rows, Cell};
+use crate::experiments::{FigureResult, Scale};
 use vcoord_attackkit::{
     AttackStrategy, Deflation, FrogBoiling, Inflation, NetworkPartition, Oscillation,
 };
-use vcoord_nps::NpsConfig;
-use vcoord_space::Space;
+use vcoord_nps::NpsSim;
+use vcoord_vivaldi::VivaldiSim;
 
 /// The generic strategy labels swept by the attack figures, in CSV column
 /// order.
@@ -46,120 +47,64 @@ pub fn strategy_by(label: &str) -> Box<dyn AttackStrategy> {
     }
 }
 
-/// One attack-strength sweep row set: for each fraction, per-strategy
-/// converged error and drift velocity, from `runner(strategy_label,
-/// fraction) -> (err, drift)`.
-fn sweep_rows<F>(runner: F) -> (Vec<String>, Vec<Vec<f64>>, Vec<String>)
-where
-    F: Fn(&str, f64) -> (f64, f64),
-{
+/// One attack-strength sweep: for each fraction, per-strategy converged
+/// error and drift velocity on system `S`.
+fn atk_sweep<S: System>(id: &str, title: &str, scale: &Scale, seed: u64) -> FigureResult {
     let mut columns = vec!["fraction_pct".to_string()];
-    for s in STRATEGIES {
-        columns.push(format!("err_{s}"));
-    }
-    for s in STRATEGIES {
-        columns.push(format!("drift_{s}"));
-    }
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
-    for &f in &FRACTIONS {
-        let mut errs = Vec::new();
-        let mut drifts = Vec::new();
-        for s in STRATEGIES {
-            let (e, d) = runner(s, f);
-            errs.push(e);
-            drifts.push(d);
-        }
-        let mut row = vec![f * 100.0];
-        row.extend(errs.iter().copied());
-        row.extend(drifts.iter().copied());
-        rows.push(row);
-        notes.push(format!(
+    columns.extend(STRATEGIES.iter().map(|s| format!("err_{s}")));
+    columns.extend(STRATEGIES.iter().map(|s| format!("drift_{s}")));
+    let mut fig = FigureResult::new(id, title, columns);
+    for &fraction in &FRACTIONS {
+        let cells: Vec<Cell> = STRATEGIES
+            .iter()
+            .map(|&label| {
+                Cell::run(&RunSpec::<S> {
+                    fraction,
+                    adversary: &plain(|| strategy_by(label)),
+                    ..RunSpec::new(scale, seed)
+                })
+            })
+            .collect();
+        let mut row = vec![fraction * 100.0];
+        row.extend(cells.iter().map(|c| c.err));
+        row.extend(cells.iter().map(|c| c.drift));
+        fig.rows.push(row);
+        fig.notes.push(format!(
             "{}% malicious: err frog {:.2} / osc {:.2} / part {:.2} / infl {:.2} / defl {:.2}; drift frog {:.2} / part {:.2} ms/round",
-            (f * 100.0).round(),
-            errs[0],
-            errs[1],
-            errs[2],
-            errs[3],
-            errs[4],
-            drifts[0],
-            drifts[2],
+            pct(fraction),
+            cells[0].err,
+            cells[1].err,
+            cells[2].err,
+            cells[3].err,
+            cells[4].err,
+            cells[0].drift,
+            cells[2].drift,
         ));
     }
-    (columns, rows, notes)
-}
-
-/// Tail-mean of one series per run, averaged across repetitions — the
-/// shared (error, drift) cell aggregation of the sweep figures (also used
-/// by `experiments::defense_figs`).
-pub(crate) fn mean_tails<'a, R: 'a>(
-    runs: &'a [R],
-    series: impl Fn(&'a R) -> &'a vcoord_metrics::TimeSeries,
-) -> f64 {
-    runs.iter().map(|r| series(r).tail_mean(3)).sum::<f64>() / runs.len().max(1) as f64
+    fig
 }
 
 /// `atk-sweep-vivaldi` — attack-strength sweep of the generic strategies
 /// against Vivaldi: converged relative error and drift velocity per
 /// malicious fraction.
 pub fn atk_sweep_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
-    let (columns, rows, notes) = sweep_rows(|label, fraction| {
-        let factory: VivaldiFactory<'_> =
-            &move |_sim, _attackers, _seeds| (strategy_by(label), None);
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi(
-                scale,
-                Space::Euclidean(2),
-                scale.nodes,
-                fraction,
-                seed,
-                rep,
-                factory,
-            )
-        });
-        (
-            mean_tails(&runs, |r| &r.attack_series),
-            mean_tails(&runs, |r| &r.drift_series),
-        )
-    });
-    FigureResult {
-        id: "atk-sweep-vivaldi".into(),
-        title: "attackkit strategies on Vivaldi: error and drift velocity vs malicious share"
-            .into(),
-        columns,
-        rows,
-        notes,
-    }
+    atk_sweep::<VivaldiSim>(
+        "atk-sweep-vivaldi",
+        "attackkit strategies on Vivaldi: error and drift velocity vs malicious share",
+        scale,
+        seed,
+    )
 }
 
 /// `atk-sweep-nps` — the same sweep against NPS (default 3-layer
 /// hierarchy, security filter on).
 pub fn atk_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
-    let (columns, rows, notes) = sweep_rows(|label, fraction| {
-        let factory: NpsFactory<'_> = &move |_sim, _attackers, _seeds| (strategy_by(label), None);
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_nps(
-                scale,
-                NpsConfig::default(),
-                scale.nodes,
-                fraction,
-                seed,
-                rep,
-                factory,
-            )
-        });
-        (
-            mean_tails(&runs, |r| &r.attack_series),
-            mean_tails(&runs, |r| &r.drift_series),
-        )
-    });
-    FigureResult {
-        id: "atk-sweep-nps".into(),
-        title: "attackkit strategies on NPS: error and drift velocity vs malicious share".into(),
-        columns,
-        rows,
-        notes,
-    }
+    atk_sweep::<NpsSim>(
+        "atk-sweep-nps",
+        "attackkit strategies on NPS: error and drift velocity vs malicious share",
+        scale,
+        seed,
+    )
 }
 
 /// `atk-frog-drift` — frog-boiling on Vivaldi: honest-population drift
@@ -171,53 +116,29 @@ pub fn atk_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
 /// bound.
 pub fn atk_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
     let steps = [1.0, 5.0, 25.0];
-    let fraction = 0.30;
-    let mut columns = vec!["tick".to_string()];
+    let mut fig = FigureResult::new(
+        "atk-frog-drift",
+        "Frog-boiling on Vivaldi: drift velocity vs time by step size",
+        vec!["tick".to_string()],
+    );
     let mut per_step = Vec::new();
-    let mut notes = Vec::new();
     for &step in &steps {
-        columns.push(format!("drift_step_{step:.0}ms"));
-        let factory: VivaldiFactory<'_> = &move |_sim, _attackers, _seeds| {
-            (
-                Box::new(FrogBoiling::new(step)) as Box<dyn AttackStrategy>,
-                None,
-            )
-        };
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi(
-                scale,
-                Space::Euclidean(2),
-                scale.nodes,
-                fraction,
-                seed,
-                rep,
-                factory,
-            )
+        fig.columns.push(format!("drift_step_{step:.0}ms"));
+        let runs = repeat(&RunSpec::<VivaldiSim> {
+            fraction: 0.30,
+            adversary: &plain(|| Box::new(FrogBoiling::new(step))),
+            ..RunSpec::new(scale, seed)
         });
-        let drifts: Vec<_> = runs.iter().map(|r| r.drift_series.clone()).collect();
-        let avg = average_series(&drifts);
-        let errs = mean_tails(&runs, |r| &r.attack_series);
-        notes.push(format!(
-            "step {step} ms/round: steady drift {:.2} ms/tick, final error {errs:.2}",
-            avg.tail_mean(3)
+        let avg = mean_series(&runs, |r| r.drift_series.clone());
+        fig.notes.push(format!(
+            "step {step} ms/round: steady drift {:.2} ms/tick, final error {:.2}",
+            avg.tail_mean(3),
+            attacked_err(&runs)
         ));
         per_step.push(avg);
     }
-    let len = per_step.iter().map(|s| s.len()).min().unwrap_or(0);
-    let rows: Vec<Vec<f64>> = (0..len)
-        .map(|k| {
-            let mut row = vec![per_step[0].points()[k].0 as f64];
-            row.extend(per_step.iter().map(|s| s.points()[k].1));
-            row
-        })
-        .collect();
-    FigureResult {
-        id: "atk-frog-drift".into(),
-        title: "Frog-boiling on Vivaldi: drift velocity vs time by step size".into(),
-        columns,
-        rows,
-        notes,
-    }
+    fig.rows = series_rows(&per_step);
+    fig
 }
 
 #[cfg(test)]

@@ -15,26 +15,24 @@
 //!   inside fault noise (frog-boiling under churn, the headline
 //!   `chaos-frog-hides-in-churn`)?
 //!
-//! Fault plans are installed at the injection instant through the harness
-//! chaos seam ([`run_vivaldi_chaos`] / [`run_nps_chaos`]); all fault
-//! randomness draws from the plan's own seeded streams, so the `0`-level
-//! row of every sweep is the *byte-identical* no-chaos run.
+//! Fault plans are installed at the injection instant through the `chaos`
+//! field of the harness `RunSpec`; all fault randomness draws from the
+//! plan's own seeded streams, so the `0`-level row of every sweep is the
+//! *byte-identical* no-chaos run.
 
-use crate::experiments::attack_figs::{mean_tails, strategy_by};
-use crate::experiments::harness::{
-    run_nps_chaos, run_vivaldi_chaos, DefenseOutcome, NpsChaosFactory, NpsFactory,
-    VivaldiChaosFactory, VivaldiFactory,
-};
-use crate::experiments::{average_series, run_repetitions, FigureResult, Scale};
-use rand_chacha::ChaCha12Rng;
-use vcoord_attackkit::{AttackStrategy, Collusion, CoordView, Honest, Lie, Probe};
-use vcoord_chaos::{BurstModel, ChaosCounters, ChaosPlan};
+use crate::experiments::attack_figs::strategy_by;
+use crate::experiments::harness::{plain, repeat, RunSpec, System};
+use crate::experiments::shapes::{mean_series, series_rows, Cell, Column, LevelSweep};
+use crate::experiments::{FigureResult, Scale};
+use vcoord_attackkit::BurstThenReform;
+use vcoord_chaos::{BurstModel, ChaosPlan};
 use vcoord_defense::{
     DefenseStrategy, DriftCap, DriftDecay, EwmaChangePoint, ResidualOutlier, TriangleCheck,
 };
 use vcoord_netsim::TICK_MS;
-use vcoord_nps::NpsConfig;
+use vcoord_nps::{NpsConfig, NpsSim};
 use vcoord_space::Space;
+use vcoord_vivaldi::VivaldiSim;
 
 /// Malicious fraction of the attacked chaos sweeps (matches `def-*`/`arms-*`).
 const FRACTION: f64 = 0.30;
@@ -61,258 +59,119 @@ fn recovery_scale(scale: &Scale) -> Scale {
     s
 }
 
-/// Fault totals averaged across repetitions.
-#[derive(Default)]
-struct ChaosAgg {
-    crashes: f64,
-    restarts: f64,
-    timeouts: f64,
-    retries: f64,
-    evictions: f64,
-    failovers: f64,
-    burst_losses: f64,
-    spiked: f64,
-    leases: f64,
-    lease_returns: f64,
-}
-
-fn aggregate_chaos<'a>(counters: impl Iterator<Item = Option<&'a ChaosCounters>>) -> ChaosAgg {
-    let mut agg = ChaosAgg::default();
-    let mut n = 0u64;
-    for c in counters {
-        n += 1;
-        let Some(c) = c else { continue };
-        agg.crashes += c.crashes as f64;
-        agg.restarts += c.restarts as f64;
-        agg.timeouts += c.timeouts as f64;
-        agg.retries += c.retries as f64;
-        agg.evictions += c.evictions as f64;
-        agg.failovers += c.failovers as f64;
-        agg.burst_losses += c.burst_losses as f64;
-        agg.spiked += c.spiked as f64;
-        agg.leases += c.leases as f64;
-        agg.lease_returns += c.lease_returns as f64;
+/// An honest population of `S` under the drift cap at its default bound —
+/// what every fault-only chaos sweep perturbs.
+fn drift_capped<S: System>(scale: &Scale, seed: u64) -> RunSpec<'_, S> {
+    RunSpec {
+        defense: Some(&|_| Box::new(DriftCap::default())),
+        ..RunSpec::new(scale, seed)
     }
-    let n = n.max(1) as f64;
-    agg.crashes /= n;
-    agg.restarts /= n;
-    agg.timeouts /= n;
-    agg.retries /= n;
-    agg.evictions /= n;
-    agg.failovers /= n;
-    agg.burst_losses /= n;
-    agg.spiked /= n;
-    agg.leases /= n;
-    agg.lease_returns /= n;
-    agg
 }
 
-/// Detection accounting merged across one cell's repetitions.
-fn merge_outcomes<'a>(
-    outcomes: impl Iterator<Item = Option<&'a DefenseOutcome>>,
-) -> (vcoord_metrics::Confusion, f64, f64, f64, f64) {
-    let (confusion, bans, reinstated, honest, malicious, _) = merge_outcomes_full(outcomes);
-    (confusion, bans, reinstated, honest, malicious)
-}
+// Level-sweep columns shared across the chaos figures.
+const ERR_TAIL: Column = ("err_tail", |c, _| c.err);
+const RECOVERY_RATIO: Column = ("recovery_ratio", |_, ratio| ratio);
+const TPR: Column = ("tpr", |c, _| c.tpr());
+const FPR: Column = ("fpr", |c, _| c.fpr());
+const BANS: Column = ("bans", |c, _| c.bans);
+const BANNED_HONEST: Column = ("banned_honest_final", |c, _| c.banned_honest);
+const BANNED_MALICIOUS: Column = ("banned_malicious_final", |c, _| c.banned_malicious);
+const CRASHES: Column = ("crashes", |c, _| c.crashes);
+const RESTARTS: Column = ("restarts", |c, _| c.restarts);
+const TIMEOUTS: Column = ("timeouts", |c, _| c.timeouts);
+const RETRIES: Column = ("retries", |c, _| c.retries);
+const EVICTIONS: Column = ("evictions", |c, _| c.evictions);
+const FAILOVERS: Column = ("failovers", |c, _| c.failovers);
 
-/// [`merge_outcomes`] plus the per-repetition mean of quarantined
-/// (lease-provenance) samples — the leak sweep's direct evidence that the
-/// relief valve's readmissions are on loan rather than forgiven.
-fn merge_outcomes_full<'a>(
-    outcomes: impl Iterator<Item = Option<&'a DefenseOutcome>>,
-) -> (vcoord_metrics::Confusion, f64, f64, f64, f64, f64) {
-    let mut confusion = vcoord_metrics::Confusion::default();
-    let (mut bans, mut reinstated, mut honest, mut malicious, mut quarantined, mut n) =
-        (0.0, 0.0, 0.0, 0.0, 0.0, 0u64);
-    for d in outcomes {
-        n += 1;
-        let Some(d) = d else { continue };
-        confusion.merge(&d.confusion);
-        bans += d.bans as f64;
-        reinstated += d.reinstated as f64;
-        honest += d.banned_honest_final as f64;
-        malicious += d.banned_malicious_final as f64;
-        quarantined += d.quarantined as f64;
+/// Crash/restart waves of each [`CHURN_FRACTIONS`] share of a drift-capped
+/// honest system `S`: down `down_ms` into the window, back up `up_ms`
+/// later. `absorbed` is the system's own column for what soaked the churn
+/// up (Vivaldi evicts stale neighbors, NPS fails references over).
+fn churn_sweep<S: System>(
+    id: &str,
+    title: &str,
+    scale: &Scale,
+    seed: u64,
+    (down_ms, up_ms): (u64, u64),
+    absorbed: Column,
+    note: &dyn Fn(f64, &Cell, f64) -> String,
+) -> FigureResult {
+    let scale = recovery_scale(scale);
+    LevelSweep {
+        id,
+        title,
+        level_column: "churn_fraction",
+        levels: &CHURN_FRACTIONS,
+        columns: &[
+            ERR_TAIL,
+            RECOVERY_RATIO,
+            CRASHES,
+            RESTARTS,
+            TIMEOUTS,
+            RETRIES,
+            absorbed,
+        ],
+        note,
     }
-    let n = n.max(1) as f64;
-    (
-        confusion,
-        bans / n,
-        reinstated / n,
-        honest / n,
-        malicious / n,
-        quarantined / n,
-    )
-}
-
-/// The all-honest adversary factory: chaos-only runs still go through the
-/// injection protocol (with an empty attacker set) so fault plans install
-/// at the same instant attacks would.
-fn honest_vivaldi() -> (Box<dyn AttackStrategy>, Option<Vec<usize>>) {
-    (Box::new(Honest), None)
+    .recovery(&drift_capped::<S>(&scale, seed), &|frac, sim| {
+        let nodes = sim.coords().len();
+        ChaosPlan::with_seed(seed ^ 0xC11A05).churn_wave(nodes, frac, down_ms, up_ms)
+    })
 }
 
 /// `chaos-churn-vivaldi` — crash/restart waves against a defended Vivaldi:
 /// probes to dead peers time out, retry with backoff, and stale neighbors
 /// are evicted; restarted nodes rejoin from the origin and re-converge.
 pub fn chaos_churn_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
-    let scale = recovery_scale(scale);
-    let columns = vec![
-        "point_idx".to_string(),
-        "churn_fraction".to_string(),
-        "err_tail".to_string(),
-        "recovery_ratio".to_string(),
-        "crashes".to_string(),
-        "restarts".to_string(),
-        "timeouts".to_string(),
-        "retries".to_string(),
-        "evictions".to_string(),
-    ];
-    let factory: VivaldiFactory<'_> = &|_sim, _attackers, _seeds| honest_vivaldi();
-    let nodes = scale.nodes;
-    let cell = |frac: f64| {
-        let chaos: VivaldiChaosFactory<'_> = &move |_sim, _seeds| {
-            ChaosPlan::with_seed(seed ^ 0xC11A05)
-                // Down 10 ticks into the window, back up 30 ticks later.
-                .churn_wave(nodes, frac, 10 * TICK_MS, 30 * TICK_MS)
-        };
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_chaos(
-                &scale,
-                Space::Euclidean(2),
-                nodes,
-                0.0,
-                seed,
-                rep,
-                factory,
-                Some(&|_sim, _seeds| Box::new(DriftCap::default()) as Box<dyn DefenseStrategy>),
-                if frac > 0.0 { Some(chaos) } else { None },
+    churn_sweep::<VivaldiSim>(
+        "chaos-churn-vivaldi",
+        "Vivaldi under churn: crash/restart waves vs retry, backoff, and staleness \
+         eviction (drift cap deployed)",
+        scale,
+        seed,
+        // Down 10 ticks into the window, back up 30 ticks later.
+        (10 * TICK_MS, 30 * TICK_MS),
+        EVICTIONS,
+        &|frac, c, ratio| {
+            format!(
+                "churn {:.0}%: tail err {:.3} ({ratio:.2}x the no-churn steady state), \
+                 {:.0} crashes / {:.0} restarts, {:.0} timeouts, {:.0} evictions",
+                frac * 100.0,
+                c.err,
+                c.crashes,
+                c.restarts,
+                c.timeouts,
+                c.evictions,
             )
-        });
-        let err = mean_tails(&runs, |r| &r.attack_series);
-        let agg = aggregate_chaos(runs.iter().map(|r| r.chaos.as_ref()));
-        (err, agg)
-    };
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
-    let mut baseline = f64::NAN;
-    for (i, &frac) in CHURN_FRACTIONS.iter().enumerate() {
-        let (err, agg) = cell(frac);
-        if i == 0 {
-            baseline = err.max(1e-9);
-        }
-        let ratio = err / baseline;
-        rows.push(vec![
-            i as f64,
-            frac,
-            err,
-            ratio,
-            agg.crashes,
-            agg.restarts,
-            agg.timeouts,
-            agg.retries,
-            agg.evictions,
-        ]);
-        notes.push(format!(
-            "churn {:.0}%: tail err {err:.3} ({ratio:.2}x the no-churn steady state), \
-             {:.0} crashes / {:.0} restarts, {:.0} timeouts, {:.0} evictions",
-            frac * 100.0,
-            agg.crashes,
-            agg.restarts,
-            agg.timeouts,
-            agg.evictions,
-        ));
-    }
-    FigureResult {
-        id: "chaos-churn-vivaldi".into(),
-        title: "Vivaldi under churn: crash/restart waves vs retry, backoff, and staleness \
-                eviction (drift cap deployed)"
-            .into(),
-        columns,
-        rows,
-        notes,
-    }
+        },
+    )
 }
 
 /// `chaos-churn-nps` — the same crash/restart waves against a defended
 /// NPS hierarchy: dead references fail over through the membership
 /// replacement channel; restarted ordinary nodes rejoin from scratch.
 pub fn chaos_churn_nps(scale: &Scale, seed: u64) -> FigureResult {
-    let scale = recovery_scale(scale);
-    let columns = vec![
-        "point_idx".to_string(),
-        "churn_fraction".to_string(),
-        "err_tail".to_string(),
-        "recovery_ratio".to_string(),
-        "crashes".to_string(),
-        "restarts".to_string(),
-        "timeouts".to_string(),
-        "retries".to_string(),
-        "failovers".to_string(),
-    ];
-    let factory: NpsFactory<'_> = &|_sim, _attackers, _seeds| honest_vivaldi();
-    let nodes = scale.nodes;
-    let cell = |frac: f64| {
-        let chaos: NpsChaosFactory<'_> = &move |_sim, _seeds| {
-            ChaosPlan::with_seed(seed ^ 0xC11A05)
-                // Down 2 rounds into the window, back up 6 rounds later.
-                .churn_wave(nodes, frac, 2 * NPS_ROUND_MS, 6 * NPS_ROUND_MS)
-        };
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_nps_chaos(
-                &scale,
-                NpsConfig::default(),
-                nodes,
-                0.0,
-                seed,
-                rep,
-                factory,
-                Some(&|_sim, _seeds| Box::new(DriftCap::default()) as Box<dyn DefenseStrategy>),
-                if frac > 0.0 { Some(chaos) } else { None },
+    churn_sweep::<NpsSim>(
+        "chaos-churn-nps",
+        "NPS under churn: crash/restart waves vs in-round retries and membership \
+         fail-over (drift cap deployed)",
+        scale,
+        seed,
+        // Down 2 rounds into the window, back up 6 rounds later.
+        (2 * NPS_ROUND_MS, 6 * NPS_ROUND_MS),
+        FAILOVERS,
+        &|frac, c, ratio| {
+            format!(
+                "churn {:.0}%: tail err {:.3} ({ratio:.2}x no-churn), {:.0} crashes, \
+                 {:.0} in-round retries, {:.0} reference fail-overs",
+                frac * 100.0,
+                c.err,
+                c.crashes,
+                c.retries,
+                c.failovers,
             )
-        });
-        let err = mean_tails(&runs, |r| &r.attack_series);
-        let agg = aggregate_chaos(runs.iter().map(|r| r.chaos.as_ref()));
-        (err, agg)
-    };
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
-    let mut baseline = f64::NAN;
-    for (i, &frac) in CHURN_FRACTIONS.iter().enumerate() {
-        let (err, agg) = cell(frac);
-        if i == 0 {
-            baseline = err.max(1e-9);
-        }
-        let ratio = err / baseline;
-        rows.push(vec![
-            i as f64,
-            frac,
-            err,
-            ratio,
-            agg.crashes,
-            agg.restarts,
-            agg.timeouts,
-            agg.retries,
-            agg.failovers,
-        ]);
-        notes.push(format!(
-            "churn {:.0}%: tail err {err:.3} ({ratio:.2}x no-churn), {:.0} crashes, \
-             {:.0} in-round retries, {:.0} reference fail-overs",
-            frac * 100.0,
-            agg.crashes,
-            agg.retries,
-            agg.failovers,
-        ));
-    }
-    FigureResult {
-        id: "chaos-churn-nps".into(),
-        title: "NPS under churn: crash/restart waves vs in-round retries and membership \
-                fail-over (drift cap deployed)"
-            .into(),
-        columns,
-        rows,
-        notes,
-    }
+        },
+    )
 }
 
 /// `chaos-landmark-takedown` — degree-targeted takedown of the layer-0
@@ -321,75 +180,33 @@ pub fn chaos_churn_nps(scale: &Scale, seed: u64) -> FigureResult {
 /// compromise) costs, and whether membership fail-over absorbs it.
 pub fn chaos_landmark_takedown(scale: &Scale, seed: u64) -> FigureResult {
     let scale = recovery_scale(scale);
-    let downs = [0usize, 2, 4, 6];
-    let columns = vec![
-        "point_idx".to_string(),
-        "landmarks_down".to_string(),
-        "err_tail".to_string(),
-        "recovery_ratio".to_string(),
-        "crashes".to_string(),
-        "timeouts".to_string(),
-        "retries".to_string(),
-        "failovers".to_string(),
-    ];
-    let factory: NpsFactory<'_> = &|_sim, _attackers, _seeds| honest_vivaldi();
-    let cell = |k: usize| {
-        let chaos: NpsChaosFactory<'_> = &move |sim, _seeds| {
-            let landmarks = sim.landmark_ids();
-            let k = k.min(landmarks.len());
-            ChaosPlan::with_seed(seed ^ 0x7A4E).takedown(&landmarks[..k], NPS_ROUND_MS, None)
-        };
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_nps_chaos(
-                &scale,
-                NpsConfig::default(),
-                scale.nodes,
-                0.0,
-                seed,
-                rep,
-                factory,
-                Some(&|_sim, _seeds| Box::new(DriftCap::default()) as Box<dyn DefenseStrategy>),
-                if k > 0 { Some(chaos) } else { None },
-            )
-        });
-        let err = mean_tails(&runs, |r| &r.attack_series);
-        let agg = aggregate_chaos(runs.iter().map(|r| r.chaos.as_ref()));
-        (err, agg)
-    };
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
-    let mut baseline = f64::NAN;
-    for (i, &k) in downs.iter().enumerate() {
-        let (err, agg) = cell(k);
-        if i == 0 {
-            baseline = err.max(1e-9);
-        }
-        let ratio = err / baseline;
-        rows.push(vec![
-            i as f64,
-            k as f64,
-            err,
-            ratio,
-            agg.crashes,
-            agg.timeouts,
-            agg.retries,
-            agg.failovers,
-        ]);
-        notes.push(format!(
-            "{k} landmarks down (permanent): tail err {err:.3} ({ratio:.2}x intact), \
-             {:.0} fail-overs through membership",
-            agg.failovers,
-        ));
-    }
-    FigureResult {
-        id: "chaos-landmark-takedown".into(),
+    LevelSweep {
+        id: "chaos-landmark-takedown",
         title: "NPS landmark takedown: permanent loss of layer-0 infrastructure vs \
-                membership fail-over"
-            .into(),
-        columns,
-        rows,
-        notes,
+                membership fail-over",
+        level_column: "landmarks_down",
+        levels: &[0.0, 2.0, 4.0, 6.0],
+        columns: &[
+            ERR_TAIL,
+            RECOVERY_RATIO,
+            CRASHES,
+            TIMEOUTS,
+            RETRIES,
+            FAILOVERS,
+        ],
+        note: &|down, c, ratio| {
+            format!(
+                "{down} landmarks down (permanent): tail err {:.3} ({ratio:.2}x intact), \
+                 {:.0} fail-overs through membership",
+                c.err, c.failovers,
+            )
+        },
     }
+    .recovery(&drift_capped(&scale, seed), &|down, sim: &NpsSim| {
+        let landmarks = sim.landmark_ids();
+        let k = (down as usize).min(landmarks.len());
+        ChaosPlan::with_seed(seed ^ 0x7A4E).takedown(&landmarks[..k], NPS_ROUND_MS, None)
+    })
 }
 
 /// `chaos-loss-bursts` — Gilbert–Elliott correlated loss/RTT-spike regimes
@@ -397,81 +214,40 @@ pub fn chaos_landmark_takedown(scale: &Scale, seed: u64) -> FigureResult {
 /// faults read as attacks (false-positive bans)?
 pub fn chaos_loss_bursts(scale: &Scale, seed: u64) -> FigureResult {
     let scale = recovery_scale(scale);
-    let enters = [0.0, 0.02, 0.05, 0.10];
-    let columns = vec![
-        "point_idx".to_string(),
-        "p_enter".to_string(),
-        "err_tail".to_string(),
-        "recovery_ratio".to_string(),
-        "fpr".to_string(),
-        "banned_honest_final".to_string(),
-        "burst_losses".to_string(),
-        "spiked".to_string(),
-        "timeouts".to_string(),
-    ];
-    let factory: VivaldiFactory<'_> = &|_sim, _attackers, _seeds| honest_vivaldi();
-    let cell = |p_enter: f64| {
-        let chaos: VivaldiChaosFactory<'_> = &move |_sim, _seeds| {
-            ChaosPlan::with_seed(seed ^ 0xB0557).bursts(BurstModel {
-                p_enter,
-                ..BurstModel::mild()
-            })
-        };
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_chaos(
-                &scale,
-                Space::Euclidean(2),
-                scale.nodes,
-                0.0,
-                seed,
-                rep,
-                factory,
-                Some(&|_sim, _seeds| Box::new(DriftCap::default()) as Box<dyn DefenseStrategy>),
-                if p_enter > 0.0 { Some(chaos) } else { None },
-            )
-        });
-        let err = mean_tails(&runs, |r| &r.attack_series);
-        let agg = aggregate_chaos(runs.iter().map(|r| r.chaos.as_ref()));
-        let (confusion, _, _, banned_honest, _) =
-            merge_outcomes(runs.iter().map(|r| r.defense.as_ref()));
-        (err, agg, confusion.fpr().unwrap_or(0.0), banned_honest)
-    };
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
-    let mut baseline = f64::NAN;
-    for (i, &p_enter) in enters.iter().enumerate() {
-        let (err, agg, fpr, banned_honest) = cell(p_enter);
-        if i == 0 {
-            baseline = err.max(1e-9);
-        }
-        let ratio = err / baseline;
-        rows.push(vec![
-            i as f64,
-            p_enter,
-            err,
-            ratio,
-            fpr,
-            banned_honest,
-            agg.burst_losses,
-            agg.spiked,
-            agg.timeouts,
-        ]);
-        notes.push(format!(
-            "p_enter {p_enter:.2}: tail err {err:.3} ({ratio:.2}x clean links), drift-cap \
-             fpr {fpr:.3}, {banned_honest:.1} honest nodes banned, {:.0} burst losses / \
-             {:.0} spiked probes",
-            agg.burst_losses, agg.spiked,
-        ));
-    }
-    FigureResult {
-        id: "chaos-loss-bursts".into(),
+    LevelSweep {
+        id: "chaos-loss-bursts",
         title: "Gilbert-Elliott loss bursts vs the drift cap on honest Vivaldi: do benign \
-                bursts false-positive as attacks?"
-            .into(),
-        columns,
-        rows,
-        notes,
+                bursts false-positive as attacks?",
+        level_column: "p_enter",
+        levels: &[0.0, 0.02, 0.05, 0.10],
+        columns: &[
+            ERR_TAIL,
+            RECOVERY_RATIO,
+            FPR,
+            BANNED_HONEST,
+            ("burst_losses", |c, _| c.burst_losses),
+            ("spiked", |c, _| c.spiked),
+            TIMEOUTS,
+        ],
+        note: &|p_enter, c, ratio| {
+            format!(
+                "p_enter {p_enter:.2}: tail err {:.3} ({ratio:.2}x clean links), drift-cap \
+                 fpr {:.3}, {:.1} honest nodes banned, {:.0} burst losses / \
+                 {:.0} spiked probes",
+                c.err,
+                c.fpr(),
+                c.banned_honest,
+                c.burst_losses,
+                c.spiked,
+            )
+        },
     }
+    .recovery(&drift_capped::<VivaldiSim>(&scale, seed), &|p_enter, _| {
+        ChaosPlan::with_seed(seed ^ 0xB0557).bursts(BurstModel {
+            p_enter,
+            ..BurstModel::mild()
+        })
+    })
 }
 
 /// `chaos-frog-hides-in-churn` — the headline cross: frog-boiling at 30 %
@@ -480,80 +256,42 @@ pub fn chaos_loss_bursts(scale: &Scale, seed: u64) -> FigureResult {
 /// rejoining nodes (FPR under churn).
 pub fn chaos_frog_hides_in_churn(scale: &Scale, seed: u64) -> FigureResult {
     let scale = recovery_scale(scale);
-    let columns = vec![
-        "point_idx".to_string(),
-        "churn_fraction".to_string(),
-        "tpr".to_string(),
-        "fpr".to_string(),
-        "err_tail".to_string(),
-        "err_ratio".to_string(),
-        "drift".to_string(),
-        "crashes".to_string(),
-        "evictions".to_string(),
-    ];
-    let factory: VivaldiFactory<'_> =
-        &|_sim, _attackers, _seeds| (strategy_by("frog_boiling"), None);
-    let nodes = scale.nodes;
-    let cell = |frac: f64| {
-        let chaos: VivaldiChaosFactory<'_> = &move |_sim, _seeds| {
-            ChaosPlan::with_seed(seed ^ 0xF406).churn_wave(nodes, frac, 10 * TICK_MS, 30 * TICK_MS)
-        };
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_chaos(
-                &scale,
-                Space::Euclidean(2),
-                nodes,
-                FRACTION,
-                seed,
-                rep,
-                factory,
-                Some(&|_sim, _seeds| Box::new(DriftCap::default()) as Box<dyn DefenseStrategy>),
-                if frac > 0.0 { Some(chaos) } else { None },
-            )
-        });
-        let err = mean_tails(&runs, |r| &r.attack_series);
-        let drift = mean_tails(&runs, |r| &r.drift_series);
-        let agg = aggregate_chaos(runs.iter().map(|r| r.chaos.as_ref()));
-        let (confusion, _, _, _, _) = merge_outcomes(runs.iter().map(|r| r.defense.as_ref()));
-        (err, drift, agg, confusion)
+    let frog = RunSpec::<VivaldiSim> {
+        fraction: FRACTION,
+        adversary: &plain(|| strategy_by("frog_boiling")),
+        ..drift_capped(&scale, seed)
     };
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
-    let mut baseline = f64::NAN;
-    for (i, &frac) in CHURN_FRACTIONS.iter().enumerate() {
-        let (err, drift, agg, confusion) = cell(frac);
-        if i == 0 {
-            baseline = err.max(1e-9);
-        }
-        let tpr = confusion.tpr().unwrap_or(0.0);
-        let fpr = confusion.fpr().unwrap_or(0.0);
-        rows.push(vec![
-            i as f64,
-            frac,
-            tpr,
-            fpr,
-            err,
-            err / baseline,
-            drift,
-            agg.crashes,
-            agg.evictions,
-        ]);
-        notes.push(format!(
-            "churn {:.0}%: frog-boiling tpr {tpr:.2} / fpr {fpr:.3}, tail err {err:.3} \
-             ({:.2}x calm), drift {drift:.2} ms/tick",
-            frac * 100.0,
-            err / baseline,
-        ));
-    }
-    FigureResult {
-        id: "chaos-frog-hides-in-churn".into(),
+    LevelSweep {
+        id: "chaos-frog-hides-in-churn",
         title: "Frog-boiling inside churn noise: drift-cap detection quality vs churn \
-                intensity (Vivaldi, 30% malicious)"
-            .into(),
-        columns,
-        rows,
-        notes,
+                intensity (Vivaldi, 30% malicious)",
+        level_column: "churn_fraction",
+        levels: &CHURN_FRACTIONS,
+        columns: &[
+            TPR,
+            FPR,
+            ERR_TAIL,
+            ("err_ratio", |_, ratio| ratio),
+            ("drift", |c, _| c.drift),
+            CRASHES,
+            EVICTIONS,
+        ],
+        note: &|frac, c, ratio| {
+            format!(
+                "churn {:.0}%: frog-boiling tpr {:.2} / fpr {:.3}, tail err {:.3} \
+                 ({ratio:.2}x calm), drift {:.2} ms/tick",
+                frac * 100.0,
+                c.tpr(),
+                c.fpr(),
+                c.err,
+                c.drift,
+            )
+        },
     }
+    .recovery(&frog, &|frac, sim| {
+        let nodes = sim.coords().len();
+        ChaosPlan::with_seed(seed ^ 0xF406).churn_wave(nodes, frac, 10 * TICK_MS, 30 * TICK_MS)
+    })
 }
 
 /// `chaos-partition-recovery` — a timed network partition through a
@@ -566,63 +304,28 @@ pub fn chaos_partition_recovery(scale: &Scale, seed: u64) -> FigureResult {
     // Split half the population from the rest for a third of the window.
     let start = 10 * TICK_MS;
     let end = start + (scale.vivaldi_attack_ticks / 3) * TICK_MS;
-    let factory: VivaldiFactory<'_> = &|_sim, _attackers, _seeds| honest_vivaldi();
-    let run_with = |partitioned: bool| {
-        let chaos: VivaldiChaosFactory<'_> =
-            &move |_sim, _seeds| ChaosPlan::with_seed(seed ^ 0x9A47).split(nodes, 0.5, start, end);
-        run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_chaos(
-                &scale,
-                Space::Euclidean(2),
-                nodes,
-                0.0,
-                seed,
-                rep,
-                factory,
-                Some(&|_sim, _seeds| Box::new(DriftCap::default()) as Box<dyn DefenseStrategy>),
-                if partitioned { Some(chaos) } else { None },
-            )
-        })
+    let calm = drift_capped::<VivaldiSim>(&scale, seed);
+    let split = RunSpec {
+        chaos: Some(&|_| ChaosPlan::with_seed(seed ^ 0x9A47).split(nodes, 0.5, start, end)),
+        ..calm.clone()
     };
-    let split_runs = run_with(true);
-    let calm_runs = run_with(false);
-    let split_series = average_series(
-        &split_runs
-            .iter()
-            .map(|r| r.attack_series.clone())
-            .collect::<Vec<_>>(),
-    );
-    let calm_series = average_series(
-        &calm_runs
-            .iter()
-            .map(|r| r.attack_series.clone())
-            .collect::<Vec<_>>(),
-    );
-    let mut rows = Vec::new();
-    for (k, &(tick, err_split)) in split_series.points().iter().enumerate() {
-        let err_calm = calm_series
-            .points()
-            .get(k)
-            .map(|&(_, v)| v)
-            .unwrap_or(f64::NAN);
-        rows.push(vec![
-            tick as f64,
-            err_split,
-            err_calm,
-            err_split / err_calm.max(1e-9),
-        ]);
+    let (split, calm) = (repeat(&split), repeat(&calm));
+    let series = [&split, &calm].map(|runs| mean_series(runs, |r| r.attack_series.clone()));
+    let mut rows = series_rows(&series);
+    for row in &mut rows {
+        row.push(row[1] / row[2].max(1e-9));
     }
-    let agg = aggregate_chaos(split_runs.iter().map(|r| r.chaos.as_ref()));
-    let tail_split = mean_tails(&split_runs, |r| &r.attack_series);
-    let tail_calm = mean_tails(&calm_runs, |r| &r.attack_series).max(1e-9);
+    let (split, calm) = (Cell::of(&split), Cell::of(&calm));
+    let tail_calm = calm.err.max(1e-9);
     let notes = vec![format!(
         "partition [{start}, {end}) ms: {:.0} timed-out probes, {:.0} retries, {:.0} \
-         evictions; tail err {tail_split:.3} vs calm {tail_calm:.3} \
+         evictions; tail err {:.3} vs calm {tail_calm:.3} \
          (recovery ratio {:.2})",
-        agg.timeouts,
-        agg.retries,
-        agg.evictions,
-        tail_split / tail_calm,
+        split.timeouts,
+        split.retries,
+        split.evictions,
+        split.err,
+        split.err / tail_calm,
     )];
     FigureResult {
         id: "chaos-partition-recovery".into(),
@@ -640,61 +343,37 @@ pub fn chaos_partition_recovery(scale: &Scale, seed: u64) -> FigureResult {
     }
 }
 
-/// Figure-local burst/reform collusion tuned to NPS geometry: every
-/// attacker reports its coordinate shifted a flat 250 ms along axis 0 for
-/// the first `attack_rounds` repositioning rounds after injection, then
-/// answers honestly forever. The flat offset is flagrant to the drift
-/// cap's vector-mean pull (no per-observer cancellation), so every
-/// attacker lands in the defense's *global* ban set during the burst —
-/// exactly the evidence-starved population the probation channel exists
-/// to re-measure once the reform is real.
-struct BurstThenReform {
-    attack_rounds: u64,
-    injected_at: Option<u64>,
-}
-
-impl BurstThenReform {
-    fn new(attack_rounds: u64) -> BurstThenReform {
-        BurstThenReform {
-            attack_rounds,
-            injected_at: None,
-        }
-    }
-}
-
-impl AttackStrategy for BurstThenReform {
-    fn inject(
-        &mut self,
-        _attackers: &[usize],
-        _collusion: &mut Collusion,
-        view: &CoordView<'_>,
-        _rng: &mut ChaCha12Rng,
-    ) {
-        self.injected_at = Some(view.round);
-    }
-
-    fn respond(
-        &mut self,
-        probe: &Probe,
-        _collusion: &mut Collusion,
-        view: &CoordView<'_>,
-        _rng: &mut ChaCha12Rng,
-    ) -> Option<Lie> {
-        let start = self.injected_at.unwrap_or(0);
-        if view.round.saturating_sub(start) >= self.attack_rounds {
-            return None; // reformed
-        }
-        let mut coord = view.coords[probe.attacker].clone();
-        coord.vec[0] += 250.0;
-        Some(Lie {
-            coord,
-            error: 0.01,
-            delay_ms: 0.0,
-        })
-    }
-
-    fn label(&self) -> &'static str {
-        "burst-then-reform"
+/// The probation figures' scenario on NPS at 30 % malicious: a
+/// burst-then-reform collusion (a flat 250 ms lie for the first 10 rounds,
+/// flagrant to the drift cap's vector-mean pull, then honest forever — so
+/// every attacker lands in the *global* ban set during the burst, exactly
+/// the evidence-starved population the probation channel exists to
+/// re-measure once the reform is real) against a decaying drift cap, with
+/// mild loss bursts from `chaos` riding along.
+///
+/// Tight reference economy: with the pool this small the membership server
+/// has no spare candidates to re-hand a banned reference to an
+/// unsuspecting observer, so a banned node's *only* evidence channel is
+/// probation (or, with the channel off, a starvation-relief *lease*).
+fn probation_run<'a>(
+    scale: &'a Scale,
+    seed: u64,
+    probation_every: u64,
+    chaos: &'a (dyn Fn(&NpsSim) -> ChaosPlan + Sync),
+) -> RunSpec<'a, NpsSim> {
+    RunSpec {
+        config: NpsConfig {
+            probation_every,
+            landmarks: 12,
+            refs_per_node: 12,
+            space: Space::Euclidean(4),
+            ..NpsConfig::default()
+        },
+        fraction: FRACTION,
+        adversary: &|_, _, _| (Box::new(BurstThenReform::new(10)), None),
+        defense: Some(&|_| Box::new(DriftCap::with_decay(40.0, DriftDecay::new(5.0)))),
+        chaos: Some(chaos),
+        ..RunSpec::new(scale, seed)
     }
 }
 
@@ -715,98 +394,43 @@ pub fn chaos_probation_nps(scale: &Scale, seed: u64) -> FigureResult {
     // a true evidence-starvation baseline at any window length —
     // `chaos-probation-leak` pins that directly.
     scale.repetitions = scale.repetitions.max(7);
-    let periods = [0u64, 8, 4, 2];
-    let columns = vec![
-        "point_idx".to_string(),
-        "probation_every".to_string(),
-        "err_tail".to_string(),
-        "recovery_ratio".to_string(),
-        "bans".to_string(),
-        "reinstated".to_string(),
-        "banned_honest_final".to_string(),
-        "banned_malicious_final".to_string(),
-        "fpr".to_string(),
-    ];
-    let factory: NpsFactory<'_> = &|_sim, _attackers, _seeds| {
-        (
-            Box::new(BurstThenReform::new(10)) as Box<dyn AttackStrategy>,
-            None,
-        )
-    };
-    let chaos: NpsChaosFactory<'_> =
-        &move |_sim, _seeds| ChaosPlan::with_seed(seed ^ 0x960B).bursts(BurstModel::mild());
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
-    let mut baseline = f64::NAN;
-    for (i, &every) in periods.iter().enumerate() {
-        // Tight reference economy: with the pool this small the membership
-        // server has no spare candidates to re-hand a banned reference to
-        // an unsuspecting observer, so a banned node's *only* evidence
-        // channel is probation — the isolation that makes the sweep's
-        // off-row a true evidence-starvation baseline.
-        let config = NpsConfig {
-            probation_every: every,
-            landmarks: 12,
-            refs_per_node: 12,
-            space: Space::Euclidean(4),
-            ..NpsConfig::default()
-        };
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_nps_chaos(
-                &scale,
-                config.clone(),
-                scale.nodes,
-                FRACTION,
-                seed,
-                rep,
-                factory,
-                Some(&|_sim, _seeds| {
-                    Box::new(DriftCap::with_decay(40.0, DriftDecay::new(5.0)))
-                        as Box<dyn DefenseStrategy>
-                }),
-                Some(chaos),
-            )
-        });
-        let err = mean_tails(&runs, |r| &r.attack_series);
-        let (confusion, bans, reinstated, banned_honest, banned_malicious) =
-            merge_outcomes(runs.iter().map(|r| r.defense.as_ref()));
-        let fpr = confusion.fpr().unwrap_or(0.0);
-        if i == 0 {
-            baseline = err.max(1e-9);
-        }
-        let ratio = err / baseline;
-        rows.push(vec![
-            i as f64,
-            every as f64,
-            err,
-            ratio,
-            bans,
-            reinstated,
-            banned_honest,
-            banned_malicious,
-            fpr,
-        ]);
-        notes.push(format!(
-            "probation every {}: tail err {err:.3} ({ratio:.2}x channel-off), {bans:.1} bans, \
-             {reinstated:.1} reinstated, steady-state banned {banned_honest:.1} honest / \
-             {banned_malicious:.1} malicious, fpr {fpr:.3}",
-            if every == 0 {
-                "never (channel off)".to_string()
-            } else {
-                format!("{every} rounds")
-            },
-        ));
-    }
-    FigureResult {
-        id: "chaos-probation-nps".into(),
+    let chaos = |_: &NpsSim| ChaosPlan::with_seed(seed ^ 0x960B).bursts(BurstModel::mild());
+    LevelSweep {
+        id: "chaos-probation-nps",
         title: "The probation channel on NPS: re-measuring banned references lets \
                 reputation decay compose with membership banishment (burst-then-reform \
-                collusion, decaying drift cap, mild loss bursts)"
-            .into(),
-        columns,
-        rows,
-        notes,
+                collusion, decaying drift cap, mild loss bursts)",
+        level_column: "probation_every",
+        levels: &[0.0, 8.0, 4.0, 2.0],
+        columns: &[
+            ERR_TAIL,
+            RECOVERY_RATIO,
+            BANS,
+            ("reinstated", |c, _| c.reinstated),
+            BANNED_HONEST,
+            BANNED_MALICIOUS,
+            FPR,
+        ],
+        note: &|every, c, ratio| {
+            format!(
+                "probation every {}: tail err {:.3} ({ratio:.2}x channel-off), {:.1} bans, \
+                 {:.1} reinstated, steady-state banned {:.1} honest / \
+                 {:.1} malicious, fpr {:.3}",
+                if every == 0.0 {
+                    "never (channel off)".to_string()
+                } else {
+                    format!("{every} rounds")
+                },
+                c.err,
+                c.bans,
+                c.reinstated,
+                c.banned_honest,
+                c.banned_malicious,
+                c.fpr(),
+            )
+        },
     }
+    .figure(|every| Cell::run(&probation_run(&scale, seed, every as u64, &chaos)))
 }
 
 /// Post-injection window multipliers for the leak sweep, ×recovery-scale
@@ -835,89 +459,58 @@ pub fn chaos_probation_leak(scale: &Scale, seed: u64) -> FigureResult {
     // Same variance argument as chaos-probation-nps: a single late
     // readmission moves a whole row, so average more repetitions.
     base.repetitions = base.repetitions.max(5);
-    let columns = vec![
-        "point_idx".to_string(),
-        "window_rounds".to_string(),
-        "err_tail".to_string(),
-        "leases".to_string(),
-        "bans".to_string(),
-        "leaked_reinstated".to_string(),
-        "leak_rate".to_string(),
-        "banned_malicious_final".to_string(),
-        "quarantined".to_string(),
-    ];
-    let factory: NpsFactory<'_> = &|_sim, _attackers, _seeds| {
-        (
-            Box::new(BurstThenReform::new(10)) as Box<dyn AttackStrategy>,
-            None,
-        )
-    };
-    let chaos: NpsChaosFactory<'_> =
-        &move |_sim, _seeds| ChaosPlan::with_seed(seed ^ 0x1EAC).bursts(BurstModel::mild());
-    // Tight reference economy (see chaos-probation-nps): no spare
-    // membership candidates means bans are structurally final — the
-    // relief valve can only *lease* them back.
-    let config = NpsConfig {
-        probation_every: 0,
-        landmarks: 12,
-        refs_per_node: 12,
-        space: Space::Euclidean(4),
-        ..NpsConfig::default()
-    };
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
-    for (i, &mult) in LEAK_WINDOWS.iter().enumerate() {
-        let mut s = base.clone();
-        s.nps_attack_rounds = base.nps_attack_rounds * mult;
-        let runs = run_repetitions(s.repetitions, |rep| {
-            run_nps_chaos(
-                &s,
-                config.clone(),
-                s.nodes,
-                FRACTION,
-                seed,
-                rep,
-                factory,
-                Some(&|_sim, _seeds| {
-                    Box::new(DriftCap::with_decay(40.0, DriftDecay::new(5.0)))
-                        as Box<dyn DefenseStrategy>
-                }),
-                Some(chaos),
-            )
-        });
-        let err = mean_tails(&runs, |r| &r.attack_series);
-        let agg = aggregate_chaos(runs.iter().map(|r| r.chaos.as_ref()));
-        let (_, bans, leaked, _, banned_malicious, quarantined) =
-            merge_outcomes_full(runs.iter().map(|r| r.defense.as_ref()));
-        let leak_rate = if bans > 0.0 { leaked / bans } else { 0.0 };
-        rows.push(vec![
-            i as f64,
-            s.nps_attack_rounds as f64,
-            err,
-            agg.leases,
-            bans,
-            leaked,
-            leak_rate,
-            banned_malicious,
-            quarantined,
-        ]);
-        notes.push(format!(
-            "window {} rounds: {:.1} readmission leases, {bans:.1} bans, {leaked:.1} \
-             reinstated with the channel off (leak rate {leak_rate:.3}), {quarantined:.0} \
-             quarantined samples, steady-state banned malicious {banned_malicious:.1}, \
-             tail err {err:.3}",
-            s.nps_attack_rounds, agg.leases,
-        ));
-    }
-    FigureResult {
-        id: "chaos-probation-leak".into(),
+    let windows = LEAK_WINDOWS.map(|mult| (base.nps_attack_rounds * mult) as f64);
+    let chaos = |_: &NpsSim| ChaosPlan::with_seed(seed ^ 0x1EAC).bursts(BurstModel::mild());
+    LevelSweep {
+        id: "chaos-probation-leak",
         title: "Readmission leases close the covert probation channel: quarantined \
                 lease evidence never heals a decaying ban, at any window (NPS, probation \
-                off, burst-then-reform collusion, decaying drift cap, mild loss bursts)"
-            .into(),
-        columns,
-        rows,
-        notes,
+                off, burst-then-reform collusion, decaying drift cap, mild loss bursts)",
+        level_column: "window_rounds",
+        levels: &windows,
+        columns: &[
+            ERR_TAIL,
+            ("leases", |c, _| c.leases),
+            BANS,
+            ("leaked_reinstated", |c, _| c.reinstated),
+            ("leak_rate", |c, _| leak_rate(c)),
+            BANNED_MALICIOUS,
+            ("quarantined", |c, _| c.quarantined),
+        ],
+        note: &|rounds, c, _| {
+            format!(
+                "window {rounds} rounds: {:.1} readmission leases, {:.1} bans, {:.1} \
+                 reinstated with the channel off (leak rate {:.3}), {:.0} \
+                 quarantined samples, steady-state banned malicious {:.1}, \
+                 tail err {:.3}",
+                c.leases,
+                c.bans,
+                c.reinstated,
+                leak_rate(c),
+                c.quarantined,
+                c.banned_malicious,
+                c.err,
+            )
+        },
+    }
+    .figure(|rounds| {
+        let window = Scale {
+            nps_attack_rounds: rounds as u64,
+            ..base.clone()
+        };
+        // Probation off: bans are structurally final — the relief valve
+        // can only *lease* them back.
+        Cell::run(&probation_run(&window, seed, 0, &chaos))
+    })
+}
+
+/// Share of the bans that were reinstated although the probation channel
+/// is off.
+fn leak_rate(c: &Cell) -> f64 {
+    if c.bans > 0.0 {
+        c.reinstated / c.bans
+    } else {
+        0.0
     }
 }
 
@@ -954,10 +547,9 @@ pub fn chaos_detectors_under_faults(scale: &Scale, seed: u64) -> FigureResult {
         "err_tail".to_string(),
         "err_ratio".to_string(),
     ];
-    let factory: VivaldiFactory<'_> = &|_sim, _attackers, _seeds| (strategy_by("inflation"), None);
     let nodes = scale.nodes;
     let cell = |detector: &'static str, regime: &'static str| {
-        let chaos: VivaldiChaosFactory<'_> = &move |_sim, _seeds| {
+        let faults = |_: &VivaldiSim| {
             let plan = ChaosPlan::with_seed(seed ^ 0xDE7EC7);
             match regime {
                 "churn" => plan.churn_wave(nodes, 0.2, 10 * TICK_MS, 30 * TICK_MS),
@@ -965,37 +557,30 @@ pub fn chaos_detectors_under_faults(scale: &Scale, seed: u64) -> FigureResult {
                 _ => unreachable!("the clean regime installs no plan"),
             }
         };
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_chaos(
-                &scale,
-                Space::Euclidean(2),
-                nodes,
-                FRACTION,
-                seed,
-                rep,
-                factory,
-                Some(&move |_sim, _seeds| detector_by(detector)),
-                if regime == "none" { None } else { Some(chaos) },
-            )
-        });
-        let err = mean_tails(&runs, |r| &r.attack_series);
-        let (confusion, _, _, _, _) = merge_outcomes(runs.iter().map(|r| r.defense.as_ref()));
-        (err, confusion)
+        Cell::run(&RunSpec::<VivaldiSim> {
+            fraction: FRACTION,
+            adversary: &plain(|| strategy_by("inflation")),
+            defense: Some(&|_| detector_by(detector)),
+            chaos: if regime == "none" {
+                None
+            } else {
+                Some(&faults)
+            },
+            ..RunSpec::new(&scale, seed)
+        })
     };
     let mut rows = Vec::new();
     let mut notes = Vec::new();
-    let mut point = 0usize;
     for (di, &detector) in FAULT_DETECTORS.iter().enumerate() {
         let mut baseline = f64::NAN;
         for (ri, &regime) in FAULT_REGIMES.iter().enumerate() {
-            let (err, confusion) = cell(detector, regime);
+            let cell = cell(detector, regime);
             if ri == 0 {
-                baseline = err.max(1e-9);
+                baseline = cell.err.max(1e-9);
             }
-            let tpr = confusion.tpr().unwrap_or(0.0);
-            let fpr = confusion.fpr().unwrap_or(0.0);
+            let (tpr, fpr, err) = (cell.tpr(), cell.fpr(), cell.err);
             rows.push(vec![
-                point as f64,
+                rows.len() as f64,
                 di as f64,
                 ri as f64,
                 tpr,
@@ -1008,7 +593,6 @@ pub fn chaos_detectors_under_faults(scale: &Scale, seed: u64) -> FigureResult {
                  ({:.2}x its clean row)",
                 err / baseline,
             ));
-            point += 1;
         }
     }
     FigureResult {

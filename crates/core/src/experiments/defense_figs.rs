@@ -14,18 +14,16 @@
 //! malicious set (see `harness::DETECTION_MIN_FLAGS`): TPR = flagged
 //! malicious / all malicious, FPR = flagged honest / all honest.
 
-use crate::experiments::attack_figs::{mean_tails, strategy_by, STRATEGIES};
-use crate::experiments::harness::{
-    run_nps_defended, run_vivaldi_defended, NpsFactory, VivaldiFactory,
-};
-use crate::experiments::{average_series, run_repetitions, FigureResult, Scale};
+use crate::experiments::attack_figs::{strategy_by, STRATEGIES};
+use crate::experiments::harness::{repeat, Deploy, RunSpec, System};
+use crate::experiments::shapes::{mean_series, series_rows, Block, Cell, Matrix};
+use crate::experiments::{FigureResult, Scale};
 use vcoord_defense::{
     DefenseStrategy, DriftCap, EwmaChangePoint, NoDefense, ResidualOutlier, TriangleCheck,
     TrustedBaseline,
 };
-use vcoord_metrics::Confusion;
-use vcoord_nps::NpsConfig;
-use vcoord_space::Space;
+use vcoord_nps::NpsSim;
+use vcoord_vivaldi::VivaldiSim;
 
 /// The defense labels swept by the `def-*` figures, in CSV column order.
 pub const DEFENSES: [&str; 6] = [
@@ -62,148 +60,106 @@ fn vivaldi_trusted(n: usize) -> Vec<usize> {
     (0..n.div_ceil(10).max(8).min(n)).collect()
 }
 
-/// One (attack × defense) cell: converged honest error plus node-level
-/// detection quality, merged across repetitions.
-struct Cell {
-    err: f64,
-    tpr: f64,
-    fpr: f64,
+fn vivaldi_defense(label: &str, sim: &VivaldiSim) -> Box<dyn DefenseStrategy> {
+    defense_by(label, &vivaldi_trusted(sim.coords().len()))
 }
 
-fn vivaldi_cell(scale: &Scale, seed: u64, attack: &'static str, defense: &'static str) -> Cell {
-    let factory: VivaldiFactory<'_> = &move |_sim, _attackers, _seeds| (strategy_by(attack), None);
-    let runs = run_repetitions(scale.repetitions, |rep| {
-        run_vivaldi_defended(
-            scale,
-            Space::Euclidean(2),
-            scale.nodes,
-            FRACTION,
-            seed,
-            rep,
-            factory,
-            Some(&move |sim, _seeds| defense_by(defense, &vivaldi_trusted(sim.coords().len()))),
-        )
-    });
-    let mut confusion = Confusion::new();
-    for r in &runs {
-        if let Some(d) = &r.defense {
-            confusion.merge(&d.confusion);
-        }
-    }
-    Cell {
-        err: mean_tails(&runs, |r| &r.attack_series),
-        tpr: confusion.tpr().unwrap_or(0.0),
-        fpr: confusion.fpr().unwrap_or(0.0),
-    }
+/// NPS already postulates a verified set: the landmarks.
+fn nps_defense(label: &str, sim: &NpsSim) -> Box<dyn DefenseStrategy> {
+    defense_by(label, &sim.landmark_ids())
 }
 
-fn nps_cell(scale: &Scale, seed: u64, attack: &'static str, defense: &'static str) -> Cell {
-    let factory: NpsFactory<'_> = &move |_sim, _attackers, _seeds| (strategy_by(attack), None);
-    let runs = run_repetitions(scale.repetitions, |rep| {
-        run_nps_defended(
-            scale,
-            NpsConfig::default(),
-            scale.nodes,
-            FRACTION,
-            seed,
-            rep,
-            factory,
-            Some(&move |sim, _seeds| {
-                // The verified set NPS already postulates: the landmarks.
-                let landmarks: Vec<usize> = sim
-                    .layers_of()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &l)| l == 0)
-                    .map(|(i, _)| i)
-                    .collect();
-                defense_by(defense, &landmarks)
-            }),
-        )
-    });
-    let mut confusion = Confusion::new();
-    for r in &runs {
-        if let Some(d) = &r.defense {
-            confusion.merge(&d.confusion);
-        }
-    }
-    Cell {
-        err: mean_tails(&runs, |r| &r.attack_series),
-        tpr: confusion.tpr().unwrap_or(0.0),
-        fpr: confusion.fpr().unwrap_or(0.0),
+/// Error under every defense; detection quality under the real ones.
+const BLOCKS: [Block; 3] = [
+    ("err", 0, |c| c.err),
+    ("tpr", 1, Cell::tpr),
+    ("fpr", 1, Cell::fpr),
+];
+
+fn sweep_note(attack: &str, cells: &[Cell]) -> String {
+    // Best real defense by error, with its detection quality.
+    let (best_idx, best) = cells
+        .iter()
+        .enumerate()
+        .skip(1)
+        .min_by(|a, b| a.1.err.partial_cmp(&b.1.err).unwrap())
+        .expect("non-empty defense set");
+    format!(
+        "{attack}: undefended err {:.2}; best defense {} (err {:.2}, tpr {:.2}, fpr {:.2}); drift-cap tpr {:.2}",
+        cells[0].err,
+        DEFENSES[best_idx],
+        best.err,
+        best.tpr(),
+        best.fpr(),
+        cells[3].tpr(),
+    )
+}
+
+/// The full attack×defense matrix at 30 % malicious: converged honest
+/// error per cell plus node-level TPR/FPR per defense.
+fn sweep<'a, S: System>(
+    id: &'a str,
+    title: &'a str,
+    scale: &'a Scale,
+    seed: u64,
+    defense_by: fn(&str, &S) -> Box<dyn DefenseStrategy>,
+) -> Matrix<'a, S> {
+    Matrix {
+        id,
+        title,
+        base: RunSpec {
+            fraction: FRACTION,
+            ..RunSpec::new(scale, seed)
+        },
+        attacks: &STRATEGIES,
+        attack_by: strategy_by,
+        defenses: &DEFENSES,
+        defense_by,
+        blocks: &BLOCKS,
+        note: sweep_note,
     }
 }
 
-/// Assemble one sweep figure from `cell(attack, defense)`.
-fn sweep_figure(
-    id: &str,
-    title: &str,
-    cell: impl Fn(&'static str, &'static str) -> Cell,
-) -> FigureResult {
-    let mut columns = vec!["attack_idx".to_string()];
-    for d in DEFENSES {
-        columns.push(format!("err_{d}"));
-    }
-    for d in DEFENSES.iter().skip(1) {
-        columns.push(format!("tpr_{d}"));
-    }
-    for d in DEFENSES.iter().skip(1) {
-        columns.push(format!("fpr_{d}"));
-    }
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
-    for (a_idx, attack) in STRATEGIES.iter().enumerate() {
-        let cells: Vec<Cell> = DEFENSES.iter().map(|d| cell(attack, d)).collect();
-        let mut row = vec![a_idx as f64];
-        row.extend(cells.iter().map(|c| c.err));
-        row.extend(cells.iter().skip(1).map(|c| c.tpr));
-        row.extend(cells.iter().skip(1).map(|c| c.fpr));
-        rows.push(row);
-        // Best real defense by error, with its detection quality.
-        let (best_idx, best) = cells
-            .iter()
-            .enumerate()
-            .skip(1)
-            .min_by(|a, b| a.1.err.partial_cmp(&b.1.err).unwrap())
-            .expect("non-empty defense set");
-        notes.push(format!(
-            "{attack}: undefended err {:.2}; best defense {} (err {:.2}, tpr {:.2}, fpr {:.2}); drift-cap tpr {:.2}",
-            cells[0].err,
-            DEFENSES[best_idx],
-            best.err,
-            best.tpr,
-            best.fpr,
-            cells[3].tpr,
-        ));
-    }
-    FigureResult {
-        id: id.into(),
-        title: title.into(),
-        columns,
-        rows,
-        notes,
-    }
-}
-
-/// `def-sweep-vivaldi` — the full attack×defense matrix on Vivaldi at 30 %
-/// malicious: converged honest error per cell plus node-level TPR/FPR per
-/// defense.
-pub fn def_sweep_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
-    sweep_figure(
+fn vivaldi_sweep(scale: &Scale, seed: u64) -> Matrix<'_, VivaldiSim> {
+    sweep(
         "def-sweep-vivaldi",
         "defensekit strategies vs attackkit strategies on Vivaldi: error and detection quality",
-        |attack, defense| vivaldi_cell(scale, seed, attack, defense),
+        scale,
+        seed,
+        vivaldi_defense,
     )
+}
+
+/// `def-sweep-vivaldi` — the full attack×defense matrix on Vivaldi.
+pub fn def_sweep_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
+    vivaldi_sweep(scale, seed).figure()
 }
 
 /// `def-sweep-nps` — the same matrix on NPS (default 3-layer hierarchy,
 /// built-in security filter on, defense layered on top).
 pub fn def_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
-    sweep_figure(
+    sweep(
         "def-sweep-nps",
         "defensekit strategies vs attackkit strategies on NPS: error and detection quality",
-        |attack, defense| nps_cell(scale, seed, attack, defense),
+        scale,
+        seed,
+        nps_defense,
     )
+    .figure()
+}
+
+/// Frog-boiling on Vivaldi at 30 % malicious against `defense`.
+fn frog_vs<'a>(
+    scale: &'a Scale,
+    seed: u64,
+    defense: &'a Deploy<'a, VivaldiSim>,
+) -> RunSpec<'a, VivaldiSim> {
+    RunSpec {
+        fraction: FRACTION,
+        adversary: &|_, _, _| (strategy_by("frog_boiling"), None),
+        defense: Some(defense),
+        ..RunSpec::new(scale, seed)
+    }
 }
 
 /// `def-frog-drift` — frog-boiling on Vivaldi (30 % malicious) under no
@@ -221,73 +177,33 @@ pub fn def_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
 pub fn def_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
     let defenses: [&'static str; 3] = ["none", "mad_outlier", "drift_cap"];
     let mut columns = vec!["tick".to_string()];
-    for d in defenses {
-        columns.push(format!("drift_{d}"));
-    }
-    for d in defenses {
-        columns.push(format!("err_{d}"));
-    }
-    let factory: VivaldiFactory<'_> =
-        &|_sim, _attackers, _seeds| (strategy_by("frog_boiling"), None);
+    columns.extend(defenses.iter().map(|d| format!("drift_{d}")));
+    columns.extend(defenses.iter().map(|d| format!("err_{d}")));
+    let mut fig = FigureResult::new(
+        "def-frog-drift",
+        "Frog-boiling vs defenses on Vivaldi: drift velocity and error over time",
+        columns,
+    );
     let mut drift_avgs = Vec::new();
     let mut err_avgs = Vec::new();
-    let mut notes = Vec::new();
     for defense in defenses {
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_defended(
-                scale,
-                Space::Euclidean(2),
-                scale.nodes,
-                FRACTION,
-                seed,
-                rep,
-                factory,
-                Some(&move |sim, _seeds| defense_by(defense, &vivaldi_trusted(sim.coords().len()))),
-            )
-        });
-        let drifts: Vec<_> = runs.iter().map(|r| r.drift_series.clone()).collect();
-        let errs: Vec<_> = runs.iter().map(|r| r.attack_series.clone()).collect();
-        let mut confusion = Confusion::new();
-        let mut rejected = 0u64;
-        for r in &runs {
-            if let Some(d) = &r.defense {
-                confusion.merge(&d.confusion);
-                rejected += d.rejected;
-            }
-        }
-        let drift_avg = average_series(&drifts);
-        notes.push(format!(
+        let runs = repeat(&frog_vs(scale, seed, &|sim| vivaldi_defense(defense, sim)));
+        let cell = Cell::of(&runs);
+        let drift_avg = mean_series(&runs, |r| r.drift_series.clone());
+        fig.notes.push(format!(
             "{defense}: steady drift {:.2} ms/tick, final err {:.2}, tpr {:.2}, fpr {:.2}, {} rejections",
             drift_avg.tail_mean(3),
-            mean_tails(&runs, |r| &r.attack_series),
-            confusion.tpr().unwrap_or(0.0),
-            confusion.fpr().unwrap_or(0.0),
-            rejected,
+            cell.err,
+            cell.tpr(),
+            cell.fpr(),
+            cell.rejected,
         ));
         drift_avgs.push(drift_avg);
-        err_avgs.push(average_series(&errs));
+        err_avgs.push(mean_series(&runs, |r| r.attack_series.clone()));
     }
-    let len = drift_avgs
-        .iter()
-        .chain(&err_avgs)
-        .map(|s| s.len())
-        .min()
-        .unwrap_or(0);
-    let rows: Vec<Vec<f64>> = (0..len)
-        .map(|k| {
-            let mut row = vec![drift_avgs[0].points()[k].0 as f64];
-            row.extend(drift_avgs.iter().map(|s| s.points()[k].1));
-            row.extend(err_avgs.iter().map(|s| s.points()[k].1));
-            row
-        })
-        .collect();
-    FigureResult {
-        id: "def-frog-drift".into(),
-        title: "Frog-boiling vs defenses on Vivaldi: drift velocity and error over time".into(),
-        columns,
-        rows,
-        notes,
-    }
+    drift_avgs.extend(err_avgs);
+    fig.rows = series_rows(&drift_avgs);
+    fig
 }
 
 /// `def-roc` — detection ROC points under frog-boiling on Vivaldi (30 %
@@ -302,31 +218,9 @@ pub fn def_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
 pub fn def_roc(scale: &Scale, seed: u64) -> FigureResult {
     let caps = [10.0, 20.0, 40.0, 80.0, 160.0];
     let ks = [1.0, 2.0, 3.0, 4.0, 6.0];
-    let factory: VivaldiFactory<'_> =
-        &|_sim, _attackers, _seeds| (strategy_by("frog_boiling"), None);
-    let point = |strategy_for: &(dyn Fn() -> Box<dyn DefenseStrategy> + Sync)| {
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_defended(
-                scale,
-                Space::Euclidean(2),
-                scale.nodes,
-                FRACTION,
-                seed,
-                rep,
-                factory,
-                Some(&|_sim, _seeds| strategy_for()),
-            )
-        });
-        let mut confusion = Confusion::new();
-        for r in &runs {
-            if let Some(d) = &r.defense {
-                confusion.merge(&d.confusion);
-            }
-        }
-        (
-            confusion.tpr().unwrap_or(0.0),
-            confusion.fpr().unwrap_or(0.0),
-        )
+    let point = |defense: &Deploy<'_, VivaldiSim>| {
+        let cell = Cell::run(&frog_vs(scale, seed, defense));
+        (cell.tpr(), cell.fpr())
     };
     let columns = vec![
         "point_idx".to_string(),
@@ -337,25 +231,23 @@ pub fn def_roc(scale: &Scale, seed: u64) -> FigureResult {
         "tpr_mad".to_string(),
         "fpr_mad".to_string(),
     ];
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
+    let mut fig = FigureResult::new(
+        "def-roc",
+        "Frog-boiling detection ROC on Vivaldi: drift cap vs MAD outlier filter",
+        columns,
+    );
     for i in 0..caps.len() {
         let cap = caps[i];
         let k = ks[i];
-        let (dr_tpr, dr_fpr) = point(&move || Box::new(DriftCap::new(cap)));
-        let (mad_tpr, mad_fpr) = point(&move || Box::new(ResidualOutlier::new(12, k)));
-        rows.push(vec![i as f64, cap, dr_tpr, dr_fpr, k, mad_tpr, mad_fpr]);
-        notes.push(format!(
+        let (dr_tpr, dr_fpr) = point(&|_| Box::new(DriftCap::new(cap)));
+        let (mad_tpr, mad_fpr) = point(&|_| Box::new(ResidualOutlier::new(12, k)));
+        fig.rows
+            .push(vec![i as f64, cap, dr_tpr, dr_fpr, k, mad_tpr, mad_fpr]);
+        fig.notes.push(format!(
             "cap {cap} ms: drift-cap ({dr_fpr:.2}, {dr_tpr:.2}); mad k={k}: ({mad_fpr:.2}, {mad_tpr:.2}) as (fpr, tpr)"
         ));
     }
-    FigureResult {
-        id: "def-roc".into(),
-        title: "Frog-boiling detection ROC on Vivaldi: drift cap vs MAD outlier filter".into(),
-        columns,
-        rows,
-        notes,
-    }
+    fig
 }
 
 #[cfg(test)]
@@ -406,15 +298,16 @@ mod tests {
         // does to the drift — cannot act without defaming a substantial
         // share of the dragged honest population.
         let scale = Scale::smoke();
-        let frog = vivaldi_cell(&scale, 2006, "frog_boiling", "drift_cap");
-        assert!(frog.tpr > 0.9, "drift cap tpr {:.2}", frog.tpr);
-        assert_eq!(frog.fpr, 0.0, "drift cap must not defame honest nodes");
-        let mad = vivaldi_cell(&scale, 2006, "frog_boiling", "mad_outlier");
+        let sweep = vivaldi_sweep(&scale, 2006);
+        let frog = sweep.cell("frog_boiling", "drift_cap");
+        assert!(frog.tpr() > 0.9, "drift cap tpr {:.2}", frog.tpr());
+        assert_eq!(frog.fpr(), 0.0, "drift cap must not defame honest nodes");
+        let mad = sweep.cell("frog_boiling", "mad_outlier");
         assert!(
-            mad.fpr > 0.2,
+            mad.fpr() > 0.2,
             "error-based filtering under frog-boiling acts only via honest \
              collateral (the fig-20/22 inversion): fpr {:.2}",
-            mad.fpr
+            mad.fpr()
         );
     }
 

@@ -1,34 +1,365 @@
-//! Per-run drivers: converge a clean system, inject an attack, record.
+//! The injection harness: converge a clean system, inject an attack, record.
 //!
-//! Both drivers follow the paper's *injection* protocol (§5.2): the system
-//! first converges cleanly (warm-up), the malicious population is then
-//! selected at random and activated, and metrics are recorded before and
-//! after. Every run is fully determined by `(master_seed, repetition)`.
+//! [`run`] is the paper's *injection* protocol (§5.2), written once: the
+//! system first converges cleanly (warm-up), the malicious population is
+//! then selected at random and activated — together with the defense and
+//! the fault plan, when the [`RunSpec`] names them — and the honest
+//! population is measured before and after. Every run is fully determined
+//! by `(seed, rep)`.
+//!
+//! The protocol is generic over [`System`]; everything the Vivaldi and NPS
+//! runs do differently is a named item of that trait, so the loop itself
+//! has no per-system branch.
 
-use crate::experiments::Scale;
-use vcoord_attackkit::AttackStrategy;
+use crate::experiments::{eval_thread_budget, run_repetitions, Scale};
+use vcoord_attackkit::{AttackStrategy, Honest};
 use vcoord_chaos::{ChaosCounters, ChaosPlan};
-use vcoord_defense::{DefenseStats, DefenseStrategy};
+use vcoord_defense::{Defense, DefenseStrategy};
+use vcoord_metrics::stats::mean;
 use vcoord_metrics::{random_baseline_with, Confusion, EvalPlan, FilterLedger, TimeSeries};
 use vcoord_netsim::SeedStream;
 use vcoord_nps::{NpsConfig, NpsSim};
 use vcoord_space::{Coord, Space};
-use vcoord_topo::{KingLike, KingLikeConfig};
+use vcoord_topo::{KingLike, KingLikeConfig, RttMatrix};
 use vcoord_vivaldi::{VivaldiConfig, VivaldiSim};
 
 /// The random-coordinate interval of the paper's worst-case baseline.
-pub const RANDOM_RANGE: f64 = 50_000.0;
+const RANDOM_RANGE: f64 = 50_000.0;
 
 /// Flag events a node must accumulate before the harness counts it as
 /// *detected* when grading verdicts into a [`Confusion`]: sample-level
 /// filters (MAD, EWMA) throw occasional single rejections at honest nodes
 /// under noise, so node-level detection requires persistence.
-pub const DETECTION_MIN_FLAGS: u64 = 3;
+const DETECTION_MIN_FLAGS: u64 = 3;
 
 /// Minimum share of a node's inspected samples that must be flagged (on
 /// top of [`DETECTION_MIN_FLAGS`]) — the count floor alone stops
 /// separating honest tail-noise from real detections as runs get longer.
-pub const DETECTION_MIN_RATE: f64 = 0.08;
+const DETECTION_MIN_RATE: f64 = 0.08;
+
+/// Joined nodes a re-planned warm-up sample needs before its error means
+/// anything; below it the sample is recorded as NaN (joins in progress).
+const MIN_JOINED: usize = 8;
+
+/// What the injection protocol needs from a coordinate system under test.
+pub(crate) trait System: Sized + 'static {
+    /// System parameters; `Default` is the paper's §5.2 configuration.
+    type Config: Clone + Default + Sync;
+
+    /// Label of the per-repetition seed stream.
+    const REP_LABEL: &'static str;
+
+    /// A fresh system over `matrix`.
+    fn build(matrix: RttMatrix, config: Self::Config, seeds: &SeedStream) -> Self;
+
+    /// `(warm-up, attack window, sampling interval)` of `scale`, in this
+    /// system's clock unit (Vivaldi ticks, NPS repositioning rounds).
+    fn schedule(scale: &Scale) -> (u64, u64, u64);
+
+    /// Advance the simulation by `intervals` clock units.
+    fn step(&mut self, intervals: u64);
+
+    /// The current time in clock units.
+    fn now(&self) -> u64;
+
+    /// Current coordinates, by node id.
+    fn coords(&self) -> &[Coord];
+
+    /// The embedding space.
+    fn space(&self) -> &Space;
+
+    /// Ground-truth latencies.
+    fn matrix(&self) -> &RttMatrix;
+
+    /// The honest nodes whose error is measured right now.
+    fn eval_set(&self) -> Vec<usize>;
+
+    /// Warm-up plan policy. `Some(nodes)`: the population is complete at
+    /// start, so one plan over `nodes` is drawn before the first step and
+    /// serves the whole warm-up (Vivaldi). `None`: nodes join as the
+    /// warm-up runs, so every sample re-plans over [`System::eval_set`] —
+    /// one draw from the plan stream per sample once the set outgrows the
+    /// all-pairs threshold — and records NaN below [`MIN_JOINED`] (NPS).
+    fn warmup_nodes(&self) -> Option<Vec<usize>>;
+
+    /// The converged clean error — the denominator of the paper's *error
+    /// ratio* — from the warm-up series: the mean of its last five samples,
+    /// floored at 1e-6. The summation order is the system's own.
+    fn clean_ref(warmup: &TimeSeries) -> f64;
+
+    /// Select `fraction` of the attackable population, without activating it.
+    fn pick_attackers(&mut self, fraction: f64) -> Vec<usize>;
+
+    /// Turn `attackers` malicious under `adversary`.
+    fn inject(&mut self, attackers: &[usize], adversary: Box<dyn AttackStrategy>);
+
+    /// Deploy `defense` on every honest node.
+    fn deploy(&mut self, defense: Box<dyn DefenseStrategy>);
+
+    /// Install a fault plan; its times count from now.
+    fn install_chaos(&mut self, plan: ChaosPlan);
+
+    /// The deployed defense, if any.
+    fn defense(&self) -> Option<&Defense>;
+
+    /// Ground-truth malicious flags, by node id.
+    fn malicious(&self) -> &[bool];
+
+    /// Nodes the deployed defense holds banned right now.
+    fn banned_now(&self) -> Vec<usize>;
+
+    /// Fault totals of the installed plan, if any.
+    fn chaos_counters(&self) -> Option<&ChaosCounters>;
+
+    /// Each node's hierarchy layer and the number of layers; layers
+    /// `1..depth` get an error series of their own. `(&[], 1)` for a flat
+    /// system.
+    fn layers(&self) -> (&[u8], usize);
+
+    /// Running (security-filter, probe-threshold) elimination ledgers; both
+    /// empty for a system without built-in filtering.
+    fn ledgers(&self) -> [FilterLedger; 2];
+}
+
+impl System for VivaldiSim {
+    type Config = VivaldiConfig;
+    const REP_LABEL: &'static str = "vivaldi-rep";
+
+    fn build(matrix: RttMatrix, config: VivaldiConfig, seeds: &SeedStream) -> Self {
+        VivaldiSim::new(matrix, config, seeds)
+    }
+    fn schedule(scale: &Scale) -> (u64, u64, u64) {
+        (
+            scale.vivaldi_warmup_ticks,
+            scale.vivaldi_attack_ticks,
+            scale.vivaldi_record_every,
+        )
+    }
+    fn step(&mut self, intervals: u64) {
+        self.run_ticks(intervals);
+    }
+    fn now(&self) -> u64 {
+        self.now_ticks()
+    }
+    fn coords(&self) -> &[Coord] {
+        VivaldiSim::coords(self)
+    }
+    fn space(&self) -> &Space {
+        VivaldiSim::space(self)
+    }
+    fn matrix(&self) -> &RttMatrix {
+        VivaldiSim::matrix(self)
+    }
+    fn eval_set(&self) -> Vec<usize> {
+        self.honest_nodes()
+    }
+    fn warmup_nodes(&self) -> Option<Vec<usize>> {
+        Some((0..self.coords().len()).collect())
+    }
+    fn clean_ref(warmup: &TimeSeries) -> f64 {
+        warmup.tail_mean(5).max(1e-6)
+    }
+    fn pick_attackers(&mut self, fraction: f64) -> Vec<usize> {
+        VivaldiSim::pick_attackers(self, fraction)
+    }
+    fn inject(&mut self, attackers: &[usize], adversary: Box<dyn AttackStrategy>) {
+        self.inject_adversary(attackers, adversary);
+    }
+    fn deploy(&mut self, defense: Box<dyn DefenseStrategy>) {
+        self.deploy_defense(defense);
+    }
+    fn install_chaos(&mut self, plan: ChaosPlan) {
+        VivaldiSim::install_chaos(self, plan);
+    }
+    fn defense(&self) -> Option<&Defense> {
+        VivaldiSim::defense(self)
+    }
+    fn malicious(&self) -> &[bool] {
+        VivaldiSim::malicious(self)
+    }
+    fn banned_now(&self) -> Vec<usize> {
+        let flags = self.quarantined();
+        (0..flags.len()).filter(|&i| flags[i]).collect()
+    }
+    fn chaos_counters(&self) -> Option<&ChaosCounters> {
+        VivaldiSim::chaos_counters(self)
+    }
+    fn layers(&self) -> (&[u8], usize) {
+        (&[], 1)
+    }
+    fn ledgers(&self) -> [FilterLedger; 2] {
+        [FilterLedger::new(); 2]
+    }
+}
+
+impl System for NpsSim {
+    type Config = NpsConfig;
+    const REP_LABEL: &'static str = "nps-rep";
+
+    fn build(matrix: RttMatrix, config: NpsConfig, seeds: &SeedStream) -> Self {
+        NpsSim::new(matrix, config, seeds)
+    }
+    fn schedule(scale: &Scale) -> (u64, u64, u64) {
+        (
+            scale.nps_warmup_rounds,
+            scale.nps_attack_rounds,
+            scale.nps_record_every,
+        )
+    }
+    fn step(&mut self, intervals: u64) {
+        self.run_rounds(intervals);
+    }
+    fn now(&self) -> u64 {
+        self.now_rounds()
+    }
+    fn coords(&self) -> &[Coord] {
+        NpsSim::coords(self)
+    }
+    fn space(&self) -> &Space {
+        NpsSim::space(self)
+    }
+    fn matrix(&self) -> &RttMatrix {
+        NpsSim::matrix(self)
+    }
+    fn eval_set(&self) -> Vec<usize> {
+        self.eval_nodes()
+    }
+    fn warmup_nodes(&self) -> Option<Vec<usize>> {
+        None
+    }
+    fn clean_ref(warmup: &TimeSeries) -> f64 {
+        // Newest sample first, and only the finite ones: early samples are
+        // NaN while joins are in progress.
+        let tail: Vec<f64> = warmup
+            .points()
+            .iter()
+            .rev()
+            .take(5)
+            .map(|&(_, v)| v)
+            .filter(|v| v.is_finite())
+            .collect();
+        if tail.is_empty() {
+            1e-6
+        } else {
+            (tail.iter().sum::<f64>() / tail.len() as f64).max(1e-6)
+        }
+    }
+    fn pick_attackers(&mut self, fraction: f64) -> Vec<usize> {
+        NpsSim::pick_attackers(self, fraction)
+    }
+    fn inject(&mut self, attackers: &[usize], adversary: Box<dyn AttackStrategy>) {
+        self.inject_adversary(attackers, adversary);
+    }
+    fn deploy(&mut self, defense: Box<dyn DefenseStrategy>) {
+        self.deploy_defense(defense);
+    }
+    fn install_chaos(&mut self, plan: ChaosPlan) {
+        NpsSim::install_chaos(self, plan);
+    }
+    fn defense(&self) -> Option<&Defense> {
+        NpsSim::defense(self)
+    }
+    fn malicious(&self) -> &[bool] {
+        NpsSim::malicious(self)
+    }
+    fn banned_now(&self) -> Vec<usize> {
+        self.currently_banned()
+    }
+    fn chaos_counters(&self) -> Option<&ChaosCounters> {
+        NpsSim::chaos_counters(self)
+    }
+    fn layers(&self) -> (&[u8], usize) {
+        (self.layers_of(), self.config().layers)
+    }
+    fn ledgers(&self) -> [FilterLedger; 2] {
+        [self.ledger(), self.threshold_ledger()]
+    }
+}
+
+/// What an adversary builder yields: the strategy, plus an optional *focus
+/// set* of nodes whose error the harness tracks separately (isolation
+/// targets, designated victims).
+pub(crate) type Choice = (Box<dyn AttackStrategy>, Option<Vec<usize>>);
+
+/// Builds the adversary once the attacker set is known (the attackers are
+/// picked but not yet flagged malicious when it runs).
+pub(crate) type Adversary<'a, S> = dyn Fn(&S, &[usize], &SeedStream) -> Choice + Sync + 'a;
+
+/// Builds the defense deployed at the injection instant. It never sees the
+/// attacker set — a defense that knew ground truth would be cheating — only
+/// the converged system, for structural configuration like trusted sets.
+pub(crate) type Deploy<'a, S> = dyn Fn(&S) -> Box<dyn DefenseStrategy> + Sync + 'a;
+
+/// Builds the fault plan installed at the injection instant; it sees the
+/// converged system (landmark ids, system size) and its times are
+/// milliseconds *after installation*.
+pub(crate) type Faults<'a, S> = dyn Fn(&S) -> ChaosPlan + Sync + 'a;
+
+/// The all-honest adversary: fault-only and clean-reference runs still go
+/// through the injection instant, with nobody lying.
+pub(crate) fn honest<S>(_: &S, _: &[usize], _: &SeedStream) -> Choice {
+    (Box::new(Honest), None)
+}
+
+/// An adversary that ignores the system: `make()`, no focus set.
+pub(crate) fn plain<S>(
+    make: impl Fn() -> Box<dyn AttackStrategy> + Sync,
+) -> impl Fn(&S, &[usize], &SeedStream) -> Choice + Sync {
+    move |_, _, _| (make(), None)
+}
+
+/// Everything that determines one injection run.
+pub(crate) struct RunSpec<'a, S: System> {
+    /// Horizons, sampling interval and evaluation-plan bounds.
+    pub scale: &'a Scale,
+    /// System parameters (space, layers, security, positioning mode, …).
+    pub config: S::Config,
+    /// Population size (system-size sweeps move it off `scale.nodes`).
+    pub nodes: usize,
+    /// Malicious share of the attackable population.
+    pub fraction: f64,
+    /// Master seed.
+    pub seed: u64,
+    /// Repetition index.
+    pub rep: u64,
+    /// The adversary injected after warm-up.
+    pub adversary: &'a Adversary<'a, S>,
+    /// The defense deployed in the same instant, if any. With `None` the
+    /// sims run their pre-defense code path.
+    pub defense: Option<&'a Deploy<'a, S>>,
+    /// The fault plan installed in the same instant, if any. With `None`
+    /// the sims never allocate chaos state (the chaos-off inertness
+    /// property pinned by `tests/chaos_properties.rs`).
+    pub chaos: Option<&'a Faults<'a, S>>,
+}
+
+impl<'a, S: System> RunSpec<'a, S> {
+    /// The default run: the default system at `scale.nodes`, no attackers
+    /// (the [`honest`] adversary over an empty set), no defense, no faults,
+    /// repetition 0.
+    pub fn new(scale: &'a Scale, seed: u64) -> Self {
+        RunSpec {
+            scale,
+            config: S::Config::default(),
+            nodes: scale.nodes,
+            fraction: 0.0,
+            seed,
+            rep: 0,
+            adversary: &honest,
+            defense: None,
+            chaos: None,
+        }
+    }
+}
+
+impl<S: System> Clone for RunSpec<'_, S> {
+    fn clone(&self) -> Self {
+        RunSpec {
+            config: self.config.clone(),
+            ..*self
+        }
+    }
+}
 
 /// What a deployed defense did during the attack window, graded against
 /// attackkit's ground-truth malicious set after the run.
@@ -40,8 +371,6 @@ pub struct DefenseOutcome {
     pub accepted: u64,
     /// Samples rejected.
     pub rejected: u64,
-    /// Samples dampened below full strength.
-    pub dampened: u64,
     /// Node-level ban events routed through the reputation channel.
     pub bans: u64,
     /// Node-level reinstatements (non-zero only for decaying defenses).
@@ -55,344 +384,57 @@ pub struct DefenseOutcome {
     /// Samples quarantined by provenance (readmission-lease evidence that
     /// was judged but never recorded — see `vcoord_defense::Provenance`).
     pub quarantined: u64,
-    /// Node-level detection quality at [`DETECTION_MIN_FLAGS`].
+    /// Node-level detection quality: a node counts as detected once its
+    /// flag events are both persistent and a real share of its inspected
+    /// samples (`DETECTION_MIN_FLAGS`, `DETECTION_MIN_RATE`).
     pub confusion: Confusion,
-    /// Rejections per recording interval (the defense's activity trace).
-    pub reject_series: TimeSeries,
 }
 
 impl DefenseOutcome {
-    fn grade(
-        label: &str,
-        stats: &DefenseStats,
-        malicious: &[bool],
-        banned_now: &[usize],
-        reject_series: TimeSeries,
-    ) -> DefenseOutcome {
+    fn grade(defense: &Defense, malicious: &[bool], banned_now: &[usize]) -> DefenseOutcome {
+        let stats = defense.stats();
         let banned_malicious_final = banned_now
             .iter()
             .filter(|&&n| malicious.get(n).copied().unwrap_or(false))
             .count() as u64;
         DefenseOutcome {
-            label: label.to_string(),
+            label: defense.label().to_string(),
             accepted: stats.accepted,
             rejected: stats.rejected,
-            dampened: stats.dampened,
             bans: stats.bans,
             reinstated: stats.reinstated,
             banned_honest_final: banned_now.len() as u64 - banned_malicious_final,
             banned_malicious_final,
             quarantined: stats.quarantined,
             confusion: stats.confusion_rated(malicious, DETECTION_MIN_FLAGS, DETECTION_MIN_RATE),
-            reject_series,
         }
     }
 }
 
-/// Outcome of one Vivaldi attack run.
+/// Outcome of one injection run.
 #[derive(Debug, Clone)]
-pub struct VivaldiRun {
-    /// Average relative error of (eventually honest) nodes, sampled during
-    /// warm-up.
+pub struct Run {
+    /// Average relative error of the evaluation population during warm-up.
     pub clean_series: TimeSeries,
     /// Average relative error of honest nodes after injection.
     pub attack_series: TimeSeries,
     /// Converged clean error (tail mean of the warm-up series) — the
     /// denominator of the paper's *error ratio*.
     pub clean_ref: f64,
-    /// Per-honest-node relative errors at the end of the run (CDF input).
+    /// Per-honest-node relative errors at the end of the run (CDF input),
+    /// in evaluation-plan order.
     pub final_errors: Vec<f64>,
-    /// Error of the focus set (e.g. the isolation target), when tracked.
-    pub focus_series: Option<TimeSeries>,
-    /// Mean honest-node coordinate displacement per tick during the attack
-    /// window (ms/tick) — the *drift velocity* gradual attacks maximize
-    /// while staying under displacement thresholds.
-    pub drift_series: TimeSeries,
-    /// Average error of the random-coordinate baseline on this topology.
-    pub random_baseline: f64,
-    /// Number of attackers injected.
-    pub attackers: usize,
-    /// What the deployed defense did, when one was deployed.
-    pub defense: Option<DefenseOutcome>,
-    /// Fault-injection accounting, when a chaos plan was installed.
-    pub chaos: Option<ChaosCounters>,
-}
-
-/// Builds the adversary once the attacker set is known. Returns the boxed
-/// strategy plus an optional *focus set* of nodes whose error the harness
-/// should track separately (isolation targets, designated victims).
-pub type VivaldiFactory<'a> = &'a (dyn Fn(&mut VivaldiSim, &[usize], &SeedStream) -> (Box<dyn AttackStrategy>, Option<Vec<usize>>)
-         + Sync);
-
-/// Builds the fault-injection plan installed at the injection instant.
-/// Like defense factories, chaos factories see the converged system (for
-/// structural targeting — landmark ids, system size) and the seed stream;
-/// plan times are milliseconds *after installation*.
-pub type VivaldiChaosFactory<'a> = &'a (dyn Fn(&VivaldiSim, &SeedStream) -> ChaosPlan + Sync);
-
-/// Chaos-plan factory for NPS runs (see [`VivaldiChaosFactory`]).
-pub type NpsChaosFactory<'a> = &'a (dyn Fn(&NpsSim, &SeedStream) -> ChaosPlan + Sync);
-
-/// Builds the defense to deploy at injection time. Unlike the adversary
-/// factories this one never sees the attacker set — a defense that knew
-/// ground truth would be cheating — only the converged system (for
-/// structural configuration like trusted sets) and the seed stream.
-pub type VivaldiDefenseFactory<'a> =
-    &'a (dyn Fn(&VivaldiSim, &SeedStream) -> Box<dyn DefenseStrategy> + Sync);
-
-/// Defense factory for NPS runs (see [`VivaldiDefenseFactory`]).
-pub type NpsDefenseFactory<'a> =
-    &'a (dyn Fn(&NpsSim, &SeedStream) -> Box<dyn DefenseStrategy> + Sync);
-
-/// Thread budget for per-tick `EvalPlan` sweeps inside one repetition —
-/// see [`eval_thread_budget`](crate::experiments::eval_thread_budget).
-fn eval_threads(scale: &Scale) -> usize {
-    crate::experiments::eval_thread_budget(scale.repetitions)
-}
-
-/// Mean displacement per round of `nodes` between `prev` (updated in
-/// place) and their current coordinates — the drift-velocity sample.
-fn drift_sample(
-    nodes: &[usize],
-    prev: &mut [Coord],
-    coords: &[Coord],
-    space: &Space,
-    rounds: u64,
-) -> f64 {
-    let mut total = 0.0;
-    for (k, &i) in nodes.iter().enumerate() {
-        total += space.distance(&coords[i], &prev[k]);
-        prev[k] = coords[i].clone();
-    }
-    total / (nodes.len().max(1) as f64 * rounds.max(1) as f64)
-}
-
-/// Run one Vivaldi injection experiment.
-///
-/// `nodes` overrides `scale.nodes` (system-size sweeps); `fraction` is the
-/// malicious share of the population.
-#[allow(clippy::too_many_arguments)]
-pub fn run_vivaldi(
-    scale: &Scale,
-    space: Space,
-    nodes: usize,
-    fraction: f64,
-    master_seed: u64,
-    rep: u64,
-    factory: VivaldiFactory<'_>,
-) -> VivaldiRun {
-    run_vivaldi_defended(
-        scale,
-        space,
-        nodes,
-        fraction,
-        master_seed,
-        rep,
-        factory,
-        None,
-    )
-}
-
-/// [`run_vivaldi`] with a defense deployed at injection time (on the
-/// converged system, the moment the attack goes live) — the attack×defense
-/// sweep driver. With `defense: None` this *is* `run_vivaldi`: the
-/// undefended path is untouched.
-#[allow(clippy::too_many_arguments)]
-pub fn run_vivaldi_defended(
-    scale: &Scale,
-    space: Space,
-    nodes: usize,
-    fraction: f64,
-    master_seed: u64,
-    rep: u64,
-    factory: VivaldiFactory<'_>,
-    defense: Option<VivaldiDefenseFactory<'_>>,
-) -> VivaldiRun {
-    run_vivaldi_chaos(
-        scale,
-        space,
-        nodes,
-        fraction,
-        master_seed,
-        rep,
-        factory,
-        defense,
-        None,
-    )
-}
-
-/// [`run_vivaldi_defended`] with a fault-injection plan installed at the
-/// injection instant — the chaos-sweep driver. With `chaos: None` the sim
-/// never allocates chaos state and this *is* `run_vivaldi_defended` (the
-/// chaos-off inertness property pinned by `tests/chaos_properties.rs`).
-#[allow(clippy::too_many_arguments)]
-pub fn run_vivaldi_chaos(
-    scale: &Scale,
-    space: Space,
-    nodes: usize,
-    fraction: f64,
-    master_seed: u64,
-    rep: u64,
-    factory: VivaldiFactory<'_>,
-    defense: Option<VivaldiDefenseFactory<'_>>,
-    chaos: Option<VivaldiChaosFactory<'_>>,
-) -> VivaldiRun {
-    let seeds = SeedStream::new(master_seed).derive_indexed("vivaldi-rep", rep);
-    let matrix = KingLike::new(KingLikeConfig::with_nodes(nodes)).generate(&mut seeds.rng("topo"));
-    let config = VivaldiConfig::in_space(space);
-    let mut sim = VivaldiSim::new(matrix, config, &seeds);
-    let threads = eval_threads(scale);
-
-    let all: Vec<usize> = (0..nodes).collect();
-    let mut plan_rng = seeds.rng("eval-plan");
-    let plan_all = EvalPlan::with_params(
-        &all,
-        scale.eval_all_pairs_threshold,
-        scale.eval_sample_peers,
-        &mut plan_rng,
-    );
-
-    // Warm-up: converge cleanly, recording the reference series.
-    let mut clean_series = TimeSeries::new();
-    let mut t = 0;
-    while t < scale.vivaldi_warmup_ticks {
-        sim.run_ticks(scale.vivaldi_record_every);
-        t += scale.vivaldi_record_every;
-        clean_series.push(
-            sim.now_ticks(),
-            plan_all.avg_error_with(sim.coords(), sim.space(), sim.matrix(), threads),
-        );
-    }
-    let clean_ref = clean_series.tail_mean(5).max(1e-6);
-
-    // Injection — and, in the same instant, defense deployment: the sweep
-    // measures how a converged, defended system absorbs a fresh attack.
-    let attackers = sim.pick_attackers(fraction);
-    let n_attackers = attackers.len();
-    let (adversary, focus) = factory(&mut sim, &attackers, &seeds);
-    sim.inject_adversary(&attackers, adversary);
-    if let Some(build) = defense {
-        let strategy = build(&sim, &seeds);
-        sim.deploy_defense(strategy);
-    }
-    if let Some(build) = chaos {
-        let plan = build(&sim, &seeds);
-        sim.install_chaos(plan);
-    }
-
-    // Honest-population evaluation plan (the paper measures victims).
-    let honest = sim.honest_nodes();
-    let plan_honest = EvalPlan::with_params(
-        &honest,
-        scale.eval_all_pairs_threshold,
-        scale.eval_sample_peers,
-        &mut plan_rng,
-    );
-    let focus_indices: Option<Vec<usize>> = focus.as_ref().map(|f| {
-        f.iter()
-            .filter_map(|id| plan_honest.nodes().iter().position(|&n| n == *id))
-            .collect()
-    });
-
-    let mut attack_series = TimeSeries::new();
-    let mut drift_series = TimeSeries::new();
-    let mut reject_series = TimeSeries::new();
-    let mut rejected_so_far = 0u64;
-    let mut focus_series = focus_indices.as_ref().map(|_| TimeSeries::new());
-    let mut final_errors: Vec<f64> = Vec::new();
-    let mut prev_coords: Vec<Coord> = plan_honest
-        .nodes()
-        .iter()
-        .map(|&i| sim.coords()[i].clone())
-        .collect();
-    let mut t = 0;
-    while t < scale.vivaldi_attack_ticks {
-        sim.run_ticks(scale.vivaldi_record_every);
-        t += scale.vivaldi_record_every;
-        let errs =
-            plan_honest.per_node_errors_with(sim.coords(), sim.space(), sim.matrix(), threads);
-        let avg = errs.iter().sum::<f64>() / errs.len().max(1) as f64;
-        attack_series.push(sim.now_ticks(), avg);
-        drift_series.push(
-            sim.now_ticks(),
-            drift_sample(
-                plan_honest.nodes(),
-                &mut prev_coords,
-                sim.coords(),
-                sim.space(),
-                scale.vivaldi_record_every,
-            ),
-        );
-        if let Some(stats) = sim.defense_stats() {
-            reject_series.push(sim.now_ticks(), (stats.rejected - rejected_so_far) as f64);
-            rejected_so_far = stats.rejected;
-        }
-        if let (Some(fs), Some(fi)) = (focus_series.as_mut(), focus_indices.as_ref()) {
-            let favg = fi.iter().map(|&k| errs[k]).sum::<f64>() / fi.len().max(1) as f64;
-            fs.push(sim.now_ticks(), favg);
-        }
-        final_errors = errs;
-    }
-
-    let banned_now: Vec<usize> = sim
-        .quarantined()
-        .iter()
-        .enumerate()
-        .filter(|(_, &q)| q)
-        .map(|(i, _)| i)
-        .collect();
-    let defense_outcome = sim.defense().map(|d| {
-        DefenseOutcome::grade(
-            d.label(),
-            d.stats(),
-            sim.malicious(),
-            &banned_now,
-            reject_series,
-        )
-    });
-
-    let random_baseline = random_baseline_with(
-        &plan_honest,
-        sim.space(),
-        sim.matrix(),
-        RANDOM_RANGE,
-        &mut seeds.rng("random-baseline"),
-        threads,
-    );
-
-    VivaldiRun {
-        clean_series,
-        attack_series,
-        clean_ref,
-        final_errors,
-        focus_series,
-        drift_series,
-        random_baseline,
-        attackers: n_attackers,
-        defense: defense_outcome,
-        chaos: sim.chaos_counters().copied(),
-    }
-}
-
-/// Outcome of one NPS attack run.
-#[derive(Debug, Clone)]
-pub struct NpsRun {
-    /// Average relative error during warm-up.
-    pub clean_series: TimeSeries,
-    /// Average relative error of honest ordinary nodes after injection.
-    pub attack_series: TimeSeries,
-    /// Converged clean error (ratio denominator).
-    pub clean_ref: f64,
-    /// Per-honest-node errors at the end (CDF input), in eval-plan order.
-    pub final_errors: Vec<f64>,
-    /// Per-layer average error series (layer, series) — figure 25.
+    /// Per-layer average error series `(layer, series)` for the layers
+    /// above 0 (figure 25); empty for a flat system.
     pub layer_series: Vec<(u8, TimeSeries)>,
-    /// Error of the focus set (designated victims), when tracked.
+    /// Error of the focus set (isolation target, designated victims), when
+    /// the adversary named one.
     pub focus_series: Option<TimeSeries>,
-    /// Mean honest-node coordinate displacement per repositioning round
-    /// during the attack window (ms/round) — the drift velocity.
+    /// Mean honest-node coordinate displacement per clock unit during the
+    /// attack window (ms/tick, ms/round) — the *drift velocity* gradual
+    /// attacks maximize while staying under displacement thresholds.
     pub drift_series: TimeSeries,
-    /// Security-filter events attributable to the attack window.
+    /// Security-filter eliminations during the attack window.
     pub ledger: FilterLedger,
     /// Probe-threshold eliminations during the attack window.
     pub threshold_ledger: FilterLedger,
@@ -406,244 +448,144 @@ pub struct NpsRun {
     pub chaos: Option<ChaosCounters>,
 }
 
-/// Adversary factory for NPS runs (see [`VivaldiFactory`]).
-pub type NpsFactory<'a> = &'a (dyn Fn(&mut NpsSim, &[usize], &SeedStream) -> (Box<dyn AttackStrategy>, Option<Vec<usize>>)
-         + Sync);
-
-/// Run one NPS injection experiment.
-#[allow(clippy::too_many_arguments)]
-pub fn run_nps(
-    scale: &Scale,
-    config: NpsConfig,
-    nodes: usize,
-    fraction: f64,
-    master_seed: u64,
-    rep: u64,
-    factory: NpsFactory<'_>,
-) -> NpsRun {
-    run_nps_defended(
-        scale,
-        config,
-        nodes,
-        fraction,
-        master_seed,
-        rep,
-        factory,
-        None,
-    )
-}
-
-/// [`run_nps`] with a defense deployed at injection time (see
-/// [`run_vivaldi_defended`]). With `defense: None` this *is* `run_nps`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_nps_defended(
-    scale: &Scale,
-    config: NpsConfig,
-    nodes: usize,
-    fraction: f64,
-    master_seed: u64,
-    rep: u64,
-    factory: NpsFactory<'_>,
-    defense: Option<NpsDefenseFactory<'_>>,
-) -> NpsRun {
-    run_nps_chaos(
-        scale,
-        config,
-        nodes,
-        fraction,
-        master_seed,
-        rep,
-        factory,
-        defense,
-        None,
-    )
-}
-
-/// [`run_nps_defended`] with a fault-injection plan installed at the
-/// injection instant (see [`run_vivaldi_chaos`]). With `chaos: None` this
-/// *is* `run_nps_defended`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_nps_chaos(
-    scale: &Scale,
-    config: NpsConfig,
-    nodes: usize,
-    fraction: f64,
-    master_seed: u64,
-    rep: u64,
-    factory: NpsFactory<'_>,
-    defense: Option<NpsDefenseFactory<'_>>,
-    chaos: Option<NpsChaosFactory<'_>>,
-) -> NpsRun {
-    let seeds = SeedStream::new(master_seed).derive_indexed("nps-rep", rep);
-    let matrix = KingLike::new(KingLikeConfig::with_nodes(nodes)).generate(&mut seeds.rng("topo"));
-    let mut config = config;
-    // CI seam: `VCOORD_NPS_WARM=1` forces warm-started positioning so the
-    // quick-tier NPS figures can run as a non-golden, property-bounded
-    // lane (.github/workflows/ci.yml). Unset, nothing changes — the
-    // goldens are recorded with whatever mode the figure asked for.
-    if std::env::var_os("VCOORD_NPS_WARM").is_some_and(|v| v == "1") {
-        config.positioning =
-            vcoord_nps::PositioningMode::Warm(vcoord_space::ResumePolicy::default_warm());
+/// Mean displacement per clock unit of `nodes` between `prev` (updated in
+/// place) and their current coordinates — the drift-velocity sample.
+fn drift_sample(
+    nodes: &[usize],
+    prev: &mut [Coord],
+    coords: &[Coord],
+    space: &Space,
+    interval: u64,
+) -> f64 {
+    let mut total = 0.0;
+    for (k, &i) in nodes.iter().enumerate() {
+        total += space.distance(&coords[i], &prev[k]);
+        prev[k] = coords[i].clone();
     }
-    let layers = config.layers;
-    let mut sim = NpsSim::new(matrix, config, &seeds);
-    let threads = eval_threads(scale);
-    let mut plan_rng = seeds.rng("eval-plan");
+    total / (nodes.len().max(1) as f64 * interval.max(1) as f64)
+}
 
-    // Warm-up: staggered joins + clean repositioning.
-    let mut clean_series = TimeSeries::new();
-    let mut r = 0;
-    while r < scale.nps_warmup_rounds {
-        sim.run_rounds(scale.nps_record_every);
-        r += scale.nps_record_every;
-        let eval = sim.eval_nodes();
-        if eval.len() < 8 {
-            clean_series.push(sim.now_rounds(), f64::NAN);
-            continue; // joins still in progress
-        }
-        let plan = EvalPlan::with_params(
-            &eval,
+/// Ledger events since `before`.
+fn since(now: FilterLedger, before: FilterLedger) -> FilterLedger {
+    FilterLedger {
+        filtered_malicious: now.filtered_malicious - before.filtered_malicious,
+        filtered_honest: now.filtered_honest - before.filtered_honest,
+    }
+}
+
+/// Run one injection experiment.
+pub(crate) fn run<S: System>(spec: &RunSpec<'_, S>) -> Run {
+    let scale = spec.scale;
+    let seeds = SeedStream::new(spec.seed).derive_indexed(S::REP_LABEL, spec.rep);
+    let matrix =
+        KingLike::new(KingLikeConfig::with_nodes(spec.nodes)).generate(&mut seeds.rng("topo"));
+    let mut sim = S::build(matrix, spec.config.clone(), &seeds);
+    let threads = eval_thread_budget(scale.repetitions);
+    let (warmup, window, every) = S::schedule(scale);
+    let mut plan_rng = seeds.rng("eval-plan");
+    let mut plan = |nodes: &[usize]| {
+        EvalPlan::with_params(
+            nodes,
             scale.eval_all_pairs_threshold,
             scale.eval_sample_peers,
             &mut plan_rng,
-        );
-        clean_series.push(
-            sim.now_rounds(),
-            plan.avg_error_with(sim.coords(), sim.space(), sim.matrix(), threads),
-        );
-    }
-    let clean_tail: Vec<f64> = clean_series
-        .points()
-        .iter()
-        .rev()
-        .take(5)
-        .map(|&(_, v)| v)
-        .filter(|v| v.is_finite())
-        .collect();
-    let clean_ref = if clean_tail.is_empty() {
-        1e-6
-    } else {
-        (clean_tail.iter().sum::<f64>() / clean_tail.len() as f64).max(1e-6)
+        )
+    };
+    let avg_error = |plan: &EvalPlan, sim: &S| {
+        plan.avg_error_with(sim.coords(), sim.space(), sim.matrix(), threads)
     };
 
-    let ledger_before = sim.ledger();
-    let counters_before = sim.counters();
-    let threshold_before = sim.threshold_ledger();
-    let _ = counters_before;
-
-    // Injection — and, in the same instant, defense deployment.
-    let attackers = sim.pick_attackers(fraction);
-    let n_attackers = attackers.len();
-    let (adversary, focus) = factory(&mut sim, &attackers, &seeds);
-    sim.inject_adversary(&attackers, adversary);
-    if let Some(build) = defense {
-        let strategy = build(&sim, &seeds);
-        sim.deploy_defense(strategy);
+    // Warm-up: converge cleanly, recording the reference series.
+    let fixed_plan = sim.warmup_nodes().map(|nodes| plan(&nodes));
+    let mut clean_series = TimeSeries::new();
+    let mut t = 0;
+    while t < warmup {
+        sim.step(every);
+        t += every;
+        let err = match &fixed_plan {
+            Some(plan) => avg_error(plan, &sim),
+            None => {
+                let joined = sim.eval_set();
+                if joined.len() < MIN_JOINED {
+                    f64::NAN
+                } else {
+                    avg_error(&plan(&joined), &sim)
+                }
+            }
+        };
+        clean_series.push(sim.now(), err);
     }
-    if let Some(build) = chaos {
-        let plan = build(&sim, &seeds);
-        sim.install_chaos(plan);
+    let clean_ref = S::clean_ref(&clean_series);
+    let ledgers_before = sim.ledgers();
+
+    // Injection — and, in the same instant, defense deployment and fault
+    // installation: the sweeps measure how a converged, defended system
+    // absorbs a fresh attack.
+    let attackers = sim.pick_attackers(spec.fraction);
+    let (adversary, focus) = (spec.adversary)(&sim, &attackers, &seeds);
+    sim.inject(&attackers, adversary);
+    if let Some(build) = spec.defense {
+        let defense = build(&sim);
+        sim.deploy(defense);
+    }
+    if let Some(build) = spec.chaos {
+        let faults = build(&sim);
+        sim.install_chaos(faults);
     }
 
-    let honest = sim.eval_nodes();
-    let plan_honest = EvalPlan::with_params(
-        &honest,
-        scale.eval_all_pairs_threshold,
-        scale.eval_sample_peers,
-        &mut plan_rng,
-    );
-    let node_layers: Vec<u8> = plan_honest
-        .nodes()
+    // Honest-population evaluation plan (the paper measures victims).
+    let plan_honest = plan(&sim.eval_set());
+    let honest = plan_honest.nodes();
+    let (layer_of, depth) = sim.layers();
+    let node_layers: Vec<u8> = honest
         .iter()
-        .map(|&i| sim.layers_of()[i])
+        .map(|&i| layer_of.get(i).copied().unwrap_or(0))
         .collect();
-    let focus_indices: Option<Vec<usize>> = focus.as_ref().map(|f| {
+    let focus_indices: Option<Vec<usize>> = focus.map(|f| {
         f.iter()
-            .filter_map(|id| plan_honest.nodes().iter().position(|&n| n == *id))
+            .filter_map(|id| honest.iter().position(|n| n == id))
             .collect()
     });
 
     let mut attack_series = TimeSeries::new();
     let mut drift_series = TimeSeries::new();
-    let mut reject_series = TimeSeries::new();
-    let mut rejected_so_far = 0u64;
-    let mut layer_acc: Vec<(u8, TimeSeries)> =
-        (1..layers).map(|l| (l as u8, TimeSeries::new())).collect();
+    let mut layer_series: Vec<(u8, TimeSeries)> =
+        (1..depth).map(|l| (l as u8, TimeSeries::new())).collect();
     let mut focus_series = focus_indices.as_ref().map(|_| TimeSeries::new());
     let mut final_errors: Vec<f64> = Vec::new();
-    let mut prev_coords: Vec<Coord> = plan_honest
-        .nodes()
-        .iter()
-        .map(|&i| sim.coords()[i].clone())
-        .collect();
-    let mut r = 0;
-    while r < scale.nps_attack_rounds {
-        sim.run_rounds(scale.nps_record_every);
-        r += scale.nps_record_every;
+    let mut prev_coords: Vec<Coord> = honest.iter().map(|&i| sim.coords()[i].clone()).collect();
+    let mut t = 0;
+    while t < window {
+        sim.step(every);
+        t += every;
+        let now = sim.now();
         let errs =
             plan_honest.per_node_errors_with(sim.coords(), sim.space(), sim.matrix(), threads);
-        let avg = errs.iter().sum::<f64>() / errs.len().max(1) as f64;
-        attack_series.push(sim.now_rounds(), avg);
+        attack_series.push(now, mean(&errs));
         drift_series.push(
-            sim.now_rounds(),
-            drift_sample(
-                plan_honest.nodes(),
-                &mut prev_coords,
-                sim.coords(),
-                sim.space(),
-                scale.nps_record_every,
-            ),
+            now,
+            drift_sample(honest, &mut prev_coords, sim.coords(), sim.space(), every),
         );
-        if let Some(stats) = sim.defense_stats() {
-            reject_series.push(sim.now_rounds(), (stats.rejected - rejected_so_far) as f64);
-            rejected_so_far = stats.rejected;
-        }
-        for (l, series) in layer_acc.iter_mut() {
-            let vals: Vec<f64> = errs
-                .iter()
-                .zip(&node_layers)
-                .filter(|(_, &nl)| nl == *l)
-                .map(|(&e, _)| e)
-                .collect();
+        for (layer, series) in &mut layer_series {
+            let in_layer = (0..errs.len()).filter(|&k| node_layers[k] == *layer);
+            let vals: Vec<f64> = in_layer.map(|k| errs[k]).collect();
             if !vals.is_empty() {
-                series.push(
-                    sim.now_rounds(),
-                    vals.iter().sum::<f64>() / vals.len() as f64,
-                );
+                series.push(now, mean(&vals));
             }
         }
-        if let (Some(fs), Some(fi)) = (focus_series.as_mut(), focus_indices.as_ref()) {
-            if !fi.is_empty() {
-                let favg = fi.iter().map(|&k| errs[k]).sum::<f64>() / fi.len() as f64;
-                fs.push(sim.now_rounds(), favg);
+        if let (Some(series), Some(indices)) = (focus_series.as_mut(), focus_indices.as_ref()) {
+            if !indices.is_empty() {
+                let vals: Vec<f64> = indices.iter().map(|&k| errs[k]).collect();
+                series.push(now, mean(&vals));
             }
         }
         final_errors = errs;
     }
 
-    let banned_now = sim.currently_banned();
-    let defense_outcome = sim.defense().map(|d| {
-        DefenseOutcome::grade(
-            d.label(),
-            d.stats(),
-            sim.malicious(),
-            &banned_now,
-            reject_series,
-        )
-    });
-
-    let ledger_after = sim.ledger();
-    let threshold_after = sim.threshold_ledger();
-    let ledger = FilterLedger {
-        filtered_malicious: ledger_after.filtered_malicious - ledger_before.filtered_malicious,
-        filtered_honest: ledger_after.filtered_honest - ledger_before.filtered_honest,
-    };
-    let threshold_ledger = FilterLedger {
-        filtered_malicious: threshold_after.filtered_malicious
-            - threshold_before.filtered_malicious,
-        filtered_honest: threshold_after.filtered_honest - threshold_before.filtered_honest,
-    };
-
+    let defense = sim
+        .defense()
+        .map(|d| DefenseOutcome::grade(d, sim.malicious(), &sim.banned_now()));
+    let [ledger, threshold_ledger] = sim.ledgers();
     let random_baseline = random_baseline_with(
         &plan_honest,
         sim.space(),
@@ -653,45 +595,56 @@ pub fn run_nps_chaos(
         threads,
     );
 
-    NpsRun {
+    Run {
         clean_series,
         attack_series,
         clean_ref,
         final_errors,
-        layer_series: layer_acc,
+        layer_series,
         focus_series,
         drift_series,
-        ledger,
-        threshold_ledger,
+        ledger: since(ledger, ledgers_before[0]),
+        threshold_ledger: since(threshold_ledger, ledgers_before[1]),
         random_baseline,
-        attackers: n_attackers,
-        defense: defense_outcome,
+        attackers: attackers.len(),
+        defense,
         chaos: sim.chaos_counters().copied(),
     }
+}
+
+/// [`run`] once per repetition of the spec's scale (`rep` = 0, 1, …), fanned
+/// out over the repetition pool, in repetition order.
+pub(crate) fn repeat<S: System>(spec: &RunSpec<'_, S>) -> Vec<Run> {
+    run_repetitions(spec.scale.repetitions, |rep| {
+        run(&RunSpec {
+            rep,
+            ..spec.clone()
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attacks::nps::NpsSimpleDisorder;
     use crate::attacks::vivaldi::VivaldiDisorder;
     use vcoord_defense::NoDefense;
+    use vcoord_nps::PositioningMode;
+    use vcoord_space::ResumePolicy;
 
     #[test]
     fn no_defense_run_matches_undefended_run_exactly() {
         let scale = Scale::smoke();
-        let factory: VivaldiFactory<'_> =
-            &|_sim, _attackers, _seeds| (Box::new(VivaldiDisorder::default()), None);
-        let bare = run_vivaldi(&scale, Space::Euclidean(2), scale.nodes, 0.2, 5, 0, factory);
-        let defended = run_vivaldi_defended(
-            &scale,
-            Space::Euclidean(2),
-            scale.nodes,
-            0.2,
-            5,
-            0,
-            factory,
-            Some(&|_sim, _seeds| Box::new(NoDefense)),
-        );
+        let bare = RunSpec::<VivaldiSim> {
+            fraction: 0.2,
+            adversary: &plain(|| Box::new(VivaldiDisorder::default())),
+            ..RunSpec::new(&scale, 5)
+        };
+        let defended = RunSpec {
+            defense: Some(&|_| Box::new(NoDefense)),
+            ..bare.clone()
+        };
+        let (bare, defended) = (run(&bare), run(&defended));
         // Byte-identical trajectories: the NoDefense fast path perturbs
         // nothing, so every recorded series matches exactly.
         assert_eq!(bare.final_errors, defended.final_errors);
@@ -707,15 +660,11 @@ mod tests {
     #[test]
     fn vivaldi_run_produces_complete_record() {
         let scale = Scale::smoke();
-        let run = run_vivaldi(
-            &scale,
-            Space::Euclidean(2),
-            scale.nodes,
-            0.3,
-            7,
-            0,
-            &|_sim, _attackers, _seeds| (Box::new(VivaldiDisorder::default()), None),
-        );
+        let run = run(&RunSpec::<VivaldiSim> {
+            fraction: 0.3,
+            adversary: &plain(|| Box::new(VivaldiDisorder::default())),
+            ..RunSpec::new(&scale, 7)
+        });
         assert!(run.clean_series.len() >= 5);
         assert!(run.attack_series.len() >= 5);
         assert!(
@@ -726,6 +675,7 @@ mod tests {
         assert!(!run.final_errors.is_empty());
         assert_eq!(run.attackers, (scale.nodes as f64 * 0.3).round() as usize);
         assert!(run.random_baseline > 10.0);
+        assert!(run.layer_series.is_empty(), "Vivaldi is flat");
         // The attack must visibly degrade accuracy.
         let attacked = run.attack_series.tail_mean(3);
         assert!(
@@ -733,5 +683,34 @@ mod tests {
             "disorder had no effect: clean={} attacked={attacked}",
             run.clean_ref
         );
+    }
+
+    #[test]
+    fn warm_positioning_is_a_config_field_of_the_spec() {
+        // Warm-started NPS positioning end to end through the harness: no
+        // goldens (warm starts change the Simplex trajectory), so bound
+        // the output instead — every recorded value finite, nothing empty.
+        // Warm vs strict accuracy is bounded in vcoord-nps and vcoord-space.
+        let scale = Scale::smoke();
+        let run = run(&RunSpec::<NpsSim> {
+            config: NpsConfig {
+                positioning: PositioningMode::Warm(ResumePolicy::default_warm()),
+                ..NpsConfig::default()
+            },
+            fraction: 0.3,
+            adversary: &plain(|| Box::new(NpsSimpleDisorder::default())),
+            ..RunSpec::new(&scale, 2006)
+        });
+        // NPS draws attackers from the ordinary (non-landmark) population.
+        let ordinary = scale.nodes - NpsConfig::default().landmarks;
+        assert_eq!(run.attackers, (ordinary as f64 * 0.3).round() as usize);
+        assert!(!run.final_errors.is_empty());
+        assert!(run.final_errors.iter().all(|e| e.is_finite()));
+        assert!(!run.attack_series.is_empty() && !run.drift_series.is_empty());
+        for series in [&run.attack_series, &run.drift_series] {
+            assert!(series.points().iter().all(|&(_, v)| v.is_finite()));
+        }
+        assert!(run.clean_ref.is_finite() && run.clean_ref > 0.0);
+        assert_eq!(run.layer_series.len(), NpsConfig::default().layers - 1);
     }
 }

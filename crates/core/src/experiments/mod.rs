@@ -15,12 +15,13 @@ pub mod attack_figs;
 pub mod chaos_figs;
 pub mod defense_figs;
 pub mod extensions;
-pub mod harness;
+mod harness;
 pub mod nps_figs;
 pub mod registry;
+mod shapes;
 pub mod vivaldi_figs;
 
-pub use harness::{NpsRun, VivaldiRun};
+pub use harness::{DefenseOutcome, Run};
 pub use registry::{figure_ids, run_figure};
 
 use vcoord_metrics::TimeSeries;
@@ -121,6 +122,18 @@ pub struct FigureResult {
 }
 
 impl FigureResult {
+    /// An empty table under `columns`, for a runner to push its rows and
+    /// notes into.
+    pub fn new(id: &str, title: &str, columns: Vec<String>) -> FigureResult {
+        FigureResult {
+            id: id.into(),
+            title: title.into(),
+            columns,
+            rows: Vec::new(),
+            notes: Vec::new(),
+        }
+    }
+
     /// Serialize as CSV (header + rows, `#`-prefixed notes at the top).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();

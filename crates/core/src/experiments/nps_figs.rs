@@ -6,95 +6,54 @@
 use crate::attacks::nps::{
     NpsAntiDetection, NpsCollusionIsolation, NpsCombined, NpsSimpleDisorder,
 };
-use crate::experiments::harness::{run_nps, NpsFactory, NpsRun};
-use crate::experiments::{average_series, run_repetitions, FigureResult, Scale};
+use crate::experiments::harness::{honest, plain, repeat, Adversary, Choice, Run, RunSpec};
+use crate::experiments::shapes::{
+    attacked_err, cdf_by_fraction, cdf_rows, mean_of, mean_series, pct, pooled_cdf, series_rows,
+};
+use crate::experiments::{FigureResult, Scale};
 use crate::knowledge::Knowledge;
-use vcoord_metrics::Cdf;
-use vcoord_nps::NpsConfig;
+use rand::seq::SliceRandom;
+use vcoord_attackkit::AttackStrategy;
+use vcoord_metrics::stats::mean;
+use vcoord_metrics::FilterLedger;
+use vcoord_netsim::SeedStream;
+use vcoord_nps::{NpsConfig, NpsSim};
 use vcoord_space::Space;
 
 /// Malicious fractions used across the NPS figures.
 pub const FRACTIONS: [f64; 5] = [0.10, 0.20, 0.30, 0.40, 0.50];
 
-fn quantile_grid() -> Vec<f64> {
-    (0..=50).map(|k| k as f64 / 50.0).collect()
+type Attack<'a> = Adversary<'a, NpsSim>;
+
+fn disorder() -> Box<dyn AttackStrategy> {
+    Box::new(NpsSimpleDisorder::default())
 }
 
-type BoxedNpsAdversary = Box<dyn vcoord_attackkit::AttackStrategy>;
-
-fn disorder_factory() -> impl Fn(
-    &mut vcoord_nps::NpsSim,
-    &[usize],
-    &vcoord_netsim::SeedStream,
-) -> (BoxedNpsAdversary, Option<Vec<usize>>)
-       + Sync {
-    |_sim, _attackers, _seeds| {
-        (
-            Box::new(NpsSimpleDisorder::default()) as BoxedNpsAdversary,
-            None,
-        )
-    }
+fn anti_detection(knowledge: Knowledge, sophisticated: bool) -> Box<dyn AttackStrategy> {
+    Box::new(if sophisticated {
+        NpsAntiDetection::sophisticated(knowledge)
+    } else {
+        NpsAntiDetection::naive(knowledge)
+    })
 }
 
-fn anti_detection_factory(
-    knowledge: Knowledge,
-    sophisticated: bool,
-) -> impl Fn(
-    &mut vcoord_nps::NpsSim,
-    &[usize],
-    &vcoord_netsim::SeedStream,
-) -> (BoxedNpsAdversary, Option<Vec<usize>>)
-       + Sync {
-    move |_sim, _attackers, _seeds| {
-        let adv = if sophisticated {
-            NpsAntiDetection::sophisticated(knowledge)
-        } else {
-            NpsAntiDetection::naive(knowledge)
-        };
-        (Box::new(adv) as BoxedNpsAdversary, None)
-    }
-}
+/// Share of the honest layer-2 nodes the colluders designate as victims.
+const VICTIM_FRACTION: f64 = 0.2;
 
-/// Colluding-isolation factory; victims are reported as the focus set so
-/// the harness can track their error separately (figure 25).
-fn collusion_factory(
-    victim_fraction: f64,
-) -> impl Fn(
-    &mut vcoord_nps::NpsSim,
-    &[usize],
-    &vcoord_netsim::SeedStream,
-) -> (BoxedNpsAdversary, Option<Vec<usize>>)
-       + Sync {
-    move |sim, attackers, seeds| {
-        use rand::seq::SliceRandom;
-        // Choose the common victim set here so it can double as the focus
-        // set; pass it to the adversary as a preset.
-        let mut pool: Vec<usize> = (0..sim.matrix().len())
-            .filter(|&i| sim.layers_of()[i] == 2 && !attackers.contains(&i))
-            .collect();
-        pool.shuffle(&mut seeds.rng("collusion-victims"));
-        let k = ((pool.len() as f64) * victim_fraction).round().max(1.0) as usize;
-        pool.truncate(k);
-        let mut adv = NpsCollusionIsolation::new(victim_fraction);
-        adv.preset_victims(pool.iter().copied().collect());
-        (Box::new(adv) as BoxedNpsAdversary, Some(pool))
-    }
-}
-
-fn combined_factory(
-    knowledge: Knowledge,
-) -> impl Fn(
-    &mut vcoord_nps::NpsSim,
-    &[usize],
-    &vcoord_netsim::SeedStream,
-) -> (BoxedNpsAdversary, Option<Vec<usize>>)
-       + Sync {
-    move |_sim, _attackers, _seeds| {
-        (
-            Box::new(NpsCombined::new(knowledge, 0.2)) as BoxedNpsAdversary,
-            None,
-        )
-    }
+/// Colluding isolation; victims are reported as the focus set so the
+/// harness can track their error separately (figure 25).
+fn collusion(sim: &NpsSim, attackers: &[usize], seeds: &SeedStream) -> Choice {
+    // Choose the common victim set here so it can double as the focus
+    // set; pass it to the adversary as a preset.
+    let mut pool: Vec<usize> = (0..sim.matrix().len())
+        .filter(|&i| sim.layers_of()[i] == 2 && !attackers.contains(&i))
+        .collect();
+    pool.shuffle(&mut seeds.rng("collusion-victims"));
+    let k = ((pool.len() as f64) * VICTIM_FRACTION).round().max(1.0) as usize;
+    pool.truncate(k);
+    let mut adv = NpsCollusionIsolation::new(VICTIM_FRACTION);
+    adv.preset_victims(pool.iter().copied().collect());
+    (Box::new(adv), Some(pool))
 }
 
 fn runs_for(
@@ -102,19 +61,33 @@ fn runs_for(
     config: NpsConfig,
     fraction: f64,
     seed: u64,
-    factory: NpsFactory<'_>,
-) -> Vec<NpsRun> {
-    run_repetitions(scale.repetitions, |rep| {
-        run_nps(
-            scale,
-            config.clone(),
-            scale.nodes,
-            fraction,
-            seed,
-            rep,
-            factory,
-        )
+    adversary: &Attack,
+) -> Vec<Run> {
+    repeat(&RunSpec {
+        config,
+        fraction,
+        adversary,
+        ..RunSpec::new(scale, seed)
     })
+}
+
+/// The default system with the security filter switched on or off (the
+/// probe threshold stays on either way: the paper's comparison).
+fn with_security(security: bool) -> NpsConfig {
+    NpsConfig {
+        security,
+        ..NpsConfig::default()
+    }
+}
+
+/// Converged error of the designated victims, averaged over the
+/// repetitions that tracked any.
+fn victim_err(runs: &[Run]) -> f64 {
+    let tails: Vec<f64> = runs
+        .iter()
+        .filter_map(|r| r.focus_series.as_ref().map(|s| s.tail_mean(3)))
+        .collect();
+    mean(&tails)
 }
 
 /// Error-vs-time figure over fractions × configs (figures 14, 18, 26).
@@ -125,111 +98,64 @@ fn error_vs_time(
     seed: u64,
     fractions: &[f64],
     configs: &[(&str, NpsConfig)],
-    factory: NpsFactory<'_>,
+    adversary: &Attack,
 ) -> FigureResult {
-    let mut columns = vec!["round".to_string()];
+    let mut fig = FigureResult::new(id, title, vec!["round".to_string()]);
     let mut all_series = Vec::new();
-    let mut notes = Vec::new();
     for &f in fractions {
         for (label, config) in configs {
-            columns.push(format!("err_{}pct_{label}", (f * 100.0).round() as u32));
-            let runs = runs_for(scale, config.clone(), f, seed, factory);
-            let avg = average_series(
-                &runs
-                    .iter()
-                    .map(|r| r.attack_series.clone())
-                    .collect::<Vec<_>>(),
-            );
-            let clean = runs.iter().map(|r| r.clean_ref).sum::<f64>() / runs.len() as f64;
-            notes.push(format!(
+            fig.columns.push(format!("err_{}pct_{label}", pct(f)));
+            let runs = runs_for(scale, config.clone(), f, seed, adversary);
+            let avg = mean_series(&runs, |r| r.attack_series.clone());
+            fig.notes.push(format!(
                 "{}% {label}: clean {:.2} -> attacked {:.2}",
-                (f * 100.0).round(),
-                clean,
+                pct(f),
+                mean_of(&runs, |r| r.clean_ref),
                 avg.tail_mean(3)
             ));
             all_series.push(avg);
         }
     }
-    let len = all_series.iter().map(|s| s.len()).min().unwrap_or(0);
-    let rows: Vec<Vec<f64>> = (0..len)
-        .map(|k| {
-            let mut row = vec![all_series[0].points()[k].0 as f64];
-            row.extend(all_series.iter().map(|s| s.points()[k].1));
-            row
-        })
-        .collect();
-    FigureResult {
-        id: id.into(),
-        title: title.into(),
-        columns,
-        rows,
-        notes,
-    }
+    fig.rows = series_rows(&all_series);
+    fig
 }
 
 /// Figure 14 — independent disorder without the detection mechanism.
 pub fn fig14(scale: &Scale, seed: u64) -> FigureResult {
-    let insecure = NpsConfig {
-        security: false,
-        ..NpsConfig::default()
-    };
-    let secure = NpsConfig {
-        security: true,
-        ..NpsConfig::default()
-    };
     error_vs_time(
         "fig14",
         "Injection of independent Disorder attackers on NPS (security off vs on): average relative error",
         scale,
         seed,
         &[0.10, 0.20, 0.30, 0.50],
-        &[("off", insecure), ("on", secure)],
-        &disorder_factory(),
+        &[("off", with_security(false)), ("on", with_security(true))],
+        &plain(disorder),
     )
 }
 
 /// Figure 15 — independent disorder: CDF, security on vs off.
 pub fn fig15(scale: &Scale, seed: u64) -> FigureResult {
-    let grid = quantile_grid();
-    let fractions = [0.20, 0.40];
-    let mut columns = vec!["quantile".to_string()];
+    let mut fig = FigureResult::new(
+        "fig15",
+        "Injection of independent Disorder attackers on NPS: CDF",
+        vec!["quantile".to_string()],
+    );
     let mut cdfs = Vec::new();
-    let mut notes = Vec::new();
-    let factory = disorder_factory();
-    for &f in &fractions {
-        for security in [false, true] {
-            let config = NpsConfig {
-                security,
-                ..NpsConfig::default()
-            };
-            let label = if security { "on" } else { "off" };
-            columns.push(format!("err_{}pct_sec_{label}", (f * 100.0) as u32));
-            let runs = runs_for(scale, config, f, seed, &factory);
-            let all: Vec<f64> = runs.iter().flat_map(|r| r.final_errors.clone()).collect();
-            let cdf = Cdf::from_samples(&all);
-            notes.push(format!(
+    for f in [0.20, 0.40] {
+        for (label, security) in [("off", false), ("on", true)] {
+            fig.columns.push(format!("err_{}pct_sec_{label}", pct(f)));
+            let runs = runs_for(scale, with_security(security), f, seed, &plain(disorder));
+            let cdf = pooled_cdf(&runs);
+            fig.notes.push(format!(
                 "{}% sec={label}: median {:.2}",
-                (f * 100.0) as u32,
+                pct(f),
                 cdf.median()
             ));
             cdfs.push(cdf);
         }
     }
-    let rows: Vec<Vec<f64>> = grid
-        .iter()
-        .map(|&q| {
-            let mut row = vec![q];
-            row.extend(cdfs.iter().map(|c| c.quantile(q)));
-            row
-        })
-        .collect();
-    FigureResult {
-        id: "fig15".into(),
-        title: "Injection of independent Disorder attackers on NPS: CDF".into(),
-        columns,
-        rows,
-        notes,
-    }
+    fig.rows = cdf_rows(&cdfs);
+    fig
 }
 
 /// Figure 16 — independent disorder: impact of dimensionality.
@@ -237,42 +163,28 @@ pub fn fig16(scale: &Scale, seed: u64) -> FigureResult {
     let dims = [2usize, 4, 8, 12];
     let fractions = [0.10, 0.20, 0.30, 0.50];
     let mut columns = vec!["fraction_pct".to_string()];
-    for d in dims {
-        columns.push(format!("err_{d}D"));
-    }
-    let factory = disorder_factory();
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
-    let mut clean_by_dim = vec![0.0; dims.len()];
+    columns.extend(dims.iter().map(|d| format!("err_{d}D")));
+    let mut fig = FigureResult::new(
+        "fig16",
+        "Injection of independent Disorder attackers on NPS: impact of dimensionality",
+        columns,
+    );
     for (k, &f) in fractions.iter().enumerate() {
         let mut row = vec![f * 100.0];
-        for (di, &d) in dims.iter().enumerate() {
+        for d in dims {
             let config = NpsConfig::in_space(Space::Euclidean(d));
-            let runs = runs_for(scale, config, f, seed, &factory);
-            row.push(
-                runs.iter()
-                    .map(|r| r.attack_series.tail_mean(3))
-                    .sum::<f64>()
-                    / runs.len() as f64,
-            );
+            let runs = runs_for(scale, config, f, seed, &plain(disorder));
+            row.push(attacked_err(&runs));
             if k == 0 {
-                clean_by_dim[di] =
-                    runs.iter().map(|r| r.clean_ref).sum::<f64>() / runs.len() as f64;
+                fig.notes.push(format!(
+                    "{d}D clean error {:.2}",
+                    mean_of(&runs, |r| r.clean_ref)
+                ));
             }
         }
-        rows.push(row);
+        fig.rows.push(row);
     }
-    for (di, &d) in dims.iter().enumerate() {
-        notes.push(format!("{d}D clean error {:.2}", clean_by_dim[di]));
-    }
-    FigureResult {
-        id: "fig16".into(),
-        title: "Injection of independent Disorder attackers on NPS: impact of dimensionality"
-            .into(),
-        columns,
-        rows,
-        notes,
-    }
+    fig
 }
 
 /// Figure 17 is the anti-detection geometry *diagram*; this runner emits
@@ -311,23 +223,17 @@ pub fn fig17(_scale: &Scale, _seed: u64) -> FigureResult {
 /// Figure 18 — anti-detection naive attackers: impact on convergence,
 /// security on vs off (probe threshold always on).
 pub fn fig18(scale: &Scale, seed: u64) -> FigureResult {
-    let on = NpsConfig {
-        security: true,
-        ..NpsConfig::default()
-    };
-    // Threshold stays on in the "off" arm: the paper's comparison.
-    let off = NpsConfig {
-        security: false,
-        ..NpsConfig::default()
-    };
     error_vs_time(
         "fig18",
         "Injection in NPS of anti-detection naive attackers: impact on convergence",
         scale,
         seed,
         &[0.10, 0.20, 0.30],
-        &[("secOn", on), ("secOff", off)],
-        &anti_detection_factory(Knowledge::half(), false),
+        &[
+            ("secOn", with_security(true)),
+            ("secOff", with_security(false)),
+        ],
+        &plain(|| anti_detection(Knowledge::half(), false)),
     )
 }
 
@@ -359,42 +265,23 @@ pub fn fig20(scale: &Scale, seed: u64) -> FigureResult {
 
 /// Figure 21 — anti-detection sophisticated attackers: CDF.
 pub fn fig21(scale: &Scale, seed: u64) -> FigureResult {
-    let grid = quantile_grid();
-    let fractions = [0.10, 0.20, 0.30];
-    let factory = anti_detection_factory(Knowledge::half(), true);
-    let mut columns = vec!["quantile".to_string()];
-    let mut cdfs = Vec::new();
-    let mut notes = Vec::new();
-    for &f in &fractions {
-        columns.push(format!("err_{}pct", (f * 100.0) as u32));
-        let runs = runs_for(scale, NpsConfig::default(), f, seed, &factory);
-        let all: Vec<f64> = runs.iter().flat_map(|r| r.final_errors.clone()).collect();
-        let clean = runs.iter().map(|r| r.clean_ref).sum::<f64>() / runs.len() as f64;
-        let cdf = Cdf::from_samples(&all);
-        notes.push(format!(
-            "{}%: median {:.2} (clean system mean ≈ {:.2}); fraction worse than clean mean: {:.2}",
-            (f * 100.0) as u32,
-            cdf.median(),
-            clean,
-            1.0 - cdf.fraction_below(clean)
-        ));
-        cdfs.push(cdf);
-    }
-    let rows: Vec<Vec<f64>> = grid
-        .iter()
-        .map(|&q| {
-            let mut row = vec![q];
-            row.extend(cdfs.iter().map(|c| c.quantile(q)));
-            row
-        })
-        .collect();
-    FigureResult {
-        id: "fig21".into(),
-        title: "Injected anti-detection sophisticated attacks on NPS: CDF".into(),
-        columns,
-        rows,
-        notes,
-    }
+    cdf_by_fraction(
+        "fig21",
+        "Injected anti-detection sophisticated attacks on NPS: CDF",
+        &RunSpec::<NpsSim> {
+            adversary: &plain(|| anti_detection(Knowledge::half(), true)),
+            ..RunSpec::new(scale, seed)
+        },
+        &[0.10, 0.20, 0.30],
+        |pct, runs, cdf| {
+            let clean = mean_of(runs, |r| r.clean_ref);
+            format!(
+                "{pct}%: median {:.2} (clean system mean ≈ {clean:.2}); fraction worse than clean mean: {:.2}",
+                cdf.median(),
+                1.0 - cdf.fraction_below(clean)
+            )
+        },
+    )
 }
 
 /// Figure 22 — anti-detection sophisticated: filtered-malicious share per
@@ -426,54 +313,39 @@ fn knowledge_sweep(
     let knowledges = [Knowledge::None, Knowledge::half(), Knowledge::Oracle];
     let fractions = [0.05, 0.10, 0.20, 0.30];
     let mut columns = vec!["fraction_pct".to_string()];
-    for k in &knowledges {
-        columns.push(format!("p{}", k.probability()));
-    }
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
+    columns.extend(knowledges.iter().map(|k| format!("p{}", k.probability())));
+    let mut fig = FigureResult::new(id, title, columns);
     for &f in &fractions {
         let mut row = vec![f * 100.0];
         for &k in &knowledges {
-            let factory = anti_detection_factory(k, sophisticated);
-            let runs = runs_for(scale, NpsConfig::default(), f, seed, &factory);
-            let value = match metric {
-                KnowledgeMetric::ErrorRatio => {
-                    runs.iter()
-                        .map(|r| r.attack_series.tail_mean(3) / r.clean_ref.max(1e-9))
-                        .sum::<f64>()
-                        / runs.len() as f64
-                }
+            let adversary = plain(move || anti_detection(k, sophisticated));
+            let runs = runs_for(scale, NpsConfig::default(), f, seed, &adversary);
+            row.push(match metric {
+                KnowledgeMetric::ErrorRatio => mean_of(&runs, |r| {
+                    r.attack_series.tail_mean(3) / r.clean_ref.max(1e-9)
+                }),
                 KnowledgeMetric::FilteredMaliciousRatio => {
                     // Pool filter events over repetitions (single runs may
                     // have few events).
-                    let mut pooled = vcoord_metrics::FilterLedger::new();
+                    let mut pooled = FilterLedger::new();
                     for r in &runs {
                         pooled.merge(&r.ledger);
                     }
-                    if matches!(metric, KnowledgeMetric::FilteredMaliciousRatio) {
-                        notes.push(format!(
-                            "{}% p={}: filter events {} (malicious {}), threshold bans {}",
-                            (f * 100.0).round(),
-                            k.probability(),
-                            pooled.total(),
-                            pooled.filtered_malicious,
-                            runs.iter().map(|r| r.threshold_ledger.total()).sum::<u64>()
-                        ));
-                    }
+                    fig.notes.push(format!(
+                        "{}% p={}: filter events {} (malicious {}), threshold bans {}",
+                        pct(f),
+                        k.probability(),
+                        pooled.total(),
+                        pooled.filtered_malicious,
+                        runs.iter().map(|r| r.threshold_ledger.total()).sum::<u64>()
+                    ));
                     pooled.malicious_ratio().unwrap_or(0.0)
                 }
-            };
-            row.push(value);
+            });
         }
-        rows.push(row);
+        fig.rows.push(row);
     }
-    FigureResult {
-        id: id.into(),
-        title: title.into(),
-        columns,
-        rows,
-        notes,
-    }
+    fig
 }
 
 /// Figure 23 — colluding isolation, 3-layer system: CDF of relative errors.
@@ -487,88 +359,44 @@ pub fn fig24(scale: &Scale, seed: u64) -> FigureResult {
 }
 
 fn collusion_cdf(id: &str, layers: usize, scale: &Scale, seed: u64) -> FigureResult {
-    let grid = quantile_grid();
-    let fractions = [0.10, 0.20, 0.30];
-    let factory = collusion_factory(0.2);
-    let mut columns = vec!["quantile".to_string()];
-    let mut cdfs = Vec::new();
-    let mut notes = Vec::new();
-    for &f in &fractions {
-        columns.push(format!("err_{}pct", (f * 100.0) as u32));
-        let runs = runs_for(scale, NpsConfig::with_layers(layers), f, seed, &factory);
-        let all: Vec<f64> = runs.iter().flat_map(|r| r.final_errors.clone()).collect();
-        let victims_err: f64 = {
-            let vals: Vec<f64> = runs
-                .iter()
-                .filter_map(|r| r.focus_series.as_ref().map(|s| s.tail_mean(3)))
-                .collect();
-            vals.iter().sum::<f64>() / vals.len().max(1) as f64
-        };
-        let cdf = Cdf::from_samples(&all);
-        notes.push(format!(
-            "{layers}-layer {}%: system median {:.2}, victim avg {:.2}",
-            (f * 100.0) as u32,
-            cdf.median(),
-            victims_err
-        ));
-        cdfs.push(cdf);
-    }
-    let rows: Vec<Vec<f64>> = grid
-        .iter()
-        .map(|&q| {
-            let mut row = vec![q];
-            row.extend(cdfs.iter().map(|c| c.quantile(q)));
-            row
-        })
-        .collect();
-    FigureResult {
-        id: id.into(),
-        title: format!(
+    cdf_by_fraction(
+        id,
+        &format!(
             "Injection of colluding Isolation attack on NPS ({layers}-layer): CDF of relative errors"
         ),
-        columns,
-        rows,
-        notes,
-    }
+        &RunSpec::<NpsSim> {
+            config: NpsConfig::with_layers(layers),
+            adversary: &collusion,
+            ..RunSpec::new(scale, seed)
+        },
+        &[0.10, 0.20, 0.30],
+        |pct, runs, cdf| {
+            format!(
+                "{layers}-layer {pct}%: system median {:.2}, victim avg {:.2}",
+                cdf.median(),
+                victim_err(runs)
+            )
+        },
+    )
 }
 
 /// Figure 25 — colluding isolation: propagation of errors across layers
 /// (layer-2 victims vs layer-3 nodes, clean vs 20 % corrupted).
 pub fn fig25(scale: &Scale, seed: u64) -> FigureResult {
-    let factory = collusion_factory(0.2);
-    let honest_factory: NpsFactory<'_> = &|_sim, _attackers, _seeds| {
-        (
-            Box::new(vcoord_attackkit::Honest) as BoxedNpsAdversary,
-            None,
-        )
-    };
-    let fraction = 0.20;
-
     // Corrupted 3-layer and 4-layer systems.
-    let r3 = runs_for(scale, NpsConfig::with_layers(3), fraction, seed, &factory);
-    let r4 = runs_for(scale, NpsConfig::with_layers(4), fraction, seed, &factory);
-    // Clean references (0% attackers; honest factory keeps plumbing equal).
-    let c3 = runs_for(scale, NpsConfig::with_layers(3), 0.0, seed, honest_factory);
-    let c4 = runs_for(scale, NpsConfig::with_layers(4), 0.0, seed, honest_factory);
+    let r3 = runs_for(scale, NpsConfig::with_layers(3), 0.20, seed, &collusion);
+    let r4 = runs_for(scale, NpsConfig::with_layers(4), 0.20, seed, &collusion);
+    // Clean references: no attackers, the same injection instant.
+    let c3 = runs_for(scale, NpsConfig::with_layers(3), 0.0, seed, &honest);
+    let c4 = runs_for(scale, NpsConfig::with_layers(4), 0.0, seed, &honest);
 
-    let layer_avg = |runs: &[NpsRun], layer: u8| -> f64 {
-        let vals: Vec<f64> = runs
+    let layer_avg = |runs: &[Run], layer: u8| -> f64 {
+        let tails: Vec<f64> = runs
             .iter()
-            .flat_map(|r| {
-                r.layer_series
-                    .iter()
-                    .filter(|(l, _)| *l == layer)
-                    .map(|(_, s)| s.tail_mean(3))
-            })
+            .flat_map(|r| r.layer_series.iter().filter(|(l, _)| *l == layer))
+            .map(|(_, s)| s.tail_mean(3))
             .collect();
-        vals.iter().sum::<f64>() / vals.len().max(1) as f64
-    };
-    let victim_avg = |runs: &[NpsRun]| -> f64 {
-        let vals: Vec<f64> = runs
-            .iter()
-            .filter_map(|r| r.focus_series.as_ref().map(|s| s.tail_mean(3)))
-            .collect();
-        vals.iter().sum::<f64>() / vals.len().max(1) as f64
+        mean(&tails)
     };
 
     let rows = vec![
@@ -577,22 +405,22 @@ pub fn fig25(scale: &Scale, seed: u64) -> FigureResult {
             2.0,
             layer_avg(&c3, 2),
             layer_avg(&r3, 2),
-            victim_avg(&r3),
+            victim_err(&r3),
         ],
         vec![
             4.0,
             2.0,
             layer_avg(&c4, 2),
             layer_avg(&r4, 2),
-            victim_avg(&r4),
+            victim_err(&r4),
         ],
         vec![4.0, 3.0, layer_avg(&c4, 3), layer_avg(&r4, 3), f64::NAN],
     ];
     let notes = vec![
         format!(
             "layer-2 victim error similar across structures: 3L {:.2} vs 4L {:.2}",
-            victim_avg(&r3),
-            victim_avg(&r4)
+            victim_err(&r3),
+            victim_err(&r4)
         ),
         format!(
             "layer-3 amplification in 4-layer system: clean {:.2} -> attacked {:.2}",
@@ -624,7 +452,7 @@ pub fn fig26(scale: &Scale, seed: u64) -> FigureResult {
         seed,
         &[0.05, 0.10, 0.15],
         &[("combined", NpsConfig::default())],
-        &combined_factory(Knowledge::half()),
+        &plain(|| Box::new(NpsCombined::new(Knowledge::half(), 0.2))),
     )
 }
 

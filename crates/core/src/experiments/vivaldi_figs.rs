@@ -7,104 +7,65 @@
 use crate::attacks::vivaldi::{
     VivaldiCollusionLure, VivaldiCollusionRepel, VivaldiCombined, VivaldiDisorder, VivaldiRepulsion,
 };
-use crate::experiments::harness::{run_vivaldi, VivaldiFactory, VivaldiRun};
-use crate::experiments::{average_series, run_repetitions, FigureResult, Scale};
+use crate::experiments::harness::{plain, repeat, Adversary, Choice, Run, RunSpec};
+use crate::experiments::shapes::{
+    attacked_err, cdf_by_fraction, cdf_rows, mean_of, mean_series, pct, pooled_cdf, series_rows,
+};
+use crate::experiments::{FigureResult, Scale};
 use rand::seq::SliceRandom;
-use vcoord_metrics::Cdf;
+use vcoord_attackkit::AttackStrategy;
+use vcoord_metrics::TimeSeries;
+use vcoord_netsim::SeedStream;
 use vcoord_space::Space;
+use vcoord_vivaldi::{VivaldiConfig, VivaldiSim};
 
 /// Malicious fractions used across the Vivaldi figures (§5.2).
 pub const FRACTIONS: [f64; 6] = [0.10, 0.20, 0.30, 0.40, 0.50, 0.75];
 
-/// What an adversary factory yields: the adversary and its victims (if any).
-type AdversaryChoice = (
-    Box<dyn vcoord_attackkit::AttackStrategy>,
-    Option<Vec<usize>>,
-);
+type Attack<'a> = Adversary<'a, VivaldiSim>;
 
-/// Quantile grid used for all CDF figures.
-fn quantile_grid() -> Vec<f64> {
-    (0..=50).map(|k| k as f64 / 50.0).collect()
+fn disorder() -> Box<dyn AttackStrategy> {
+    Box::new(VivaldiDisorder::default())
 }
 
-fn disorder_factory(
-) -> impl Fn(&mut vcoord_vivaldi::VivaldiSim, &[usize], &vcoord_netsim::SeedStream) -> AdversaryChoice
-       + Sync {
-    |_sim, _attackers, _seeds| {
-        (
-            Box::new(VivaldiDisorder::default()) as Box<dyn vcoord_attackkit::AttackStrategy>,
-            None,
-        )
-    }
+fn repulsion() -> Box<dyn AttackStrategy> {
+    Box::new(VivaldiRepulsion::default())
 }
 
-fn repulsion_factory(
-    subset: Option<usize>,
-) -> impl Fn(&mut vcoord_vivaldi::VivaldiSim, &[usize], &vcoord_netsim::SeedStream) -> AdversaryChoice
-       + Sync {
-    move |_sim, _attackers, _seeds| {
-        let adv: Box<dyn vcoord_attackkit::AttackStrategy> = match subset {
-            Some(k) => Box::new(VivaldiRepulsion::with_subset(50_000.0, k)),
-            None => Box::new(VivaldiRepulsion::default()),
-        };
-        (adv, None)
-    }
+fn combined() -> Box<dyn AttackStrategy> {
+    Box::new(VivaldiCombined::new())
 }
 
-/// Collusion strategy-1 factory (repel everyone from a random target).
-fn collusion_repel_factory(
-) -> impl Fn(&mut vcoord_vivaldi::VivaldiSim, &[usize], &vcoord_netsim::SeedStream) -> AdversaryChoice
-       + Sync {
-    |sim, attackers, seeds| {
-        // Attackers are not yet flagged malicious at factory time: exclude
-        // them explicitly so the isolation target is a genuine victim.
-        let honest: Vec<usize> = sim
-            .honest_nodes()
-            .into_iter()
-            .filter(|n| !attackers.contains(n))
-            .collect();
-        let target = *honest
-            .choose(&mut seeds.rng("collusion-target"))
-            .expect("honest nodes exist");
-        (
-            Box::new(VivaldiCollusionRepel::against(target, 10_000.0))
-                as Box<dyn vcoord_attackkit::AttackStrategy>,
-            Some(vec![target]),
-        )
-    }
+/// A uniformly drawn honest node for the colluders to isolate. Attackers
+/// are not yet flagged malicious when the adversary is built: exclude them
+/// explicitly so the isolation target is a genuine victim.
+fn isolation_target(sim: &VivaldiSim, attackers: &[usize], seeds: &SeedStream) -> usize {
+    let honest: Vec<usize> = sim
+        .honest_nodes()
+        .into_iter()
+        .filter(|n| !attackers.contains(n))
+        .collect();
+    *honest
+        .choose(&mut seeds.rng("collusion-target"))
+        .expect("honest nodes exist")
 }
 
-/// Collusion strategy-2 factory (lure a random target into a remote
-/// cluster).
-fn collusion_lure_factory(
-) -> impl Fn(&mut vcoord_vivaldi::VivaldiSim, &[usize], &vcoord_netsim::SeedStream) -> AdversaryChoice
-       + Sync {
-    |sim, attackers, seeds| {
-        let honest: Vec<usize> = sim
-            .honest_nodes()
-            .into_iter()
-            .filter(|n| !attackers.contains(n))
-            .collect();
-        let target = *honest
-            .choose(&mut seeds.rng("collusion-target"))
-            .expect("honest nodes exist");
-        (
-            Box::new(VivaldiCollusionLure::against(target, 10_000.0))
-                as Box<dyn vcoord_attackkit::AttackStrategy>,
-            Some(vec![target]),
-        )
-    }
+/// Collusion strategy 1: repel everyone from a random target.
+fn collusion_repel(sim: &VivaldiSim, attackers: &[usize], seeds: &SeedStream) -> Choice {
+    let target = isolation_target(sim, attackers, seeds);
+    (
+        Box::new(VivaldiCollusionRepel::against(target, 10_000.0)),
+        Some(vec![target]),
+    )
 }
 
-fn combined_factory(
-) -> impl Fn(&mut vcoord_vivaldi::VivaldiSim, &[usize], &vcoord_netsim::SeedStream) -> AdversaryChoice
-       + Sync {
-    |_sim, _attackers, _seeds| {
-        (
-            Box::new(VivaldiCombined::new()) as Box<dyn vcoord_attackkit::AttackStrategy>,
-            None,
-        )
-    }
+/// Collusion strategy 2: lure a random target into a remote cluster.
+fn collusion_lure(sim: &VivaldiSim, attackers: &[usize], seeds: &SeedStream) -> Choice {
+    let target = isolation_target(sim, attackers, seeds);
+    (
+        Box::new(VivaldiCollusionLure::against(target, 10_000.0)),
+        Some(vec![target]),
+    )
 }
 
 /// Run `repetitions` of a scenario and return the runs.
@@ -114,10 +75,14 @@ fn runs_for(
     nodes: usize,
     fraction: f64,
     seed: u64,
-    factory: VivaldiFactory<'_>,
-) -> Vec<VivaldiRun> {
-    run_repetitions(scale.repetitions, |rep| {
-        run_vivaldi(scale, space, nodes, fraction, seed, rep, factory)
+    adversary: &Attack,
+) -> Vec<Run> {
+    repeat(&RunSpec {
+        config: VivaldiConfig::in_space(space),
+        nodes,
+        fraction,
+        adversary,
+        ..RunSpec::new(scale, seed)
     })
 }
 
@@ -128,93 +93,47 @@ fn ratio_vs_time(
     scale: &Scale,
     seed: u64,
     fractions: &[f64],
-    factory: VivaldiFactory<'_>,
+    adversary: &Attack,
 ) -> FigureResult {
-    let mut columns = vec!["tick".to_string()];
-    let mut per_fraction: Vec<vcoord_metrics::TimeSeries> = Vec::new();
-    let mut notes = Vec::new();
+    let mut fig = FigureResult::new(id, title, vec!["tick".to_string()]);
+    let mut per_fraction = Vec::new();
     for &f in fractions {
-        columns.push(format!("ratio_{}pct", (f * 100.0).round() as u32));
-        let runs = runs_for(scale, Space::Euclidean(2), scale.nodes, f, seed, factory);
-        let ratios: Vec<_> = runs
-            .iter()
-            .map(|r| r.attack_series.ratio_to(r.clean_ref))
-            .collect();
-        let avg = average_series(&ratios);
-        let random_ratio = runs
-            .iter()
-            .map(|r| r.random_baseline / r.clean_ref.max(1e-9))
-            .sum::<f64>()
-            / runs.len() as f64;
-        notes.push(format!(
+        fig.columns.push(format!("ratio_{}pct", pct(f)));
+        let runs = runs_for(scale, Space::Euclidean(2), scale.nodes, f, seed, adversary);
+        let avg = mean_series(&runs, |r| r.attack_series.ratio_to(r.clean_ref));
+        fig.notes.push(format!(
             "{}% malicious: final ratio {:.1} (random-system ratio ≈ {:.0})",
-            (f * 100.0).round(),
+            pct(f),
             avg.tail_mean(3),
-            random_ratio
+            mean_of(&runs, |r| r.random_baseline / r.clean_ref.max(1e-9))
         ));
         per_fraction.push(avg);
     }
-    let len = per_fraction.iter().map(|s| s.len()).min().unwrap_or(0);
-    let rows: Vec<Vec<f64>> = (0..len)
-        .map(|k| {
-            let mut row = vec![per_fraction[0].points()[k].0 as f64];
-            row.extend(per_fraction.iter().map(|s| s.points()[k].1));
-            row
-        })
-        .collect();
-    FigureResult {
-        id: id.into(),
-        title: title.into(),
-        columns,
-        rows,
-        notes,
-    }
+    fig.rows = series_rows(&per_fraction);
+    fig
 }
 
-/// CDF figure over a set of fractions (figures 2, 5).
-fn cdf_by_fraction(
+/// CDF figure over [`FRACTIONS`] (figures 2, 5).
+fn cdf_figure(
     id: &str,
     title: &str,
     scale: &Scale,
     seed: u64,
-    fractions: &[f64],
-    factory: VivaldiFactory<'_>,
+    make: fn() -> Box<dyn AttackStrategy>,
 ) -> FigureResult {
-    let grid = quantile_grid();
-    let mut columns = vec!["quantile".to_string()];
-    let mut cdfs: Vec<Cdf> = Vec::new();
-    let mut notes = Vec::new();
-    for &f in fractions {
-        columns.push(format!("err_{}pct", (f * 100.0).round() as u32));
-        let runs = runs_for(scale, Space::Euclidean(2), scale.nodes, f, seed, factory);
-        let all: Vec<f64> = runs.iter().flat_map(|r| r.final_errors.clone()).collect();
-        let baseline = runs.iter().map(|r| r.random_baseline).sum::<f64>() / runs.len() as f64;
-        let cdf = Cdf::from_samples(&all);
-        notes.push(format!(
-            "{}% malicious: median {:.2}, p90 {:.2}, random baseline {:.0}, fraction at/above random {:.2}",
-            (f * 100.0).round(),
+    let base = RunSpec::<VivaldiSim> {
+        adversary: &plain(make),
+        ..RunSpec::new(scale, seed)
+    };
+    cdf_by_fraction(id, title, &base, &FRACTIONS, |pct, runs, cdf| {
+        let baseline = mean_of(runs, |r| r.random_baseline);
+        format!(
+            "{pct}% malicious: median {:.2}, p90 {:.2}, random baseline {baseline:.0}, fraction at/above random {:.2}",
             cdf.median(),
             cdf.quantile(0.9),
-            baseline,
             1.0 - cdf.fraction_below(baseline)
-        ));
-        cdfs.push(cdf);
-    }
-    let rows: Vec<Vec<f64>> = grid
-        .iter()
-        .map(|&q| {
-            let mut row = vec![q];
-            row.extend(cdfs.iter().map(|c| c.quantile(q)));
-            row
-        })
-        .collect();
-    FigureResult {
-        id: id.into(),
-        title: title.into(),
-        columns,
-        rows,
-        notes,
-    }
+        )
+    })
 }
 
 /// Dimension-sweep figure (figures 3, 6): converged error per space per
@@ -224,7 +143,7 @@ fn dimension_sweep(
     title: &str,
     scale: &Scale,
     seed: u64,
-    factory: VivaldiFactory<'_>,
+    adversary: &Attack,
 ) -> FigureResult {
     let spaces = [
         Space::Euclidean(2),
@@ -234,57 +153,34 @@ fn dimension_sweep(
     ];
     let fractions = [0.10, 0.20, 0.30, 0.50];
     let mut columns = vec!["fraction_pct".to_string()];
-    for s in &spaces {
-        columns.push(format!("err_{}", s.label()));
-    }
-    for s in &spaces {
-        columns.push(format!("rand_{}", s.label()));
-    }
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
-    // Track clean errors to verify the accuracy/vulnerability trade-off.
-    let mut clean_by_space = vec![0.0; spaces.len()];
-    let mut attacked_low_fraction = vec![0.0; spaces.len()];
-    let mut baselines = vec![0.0; spaces.len()];
+    columns.extend(spaces.iter().map(|s| format!("err_{}", s.label())));
+    columns.extend(spaces.iter().map(|s| format!("rand_{}", s.label())));
+    let mut fig = FigureResult::new(id, title, columns);
     for (k, &f) in fractions.iter().enumerate() {
         let mut row = vec![f * 100.0];
         let mut rands = Vec::new();
-        for (si, &space) in spaces.iter().enumerate() {
-            let runs = runs_for(scale, space, scale.nodes, f, seed, factory);
-            let err = runs
-                .iter()
-                .map(|r| r.attack_series.tail_mean(3))
-                .sum::<f64>()
-                / runs.len() as f64;
-            let rand = runs.iter().map(|r| r.random_baseline).sum::<f64>() / runs.len() as f64;
+        for &space in &spaces {
+            let runs = runs_for(scale, space, scale.nodes, f, seed, adversary);
+            let err = attacked_err(&runs);
+            let rand = mean_of(&runs, |r| r.random_baseline);
             row.push(err);
             rands.push(rand);
+            // The accuracy/vulnerability trade-off, read off the lowest
+            // fraction.
             if k == 0 {
-                clean_by_space[si] =
-                    runs.iter().map(|r| r.clean_ref).sum::<f64>() / runs.len() as f64;
-                attacked_low_fraction[si] = err;
-                baselines[si] = rand;
+                fig.notes.push(format!(
+                    "{}: clean {:.3}, attacked@10% {:.2}, random {:.0}",
+                    space.label(),
+                    mean_of(&runs, |r| r.clean_ref),
+                    err,
+                    rand
+                ));
             }
         }
         row.extend(rands);
-        rows.push(row);
+        fig.rows.push(row);
     }
-    for (si, s) in spaces.iter().enumerate() {
-        notes.push(format!(
-            "{}: clean {:.3}, attacked@10% {:.2}, random {:.0}",
-            s.label(),
-            clean_by_space[si],
-            attacked_low_fraction[si],
-            baselines[si]
-        ));
-    }
-    FigureResult {
-        id: id.into(),
-        title: title.into(),
-        columns,
-        rows,
-        notes,
-    }
+    fig
 }
 
 /// System-size sweep (figures 4, 8, 13).
@@ -294,7 +190,7 @@ fn size_sweep(
     scale: &Scale,
     seed: u64,
     fractions: &[f64],
-    factory: VivaldiFactory<'_>,
+    adversary: &Attack,
 ) -> FigureResult {
     let sizes: Vec<usize> = if scale.nodes >= 1740 {
         vec![200, 400, 800, 1200, 1740]
@@ -302,45 +198,31 @@ fn size_sweep(
         vec![(scale.nodes / 4).max(40), scale.nodes / 2, scale.nodes]
     };
     let mut columns = vec!["system_size".to_string()];
-    for &f in fractions {
-        columns.push(format!("err_{}pct", (f * 100.0).round() as u32));
-    }
-    let mut rows = Vec::new();
+    columns.extend(fractions.iter().map(|&f| format!("err_{}pct", pct(f))));
+    let mut fig = FigureResult::new(id, title, columns);
     for &n in &sizes {
         let mut row = vec![n as f64];
         for &f in fractions {
-            let runs = runs_for(scale, Space::Euclidean(2), n, f, seed, factory);
-            let err = runs
-                .iter()
-                .map(|r| r.attack_series.tail_mean(3))
-                .sum::<f64>()
-                / runs.len() as f64;
-            row.push(err);
+            let runs = runs_for(scale, Space::Euclidean(2), n, f, seed, adversary);
+            row.push(attacked_err(&runs));
         }
-        rows.push(row);
+        fig.rows.push(row);
     }
-    let mut notes = Vec::new();
-    if rows.len() >= 2 {
-        let first = rows.first().expect("non-empty");
-        let last = rows.last().expect("non-empty");
-        for (k, &f) in fractions.iter().enumerate() {
-            let shrink = last[k + 1] / first[k + 1].max(1e-9);
-            notes.push(format!(
+    let (first, last) = (&fig.rows[0], &fig.rows[sizes.len() - 1]);
+    fig.notes = fractions
+        .iter()
+        .enumerate()
+        .map(|(k, &f)| {
+            format!(
                 "{}% malicious: error shrinks ×{:.2} from n={} to n={} (larger is more resilient when < 1)",
-                (f * 100.0).round(),
-                shrink,
+                pct(f),
+                last[k + 1] / first[k + 1].max(1e-9),
                 first[0],
                 last[0]
-            ));
-        }
-    }
-    FigureResult {
-        id: id.into(),
-        title: title.into(),
-        columns,
-        rows,
-        notes,
-    }
+            )
+        })
+        .collect();
+    fig
 }
 
 /// Figure 1 — injected disorder: average relative error *ratio* vs time.
@@ -351,19 +233,18 @@ pub fn fig01(scale: &Scale, seed: u64) -> FigureResult {
         scale,
         seed,
         &FRACTIONS,
-        &disorder_factory(),
+        &plain(disorder),
     )
 }
 
 /// Figure 2 — injected disorder: CDF of relative error after the attack.
 pub fn fig02(scale: &Scale, seed: u64) -> FigureResult {
-    cdf_by_fraction(
+    cdf_figure(
         "fig2",
         "Injected Disorder attack on Vivaldi: CDF of relative error",
         scale,
         seed,
-        &FRACTIONS,
-        &disorder_factory(),
+        disorder,
     )
 }
 
@@ -374,7 +255,7 @@ pub fn fig03(scale: &Scale, seed: u64) -> FigureResult {
         "Injected Disorder attack on Vivaldi: impact of space dimensions",
         scale,
         seed,
-        &disorder_factory(),
+        &plain(disorder),
     )
 }
 
@@ -386,19 +267,18 @@ pub fn fig04(scale: &Scale, seed: u64) -> FigureResult {
         scale,
         seed,
         &[0.10, 0.30, 0.50],
-        &disorder_factory(),
+        &plain(disorder),
     )
 }
 
 /// Figure 5 — injected repulsion: CDF of relative error.
 pub fn fig05(scale: &Scale, seed: u64) -> FigureResult {
-    cdf_by_fraction(
+    cdf_figure(
         "fig5",
         "Injected Repulsion attack on Vivaldi: CDF of relative error",
         scale,
         seed,
-        &FRACTIONS,
-        &repulsion_factory(None),
+        repulsion,
     )
 }
 
@@ -409,7 +289,7 @@ pub fn fig06(scale: &Scale, seed: u64) -> FigureResult {
         "Injected Repulsion attack on Vivaldi: impact of space dimensions",
         scale,
         seed,
-        &repulsion_factory(None),
+        &plain(repulsion),
     )
 }
 
@@ -418,34 +298,26 @@ pub fn fig07(scale: &Scale, seed: u64) -> FigureResult {
     let shares = [0.10, 0.30, 1.00];
     let fractions = [0.10, 0.20, 0.30, 0.50];
     let mut columns = vec!["fraction_pct".to_string()];
-    for &s in &shares {
-        columns.push(format!("err_subset_{}pct", (s * 100.0) as u32));
-    }
-    let mut rows = Vec::new();
+    columns.extend(shares.iter().map(|&s| format!("err_subset_{}pct", pct(s))));
+    let mut fig = FigureResult::new(
+        "fig7",
+        "Injected Repulsion attack on subsets of target nodes",
+        columns,
+    );
     for &f in &fractions {
         let mut row = vec![f * 100.0];
         for &s in &shares {
             let subset = ((scale.nodes as f64) * s).round() as usize;
-            let factory = repulsion_factory(Some(subset));
-            let runs = runs_for(scale, Space::Euclidean(2), scale.nodes, f, seed, &factory);
-            row.push(
-                runs.iter()
-                    .map(|r| r.attack_series.tail_mean(3))
-                    .sum::<f64>()
-                    / runs.len() as f64,
-            );
+            let adversary =
+                plain(move || Box::new(VivaldiRepulsion::with_subset(50_000.0, subset)));
+            let runs = runs_for(scale, Space::Euclidean(2), scale.nodes, f, seed, &adversary);
+            row.push(attacked_err(&runs));
         }
-        rows.push(row);
+        fig.rows.push(row);
     }
-    let notes =
-        vec!["smaller independently-chosen subsets dilute the attack (paper fig. 7)".into()];
-    FigureResult {
-        id: "fig7".into(),
-        title: "Injected Repulsion attack on subsets of target nodes".into(),
-        columns,
-        rows,
-        notes,
-    }
+    fig.notes
+        .push("smaller independently-chosen subsets dilute the attack (paper fig. 7)".into());
+    fig
 }
 
 /// Figure 8 — injected repulsion: effect of system size.
@@ -456,7 +328,7 @@ pub fn fig08(scale: &Scale, seed: u64) -> FigureResult {
         scale,
         seed,
         &[0.10, 0.30, 0.50],
-        &repulsion_factory(None),
+        &plain(repulsion),
     )
 }
 
@@ -468,54 +340,36 @@ pub fn fig09(scale: &Scale, seed: u64) -> FigureResult {
         scale,
         seed,
         &FRACTIONS[..5], // 10–50%
-        &collusion_repel_factory(),
+        &collusion_repel,
     )
+}
+
+/// Both isolation strategies at 30 % malicious, in strategy order
+/// (1: repel the world, 2: lure the target).
+fn isolation_runs(scale: &Scale, seed: u64) -> [Vec<Run>; 2] {
+    [&collusion_repel as &Attack, &collusion_lure].map(|adversary| {
+        runs_for(
+            scale,
+            Space::Euclidean(2),
+            scale.nodes,
+            0.30,
+            seed,
+            adversary,
+        )
+    })
 }
 
 /// Figure 10 — colluding isolation: the target's relative error over time,
 /// strategy 1 (repel the world) vs strategy 2 (lure the target).
 pub fn fig10(scale: &Scale, seed: u64) -> FigureResult {
-    let fraction = 0.30;
-    let s1 = runs_for(
-        scale,
-        Space::Euclidean(2),
-        scale.nodes,
-        fraction,
-        seed,
-        &collusion_repel_factory(),
-    );
-    let s2 = runs_for(
-        scale,
-        Space::Euclidean(2),
-        scale.nodes,
-        fraction,
-        seed,
-        &collusion_lure_factory(),
-    );
-    let series1 = average_series(
-        &s1.iter()
-            .filter_map(|r| r.focus_series.clone())
-            .collect::<Vec<_>>(),
-    );
-    let series2 = average_series(
-        &s2.iter()
-            .filter_map(|r| r.focus_series.clone())
-            .collect::<Vec<_>>(),
-    );
-    let len = series1.len().min(series2.len());
-    let rows: Vec<Vec<f64>> = (0..len)
-        .map(|k| {
-            vec![
-                series1.points()[k].0 as f64,
-                series1.points()[k].1,
-                series2.points()[k].1,
-            ]
-        })
+    let target_err: Vec<TimeSeries> = isolation_runs(scale, seed)
+        .iter()
+        .map(|runs| mean_series(runs, |r| r.focus_series.clone().expect("target is tracked")))
         .collect();
     let notes = vec![format!(
         "target final error: strategy1 {:.2}, strategy2 {:.2} (paper: strategy 1 is more effective)",
-        series1.tail_mean(3),
-        series2.tail_mean(3)
+        target_err[0].tail_mean(3),
+        target_err[1].tail_mean(3)
     )];
     FigureResult {
         id: "fig10".into(),
@@ -525,7 +379,7 @@ pub fn fig10(scale: &Scale, seed: u64) -> FigureResult {
             "target_err_strategy1".into(),
             "target_err_strategy2".into(),
         ],
-        rows,
+        rows: series_rows(&target_err),
         notes,
     }
 }
@@ -533,35 +387,11 @@ pub fn fig10(scale: &Scale, seed: u64) -> FigureResult {
 /// Figure 11 — colluding isolation: CDF of relative errors under both
 /// strategies.
 pub fn fig11(scale: &Scale, seed: u64) -> FigureResult {
-    let fraction = 0.30;
-    let grid = quantile_grid();
-    let mut cdfs = Vec::new();
-    for (label, factory) in [
-        (
-            "strategy1",
-            &collusion_repel_factory() as VivaldiFactory<'_>,
-        ),
-        ("strategy2", &collusion_lure_factory() as VivaldiFactory<'_>),
-    ] {
-        let runs = runs_for(
-            scale,
-            Space::Euclidean(2),
-            scale.nodes,
-            fraction,
-            seed,
-            factory,
-        );
-        let all: Vec<f64> = runs.iter().flat_map(|r| r.final_errors.clone()).collect();
-        cdfs.push((label, Cdf::from_samples(&all)));
-    }
-    let rows: Vec<Vec<f64>> = grid
-        .iter()
-        .map(|&q| vec![q, cdfs[0].1.quantile(q), cdfs[1].1.quantile(q)])
-        .collect();
+    let cdfs = isolation_runs(scale, seed).map(|runs| pooled_cdf(&runs));
     let notes = vec![format!(
         "system-wide median error: strategy1 {:.2}, strategy2 {:.2} (strategy 1 distorts the whole space)",
-        cdfs[0].1.median(),
-        cdfs[1].1.median()
+        cdfs[0].median(),
+        cdfs[1].median()
     )];
     FigureResult {
         id: "fig11".into(),
@@ -571,7 +401,7 @@ pub fn fig11(scale: &Scale, seed: u64) -> FigureResult {
             "err_strategy1".into(),
             "err_strategy2".into(),
         ],
-        rows,
+        rows: cdf_rows(&cdfs),
         notes,
     }
 }
@@ -585,7 +415,7 @@ pub fn fig12(scale: &Scale, seed: u64) -> FigureResult {
         scale,
         seed,
         &[0.03, 0.06, 0.09, 0.15],
-        &combined_factory(),
+        &plain(combined),
     )
 }
 
@@ -597,7 +427,7 @@ pub fn fig13(scale: &Scale, seed: u64) -> FigureResult {
         scale,
         seed,
         &[0.06, 0.15],
-        &combined_factory(),
+        &plain(combined),
     )
 }
 

@@ -29,12 +29,11 @@
 //!
 //! Defense behaviour beyond NPS's built-in mechanisms is deployed through
 //! the mirror-image [`vcoord_defense::DefenseStrategy`] seam (see
-//! [`defense`]): every reference probe of an ordinary node's positioning
-//! round passes the deployed [`defense::Defense`] before the Simplex fit.
+//! [`NpsSim::deploy_defense`]): every reference probe of an ordinary node's
+//! positioning round passes the deployed [`Defense`] before the Simplex fit.
 
 pub mod adversary;
 pub mod config;
-pub mod defense;
 pub mod evals;
 pub mod layers;
 pub mod membership;
@@ -43,10 +42,10 @@ pub mod sim;
 
 pub use adversary::{AttackStrategy, Collusion, CoordView, Honest, Lie, Probe, Protocol, Scenario};
 pub use config::{NpsConfig, PositioningMode};
-pub use defense::{Defense, DefenseStrategy, Verdict};
 pub use evals::EvalSnapshot;
 pub use position::{
     position_node, position_node_scratch, position_node_seeded, position_node_with, FitObjective,
     PositionOutcome, PositionScratch, RefSample, SecurityPolicy,
 };
 pub use sim::NpsSim;
+pub use vcoord_defense::{Defense, DefenseStrategy, Verdict};

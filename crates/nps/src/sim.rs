@@ -17,9 +17,6 @@
 
 use crate::adversary::{AttackStrategy, CoordView, Lie, Probe, Protocol, Scenario};
 use crate::config::NpsConfig;
-use crate::defense::{
-    Defense, DefenseStats, DefenseStrategy, Provenance, Update as DefenseUpdate, Verdict,
-};
 use crate::evals;
 use crate::layers::{assign_layers, select_landmarks};
 use crate::membership::Membership;
@@ -31,6 +28,9 @@ use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use std::collections::VecDeque;
 use vcoord_chaos::{ChaosCounters, ChaosPlan, ChaosState, ProbeFate};
+use vcoord_defense::{
+    Defense, DefenseStats, DefenseStrategy, Provenance, Update as DefenseUpdate, Verdict,
+};
 use vcoord_metrics::FilterLedger;
 use vcoord_netsim::{Engine, NodeId, Scheduler, SeedStream, World};
 use vcoord_space::{Coord, SimplexSeed, Space};
@@ -895,6 +895,29 @@ impl NpsSim {
     /// resulting [`Defense`] before the Simplex fit. Deployable at any
     /// time; replaces any previous deployment, history and accounting
     /// included.
+    ///
+    /// The NPS reading of the generic [`vcoord_defense`] contract (the
+    /// mirror image of `VivaldiSim::deploy_defense`):
+    ///
+    /// * the inspected sample is a **reference probe**: the reference
+    ///   point's reported coordinates plus the measured RTT, judged against
+    ///   the repositioning node's current coordinate *before* the Simplex
+    ///   fit; `reported_error` is `1.0` — the NPS protocol carries no error
+    ///   field;
+    /// * [`Verdict::Reject`] drops the reference sample from the round (it
+    ///   neither enters the fit nor the security filter) **and** routes the
+    ///   reference through NPS's rolling ban/replacement channel, exactly
+    ///   like a probe-threshold hit: the membership server supplies a
+    ///   substitute, so a strategy that permanently bans a neighbor (the
+    ///   drift cap) shrinks the attacker's reach instead of starving the
+    ///   victim's reference set; [`Verdict::Dampen`] weights the sample's
+    ///   term in the fit objective (see [`RefSample::weight`]), while the
+    ///   security filter still judges the reference at full strength;
+    /// * `round` is the repositioning period index — the same clock the
+    ///   adversary seam uses;
+    /// * the defense inspects reference probes of *ordinary* repositioning
+    ///   nodes only: landmarks are pinned and never reposition, so there is
+    ///   nothing to screen for them.
     pub fn deploy_defense(&mut self, strategy: Box<dyn DefenseStrategy>) {
         let defense = Defense::new(strategy);
         log::trace!(
@@ -1107,7 +1130,7 @@ mod tests {
             let mut sim = small_sim(60, 21);
             sim.run_ms(300_000);
             if deploy {
-                sim.deploy_defense(Box::new(crate::defense::NoDefense));
+                sim.deploy_defense(Box::new(vcoord_defense::NoDefense));
             }
             sim.run_ms(300_000);
             sim.coords().to_vec()
@@ -1123,7 +1146,7 @@ mod tests {
             let mut sim = small_sim(60, 22);
             sim.run_ms(300_000);
             if deploy {
-                sim.deploy_defense(Box::new(crate::defense::Dampener::new(1.0)));
+                sim.deploy_defense(Box::new(vcoord_defense::Dampener::new(1.0)));
             }
             sim.run_ms(300_000);
             sim.coords().to_vec()
@@ -1136,11 +1159,11 @@ mod tests {
         // Rejecting every reference sample leaves rounds under-constrained:
         // ordinary nodes stop repositioning entirely.
         struct RejectAll;
-        impl crate::defense::DefenseStrategy for RejectAll {
+        impl vcoord_defense::DefenseStrategy for RejectAll {
             fn inspect_update(
                 &mut self,
-                _v: &crate::defense::UpdateView<'_>,
-                _s: &mut crate::defense::DefenseScratch,
+                _v: &vcoord_defense::UpdateView<'_>,
+                _s: &mut vcoord_defense::DefenseScratch,
             ) -> Verdict {
                 Verdict::Reject
             }
@@ -1190,11 +1213,11 @@ mod tests {
             bans: Vec<usize>,
             reinstates: Vec<usize>,
         }
-        impl crate::defense::DefenseStrategy for BanOnce {
+        impl vcoord_defense::DefenseStrategy for BanOnce {
             fn inspect_update(
                 &mut self,
-                v: &crate::defense::UpdateView<'_>,
-                _s: &mut crate::defense::DefenseScratch,
+                v: &vcoord_defense::UpdateView<'_>,
+                _s: &mut vcoord_defense::DefenseScratch,
             ) -> Verdict {
                 if v.remote != self.target {
                     return Verdict::Accept;
@@ -1323,49 +1346,8 @@ mod tests {
 
     #[test]
     fn probation_lets_decay_compose_with_banishment() {
-        use crate::adversary::{AttackStrategy, CoordView, Lie, Probe};
-        use crate::defense::{DriftCap, DriftDecay};
-        use vcoord_attackkit::Collusion;
-
-        // Attack hard for a fixed number of rounds after injection, then
-        // reform — the Vivaldi decay test's story, on the NPS seam.
-        struct BurstThenReform {
-            attack_rounds: u64,
-            injected_at: Option<u64>,
-        }
-        impl AttackStrategy for BurstThenReform {
-            fn inject(
-                &mut self,
-                _attackers: &[usize],
-                _collusion: &mut Collusion,
-                view: &CoordView<'_>,
-                _rng: &mut ChaCha12Rng,
-            ) {
-                self.injected_at = Some(view.round);
-            }
-            fn respond(
-                &mut self,
-                probe: &Probe,
-                _collusion: &mut Collusion,
-                view: &CoordView<'_>,
-                _rng: &mut ChaCha12Rng,
-            ) -> Option<Lie> {
-                let start = self.injected_at.unwrap_or(0);
-                if view.round.saturating_sub(start) >= self.attack_rounds {
-                    return None; // reformed
-                }
-                let mut coord = view.coords[probe.attacker].clone();
-                coord.vec[0] += 250.0;
-                Some(Lie {
-                    coord,
-                    error: 0.01,
-                    delay_ms: 0.0,
-                })
-            }
-            fn label(&self) -> &'static str {
-                "burst-then-reform"
-            }
-        }
+        use vcoord_attackkit::BurstThenReform;
+        use vcoord_defense::{DriftCap, DriftDecay};
 
         let run = |probation_every: u64| {
             let seeds = SeedStream::new(34);
@@ -1383,10 +1365,9 @@ mod tests {
             let attackers = sim.pick_attackers(0.25);
             sim.inject_adversary(
                 &attackers,
-                Box::new(BurstThenReform {
-                    attack_rounds: 10,
-                    injected_at: None,
-                }),
+                // Attack hard for 10 rounds after injection, then reform —
+                // the Vivaldi decay test's story, on the NPS seam.
+                Box::new(BurstThenReform::new(10)),
             );
             sim.deploy_defense(Box::new(DriftCap::with_decay(40.0, DriftDecay::new(5.0))));
             sim.run_ms(3_000_000);
@@ -1417,7 +1398,7 @@ mod tests {
 
     #[test]
     fn probation_never_double_samples_a_leased_reference() {
-        use crate::defense::DriftCap;
+        use vcoord_defense::DriftCap;
 
         // The silent double-count seam: a reference that is banned AND out
         // on a readmission lease already feeds (quarantined) evidence

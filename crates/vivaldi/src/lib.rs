@@ -20,14 +20,14 @@
 //! attackers can *delay* probes but never shorten them.
 //!
 //! Defense behaviour is deployed through the mirror-image
-//! [`vcoord_defense::DefenseStrategy`] seam (see [`defense`]): every sample
-//! an honest node is about to apply passes the deployed
-//! [`defense::Defense`] first, whose verdict drops, dampens, or admits it.
+//! [`vcoord_defense::DefenseStrategy`] seam (see
+//! [`VivaldiSim::deploy_defense`]): every sample an honest node is about to
+//! apply passes the deployed [`Defense`] first, whose verdict drops,
+//! dampens, or admits it.
 
 pub mod adversary;
 pub mod config;
 pub mod convergence;
-pub mod defense;
 pub mod neighbors;
 pub mod node;
 pub mod sim;
@@ -35,5 +35,5 @@ pub mod sim;
 pub use adversary::{AttackStrategy, Collusion, CoordView, Honest, Lie, Probe, Protocol, Scenario};
 pub use config::VivaldiConfig;
 pub use convergence::ConvergenceTracker;
-pub use defense::{Defense, DefenseStrategy, Verdict};
 pub use sim::{Spring, VivaldiSim};
+pub use vcoord_defense::{Defense, DefenseStrategy, Verdict};

@@ -18,15 +18,15 @@
 
 use crate::adversary::{AttackStrategy, CoordView, Lie, Probe, Protocol, Scenario};
 use crate::config::VivaldiConfig;
-use crate::defense::{
-    Defense, DefenseStats, DefenseStrategy, Provenance, Update as DefenseUpdate, Verdict,
-};
 use crate::neighbors::select_neighbors;
 use crate::node::vivaldi_update_scaled;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use vcoord_chaos::{ChaosCounters, ChaosPlan, ChaosState, ProbeFate};
+use vcoord_defense::{
+    Defense, DefenseStats, DefenseStrategy, Provenance, Update as DefenseUpdate, Verdict,
+};
 use vcoord_netsim::{time, Engine, NodeId, Scheduler, SeedStream, World};
 use vcoord_space::{Coord, Space};
 use vcoord_topo::RttMatrix;
@@ -599,6 +599,24 @@ impl VivaldiSim {
     /// [`Defense`] first. Deployable at any time (the harness arms it at
     /// attack-injection time, on the converged system); replaces any
     /// previous deployment, history and accounting included.
+    ///
+    /// The Vivaldi reading of the generic [`vcoord_defense`] contract:
+    ///
+    /// * the inspected sample is a **spring sample**: the reported
+    ///   coordinate and error estimate of the probed peer plus the measured
+    ///   RTT, judged at delivery time against the victim's *current*
+    ///   coordinate;
+    /// * [`Verdict::Reject`] drops the sample before the update rule runs
+    ///   (coordinate and error estimate both untouched);
+    ///   [`Verdict::Dampen`] scales the adaptive timestep `δ = Cc · w` only
+    ///   — see [`vivaldi_update_scaled`] for the `Dampen(1.0) ≡ Accept`
+    ///   bit-identity;
+    /// * `round` is the probe tick, the same clock the adversary seam uses
+    ///   — attack `on_round` and defense `on_round` advance in lockstep;
+    /// * an undefended simulation (no [`Defense`] deployed) and a
+    ///   [`NoDefense`](vcoord_defense::NoDefense) deployment are
+    ///   byte-identical by construction: both leave every sample on the
+    ///   pre-existing code path with scale 1.0.
     pub fn deploy_defense(&mut self, strategy: Box<dyn DefenseStrategy>) {
         let defense = Defense::new(strategy);
         log::trace!(
@@ -757,7 +775,7 @@ mod tests {
             let mut sim = small_sim(30, 11);
             sim.run_ticks(40);
             if deploy {
-                sim.deploy_defense(Box::new(crate::defense::NoDefense));
+                sim.deploy_defense(Box::new(vcoord_defense::NoDefense));
             }
             let attackers = sim.pick_attackers(0.3);
             sim.inject_adversary(&attackers, Box::new(Honest));
@@ -780,7 +798,7 @@ mod tests {
             let mut sim = small_sim(30, 12);
             sim.run_ticks(30);
             if deploy {
-                sim.deploy_defense(Box::new(crate::defense::Dampener::new(1.0)));
+                sim.deploy_defense(Box::new(vcoord_defense::Dampener::new(1.0)));
             }
             sim.run_ticks(40);
             sim.coords().to_vec()
@@ -793,11 +811,11 @@ mod tests {
         // A defense that rejects everything stops all coordinate movement:
         // no sample ever reaches the update rule.
         struct RejectAll;
-        impl crate::defense::DefenseStrategy for RejectAll {
+        impl vcoord_defense::DefenseStrategy for RejectAll {
             fn inspect_update(
                 &mut self,
-                _v: &crate::defense::UpdateView<'_>,
-                _s: &mut crate::defense::DefenseScratch,
+                _v: &vcoord_defense::UpdateView<'_>,
+                _s: &mut vcoord_defense::DefenseScratch,
             ) -> Verdict {
                 Verdict::Reject
             }
@@ -818,62 +836,17 @@ mod tests {
 
     #[test]
     fn decay_drift_cap_quarantines_then_reinstates_a_reformed_attacker() {
-        use crate::adversary::{AttackStrategy, CoordView, Lie, Probe};
-        use crate::defense::{DriftCap, DriftDecay};
-        use rand_chacha::ChaCha12Rng;
-        use vcoord_attackkit::Collusion;
-
-        // Attack hard for `attack_rounds` rounds after injection, then
-        // behave honestly forever — the minimal reform story.
-        struct BurstThenReform {
-            attack_rounds: u64,
-            injected_at: Option<u64>,
-        }
-        impl AttackStrategy for BurstThenReform {
-            fn inject(
-                &mut self,
-                _attackers: &[usize],
-                _collusion: &mut Collusion,
-                view: &CoordView<'_>,
-                _rng: &mut ChaCha12Rng,
-            ) {
-                self.injected_at = Some(view.round);
-            }
-            fn respond(
-                &mut self,
-                probe: &Probe,
-                _collusion: &mut Collusion,
-                view: &CoordView<'_>,
-                _rng: &mut ChaCha12Rng,
-            ) -> Option<Lie> {
-                let start = self.injected_at.unwrap_or(0);
-                if view.round.saturating_sub(start) >= self.attack_rounds {
-                    return None; // reformed
-                }
-                // A crude sustained drag: claim to sit 250 ms past the
-                // truth along x.
-                let mut coord = view.coords[probe.attacker].clone();
-                coord.vec[0] += 250.0;
-                Some(Lie {
-                    coord,
-                    error: 0.01,
-                    delay_ms: 0.0,
-                })
-            }
-            fn label(&self) -> &'static str {
-                "burst-then-reform"
-            }
-        }
+        use vcoord_attackkit::BurstThenReform;
+        use vcoord_defense::{DriftCap, DriftDecay};
 
         let mut sim = small_sim(30, 17);
         sim.run_ticks(150);
         let attackers = sim.pick_attackers(0.2);
         sim.inject_adversary(
             &attackers,
-            Box::new(BurstThenReform {
-                attack_rounds: 60,
-                injected_at: None,
-            }),
+            // Attack hard for 60 rounds after injection, then behave
+            // honestly forever — the minimal reform story.
+            Box::new(BurstThenReform::new(60)),
         );
         sim.deploy_defense(Box::new(DriftCap::with_decay(40.0, DriftDecay::new(30.0))));
 
@@ -906,8 +879,8 @@ mod tests {
 
     #[test]
     fn permanent_drift_cap_never_reinstates() {
-        use crate::defense::DriftCap;
         use vcoord_attackkit::FrogBoiling;
+        use vcoord_defense::DriftCap;
 
         let mut sim = small_sim(30, 18);
         sim.run_ticks(150);

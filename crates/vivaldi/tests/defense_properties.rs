@@ -15,12 +15,12 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use vcoord_attackkit::{DefenseModel, EvadingFrogBoil, FrogBoiling};
+use vcoord_defense::{
+    Dampener, Defense, DriftCap, DriftDecay, NoDefense, Provenance, Update, Verdict,
+};
 use vcoord_netsim::SeedStream;
 use vcoord_space::{Coord, Space};
 use vcoord_topo::{KingLike, KingLikeConfig};
-use vcoord_vivaldi::defense::{
-    Dampener, Defense, DriftCap, DriftDecay, NoDefense, Provenance, Update, Verdict,
-};
 use vcoord_vivaldi::{VivaldiConfig, VivaldiSim};
 
 /// Ticks a converged system runs before the attack/defense window (the
