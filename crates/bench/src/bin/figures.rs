@@ -33,8 +33,8 @@
 //! Every figure derives its seeds from `(master seed, figure id)` alone, so
 //! `--jobs` changes wall-clock time but never a CSV byte; the writer thread
 //! reorders completions so stdout also stays in figure order. Traces are
-//! deterministic too: `run_repetitions` merges per-repetition observations
-//! in repetition order, each figure worker drains its own thread-local
+//! deterministic too: `run_grid` merges per-job observations in (cell,
+//! repetition) order, each figure worker drains its own thread-local
 //! recorder, and the trace's `run` id is derived from the scale and seed
 //! alone, so `--jobs` never changes a JSONL byte either. The profile and
 //! progress planes deliberately live *outside* that guarantee: wall-clock
@@ -433,8 +433,8 @@ fn main() {
                 let Some(id) = ids.get(idx) else { break };
                 let start = Instant::now();
                 // Each worker computes one figure at a time, so its
-                // thread-local recorder (plus the per-repetition merges
-                // absorbed by run_repetitions) holds exactly that figure's
+                // thread-local recorder (plus the per-job merges
+                // absorbed by run_grid) holds exactly that figure's
                 // observations between reset() and drain().
                 if traced || profiled {
                     vcoord::obs::reset();

@@ -451,6 +451,45 @@ fn trace_out_is_deterministic_across_jobs_and_digestible() {
     assert!(stderr(&fail).contains("line 2"), "{}", stderr(&fail));
 }
 
+#[test]
+fn csv_and_trace_bytes_do_not_depend_on_the_grid_width() {
+    // A figure is one (cell, repetition) job grid on one pool: a multi-cell
+    // Vivaldi figure, a multi-cell NPS figure and a 3-repetition chaos
+    // figure, each computed alone (`--jobs 1`) so that `VCOORD_THREADS` is
+    // the width of its grid. Width 1 is the cells one after the other.
+    let ids = ["def-sweep-vivaldi", "fig16", "chaos-churn-nps"];
+    let dirs = ["1", "2", "3"].map(|threads| {
+        let dir = tempdir(&format!("grid-width-{threads}"));
+        let out = figures()
+            .env("VCOORD_THREADS", threads)
+            .args(ids)
+            .args(["--smoke", "--seed", "2006", "--jobs", "1"])
+            .args(["--out", dir.to_str().unwrap()])
+            .args(["--trace-out", dir.to_str().unwrap()])
+            .output()
+            .expect("spawn figures binary");
+        assert!(
+            out.status.success(),
+            "figures at VCOORD_THREADS={threads} failed:\n{}",
+            stderr(&out)
+        );
+        dir
+    });
+    for id in ids {
+        for ext in ["csv", "jsonl"] {
+            let file = format!("{id}.{ext}");
+            let narrow = std::fs::read(dirs[0].join(&file)).unwrap();
+            assert!(!narrow.is_empty(), "{file} is empty");
+            for (dir, width) in dirs[1..].iter().zip([2, 3]) {
+                assert!(
+                    narrow == std::fs::read(dir.join(&file)).unwrap(),
+                    "{file} differs between a 1-wide and a {width}-wide grid"
+                );
+            }
+        }
+    }
+}
+
 fn tempdir(tag: &str) -> std::path::PathBuf {
     let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("figures-cli-{tag}"));
     // Stale contents from a previous run are fine to clobber.

@@ -26,8 +26,8 @@
 //!   positive being banned forever.
 
 use crate::experiments::attack_figs::strategy_by;
-use crate::experiments::harness::{plain, RunSpec, System};
-use crate::experiments::shapes::{Block, Cell, LevelSweep, Matrix};
+use crate::experiments::harness::{plain, Adversary, Deploy, RunSpec, System};
+use crate::experiments::shapes::{cross, Block, Cell, LevelSweep, Matrix};
 use crate::experiments::{FigureResult, Scale};
 use vcoord_attackkit::{
     AttackStrategy, DefenseModel, EvadingFrogBoil, SleeperCollusion, ThresholdProbe,
@@ -148,19 +148,31 @@ pub fn arms_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
     .figure()
 }
 
-/// One Vivaldi cell at 30 % malicious: `attack` against `defense`.
-fn vivaldi_cell(
-    scale: &Scale,
+/// One Vivaldi scenario at 30 % malicious: `attack` against `defense`.
+fn duel<'a>(
+    scale: &'a Scale,
     seed: u64,
-    attack: impl Fn() -> Box<dyn AttackStrategy> + Sync,
-    defense: impl Fn() -> Box<dyn DefenseStrategy> + Sync,
-) -> Cell {
-    Cell::run(&RunSpec::<VivaldiSim> {
+    attack: &'a Adversary<'a, VivaldiSim>,
+    defense: &'a Deploy<'a, VivaldiSim>,
+) -> RunSpec<'a, VivaldiSim> {
+    RunSpec {
         fraction: FRACTION,
-        adversary: &plain(attack),
-        defense: Some(&|_| defense()),
+        adversary: attack,
+        defense: Some(defense),
         ..RunSpec::new(scale, seed)
-    })
+    }
+}
+
+/// A drift cap at `cap` ms — decaying with half-life `half_life` rounds
+/// when that is positive, banning permanently otherwise.
+fn drift_cap(cap: f64, half_life: f64) -> impl Fn(&VivaldiSim) -> Box<dyn DefenseStrategy> + Sync {
+    move |_| {
+        if half_life > 0.0 {
+            Box::new(DriftCap::with_decay(cap, DriftDecay::new(half_life)))
+        } else {
+            Box::new(DriftCap::new(cap))
+        }
+    }
 }
 
 /// A frog-boiling contender of the deployed-cap figures: its column
@@ -185,16 +197,21 @@ fn cap_duel(
     }
     columns.extend(contenders.map(|(name, _)| format!("{}_{name}", last.0)));
     let mut fig = FigureResult::new(id, title, columns);
-    for (i, cap) in [10.0, 20.0, 40.0, 80.0, 160.0].into_iter().enumerate() {
-        let [a, b] = contenders
-            .map(|(_, make)| vivaldi_cell(scale, seed, make, || Box::new(DriftCap::new(cap))));
+    let caps = [10.0, 20.0, 40.0, 80.0, 160.0];
+    let attacks = contenders.map(|(_, make)| plain(make));
+    let defenses = caps.map(|cap| drift_cap(cap, 0.0));
+    let specs: Vec<_> = cross(&defenses, &attacks)
+        .map(|(defense, attack)| duel(scale, seed, attack, defense))
+        .collect();
+    let cells = Cell::all(&specs);
+    for (i, (&cap, pair)) in caps.iter().zip(cells.chunks(2)).enumerate() {
         let mut row = vec![i as f64, cap];
-        for cell in [&a, &b] {
+        for cell in pair {
             row.extend([cell.tpr(), cell.fpr(), cell.drift]);
         }
-        row.extend([(last.1)(&a), (last.1)(&b)]);
+        row.extend(pair.iter().map(last.1));
         fig.rows.push(row);
-        fig.notes.push(note(cap, &a, &b));
+        fig.notes.push(note(cap, &pair[0], &pair[1]));
     }
     fig
 }
@@ -277,13 +294,19 @@ pub fn arms_evasion_learning(scale: &Scale, seed: u64) -> FigureResult {
 /// laggards trip it, so permanence has a measurable defamation cost —
 /// exactly the FPR-vs-exposure trade decay is supposed to navigate.
 pub fn arms_decay_tradeoff(scale: &Scale, seed: u64) -> FigureResult {
-    let cap = 40.0;
+    let half_lives = [0.0, 20.0, 40.0, 80.0];
+    let sleeper = plain(|| arms_strategy_by("sleeper"));
+    let defenses = half_lives.map(|half_life| drift_cap(40.0, half_life));
+    let specs: Vec<_> = defenses
+        .iter()
+        .map(|defense| duel(scale, seed, &sleeper, defense))
+        .collect();
     LevelSweep {
         id: "arms-decay-tradeoff",
         title: "Sleeper collusion vs drift-cap reputation decay on Vivaldi: forgiveness \
                 half-life against burst exposure",
         level_column: "half_life_rounds",
-        levels: &[0.0, 20.0, 40.0, 80.0],
+        levels: &half_lives,
         columns: &[
             ("err", |c, _| c.err),
             ("drift", |c, _| c.drift),
@@ -314,16 +337,7 @@ pub fn arms_decay_tradeoff(scale: &Scale, seed: u64) -> FigureResult {
             )
         },
     }
-    .figure(|hl| {
-        let sleeper = || arms_strategy_by("sleeper");
-        vivaldi_cell(scale, seed, sleeper, || {
-            if hl > 0.0 {
-                Box::new(DriftCap::with_decay(cap, DriftDecay::new(hl)))
-            } else {
-                Box::new(DriftCap::new(cap))
-            }
-        })
-    })
+    .figure(&specs)
 }
 
 #[cfg(test)]
@@ -346,9 +360,13 @@ mod tests {
         // 80 ms cap, the classic frog is caught near-perfectly while the
         // evader — same 5 ms/round budget — goes essentially undetected.
         let scale = Scale::smoke();
-        let sweep = vivaldi_sweep(&scale, 2006);
-        let classic = sweep.cell("frog_boiling", "drift_cap");
-        let evading = sweep.cell("evading_frog", "drift_cap");
+        let cells = Matrix {
+            attacks: &["frog_boiling", "evading_frog"],
+            defenses: &["drift_cap"],
+            ..vivaldi_sweep(&scale, 2006)
+        }
+        .cells();
+        let (classic, evading) = (&cells[0], &cells[1]);
         assert!(
             classic.tpr() > 0.9,
             "classic frog must be caught: tpr {:.2}",

@@ -12,8 +12,8 @@
 //! up as a steady non-zero drift — the signature any displacement-threshold
 //! defence has to contend with.
 
-use crate::experiments::harness::{plain, repeat, RunSpec, System};
-use crate::experiments::shapes::{attacked_err, mean_series, pct, series_rows, Cell};
+use crate::experiments::harness::{plain, repeat_all, RunSpec, System};
+use crate::experiments::shapes::{attacked_err, cross, mean_series, pct, series_rows, Cell};
 use crate::experiments::{FigureResult, Scale};
 use vcoord_attackkit::{
     AttackStrategy, Deflation, FrogBoiling, Inflation, NetworkPartition, Oscillation,
@@ -54,17 +54,16 @@ fn atk_sweep<S: System>(id: &str, title: &str, scale: &Scale, seed: u64) -> Figu
     columns.extend(STRATEGIES.iter().map(|s| format!("err_{s}")));
     columns.extend(STRATEGIES.iter().map(|s| format!("drift_{s}")));
     let mut fig = FigureResult::new(id, title, columns);
-    for &fraction in &FRACTIONS {
-        let cells: Vec<Cell> = STRATEGIES
-            .iter()
-            .map(|&label| {
-                Cell::run(&RunSpec::<S> {
-                    fraction,
-                    adversary: &plain(|| strategy_by(label)),
-                    ..RunSpec::new(scale, seed)
-                })
-            })
-            .collect();
+    let adversaries = STRATEGIES.map(|label| plain(move || strategy_by(label)));
+    let specs: Vec<_> = cross(&FRACTIONS, &adversaries)
+        .map(|(&fraction, adversary)| RunSpec::<S> {
+            fraction,
+            adversary,
+            ..RunSpec::new(scale, seed)
+        })
+        .collect();
+    let cells = Cell::all(&specs);
+    for (&fraction, cells) in FRACTIONS.iter().zip(cells.chunks(STRATEGIES.len())) {
         let mut row = vec![fraction * 100.0];
         row.extend(cells.iter().map(|c| c.err));
         row.extend(cells.iter().map(|c| c.drift));
@@ -121,19 +120,24 @@ pub fn atk_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
         "Frog-boiling on Vivaldi: drift velocity vs time by step size",
         vec!["tick".to_string()],
     );
-    let mut per_step = Vec::new();
-    for &step in &steps {
-        fig.columns.push(format!("drift_step_{step:.0}ms"));
-        let runs = repeat(&RunSpec::<VivaldiSim> {
+    let adversaries = steps.map(|step| plain(move || Box::new(FrogBoiling::new(step))));
+    let specs: Vec<_> = adversaries
+        .iter()
+        .map(|adversary| RunSpec::<VivaldiSim> {
             fraction: 0.30,
-            adversary: &plain(|| Box::new(FrogBoiling::new(step))),
+            adversary,
             ..RunSpec::new(scale, seed)
-        });
-        let avg = mean_series(&runs, |r| r.drift_series.clone());
+        })
+        .collect();
+    let runs = repeat_all(&specs);
+    let mut per_step = Vec::new();
+    for (&step, runs) in steps.iter().zip(&runs) {
+        fig.columns.push(format!("drift_step_{step:.0}ms"));
+        let avg = mean_series(runs, |r| r.drift_series.clone());
         fig.notes.push(format!(
             "step {step} ms/round: steady drift {:.2} ms/tick, final error {:.2}",
             avg.tail_mean(3),
-            attacked_err(&runs)
+            attacked_err(runs)
         ));
         per_step.push(avg);
     }

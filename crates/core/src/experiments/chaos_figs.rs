@@ -21,8 +21,8 @@
 //! *byte-identical* no-chaos run.
 
 use crate::experiments::attack_figs::strategy_by;
-use crate::experiments::harness::{plain, repeat, RunSpec, System};
-use crate::experiments::shapes::{mean_series, series_rows, Cell, Column, LevelSweep};
+use crate::experiments::harness::{plain, repeat_all, Faults, RunSpec, System};
+use crate::experiments::shapes::{cross, mean_series, series_rows, Cell, Column, LevelSweep};
 use crate::experiments::{FigureResult, Scale};
 use vcoord_attackkit::BurstThenReform;
 use vcoord_chaos::{BurstModel, ChaosPlan};
@@ -309,13 +309,13 @@ pub fn chaos_partition_recovery(scale: &Scale, seed: u64) -> FigureResult {
         chaos: Some(&|_| ChaosPlan::with_seed(seed ^ 0x9A47).split(nodes, 0.5, start, end)),
         ..calm.clone()
     };
-    let (split, calm) = (repeat(&split), repeat(&calm));
-    let series = [&split, &calm].map(|runs| mean_series(runs, |r| r.attack_series.clone()));
+    let runs = repeat_all(&[split, calm]);
+    let series = [&runs[0], &runs[1]].map(|runs| mean_series(runs, |r| r.attack_series.clone()));
     let mut rows = series_rows(&series);
     for row in &mut rows {
         row.push(row[1] / row[2].max(1e-9));
     }
-    let (split, calm) = (Cell::of(&split), Cell::of(&calm));
+    let (split, calm) = (Cell::of(&runs[0]), Cell::of(&runs[1]));
     let tail_calm = calm.err.max(1e-9);
     let notes = vec![format!(
         "partition [{start}, {end}) ms: {:.0} timed-out probes, {:.0} retries, {:.0} \
@@ -395,13 +395,15 @@ pub fn chaos_probation_nps(scale: &Scale, seed: u64) -> FigureResult {
     // `chaos-probation-leak` pins that directly.
     scale.repetitions = scale.repetitions.max(7);
     let chaos = |_: &NpsSim| ChaosPlan::with_seed(seed ^ 0x960B).bursts(BurstModel::mild());
+    let levels = [0.0, 8.0, 4.0, 2.0];
+    let specs = levels.map(|every| probation_run(&scale, seed, every as u64, &chaos));
     LevelSweep {
         id: "chaos-probation-nps",
         title: "The probation channel on NPS: re-measuring banned references lets \
                 reputation decay compose with membership banishment (burst-then-reform \
                 collusion, decaying drift cap, mild loss bursts)",
         level_column: "probation_every",
-        levels: &[0.0, 8.0, 4.0, 2.0],
+        levels: &levels,
         columns: &[
             ERR_TAIL,
             RECOVERY_RATIO,
@@ -430,7 +432,7 @@ pub fn chaos_probation_nps(scale: &Scale, seed: u64) -> FigureResult {
             )
         },
     }
-    .figure(|every| Cell::run(&probation_run(&scale, seed, every as u64, &chaos)))
+    .figure(&specs)
 }
 
 /// Post-injection window multipliers for the leak sweep, ×recovery-scale
@@ -459,8 +461,18 @@ pub fn chaos_probation_leak(scale: &Scale, seed: u64) -> FigureResult {
     // Same variance argument as chaos-probation-nps: a single late
     // readmission moves a whole row, so average more repetitions.
     base.repetitions = base.repetitions.max(5);
+    let scales = LEAK_WINDOWS.map(|mult| Scale {
+        nps_attack_rounds: base.nps_attack_rounds * mult,
+        ..base.clone()
+    });
     let windows = LEAK_WINDOWS.map(|mult| (base.nps_attack_rounds * mult) as f64);
     let chaos = |_: &NpsSim| ChaosPlan::with_seed(seed ^ 0x1EAC).bursts(BurstModel::mild());
+    // Probation off: bans are structurally final — the relief valve can
+    // only *lease* them back.
+    let specs: Vec<_> = scales
+        .iter()
+        .map(|window| probation_run(window, seed, 0, &chaos))
+        .collect();
     LevelSweep {
         id: "chaos-probation-leak",
         title: "Readmission leases close the covert probation channel: quarantined \
@@ -493,15 +505,7 @@ pub fn chaos_probation_leak(scale: &Scale, seed: u64) -> FigureResult {
             )
         },
     }
-    .figure(|rounds| {
-        let window = Scale {
-            nps_attack_rounds: rounds as u64,
-            ..base.clone()
-        };
-        // Probation off: bans are structurally final — the relief valve
-        // can only *lease* them back.
-        Cell::run(&probation_run(&window, seed, 0, &chaos))
-    })
+    .figure(&specs)
 }
 
 /// Share of the bans that were reinstated although the probation channel
@@ -548,8 +552,10 @@ pub fn chaos_detectors_under_faults(scale: &Scale, seed: u64) -> FigureResult {
         "err_ratio".to_string(),
     ];
     let nodes = scale.nodes;
-    let cell = |detector: &'static str, regime: &'static str| {
-        let faults = |_: &VivaldiSim| {
+    let adversary = plain(|| strategy_by("inflation"));
+    let defenses = FAULT_DETECTORS.map(|detector| move |_: &VivaldiSim| detector_by(detector));
+    let faults = FAULT_REGIMES.map(|regime| {
+        let plan = move |_: &VivaldiSim| {
             let plan = ChaosPlan::with_seed(seed ^ 0xDE7EC7);
             match regime {
                 "churn" => plan.churn_wave(nodes, 0.2, 10 * TICK_MS, 30 * TICK_MS),
@@ -557,27 +563,24 @@ pub fn chaos_detectors_under_faults(scale: &Scale, seed: u64) -> FigureResult {
                 _ => unreachable!("the clean regime installs no plan"),
             }
         };
-        Cell::run(&RunSpec::<VivaldiSim> {
+        (regime, plan)
+    });
+    let specs: Vec<_> = cross(&defenses, &faults)
+        .map(|(defense, (regime, plan))| RunSpec::<VivaldiSim> {
             fraction: FRACTION,
-            adversary: &plain(|| strategy_by("inflation")),
-            defense: Some(&|_| detector_by(detector)),
-            chaos: if regime == "none" {
-                None
-            } else {
-                Some(&faults)
-            },
+            adversary: &adversary,
+            defense: Some(defense),
+            chaos: (*regime != "none").then_some(plan as &Faults<'_, VivaldiSim>),
             ..RunSpec::new(&scale, seed)
         })
-    };
+        .collect();
+    let cells = Cell::all(&specs);
     let mut rows = Vec::new();
     let mut notes = Vec::new();
-    for (di, &detector) in FAULT_DETECTORS.iter().enumerate() {
-        let mut baseline = f64::NAN;
-        for (ri, &regime) in FAULT_REGIMES.iter().enumerate() {
-            let cell = cell(detector, regime);
-            if ri == 0 {
-                baseline = cell.err.max(1e-9);
-            }
+    let per_detector = cells.chunks(FAULT_REGIMES.len());
+    for (di, (&detector, cells)) in FAULT_DETECTORS.iter().zip(per_detector).enumerate() {
+        let baseline = cells[0].err.max(1e-9);
+        for (ri, (&regime, cell)) in FAULT_REGIMES.iter().zip(cells).enumerate() {
             let (tpr, fpr, err) = (cell.tpr(), cell.fpr(), cell.err);
             rows.push(vec![
                 rows.len() as f64,

@@ -15,7 +15,7 @@
 //! malicious / all malicious, FPR = flagged honest / all honest.
 
 use crate::experiments::attack_figs::{strategy_by, STRATEGIES};
-use crate::experiments::harness::{repeat, Deploy, RunSpec, System};
+use crate::experiments::harness::{repeat_all, Deploy, RunSpec, System};
 use crate::experiments::shapes::{mean_series, series_rows, Block, Cell, Matrix};
 use crate::experiments::{FigureResult, Scale};
 use vcoord_defense::{
@@ -184,12 +184,17 @@ pub fn def_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
         "Frog-boiling vs defenses on Vivaldi: drift velocity and error over time",
         columns,
     );
+    let deploys = defenses.map(|defense| move |sim: &VivaldiSim| vivaldi_defense(defense, sim));
+    let specs: Vec<_> = deploys
+        .iter()
+        .map(|deploy| frog_vs(scale, seed, deploy))
+        .collect();
+    let runs = repeat_all(&specs);
     let mut drift_avgs = Vec::new();
     let mut err_avgs = Vec::new();
-    for defense in defenses {
-        let runs = repeat(&frog_vs(scale, seed, &|sim| vivaldi_defense(defense, sim)));
-        let cell = Cell::of(&runs);
-        let drift_avg = mean_series(&runs, |r| r.drift_series.clone());
+    for (defense, runs) in defenses.iter().zip(&runs) {
+        let cell = Cell::of(runs);
+        let drift_avg = mean_series(runs, |r| r.drift_series.clone());
         fig.notes.push(format!(
             "{defense}: steady drift {:.2} ms/tick, final err {:.2}, tpr {:.2}, fpr {:.2}, {} rejections",
             drift_avg.tail_mean(3),
@@ -199,7 +204,7 @@ pub fn def_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
             cell.rejected,
         ));
         drift_avgs.push(drift_avg);
-        err_avgs.push(mean_series(&runs, |r| r.attack_series.clone()));
+        err_avgs.push(mean_series(runs, |r| r.attack_series.clone()));
     }
     drift_avgs.extend(err_avgs);
     fig.rows = series_rows(&drift_avgs);
@@ -218,10 +223,19 @@ pub fn def_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
 pub fn def_roc(scale: &Scale, seed: u64) -> FigureResult {
     let caps = [10.0, 20.0, 40.0, 80.0, 160.0];
     let ks = [1.0, 2.0, 3.0, 4.0, 6.0];
-    let point = |defense: &Deploy<'_, VivaldiSim>| {
-        let cell = Cell::run(&frog_vs(scale, seed, defense));
-        (cell.tpr(), cell.fpr())
-    };
+    let drift_caps = caps.map(|cap| {
+        move |_: &VivaldiSim| -> Box<dyn DefenseStrategy> { Box::new(DriftCap::new(cap)) }
+    });
+    let mads = ks.map(|k| {
+        move |_: &VivaldiSim| -> Box<dyn DefenseStrategy> { Box::new(ResidualOutlier::new(12, k)) }
+    });
+    // Per point, the drift cap's cell, then the MAD filter's.
+    let specs: Vec<_> = drift_caps
+        .iter()
+        .zip(&mads)
+        .flat_map(|(cap, mad)| [frog_vs(scale, seed, cap), frog_vs(scale, seed, mad)])
+        .collect();
+    let cells = Cell::all(&specs);
     let columns = vec![
         "point_idx".to_string(),
         "drift_cap_ms".to_string(),
@@ -236,11 +250,10 @@ pub fn def_roc(scale: &Scale, seed: u64) -> FigureResult {
         "Frog-boiling detection ROC on Vivaldi: drift cap vs MAD outlier filter",
         columns,
     );
-    for i in 0..caps.len() {
-        let cap = caps[i];
-        let k = ks[i];
-        let (dr_tpr, dr_fpr) = point(&|_| Box::new(DriftCap::new(cap)));
-        let (mad_tpr, mad_fpr) = point(&|_| Box::new(ResidualOutlier::new(12, k)));
+    for (i, pair) in cells.chunks(2).enumerate() {
+        let (cap, k) = (caps[i], ks[i]);
+        let (dr_tpr, dr_fpr) = (pair[0].tpr(), pair[0].fpr());
+        let (mad_tpr, mad_fpr) = (pair[1].tpr(), pair[1].fpr());
         fig.rows
             .push(vec![i as f64, cap, dr_tpr, dr_fpr, k, mad_tpr, mad_fpr]);
         fig.notes.push(format!(
@@ -298,11 +311,15 @@ mod tests {
         // does to the drift — cannot act without defaming a substantial
         // share of the dragged honest population.
         let scale = Scale::smoke();
-        let sweep = vivaldi_sweep(&scale, 2006);
-        let frog = sweep.cell("frog_boiling", "drift_cap");
+        let cells = Matrix {
+            attacks: &["frog_boiling"],
+            defenses: &["drift_cap", "mad_outlier"],
+            ..vivaldi_sweep(&scale, 2006)
+        }
+        .cells();
+        let (frog, mad) = (&cells[0], &cells[1]);
         assert!(frog.tpr() > 0.9, "drift cap tpr {:.2}", frog.tpr());
         assert_eq!(frog.fpr(), 0.0, "drift cap must not defame honest nodes");
-        let mad = sweep.cell("frog_boiling", "mad_outlier");
         assert!(
             mad.fpr() > 0.2,
             "error-based filtering under frog-boiling acts only via honest \

@@ -12,7 +12,9 @@
 //!   inputs.
 
 use crate::attacks::vivaldi::VivaldiDisorder;
-use crate::experiments::{run_repetitions, FigureResult, Scale};
+use crate::experiments::shapes::cross;
+use crate::experiments::{run_grid, FigureResult, GridJob, Scale};
+use vcoord_metrics::stats::mean;
 use vcoord_metrics::EvalPlan;
 use vcoord_netsim::{LinkModel, SeedStream};
 use vcoord_space::Space;
@@ -32,8 +34,14 @@ pub enum AttackTiming {
 
 /// Final average relative error of honest nodes for one disorder run at the
 /// given timing.
-fn disorder_run(scale: &Scale, timing: AttackTiming, fraction: f64, seed: u64, rep: u64) -> f64 {
-    let seeds = SeedStream::new(seed).derive_indexed("ext-genesis", rep);
+fn disorder_run(
+    scale: &Scale,
+    timing: AttackTiming,
+    fraction: f64,
+    seed: u64,
+    job: GridJob,
+) -> f64 {
+    let seeds = SeedStream::new(seed).derive_indexed("ext-genesis", job.rep);
     let matrix =
         KingLike::new(KingLikeConfig::with_nodes(scale.nodes)).generate(&mut seeds.rng("topo"));
     let mut sim = VivaldiSim::new(matrix, VivaldiConfig::in_space(Space::Euclidean(2)), &seeds);
@@ -58,28 +66,23 @@ fn disorder_run(scale: &Scale, timing: AttackTiming, fraction: f64, seed: u64, r
         scale.eval_sample_peers,
         &mut seeds.rng("plan"),
     );
-    plan.avg_error_with(
-        sim.coords(),
-        sim.space(),
-        sim.matrix(),
-        crate::experiments::eval_thread_budget(scale.repetitions),
-    )
+    plan.avg_error_with(sim.coords(), sim.space(), sim.matrix(), job.eval_threads)
 }
 
 /// Genesis vs injection comparison across attacker fractions.
 pub fn ext_genesis(scale: &Scale, seed: u64) -> FigureResult {
     let fractions = [0.0, 0.10, 0.20, 0.30];
-    let mut rows = Vec::new();
-    for &f in &fractions {
-        let genesis = run_repetitions(scale.repetitions, |rep| {
-            disorder_run(scale, AttackTiming::Genesis, f, seed, rep)
-        });
-        let injection = run_repetitions(scale.repetitions, |rep| {
-            disorder_run(scale, AttackTiming::Injection, f, seed, rep)
-        });
-        let mean = |v: &Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
-        rows.push(vec![f * 100.0, mean(&genesis), mean(&injection)]);
-    }
+    let timings = [AttackTiming::Genesis, AttackTiming::Injection];
+    let cells: Vec<_> = cross(&fractions, &timings).collect();
+    let errs = run_grid(&vec![scale.repetitions; cells.len()], |job| {
+        let (&f, &timing) = cells[job.cell];
+        disorder_run(scale, timing, f, seed, job)
+    });
+    let rows = fractions
+        .iter()
+        .zip(errs.chunks(timings.len()))
+        .map(|(&f, pair)| vec![f * 100.0, mean(&pair[0]), mean(&pair[1])])
+        .collect();
     let notes = vec![
         "extension beyond the paper: §5.2 notes injection is the realistic scenario; genesis is its companion work [9]".into(),
         "a genesis attack also denies the system its clean convergence (cold-start disruption)".into(),
@@ -127,39 +130,35 @@ pub fn ext_faults(scale: &Scale, seed: u64) -> FigureResult {
         ),
         ("attack10pct", LinkModel::ideal(), 0.10),
     ];
-    let mut rows = Vec::new();
-    for (idx, (_, link, fraction)) in cases.iter().enumerate() {
-        let errs = run_repetitions(scale.repetitions, |rep| {
-            let seeds = SeedStream::new(seed).derive_indexed("ext-faults", rep);
-            let matrix = KingLike::new(KingLikeConfig::with_nodes(scale.nodes))
-                .generate(&mut seeds.rng("topo"));
-            let config = VivaldiConfig {
-                link: *link,
-                ..VivaldiConfig::default()
-            };
-            let mut sim = VivaldiSim::new(matrix, config, &seeds);
-            sim.run_ticks(scale.vivaldi_warmup_ticks);
-            if *fraction > 0.0 {
-                let attackers = sim.pick_attackers(*fraction);
-                sim.inject_adversary(&attackers, Box::new(VivaldiDisorder::default()));
-            }
-            sim.run_ticks(scale.vivaldi_attack_ticks);
-            let plan = EvalPlan::with_params(
-                &sim.honest_nodes(),
-                scale.eval_all_pairs_threshold,
-                scale.eval_sample_peers,
-                &mut seeds.rng("plan"),
-            );
-            plan.avg_error_with(
-                sim.coords(),
-                sim.space(),
-                sim.matrix(),
-                crate::experiments::eval_thread_budget(scale.repetitions),
-            )
-        });
-        let mean = errs.iter().sum::<f64>() / errs.len() as f64;
-        rows.push(vec![idx as f64, mean]);
-    }
+    let errs = run_grid(&vec![scale.repetitions; cases.len()], |job| {
+        let (_, link, fraction) = cases[job.cell];
+        let seeds = SeedStream::new(seed).derive_indexed("ext-faults", job.rep);
+        let matrix =
+            KingLike::new(KingLikeConfig::with_nodes(scale.nodes)).generate(&mut seeds.rng("topo"));
+        let config = VivaldiConfig {
+            link,
+            ..VivaldiConfig::default()
+        };
+        let mut sim = VivaldiSim::new(matrix, config, &seeds);
+        sim.run_ticks(scale.vivaldi_warmup_ticks);
+        if fraction > 0.0 {
+            let attackers = sim.pick_attackers(fraction);
+            sim.inject_adversary(&attackers, Box::new(VivaldiDisorder::default()));
+        }
+        sim.run_ticks(scale.vivaldi_attack_ticks);
+        let plan = EvalPlan::with_params(
+            &sim.honest_nodes(),
+            scale.eval_all_pairs_threshold,
+            scale.eval_sample_peers,
+            &mut seeds.rng("plan"),
+        );
+        plan.avg_error_with(sim.coords(), sim.space(), sim.matrix(), job.eval_threads)
+    });
+    let rows = errs
+        .iter()
+        .enumerate()
+        .map(|(idx, errs)| vec![idx as f64, mean(errs)])
+        .collect();
     let notes = vec![
         "row index: 0=clean 1=20% loss 2=10ms jitter 3=both 4=10% disorder attackers".into(),
         "benign faults cost percent-level accuracy; a 10% attack costs orders of magnitude".into(),

@@ -11,7 +11,7 @@
 //! runs do differently is a named item of that trait, so the loop itself
 //! has no per-system branch.
 
-use crate::experiments::{eval_thread_budget, run_repetitions, Scale};
+use crate::experiments::{run_grid, Scale};
 use vcoord_attackkit::{AttackStrategy, Honest};
 use vcoord_chaos::{ChaosCounters, ChaosPlan};
 use vcoord_defense::{Defense, DefenseStrategy};
@@ -473,14 +473,14 @@ fn since(now: FilterLedger, before: FilterLedger) -> FilterLedger {
     }
 }
 
-/// Run one injection experiment.
-pub(crate) fn run<S: System>(spec: &RunSpec<'_, S>) -> Run {
+/// Run one injection experiment, with `threads` threads for each evaluation
+/// sweep (a [`run_grid`] job passes its `eval_threads`).
+pub(crate) fn run<S: System>(spec: &RunSpec<'_, S>, threads: usize) -> Run {
     let scale = spec.scale;
     let seeds = SeedStream::new(spec.seed).derive_indexed(S::REP_LABEL, spec.rep);
     let matrix =
         KingLike::new(KingLikeConfig::with_nodes(spec.nodes)).generate(&mut seeds.rng("topo"));
     let mut sim = S::build(matrix, spec.config.clone(), &seeds);
-    let threads = eval_thread_budget(scale.repetitions);
     let (warmup, window, every) = S::schedule(scale);
     let mut plan_rng = seeds.rng("eval-plan");
     let mut plan = |nodes: &[usize]| {
@@ -612,14 +612,17 @@ pub(crate) fn run<S: System>(spec: &RunSpec<'_, S>) -> Run {
     }
 }
 
-/// [`run`] once per repetition of the spec's scale (`rep` = 0, 1, …), fanned
-/// out over the repetition pool, in repetition order.
-pub(crate) fn repeat<S: System>(spec: &RunSpec<'_, S>) -> Vec<Run> {
-    run_repetitions(spec.scale.repetitions, |rep| {
-        run(&RunSpec {
-            rep,
-            ..spec.clone()
-        })
+/// Every repetition of every spec (`rep` = 0, 1, … up to the spec's
+/// `scale.repetitions`) as one job grid on the worker pool: `runs[spec][rep]`.
+/// A figure declares all its cells and calls this once.
+pub(crate) fn repeat_all<S: System>(specs: &[RunSpec<'_, S>]) -> Vec<Vec<Run>> {
+    let reps_of: Vec<usize> = specs.iter().map(|s| s.scale.repetitions).collect();
+    run_grid(&reps_of, |job| {
+        let spec = RunSpec {
+            rep: job.rep,
+            ..specs[job.cell].clone()
+        };
+        run(&spec, job.eval_threads)
     })
 }
 
@@ -644,7 +647,7 @@ mod tests {
             defense: Some(&|_| Box::new(NoDefense)),
             ..bare.clone()
         };
-        let (bare, defended) = (run(&bare), run(&defended));
+        let (bare, defended) = (run(&bare, 1), run(&defended, 1));
         // Byte-identical trajectories: the NoDefense fast path perturbs
         // nothing, so every recorded series matches exactly.
         assert_eq!(bare.final_errors, defended.final_errors);
@@ -660,11 +663,14 @@ mod tests {
     #[test]
     fn vivaldi_run_produces_complete_record() {
         let scale = Scale::smoke();
-        let run = run(&RunSpec::<VivaldiSim> {
-            fraction: 0.3,
-            adversary: &plain(|| Box::new(VivaldiDisorder::default())),
-            ..RunSpec::new(&scale, 7)
-        });
+        let run = run(
+            &RunSpec::<VivaldiSim> {
+                fraction: 0.3,
+                adversary: &plain(|| Box::new(VivaldiDisorder::default())),
+                ..RunSpec::new(&scale, 7)
+            },
+            1,
+        );
         assert!(run.clean_series.len() >= 5);
         assert!(run.attack_series.len() >= 5);
         assert!(
@@ -692,15 +698,18 @@ mod tests {
         // the output instead — every recorded value finite, nothing empty.
         // Warm vs strict accuracy is bounded in vcoord-nps and vcoord-space.
         let scale = Scale::smoke();
-        let run = run(&RunSpec::<NpsSim> {
-            config: NpsConfig {
-                positioning: PositioningMode::Warm(ResumePolicy::default_warm()),
-                ..NpsConfig::default()
+        let run = run(
+            &RunSpec::<NpsSim> {
+                config: NpsConfig {
+                    positioning: PositioningMode::Warm(ResumePolicy::default_warm()),
+                    ..NpsConfig::default()
+                },
+                fraction: 0.3,
+                adversary: &plain(|| Box::new(NpsSimpleDisorder::default())),
+                ..RunSpec::new(&scale, 2006)
             },
-            fraction: 0.3,
-            adversary: &plain(|| Box::new(NpsSimpleDisorder::default())),
-            ..RunSpec::new(&scale, 2006)
-        });
+            1,
+        );
         // NPS draws attackers from the ordinary (non-landmark) population.
         let ordinary = scale.nodes - NpsConfig::default().landmarks;
         assert_eq!(run.attackers, (ordinary as f64 * 0.3).round() as usize);

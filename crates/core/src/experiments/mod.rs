@@ -2,10 +2,10 @@
 //! evaluation (§5).
 //!
 //! Every runner takes a [`Scale`] (quick vs full/paper scale) and a master
-//! seed, fans independent repetitions out over threads, and returns a
-//! [`FigureResult`] — a header plus numeric rows mirroring the series the
-//! paper plots. The `figures` binary in `vcoord-bench` prints/persists
-//! these; integration tests run them at tiny scale.
+//! seed, fans its (cell, repetition) jobs out over one pool of threads, and
+//! returns a [`FigureResult`] — a header plus numeric rows mirroring the
+//! series the paper plots. The `figures` binary in `vcoord-bench`
+//! prints/persists these; integration tests run them at tiny scale.
 //!
 //! See `DESIGN.md` for the figure-by-figure index and `EXPERIMENTS.md` for
 //! recorded paper-vs-measured outcomes.
@@ -185,101 +185,170 @@ pub fn average_series(series: &[TimeSeries]) -> TimeSeries {
     out
 }
 
-/// Run `repetitions` independent jobs on a bounded pool of worker threads
-/// and collect their results in repetition order. Used by every figure
-/// runner; CPU-bound work, so plain scoped threads (see DESIGN.md
+/// One job of a [`run_grid`] call: repetition `rep` of cell `cell`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GridJob {
+    /// Index of the cell in the grid.
+    pub cell: usize,
+    /// Repetition index within the cell.
+    pub rep: u64,
+    /// Threads the job may hand to nested sweeps (the [`EvalPlan`] snapshot
+    /// path): [`eval_thread_budget`] of the grid's job count.
+    ///
+    /// [`EvalPlan`]: vcoord_metrics::EvalPlan
+    pub eval_threads: usize,
+}
+
+/// Sets the grid's stop flag when its worker unwinds, so the surviving
+/// workers stop pulling jobs of a figure that has already failed.
+struct StopOnUnwind<'a>(&'a std::sync::atomic::AtomicBool);
+
+impl Drop for StopOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // Relaxed: the flag publishes no data, it only ends the loops.
+            self.0.store(true, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+}
+
+/// Run a whole figure's jobs — `reps_of[c]` repetitions of every cell `c` —
+/// on one bounded pool of worker threads and collect the results as
+/// `cells[c][rep]`. Every figure runner declares its cells and calls this
+/// once; CPU-bound work, so plain scoped threads (see DESIGN.md
 /// guide-conformance notes).
 ///
 /// The pool is capped at [`vcoord_metrics::worker_threads`] — the machine's
 /// available parallelism unless the `VCOORD_THREADS` override pins it (CI
 /// and benches set the override so runs are reproducible on any core
-/// count). Spawning one thread per repetition was fine at the paper's 10
-/// repetitions, but over-subscribes badly once sweeps multiply the job
-/// count. Workers pull repetition indices from a shared counter, so the cap
-/// costs nothing when `repetitions` is small.
+/// count) — and it is the only level of threads a figure has: cells are
+/// never fanned out around it. Workers pull jobs cell-major, rep-minor from
+/// a shared counter, so a sweep of many one-repetition cells keeps every
+/// worker as busy as one cell of many repetitions does.
 ///
 /// This is also the observability merge seam: when the `vcoord_obs` gated
 /// plane is on, each worker drains its thread-local recorder after every
-/// repetition (tagging the events with the repetition index) and the
-/// coordinator absorbs the reports *in repetition order* — so per-figure
-/// traces are byte-identical for any pool width, exactly like the figure
-/// CSVs themselves.
+/// job (tagging the events with the job's repetition index) and the
+/// coordinator absorbs the reports *in job order* — the order the cells
+/// would run in one after the other — so per-figure traces are
+/// byte-identical for any pool width, exactly like the figure CSVs
+/// themselves.
+///
+/// A panicking job stops the grid: the other workers finish the job they
+/// hold and pull no further one, and the panic is resumed on the caller
+/// with its original payload.
+pub fn run_grid<T, F>(reps_of: &[usize], f: F) -> Vec<Vec<T>>
+where
+    T: Send,
+    F: Fn(GridJob) -> T + Sync,
+{
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    let jobs: Vec<(usize, u64)> = reps_of
+        .iter()
+        .enumerate()
+        .flat_map(|(cell, &reps)| (0..reps as u64).map(move |rep| (cell, rep)))
+        .collect();
+    let workers = repetition_pool_width(jobs.len());
+    let eval_threads = eval_thread_budget(jobs.len());
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let mut done: Vec<Option<(T, Option<vcoord_obs::ObsReport>)>> =
+        jobs.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let (f, jobs, next, stop) = (&f, &jobs, &next, &stop);
+                scope.spawn(move || {
+                    let _stop = StopOnUnwind(stop);
+                    let mut finished = Vec::new();
+                    // Leftovers from earlier work on this pool thread must
+                    // not leak into the first job's report.
+                    if vcoord_obs::enabled() {
+                        vcoord_obs::reset();
+                    }
+                    while !stop.load(Ordering::Relaxed) {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(cell, rep)) = jobs.get(k) else {
+                            break;
+                        };
+                        let span = vcoord_obs::span(vcoord_obs::metric_id!("figure.rep_ns"));
+                        let value = f(GridJob {
+                            cell,
+                            rep,
+                            eval_threads,
+                        });
+                        drop(span);
+                        let report = vcoord_obs::enabled().then(|| {
+                            let mut r = vcoord_obs::drain();
+                            r.retag_rep(rep as i32);
+                            r
+                        });
+                        finished.push((k, value, report));
+                    }
+                    finished
+                })
+            })
+            .collect();
+        let mut panic = None;
+        for h in handles {
+            match h.join() {
+                Ok(finished) => {
+                    for (k, value, report) in finished {
+                        done[k] = Some((value, report));
+                    }
+                }
+                Err(payload) => {
+                    panic.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
+    });
+    let mut cells: Vec<Vec<T>> = reps_of
+        .iter()
+        .map(|&reps| Vec::with_capacity(reps))
+        .collect();
+    for (&(cell, _), job) in jobs.iter().zip(done) {
+        let (value, report) = job.expect("every job completed");
+        if let Some(report) = report {
+            vcoord_obs::absorb(report);
+        }
+        cells[cell].push(value);
+    }
+    cells
+}
+
+/// Run `repetitions` independent jobs on the worker pool and collect their
+/// results in repetition order: the one-cell case of [`run_grid`].
 pub fn run_repetitions<T, F>(repetitions: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(u64) -> T + Sync,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let workers = repetition_pool_width(repetitions);
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<T>> = (0..repetitions).map(|_| None).collect();
-    let mut reports: Vec<Option<vcoord_obs::ObsReport>> = (0..repetitions).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let f = &f;
-                let next = &next;
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    // Leftovers from earlier work on this pool thread must
-                    // not leak into the first repetition's report.
-                    if vcoord_obs::enabled() {
-                        vcoord_obs::reset();
-                    }
-                    loop {
-                        let rep = next.fetch_add(1, Ordering::Relaxed);
-                        if rep >= repetitions {
-                            break;
-                        }
-                        let span = vcoord_obs::span(vcoord_obs::metric_id!("figure.rep_ns"));
-                        let value = f(rep as u64);
-                        drop(span);
-                        let report = if vcoord_obs::enabled() {
-                            let mut r = vcoord_obs::drain();
-                            r.retag_rep(rep as i32);
-                            Some(r)
-                        } else {
-                            None
-                        };
-                        done.push((rep, value, report));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            for (rep, value, report) in h.join().expect("repetition worker panicked") {
-                results[rep] = Some(value);
-                reports[rep] = report;
-            }
-        }
-    });
-    for report in reports.into_iter().flatten() {
-        vcoord_obs::absorb(report);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("all repetitions completed"))
-        .collect()
+    run_grid(&[repetitions], |job| f(job.rep))
+        .pop()
+        .expect("one cell")
 }
 
-/// Width of the [`run_repetitions`] pool for `repetitions` jobs — the
-/// single source of truth shared with [`eval_thread_budget`].
-pub fn repetition_pool_width(repetitions: usize) -> usize {
-    vcoord_metrics::worker_threads().min(repetitions).max(1)
+/// Width of the [`run_grid`] pool for `jobs` jobs — the single source of
+/// truth shared with [`eval_thread_budget`].
+pub fn repetition_pool_width(jobs: usize) -> usize {
+    vcoord_metrics::worker_threads().min(jobs).max(1)
 }
 
-/// Leftover per-repetition thread budget for nested sweeps (the
-/// [`EvalPlan`] snapshot path) running *inside* a [`run_repetitions`]
-/// worker: the machine budget divided by the pool width, never zero.
-/// Handing each repetition the full budget instead would multiply pools —
-/// W×W scoped threads spawned per sample tick. The sweeps are bit-identical
+/// Leftover per-job thread budget for nested sweeps (the [`EvalPlan`]
+/// snapshot path) running *inside* a [`run_grid`] worker: the machine
+/// budget divided by the pool width of a grid of `jobs` jobs, never zero.
+/// Handing each job the full budget instead would multiply pools — W×W
+/// scoped threads spawned per sample tick. The sweeps are bit-identical
 /// for any worker count, so this is purely a scheduling choice.
 ///
 /// [`EvalPlan`]: vcoord_metrics::EvalPlan
-pub fn eval_thread_budget(repetitions: usize) -> usize {
-    (vcoord_metrics::worker_threads() / repetition_pool_width(repetitions)).max(1)
+pub fn eval_thread_budget(jobs: usize) -> usize {
+    (vcoord_metrics::worker_threads() / repetition_pool_width(jobs)).max(1)
 }
 
 #[cfg(test)]
@@ -358,6 +427,93 @@ mod tests {
             peak.load(Ordering::SeqCst) <= cap,
             "worker pool exceeded available parallelism: {} > {cap}",
             peak.load(Ordering::SeqCst)
+        );
+    }
+
+    #[test]
+    fn grid_returns_ragged_cells_in_repetition_order() {
+        let cells = run_grid(&[3, 0, 1, 2], |job| (job.cell, job.rep));
+        assert_eq!(
+            cells,
+            vec![
+                vec![(0, 0), (0, 1), (0, 2)],
+                vec![],
+                vec![(2, 0)],
+                vec![(3, 0), (3, 1)],
+            ]
+        );
+        assert_eq!(run_grid(&[], |job| job.rep), Vec::<Vec<u64>>::new());
+    }
+
+    #[test]
+    fn grid_splits_the_machine_between_live_jobs_and_their_sweeps() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        // A figure of 5 cells × 3 repetitions: the budget follows the 15
+        // jobs the pool actually runs, not the 3 repetitions of a cell.
+        let total = vcoord_metrics::worker_threads();
+        let width = repetition_pool_width(15);
+        let active = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let budgets = run_grid(&[3; 5], |job| {
+            let now = active.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            active.fetch_sub(1, Ordering::SeqCst);
+            job.eval_threads
+        });
+        assert!(peak.load(Ordering::SeqCst) <= total);
+        for threads in budgets.into_iter().flatten() {
+            assert_eq!(threads, (total / width).max(1));
+            assert!(width * threads <= total.max(1));
+        }
+    }
+
+    #[test]
+    fn panicking_job_stops_the_grid_and_keeps_its_message() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+        struct SetOnDrop<'a>(&'a AtomicBool);
+        impl Drop for SetOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+
+        let width = repetition_pool_width(40);
+        let started = AtomicUsize::new(0);
+        let unwinding = AtomicBool::new(false);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_repetitions(40, |rep| {
+                started.fetch_add(1, Ordering::SeqCst);
+                if rep == 2 {
+                    let _unwinding = SetOnDrop(&unwinding);
+                    panic!("job 2 of 40 failed");
+                }
+                if rep > 2 {
+                    // Held until job 2 (pulled earlier, so it is running)
+                    // unwinds: every job from 3 on is one the other
+                    // workers started although the figure had failed.
+                    while !unwinding.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            })
+        }));
+        let payload = outcome.expect_err("the panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"job 2 of 40 failed"),
+            "the original payload, not a join error"
+        );
+        // Each surviving worker finishes the job it holds and can have
+        // passed the stop check once more before the flag went up.
+        let further = started.load(Ordering::SeqCst) - 3;
+        assert!(
+            further < 2 * width,
+            "{further} jobs started after the panic on a {width}-wide pool"
         );
     }
 

@@ -6,9 +6,10 @@
 use crate::attacks::nps::{
     NpsAntiDetection, NpsCollusionIsolation, NpsCombined, NpsSimpleDisorder,
 };
-use crate::experiments::harness::{honest, plain, repeat, Adversary, Choice, Run, RunSpec};
+use crate::experiments::harness::{honest, plain, repeat_all, Adversary, Choice, Run, RunSpec};
 use crate::experiments::shapes::{
-    attacked_err, cdf_by_fraction, cdf_rows, mean_of, mean_series, pct, pooled_cdf, series_rows,
+    attacked_err, cdf_by_fraction, cdf_rows, cross, mean_of, mean_series, pct, pooled_cdf,
+    series_rows,
 };
 use crate::experiments::{FigureResult, Scale};
 use crate::knowledge::Knowledge;
@@ -56,19 +57,21 @@ fn collusion(sim: &NpsSim, attackers: &[usize], seeds: &SeedStream) -> Choice {
     (Box::new(adv), Some(pool))
 }
 
-fn runs_for(
-    scale: &Scale,
+/// One scenario: `fraction` of the `config` system's ordinary nodes turn to
+/// `adversary`.
+fn scenario<'a>(
+    scale: &'a Scale,
     config: NpsConfig,
     fraction: f64,
     seed: u64,
-    adversary: &Attack,
-) -> Vec<Run> {
-    repeat(&RunSpec {
+    adversary: &'a Attack<'a>,
+) -> RunSpec<'a, NpsSim> {
+    RunSpec {
         config,
         fraction,
         adversary,
         ..RunSpec::new(scale, seed)
-    })
+    }
 }
 
 /// The default system with the security filter switched on or off (the
@@ -101,20 +104,23 @@ fn error_vs_time(
     adversary: &Attack,
 ) -> FigureResult {
     let mut fig = FigureResult::new(id, title, vec!["round".to_string()]);
+    let cells: Vec<_> = cross(fractions, configs).collect();
+    let specs: Vec<_> = cells
+        .iter()
+        .map(|&(&f, (_, config))| scenario(scale, config.clone(), f, seed, adversary))
+        .collect();
+    let runs = repeat_all(&specs);
     let mut all_series = Vec::new();
-    for &f in fractions {
-        for (label, config) in configs {
-            fig.columns.push(format!("err_{}pct_{label}", pct(f)));
-            let runs = runs_for(scale, config.clone(), f, seed, adversary);
-            let avg = mean_series(&runs, |r| r.attack_series.clone());
-            fig.notes.push(format!(
-                "{}% {label}: clean {:.2} -> attacked {:.2}",
-                pct(f),
-                mean_of(&runs, |r| r.clean_ref),
-                avg.tail_mean(3)
-            ));
-            all_series.push(avg);
-        }
+    for (&(&f, (label, _)), runs) in cells.iter().zip(&runs) {
+        fig.columns.push(format!("err_{}pct_{label}", pct(f)));
+        let avg = mean_series(runs, |r| r.attack_series.clone());
+        fig.notes.push(format!(
+            "{}% {label}: clean {:.2} -> attacked {:.2}",
+            pct(f),
+            mean_of(runs, |r| r.clean_ref),
+            avg.tail_mean(3)
+        ));
+        all_series.push(avg);
     }
     fig.rows = series_rows(&all_series);
     fig
@@ -140,19 +146,23 @@ pub fn fig15(scale: &Scale, seed: u64) -> FigureResult {
         "Injection of independent Disorder attackers on NPS: CDF",
         vec!["quantile".to_string()],
     );
+    let cells: Vec<_> = cross(&[0.20, 0.40], &[("off", false), ("on", true)]).collect();
+    let adversary = plain(disorder);
+    let specs: Vec<_> = cells
+        .iter()
+        .map(|&(&f, &(_, security))| scenario(scale, with_security(security), f, seed, &adversary))
+        .collect();
+    let runs = repeat_all(&specs);
     let mut cdfs = Vec::new();
-    for f in [0.20, 0.40] {
-        for (label, security) in [("off", false), ("on", true)] {
-            fig.columns.push(format!("err_{}pct_sec_{label}", pct(f)));
-            let runs = runs_for(scale, with_security(security), f, seed, &plain(disorder));
-            let cdf = pooled_cdf(&runs);
-            fig.notes.push(format!(
-                "{}% sec={label}: median {:.2}",
-                pct(f),
-                cdf.median()
-            ));
-            cdfs.push(cdf);
-        }
+    for (&(&f, &(label, _)), runs) in cells.iter().zip(&runs) {
+        fig.columns.push(format!("err_{}pct_sec_{label}", pct(f)));
+        let cdf = pooled_cdf(runs);
+        fig.notes.push(format!(
+            "{}% sec={label}: median {:.2}",
+            pct(f),
+            cdf.median()
+        ));
+        cdfs.push(cdf);
     }
     fig.rows = cdf_rows(&cdfs);
     fig
@@ -169,16 +179,22 @@ pub fn fig16(scale: &Scale, seed: u64) -> FigureResult {
         "Injection of independent Disorder attackers on NPS: impact of dimensionality",
         columns,
     );
-    for (k, &f) in fractions.iter().enumerate() {
-        let mut row = vec![f * 100.0];
-        for d in dims {
+    let adversary = plain(disorder);
+    let specs: Vec<_> = cross(&fractions, &dims)
+        .map(|(&f, &d)| {
             let config = NpsConfig::in_space(Space::Euclidean(d));
-            let runs = runs_for(scale, config, f, seed, &plain(disorder));
-            row.push(attacked_err(&runs));
+            scenario(scale, config, f, seed, &adversary)
+        })
+        .collect();
+    let runs = repeat_all(&specs);
+    for (k, (&f, per_dim)) in fractions.iter().zip(runs.chunks(dims.len())).enumerate() {
+        let mut row = vec![f * 100.0];
+        for (d, runs) in dims.iter().zip(per_dim) {
+            row.push(attacked_err(runs));
             if k == 0 {
                 fig.notes.push(format!(
                     "{d}D clean error {:.2}",
-                    mean_of(&runs, |r| r.clean_ref)
+                    mean_of(runs, |r| r.clean_ref)
                 ));
             }
         }
@@ -315,20 +331,23 @@ fn knowledge_sweep(
     let mut columns = vec!["fraction_pct".to_string()];
     columns.extend(knowledges.iter().map(|k| format!("p{}", k.probability())));
     let mut fig = FigureResult::new(id, title, columns);
-    for &f in &fractions {
+    let adversaries = knowledges.map(|k| plain(move || anti_detection(k, sophisticated)));
+    let specs: Vec<_> = cross(&fractions, &adversaries)
+        .map(|(&f, a)| scenario(scale, NpsConfig::default(), f, seed, a))
+        .collect();
+    let runs = repeat_all(&specs);
+    for (&f, per_knowledge) in fractions.iter().zip(runs.chunks(knowledges.len())) {
         let mut row = vec![f * 100.0];
-        for &k in &knowledges {
-            let adversary = plain(move || anti_detection(k, sophisticated));
-            let runs = runs_for(scale, NpsConfig::default(), f, seed, &adversary);
+        for (&k, runs) in knowledges.iter().zip(per_knowledge) {
             row.push(match metric {
-                KnowledgeMetric::ErrorRatio => mean_of(&runs, |r| {
+                KnowledgeMetric::ErrorRatio => mean_of(runs, |r| {
                     r.attack_series.tail_mean(3) / r.clean_ref.max(1e-9)
                 }),
                 KnowledgeMetric::FilteredMaliciousRatio => {
                     // Pool filter events over repetitions (single runs may
                     // have few events).
                     let mut pooled = FilterLedger::new();
-                    for r in &runs {
+                    for r in runs {
                         pooled.merge(&r.ledger);
                     }
                     fig.notes.push(format!(
@@ -383,12 +402,15 @@ fn collusion_cdf(id: &str, layers: usize, scale: &Scale, seed: u64) -> FigureRes
 /// Figure 25 — colluding isolation: propagation of errors across layers
 /// (layer-2 victims vs layer-3 nodes, clean vs 20 % corrupted).
 pub fn fig25(scale: &Scale, seed: u64) -> FigureResult {
-    // Corrupted 3-layer and 4-layer systems.
-    let r3 = runs_for(scale, NpsConfig::with_layers(3), 0.20, seed, &collusion);
-    let r4 = runs_for(scale, NpsConfig::with_layers(4), 0.20, seed, &collusion);
-    // Clean references: no attackers, the same injection instant.
-    let c3 = runs_for(scale, NpsConfig::with_layers(3), 0.0, seed, &honest);
-    let c4 = runs_for(scale, NpsConfig::with_layers(4), 0.0, seed, &honest);
+    let runs = repeat_all(&[
+        // Corrupted 3-layer and 4-layer systems.
+        scenario(scale, NpsConfig::with_layers(3), 0.20, seed, &collusion),
+        scenario(scale, NpsConfig::with_layers(4), 0.20, seed, &collusion),
+        // Clean references: no attackers, the same injection instant.
+        scenario(scale, NpsConfig::with_layers(3), 0.0, seed, &honest),
+        scenario(scale, NpsConfig::with_layers(4), 0.0, seed, &honest),
+    ]);
+    let (r3, r4, c3, c4) = (&runs[0], &runs[1], &runs[2], &runs[3]);
 
     let layer_avg = |runs: &[Run], layer: u8| -> f64 {
         let tails: Vec<f64> = runs
@@ -400,32 +422,20 @@ pub fn fig25(scale: &Scale, seed: u64) -> FigureResult {
     };
 
     let rows = vec![
-        vec![
-            3.0,
-            2.0,
-            layer_avg(&c3, 2),
-            layer_avg(&r3, 2),
-            victim_err(&r3),
-        ],
-        vec![
-            4.0,
-            2.0,
-            layer_avg(&c4, 2),
-            layer_avg(&r4, 2),
-            victim_err(&r4),
-        ],
-        vec![4.0, 3.0, layer_avg(&c4, 3), layer_avg(&r4, 3), f64::NAN],
+        vec![3.0, 2.0, layer_avg(c3, 2), layer_avg(r3, 2), victim_err(r3)],
+        vec![4.0, 2.0, layer_avg(c4, 2), layer_avg(r4, 2), victim_err(r4)],
+        vec![4.0, 3.0, layer_avg(c4, 3), layer_avg(r4, 3), f64::NAN],
     ];
     let notes = vec![
         format!(
             "layer-2 victim error similar across structures: 3L {:.2} vs 4L {:.2}",
-            victim_err(&r3),
-            victim_err(&r4)
+            victim_err(r3),
+            victim_err(r4)
         ),
         format!(
             "layer-3 amplification in 4-layer system: clean {:.2} -> attacked {:.2}",
-            layer_avg(&c4, 3),
-            layer_avg(&r4, 3)
+            layer_avg(c4, 3),
+            layer_avg(r4, 3)
         ),
     ];
     FigureResult {

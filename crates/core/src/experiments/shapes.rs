@@ -9,7 +9,9 @@
 //! * [`LevelSweep`] — one-parameter sweeps tabulated against their first
 //!   level, and its *recovery sweep* over fault plans (`chaos-*`).
 
-use crate::experiments::harness::{plain, repeat, DefenseOutcome, Run, RunSpec, System};
+use crate::experiments::harness::{
+    plain, repeat_all, DefenseOutcome, Faults, Run, RunSpec, System,
+};
 use crate::experiments::{average_series, FigureResult};
 use vcoord_attackkit::AttackStrategy;
 use vcoord_chaos::{ChaosCounters, ChaosPlan};
@@ -20,6 +22,16 @@ use vcoord_metrics::{Cdf, Confusion, TimeSeries};
 /// notes print.
 pub(crate) fn pct(fraction: f64) -> u32 {
     (fraction * 100.0).round() as u32
+}
+
+/// Every `(row, column)` pair, row-major: the cell order of a two-axis
+/// sweep, which `chunks(columns.len())` reads back row by row.
+pub(crate) fn cross<'a, A, B>(
+    rows: &'a [A],
+    columns: &'a [B],
+) -> impl Iterator<Item = (&'a A, &'a B)> + 'a {
+    rows.iter()
+        .flat_map(move |row| columns.iter().map(move |column| (row, column)))
 }
 
 /// Mean of `value` over one scenario's repetitions.
@@ -85,15 +97,19 @@ pub(crate) fn cdf_by_fraction<S: System>(
     note: impl Fn(u32, &[Run], &Cdf) -> String,
 ) -> FigureResult {
     let mut fig = FigureResult::new(id, title, vec!["quantile".to_string()]);
-    let mut cdfs = Vec::new();
-    for &fraction in fractions {
-        fig.columns.push(format!("err_{}pct", pct(fraction)));
-        let runs = repeat(&RunSpec {
+    let specs: Vec<_> = fractions
+        .iter()
+        .map(|&fraction| RunSpec {
             fraction,
             ..base.clone()
-        });
-        let cdf = pooled_cdf(&runs);
-        fig.notes.push(note(pct(fraction), &runs, &cdf));
+        })
+        .collect();
+    let runs = repeat_all(&specs);
+    let mut cdfs = Vec::new();
+    for (&fraction, runs) in fractions.iter().zip(&runs) {
+        fig.columns.push(format!("err_{}pct", pct(fraction)));
+        let cdf = pooled_cdf(runs);
+        fig.notes.push(note(pct(fraction), runs, &cdf));
         cdfs.push(cdf);
     }
     fig.rows = cdf_rows(&cdfs);
@@ -129,9 +145,12 @@ pub(crate) struct Cell {
 }
 
 impl Cell {
-    /// Every repetition of `spec`, reduced.
-    pub fn run<S: System>(spec: &RunSpec<'_, S>) -> Cell {
-        Cell::of(&repeat(spec))
+    /// Every repetition of every spec as one job grid, reduced per spec.
+    pub fn all<S: System>(specs: &[RunSpec<'_, S>]) -> Vec<Cell> {
+        repeat_all(specs)
+            .iter()
+            .map(|runs| Cell::of(runs))
+            .collect()
     }
 
     pub fn of(runs: &[Run]) -> Cell {
@@ -201,13 +220,27 @@ pub(crate) struct Matrix<'a, S: System> {
 }
 
 impl<S: System> Matrix<'_, S> {
-    /// One (attack × defense) cell, merged across repetitions.
-    pub fn cell(&self, attack: &str, defense: &str) -> Cell {
-        Cell::run(&RunSpec {
-            adversary: &plain(|| (self.attack_by)(attack)),
-            defense: Some(&|sim| (self.defense_by)(defense, sim)),
-            ..self.base.clone()
-        })
+    /// The (attack × defense) cells, attack-major, as one job grid.
+    pub fn cells(&self) -> Vec<Cell> {
+        let (attack_by, defense_by) = (self.attack_by, self.defense_by);
+        let attacks: Vec<_> = self
+            .attacks
+            .iter()
+            .map(|&attack| plain(move || attack_by(attack)))
+            .collect();
+        let defenses: Vec<_> = self
+            .defenses
+            .iter()
+            .map(|&defense| move |sim: &S| defense_by(defense, sim))
+            .collect();
+        let specs: Vec<_> = cross(&attacks, &defenses)
+            .map(|(attack, defense)| RunSpec {
+                adversary: attack,
+                defense: Some(defense),
+                ..self.base.clone()
+            })
+            .collect();
+        Cell::all(&specs)
     }
 
     pub fn figure(&self) -> FigureResult {
@@ -217,18 +250,15 @@ impl<S: System> Matrix<'_, S> {
             fig.columns
                 .extend(defenses.map(|d| format!("{prefix}_{d}")));
         }
-        for (a_idx, attack) in self.attacks.iter().enumerate() {
-            let cells: Vec<Cell> = self
-                .defenses
-                .iter()
-                .map(|defense| self.cell(attack, defense))
-                .collect();
+        let cells = self.cells();
+        let rows = cells.chunks(self.defenses.len());
+        for (a_idx, (attack, cells)) in self.attacks.iter().zip(rows).enumerate() {
             let mut row = vec![a_idx as f64];
             for (_, skip, value) in self.blocks {
                 row.extend(cells.iter().skip(*skip).map(value));
             }
             fig.rows.push(row);
-            fig.notes.push((self.note)(attack, &cells));
+            fig.notes.push((self.note)(attack, cells));
         }
         fig
     }
@@ -253,22 +283,20 @@ pub(crate) struct LevelSweep<'a> {
 }
 
 impl LevelSweep<'_> {
-    /// The figure whose level cells are `cell(level)`.
-    pub fn figure(&self, cell: impl Fn(f64) -> Cell) -> FigureResult {
+    /// The figure whose level cells are the repetitions of `specs`, one
+    /// spec per level, run as one job grid.
+    pub fn figure<S: System>(&self, specs: &[RunSpec<'_, S>]) -> FigureResult {
         let mut columns = vec!["point_idx".to_string(), self.level_column.to_string()];
         columns.extend(self.columns.iter().map(|(name, _)| name.to_string()));
         let mut fig = FigureResult::new(self.id, self.title, columns);
-        let mut baseline = f64::NAN;
-        for (i, &level) in self.levels.iter().enumerate() {
-            let cell = cell(level);
-            if i == 0 {
-                baseline = cell.err.max(1e-9);
-            }
+        let cells = Cell::all(specs);
+        let baseline = cells[0].err.max(1e-9);
+        for (i, (&level, cell)) in self.levels.iter().zip(&cells).enumerate() {
             let ratio = cell.err / baseline;
             let mut row = vec![i as f64, level];
-            row.extend(self.columns.iter().map(|(_, value)| value(&cell, ratio)));
+            row.extend(self.columns.iter().map(|(_, value)| value(cell, ratio)));
             fig.rows.push(row);
-            fig.notes.push((self.note)(level, &cell, ratio));
+            fig.notes.push((self.note)(level, cell, ratio));
         }
         fig
     }
@@ -282,12 +310,20 @@ impl LevelSweep<'_> {
         base: &RunSpec<'_, S>,
         plan: &(dyn Fn(f64, &S) -> ChaosPlan + Sync),
     ) -> FigureResult {
-        self.figure(|level| {
-            let plan = |sim: &S| plan(level, sim);
-            Cell::run(&RunSpec {
-                chaos: if level > 0.0 { Some(&plan) } else { None },
+        let plans: Vec<_> = self
+            .levels
+            .iter()
+            .map(|&level| move |sim: &S| plan(level, sim))
+            .collect();
+        let specs: Vec<_> = self
+            .levels
+            .iter()
+            .zip(&plans)
+            .map(|(&level, plan)| RunSpec {
+                chaos: (level > 0.0).then_some(plan as &Faults<'_, S>),
                 ..base.clone()
             })
-        })
+            .collect();
+        self.figure(&specs)
     }
 }

@@ -7,9 +7,10 @@
 use crate::attacks::vivaldi::{
     VivaldiCollusionLure, VivaldiCollusionRepel, VivaldiCombined, VivaldiDisorder, VivaldiRepulsion,
 };
-use crate::experiments::harness::{plain, repeat, Adversary, Choice, Run, RunSpec};
+use crate::experiments::harness::{plain, repeat_all, Adversary, Choice, Run, RunSpec};
 use crate::experiments::shapes::{
-    attacked_err, cdf_by_fraction, cdf_rows, mean_of, mean_series, pct, pooled_cdf, series_rows,
+    attacked_err, cdf_by_fraction, cdf_rows, cross, mean_of, mean_series, pct, pooled_cdf,
+    series_rows,
 };
 use crate::experiments::{FigureResult, Scale};
 use rand::seq::SliceRandom;
@@ -68,22 +69,23 @@ fn collusion_lure(sim: &VivaldiSim, attackers: &[usize], seeds: &SeedStream) -> 
     )
 }
 
-/// Run `repetitions` of a scenario and return the runs.
-fn runs_for(
-    scale: &Scale,
+/// One scenario: `fraction` of `nodes` nodes embedded in `space` turn to
+/// `adversary`.
+fn scenario<'a>(
+    scale: &'a Scale,
     space: Space,
     nodes: usize,
     fraction: f64,
     seed: u64,
-    adversary: &Attack,
-) -> Vec<Run> {
-    repeat(&RunSpec {
+    adversary: &'a Attack<'a>,
+) -> RunSpec<'a, VivaldiSim> {
+    RunSpec {
         config: VivaldiConfig::in_space(space),
         nodes,
         fraction,
         adversary,
         ..RunSpec::new(scale, seed)
-    })
+    }
 }
 
 /// Ratio-vs-time figure over a set of fractions (figures 1, 9, 12).
@@ -96,16 +98,20 @@ fn ratio_vs_time(
     adversary: &Attack,
 ) -> FigureResult {
     let mut fig = FigureResult::new(id, title, vec!["tick".to_string()]);
+    let specs: Vec<_> = fractions
+        .iter()
+        .map(|&f| scenario(scale, Space::Euclidean(2), scale.nodes, f, seed, adversary))
+        .collect();
+    let runs = repeat_all(&specs);
     let mut per_fraction = Vec::new();
-    for &f in fractions {
+    for (&f, runs) in fractions.iter().zip(&runs) {
         fig.columns.push(format!("ratio_{}pct", pct(f)));
-        let runs = runs_for(scale, Space::Euclidean(2), scale.nodes, f, seed, adversary);
-        let avg = mean_series(&runs, |r| r.attack_series.ratio_to(r.clean_ref));
+        let avg = mean_series(runs, |r| r.attack_series.ratio_to(r.clean_ref));
         fig.notes.push(format!(
             "{}% malicious: final ratio {:.1} (random-system ratio ≈ {:.0})",
             pct(f),
             avg.tail_mean(3),
-            mean_of(&runs, |r| r.random_baseline / r.clean_ref.max(1e-9))
+            mean_of(runs, |r| r.random_baseline / r.clean_ref.max(1e-9))
         ));
         per_fraction.push(avg);
     }
@@ -156,13 +162,16 @@ fn dimension_sweep(
     columns.extend(spaces.iter().map(|s| format!("err_{}", s.label())));
     columns.extend(spaces.iter().map(|s| format!("rand_{}", s.label())));
     let mut fig = FigureResult::new(id, title, columns);
-    for (k, &f) in fractions.iter().enumerate() {
+    let specs: Vec<_> = cross(&fractions, &spaces)
+        .map(|(&f, &space)| scenario(scale, space, scale.nodes, f, seed, adversary))
+        .collect();
+    let runs = repeat_all(&specs);
+    for (k, (&f, per_space)) in fractions.iter().zip(runs.chunks(spaces.len())).enumerate() {
         let mut row = vec![f * 100.0];
         let mut rands = Vec::new();
-        for &space in &spaces {
-            let runs = runs_for(scale, space, scale.nodes, f, seed, adversary);
-            let err = attacked_err(&runs);
-            let rand = mean_of(&runs, |r| r.random_baseline);
+        for (&space, runs) in spaces.iter().zip(per_space) {
+            let err = attacked_err(runs);
+            let rand = mean_of(runs, |r| r.random_baseline);
             row.push(err);
             rands.push(rand);
             // The accuracy/vulnerability trade-off, read off the lowest
@@ -171,7 +180,7 @@ fn dimension_sweep(
                 fig.notes.push(format!(
                     "{}: clean {:.3}, attacked@10% {:.2}, random {:.0}",
                     space.label(),
-                    mean_of(&runs, |r| r.clean_ref),
+                    mean_of(runs, |r| r.clean_ref),
                     err,
                     rand
                 ));
@@ -200,12 +209,13 @@ fn size_sweep(
     let mut columns = vec!["system_size".to_string()];
     columns.extend(fractions.iter().map(|&f| format!("err_{}pct", pct(f))));
     let mut fig = FigureResult::new(id, title, columns);
-    for &n in &sizes {
+    let specs: Vec<_> = cross(&sizes, fractions)
+        .map(|(&n, &f)| scenario(scale, Space::Euclidean(2), n, f, seed, adversary))
+        .collect();
+    let errs: Vec<f64> = repeat_all(&specs).iter().map(|r| attacked_err(r)).collect();
+    for (&n, errs) in sizes.iter().zip(errs.chunks(fractions.len())) {
         let mut row = vec![n as f64];
-        for &f in fractions {
-            let runs = runs_for(scale, Space::Euclidean(2), n, f, seed, adversary);
-            row.push(attacked_err(&runs));
-        }
+        row.extend(errs);
         fig.rows.push(row);
     }
     let (first, last) = (&fig.rows[0], &fig.rows[sizes.len() - 1]);
@@ -304,15 +314,17 @@ pub fn fig07(scale: &Scale, seed: u64) -> FigureResult {
         "Injected Repulsion attack on subsets of target nodes",
         columns,
     );
-    for &f in &fractions {
+    let adversaries = shares.map(|s| {
+        let subset = ((scale.nodes as f64) * s).round() as usize;
+        plain(move || Box::new(VivaldiRepulsion::with_subset(50_000.0, subset)))
+    });
+    let specs: Vec<_> = cross(&fractions, &adversaries)
+        .map(|(&f, a)| scenario(scale, Space::Euclidean(2), scale.nodes, f, seed, a))
+        .collect();
+    let errs: Vec<f64> = repeat_all(&specs).iter().map(|r| attacked_err(r)).collect();
+    for (&f, errs) in fractions.iter().zip(errs.chunks(shares.len())) {
         let mut row = vec![f * 100.0];
-        for &s in &shares {
-            let subset = ((scale.nodes as f64) * s).round() as usize;
-            let adversary =
-                plain(move || Box::new(VivaldiRepulsion::with_subset(50_000.0, subset)));
-            let runs = runs_for(scale, Space::Euclidean(2), scale.nodes, f, seed, &adversary);
-            row.push(attacked_err(&runs));
-        }
+        row.extend(errs);
         fig.rows.push(row);
     }
     fig.notes
@@ -346,17 +358,19 @@ pub fn fig09(scale: &Scale, seed: u64) -> FigureResult {
 
 /// Both isolation strategies at 30 % malicious, in strategy order
 /// (1: repel the world, 2: lure the target).
-fn isolation_runs(scale: &Scale, seed: u64) -> [Vec<Run>; 2] {
-    [&collusion_repel as &Attack, &collusion_lure].map(|adversary| {
-        runs_for(
-            scale,
-            Space::Euclidean(2),
-            scale.nodes,
-            0.30,
-            seed,
-            adversary,
-        )
-    })
+fn isolation_runs(scale: &Scale, seed: u64) -> Vec<Vec<Run>> {
+    repeat_all(
+        &[&collusion_repel as &Attack, &collusion_lure].map(|adversary| {
+            scenario(
+                scale,
+                Space::Euclidean(2),
+                scale.nodes,
+                0.30,
+                seed,
+                adversary,
+            )
+        }),
+    )
 }
 
 /// Figure 10 — colluding isolation: the target's relative error over time,
@@ -387,7 +401,10 @@ pub fn fig10(scale: &Scale, seed: u64) -> FigureResult {
 /// Figure 11 — colluding isolation: CDF of relative errors under both
 /// strategies.
 pub fn fig11(scale: &Scale, seed: u64) -> FigureResult {
-    let cdfs = isolation_runs(scale, seed).map(|runs| pooled_cdf(&runs));
+    let cdfs: Vec<_> = isolation_runs(scale, seed)
+        .iter()
+        .map(|runs| pooled_cdf(runs))
+        .collect();
     let notes = vec![format!(
         "system-wide median error: strategy1 {:.2}, strategy2 {:.2} (strategy 1 distorts the whole space)",
         cdfs[0].median(),

@@ -284,9 +284,13 @@ impl DefenseStrategy for EwmaChangePoint {
 /// the access-link/height effect) pulls its observers radially, the
 /// directions cancel, and the cap stays silent; frog-boiling must pull
 /// every victim along the shared collusion axis, so its mean survives at
-/// full gap magnitude, *no matter how small its per-round step* — the
-/// integrated lag, not the step size, is what trips this cap. Tripped
-/// neighbors are banned outright.
+/// full gap magnitude — the integrated lag, not the size of any one
+/// step, is what trips this cap. The cap is also its own floor: a drag
+/// whose lag settles below `max_drag_ms` is tolerated by construction
+/// (at the default 80 ms, victims follow at ≈ 2.4 ms/tick, so a colluder
+/// stepping below ~3 ms/round is flagged late or not at all — see
+/// `arms-evasion-roc` and EXPERIMENTS.md, "Drift-cap detection floor").
+/// Tripped neighbors are banned outright.
 #[derive(Debug, Clone)]
 pub struct DriftCap {
     /// Largest sustained mean-pull norm tolerated, ms per sample.

@@ -3,7 +3,7 @@
 //! so both directions are hand-rolled against the small fixed schema
 //! documented in the crate root).
 
-use crate::record::{ObsReport, NO_NODE};
+use crate::record::{HistData, ObsReport, NO_NODE};
 use crate::registry::metric_name;
 
 /// Version stamped into every `meta` line. Schema 2 added the
@@ -71,10 +71,25 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Render `report` as JSONL: the `meta` line, counters, histograms, then
-/// events in recording order. `f64` payloads use Rust's shortest
+/// Render `report` as JSONL: the `meta` line, counters and histograms each
+/// in metric-name order, then events in recording order. Metric ids are
+/// handed out on first use, which races between worker threads and depends
+/// on what the process ran before — names do not, so the bytes are a
+/// function of the report alone. `f64` payloads use Rust's shortest
 /// round-trippable formatting, so parse-then-render is lossless.
 pub fn render_jsonl(meta: &TraceMeta, report: &ObsReport) -> String {
+    let mut counters: Vec<(&str, u64)> = report
+        .counters()
+        .iter()
+        .map(|&(id, value)| (metric_name(id), value))
+        .collect();
+    counters.sort_unstable_by_key(|&(name, _)| name);
+    let mut hists: Vec<(&str, &HistData)> = report
+        .hists()
+        .iter()
+        .map(|(id, h)| (metric_name(*id), h))
+        .collect();
+    hists.sort_unstable_by_key(|&(name, _)| name);
     let mut out = String::new();
     out.push_str(&format!(
         "{{\"type\":\"meta\",\"schema\":{},\"run\":\"{}\",\"fig\":\"{}\",\"seed\":{},\"scale\":\"{}\"}}\n",
@@ -84,17 +99,17 @@ pub fn render_jsonl(meta: &TraceMeta, report: &ObsReport) -> String {
         meta.seed,
         json_escape(&meta.scale),
     ));
-    for &(id, value) in report.counters() {
+    for (name, value) in counters {
         out.push_str(&format!(
             "{{\"type\":\"counter\",\"metric\":\"{}\",\"value\":{value}}}\n",
-            json_escape(metric_name(id)),
+            json_escape(name),
         ));
     }
-    for (id, h) in report.hists() {
+    for (name, h) in hists {
         let (p50, p90, p95, p99) = h.percentiles();
         out.push_str(&format!(
             "{{\"type\":\"hist\",\"metric\":\"{}\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{p50},\"p90\":{p90},\"p95\":{p95},\"p99\":{p99}}}\n",
-            json_escape(metric_name(*id)),
+            json_escape(name),
             h.count,
             h.sum,
             h.min,
@@ -338,9 +353,12 @@ mod tests {
         let a = metric("test.export.counter");
         let b = metric("test.export.hist");
         let c = metric("test.export.event");
+        // Registered after `a` (larger id), named before it.
+        let early = metric("test.export.a_counter");
         set_mode(ObsMode::Trace);
         reset();
         counter_add(a, 42);
+        counter_add(early, 1);
         observe(b, 1.5);
         observe(b, 2.25);
         event(c, 7, 3, 0.125);
@@ -394,6 +412,11 @@ mod tests {
             node: None,
             value: -1.0
         }));
+        // Counter lines come in name order, not in registration order.
+        assert!(
+            text.find("test.export.a_counter") < text.find("test.export.counter"),
+            "{text}"
+        );
         // Render of the parse is byte-identical (lossless f64 formatting).
         assert_eq!(render_jsonl(&meta, &report), text);
     }

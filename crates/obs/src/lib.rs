@@ -51,7 +51,9 @@
 //! The `meta` line is always first. `rep` is the repetition index (`-1`
 //! outside any repetition), `round` the simulation round, `node` a node id
 //! or `null` ([`NO_NODE`]), `value` a metric-specific payload. Counter and
-//! hist lines summarize the whole run; event lines are the per-round
+//! hist lines summarize the whole run, each block in metric-name order
+//! (metric ids are handed out on first use, which depends on thread timing
+//! and on what the process ran earlier); event lines are the per-round
 //! trace, in recording order. Trace files are **byte-deterministic** in
 //! `(run, fig, seed, scale)`: the meta line carries no wall-clock fields,
 //! and exporters call [`ObsReport::strip_timings`] so wall-clock
