@@ -63,6 +63,8 @@
 //! assert!(lie.delay_ms >= 0.0, "delay-only threat model");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod collusion;
 pub mod scenario;

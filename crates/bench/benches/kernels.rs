@@ -14,9 +14,7 @@ use vcoord::metrics::EvalPlan;
 use vcoord::netsim::SeedStream;
 use vcoord::obs::testing::{allocations, CountingAllocator};
 use vcoord::space::simplex::oracle::simplex_downhill_reference;
-use vcoord::space::{
-    dist_batch, dist_batch_scalar, simplex_downhill_scratch, Coord, SimplexScratch, Space,
-};
+use vcoord::space::{dist_batch, simplex_downhill_scratch, Coord, SimplexScratch, Space};
 use vcoord::topo::{KingLike, KingLikeConfig};
 use vcoord::vivaldi::node::vivaldi_update;
 
@@ -120,11 +118,8 @@ fn bench_netsim_queue(c: &mut Criterion) {
 }
 
 fn bench_lanes(c: &mut Criterion) {
-    // The batched SoA distance kernel against its scalar reference, at the
-    // shape the EvalPlan sweep feeds it (one anchor against a contiguous
-    // peer-row block). The pairs are bitwise-equal by construction (pinned
-    // in crates/space/tests/lane_properties.rs); the only question here is
-    // speed, so read the trimmed/median columns, not the raw mean.
+    // The batched SoA distance kernel at the shape the EvalPlan sweep
+    // feeds it (one anchor against a contiguous peer-row block).
     let mut group = c.benchmark_group("dist_batch");
     let mut rng = ChaCha12Rng::seed_from_u64(9);
     for (dim, pairs) in [(2usize, 96usize), (8, 96)] {
@@ -133,12 +128,8 @@ fn bench_lanes(c: &mut Criterion) {
             .map(|_| rng.gen_range(-200.0..200.0))
             .collect();
         let mut out = vec![0.0; pairs];
-        group.bench_function(format!("{dim}D_{pairs}pairs_dispatch"), |b| {
+        group.bench_function(format!("{dim}D_{pairs}pairs"), |b| {
             b.iter(|| dist_batch(black_box(&a), black_box(&rows), &mut out))
-        });
-        let mut out_scalar = vec![0.0; pairs];
-        group.bench_function(format!("{dim}D_{pairs}pairs_scalar"), |b| {
-            b.iter(|| dist_batch_scalar(black_box(&a), black_box(&rows), &mut out_scalar))
         });
     }
     group.finish();

@@ -30,8 +30,8 @@
 //! positioning mode, same seed, reporting mean evals/round and the ratio
 //! the ≥2× warm-start claim is judged on — and (d) hot-kernel timings: the
 //! allocation-free Simplex kernel next to its retained allocating oracle
-//! (`vcoord_space::simplex::oracle`), the batched SoA distance kernel next
-//! to its scalar reference, and the snapshot-based `EvalPlan::avg_error`,
+//! (`vcoord_space::simplex::oracle`), the batched SoA distance kernel, and
+//! the snapshot-based `EvalPlan::avg_error`,
 //! timed in-process on the shared `vcoord_bench` fixtures (deliberately
 //! not scraping `cargo bench`, so the baseline needs no cargo at runtime).
 //! Kernel entries carry mean/median/trimmed-mean/p95/min/max: compare the
@@ -51,8 +51,7 @@ use vcoord::netsim::SeedStream;
 use vcoord::nps::{evals, NpsConfig, NpsSim, PositioningMode};
 use vcoord::space::simplex::oracle::simplex_downhill_reference;
 use vcoord::space::{
-    dist_batch, dist_batch_scalar, simplex_downhill_scratch, Coord, ResumePolicy, SimplexScratch,
-    Space,
+    dist_batch, simplex_downhill_scratch, Coord, ResumePolicy, SimplexScratch, Space,
 };
 use vcoord::topo::{KingLike, KingLikeConfig};
 
@@ -270,10 +269,8 @@ fn main() {
         ));
     }
     {
-        // The batched SoA distance kernel against its scalar reference, at
-        // the EvalPlan working-set shape (96 sampled peers per node). Both
-        // are bit-identical by contract; the pair reads as the SIMD lane
-        // speedup.
+        // The batched SoA distance kernel at the EvalPlan working-set
+        // shape (96 sampled peers per node).
         let dim = 8;
         let pairs = 96;
         let seeds = SeedStream::new(5);
@@ -285,21 +282,12 @@ fn main() {
             .collect();
         let mut out = vec![0.0; pairs];
         // One call is too short to time; 64 calls per sample keeps the
-        // timer quantization honest on both paths.
+        // timer quantization honest.
         kernels.push((
             format!("dist_batch_{dim}d_{pairs}pairs_x64"),
             time_kernel(budget, || {
                 for _ in 0..64 {
                     dist_batch(std::hint::black_box(&a), &rows, &mut out);
-                }
-                std::hint::black_box(&mut out);
-            }),
-        ));
-        kernels.push((
-            format!("dist_batch_scalar_{dim}d_{pairs}pairs_x64"),
-            time_kernel(budget, || {
-                for _ in 0..64 {
-                    dist_batch_scalar(std::hint::black_box(&a), &rows, &mut out);
                 }
                 std::hint::black_box(&mut out);
             }),

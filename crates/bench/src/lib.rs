@@ -13,6 +13,8 @@
 //!   construction (`attacks`), design-choice ablations (`ablations`), and a
 //!   smoke pass over representative figure runners (`figures_smoke`).
 
+#![forbid(unsafe_code)]
+
 use vcoord::netsim::{Engine, NodeId, Scheduler, SeedStream, World, TICK_MS};
 use vcoord::nps::{
     position_node_scratch, FitObjective, PositionOutcome, PositionScratch, RefSample,

@@ -29,6 +29,8 @@
 //! `no_alloc_chaos` tests hold the hot loops to their exact PR 7
 //! allocation budgets.
 
+#![forbid(unsafe_code)]
+
 mod gilbert;
 mod plan;
 mod runtime;

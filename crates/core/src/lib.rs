@@ -51,6 +51,8 @@
 //! assert!(err > 0.5, "attack should visibly disrupt the system");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod attacks;
 pub mod experiments;
 pub mod knowledge;

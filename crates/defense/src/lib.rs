@@ -64,6 +64,8 @@
 //! assert!(defense.stats().rejected > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod history;
 pub mod strategies;

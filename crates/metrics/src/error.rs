@@ -2,6 +2,7 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use vcoord_space::{Coord, Space};
 use vcoord_topo::RttMatrix;
 
@@ -43,8 +44,8 @@ const CLAMP: f64 = 1.0e6;
 /// instead of chasing one heap `Vec` per [`Coord`]. Distances computed from
 /// a snapshot are bit-identical to [`Space::distance`] on the original
 /// coordinates (see [`Space::distance_flat`]).
-#[derive(Debug, Clone)]
-pub struct CoordSnapshot {
+#[derive(Debug)]
+struct CoordSnapshot {
     dim: usize,
     flat: Vec<f64>,
     heights: Vec<f64>,
@@ -56,7 +57,7 @@ impl CoordSnapshot {
     /// Returns `None` when any coordinate's dimension disagrees with the
     /// space (callers fall back to the naive per-`Coord` path, which is the
     /// behaviour such degenerate inputs always had).
-    pub fn capture(coords: &[Coord], space: &Space) -> Option<CoordSnapshot> {
+    fn capture(coords: &[Coord], space: &Space) -> Option<CoordSnapshot> {
         let dim = space.dim();
         if coords.iter().any(|c| c.vec.len() != dim) {
             return None;
@@ -76,26 +77,14 @@ impl CoordSnapshot {
         &self.flat[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// Predicted distance between nodes `i` and `j` — bit-identical to
-    /// `space.distance(&coords[i], &coords[j])`.
-    #[inline]
-    pub fn distance(&self, space: &Space, i: usize, j: usize) -> f64 {
-        space.distance_flat(
-            self.point(i),
-            self.heights[i],
-            self.point(j),
-            self.heights[j],
-        )
-    }
-
     /// Copy the rows and heights of `idxs` into contiguous buffers — the
     /// gather step feeding [`Space::distance_flat_batch`].
-    fn gather(&self, idxs: &[usize], rows: &mut Vec<f64>, heights: &mut Vec<f64>) {
+    fn gather(&self, idxs: &[u32], rows: &mut Vec<f64>, heights: &mut Vec<f64>) {
         rows.clear();
         heights.clear();
         for &j in idxs {
-            rows.extend_from_slice(self.point(j));
-            heights.push(self.heights[j]);
+            rows.extend_from_slice(self.point(j as usize));
+            heights.push(self.heights[j as usize]);
         }
     }
 }
@@ -109,6 +98,18 @@ struct DistScratch {
     dists: Vec<f64>,
 }
 
+/// The measured RTT of every planned pair, copied out of one matrix
+/// content so a sweep streams it beside the peer ids instead of taking one
+/// cache miss per pair in the `n × n` matrix.
+#[derive(Debug, Default)]
+struct Binding {
+    /// [`RttMatrix::version`] the copy was taken at; 0 while there is none.
+    version: u64,
+    /// `matrix.rtt(node, peer)` for every entry of [`EvalPlan::peers`], in
+    /// the same order.
+    rtts: Vec<f64>,
+}
+
 /// A fixed evaluation plan: which peers each node's error is measured
 /// against.
 ///
@@ -116,12 +117,21 @@ struct DistScratch {
 /// the evaluation set is used; above it, each node gets a fixed random
 /// sample of `sample_peers` peers, drawn once at construction so time series
 /// are not perturbed by resampling noise (see DESIGN.md "Error sampling").
-#[derive(Debug, Clone)]
+///
+/// The first sweep against a matrix copies the planned pairs' RTTs out of
+/// it; later sweeps against the same content reuse the copy. Which content
+/// the copy belongs to is tracked by [`RttMatrix::version`], so sweeping
+/// the plan against a changed or different matrix is always that matrix's
+/// errors. Sweeps of one plan run one at a time.
+#[derive(Debug)]
 pub struct EvalPlan {
     /// Node ids being evaluated (typically the honest nodes).
     nodes: Vec<usize>,
-    /// For each entry of `nodes`, the peers to measure against.
-    peers: Vec<Vec<usize>>,
+    /// Every node's peers, one node after the other in `nodes` order.
+    peers: Vec<u32>,
+    /// `peers[offsets[k]..offsets[k + 1]]` are the peers of `nodes[k]`.
+    offsets: Vec<usize>,
+    bound: Mutex<Binding>,
 }
 
 impl EvalPlan {
@@ -137,30 +147,42 @@ impl EvalPlan {
     }
 
     /// Build a plan with explicit threshold and sample size.
+    ///
+    /// # Panics
+    /// Panics if a node id does not fit the plan's 32-bit peer ids.
     pub fn with_params<R: Rng + ?Sized>(
         nodes: &[usize],
         all_pairs_threshold: usize,
         sample_peers: usize,
         rng: &mut R,
     ) -> EvalPlan {
-        let nodes: Vec<usize> = nodes.to_vec();
-        let peers = if nodes.len() <= all_pairs_threshold {
-            nodes
-                .iter()
-                .map(|&i| nodes.iter().copied().filter(|&j| j != i).collect())
-                .collect()
-        } else {
-            nodes
-                .iter()
-                .map(|&i| {
-                    let mut pool: Vec<usize> = nodes.iter().copied().filter(|&j| j != i).collect();
-                    pool.shuffle(rng);
-                    pool.truncate(sample_peers);
-                    pool
-                })
-                .collect()
-        };
-        EvalPlan { nodes, peers }
+        let ids: Vec<u32> = nodes
+            .iter()
+            .map(|&i| u32::try_from(i).expect("EvalPlan node ids must fit in 32 bits"))
+            .collect();
+        let sampled = ids.len() > all_pairs_threshold;
+        let per_node = if sampled { sample_peers } else { usize::MAX };
+        let per_node = per_node.min(ids.len().saturating_sub(1));
+        let mut peers = Vec::with_capacity(ids.len() * per_node);
+        let mut offsets = Vec::with_capacity(ids.len() + 1);
+        offsets.push(0);
+        let mut pool: Vec<u32> = Vec::with_capacity(ids.len());
+        for &i in &ids {
+            pool.clear();
+            pool.extend(ids.iter().copied().filter(|&j| j != i));
+            if sampled {
+                pool.shuffle(rng);
+                pool.truncate(sample_peers);
+            }
+            peers.extend_from_slice(&pool);
+            offsets.push(peers.len());
+        }
+        EvalPlan {
+            nodes: nodes.to_vec(),
+            peers,
+            offsets,
+            bound: Mutex::default(),
+        }
     }
 
     /// The evaluated node ids.
@@ -173,6 +195,12 @@ impl EvalPlan {
     /// available). Below it, thread-spawn overhead beats the win.
     pub const PARALLEL_THRESHOLD: usize = 192;
 
+    /// Where the `k`-th planned node's peers sit in `peers` (and their
+    /// RTTs in a [`Binding`]).
+    fn span(&self, k: usize) -> std::ops::Range<usize> {
+        self.offsets[k]..self.offsets[k + 1]
+    }
+
     /// Relative error of the `k`-th planned node given current coordinates.
     ///
     /// Infinite per-pair errors (degenerate predictions) are clamped to
@@ -180,12 +208,13 @@ impl EvalPlan {
     /// construction.
     pub fn node_error(&self, k: usize, coords: &[Coord], space: &Space, matrix: &RttMatrix) -> f64 {
         let i = self.nodes[k];
-        let peers = &self.peers[k];
+        let peers = &self.peers[self.span(k)];
         if peers.is_empty() {
             return 0.0;
         }
         let mut sum = 0.0;
         for &j in peers {
+            let j = j as usize;
             let actual = matrix.rtt(i, j);
             let predicted = space.distance(&coords[i], &coords[j]);
             sum += relative_error(actual, predicted).min(CLAMP);
@@ -193,9 +222,33 @@ impl EvalPlan {
         sum / peers.len() as f64
     }
 
-    /// [`EvalPlan::node_error`] evaluated against a flat snapshot: the
-    /// node's peers are gathered into the scratch's contiguous buffers and
-    /// all predicted distances come from one
+    /// Lock the plan's RTT copy, first retaking it from `matrix` unless it
+    /// was taken from this very content.
+    fn bind(&self, matrix: &RttMatrix) -> MutexGuard<'_, Binding> {
+        // A sweep that panicked while holding the lock left either a whole
+        // copy or none (see below), so a poisoned lock is safe to reuse.
+        let mut bound = self.bound.lock().unwrap_or_else(PoisonError::into_inner);
+        let version = matrix.version();
+        if bound.version != version {
+            // Unbound while the copy is partial: an id outside `matrix`
+            // panics in the loop and must not leave a half-taken copy
+            // labelled with a version.
+            bound.version = 0;
+            bound.rtts.clear();
+            bound.rtts.reserve_exact(self.peers.len());
+            for (k, &i) in self.nodes.iter().enumerate() {
+                for &j in &self.peers[self.span(k)] {
+                    bound.rtts.push(matrix.rtt(i, j as usize));
+                }
+            }
+            bound.version = version;
+        }
+        bound
+    }
+
+    /// [`EvalPlan::node_error`] evaluated against a flat snapshot and the
+    /// bound RTTs: the node's peers are gathered into the scratch's
+    /// contiguous buffers and all predicted distances come from one
     /// [`Space::distance_flat_batch`] call. Each distance and the
     /// peer-order error reduction are bit-identical to the per-pair path.
     fn node_error_snap(
@@ -203,11 +256,12 @@ impl EvalPlan {
         k: usize,
         snap: &CoordSnapshot,
         space: &Space,
-        matrix: &RttMatrix,
+        rtts: &[f64],
         scratch: &mut DistScratch,
     ) -> f64 {
         let i = self.nodes[k];
-        let peers = &self.peers[k];
+        let span = self.span(k);
+        let peers = &self.peers[span.clone()];
         if peers.is_empty() {
             return 0.0;
         }
@@ -222,54 +276,15 @@ impl EvalPlan {
             &mut scratch.dists,
         );
         let mut sum = 0.0;
-        for (&j, &predicted) in peers.iter().zip(scratch.dists.iter()) {
-            let actual = matrix.rtt(i, j);
+        for (&actual, &predicted) in rtts[span].iter().zip(scratch.dists.iter()) {
             sum += relative_error(actual, predicted).min(CLAMP);
         }
         sum / peers.len() as f64
     }
 
-    /// Median relative error of the `k`-th planned node — the robust
-    /// per-node statistic used for convergence detection (a node's *mean*
-    /// error is dominated by its smallest-RTT peers, whose relative errors
-    /// swing wildly on tiny coordinate movements).
-    pub fn node_error_median(
-        &self,
-        k: usize,
-        coords: &[Coord],
-        space: &Space,
-        matrix: &RttMatrix,
-    ) -> f64 {
-        let i = self.nodes[k];
-        let peers = &self.peers[k];
-        if peers.is_empty() {
-            return 0.0;
-        }
-        let mut errs: Vec<f64> = peers
-            .iter()
-            .map(|&j| {
-                relative_error(matrix.rtt(i, j), space.distance(&coords[i], &coords[j])).min(CLAMP)
-            })
-            .collect();
-        errs.sort_by(|a, b| a.partial_cmp(b).expect("clamped finite"));
-        errs[(errs.len() - 1) / 2]
-    }
-
-    /// Per-node median relative errors, in `nodes()` order.
-    pub fn per_node_median_errors(
-        &self,
-        coords: &[Coord],
-        space: &Space,
-        matrix: &RttMatrix,
-    ) -> Vec<f64> {
-        (0..self.nodes.len())
-            .map(|k| self.node_error_median(k, coords, space, matrix))
-            .collect()
-    }
-
     /// Per-node relative errors, in `nodes()` order.
     ///
-    /// Restructured around a [`CoordSnapshot`] taken once per call; above
+    /// Restructured around a flat coordinate snapshot taken once per call; above
     /// [`EvalPlan::PARALLEL_THRESHOLD`] nodes the sweep fans out over
     /// [`worker_threads`] workers. Each worker owns a contiguous chunk of
     /// the output and every per-node value is a complete, independently
@@ -299,12 +314,15 @@ impl EvalPlan {
                 .map(|k| self.node_error(k, coords, space, matrix))
                 .collect();
         };
+        // Resolved here, before any worker exists: workers only read it.
+        let bound = self.bind(matrix);
+        let rtts = bound.rtts.as_slice();
         let mut out = vec![0.0; n];
         let workers = threads.max(1).min(n.max(1));
         if workers == 1 || n < Self::PARALLEL_THRESHOLD {
             let mut scratch = DistScratch::default();
             for (k, e) in out.iter_mut().enumerate() {
-                *e = self.node_error_snap(k, &snap, space, matrix, &mut scratch);
+                *e = self.node_error_snap(k, &snap, space, rtts, &mut scratch);
             }
             return out;
         }
@@ -329,7 +347,7 @@ impl EvalPlan {
                                 c * chunk + off,
                                 snap,
                                 space,
-                                matrix,
+                                rtts,
                                 &mut scratch,
                             );
                         }
@@ -491,22 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn median_errors_are_robust_to_one_bad_peer() {
-        let m = line_matrix();
-        let space = Space::Euclidean(1);
-        let mut rng = ChaCha12Rng::seed_from_u64(0);
-        let plan = EvalPlan::new(&[0, 1, 2], &mut rng);
-        let mut coords = line_coords();
-        coords[2] = Coord::from_vec(vec![1.0e6]); // one blown-up node
-        let means = plan.per_node_errors(&coords, &space, &m);
-        let medians = plan.per_node_median_errors(&coords, &space, &m);
-        // Node 0 has peers {1 (fine), 2 (blown up)}: its mean explodes but
-        // its median stays moderate.
-        assert!(means[0] > 1_000.0);
-        assert!(medians[0] < means[0]);
-    }
-
-    #[test]
     fn sampled_plan_bounds_peer_count() {
         let n = 40;
         let mut m = RttMatrix::zeros(n);
@@ -518,10 +520,69 @@ mod tests {
         let nodes: Vec<usize> = (0..n).collect();
         let mut rng = ChaCha12Rng::seed_from_u64(0);
         let plan = EvalPlan::with_params(&nodes, 10, 5, &mut rng);
-        for (k, node) in nodes.iter().enumerate() {
-            assert_eq!(plan.peers[k].len(), 5);
-            assert!(!plan.peers[k].contains(node));
+        for (k, &node) in nodes.iter().enumerate() {
+            let peers = &plan.peers[plan.span(k)];
+            assert_eq!(peers.len(), 5);
+            assert!(!peers.contains(&(node as u32)));
         }
+    }
+
+    #[test]
+    fn sampled_plan_stores_only_the_sampled_peers() {
+        // Each node's candidate pool is shuffled whole and cut to the
+        // sample; what the plan keeps must be the cut, not the pool.
+        let nodes: Vec<usize> = (0..600).collect();
+        let mut rng = ChaCha12Rng::seed_from_u64(0);
+        let plan = EvalPlan::with_params(&nodes, 256, 16, &mut rng);
+        let planned = nodes.len() * 16;
+        assert_eq!(plan.peers.len(), planned);
+        assert_eq!(plan.offsets.len(), nodes.len() + 1);
+        assert!(
+            plan.peers.capacity() <= planned + planned / 20,
+            "{} peer slots held for {planned} planned pairs",
+            plan.peers.capacity()
+        );
+        // The RTT copy is as large as the peer table and no larger.
+        let m = RttMatrix::zeros(nodes.len());
+        let coords = vec![Coord::from_vec(vec![0.0]); nodes.len()];
+        plan.avg_error_with(&coords, &Space::Euclidean(1), &m, 1);
+        let bound = plan.bound.lock().unwrap();
+        assert_eq!(bound.rtts.len(), planned);
+        assert!(bound.rtts.capacity() <= planned + planned / 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "EvalPlan node ids must fit in 32 bits")]
+    fn node_id_beyond_32_bits_panics_instead_of_truncating() {
+        // 2³² would truncate to peer id 0 and silently alias node 0.
+        let mut rng = ChaCha12Rng::seed_from_u64(0);
+        EvalPlan::new(&[0, 1 << 32], &mut rng);
+    }
+
+    #[test]
+    fn plan_survives_a_sweep_that_panicked_mid_copy() {
+        // Node 3 is outside the 3-node matrix: copying its RTTs panics
+        // with the plan's lock held.
+        let space = Space::Euclidean(1);
+        let mut rng = ChaCha12Rng::seed_from_u64(0);
+        let plan = EvalPlan::new(&[0, 1, 2, 3], &mut rng);
+        let mut coords = line_coords();
+        coords.push(Coord::from_vec(vec![40.0]));
+        let small = line_matrix();
+        let swept = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            plan.per_node_errors(&coords, &space, &small)
+        }));
+        assert!(swept.is_err());
+        // Against a matrix that does hold node 3 the plan works, from a
+        // whole copy of that matrix.
+        let mut m = RttMatrix::zeros(4);
+        for (i, j, v) in small.pairs() {
+            m.set(i, j, v);
+        }
+        m.set(0, 3, 40.0);
+        m.set(1, 3, 30.0);
+        m.set(2, 3, 15.0);
+        assert_eq!(plan.per_node_errors(&coords, &space, &m), vec![0.0; 4]);
     }
 
     #[test]
@@ -612,8 +673,14 @@ mod tests {
         let snap = CoordSnapshot::capture(&coords, &space).unwrap();
         for i in 0..coords.len() {
             for j in 0..coords.len() {
+                let flat = space.distance_flat(
+                    snap.point(i),
+                    snap.heights[i],
+                    snap.point(j),
+                    snap.heights[j],
+                );
                 assert_eq!(
-                    snap.distance(&space, i, j).to_bits(),
+                    flat.to_bits(),
                     space.distance(&coords[i], &coords[j]).to_bits()
                 );
             }

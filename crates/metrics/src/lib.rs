@@ -20,6 +20,8 @@
 //!   by every parallel seam in the workspace (repetition pool, [`EvalPlan`]
 //!   chunked evaluation, figure `--jobs` sweep).
 
+#![forbid(unsafe_code)]
+
 pub mod cdf;
 pub mod detection;
 pub mod error;
@@ -30,7 +32,7 @@ pub mod stats;
 
 pub use cdf::Cdf;
 pub use detection::Confusion;
-pub use error::{random_baseline, random_baseline_with, relative_error, CoordSnapshot, EvalPlan};
+pub use error::{random_baseline, random_baseline_with, relative_error, EvalPlan};
 pub use ledger::FilterLedger;
 pub use parallel::worker_threads;
 pub use series::TimeSeries;

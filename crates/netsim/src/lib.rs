@@ -20,6 +20,8 @@
 //! * [`simlog`] — a minimal `log` backend for binaries (TRACE = normal
 //!   events, DEBUG = exceptional events, per the logging policy).
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod link;
 pub mod seed;

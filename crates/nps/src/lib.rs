@@ -32,6 +32,8 @@
 //! [`NpsSim::deploy_defense`]): every reference probe of an ordinary node's
 //! positioning round passes the deployed [`Defense`] before the Simplex fit.
 
+#![forbid(unsafe_code)]
+
 pub mod adversary;
 pub mod config;
 pub mod evals;

@@ -60,6 +60,8 @@
 //! histograms (metric names ending `_ns`) never reach a trace file — they
 //! remain available in-process (e.g. the bench-baseline `"obs"` block).
 
+#![deny(unsafe_code)]
+
 mod aggregate;
 pub mod diff;
 mod export;
@@ -68,6 +70,8 @@ mod record;
 mod registry;
 mod report;
 mod ring;
+// The counting `GlobalAlloc` is the workspace's only unsafe code.
+#[allow(unsafe_code)]
 pub mod testing;
 
 pub use aggregate::{global_hist, global_hists, GlobalHist, HistSnapshot};

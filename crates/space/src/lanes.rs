@@ -1,36 +1,29 @@
-//! Batched SoA Euclidean distance kernels.
+//! Batched SoA Euclidean distance kernel.
 //!
 //! [`dist_batch`] computes the distance from one point `a` to many points
 //! stored as contiguous dimension-strided rows (`rows[p*dim..(p+1)*dim]` is
 //! point `p`), writing one distance per entry of `out`. It is the multi-pair
-//! lane variant behind [`Space::distance_flat_batch`] and is required to be
-//! **bit-identical** to calling [`crate::vector::dist`] once per pair:
-//!
-//! * the scalar path ([`dist_batch_scalar`]) performs, for each pair, the
-//!   exact per-dimension sequence `acc += (a[i] - b[i])²` followed by one
-//!   `sqrt` — the same operations in the same order as `vector::dist`, and
-//!   written so LLVM can auto-vectorize *across pairs* without reassociating
-//!   any per-pair sum;
-//! * the explicit SIMD path (SSE2, gated on
-//!   `#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]`) packs
-//!   two *pairs* per 128-bit register — vertical vectorization — so each
-//!   lane still executes the scalar program's adds, multiplies, and square
-//!   root in the identical order. IEEE-754 add/sub/mul/sqrt are correctly
-//!   rounded per lane, so results match the scalar path bit for bit
-//!   (property-tested in `tests/lane_properties.rs` across alignments and
-//!   remainder lengths).
+//! lane behind [`Space::distance_flat_batch`] and is required to be
+//! **bit-identical** to calling [`crate::vector::dist`] once per pair: for
+//! each pair it performs the exact per-dimension sequence
+//! `acc += (a[i] - b[i])²` followed by one `sqrt` — the same operations in
+//! the same order as `vector::dist`, written so LLVM can auto-vectorize
+//! *across pairs* without reassociating any per-pair sum (property-tested
+//! in `tests/lane_properties.rs`).
 //!
 //! Horizontal vectorization (summing one pair's dimensions in SIMD lanes)
 //! would reassociate the per-pair sum and break bit-identity; it is
-//! deliberately not used.
+//! deliberately not used. A hand-written SSE2 variant of the across-pairs
+//! form was measured at 0.05–0.16 % of its heaviest workload and removed
+//! (EXPERIMENTS.md, "Where the time goes: one error sweep").
 //!
 //! [`Space::distance_flat_batch`]: crate::Space::distance_flat_batch
 
-/// Scalar reference kernel: `out[p] = ||a - rows[p]||₂`.
+/// Batched Euclidean distance: `out[p] = ||a - rows[p]||₂` for every `p`.
 ///
 /// # Panics
 /// Panics if `rows.len() != a.len() * out.len()` (debug and release).
-pub fn dist_batch_scalar(a: &[f64], rows: &[f64], out: &mut [f64]) {
+pub fn dist_batch(a: &[f64], rows: &[f64], out: &mut [f64]) {
     let dim = a.len();
     assert_eq!(rows.len(), dim * out.len(), "rows/out shape mismatch");
     for (p, o) in out.iter_mut().enumerate() {
@@ -41,61 +34,6 @@ pub fn dist_batch_scalar(a: &[f64], rows: &[f64], out: &mut [f64]) {
             acc += d * d;
         }
         *o = acc.sqrt();
-    }
-}
-
-/// SSE2 kernel: two pairs per 128-bit lane pair, scalar tail for the odd
-/// remainder. Bit-identical to [`dist_batch_scalar`] (see module docs).
-#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-fn dist_batch_sse2(a: &[f64], rows: &[f64], out: &mut [f64]) {
-    use core::arch::x86_64::{
-        _mm_add_pd, _mm_mul_pd, _mm_set1_pd, _mm_set_pd, _mm_setzero_pd, _mm_sqrt_pd,
-        _mm_storeu_pd, _mm_sub_pd,
-    };
-    let dim = a.len();
-    let pairs = out.len();
-    assert_eq!(rows.len(), dim * pairs, "rows/out shape mismatch");
-    let mut p = 0;
-    // SAFETY: SSE2 is statically enabled by the cfg gate on this function,
-    // and every index below is in bounds: `p + 1 < pairs` inside the loop,
-    // so `r1 + i < pairs * dim == rows.len()` and the 2-wide store at
-    // `out[p]` fits.
-    unsafe {
-        while p + 2 <= pairs {
-            let r0 = p * dim;
-            let r1 = r0 + dim;
-            let mut acc = _mm_setzero_pd();
-            for i in 0..dim {
-                let av = _mm_set1_pd(*a.get_unchecked(i));
-                let bv = _mm_set_pd(*rows.get_unchecked(r1 + i), *rows.get_unchecked(r0 + i));
-                let d = _mm_sub_pd(av, bv);
-                acc = _mm_add_pd(acc, _mm_mul_pd(d, d));
-            }
-            _mm_storeu_pd(out.as_mut_ptr().add(p), _mm_sqrt_pd(acc));
-            p += 2;
-        }
-    }
-    if p < pairs {
-        dist_batch_scalar(a, &rows[p * dim..], &mut out[p..]);
-    }
-}
-
-/// Batched Euclidean distance: `out[p] = ||a - rows[p]||₂` for every `p`.
-///
-/// Dispatches to the explicit SIMD kernel when the target supports it and
-/// to [`dist_batch_scalar`] otherwise; both produce bit-identical results.
-///
-/// # Panics
-/// Panics if `rows.len() != a.len() * out.len()`.
-#[inline]
-pub fn dist_batch(a: &[f64], rows: &[f64], out: &mut [f64]) {
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    {
-        dist_batch_sse2(a, rows, out)
-    }
-    #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
-    {
-        dist_batch_scalar(a, rows, out)
     }
 }
 
@@ -122,12 +60,9 @@ mod tests {
                 let rows: Vec<f64> = (0..dim * pairs).map(|_| pseudo(&mut seed)).collect();
                 let mut out = vec![0.0; pairs];
                 dist_batch(&a, &rows, &mut out);
-                let mut out_scalar = vec![0.0; pairs];
-                dist_batch_scalar(&a, &rows, &mut out_scalar);
                 for p in 0..pairs {
                     let want = vector::dist(&a, &rows[p * dim..(p + 1) * dim]);
                     assert_eq!(out[p].to_bits(), want.to_bits(), "dim={dim} p={p}");
-                    assert_eq!(out_scalar[p].to_bits(), want.to_bits());
                 }
             }
         }

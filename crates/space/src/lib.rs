@@ -26,6 +26,8 @@
 //! runtime-dimension entry points, because that is measurably where the
 //! NPS fit's time went.
 
+#![forbid(unsafe_code)]
+
 pub mod coord;
 pub mod lanes;
 pub mod simplex;
@@ -33,7 +35,7 @@ pub mod space;
 pub mod vector;
 
 pub use coord::{Coord, Displacement};
-pub use lanes::{dist_batch, dist_batch_scalar};
+pub use lanes::dist_batch;
 pub use simplex::{
     simplex_downhill, simplex_downhill_resume, simplex_downhill_scratch, ResumePolicy,
     SimplexOptions, SimplexResult, SimplexScratch, SimplexSeed,

@@ -18,6 +18,8 @@
 //! * [`stats`] — topology statistics (percentiles, TIV rate) used by tests
 //!   and the `topology_explorer` example to validate the substitution.
 
+#![forbid(unsafe_code)]
+
 pub mod king;
 pub mod matrix;
 pub mod stats;

@@ -3,6 +3,11 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of [`RttMatrix::version`] values; starts at 1 because 0 means
+/// "not asked since the last `&mut` call".
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
 
 /// A dense, symmetric matrix of round-trip times in milliseconds.
 ///
@@ -17,16 +22,40 @@ use serde::{Deserialize, Serialize};
 /// ```
 ///
 /// The diagonal is always zero. Storage is a full row-major `n × n` buffer
-/// (1740 nodes ⇒ ~24 MB): evaluation reads whole rows of it per sweep, and
-/// a full delay matrix is what the figures measure the coordinates against.
-/// It is too large to be a cache-friendly *per-probe* read, though — one
-/// random cell is one cache and TLB miss — so protocol code that keeps
-/// returning to the same few cells (a Vivaldi node's springs) copies them
-/// out once instead of calling [`rtt`](RttMatrix::rtt) per probe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// (1740 nodes ⇒ ~24 MB): a full delay matrix is what the figures measure
+/// the coordinates against. It is too large to be a cache-friendly read,
+/// though — one random cell is one cache and TLB miss — so code that keeps
+/// returning to the same few cells (a Vivaldi node's springs, an
+/// evaluation plan's pairs) copies them out once instead of calling
+/// [`rtt`](RttMatrix::rtt) per use, and keys the copy on
+/// [`version`](RttMatrix::version) to know when it went stale.
+#[derive(Debug, Serialize, Deserialize)]
 pub struct RttMatrix {
     n: usize,
     data: Vec<f64>,
+    /// Content version, 0 until [`version`](RttMatrix::version) is asked;
+    /// every `&mut` method resets it to 0.
+    #[serde(skip)]
+    version: AtomicU64,
+}
+
+impl Clone for RttMatrix {
+    /// The clone has the same content, so it keeps the same version.
+    fn clone(&self) -> Self {
+        RttMatrix {
+            n: self.n,
+            data: self.data.clone(),
+            version: AtomicU64::new(self.version.load(Ordering::Relaxed)),
+        }
+    }
+}
+
+impl PartialEq for RttMatrix {
+    /// Equality is content only: two matrices built separately hold
+    /// different versions and still compare equal.
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.data == other.data
+    }
 }
 
 impl RttMatrix {
@@ -35,6 +64,35 @@ impl RttMatrix {
         RttMatrix {
             n,
             data: vec![0.0; n * n],
+            version: AtomicU64::new(0),
+        }
+    }
+
+    /// A non-zero token naming this matrix's current content.
+    ///
+    /// Two calls return the same value exactly when no `&mut` method ran
+    /// between them; a clone shares its source's value until either side is
+    /// written. No two matrices built separately in one process share a
+    /// value, whatever their content or address, so cells copied out under
+    /// one value are current for as long as the matrix still reports it.
+    /// The value is assigned on first request from a process-wide counter
+    /// and is not part of the matrix's content: it is neither compared nor
+    /// serialized.
+    pub fn version(&self) -> u64 {
+        // Relaxed: the value is an identity token and publishes no data —
+        // whoever shares `&self` across threads has already ordered the
+        // cells it reads.
+        let seen = self.version.load(Ordering::Relaxed);
+        if seen != 0 {
+            return seen;
+        }
+        let fresh = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
+        match self
+            .version
+            .compare_exchange(0, fresh, Ordering::Relaxed, Ordering::Relaxed)
+        {
+            Ok(_) => fresh,
+            Err(raced) => raced,
         }
     }
 
@@ -65,6 +123,7 @@ impl RttMatrix {
         if i == j {
             return;
         }
+        *self.version.get_mut() = 0;
         self.data[i * self.n + j] = v;
         self.data[j * self.n + i] = v;
     }
@@ -206,6 +265,68 @@ mod tests {
     fn min_rtt_found() {
         assert_eq!(sample().min_rtt(), Some(10.0));
         assert_eq!(RttMatrix::zeros(1).min_rtt(), None);
+    }
+
+    #[test]
+    fn version_is_stable_across_shared_calls_and_clone() {
+        let m = sample();
+        let v = m.version();
+        assert_ne!(v, 0);
+        assert_eq!(m.version(), v);
+        let _ = (
+            m.rtt(0, 1),
+            m.pairs().count(),
+            m.min_rtt(),
+            m.subset(&[0, 1]),
+        );
+        assert_eq!(m.version(), v);
+        assert_eq!(m.clone().version(), v);
+        // A clone taken before anyone asked is a separate matrix from then on.
+        let fresh = sample();
+        let copy = fresh.clone();
+        assert_ne!(fresh.version(), copy.version());
+    }
+
+    #[test]
+    fn version_changes_after_every_mut_method() {
+        let mut m = sample();
+        let v0 = m.version();
+        m.set(0, 1, 11.0);
+        let v1 = m.version();
+        m.map_in_place(|_, _, v| v * 2.0);
+        let v2 = m.version();
+        // Writing back the value a cell already holds still counts.
+        m.set(0, 1, m.rtt(0, 1));
+        let v3 = m.version();
+        let all = [v0, v1, v2, v3];
+        for (a, va) in all.iter().enumerate() {
+            for vb in &all[a + 1..] {
+                assert_ne!(va, vb, "{all:?}");
+            }
+        }
+        // A written clone moves on; its source does not.
+        let mut copy = m.clone();
+        copy.set(2, 3, 1.0);
+        assert_ne!(copy.version(), v3);
+        assert_eq!(m.version(), v3);
+        // The diagonal no-op writes nothing and keeps the version.
+        m.set(1, 1, 5.0);
+        assert_eq!(m.version(), v3);
+    }
+
+    #[test]
+    fn versions_are_distinct_across_matrices_and_ignored_by_eq() {
+        let (a, b) = (RttMatrix::zeros(3), RttMatrix::zeros(3));
+        assert_ne!(a.version(), b.version());
+        assert_eq!(a, b);
+        let (x, y) = (sample(), sample());
+        assert_ne!(x.version(), y.version());
+        assert_eq!(x, y);
+        // Dropping a matrix does not free its version for the next one
+        // allocated where it stood.
+        let old = x.version();
+        drop(x);
+        assert_ne!(sample().version(), old);
     }
 
     #[test]

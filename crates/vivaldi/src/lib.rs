@@ -25,6 +25,8 @@
 //! apply passes the deployed [`Defense`] first, whose verdict drops,
 //! dampens, or admits it.
 
+#![forbid(unsafe_code)]
+
 pub mod adversary;
 pub mod config;
 pub mod convergence;

@@ -13,6 +13,26 @@ fn build(nodes: usize, seed: u64, space: Space) -> (VivaldiSim, SeedStream) {
     )
 }
 
+/// Each node's *median* relative error against every other node of
+/// `nodes` — the robust per-node statistic convergence detection needs (a
+/// node's mean error is dominated by its smallest-RTT peers, whose
+/// relative errors swing wildly on tiny coordinate movements).
+fn per_node_median_errors(sim: &VivaldiSim, nodes: &[usize]) -> Vec<f64> {
+    let (coords, space, matrix) = (sim.coords(), sim.space(), sim.matrix());
+    nodes
+        .iter()
+        .map(|&i| {
+            let mut errs: Vec<f64> = nodes
+                .iter()
+                .filter(|&&j| j != i)
+                .map(|&j| relative_error(matrix.rtt(i, j), space.distance(&coords[i], &coords[j])))
+                .collect();
+            errs.sort_by(f64::total_cmp);
+            errs[(errs.len() - 1) / 2]
+        })
+        .collect()
+}
+
 #[test]
 fn clean_system_converges_to_low_error() {
     let (mut sim, seeds) = build(120, 1, Space::Euclidean(2));
@@ -31,13 +51,13 @@ fn convergence_criterion_fires_on_clean_system() {
     // per-node medians still breathe by ~0.1–0.2, so the band is widened
     // to ±0.25 while keeping the 10-tick hold; the paper-exact parameters
     // are covered by `ConvergenceTracker::paper` unit tests.
-    let (mut sim, seeds) = build(80, 2, Space::Euclidean(2));
-    let plan = EvalPlan::new(&sim.honest_nodes(), &mut seeds.rng("plan"));
-    let mut tracker = ConvergenceTracker::new(plan.nodes().len(), 0.25, 10);
+    let (mut sim, _) = build(80, 2, Space::Euclidean(2));
+    let nodes = sim.honest_nodes();
+    let mut tracker = ConvergenceTracker::new(nodes.len(), 0.25, 10);
     let mut converged_at = None;
     for tick in 0..800 {
         sim.run_ticks(1);
-        tracker.record(&plan.per_node_median_errors(sim.coords(), sim.space(), sim.matrix()));
+        tracker.record(&per_node_median_errors(&sim, &nodes));
         if tracker.converged() {
             converged_at = Some(tick);
             break;
