@@ -12,7 +12,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use vcoord::metrics::EvalPlan;
 use vcoord::netsim::SeedStream;
-use vcoord::space::{simplex_downhill, Coord, SimplexOptions, Space};
+use vcoord::space::{simplex_downhill, Coord, SimplexOptions, SimplexScratch, Space};
 use vcoord::topo::{KingLike, KingLikeConfig};
 
 fn bench_error_sampling(c: &mut Criterion) {
@@ -56,6 +56,7 @@ fn bench_simplex_budget(c: &mut Criterion) {
             .sum()
     };
     let start = vec![5.0; 8];
+    let mut scratch = SimplexScratch::new();
     let mut group = c.benchmark_group("ablation_simplex_budget");
     for iters in [50usize, 150, 400] {
         let opts = SimplexOptions {
@@ -64,7 +65,7 @@ fn bench_simplex_budget(c: &mut Criterion) {
             ..SimplexOptions::default()
         };
         group.bench_function(format!("{iters}iters"), |b| {
-            b.iter(|| simplex_downhill(objective, black_box(&start), &opts))
+            b.iter(|| simplex_downhill(objective, black_box(&start), &opts, &mut scratch))
         });
     }
     group.finish();

@@ -14,7 +14,7 @@ use vcoord::metrics::EvalPlan;
 use vcoord::netsim::SeedStream;
 use vcoord::obs::testing::{allocations, CountingAllocator};
 use vcoord::space::simplex::oracle::simplex_downhill_reference;
-use vcoord::space::{dist_batch, simplex_downhill_scratch, Coord, SimplexScratch, Space};
+use vcoord::space::{dist_batch, simplex_downhill, Coord, SimplexScratch, Space};
 use vcoord::topo::{KingLike, KingLikeConfig};
 use vcoord::vivaldi::node::vivaldi_update;
 
@@ -67,7 +67,7 @@ fn bench_simplex(c: &mut Criterion) {
         let objective = vcoord_bench::fit_objective(&refs);
         let mut scratch = SimplexScratch::new();
         group.bench_function(format!("{dim}D_20refs_kernel"), |b| {
-            b.iter(|| simplex_downhill_scratch(&objective, black_box(&start), &opts, &mut scratch))
+            b.iter(|| simplex_downhill(&objective, black_box(&start), &opts, &mut scratch))
         });
         group.bench_function(format!("{dim}D_20refs_oracle"), |b| {
             b.iter(|| simplex_downhill_reference(&objective, black_box(&start), &opts))
@@ -78,7 +78,7 @@ fn bench_simplex(c: &mut Criterion) {
         let start = vec![1.0; 8];
         let mut scratch = SimplexScratch::new();
         group.bench_function("8D_quadratic_kernel", |b| {
-            b.iter(|| simplex_downhill_scratch(quadratic, black_box(&start), &opts, &mut scratch))
+            b.iter(|| simplex_downhill(quadratic, black_box(&start), &opts, &mut scratch))
         });
         group.bench_function("8D_quadratic_oracle", |b| {
             b.iter(|| simplex_downhill_reference(quadratic, black_box(&start), &opts))

@@ -16,20 +16,15 @@
 //! wall-clock seconds at the chosen scale — figures are timed one at a time
 //! (no `--jobs` overlap), though each figure still uses its internal
 //! repetition/eval pools, so pin `VCOORD_THREADS` (recorded in the JSON as
-//! `"threads"`) when comparing numbers across machines — (b) per-figure
-//! `evals_per_round` (mean/median/p99 Simplex objective evaluations per
-//! NPS positioning round, from snapshot deltas of the `vcoord::nps::evals`
-//! histogram; Vivaldi-only figures record no entry), plus a per-figure
-//! `"obs"` block: the figure sweep runs with the `vcoord-obs`
-//! gated plane in `Metrics` mode and each figure's drained counters and
-//! histogram summaries (count, mean, and — schema 4, from the HDR bucket
-//! upgrade — p50/p90/p95/p99; wall-clock ones included — this file
-//! is a perf record, not a byte-compared trace) land beside its wall-clock
-//! — (c) the
-//! strict-vs-warm **eval-collapse fixture** — one steady-state NPS run per
-//! positioning mode, same seed, reporting mean evals/round and the ratio
-//! the ≥2× warm-start claim is judged on — and (d) hot-kernel timings: the
-//! allocation-free Simplex kernel next to its retained allocating oracle
+//! `"threads"`) when comparing numbers across machines — (b) a per-figure
+//! `"obs"` block: the figure sweep runs with `vcoord-obs` in `Metrics` mode
+//! and each figure's drained counters and histogram summaries (count, mean,
+//! p50/p90/p95/p99; wall-clock ones included — this file is a perf record,
+//! not a byte-compared trace) land beside its wall-clock, with
+//! `evals_per_round` (mean/median/p99 Simplex objective evaluations per NPS
+//! positioning round; Vivaldi-only figures record no entry) read off the
+//! same report's `nps.round_evals` histogram — and (c) hot-kernel timings:
+//! the allocation-free Simplex kernel next to its retained allocating oracle
 //! (`vcoord_space::simplex::oracle`), the batched SoA distance kernel, and
 //! the snapshot-based `EvalPlan::avg_error`,
 //! timed in-process on the shared `vcoord_bench` fixtures (deliberately
@@ -48,11 +43,8 @@ use std::time::{Duration, Instant};
 use vcoord::experiments::{registry, Scale};
 use vcoord::metrics::EvalPlan;
 use vcoord::netsim::SeedStream;
-use vcoord::nps::{evals, NpsConfig, NpsSim, PositioningMode};
 use vcoord::space::simplex::oracle::simplex_downhill_reference;
-use vcoord::space::{
-    dist_batch, simplex_downhill_scratch, Coord, ResumePolicy, SimplexScratch, Space,
-};
+use vcoord::space::{dist_batch, simplex_downhill, Coord, SimplexScratch, Space};
 use vcoord::topo::{KingLike, KingLikeConfig};
 
 struct Args {
@@ -196,12 +188,7 @@ fn main() {
         kernels.push((
             format!("simplex_{dim}d_20refs"),
             time_kernel(budget, || {
-                std::hint::black_box(simplex_downhill_scratch(
-                    &objective,
-                    &start,
-                    &opts,
-                    &mut scratch,
-                ));
+                std::hint::black_box(simplex_downhill(&objective, &start, &opts, &mut scratch));
             }),
         ));
         kernels.push((
@@ -225,12 +212,7 @@ fn main() {
         kernels.push((
             "simplex_8d_quadratic".into(),
             time_kernel(budget, || {
-                std::hint::black_box(simplex_downhill_scratch(
-                    objective,
-                    &start,
-                    &opts,
-                    &mut scratch,
-                ));
+                std::hint::black_box(simplex_downhill(objective, &start, &opts, &mut scratch));
             }),
         ));
         kernels.push((
@@ -318,42 +300,6 @@ fn main() {
         );
     }
 
-    // --- Eval-collapse fixture ------------------------------------------
-    // One steady-state NPS run per positioning mode, same seed and probe
-    // stream, measured after the join transient: the evals/round ratio is
-    // the evidence for the warm-start evaluation-count collapse. Runs
-    // before the figure sweep so its rounds never pollute the per-figure
-    // histogram deltas below.
-    let collapse_nodes = match args.scale_name {
-        "quick" => 200,
-        _ => 80,
-    };
-    let collapse = |mode: PositioningMode| -> f64 {
-        let seeds = SeedStream::new(args.seed);
-        let matrix = KingLike::new(KingLikeConfig::with_nodes(collapse_nodes))
-            .generate(&mut seeds.rng("topo"));
-        let config = NpsConfig {
-            landmarks: 12,
-            refs_per_node: 12,
-            space: Space::Euclidean(4),
-            positioning: mode,
-            ..NpsConfig::default()
-        };
-        let mut sim = NpsSim::new(matrix, config, &seeds);
-        sim.run_ms(1_200_000); // join transient
-        let warmed = sim.counters();
-        sim.run_ms(1_200_000);
-        let c = sim.counters();
-        (c.objective_evals - warmed.objective_evals) as f64
-            / (c.positionings - warmed.positionings).max(1) as f64
-    };
-    let collapse_strict = collapse(PositioningMode::Strict);
-    let collapse_warm = collapse(PositioningMode::Warm(ResumePolicy::default_warm()));
-    let collapse_ratio = collapse_strict / collapse_warm;
-    println!(
-        "nps_eval_collapse ({collapse_nodes} nodes)       strict {collapse_strict:.1} warm {collapse_warm:.1} evals/round ({collapse_ratio:.2}x)"
-    );
-
     // --- Figure wall-clocks ---------------------------------------------
     let ids: Vec<String> = if args.ids.is_empty() || args.ids.iter().any(|i| i == "all") {
         registry::figure_ids()
@@ -364,42 +310,42 @@ fn main() {
         args.ids.clone()
     };
     let mut figures: Vec<(String, f64)> = Vec::new();
-    // Per-figure NPS positioning cost: (id, mean, median, rounds). Figures
-    // that never reposition an NPS node (the Vivaldi family) record no
-    // entry. The figures run one at a time, so each snapshot delta of the
-    // process-global histogram is attributable to exactly one figure.
+    // Per-figure NPS positioning cost: (id, mean, median, p99, rounds).
+    // Figures that never reposition an NPS node (the Vivaldi family) record
+    // no entry.
     let mut figure_evals: Vec<(String, f64, f64, f64, u64)> = Vec::new();
-    // Per-figure gated-plane summaries for the schema-3 "obs" block. The
-    // sweep (and only the sweep) runs in Metrics mode: kernel timings above
-    // stay on the disabled path, comparable with pre-obs baselines.
+    // Per-figure obs summaries for the "obs" block. The sweep (and only the
+    // sweep) runs in Metrics mode: kernel timings above stay on the
+    // disabled path, comparable with pre-obs baselines.
     let mut figure_obs: Vec<(String, vcoord::obs::ObsReport)> = Vec::new();
+    let round_evals = vcoord::obs::metric("nps.round_evals");
     vcoord::obs::set_mode(vcoord::obs::ObsMode::Metrics);
     let sweep_start = Instant::now();
     for id in &ids {
         let start = Instant::now();
-        let evals_before = evals::snapshot();
         vcoord::obs::reset();
         match registry::run_figure(id, &args.scale, args.seed) {
             Some(_) => {
                 let secs = start.elapsed().as_secs_f64();
-                figure_obs.push((id.clone(), vcoord::obs::drain()));
-                let d = evals::snapshot().delta_since(&evals_before);
-                if d.rounds() > 0 {
-                    println!(
-                        "{id:<20} {secs:>8.2}s  {:>7.1} evals/round over {} rounds",
-                        d.mean(),
-                        d.rounds()
-                    );
-                    figure_evals.push((
-                        id.clone(),
-                        d.mean(),
-                        d.median(),
-                        d.quantile(0.99),
-                        d.rounds(),
-                    ));
-                } else {
-                    println!("{id:<20} {secs:>8.2}s");
+                let report = vcoord::obs::drain();
+                match report.hists().iter().find(|(m, _)| *m == round_evals) {
+                    Some((_, h)) => {
+                        println!(
+                            "{id:<20} {secs:>8.2}s  {:>7.1} evals/round over {} rounds",
+                            h.mean(),
+                            h.count
+                        );
+                        figure_evals.push((
+                            id.clone(),
+                            h.mean(),
+                            h.quantile(0.5),
+                            h.quantile(0.99),
+                            h.count,
+                        ));
+                    }
+                    None => println!("{id:<20} {secs:>8.2}s"),
                 }
+                figure_obs.push((id.clone(), report));
                 figures.push((id.clone(), secs));
             }
             None => {
@@ -438,9 +384,6 @@ fn main() {
         ));
     }
     json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"nps_eval_collapse\": {{\"nodes\": {collapse_nodes}, \"strict_mean\": {collapse_strict:.3}, \"warm_mean\": {collapse_warm:.3}, \"ratio\": {collapse_ratio:.3}}},\n"
-    ));
     json.push_str("  \"evals_per_round\": {\n");
     for (i, (id, mean, median, p99, rounds)) in figure_evals.iter().enumerate() {
         json.push_str(&format!(

@@ -9,8 +9,7 @@
 //!              sorted by name)
 //!   --csv      emit CSV instead of the aligned text tables
 //!   --summary  one health-matrix row per trace (bans, reinstates, chaos
-//!              faults/recoveries, warm-start share) instead of the full
-//!              per-trace digests
+//!              faults/recoveries) instead of the full per-trace digests
 //! ```
 //!
 //! Each file is parsed against the schema documented in the `vcoord-obs`

@@ -17,8 +17,7 @@
 
 use vcoord::netsim::{Engine, NodeId, Scheduler, SeedStream, World, TICK_MS};
 use vcoord::nps::{
-    position_node_scratch, FitObjective, PositionOutcome, PositionScratch, RefSample,
-    SecurityPolicy,
+    position_node, FitObjective, PositionOutcome, PositionScratch, RefSample, SecurityPolicy,
 };
 use vcoord::space::{Coord, SimplexOptions, Space};
 
@@ -79,7 +78,7 @@ pub fn fit_objective(refs: &[SimplexRef]) -> impl Fn(&[f64]) -> f64 + '_ {
 
 /// The whole-fit kernel: the [`simplex_fixture`] minimization run the way
 /// the NPS simulator runs it — one repositioning through
-/// [`position_node_scratch`] (gather, dimension-major objective, Simplex
+/// [`position_node`] (gather, dimension-major objective, Simplex
 /// kernel, outcome) with the start as incumbent and the filter off, so it
 /// is exactly one fit. The objective is [`fit_objective`]'s, term for term,
 /// so this row, `simplex_*_20refs` and its oracle all walk the same
@@ -111,7 +110,7 @@ impl NpsFitFixture {
 
     /// One fit.
     pub fn fit(&mut self) -> PositionOutcome {
-        position_node_scratch(
+        position_node(
             &self.space,
             &self.samples,
             &self.start,
@@ -216,6 +215,7 @@ pub fn netsim_queue_run(pattern: QueuePattern) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vcoord::space::{simplex_downhill, SimplexScratch};
 
     #[test]
     fn fixture_is_deterministic_and_minimizable() {
@@ -225,7 +225,7 @@ mod tests {
         assert_eq!(refs_a.len(), 20);
         assert_eq!(start, vec![1.0; 2]);
         let f = fit_objective(&refs_a);
-        let r = vcoord::space::simplex_downhill(&f, &start, &opts);
+        let r = simplex_downhill(&f, &start, &opts, &mut SimplexScratch::new());
         assert!(
             r.value < f(&start),
             "minimization must improve on the start"
@@ -247,7 +247,12 @@ mod tests {
     #[test]
     fn nps_fit_fixture_walks_the_simplex_fixture_trajectory() {
         let (refs, opts, start) = simplex_fixture(8);
-        let direct = vcoord::space::simplex_downhill(fit_objective(&refs), &start, &opts);
+        let direct = simplex_downhill(
+            fit_objective(&refs),
+            &start,
+            &opts,
+            &mut SimplexScratch::new(),
+        );
         let fit = NpsFitFixture::new(8).fit();
         assert_eq!(fit.evals, direct.evals);
         assert_eq!(fit.objective.to_bits(), direct.value.to_bits());

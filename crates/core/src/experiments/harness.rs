@@ -312,7 +312,7 @@ pub(crate) fn plain<S>(
 pub(crate) struct RunSpec<'a, S: System> {
     /// Horizons, sampling interval and evaluation-plan bounds.
     pub scale: &'a Scale,
-    /// System parameters (space, layers, security, positioning mode, …).
+    /// System parameters (space, layers, security, …).
     pub config: S::Config,
     /// Population size (system-size sweeps move it off `scale.nodes`).
     pub nodes: usize,
@@ -632,8 +632,6 @@ mod tests {
     use crate::attacks::nps::NpsSimpleDisorder;
     use crate::attacks::vivaldi::VivaldiDisorder;
     use vcoord_defense::NoDefense;
-    use vcoord_nps::PositioningMode;
-    use vcoord_space::ResumePolicy;
 
     #[test]
     fn no_defense_run_matches_undefended_run_exactly() {
@@ -692,18 +690,10 @@ mod tests {
     }
 
     #[test]
-    fn warm_positioning_is_a_config_field_of_the_spec() {
-        // Warm-started NPS positioning end to end through the harness: no
-        // goldens (warm starts change the Simplex trajectory), so bound
-        // the output instead — every recorded value finite, nothing empty.
-        // Warm vs strict accuracy is bounded in vcoord-nps and vcoord-space.
+    fn nps_run_produces_complete_record() {
         let scale = Scale::smoke();
         let run = run(
             &RunSpec::<NpsSim> {
-                config: NpsConfig {
-                    positioning: PositioningMode::Warm(ResumePolicy::default_warm()),
-                    ..NpsConfig::default()
-                },
                 fraction: 0.3,
                 adversary: &plain(|| Box::new(NpsSimpleDisorder::default())),
                 ..RunSpec::new(&scale, 2006)

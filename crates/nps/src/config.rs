@@ -3,36 +3,7 @@
 use crate::position::FitObjective;
 use serde::{Deserialize, Serialize};
 use vcoord_netsim::LinkModel;
-use vcoord_space::{ResumePolicy, SimplexOptions, Space};
-
-/// How each node's per-round Simplex minimization starts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub enum PositioningMode {
-    /// Cold-restart every fit — the historical behaviour and the default.
-    /// Every golden figure runs in this mode; it is bit-identical to the
-    /// pre-warm-start engine (property-pinned in the space and root test
-    /// suites).
-    #[default]
-    Strict,
-    /// Warm-start each node's final fit from that node's previous round's
-    /// converged simplex under the given restart policy. Faster (fewer
-    /// objective evaluations) but not bit-identical to [`Strict`]: the
-    /// converged coordinates differ within the Simplex tolerance.
-    ///
-    /// [`Strict`]: PositioningMode::Strict
-    Warm(ResumePolicy),
-}
-
-impl PositioningMode {
-    /// The resume policy this mode implies ([`ResumePolicy::always_cold`]
-    /// for [`Strict`](PositioningMode::Strict)).
-    pub fn policy(&self) -> ResumePolicy {
-        match self {
-            PositioningMode::Strict => ResumePolicy::always_cold(),
-            PositioningMode::Warm(p) => *p,
-        }
-    }
-}
+use vcoord_space::{SimplexOptions, Space};
 
 /// Parameters for an [`crate::NpsSim`].
 ///
@@ -81,10 +52,6 @@ pub struct NpsConfig {
     pub update_damping: f64,
     /// Benign link fault model for positioning probes.
     pub link: LinkModel,
-    /// Simplex start policy per positioning round (strict cold restarts by
-    /// default; absent in serialized configs from before this field existed).
-    #[serde(default)]
-    pub positioning: PositioningMode,
     /// Probation channel period, in positioning rounds: every
     /// `probation_every`-th round a node re-measures one reference from its
     /// rolling ban list (round-robin). The probation sample is *evidence
@@ -122,7 +89,6 @@ impl Default for NpsConfig {
             objective: FitObjective::SquaredAbsolute,
             update_damping: 0.20,
             link: LinkModel::ideal(),
-            positioning: PositioningMode::Strict,
             probation_every: 0,
         }
     }
@@ -161,15 +127,6 @@ mod tests {
         assert_eq!(c.security_min_error, 0.01);
         assert_eq!(c.probe_threshold_ms, 5_000.0);
         assert!(c.security);
-        assert_eq!(c.positioning, PositioningMode::Strict);
         assert_eq!(c.probation_every, 0, "probation is opt-in");
-    }
-
-    #[test]
-    fn strict_mode_policy_is_cold_only() {
-        assert!(PositioningMode::Strict.policy().is_cold_only());
-        assert!(!PositioningMode::Warm(ResumePolicy::default_warm())
-            .policy()
-            .is_cold_only());
     }
 }

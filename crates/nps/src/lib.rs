@@ -36,18 +36,15 @@
 
 pub mod adversary;
 pub mod config;
-pub mod evals;
 pub mod layers;
 pub mod membership;
 pub mod position;
 pub mod sim;
 
 pub use adversary::{AttackStrategy, Collusion, CoordView, Honest, Lie, Probe, Protocol, Scenario};
-pub use config::{NpsConfig, PositioningMode};
-pub use evals::EvalSnapshot;
+pub use config::NpsConfig;
 pub use position::{
-    position_node, position_node_scratch, position_node_seeded, position_node_with, FitObjective,
-    PositionOutcome, PositionScratch, RefSample, SecurityPolicy,
+    position_node, FitObjective, PositionOutcome, PositionScratch, RefSample, SecurityPolicy,
 };
 pub use sim::NpsSim;
 pub use vcoord_defense::{Defense, DefenseStrategy, Verdict};

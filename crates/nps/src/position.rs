@@ -3,10 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 use vcoord_defense::Provenance;
-use vcoord_space::{
-    simplex_downhill_resume, simplex_downhill_scratch, Coord, ResumePolicy, SimplexOptions,
-    SimplexScratch, SimplexSeed, Space,
-};
+use vcoord_space::{simplex_downhill, Coord, SimplexOptions, SimplexScratch, Space};
 
 /// The latency-fit objective minimized by Simplex Downhill.
 ///
@@ -130,7 +127,7 @@ struct FitProblem {
     weights: Vec<f64>,
     /// The evaluation's working row, one slot per fitted sample: squared
     /// distances while they accumulate, then the weighted terms the
-    /// objective sums (and [`CacheMode::Fill`] records).
+    /// objective sums.
     terms: Vec<f64>,
 }
 
@@ -200,42 +197,17 @@ impl FitProblem {
     }
 }
 
-/// Reusable buffers for one Simplex fit: the kernel's working state, the
-/// gathered problem, and the initial-vertex term cache shared between a
-/// positioning's two cold fits.
+/// Reusable buffers for one Simplex fit: the kernel's working state and the
+/// gathered problem.
 #[derive(Debug, Clone, Default)]
 struct FitScratch {
     simplex: SimplexScratch,
     problem: FitProblem,
-    /// Cached `term * weight` contributions of the initial simplex
-    /// vertices: entry `v * cache_stride + k` is sample `k`'s term at
-    /// initial vertex `v`. Filled by a positioning's provisional fit and
-    /// reused by its final fit (see [`position_node_scratch`]).
-    cache: Vec<f64>,
-    /// Samples-per-vertex stride of `cache` (the full sample count of the
-    /// positioning that filled it).
-    cache_stride: usize,
 }
 
-/// How one fit interacts with the initial-vertex term cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CacheMode {
-    /// No caching (warm-started fits; standalone fits).
-    Off,
-    /// Record each sample's `term * weight` for the first `n + 1`
-    /// (initial-vertex) objective evaluations.
-    Fill,
-    /// Serve the first `n + 1` evaluations by re-summing the recorded
-    /// per-sample terms over this fit's index set — bit-identical to
-    /// recomputing them, because the initial vertices of two cold fits
-    /// from the same start are the same points and each term only depends
-    /// on its own sample.
-    Use,
-}
-
-/// Reusable buffers for [`position_node_scratch`]: the Simplex working
-/// state, the gathered fit problem, the usable/surviving sample index sets,
-/// and the security filter's median buffer.
+/// Reusable buffers for [`position_node`]: the Simplex working state, the
+/// gathered fit problem, the usable/surviving sample index sets, and the
+/// security filter's median buffer.
 ///
 /// One long-lived scratch per simulation world makes every positioning
 /// round after the first run without heap allocation beyond the returned
@@ -255,39 +227,24 @@ impl PositionScratch {
     }
 }
 
+/// A NaN fitting error counts as `+∞`: a reference whose error cannot be
+/// computed is maximally wrong, never invisible to the filter's maximum.
+fn nan_as_worst(e: f64) -> f64 {
+    if e.is_nan() {
+        f64::INFINITY
+    } else {
+        e
+    }
+}
+
 /// Fitting error of one reference after positioning:
-/// `E_Ri = |dist(P_H, P_Ri) − D_Ri| / D_Ri`.
+/// `E_Ri = |dist(P_H, P_Ri) − D_Ri| / D_Ri`, or `+∞` when the measured RTT is
+/// not positive or the reported coordinate makes the error non-finite.
 fn fit_error(space: &Space, at: &Coord, s: &RefSample) -> f64 {
     if s.rtt <= 0.0 {
         return f64::INFINITY;
     }
-    (space.distance(at, &s.coord) - s.rtt).abs() / s.rtt
-}
-
-/// Position a node against `samples` using Simplex Downhill, then apply the
-/// security filter.
-///
-/// Returns `None` when fewer than `dim + 1` usable samples are available
-/// (the embedding would be under-constrained); the caller should skip the
-/// round and retry after refreshing its reference set.
-///
-/// The objective is GNP's: `f(x) = Σ ((dist(x, P_Ri) − D_Ri) / D_Ri)²`.
-pub fn position_node(
-    space: &Space,
-    samples: &[RefSample],
-    start: &Coord,
-    security: SecurityPolicy,
-    opts: &SimplexOptions,
-) -> Option<PositionOutcome> {
-    position_node_with(
-        space,
-        samples,
-        start,
-        None,
-        security,
-        opts,
-        FitObjective::SquaredAbsolute,
-    )
+    nan_as_worst((space.distance(at, &s.coord) - s.rtt).abs() / s.rtt)
 }
 
 /// Run one Simplex fit over `samples[idxs]`, minimizing `objective_kind`.
@@ -295,12 +252,9 @@ pub fn position_node(
 /// Allocation-free apart from the returned coordinate. The fitted samples
 /// are gathered once into a [`FitProblem`]; one evaluation fills its
 /// weighted-term row and sums it in sample order, which is bit-identical to
-/// the naive per-sample `space.distance` loop. `seed` warm-starts the
-/// kernel via [`simplex_downhill_resume`]; `cache_mode` shares
-/// initial-vertex terms between a positioning's two cold fits (see
-/// [`CacheMode`]). Returns the fitted coordinate, the final objective
-/// value, and the number of objective evaluations performed.
-#[allow(clippy::too_many_arguments)]
+/// the naive per-sample `space.distance` loop. Returns the fitted
+/// coordinate, the final objective value, and the number of objective
+/// evaluations performed.
 fn fit_samples(
     space: &Space,
     samples: &[RefSample],
@@ -309,35 +263,10 @@ fn fit_samples(
     opts: &SimplexOptions,
     objective_kind: FitObjective,
     fit: &mut FitScratch,
-    cache_mode: CacheMode,
-    seed: Option<(&ResumePolicy, &mut SimplexSeed)>,
 ) -> (Coord, f64, usize) {
-    let FitScratch {
-        simplex,
-        problem,
-        cache,
-        cache_stride,
-    } = fit;
-    let dim = start.vec.len();
-    problem.gather(space, samples, idxs, dim);
-    if cache_mode == CacheMode::Fill {
-        cache.clear();
-        cache.resize((dim + 1) * samples.len(), 0.0);
-        *cache_stride = samples.len();
-    }
-    let n_init = dim + 1;
-    let mut eval_idx = 0usize;
+    let FitScratch { simplex, problem } = fit;
+    problem.gather(space, samples, idxs, start.vec.len());
     let objective = |x: &[f64]| -> f64 {
-        let e = eval_idx;
-        eval_idx += 1;
-        let initial = e < n_init;
-        if initial && cache_mode == CacheMode::Use {
-            // The first `n + 1` evaluations are the initial vertices, which
-            // are the same points the fill fit evaluated; re-summing its
-            // per-sample terms in `idxs` order is bit-identical to
-            // recomputing them.
-            return idxs.iter().map(|&k| cache[e * *cache_stride + k]).sum();
-        }
         // Defense dampening (the `× weight` in `weigh`) is a trailing ×1.0
         // for full-strength samples, so the unweighted fit is preserved
         // bit for bit.
@@ -347,32 +276,28 @@ fn fit_samples(
                 problem.weigh(space, x, |diff, rtt| (diff / rtt) * (diff / rtt))
             }
         }
-        if initial && cache_mode == CacheMode::Fill {
-            for (&k, &t) in idxs.iter().zip(&problem.terms) {
-                cache[e * *cache_stride + k] = t;
-            }
-        }
         problem.terms.iter().sum()
     };
     let fit_span = vcoord_obs::span(vcoord_obs::metric_id!("simplex.fit_ns"));
-    let result = match seed {
-        Some((policy, seed)) => {
-            simplex_downhill_resume(objective, &start.vec, opts, policy, seed, simplex)
-        }
-        None => simplex_downhill_scratch(objective, &start.vec, opts, simplex),
-    };
+    let result = simplex_downhill(objective, &start.vec, opts, simplex);
     drop(fit_span);
     let mut coord = Coord::from_vec(result.point);
     coord.sanitize();
     (coord, result.value, result.evals)
 }
 
-/// [`position_node`] with an explicit fit objective and an optional
-/// *incumbent* position.
+/// Position a node against `samples` using Simplex Downhill and apply the
+/// security filter — the allocation-free path driven once per repositioning
+/// round by the NPS simulator (`scratch` holds every buffer but the returned
+/// [`PositionOutcome`]).
 ///
-/// The incumbent — the node's position from its previous round, when it has
-/// one — is the reference frame for the security filter: fitting errors are
-/// evaluated against the stable incumbent, the worst outlier (if any) is
+/// Returns `None` when fewer than `dim + 1` usable samples are available
+/// (the embedding would be under-constrained); the caller should skip the
+/// round and retry after refreshing its reference set.
+///
+/// The *incumbent* — the node's position from its previous round, when it
+/// has one — is the reference frame for the security filter: fitting errors
+/// are evaluated against the stable incumbent, the worst outlier (if any) is
 /// rejected, and only then is the new position fitted from the surviving
 /// samples. Judging errors against the freshly-dragged fit instead would
 /// systematically blame *nearby honest* references (their small measured
@@ -382,37 +307,10 @@ fn fit_samples(
 /// effective up to ~30 % simple-disorder attackers) is reproducible, and it
 /// leaves the anti-detection attacks exactly their published loophole:
 /// a *consistent* lie has near-zero error against the incumbent. First
-/// positionings (no incumbent) fall back to post-fit evaluation.
-pub fn position_node_with(
-    space: &Space,
-    samples: &[RefSample],
-    start: &Coord,
-    incumbent: Option<&Coord>,
-    security: SecurityPolicy,
-    opts: &SimplexOptions,
-    objective_kind: FitObjective,
-) -> Option<PositionOutcome> {
-    let mut scratch = PositionScratch::new();
-    position_node_scratch(
-        space,
-        samples,
-        start,
-        incumbent,
-        security,
-        opts,
-        objective_kind,
-        &mut scratch,
-    )
-}
-
-/// [`position_node_with`] reusing caller-held buffers — the allocation-free
-/// hot path driven once per repositioning round by the NPS simulator.
-///
-/// Numerically identical to [`position_node_with`] (which delegates here
-/// with a throwaway scratch): the same samples are visited in the same
-/// order, so every floating-point operation matches bit for bit.
+/// positionings (no incumbent) judge against a provisional fit over all
+/// usable samples.
 #[allow(clippy::too_many_arguments)]
-pub fn position_node_scratch(
+pub fn position_node(
     space: &Space,
     samples: &[RefSample],
     start: &Coord,
@@ -420,66 +318,6 @@ pub fn position_node_scratch(
     security: SecurityPolicy,
     opts: &SimplexOptions,
     objective_kind: FitObjective,
-    scratch: &mut PositionScratch,
-) -> Option<PositionOutcome> {
-    position_node_impl(
-        space,
-        samples,
-        start,
-        incumbent,
-        security,
-        opts,
-        objective_kind,
-        None,
-        scratch,
-    )
-}
-
-/// [`position_node_scratch`] with a per-node warm-start seed.
-///
-/// With a cold-only `policy` ([`ResumePolicy::always_cold`]) this is
-/// bitwise-identical to [`position_node_scratch`]. With a warm policy the
-/// *final* fit resumes from `seed` — the converged simplex of this node's
-/// previous positioning — typically collapsing the per-round evaluation
-/// count; the strict-mode optimizations (duplicate-fit skip and
-/// initial-vertex term cache) are disabled because warm initial vertices
-/// differ between fits.
-#[allow(clippy::too_many_arguments)]
-pub fn position_node_seeded(
-    space: &Space,
-    samples: &[RefSample],
-    start: &Coord,
-    incumbent: Option<&Coord>,
-    security: SecurityPolicy,
-    opts: &SimplexOptions,
-    objective_kind: FitObjective,
-    policy: &ResumePolicy,
-    seed: &mut SimplexSeed,
-    scratch: &mut PositionScratch,
-) -> Option<PositionOutcome> {
-    position_node_impl(
-        space,
-        samples,
-        start,
-        incumbent,
-        security,
-        opts,
-        objective_kind,
-        Some((policy, seed)),
-        scratch,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn position_node_impl(
-    space: &Space,
-    samples: &[RefSample],
-    start: &Coord,
-    incumbent: Option<&Coord>,
-    security: SecurityPolicy,
-    opts: &SimplexOptions,
-    objective_kind: FitObjective,
-    seed: Option<(&ResumePolicy, &mut SimplexSeed)>,
     scratch: &mut PositionScratch,
 ) -> Option<PositionOutcome> {
     let PositionScratch {
@@ -500,39 +338,23 @@ fn position_node_impl(
         );
         return None;
     }
-    let warm = seed
-        .as_ref()
-        .is_some_and(|(policy, _)| !policy.is_cold_only());
-    let mut evals = 0usize;
 
     // Reference frame for outlier rejection: the incumbent when available,
-    // otherwise a provisional fit over all samples. A cold provisional fit
-    // fills the initial-vertex term cache.
-    let provisional: Option<(Coord, f64)> = match incumbent {
+    // otherwise a provisional fit over all usable samples.
+    let provisional = match incumbent {
         Some(_) => None,
-        None => {
-            let mode = if warm {
-                CacheMode::Off
-            } else {
-                CacheMode::Fill
-            };
-            let (c, v, e) = fit_samples(
-                space,
-                samples,
-                usable,
-                start,
-                opts,
-                objective_kind,
-                fit,
-                mode,
-                None,
-            );
-            evals += e;
-            Some((c, v))
-        }
+        None => Some(fit_samples(
+            space,
+            samples,
+            usable,
+            start,
+            opts,
+            objective_kind,
+            fit,
+        )),
     };
     let frame = incumbent
-        .or(provisional.as_ref().map(|(c, _)| c))
+        .or(provisional.as_ref().map(|(c, ..)| c))
         .expect("no incumbent implies a provisional fit");
     let filter_span = vcoord_obs::span(vcoord_obs::metric_id!("nps.filter_ns"));
     let fit_errors: Vec<f64> = samples.iter().map(|s| fit_error(space, frame, s)).collect();
@@ -552,37 +374,22 @@ fn position_node_impl(
     } else {
         &*usable
     };
-    // Only a cold provisional fit shares anything with the final fit. And
     // `surviving` preserves `usable`'s order, so equal length means the
-    // final fit would repeat it bit for bit (same samples, start, options,
-    // cold kernel): reuse its result instead.
-    let (coord, objective_value) = match provisional.filter(|_| !warm) {
+    // final fit would repeat the provisional one bit for bit (same samples,
+    // start and options): reuse its result. Landmark embedding — no
+    // incumbent, security off — takes this on every fit.
+    let (coord, objective, evals) = match provisional {
         Some(repeat) if fit_over.len() == usable.len() => repeat,
-        cold_provisional => {
-            let mode = if cold_provisional.is_some() {
-                CacheMode::Use
-            } else {
-                CacheMode::Off
-            };
-            let (c, v, e) = fit_samples(
-                space,
-                samples,
-                fit_over,
-                start,
-                opts,
-                objective_kind,
-                fit,
-                mode,
-                seed,
-            );
-            evals += e;
-            (c, v)
+        first => {
+            let spent = first.map_or(0, |(.., e)| e);
+            let (c, v, e) = fit_samples(space, samples, fit_over, start, opts, objective_kind, fit);
+            (c, v, spent + e)
         }
     };
 
     Some(PositionOutcome {
         coord,
-        objective: objective_value,
+        objective,
         fit_errors,
         filtered,
         evals,
@@ -606,8 +413,9 @@ fn filter_index(
     }
     let (max_idx, max_err) = fit_errors
         .iter()
+        .map(|&e| nan_as_worst(e))
         .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))?;
+        .max_by(|a, b| a.1.total_cmp(&b.1))?;
     finite.clear();
     finite.extend(fit_errors.iter().copied().filter(|e| e.is_finite()));
     if finite.is_empty() {
@@ -615,9 +423,8 @@ fn filter_index(
     }
     // Upper median: the element a full sort would leave at `len / 2`.
     let mid = finite.len() / 2;
-    let (_, median, _) =
-        finite.select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("finite"));
-    if *max_err > policy.min_error && *max_err > policy.c * *median {
+    let (_, median, _) = finite.select_nth_unstable_by(mid, f64::total_cmp);
+    if max_err > policy.min_error && max_err > policy.c * *median {
         Some(max_idx)
     } else {
         None
@@ -630,6 +437,27 @@ mod tests {
 
     fn space() -> Space {
         Space::Euclidean(2)
+    }
+
+    /// [`position_node`] in [`space`] with default Simplex options, on a
+    /// fresh scratch.
+    fn position(
+        samples: &[RefSample],
+        start: &Coord,
+        incumbent: Option<&Coord>,
+        security: SecurityPolicy,
+        objective: FitObjective,
+    ) -> Option<PositionOutcome> {
+        position_node(
+            &space(),
+            samples,
+            start,
+            incumbent,
+            security,
+            &SimplexOptions::default(),
+            objective,
+            &mut PositionScratch::new(),
+        )
     }
 
     /// References on a square, target at the center.
@@ -653,12 +481,12 @@ mod tests {
         // Distances consistent with the point (50, 50).
         let d = 50.0 * std::f64::consts::SQRT_2;
         let samples = square_samples(&[d, d, d, d, 50.0]);
-        let out = position_node(
-            &space(),
+        let out = position(
             &samples,
             &Coord::from_vec(vec![10.0, 10.0]),
+            None,
             SecurityPolicy::paper(),
-            &SimplexOptions::default(),
+            FitObjective::SquaredAbsolute,
         )
         .unwrap();
         assert!((out.coord.vec[0] - 50.0).abs() < 1.0, "{:?}", out.coord);
@@ -674,13 +502,11 @@ mod tests {
         // and the filter names it.
         let d = 50.0 * std::f64::consts::SQRT_2;
         let samples = square_samples(&[d, d, d, d, 5000.0]);
-        let out = position_node_with(
-            &space(),
+        let out = position(
             &samples,
             &Coord::from_vec(vec![10.0, 10.0]),
             None,
             SecurityPolicy::paper(),
-            &SimplexOptions::default(),
             FitObjective::SquaredRelative,
         )
         .unwrap();
@@ -696,13 +522,11 @@ mod tests {
         // (figures 20/22).
         let d = 50.0 * std::f64::consts::SQRT_2;
         let samples = square_samples(&[d, d, d, d, 5000.0]);
-        let out = position_node_with(
-            &space(),
+        let out = position(
             &samples,
             &Coord::from_vec(vec![10.0, 10.0]),
             None,
             SecurityPolicy::paper(),
-            &SimplexOptions::default(),
             FitObjective::SquaredAbsolute,
         )
         .unwrap();
@@ -715,12 +539,12 @@ mod tests {
     fn security_off_never_filters() {
         let d = 50.0 * std::f64::consts::SQRT_2;
         let samples = square_samples(&[d, d, d, d, 5000.0]);
-        let out = position_node(
-            &space(),
+        let out = position(
             &samples,
             &Coord::from_vec(vec![10.0, 10.0]),
+            None,
             SecurityPolicy::off(),
-            &SimplexOptions::default(),
+            FitObjective::SquaredAbsolute,
         )
         .unwrap();
         assert!(out.filtered.is_none());
@@ -729,12 +553,12 @@ mod tests {
     #[test]
     fn under_constrained_returns_none() {
         let samples = square_samples(&[70.0, 70.0, 70.0, 70.0, 50.0]);
-        assert!(position_node(
-            &space(),
+        assert!(position(
             &samples[..2],
             &Coord::origin(2),
+            None,
             SecurityPolicy::paper(),
-            &SimplexOptions::default(),
+            FitObjective::SquaredAbsolute
         )
         .is_none());
     }
@@ -762,6 +586,41 @@ mod tests {
     }
 
     #[test]
+    fn nan_error_does_not_switch_the_filter_off() {
+        // `filter_picks_the_max` with a NaN beside the outlier. The NaN used
+        // to replace the running maximum with whatever followed it, so
+        // nothing was filtered; it now counts as +∞ and is the maximum.
+        let errs = [0.001, 0.002, 0.9, f64::NAN, 0.003];
+        assert_eq!(apply_filter(&errs, SecurityPolicy::paper()), Some(3));
+    }
+
+    #[test]
+    fn nan_coordinate_reference_is_the_one_filtered() {
+        // A delayer (index 3: RTT 800 for a true 70.7) beside a colluder
+        // reporting a NaN coordinate with a finite RTT (index 4). The
+        // colluder's sample never enters the fit, but its fitting error
+        // used to be NaN and hide the delayer from the filter. It is now
+        // +∞, so the filter names the colluder and the caller bans it.
+        let d = 50.0 * std::f64::consts::SQRT_2;
+        let mut samples = square_samples(&[d, d, d, 800.0, 50.0]);
+        samples.push(RefSample::new(105, Coord::from_vec(vec![0.0, 50.0]), 50.0));
+        samples[4].coord = Coord::from_vec(vec![f64::NAN, 0.0]);
+        let incumbent = Coord::from_vec(vec![50.0, 50.0]);
+        let out = position(
+            &samples,
+            &incumbent,
+            Some(&incumbent),
+            SecurityPolicy::paper(),
+            FitObjective::SquaredAbsolute,
+        )
+        .unwrap();
+        assert_eq!(out.fit_errors[4], f64::INFINITY);
+        assert!(out.fit_errors.iter().all(|e| !e.is_nan()));
+        assert_eq!(out.filtered, Some(104), "the NaN reporter is named");
+        assert!(out.coord.is_finite());
+    }
+
+    #[test]
     fn at_most_one_filtered_per_positioning() {
         // Two equally terrible refs: the filter still names only one index.
         let errs = [0.9, 0.9, 0.001, 0.002, 0.001];
@@ -779,13 +638,11 @@ mod tests {
         let d = 50.0 * std::f64::consts::SQRT_2;
         let samples = square_samples(&[d, d, d, d, 800.0]); // true rtt 50, delayed
         let incumbent = Coord::from_vec(vec![50.0, 50.0]);
-        let out = position_node_with(
-            &space(),
+        let out = position(
             &samples,
             &incumbent,
             Some(&incumbent),
             SecurityPolicy::paper(),
-            &SimplexOptions::default(),
             FitObjective::SquaredAbsolute,
         )
         .unwrap();
@@ -810,13 +667,11 @@ mod tests {
         samples[4].coord = Coord::from_vec(vec![50.0, -10_000.0]);
         samples[4].rtt = 10_050.0 * 0.991;
         let incumbent = Coord::from_vec(vec![50.0, 50.0]);
-        let out = position_node_with(
-            &space(),
+        let out = position(
             &samples,
             &incumbent,
             Some(&incumbent),
             SecurityPolicy::paper(),
-            &SimplexOptions::default(),
             FitObjective::SquaredAbsolute,
         )
         .unwrap();
@@ -833,12 +688,12 @@ mod tests {
         // weights must not flip a single bit of the fitted position.
         let d = 50.0 * std::f64::consts::SQRT_2;
         let samples = square_samples(&[d, d, d, d, 50.0]);
-        let a = position_node(
-            &space(),
+        let a = position(
             &samples,
             &Coord::from_vec(vec![10.0, 10.0]),
+            None,
             SecurityPolicy::paper(),
-            &SimplexOptions::default(),
+            FitObjective::SquaredAbsolute,
         )
         .unwrap();
         // Same samples, weights written explicitly.
@@ -849,12 +704,12 @@ mod tests {
                 ..s.clone()
             })
             .collect();
-        let b = position_node(
-            &space(),
+        let b = position(
             &reweighted,
             &Coord::from_vec(vec![10.0, 10.0]),
+            None,
             SecurityPolicy::paper(),
-            &SimplexOptions::default(),
+            FitObjective::SquaredAbsolute,
         )
         .unwrap();
         assert_eq!(a.objective.to_bits(), b.objective.to_bits());
@@ -872,13 +727,11 @@ mod tests {
         let d = 50.0 * std::f64::consts::SQRT_2;
         let mut samples = square_samples(&[d, d, d, d, 5000.0]);
         let fit = |samples: &[RefSample]| {
-            position_node_with(
-                &space(),
+            position(
                 samples,
                 &Coord::from_vec(vec![10.0, 10.0]),
                 None,
                 SecurityPolicy::off(),
-                &SimplexOptions::default(),
                 FitObjective::SquaredAbsolute,
             )
             .unwrap()
@@ -904,12 +757,12 @@ mod tests {
         samples[1].rtt = -5.0;
         samples[2].coord = Coord::from_vec(vec![f64::INFINITY, 0.0]);
         // Only 2 usable refs left < dim+1 = 3.
-        assert!(position_node(
-            &space(),
+        assert!(position(
             &samples,
             &Coord::origin(2),
+            None,
             SecurityPolicy::paper(),
-            &SimplexOptions::default(),
+            FitObjective::SquaredAbsolute
         )
         .is_none());
     }

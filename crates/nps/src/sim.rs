@@ -17,12 +17,9 @@
 
 use crate::adversary::{AttackStrategy, CoordView, Lie, Probe, Protocol, Scenario};
 use crate::config::NpsConfig;
-use crate::evals;
 use crate::layers::{assign_layers, select_landmarks};
 use crate::membership::Membership;
-use crate::position::{
-    position_node_scratch, position_node_seeded, PositionScratch, RefSample, SecurityPolicy,
-};
+use crate::position::{position_node, PositionScratch, RefSample, SecurityPolicy};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
@@ -33,7 +30,7 @@ use vcoord_defense::{
 };
 use vcoord_metrics::FilterLedger;
 use vcoord_netsim::{Engine, NodeId, Scheduler, SeedStream, World};
-use vcoord_space::{Coord, SimplexSeed, Space};
+use vcoord_space::{Coord, Space};
 use vcoord_topo::RttMatrix;
 
 const TAG_REPOSITION: u64 = 1;
@@ -58,7 +55,7 @@ pub struct NpsCounters {
     /// Negative adversarial delays clamped (threat-model violations).
     pub delay_clamped: u64,
     /// Simplex objective evaluations across all positioning rounds
-    /// (landmark embedding excluded — it is identical in every mode).
+    /// (start-up landmark embedding excluded).
     pub objective_evals: u64,
     /// Probation re-measurements of banned references (evidence-only
     /// probes; see `NpsConfig::probation_every`).
@@ -95,13 +92,6 @@ struct NpsWorld {
     adv_rng: ChaCha12Rng,
     /// Reusable Simplex/positioning buffers (allocation-free hot path).
     pos_scratch: PositionScratch,
-    /// Per-node converged simplex carried between rounds. Only consulted
-    /// under [`PositioningMode::Warm`]; under `Strict` the cold-only resume
-    /// policy ignores it entirely, keeping strict runs bit-identical to the
-    /// pre-warm-start engine.
-    ///
-    /// [`PositioningMode::Warm`]: crate::config::PositioningMode::Warm
-    warm_seeds: Vec<SimplexSeed>,
     /// Recycled gathering buffer for one round's reference samples.
     samples_buf: Vec<RefSample>,
     /// Recycled copy of the repositioning node's reference set (decouples
@@ -442,14 +432,12 @@ impl NpsWorld {
         self.drain_reputation_events();
 
         let mut scratch = std::mem::take(&mut self.pos_scratch);
-        let mut seed = std::mem::take(&mut self.warm_seeds[node]);
-        let policy = self.config.positioning.policy();
         let incumbent = if self.positioned[node] {
             Some(&self.coords[node])
         } else {
             None
         };
-        let outcome = position_node_seeded(
+        let outcome = position_node(
             &self.config.space,
             &samples,
             &self.coords[node],
@@ -457,12 +445,9 @@ impl NpsWorld {
             self.security(),
             &self.config.simplex,
             self.config.objective,
-            &policy,
-            &mut seed,
             &mut scratch,
         );
         self.pos_scratch = scratch;
-        self.warm_seeds[node] = seed;
         self.samples_buf = samples;
         let Some(outcome) = outcome else {
             self.counters.skipped_rounds += 1;
@@ -470,7 +455,6 @@ impl NpsWorld {
             return;
         };
         self.counters.objective_evals += outcome.evals as u64;
-        evals::record_round(outcome.evals);
         if vcoord_obs::enabled() {
             vcoord_obs::counter_add(vcoord_obs::metric_id!("nps.positionings"), 1);
             vcoord_obs::observe(
@@ -575,7 +559,6 @@ impl World for NpsWorld {
                 if self.layer[r] != 0 && !self.malicious[r] {
                     self.positioned[r] = false;
                     self.coords[r] = self.config.space.origin();
-                    self.warm_seeds[r] = SimplexSeed::default();
                 }
             }
             if chaos.is_down(node) {
@@ -651,7 +634,7 @@ impl NpsSim {
                         .filter(|&&o| o != l)
                         .map(|&o| RefSample::new(o, coords[o].clone(), matrix.rtt(l, o))),
                 );
-                if let Some(out) = position_node_scratch(
+                if let Some(out) = position_node(
                     &config.space,
                     &lm_samples,
                     &coords[l],
@@ -709,7 +692,6 @@ impl NpsSim {
             probe_rng: seeds.rng("nps/probe"),
             adv_rng: seeds.rng("nps/adversary"),
             pos_scratch: lm_scratch,
-            warm_seeds: vec![SimplexSeed::default(); n],
             samples_buf: lm_samples,
             refs_buf: Vec::new(),
             rep_banned: Vec::new(),
@@ -1022,56 +1004,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_mode_halves_objective_evals_and_still_converges() {
-        let run = |mode: crate::config::PositioningMode| {
-            let seeds = SeedStream::new(9);
-            let matrix =
-                KingLike::new(KingLikeConfig::with_nodes(80)).generate(&mut seeds.rng("topo"));
-            let config = NpsConfig {
-                landmarks: 12,
-                refs_per_node: 12,
-                space: Space::Euclidean(4),
-                positioning: mode,
-                ..NpsConfig::default()
-            };
-            let mut sim = NpsSim::new(matrix, config, &seeds);
-            // Let the join transient pass: during it every node's early
-            // fits are dominated by large coordinate moves, which no warm
-            // start can skip. The collapse claim is about the steady
-            // repositioning regime.
-            sim.run_ms(1_200_000);
-            let warmed = sim.counters();
-            sim.run_ms(1_200_000);
-            let c = sim.counters();
-            let plan = EvalPlan::new(&sim.eval_nodes(), &mut SeedStream::new(7).rng("plan"));
-            let err = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
-            (
-                c.objective_evals - warmed.objective_evals,
-                c.positionings - warmed.positionings,
-                err,
-            )
-        };
-        let (strict_evals, strict_rounds, strict_err) = run(crate::config::PositioningMode::Strict);
-        let (warm_evals, warm_rounds, warm_err) = run(crate::config::PositioningMode::Warm(
-            vcoord_space::ResumePolicy::default_warm(),
-        ));
-        // Identical round structure (same seeds, same probe stream)...
-        assert_eq!(warm_rounds, strict_rounds);
-        // ...at less than half the objective evaluations (the tentpole's
-        // ≥ 2× collapse, measured end to end over whole steady-state
-        // rounds, forced cold restarts included)...
-        assert!(
-            warm_evals * 2 <= strict_evals,
-            "warm {warm_evals} vs strict {strict_evals} evals over {strict_rounds} rounds"
-        );
-        // ...without giving up embedding quality.
-        assert!(
-            warm_err < strict_err + 0.05,
-            "warm error {warm_err} vs strict {strict_err}"
-        );
-    }
-
-    #[test]
     fn strict_counters_record_objective_evals() {
         let mut sim = small_sim(60, 11);
         sim.run_ms(300_000);
@@ -1122,6 +1054,46 @@ mod tests {
             after < before * 2.0 + 0.3,
             "honest adversary degraded NPS: {before} -> {after}"
         );
+    }
+
+    #[test]
+    fn nan_coordinate_adversary_is_named_by_the_filter_and_poisons_nobody() {
+        // A reported NaN coordinate passes `probe_ref` (its RTT is finite).
+        // It must count as a maximal fitting error — the filter names the
+        // liar — instead of a NaN that hides every other reference's error.
+        struct NanCoord;
+        impl AttackStrategy for NanCoord {
+            fn respond(
+                &mut self,
+                _probe: &Probe,
+                _collusion: &mut crate::adversary::Collusion,
+                view: &CoordView<'_>,
+                _rng: &mut ChaCha12Rng,
+            ) -> Option<Lie> {
+                let mut coord = view.space.origin();
+                coord.vec[0] = f64::NAN;
+                Some(Lie {
+                    coord,
+                    error: 1.0,
+                    delay_ms: 0.0,
+                })
+            }
+            fn label(&self) -> &'static str {
+                "nan-coord"
+            }
+        }
+        let mut sim = small_sim(80, 31);
+        sim.run_ms(400_000);
+        let before = sim.ledger();
+        let attackers = sim.pick_attackers(0.2);
+        sim.inject_adversary(&attackers, Box::new(NanCoord));
+        sim.run_ms(400_000);
+        assert!(sim.counters().lies_served > 0);
+        for (i, c) in sim.coords().iter().enumerate() {
+            assert!(sim.malicious()[i] || c.is_finite(), "node {i} at {c:?}");
+        }
+        let named = sim.ledger().filtered_malicious - before.filtered_malicious;
+        assert!(named > 0, "the filter never named a NaN reporter");
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! Property tests pinning NPS positioning — the dimension-major fit
-//! problem, the storage-generic Simplex kernel under it, the initial-vertex
-//! term cache, the duplicate-fit skip, and the security filter's selected
-//! median — to a straight-line reference positioning written here: one
-//! `Space::distance` per sample per evaluation, the retained oracle
-//! minimizer, a full sort for the median, and no caching of any kind.
-//! Everything `position_node_scratch` returns must match it bit for bit.
+//! problem, the storage-generic Simplex kernel under it, the duplicate-fit
+//! skip, and the security filter's selected median — to a straight-line
+//! reference positioning written here: one `Space::distance` per sample per
+//! evaluation, the retained oracle minimizer, and a full sort for the
+//! median. Everything `position_node` returns must match it bit for bit.
 
 use proptest::prelude::*;
 use vcoord_nps::{
-    position_node_scratch, FitObjective, PositionOutcome, PositionScratch, RefSample,
-    SecurityPolicy,
+    position_node, FitObjective, PositionOutcome, PositionScratch, RefSample, SecurityPolicy,
 };
 use vcoord_space::simplex::oracle::simplex_downhill_reference;
 use vcoord_space::{Coord, SimplexOptions, Space};
@@ -296,7 +294,7 @@ proptest! {
             };
             let (samples, start) = d.samples(&space, refs, liar, dead_probe);
             let incumbent = with_incumbent.then_some(&start);
-            let got = position_node_scratch(
+            let got = position_node(
                 &space, &samples, &start, incumbent, SecurityPolicy::paper(), &opts, kind,
                 &mut scratch,
             );
@@ -324,7 +322,7 @@ proptest! {
         let incumbent = (variant / 2 == 1).then_some(&start);
         let opts = SimplexOptions { initial_step: 0.2, ..sim_opts(150) };
         let mut scratch = PositionScratch::new();
-        let got = position_node_scratch(
+        let got = position_node(
             &space, &samples, &start, incumbent, SecurityPolicy::paper(), &opts, kind,
             &mut scratch,
         );
@@ -337,7 +335,7 @@ proptest! {
 
 /// The property above only means something if its cases reach every path;
 /// pin that on one fixed draw: a liar with no incumbent is eliminated after
-/// the provisional fit (cached second fit, both charged), a clean set with
+/// the provisional fit (second fit, both charged), a clean set with
 /// no incumbent skips the duplicate fit (charged once), and an incumbent
 /// runs the single fit.
 #[test]
@@ -357,7 +355,7 @@ fn fixed_cases_reach_cached_pair_dup_skip_and_single_fit() {
     let mut run = |liar: Option<usize>, with_incumbent: bool| {
         let (samples, start) = d.samples(&space, 20, liar, false);
         let incumbent = with_incumbent.then_some(&start);
-        let got = position_node_scratch(
+        let got = position_node(
             &space,
             &samples,
             &start,

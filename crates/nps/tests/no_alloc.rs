@@ -1,11 +1,8 @@
 //! Allocation accounting for the instrumented NPS fit path with the obs
-//! plane off: the per-round evals histogram (`evals::record_round`, on the
-//! always-on aggregate plane) must be allocation-free, and the Simplex
-//! kernels must stay at exactly one allocation per call (the returned
-//! point) — i.e. the `simplex.evals` / warm-vs-cold counters added to them
-//! must cost nothing when disabled, and `SimplexSeed::store` must reuse
-//! its capacity across rounds. One whole positioning on a warmed-up
-//! [`PositionScratch`] must allocate exactly what its returned
+//! plane off: the Simplex kernel must stay at exactly one allocation per
+//! call (the returned point) — i.e. the `simplex.*` counters added to it
+//! must cost nothing when disabled — and one whole positioning on a
+//! warmed-up [`PositionScratch`] must allocate exactly what its returned
 //! [`PositionOutcome`] owns: the coordinate and `fit_errors`.
 //!
 //! [`PositionOutcome`]: vcoord_nps::PositionOutcome
@@ -14,14 +11,9 @@
 //! worker threads, and a sibling test allocating concurrently would
 //! corrupt the global counter.
 
-use vcoord_nps::{
-    evals, position_node_scratch, FitObjective, PositionScratch, RefSample, SecurityPolicy,
-};
+use vcoord_nps::{position_node, FitObjective, PositionScratch, RefSample, SecurityPolicy};
 use vcoord_obs::testing::{allocations, min_allocations_over, CountingAllocator};
-use vcoord_space::{
-    simplex_downhill_resume, simplex_downhill_scratch, Coord, ResumePolicy, SimplexOptions,
-    SimplexScratch, SimplexSeed, Space,
-};
+use vcoord_space::{simplex_downhill, Coord, SimplexOptions, SimplexScratch, Space};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -30,62 +22,22 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 fn fit_hot_path_allocation_budget_holds_with_obs_off() {
     assert_eq!(vcoord_obs::mode(), vcoord_obs::ObsMode::Off);
 
-    // --- Aggregate plane: recording a round is pure atomics. ---
-    evals::record_round(17); // pay the lazy histogram registration
-    let allocs = min_allocations_over(3, || {
-        for n in 0..100_000usize {
-            evals::record_round(n % 300);
-        }
-    });
-    assert_eq!(
-        allocs, 0,
-        "evals::record_round allocated with the obs plane off"
-    );
-
-    // --- Cold kernel: exactly one allocation per call (the returned
-    // point), so the disabled `simplex.evals` counter adds nothing. ---
+    // --- Kernel: exactly one allocation per call (the returned point), so
+    // the disabled `simplex.*` counters add nothing. ---
     let objective = |x: &[f64]| -> f64 { x.iter().map(|v| (v - 3.0) * (v - 3.0)).sum::<f64>() };
     let opts = SimplexOptions::default();
     let start = vec![1.0; 4];
     let mut scratch = SimplexScratch::new();
-    let _ = simplex_downhill_scratch(objective, &start, &opts, &mut scratch); // size the scratch
+    let _ = simplex_downhill(objective, &start, &opts, &mut scratch); // size the scratch
     const CALLS: u64 = 1_000;
     let allocs = min_allocations_over(3, || {
         for _ in 0..CALLS {
-            std::hint::black_box(simplex_downhill_scratch(
-                objective,
-                &start,
-                &opts,
-                &mut scratch,
-            ));
+            std::hint::black_box(simplex_downhill(objective, &start, &opts, &mut scratch));
         }
     });
     assert_eq!(
         allocs, CALLS,
-        "cold simplex kernel must allocate exactly the returned point per call"
-    );
-
-    // --- Warm-resume kernel: same budget once the seed has been stored
-    // once (its vertex buffers are reused, and the warm/cold counter block
-    // is behind the disabled gate). ---
-    let policy = ResumePolicy::default_warm();
-    let mut seed = SimplexSeed::new();
-    let _ = simplex_downhill_resume(objective, &start, &opts, &policy, &mut seed, &mut scratch);
-    let allocs = min_allocations_over(3, || {
-        for _ in 0..CALLS {
-            std::hint::black_box(simplex_downhill_resume(
-                objective,
-                &start,
-                &opts,
-                &policy,
-                &mut seed,
-                &mut scratch,
-            ));
-        }
-    });
-    assert_eq!(
-        allocs, CALLS,
-        "warm-resume simplex kernel must allocate exactly the returned point per call"
+        "simplex kernel must allocate exactly the returned point per call"
     );
 
     // --- One whole positioning: gather, fit, filter (borrowed incumbent
@@ -114,7 +66,7 @@ fn fit_hot_path_allocation_budget_holds_with_obs_off() {
     let start = Coord::from_vec(vec![30.0, -20.0, 5.0]);
     let mut pos_scratch = PositionScratch::new();
     let mut position = |samples: &[RefSample], incumbent: Option<&Coord>| {
-        position_node_scratch(
+        position_node(
             &space,
             samples,
             &start,

@@ -350,6 +350,7 @@ mod tests {
 
     #[test]
     fn render_parse_round_trip() {
+        let _mode = crate::mode_test_guard();
         let a = metric("test.export.counter");
         let b = metric("test.export.hist");
         let c = metric("test.export.event");

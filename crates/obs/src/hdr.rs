@@ -1,10 +1,9 @@
 //! Shared HDR-style log-bucket geometry for every histogram in this crate.
 //!
-//! Both recording planes ([`GlobalHist`](crate::GlobalHist) on the
-//! always-on aggregate side, [`HistData`](crate::HistData) on the gated
-//! side) bucket samples with the same scheme: values below
-//! [`SUB_BUCKETS`] get one bucket each (exact), and every power-of-two
-//! magnitude above that is split into [`SUB_BUCKETS`] linear sub-buckets.
+//! [`HistData`](crate::HistData) buckets samples with this scheme: values
+//! below [`SUB_BUCKETS`] get one bucket each (exact), and every
+//! power-of-two magnitude above that is split into [`SUB_BUCKETS`] linear
+//! sub-buckets.
 //! A bucket's width therefore grows with its magnitude, keeping the
 //! *relative* quantization error bounded by `2^-SUB_BITS` (≈ 3.1 %)
 //! across the whole `u64` range — the classic HdrHistogram trade.

@@ -5,18 +5,13 @@
 //!
 //! # Design
 //!
-//! Two recording planes share one metric-name registry:
-//!
-//! - The **aggregate plane** ([`global_hist`]) is a set of process-global
-//!   lock-free histograms that are *always on* — the successor of the old
-//!   `vcoord_nps::evals` module, which now delegates here. Snapshots are
-//!   monotone; callers subtract two snapshots for a per-run view.
-//! - The **gated plane** ([`counter_add`], [`observe`], [`event`], [`span`])
-//!   records into a per-thread buffer and is compiled around a single
-//!   process-global mode flag ([`set_mode`]). With the mode [`ObsMode::Off`]
-//!   (the default) every recording call is one relaxed atomic load and a
-//!   branch: no allocation, no clock read, no thread-local borrow — cheap
-//!   enough to leave in the hottest inspect/update/fit loops.
+//! There is one recording plane. [`counter_add`], [`observe`], [`event`]
+//! and [`span`] record against the metric-name registry into a per-thread
+//! buffer, compiled around a single process-global mode flag
+//! ([`set_mode`]). With the mode [`ObsMode::Off`] (the default) every
+//! recording call is one relaxed atomic load and a branch: no allocation,
+//! no clock read, no thread-local borrow — cheap enough to leave in the
+//! hottest inspect/update/fit loops.
 //!
 //! # Ownership discipline
 //!
@@ -62,7 +57,6 @@
 
 #![deny(unsafe_code)]
 
-mod aggregate;
 pub mod diff;
 mod export;
 pub mod hdr;
@@ -74,7 +68,6 @@ mod ring;
 #[allow(unsafe_code)]
 pub mod testing;
 
-pub use aggregate::{global_hist, global_hists, GlobalHist, HistSnapshot};
 pub use export::{parse_jsonl, parse_line, render_jsonl, TraceLine, TraceMeta, TRACE_SCHEMA};
 pub use record::{
     absorb, counter_add, drain, event, observe, reset, span, Event, HistData, ObsReport, Span,
@@ -88,7 +81,7 @@ pub use ring::{clear_recent_events, recent_events, EventRing, FLIGHT_RING_CAP};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Global recording mode for the gated plane.
+/// Global recording mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsMode {
     /// Default: recording calls are a load-and-branch no-op.
@@ -120,7 +113,7 @@ pub fn mode() -> ObsMode {
     }
 }
 
-/// Whether the gated plane records at all (mode is not [`ObsMode::Off`]).
+/// Whether anything is recorded at all (mode is not [`ObsMode::Off`]).
 ///
 /// Instrumentation sites that do extra work to *prepare* a record (clock
 /// reads, id lookups) should gate on this; the recording calls themselves
@@ -149,14 +142,23 @@ pub fn init_from_env() -> ObsMode {
     mode()
 }
 
+/// The mode is process-global and libtest runs unit tests on parallel
+/// threads: every unit test that sets the mode, or relies on it being
+/// `Off`, holds this guard for its whole body.
+#[cfg(test)]
+pub(crate) fn mode_test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed holder restored nothing worth protecting; keep going.
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn mode_round_trips() {
-        // Other unit tests in this binary rely on the default Off mode, so
-        // restore it; modes are process-global.
+        let _mode = mode_test_guard();
         assert_eq!(mode(), ObsMode::Off);
         set_mode(ObsMode::Trace);
         assert_eq!(mode(), ObsMode::Trace);

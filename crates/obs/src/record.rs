@@ -1,4 +1,4 @@
-//! The gated recording plane: per-thread counters, histograms, spans, and
+//! The recording plane: per-thread counters, histograms, spans, and
 //! event buffers, drained into [`ObsReport`]s and merged sequentially.
 
 use crate::hdr;
@@ -8,8 +8,8 @@ use crate::{enabled, mode, ObsMode};
 use std::cell::RefCell;
 use std::time::Instant;
 
-/// Bucket count for per-thread histograms — the shared HDR layout from
-/// [`crate::hdr`], same as the aggregate plane.
+/// Bucket count for per-thread histograms — the HDR layout from
+/// [`crate::hdr`].
 pub const HIST_BUCKETS: usize = hdr::BUCKET_COUNT;
 
 /// `node` value for events with no node subject.
@@ -131,7 +131,7 @@ fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> R {
     RECORDER.with(|cell| f(&mut cell.borrow_mut()))
 }
 
-/// A drained (or merged) snapshot of one thread's gated-plane records.
+/// A drained (or merged) snapshot of one thread's records.
 /// Counters and histograms are sorted by metric id; events are in
 /// recording order.
 #[derive(Debug, Default, Clone, PartialEq)]
@@ -348,13 +348,13 @@ mod tests {
     use super::*;
     use crate::{metric, set_mode};
 
-    // Mode is process-global: every test here restores Off before
-    // returning, and each works on its own drained report so parallel
-    // libtest threads (each with their own thread-local recorder) cannot
-    // interfere.
+    // Mode is process-global: every test here holds `mode_test_guard` and
+    // restores Off before returning. Each works on its own drained report
+    // (recorders are thread-local).
 
     #[test]
     fn disabled_plane_records_nothing() {
+        let _mode = crate::mode_test_guard();
         let id = metric("test.record.off");
         reset();
         counter_add(id, 5);
@@ -366,6 +366,7 @@ mod tests {
 
     #[test]
     fn counters_hists_events_round_trip_through_drain() {
+        let _mode = crate::mode_test_guard();
         let a = metric("test.record.a");
         let b = metric("test.record.b");
         set_mode(ObsMode::Trace);
@@ -409,6 +410,7 @@ mod tests {
 
     #[test]
     fn merge_adds_and_retag_stamps_only_untagged() {
+        let _mode = crate::mode_test_guard();
         let a = metric("test.record.merge");
         set_mode(ObsMode::Trace);
         reset();
@@ -432,6 +434,7 @@ mod tests {
 
     #[test]
     fn absorb_then_drain_equals_original() {
+        let _mode = crate::mode_test_guard();
         let a = metric("test.record.absorb");
         set_mode(ObsMode::Metrics);
         reset();

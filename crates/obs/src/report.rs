@@ -190,8 +190,8 @@ impl Digest {
     }
 }
 
-/// One row of the cross-trace health matrix: the defense / chaos /
-/// warm-start vitals of a single figure's trace.
+/// One row of the cross-trace health matrix: the defense / chaos vitals of
+/// a single figure's trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SummaryRow {
     pub fig: String,
@@ -204,9 +204,6 @@ pub struct SummaryRow {
     /// Recovery actions: `chaos.restarts + chaos.retries + chaos.failovers
     /// + chaos.leases`.
     pub recoveries: u64,
-    /// `simplex.warm_start / (warm_start + cold_restart)`; `NaN` when the
-    /// figure ran no Simplex fits.
-    pub warm_share: f64,
 }
 
 /// Reduce one digest to its health-matrix row.
@@ -218,8 +215,6 @@ pub fn summarize(d: &Digest) -> SummaryRow {
             .map(|&(_, v)| v)
             .unwrap_or(0)
     };
-    let warm = c("simplex.warm_start");
-    let cold = c("simplex.cold_restart");
     SummaryRow {
         fig: d.fig.clone(),
         accepts: c("defense.accept"),
@@ -231,26 +226,20 @@ pub fn summarize(d: &Digest) -> SummaryRow {
             + c("chaos.retries")
             + c("chaos.failovers")
             + c("chaos.leases"),
-        warm_share: warm as f64 / (warm + cold) as f64,
     }
 }
 
 /// Render the health matrix (one row per trace) as an aligned text table.
 pub fn summary_text(rows: &[SummaryRow]) -> String {
     let mut out = format!(
-        "{:<28} {:>10} {:>10} {:>8} {:>8} {:>8} {:>10} {:>8}\n",
-        "fig", "accepts", "rejects", "bans", "reinst", "faults", "recover", "warm%"
+        "{:<28} {:>10} {:>10} {:>8} {:>8} {:>8} {:>10}\n",
+        "fig", "accepts", "rejects", "bans", "reinst", "faults", "recover"
     );
     for r in rows {
-        let warm = if r.warm_share.is_nan() {
-            "-".to_string()
-        } else {
-            format!("{:.1}", r.warm_share * 100.0)
-        };
         let _ = writeln!(
             out,
-            "{:<28} {:>10} {:>10} {:>8} {:>8} {:>8} {:>10} {:>8}",
-            r.fig, r.accepts, r.rejects, r.bans, r.reinstates, r.faults, r.recoveries, warm
+            "{:<28} {:>10} {:>10} {:>8} {:>8} {:>8} {:>10}",
+            r.fig, r.accepts, r.rejects, r.bans, r.reinstates, r.faults, r.recoveries
         );
     }
     out
@@ -258,17 +247,11 @@ pub fn summary_text(rows: &[SummaryRow]) -> String {
 
 /// Render the health matrix as CSV.
 pub fn summary_csv(rows: &[SummaryRow]) -> String {
-    let mut out =
-        String::from("fig,accepts,rejects,bans,reinstates,faults,recoveries,warm_share\n");
+    let mut out = String::from("fig,accepts,rejects,bans,reinstates,faults,recoveries\n");
     for r in rows {
-        let warm = if r.warm_share.is_nan() {
-            String::new()
-        } else {
-            format!("{}", r.warm_share)
-        };
         let _ = writeln!(
             out,
-            "{},{},{},{},{},{},{},{warm}",
+            "{},{},{},{},{},{},{}",
             r.fig, r.accepts, r.rejects, r.bans, r.reinstates, r.faults, r.recoveries
         );
     }
@@ -396,8 +379,6 @@ mod tests {
                 ("chaos.retries", 5),
                 ("defense.ban", 7),
                 ("defense.reinstate", 1),
-                ("simplex.warm_start", 30),
-                ("simplex.cold_restart", 10),
             ],
         );
         let quiet = mk("fig1", vec![]);
@@ -405,13 +386,11 @@ mod tests {
         assert_eq!(rows[0].faults, 3);
         assert_eq!(rows[0].recoveries, 7);
         assert_eq!(rows[0].bans, 7);
-        assert!((rows[0].warm_share - 0.75).abs() < 1e-12);
-        assert!(rows[1].warm_share.is_nan());
         let text = summary_text(&rows);
-        assert!(text.contains("chaos-x") && text.contains("75.0"));
+        assert!(text.contains("chaos-x"));
         let csv = summary_csv(&rows);
         assert!(csv.starts_with("fig,accepts,"));
-        assert!(csv.contains("chaos-x,0,0,7,1,3,7,0.75"));
-        assert!(csv.contains("fig1,0,0,0,0,0,0,\n"));
+        assert!(csv.contains("chaos-x,0,0,7,1,3,7\n"));
+        assert!(csv.contains("fig1,0,0,0,0,0,0\n"));
     }
 }

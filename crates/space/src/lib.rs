@@ -36,8 +36,5 @@ pub mod vector;
 
 pub use coord::{Coord, Displacement};
 pub use lanes::dist_batch;
-pub use simplex::{
-    simplex_downhill, simplex_downhill_resume, simplex_downhill_scratch, ResumePolicy,
-    SimplexOptions, SimplexResult, SimplexScratch, SimplexSeed,
-};
+pub use simplex::{simplex_downhill, SimplexOptions, SimplexResult, SimplexScratch};
 pub use space::Space;

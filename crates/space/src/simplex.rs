@@ -6,31 +6,19 @@
 //! contraction / shrink moves and deterministic behaviour (no internal
 //! randomness; ties broken by index).
 //!
-//! Three entry points share **one descent kernel**, written once and generic
-//! over vertex storage: `[f64; N]` on the stack for N = 1..=12 — every
-//! dimension the figures use, with each per-coordinate loop unrolled at
-//! compile time — and `Vec<f64>` borrowed from a caller-held
-//! [`SimplexScratch`] for anything larger. [`simplex_downhill`] brings its
-//! own scratch, [`simplex_downhill_scratch`] reuses the caller's, and either
-//! way the only allocation is the returned best point. The kernel keeps an
-//! incrementally maintained order array — a single ordered reinsertion on
-//! the common reflect/expand/contract moves — in place of the original full
-//! index sort per iteration, while performing *bit-identical* floating-point
+//! [`simplex_downhill`] is the one production entry point. Its descent kernel
+//! is written once and generic over vertex storage: `[f64; N]` on the stack
+//! for N = 1..=12 — every dimension the figures use, with each
+//! per-coordinate loop unrolled at compile time — and `Vec<f64>` borrowed
+//! from the caller-held [`SimplexScratch`] for anything larger, so the only
+//! allocation is the returned best point. The kernel keeps an incrementally
+//! maintained order array — a single ordered reinsertion on the common
+//! reflect/expand/contract moves — in place of the original full index sort
+//! per iteration, while performing *bit-identical* floating-point
 //! operations in the identical order, so optimization trajectories match
 //! the retained [`oracle`] exactly (property-tested in this module and in
 //! `tests/simplex_properties.rs`, and relied on by the figure-CSV golden
-//! tests).
-//!
-//! The third entry point, [`simplex_downhill_resume`], supports *warm
-//! starts*: a caller-held [`SimplexSeed`] carries the converged simplex from
-//! one run to the next, and a [`ResumePolicy`] controls how the seed is
-//! re-inflated (damped restart) and how often a full cold restart is forced.
-//! With [`ResumePolicy::always_cold`] the resume path executes exactly the
-//! same floating-point program as [`simplex_downhill_scratch`] — the strict
-//! mode that keeps figure CSVs byte-identical — and leaves the seed alone,
-//! while warm policies trade that pin for far fewer objective evaluations
-//! per run. Every entry point counts objective evaluations in
-//! [`SimplexResult::evals`] so the saving is measurable.
+//! tests). Objective evaluations are counted in [`SimplexResult::evals`].
 
 /// Tuning knobs for [`simplex_downhill`].
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -82,121 +70,7 @@ pub struct SimplexResult {
     pub evals: usize,
 }
 
-/// Restart policy for [`simplex_downhill_resume`].
-///
-/// `damping` and `min_extent` control how a carried [`SimplexSeed`] is
-/// re-inflated before the descent: the seed simplex (usually collapsed to
-/// tolerance scale by the previous run) is scaled about its best vertex so
-/// its largest per-axis extent is at least
-/// `max(damping * initial_step, min_extent)`. `cold_every` forces a full
-/// cold restart every so many consecutive warm starts so drift cannot
-/// accumulate unboundedly.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ResumePolicy {
-    /// Fraction of [`SimplexOptions::initial_step`] used as the warm-start
-    /// simplex extent.
-    pub damping: f64,
-    /// Absolute floor on the warm-start simplex extent.
-    pub min_extent: f64,
-    /// Force a cold restart after this many consecutive warm starts.
-    /// `1` means every start is cold (strict mode); `0` disables forced
-    /// cold restarts entirely.
-    pub cold_every: u32,
-}
-
-impl ResumePolicy {
-    /// Strict mode: every start is a cold restart. With this policy
-    /// [`simplex_downhill_resume`] is bitwise-identical to
-    /// [`simplex_downhill_scratch`].
-    pub fn always_cold() -> ResumePolicy {
-        ResumePolicy {
-            damping: 0.0,
-            min_extent: 0.0,
-            cold_every: 1,
-        }
-    }
-
-    /// Default warm-start policy: re-inflate to 0.2% of the cold initial
-    /// step (floored at `1e-3`), with a forced cold restart every 64 runs.
-    ///
-    /// The tight extent is deliberate: a resumed run only pays for descent
-    /// when the objective actually moved since the last round, which is
-    /// what makes warm starts collapse the per-round evaluation count.
-    pub fn default_warm() -> ResumePolicy {
-        ResumePolicy {
-            damping: 0.002,
-            min_extent: 1e-3,
-            cold_every: 64,
-        }
-    }
-
-    /// Whether this policy never warm-starts (strict mode).
-    pub fn is_cold_only(&self) -> bool {
-        self.cold_every == 1
-    }
-}
-
-/// Carried simplex state for [`simplex_downhill_resume`].
-///
-/// Stores the final simplex of the previous run (best vertex first) plus the
-/// number of consecutive warm starts taken from it. An empty seed — or one
-/// whose dimension does not match the new problem — always produces a cold
-/// start. A cold-only policy ([`ResumePolicy::is_cold_only`]) never reads a
-/// seed and therefore never writes one.
-#[derive(Debug, Clone, Default)]
-pub struct SimplexSeed {
-    /// Previous run's final vertices, best first; empty means "no seed".
-    verts: Vec<Vec<f64>>,
-    /// Consecutive warm starts taken from this seed lineage.
-    streak: u32,
-}
-
-impl SimplexSeed {
-    /// A fresh, empty seed (first use is always a cold start).
-    pub fn new() -> SimplexSeed {
-        SimplexSeed::default()
-    }
-
-    /// Dimension of the stored simplex, or `None` when empty.
-    pub fn dim(&self) -> Option<usize> {
-        self.verts.first().map(Vec::len)
-    }
-
-    /// Consecutive warm starts taken from this seed lineage.
-    pub fn warm_streak(&self) -> u32 {
-        self.streak
-    }
-
-    /// Drop the stored simplex; the next resume is a cold start.
-    pub fn clear(&mut self) {
-        self.verts.clear();
-        self.streak = 0;
-    }
-
-    /// Whether `policy` may warm-start an `n`-dimensional run from this seed.
-    fn resumes(&self, policy: &ResumePolicy, n: usize) -> bool {
-        !policy.is_cold_only()
-            && self.verts.len() == n + 1
-            && self.verts.iter().all(|v| v.len() == n)
-            && (policy.cold_every == 0 || self.streak + 1 < policy.cold_every)
-    }
-
-    /// Capture the final simplex of a finished descent, best vertex first.
-    fn store<V: AsRef<[f64]>>(&mut self, verts: &[V], order: &[usize], was_warm: bool) {
-        self.verts.resize_with(verts.len(), Vec::new);
-        for (slot, &idx) in self.verts.iter_mut().zip(order) {
-            slot.clear();
-            slot.extend_from_slice(verts[idx].as_ref());
-        }
-        self.streak = if was_warm {
-            self.streak.saturating_add(1)
-        } else {
-            0
-        };
-    }
-}
-
-/// Reusable working state for [`simplex_downhill_scratch`].
+/// Reusable working state for [`simplex_downhill`].
 ///
 /// Dimensions 1–12 (everything the figures sweep) run on fixed-size
 /// vertices that live on the stack and never touch a scratch; larger
@@ -324,13 +198,16 @@ fn lerp_into(out: &mut [f64], from: &[f64], to: &[f64], t: f64) {
     }
 }
 
-/// Minimize `f` starting from `x0` using the Simplex Downhill method.
+/// Minimize `f` starting from `x0` using the Simplex Downhill method,
+/// working in the caller-held `scratch` (only the returned point is
+/// allocated).
 ///
 /// ```
-/// use vcoord_space::{simplex_downhill, SimplexOptions};
+/// use vcoord_space::{simplex_downhill, SimplexOptions, SimplexScratch};
 ///
 /// let f = |x: &[f64]| (x[0] - 3.0).powi(2) + (x[1] + 1.0).powi(2);
-/// let r = simplex_downhill(f, &[0.0, 0.0], &SimplexOptions::default());
+/// let mut scratch = SimplexScratch::new();
+/// let r = simplex_downhill(f, &[0.0, 0.0], &SimplexOptions::default(), &mut scratch);
 /// assert!((r.point[0] - 3.0).abs() < 0.01);
 /// assert!((r.point[1] + 1.0).abs() < 0.01);
 /// ```
@@ -340,76 +217,20 @@ fn lerp_into(out: &mut [f64], from: &[f64], to: &[f64], t: f64) {
 /// from them, which keeps adversarially-poisoned NPS objectives from
 /// propagating NaNs into coordinates.
 ///
-/// This is the convenience wrapper that allocates a fresh [`SimplexScratch`]
-/// per call; hot paths should hold a scratch and call
-/// [`simplex_downhill_scratch`].
-///
-/// # Panics
-/// Panics if `x0` is empty.
-pub fn simplex_downhill<F>(f: F, x0: &[f64], opts: &SimplexOptions) -> SimplexResult
-where
-    F: FnMut(&[f64]) -> f64,
-{
-    let mut scratch = SimplexScratch::new();
-    simplex_downhill_scratch(f, x0, opts, &mut scratch)
-}
-
-/// [`simplex_downhill`] reusing caller-held buffers: the allocation-free
-/// kernel (only the returned point is allocated).
-///
 /// The objective is `FnMut` so callers can thread their own evaluation
 /// scratch (e.g. a reusable coordinate) through it without interior
 /// mutability.
 ///
-/// # Panics
-/// Panics if `x0` is empty.
-pub fn simplex_downhill_scratch<F>(
-    f: F,
-    x0: &[f64],
-    opts: &SimplexOptions,
-    scratch: &mut SimplexScratch,
-) -> SimplexResult
-where
-    F: FnMut(&[f64]) -> f64,
-{
-    minimize(f, x0, opts, None, scratch)
-}
-
-/// Minimize `f`, warm-starting from `seed` when `policy` allows it.
-///
-/// On a cold start (empty or dimension-mismatched seed, strict policy, or a
-/// forced restart per [`ResumePolicy::cold_every`]) this executes exactly
-/// the floating-point program of [`simplex_downhill_scratch`] — bitwise
-/// identical results. On a warm start the previous run's simplex is
-/// re-inflated about its best vertex (see [`ResumePolicy`]) and the descent
-/// begins there, typically converging in far fewer objective evaluations.
-/// Unless the policy is cold-only (which never reads a seed) the finished
-/// simplex is stored back into `seed` for the next call.
-///
-/// # Panics
-/// Panics if `x0` is empty.
-pub fn simplex_downhill_resume<F>(
-    f: F,
-    x0: &[f64],
-    opts: &SimplexOptions,
-    policy: &ResumePolicy,
-    seed: &mut SimplexSeed,
-    scratch: &mut SimplexScratch,
-) -> SimplexResult
-where
-    F: FnMut(&[f64]) -> f64,
-{
-    minimize(f, x0, opts, Some((policy, seed)), scratch)
-}
-
-/// Pick the vertex storage for `x0`'s dimension and run the one kernel on
+/// Picks the vertex storage for `x0`'s dimension and runs the one kernel on
 /// it: a fixed-size instantiation up to 12-D (where the paper's
 /// dimensionality sweep tops out), the scratch's `Vec`s beyond.
-fn minimize<F>(
+///
+/// # Panics
+/// Panics if `x0` is empty.
+pub fn simplex_downhill<F>(
     f: F,
     x0: &[f64],
     opts: &SimplexOptions,
-    resume: Option<(&ResumePolicy, &mut SimplexSeed)>,
     scratch: &mut SimplexScratch,
 ) -> SimplexResult
 where
@@ -419,22 +240,16 @@ where
     macro_rules! fixed_dims {
         ($($n:literal)+) => {
             match x0.len() {
-                $($n => run(f, x0, opts, resume, Fixed::<$n, { $n + 1 }>::new().view()),)+
-                n => run(f, x0, opts, resume, scratch.view(n)),
+                $($n => run(f, x0, opts, Fixed::<$n, { $n + 1 }>::new().view()),)+
+                n => run(f, x0, opts, scratch.view(n)),
             }
         };
     }
     fixed_dims!(1 2 3 4 5 6 7 8 9 10 11 12)
 }
 
-/// One fit on storage `V`: initialize (cold or warm), descend, account.
-fn run<V, F>(
-    mut f: F,
-    x0: &[f64],
-    opts: &SimplexOptions,
-    resume: Option<(&ResumePolicy, &mut SimplexSeed)>,
-    mut s: Simplex<'_, V>,
-) -> SimplexResult
+/// One fit on storage `V`: build the axis simplex, descend, account.
+fn run<V, F>(mut f: F, x0: &[f64], opts: &SimplexOptions, mut s: Simplex<'_, V>) -> SimplexResult
 where
     V: AsRef<[f64]> + AsMut<[f64]>,
     F: FnMut(&[f64]) -> f64,
@@ -449,33 +264,12 @@ where
             f64::INFINITY
         }
     };
-    let warm = match &resume {
-        Some((policy, seed)) if seed.resumes(policy, x0.len()) => {
-            init_warm(s.verts, seed, opts, policy);
-            true
-        }
-        _ => {
-            init_axes(s.verts, x0, opts.initial_step);
-            false
-        }
-    };
+    init_axes(s.verts, x0, opts.initial_step);
     let (iterations, converged) = descend(&mut eval, opts, &mut s);
-    // Only the resume entry point tallies how its fits start.
-    let tally_start = resume.is_some();
-    if let Some((policy, seed)) = resume {
-        if !policy.is_cold_only() {
-            seed.store(s.verts, s.order, warm);
-        }
-    }
     if vcoord_obs::enabled() {
-        if tally_start {
-            let start = if warm {
-                vcoord_obs::metric_id!("simplex.warm_start")
-            } else {
-                vcoord_obs::metric_id!("simplex.cold_restart")
-            };
-            vcoord_obs::counter_add(start, 1);
-        }
+        // Every fit starts from a cold axis simplex; the benchmark's
+        // `space.cold_restart_share` reads this counter by name.
+        vcoord_obs::counter_add(vcoord_obs::metric_id!("simplex.cold_restart"), 1);
         vcoord_obs::counter_add(vcoord_obs::metric_id!("simplex.evals"), evals as u64);
         let exit = if converged {
             vcoord_obs::metric_id!("simplex.exit_converged")
@@ -497,8 +291,7 @@ where
 }
 
 /// Axis simplex: `center` plus one vertex per axis, `step` away (outward
-/// once the component is past ±1). The cold-start simplex, and the
-/// fallback for a degenerate warm seed.
+/// once the component is past ±1).
 #[inline]
 fn init_axes<V: AsMut<[f64]>>(verts: &mut [V], center: &[f64], step: f64) {
     for (k, v) in verts.iter_mut().enumerate() {
@@ -515,49 +308,14 @@ fn init_axes<V: AsMut<[f64]>>(verts: &mut [V], center: &[f64], step: f64) {
     }
 }
 
-/// Initial simplex for a warm start: the seed simplex re-inflated about its
-/// best vertex so its largest per-axis extent is at least
-/// `max(damping * initial_step, min_extent)`. A fully degenerate seed
-/// (zero extent) falls back to an axis simplex of that extent around the
-/// previous best point.
-fn init_warm<V: AsMut<[f64]>>(
-    verts: &mut [V],
-    seed: &SimplexSeed,
-    opts: &SimplexOptions,
-    policy: &ResumePolicy,
-) {
-    let center = &seed.verts[0];
-    let mut max_ext = 0.0f64;
-    for v in &seed.verts[1..] {
-        for (x, c) in v.iter().zip(center) {
-            max_ext = max_ext.max((x - c).abs());
-        }
-    }
-    let target = (policy.damping * opts.initial_step).max(policy.min_extent);
-    if max_ext > 0.0 && max_ext.is_finite() {
-        let scale = if max_ext < target {
-            target / max_ext
-        } else {
-            1.0
-        };
-        for (v, s) in verts.iter_mut().zip(&seed.verts) {
-            for ((x, sx), c) in v.as_mut().iter_mut().zip(s).zip(center) {
-                *x = c + scale * (sx - c);
-            }
-        }
-    } else {
-        init_axes(verts, center, target);
-    }
-}
-
 /// The descent loop — the only one besides the retained [`oracle`]:
 /// evaluate the already-initialized vertices, establish the
 /// `(value, index)` order, and run the standard reflect / expand / contract
 /// / shrink moves until tolerance or the iteration cap.
 ///
-/// Every entry point, every dimension and both vertex storages run this
-/// source, performing the oracle's floating-point operations in the
-/// oracle's order, so trajectories are bit-identical throughout.
+/// Every dimension and both vertex storages run this source, performing
+/// the oracle's floating-point operations in the oracle's order, so
+/// trajectories are bit-identical throughout.
 fn descend<V, E>(eval: &mut E, opts: &SimplexOptions, s: &mut Simplex<'_, V>) -> (usize, bool)
 where
     V: AsRef<[f64]> + AsMut<[f64]>,
@@ -825,10 +583,15 @@ pub mod oracle {
 mod tests {
     use super::*;
 
+    /// One fit on a fresh scratch.
+    fn fit<F: FnMut(&[f64]) -> f64>(f: F, x0: &[f64], opts: &SimplexOptions) -> SimplexResult {
+        simplex_downhill(f, x0, opts, &mut SimplexScratch::new())
+    }
+
     #[test]
     fn minimizes_sphere_function() {
         let f = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
-        let r = simplex_downhill(f, &[10.0, -7.0, 3.0], &SimplexOptions::default());
+        let r = fit(f, &[10.0, -7.0, 3.0], &SimplexOptions::default());
         assert!(r.value < 1e-6, "value={}", r.value);
         assert!(r.point.iter().all(|v| v.abs() < 1e-2));
     }
@@ -836,7 +599,7 @@ mod tests {
     #[test]
     fn minimizes_shifted_quadratic() {
         let f = |x: &[f64]| (x[0] - 3.0).powi(2) + (x[1] + 5.0).powi(2) + 2.0;
-        let r = simplex_downhill(f, &[0.0, 0.0], &SimplexOptions::default());
+        let r = fit(f, &[0.0, 0.0], &SimplexOptions::default());
         assert!((r.value - 2.0).abs() < 1e-5);
         assert!((r.point[0] - 3.0).abs() < 1e-2);
         assert!((r.point[1] + 5.0).abs() < 1e-2);
@@ -850,7 +613,7 @@ mod tests {
             initial_step: 0.5,
             ..Default::default()
         };
-        let r = simplex_downhill(f, &[-1.2, 1.0], &opts);
+        let r = fit(f, &[-1.2, 1.0], &opts);
         assert!(r.value < 1e-4, "value={}", r.value);
     }
 
@@ -865,7 +628,7 @@ mod tests {
                 s
             }
         };
-        let r = simplex_downhill(f, &[4.0, 0.0], &SimplexOptions::default());
+        let r = fit(f, &[4.0, 0.0], &SimplexOptions::default());
         assert!(r.value.is_finite());
         assert!(r.value < 1e-4);
     }
@@ -877,7 +640,7 @@ mod tests {
             max_iterations: 3,
             ..Default::default()
         };
-        let r = simplex_downhill(f, &[1.0, 1.0], &opts);
+        let r = fit(f, &[1.0, 1.0], &opts);
         assert_eq!(r.iterations, 3);
         assert!(!r.converged);
     }
@@ -885,15 +648,15 @@ mod tests {
     #[test]
     fn one_dimensional_works() {
         let f = |x: &[f64]| (x[0] - 42.0).powi(2);
-        let r = simplex_downhill(f, &[0.0], &SimplexOptions::default());
+        let r = fit(f, &[0.0], &SimplexOptions::default());
         assert!((r.point[0] - 42.0).abs() < 1e-3);
     }
 
     #[test]
     fn deterministic_across_runs() {
         let f = |x: &[f64]| (x[0] - 1.0).powi(2) + (x[1] - 2.0).powi(2) * 3.0;
-        let a = simplex_downhill(f, &[9.0, -9.0], &SimplexOptions::default());
-        let b = simplex_downhill(f, &[9.0, -9.0], &SimplexOptions::default());
+        let a = fit(f, &[9.0, -9.0], &SimplexOptions::default());
+        let b = fit(f, &[9.0, -9.0], &SimplexOptions::default());
         assert_eq!(a.point, b.point);
         assert_eq!(a.iterations, b.iterations);
     }
@@ -901,7 +664,7 @@ mod tests {
     /// Bit-level equality against the oracle: point, value, iteration count
     /// and convergence flag must all match exactly.
     fn assert_bit_identical<F: Fn(&[f64]) -> f64>(f: F, x0: &[f64], opts: &SimplexOptions) {
-        let new = simplex_downhill(&f, x0, opts);
+        let new = fit(&f, x0, opts);
         let old = oracle::simplex_downhill_reference(&f, x0, opts);
         assert_eq!(new.iterations, old.iterations, "iterations diverge");
         assert_eq!(new.converged, old.converged, "convergence flag diverges");
@@ -978,12 +741,12 @@ mod tests {
         let f3 = |x: &[f64]| x.iter().map(|v| (v - 2.0) * (v - 2.0)).sum::<f64>();
         let f1 = |x: &[f64]| (x[0] - 42.0).powi(2);
         for _ in 0..3 {
-            let a = simplex_downhill_scratch(f3, &[9.0, -9.0, 0.5], &opts, &mut scratch);
-            let b = simplex_downhill(f3, &[9.0, -9.0, 0.5], &opts);
+            let a = simplex_downhill(f3, &[9.0, -9.0, 0.5], &opts, &mut scratch);
+            let b = fit(f3, &[9.0, -9.0, 0.5], &opts);
             assert_eq!(a.point, b.point);
             assert_eq!(a.iterations, b.iterations);
-            let a1 = simplex_downhill_scratch(f1, &[0.0], &opts, &mut scratch);
-            let b1 = simplex_downhill(f1, &[0.0], &opts);
+            let a1 = simplex_downhill(f1, &[0.0], &opts, &mut scratch);
+            let b1 = fit(f1, &[0.0], &opts);
             assert_eq!(a1.point, b1.point);
         }
     }
@@ -995,130 +758,8 @@ mod tests {
             calls.set(calls.get() + 1);
             (x[0] - 3.0).powi(2) + (x[1] + 1.0).powi(2)
         };
-        let r = simplex_downhill(f, &[0.0, 0.0], &SimplexOptions::default());
+        let r = fit(f, &[0.0, 0.0], &SimplexOptions::default());
         assert_eq!(r.evals, calls.get());
         assert!(r.evals >= 3, "at least the initial vertices are evaluated");
-    }
-
-    #[test]
-    fn resume_cold_policy_is_bit_identical_to_scratch() {
-        let f = |x: &[f64]| (x[0] - 3.0).powi(2) + 2.5 * (x[1] + 5.0).powi(2);
-        let opts = SimplexOptions::default();
-        let mut scratch = SimplexScratch::new();
-        let mut seed = SimplexSeed::new();
-        let policy = ResumePolicy::always_cold();
-        for _ in 0..3 {
-            let via_resume =
-                simplex_downhill_resume(f, &[9.0, -9.0], &opts, &policy, &mut seed, &mut scratch);
-            let direct = simplex_downhill_scratch(f, &[9.0, -9.0], &opts, &mut scratch);
-            assert_eq!(via_resume.iterations, direct.iterations);
-            assert_eq!(via_resume.converged, direct.converged);
-            assert_eq!(via_resume.evals, direct.evals);
-            assert_eq!(via_resume.value.to_bits(), direct.value.to_bits());
-            let a: Vec<u64> = via_resume.point.iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u64> = direct.point.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b);
-            assert_eq!(seed.warm_streak(), 0, "strict mode never warm-starts");
-            assert_eq!(seed.dim(), None, "a seed nobody will read is not written");
-        }
-    }
-
-    #[test]
-    fn warm_resume_converges_with_fewer_evals() {
-        // Steady-state NPS shape: the optimum drifts slightly each round.
-        let opts = SimplexOptions {
-            initial_step: 20.0,
-            tolerance: 1e-7,
-            max_iterations: 150,
-            ..Default::default()
-        };
-        let policy = ResumePolicy::default_warm();
-        let mut scratch = SimplexScratch::new();
-        let mut seed = SimplexSeed::new();
-        let mut cold_evals = 0usize;
-        let mut warm_evals = 0usize;
-        let mut start = [40.0, -25.0, 10.0];
-        for round in 0..12 {
-            let c = 0.05 * round as f64;
-            let f = |x: &[f64]| {
-                (x[0] - 30.0 - c).powi(2) + 2.0 * (x[1] + 12.0).powi(2) + (x[2] - c).powi(2)
-            };
-            let warm = simplex_downhill_resume(f, &start, &opts, &policy, &mut seed, &mut scratch);
-            let cold = simplex_downhill_scratch(f, &start, &opts, &mut scratch);
-            if round > 0 {
-                warm_evals += warm.evals;
-                cold_evals += cold.evals;
-                // Warm result must still be a good minimizer of the same
-                // objective (bounded divergence from the cold answer).
-                assert!(warm.value <= cold.value + 1e-3, "warm value drifted");
-            }
-            start = [warm.point[0], warm.point[1], warm.point[2]];
-        }
-        assert!(seed.warm_streak() > 0, "warm starts actually happened");
-        assert!(
-            warm_evals * 2 <= cold_evals,
-            "expected >=2x fewer evals warm ({warm_evals}) vs cold ({cold_evals})"
-        );
-    }
-
-    #[test]
-    fn forced_cold_restart_resets_streak() {
-        let f = |x: &[f64]| (x[0] - 1.0).powi(2);
-        let opts = SimplexOptions::default();
-        let policy = ResumePolicy {
-            cold_every: 3,
-            ..ResumePolicy::default_warm()
-        };
-        let mut scratch = SimplexScratch::new();
-        let mut seed = SimplexSeed::new();
-        let mut streaks = Vec::new();
-        for _ in 0..7 {
-            simplex_downhill_resume(f, &[5.0], &opts, &policy, &mut seed, &mut scratch);
-            streaks.push(seed.warm_streak());
-        }
-        // Cold (0), warm (1), warm (2), forced cold (0), warm (1), ...
-        assert_eq!(streaks, vec![0, 1, 2, 0, 1, 2, 0]);
-    }
-
-    #[test]
-    fn degenerate_seed_falls_back_to_axis_simplex() {
-        // A seed collapsed to a single point must still start a valid
-        // descent (axis fallback) rather than a zero-volume simplex.
-        let f = |x: &[f64]| (x[0] - 4.0).powi(2) + (x[1] - 4.0).powi(2);
-        let opts = SimplexOptions::default();
-        let policy = ResumePolicy::default_warm();
-        let mut scratch = SimplexScratch::new();
-        let mut seed = SimplexSeed::new();
-        // Converge hard so the stored simplex is extremely tight, then keep
-        // resuming: every run must keep finding the optimum.
-        for _ in 0..5 {
-            let r =
-                simplex_downhill_resume(f, &[0.0, 0.0], &opts, &policy, &mut seed, &mut scratch);
-            assert!(r.value < 1e-4, "value={}", r.value);
-        }
-    }
-
-    #[test]
-    fn seed_dim_mismatch_forces_cold_start() {
-        let opts = SimplexOptions::default();
-        let policy = ResumePolicy::default_warm();
-        let mut scratch = SimplexScratch::new();
-        let mut seed = SimplexSeed::new();
-        let f2 = |x: &[f64]| (x[0] - 1.0).powi(2) + (x[1] + 2.0).powi(2);
-        simplex_downhill_resume(f2, &[0.0, 0.0], &opts, &policy, &mut seed, &mut scratch);
-        assert_eq!(seed.dim(), Some(2));
-        let f3 = |x: &[f64]| x.iter().map(|v| (v - 1.0) * (v - 1.0)).sum::<f64>();
-        let via_resume = simplex_downhill_resume(
-            f3,
-            &[0.0, 0.0, 0.0],
-            &opts,
-            &policy,
-            &mut seed,
-            &mut scratch,
-        );
-        let direct = simplex_downhill_scratch(f3, &[0.0, 0.0, 0.0], &opts, &mut scratch);
-        assert_eq!(via_resume.evals, direct.evals, "mismatch must cold-start");
-        assert_eq!(via_resume.value.to_bits(), direct.value.to_bits());
-        assert_eq!(seed.dim(), Some(3));
     }
 }

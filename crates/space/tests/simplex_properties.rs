@@ -5,16 +5,11 @@
 //! byte-identical figure CSVs — at every dimension the kernel has a
 //! fixed-size instantiation for (1..=12) and on its `Vec` fallback (13),
 //! over NPS-shaped latency-fit objectives with poisoned regions and
-//! truncating iteration caps; and pinning the warm-start resume seam: a
-//! cold-only policy is bitwise-inert, and a warm policy converges to a
-//! point within bounded distance of the cold oracle's optimum.
+//! truncating iteration caps.
 
 use proptest::prelude::*;
 use vcoord_space::simplex::oracle::simplex_downhill_reference;
-use vcoord_space::{
-    simplex_downhill_resume, simplex_downhill_scratch, Coord, ResumePolicy, SimplexOptions,
-    SimplexResult, SimplexScratch, SimplexSeed, Space,
-};
+use vcoord_space::{simplex_downhill, Coord, SimplexOptions, SimplexResult, SimplexScratch, Space};
 
 /// Full bit-level comparison of two runs (panics on divergence, which the
 /// vendored proptest stub reports with the generated inputs).
@@ -109,7 +104,7 @@ proptest! {
                     })
                     .sum()
             };
-            let kernel = simplex_downhill_scratch(f, x0, &opts, &mut scratch);
+            let kernel = simplex_downhill(f, x0, &opts, &mut scratch);
             let oracle = simplex_downhill_reference(f, x0, &opts);
             assert_identical(&kernel, &oracle);
         }
@@ -146,8 +141,8 @@ proptest! {
         // Reuse one scratch across two runs: results must not depend on
         // scratch history.
         let mut scratch = SimplexScratch::new();
-        let first = simplex_downhill_scratch(f, x0, &opts, &mut scratch);
-        let second = simplex_downhill_scratch(f, x0, &opts, &mut scratch);
+        let first = simplex_downhill(f, x0, &opts, &mut scratch);
+        let second = simplex_downhill(f, x0, &opts, &mut scratch);
         let oracle = simplex_downhill_reference(f, x0, &opts);
         assert_identical(&first, &oracle);
         assert_identical(&second, &oracle);
@@ -172,124 +167,8 @@ proptest! {
             ..SimplexOptions::default()
         };
         let mut scratch = SimplexScratch::new();
-        let new = simplex_downhill_scratch(f, &[x0, y0], &opts, &mut scratch);
+        let new = simplex_downhill(f, &[x0, y0], &opts, &mut scratch);
         let oracle = simplex_downhill_reference(f, &[x0, y0], &opts);
         assert_identical(&new, &oracle);
-    }
-
-    /// Strict mode: a cold-only resume policy makes the resume entry point
-    /// bitwise-inert across a whole multi-round sequence — every round of
-    /// `simplex_downhill_resume` matches the plain scratch kernel and the
-    /// oracle exactly, seed state notwithstanding.
-    #[test]
-    fn cold_only_resume_is_bitwise_inert_across_rounds(
-        dim in 1usize..6,
-        center in prop::collection::vec(-80.0f64..80.0, 6),
-        drift in prop::collection::vec(-2.0f64..2.0, 6),
-        start in prop::collection::vec(-100.0f64..100.0, 6),
-        initial_step in 1.0f64..60.0,
-        max_iterations in 20usize..400,
-    ) {
-        let rounds = 1 + max_iterations % 5;
-        let opts = SimplexOptions {
-            initial_step,
-            max_iterations,
-            ..SimplexOptions::default()
-        };
-        let policy = ResumePolicy::always_cold();
-        let mut seed = SimplexSeed::new();
-        let mut resume_scratch = SimplexScratch::new();
-        let mut plain_scratch = SimplexScratch::new();
-        let mut x0 = start[..dim].to_vec();
-        for round in 0..rounds {
-            let c: Vec<f64> = center[..dim]
-                .iter()
-                .zip(&drift[..dim])
-                .map(|(c, d)| c + d * round as f64)
-                .collect();
-            let f = |x: &[f64]| -> f64 {
-                x.iter().zip(&c).map(|(xi, ci)| (xi - ci) * (xi - ci)).sum()
-            };
-            let resumed = simplex_downhill_resume(
-                &f, &x0, &opts, &policy, &mut seed, &mut resume_scratch,
-            );
-            let plain = simplex_downhill_scratch(&f, &x0, &opts, &mut plain_scratch);
-            let oracle = simplex_downhill_reference(f, &x0, &opts);
-            assert_identical(&resumed, &plain);
-            assert_identical(&resumed, &oracle);
-            prop_assert_eq!(seed.warm_streak(), 0, "cold-only policy must never go warm");
-            x0 = resumed.point;
-        }
-    }
-
-    /// Fast mode: warm resumes on a drifting convex objective converge to a
-    /// point within bounded distance of the cold oracle's optimum (both
-    /// land on the same quadratic bowl; the warm path just pays fewer
-    /// evaluations to get there).
-    #[test]
-    fn warm_resume_converges_within_bounded_distance_of_oracle(
-        dim in 1usize..6,
-        center in prop::collection::vec(-80.0f64..80.0, 6),
-        drift in prop::collection::vec(-0.5f64..0.5, 6),
-        start in prop::collection::vec(-100.0f64..100.0, 6),
-        seed_salt in 0u64..1000,
-    ) {
-        // Generous budget: the bound is about where the minimizer lands,
-        // not about truncation artifacts.
-        let opts = SimplexOptions {
-            initial_step: 20.0,
-            tolerance: 1e-9,
-            max_iterations: 2000,
-            ..SimplexOptions::default()
-        };
-        let policy = ResumePolicy::default_warm();
-        let mut seed = SimplexSeed::new();
-        let mut scratch = SimplexScratch::new();
-        let mut x0 = start[..dim].to_vec();
-        let mut warm_evals_total = 0usize;
-        let mut cold_evals_total = 0usize;
-        let rounds = 4 + (seed_salt % 3) as usize;
-        for round in 0..rounds {
-            let c: Vec<f64> = center[..dim]
-                .iter()
-                .zip(&drift[..dim])
-                .map(|(c, d)| c + d * round as f64)
-                .collect();
-            let f = |x: &[f64]| -> f64 {
-                x.iter().zip(&c).map(|(xi, ci)| (xi - ci) * (xi - ci)).sum()
-            };
-            let warm = simplex_downhill_resume(&f, &x0, &opts, &policy, &mut seed, &mut scratch);
-            let oracle = simplex_downhill_reference(f, &x0, &opts);
-            warm_evals_total += warm.evals;
-            cold_evals_total += oracle.evals;
-            let gap: f64 = warm
-                .point
-                .iter()
-                .zip(&oracle.point)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f64>()
-                .sqrt();
-            prop_assert!(
-                gap < 0.1,
-                "round {round}: warm point strayed {gap} from the oracle optimum"
-            );
-            prop_assert!(
-                warm.value <= oracle.value + 1e-3,
-                "round {round}: warm value {} vs oracle {}",
-                warm.value,
-                oracle.value
-            );
-            x0 = warm.point;
-        }
-        // Not the headline 2× (that needs NPS-shaped round-to-round
-        // locality; see the sim test and bench fixture). Adversarial
-        // drift/dimension draws can even make a resumed sequence slightly
-        // dearer than cold — the tiny re-inflated simplex must re-expand
-        // to chase a far-moved optimum — so only a modest overhead ceiling
-        // is a true invariant here.
-        prop_assert!(
-            warm_evals_total <= cold_evals_total + cold_evals_total / 4,
-            "warm total {warm_evals_total} vs cold total {cold_evals_total}"
-        );
     }
 }
