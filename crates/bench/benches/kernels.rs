@@ -208,8 +208,9 @@ fn bench_defense_inspect(c: &mut Criterion) {
     });
 
     // Steady-state cost of real detectors: also asserted allocation-free
-    // once warm-up has filled every history ring (a growing ring still
-    // allocates — the bound derives from the ring depths).
+    // once warm-up has filled every history ring (a ring allocates at its
+    // first sample only; the bound derives from the ring depths so the
+    // windows the detectors read are full).
     let warmup = ring_fill_samples(REMOTES);
     let mut drift = Defense::new(Box::new(DriftCap::new(1e12)));
     let mut mad = Defense::new(Box::new(ResidualOutlier::new(12, 1e12)));
@@ -241,6 +242,19 @@ fn bench_defense_inspect(c: &mut Criterion) {
                 sample((drift_round % REMOTES as u64) as usize, drift_round),
             )
         })
+    });
+    // The same detector at the simulators' working set: random (observer,
+    // remote) pairs over 1740 nodes.
+    let mut wide = vcoord_bench::InspectFixture::warmed();
+    let before = allocations();
+    wide.run_batch();
+    let allocs = allocations() - before;
+    assert_eq!(
+        allocs, 0,
+        "warmed-up 1740-node inspection allocated {allocs} times over one batch"
+    );
+    group.bench_function("drift_cap_1740n_per_sample", |b| {
+        b.iter(|| wide.inspect_one())
     });
     let mut mad_round = warmup + 10_000;
     group.bench_function("mad_outlier_steady", |b| {
@@ -283,6 +297,10 @@ fn bench_matrix_ops(c: &mut Criterion) {
     c.bench_function("rtt_matrix_random_subset_100_of_400", |b| {
         let mut rng = seeds.rng("subset");
         b.iter(|| matrix.random_subset(100, &mut rng))
+    });
+    // The benchmark workloads' data set: the paper's 1740 nodes, whole.
+    c.bench_function("topo_generate_1740n", |b| {
+        b.iter(|| KingLike::default().generate(&mut SeedStream::new(2006).rng("topo")))
     });
 }
 

@@ -293,6 +293,26 @@ fn main() {
             }),
         ));
     }
+    {
+        // Defense inspection over the simulators' working set (see
+        // vcoord_bench::InspectFixture), per sample.
+        let mut fixture = vcoord_bench::InspectFixture::warmed();
+        let per_batch = time_kernel(budget, || fixture.run_batch());
+        kernels.push((
+            "defense_inspect_drift_cap_1740n_per_sample".into(),
+            per_batch.scaled(1.0 / vcoord_bench::InspectFixture::BATCH as f64),
+        ));
+    }
+    {
+        // The benchmark workloads' data set, synthesised whole.
+        let seeds = SeedStream::new(2006);
+        kernels.push((
+            "topo_generate_1740n".into(),
+            time_kernel(budget, || {
+                std::hint::black_box(KingLike::default().generate(&mut seeds.rng("topo")));
+            }),
+        ));
+    }
     for (name, s) in &kernels {
         println!(
             "{name:<40} {:>9.3e} s median ({} samples, trimmed {:.3e}, p95 {:.3e})",

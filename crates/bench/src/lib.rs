@@ -15,6 +15,8 @@
 
 #![forbid(unsafe_code)]
 
+use vcoord::defense::testing::ring_fill_samples;
+use vcoord::defense::{Defense, DriftCap, Provenance, Update, Verdict};
 use vcoord::netsim::{Engine, NodeId, Scheduler, SeedStream, World, TICK_MS};
 use vcoord::nps::{
     position_node, FitObjective, PositionOutcome, PositionScratch, RefSample, SecurityPolicy,
@@ -212,6 +214,89 @@ pub fn netsim_queue_run(pattern: QueuePattern) -> usize {
     engine.run_until(&mut world, QUEUE_TICKS * TICK_MS)
 }
 
+/// The defense-inspection kernel at the working set a simulator gives it:
+/// a drift cap that never trips (as in the `drift_cap_steady` row) judging
+/// samples whose observer and remote are both drawn over [`QUEUE_NODES`]
+/// nodes, so each inspection lands on history the cache has not seen for a
+/// thousand samples. `drift_cap_steady` cycles 16 remotes under one
+/// observer and times the arithmetic; this row times the store.
+pub struct InspectFixture {
+    space: Space,
+    coords: Vec<Coord>,
+    defense: Defense,
+    samples: u64,
+    /// Pair generator state (a 64-bit LCG; no RNG crate in the loop).
+    lcg: u64,
+}
+
+impl InspectFixture {
+    /// Samples per timed call of [`InspectFixture::run_batch`].
+    pub const BATCH: u64 = 4096;
+
+    /// Every node placed, every history window full.
+    pub fn warmed() -> InspectFixture {
+        let space = Space::Euclidean(2);
+        let mut rng = SeedStream::new(6).rng("bench/inspect-fixture");
+        let mut fixture = InspectFixture {
+            space,
+            coords: (0..QUEUE_NODES)
+                .map(|_| space.random_coord(150.0, &mut rng))
+                .collect(),
+            defense: Defense::new(Box::new(DriftCap::new(1e12))),
+            samples: 0,
+            lcg: 2006,
+        };
+        // Strided pairs visit every remote and every observer equally often.
+        for k in 0..ring_fill_samples(QUEUE_NODES) as usize {
+            fixture.inspect((k * 977 + 13) % QUEUE_NODES, k % QUEUE_NODES);
+        }
+        fixture
+    }
+
+    fn inspect(&mut self, observer: usize, remote: usize) -> Verdict {
+        // One round per population's worth of samples, as a Vivaldi tick.
+        let round = self.samples / QUEUE_NODES as u64;
+        self.samples += 1;
+        self.defense.inspect(
+            &self.space,
+            &self.coords[observer],
+            Update {
+                observer,
+                remote,
+                reported_coord: &self.coords[remote],
+                reported_error: 0.3,
+                rtt: 100.0,
+                round,
+                now_ms: round * TICK_MS,
+                provenance: Provenance::Normal,
+            },
+        )
+    }
+
+    /// Judge one sample between a random pair.
+    pub fn inspect_one(&mut self) -> Verdict {
+        self.lcg = self
+            .lcg
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let remote = (self.lcg >> 33) as usize % QUEUE_NODES;
+        let observer = (self.lcg >> 12) as usize % QUEUE_NODES;
+        self.inspect(observer, remote)
+    }
+
+    /// [`InspectFixture::BATCH`] samples: long enough for a timer to read.
+    pub fn run_batch(&mut self) {
+        for _ in 0..Self::BATCH {
+            std::hint::black_box(self.inspect_one());
+        }
+    }
+
+    /// The deployed defense (for its tallies).
+    pub fn defense(&self) -> &Defense {
+        &self.defense
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,6 +327,24 @@ mod tests {
         assert_eq!(netsim_queue_run(QueuePattern::NonMonotone), timers);
         let cycle = netsim_queue_run(QueuePattern::TimerAndResponse);
         assert!((2 * timers - 100..=2 * timers).contains(&cycle), "{cycle}");
+    }
+
+    #[test]
+    fn inspect_fixture_is_warm_and_never_bans() {
+        let mut fixture = InspectFixture::warmed();
+        let warm = ring_fill_samples(QUEUE_NODES);
+        let history = fixture.defense().history();
+        for node in [0, 1, QUEUE_NODES / 2, QUEUE_NODES - 1] {
+            assert_eq!(
+                history.remote(node).unwrap().samples(),
+                warm / QUEUE_NODES as u64
+            );
+            assert_eq!(history.recent(node).samples().len(), 24);
+        }
+        fixture.run_batch();
+        let stats = fixture.defense().stats();
+        assert_eq!(stats.total(), warm + InspectFixture::BATCH);
+        assert_eq!(stats.rejected, 0);
     }
 
     #[test]

@@ -14,14 +14,18 @@
 //! `NoDefense`-defended) simulation pays one branch and one counter
 //! increment per sample — zero allocation, zero trajectory change.
 
-use std::collections::HashMap;
 use vcoord_metrics::Confusion;
 use vcoord_space::{Coord, Space};
 
-use crate::history::NeighborHistory;
+use crate::history::{slot, NeighborHistory, ObserverSample};
 use crate::strategy::{DefenseScratch, DefenseStrategy, Provenance, UpdateView, Verdict};
 
 /// One incoming sample, as the simulator hands it to [`Defense::inspect`].
+///
+/// `observer` and `remote` are the simulator's node indices. The engine and
+/// every strategy keep their per-node state in tables indexed by them, as
+/// long as the largest id seen: ids are expected to be dense and to start
+/// near zero, not hashes or addresses.
 #[derive(Debug, Clone, Copy)]
 pub struct Update<'a> {
     /// The honest node about to apply the update.
@@ -62,10 +66,16 @@ pub struct DefenseStats {
     /// Lease-provenance samples whose evidence was quarantined (judged and
     /// tallied above, but kept out of every history window).
     pub quarantined: u64,
-    /// Flag events (rejections + strict dampenings) per remote node.
-    flags: HashMap<usize, u64>,
-    /// Inspections per remote node.
-    inspected: HashMap<usize, u64>,
+    /// Per remote node, indexed by node id.
+    nodes: Vec<NodeTally>,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeTally {
+    /// Inspections of this node's reports.
+    inspected: u64,
+    /// Flag events (rejections + strict dampenings) against it.
+    flags: u64,
 }
 
 impl DefenseStats {
@@ -76,12 +86,12 @@ impl DefenseStats {
 
     /// Flag events recorded against `node`.
     pub fn flags_of(&self, node: usize) -> u64 {
-        self.flags.get(&node).copied().unwrap_or(0)
+        self.nodes.get(node).map_or(0, |t| t.flags)
     }
 
     /// Inspections of samples reported by `node`.
     pub fn inspected_of(&self, node: usize) -> u64 {
-        self.inspected.get(&node).copied().unwrap_or(0)
+        self.nodes.get(node).map_or(0, |t| t.inspected)
     }
 
     /// Grade the per-node flags against a ground-truth malicious set: a
@@ -102,19 +112,21 @@ impl DefenseStats {
     /// separating as runs get longer; the rate does not.
     pub fn confusion_rated(&self, malicious: &[bool], min_flags: u64, min_rate: f64) -> Confusion {
         let mut c = Confusion::new();
-        for (&node, &seen) in &self.inspected {
-            if seen == 0 {
+        for (node, t) in self.nodes.iter().enumerate() {
+            if t.inspected == 0 {
                 continue;
             }
-            let flags = self.flags_of(node);
-            let flagged = flags >= min_flags.max(1) && flags as f64 >= min_rate * seen as f64;
+            let flagged =
+                t.flags >= min_flags.max(1) && t.flags as f64 >= min_rate * t.inspected as f64;
             c.record(malicious.get(node).copied().unwrap_or(false), flagged);
         }
         c
     }
 
     fn record(&mut self, remote: usize, verdict: &Verdict) {
-        *self.inspected.entry(remote).or_insert(0) += 1;
+        let tally = slot(&mut self.nodes, remote);
+        tally.inspected += 1;
+        tally.flags += u64::from(verdict.is_flag());
         match verdict {
             Verdict::Accept => self.accepted += 1,
             Verdict::Reject => self.rejected += 1,
@@ -123,9 +135,6 @@ impl DefenseStats {
             // `Verdict::factor`/`Verdict::is_flag`.
             Verdict::Dampen(_) if verdict.factor() < 1.0 => self.dampened += 1,
             Verdict::Dampen(_) => self.accepted += 1,
-        }
-        if verdict.is_flag() {
-            *self.flags.entry(remote).or_insert(0) += 1;
         }
     }
 }
@@ -252,7 +261,7 @@ impl Defense {
         self.last_round = Some(u.round.max(from));
 
         let predicted = space.distance(observer_coord, u.reported_coord);
-        self.history.ensure(u.observer, u.remote);
+        let (remote_history, recent) = self.history.inspecting(u.observer, u.remote);
         let view = UpdateView {
             space,
             observer: u.observer,
@@ -265,8 +274,8 @@ impl Defense {
             round: u.round,
             now_ms: u.now_ms,
             provenance: u.provenance,
-            remote_history: self.history.remote(u.remote).expect("ensured just above"),
-            recent: self.history.recent(u.observer),
+            remote_history,
+            recent,
         };
         let residual = view.residual();
         let rel_residual = view.rel_residual();
@@ -303,12 +312,14 @@ impl Defense {
             if verdict != Verdict::Reject {
                 self.history.record_observer(
                     u.observer,
-                    u.remote,
-                    u.round,
+                    ObserverSample {
+                        remote: u.remote,
+                        rtt: u.rtt,
+                        residual,
+                        rel_residual,
+                        round: u.round,
+                    },
                     u.reported_coord,
-                    u.rtt,
-                    residual,
-                    rel_residual,
                 );
             }
         }
@@ -489,7 +500,7 @@ mod tests {
             "quarantined evidence must not build a remote trail"
         );
         assert!(
-            d.history().recent(0).is_empty(),
+            d.history().recent(0).samples().is_empty(),
             "quarantined evidence must not enter the calibration ring"
         );
 

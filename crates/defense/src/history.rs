@@ -11,15 +11,18 @@
 //!   cooperative-detection deployments the paper's "verified set"
 //!   discussion points at; a strictly node-local detector is the
 //!   `observer`-ring view below.
-//! * [`ObserverSample`] rings — per observer, its most recent samples
-//!   across *all* neighbors: the local residual population (for outlier
-//!   thresholds) and the recent coordinate/RTT pairs (for triangle checks).
+//! * [`Recent`] rings — per observer, its most recent samples across *all*
+//!   neighbors: the local residual population (for outlier thresholds) and
+//!   the recent coordinate/RTT pairs (for triangle checks).
 //!
-//! All rings recycle their slots — coordinate payloads are copied into
-//! existing `Vec` capacity — so after warm-up the store records without
-//! heap allocation.
+//! Both indexes are tables indexed by node id — the simulators' node
+//! indices, dense from zero, so a lookup is a bounds check and not a hash —
+//! and every ring is a fixed-size buffer written in place: scalar rings are arrays
+//! inside the table entry, vector payloads (pulls, coordinates) sit in one
+//! flat buffer per ring, `dim + 1` components per slot, allocated whole at
+//! the ring's first sample. After a node's first sample the store records
+//! without heap allocation.
 
-use std::collections::HashMap;
 use vcoord_space::{Coord, Space};
 
 /// Residual-window length of [`RemoteHistory`].
@@ -29,62 +32,88 @@ pub const REPORTED_WINDOW: usize = 8;
 /// Per-observer recent-sample ring length.
 pub const OBSERVER_WINDOW: usize = 24;
 
-/// Copy `src` into `dst` reusing `dst`'s buffer capacity.
-fn copy_coord(dst: &mut Coord, src: &Coord) {
-    dst.vec.clear();
-    dst.vec.extend_from_slice(&src.vec);
-    dst.height = src.height;
+/// The entry of `id` in a table indexed by node id, grown on demand.
+///
+/// Node ids are the simulators' node indices — dense, starting at zero — so
+/// every per-node store in this crate is a `Vec` indexed by id, not a hash
+/// map: one bounds check instead of one SipHash per lookup, and neighbours
+/// in id are neighbours in memory. A table is as long as the largest id it
+/// has seen.
+pub(crate) fn slot<T: Default>(table: &mut Vec<T>, id: usize) -> &mut T {
+    if id >= table.len() {
+        table.resize_with(id + 1, T::default);
+    }
+    &mut table[id]
+}
+
+/// A ring of `dim + 1`-component vectors (Euclidean part, then height) in
+/// one flat buffer, slot after slot. The buffer is allocated whole by the
+/// first write, which also fixes the width: one `Defense` serves one space.
+#[derive(Debug, Clone, Default)]
+struct VecRing {
+    width: usize,
+    data: Vec<f64>,
+}
+
+impl VecRing {
+    /// Slot `k` of a ring of `slots` vectors as wide as `like` plus its
+    /// height.
+    fn slot_mut(&mut self, slots: usize, k: usize, like: &Coord) -> &mut [f64] {
+        if self.data.is_empty() {
+            self.width = like.dim() + 1;
+            self.data = vec![0.0; slots * self.width];
+        }
+        assert_eq!(like.dim() + 1, self.width, "one defense, one space");
+        &mut self.data[k * self.width..(k + 1) * self.width]
+    }
+
+    /// Store `coord` in slot `k`.
+    fn put(&mut self, slots: usize, k: usize, coord: &Coord) {
+        let (height, vec) = self
+            .slot_mut(slots, k, coord)
+            .split_last_mut()
+            .expect("width is at least one");
+        vec.copy_from_slice(&coord.vec);
+        *height = coord.height;
+    }
+
+    /// Slot `k` as `(Euclidean part, height)`.
+    fn get(&self, k: usize) -> (&[f64], f64) {
+        let (height, vec) = self.data[k * self.width..(k + 1) * self.width]
+            .split_last()
+            .expect("width is at least one");
+        (vec, *height)
+    }
 }
 
 /// Accumulated history of one node's reports, across all observers.
 #[derive(Debug, Clone, Default)]
 pub struct RemoteHistory {
-    /// Ring of signed residuals `rtt − predicted` (ms), unordered.
-    residuals: Vec<f64>,
+    /// Ring of signed residuals `rtt − predicted` (ms), unordered; the
+    /// first `len` slots are live.
+    residuals: [f64; RESIDUAL_WINDOW],
     /// Ring of relative residuals `|predicted − rtt| / rtt`, parallel to
     /// `residuals`.
-    rel_residuals: Vec<f64>,
+    rel_residuals: [f64; RESIDUAL_WINDOW],
     /// Ring of *pull vectors*, parallel to `residuals`: the per-sample
     /// displacement this node's report exerts on its observer,
     /// `(rtt − predicted) · u(observer − reported)`, stored as Euclidean
     /// components plus a trailing height component. See
     /// [`RemoteHistory::mean_pull_norm`].
-    pulls: Vec<Vec<f64>>,
-    cursor: usize,
-    /// Ring of `(round, reported coordinate)` — the report trail.
-    reported: Vec<(u64, Coord)>,
-    rep_cursor: usize,
+    pulls: VecRing,
+    len: usize,
+    /// The report trail: rounds here, the coordinates reported in them
+    /// beside; the first `rep_len` slots are live.
+    reported_rounds: [u64; REPORTED_WINDOW],
+    reported: VecRing,
+    rep_len: usize,
+    /// Samples ever recorded; slot `samples % window` of each ring is the
+    /// next one written, which once the ring is full is its oldest.
     samples: u64,
     last_round: u64,
-}
-
-/// Write the pull vector of one sample into `slot` without allocating
-/// (beyond the slot's own one-time growth): the unit direction of
-/// `observer − reported` under the height-model norm, scaled by the signed
-/// residual. A zero displacement leaves a zero pull.
-fn write_pull(slot: &mut Vec<f64>, observer: &Coord, reported: &Coord, residual: f64) {
-    slot.clear();
-    let mut sq = 0.0;
-    for (a, b) in observer.vec.iter().zip(&reported.vec) {
-        let c = a - b;
-        sq += c * c;
-        slot.push(c);
-    }
-    // Height-model semantics: heights add under subtraction (the path
-    // descends one access link and climbs the other).
-    let height = observer.height + reported.height;
-    slot.push(height);
-    let norm = sq.sqrt() + height;
-    if norm > f64::EPSILON {
-        let s = residual / norm;
-        for c in slot.iter_mut() {
-            *c *= s;
-        }
-    } else {
-        for c in slot.iter_mut() {
-            *c = 0.0;
-        }
-    }
+    /// Whether the engine ever inspected a report of this node: a table
+    /// entry below the largest id seen exists whether or not it did.
+    inspected: bool,
 }
 
 impl RemoteHistory {
@@ -105,12 +134,12 @@ impl RemoteHistory {
 
     /// The retained window of signed residuals (ms), unordered.
     pub fn residuals(&self) -> &[f64] {
-        &self.residuals
+        &self.residuals[..self.len]
     }
 
     /// The retained window of relative residuals, unordered.
     pub fn rel_residuals(&self) -> &[f64] {
-        &self.rel_residuals
+        &self.rel_residuals[..self.len]
     }
 
     /// Mean *signed* residual over the window (`None` when empty). Note
@@ -119,14 +148,15 @@ impl RemoteHistory {
     /// access-link/height effect) holds a *scalar* residual bias to every
     /// neighbor, so this mean alone misfires on real topologies.
     pub fn mean_residual(&self) -> Option<f64> {
-        if self.residuals.is_empty() {
+        if self.len == 0 {
             return None;
         }
-        Some(self.residuals.iter().sum::<f64>() / self.residuals.len() as f64)
+        Some(self.residuals().iter().sum::<f64>() / self.len as f64)
     }
 
     /// Norm of the **vector** mean pull this node's reports exert on their
-    /// observers, ms per sample (`None` when the window is empty).
+    /// observers, ms per sample (`None` when the window is empty), in any
+    /// number of dimensions.
     ///
     /// This is the quantity that separates a colluder from an
     /// unembeddable-but-honest node: the hub node with `rtt > predicted`
@@ -136,21 +166,22 @@ impl RemoteHistory {
     /// pulls every observer along the shared collusion axis, so the
     /// vector mean keeps the full gap magnitude.
     pub fn mean_pull_norm(&self) -> Option<f64> {
-        let first = self.pulls.first()?;
-        let dims = first.len();
-        let mut acc = [0.0f64; 16];
-        if dims > acc.len() {
-            // Beyond any space the workspace sweeps (≤ 12-D + height);
-            // fall back to the scalar mean rather than allocating.
-            return self.mean_residual().map(f64::abs);
+        if self.len == 0 {
+            return None;
         }
-        for pull in &self.pulls {
-            for (a, c) in acc.iter_mut().zip(pull) {
-                *a += *c;
-            }
-        }
-        let n = self.pulls.len() as f64;
-        let sq: f64 = acc[..dims].iter().map(|a| (a / n) * (a / n)).sum();
+        let width = self.pulls.width;
+        let live = &self.pulls.data[..self.len * width];
+        let n = self.len as f64;
+        // One component at a time, summed over the slots in slot order.
+        let sq: f64 = (0..width)
+            .map(|d| {
+                let mut a = 0.0;
+                for c in live[d..].iter().step_by(width) {
+                    a += *c;
+                }
+                (a / n) * (a / n)
+            })
+            .sum();
         Some(sq.sqrt())
     }
 
@@ -158,25 +189,23 @@ impl RemoteHistory {
     /// retained trail: `dist(newest, oldest) / (round_newest − round_oldest)`.
     /// `None` until the trail spans at least one round.
     pub fn reported_velocity(&self, space: &Space) -> Option<f64> {
-        if self.reported.len() < 2 {
+        if self.rep_len < 2 {
             return None;
         }
-        let (oldest_idx, newest_idx) = if self.reported.len() < REPORTED_WINDOW {
-            (0, self.reported.len() - 1)
+        let next = self.samples as usize % REPORTED_WINDOW;
+        let (oldest, newest) = if self.rep_len < REPORTED_WINDOW {
+            (0, self.rep_len - 1)
         } else {
             // Full ring: the slot about to be overwritten is the oldest.
-            (
-                self.rep_cursor,
-                (self.rep_cursor + REPORTED_WINDOW - 1) % REPORTED_WINDOW,
-            )
+            (next, (next + REPORTED_WINDOW - 1) % REPORTED_WINDOW)
         };
-        let (r0, ref c0) = self.reported[oldest_idx];
-        let (r1, ref c1) = self.reported[newest_idx];
-        let span = r1.saturating_sub(r0);
+        let span = self.reported_rounds[newest].saturating_sub(self.reported_rounds[oldest]);
         if span == 0 {
             return None;
         }
-        Some(space.distance(c1, c0) / span as f64)
+        let (c0, h0) = self.reported.get(oldest);
+        let (c1, h1) = self.reported.get(newest);
+        Some(space.distance_flat(c1, h1, c0, h0) / span as f64)
     }
 
     fn record(
@@ -187,38 +216,58 @@ impl RemoteHistory {
         residual: f64,
         rel_residual: f64,
     ) {
-        if self.residuals.len() < RESIDUAL_WINDOW {
-            self.residuals.push(residual);
-            self.rel_residuals.push(rel_residual);
-            let mut slot = Vec::new();
-            write_pull(&mut slot, observer, reported, residual);
-            self.pulls.push(slot);
-        } else {
-            self.residuals[self.cursor] = residual;
-            self.rel_residuals[self.cursor] = rel_residual;
-            write_pull(&mut self.pulls[self.cursor], observer, reported, residual);
-            self.cursor = (self.cursor + 1) % RESIDUAL_WINDOW;
-        }
-        if self.reported.len() < REPORTED_WINDOW {
-            self.reported.push((round, reported.clone()));
-        } else {
-            let slot = &mut self.reported[self.rep_cursor];
-            slot.0 = round;
-            copy_coord(&mut slot.1, reported);
-            self.rep_cursor = (self.rep_cursor + 1) % REPORTED_WINDOW;
-        }
+        let k = self.samples as usize % RESIDUAL_WINDOW;
+        self.residuals[k] = residual;
+        self.rel_residuals[k] = rel_residual;
+        write_pull(
+            self.pulls.slot_mut(RESIDUAL_WINDOW, k, reported),
+            observer,
+            reported,
+            residual,
+        );
+        self.len = (self.len + 1).min(RESIDUAL_WINDOW);
+
+        let k = self.samples as usize % REPORTED_WINDOW;
+        self.reported_rounds[k] = round;
+        self.reported.put(REPORTED_WINDOW, k, reported);
+        self.rep_len = (self.rep_len + 1).min(REPORTED_WINDOW);
+
         self.samples += 1;
         self.last_round = round;
     }
 }
 
-/// One retained sample in an observer's recent ring.
-#[derive(Debug, Clone)]
+/// Write the pull vector of one sample into `slot`: the unit direction of
+/// `observer − reported` under the height-model norm, scaled by the signed
+/// residual. A zero displacement leaves a zero pull.
+fn write_pull(slot: &mut [f64], observer: &Coord, reported: &Coord, residual: f64) {
+    let (height, vec) = slot.split_last_mut().expect("width is at least one");
+    assert_eq!(observer.dim(), vec.len(), "one defense, one space");
+    let mut sq = 0.0;
+    for ((c, a), b) in vec.iter_mut().zip(&observer.vec).zip(&reported.vec) {
+        *c = a - b;
+        sq += *c * *c;
+    }
+    // Height-model semantics: heights add under subtraction (the path
+    // descends one access link and climbs the other).
+    *height = observer.height + reported.height;
+    let norm = sq.sqrt() + *height;
+    if norm > f64::EPSILON {
+        let s = residual / norm;
+        for c in slot.iter_mut() {
+            *c *= s;
+        }
+    } else {
+        slot.fill(0.0);
+    }
+}
+
+/// One retained sample in an observer's recent ring. The coordinate the
+/// neighbor reported is kept beside the ring, see [`Recent::iter`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObserverSample {
     /// The neighbor that reported.
     pub remote: usize,
-    /// The coordinate it reported.
-    pub coord: Coord,
     /// The measured RTT, ms.
     pub rtt: f64,
     /// Signed residual `rtt − predicted` at inspection time.
@@ -232,48 +281,73 @@ pub struct ObserverSample {
 #[derive(Debug, Clone, Default)]
 struct ObserverHistory {
     ring: Vec<ObserverSample>,
-    cursor: usize,
+    coords: VecRing,
+    /// Samples ever recorded; `recorded % OBSERVER_WINDOW` is the next slot.
+    recorded: usize,
 }
 
 impl ObserverHistory {
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        &mut self,
-        remote: usize,
-        coord: &Coord,
-        rtt: f64,
-        residual: f64,
-        rel_residual: f64,
-        round: u64,
-    ) {
-        if self.ring.len() < OBSERVER_WINDOW {
-            self.ring.push(ObserverSample {
-                remote,
-                coord: coord.clone(),
-                rtt,
-                residual,
-                rel_residual,
-                round,
-            });
+    fn record(&mut self, sample: ObserverSample, coord: &Coord) {
+        let k = self.recorded % OBSERVER_WINDOW;
+        if self.ring.is_empty() {
+            self.ring.reserve_exact(OBSERVER_WINDOW);
+        }
+        if k == self.ring.len() {
+            self.ring.push(sample);
         } else {
-            let slot = &mut self.ring[self.cursor];
-            slot.remote = remote;
-            copy_coord(&mut slot.coord, coord);
-            slot.rtt = rtt;
-            slot.residual = residual;
-            slot.rel_residual = rel_residual;
-            slot.round = round;
-            self.cursor = (self.cursor + 1) % OBSERVER_WINDOW;
+            self.ring[k] = sample;
+        }
+        self.coords.put(OBSERVER_WINDOW, k, coord);
+        self.recorded += 1;
+    }
+}
+
+/// An observer's recent samples across all its neighbors, unordered.
+#[derive(Debug, Clone, Copy)]
+pub struct Recent<'a> {
+    samples: &'a [ObserverSample],
+    coords: &'a VecRing,
+}
+
+impl Default for Recent<'_> {
+    /// No samples.
+    fn default() -> Self {
+        static NO_COORDS: VecRing = VecRing {
+            width: 0,
+            data: Vec::new(),
+        };
+        Recent {
+            samples: &[],
+            coords: &NO_COORDS,
         }
     }
 }
 
+impl<'a> Recent<'a> {
+    /// The samples, without the coordinates they reported.
+    pub fn samples(&self) -> &'a [ObserverSample] {
+        self.samples
+    }
+
+    /// Each sample with the coordinate its neighbor reported, as
+    /// `(sample, Euclidean part, height)` — the argument shape of
+    /// [`Space::distance_flat`].
+    pub fn iter(&self) -> impl Iterator<Item = (&'a ObserverSample, &'a [f64], f64)> + 'a {
+        let coords = self.coords;
+        self.samples.iter().enumerate().map(move |(k, s)| {
+            let (vec, height) = coords.get(k);
+            (s, vec, height)
+        })
+    }
+}
+
 /// The full history store: per-remote report series plus per-observer
-/// recent rings.
+/// recent rings, both tables indexed by node id (the simulators' dense node
+/// indices) that grow to the largest id seen.
 #[derive(Debug, Clone, Default)]
 pub struct NeighborHistory {
-    remotes: HashMap<usize, RemoteHistory>,
-    observers: HashMap<usize, ObserverHistory>,
+    remotes: Vec<RemoteHistory>,
+    observers: Vec<ObserverHistory>,
 }
 
 impl NeighborHistory {
@@ -282,24 +356,31 @@ impl NeighborHistory {
         NeighborHistory::default()
     }
 
-    /// History of `remote`'s reports, if any sample was recorded.
+    /// History of `remote`'s reports, if any of them was ever inspected.
     pub fn remote(&self, remote: usize) -> Option<&RemoteHistory> {
-        self.remotes.get(&remote)
+        self.remotes.get(remote).filter(|h| h.inspected)
     }
 
     /// `observer`'s recent samples across all neighbors, unordered.
-    pub fn recent(&self, observer: usize) -> &[ObserverSample] {
+    pub fn recent(&self, observer: usize) -> Recent<'_> {
         self.observers
-            .get(&observer)
-            .map(|h| h.ring.as_slice())
-            .unwrap_or(&[])
+            .get(observer)
+            .map_or(Recent::default(), |h| Recent {
+                samples: &h.ring,
+                coords: &h.coords,
+            })
     }
 
-    /// Ensure both indexes have entries (allocating only on first contact),
-    /// so the engine can hand out borrows before recording.
-    pub(crate) fn ensure(&mut self, observer: usize, remote: usize) {
-        self.remotes.entry(remote).or_default();
-        self.observers.entry(observer).or_default();
+    /// Mark `remote` as inspected, grow both tables to reach the two ids,
+    /// and hand out the views a strategy judges against.
+    pub(crate) fn inspecting(
+        &mut self,
+        observer: usize,
+        remote: usize,
+    ) -> (&RemoteHistory, Recent<'_>) {
+        slot(&mut self.remotes, remote).inspected = true;
+        slot(&mut self.observers, observer);
+        (&self.remotes[remote], self.recent(observer))
     }
 
     /// Record one inspected sample into the remote's report trail (every
@@ -314,37 +395,21 @@ impl NeighborHistory {
         residual: f64,
         rel_residual: f64,
     ) {
-        self.remotes.entry(remote).or_default().record(
-            round,
-            observer_coord,
-            reported,
-            residual,
-            rel_residual,
-        );
+        let h = slot(&mut self.remotes, remote);
+        h.inspected = true;
+        h.record(round, observer_coord, reported, residual, rel_residual);
     }
 
     /// Record one sample into the observer's recent ring — the population
     /// thresholds calibrate against, so the engine only routes
     /// non-rejected samples here.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn record_observer(
         &mut self,
         observer: usize,
-        remote: usize,
-        round: u64,
+        sample: ObserverSample,
         reported: &Coord,
-        rtt: f64,
-        residual: f64,
-        rel_residual: f64,
     ) {
-        self.observers.entry(observer).or_default().record(
-            remote,
-            reported,
-            rtt,
-            residual,
-            rel_residual,
-            round,
-        );
+        slot(&mut self.observers, observer).record(sample, reported);
     }
 }
 
@@ -406,6 +471,37 @@ mod tests {
     }
 
     #[test]
+    fn mean_pull_stays_vectorial_in_twenty_dimensions() {
+        // Past 16 components the mean used to fall back to the scalar
+        // |mean residual|, which reads 50 ms for the hub below: the very
+        // misfire the vector mean exists to avoid.
+        let dim = 20;
+        let axis = |k: usize, x: f64| {
+            let mut c = Coord::origin(dim);
+            c.vec[k] = x;
+            c
+        };
+        let reported = Coord::origin(dim);
+        let mut hub = RemoteHistory::new();
+        for k in 0..RESIDUAL_WINDOW {
+            // Observers in opposite pairs along eight of the axes.
+            let observer = axis(k / 2 + 11, if k % 2 == 0 { 100.0 } else { -100.0 });
+            hub.record(k as u64, &observer, &reported, 50.0, 0.5);
+        }
+        assert_eq!(hub.mean_residual(), Some(50.0), "scalar bias persists");
+        assert_eq!(hub.mean_pull_norm(), Some(0.0), "radial pulls must cancel");
+
+        let far = axis(dim - 1, 10_000.0);
+        let mut colluder = RemoteHistory::new();
+        for k in 0..RESIDUAL_WINDOW {
+            let observer = axis(k, 10.0 * k as f64);
+            colluder.record(k as u64, &observer, &far, -120.0, 1.2);
+        }
+        let drag = colluder.mean_pull_norm().unwrap();
+        assert!(drag > 119.0 && drag <= 120.0, "coherent drag: {drag}");
+    }
+
+    #[test]
     fn reported_velocity_tracks_a_moving_trail() {
         let space = Space::Euclidean(2);
         let mut h = RemoteHistory::new();
@@ -437,12 +533,26 @@ mod tests {
         let me = Coord::origin(2);
         for k in 0..(OBSERVER_WINDOW + 7) {
             store.record_remote(&me, k % 5, k as u64, &c, -1.0, 0.02);
-            store.record_observer(0, k % 5, k as u64, &c, 50.0, -1.0, 0.02);
+            let sample = ObserverSample {
+                remote: k % 5,
+                rtt: 50.0,
+                residual: -1.0,
+                rel_residual: 0.02,
+                round: k as u64,
+            };
+            store.record_observer(0, sample, &c);
         }
         let recent = store.recent(0);
-        assert_eq!(recent.len(), OBSERVER_WINDOW);
-        assert!(recent.iter().all(|s| s.coord == c && s.rtt == 50.0));
-        assert!(store.recent(99).is_empty(), "unknown observer: empty slice");
+        assert_eq!(recent.samples().len(), OBSERVER_WINDOW);
+        assert!(recent
+            .iter()
+            .all(|(s, vec, height)| vec == c.vec && height == 0.0 && s.rtt == 50.0));
+        // The newest sample overwrote the oldest slot.
+        let newest = (OBSERVER_WINDOW + 6) as u64;
+        assert_eq!(recent.samples()[6].round, newest);
+        assert_eq!(recent.samples()[7].round, 7);
+        assert!(store.recent(99).samples().is_empty(), "unknown observer");
+        assert_eq!(store.recent(99).iter().count(), 0);
         assert!(store.remote(0).is_some());
         assert_eq!(
             store.remote(0).unwrap().samples() as usize

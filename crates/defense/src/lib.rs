@@ -73,7 +73,7 @@ pub mod strategy;
 pub mod testing;
 
 pub use engine::{Defense, DefenseStats, Update};
-pub use history::{NeighborHistory, ObserverSample, RemoteHistory};
+pub use history::{NeighborHistory, ObserverSample, Recent, RemoteHistory};
 pub use strategies::{
     Dampener, DriftCap, DriftDecay, EwmaChangePoint, NoDefense, ResidualOutlier, TriangleCheck,
     TrustedBaseline,

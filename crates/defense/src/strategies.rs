@@ -32,8 +32,7 @@
 //! and the diagnostic [`Dampener`] (a uniform [`Verdict::Dampen`], used by
 //! the `Dampen(1.0) ≡ Accept` bit-identity tests).
 
-use std::collections::{HashMap, HashSet};
-
+use crate::history::slot;
 use crate::strategy::{median_in_place, DefenseScratch, DefenseStrategy, UpdateView, Verdict};
 
 /// Reputation-decay configuration for [`DriftCap`]: a half-life on flag
@@ -169,13 +168,13 @@ impl DefenseStrategy for ResidualOutlier {
         if view.rel_residual() > self.hard_reject {
             return Verdict::Reject;
         }
-        if view.recent.len() < self.min_samples {
+        if view.recent.samples().len() < self.min_samples {
             return Verdict::Accept;
         }
         scratch.sort.clear();
         scratch
             .sort
-            .extend(view.recent.iter().map(|s| s.rel_residual));
+            .extend(view.recent.samples().iter().map(|s| s.rel_residual));
         let Some(median) = median_in_place(&mut scratch.sort) else {
             return Verdict::Accept;
         };
@@ -226,7 +225,8 @@ pub struct EwmaChangePoint {
     /// Floor on the learned σ (relative-residual units), so a frozen
     /// series cannot arm a zero-width band.
     pub sigma_floor: f64,
-    state: HashMap<usize, Ewma>,
+    /// Per neighbor, indexed by node id.
+    state: Vec<Ewma>,
 }
 
 impl EwmaChangePoint {
@@ -237,7 +237,7 @@ impl EwmaChangePoint {
             k,
             min_samples: 8,
             sigma_floor: 0.1,
-            state: HashMap::new(),
+            state: Vec::new(),
         }
     }
 }
@@ -251,7 +251,7 @@ impl Default for EwmaChangePoint {
 impl DefenseStrategy for EwmaChangePoint {
     fn inspect_update(&mut self, view: &UpdateView<'_>, _s: &mut DefenseScratch) -> Verdict {
         let rel = view.rel_residual();
-        let e = self.state.entry(view.remote).or_default();
+        let e = slot(&mut self.state, view.remote);
         if e.n >= self.min_samples
             && (rel - e.mean).abs() > self.k * e.var.sqrt().max(self.sigma_floor)
         {
@@ -302,10 +302,12 @@ pub struct DriftCap {
     /// pre-decay `DriftCap` (proven by the golden-figure suite and the
     /// infinite-half-life equivalence property test).
     pub decay: Option<DriftDecay>,
-    banned: HashSet<usize>,
-    /// Per-node decayed flag weight and the round it was last decayed to.
-    /// Only consulted when `decay` is configured.
-    weights: HashMap<usize, (f64, u64)>,
+    /// Whether each node is banned right now, indexed by node id.
+    banned: Vec<bool>,
+    /// Per-node decayed flag weight and the round it was last decayed to,
+    /// indexed by node id (a never-flagged node weighs zero as of any
+    /// round). Only consulted when `decay` is configured.
+    weights: Vec<(f64, u64)>,
     ban_events: Vec<usize>,
     reinstate_events: Vec<usize>,
 }
@@ -324,8 +326,8 @@ impl DriftCap {
             max_drag_ms,
             min_samples: crate::history::RESIDUAL_WINDOW as u64,
             decay: None,
-            banned: HashSet::new(),
-            weights: HashMap::new(),
+            banned: Vec::new(),
+            weights: Vec::new(),
             ban_events: Vec::new(),
             reinstate_events: Vec::new(),
         }
@@ -341,14 +343,14 @@ impl DriftCap {
         }
     }
 
-    /// Nodes banned right now (reinstated nodes leave this set).
-    pub fn banned(&self) -> &HashSet<usize> {
-        &self.banned
+    /// Whether `node` is banned right now (a reinstated node is not).
+    pub fn is_banned(&self, node: usize) -> bool {
+        self.banned.get(node).copied().unwrap_or(false)
     }
 
     /// Decayed flag weight of `node` as of the last round it was touched.
     pub fn flag_weight(&self, node: usize) -> f64 {
-        self.weights.get(&node).map(|&(w, _)| w).unwrap_or(0.0)
+        self.weights.get(node).map_or(0.0, |&(w, _)| w)
     }
 
     /// Decay `node`'s flag weight to `round` and return it.
@@ -356,7 +358,7 @@ impl DriftCap {
         let Some(decay) = self.decay else {
             return self.flag_weight(node);
         };
-        let entry = self.weights.entry(node).or_insert((0.0, round));
+        let entry = slot(&mut self.weights, node);
         let elapsed = round.saturating_sub(entry.1) as f64;
         if elapsed > 0.0 {
             // Incremental exponential decay composes exactly:
@@ -383,7 +385,7 @@ impl Default for DriftCap {
 impl DefenseStrategy for DriftCap {
     fn inspect_update(&mut self, view: &UpdateView<'_>, _s: &mut DefenseScratch) -> Verdict {
         let h = view.remote_history;
-        if self.banned.contains(&view.remote) {
+        if self.is_banned(view.remote) {
             let Some(decay) = self.decay else {
                 return Verdict::Reject; // permanent bans (the legacy path)
             };
@@ -403,7 +405,7 @@ impl DefenseStrategy for DriftCap {
                 && h.mean_pull_norm()
                     .is_some_and(|drag| drag <= self.max_drag_ms);
             if weight < decay.reinstate_below && healed {
-                self.banned.remove(&view.remote);
+                self.banned[view.remote] = false;
                 self.reinstate_events.push(view.remote);
                 // Fall through to normal judging: the healed window
                 // accepts, and any relapse re-bans with escalated weight.
@@ -414,11 +416,11 @@ impl DefenseStrategy for DriftCap {
         if h.samples() >= self.min_samples {
             if let Some(drag) = h.mean_pull_norm() {
                 if drag > self.max_drag_ms {
-                    self.banned.insert(view.remote);
+                    *slot(&mut self.banned, view.remote) = true;
                     self.ban_events.push(view.remote);
                     if self.decay.is_some() {
                         let w = self.decayed_weight(view.remote, view.round);
-                        self.weights.insert(view.remote, (w + 1.0, view.round));
+                        self.weights[view.remote] = (w + 1.0, view.round);
                     }
                     return Verdict::Reject;
                 }
@@ -486,11 +488,14 @@ impl DefenseStrategy for TriangleCheck {
     fn inspect_update(&mut self, view: &UpdateView<'_>, _s: &mut DefenseScratch) -> Verdict {
         let mut checks = 0usize;
         let mut violations = 0usize;
-        for s in view.recent {
+        let (mine, my_height) = (&view.reported_coord.vec, view.reported_coord.height);
+        for (s, theirs, their_height) in view.recent.iter() {
             if s.remote == view.remote {
                 continue;
             }
-            let d = view.space.distance(view.reported_coord, &s.coord);
+            let d = view
+                .space
+                .distance_flat(mine, my_height, theirs, their_height);
             let upper = self.slack * (view.rtt + s.rtt) + self.margin_ms;
             let lower = ((view.rtt - s.rtt).abs() - self.margin_ms).max(0.0) / self.slack;
             if d > upper || d < lower {
@@ -529,7 +534,8 @@ pub struct TrustedBaseline {
     pub quantile: f64,
     /// Minimum trusted observations before the filter arms.
     pub min_trusted: usize,
-    trusted: HashSet<usize>,
+    /// Whether each node is trusted, indexed by node id.
+    trusted: Vec<bool>,
     window: Vec<f64>,
     cursor: usize,
     /// Quantile of the current window, recomputed only when a trusted
@@ -544,27 +550,31 @@ const TRUSTED_WINDOW: usize = 64;
 impl TrustedBaseline {
     /// Trust `ids`; hold everyone else to their observed residuals.
     pub fn new<I: IntoIterator<Item = usize>>(ids: I) -> TrustedBaseline {
+        let mut trusted = Vec::new();
+        for id in ids {
+            *slot(&mut trusted, id) = true;
+        }
         TrustedBaseline {
             slack: 3.0,
             quantile: 0.9,
             min_trusted: 8,
-            trusted: ids.into_iter().collect(),
+            trusted,
             window: Vec::new(),
             cursor: 0,
             cached_baseline: None,
         }
     }
 
-    /// The configured trusted set.
-    pub fn trusted(&self) -> &HashSet<usize> {
-        &self.trusted
+    /// Whether `node` is in the configured trusted set.
+    pub fn is_trusted(&self, node: usize) -> bool {
+        self.trusted.get(node).copied().unwrap_or(false)
     }
 }
 
 impl DefenseStrategy for TrustedBaseline {
     fn inspect_update(&mut self, view: &UpdateView<'_>, scratch: &mut DefenseScratch) -> Verdict {
         let rel = view.rel_residual();
-        if self.trusted.contains(&view.remote) {
+        if self.is_trusted(view.remote) {
             if self.window.len() < TRUSTED_WINDOW {
                 self.window.push(rel);
             } else {

@@ -14,7 +14,7 @@
 
 use vcoord_space::{Coord, Space};
 
-use crate::history::{ObserverSample, RemoteHistory};
+use crate::history::{Recent, RemoteHistory};
 
 /// Where a sample came from, as far as the defense is concerned.
 ///
@@ -132,7 +132,7 @@ pub struct UpdateView<'a> {
     /// Accumulated history of the remote node's reports (all observers).
     pub remote_history: &'a RemoteHistory,
     /// The observer's recent samples across all its neighbors, unordered.
-    pub recent: &'a [ObserverSample],
+    pub recent: Recent<'a>,
 }
 
 impl UpdateView<'_> {
@@ -276,7 +276,7 @@ mod tests {
             now_ms: 3000,
             provenance: Provenance::Normal,
             remote_history: &remote_history,
-            recent: &[],
+            recent: Recent::default(),
         };
         assert_eq!(view.residual(), 50.0);
         assert_eq!(view.rel_residual(), 0.5);

@@ -54,8 +54,9 @@ fn inspection_loops_are_allocation_free() {
         "NoDefense fast path allocated {allocs} times over 10k samples"
     );
 
-    // --- A real strategy: allocation-free once warm-up has FILLED every
-    // history ring (a growing ring still allocates). ---
+    // --- A real strategy: allocation-free once every node was seen (a ring
+    // allocates at its first sample, whole); the warm-up goes on until
+    // every window is full, so the loop measured is the steady state. ---
     let warmup = ring_fill_samples(REMOTES);
     let mut armed = Defense::new(Box::new(DriftCap::new(1e12)));
     for round in 0..warmup {

@@ -3,7 +3,7 @@
 //! so both directions are hand-rolled against the small fixed schema
 //! documented in the crate root).
 
-use crate::record::{HistData, ObsReport, NO_NODE};
+use crate::record::{ObsReport, NO_NODE};
 use crate::registry::metric_name;
 
 /// Version stamped into every `meta` line. Schema 2 added the
@@ -72,24 +72,11 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Render `report` as JSONL: the `meta` line, counters and histograms each
-/// in metric-name order, then events in recording order. Metric ids are
-/// handed out on first use, which races between worker threads and depends
-/// on what the process ran before — names do not, so the bytes are a
-/// function of the report alone. `f64` payloads use Rust's shortest
-/// round-trippable formatting, so parse-then-render is lossless.
+/// in metric-name order (the order an [`ObsReport`] keeps them in, so the
+/// bytes are a function of the report alone), then events in recording
+/// order. `f64` payloads use Rust's shortest round-trippable formatting, so
+/// parse-then-render is lossless.
 pub fn render_jsonl(meta: &TraceMeta, report: &ObsReport) -> String {
-    let mut counters: Vec<(&str, u64)> = report
-        .counters()
-        .iter()
-        .map(|&(id, value)| (metric_name(id), value))
-        .collect();
-    counters.sort_unstable_by_key(|&(name, _)| name);
-    let mut hists: Vec<(&str, &HistData)> = report
-        .hists()
-        .iter()
-        .map(|(id, h)| (metric_name(*id), h))
-        .collect();
-    hists.sort_unstable_by_key(|&(name, _)| name);
     let mut out = String::new();
     out.push_str(&format!(
         "{{\"type\":\"meta\",\"schema\":{},\"run\":\"{}\",\"fig\":\"{}\",\"seed\":{},\"scale\":\"{}\"}}\n",
@@ -99,17 +86,17 @@ pub fn render_jsonl(meta: &TraceMeta, report: &ObsReport) -> String {
         meta.seed,
         json_escape(&meta.scale),
     ));
-    for (name, value) in counters {
+    for &(id, value) in report.counters() {
         out.push_str(&format!(
             "{{\"type\":\"counter\",\"metric\":\"{}\",\"value\":{value}}}\n",
-            json_escape(name),
+            json_escape(metric_name(id)),
         ));
     }
-    for (name, h) in hists {
+    for (id, h) in report.hists() {
         let (p50, p90, p95, p99) = h.percentiles();
         out.push_str(&format!(
             "{{\"type\":\"hist\",\"metric\":\"{}\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{p50},\"p90\":{p90},\"p95\":{p95},\"p99\":{p99}}}\n",
-            json_escape(name),
+            json_escape(metric_name(*id)),
             h.count,
             h.sum,
             h.min,

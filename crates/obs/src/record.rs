@@ -2,7 +2,7 @@
 //! event buffers, drained into [`ObsReport`]s and merged sequentially.
 
 use crate::hdr;
-use crate::registry::MetricId;
+use crate::registry::{metric_name, MetricId};
 use crate::ring;
 use crate::{enabled, mode, ObsMode};
 use std::cell::RefCell;
@@ -132,8 +132,11 @@ fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> R {
 }
 
 /// A drained (or merged) snapshot of one thread's records.
-/// Counters and histograms are sorted by metric id; events are in
-/// recording order.
+/// Counters and histograms are sorted by metric *name*; events are in
+/// recording order. Metric ids are handed out on first use, which races
+/// between worker threads and depends on what the process ran before —
+/// names do not, so whatever walks a report (a trace, the `obs` block of a
+/// `BENCH_*.json`) lists its keys in the same order on every run.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct ObsReport {
     counters: Vec<(MetricId, u64)>,
@@ -142,12 +145,12 @@ pub struct ObsReport {
 }
 
 impl ObsReport {
-    /// Non-zero counters, sorted by metric id.
+    /// Non-zero counters, sorted by metric name.
     pub fn counters(&self) -> &[(MetricId, u64)] {
         &self.counters
     }
 
-    /// Non-empty histograms, sorted by metric id.
+    /// Non-empty histograms, sorted by metric name.
     pub fn hists(&self) -> &[(MetricId, HistData)] {
         &self.hists
     }
@@ -161,9 +164,9 @@ impl ObsReport {
     /// The value of one counter (0 if absent).
     pub fn counter(&self, id: MetricId) -> u64 {
         self.counters
-            .binary_search_by_key(&id, |&(i, _)| i)
-            .map(|k| self.counters[k].1)
-            .unwrap_or(0)
+            .iter()
+            .find(|&&(i, _)| i == id)
+            .map_or(0, |&(_, n)| n)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -188,26 +191,34 @@ impl ObsReport {
     /// remain available to in-process consumers (bench baselines, digests).
     pub fn strip_timings(&mut self) {
         self.hists
-            .retain(|(id, _)| !crate::registry::metric_name(*id).ends_with("_ns"));
+            .retain(|(id, _)| !metric_name(*id).ends_with("_ns"));
     }
 
     /// Fold `other` into `self`: counters add, histograms merge, events
     /// append (caller controls merge order, and therefore determinism).
     pub fn merge(&mut self, other: ObsReport) {
         for (id, n) in other.counters {
-            match self.counters.binary_search_by_key(&id, |&(i, _)| i) {
-                Ok(k) => self.counters[k].1 += n,
-                Err(k) => self.counters.insert(k, (id, n)),
+            match self.counters.iter_mut().find(|(i, _)| *i == id) {
+                Some((_, mine)) => *mine += n,
+                None => insert_by_name(&mut self.counters, id, n),
             }
         }
         for (id, h) in other.hists {
-            match self.hists.binary_search_by_key(&id, |&(i, _)| i) {
-                Ok(k) => self.hists[k].1.merge(&h),
-                Err(k) => self.hists.insert(k, (id, h)),
+            match self.hists.iter_mut().find(|(i, _)| *i == id) {
+                Some((_, mine)) => mine.merge(&h),
+                None => insert_by_name(&mut self.hists, id, h),
             }
         }
         self.events.extend(other.events);
     }
+}
+
+/// Insert `(id, value)` into `rows`, which are in metric-name order and do
+/// not hold `id` yet.
+fn insert_by_name<T>(rows: &mut Vec<(MetricId, T)>, id: MetricId, value: T) {
+    let name = metric_name(id);
+    let at = rows.partition_point(|(i, _)| metric_name(*i) < name);
+    rows.insert(at, (id, value));
 }
 
 /// Add `n` to a counter. One load-and-branch when the mode is off.
@@ -291,20 +302,22 @@ impl Drop for Span {
 /// coordinator.
 pub fn drain() -> ObsReport {
     with_recorder(|r| {
-        let counters = r
+        let mut counters: Vec<(MetricId, u64)> = r
             .counters
             .iter()
             .enumerate()
             .filter(|&(_, &v)| v != 0)
             .map(|(i, &v)| (MetricId::from_index(i), v))
             .collect();
-        let hists = r
+        counters.sort_by_cached_key(|&(id, _)| metric_name(id));
+        let mut hists: Vec<(MetricId, HistData)> = r
             .hists
             .iter()
             .enumerate()
             .filter(|(_, h)| !h.is_empty())
             .map(|(i, h)| (MetricId::from_index(i), h.clone()))
             .collect();
+        hists.sort_by_cached_key(|&(id, _)| metric_name(id));
         r.counters.clear();
         r.hists.clear();
         let events = std::mem::take(&mut r.events);
@@ -406,6 +419,54 @@ mod tests {
         );
         // Second drain is empty: the buffers were taken.
         assert!(drain().is_empty());
+    }
+
+    #[test]
+    fn reports_list_metrics_by_name_whichever_thread_interned_first() {
+        let _mode = crate::mode_test_guard();
+        // Interned in descending name order, so id order is the reverse of
+        // name order — what a worker that happened to run first does to
+        // the ids of every metric it touches.
+        let names = ["test.order.zz", "test.order.mm", "test.order.aa"];
+        let ids = names.map(metric);
+        set_mode(ObsMode::Metrics);
+        let worker = |mine: [MetricId; 2]| {
+            std::thread::spawn(move || {
+                reset();
+                for id in mine {
+                    counter_add(id, 1);
+                    observe(id, 2.0);
+                }
+                drain()
+            })
+        };
+        let (first, second) = (worker([ids[0], ids[1]]), worker([ids[1], ids[2]]));
+        let (first, second) = (first.join().unwrap(), second.join().unwrap());
+        set_mode(ObsMode::Off);
+
+        let listed = |r: &ObsReport| -> Vec<&str> {
+            let hists: Vec<_> = r.hists().iter().map(|(id, _)| metric_name(*id)).collect();
+            let counters: Vec<_> = r
+                .counters()
+                .iter()
+                .map(|&(id, _)| metric_name(id))
+                .collect();
+            assert_eq!(hists, counters);
+            counters
+        };
+        assert_eq!(listed(&first), ["test.order.mm", "test.order.zz"]);
+        assert_eq!(listed(&second), ["test.order.aa", "test.order.mm"]);
+        // Merged in either order: one report, in name order.
+        let (mut ab, mut ba) = (first.clone(), second.clone());
+        ab.merge(second);
+        ba.merge(first);
+        assert_eq!(ab, ba);
+        assert_eq!(
+            listed(&ab),
+            ["test.order.aa", "test.order.mm", "test.order.zz"]
+        );
+        assert_eq!(ab.counter(ids[1]), 2);
+        assert_eq!(ab.counter(ids[0]), 1);
     }
 
     #[test]

@@ -113,14 +113,14 @@ pub fn load_triples<R: BufRead>(reader: R, unit: RttUnit) -> Result<RttMatrix, L
     // Fill gaps with the mean; real King files have a few unmeasured pairs.
     let mean = sum / count.max(1) as f64;
     let mut gaps = 0usize;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if !seen[i * n + j] {
-                m.set(i, j, mean);
-                gaps += 1;
-            }
+    m.map_in_place(|i, j, v| {
+        if seen[i * n + j] {
+            v
+        } else {
+            gaps += 1;
+            mean
         }
-    }
+    });
     if gaps > 0 {
         log::debug!("king loader: filled {gaps} missing pairs with mean {mean:.1} ms");
     }
@@ -147,13 +147,8 @@ pub fn load_matrix<R: BufRead>(reader: R, unit: RttUnit) -> Result<RttMatrix, Lo
         return Err(LoadError::Empty);
     }
     let mut m = RttMatrix::zeros(n);
-    for (i, row) in rows.iter().enumerate() {
-        for (j, back_row) in rows.iter().enumerate().skip(i + 1) {
-            // Symmetrize by averaging, as p2psim does for King forward/back.
-            let v = (row[j] + back_row[i]) / 2.0;
-            m.set(i, j, unit.to_ms(v));
-        }
-    }
+    // Symmetrize by averaging, as p2psim does for King forward/back.
+    m.map_in_place(|i, j, _| unit.to_ms((rows[i][j] + rows[j][i]) / 2.0));
     Ok(m)
 }
 

@@ -9,6 +9,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// "not asked since the last `&mut` call".
 static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
 
+/// Side of the square tiles [`RttMatrix::mirror`] copies: 32 × 32 cells read
+/// 32 row segments of 256 B and write 32 column segments of 4 lines each,
+/// which stays inside L1.
+const MIRROR_TILE: usize = 32;
+
 /// A dense, symmetric matrix of round-trip times in milliseconds.
 ///
 /// ```
@@ -134,13 +139,86 @@ impl RttMatrix {
     }
 
     /// Apply `f` to every off-diagonal entry (both triangles kept in sync).
-    pub fn map_in_place<F: FnMut(usize, usize, f64) -> f64>(&mut self, mut f: F) {
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                let v = f(i, j, self.rtt(i, j));
-                self.set(i, j, v);
+    ///
+    /// `f` is called once per unordered pair, as `f(i, j, rtt)` with `i < j`
+    /// in row-major order, so a closure that draws from an RNG draws in that
+    /// order.
+    pub fn map_in_place<F: FnMut(usize, usize, f64) -> f64>(&mut self, f: F) {
+        self.fill_upper(f);
+        self.mirror();
+    }
+
+    /// The upper-triangle half of [`map_in_place`](RttMatrix::map_in_place):
+    /// same calls in the same order, each result stored at `(i, j)` only.
+    /// One row's cells are one contiguous slice, so a pass streams through
+    /// memory. The lower triangle is stale until [`mirror`](RttMatrix::mirror)
+    /// runs; a writer that needs several passes makes them all, then mirrors
+    /// once.
+    pub(crate) fn fill_upper<F: FnMut(usize, usize, f64) -> f64>(&mut self, mut f: F) {
+        *self.version.get_mut() = 0;
+        let n = self.n;
+        for (i, row) in self.data.chunks_exact_mut(n.max(1)).enumerate() {
+            for (j, cell) in row.iter_mut().enumerate().skip(i + 1) {
+                *cell = f(i, j, *cell);
             }
         }
+    }
+
+    /// Copy the upper triangle onto the lower one, tile by tile: within a
+    /// tile the strided column writes stay inside `MIRROR_TILE` cache lines
+    /// instead of touching a new line of a 24 MB buffer per cell.
+    pub(crate) fn mirror(&mut self) {
+        *self.version.get_mut() = 0;
+        let n = self.n;
+        for bi in (0..n).step_by(MIRROR_TILE) {
+            for bj in (bi..n).step_by(MIRROR_TILE) {
+                for i in bi..(bi + MIRROR_TILE).min(n) {
+                    for j in bj.max(i + 1)..(bj + MIRROR_TILE).min(n) {
+                        self.data[j * n + i] = self.data[i * n + j];
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `k`-th smallest upper-triangle cell (0-based), by a radix select
+    /// over the cells' bit patterns: four counting passes, no copy of the
+    /// triangle. Cells are ranked in IEEE total order, which for the
+    /// non-negative finite RTTs a matrix holds is numeric order.
+    ///
+    /// # Panics
+    /// Panics if `k` is not below the number of pairs.
+    pub(crate) fn upper_nth(&self, k: usize) -> f64 {
+        let n = self.n;
+        assert!(k < n * n.saturating_sub(1) / 2, "rank {k} out of range");
+        // Monotone map from total order to unsigned order, and back.
+        let key = |v: f64| {
+            let b = v.to_bits();
+            b ^ ((((b as i64) >> 63) as u64) | (1 << 63))
+        };
+        let unkey = |x: u64| f64::from_bits(x ^ (((!x as i64) >> 63) as u64 | (1 << 63)));
+        let mut counts = vec![0u32; 1 << 16];
+        let (mut prefix, mut rank) = (0u64, k);
+        for shift in [48u32, 32, 16, 0] {
+            // Cells still in play agree with `prefix` above this digit.
+            let above = (!0u64).checked_shl(shift + 16).unwrap_or(0);
+            counts.fill(0);
+            for (i, row) in self.data.chunks_exact(n).enumerate() {
+                for &v in &row[i + 1..] {
+                    let x = key(v);
+                    if x & above == prefix {
+                        counts[(x >> shift) as usize & 0xFFFF] += 1;
+                    }
+                }
+            }
+            let mut digit = 0;
+            while rank >= counts[digit] as usize {
+                rank -= counts[digit] as usize;
+                digit += 1;
+            }
+            prefix |= (digit as u64) << shift;
+        }
+        unkey(prefix)
     }
 
     /// Restrict the matrix to the given node ids, in the given order.
@@ -149,11 +227,7 @@ impl RttMatrix {
     /// Panics if any id is out of range.
     pub fn subset(&self, ids: &[usize]) -> RttMatrix {
         let mut m = RttMatrix::zeros(ids.len());
-        for (a, &i) in ids.iter().enumerate() {
-            for (b, &j) in ids.iter().enumerate().skip(a + 1) {
-                m.set(a, b, self.rtt(i, j));
-            }
-        }
+        m.map_in_place(|a, b, _| self.rtt(ids[a], ids[b]));
         m
     }
 
@@ -327,6 +401,87 @@ mod tests {
         let old = x.version();
         drop(x);
         assert_ne!(sample().version(), old);
+    }
+
+    #[test]
+    fn map_in_place_calls_row_major_and_stays_symmetric() {
+        // 70 nodes: more than two mirror tiles a side, and not a multiple.
+        let n = 70;
+        let mut m = RttMatrix::zeros(n);
+        let mut calls = Vec::new();
+        // `f` depends on the order of its arguments; only `i < j` is asked.
+        m.map_in_place(|i, j, v| {
+            calls.push((i, j));
+            v + (i * 1000 + j) as f64
+        });
+        let want: Vec<_> = (0..n)
+            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+            .collect();
+        assert_eq!(calls, want);
+        assert!(m.validate().is_ok());
+        for (i, j) in want {
+            assert_eq!(m.rtt(i, j), (i * 1000 + j) as f64);
+            assert_eq!(m.rtt(j, i), (i * 1000 + j) as f64);
+        }
+        // A second pass sees the first one's values.
+        m.map_in_place(|_, _, v| v * 0.5);
+        assert_eq!(m.rtt(69, 3), 1534.5);
+        RttMatrix::zeros(0).map_in_place(|_, _, _| unreachable!());
+        RttMatrix::zeros(1).map_in_place(|_, _, _| unreachable!());
+    }
+
+    #[test]
+    fn upper_nth_is_the_sorted_order_statistic() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for n in [2usize, 3, 9, 40] {
+            let mut m = RttMatrix::zeros(n);
+            // Ties, a wide exponent range, both zeros and a negative value.
+            let pool = [
+                0.0,
+                -0.0,
+                1.0,
+                1.0,
+                98.0,
+                1e-300,
+                3.5e7,
+                -2.0,
+                f64::INFINITY,
+            ];
+            m.map_in_place(|_, _, _| {
+                if rng.gen_bool(0.5) {
+                    pool[rng.gen_range(0..pool.len())]
+                } else {
+                    rng.gen_range(0.5..900.0)
+                }
+            });
+            let mut sorted: Vec<f64> = m.pairs().map(|(_, _, v)| v).collect();
+            sorted.sort_by(f64::total_cmp);
+            for (k, want) in sorted.iter().enumerate() {
+                assert_eq!(m.upper_nth(k).to_bits(), want.to_bits(), "n={n} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn version_changes_after_every_whole_matrix_write() {
+        let mut m = sample();
+        let mut seen = vec![m.version()];
+        m.fill_upper(|_, _, v| v);
+        seen.push(m.version());
+        m.mirror();
+        seen.push(m.version());
+        m.map_in_place(|_, _, v| v);
+        seen.push(m.version());
+        let s = m.subset(&[0, 1, 2]);
+        seen.push(s.version());
+        seen.push(m.version()); // reading a subset writes nothing…
+        assert_eq!(seen.pop(), seen.get(3).copied()); // …so this one repeats
+        for (a, va) in seen.iter().enumerate() {
+            assert_ne!(*va, 0);
+            for vb in &seen[a + 1..] {
+                assert_ne!(va, vb, "{seen:?}");
+            }
+        }
     }
 
     #[test]

@@ -116,16 +116,17 @@ impl KingLike {
             LogNormal::new(c.height_median_ms.ln(), c.height_sigma).expect("valid lognormal");
         let noise_dist = Normal::new(0.0, c.noise_sigma).expect("valid sigma");
 
-        // 1. Cluster centres.
-        let centres: Vec<Vec<f64>> = (0..c.clusters)
-            .map(|_| (0..c.core_dim).map(|_| centre_dist.sample(rng)).collect())
+        // 1. Cluster centres, `core_dim` components each in one flat buffer.
+        let dim = c.core_dim;
+        let centres: Vec<f64> = (0..c.clusters * dim)
+            .map(|_| centre_dist.sample(rng))
             .collect();
 
         // 2. Skewed cluster membership: weight ∝ 1/(k+1), normalized.
         let weights: Vec<f64> = (0..c.clusters).map(|k| 1.0 / (k as f64 + 1.0)).collect();
         let wsum: f64 = weights.iter().sum();
 
-        let mut positions: Vec<Vec<f64>> = Vec::with_capacity(c.nodes);
+        let mut positions: Vec<f64> = Vec::with_capacity(c.nodes * dim);
         let mut heights: Vec<f64> = Vec::with_capacity(c.nodes);
         for _ in 0..c.nodes {
             let mut pick = rng.gen_range(0.0..wsum);
@@ -137,11 +138,9 @@ impl KingLike {
                 }
                 pick -= w;
             }
-            let pos: Vec<f64> = centres[cluster]
-                .iter()
-                .map(|x| x + offset_dist.sample(rng))
-                .collect();
-            positions.push(pos);
+            for x in &centres[cluster * dim..(cluster + 1) * dim] {
+                positions.push(x + offset_dist.sample(rng));
+            }
             // 3. Access heights; 15% of nodes are "well connected" stubs.
             let h = if rng.gen_bool(0.15) {
                 rng.gen_range(0.3..1.5)
@@ -151,26 +150,29 @@ impl KingLike {
             heights.push(h.min(400.0));
         }
 
-        // 4. Pairwise RTTs with symmetric noise.
+        // Steps 4–6 each stream over the upper triangle, one contiguous row
+        // slice after another; the lower triangle is written once, at the
+        // end. The RNG is drawn from in (i, j) order within a step and step
+        // by step, so no two steps can share a pass.
         let mut m = RttMatrix::zeros(c.nodes);
-        for i in 0..c.nodes {
-            for j in (i + 1)..c.nodes {
-                let core: f64 = positions[i]
-                    .iter()
-                    .zip(&positions[j])
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f64>()
-                    .sqrt();
-                let base = core + heights[i] + heights[j];
-                let noisy = base * noise_dist.sample(rng).exp();
-                m.set(i, j, noisy.max(c.min_rtt_ms));
-            }
-        }
+
+        // 4. Pairwise RTTs with symmetric noise.
+        m.fill_upper(|i, j, _| {
+            let core: f64 = positions[i * dim..(i + 1) * dim]
+                .iter()
+                .zip(&positions[j * dim..(j + 1) * dim])
+                .map(|(a, b)| (a - b) * (a - b))
+                .sum::<f64>()
+                .sqrt();
+            let base = core + heights[i] + heights[j];
+            let noisy = base * noise_dist.sample(rng).exp();
+            noisy.max(c.min_rtt_ms)
+        });
 
         // 5. Shortcut rewiring → triangle-inequality violations.
         if c.shortcut_fraction > 0.0 {
             let (lo, hi) = c.shortcut_scale;
-            m.map_in_place(|_, _, v| {
+            m.fill_upper(|_, _, v| {
                 if rng.gen_bool(c.shortcut_fraction) {
                     (v * rng.gen_range(lo..hi)).max(c.min_rtt_ms)
                 } else {
@@ -179,16 +181,16 @@ impl KingLike {
             });
         }
 
-        // 6. Median calibration.
+        // 6. Median calibration: the upper median of the pairs, by selection.
         if let Some(target) = c.target_median_ms {
-            let mut vals: Vec<f64> = m.pairs().map(|(_, _, v)| v).collect();
-            vals.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let median = vals[vals.len() / 2];
+            let pairs = c.nodes * (c.nodes - 1) / 2;
+            let median = m.upper_nth(pairs / 2);
             if median > 0.0 {
                 let s = target / median;
-                m.map_in_place(|_, _, v| (v * s).max(c.min_rtt_ms));
+                m.fill_upper(|_, _, v| (v * s).max(c.min_rtt_ms));
             }
         }
+        m.mirror();
 
         debug_assert!(m.validate().is_ok());
         m
@@ -201,6 +203,87 @@ mod tests {
     use crate::stats::TopoStats;
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
+
+    /// The generator this crate shipped before the streaming passes: cells
+    /// written pair by pair through `RttMatrix::set`, positions as nested
+    /// `Vec`s, the median by a full stable sort. Kept as the bit oracle.
+    fn generate_oracle<R: Rng + ?Sized>(c: &KingLikeConfig, rng: &mut R) -> RttMatrix {
+        let centre_dist = Normal::new(0.0, c.inter_sigma_ms).unwrap();
+        let offset_dist = Normal::new(0.0, c.intra_sigma_ms).unwrap();
+        let height_dist = LogNormal::new(c.height_median_ms.ln(), c.height_sigma).unwrap();
+        let noise_dist = Normal::new(0.0, c.noise_sigma).unwrap();
+        let centre = |_| (0..c.core_dim).map(|_| centre_dist.sample(rng)).collect();
+        let centres: Vec<Vec<f64>> = (0..c.clusters).map(centre).collect();
+        let weights: Vec<f64> = (0..c.clusters).map(|k| 1.0 / (k as f64 + 1.0)).collect();
+        let wsum: f64 = weights.iter().sum();
+        let (mut positions, mut heights) = (Vec::<Vec<f64>>::new(), Vec::new());
+        for _ in 0..c.nodes {
+            let (mut pick, mut k) = (rng.gen_range(0.0..wsum), 0);
+            while k < c.clusters && pick >= weights[k] {
+                pick -= weights[k];
+                k += 1;
+            }
+            let offset = |x: &f64| x + offset_dist.sample(rng);
+            positions.push(centres[k % c.clusters].iter().map(offset).collect());
+            let h = if rng.gen_bool(0.15) {
+                rng.gen_range(0.3..1.5)
+            } else {
+                height_dist.sample(rng)
+            };
+            heights.push(h.min(400.0));
+        }
+        let mut m = RttMatrix::zeros(c.nodes);
+        let pairs = |n: usize| (0..n).flat_map(move |i| ((i + 1)..n).map(move |j| (i, j)));
+        for (i, j) in pairs(c.nodes) {
+            let sq = positions[i].iter().zip(&positions[j]);
+            let core: f64 = sq.map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
+            let noisy = (core + heights[i] + heights[j]) * noise_dist.sample(rng).exp();
+            m.set(i, j, noisy.max(c.min_rtt_ms));
+        }
+        for (i, j) in pairs(c.nodes).filter(|_| c.shortcut_fraction > 0.0) {
+            if rng.gen_bool(c.shortcut_fraction) {
+                let (lo, hi) = c.shortcut_scale;
+                let v = (m.rtt(i, j) * rng.gen_range(lo..hi)).max(c.min_rtt_ms);
+                m.set(i, j, v);
+            }
+        }
+        if let Some(target) = c.target_median_ms {
+            let mut vals: Vec<f64> = m.pairs().map(|(_, _, v)| v).collect();
+            vals.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            let median = vals[vals.len() / 2];
+            for (i, j) in pairs(c.nodes).filter(|_| median > 0.0) {
+                m.set(i, j, (m.rtt(i, j) * (target / median)).max(c.min_rtt_ms));
+            }
+        }
+        m
+    }
+
+    fn bits(m: &RttMatrix) -> Vec<u64> {
+        let n = m.len();
+        (0..n * n).map(|k| m.rtt(k / n, k % n).to_bits()).collect()
+    }
+
+    #[test]
+    fn streaming_generator_matches_the_pairwise_oracle_bit_for_bit() {
+        let variants: [fn(&mut KingLikeConfig); 4] = [
+            |_| {},
+            |c| c.shortcut_fraction = 0.0,
+            |c| c.target_median_ms = None,
+            |c| c.noise_sigma = 0.0,
+        ];
+        for n in [2, 3, 50, 72, 400] {
+            for (v, vary) in variants.iter().enumerate() {
+                let mut cfg = KingLikeConfig::with_nodes(n);
+                vary(&mut cfg);
+                let seed = 7 + n as u64;
+                let got =
+                    KingLike::new(cfg.clone()).generate(&mut ChaCha12Rng::seed_from_u64(seed));
+                let want = generate_oracle(&cfg, &mut ChaCha12Rng::seed_from_u64(seed));
+                assert!(got.validate().is_ok(), "n={n} variant {v}");
+                assert_eq!(bits(&got), bits(&want), "n={n} variant {v}");
+            }
+        }
+    }
 
     fn small() -> RttMatrix {
         let cfg = KingLikeConfig::with_nodes(200);
