@@ -82,7 +82,7 @@ impl DefenseModel {
     }
 
     /// The pull budget the attacker allows itself: `margin × modeled cap`.
-    pub fn evasion_budget_ms(&self) -> f64 {
+    fn evasion_budget_ms(&self) -> f64 {
         self.safety_margin.clamp(0.0, 1.0) * self.drift_cap_ms
     }
 }
@@ -151,15 +151,10 @@ impl CapLearner {
         (self.lo, self.hi)
     }
 
-    /// First flags absorbed so far (distinct colluders banned).
-    pub fn first_flags(&self) -> u64 {
-        self.first_flags
-    }
-
     /// One round passed; `sustained` is the worst pull the colluders held
     /// through it. After a full clean patience window that pull is
     /// proven safe and becomes the lower bracket.
-    pub fn observe_round(&mut self, sustained: f64) {
+    fn observe_round(&mut self, sustained: f64) {
         self.clean_rounds += 1;
         if self.clean_rounds < self.patience {
             return;
@@ -173,7 +168,7 @@ impl CapLearner {
     /// A sample of `attacker` was rejected while the colluders exerted an
     /// estimated worst pull of `pull`. Returns whether this was a first
     /// flag (informative evidence) rather than a permanent ban re-firing.
-    pub fn observe_flag(&mut self, attacker: usize, pull: f64) -> bool {
+    fn observe_flag(&mut self, attacker: usize, pull: f64) -> bool {
         if !self.flagged.insert(attacker) {
             return false;
         }
@@ -194,7 +189,7 @@ impl CapLearner {
 
     /// Current belief about the deployed cap: the bracket midpoint once a
     /// flag bounded it above, otherwise the configured model `fallback`.
-    pub fn believed_cap(&self, fallback: f64) -> f64 {
+    fn believed_cap(&self, fallback: f64) -> f64 {
         if self.hi.is_finite() {
             0.5 * (self.lo + self.hi)
         } else {
@@ -274,8 +269,9 @@ fn strided_sample(ids: &[usize], cap: usize) -> Vec<usize> {
 /// The classic attack advances its offset every round regardless of
 /// whether the victims keep up; the lag between offset and victim drift is
 /// the sustained pull the drift cap bans on. This variant advances *only
-/// when the estimated pull plus one more step still fits inside
-/// [`DefenseModel::evasion_budget_ms`]*, and holds otherwise — victims
+/// when the estimated pull plus one more step still fits inside the
+/// [`DefenseModel`]'s evasion budget (margin × modeled cap)*, and holds
+/// otherwise — victims
 /// catch up, the gap re-closes, and the drift resumes. Against a deployed
 /// cap at (or above) the modeled bound it is never banned, and the
 /// integrated displacement is unbounded: slower than the classic frog, but
@@ -341,11 +337,6 @@ impl EvadingFrogBoil {
     /// The online cap learner, when built via [`EvadingFrogBoil::learning`].
     pub fn learner(&self) -> Option<&CapLearner> {
         self.learner.as_ref()
-    }
-
-    /// Rounds the throttle held the offset so far.
-    pub fn held_rounds(&self) -> u64 {
-        self.held_rounds
     }
 
     /// Worst estimated per-colluder mean pull at the current offset, as
@@ -507,11 +498,6 @@ impl ThresholdProbe {
     pub fn estimate(&self) -> f64 {
         0.5 * (self.lo + self.hi)
     }
-
-    /// Rounds in which at least one probe answer produced feedback.
-    pub fn informative_rounds(&self) -> u64 {
-        self.informative_rounds
-    }
 }
 
 impl Default for ThresholdProbe {
@@ -650,11 +636,6 @@ impl SleeperCollusion {
         } else {
             SleeperPhase::Rest
         }
-    }
-
-    /// Bursts begun so far.
-    pub fn bursts_started(&self) -> u64 {
-        self.bursts_started
     }
 }
 
@@ -818,7 +799,7 @@ mod tests {
             worst < 50.0 * 0.8 + 1e-9,
             "estimated pull {worst:.1} must stay under the budget"
         );
-        assert!(adv.held_rounds() > 0, "the throttle must have engaged");
+        assert!(adv.held_rounds > 0, "the throttle must have engaged");
         // And it still lies with the drifted coordinate, no delay.
         let lie = adv
             .respond(&probe(0, 10, 90.0), &mut coll, &view_at(&f, 20), &mut rng)
@@ -877,7 +858,7 @@ mod tests {
         assert!(l.observe_flag(1, 60.0));
         assert_eq!(l.bracket(), (30.0, 60.0));
         assert_eq!(l.believed_cap(80.0), 45.0);
-        assert_eq!(l.first_flags(), 2);
+        assert_eq!(l.first_flags, 2);
         // A flag below the proven-safe floor resets the floor: hard
         // evidence outranks soft.
         assert!(l.observe_flag(2, 25.0));
@@ -911,7 +892,7 @@ mod tests {
             adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
         }
         assert_eq!(coll.groups()[0].offset, offset_before, "throttle holds");
-        assert_eq!(adv.learner().unwrap().first_flags(), 1);
+        assert_eq!(adv.learner().unwrap().first_flags, 1);
         // A fixed-model twin keeps advancing at the same point in time.
         let mut coll2 = Collusion::new();
         let mut fixed = EvadingFrogBoil::new(10.0, DefenseModel::drift_cap(80.0));
@@ -966,7 +947,7 @@ mod tests {
             (est - boundary).abs() / boundary < 0.10,
             "estimate {est:.3} must be within 10% of {boundary}"
         );
-        assert!(adv.informative_rounds() >= 20);
+        assert!(adv.informative_rounds >= 20);
     }
 
     #[test]
@@ -988,7 +969,7 @@ mod tests {
         // advances by step).
         adv.on_round(&mut coll, &view_at(&f, 5), &mut rng);
         assert_eq!(adv.phase(), SleeperPhase::Burst);
-        assert_eq!(adv.bursts_started(), 1);
+        assert_eq!(adv.bursts_started, 1);
         assert_eq!(coll.groups()[0].offset, 25.0);
         assert!(adv
             .respond(&probe(0, 10, 90.0), &mut coll, &view_at(&f, 5), &mut rng)
@@ -1006,7 +987,7 @@ mod tests {
             adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
         }
         assert_eq!(adv.phase(), SleeperPhase::Burst);
-        assert_eq!(adv.bursts_started(), 2);
+        assert_eq!(adv.bursts_started, 2);
         assert_eq!(coll.groups()[0].offset, 25.0, "burst restarts from truth");
     }
 
@@ -1019,13 +1000,13 @@ mod tests {
         adv.inject(&[0, 1, 2, 3], &mut coll, &view_at(&f, 0), &mut rng);
         adv.on_round(&mut coll, &view_at(&f, 1), &mut rng);
         assert_eq!(adv.phase(), SleeperPhase::Burst);
-        assert_eq!(adv.bursts_started(), 1, "the first burst must be counted");
+        assert_eq!(adv.bursts_started, 1, "the first burst must be counted");
         assert_eq!(coll.groups()[0].offset, 25.0);
         // Through rest and into the second burst.
         for r in 2..=9 {
             adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
         }
-        assert_eq!(adv.bursts_started(), 2);
+        assert_eq!(adv.bursts_started, 2);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl CoordView<'_> {
         self.coords.is_empty()
     }
 
-    /// Error estimate of `node`, or `1.0` when the system tracks none.
-    pub fn error_of(&self, node: usize) -> f64 {
-        self.errors.get(node).copied().unwrap_or(1.0)
-    }
-
     /// Layer of `node`, or `u8::MAX` when the system has no hierarchy.
     pub fn layer_of(&self, node: usize) -> u8 {
         self.layer.get(node).copied().unwrap_or(u8::MAX)
@@ -264,7 +259,6 @@ mod tests {
         };
         assert_eq!(view.len(), 3);
         assert!(!view.is_empty());
-        assert_eq!(view.error_of(1), 1.0);
         assert_eq!(view.layer_of(2), u8::MAX);
         assert_eq!(view.honest_nodes(), vec![0, 2]);
         assert!(view.params.probe_threshold_ms.is_infinite());

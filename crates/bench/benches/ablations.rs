@@ -9,7 +9,7 @@
 //! * **Seed streams** — labelled-stream derivation cost (paid once per
 //!   subsystem, must stay negligible).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, Criterion};
 use vcoord::metrics::EvalPlan;
 use vcoord::netsim::SeedStream;
 use vcoord::space::{simplex_downhill, Coord, SimplexOptions, SimplexScratch, Space};
@@ -87,4 +87,7 @@ criterion_group! {
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(300));
     targets = bench_error_sampling, bench_simplex_budget, bench_seed_streams
 }
-criterion_main!(benches);
+fn main() {
+    vcoord_bench::install_env();
+    benches();
+}

@@ -1,7 +1,7 @@
 //! Attack hot paths: lie construction must be cheap enough to serve every
 //! probe (it runs inside the simulator's innermost loop).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use vcoord::attackkit::{
@@ -149,4 +149,7 @@ criterion_group! {
     config = Criterion::default().sample_size(50).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(300));
     targets = bench_repulsion_lie, bench_anti_detection_lie, bench_attackkit_strategies
 }
-criterion_main!(benches);
+fn main() {
+    vcoord_bench::install_env();
+    benches();
+}

@@ -7,7 +7,7 @@
 //! The complete per-figure regeneration lives in the `figures` binary;
 //! `tests/figures_smoke.rs` covers every id.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, Criterion};
 use vcoord::experiments::{registry, Scale};
 
 fn micro_scale() -> Scale {
@@ -44,4 +44,7 @@ criterion_group! {
     config = Criterion::default().measurement_time(std::time::Duration::from_secs(8)).warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_figures
 }
-criterion_main!(benches);
+fn main() {
+    vcoord_bench::install_env();
+    benches();
+}

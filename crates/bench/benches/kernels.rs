@@ -4,7 +4,7 @@
 //! contract is *asserted*, not assumed — and the disabled-path cost of
 //! the `vcoord-obs` recording calls those kernels now carry.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, Criterion};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -309,4 +309,7 @@ criterion_group! {
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_vivaldi_update, bench_simplex, bench_nps_fit, bench_netsim_queue, bench_lanes, bench_eval_plan, bench_defense_inspect, bench_obs_disabled, bench_matrix_ops
 }
-criterion_main!(benches);
+fn main() {
+    vcoord_bench::install_env();
+    benches();
+}

@@ -1,6 +1,6 @@
 //! Whole-simulator throughput: cost of simulated time on both systems.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, BatchSize, Criterion};
 use vcoord::netsim::SeedStream;
 use vcoord::nps::{NpsConfig, NpsSim};
 use vcoord::space::Space;
@@ -73,4 +73,7 @@ criterion_group! {
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(5)).warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_vivaldi_ticks, bench_vivaldi_setup, bench_nps_rounds, bench_topo_synthesis
 }
-criterion_main!(benches);
+fn main() {
+    vcoord_bench::install_env();
+    benches();
+}

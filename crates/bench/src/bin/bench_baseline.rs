@@ -163,6 +163,7 @@ fn json_escape(s: &str) -> String {
 
 fn main() {
     vcoord::netsim::simlog::init();
+    vcoord_bench::install_env();
     let args = match parse_args() {
         Ok(a) => a,
         Err(msg) => {
@@ -381,7 +382,10 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!("  \"label\": \"{}\",\n", json_escape(&label)));
-    json.push_str("  \"schema\": 4,\n");
+    json.push_str(&format!(
+        "  \"schema\": {},\n",
+        vcoord::obs::diff::BENCH_SCHEMA
+    ));
     json.push_str(&format!("  \"scale\": \"{}\",\n", args.scale_name));
     json.push_str(&format!("  \"seed\": {},\n", args.seed));
     json.push_str(&format!(

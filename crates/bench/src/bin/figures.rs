@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! figures [IDS...] [--full|--quick|--smoke] [--seed N] [--jobs N] [--out DIR]
-//!         [--trace-out DIR] [--profile DIR] [--progress] [--list]
+//!         [--trace-out DIR] [--progress] [--list]
 //!
 //!   IDS        figure ids (fig1 .. fig26) or `all` (default: all)
 //!   --quick    400 nodes, 3 repetitions (default; minutes)
@@ -15,11 +15,6 @@
 //!   --trace-out DIR
 //!              enable full tracing (`vcoord-obs` in `Trace` mode) and
 //!              write one `DIR/<id>.jsonl` trace per figure
-//!   --profile DIR
-//!              enable metrics (at least) and write `DIR/profile.jsonl`:
-//!              one per-figure phase-attribution line (netsim vs Simplex
-//!              vs defense vs EvalPlan vs harness overhead, from the span
-//!              sites). Wall-clock data: non-golden by design
 //!   --progress heartbeat lines on stderr after each figure, with an ETA
 //!              extrapolated from `BENCH_<scale>.json` when present
 //!   --list     print the figure index and exit
@@ -36,14 +31,15 @@
 //! deterministic too: `run_grid` merges per-job observations in (cell,
 //! repetition) order, each figure worker drains its own thread-local
 //! recorder, and the trace's `run` id is derived from the scale and seed
-//! alone, so `--jobs` never changes a JSONL byte either. The profile and
-//! progress planes deliberately live *outside* that guarantee: wall-clock
-//! samples are stripped from traces before rendering (`strip_timings`) and
-//! only ever reach the separate `profile.jsonl` / stderr, so compiling the
-//! profiling in — or running with it on — cannot move a golden byte.
+//! alone, so `--jobs` never changes a JSONL byte either. Wall-clock
+//! samples are stripped from traces before rendering (`strip_timings`);
+//! `--progress` prints its own to stderr only.
+//!
+//! Environment (read once, by `vcoord_bench::install_env`): `VCOORD_THREADS`
+//! pins every worker pool, `VCOORD_OBS=off|metrics|trace` sets the recording
+//! mode when `--trace-out` does not, `VCOORD_LOG` picks the log level.
 
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -57,66 +53,8 @@ struct Args {
     jobs: usize,
     out: PathBuf,
     trace_out: Option<PathBuf>,
-    profile: Option<PathBuf>,
     progress: bool,
     list: bool,
-}
-
-/// Per-figure wall-clock attribution, computed from the span histograms of
-/// one figure's (pre-`strip_timings`) report. All values in seconds.
-struct ProfileRow {
-    wall_s: f64,
-    netsim_s: f64,
-    simplex_s: f64,
-    defense_s: f64,
-    eval_plan_s: f64,
-    harness_s: f64,
-}
-
-impl ProfileRow {
-    /// Attribute `wall_s` across phases. The span sites nest — Simplex
-    /// fits and defense inspections run inside the sim engines, the
-    /// engines inside `figure.rep_ns` — so inner phases are subtracted
-    /// from their enclosing spans (clamped at 0: timer jitter can make a
-    /// sum of inner spans exceed the outer read).
-    fn new(report: &vcoord::obs::ObsReport, wall_s: f64) -> ProfileRow {
-        let ns = |name: &str| -> f64 {
-            report
-                .hists()
-                .iter()
-                .find(|(id, _)| vcoord::obs::metric_name(*id) == name)
-                .map(|(_, h)| h.sum / 1e9)
-                .unwrap_or(0.0)
-        };
-        let rep = ns("figure.rep_ns");
-        let engines = ns("vivaldi.run_ticks_ns") + ns("nps.run_rounds_ns") + ns("nps.embed_ns");
-        let simplex_s = ns("simplex.fit_ns");
-        let defense_s = ns("defense.inspect_ns");
-        let eval_plan_s = ns("evalplan.worker_ns");
-        ProfileRow {
-            wall_s,
-            netsim_s: (engines - simplex_s - defense_s).max(0.0),
-            simplex_s,
-            defense_s,
-            // EvalPlan chunks run on pool threads; their summed time can
-            // exceed the coordinator's wall wait when the pool is wider
-            // than one, in which case harness overhead clamps to zero.
-            eval_plan_s,
-            harness_s: (rep - engines - eval_plan_s).max(0.0),
-        }
-    }
-
-    fn render(&self, fig: &str) -> String {
-        format!(
-            "{{\"type\":\"profile\",\"fig\":\"{fig}\",\"wall_s\":{:.6},\"netsim_s\":{:.6},\"simplex_s\":{:.6},\"defense_s\":{:.6},\"eval_plan_s\":{:.6},\"harness_s\":{:.6}}}\n",
-            self.wall_s,
-            self.netsim_s,
-            self.simplex_s,
-            self.defense_s,
-            self.eval_plan_s,
-            self.harness_s,
-        )
-    }
 }
 
 /// Per-figure baseline seconds from `BENCH_<scale>.json` in the working
@@ -126,11 +64,11 @@ fn load_baseline(scale_name: &str) -> BTreeMap<String, f64> {
     let Ok(text) = std::fs::read_to_string(format!("BENCH_{scale_name}.json")) else {
         return BTreeMap::new();
     };
-    let Ok(json) = vcoord::obs::diff::parse_json(&text) else {
+    let Ok(json) = vcoord::obs::json::parse_json(&text) else {
         return BTreeMap::new();
     };
     json.get("figures")
-        .and_then(vcoord::obs::diff::Json::as_obj)
+        .and_then(vcoord::obs::json::Json::as_obj)
         .map(|figs| {
             figs.iter()
                 .filter_map(|(id, v)| Some((id.clone(), v.as_num()?)))
@@ -146,15 +84,17 @@ fn cannot_write(path: &Path, err: std::io::Error) -> ! {
     std::process::exit(3);
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str = "usage: figures [IDS...|all] [--quick|--full|--smoke] [--seed N] [--jobs N] [--out DIR] [--trace-out DIR] [--progress] [--list]";
+
+/// `thread_pin` is the `VCOORD_THREADS` pin, the default for `--jobs`.
+fn parse_args(thread_pin: Option<usize>) -> Result<Args, String> {
     let mut ids = Vec::new();
     let mut scale = Scale::quick();
     let mut scale_name = "quick";
     let mut seed = 2006u64;
-    let mut jobs = vcoord::metrics::parallel::env_threads().unwrap_or(1);
+    let mut jobs = thread_pin.unwrap_or(1);
     let mut out = PathBuf::from(vcoord_bench::DEFAULT_OUT_DIR);
     let mut trace_out = None;
-    let mut profile = None;
     let mut progress = false;
     let mut list = false;
     let mut argv = std::env::args().skip(1);
@@ -197,16 +137,11 @@ fn parse_args() -> Result<Args, String> {
                     argv.next().ok_or("--trace-out needs a value")?,
                 ));
             }
-            "--profile" => {
-                profile = Some(PathBuf::from(argv.next().ok_or("--profile needs a value")?));
-            }
             "--progress" => progress = true,
             "--list" => list = true,
-            "--help" | "-h" => {
-                return Err("usage: figures [IDS...|all] [--quick|--full|--smoke] [--seed N] [--jobs N] [--out DIR] [--trace-out DIR] [--profile DIR] [--progress] [--list]".into());
-            }
+            "--help" | "-h" => return Err(USAGE.into()),
             other if other.starts_with('-') => {
-                return Err(format!("unknown flag {other}"));
+                return Err(format!("unknown flag {other}\n{USAGE}"));
             }
             other => ids.push(other.to_string()),
         }
@@ -219,7 +154,6 @@ fn parse_args() -> Result<Args, String> {
         jobs,
         out,
         trace_out,
-        profile,
         progress,
         list,
     })
@@ -227,7 +161,8 @@ fn parse_args() -> Result<Args, String> {
 
 fn main() {
     vcoord::netsim::simlog::init();
-    let args = match parse_args() {
+    let thread_pin = vcoord_bench::install_env();
+    let args = match parse_args(thread_pin) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
@@ -235,17 +170,9 @@ fn main() {
         }
     };
 
-    // `--trace-out` forces full tracing; otherwise honor VCOORD_OBS so the
-    // aggregate/metrics planes can be flipped on without trace files.
+    // `--trace-out` forces full tracing, whatever VCOORD_OBS installed.
     if args.trace_out.is_some() {
         vcoord::obs::set_mode(vcoord::obs::ObsMode::Trace);
-    } else {
-        vcoord::obs::init_from_env();
-    }
-    // `--profile` needs the span histograms, so it upgrades Off to Metrics;
-    // an explicit Trace (or VCOORD_OBS=metrics) choice is left alone.
-    if args.profile.is_some() && matches!(vcoord::obs::mode(), vcoord::obs::ObsMode::Off) {
-        vcoord::obs::set_mode(vcoord::obs::ObsMode::Metrics);
     }
 
     if args.list {
@@ -281,10 +208,7 @@ fn main() {
         .collect();
 
     // Before any compute: an unwritable directory fails in milliseconds.
-    for dir in std::iter::once(&args.out)
-        .chain(&args.trace_out)
-        .chain(&args.profile)
-    {
+    for dir in std::iter::once(&args.out).chain(&args.trace_out) {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| cannot_write(dir, e));
     }
     println!(
@@ -309,54 +233,34 @@ fn main() {
     // output. Per-figure seeding makes the CSV bytes independent of the
     // completion order; the writer's reorder buffer keeps stdout in figure
     // order too.
+    //
+    // One computed figure: its result, compute seconds and (traced) report.
     type Done = (
-        usize,
         vcoord::experiments::FigureResult,
         f64,
         Option<vcoord::obs::ObsReport>,
-        Option<ProfileRow>,
     );
-    let (tx, rx) = std::sync::mpsc::channel::<Done>();
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, Done)>();
     let out_dir = args.out.clone();
     let trace_dir = args.trace_out.clone();
-    let profile_dir = args.profile.clone();
     // Wall-clock-free run id: reruns of the same scale+seed are
     // byte-identical, which is what the golden-trace tests compare.
     let run_id = format!("{}-seed{}", args.scale_name, args.seed);
     let scale_name = args.scale_name;
     let seed = args.seed;
-    let jobs = args.jobs;
     let progress = args.progress;
     let writer_ids: Vec<String> = ids.clone();
     let writer = std::thread::spawn(move || {
-        let mut profile_file = profile_dir.map(|dir| {
-            let path = dir.join("profile.jsonl");
-            let mut file = std::fs::File::create(&path).unwrap_or_else(|e| cannot_write(&path, e));
-            writeln!(
-                file,
-                "{{\"type\":\"meta\",\"run\":\"{run_id}\",\"scale\":\"{scale_name}\",\"seed\":{seed},\"jobs\":{jobs}}}"
-            )
-            .unwrap_or_else(|e| cannot_write(&path, e));
-            (path, file)
-        });
         let baseline = if progress {
             load_baseline(scale_name)
         } else {
             BTreeMap::new()
         };
-        let mut pending: BTreeMap<
-            usize,
-            (
-                vcoord::experiments::FigureResult,
-                f64,
-                Option<vcoord::obs::ObsReport>,
-                Option<ProfileRow>,
-            ),
-        > = BTreeMap::new();
+        let mut pending: BTreeMap<usize, Done> = BTreeMap::new();
         let mut next = 0usize;
-        for (idx, fig, compute_secs, report, prof) in rx {
-            pending.insert(idx, (fig, compute_secs, report, prof));
-            while let Some((fig, compute_secs, report, prof)) = pending.remove(&next) {
+        for (idx, done) in rx {
+            pending.insert(idx, done);
+            while let Some((fig, compute_secs, report)) = pending.remove(&next) {
                 println!("{}", fig.to_table());
                 let path = out_dir.join(format!("{}.csv", fig.id));
                 std::fs::write(&path, fig.to_csv()).unwrap_or_else(|e| cannot_write(&path, e));
@@ -371,10 +275,6 @@ fn main() {
                     std::fs::write(&trace_path, vcoord::obs::render_jsonl(&meta, &report))
                         .unwrap_or_else(|e| cannot_write(&trace_path, e));
                     println!("wrote {}", trace_path.display());
-                }
-                if let (Some((path, file)), Some(prof)) = (&mut profile_file, prof) {
-                    file.write_all(prof.render(&fig.id).as_bytes())
-                        .unwrap_or_else(|e| cannot_write(path, e));
                 }
                 println!(
                     "wrote {} ({} rows) in {compute_secs:.1}s\n",
@@ -412,9 +312,6 @@ fn main() {
                 }
             }
         }
-        if let Some((path, _)) = &profile_file {
-            println!("wrote {}", path.display());
-        }
     });
 
     let workers = args.jobs.min(ids.len()).max(1);
@@ -427,7 +324,6 @@ fn main() {
             let scale = &args.scale;
             let seed = args.seed;
             let traced = args.trace_out.is_some();
-            let profiled = args.profile.is_some();
             scope.spawn(move || loop {
                 let idx = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(id) = ids.get(idx) else { break };
@@ -436,7 +332,7 @@ fn main() {
                 // thread-local recorder (plus the per-job merges
                 // absorbed by run_grid) holds exactly that figure's
                 // observations between reset() and drain().
-                if traced || profiled {
+                if traced {
                     vcoord::obs::reset();
                 }
                 // Stamp the compute time here: on the writer thread it
@@ -444,20 +340,15 @@ fn main() {
                 // figures' I/O.
                 let fig = registry::run_figure(id, scale, seed).expect("id validated above");
                 let wall_s = start.elapsed().as_secs_f64();
-                let mut report = (traced || profiled).then(vcoord::obs::drain);
-                // Attribute phases from the raw report: the profile plane
-                // is the one consumer of the timing spans.
-                let prof = match (&report, profiled) {
-                    (Some(r), true) => Some(ProfileRow::new(r, wall_s)),
-                    _ => None,
-                };
                 // Wall-clock histograms are nondeterministic; everything
                 // else in the report is seed-derived, so stripping them
                 // keeps the JSONL byte-stable across reruns and --jobs.
-                if let Some(r) = &mut report {
-                    r.strip_timings();
-                }
-                tx.send((idx, fig, wall_s, report.filter(|_| traced), prof))
+                let report = traced.then(|| {
+                    let mut report = vcoord::obs::drain();
+                    report.strip_timings();
+                    report
+                });
+                tx.send((idx, (fig, wall_s, report)))
                     .expect("writer thread alive");
             });
         }

@@ -18,8 +18,9 @@
 
 use std::path::Path;
 use vcoord::obs::diff::{
-    diff_samples, parse_json, samples_from_bench, samples_from_trace, Sample, ToleranceSpec,
+    diff_samples, samples_from_bench, samples_from_trace, Sample, ToleranceSpec,
 };
+use vcoord::obs::json::parse_json;
 use vcoord::obs::{parse_jsonl, TraceLine};
 
 const USAGE: &str = "usage: obs-diff [--tolerances FILE] [--report-only] [--verbose] BASE NEW";
@@ -46,13 +47,16 @@ fn samples_from_file(path: &Path) -> Vec<Sample> {
                 });
             samples_from_trace(&fig, &lines)
         }
-        Err(trace_err) => match parse_json(&text).and_then(|j| samples_from_bench(&j)) {
-            Ok(samples) => samples,
-            Err(bench_err) => die_input(&format!(
-                "{}: not a trace ({trace_err}) and not a BENCH baseline ({bench_err})",
-                path.display()
-            )),
-        },
+        Err(trace_err) => {
+            let bench =
+                parse_json(&text).and_then(|j| samples_from_bench(&j).map_err(|e| e.to_string()));
+            bench.unwrap_or_else(|bench_err| {
+                die_input(&format!(
+                    "{}: not a trace ({trace_err}) and not a BENCH baseline ({bench_err})",
+                    path.display()
+                ))
+            })
+        }
     }
 }
 

@@ -17,18 +17,52 @@
 
 use vcoord::defense::testing::ring_fill_samples;
 use vcoord::defense::{Defense, DriftCap, Provenance, Update, Verdict};
+use vcoord::metrics::parallel::set_worker_budget;
 use vcoord::netsim::{Engine, NodeId, Scheduler, SeedStream, World, TICK_MS};
 use vcoord::nps::{
     position_node, FitObjective, PositionOutcome, PositionScratch, RefSample, SecurityPolicy,
 };
+use vcoord::obs::{set_mode, ObsMode};
 use vcoord::space::{Coord, SimplexOptions, Space};
 
 /// Default output directory for figure CSVs.
 pub const DEFAULT_OUT_DIR: &str = "results";
 
+/// Parse a `VCOORD_THREADS` value. Zero, empty, or unparsable values are
+/// rejected (`None`) so a broken override degrades to the hardware default
+/// instead of a zero-width pool.
+fn parse_threads(raw: Option<&str>) -> Option<usize> {
+    raw.and_then(|s| s.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+}
+
+/// Read the process environment and install what it asks for; every binary
+/// and bench of this crate calls it first thing in `main`. It is the one
+/// place the workspace reads configuration from the environment (the
+/// `VCOORD_LOG` logger backend aside): the libraries take values.
+///
+/// * `VCOORD_THREADS=N` pins every worker pool to `N` threads
+///   ([`set_worker_budget`]) for reproducible CI and benchmarking on any
+///   core count. Returned, because `figures` also defaults `--jobs` to it.
+/// * `VCOORD_OBS=off|metrics|trace` sets the recording mode; anything else
+///   leaves it off.
+pub fn install_env() -> Option<usize> {
+    let threads = parse_threads(std::env::var("VCOORD_THREADS").ok().as_deref());
+    if let Some(n) = threads {
+        set_worker_budget(n);
+    }
+    match std::env::var("VCOORD_OBS").as_deref() {
+        Ok("off") => set_mode(ObsMode::Off),
+        Ok("metrics") => set_mode(ObsMode::Metrics),
+        Ok("trace") => set_mode(ObsMode::Trace),
+        _ => {}
+    }
+    threads
+}
+
 /// One benchmark reference point: reported coordinates plus the measured
 /// distance it claims.
-pub type SimplexRef = (Vec<f64>, f64);
+type SimplexRef = (Vec<f64>, f64);
 
 /// The representative NPS positioning fixture shared by the `kernels`
 /// bench and the `bench-baseline` binary: 20 reference points drawn in a
@@ -128,8 +162,8 @@ impl NpsFitFixture {
 
 /// Event-queue workloads for the `netsim_queue` kernel rows: the
 /// scheduling shapes the simulators put on [`Engine`], with the protocol
-/// work taken out. Every shape runs the paper's population
-/// ([`QUEUE_NODES`], one timer per node per tick) for [`QUEUE_TICKS`] ticks.
+/// work taken out. Every shape runs the paper's population (1740 nodes,
+/// one timer per node per tick) for 20 ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueuePattern {
     /// Each timer re-arms itself one tick later: pushes arrive in time
@@ -153,10 +187,10 @@ impl QueuePattern {
 }
 
 /// Population of a [`netsim_queue_run`].
-pub const QUEUE_NODES: usize = 1740;
+const QUEUE_NODES: usize = 1740;
 
 /// Length of a [`netsim_queue_run`], in ticks.
-pub const QUEUE_TICKS: u64 = 20;
+const QUEUE_TICKS: u64 = 20;
 
 /// A message the size of a Vivaldi probe response (a coordinate, an error
 /// and an RTT), so events weigh what the simulator's do.
@@ -216,10 +250,10 @@ pub fn netsim_queue_run(pattern: QueuePattern) -> usize {
 
 /// The defense-inspection kernel at the working set a simulator gives it:
 /// a drift cap that never trips (as in the `drift_cap_steady` row) judging
-/// samples whose observer and remote are both drawn over [`QUEUE_NODES`]
-/// nodes, so each inspection lands on history the cache has not seen for a
-/// thousand samples. `drift_cap_steady` cycles 16 remotes under one
-/// observer and times the arithmetic; this row times the store.
+/// samples whose observer and remote are both drawn over 1740 nodes, so
+/// each inspection lands on history the cache has not seen for a thousand
+/// samples. `drift_cap_steady` cycles 16 remotes under one observer and
+/// times the arithmetic; this row times the store.
 pub struct InspectFixture {
     space: Space,
     coords: Vec<Coord>,
@@ -301,6 +335,22 @@ impl InspectFixture {
 mod tests {
     use super::*;
     use vcoord::space::{simplex_downhill, SimplexScratch};
+
+    #[test]
+    fn parse_threads_accepts_positive_integers() {
+        assert_eq!(parse_threads(Some("4")), Some(4));
+        assert_eq!(parse_threads(Some(" 12 ")), Some(12));
+        assert_eq!(parse_threads(Some("1")), Some(1));
+    }
+
+    #[test]
+    fn parse_threads_rejects_garbage_and_zero() {
+        assert_eq!(parse_threads(Some("0")), None);
+        assert_eq!(parse_threads(Some("")), None);
+        assert_eq!(parse_threads(Some("-3")), None);
+        assert_eq!(parse_threads(Some("many")), None);
+        assert_eq!(parse_threads(None), None);
+    }
 
     #[test]
     fn fixture_is_deterministic_and_minimizable() {

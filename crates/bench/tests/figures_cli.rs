@@ -43,9 +43,14 @@ fn help_exits_nonzero_with_usage() {
 
 #[test]
 fn unknown_flag_is_rejected() {
-    let out = run(&["--frobnicate"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("unknown flag --frobnicate"));
+    // `--profile` was a flag until its one reader, a CI schema check, went.
+    for args in [&["--frobnicate"][..], &["--profile", "x"]] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2));
+        let err = stderr(&out);
+        assert!(err.contains(&format!("unknown flag {}", args[0])), "{err}");
+        assert!(err.contains("usage:"), "{err}");
+    }
 }
 
 #[test]
@@ -442,7 +447,7 @@ fn trace_out_is_deterministic_across_jobs_and_digestible() {
 
     // A malformed trace is a hard error with the offending line number.
     let bad = dir1.join("corrupt.jsonl");
-    std::fs::write(&bad, "{\"type\":\"meta\",\"schema\":1,\"run\":\"r\",\"fig\":\"f\",\"seed\":7,\"scale\":\"smoke\"}\nnot json\n").unwrap();
+    std::fs::write(&bad, "{\"type\":\"meta\",\"schema\":2,\"run\":\"r\",\"fig\":\"f\",\"seed\":7,\"scale\":\"smoke\"}\nnot json\n").unwrap();
     let fail = Command::new(env!("CARGO_BIN_EXE_obs-report"))
         .arg(&bad)
         .output()

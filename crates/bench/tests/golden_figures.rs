@@ -225,25 +225,20 @@ fn smoke_suite_reproduces_committed_csvs_byte_for_byte() {
 fn traced_smoke_suite_matches_committed_csvs_and_emits_valid_traces() {
     let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden-figures-traced");
     let traces = out.join("traces");
-    let profile = out.join("profile");
     let _ = std::fs::remove_dir_all(&out);
     std::fs::create_dir_all(&out).unwrap();
 
-    // `--profile` rides along: the wall-clock plane must not move a golden
-    // byte even while it is actively attributing phases.
     let run = Command::new(env!("CARGO_BIN_EXE_figures"))
         .args(["all", "--smoke", "--seed", "2006", "--jobs", "2"])
         .arg("--out")
         .arg(&out)
         .arg("--trace-out")
         .arg(&traces)
-        .arg("--profile")
-        .arg(&profile)
         .output()
         .expect("spawn figures binary");
     assert!(
         run.status.success(),
-        "figures all --smoke --trace-out --profile failed:\n{}",
+        "figures all --smoke --trace-out failed:\n{}",
         String::from_utf8_lossy(&run.stderr)
     );
 
@@ -311,49 +306,6 @@ fn traced_smoke_suite_matches_committed_csvs_and_emits_valid_traces() {
     }
     assert!(ids >= 49, "expected the full 49-figure suite, saw {ids}");
 
-    // The profile sidecar: non-golden (wall-clock) but schema-stable — a
-    // meta first line, then exactly one phase-attribution object per
-    // figure, every field numeric and the phases no larger than the wall.
-    let text = std::fs::read_to_string(profile.join("profile.jsonl")).expect("profile.jsonl");
-    let mut profiled = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        let json = vcoord::obs::diff::parse_json(line)
-            .unwrap_or_else(|e| panic!("profile.jsonl line {}: {e}", i + 1));
-        let field = |name: &str| {
-            json.get(name)
-                .and_then(vcoord::obs::diff::Json::as_num)
-                .unwrap_or_else(|| panic!("profile.jsonl line {} missing {name}", i + 1))
-        };
-        if i == 0 {
-            assert_eq!(
-                json.get("type").and_then(vcoord::obs::diff::Json::as_str),
-                Some("meta"),
-                "first profile line must be meta"
-            );
-            assert_eq!(field("seed"), 2006.0);
-            continue;
-        }
-        assert_eq!(
-            json.get("type").and_then(vcoord::obs::diff::Json::as_str),
-            Some("profile"),
-            "profile.jsonl line {}",
-            i + 1
-        );
-        let wall = field("wall_s");
-        assert!(wall >= 0.0 && wall.is_finite());
-        for phase in [
-            "netsim_s",
-            "simplex_s",
-            "defense_s",
-            "eval_plan_s",
-            "harness_s",
-        ] {
-            let v = field(phase);
-            assert!(v >= 0.0 && v.is_finite(), "{phase} out of range: {v}");
-        }
-        profiled += 1;
-    }
-    assert_eq!(profiled, ids, "one profile row per figure");
     // A few figures are closed-form (no simulation — fig17's geometric
     // evaluation, for example) and legitimately trace nothing; every
     // simulating figure must have recorded at least one counter or event.

@@ -204,6 +204,69 @@ fn injected_evals_regression_gates() {
         "regression must be attributed to evals_per_round:\n{}",
         stdout(&out)
     );
+
+    // Under CI's spec the one seed-derived histogram gates exactly, and the
+    // wall-clock ones beside it in the same section still only report: move
+    // the first `nps.round_evals` p50 by half, then the first
+    // `figure.rep_ns` one.
+    let spec = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci-tolerances.toml");
+    let with_p50_moved = |metric: &str| {
+        let at = text.find(&format!("\"{metric}\": {{")).expect("metric");
+        let from = at + text[at..].find("\"p50\": ").expect("p50") + 7;
+        let to = from + text[from..].find(',').expect("p90 follows");
+        let p50: f64 = text[from..to].trim().parse().expect("a number");
+        let hot = root.join(format!("BENCH_{metric}.json"));
+        let moved = format!("{}{:e}{}", &text[..from], p50 * 1.5, &text[to..]);
+        std::fs::write(&hot, moved).unwrap();
+        obs_diff(&[
+            "--tolerances",
+            spec.to_str().unwrap(),
+            committed_bench().to_str().unwrap(),
+            hot.to_str().unwrap(),
+        ])
+    };
+    let out = with_p50_moved("nps.round_evals");
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    assert!(
+        stdout(&out).contains("/nps.round_evals.p50") && stdout(&out).contains("1 regressions"),
+        "{}",
+        stdout(&out)
+    );
+    let out = with_p50_moved("figure.rep_ns");
+    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+}
+
+#[test]
+fn other_schemas_are_bad_input_not_a_diff() {
+    // A schema-1 trace and a schema-3 BENCH file: nobody holds either, and
+    // neither is read as if it were the current format. obs-report exits 1
+    // and obs-diff 3, the code each uses for corrupt input.
+    let root = tmp("old-schemas");
+    let old_trace = root.join("old.jsonl");
+    std::fs::write(
+        &old_trace,
+        trace("fig1", 100, 200.0).replace("\"schema\":2", "\"schema\":1"),
+    )
+    .unwrap();
+    let out = obs_report(&[old_trace.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(err.contains("line 1: trace schema 1"), "{err}");
+
+    let old_bench = root.join("BENCH_old.json");
+    let text = std::fs::read_to_string(committed_bench()).unwrap();
+    std::fs::write(
+        &old_bench,
+        text.replacen("\"schema\": 4", "\"schema\": 3", 1),
+    )
+    .unwrap();
+    for file in [&old_trace, &old_bench] {
+        let out = obs_diff(&[file.to_str().unwrap(), file.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(3), "{}", file.display());
+    }
+    let err =
+        String::from_utf8_lossy(&obs_diff(&[old_bench.to_str().unwrap(); 2]).stderr).into_owned();
+    assert!(err.contains("BENCH schema 3, this reader takes 4"), "{err}");
 }
 
 #[test]

@@ -205,11 +205,6 @@ impl NpsCollusionIsolation {
         }
     }
 
-    /// Whether enough colluders became reference points to activate.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// Preset the common victim set (otherwise chosen at injection). Used
     /// by the experiment harness so it can track exactly these nodes.
     pub fn preset_victims(&mut self, victims: HashSet<usize>) {
@@ -527,7 +522,7 @@ mod tests {
         let mut coll = Collusion::new();
         let mut adv = NpsCollusionIsolation::new(0.5);
         adv.inject(&[0, 1, 2, 3], &mut coll, &v, &mut rng); // only 4 < 5
-        assert!(!adv.is_active());
+        assert!(!adv.active);
         assert!(adv
             .respond(&probe(0, 7, 50.0), &mut coll, &v, &mut rng)
             .is_none());
@@ -541,7 +536,7 @@ mod tests {
         let mut coll = Collusion::new();
         let mut adv = NpsCollusionIsolation::new(0.5);
         adv.inject(&[0, 1, 2, 3, 4], &mut coll, &v, &mut rng);
-        assert!(adv.is_active());
+        assert!(adv.active);
         let victims = adv.victims().clone();
         assert!(!victims.is_empty());
         assert!(victims.iter().all(|&w| f.layer[w] == 2 && !f.malicious[w]));

@@ -84,11 +84,6 @@ impl VivaldiRepulsion {
             ..Self::new(target_range)
         }
     }
-
-    /// The `X_target` chosen by `attacker` (after injection).
-    pub fn target_of(&self, attacker: usize) -> Option<&Coord> {
-        self.targets.get(&attacker)
-    }
 }
 
 impl Default for VivaldiRepulsion {
@@ -533,7 +528,7 @@ mod tests {
         let mut coll = Collusion::new();
         let mut adv = VivaldiRepulsion::new(5_000.0);
         adv.inject(&[0], &mut coll, &view, &mut rng);
-        let target = adv.target_of(0).unwrap().clone();
+        let target = adv.targets.get(&0).unwrap().clone();
         assert!(
             target.magnitude() >= 2_500.0,
             "target must be far from origin"

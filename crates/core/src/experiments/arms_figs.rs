@@ -39,12 +39,12 @@ use vcoord_vivaldi::VivaldiSim;
 /// The adaptive attack labels swept by the `arms-sweep-*` figures, in CSV
 /// column order. `frog_boiling` rides along as the non-adaptive baseline
 /// every adaptive variant is judged against.
-pub const ARMS_ATTACKS: [&str; 4] = ["frog_boiling", "evading_frog", "threshold_probe", "sleeper"];
+const ARMS_ATTACKS: [&str; 4] = ["frog_boiling", "evading_frog", "threshold_probe", "sleeper"];
 
 /// The defense labels of the `arms-sweep-*` figures: the permanent-ban
 /// drift cap, its decaying (forgiving) variant, and the MAD filter as the
 /// error-magnitude baseline.
-pub const ARMS_DEFENSES: [&str; 3] = ["drift_cap", "drift_cap_decay", "mad_outlier"];
+const ARMS_DEFENSES: [&str; 3] = ["drift_cap", "drift_cap_decay", "mad_outlier"];
 
 /// Malicious fraction of the arms sweeps (matches the `def-*` sweeps).
 const FRACTION: f64 = 0.30;
@@ -54,7 +54,7 @@ const FRACTION: f64 = 0.30;
 const SWEEP_HALF_LIFE: f64 = 40.0;
 
 /// Workspace-default instance of one adaptive attack by label.
-pub fn arms_strategy_by(label: &str) -> Box<dyn AttackStrategy> {
+fn arms_strategy_by(label: &str) -> Box<dyn AttackStrategy> {
     match label {
         // Classic baseline at the default 5 ms/round budget.
         "frog_boiling" => strategy_by("frog_boiling"),
@@ -68,7 +68,7 @@ pub fn arms_strategy_by(label: &str) -> Box<dyn AttackStrategy> {
 }
 
 /// Workspace-default instance of one arms-sweep defense by label.
-pub fn arms_defense_by(label: &str) -> Box<dyn DefenseStrategy> {
+fn arms_defense_by(label: &str) -> Box<dyn DefenseStrategy> {
     match label {
         "drift_cap" => Box::new(DriftCap::default()),
         "drift_cap_decay" => Box::new(DriftCap::with_decay(80.0, DriftDecay::new(SWEEP_HALF_LIFE))),

@@ -26,7 +26,7 @@ use vcoord_nps::NpsSim;
 use vcoord_vivaldi::VivaldiSim;
 
 /// The defense labels swept by the `def-*` figures, in CSV column order.
-pub const DEFENSES: [&str; 6] = [
+const DEFENSES: [&str; 6] = [
     "none",
     "mad_outlier",
     "ewma_cpd",

@@ -23,7 +23,7 @@ use vcoord_vivaldi::{VivaldiConfig, VivaldiSim};
 
 /// When the malicious population becomes active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttackTiming {
+enum AttackTiming {
     /// Attackers are present from the system's creation (reference \[9\]'s
     /// scenario): honest nodes never get a clean convergence phase.
     Genesis,

@@ -193,7 +193,7 @@ pub struct GridJob {
     /// Repetition index within the cell.
     pub rep: u64,
     /// Threads the job may hand to nested sweeps (the [`EvalPlan`] snapshot
-    /// path): [`eval_thread_budget`] of the grid's job count.
+    /// path): the worker budget divided by the width of the grid's pool.
     ///
     /// [`EvalPlan`]: vcoord_metrics::EvalPlan
     pub eval_threads: usize,
@@ -219,9 +219,9 @@ impl Drop for StopOnUnwind<'_> {
 /// guide-conformance notes).
 ///
 /// The pool is capped at [`vcoord_metrics::worker_threads`] — the machine's
-/// available parallelism unless the `VCOORD_THREADS` override pins it (CI
-/// and benches set the override so runs are reproducible on any core
-/// count) — and it is the only level of threads a figure has: cells are
+/// available parallelism unless a budget pins it (the binaries install
+/// `VCOORD_THREADS` as one, so CI and bench runs are reproducible on any
+/// core count) — and it is the only level of threads a figure has: cells are
 /// never fanned out around it. Workers pull jobs cell-major, rep-minor from
 /// a shared counter, so a sweep of many one-repetition cells keeps every
 /// worker as busy as one cell of many repetitions does.
@@ -335,7 +335,7 @@ where
 
 /// Width of the [`run_grid`] pool for `jobs` jobs — the single source of
 /// truth shared with [`eval_thread_budget`].
-pub fn repetition_pool_width(jobs: usize) -> usize {
+fn repetition_pool_width(jobs: usize) -> usize {
     vcoord_metrics::worker_threads().min(jobs).max(1)
 }
 
@@ -347,7 +347,7 @@ pub fn repetition_pool_width(jobs: usize) -> usize {
 /// for any worker count, so this is purely a scheduling choice.
 ///
 /// [`EvalPlan`]: vcoord_metrics::EvalPlan
-pub fn eval_thread_budget(jobs: usize) -> usize {
+fn eval_thread_budget(jobs: usize) -> usize {
     (vcoord_metrics::worker_threads() / repetition_pool_width(jobs)).max(1)
 }
 

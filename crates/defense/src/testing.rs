@@ -1,18 +1,7 @@
-//! Test support for the crate's zero-allocation contracts.
-//!
-//! The counting global allocator itself lives in
-//! [`vcoord_obs::testing`] — shared by every no-alloc suite in the
-//! workspace (defense, obs, vivaldi, nps) and the kernels bench, so the
-//! assertion sites cannot drift apart on what "allocation" means. This
-//! module re-exports it for existing importers and keeps the
+//! Test support for the crate's zero-allocation contracts: the
 //! defense-specific warm-up bound, which derives from this crate's history
-//! window constants.
-//!
-//! Each consuming *binary* still declares its own
-//! `#[global_allocator] static A: CountingAllocator = CountingAllocator;`
-//! (the attribute is per-binary by construction).
-
-pub use vcoord_obs::testing::{allocations, CountingAllocator};
+//! window constants. The counting allocator the no-alloc suites measure
+//! with is [`vcoord_obs::testing`]'s.
 
 /// Warm-up samples after which a workload cycling over `remotes` distinct
 /// neighbors is in steady state: every history ring has wrapped for every

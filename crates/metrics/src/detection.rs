@@ -59,13 +59,6 @@ impl Confusion {
         (n > 0).then(|| self.false_positives as f64 / n as f64)
     }
 
-    /// Precision: flagged malicious / all flagged. `None` when nothing was
-    /// flagged.
-    pub fn precision(&self) -> Option<f64> {
-        let f = self.true_positives + self.false_positives;
-        (f > 0).then(|| self.true_positives as f64 / f as f64)
-    }
-
     /// Youden's J statistic `TPR − FPR`: the single-number summary of a
     /// ROC point (1 = perfect separation, 0 = chance, negative = worse
     /// than chance). The arms-race sweeps reduce each attack×defense cell
@@ -94,7 +87,6 @@ mod tests {
         let c = Confusion::new();
         assert_eq!(c.tpr(), None);
         assert_eq!(c.fpr(), None);
-        assert_eq!(c.precision(), None);
         assert_eq!(c.total(), 0);
     }
 
@@ -112,7 +104,6 @@ mod tests {
         assert_eq!(c.total(), 8);
         assert!((c.tpr().unwrap() - 2.0 / 3.0).abs() < 1e-12);
         assert!((c.fpr().unwrap() - 1.0 / 5.0).abs() < 1e-12);
-        assert!((c.precision().unwrap() - 2.0 / 3.0).abs() < 1e-12);
         assert!((c.youden_j().unwrap() - (2.0 / 3.0 - 1.0 / 5.0)).abs() < 1e-12);
         assert_eq!(Confusion::new().youden_j(), None);
     }

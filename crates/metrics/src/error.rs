@@ -136,10 +136,10 @@ pub struct EvalPlan {
 
 impl EvalPlan {
     /// Default cut-over from all-pairs to sampled evaluation.
-    pub const ALL_PAIRS_THRESHOLD: usize = 512;
+    const ALL_PAIRS_THRESHOLD: usize = 512;
 
     /// Default number of sampled peers per node above the threshold.
-    pub const SAMPLE_PEERS: usize = 256;
+    const SAMPLE_PEERS: usize = 256;
 
     /// Build a plan over `nodes` (peers are drawn from the same set).
     pub fn new<R: Rng + ?Sized>(nodes: &[usize], rng: &mut R) -> EvalPlan {

@@ -51,12 +51,6 @@ impl FilterLedger {
         }
     }
 
-    /// Fraction of filter events that hit an honest node — the false-positive
-    /// share (`None` when nothing was filtered).
-    pub fn false_positive_ratio(&self) -> Option<f64> {
-        self.malicious_ratio().map(|r| 1.0 - r)
-    }
-
     /// Merge another ledger into this one (for aggregating repetitions).
     pub fn merge(&mut self, other: &FilterLedger) {
         self.filtered_malicious += other.filtered_malicious;
@@ -81,7 +75,6 @@ mod tests {
         l.record(false);
         assert_eq!(l.total(), 3);
         assert!((l.malicious_ratio().unwrap() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((l.false_positive_ratio().unwrap() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! * [`random_baseline`] — the worst-case *random coordinate system* where
 //!   every component is drawn from `[-50000, 50000]`.
 //! * [`stats`] — small summary-statistics helpers.
-//! * [`worker_threads`] — `VCOORD_THREADS`-aware worker-pool sizing, shared
-//!   by every parallel seam in the workspace (repetition pool, [`EvalPlan`]
+//! * [`worker_threads`] — worker-pool sizing under one process-wide budget,
+//!   shared by every parallel seam in the workspace (job grid, [`EvalPlan`]
 //!   chunked evaluation, figure `--jobs` sweep).
 
 #![forbid(unsafe_code)]

@@ -1,83 +1,43 @@
 //! Workspace-wide worker-pool sizing.
 //!
-//! Every parallel seam in the workspace — the figure harness's repetition
-//! pool, [`EvalPlan`]'s chunked error evaluation, and the `figures` binary's
-//! `--jobs` sweep — sizes itself through [`worker_threads`] so one
-//! environment variable, `VCOORD_THREADS`, pins the parallelism for
-//! reproducible CI and benchmarking on any core count.
+//! Every parallel seam in the workspace — the figure harness's job grid,
+//! [`EvalPlan`]'s chunked error evaluation, and the `figures` binary's
+//! `--jobs` sweep — sizes itself through [`worker_threads`], so one call to
+//! [`set_worker_budget`] pins the parallelism for reproducible CI and
+//! benchmarking on any core count. The binaries install `VCOORD_THREADS`
+//! through it; this crate reads no environment.
 //!
 //! [`EvalPlan`]: crate::EvalPlan
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
-/// Environment variable overriding the worker-pool width.
-pub const THREADS_ENV: &str = "VCOORD_THREADS";
 
 /// Process-wide budget installed by [`set_worker_budget`]; `0` = unset.
 static BUDGET: AtomicUsize = AtomicUsize::new(0);
 
 /// Cap every worker pool in this process at `n` threads (clamped to ≥ 1),
-/// overriding both `VCOORD_THREADS` and the hardware default.
+/// overriding the hardware default.
 ///
-/// Used by coordinators that split one machine budget among concurrent
-/// jobs: the figures binary divides [`worker_threads`] by `--jobs` and
-/// installs the quotient here, so `jobs × per-job pools` stays at the
-/// pinned total instead of compounding multiplicatively.
+/// Used by binaries to install a `VCOORD_THREADS` pin, and by coordinators
+/// that split one machine budget among concurrent jobs: the figures binary
+/// divides [`worker_threads`] by `--jobs` and installs the quotient here,
+/// so `jobs × per-job pools` stays at the pinned total instead of
+/// compounding multiplicatively.
 pub fn set_worker_budget(n: usize) {
     BUDGET.store(n.max(1), Ordering::Relaxed);
 }
 
-/// Parse a `VCOORD_THREADS`-style override. Zero, empty, or unparsable
-/// values are rejected (`None`) so a broken override degrades to the
-/// hardware default instead of a zero-width pool.
-fn parse_threads(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
-
-/// The `VCOORD_THREADS` override, if set to a positive integer.
-///
-/// Read once per process: worker pools must not change width mid-run.
-pub fn env_threads() -> Option<usize> {
-    static CACHE: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHE.get_or_init(|| parse_threads(std::env::var(THREADS_ENV).ok().as_deref()))
-}
-
 /// Worker-pool width: a [`set_worker_budget`] cap when installed, else the
-/// `VCOORD_THREADS` override when set, else the machine's available
-/// parallelism (minimum 1).
+/// machine's available parallelism (minimum 1).
 pub fn worker_threads() -> usize {
-    let budget = BUDGET.load(Ordering::Relaxed);
-    if budget > 0 {
-        return budget;
+    match BUDGET.load(Ordering::Relaxed) {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        budget => budget,
     }
-    env_threads().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_accepts_positive_integers() {
-        assert_eq!(parse_threads(Some("4")), Some(4));
-        assert_eq!(parse_threads(Some(" 12 ")), Some(12));
-        assert_eq!(parse_threads(Some("1")), Some(1));
-    }
-
-    #[test]
-    fn parse_rejects_garbage_and_zero() {
-        assert_eq!(parse_threads(Some("0")), None);
-        assert_eq!(parse_threads(Some("")), None);
-        assert_eq!(parse_threads(Some("-3")), None);
-        assert_eq!(parse_threads(Some("many")), None);
-        assert_eq!(parse_threads(None), None);
-    }
 
     #[test]
     fn worker_threads_is_positive() {

@@ -74,7 +74,8 @@ impl TimeSeries {
 
     /// First tick at which the series stays within ±`tol` of its final value
     /// for `hold` consecutive samples — a simple convergence-time estimate.
-    pub fn settle_tick(&self, tol: f64, hold: usize) -> Option<u64> {
+    #[cfg(test)]
+    fn settle_tick(&self, tol: f64, hold: usize) -> Option<u64> {
         if self.points.len() < hold || hold == 0 {
             return None;
         }

@@ -8,15 +8,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Population standard deviation; `0.0` for fewer than two samples.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
 /// Median (of a copy; the input is not reordered); `0.0` for an empty slice.
 pub fn median(xs: &[f64]) -> f64 {
     percentile(xs, 0.5)
@@ -34,6 +25,16 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     v.sort_by(|a, b| a.partial_cmp(b).expect("filtered to finite"));
     let idx = ((v.len() - 1) as f64 * p.clamp(0.0, 1.0)).round() as usize;
     v[idx]
+}
+
+/// Population standard deviation; `0.0` for fewer than two samples.
+#[cfg(test)]
+fn stddev(xs: &[f64]) -> f64 {
+    if xs.len() < 2 {
+        return 0.0;
+    }
+    let m = mean(xs);
+    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
 #[cfg(test)]

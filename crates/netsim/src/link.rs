@@ -33,11 +33,6 @@ impl LinkModel {
         Self::default()
     }
 
-    /// `true` if this model never alters probes.
-    pub fn is_ideal(&self) -> bool {
-        self.loss <= 0.0 && self.jitter_ms <= 0.0
-    }
-
     /// Apply the model to a probe with base round-trip time `rtt_ms`.
     ///
     /// Returns `None` when the probe is lost, otherwise the perturbed RTT.
@@ -69,7 +64,6 @@ mod tests {
     fn ideal_passes_through() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let m = LinkModel::ideal();
-        assert!(m.is_ideal());
         assert_eq!(m.apply(42.0, &mut rng), Some(42.0));
     }
 

@@ -22,7 +22,8 @@
 //!   implausibly slow probes.
 //!
 //! Malicious reference-point behaviour is injected through the generic
-//! [`vcoord_attackkit::AttackStrategy`] seam (see [`adversary`]); the
+//! [`vcoord_attackkit::AttackStrategy`] seam (see
+//! [`NpsSim::inject_adversary`]); the
 //! simulator enforces the delay-only threat model and accounts every filter
 //! decision in a [`vcoord_metrics::FilterLedger`] (true vs false positives
 //! — figures 20 and 22).
@@ -30,21 +31,19 @@
 //! Defense behaviour beyond NPS's built-in mechanisms is deployed through
 //! the mirror-image [`vcoord_defense::DefenseStrategy`] seam (see
 //! [`NpsSim::deploy_defense`]): every reference probe of an ordinary node's
-//! positioning round passes the deployed [`Defense`] before the Simplex fit.
+//! positioning round passes the deployed [`vcoord_defense::Defense`] before
+//! the Simplex fit.
 
 #![forbid(unsafe_code)]
 
-pub mod adversary;
 pub mod config;
 pub mod layers;
 pub mod membership;
 pub mod position;
 pub mod sim;
 
-pub use adversary::{AttackStrategy, Collusion, CoordView, Honest, Lie, Probe, Protocol, Scenario};
 pub use config::NpsConfig;
 pub use position::{
     position_node, FitObjective, PositionOutcome, PositionScratch, RefSample, SecurityPolicy,
 };
 pub use sim::NpsSim;
-pub use vcoord_defense::{Defense, DefenseStrategy, Verdict};

@@ -15,7 +15,6 @@
 //! the paper's threat model assumes "landmarks are highly secure machines
 //! that never cheat".
 
-use crate::adversary::{AttackStrategy, CoordView, Lie, Probe, Protocol, Scenario};
 use crate::config::NpsConfig;
 use crate::layers::{assign_layers, select_landmarks};
 use crate::membership::Membership;
@@ -24,6 +23,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use std::collections::VecDeque;
+use vcoord_attackkit::{AttackStrategy, CoordView, Lie, Probe, Protocol, Scenario};
 use vcoord_chaos::{ChaosCounters, ChaosPlan, ChaosState, ProbeFate};
 use vcoord_defense::{
     Defense, DefenseStats, DefenseStrategy, Provenance, Update as DefenseUpdate, Verdict,
@@ -828,7 +828,22 @@ impl NpsSim {
 
     /// Turn `attackers` malicious under `strategy` (the injection
     /// scenario); all subsequent reference probes of malicious nodes route
-    /// through the resulting [`Scenario`].
+    /// through the resulting [`Scenario`]. Attackers act when they serve as
+    /// *reference points* in a victim's positioning round.
+    ///
+    /// The NPS reading of the generic [`vcoord_attackkit`] contract:
+    ///
+    /// * an NPS response carries reported coordinates and an added probe
+    ///   delay; there is no error-estimate field in the protocol, so
+    ///   [`Lie::error`] is ignored by the simulator;
+    /// * the [`CoordView`] oracle exposes the hierarchy: `layer` (0 =
+    ///   landmark), `is_ref` (reference-eligible nodes), and an empty
+    ///   `errors` slice (NPS victims keep no error estimate); `round` is the
+    ///   repositioning period index;
+    /// * [`Protocol::probe_threshold_ms`] is the victim-side probe threshold
+    ///   (a public protocol constant): measured RTTs above it are discarded
+    ///   *and the reference banned*, which is what threshold-aware
+    ///   strategies must stay under.
     pub fn inject_adversary(&mut self, attackers: &[usize], strategy: Box<dyn AttackStrategy>) {
         for &a in attackers {
             assert_ne!(self.world.layer[a], 0, "landmarks never cheat (paper §5.4)");
@@ -958,7 +973,7 @@ impl NpsSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::Honest;
+    use vcoord_attackkit::Honest;
     use vcoord_metrics::EvalPlan;
     use vcoord_topo::{KingLike, KingLikeConfig};
 
@@ -1066,7 +1081,7 @@ mod tests {
             fn respond(
                 &mut self,
                 _probe: &Probe,
-                _collusion: &mut crate::adversary::Collusion,
+                _collusion: &mut vcoord_attackkit::Collusion,
                 view: &CoordView<'_>,
                 _rng: &mut ChaCha12Rng,
             ) -> Option<Lie> {

@@ -47,252 +47,9 @@
 //! counters legitimately appear as instrumentation grows.
 
 use crate::export::TraceLine;
+use crate::json::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-// ---------------------------------------------------------------------------
-// Minimal recursive JSON parser (the vendored serde is a no-op stub, and
-// BENCH files are nested — export::parse_line's flat parser cannot read
-// them).
-
-/// A parsed JSON value. Objects preserve insertion order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object field lookup (`None` on non-objects and missing keys).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    src: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(c) if c == want => {
-                self.pos += 1;
-                Ok(())
-            }
-            other => Err(format!(
-                "byte {}: expected {:?}, found {:?}",
-                self.pos,
-                want as char,
-                other.map(|c| c as char)
-            )),
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b't') => self.parse_literal("true", Json::Bool(true)),
-            Some(b'f') => self.parse_literal("false", Json::Bool(false)),
-            Some(b'n') => self.parse_literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            other => Err(format!(
-                "byte {}: unexpected {:?}",
-                self.pos,
-                other.map(|c| c as char)
-            )),
-        }
-    }
-
-    fn parse_literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.src[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("byte {}: bad literal", self.pos))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(c) if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii");
-        text.parse()
-            .map(Json::Num)
-            .map_err(|_| format!("byte {start}: bad number {text:?}"))
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .src
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("non-scalar \\u escape")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through byte-wise.
-                    let rest =
-                        std::str::from_utf8(&self.src[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "byte {}: expected ',' or '}}', found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "byte {}: expected ',' or ']', found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-}
-
-/// Parse one JSON document (arbitrarily nested, unlike the flat trace-line
-/// parser in [`crate::parse_line`]).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = JsonParser {
-        src: text.as_bytes(),
-        pos: 0,
-    };
-    let value = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.src.len() {
-        return Err(format!("byte {}: trailing content", p.pos));
-    }
-    Ok(value)
-}
 
 // ---------------------------------------------------------------------------
 // Tolerance spec.
@@ -300,13 +57,13 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 /// Allowed movement for one key: regress when the change exceeds
 /// `abs + rel * |base|`. `rel = inf` marks a report-only key.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerance {
-    pub rel: f64,
-    pub abs: f64,
+struct Tolerance {
+    rel: f64,
+    abs: f64,
 }
 
 impl Tolerance {
-    pub fn limit(&self, base: f64) -> f64 {
+    fn limit(&self, base: f64) -> f64 {
         self.abs + self.rel * base.abs()
     }
 }
@@ -330,21 +87,7 @@ impl Default for ToleranceSpec {
     /// everywhere, exactness on counters (they are deterministic in this
     /// workspace).
     fn default() -> Self {
-        let mut sections = BTreeMap::new();
-        sections.insert(
-            "counters".to_string(),
-            Section {
-                default: Some(Tolerance { rel: 0.0, abs: 0.0 }),
-                per_key: BTreeMap::new(),
-            },
-        );
-        ToleranceSpec {
-            default: Tolerance {
-                rel: 0.1,
-                abs: 1e-9,
-            },
-            sections,
-        }
+        Self::parse("[counters]\ndefault_rel = 0.0\ndefault_abs = 0.0\n").expect("a valid spec")
     }
 }
 
@@ -447,7 +190,7 @@ impl ToleranceSpec {
     /// Resolve the tolerance for `key` in `section`: exact key, then the
     /// key without its `fig/` prefix, then each of those without a
     /// trailing `.field`, then the section default, then the global one.
-    pub fn lookup(&self, section: &str, key: &str) -> Tolerance {
+    fn lookup(&self, section: &str, key: &str) -> Tolerance {
         let sec = self.sections.get(section);
         if let Some(sec) = sec {
             let mut candidates: Vec<&str> = vec![key];
@@ -530,11 +273,8 @@ pub fn samples_from_trace(fig: &str, lines: &[TraceLine]) -> Vec<Sample> {
                     sum / (*count).max(1) as f64,
                     false,
                 ));
-                if let Some([p50, p90, p95, p99]) = quantiles {
-                    out.extend(sample("hists", key("p50"), *p50, false));
-                    out.extend(sample("hists", key("p90"), *p90, false));
-                    out.extend(sample("hists", key("p95"), *p95, false));
-                    out.extend(sample("hists", key("p99"), *p99, false));
+                for (name, q) in ["p50", "p90", "p95", "p99"].into_iter().zip(quantiles) {
+                    out.extend(sample("hists", key(name), *q, false));
                 }
             }
             _ => {}
@@ -543,12 +283,31 @@ pub fn samples_from_trace(fig: &str, lines: &[TraceLine]) -> Vec<Sample> {
     out
 }
 
-/// Reduce one parsed `BENCH_*.json` baseline to samples. Handles schema 2
-/// (no obs block) through schema 4 — absent blocks simply contribute
-/// nothing, and the shared-key comparison skips the rest.
-pub fn samples_from_bench(bench: &Json) -> Result<Vec<Sample>, String> {
-    if bench.get("schema").and_then(Json::as_num).is_none() {
-        return Err("not a BENCH baseline: no numeric \"schema\" field".to_string());
+/// The `schema` number `bench-baseline` writes, and the only one
+/// [`samples_from_bench`] reads.
+pub const BENCH_SCHEMA: u32 = 4;
+
+/// A JSON document that is not a BENCH baseline of [`BENCH_SCHEMA`]: the
+/// integer `schema` it carries, if it carries one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchSchemaError(pub Option<i128>);
+
+impl std::fmt::Display for BenchSchemaError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            Some(found) => write!(f, "BENCH schema {found}, this reader takes {BENCH_SCHEMA}"),
+            None => write!(f, "not a BENCH baseline: no integer \"schema\" field"),
+        }
+    }
+}
+
+/// Reduce one parsed `BENCH_*.json` baseline to samples. A partial
+/// re-record is fine: an absent block contributes nothing, and the
+/// shared-key comparison skips the rest.
+pub fn samples_from_bench(bench: &Json) -> Result<Vec<Sample>, BenchSchemaError> {
+    match bench.get("schema").and_then(Json::as_int::<i128>) {
+        Some(found) if found == BENCH_SCHEMA as i128 => {}
+        found => return Err(BenchSchemaError(found)),
     }
     let mut out = Vec::new();
     if let Some(kernels) = bench.get("kernels").and_then(Json::as_obj) {
@@ -645,12 +404,6 @@ pub struct DeltaRow {
     pub regression: bool,
 }
 
-impl DeltaRow {
-    pub fn delta(&self) -> f64 {
-        self.new - self.base
-    }
-}
-
 /// The outcome of one comparison: per-key rows plus the keys seen on only
 /// one side (informational, never regressions).
 #[derive(Debug, Default, Clone)]
@@ -688,7 +441,7 @@ impl DiffReport {
                     r.key,
                     r.base,
                     r.new,
-                    r.delta(),
+                    r.new - r.base,
                     r.limit,
                     if r.regression { "REGRESSION" } else { "ok" }
                 );
@@ -759,21 +512,7 @@ pub fn diff_samples(base: &[Sample], new: &[Sample], spec: &ToleranceSpec) -> Di
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_parses_nested_documents() {
-        let j = parse_json(r#"{"a": 1.5e-3, "b": {"c": [1, 2, null]}, "s": "x\"y", "t": true}"#)
-            .expect("parses");
-        assert_eq!(j.get("a").and_then(Json::as_num), Some(1.5e-3));
-        assert_eq!(
-            j.get("b").and_then(|b| b.get("c")),
-            Some(&Json::Arr(vec![Json::Num(1.0), Json::Num(2.0), Json::Null]))
-        );
-        assert_eq!(j.get("s"), Some(&Json::Str("x\"y".to_string())));
-        assert_eq!(j.get("t"), Some(&Json::Bool(true)));
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("{} trailing").is_err());
-    }
+    use crate::json::parse_json;
 
     #[test]
     fn tolerance_spec_parses_and_resolves() {
@@ -843,7 +582,7 @@ default_rel = "inf"
                 sum: 500.0,
                 min: 10.0,
                 max: 100.0,
-                quantiles: Some([40.5, 90.5, 95.5, 99.5]),
+                quantiles: [40.5, 90.5, 95.5, 99.5],
             },
         ];
         let samples = samples_from_trace("figX", &lines);
@@ -863,7 +602,7 @@ default_rel = "inf"
     fn bench_samples_cover_all_blocks() {
         let bench = parse_json(
             r#"{
-                "schema": 3,
+                "schema": 4,
                 "kernels": {"k1": {"mean_s": 1e-6, "median_s": 9e-7, "trimmed_mean_s": 9.5e-7, "p95_s": 2e-6, "min_s": 8e-7, "max_s": 5e-6, "samples": 100}},
                 "evals_per_round": {"fig14": {"mean": 240.0, "median": 237.5, "rounds": 5000}},
                 "obs": {"fig14": {"counters": {"simplex.evals": 123}, "hists": {"figure.rep_ns": {"count": 6, "mean": 1e6}}}},
@@ -886,11 +625,16 @@ default_rel = "inf"
         assert_eq!(find("counters", "fig14/simplex.evals").value, 123.0);
         assert_eq!(find("hists", "fig14/figure.rep_ns.mean").value, 1e6);
         assert_eq!(find("figures", "total").value, 8.0);
-        // Schema-2 files (no obs block) still extract.
-        let old = parse_json(r#"{"schema": 2, "figures": {"fig14": 0.5}}"#).expect("parses");
-        assert_eq!(samples_from_bench(&old).expect("extracts").len(), 1);
-        // Non-BENCH json is rejected.
-        assert!(samples_from_bench(&parse_json("{}").unwrap()).is_err());
+        // A partial record (no obs block) still extracts.
+        let partial = parse_json(r#"{"schema": 4, "figures": {"fig14": 0.5}}"#).expect("parses");
+        assert_eq!(samples_from_bench(&partial).expect("extracts").len(), 1);
+        // Another schema, and JSON that is no baseline at all, are refused.
+        let old = parse_json(r#"{"schema": 3, "figures": {"fig14": 0.5}}"#).expect("parses");
+        assert_eq!(samples_from_bench(&old), Err(BenchSchemaError(Some(3))));
+        for not_bench in ["{}", r#"{"schema": 4.5}"#, r#"{"schema": "4"}"#] {
+            let json = parse_json(not_bench).expect("parses");
+            assert_eq!(samples_from_bench(&json), Err(BenchSchemaError(None)));
+        }
     }
 
     fn s(section: &'static str, key: &str, value: f64, one_sided: bool) -> Sample {

@@ -1,14 +1,14 @@
 //! The `TraceSink` JSONL format: render an [`ObsReport`] to one JSON
-//! object per line, and parse it back (the vendored serde is a no-op stub,
-//! so both directions are hand-rolled against the small fixed schema
-//! documented in the crate root).
+//! object per line, and parse it back through [`crate::json`], against the
+//! small fixed schema documented in the crate root.
 
+use crate::json::{parse_json, Json};
 use crate::record::{ObsReport, NO_NODE};
 use crate::registry::metric_name;
+use std::fmt;
 
-/// Version stamped into every `meta` line. Schema 2 added the
-/// `p50`/`p90`/`p95`/`p99` fields on `hist` lines; [`parse_line`] treats
-/// them as optional so schema-1 traces still parse.
+/// Version stamped into every `meta` line, and the only one
+/// [`parse_jsonl`] reads.
 pub const TRACE_SCHEMA: u32 = 2;
 
 /// Identity of one trace: which run, figure, seed, and scale produced it.
@@ -42,9 +42,8 @@ pub enum TraceLine {
         sum: f64,
         min: f64,
         max: f64,
-        /// `[p50, p90, p95, p99]` from the HDR buckets; `None` when parsed
-        /// from a schema-1 trace that predates quantile extraction.
-        quantiles: Option<[f64; 4]>,
+        /// `[p50, p90, p95, p99]` from the HDR buckets.
+        quantiles: [f64; 4],
     },
     Event {
         metric: String,
@@ -120,208 +119,134 @@ pub fn render_jsonl(meta: &TraceMeta, report: &ObsReport) -> String {
     out
 }
 
-/// A flat JSON value as this schema uses them.
+/// Why a trace was refused: the 1-based `line` and what is wrong with it.
 #[derive(Debug, Clone, PartialEq)]
-enum JsonVal {
-    Str(String),
-    Num(f64),
-    Null,
+pub struct TraceError {
+    pub line: usize,
+    pub kind: TraceErrorKind,
 }
 
-/// Parse one flat JSON object (`{"key":value,...}` with string, number, or
-/// null values — all this schema needs).
-fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonVal)>, String> {
-    let mut chars = line.trim().char_indices().peekable();
-    let src = line.trim();
-    let mut fields = Vec::new();
-
-    let expect =
-        |chars: &mut std::iter::Peekable<std::str::CharIndices>, want: char| match chars.next() {
-            Some((_, c)) if c == want => Ok(()),
-            other => Err(format!("expected {want:?}, found {other:?}")),
-        };
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::CharIndices>) {
-        while matches!(chars.peek(), Some(&(_, c)) if c.is_whitespace()) {
-            chars.next();
-        }
-    }
-    fn parse_string(
-        chars: &mut std::iter::Peekable<std::str::CharIndices>,
-    ) -> Result<String, String> {
-        match chars.next() {
-            Some((_, '"')) => {}
-            other => return Err(format!("expected string, found {other:?}")),
-        }
-        let mut s = String::new();
-        loop {
-            match chars.next() {
-                Some((_, '"')) => return Ok(s),
-                Some((_, '\\')) => match chars.next() {
-                    Some((_, '"')) => s.push('"'),
-                    Some((_, '\\')) => s.push('\\'),
-                    Some((_, 'n')) => s.push('\n'),
-                    Some((_, 't')) => s.push('\t'),
-                    Some((_, 'r')) => s.push('\r'),
-                    Some((_, 'u')) => {
-                        let hex: String = (0..4)
-                            .filter_map(|_| chars.next().map(|(_, c)| c))
-                            .collect();
-                        let code = u32::from_str_radix(&hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        s.push(char::from_u32(code).ok_or("non-scalar \\u escape")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some((_, c)) => s.push(c),
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    skip_ws(&mut chars);
-    expect(&mut chars, '{')?;
-    skip_ws(&mut chars);
-    if matches!(chars.peek(), Some(&(_, '}'))) {
-        chars.next();
-        return Ok(fields);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        expect(&mut chars, ':')?;
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some(&(_, '"')) => JsonVal::Str(parse_string(&mut chars)?),
-            Some(&(start, 'n')) => {
-                for _ in 0..4 {
-                    chars.next();
-                }
-                if src[start..].starts_with("null") {
-                    JsonVal::Null
-                } else {
-                    return Err(format!("bad literal at {start}"));
-                }
-            }
-            Some(&(start, _)) => {
-                let mut end = start;
-                while matches!(
-                    chars.peek(),
-                    Some(&(_, c)) if c.is_ascii_digit() || "+-.eE".contains(c)
-                ) {
-                    end = chars.next().expect("peeked").0 + 1;
-                }
-                let text = &src[start..end];
-                JsonVal::Num(text.parse().map_err(|_| format!("bad number {text:?}"))?)
-            }
-            None => return Err("truncated object".to_string()),
-        };
-        fields.push((key, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some((_, ',')) => continue,
-            Some((_, '}')) => break,
-            other => return Err(format!("expected ',' or '}}', found {other:?}")),
-        }
-    }
-    skip_ws(&mut chars);
-    if let Some((i, c)) = chars.next() {
-        return Err(format!("trailing {c:?} at {i}"));
-    }
-    Ok(fields)
+#[derive(Debug, Clone, PartialEq)]
+pub enum TraceErrorKind {
+    /// Not a JSON object, or one naming a key twice.
+    Json(String),
+    /// `key` holds `found` where the schema wants something else: a
+    /// missing field, a nested value, a string for a number, a fraction or
+    /// an out-of-range value for an integer, an unknown line `type`.
+    Field { key: String, found: String },
+    /// A `meta` line of a schema other than [`TRACE_SCHEMA`].
+    Schema(u32),
+    /// The first line is not a `meta` record.
+    NoMeta,
 }
 
-struct Fields(Vec<(String, JsonVal)>);
-
-impl Fields {
-    fn get(&self, key: &str) -> Result<&JsonVal, String> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field {key:?}"))
-    }
-    fn str(&self, key: &str) -> Result<String, String> {
-        match self.get(key)? {
-            JsonVal::Str(s) => Ok(s.clone()),
-            other => Err(format!("field {key:?} is not a string: {other:?}")),
+impl fmt::Display for TraceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: ", self.line)?;
+        match &self.kind {
+            TraceErrorKind::Json(e) => write!(f, "{e}"),
+            TraceErrorKind::Field { key, found } => write!(f, "field {key:?} is {found}"),
+            TraceErrorKind::Schema(s) => {
+                write!(f, "trace schema {s}, this reader takes {TRACE_SCHEMA}")
+            }
+            TraceErrorKind::NoMeta => write!(f, "first line must be a meta record"),
         }
-    }
-    fn num(&self, key: &str) -> Result<f64, String> {
-        match self.get(key)? {
-            JsonVal::Num(n) => Ok(*n),
-            other => Err(format!("field {key:?} is not a number: {other:?}")),
-        }
-    }
-    fn uint(&self, key: &str) -> Result<u64, String> {
-        let n = self.num(key)?;
-        if n < 0.0 || n.fract() != 0.0 {
-            return Err(format!("field {key:?} is not a non-negative integer: {n}"));
-        }
-        Ok(n as u64)
     }
 }
 
-/// Parse one trace line.
-pub fn parse_line(line: &str) -> Result<TraceLine, String> {
-    let fields = Fields(parse_flat_object(line)?);
-    match fields.str("type")?.as_str() {
-        "meta" => Ok(TraceLine::Meta {
-            schema: fields.uint("schema")? as u32,
-            run: fields.str("run")?,
-            fig: fields.str("fig")?,
-            seed: fields.uint("seed")?,
-            scale: fields.str("scale")?,
-        }),
+/// One trace line's fields.
+struct Fields<'a>(&'a [(String, Json)]);
+
+impl<'a> Fields<'a> {
+    /// The field under `key` as `read` reads it, or what sits there that
+    /// `read` refuses.
+    fn get<T>(&self, key: &str, read: impl Fn(&'a Json) -> Option<T>) -> Result<T, TraceErrorKind> {
+        let value = self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        value.and_then(read).ok_or_else(|| TraceErrorKind::Field {
+            key: key.to_string(),
+            found: value.map_or("missing".to_string(), |v| format!("{v:?}")),
+        })
+    }
+
+    fn string(&self, key: &str) -> Result<String, TraceErrorKind> {
+        self.get(key, Json::as_str).map(str::to_string)
+    }
+
+    /// The error for a value the schema has no place for.
+    fn refuse<T>(&self, key: &str) -> Result<T, TraceErrorKind> {
+        self.get(key, |_| None)
+    }
+}
+
+fn parse_line(line: &str) -> Result<TraceLine, TraceErrorKind> {
+    let json = parse_json(line).map_err(TraceErrorKind::Json)?;
+    let Some(object) = json.as_obj() else {
+        return Err(TraceErrorKind::Json("not an object".to_string()));
+    };
+    let fields = Fields(object);
+    // And a flat one: strings, numbers and null.
+    if let Some((key, _)) = object
+        .iter()
+        .find(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_) | Json::Bool(_)))
+    {
+        return fields.refuse(key);
+    }
+    match fields.get("type", Json::as_str)? {
+        "meta" => match fields.get("schema", Json::as_int)? {
+            TRACE_SCHEMA => Ok(TraceLine::Meta {
+                schema: TRACE_SCHEMA,
+                run: fields.string("run")?,
+                fig: fields.string("fig")?,
+                seed: fields.get("seed", Json::as_int)?,
+                scale: fields.string("scale")?,
+            }),
+            other => Err(TraceErrorKind::Schema(other)),
+        },
         "counter" => Ok(TraceLine::Counter {
-            metric: fields.str("metric")?,
-            value: fields.uint("value")?,
+            metric: fields.string("metric")?,
+            value: fields.get("value", Json::as_int)?,
         }),
         "hist" => Ok(TraceLine::Hist {
-            metric: fields.str("metric")?,
-            count: fields.uint("count")?,
-            sum: fields.num("sum")?,
-            min: fields.num("min")?,
-            max: fields.num("max")?,
-            // Schema 1 lines have no quantile fields; require all four
-            // once any is present.
-            quantiles: if fields.get("p50").is_ok() {
-                Some([
-                    fields.num("p50")?,
-                    fields.num("p90")?,
-                    fields.num("p95")?,
-                    fields.num("p99")?,
-                ])
-            } else {
-                None
-            },
+            metric: fields.string("metric")?,
+            count: fields.get("count", Json::as_int)?,
+            sum: fields.get("sum", Json::as_num)?,
+            min: fields.get("min", Json::as_num)?,
+            max: fields.get("max", Json::as_num)?,
+            quantiles: [
+                fields.get("p50", Json::as_num)?,
+                fields.get("p90", Json::as_num)?,
+                fields.get("p95", Json::as_num)?,
+                fields.get("p99", Json::as_num)?,
+            ],
         }),
         "event" => Ok(TraceLine::Event {
-            metric: fields.str("metric")?,
-            rep: fields.num("rep")? as i64,
-            round: fields.uint("round")?,
-            node: match fields.get("node")? {
-                JsonVal::Null => None,
-                JsonVal::Num(n) => Some(*n as u32),
-                other => return Err(format!("field \"node\" is not a number or null: {other:?}")),
-            },
-            value: fields.num("value")?,
+            metric: fields.string("metric")?,
+            rep: fields.get("rep", Json::as_int)?,
+            round: fields.get("round", Json::as_int)?,
+            // `NO_NODE` is written as null; as a number it is no node id.
+            node: fields.get("node", |v| match v {
+                Json::Null => Some(None),
+                _ => v.as_int().filter(|&id: &u32| id != NO_NODE).map(Some),
+            })?,
+            value: fields.get("value", Json::as_num)?,
         }),
-        other => Err(format!("unknown line type {other:?}")),
+        _ => fields.refuse("type"),
     }
 }
 
 /// Parse a whole trace, reporting the first bad line by number. Requires a
-/// `meta` line first (the schema's one ordering guarantee).
-pub fn parse_jsonl(text: &str) -> Result<Vec<TraceLine>, String> {
+/// `meta` line of [`TRACE_SCHEMA`] first (the schema's one ordering
+/// guarantee).
+pub fn parse_jsonl(text: &str) -> Result<Vec<TraceLine>, TraceError> {
     let mut lines = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let parsed = parse_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        let at = |kind| TraceError { line: i + 1, kind };
+        let parsed = parse_line(line).map_err(at)?;
         if lines.is_empty() && !matches!(parsed, TraceLine::Meta { .. }) {
-            return Err("line 1: first line must be a meta record".to_string());
+            return Err(at(TraceErrorKind::NoMeta));
         }
         lines.push(parsed);
     }
@@ -384,7 +309,7 @@ mod tests {
             sum: 3.75,
             min: 1.5,
             max: 2.25,
-            quantiles: Some([1.5, 2.5, 2.5, 2.5]),
+            quantiles: [1.5, 2.5, 2.5, 2.5],
         }));
         assert!(lines.contains(&TraceLine::Event {
             metric: "test.export.event".to_string(),
@@ -409,40 +334,109 @@ mod tests {
         assert_eq!(render_jsonl(&meta, &report), text);
     }
 
-    #[test]
-    fn schema1_hist_lines_still_parse() {
-        // A pre-quantile (schema 1) hist line: quantiles come back None.
-        let line =
-            "{\"type\":\"hist\",\"metric\":\"m\",\"count\":2,\"sum\":3.0,\"min\":1.0,\"max\":2.0}";
-        assert_eq!(
-            parse_line(line).expect("parses"),
-            TraceLine::Hist {
-                metric: "m".to_string(),
-                count: 2,
-                sum: 3.0,
-                min: 1.0,
-                max: 2.0,
-                quantiles: None,
-            }
-        );
-        // A partial quantile set is an error, not a silent None.
-        let partial = "{\"type\":\"hist\",\"metric\":\"m\",\"count\":2,\"sum\":3.0,\"min\":1.0,\"max\":2.0,\"p50\":1.5}";
-        assert!(parse_line(partial).unwrap_err().contains("p90"));
-    }
+    const META: &str =
+        "{\"type\":\"meta\",\"schema\":2,\"run\":\"r\",\"fig\":\"f\",\"seed\":1,\"scale\":\"s\"}\n";
 
     #[test]
     fn bad_lines_are_rejected_with_line_numbers() {
-        assert!(parse_line("not json").is_err());
-        assert!(parse_line("{\"type\":\"mystery\"}").is_err());
-        assert!(parse_line("{\"type\":\"counter\",\"metric\":\"m\"}")
-            .unwrap_err()
-            .contains("value"));
-        let err = parse_jsonl(
-            "{\"type\":\"meta\",\"schema\":1,\"run\":\"r\",\"fig\":\"f\",\"seed\":1,\"scale\":\"s\"}\ngarbage\n",
-        )
-        .unwrap_err();
-        assert!(err.starts_with("line 2:"), "{err}");
+        let second = |line: &str| parse_jsonl(&format!("{META}{line}\n")).unwrap_err();
+        let err = second("garbage");
+        assert_eq!(err.line, 2);
+        assert!(matches!(err.kind, TraceErrorKind::Json(_)), "{err}");
+        assert!(err.to_string().starts_with("line 2:"), "{err}");
         let err = parse_jsonl("{\"type\":\"counter\",\"metric\":\"m\",\"value\":1}\n").unwrap_err();
-        assert!(err.contains("meta"), "{err}");
+        assert_eq!((err.line, &err.kind), (1, &TraceErrorKind::NoMeta));
+        let err = second("{\"type\":\"mystery\"}");
+        assert!(
+            err.to_string().contains("\"type\" is Str(\"mystery\")"),
+            "{err}"
+        );
+        let err = second("{\"type\":\"counter\",\"metric\":\"m\"}");
+        assert!(err.to_string().contains("\"value\" is missing"), "{err}");
+        // A trace line is flat.
+        let err = second("{\"type\":\"counter\",\"metric\":\"m\",\"value\":1,\"extra\":[1]}");
+        assert!(
+            matches!(&err.kind, TraceErrorKind::Field { key, .. } if key == "extra"),
+            "{err}"
+        );
+    }
+
+    /// Every row parsed before there was one parser: a negative, fractional
+    /// or 2^32-and-over node became node 0, 1 or `NO_NODE`; a fractional
+    /// rep 0; an oversized schema wrapped to 2; of two values under one key
+    /// the first won; a hist line could leave its quantiles out; and no
+    /// schema number was looked at.
+    #[test]
+    fn out_of_schema_lines_are_typed_errors() {
+        let event = |fields: &str| {
+            format!("{{\"type\":\"event\",\"metric\":\"m\",\"round\":1,\"value\":0,{fields}}}")
+        };
+        let meta = |schema: &str| META.replace("\"schema\":2", &format!("\"schema\":{schema}"));
+        let field = |key: &str, found: &str| TraceErrorKind::Field {
+            key: key.to_string(),
+            found: found.to_string(),
+        };
+        let twice = event("\"rep\":0,\"node\":1,\"node\":2");
+        let second = twice.rfind("\"node\"").expect("written above");
+        let duplicate = TraceErrorKind::Json(format!("byte {second}: duplicate key \"node\""));
+        let hist =
+            "{\"type\":\"hist\",\"metric\":\"m\",\"count\":2,\"sum\":3.0,\"min\":1.0,\"max\":2.0}";
+        let rows = [
+            (2, event("\"rep\":0,\"node\":-3"), field("node", "Int(-3)")),
+            (
+                2,
+                event("\"rep\":0,\"node\":1.5"),
+                field("node", "Num(1.5)"),
+            ),
+            (
+                2,
+                event("\"rep\":0,\"node\":5000000000"),
+                field("node", "Int(5000000000)"),
+            ),
+            (
+                2,
+                event("\"rep\":0,\"node\":4294967295"),
+                field("node", "Int(4294967295)"),
+            ),
+            (
+                2,
+                event("\"rep\":0.7,\"node\":null"),
+                field("rep", "Num(0.7)"),
+            ),
+            (2, twice, duplicate),
+            (2, hist.to_string(), field("p50", "missing")),
+            (1, meta("4294967298"), field("schema", "Int(4294967298)")),
+            (1, meta("1"), TraceErrorKind::Schema(1)),
+            (1, meta("99"), TraceErrorKind::Schema(99)),
+        ];
+        for (line, text, kind) in rows {
+            let trace = if line == 1 {
+                text
+            } else {
+                format!("{META}{text}\n")
+            };
+            assert_eq!(
+                parse_jsonl(&trace),
+                Err(TraceError { line, kind }),
+                "{trace}"
+            );
+        }
+        // What the renderer writes for the same fields still parses, the
+        // largest seed and node id included.
+        let text = format!(
+            "{}{}\n",
+            META.replace("\"seed\":1", "\"seed\":18446744073709551615"),
+            event("\"rep\":-1,\"node\":4294967294")
+        );
+        let lines = parse_jsonl(&text).expect("in range");
+        assert!(matches!(lines[0], TraceLine::Meta { seed: u64::MAX, .. }));
+        assert!(matches!(
+            lines[1],
+            TraceLine::Event {
+                rep: -1,
+                node: Some(4294967294),
+                ..
+            }
+        ));
     }
 }

@@ -61,7 +61,7 @@ pub fn width_of(value: u64) -> u64 {
 }
 
 /// Midpoint of bucket `index` — the value a quantile estimate reports.
-pub fn midpoint_of(index: usize) -> f64 {
+fn midpoint_of(index: usize) -> f64 {
     let (lo, hi) = bounds_of(index);
     lo as f64 + (hi - lo) as f64 / 2.0
 }

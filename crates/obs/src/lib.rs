@@ -1,7 +1,6 @@
 //! Structured observability for the vcoord workspace: counters, histograms,
 //! and timed spans registered against static metric ids, recorded into
-//! per-thread buffers, plus a flight-recorder ring of recent events and a
-//! JSONL trace exporter.
+//! per-thread buffers, plus a JSONL trace exporter and its reader.
 //!
 //! # Design
 //!
@@ -34,7 +33,7 @@
 //! # JSONL trace schema
 //!
 //! One file per figure, one JSON object per line ([`render_jsonl`] /
-//! [`parse_line`]), schema version [`TRACE_SCHEMA`]:
+//! [`parse_jsonl`]), schema version [`TRACE_SCHEMA`]:
 //!
 //! ```text
 //! {"type":"meta","schema":2,"run":"smoke-seed2006","fig":"fig1","seed":2006,"scale":"smoke"}
@@ -60,24 +59,25 @@
 pub mod diff;
 mod export;
 pub mod hdr;
+pub mod json;
 mod record;
 mod registry;
 mod report;
-mod ring;
 // The counting `GlobalAlloc` is the workspace's only unsafe code.
 #[allow(unsafe_code)]
 pub mod testing;
 
-pub use export::{parse_jsonl, parse_line, render_jsonl, TraceLine, TraceMeta, TRACE_SCHEMA};
+pub use export::{
+    parse_jsonl, render_jsonl, TraceError, TraceErrorKind, TraceLine, TraceMeta, TRACE_SCHEMA,
+};
 pub use record::{
     absorb, counter_add, drain, event, observe, reset, span, Event, HistData, ObsReport, Span,
-    HIST_BUCKETS, NO_NODE, NO_REP,
+    NO_NODE, NO_REP,
 };
 pub use registry::{metric, metric_name, MetricId};
 pub use report::{
     digest, summarize, summary_csv, summary_text, Digest, HistRow, RoundRow, SummaryRow,
 };
-pub use ring::{clear_recent_events, recent_events, EventRing, FLIGHT_RING_CAP};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -86,8 +86,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum ObsMode {
     /// Default: recording calls are a load-and-branch no-op.
     Off,
-    /// Counters, histograms, spans, and the flight ring are live; events
-    /// are *not* buffered for export (ring only).
+    /// Counters, histograms and spans are live; events are dropped (their
+    /// one reader is the JSONL export).
     Metrics,
     /// Everything in `Metrics`, plus events buffered per-thread for JSONL
     /// export.
@@ -125,21 +125,8 @@ pub fn enabled() -> bool {
 
 /// Whether events are buffered for export (mode is [`ObsMode::Trace`]).
 #[inline]
-pub fn tracing() -> bool {
+pub(crate) fn tracing() -> bool {
     MODE.load(Ordering::Relaxed) == ObsMode::Trace as u8
-}
-
-/// Initialize the mode from the `VCOORD_OBS` environment variable
-/// (`off` | `metrics` | `trace`; anything else leaves the mode unchanged).
-/// Returns the mode in effect afterwards.
-pub fn init_from_env() -> ObsMode {
-    match std::env::var("VCOORD_OBS").as_deref() {
-        Ok("off") => set_mode(ObsMode::Off),
-        Ok("metrics") => set_mode(ObsMode::Metrics),
-        Ok("trace") => set_mode(ObsMode::Trace),
-        _ => {}
-    }
-    mode()
 }
 
 /// The mode is process-global and libtest runs unit tests on parallel

@@ -3,14 +3,9 @@
 
 use crate::hdr;
 use crate::registry::{metric_name, MetricId};
-use crate::ring;
-use crate::{enabled, mode, ObsMode};
+use crate::{enabled, tracing};
 use std::cell::RefCell;
 use std::time::Instant;
-
-/// Bucket count for per-thread histograms — the HDR layout from
-/// [`crate::hdr`].
-pub const HIST_BUCKETS: usize = hdr::BUCKET_COUNT;
 
 /// `node` value for events with no node subject.
 pub const NO_NODE: u32 = u32::MAX;
@@ -63,7 +58,7 @@ impl HistData {
         self.min = self.min.min(value);
         self.max = self.max.max(value);
         if self.buckets.is_empty() {
-            self.buckets = vec![0; HIST_BUCKETS];
+            self.buckets = vec![0; hdr::BUCKET_COUNT];
         }
         self.buckets[hdr::index_of(hdr::value_to_u64(value))] += 1;
     }
@@ -131,7 +126,7 @@ fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> R {
     RECORDER.with(|cell| f(&mut cell.borrow_mut()))
 }
 
-/// A drained (or merged) snapshot of one thread's records.
+/// A drained snapshot of one thread's records.
 /// Counters and histograms are sorted by metric *name*; events are in
 /// recording order. Metric ids are handed out on first use, which races
 /// between worker threads and depends on what the process ran before —
@@ -156,7 +151,7 @@ impl ObsReport {
     }
 
     /// Buffered events in recording order (empty unless the run was in
-    /// [`ObsMode::Trace`]).
+    /// [`ObsMode::Trace`](crate::ObsMode::Trace)).
     pub fn events(&self) -> &[Event] {
         &self.events
     }
@@ -193,32 +188,6 @@ impl ObsReport {
         self.hists
             .retain(|(id, _)| !metric_name(*id).ends_with("_ns"));
     }
-
-    /// Fold `other` into `self`: counters add, histograms merge, events
-    /// append (caller controls merge order, and therefore determinism).
-    pub fn merge(&mut self, other: ObsReport) {
-        for (id, n) in other.counters {
-            match self.counters.iter_mut().find(|(i, _)| *i == id) {
-                Some((_, mine)) => *mine += n,
-                None => insert_by_name(&mut self.counters, id, n),
-            }
-        }
-        for (id, h) in other.hists {
-            match self.hists.iter_mut().find(|(i, _)| *i == id) {
-                Some((_, mine)) => mine.merge(&h),
-                None => insert_by_name(&mut self.hists, id, h),
-            }
-        }
-        self.events.extend(other.events);
-    }
-}
-
-/// Insert `(id, value)` into `rows`, which are in metric-name order and do
-/// not hold `id` yet.
-fn insert_by_name<T>(rows: &mut Vec<(MetricId, T)>, id: MetricId, value: T) {
-    let name = metric_name(id);
-    let at = rows.partition_point(|(i, _)| metric_name(*i) < name);
-    rows.insert(at, (id, value));
 }
 
 /// Add `n` to a counter. One load-and-branch when the mode is off.
@@ -249,26 +218,24 @@ pub fn observe(id: MetricId, value: f64) {
     });
 }
 
-/// Record one structured event. Always lands in the flight-recorder ring
-/// when the mode is on; additionally buffered for export in
-/// [`ObsMode::Trace`]. Use [`NO_NODE`] when there is no node subject.
+/// Record one structured event: buffered for export in
+/// [`ObsMode::Trace`](crate::ObsMode::Trace), one load-and-branch in every
+/// other mode (the JSONL trace is the events' one reader). Use [`NO_NODE`]
+/// when there is no node subject.
 #[inline]
 pub fn event(id: MetricId, round: u64, node: u32, value: f64) {
-    let m = mode();
-    if m == ObsMode::Off {
+    if !tracing() {
         return;
     }
-    let e = Event {
-        metric: id,
-        rep: NO_REP,
-        round,
-        node,
-        value,
-    };
-    ring::push_global(e);
-    if m == ObsMode::Trace {
-        with_recorder(|r| r.events.push(e));
-    }
+    with_recorder(|r| {
+        r.events.push(Event {
+            metric: id,
+            rep: NO_REP,
+            round,
+            node,
+            value,
+        })
+    });
 }
 
 /// A timing guard from [`span`]: records the elapsed nanoseconds as an
@@ -359,7 +326,7 @@ pub fn absorb(report: ObsReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{metric, set_mode};
+    use crate::{metric, set_mode, ObsMode};
 
     // Mode is process-global: every test here holds `mode_test_guard` and
     // restores Off before returning. Each works on its own drained report
@@ -456,10 +423,15 @@ mod tests {
         };
         assert_eq!(listed(&first), ["test.order.mm", "test.order.zz"]);
         assert_eq!(listed(&second), ["test.order.aa", "test.order.mm"]);
-        // Merged in either order: one report, in name order.
-        let (mut ab, mut ba) = (first.clone(), second.clone());
-        ab.merge(second);
-        ba.merge(first);
+        // Absorbed in either order: one report, in name order.
+        let absorbed = |reports: [&ObsReport; 2]| {
+            reset();
+            for report in reports {
+                absorb(report.clone());
+            }
+            drain()
+        };
+        let (ab, ba) = (absorbed([&first, &second]), absorbed([&second, &first]));
         assert_eq!(ab, ba);
         assert_eq!(
             listed(&ab),
@@ -484,7 +456,9 @@ mod tests {
         let mut second = drain();
         set_mode(ObsMode::Off);
         second.retag_rep(1);
-        first.merge(second);
+        absorb(first);
+        absorb(second);
+        let mut first = drain();
         assert_eq!(first.counter(a), 11);
         let reps: Vec<i32> = first.events().iter().map(|e| e.rep).collect();
         assert_eq!(reps, vec![0, 1]);
@@ -515,7 +489,7 @@ mod tests {
         for v in [10.0, 30.0, 200.0] {
             h.record(v);
         }
-        assert_eq!(h.buckets.len(), HIST_BUCKETS);
+        assert_eq!(h.buckets.len(), hdr::BUCKET_COUNT);
         // Median sample is 30; HDR resolution there is one bucket width.
         assert!((h.quantile(0.5) - 30.0).abs() <= hdr::width_of(30) as f64);
         let (p50, _, _, p99) = h.percentiles();

@@ -13,8 +13,8 @@ pub struct HistRow {
     pub sum: f64,
     pub min: f64,
     pub max: f64,
-    /// `[p50, p90, p95, p99]`; `None` for schema-1 traces.
-    pub quantiles: Option<[f64; 4]>,
+    /// `[p50, p90, p95, p99]`.
+    pub quantiles: [f64; 4],
 }
 
 /// One per-round aggregation row of a [`Digest`]: how many events of
@@ -126,13 +126,10 @@ impl Digest {
                 "", "count", "mean", "min", "max", "p50", "p99"
             );
             for h in &self.hists {
-                let (p50, p99) = match h.quantiles {
-                    Some([p50, _, _, p99]) => (format!("{p50:.1}"), format!("{p99:.1}")),
-                    None => ("-".to_string(), "-".to_string()),
-                };
+                let [p50, _, _, p99] = h.quantiles;
                 let _ = writeln!(
                     out,
-                    "  {:<34} {:>10} {:>14.1} {:>14.1} {:>14.1} {:>14} {:>14}",
+                    "  {:<34} {:>10} {:>14.1} {:>14.1} {:>14.1} {:>14.1} {:>14.1}",
                     h.metric,
                     h.count,
                     h.sum / h.count.max(1) as f64,
@@ -169,13 +166,10 @@ impl Digest {
             let _ = writeln!(out, "counter,{metric},,{value},,,,,,,");
         }
         for h in &self.hists {
-            let q = match h.quantiles {
-                Some([p50, p90, p95, p99]) => format!("{p50},{p90},{p95},{p99}"),
-                None => ",,,".to_string(),
-            };
+            let [p50, p90, p95, p99] = h.quantiles;
             let _ = writeln!(
                 out,
-                "hist,{},,{},{},{},{},{q}",
+                "hist,{},,{},{},{},{},{p50},{p90},{p95},{p99}",
                 h.metric, h.count, h.sum, h.min, h.max
             );
         }
@@ -265,7 +259,7 @@ mod tests {
     fn sample_lines() -> Vec<TraceLine> {
         vec![
             TraceLine::Meta {
-                schema: 1,
+                schema: 2,
                 run: "r".into(),
                 fig: "figX".into(),
                 seed: 9,
@@ -352,11 +346,11 @@ mod tests {
                 sum: 10.0,
                 min: 1.0,
                 max: 4.0,
-                quantiles: Some([2.5, 4.5, 4.5, 4.5]),
+                quantiles: [2.5, 4.5, 4.5, 4.5],
             },
         ];
         let d = digest(&lines);
-        assert_eq!(d.hists[0].quantiles, Some([2.5, 4.5, 4.5, 4.5]));
+        assert_eq!(d.hists[0].quantiles, [2.5, 4.5, 4.5, 4.5]);
         assert!(d.to_csv().contains("hist,h.q,,4,10,1,4,2.5,4.5,4.5,4.5"));
         assert!(d.to_text().contains("p50"));
     }

@@ -64,7 +64,7 @@ impl From<std::io::Error> for LoadError {
 }
 
 /// Load a triple-format file (`i j rtt` per line) from a reader.
-pub fn load_triples<R: BufRead>(reader: R, unit: RttUnit) -> Result<RttMatrix, LoadError> {
+fn load_triples<R: BufRead>(reader: R, unit: RttUnit) -> Result<RttMatrix, LoadError> {
     let mut records: Vec<(usize, usize, f64)> = Vec::new();
     let mut max_id = 0usize;
     let mut min_id = usize::MAX;
@@ -128,7 +128,7 @@ pub fn load_triples<R: BufRead>(reader: R, unit: RttUnit) -> Result<RttMatrix, L
 }
 
 /// Load a dense matrix-format file (one row per line) from a reader.
-pub fn load_matrix<R: BufRead>(reader: R, unit: RttUnit) -> Result<RttMatrix, LoadError> {
+fn load_matrix<R: BufRead>(reader: R, unit: RttUnit) -> Result<RttMatrix, LoadError> {
     let mut rows: Vec<Vec<f64>> = Vec::new();
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;

@@ -13,29 +13,26 @@
 //! space, and one probe per node per ~17 s tick.
 //!
 //! Malicious behaviour is injected through the generic
-//! [`vcoord_attackkit::AttackStrategy`] seam (see [`adversary`]): when an
-//! honest node probes a malicious one, the running [`adversary::Scenario`]
-//! supplies the reported coordinates, the reported error estimate, and an
+//! [`vcoord_attackkit::AttackStrategy`] seam (see
+//! [`VivaldiSim::inject_adversary`]): when an honest node probes a malicious
+//! one, the running [`vcoord_attackkit::Scenario`] supplies the reported coordinates, the reported error estimate, and an
 //! extra probe delay. The simulator enforces the paper's threat model —
 //! attackers can *delay* probes but never shorten them.
 //!
 //! Defense behaviour is deployed through the mirror-image
 //! [`vcoord_defense::DefenseStrategy`] seam (see
 //! [`VivaldiSim::deploy_defense`]): every sample an honest node is about to
-//! apply passes the deployed [`Defense`] first, whose verdict drops,
-//! dampens, or admits it.
+//! apply passes the deployed [`vcoord_defense::Defense`] first, whose verdict
+//! drops, dampens, or admits it.
 
 #![forbid(unsafe_code)]
 
-pub mod adversary;
 pub mod config;
 pub mod convergence;
 pub mod neighbors;
 pub mod node;
 pub mod sim;
 
-pub use adversary::{AttackStrategy, Collusion, CoordView, Honest, Lie, Probe, Protocol, Scenario};
 pub use config::VivaldiConfig;
 pub use convergence::ConvergenceTracker;
 pub use sim::{Spring, VivaldiSim};
-pub use vcoord_defense::{Defense, DefenseStrategy, Verdict};

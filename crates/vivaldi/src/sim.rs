@@ -16,13 +16,13 @@
 //! fills the table in [`VivaldiSim::new`] and is read again only on the rare
 //! chaos paths (a retry, a replacement spring) and by the evaluation code.
 
-use crate::adversary::{AttackStrategy, CoordView, Lie, Probe, Protocol, Scenario};
 use crate::config::VivaldiConfig;
 use crate::neighbors::select_neighbors;
 use crate::node::vivaldi_update_scaled;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
+use vcoord_attackkit::{AttackStrategy, CoordView, Lie, Probe, Protocol, Scenario};
 use vcoord_chaos::{ChaosCounters, ChaosPlan, ChaosState, ProbeFate};
 use vcoord_defense::{
     Defense, DefenseStats, DefenseStrategy, Provenance, Update as DefenseUpdate, Verdict,
@@ -552,6 +552,21 @@ impl VivaldiSim {
     /// the current (converged) state as its knowledge oracle; all
     /// subsequent probes of malicious nodes route through the resulting
     /// [`Scenario`].
+    ///
+    /// The Vivaldi reading of the generic [`vcoord_attackkit`] contract:
+    ///
+    /// * a malicious node controls the **coordinates** and **error
+    ///   estimate** it reports ([`Lie::coord`] / [`Lie::error`]), and may
+    ///   **delay** the probe; the simulator clamps negative delays to zero
+    ///   and logs the violation — the threat model forbids shortening
+    ///   measurements;
+    /// * the [`CoordView`] handed to strategies is the knowledge oracle:
+    ///   `coords` and `errors` are the true per-node state (attackers
+    ///   legitimately learn victim positions "by means of previous
+    ///   requests", paper §5.3.2), `round` is the probe tick, and
+    ///   [`Protocol::cc`] is Vivaldi's public adaptive-timestep constant;
+    /// * Vivaldi has no probe threshold, so [`Protocol::probe_threshold_ms`]
+    ///   is infinite — strategies need no delay cap here.
     pub fn inject_adversary(&mut self, attackers: &[usize], strategy: Box<dyn AttackStrategy>) {
         for &a in attackers {
             self.world.malicious[a] = true;
@@ -688,7 +703,7 @@ impl VivaldiSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::Honest;
+    use vcoord_attackkit::Honest;
     use vcoord_metrics::EvalPlan;
     use vcoord_topo::{KingLike, KingLikeConfig};
 

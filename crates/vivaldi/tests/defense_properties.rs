@@ -380,7 +380,7 @@ proptest! {
     #[test]
     fn dampen_identity_runs_are_bitwise_equal(seed in 0u64..1000) {
         let n = 40;
-        let run = |strategy: Option<Box<dyn vcoord_vivaldi::DefenseStrategy>>| {
+        let run = |strategy: Option<Box<dyn vcoord_defense::DefenseStrategy>>| {
             let mut sim = converged_sim(n, seed);
             if let Some(s) = strategy {
                 sim.deploy_defense(s);
