@@ -24,15 +24,12 @@
 //! `evals_per_round` (mean/median/p99 Simplex objective evaluations per NPS
 //! positioning round; Vivaldi-only figures record no entry) read off the
 //! same report's `nps.round_evals` histogram — and (c) hot-kernel timings:
-//! the allocation-free Simplex kernel next to its retained allocating oracle
-//! (`vcoord_space::simplex::oracle`), the batched SoA distance kernel, and
-//! the snapshot-based `EvalPlan::avg_error`,
-//! timed in-process on the shared `vcoord_bench` fixtures (deliberately
-//! not scraping `cargo bench`, so the baseline needs no cargo at runtime).
+//! one entry per row of `vcoord_bench::kernel_rows`, the one table of
+//! isolated kernels, timed in-process by `time_kernel` below.
 //! Kernel entries carry mean/median/trimmed-mean/p95/min/max: compare the
 //! robust columns (`trimmed_mean_s`, `p95_s`, `median_s`) across runs —
 //! the raw mean is kept for schema continuity but one preempted sample
-//! can invert it between paired kernels (see vendor/README.md).
+//! can invert it between paired kernels.
 //! Committing a `BENCH_smoke.json` per perf-relevant PR gives the repo a
 //! perf trajectory that review can diff instead of trusting prose; CI
 //! regenerates and prints it on every run.
@@ -41,11 +38,6 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use vcoord::experiments::{registry, Scale};
-use vcoord::metrics::EvalPlan;
-use vcoord::netsim::SeedStream;
-use vcoord::space::simplex::oracle::simplex_downhill_reference;
-use vcoord::space::{dist_batch, simplex_downhill, Coord, SimplexScratch, Space};
-use vcoord::topo::{KingLike, KingLikeConfig};
 
 struct Args {
     ids: Vec<String>,
@@ -117,34 +109,20 @@ struct KernelStats {
     samples: usize,
 }
 
-impl KernelStats {
-    /// The same timings expressed per `k`-th of a call.
-    fn scaled(&self, k: f64) -> KernelStats {
-        KernelStats {
-            mean_s: self.mean_s * k,
-            median_s: self.median_s * k,
-            trimmed_mean_s: self.trimmed_mean_s * k,
-            p95_s: self.p95_s * k,
-            min_s: self.min_s * k,
-            max_s: self.max_s * k,
-            samples: self.samples,
-        }
-    }
-}
-
-/// Time `f` repeatedly (one timing per call) until the budget is spent.
-fn time_kernel<F: FnMut()>(budget: Duration, mut f: F) -> KernelStats {
+/// Time `f` repeatedly (one timing per call, recorded per `divisor`-th of
+/// a call) until the budget is spent.
+fn time_kernel<F: FnMut()>(budget: Duration, divisor: f64, mut f: F) -> KernelStats {
     f(); // warm-up (page in code and scratch buffers)
     let mut samples: Vec<f64> = Vec::new();
     let started = Instant::now();
     while started.elapsed() < budget && samples.len() < 4096 {
         let t = Instant::now();
         f();
-        samples.push(t.elapsed().as_secs_f64());
+        samples.push(t.elapsed().as_secs_f64() / divisor);
     }
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     let n = samples.len();
-    let cut = n / 10; // 10 % per tail, like the criterion stub
+    let cut = n / 10; // 10 % per tail
     let kept = &samples[cut..n - cut];
     KernelStats {
         mean_s: samples.iter().sum::<f64>() / n as f64,
@@ -177,143 +155,13 @@ fn main() {
         .unwrap_or_else(|| args.scale_name.to_string());
 
     // --- Kernel timings -------------------------------------------------
+    // One loop over the ledger's table (vcoord_bench::kernel_rows), before
+    // the sweep switches recording on: every row times the disabled path.
     let budget = Duration::from_millis(400);
-    let mut kernels: Vec<(String, KernelStats)> = Vec::new();
-    for dim in [2usize, 8] {
-        // The shared representative NPS positioning fixture (20 references;
-        // see vcoord_bench::simplex_fixture — also used by the kernels
-        // bench, so `cargo bench` and this baseline stay comparable).
-        let (refs, opts, start) = vcoord_bench::simplex_fixture(dim);
-        let mut scratch = SimplexScratch::new();
-        let objective = vcoord_bench::fit_objective(&refs);
-        kernels.push((
-            format!("simplex_{dim}d_20refs"),
-            time_kernel(budget, || {
-                std::hint::black_box(simplex_downhill(&objective, &start, &opts, &mut scratch));
-            }),
-        ));
-        kernels.push((
-            format!("simplex_oracle_{dim}d_20refs"),
-            time_kernel(budget, || {
-                std::hint::black_box(simplex_downhill_reference(&objective, &start, &opts));
-            }),
-        ));
-    }
-    {
-        // A trivial objective isolates pure kernel overhead (sorting,
-        // centroid, trial-point management, allocation) — the number the
-        // ≥2×-over-oracle target is judged on; the 20-ref fixtures above
-        // measure the realistic NPS mix where objective evaluation bounds
-        // the achievable speedup.
-        let dim = 8;
-        let objective = |x: &[f64]| -> f64 { x.iter().map(|v| (v - 3.0) * (v - 3.0)).sum::<f64>() };
-        let opts = vcoord_bench::simplex_bench_opts();
-        let start = vec![1.0; dim];
-        let mut scratch = SimplexScratch::new();
-        kernels.push((
-            "simplex_8d_quadratic".into(),
-            time_kernel(budget, || {
-                std::hint::black_box(simplex_downhill(objective, &start, &opts, &mut scratch));
-            }),
-        ));
-        kernels.push((
-            "simplex_oracle_8d_quadratic".into(),
-            time_kernel(budget, || {
-                std::hint::black_box(simplex_downhill_reference(objective, &start, &opts));
-            }),
-        ));
-    }
-    {
-        // The same 8-D/20-ref minimization through the production
-        // positioning path (see NpsFitFixture), per fit and — the fixture's
-        // evaluation count is deterministic — per objective evaluation.
-        let mut fixture = vcoord_bench::NpsFitFixture::new(8);
-        let evals = fixture.fit().evals;
-        let per_fit = time_kernel(budget, || {
-            std::hint::black_box(fixture.fit());
-        });
-        kernels.push((
-            "nps_fit_8d_20refs_per_eval".into(),
-            per_fit.scaled(1.0 / evals as f64),
-        ));
-        kernels.push(("nps_fit_8d_20refs".into(), per_fit));
-    }
-    for (pattern, name) in vcoord_bench::QueuePattern::ALL {
-        // The event queue alone, per event, in the simulators' scheduling
-        // shapes (see vcoord_bench::QueuePattern): one run per sample, its
-        // event count being deterministic.
-        let events = vcoord_bench::netsim_queue_run(pattern);
-        let per_run = time_kernel(budget, || {
-            std::hint::black_box(vcoord_bench::netsim_queue_run(pattern));
-        });
-        kernels.push((
-            format!("netsim_queue_{name}_per_event"),
-            per_run.scaled(1.0 / events as f64),
-        ));
-    }
-    {
-        // The batched SoA distance kernel at the EvalPlan working-set
-        // shape (96 sampled peers per node).
-        let dim = 8;
-        let pairs = 96;
-        let seeds = SeedStream::new(5);
-        let mut rng = seeds.rng("bench/lanes");
-        let space = Space::Euclidean(dim);
-        let a = space.random_coord(150.0, &mut rng).vec;
-        let rows: Vec<f64> = (0..pairs)
-            .flat_map(|_| space.random_coord(150.0, &mut rng).vec)
-            .collect();
-        let mut out = vec![0.0; pairs];
-        // One call is too short to time; 64 calls per sample keeps the
-        // timer quantization honest.
-        kernels.push((
-            format!("dist_batch_{dim}d_{pairs}pairs_x64"),
-            time_kernel(budget, || {
-                for _ in 0..64 {
-                    dist_batch(std::hint::black_box(&a), &rows, &mut out);
-                }
-                std::hint::black_box(&mut out);
-            }),
-        ));
-    }
-    {
-        let seeds = SeedStream::new(3);
-        let matrix =
-            KingLike::new(KingLikeConfig::with_nodes(400)).generate(&mut seeds.rng("topo"));
-        let space = Space::Euclidean(2);
-        let mut rng = seeds.rng("plan");
-        let nodes: Vec<usize> = (0..400).collect();
-        let plan = EvalPlan::with_params(&nodes, 128, 96, &mut rng);
-        let coords: Vec<Coord> = (0..400)
-            .map(|_| space.random_coord(150.0, &mut rng))
-            .collect();
-        kernels.push((
-            "eval_plan_avg_error_400n_96peers".into(),
-            time_kernel(budget, || {
-                std::hint::black_box(plan.avg_error(&coords, &space, &matrix));
-            }),
-        ));
-    }
-    {
-        // Defense inspection over the simulators' working set (see
-        // vcoord_bench::InspectFixture), per sample.
-        let mut fixture = vcoord_bench::InspectFixture::warmed();
-        let per_batch = time_kernel(budget, || fixture.run_batch());
-        kernels.push((
-            "defense_inspect_drift_cap_1740n_per_sample".into(),
-            per_batch.scaled(1.0 / vcoord_bench::InspectFixture::BATCH as f64),
-        ));
-    }
-    {
-        // The benchmark workloads' data set, synthesised whole.
-        let seeds = SeedStream::new(2006);
-        kernels.push((
-            "topo_generate_1740n".into(),
-            time_kernel(budget, || {
-                std::hint::black_box(KingLike::default().generate(&mut seeds.rng("topo")));
-            }),
-        ));
-    }
+    let kernels: Vec<(&str, KernelStats)> = vcoord_bench::kernel_rows()
+        .into_iter()
+        .map(|mut row| (row.name, time_kernel(budget, row.divisor, &mut row.sample)))
+        .collect();
     for (name, s) in &kernels {
         println!(
             "{name:<40} {:>9.3e} s median ({} samples, trimmed {:.3e}, p95 {:.3e})",

@@ -8,22 +8,23 @@
 //! * the **`bench-baseline` binary** — wall-clocks the figure suite and the
 //!   hot kernels into a machine-readable `BENCH_<label>.json` perf
 //!   baseline;
-//! * **Criterion benches** (`cargo bench`) — hot-path kernels
-//!   (`kernels`), whole-simulator throughput (`simulators`), attack lie
-//!   construction (`attacks`), design-choice ablations (`ablations`), and a
-//!   smoke pass over representative figure runners (`figures_smoke`).
+//! * the **kernel ledger** ([`kernel_rows`]) — every isolated kernel that
+//!   binary times, defined once, as data.
 
 #![forbid(unsafe_code)]
 
+use std::hint::black_box;
 use vcoord::defense::testing::ring_fill_samples;
 use vcoord::defense::{Defense, DriftCap, Provenance, Update, Verdict};
 use vcoord::metrics::parallel::set_worker_budget;
+use vcoord::metrics::EvalPlan;
 use vcoord::netsim::{Engine, NodeId, Scheduler, SeedStream, World, TICK_MS};
-use vcoord::nps::{
-    position_node, FitObjective, PositionOutcome, PositionScratch, RefSample, SecurityPolicy,
-};
+use vcoord::nps::{position_node, PositionOutcome, PositionScratch, RefSample, SecurityPolicy};
 use vcoord::obs::{set_mode, ObsMode};
-use vcoord::space::{Coord, SimplexOptions, Space};
+use vcoord::space::simplex::oracle::simplex_downhill_reference;
+use vcoord::space::{dist_batch, simplex_downhill, Coord, SimplexOptions, SimplexScratch, Space};
+use vcoord::topo::{KingLike, KingLikeConfig};
+use vcoord::vivaldi::node::vivaldi_update;
 
 /// Default output directory for figure CSVs.
 pub const DEFAULT_OUT_DIR: &str = "results";
@@ -36,8 +37,8 @@ fn parse_threads(raw: Option<&str>) -> Option<usize> {
         .filter(|&n| n > 0)
 }
 
-/// Read the process environment and install what it asks for; every binary
-/// and bench of this crate calls it first thing in `main`. It is the one
+/// Read the process environment and install what it asks for; `figures` and
+/// `bench-baseline` call it first thing in `main`. It is the one
 /// place the workspace reads configuration from the environment (the
 /// `VCOORD_LOG` logger backend aside): the libraries take values.
 ///
@@ -64,27 +65,23 @@ pub fn install_env() -> Option<usize> {
 /// distance it claims.
 type SimplexRef = (Vec<f64>, f64);
 
-/// The representative NPS positioning fixture shared by the `kernels`
-/// bench and the `bench-baseline` binary: 20 reference points drawn in a
-/// `dim`-D Euclidean space, each claiming an 80 ms measurement, minimized
-/// from the all-ones start with the simulator's iteration budget.
-///
-/// Keeping one definition is what makes `cargo bench` numbers and the
-/// committed `BENCH_*.json` trajectory comparable — tweak it here or
-/// nowhere.
-pub fn simplex_fixture(dim: usize) -> (Vec<SimplexRef>, SimplexOptions, Vec<f64>) {
+/// The representative NPS positioning fixture behind the `simplex_*_20refs`
+/// and `nps_fit_*` rows: 20 reference points drawn in a `dim`-D Euclidean
+/// space, each claiming an 80 ms measurement, minimized from the all-ones
+/// start (returned second) under [`simplex_bench_opts`].
+fn simplex_fixture(dim: usize) -> (Vec<SimplexRef>, Vec<f64>) {
     let seeds = SeedStream::new(2);
     let mut rng = seeds.rng("bench/simplex-fixture");
     let space = Space::Euclidean(dim);
     let refs: Vec<SimplexRef> = (0..20)
         .map(|_| (space.random_coord(150.0, &mut rng).vec, 80.0))
         .collect();
-    (refs, simplex_bench_opts(), vec![1.0; dim])
+    (refs, vec![1.0; dim])
 }
 
-/// The Simplex option set used by every kernel bench (the NPS simulator's
+/// The Simplex option set of every Simplex row (the NPS simulator's
 /// positioning budget).
-pub fn simplex_bench_opts() -> SimplexOptions {
+fn simplex_bench_opts() -> SimplexOptions {
     SimplexOptions {
         max_iterations: 150,
         initial_step: 20.0,
@@ -92,10 +89,11 @@ pub fn simplex_bench_opts() -> SimplexOptions {
     }
 }
 
-/// Squared-relative latency-fit objective over `refs`, computed on raw
-/// slices (no per-evaluation allocation), for use with both the
-/// allocation-free Simplex kernel and the retained oracle.
-pub fn fit_objective(refs: &[SimplexRef]) -> impl Fn(&[f64]) -> f64 + '_ {
+/// The simulator's latency-fit objective over `refs` — `Σ (dist − D)²`, see
+/// `vcoord::nps::position` — computed on raw slices (no per-evaluation
+/// allocation), for use with both the allocation-free Simplex kernel and the
+/// retained oracle.
+fn fit_objective(refs: Vec<SimplexRef>) -> impl Fn(&[f64]) -> f64 + Clone {
     move |x: &[f64]| {
         refs.iter()
             .map(|(c, d)| {
@@ -105,7 +103,7 @@ pub fn fit_objective(refs: &[SimplexRef]) -> impl Fn(&[f64]) -> f64 + '_ {
                     .map(|(a, b)| (a - b) * (a - b))
                     .sum::<f64>()
                     .sqrt();
-                let e = (dist - d) / d;
+                let e = dist - d;
                 e * e
             })
             .sum()
@@ -115,49 +113,41 @@ pub fn fit_objective(refs: &[SimplexRef]) -> impl Fn(&[f64]) -> f64 + '_ {
 /// The whole-fit kernel: the [`simplex_fixture`] minimization run the way
 /// the NPS simulator runs it — one repositioning through
 /// [`position_node`] (gather, dimension-major objective, Simplex
-/// kernel, outcome) with the start as incumbent and the filter off, so it
-/// is exactly one fit. The objective is [`fit_objective`]'s, term for term,
-/// so this row, `simplex_*_20refs` and its oracle all walk the same
+/// kernel, outcome) with the start as incumbent and the filter off, so a
+/// call is exactly one fit. The objective is [`fit_objective`]'s, term for
+/// term, so this row, `simplex_*_20refs` and its oracle all walk the same
 /// trajectory and their times compare directly.
-pub struct NpsFitFixture {
-    space: Space,
-    samples: Vec<RefSample>,
-    start: Coord,
-    opts: SimplexOptions,
-    scratch: PositionScratch,
-}
-
-impl NpsFitFixture {
-    /// The `dim`-D fixture.
-    pub fn new(dim: usize) -> NpsFitFixture {
-        let (refs, opts, start) = simplex_fixture(dim);
-        NpsFitFixture {
-            space: Space::Euclidean(dim),
-            samples: refs
-                .into_iter()
-                .enumerate()
-                .map(|(i, (at, rtt))| RefSample::new(i, Coord::from_vec(at), rtt))
-                .collect(),
-            start: Coord::from_vec(start),
-            opts,
-            scratch: PositionScratch::new(),
-        }
-    }
-
-    /// One fit.
-    pub fn fit(&mut self) -> PositionOutcome {
+fn nps_fit(dim: usize) -> impl FnMut() -> PositionOutcome {
+    let (refs, start) = simplex_fixture(dim);
+    let space = Space::Euclidean(dim);
+    let samples: Vec<RefSample> = refs
+        .into_iter()
+        .enumerate()
+        .map(|(i, (at, rtt))| RefSample::new(i, Coord::from_vec(at), rtt))
+        .collect();
+    let (start, opts) = (Coord::from_vec(start), simplex_bench_opts());
+    let mut scratch = PositionScratch::new();
+    move || {
         position_node(
-            &self.space,
-            &self.samples,
-            &self.start,
-            Some(&self.start),
+            &space,
+            &samples,
+            &start,
+            Some(&start),
             SecurityPolicy::off(),
-            &self.opts,
-            FitObjective::SquaredRelative,
-            &mut self.scratch,
+            &opts,
+            &mut scratch,
         )
         .expect("20 references position the node")
     }
+}
+
+/// One step of the 64-bit LCG the fixtures draw pseudo-random RTTs and node
+/// pairs from (no RNG crate inside a timed loop).
+fn lcg_step(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state
 }
 
 /// Event-queue workloads for the `netsim_queue` kernel rows: the
@@ -165,7 +155,7 @@ impl NpsFitFixture {
 /// work taken out. Every shape runs the paper's population (1740 nodes,
 /// one timer per node per tick) for 20 ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueuePattern {
+enum QueuePattern {
     /// Each timer re-arms itself one tick later: pushes arrive in time
     /// order (the shape of NPS rounds and of Vivaldi's probe ticks alone).
     MonotoneTimers,
@@ -175,15 +165,6 @@ pub enum QueuePattern {
     /// `MonotoneTimers` behind one event parked at the end of time, so no
     /// push is ever in time order — the worst case for a sorted-run lane.
     NonMonotone,
-}
-
-impl QueuePattern {
-    /// Every pattern with the name its kernel rows carry.
-    pub const ALL: [(QueuePattern, &'static str); 3] = [
-        (QueuePattern::MonotoneTimers, "monotone_timers"),
-        (QueuePattern::TimerAndResponse, "timer_and_response"),
-        (QueuePattern::NonMonotone, "non_monotone"),
-    ];
 }
 
 /// Population of a [`netsim_queue_run`].
@@ -198,7 +179,7 @@ type QueuePayload = [f64; 6];
 
 struct QueueWorld {
     respond: bool,
-    /// Pseudo-RTT generator state (a 64-bit LCG; no RNG crate in the loop).
+    /// Pseudo-RTT generator state, see [`lcg_step`].
     lcg: u64,
 }
 
@@ -208,11 +189,7 @@ impl World for QueueWorld {
     fn on_timer(&mut self, sched: &mut Scheduler<QueuePayload>, node: NodeId, tag: u64) {
         sched.timer_after(TICK_MS, node, tag);
         if self.respond {
-            self.lcg = self
-                .lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let rtt = 1 + (self.lcg >> 33) % 400;
+            let rtt = 1 + (lcg_step(&mut self.lcg) >> 33) % 400;
             sched.deliver_after(rtt, (node + 1) % QUEUE_NODES, node, [0.0; 6]);
         }
     }
@@ -230,7 +207,7 @@ impl World for QueueWorld {
 /// Run `pattern` on a fresh engine; returns the number of events
 /// processed (deterministic per pattern), the divisor that turns a run's
 /// time into time per event.
-pub fn netsim_queue_run(pattern: QueuePattern) -> usize {
+fn netsim_queue_run(pattern: QueuePattern) -> usize {
     let mut engine: Engine<QueuePayload> = Engine::new();
     if pattern == QueuePattern::NonMonotone {
         engine.scheduler().timer_at(u64::MAX, 0, 0);
@@ -249,17 +226,16 @@ pub fn netsim_queue_run(pattern: QueuePattern) -> usize {
 }
 
 /// The defense-inspection kernel at the working set a simulator gives it:
-/// a drift cap that never trips (as in the `drift_cap_steady` row) judging
-/// samples whose observer and remote are both drawn over 1740 nodes, so
-/// each inspection lands on history the cache has not seen for a thousand
-/// samples. `drift_cap_steady` cycles 16 remotes under one observer and
-/// times the arithmetic; this row times the store.
+/// a drift cap that never trips judging samples whose observer and remote
+/// are both drawn over 1740 nodes, so each inspection lands on history the
+/// cache has not seen for a thousand samples: the row times the store, not
+/// the arithmetic.
 pub struct InspectFixture {
     space: Space,
     coords: Vec<Coord>,
     defense: Defense,
     samples: u64,
-    /// Pair generator state (a 64-bit LCG; no RNG crate in the loop).
+    /// Pair generator state, see [`lcg_step`].
     lcg: u64,
 }
 
@@ -307,28 +283,221 @@ impl InspectFixture {
         )
     }
 
-    /// Judge one sample between a random pair.
-    pub fn inspect_one(&mut self) -> Verdict {
-        self.lcg = self
-            .lcg
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let remote = (self.lcg >> 33) as usize % QUEUE_NODES;
-        let observer = (self.lcg >> 12) as usize % QUEUE_NODES;
-        self.inspect(observer, remote)
-    }
-
-    /// [`InspectFixture::BATCH`] samples: long enough for a timer to read.
+    /// [`InspectFixture::BATCH`] samples, each between a random pair: long
+    /// enough for a timer to read.
     pub fn run_batch(&mut self) {
         for _ in 0..Self::BATCH {
-            std::hint::black_box(self.inspect_one());
+            let draw = lcg_step(&mut self.lcg);
+            let (observer, remote) = ((draw >> 12) as usize, (draw >> 33) as usize);
+            black_box(self.inspect(observer % QUEUE_NODES, remote % QUEUE_NODES));
         }
     }
+}
 
-    /// The deployed defense (for its tallies).
-    pub fn defense(&self) -> &Defense {
-        &self.defense
+/// One row of the kernel ledger: a kernel `bench-baseline` times in
+/// isolation and records under `"kernels"` in `BENCH_*.json`, where
+/// `obs-diff` reads it by name.
+pub struct KernelRow {
+    /// The row's key in the ledger file.
+    pub name: &'static str,
+    /// Units of work in one timed sample (evaluations, events, calls): the
+    /// row reports sample time over this. `1.0` where a sample is the unit.
+    pub divisor: f64,
+    /// One timed sample, on the row's own warmed fixture.
+    pub sample: Box<dyn FnMut()>,
+}
+
+/// Calls per sample of the kernels too short to time alone (a hundred
+/// nanoseconds or so): 64 keeps the timer's quantization out of the row.
+const SHORT_CALLS: usize = 64;
+
+fn row(name: &'static str, divisor: f64, sample: impl FnMut() + 'static) -> KernelRow {
+    KernelRow {
+        name,
+        divisor,
+        sample: Box::new(sample),
     }
+}
+
+/// The allocation-free Simplex kernel and its retained allocating oracle on
+/// the same objective, so the pair reads directly as the kernel speedup.
+fn simplex_pair(
+    rows: &mut Vec<KernelRow>,
+    (kernel, oracle): (&'static str, &'static str),
+    objective: impl Fn(&[f64]) -> f64 + Clone + 'static,
+    start: Vec<f64>,
+) {
+    let (f, x0, opts) = (objective.clone(), start.clone(), simplex_bench_opts());
+    let mut scratch = SimplexScratch::new();
+    rows.push(row(kernel, 1.0, move || {
+        black_box(simplex_downhill(&f, &x0, &opts, &mut scratch));
+    }));
+    let opts = simplex_bench_opts();
+    rows.push(row(oracle, 1.0, move || {
+        black_box(simplex_downhill_reference(&objective, &start, &opts));
+    }));
+}
+
+/// One [`vivaldi_update`] against a fixed remote, the spring a probe
+/// response applies, [`SHORT_CALLS`] times over.
+fn vivaldi_update_row(name: &'static str, space: Space) -> KernelRow {
+    let mut rng = SeedStream::new(1).rng("bench/vivaldi-update");
+    let mut coord = space.random_coord(100.0, &mut rng);
+    let mut error = 0.5;
+    let remote = space.random_coord(100.0, &mut rng);
+    row(name, SHORT_CALLS as f64, move || {
+        for _ in 0..SHORT_CALLS {
+            black_box(vivaldi_update(
+                &space,
+                0.25,
+                (1e-6, 1e3),
+                black_box(&mut coord),
+                black_box(&mut error),
+                black_box(&remote),
+                0.3,
+                85.0,
+                &mut rng,
+            ));
+        }
+    })
+}
+
+/// A recording call with recording off, a nanosecond each and so
+/// [`InspectFixture::BATCH`] of them a sample: the "zero-overhead-when-off"
+/// claim as a number, one relaxed load and a branch.
+fn obs_disabled_row(name: &'static str, mut call: impl FnMut() + 'static) -> KernelRow {
+    row(name, InspectFixture::BATCH as f64, move || {
+        for _ in 0..InspectFixture::BATCH {
+            call();
+        }
+    })
+}
+
+/// Every kernel of the ledger, each on a freshly built fixture. Every row
+/// runs a configuration the simulators run; `bench-baseline` is the one
+/// timer over this table and `BENCH_*.json` the one record of it.
+pub fn kernel_rows() -> Vec<KernelRow> {
+    let mut rows = Vec::new();
+
+    // The 20-reference fits model an NPS positioning round, where objective
+    // evaluation bounds what the kernel can gain over its oracle; the
+    // trivial quadratic isolates the kernel's own overhead (sorting,
+    // centroid, trial points, allocation).
+    for (dim, names) in [
+        (2, ("simplex_2d_20refs", "simplex_oracle_2d_20refs")),
+        (8, ("simplex_8d_20refs", "simplex_oracle_8d_20refs")),
+    ] {
+        let (refs, start) = simplex_fixture(dim);
+        simplex_pair(&mut rows, names, fit_objective(refs), start);
+    }
+    simplex_pair(
+        &mut rows,
+        ("simplex_8d_quadratic", "simplex_oracle_8d_quadratic"),
+        |x: &[f64]| x.iter().map(|v| (v - 3.0) * (v - 3.0)).sum::<f64>(),
+        vec![1.0; 8],
+    );
+
+    // The 8-D fit again through the production positioning path, per
+    // objective evaluation (the count is deterministic) and per fit.
+    let mut fit = nps_fit(8);
+    let evals = fit().evals;
+    rows.push(row("nps_fit_8d_20refs_per_eval", evals as f64, move || {
+        black_box(fit());
+    }));
+    let mut fit = nps_fit(8);
+    rows.push(row("nps_fit_8d_20refs", 1.0, move || {
+        black_box(fit());
+    }));
+
+    // The event queue alone, per event, one run per sample.
+    for (name, pattern) in [
+        (
+            "netsim_queue_monotone_timers_per_event",
+            QueuePattern::MonotoneTimers,
+        ),
+        (
+            "netsim_queue_timer_and_response_per_event",
+            QueuePattern::TimerAndResponse,
+        ),
+        (
+            "netsim_queue_non_monotone_per_event",
+            QueuePattern::NonMonotone,
+        ),
+    ] {
+        let events = netsim_queue_run(pattern);
+        rows.push(row(name, events as f64, move || {
+            black_box(netsim_queue_run(pattern));
+        }));
+    }
+
+    {
+        // The batched SoA distance kernel at the EvalPlan working-set shape
+        // (96 sampled peers per node). The row keeps its per-64-calls unit.
+        let space = Space::Euclidean(8);
+        let mut rng = SeedStream::new(5).rng("bench/lanes");
+        let a = space.random_coord(150.0, &mut rng).vec;
+        let peers: Vec<f64> = (0..96)
+            .flat_map(|_| space.random_coord(150.0, &mut rng).vec)
+            .collect();
+        let mut out = vec![0.0; 96];
+        rows.push(row("dist_batch_8d_96pairs_x64", 1.0, move || {
+            for _ in 0..SHORT_CALLS {
+                dist_batch(black_box(&a), &peers, &mut out);
+            }
+            black_box(&mut out);
+        }));
+    }
+
+    {
+        let seeds = SeedStream::new(3);
+        let matrix =
+            KingLike::new(KingLikeConfig::with_nodes(400)).generate(&mut seeds.rng("topo"));
+        let space = Space::Euclidean(2);
+        let mut rng = seeds.rng("plan");
+        let nodes: Vec<usize> = (0..400).collect();
+        let plan = EvalPlan::with_params(&nodes, 128, 96, &mut rng);
+        let coords: Vec<Coord> = (0..400)
+            .map(|_| space.random_coord(150.0, &mut rng))
+            .collect();
+        rows.push(row("eval_plan_avg_error_400n_96peers", 1.0, move || {
+            black_box(plan.avg_error(&coords, &space, &matrix));
+        }));
+    }
+
+    let mut fixture = InspectFixture::warmed();
+    rows.push(row(
+        "defense_inspect_drift_cap_1740n_per_sample",
+        InspectFixture::BATCH as f64,
+        move || fixture.run_batch(),
+    ));
+
+    // The benchmark workloads' data set, synthesised whole.
+    rows.push(row("topo_generate_1740n", 1.0, || {
+        black_box(KingLike::default().generate(&mut SeedStream::new(2006).rng("topo")));
+    }));
+
+    rows.push(vivaldi_update_row("vivaldi_update_2d", Space::Euclidean(2)));
+    rows.push(vivaldi_update_row("vivaldi_update_5d", Space::Euclidean(5)));
+    rows.push(vivaldi_update_row(
+        "vivaldi_update_2d_height",
+        Space::EuclideanHeight(2),
+    ));
+
+    let counter = vcoord::obs::metric("bench.obs.counter");
+    let hist = vcoord::obs::metric("bench.obs.hist");
+    rows.push(obs_disabled_row("obs_disabled_counter_add", move || {
+        vcoord::obs::counter_add(black_box(counter), 1)
+    }));
+    rows.push(obs_disabled_row("obs_disabled_observe", move || {
+        vcoord::obs::observe(black_box(hist), 1.0)
+    }));
+    rows.push(obs_disabled_row("obs_disabled_event", move || {
+        vcoord::obs::event(black_box(counter), 1, 2, 3.0)
+    }));
+    rows.push(obs_disabled_row("obs_disabled_span", move || {
+        drop(vcoord::obs::span(black_box(hist)));
+    }));
+    rows
 }
 
 #[cfg(test)]
@@ -354,12 +523,13 @@ mod tests {
 
     #[test]
     fn fixture_is_deterministic_and_minimizable() {
-        let (refs_a, opts, start) = simplex_fixture(2);
-        let (refs_b, _, _) = simplex_fixture(2);
+        let (refs_a, start) = simplex_fixture(2);
+        let (refs_b, _) = simplex_fixture(2);
+        let opts = simplex_bench_opts();
         assert_eq!(refs_a, refs_b, "fixture must be seed-stable");
-        assert_eq!(refs_a.len(), 20);
+        assert_eq!(refs_b.len(), 20);
         assert_eq!(start, vec![1.0; 2]);
-        let f = fit_objective(&refs_a);
+        let f = fit_objective(refs_a);
         let r = simplex_downhill(&f, &start, &opts, &mut SimplexScratch::new());
         assert!(
             r.value < f(&start),
@@ -383,7 +553,7 @@ mod tests {
     fn inspect_fixture_is_warm_and_never_bans() {
         let mut fixture = InspectFixture::warmed();
         let warm = ring_fill_samples(QUEUE_NODES);
-        let history = fixture.defense().history();
+        let history = fixture.defense.history();
         for node in [0, 1, QUEUE_NODES / 2, QUEUE_NODES - 1] {
             assert_eq!(
                 history.remote(node).unwrap().samples(),
@@ -392,21 +562,22 @@ mod tests {
             assert_eq!(history.recent(node).samples().len(), 24);
         }
         fixture.run_batch();
-        let stats = fixture.defense().stats();
+        let stats = fixture.defense.stats();
         assert_eq!(stats.total(), warm + InspectFixture::BATCH);
         assert_eq!(stats.rejected, 0);
     }
 
     #[test]
     fn nps_fit_fixture_walks_the_simplex_fixture_trajectory() {
-        let (refs, opts, start) = simplex_fixture(8);
+        let (refs, start) = simplex_fixture(8);
+        let opts = simplex_bench_opts();
         let direct = simplex_downhill(
-            fit_objective(&refs),
+            fit_objective(refs),
             &start,
             &opts,
             &mut SimplexScratch::new(),
         );
-        let fit = NpsFitFixture::new(8).fit();
+        let fit = nps_fit(8)();
         assert_eq!(fit.evals, direct.evals);
         assert_eq!(fit.objective.to_bits(), direct.value.to_bits());
         assert_eq!(fit.coord.vec, direct.point);

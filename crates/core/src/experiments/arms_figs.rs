@@ -132,13 +132,13 @@ fn vivaldi_sweep(scale: &Scale, seed: u64) -> Matrix<'_, VivaldiSim> {
 
 /// `arms-sweep-vivaldi` — adaptive attacks × (drift cap, decaying drift
 /// cap, MAD filter) on Vivaldi at 30 % malicious.
-pub fn arms_sweep_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn arms_sweep_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
     vivaldi_sweep(scale, seed).figure()
 }
 
 /// `arms-sweep-nps` — the same matrix on NPS (default 3-layer hierarchy,
 /// built-in security filter on).
-pub fn arms_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn arms_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
     sweep::<NpsSim>(
         "arms-sweep-nps",
         "Adaptive (defense-aware) attacks vs defenses on NPS: error and detection quality",
@@ -221,7 +221,7 @@ fn cap_duel(
 /// evader models the *default* 80 ms cap; points where the deployment is
 /// tighter than the model measure how wrong the attacker's belief may be
 /// before evasion fails.
-pub fn arms_evasion_roc(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn arms_evasion_roc(scale: &Scale, seed: u64) -> FigureResult {
     cap_duel(
         "arms-evasion-roc",
         "Evasion vs the drift cap on Vivaldi: classic and defense-modeling frog-boiling \
@@ -257,7 +257,7 @@ pub fn arms_evasion_roc(scale: &Scale, seed: u64) -> FigureResult {
 /// published the threshold.
 ///
 /// [`CapLearner`]: vcoord_attackkit::CapLearner
-pub fn arms_evasion_learning(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn arms_evasion_learning(scale: &Scale, seed: u64) -> FigureResult {
     cap_duel(
         "arms-evasion-learning",
         "Learned evasion vs the drift cap on Vivaldi: fixed-model cliff against the \
@@ -293,7 +293,7 @@ pub fn arms_evasion_learning(scale: &Scale, seed: u64) -> FigureResult {
 /// The cap is deliberately *tight* (40 ms): under burst drag some honest
 /// laggards trip it, so permanence has a measurable defamation cost —
 /// exactly the FPR-vs-exposure trade decay is supposed to navigate.
-pub fn arms_decay_tradeoff(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn arms_decay_tradeoff(scale: &Scale, seed: u64) -> FigureResult {
     let half_lives = [0.0, 20.0, 40.0, 80.0];
     let sleeper = plain(|| arms_strategy_by("sleeper"));
     let defenses = half_lives.map(|half_life| drift_cap(40.0, half_life));

@@ -23,7 +23,7 @@ use vcoord_vivaldi::VivaldiSim;
 
 /// The generic strategy labels swept by the attack figures, in CSV column
 /// order.
-pub const STRATEGIES: [&str; 5] = [
+pub(crate) const STRATEGIES: [&str; 5] = [
     "frog_boiling",
     "oscillation",
     "partition",
@@ -36,7 +36,7 @@ const FRACTIONS: [f64; 3] = [0.10, 0.30, 0.50];
 
 /// Workspace-default instance of one generic strategy by label (shared
 /// with the defense sweeps in `experiments::defense_figs`).
-pub fn strategy_by(label: &str) -> Box<dyn AttackStrategy> {
+pub(crate) fn strategy_by(label: &str) -> Box<dyn AttackStrategy> {
     match label {
         "frog_boiling" => Box::new(FrogBoiling::default()),
         "oscillation" => Box::new(Oscillation::default()),
@@ -86,7 +86,7 @@ fn atk_sweep<S: System>(id: &str, title: &str, scale: &Scale, seed: u64) -> Figu
 /// `atk-sweep-vivaldi` — attack-strength sweep of the generic strategies
 /// against Vivaldi: converged relative error and drift velocity per
 /// malicious fraction.
-pub fn atk_sweep_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn atk_sweep_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
     atk_sweep::<VivaldiSim>(
         "atk-sweep-vivaldi",
         "attackkit strategies on Vivaldi: error and drift velocity vs malicious share",
@@ -97,7 +97,7 @@ pub fn atk_sweep_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
 
 /// `atk-sweep-nps` — the same sweep against NPS (default 3-layer
 /// hierarchy, security filter on).
-pub fn atk_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn atk_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
     atk_sweep::<NpsSim>(
         "atk-sweep-nps",
         "attackkit strategies on NPS: error and drift velocity vs malicious share",
@@ -113,7 +113,7 @@ pub fn atk_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
 /// proportional to the configured step — small enough per round to pass
 /// under displacement thresholds — while the offsets integrate without
 /// bound.
-pub fn atk_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn atk_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
     let steps = [1.0, 5.0, 25.0];
     let mut fig = FigureResult::new(
         "atk-frog-drift",

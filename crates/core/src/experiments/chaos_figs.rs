@@ -122,7 +122,7 @@ fn churn_sweep<S: System>(
 /// `chaos-churn-vivaldi` — crash/restart waves against a defended Vivaldi:
 /// probes to dead peers time out, retry with backoff, and stale neighbors
 /// are evicted; restarted nodes rejoin from the origin and re-converge.
-pub fn chaos_churn_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn chaos_churn_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
     churn_sweep::<VivaldiSim>(
         "chaos-churn-vivaldi",
         "Vivaldi under churn: crash/restart waves vs retry, backoff, and staleness \
@@ -150,7 +150,7 @@ pub fn chaos_churn_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
 /// `chaos-churn-nps` — the same crash/restart waves against a defended
 /// NPS hierarchy: dead references fail over through the membership
 /// replacement channel; restarted ordinary nodes rejoin from scratch.
-pub fn chaos_churn_nps(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn chaos_churn_nps(scale: &Scale, seed: u64) -> FigureResult {
     churn_sweep::<NpsSim>(
         "chaos-churn-nps",
         "NPS under churn: crash/restart waves vs in-round retries and membership \
@@ -178,7 +178,7 @@ pub fn chaos_churn_nps(scale: &Scale, seed: u64) -> FigureResult {
 /// landmark backbone, *permanently*: the paper assumes landmarks are
 /// "highly secure machines", so this measures what their loss (not their
 /// compromise) costs, and whether membership fail-over absorbs it.
-pub fn chaos_landmark_takedown(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn chaos_landmark_takedown(scale: &Scale, seed: u64) -> FigureResult {
     let scale = recovery_scale(scale);
     LevelSweep {
         id: "chaos-landmark-takedown",
@@ -212,7 +212,7 @@ pub fn chaos_landmark_takedown(scale: &Scale, seed: u64) -> FigureResult {
 /// `chaos-loss-bursts` — Gilbert–Elliott correlated loss/RTT-spike regimes
 /// on an *honest* population with the drift cap deployed: do benign burst
 /// faults read as attacks (false-positive bans)?
-pub fn chaos_loss_bursts(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn chaos_loss_bursts(scale: &Scale, seed: u64) -> FigureResult {
     let scale = recovery_scale(scale);
     LevelSweep {
         id: "chaos-loss-bursts",
@@ -254,7 +254,7 @@ pub fn chaos_loss_bursts(scale: &Scale, seed: u64) -> FigureResult {
 /// malicious against the drift cap, swept over churn intensity. Churn
 /// noise both *hides* the attacker (TPR under churn) and *defames* honest
 /// rejoining nodes (FPR under churn).
-pub fn chaos_frog_hides_in_churn(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn chaos_frog_hides_in_churn(scale: &Scale, seed: u64) -> FigureResult {
     let scale = recovery_scale(scale);
     let frog = RunSpec::<VivaldiSim> {
         fraction: FRACTION,
@@ -298,7 +298,7 @@ pub fn chaos_frog_hides_in_churn(scale: &Scale, seed: u64) -> FigureResult {
 /// defended honest Vivaldi system: error time-series with and without the
 /// partition, showing degradation while split and re-convergence after
 /// healing.
-pub fn chaos_partition_recovery(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn chaos_partition_recovery(scale: &Scale, seed: u64) -> FigureResult {
     let scale = recovery_scale(scale);
     let nodes = scale.nodes;
     // Split half the population from the rest for a third of the window.
@@ -384,7 +384,7 @@ fn probation_run<'a>(
 /// burst-then-reform collusion, plus mild correlated loss bursts riding
 /// along (bursts stress retries without resetting any coordinates, so the
 /// probation probes themselves must survive fault noise).
-pub fn chaos_probation_nps(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn chaos_probation_nps(scale: &Scale, seed: u64) -> FigureResult {
     let mut scale = recovery_scale(scale);
     // Reinstatement timing is the noisiest statistic in the chaos family
     // (a single late probation probe moves the tail by a round's worth of
@@ -456,7 +456,7 @@ const LEAK_WINDOWS: [u64; 4] = [1, 2, 4, 8];
 /// recorded), so the sweep's long windows show leases firing and
 /// quarantined evidence piling up while the leak rate stays ≤ 0.05 at
 /// every window.
-pub fn chaos_probation_leak(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn chaos_probation_leak(scale: &Scale, seed: u64) -> FigureResult {
     let mut base = recovery_scale(scale);
     // Same variance argument as chaos-probation-nps: a single late
     // readmission moves a whole row, so average more repetitions.
@@ -540,7 +540,7 @@ fn detector_by(label: &str) -> Box<dyn DefenseStrategy> {
 /// defense rack degrades when fault noise pollutes exactly the statistics
 /// each detector keys on — residual spread (MAD), residual trend (EWMA),
 /// and RTT-vs-prediction consistency (triangle).
-pub fn chaos_detectors_under_faults(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn chaos_detectors_under_faults(scale: &Scale, seed: u64) -> FigureResult {
     let scale = recovery_scale(scale);
     let columns = vec![
         "point_idx".to_string(),

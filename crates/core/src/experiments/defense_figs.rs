@@ -41,7 +41,7 @@ const FRACTION: f64 = 0.30;
 
 /// Workspace-default instance of one defense by label. `trusted` ids feed
 /// the verified-set strategy; the other labels ignore them.
-pub fn defense_by(label: &str, trusted: &[usize]) -> Box<dyn DefenseStrategy> {
+pub(crate) fn defense_by(label: &str, trusted: &[usize]) -> Box<dyn DefenseStrategy> {
     match label {
         "none" => Box::new(NoDefense),
         "mad_outlier" => Box::new(ResidualOutlier::default()),
@@ -131,13 +131,13 @@ fn vivaldi_sweep(scale: &Scale, seed: u64) -> Matrix<'_, VivaldiSim> {
 }
 
 /// `def-sweep-vivaldi` — the full attack×defense matrix on Vivaldi.
-pub fn def_sweep_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn def_sweep_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
     vivaldi_sweep(scale, seed).figure()
 }
 
 /// `def-sweep-nps` — the same matrix on NPS (default 3-layer hierarchy,
 /// built-in security filter on, defense layered on top).
-pub fn def_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn def_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
     sweep(
         "def-sweep-nps",
         "defensekit strategies vs attackkit strategies on NPS: error and detection quality",
@@ -174,7 +174,7 @@ fn frog_vs<'a>(
 /// drift cap reaches the same drift reduction by banning exactly the
 /// colluders — the *integrated* directed pull is what it bounds — at a
 /// false-positive rate of zero.
-pub fn def_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn def_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
     let defenses: [&'static str; 3] = ["none", "mad_outlier", "drift_cap"];
     let mut columns = vec!["tick".to_string()];
     columns.extend(defenses.iter().map(|d| format!("drift_{d}")));
@@ -220,7 +220,7 @@ pub fn def_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
 /// positives) while the MAD curve hugs the floor at every threshold —
 /// frog-boiling is invisible to error-magnitude detection at any
 /// sensitivity.
-pub fn def_roc(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn def_roc(scale: &Scale, seed: u64) -> FigureResult {
     let caps = [10.0, 20.0, 40.0, 80.0, 160.0];
     let ks = [1.0, 2.0, 3.0, 4.0, 6.0];
     let drift_caps = caps.map(|cap| {

@@ -70,7 +70,7 @@ fn disorder_run(
 }
 
 /// Genesis vs injection comparison across attacker fractions.
-pub fn ext_genesis(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn ext_genesis(scale: &Scale, seed: u64) -> FigureResult {
     let fractions = [0.0, 0.10, 0.20, 0.30];
     let timings = [AttackTiming::Genesis, AttackTiming::Injection];
     let cells: Vec<_> = cross(&fractions, &timings).collect();
@@ -101,7 +101,7 @@ pub fn ext_genesis(scale: &Scale, seed: u64) -> FigureResult {
 }
 
 /// Benign-fault sweep vs a light attack.
-pub fn ext_faults(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn ext_faults(scale: &Scale, seed: u64) -> FigureResult {
     let cases: [(&str, LinkModel, f64); 5] = [
         ("clean", LinkModel::ideal(), 0.0),
         (

@@ -10,16 +10,16 @@
 //! See `DESIGN.md` for the figure-by-figure index and `EXPERIMENTS.md` for
 //! recorded paper-vs-measured outcomes.
 
-pub mod arms_figs;
-pub mod attack_figs;
-pub mod chaos_figs;
-pub mod defense_figs;
-pub mod extensions;
+mod arms_figs;
+mod attack_figs;
+mod chaos_figs;
+mod defense_figs;
+mod extensions;
 mod harness;
-pub mod nps_figs;
+mod nps_figs;
 pub mod registry;
 mod shapes;
-pub mod vivaldi_figs;
+mod vivaldi_figs;
 
 pub use harness::{DefenseOutcome, Run};
 pub use registry::{figure_ids, run_figure};

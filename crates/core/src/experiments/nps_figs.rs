@@ -21,9 +21,6 @@ use vcoord_netsim::SeedStream;
 use vcoord_nps::{NpsConfig, NpsSim};
 use vcoord_space::Space;
 
-/// Malicious fractions used across the NPS figures.
-pub const FRACTIONS: [f64; 5] = [0.10, 0.20, 0.30, 0.40, 0.50];
-
 type Attack<'a> = Adversary<'a, NpsSim>;
 
 fn disorder() -> Box<dyn AttackStrategy> {
@@ -127,7 +124,7 @@ fn error_vs_time(
 }
 
 /// Figure 14 — independent disorder without the detection mechanism.
-pub fn fig14(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig14(scale: &Scale, seed: u64) -> FigureResult {
     error_vs_time(
         "fig14",
         "Injection of independent Disorder attackers on NPS (security off vs on): average relative error",
@@ -140,7 +137,7 @@ pub fn fig14(scale: &Scale, seed: u64) -> FigureResult {
 }
 
 /// Figure 15 — independent disorder: CDF, security on vs off.
-pub fn fig15(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig15(scale: &Scale, seed: u64) -> FigureResult {
     let mut fig = FigureResult::new(
         "fig15",
         "Injection of independent Disorder attackers on NPS: CDF",
@@ -169,7 +166,7 @@ pub fn fig15(scale: &Scale, seed: u64) -> FigureResult {
 }
 
 /// Figure 16 — independent disorder: impact of dimensionality.
-pub fn fig16(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig16(scale: &Scale, seed: u64) -> FigureResult {
     let dims = [2usize, 4, 8, 12];
     let fractions = [0.10, 0.20, 0.30, 0.50];
     let mut columns = vec!["fraction_pct".to_string()];
@@ -207,7 +204,7 @@ pub fn fig16(scale: &Scale, seed: u64) -> FigureResult {
 /// the closed-form quantities it illustrates (push bound per α, and the
 /// sophistication cut for the 5 s threshold), which are unit-tested in
 /// `attacks::geometry`.
-pub fn fig17(_scale: &Scale, _seed: u64) -> FigureResult {
+pub(crate) fn fig17(_scale: &Scale, _seed: u64) -> FigureResult {
     use crate::attacks::geometry::{naive_push_bound, sophistication_cut_ms};
     let alphas = [0.0, 1.0, 2.0, 4.0];
     let rows: Vec<Vec<f64>> = alphas
@@ -238,7 +235,7 @@ pub fn fig17(_scale: &Scale, _seed: u64) -> FigureResult {
 
 /// Figure 18 — anti-detection naive attackers: impact on convergence,
 /// security on vs off (probe threshold always on).
-pub fn fig18(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig18(scale: &Scale, seed: u64) -> FigureResult {
     error_vs_time(
         "fig18",
         "Injection in NPS of anti-detection naive attackers: impact on convergence",
@@ -255,7 +252,7 @@ pub fn fig18(scale: &Scale, seed: u64) -> FigureResult {
 
 /// Figure 19 — anti-detection naive: effect of victim-coordinate knowledge
 /// on the error ratio.
-pub fn fig19(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig19(scale: &Scale, seed: u64) -> FigureResult {
     knowledge_sweep(
         "fig19",
         "Injection in NPS of anti-detection naive attackers: effect of victim coordinate knowledge",
@@ -268,7 +265,7 @@ pub fn fig19(scale: &Scale, seed: u64) -> FigureResult {
 
 /// Figure 20 — anti-detection naive: ratio of filtered malicious nodes to
 /// all filtered nodes, per knowledge level.
-pub fn fig20(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig20(scale: &Scale, seed: u64) -> FigureResult {
     knowledge_sweep(
         "fig20",
         "Anti-detection naive attackers: filtered-malicious share of all filter events",
@@ -280,7 +277,7 @@ pub fn fig20(scale: &Scale, seed: u64) -> FigureResult {
 }
 
 /// Figure 21 — anti-detection sophisticated attackers: CDF.
-pub fn fig21(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig21(scale: &Scale, seed: u64) -> FigureResult {
     cdf_by_fraction(
         "fig21",
         "Injected anti-detection sophisticated attacks on NPS: CDF",
@@ -302,7 +299,7 @@ pub fn fig21(scale: &Scale, seed: u64) -> FigureResult {
 
 /// Figure 22 — anti-detection sophisticated: filtered-malicious share per
 /// knowledge level.
-pub fn fig22(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig22(scale: &Scale, seed: u64) -> FigureResult {
     knowledge_sweep(
         "fig22",
         "Anti-detection sophisticated attackers: filtered-malicious share per knowledge level",
@@ -368,12 +365,12 @@ fn knowledge_sweep(
 }
 
 /// Figure 23 — colluding isolation, 3-layer system: CDF of relative errors.
-pub fn fig23(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig23(scale: &Scale, seed: u64) -> FigureResult {
     collusion_cdf("fig23", 3, scale, seed)
 }
 
 /// Figure 24 — colluding isolation, 4-layer system: CDF of relative errors.
-pub fn fig24(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig24(scale: &Scale, seed: u64) -> FigureResult {
     collusion_cdf("fig24", 4, scale, seed)
 }
 
@@ -401,7 +398,7 @@ fn collusion_cdf(id: &str, layers: usize, scale: &Scale, seed: u64) -> FigureRes
 
 /// Figure 25 — colluding isolation: propagation of errors across layers
 /// (layer-2 victims vs layer-3 nodes, clean vs 20 % corrupted).
-pub fn fig25(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig25(scale: &Scale, seed: u64) -> FigureResult {
     let runs = repeat_all(&[
         // Corrupted 3-layer and 4-layer systems.
         scenario(scale, NpsConfig::with_layers(3), 0.20, seed, &collusion),
@@ -454,7 +451,7 @@ pub fn fig25(scale: &Scale, seed: u64) -> FigureResult {
 }
 
 /// Figure 26 — combined NPS attacks: impact on convergence.
-pub fn fig26(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig26(scale: &Scale, seed: u64) -> FigureResult {
     error_vs_time(
         "fig26",
         "Injection of combined attacks on NPS: impact on convergence",

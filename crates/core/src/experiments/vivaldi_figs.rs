@@ -21,7 +21,7 @@ use vcoord_space::Space;
 use vcoord_vivaldi::{VivaldiConfig, VivaldiSim};
 
 /// Malicious fractions used across the Vivaldi figures (§5.2).
-pub const FRACTIONS: [f64; 6] = [0.10, 0.20, 0.30, 0.40, 0.50, 0.75];
+pub(crate) const FRACTIONS: [f64; 6] = [0.10, 0.20, 0.30, 0.40, 0.50, 0.75];
 
 type Attack<'a> = Adversary<'a, VivaldiSim>;
 
@@ -236,7 +236,7 @@ fn size_sweep(
 }
 
 /// Figure 1 — injected disorder: average relative error *ratio* vs time.
-pub fn fig01(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig01(scale: &Scale, seed: u64) -> FigureResult {
     ratio_vs_time(
         "fig1",
         "Injection of Disorder attackers on Vivaldi: average relative error ratio",
@@ -248,7 +248,7 @@ pub fn fig01(scale: &Scale, seed: u64) -> FigureResult {
 }
 
 /// Figure 2 — injected disorder: CDF of relative error after the attack.
-pub fn fig02(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig02(scale: &Scale, seed: u64) -> FigureResult {
     cdf_figure(
         "fig2",
         "Injected Disorder attack on Vivaldi: CDF of relative error",
@@ -259,7 +259,7 @@ pub fn fig02(scale: &Scale, seed: u64) -> FigureResult {
 }
 
 /// Figure 3 — injected disorder: impact of space dimension.
-pub fn fig03(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig03(scale: &Scale, seed: u64) -> FigureResult {
     dimension_sweep(
         "fig3",
         "Injected Disorder attack on Vivaldi: impact of space dimensions",
@@ -270,7 +270,7 @@ pub fn fig03(scale: &Scale, seed: u64) -> FigureResult {
 }
 
 /// Figure 4 — injected disorder: impact of system size.
-pub fn fig04(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig04(scale: &Scale, seed: u64) -> FigureResult {
     size_sweep(
         "fig4",
         "Injection of Disorder attackers on Vivaldi: impact of system size",
@@ -282,7 +282,7 @@ pub fn fig04(scale: &Scale, seed: u64) -> FigureResult {
 }
 
 /// Figure 5 — injected repulsion: CDF of relative error.
-pub fn fig05(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig05(scale: &Scale, seed: u64) -> FigureResult {
     cdf_figure(
         "fig5",
         "Injected Repulsion attack on Vivaldi: CDF of relative error",
@@ -293,7 +293,7 @@ pub fn fig05(scale: &Scale, seed: u64) -> FigureResult {
 }
 
 /// Figure 6 — injected repulsion: impact of space dimensions.
-pub fn fig06(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig06(scale: &Scale, seed: u64) -> FigureResult {
     dimension_sweep(
         "fig6",
         "Injected Repulsion attack on Vivaldi: impact of space dimensions",
@@ -304,7 +304,7 @@ pub fn fig06(scale: &Scale, seed: u64) -> FigureResult {
 }
 
 /// Figure 7 — repulsion on subsets of target nodes.
-pub fn fig07(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig07(scale: &Scale, seed: u64) -> FigureResult {
     let shares = [0.10, 0.30, 1.00];
     let fractions = [0.10, 0.20, 0.30, 0.50];
     let mut columns = vec!["fraction_pct".to_string()];
@@ -333,7 +333,7 @@ pub fn fig07(scale: &Scale, seed: u64) -> FigureResult {
 }
 
 /// Figure 8 — injected repulsion: effect of system size.
-pub fn fig08(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig08(scale: &Scale, seed: u64) -> FigureResult {
     size_sweep(
         "fig8",
         "Injection Repulsion attack on Vivaldi: effect of system size",
@@ -345,7 +345,7 @@ pub fn fig08(scale: &Scale, seed: u64) -> FigureResult {
 }
 
 /// Figure 9 — colluding isolation (strategy 1): average error ratio.
-pub fn fig09(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig09(scale: &Scale, seed: u64) -> FigureResult {
     ratio_vs_time(
         "fig9",
         "Colluding Isolation attack on Vivaldi: average relative error ratio",
@@ -375,7 +375,7 @@ fn isolation_runs(scale: &Scale, seed: u64) -> Vec<Vec<Run>> {
 
 /// Figure 10 — colluding isolation: the target's relative error over time,
 /// strategy 1 (repel the world) vs strategy 2 (lure the target).
-pub fn fig10(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig10(scale: &Scale, seed: u64) -> FigureResult {
     let target_err: Vec<TimeSeries> = isolation_runs(scale, seed)
         .iter()
         .map(|runs| mean_series(runs, |r| r.focus_series.clone().expect("target is tracked")))
@@ -400,7 +400,7 @@ pub fn fig10(scale: &Scale, seed: u64) -> FigureResult {
 
 /// Figure 11 — colluding isolation: CDF of relative errors under both
 /// strategies.
-pub fn fig11(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig11(scale: &Scale, seed: u64) -> FigureResult {
     let cdfs: Vec<_> = isolation_runs(scale, seed)
         .iter()
         .map(|runs| pooled_cdf(runs))
@@ -425,7 +425,7 @@ pub fn fig11(scale: &Scale, seed: u64) -> FigureResult {
 
 /// Figure 12 — combined attacks at low residual levels: impact on
 /// convergence.
-pub fn fig12(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig12(scale: &Scale, seed: u64) -> FigureResult {
     ratio_vs_time(
         "fig12",
         "Combining attacks on Vivaldi: impact on convergence",
@@ -437,7 +437,7 @@ pub fn fig12(scale: &Scale, seed: u64) -> FigureResult {
 }
 
 /// Figure 13 — combined attacks: effect of system size.
-pub fn fig13(scale: &Scale, seed: u64) -> FigureResult {
+pub(crate) fn fig13(scale: &Scale, seed: u64) -> FigureResult {
     size_sweep(
         "fig13",
         "Combined attacks on Vivaldi: effect of system size",

@@ -11,6 +11,7 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
+//! | [`obs`] | `vcoord-obs` | metrics, spans, JSONL traces, trace and `BENCH_*.json` diffing |
 //! | [`space`] | `vcoord-space` | coordinate algebra, Simplex Downhill |
 //! | [`topo`] | `vcoord-topo` | latency matrices, King-equivalent synthesis |
 //! | [`netsim`] | `vcoord-netsim` | discrete-event engine, seed streams |

@@ -9,7 +9,7 @@
 //! corrupt the global counter.
 
 use vcoord_defense::testing::ring_fill_samples;
-use vcoord_defense::{Defense, DriftCap, Provenance, Update};
+use vcoord_defense::{Defense, DefenseStrategy, DriftCap, Provenance, ResidualOutlier, Update};
 use vcoord_obs::testing::{min_allocations_over, CountingAllocator};
 use vcoord_space::{Coord, Space};
 
@@ -54,32 +54,38 @@ fn inspection_loops_are_allocation_free() {
         "NoDefense fast path allocated {allocs} times over 10k samples"
     );
 
-    // --- A real strategy: allocation-free once every node was seen (a ring
+    // --- Real strategies: allocation-free once every node was seen (a ring
     // allocates at its first sample, whole); the warm-up goes on until
     // every window is full, so the loop measured is the steady state. ---
     let warmup = ring_fill_samples(REMOTES);
-    let mut armed = Defense::new(Box::new(DriftCap::new(1e12)));
-    for round in 0..warmup {
-        armed.inspect(
-            &space,
-            &me,
-            sample((round % REMOTES as u64) as usize, round),
-        );
-    }
-    let mut round = warmup;
-    let allocs = min_allocations_over(3, || {
-        for _ in 0..10_000u64 {
+    let strategies: [(&str, Box<dyn DefenseStrategy>); 2] = [
+        ("DriftCap", Box::new(DriftCap::new(1e12))),
+        ("ResidualOutlier", Box::new(ResidualOutlier::new(12, 1e12))),
+    ];
+    for (label, strategy) in strategies {
+        let mut armed = Defense::new(strategy);
+        for round in 0..warmup {
             armed.inspect(
                 &space,
                 &me,
                 sample((round % REMOTES as u64) as usize, round),
             );
-            round += 1;
         }
-    });
-    assert_eq!(
-        allocs, 0,
-        "warmed-up DriftCap inspection allocated {allocs} times over 10k samples"
-    );
-    assert_eq!(armed.stats().rejected, 0, "cap high enough to never ban");
+        let mut round = warmup;
+        let allocs = min_allocations_over(3, || {
+            for _ in 0..10_000u64 {
+                armed.inspect(
+                    &space,
+                    &me,
+                    sample((round % REMOTES as u64) as usize, round),
+                );
+                round += 1;
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "warmed-up {label} inspection allocated {allocs} times over 10k samples"
+        );
+        assert_eq!(armed.stats().rejected, 0, "bound high enough to never ban");
+    }
 }

@@ -1,6 +1,5 @@
 //! NPS simulation parameters.
 
-use crate::position::FitObjective;
 use serde::{Deserialize, Serialize};
 use vcoord_netsim::LinkModel;
 use vcoord_space::{SimplexOptions, Space};
@@ -41,9 +40,6 @@ pub struct NpsConfig {
     pub landmark_rounds: usize,
     /// Simplex Downhill options for node positioning.
     pub simplex: SimplexOptions,
-    /// Latency-fit objective (see [`FitObjective`] for the calibration
-    /// rationale).
-    pub objective: FitObjective,
     /// Per-round movement damping α ∈ (0, 1]: a repositioning moves a node
     /// `α · (fit − incumbent)`. First positionings are undamped. Damped
     /// incremental refinement is what keeps the security filter's reference
@@ -86,7 +82,6 @@ impl Default for NpsConfig {
                 max_iterations: 150,
                 ..SimplexOptions::default()
             },
-            objective: FitObjective::SquaredAbsolute,
             update_damping: 0.20,
             link: LinkModel::ideal(),
             probation_every: 0,

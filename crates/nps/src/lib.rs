@@ -43,7 +43,5 @@ pub mod position;
 pub mod sim;
 
 pub use config::NpsConfig;
-pub use position::{
-    position_node, FitObjective, PositionOutcome, PositionScratch, RefSample, SecurityPolicy,
-};
+pub use position::{position_node, PositionOutcome, PositionScratch, RefSample, SecurityPolicy};
 pub use sim::NpsSim;

@@ -5,25 +5,6 @@ use serde::{Deserialize, Serialize};
 use vcoord_defense::Provenance;
 use vcoord_space::{simplex_downhill, Coord, SimplexOptions, SimplexScratch, Space};
 
-/// The latency-fit objective minimized by Simplex Downhill.
-///
-/// GNP's *paper* normalizes by the measured distance; the reference
-/// implementation lineage (and the attack dynamics the CoNEXT'06 paper
-/// observes — delay inflation destroying accuracy, fig. 14) corresponds to
-/// the **absolute** squared error: a relative objective down-weights an
-/// inflated measurement by `1/D²`, making delay attacks nearly harmless,
-/// which contradicts every NPS figure in the paper. Both are provided; the
-/// ablation bench and `tests/` compare them, and `SquaredAbsolute` is the
-/// default used by the experiments. The security filter's fitting error is
-/// *always* the paper's relative form, independent of this choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FitObjective {
-    /// `Σ (dist(x, P_Ri) − D_Ri)²` — delay-sensitive (default).
-    SquaredAbsolute,
-    /// `Σ ((dist(x, P_Ri) − D_Ri) / D_Ri)²` — GNP-paper form.
-    SquaredRelative,
-}
-
 /// One reference-point measurement: the coordinates the reference
 /// *reported* and the RTT the node *measured* (both possibly adversarial).
 #[derive(Debug, Clone)]
@@ -97,7 +78,8 @@ impl SecurityPolicy {
 pub struct PositionOutcome {
     /// The minimizing coordinates found.
     pub coord: Coord,
-    /// Final objective value (sum of squared relative fitting errors).
+    /// Final objective value (weighted sum of squared absolute fitting
+    /// residuals, ms²).
     pub objective: f64,
     /// Per-reference fitting errors `E_Ri`, parallel to the input samples.
     pub fit_errors: Vec<f64>,
@@ -161,24 +143,21 @@ impl FitProblem {
         self.terms.resize(m, 0.0);
     }
 
-    /// Fill `terms` with every sample's `term(predicted − rtt, rtt) × weight`
-    /// for a node at `x` (height zero). `term` is a parameter so each
-    /// [`FitObjective`] gets its own straight-line, vectorizable loop.
+    /// The fit objective for a node at `x` (height zero): fill `terms` with
+    /// every sample's `(predicted − rtt)² × weight` in one straight-line,
+    /// vectorizable loop, and sum the row in sample order.
     ///
     /// Per sample this performs the floating-point operations of
-    /// `space.distance` followed by the term, in the same order.
-    #[inline(always)]
-    fn weigh(&mut self, space: &Space, x: &[f64], term: impl Fn(f64, f64) -> f64) {
+    /// `space.distance` followed by the term, in the same order. Defense
+    /// dampening is a trailing `× 1.0` for full-strength samples, so the
+    /// unweighted fit is preserved bit for bit.
+    ///
+    /// Never inlined: the Simplex kernel is instantiated per dimension with
+    /// several evaluation sites each, and a copy of these loops at every one
+    /// of them is some 90 KB of text for no measured time.
+    #[inline(never)]
+    fn objective(&mut self, x: &[f64]) -> f64 {
         let m = self.rtts.len();
-        if let Space::Spherical { .. } = space {
-            for (p, t) in self.terms.iter_mut().enumerate() {
-                let there = [self.cols[p], self.cols[m + p]];
-                let rtt = self.rtts[p];
-                let diff = space.distance_flat(x, 0.0, &there, 0.0) - rtt;
-                *t = term(diff, rtt) * self.weights[p];
-            }
-            return;
-        }
         self.terms.fill(0.0);
         for (xi, col) in x.iter().zip(self.cols.chunks_exact(m)) {
             for (acc, c) in self.terms.iter_mut().zip(col) {
@@ -192,8 +171,10 @@ impl FitProblem {
         // `heights` of a space without a height component.
         let per_sample = self.terms.iter_mut().zip(&self.heights);
         for (((t, h), rtt), w) in per_sample.zip(&self.rtts).zip(&self.weights) {
-            *t = term(t.sqrt() + h - rtt, *rtt) * w;
+            let diff = t.sqrt() + h - rtt;
+            *t = diff * diff * w;
         }
+        self.terms.iter().sum()
     }
 }
 
@@ -247,12 +228,23 @@ fn fit_error(space: &Space, at: &Coord, s: &RefSample) -> f64 {
     nan_as_worst((space.distance(at, &s.coord) - s.rtt).abs() / s.rtt)
 }
 
-/// Run one Simplex fit over `samples[idxs]`, minimizing `objective_kind`.
+/// Run one Simplex fit over `samples[idxs]`, minimizing the latency-fit
+/// objective `Σ wᵢ · (dist(x, P_Ri) − D_Ri)²`.
+///
+/// GNP's *paper* normalizes each term by the measured distance; the
+/// reference implementation lineage (and the attack dynamics the CoNEXT'06
+/// paper observes — delay inflation destroying accuracy, fig. 14)
+/// corresponds to the **absolute** squared error: a relative objective
+/// down-weights an inflated measurement by `1/D²`, making delay attacks
+/// nearly harmless, which contradicts every NPS figure in the paper. The
+/// security filter's fitting error is the paper's relative form all the
+/// same (see `fit_error`).
 ///
 /// Allocation-free apart from the returned coordinate. The fitted samples
-/// are gathered once into a [`FitProblem`]; one evaluation fills its
-/// weighted-term row and sums it in sample order, which is bit-identical to
-/// the naive per-sample `space.distance` loop. Returns the fitted
+/// are gathered once into a [`FitProblem`]; one evaluation
+/// ([`FitProblem::objective`]) fills its weighted-term row and sums it in
+/// sample order, which is bit-identical to the naive per-sample
+/// `space.distance` loop. Returns the fitted
 /// coordinate, the final objective value, and the number of objective
 /// evaluations performed.
 fn fit_samples(
@@ -261,25 +253,12 @@ fn fit_samples(
     idxs: &[usize],
     start: &Coord,
     opts: &SimplexOptions,
-    objective_kind: FitObjective,
     fit: &mut FitScratch,
 ) -> (Coord, f64, usize) {
     let FitScratch { simplex, problem } = fit;
     problem.gather(space, samples, idxs, start.vec.len());
-    let objective = |x: &[f64]| -> f64 {
-        // Defense dampening (the `× weight` in `weigh`) is a trailing ×1.0
-        // for full-strength samples, so the unweighted fit is preserved
-        // bit for bit.
-        match objective_kind {
-            FitObjective::SquaredAbsolute => problem.weigh(space, x, |diff, _| diff * diff),
-            FitObjective::SquaredRelative => {
-                problem.weigh(space, x, |diff, rtt| (diff / rtt) * (diff / rtt))
-            }
-        }
-        problem.terms.iter().sum()
-    };
     let fit_span = vcoord_obs::span(vcoord_obs::metric_id!("simplex.fit_ns"));
-    let result = simplex_downhill(objective, &start.vec, opts, simplex);
+    let result = simplex_downhill(|x| problem.objective(x), &start.vec, opts, simplex);
     drop(fit_span);
     let mut coord = Coord::from_vec(result.point);
     coord.sanitize();
@@ -309,7 +288,6 @@ fn fit_samples(
 /// a *consistent* lie has near-zero error against the incumbent. First
 /// positionings (no incumbent) judge against a provisional fit over all
 /// usable samples.
-#[allow(clippy::too_many_arguments)]
 pub fn position_node(
     space: &Space,
     samples: &[RefSample],
@@ -317,7 +295,6 @@ pub fn position_node(
     incumbent: Option<&Coord>,
     security: SecurityPolicy,
     opts: &SimplexOptions,
-    objective_kind: FitObjective,
     scratch: &mut PositionScratch,
 ) -> Option<PositionOutcome> {
     let PositionScratch {
@@ -343,15 +320,7 @@ pub fn position_node(
     // otherwise a provisional fit over all usable samples.
     let provisional = match incumbent {
         Some(_) => None,
-        None => Some(fit_samples(
-            space,
-            samples,
-            usable,
-            start,
-            opts,
-            objective_kind,
-            fit,
-        )),
+        None => Some(fit_samples(space, samples, usable, start, opts, fit)),
     };
     let frame = incumbent
         .or(provisional.as_ref().map(|(c, ..)| c))
@@ -382,7 +351,7 @@ pub fn position_node(
         Some(repeat) if fit_over.len() == usable.len() => repeat,
         first => {
             let spent = first.map_or(0, |(.., e)| e);
-            let (c, v, e) = fit_samples(space, samples, fit_over, start, opts, objective_kind, fit);
+            let (c, v, e) = fit_samples(space, samples, fit_over, start, opts, fit);
             (c, v, spent + e)
         }
     };
@@ -446,7 +415,6 @@ mod tests {
         start: &Coord,
         incumbent: Option<&Coord>,
         security: SecurityPolicy,
-        objective: FitObjective,
     ) -> Option<PositionOutcome> {
         position_node(
             &space(),
@@ -455,7 +423,6 @@ mod tests {
             incumbent,
             security,
             &SimplexOptions::default(),
-            objective,
             &mut PositionScratch::new(),
         )
     }
@@ -486,31 +453,12 @@ mod tests {
             &Coord::from_vec(vec![10.0, 10.0]),
             None,
             SecurityPolicy::paper(),
-            FitObjective::SquaredAbsolute,
         )
         .unwrap();
         assert!((out.coord.vec[0] - 50.0).abs() < 1.0, "{:?}", out.coord);
         assert!((out.coord.vec[1] - 50.0).abs() < 1.0);
         assert!(out.filtered.is_none(), "clean refs must not be filtered");
         assert!(out.objective < 1e-4);
-    }
-
-    #[test]
-    fn filters_the_single_liar_with_robust_fit() {
-        // Under the relative (GNP-paper) objective the fit stays pinned by
-        // the honest majority, so the inflating liar is the clear outlier
-        // and the filter names it.
-        let d = 50.0 * std::f64::consts::SQRT_2;
-        let samples = square_samples(&[d, d, d, d, 5000.0]);
-        let out = position(
-            &samples,
-            &Coord::from_vec(vec![10.0, 10.0]),
-            None,
-            SecurityPolicy::paper(),
-            FitObjective::SquaredRelative,
-        )
-        .unwrap();
-        assert_eq!(out.filtered, Some(104), "the inflated ref must be caught");
     }
 
     #[test]
@@ -527,7 +475,6 @@ mod tests {
             &Coord::from_vec(vec![10.0, 10.0]),
             None,
             SecurityPolicy::paper(),
-            FitObjective::SquaredAbsolute,
         )
         .unwrap();
         // The dragged fit inflates every fitting error, not just the liar's.
@@ -544,7 +491,6 @@ mod tests {
             &Coord::from_vec(vec![10.0, 10.0]),
             None,
             SecurityPolicy::off(),
-            FitObjective::SquaredAbsolute,
         )
         .unwrap();
         assert!(out.filtered.is_none());
@@ -558,7 +504,6 @@ mod tests {
             &Coord::origin(2),
             None,
             SecurityPolicy::paper(),
-            FitObjective::SquaredAbsolute
         )
         .is_none());
     }
@@ -611,7 +556,6 @@ mod tests {
             &incumbent,
             Some(&incumbent),
             SecurityPolicy::paper(),
-            FitObjective::SquaredAbsolute,
         )
         .unwrap();
         assert_eq!(out.fit_errors[4], f64::INFINITY);
@@ -643,7 +587,6 @@ mod tests {
             &incumbent,
             Some(&incumbent),
             SecurityPolicy::paper(),
-            FitObjective::SquaredAbsolute,
         )
         .unwrap();
         assert_eq!(out.filtered, Some(104), "the delayer must be rejected");
@@ -672,7 +615,6 @@ mod tests {
             &incumbent,
             Some(&incumbent),
             SecurityPolicy::paper(),
-            FitObjective::SquaredAbsolute,
         )
         .unwrap();
         assert_eq!(out.filtered, None, "consistent lies evade the filter");
@@ -693,7 +635,6 @@ mod tests {
             &Coord::from_vec(vec![10.0, 10.0]),
             None,
             SecurityPolicy::paper(),
-            FitObjective::SquaredAbsolute,
         )
         .unwrap();
         // Same samples, weights written explicitly.
@@ -709,7 +650,6 @@ mod tests {
             &Coord::from_vec(vec![10.0, 10.0]),
             None,
             SecurityPolicy::paper(),
-            FitObjective::SquaredAbsolute,
         )
         .unwrap();
         assert_eq!(a.objective.to_bits(), b.objective.to_bits());
@@ -732,7 +672,6 @@ mod tests {
                 &Coord::from_vec(vec![10.0, 10.0]),
                 None,
                 SecurityPolicy::off(),
-                FitObjective::SquaredAbsolute,
             )
             .unwrap()
             .coord
@@ -757,13 +696,6 @@ mod tests {
         samples[1].rtt = -5.0;
         samples[2].coord = Coord::from_vec(vec![f64::INFINITY, 0.0]);
         // Only 2 usable refs left < dim+1 = 3.
-        assert!(position(
-            &samples,
-            &Coord::origin(2),
-            None,
-            SecurityPolicy::paper(),
-            FitObjective::SquaredAbsolute
-        )
-        .is_none());
+        assert!(position(&samples, &Coord::origin(2), None, SecurityPolicy::paper(),).is_none());
     }
 }

@@ -444,7 +444,6 @@ impl NpsWorld {
             incumbent,
             self.security(),
             &self.config.simplex,
-            self.config.objective,
             &mut scratch,
         );
         self.pos_scratch = scratch;
@@ -641,7 +640,6 @@ impl NpsSim {
                     None,
                     SecurityPolicy::off(),
                     &config.simplex,
-                    config.objective,
                     &mut lm_scratch,
                 ) {
                     coords[l] = out.coord;

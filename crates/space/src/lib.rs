@@ -11,9 +11,9 @@
 //!   between a node and the high-speed core).
 //! * [`Displacement`] — the difference between two coordinates, carrying the
 //!   height-model semantics (heights *add* under subtraction).
-//! * [`Space`] — the space a simulation embeds into (`Euclidean(d)`,
-//!   `EuclideanHeight(d)`, or `Spherical`), with distance, direction and
-//!   random-point primitives.
+//! * [`Space`] — the space a simulation embeds into (`Euclidean(d)` or
+//!   `EuclideanHeight(d)`), with distance, direction and random-point
+//!   primitives.
 //! * [`simplex`] — a Nelder–Mead Simplex Downhill minimizer, the optimization
 //!   engine used by GNP/NPS to embed nodes from latency measurements.
 //!

@@ -1,4 +1,4 @@
-//! Embedding spaces: Euclidean, Euclidean + height, and spherical.
+//! Embedding spaces: Euclidean and Euclidean + height.
 
 use crate::coord::{Coord, Displacement};
 use crate::vector;
@@ -19,29 +19,20 @@ use serde::{Deserialize, Serialize};
 ///
 /// The CoNEXT'06 study sweeps this as an experiment parameter: Vivaldi runs
 /// in 2/3/5-D Euclidean spaces and the 2-D + height model; NPS runs in 8-D by
-/// default and the dimensionality sweep uses 2–12-D. The spherical variant is
-/// provided for completeness (Vivaldi's paper evaluates it; none of the
-/// attack figures use it).
+/// default and the dimensionality sweep uses 2–12-D.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Space {
     /// `d`-dimensional Euclidean space.
     Euclidean(usize),
     /// `d`-dimensional Euclidean space augmented with a height vector.
     EuclideanHeight(usize),
-    /// Surface of a sphere of the given radius (milliseconds); coordinates
-    /// store `[latitude, longitude]` in radians.
-    Spherical {
-        /// Sphere radius, in the RTT unit (milliseconds).
-        radius: f64,
-    },
 }
 
 impl Space {
-    /// Euclidean dimension of points in this space (2 for spherical).
+    /// Euclidean dimension of points in this space.
     pub fn dim(&self) -> usize {
         match self {
             Space::Euclidean(d) | Space::EuclideanHeight(d) => *d,
-            Space::Spherical { .. } => 2,
         }
     }
 
@@ -60,16 +51,6 @@ impl Space {
         match self {
             Space::Euclidean(_) => vector::dist(&a.vec, &b.vec),
             Space::EuclideanHeight(_) => vector::dist(&a.vec, &b.vec) + a.height + b.height,
-            Space::Spherical { radius } => {
-                let (la, lo) = (a.vec[0], a.vec[1]);
-                let (lb, lob) = (b.vec[0], b.vec[1]);
-                // Haversine central angle; numerically stable for small angles.
-                let dlat = lb - la;
-                let dlon = lob - lo;
-                let h =
-                    (dlat / 2.0).sin().powi(2) + la.cos() * lb.cos() * (dlon / 2.0).sin().powi(2);
-                2.0 * radius * h.sqrt().min(1.0).asin()
-            }
         }
     }
 
@@ -83,15 +64,6 @@ impl Space {
         match self {
             Space::Euclidean(_) => vector::dist(a, b),
             Space::EuclideanHeight(_) => vector::dist(a, b) + a_height + b_height,
-            Space::Spherical { radius } => {
-                let (la, lo) = (a[0], a[1]);
-                let (lb, lob) = (b[0], b[1]);
-                let dlat = lb - la;
-                let dlon = lob - lo;
-                let h =
-                    (dlat / 2.0).sin().powi(2) + la.cos() * lb.cos() * (dlon / 2.0).sin().powi(2);
-                2.0 * radius * h.sqrt().min(1.0).asin()
-            }
         }
     }
 
@@ -99,10 +71,9 @@ impl Space {
     /// points stored as contiguous dimension-strided rows
     /// (`rows[p*dim..(p+1)*dim]` is point `p`, `heights[p]` its height).
     ///
-    /// Euclidean spaces route through the SoA lane kernel
-    /// ([`crate::lanes::dist_batch`]); the spherical space falls back to a
-    /// per-pair loop. Results are bit-identical to calling
-    /// [`Space::distance_flat`] once per pair.
+    /// Routes through the SoA lane kernel ([`crate::lanes::dist_batch`]).
+    /// Results are bit-identical to calling [`Space::distance_flat`] once per
+    /// pair.
     ///
     /// # Panics
     /// Panics if `rows.len() != a.len() * out.len()`, or (for the height
@@ -125,23 +96,13 @@ impl Space {
                     *o = *o + a_height + h;
                 }
             }
-            Space::Spherical { .. } => {
-                let dim = a.len();
-                assert_eq!(rows.len(), dim * out.len(), "rows/out shape mismatch");
-                for (p, o) in out.iter_mut().enumerate() {
-                    *o = self.distance_flat(a, a_height, &rows[p * dim..(p + 1) * dim], 0.0);
-                }
-            }
         }
     }
 
     /// Displacement `a − b` in this space.
     ///
     /// For Euclidean spaces the height part is forced to zero; for the height
-    /// model heights add (see [`Coord::sub`]). For the spherical space the
-    /// displacement is taken in the local tangent plane at `b`, scaled so its
-    /// norm equals the great-circle distance — adequate for the small moves a
-    /// relaxation step takes, and documented as an approximation.
+    /// model heights add (see [`Coord::sub`]).
     pub fn displacement(&self, a: &Coord, b: &Coord) -> Displacement {
         match self {
             Space::Euclidean(_) => Displacement {
@@ -149,18 +110,6 @@ impl Space {
                 height: 0.0,
             },
             Space::EuclideanHeight(_) => a.sub(b),
-            Space::Spherical { radius } => {
-                let mut d = Displacement {
-                    vec: vec![a.vec[0] - b.vec[0], (a.vec[1] - b.vec[1]) * b.vec[0].cos()],
-                    height: 0.0,
-                };
-                let tangent_norm = d.norm();
-                let true_dist = self.distance(a, b);
-                if tangent_norm > f64::EPSILON && *radius > 0.0 {
-                    d.scale(true_dist / (tangent_norm * radius));
-                }
-                d
-            }
         }
     }
 
@@ -195,52 +144,31 @@ impl Space {
     /// With `r = 50 000` this is exactly the paper's *random coordinate
     /// system* worst-case baseline (§5.1).
     pub fn random_coord<R: Rng + ?Sized>(&self, r: f64, rng: &mut R) -> Coord {
-        match self {
-            Space::Spherical { .. } => {
-                let lat = rng.gen_range(-std::f64::consts::FRAC_PI_2..std::f64::consts::FRAC_PI_2);
-                let lon = rng.gen_range(-std::f64::consts::PI..std::f64::consts::PI);
-                Coord {
-                    vec: vec![lat, lon],
-                    height: 0.0,
-                }
-            }
-            _ => Coord {
-                vec: (0..self.dim()).map(|_| rng.gen_range(-r..r)).collect(),
-                height: if self.has_height() {
-                    rng.gen_range(0.0..r)
-                } else {
-                    0.0
-                },
+        Coord {
+            vec: (0..self.dim()).map(|_| rng.gen_range(-r..r)).collect(),
+            height: if self.has_height() {
+                rng.gen_range(0.0..r)
+            } else {
+                0.0
             },
         }
     }
 
     /// Apply one relaxation move: `x += s · d`, respecting the space's
-    /// constraints (heights clamped at zero; spherical latitudes clamped to
-    /// the poles and longitudes wrapped).
+    /// constraints (heights clamped at zero).
     pub fn apply(&self, x: &mut Coord, d: &Displacement, s: f64) {
         x.add_scaled(d, s);
         if !self.has_height() {
             x.height = 0.0;
         }
-        if let Space::Spherical { .. } = self {
-            use std::f64::consts::{FRAC_PI_2, PI};
-            x.vec[0] = x.vec[0].clamp(-FRAC_PI_2, FRAC_PI_2);
-            if x.vec[1] > PI {
-                x.vec[1] -= 2.0 * PI;
-            } else if x.vec[1] < -PI {
-                x.vec[1] += 2.0 * PI;
-            }
-        }
     }
 
     /// A short human-readable label used in experiment CSV headers
-    /// (e.g. `"2D"`, `"2D+h"`, `"sphere"`).
+    /// (e.g. `"2D"`, `"2D+h"`).
     pub fn label(&self) -> String {
         match self {
             Space::Euclidean(d) => format!("{d}D"),
             Space::EuclideanHeight(d) => format!("{d}D+h"),
-            Space::Spherical { .. } => "sphere".to_string(),
         }
     }
 }
@@ -288,22 +216,9 @@ mod tests {
     }
 
     #[test]
-    fn spherical_antipodal_distance() {
-        let s = Space::Spherical { radius: 100.0 };
-        let a = Coord::from_vec(vec![0.0, 0.0]);
-        let b = Coord::from_vec(vec![0.0, std::f64::consts::PI]);
-        let d = s.distance(&a, &b);
-        assert!((d - std::f64::consts::PI * 100.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn distance_flat_is_bit_identical_to_distance() {
         let mut r = rng();
-        for space in [
-            Space::Euclidean(3),
-            Space::EuclideanHeight(2),
-            Space::Spherical { radius: 6371.0 },
-        ] {
+        for space in [Space::Euclidean(3), Space::EuclideanHeight(2)] {
             for _ in 0..50 {
                 let a = space.random_coord(2.0, &mut r);
                 let b = space.random_coord(2.0, &mut r);
@@ -321,11 +236,7 @@ mod tests {
     #[test]
     fn distance_flat_batch_is_bit_identical_per_pair() {
         let mut r = rng();
-        for space in [
-            Space::Euclidean(3),
-            Space::EuclideanHeight(2),
-            Space::Spherical { radius: 6371.0 },
-        ] {
+        for space in [Space::Euclidean(3), Space::EuclideanHeight(2)] {
             let a = space.random_coord(2.0, &mut r);
             let points: Vec<Coord> = (0..7).map(|_| space.random_coord(2.0, &mut r)).collect();
             let dim = space.dim();
@@ -404,6 +315,5 @@ mod tests {
     fn labels() {
         assert_eq!(Space::Euclidean(5).label(), "5D");
         assert_eq!(Space::EuclideanHeight(2).label(), "2D+h");
-        assert_eq!(Space::Spherical { radius: 1.0 }.label(), "sphere");
     }
 }
