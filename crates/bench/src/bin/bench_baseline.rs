@@ -13,10 +13,10 @@
 //! ```
 //!
 //! Emits one machine-readable JSON file (schema 4) holding (a) per-figure
-//! wall-clock seconds at the chosen scale — figures are timed one at a time
-//! (no `--jobs` overlap), though each figure still uses its internal
-//! repetition/eval pools, so pin `VCOORD_THREADS` (recorded in the JSON as
-//! `"threads"`) when comparing numbers across machines — (b) a per-figure
+//! wall-clock seconds at the chosen scale — figures are timed one at a time,
+//! as the `figures` binary runs them, each on its own job grid, so pin
+//! `VCOORD_THREADS` (recorded in the JSON as `"threads"`) when comparing
+//! numbers across machines — (b) a per-figure
 //! `"obs"` block: the figure sweep runs with `vcoord-obs` in `Metrics` mode
 //! and each figure's drained counters and histogram summaries (count, mean,
 //! p50/p90/p95/p99; wall-clock ones included — this file is a perf record,
@@ -38,6 +38,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use vcoord::experiments::{registry, Scale};
+use vcoord::obs::json::json_escape;
 
 struct Args {
     ids: Vec<String>,
@@ -133,10 +134,6 @@ fn time_kernel<F: FnMut()>(budget: Duration, divisor: f64, mut f: F) -> KernelSt
         max_s: samples[n - 1],
         samples: n,
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

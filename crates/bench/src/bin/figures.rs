@@ -1,7 +1,7 @@
 //! Regenerate the paper's evaluation figures.
 //!
 //! ```text
-//! figures [IDS...] [--full|--quick|--smoke] [--seed N] [--jobs N] [--out DIR]
+//! figures [IDS...] [--full|--quick|--smoke] [--seed N] [--out DIR]
 //!         [--trace-out DIR] [--progress] [--list]
 //!
 //!   IDS        figure ids (fig1 .. fig26) or `all` (default: all)
@@ -9,8 +9,6 @@
 //!   --full     1740 nodes, 10 repetitions (paper scale; hours)
 //!   --smoke    72 nodes, 1 repetition (seconds; sanity only)
 //!   --seed N   master seed (default 2006, the paper's year)
-//!   --jobs N   figure ids computed concurrently (default: the
-//!              VCOORD_THREADS override when set, else 1)
 //!   --out DIR  CSV output directory (default ./results)
 //!   --trace-out DIR
 //!              enable full tracing (`vcoord-obs` in `Trace` mode) and
@@ -25,23 +23,23 @@
 //! about each figure) are embedded as `#`-comments. Exit codes: 0 ok, 1
 //! unknown figure id, 2 flag errors, 3 an output path that cannot be written.
 //!
-//! Every figure derives its seeds from `(master seed, figure id)` alone, so
-//! `--jobs` changes wall-clock time but never a CSV byte; the writer thread
-//! reorders completions so stdout also stays in figure order. Traces are
-//! deterministic too: `run_grid` merges per-job observations in (cell,
-//! repetition) order, each figure worker drains its own thread-local
-//! recorder, and the trace's `run` id is derived from the scale and seed
-//! alone, so `--jobs` never changes a JSONL byte either. Wall-clock
-//! samples are stripped from traces before rendering (`strip_timings`);
-//! `--progress` prints its own to stderr only.
+//! The ids are computed one after the other on the main thread; the one
+//! pool of a run is the figure's own job grid (`run_grid`), which gets the
+//! whole worker budget. Every figure derives its seeds from `(master seed,
+//! figure id)` alone, so the width of that pool changes wall-clock time but
+//! never a CSV byte. Traces are deterministic too: `run_grid` merges
+//! per-job observations in (cell, repetition) order and the trace's `run`
+//! id is derived from the scale and seed alone. Wall-clock samples are
+//! stripped from traces before rendering (`strip_timings`); `--progress`
+//! prints its own to stderr only.
 //!
 //! Environment (read once, by `vcoord_bench::install_env`): `VCOORD_THREADS`
-//! pins every worker pool, `VCOORD_OBS=off|metrics|trace` sets the recording
-//! mode when `--trace-out` does not, `VCOORD_LOG` picks the log level.
+//! pins the worker budget (reported as `threads=` in the header line),
+//! `VCOORD_OBS=off|metrics|trace` sets the recording mode when `--trace-out`
+//! does not, `VCOORD_LOG` picks the log level.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use vcoord::experiments::{registry, Scale};
 
@@ -50,7 +48,6 @@ struct Args {
     scale: Scale,
     scale_name: &'static str,
     seed: u64,
-    jobs: usize,
     out: PathBuf,
     trace_out: Option<PathBuf>,
     progress: bool,
@@ -84,85 +81,56 @@ fn cannot_write(path: &Path, err: std::io::Error) -> ! {
     std::process::exit(3);
 }
 
-const USAGE: &str = "usage: figures [IDS...|all] [--quick|--full|--smoke] [--seed N] [--jobs N] [--out DIR] [--trace-out DIR] [--progress] [--list]";
+const USAGE: &str = "usage: figures [IDS...|all] [--quick|--full|--smoke] [--seed N] [--out DIR] [--trace-out DIR] [--progress] [--list]";
 
-/// `thread_pin` is the `VCOORD_THREADS` pin, the default for `--jobs`.
-fn parse_args(thread_pin: Option<usize>) -> Result<Args, String> {
-    let mut ids = Vec::new();
-    let mut scale = Scale::quick();
-    let mut scale_name = "quick";
-    let mut seed = 2006u64;
-    let mut jobs = thread_pin.unwrap_or(1);
-    let mut out = PathBuf::from(vcoord_bench::DEFAULT_OUT_DIR);
-    let mut trace_out = None;
-    let mut progress = false;
-    let mut list = false;
+fn parse_args() -> Result<Args, String> {
+    let mut args = Args {
+        ids: Vec::new(),
+        scale: Scale::quick(),
+        scale_name: "quick",
+        seed: 2006,
+        out: PathBuf::from(vcoord_bench::DEFAULT_OUT_DIR),
+        trace_out: None,
+        progress: false,
+        list: false,
+    };
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--quick" => {
-                scale = Scale::quick();
-                scale_name = "quick";
-            }
-            "--full" => {
-                scale = Scale::full();
-                scale_name = "full";
-            }
-            "--smoke" => {
-                scale = Scale::smoke();
-                scale_name = "smoke";
-            }
+            "--quick" => (args.scale, args.scale_name) = (Scale::quick(), "quick"),
+            "--full" => (args.scale, args.scale_name) = (Scale::full(), "full"),
+            "--smoke" => (args.scale, args.scale_name) = (Scale::smoke(), "smoke"),
             "--seed" => {
-                seed = argv
+                args.seed = argv
                     .next()
                     .ok_or("--seed needs a value")?
                     .parse()
                     .map_err(|e| format!("bad seed: {e}"))?;
             }
-            "--jobs" => {
-                jobs = argv
-                    .next()
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad job count: {e}"))?;
-                if jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
             "--out" => {
-                out = PathBuf::from(argv.next().ok_or("--out needs a value")?);
+                args.out = PathBuf::from(argv.next().ok_or("--out needs a value")?);
             }
             "--trace-out" => {
-                trace_out = Some(PathBuf::from(
+                args.trace_out = Some(PathBuf::from(
                     argv.next().ok_or("--trace-out needs a value")?,
                 ));
             }
-            "--progress" => progress = true,
-            "--list" => list = true,
+            "--progress" => args.progress = true,
+            "--list" => args.list = true,
             "--help" | "-h" => return Err(USAGE.into()),
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag {other}\n{USAGE}"));
             }
-            other => ids.push(other.to_string()),
+            other => args.ids.push(other.to_string()),
         }
     }
-    Ok(Args {
-        ids,
-        scale,
-        scale_name,
-        seed,
-        jobs,
-        out,
-        trace_out,
-        progress,
-        list,
-    })
+    Ok(args)
 }
 
 fn main() {
     vcoord::netsim::simlog::init();
-    let thread_pin = vcoord_bench::install_env();
-    let args = match parse_args(thread_pin) {
+    vcoord_bench::install_env();
+    let args = match parse_args() {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
@@ -183,19 +151,16 @@ fn main() {
         return;
     }
 
-    let requested: Vec<String> = if args.ids.is_empty() || args.ids.iter().any(|i| i == "all") {
+    let requested: Vec<&str> = if args.ids.is_empty() || args.ids.iter().any(|i| i == "all") {
         registry::figure_ids()
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
     } else {
-        args.ids.clone()
+        args.ids.iter().map(String::as_str).collect()
     };
 
     // Validate up front so a typo fails fast instead of after an hour of
     // `--full` compute on the ids before it.
     let mut failures = 0;
-    let ids: Vec<String> = requested
+    let ids: Vec<&str> = requested
         .into_iter()
         .filter(|id| {
             let known = registry::describe(id).is_some();
@@ -212,149 +177,79 @@ fn main() {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| cannot_write(dir, e));
     }
     println!(
-        "# vcoord figure harness — scale={} nodes={} reps={} seed={} jobs={}",
-        args.scale_name, args.scale.nodes, args.scale.repetitions, args.seed, args.jobs
+        "# vcoord figure harness — scale={} nodes={} reps={} seed={} threads={}",
+        args.scale_name,
+        args.scale.nodes,
+        args.scale.repetitions,
+        args.seed,
+        vcoord::metrics::worker_threads()
     );
 
     let total_start = Instant::now();
-
-    // Split the machine budget among the `--jobs` workers: every figure
-    // job sizes its internal pools (repetitions, EvalPlan sweeps) via
-    // worker_threads(), so without this cap `jobs × pools` would compound
-    // multiplicatively instead of staying at the pinned total.
-    if args.jobs > 1 {
-        let total = vcoord::metrics::worker_threads();
-        vcoord::metrics::parallel::set_worker_budget((total / args.jobs).max(1));
-    }
-
-    // Figure compute fans out over `--jobs` workers (each figure already
-    // fans repetitions over its own bounded pool); rendering + writing a
-    // CSV is serial I/O on a dedicated writer thread so compute overlaps
-    // output. Per-figure seeding makes the CSV bytes independent of the
-    // completion order; the writer's reorder buffer keeps stdout in figure
-    // order too.
-    //
-    // One computed figure: its result, compute seconds and (traced) report.
-    type Done = (
-        vcoord::experiments::FigureResult,
-        f64,
-        Option<vcoord::obs::ObsReport>,
-    );
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Done)>();
-    let out_dir = args.out.clone();
-    let trace_dir = args.trace_out.clone();
+    let baseline = if args.progress {
+        load_baseline(args.scale_name)
+    } else {
+        BTreeMap::new()
+    };
     // Wall-clock-free run id: reruns of the same scale+seed are
     // byte-identical, which is what the golden-trace tests compare.
     let run_id = format!("{}-seed{}", args.scale_name, args.seed);
-    let scale_name = args.scale_name;
-    let seed = args.seed;
-    let progress = args.progress;
-    let writer_ids: Vec<String> = ids.clone();
-    let writer = std::thread::spawn(move || {
-        let baseline = if progress {
-            load_baseline(scale_name)
-        } else {
-            BTreeMap::new()
-        };
-        let mut pending: BTreeMap<usize, Done> = BTreeMap::new();
-        let mut next = 0usize;
-        for (idx, done) in rx {
-            pending.insert(idx, done);
-            while let Some((fig, compute_secs, report)) = pending.remove(&next) {
-                println!("{}", fig.to_table());
-                let path = out_dir.join(format!("{}.csv", fig.id));
-                std::fs::write(&path, fig.to_csv()).unwrap_or_else(|e| cannot_write(&path, e));
-                if let (Some(dir), Some(report)) = (&trace_dir, report) {
-                    let meta = vcoord::obs::TraceMeta {
-                        run: run_id.clone(),
-                        fig: fig.id.clone(),
-                        seed,
-                        scale: scale_name.to_string(),
-                    };
-                    let trace_path = dir.join(format!("{}.jsonl", fig.id));
-                    std::fs::write(&trace_path, vcoord::obs::render_jsonl(&meta, &report))
-                        .unwrap_or_else(|e| cannot_write(&trace_path, e));
-                    println!("wrote {}", trace_path.display());
-                }
-                println!(
-                    "wrote {} ({} rows) in {compute_secs:.1}s\n",
-                    path.display(),
-                    fig.rows.len(),
-                );
-                next += 1;
-                if progress {
-                    // ETA extrapolates the committed baseline's per-figure
-                    // seconds by this run's observed pace so far; without a
-                    // baseline (or on the last figure) only counts print.
-                    let done: f64 = writer_ids[..next]
-                        .iter()
-                        .filter_map(|id| baseline.get(id))
-                        .sum();
-                    let left: f64 = writer_ids[next..]
-                        .iter()
-                        .filter_map(|id| baseline.get(id))
-                        .sum();
-                    let elapsed = total_start.elapsed().as_secs_f64();
-                    if done > 0.0 && next < writer_ids.len() {
-                        eprintln!(
-                            "[{next}/{}] {} in {compute_secs:.1}s — eta {:.0}s",
-                            writer_ids.len(),
-                            fig.id,
-                            elapsed / done * left,
-                        );
-                    } else {
-                        eprintln!(
-                            "[{next}/{}] {} in {compute_secs:.1}s",
-                            writer_ids.len(),
-                            fig.id,
-                        );
-                    }
-                }
-            }
-        }
-    });
 
-    let workers = args.jobs.min(ids.len()).max(1);
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let ids = &ids;
-            let cursor = &cursor;
-            let scale = &args.scale;
-            let seed = args.seed;
-            let traced = args.trace_out.is_some();
-            scope.spawn(move || loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(id) = ids.get(idx) else { break };
-                let start = Instant::now();
-                // Each worker computes one figure at a time, so its
-                // thread-local recorder (plus the per-job merges
-                // absorbed by run_grid) holds exactly that figure's
-                // observations between reset() and drain().
-                if traced {
-                    vcoord::obs::reset();
-                }
-                // Stamp the compute time here: on the writer thread it
-                // would also count time spent queued behind earlier
-                // figures' I/O.
-                let fig = registry::run_figure(id, scale, seed).expect("id validated above");
-                let wall_s = start.elapsed().as_secs_f64();
-                // Wall-clock histograms are nondeterministic; everything
-                // else in the report is seed-derived, so stripping them
-                // keeps the JSONL byte-stable across reruns and --jobs.
-                let report = traced.then(|| {
-                    let mut report = vcoord::obs::drain();
-                    report.strip_timings();
-                    report
-                });
-                tx.send((idx, (fig, wall_s, report)))
-                    .expect("writer thread alive");
-            });
+    for (idx, id) in ids.iter().enumerate() {
+        let start = Instant::now();
+        // `run_grid` absorbs its workers' per-job reports into this
+        // thread's recorder, so between reset() and drain() it holds
+        // exactly this figure's observations.
+        if args.trace_out.is_some() {
+            vcoord::obs::reset();
         }
-    });
-    drop(tx);
-    writer.join().expect("writer thread panicked");
+        let fig = registry::run_figure(id, &args.scale, args.seed).expect("id validated above");
+        let compute_secs = start.elapsed().as_secs_f64();
+        // Wall-clock histograms are nondeterministic; everything else in
+        // the report is seed-derived, so stripping them keeps the JSONL
+        // byte-stable across reruns and pool widths.
+        let report = args.trace_out.is_some().then(|| {
+            let mut report = vcoord::obs::drain();
+            report.strip_timings();
+            report
+        });
+        println!("{}", fig.to_table());
+        let path = args.out.join(format!("{id}.csv"));
+        std::fs::write(&path, fig.to_csv()).unwrap_or_else(|e| cannot_write(&path, e));
+        if let (Some(dir), Some(report)) = (&args.trace_out, report) {
+            let meta = vcoord::obs::TraceMeta {
+                run: run_id.clone(),
+                fig: fig.id.clone(),
+                seed: args.seed,
+                scale: args.scale_name.to_string(),
+            };
+            let trace_path = dir.join(format!("{id}.jsonl"));
+            std::fs::write(&trace_path, vcoord::obs::render_jsonl(&meta, &report))
+                .unwrap_or_else(|e| cannot_write(&trace_path, e));
+            println!("wrote {}", trace_path.display());
+        }
+        println!(
+            "wrote {} ({} rows) in {compute_secs:.1}s\n",
+            path.display(),
+            fig.rows.len(),
+        );
+        if args.progress {
+            // ETA extrapolates the committed baseline's per-figure seconds
+            // by this run's observed pace so far; without a baseline (or on
+            // the last figure) only counts print.
+            let next = idx + 1;
+            let secs_of =
+                |ids: &[&str]| -> f64 { ids.iter().filter_map(|&id| baseline.get(id)).sum() };
+            let (done, left) = (secs_of(&ids[..next]), secs_of(&ids[next..]));
+            let eta = if done > 0.0 && next < ids.len() {
+                let elapsed = total_start.elapsed().as_secs_f64();
+                format!(" — eta {:.0}s", elapsed / done * left)
+            } else {
+                String::new()
+            };
+            eprintln!("[{next}/{}] {id} in {compute_secs:.1}s{eta}", ids.len());
+        }
+    }
 
     println!(
         "# done: {} figures in {:.1}s",

@@ -44,12 +44,11 @@ fn parse_threads(raw: Option<&str>) -> Option<usize> {
 ///
 /// * `VCOORD_THREADS=N` pins every worker pool to `N` threads
 ///   ([`set_worker_budget`]) for reproducible CI and benchmarking on any
-///   core count. Returned, because `figures` also defaults `--jobs` to it.
+///   core count.
 /// * `VCOORD_OBS=off|metrics|trace` sets the recording mode; anything else
 ///   leaves it off.
-pub fn install_env() -> Option<usize> {
-    let threads = parse_threads(std::env::var("VCOORD_THREADS").ok().as_deref());
-    if let Some(n) = threads {
+pub fn install_env() {
+    if let Some(n) = parse_threads(std::env::var("VCOORD_THREADS").ok().as_deref()) {
         set_worker_budget(n);
     }
     match std::env::var("VCOORD_OBS").as_deref() {
@@ -58,7 +57,6 @@ pub fn install_env() -> Option<usize> {
         Ok("trace") => set_mode(ObsMode::Trace),
         _ => {}
     }
-    threads
 }
 
 /// One benchmark reference point: reported coordinates plus the measured

@@ -24,13 +24,18 @@ fn stderr(out: &Output) -> String {
 fn list_prints_every_figure_id() {
     let out = run(&["--list"]);
     assert!(out.status.success(), "--list must exit 0");
+    // One line per row of the figure table, in table order: the id, then
+    // the title the figure's CSV opens with.
     let text = stdout(&out);
-    for id in ["fig1", "fig13", "fig17", "fig26"] {
-        assert!(text.contains(id), "--list output missing {id}:\n{text}");
-    }
+    let listed: Vec<&str> = text
+        .lines()
+        .skip(1)
+        .map(|line| line.split_whitespace().next().expect("an id per line"))
+        .collect();
+    assert_eq!(listed, vcoord::experiments::figure_ids(), "{text}");
     assert!(
-        text.contains("Vivaldi disorder"),
-        "--list should include descriptions"
+        text.contains("fig2    Injected Disorder attack on Vivaldi: CDF of relative error\n"),
+        "--list should print each figure's title:\n{text}"
     );
 }
 
@@ -43,8 +48,9 @@ fn help_exits_nonzero_with_usage() {
 
 #[test]
 fn unknown_flag_is_rejected() {
-    // `--profile` was a flag until its one reader, a CI schema check, went.
-    for args in [&["--frobnicate"][..], &["--profile", "x"]] {
+    // `--profile` was a flag until its one reader, a CI schema check, went;
+    // `--jobs` until a figure's own job grid became the run's one pool.
+    for args in [&["--frobnicate"][..], &["--profile", "x"], &["--jobs", "2"]] {
         let out = run(args);
         assert_eq!(out.status.code(), Some(2));
         let err = stderr(&out);
@@ -65,6 +71,21 @@ fn missing_seed_value_is_rejected() {
     let out = run(&["--seed"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--seed needs a value"));
+}
+
+#[test]
+fn thread_pin_reaches_the_one_pool_without_a_flag() {
+    let dir = tempdir("thread-pin");
+    let out = figures()
+        .env("VCOORD_THREADS", "2")
+        .args(["fig17", "--smoke", "--out", dir.to_str().unwrap()])
+        .output()
+        .expect("spawn figures binary");
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    let header = text.lines().next().expect("a header line");
+    assert!(header.starts_with("# vcoord figure harness — "), "{header}");
+    assert!(header.ends_with(" seed=2006 threads=2"), "{header}");
 }
 
 #[test]
@@ -378,53 +399,38 @@ fn same_seed_same_csv_bytes() {
     );
 }
 
-/// A unique, test-scoped output directory under the target tmp dir.
 #[test]
-fn trace_out_is_deterministic_across_jobs_and_digestible() {
+fn trace_out_is_digestible_by_obs_report() {
     // The observability contract on the figure harness: `--trace-out`
-    // emits one schema-valid JSONL per figure whose bytes depend only on
-    // (figure, scale, seed) — never on `--jobs` — and the obs-report
-    // binary digests it without error.
-    let dir1 = tempdir("trace-jobs1");
-    let dir2 = tempdir("trace-jobs2");
-    for (dir, jobs) in [(&dir1, "1"), (&dir2, "2")] {
-        let out = run(&[
-            "def-frog-drift",
-            "fig1",
-            "--smoke",
-            "--seed",
-            "7",
-            "--jobs",
-            jobs,
-            "--out",
-            dir.to_str().unwrap(),
-            "--trace-out",
-            dir.to_str().unwrap(),
-        ]);
-        assert!(
-            out.status.success(),
-            "figures --trace-out failed:\n{}",
-            stderr(&out)
-        );
-    }
-    for id in ["def-frog-drift", "fig1"] {
-        let a = std::fs::read(dir1.join(format!("{id}.jsonl"))).unwrap();
-        let b = std::fs::read(dir2.join(format!("{id}.jsonl"))).unwrap();
-        assert_eq!(
-            a, b,
-            "{id}.jsonl differs between --jobs 1 and --jobs 2: traces must \
-             be byte-deterministic"
-        );
-    }
+    // emits one schema-valid JSONL per figure and the obs-report binary
+    // digests it without error. (That its bytes depend only on figure,
+    // scale and seed is `csv_and_trace_bytes_do_not_depend_on_the_grid_width`.)
+    let dir = tempdir("trace-digest");
+    let out = run(&[
+        "def-frog-drift",
+        "fig1",
+        "--smoke",
+        "--seed",
+        "7",
+        "--out",
+        dir.to_str().unwrap(),
+        "--trace-out",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "figures --trace-out failed:\n{}",
+        stderr(&out)
+    );
     // The defended figure's trace carries the verdict counters and flag
     // events the EXPERIMENTS.md digest is built from.
-    let drift = std::fs::read_to_string(dir1.join("def-frog-drift.jsonl")).unwrap();
+    let drift = std::fs::read_to_string(dir.join("def-frog-drift.jsonl")).unwrap();
     assert!(drift.starts_with("{\"type\":\"meta\""), "meta line first");
     assert!(drift.contains("defense.accept"));
     assert!(drift.contains("\"type\":\"event\""));
 
     // obs-report digests both traces, in both renderings.
-    let trace_path = dir1.join("def-frog-drift.jsonl");
+    let trace_path = dir.join("def-frog-drift.jsonl");
     let report = Command::new(env!("CARGO_BIN_EXE_obs-report"))
         .arg(&trace_path)
         .output()
@@ -446,7 +452,7 @@ fn trace_out_is_deterministic_across_jobs_and_digestible() {
     assert!(stdout(&csv).starts_with("kind,metric,round,count,sum,min,max"));
 
     // A malformed trace is a hard error with the offending line number.
-    let bad = dir1.join("corrupt.jsonl");
+    let bad = dir.join("corrupt.jsonl");
     std::fs::write(&bad, "{\"type\":\"meta\",\"schema\":2,\"run\":\"r\",\"fig\":\"f\",\"seed\":7,\"scale\":\"smoke\"}\nnot json\n").unwrap();
     let fail = Command::new(env!("CARGO_BIN_EXE_obs-report"))
         .arg(&bad)
@@ -458,17 +464,17 @@ fn trace_out_is_deterministic_across_jobs_and_digestible() {
 
 #[test]
 fn csv_and_trace_bytes_do_not_depend_on_the_grid_width() {
-    // A figure is one (cell, repetition) job grid on one pool: a multi-cell
-    // Vivaldi figure, a multi-cell NPS figure and a 3-repetition chaos
-    // figure, each computed alone (`--jobs 1`) so that `VCOORD_THREADS` is
-    // the width of its grid. Width 1 is the cells one after the other.
+    // A figure is one (cell, repetition) job grid on the run's one pool: a
+    // multi-cell Vivaldi figure, a multi-cell NPS figure and a 3-repetition
+    // chaos figure, with `VCOORD_THREADS` the width of each one's grid.
+    // Width 1 is the cells one after the other.
     let ids = ["def-sweep-vivaldi", "fig16", "chaos-churn-nps"];
     let dirs = ["1", "2", "3"].map(|threads| {
         let dir = tempdir(&format!("grid-width-{threads}"));
         let out = figures()
             .env("VCOORD_THREADS", threads)
             .args(ids)
-            .args(["--smoke", "--seed", "2006", "--jobs", "1"])
+            .args(["--smoke", "--seed", "2006"])
             .args(["--out", dir.to_str().unwrap()])
             .args(["--trace-out", dir.to_str().unwrap()])
             .output()
@@ -495,6 +501,7 @@ fn csv_and_trace_bytes_do_not_depend_on_the_grid_width() {
     }
 }
 
+/// A unique, test-scoped output directory under the target tmp dir.
 fn tempdir(tag: &str) -> std::path::PathBuf {
     let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("figures-cli-{tag}"));
     // Stale contents from a previous run are fine to clobber.

@@ -3,91 +3,28 @@
 //! the files committed under `results/`.
 //!
 //! This is the CI teeth behind every "numerics-preserving" refactor claim:
-//! the Simplex kernel, the `EvalPlan` snapshot path, the `--jobs` figure
-//! sweep, and the defense slot threaded through both simulators are all
-//! allowed to change wall-clock time only — a single flipped output byte
-//! fails here. The run uses `--jobs 2` so the parallel sweep path itself
-//! is the thing being proven byte-stable.
+//! the Simplex kernel, the `EvalPlan` snapshot path, the figure job grid,
+//! and the defense slot threaded through both simulators are all allowed
+//! to change wall-clock time only — a single flipped output byte fails
+//! here. The run pins `VCOORD_THREADS=2` so the parallel grid itself is the
+//! thing being proven byte-stable.
 //!
-//! The divergence report is partitioned by provenance: a diff in
-//! [`PRE_DEFENSE_IDS`] means the undefended (`NoDefense`-equivalent) code
-//! path itself changed numerically — the exact regression the defense
-//! subsystem promised never to cause; a diff in the `def-*` suite means
-//! the PR-4 defended paths moved (the arms-race layer promised *not* to
-//! perturb them: no-decay drift caps are bitwise-identical to the
-//! pre-decay implementation); and a diff in [`ARMS_IDS`] is drift in the
-//! newest figures only.
+//! The divergence report is partitioned by provenance, read off the id's
+//! family prefix. `fig*`, `ext-*` and `atk-*` existed before the defense
+//! subsystem landed: with no defense deployed the simulators run the
+//! pre-existing code path (scale 1.0 updates, weight 1.0 fits), so a diff
+//! there means the undefended (`NoDefense`-equivalent) path itself changed
+//! numerically — the exact regression the defense subsystem promised never
+//! to cause. A diff in `def-*` means the PR-4 defended paths moved (the
+//! arms-race layer promised *not* to perturb them: no-decay drift caps are
+//! bitwise-identical to the pre-decay implementation). A diff in `arms-*`
+//! is drift in the adaptive-attacker figures only. `chaos-*` are the only
+//! figures that install a `ChaosPlan`, so a diff anywhere else also means
+//! the chaos seam leaked into fault-free numerics — the regression
+//! `tests/chaos_properties.rs` exists to prevent.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-
-/// Every figure id that existed before the defense subsystem landed. These
-/// CSVs must survive any defense-layer change byte-for-byte: with no
-/// defense deployed the simulators run the pre-existing code path (scale
-/// 1.0 updates, weight 1.0 fits), and these 31 files are the proof.
-const PRE_DEFENSE_IDS: [&str; 31] = [
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-    "fig20",
-    "fig21",
-    "fig22",
-    "fig23",
-    "fig24",
-    "fig25",
-    "fig26",
-    "ext-genesis",
-    "ext-faults",
-    "atk-sweep-vivaldi",
-    "atk-sweep-nps",
-    "atk-frog-drift",
-];
-
-/// The arms-race figures (PR 5, plus the learning-curve figure that rode
-/// along with the chaos layer). Everything in neither this list nor
-/// [`PRE_DEFENSE_IDS`] nor [`CHAOS_IDS`] is a PR-4 `def-*` sweep — the
-/// middle legacy bucket every later layer must also leave byte-identical.
-const ARMS_IDS: [&str; 5] = [
-    "arms-sweep-vivaldi",
-    "arms-sweep-nps",
-    "arms-evasion-roc",
-    "arms-decay-tradeoff",
-    "arms-evasion-learning",
-];
-
-/// The fault-injection figures: each runs a fault model (churn, loss
-/// bursts, partitions, landmark takedown) against an attacked, defended
-/// system. Everything outside this family runs with **no `ChaosPlan`
-/// installed**, so a diff anywhere else means the chaos seam leaked into
-/// fault-free numerics — the exact regression `tests/chaos_properties.rs`
-/// exists to prevent.
-const CHAOS_IDS: [&str; 9] = [
-    "chaos-churn-vivaldi",
-    "chaos-churn-nps",
-    "chaos-landmark-takedown",
-    "chaos-loss-bursts",
-    "chaos-frog-hides-in-churn",
-    "chaos-partition-recovery",
-    "chaos-probation-nps",
-    "chaos-probation-leak",
-    "chaos-detectors-under-faults",
-];
 
 /// The committed reference CSVs: `<workspace root>/results`.
 fn results_dir() -> PathBuf {
@@ -103,7 +40,8 @@ fn smoke_suite_reproduces_committed_csvs_byte_for_byte() {
     // The committed results were produced by `figures all --smoke --seed
     // 2006`; EXPERIMENTS.md records that provenance.
     let run = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["all", "--smoke", "--seed", "2006", "--jobs", "2"])
+        .env("VCOORD_THREADS", "2")
+        .args(["all", "--smoke", "--seed", "2006"])
         .arg("--out")
         .arg(&out)
         .output()
@@ -137,43 +75,24 @@ fn smoke_suite_reproduces_committed_csvs_byte_for_byte() {
          <ids> --smoke --seed 2006 --out results)"
     );
 
-    for id in PRE_DEFENSE_IDS {
-        assert!(
-            committed.contains(&format!("{id}.csv")),
-            "pre-defense golden CSV missing from results/: {id}.csv"
-        );
-    }
-    for id in ARMS_IDS {
-        assert!(
-            committed.contains(&format!("{id}.csv")),
-            "arms-race golden CSV missing from results/: {id}.csv"
-        );
-    }
-    for id in CHAOS_IDS {
-        assert!(
-            committed.contains(&format!("{id}.csv")),
-            "chaos golden CSV missing from results/: {id}.csv"
-        );
-    }
-
     let mut diverged_legacy: Vec<String> = Vec::new();
     let mut diverged_def: Vec<String> = Vec::new();
     let mut diverged_arms: Vec<String> = Vec::new();
     let mut diverged_chaos: Vec<String> = Vec::new();
     for name in &committed {
+        let family = name.split('-').next().unwrap_or_default();
+        let bucket = match family {
+            "ext" | "atk" => &mut diverged_legacy,
+            f if f.starts_with("fig") => &mut diverged_legacy,
+            "def" => &mut diverged_def,
+            "arms" => &mut diverged_arms,
+            "chaos" => &mut diverged_chaos,
+            _ => panic!("unknown figure family: {name}"),
+        };
         let committed_bytes = std::fs::read(reference.join(name)).unwrap();
         let fresh_bytes = std::fs::read(out.join(name)).unwrap();
         if committed_bytes != fresh_bytes {
-            let id = name.trim_end_matches(".csv");
-            if PRE_DEFENSE_IDS.contains(&id) {
-                diverged_legacy.push(name.clone());
-            } else if ARMS_IDS.contains(&id) {
-                diverged_arms.push(name.clone());
-            } else if CHAOS_IDS.contains(&id) {
-                diverged_chaos.push(name.clone());
-            } else {
-                diverged_def.push(name.clone());
-            }
+            bucket.push(name.clone());
         }
     }
     assert!(
@@ -229,7 +148,8 @@ fn traced_smoke_suite_matches_committed_csvs_and_emits_valid_traces() {
     std::fs::create_dir_all(&out).unwrap();
 
     let run = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["all", "--smoke", "--seed", "2006", "--jobs", "2"])
+        .env("VCOORD_THREADS", "2")
+        .args(["all", "--smoke", "--seed", "2006"])
         .arg("--out")
         .arg(&out)
         .arg("--trace-out")

@@ -27,6 +27,7 @@
 
 use crate::experiments::attack_figs::strategy_by;
 use crate::experiments::harness::{plain, Adversary, Deploy, RunSpec, System};
+use crate::experiments::registry::Figure;
 use crate::experiments::shapes::{cross, Block, Cell, LevelSweep, Matrix};
 use crate::experiments::{FigureResult, Scale};
 use vcoord_attackkit::{
@@ -104,10 +105,8 @@ fn sweep_note(attack: &str, cells: &[Cell]) -> String {
 
 /// Adaptive attacks × (drift cap, decaying drift cap, MAD filter) at 30 %
 /// malicious on the default system `S`.
-fn sweep<'a, S: System>(id: &'a str, title: &'a str, scale: &'a Scale, seed: u64) -> Matrix<'a, S> {
+fn sweep<S: System>(scale: &Scale, seed: u64) -> Matrix<'_, S> {
     Matrix {
-        id,
-        title,
         base: RunSpec {
             fraction: FRACTION,
             ..RunSpec::new(scale, seed)
@@ -119,33 +118,6 @@ fn sweep<'a, S: System>(id: &'a str, title: &'a str, scale: &'a Scale, seed: u64
         blocks: &BLOCKS,
         note: sweep_note,
     }
-}
-
-fn vivaldi_sweep(scale: &Scale, seed: u64) -> Matrix<'_, VivaldiSim> {
-    sweep(
-        "arms-sweep-vivaldi",
-        "Adaptive (defense-aware) attacks vs defenses on Vivaldi: error and detection quality",
-        scale,
-        seed,
-    )
-}
-
-/// `arms-sweep-vivaldi` — adaptive attacks × (drift cap, decaying drift
-/// cap, MAD filter) on Vivaldi at 30 % malicious.
-pub(crate) fn arms_sweep_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
-    vivaldi_sweep(scale, seed).figure()
-}
-
-/// `arms-sweep-nps` — the same matrix on NPS (default 3-layer hierarchy,
-/// built-in security filter on).
-pub(crate) fn arms_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
-    sweep::<NpsSim>(
-        "arms-sweep-nps",
-        "Adaptive (defense-aware) attacks vs defenses on NPS: error and detection quality",
-        scale,
-        seed,
-    )
-    .figure()
 }
 
 /// One Vivaldi scenario at 30 % malicious: `attack` against `defense`.
@@ -183,8 +155,6 @@ type Contender = (&'static str, fn() -> Box<dyn AttackStrategy>);
 /// caps swept over the deployed bound: per cap, each contender's detection
 /// quality and drift, then each contender's `last` column.
 fn cap_duel(
-    id: &str,
-    title: &str,
     scale: &Scale,
     seed: u64,
     contenders: [Contender; 2],
@@ -196,7 +166,7 @@ fn cap_duel(
         columns.extend(["tpr", "fpr", "drift"].map(|stat| format!("{stat}_{name}")));
     }
     columns.extend(contenders.map(|(name, _)| format!("{}_{name}", last.0)));
-    let mut fig = FigureResult::new(id, title, columns);
+    let mut fig = FigureResult::new(columns);
     let caps = [10.0, 20.0, 40.0, 80.0, 160.0];
     let attacks = contenders.map(|(_, make)| plain(make));
     let defenses = caps.map(|cap| drift_cap(cap, 0.0));
@@ -221,11 +191,8 @@ fn cap_duel(
 /// evader models the *default* 80 ms cap; points where the deployment is
 /// tighter than the model measure how wrong the attacker's belief may be
 /// before evasion fails.
-pub(crate) fn arms_evasion_roc(scale: &Scale, seed: u64) -> FigureResult {
+fn arms_evasion_roc(scale: &Scale, seed: u64) -> FigureResult {
     cap_duel(
-        "arms-evasion-roc",
-        "Evasion vs the drift cap on Vivaldi: classic and defense-modeling frog-boiling \
-         at matched budget",
         scale,
         seed,
         [
@@ -257,11 +224,8 @@ pub(crate) fn arms_evasion_roc(scale: &Scale, seed: u64) -> FigureResult {
 /// published the threshold.
 ///
 /// [`CapLearner`]: vcoord_attackkit::CapLearner
-pub(crate) fn arms_evasion_learning(scale: &Scale, seed: u64) -> FigureResult {
+fn arms_evasion_learning(scale: &Scale, seed: u64) -> FigureResult {
     cap_duel(
-        "arms-evasion-learning",
-        "Learned evasion vs the drift cap on Vivaldi: fixed-model cliff against the \
-         cap-learner's recovery over deployed bounds",
         scale,
         seed,
         [
@@ -293,7 +257,7 @@ pub(crate) fn arms_evasion_learning(scale: &Scale, seed: u64) -> FigureResult {
 /// The cap is deliberately *tight* (40 ms): under burst drag some honest
 /// laggards trip it, so permanence has a measurable defamation cost —
 /// exactly the FPR-vs-exposure trade decay is supposed to navigate.
-pub(crate) fn arms_decay_tradeoff(scale: &Scale, seed: u64) -> FigureResult {
+fn arms_decay_tradeoff(scale: &Scale, seed: u64) -> FigureResult {
     let half_lives = [0.0, 20.0, 40.0, 80.0];
     let sleeper = plain(|| arms_strategy_by("sleeper"));
     let defenses = half_lives.map(|half_life| drift_cap(40.0, half_life));
@@ -302,9 +266,6 @@ pub(crate) fn arms_decay_tradeoff(scale: &Scale, seed: u64) -> FigureResult {
         .map(|defense| duel(scale, seed, &sleeper, defense))
         .collect();
     LevelSweep {
-        id: "arms-decay-tradeoff",
-        title: "Sleeper collusion vs drift-cap reputation decay on Vivaldi: forgiveness \
-                half-life against burst exposure",
         level_column: "half_life_rounds",
         levels: &half_lives,
         columns: &[
@@ -340,9 +301,45 @@ pub(crate) fn arms_decay_tradeoff(scale: &Scale, seed: u64) -> FigureResult {
     .figure(&specs)
 }
 
+/// The arms-race figures: the adaptive attack × defense matrix on Vivaldi
+/// and on NPS (default 3-layer hierarchy, built-in security filter on),
+/// the two deployed-cap duels and the decay trade-off.
+pub(crate) const FIGURES: &[Figure] = &[
+    Figure {
+        id: "arms-sweep-vivaldi",
+        title:
+            "Adaptive (defense-aware) attacks vs defenses on Vivaldi: error and detection quality",
+        run: |scale, seed| sweep::<VivaldiSim>(scale, seed).figure(),
+    },
+    Figure {
+        id: "arms-sweep-nps",
+        title: "Adaptive (defense-aware) attacks vs defenses on NPS: error and detection quality",
+        run: |scale, seed| sweep::<NpsSim>(scale, seed).figure(),
+    },
+    Figure {
+        id: "arms-evasion-roc",
+        title: "Evasion vs the drift cap on Vivaldi: classic and defense-modeling frog-boiling \
+                at matched budget",
+        run: arms_evasion_roc,
+    },
+    Figure {
+        id: "arms-evasion-learning",
+        title: "Learned evasion vs the drift cap on Vivaldi: fixed-model cliff against the \
+                cap-learner's recovery over deployed bounds",
+        run: arms_evasion_learning,
+    },
+    Figure {
+        id: "arms-decay-tradeoff",
+        title: "Sleeper collusion vs drift-cap reputation decay on Vivaldi: forgiveness \
+                half-life against burst exposure",
+        run: arms_decay_tradeoff,
+    },
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_figure;
 
     #[test]
     fn every_arms_label_resolves() {
@@ -363,7 +360,7 @@ mod tests {
         let cells = Matrix {
             attacks: &["frog_boiling", "evading_frog"],
             defenses: &["drift_cap"],
-            ..vivaldi_sweep(&scale, 2006)
+            ..sweep::<VivaldiSim>(&scale, 2006)
         }
         .cells();
         let (classic, evading) = (&cells[0], &cells[1]);
@@ -385,7 +382,7 @@ mod tests {
     #[test]
     fn decay_tradeoff_smoke_shape() {
         let scale = Scale::smoke();
-        let fig = arms_decay_tradeoff(&scale, 7);
+        let fig = run_figure("arms-decay-tradeoff", &scale, 7).expect("a row");
         assert_eq!(fig.id, "arms-decay-tradeoff");
         assert_eq!(fig.columns.len(), 10);
         assert_eq!(fig.rows.len(), 4);

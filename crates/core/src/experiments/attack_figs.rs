@@ -13,6 +13,7 @@
 //! defence has to contend with.
 
 use crate::experiments::harness::{plain, repeat_all, RunSpec, System};
+use crate::experiments::registry::Figure;
 use crate::experiments::shapes::{attacked_err, cross, mean_series, pct, series_rows, Cell};
 use crate::experiments::{FigureResult, Scale};
 use vcoord_attackkit::{
@@ -49,11 +50,11 @@ pub(crate) fn strategy_by(label: &str) -> Box<dyn AttackStrategy> {
 
 /// One attack-strength sweep: for each fraction, per-strategy converged
 /// error and drift velocity on system `S`.
-fn atk_sweep<S: System>(id: &str, title: &str, scale: &Scale, seed: u64) -> FigureResult {
+fn atk_sweep<S: System>(scale: &Scale, seed: u64) -> FigureResult {
     let mut columns = vec!["fraction_pct".to_string()];
     columns.extend(STRATEGIES.iter().map(|s| format!("err_{s}")));
     columns.extend(STRATEGIES.iter().map(|s| format!("drift_{s}")));
-    let mut fig = FigureResult::new(id, title, columns);
+    let mut fig = FigureResult::new(columns);
     let adversaries = STRATEGIES.map(|label| plain(move || strategy_by(label)));
     let specs: Vec<_> = cross(&FRACTIONS, &adversaries)
         .map(|(&fraction, adversary)| RunSpec::<S> {
@@ -83,29 +84,6 @@ fn atk_sweep<S: System>(id: &str, title: &str, scale: &Scale, seed: u64) -> Figu
     fig
 }
 
-/// `atk-sweep-vivaldi` — attack-strength sweep of the generic strategies
-/// against Vivaldi: converged relative error and drift velocity per
-/// malicious fraction.
-pub(crate) fn atk_sweep_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
-    atk_sweep::<VivaldiSim>(
-        "atk-sweep-vivaldi",
-        "attackkit strategies on Vivaldi: error and drift velocity vs malicious share",
-        scale,
-        seed,
-    )
-}
-
-/// `atk-sweep-nps` — the same sweep against NPS (default 3-layer
-/// hierarchy, security filter on).
-pub(crate) fn atk_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
-    atk_sweep::<NpsSim>(
-        "atk-sweep-nps",
-        "attackkit strategies on NPS: error and drift velocity vs malicious share",
-        scale,
-        seed,
-    )
-}
-
 /// `atk-frog-drift` — frog-boiling on Vivaldi: honest-population drift
 /// velocity over time for several step sizes (30 % malicious).
 ///
@@ -113,13 +91,9 @@ pub(crate) fn atk_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
 /// proportional to the configured step — small enough per round to pass
 /// under displacement thresholds — while the offsets integrate without
 /// bound.
-pub(crate) fn atk_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
+fn atk_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
     let steps = [1.0, 5.0, 25.0];
-    let mut fig = FigureResult::new(
-        "atk-frog-drift",
-        "Frog-boiling on Vivaldi: drift velocity vs time by step size",
-        vec!["tick".to_string()],
-    );
+    let mut fig = FigureResult::new(vec!["tick".to_string()]);
     let adversaries = steps.map(|step| plain(move || Box::new(FrogBoiling::new(step))));
     let specs: Vec<_> = adversaries
         .iter()
@@ -145,14 +119,36 @@ pub(crate) fn atk_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
     fig
 }
 
+/// The attackkit figures: the strength sweep on Vivaldi and on NPS (default
+/// 3-layer hierarchy, security filter on), then the frog-boiling drift
+/// study.
+pub(crate) const FIGURES: &[Figure] = &[
+    Figure {
+        id: "atk-sweep-vivaldi",
+        title: "attackkit strategies on Vivaldi: error and drift velocity vs malicious share",
+        run: atk_sweep::<VivaldiSim>,
+    },
+    Figure {
+        id: "atk-sweep-nps",
+        title: "attackkit strategies on NPS: error and drift velocity vs malicious share",
+        run: atk_sweep::<NpsSim>,
+    },
+    Figure {
+        id: "atk-frog-drift",
+        title: "Frog-boiling on Vivaldi: drift velocity vs time by step size",
+        run: atk_frog_drift,
+    },
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_figure;
 
     #[test]
     fn sweep_vivaldi_smoke_has_expected_shape() {
         let scale = Scale::smoke();
-        let fig = atk_sweep_vivaldi(&scale, 7);
+        let fig = run_figure("atk-sweep-vivaldi", &scale, 7).expect("a row");
         assert_eq!(fig.id, "atk-sweep-vivaldi");
         assert_eq!(fig.columns.len(), 1 + 2 * STRATEGIES.len());
         assert_eq!(fig.rows.len(), FRACTIONS.len());

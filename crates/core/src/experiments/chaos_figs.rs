@@ -22,6 +22,7 @@
 
 use crate::experiments::attack_figs::strategy_by;
 use crate::experiments::harness::{plain, repeat_all, Faults, RunSpec, System};
+use crate::experiments::registry::Figure;
 use crate::experiments::shapes::{cross, mean_series, series_rows, Cell, Column, LevelSweep};
 use crate::experiments::{FigureResult, Scale};
 use vcoord_attackkit::BurstThenReform;
@@ -88,8 +89,6 @@ const FAILOVERS: Column = ("failovers", |c, _| c.failovers);
 /// later. `absorbed` is the system's own column for what soaked the churn
 /// up (Vivaldi evicts stale neighbors, NPS fails references over).
 fn churn_sweep<S: System>(
-    id: &str,
-    title: &str,
     scale: &Scale,
     seed: u64,
     (down_ms, up_ms): (u64, u64),
@@ -98,8 +97,6 @@ fn churn_sweep<S: System>(
 ) -> FigureResult {
     let scale = recovery_scale(scale);
     LevelSweep {
-        id,
-        title,
         level_column: "churn_fraction",
         levels: &CHURN_FRACTIONS,
         columns: &[
@@ -119,71 +116,13 @@ fn churn_sweep<S: System>(
     })
 }
 
-/// `chaos-churn-vivaldi` — crash/restart waves against a defended Vivaldi:
-/// probes to dead peers time out, retry with backoff, and stale neighbors
-/// are evicted; restarted nodes rejoin from the origin and re-converge.
-pub(crate) fn chaos_churn_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
-    churn_sweep::<VivaldiSim>(
-        "chaos-churn-vivaldi",
-        "Vivaldi under churn: crash/restart waves vs retry, backoff, and staleness \
-         eviction (drift cap deployed)",
-        scale,
-        seed,
-        // Down 10 ticks into the window, back up 30 ticks later.
-        (10 * TICK_MS, 30 * TICK_MS),
-        EVICTIONS,
-        &|frac, c, ratio| {
-            format!(
-                "churn {:.0}%: tail err {:.3} ({ratio:.2}x the no-churn steady state), \
-                 {:.0} crashes / {:.0} restarts, {:.0} timeouts, {:.0} evictions",
-                frac * 100.0,
-                c.err,
-                c.crashes,
-                c.restarts,
-                c.timeouts,
-                c.evictions,
-            )
-        },
-    )
-}
-
-/// `chaos-churn-nps` — the same crash/restart waves against a defended
-/// NPS hierarchy: dead references fail over through the membership
-/// replacement channel; restarted ordinary nodes rejoin from scratch.
-pub(crate) fn chaos_churn_nps(scale: &Scale, seed: u64) -> FigureResult {
-    churn_sweep::<NpsSim>(
-        "chaos-churn-nps",
-        "NPS under churn: crash/restart waves vs in-round retries and membership \
-         fail-over (drift cap deployed)",
-        scale,
-        seed,
-        // Down 2 rounds into the window, back up 6 rounds later.
-        (2 * NPS_ROUND_MS, 6 * NPS_ROUND_MS),
-        FAILOVERS,
-        &|frac, c, ratio| {
-            format!(
-                "churn {:.0}%: tail err {:.3} ({ratio:.2}x no-churn), {:.0} crashes, \
-                 {:.0} in-round retries, {:.0} reference fail-overs",
-                frac * 100.0,
-                c.err,
-                c.crashes,
-                c.retries,
-                c.failovers,
-            )
-        },
-    )
-}
-
 /// `chaos-landmark-takedown` — degree-targeted takedown of the layer-0
 /// landmark backbone, *permanently*: the paper assumes landmarks are
 /// "highly secure machines", so this measures what their loss (not their
 /// compromise) costs, and whether membership fail-over absorbs it.
-pub(crate) fn chaos_landmark_takedown(scale: &Scale, seed: u64) -> FigureResult {
+fn chaos_landmark_takedown(scale: &Scale, seed: u64) -> FigureResult {
     let scale = recovery_scale(scale);
     LevelSweep {
-        id: "chaos-landmark-takedown",
-        title: "NPS landmark takedown: permanent loss of layer-0 infrastructure vs \
-                membership fail-over",
         level_column: "landmarks_down",
         levels: &[0.0, 2.0, 4.0, 6.0],
         columns: &[
@@ -212,12 +151,9 @@ pub(crate) fn chaos_landmark_takedown(scale: &Scale, seed: u64) -> FigureResult 
 /// `chaos-loss-bursts` — Gilbert–Elliott correlated loss/RTT-spike regimes
 /// on an *honest* population with the drift cap deployed: do benign burst
 /// faults read as attacks (false-positive bans)?
-pub(crate) fn chaos_loss_bursts(scale: &Scale, seed: u64) -> FigureResult {
+fn chaos_loss_bursts(scale: &Scale, seed: u64) -> FigureResult {
     let scale = recovery_scale(scale);
     LevelSweep {
-        id: "chaos-loss-bursts",
-        title: "Gilbert-Elliott loss bursts vs the drift cap on honest Vivaldi: do benign \
-                bursts false-positive as attacks?",
         level_column: "p_enter",
         levels: &[0.0, 0.02, 0.05, 0.10],
         columns: &[
@@ -254,7 +190,7 @@ pub(crate) fn chaos_loss_bursts(scale: &Scale, seed: u64) -> FigureResult {
 /// malicious against the drift cap, swept over churn intensity. Churn
 /// noise both *hides* the attacker (TPR under churn) and *defames* honest
 /// rejoining nodes (FPR under churn).
-pub(crate) fn chaos_frog_hides_in_churn(scale: &Scale, seed: u64) -> FigureResult {
+fn chaos_frog_hides_in_churn(scale: &Scale, seed: u64) -> FigureResult {
     let scale = recovery_scale(scale);
     let frog = RunSpec::<VivaldiSim> {
         fraction: FRACTION,
@@ -262,9 +198,6 @@ pub(crate) fn chaos_frog_hides_in_churn(scale: &Scale, seed: u64) -> FigureResul
         ..drift_capped(&scale, seed)
     };
     LevelSweep {
-        id: "chaos-frog-hides-in-churn",
-        title: "Frog-boiling inside churn noise: drift-cap detection quality vs churn \
-                intensity (Vivaldi, 30% malicious)",
         level_column: "churn_fraction",
         levels: &CHURN_FRACTIONS,
         columns: &[
@@ -298,7 +231,7 @@ pub(crate) fn chaos_frog_hides_in_churn(scale: &Scale, seed: u64) -> FigureResul
 /// defended honest Vivaldi system: error time-series with and without the
 /// partition, showing degradation while split and re-convergence after
 /// healing.
-pub(crate) fn chaos_partition_recovery(scale: &Scale, seed: u64) -> FigureResult {
+fn chaos_partition_recovery(scale: &Scale, seed: u64) -> FigureResult {
     let scale = recovery_scale(scale);
     let nodes = scale.nodes;
     // Split half the population from the rest for a third of the window.
@@ -317,7 +250,14 @@ pub(crate) fn chaos_partition_recovery(scale: &Scale, seed: u64) -> FigureResult
     }
     let (split, calm) = (Cell::of(&runs[0]), Cell::of(&runs[1]));
     let tail_calm = calm.err.max(1e-9);
-    let notes = vec![format!(
+    let mut fig = FigureResult::new(vec![
+        "tick".to_string(),
+        "err_partitioned".to_string(),
+        "err_baseline".to_string(),
+        "ratio".to_string(),
+    ]);
+    fig.rows = rows;
+    fig.notes.push(format!(
         "partition [{start}, {end}) ms: {:.0} timed-out probes, {:.0} retries, {:.0} \
          evictions; tail err {:.3} vs calm {tail_calm:.3} \
          (recovery ratio {:.2})",
@@ -326,21 +266,8 @@ pub(crate) fn chaos_partition_recovery(scale: &Scale, seed: u64) -> FigureResult
         split.evictions,
         split.err,
         split.err / tail_calm,
-    )];
-    FigureResult {
-        id: "chaos-partition-recovery".into(),
-        title: "Timed network partition on honest Vivaldi: error while split and \
-                re-convergence after healing (drift cap deployed)"
-            .into(),
-        columns: vec![
-            "tick".to_string(),
-            "err_partitioned".to_string(),
-            "err_baseline".to_string(),
-            "ratio".to_string(),
-        ],
-        rows,
-        notes,
-    }
+    ));
+    fig
 }
 
 /// The probation figures' scenario on NPS at 30 % malicious: a
@@ -384,7 +311,7 @@ fn probation_run<'a>(
 /// burst-then-reform collusion, plus mild correlated loss bursts riding
 /// along (bursts stress retries without resetting any coordinates, so the
 /// probation probes themselves must survive fault noise).
-pub(crate) fn chaos_probation_nps(scale: &Scale, seed: u64) -> FigureResult {
+fn chaos_probation_nps(scale: &Scale, seed: u64) -> FigureResult {
     let mut scale = recovery_scale(scale);
     // Reinstatement timing is the noisiest statistic in the chaos family
     // (a single late probation probe moves the tail by a round's worth of
@@ -398,10 +325,6 @@ pub(crate) fn chaos_probation_nps(scale: &Scale, seed: u64) -> FigureResult {
     let levels = [0.0, 8.0, 4.0, 2.0];
     let specs = levels.map(|every| probation_run(&scale, seed, every as u64, &chaos));
     LevelSweep {
-        id: "chaos-probation-nps",
-        title: "The probation channel on NPS: re-measuring banned references lets \
-                reputation decay compose with membership banishment (burst-then-reform \
-                collusion, decaying drift cap, mild loss bursts)",
         level_column: "probation_every",
         levels: &levels,
         columns: &[
@@ -456,7 +379,7 @@ const LEAK_WINDOWS: [u64; 4] = [1, 2, 4, 8];
 /// recorded), so the sweep's long windows show leases firing and
 /// quarantined evidence piling up while the leak rate stays ≤ 0.05 at
 /// every window.
-pub(crate) fn chaos_probation_leak(scale: &Scale, seed: u64) -> FigureResult {
+fn chaos_probation_leak(scale: &Scale, seed: u64) -> FigureResult {
     let mut base = recovery_scale(scale);
     // Same variance argument as chaos-probation-nps: a single late
     // readmission moves a whole row, so average more repetitions.
@@ -474,10 +397,6 @@ pub(crate) fn chaos_probation_leak(scale: &Scale, seed: u64) -> FigureResult {
         .map(|window| probation_run(window, seed, 0, &chaos))
         .collect();
     LevelSweep {
-        id: "chaos-probation-leak",
-        title: "Readmission leases close the covert probation channel: quarantined \
-                lease evidence never heals a decaying ban, at any window (NPS, probation \
-                off, burst-then-reform collusion, decaying drift cap, mild loss bursts)",
         level_column: "window_rounds",
         levels: &windows,
         columns: &[
@@ -540,9 +459,9 @@ fn detector_by(label: &str) -> Box<dyn DefenseStrategy> {
 /// defense rack degrades when fault noise pollutes exactly the statistics
 /// each detector keys on — residual spread (MAD), residual trend (EWMA),
 /// and RTT-vs-prediction consistency (triangle).
-pub(crate) fn chaos_detectors_under_faults(scale: &Scale, seed: u64) -> FigureResult {
+fn chaos_detectors_under_faults(scale: &Scale, seed: u64) -> FigureResult {
     let scale = recovery_scale(scale);
-    let columns = vec![
+    let mut fig = FigureResult::new(vec![
         "point_idx".to_string(),
         "detector_idx".to_string(),
         "regime_idx".to_string(),
@@ -550,7 +469,7 @@ pub(crate) fn chaos_detectors_under_faults(scale: &Scale, seed: u64) -> FigureRe
         "fpr".to_string(),
         "err_tail".to_string(),
         "err_ratio".to_string(),
-    ];
+    ]);
     let nodes = scale.nodes;
     let adversary = plain(|| strategy_by("inflation"));
     let defenses = FAULT_DETECTORS.map(|detector| move |_: &VivaldiSim| detector_by(detector));
@@ -575,15 +494,13 @@ pub(crate) fn chaos_detectors_under_faults(scale: &Scale, seed: u64) -> FigureRe
         })
         .collect();
     let cells = Cell::all(&specs);
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
     let per_detector = cells.chunks(FAULT_REGIMES.len());
     for (di, (&detector, cells)) in FAULT_DETECTORS.iter().zip(per_detector).enumerate() {
         let baseline = cells[0].err.max(1e-9);
         for (ri, (&regime, cell)) in FAULT_REGIMES.iter().zip(cells).enumerate() {
             let (tpr, fpr, err) = (cell.tpr(), cell.fpr(), cell.err);
-            rows.push(vec![
-                rows.len() as f64,
+            fig.rows.push(vec![
+                fig.rows.len() as f64,
                 di as f64,
                 ri as f64,
                 tpr,
@@ -591,28 +508,128 @@ pub(crate) fn chaos_detectors_under_faults(scale: &Scale, seed: u64) -> FigureRe
                 err,
                 err / baseline,
             ]);
-            notes.push(format!(
+            fig.notes.push(format!(
                 "{detector} under {regime}: tpr {tpr:.2} / fpr {fpr:.3}, tail err {err:.3} \
                  ({:.2}x its clean row)",
                 err / baseline,
             ));
         }
     }
-    FigureResult {
-        id: "chaos-detectors-under-faults".into(),
+    fig
+}
+
+/// The fault-injection figures.
+pub(crate) const FIGURES: &[Figure] = &[
+    // Probes to dead peers time out, retry with backoff, and stale
+    // neighbors are evicted; restarted nodes rejoin from the origin and
+    // re-converge. Down 10 ticks into the window, back up 30 ticks later.
+    Figure {
+        id: "chaos-churn-vivaldi",
+        title: "Vivaldi under churn: crash/restart waves vs retry, backoff, and staleness \
+                eviction (drift cap deployed)",
+        run: |scale, seed| {
+            churn_sweep::<VivaldiSim>(
+                scale,
+                seed,
+                (10 * TICK_MS, 30 * TICK_MS),
+                EVICTIONS,
+                &|frac, c, ratio| {
+                    format!(
+                        "churn {:.0}%: tail err {:.3} ({ratio:.2}x the no-churn steady state), \
+                         {:.0} crashes / {:.0} restarts, {:.0} timeouts, {:.0} evictions",
+                        frac * 100.0,
+                        c.err,
+                        c.crashes,
+                        c.restarts,
+                        c.timeouts,
+                        c.evictions,
+                    )
+                },
+            )
+        },
+    },
+    // The same waves against the NPS hierarchy: dead references fail over
+    // through the membership replacement channel; restarted ordinary nodes
+    // rejoin from scratch. Down 2 rounds into the window, back up 6 later.
+    Figure {
+        id: "chaos-churn-nps",
+        title: "NPS under churn: crash/restart waves vs in-round retries and membership \
+                fail-over (drift cap deployed)",
+        run: |scale, seed| {
+            churn_sweep::<NpsSim>(
+                scale,
+                seed,
+                (2 * NPS_ROUND_MS, 6 * NPS_ROUND_MS),
+                FAILOVERS,
+                &|frac, c, ratio| {
+                    format!(
+                        "churn {:.0}%: tail err {:.3} ({ratio:.2}x no-churn), {:.0} crashes, \
+                         {:.0} in-round retries, {:.0} reference fail-overs",
+                        frac * 100.0,
+                        c.err,
+                        c.crashes,
+                        c.retries,
+                        c.failovers,
+                    )
+                },
+            )
+        },
+    },
+    Figure {
+        id: "chaos-landmark-takedown",
+        title: "NPS landmark takedown: permanent loss of layer-0 infrastructure vs \
+                membership fail-over",
+        run: chaos_landmark_takedown,
+    },
+    Figure {
+        id: "chaos-loss-bursts",
+        title: "Gilbert-Elliott loss bursts vs the drift cap on honest Vivaldi: do benign \
+                bursts false-positive as attacks?",
+        run: chaos_loss_bursts,
+    },
+    Figure {
+        id: "chaos-frog-hides-in-churn",
+        title: "Frog-boiling inside churn noise: drift-cap detection quality vs churn \
+                intensity (Vivaldi, 30% malicious)",
+        run: chaos_frog_hides_in_churn,
+    },
+    Figure {
+        id: "chaos-partition-recovery",
+        title: "Timed network partition on honest Vivaldi: error while split and \
+                re-convergence after healing (drift cap deployed)",
+        run: chaos_partition_recovery,
+    },
+    Figure {
+        id: "chaos-probation-nps",
+        title: "The probation channel on NPS: re-measuring banned references lets \
+                reputation decay compose with membership banishment (burst-then-reform \
+                collusion, decaying drift cap, mild loss bursts)",
+        run: chaos_probation_nps,
+    },
+    Figure {
+        id: "chaos-probation-leak",
+        title: "Readmission leases close the covert probation channel: quarantined \
+                lease evidence never heals a decaying ban, at any window (NPS, probation \
+                off, burst-then-reform collusion, decaying drift cap, mild loss bursts)",
+        run: chaos_probation_leak,
+    },
+    Figure {
+        id: "chaos-detectors-under-faults",
         title: "MAD / EWMA / triangle detectors under benign fault noise: detection \
                 quality vs churn and loss bursts (Vivaldi, inflation collusion, 30% \
-                malicious)"
-            .into(),
-        columns,
-        rows,
-        notes,
-    }
-}
+                malicious)",
+        run: chaos_detectors_under_faults,
+    },
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_figure;
+
+    fn smoke(id: &str) -> FigureResult {
+        run_figure(id, &Scale::smoke(), 2006).expect("a row of the table")
+    }
 
     fn assert_shape(fig: &FigureResult, rows: usize) {
         assert_eq!(fig.rows.len(), rows, "{}", fig.id);
@@ -625,7 +642,7 @@ mod tests {
 
     #[test]
     fn churn_vivaldi_recovers_within_ten_percent() {
-        let fig = chaos_churn_vivaldi(&Scale::smoke(), 2006);
+        let fig = smoke("chaos-churn-vivaldi");
         assert_shape(&fig, CHURN_FRACTIONS.len());
         for row in &fig.rows {
             // The acceptance gate: post-churn tail error re-converges to
@@ -644,7 +661,7 @@ mod tests {
 
     #[test]
     fn churn_nps_recovers_and_fails_over() {
-        let fig = chaos_churn_nps(&Scale::smoke(), 2006);
+        let fig = smoke("chaos-churn-nps");
         assert_shape(&fig, CHURN_FRACTIONS.len());
         for row in &fig.rows {
             assert!(
@@ -662,7 +679,7 @@ mod tests {
 
     #[test]
     fn partition_recovery_heals() {
-        let fig = chaos_partition_recovery(&Scale::smoke(), 2006);
+        let fig = smoke("chaos-partition-recovery");
         assert!(fig.rows.len() >= 5);
         // While split, error is visibly worse than calm at some point...
         let peak = fig
@@ -685,7 +702,7 @@ mod tests {
 
     #[test]
     fn probation_reinstates_only_when_enabled() {
-        let fig = chaos_probation_nps(&Scale::smoke(), 2006);
+        let fig = smoke("chaos-probation-nps");
         assert_shape(&fig, 4);
         // Channel off: decay starves, nobody comes back.
         // Channel on at some frequency: reinstatements flow.
@@ -712,7 +729,7 @@ mod tests {
 
     #[test]
     fn probation_leak_is_closed_by_leases() {
-        let fig = chaos_probation_leak(&Scale::smoke(), 2006);
+        let fig = smoke("chaos-probation-leak");
         assert_shape(&fig, LEAK_WINDOWS.len());
         // The relief valve must actually fire — no leases means the sweep
         // isn't exercising starvation relief at all.
@@ -748,7 +765,7 @@ mod tests {
 
     #[test]
     fn detectors_under_faults_covers_the_grid() {
-        let fig = chaos_detectors_under_faults(&Scale::smoke(), 2006);
+        let fig = smoke("chaos-detectors-under-faults");
         assert_shape(&fig, FAULT_DETECTORS.len() * FAULT_REGIMES.len());
         // Every detector must actually flag the loud inflation on its
         // clean row — a detector that can't see the attack without fault
@@ -765,7 +782,7 @@ mod tests {
 
     #[test]
     fn landmark_takedown_fails_over_and_recovers() {
-        let fig = chaos_landmark_takedown(&Scale::smoke(), 2006);
+        let fig = smoke("chaos-landmark-takedown");
         assert_shape(&fig, 4);
         for row in &fig.rows {
             assert!(
@@ -783,7 +800,7 @@ mod tests {
 
     #[test]
     fn loss_bursts_do_not_defame_honest_nodes() {
-        let fig = chaos_loss_bursts(&Scale::smoke(), 2006);
+        let fig = smoke("chaos-loss-bursts");
         assert_shape(&fig, 4);
         for row in &fig.rows {
             assert!(

@@ -16,6 +16,7 @@
 
 use crate::experiments::attack_figs::{strategy_by, STRATEGIES};
 use crate::experiments::harness::{repeat_all, Deploy, RunSpec, System};
+use crate::experiments::registry::Figure;
 use crate::experiments::shapes::{mean_series, series_rows, Block, Cell, Matrix};
 use crate::experiments::{FigureResult, Scale};
 use vcoord_defense::{
@@ -98,15 +99,11 @@ fn sweep_note(attack: &str, cells: &[Cell]) -> String {
 /// The full attack×defense matrix at 30 % malicious: converged honest
 /// error per cell plus node-level TPR/FPR per defense.
 fn sweep<'a, S: System>(
-    id: &'a str,
-    title: &'a str,
     scale: &'a Scale,
     seed: u64,
     defense_by: fn(&str, &S) -> Box<dyn DefenseStrategy>,
 ) -> Matrix<'a, S> {
     Matrix {
-        id,
-        title,
         base: RunSpec {
             fraction: FRACTION,
             ..RunSpec::new(scale, seed)
@@ -118,34 +115,6 @@ fn sweep<'a, S: System>(
         blocks: &BLOCKS,
         note: sweep_note,
     }
-}
-
-fn vivaldi_sweep(scale: &Scale, seed: u64) -> Matrix<'_, VivaldiSim> {
-    sweep(
-        "def-sweep-vivaldi",
-        "defensekit strategies vs attackkit strategies on Vivaldi: error and detection quality",
-        scale,
-        seed,
-        vivaldi_defense,
-    )
-}
-
-/// `def-sweep-vivaldi` — the full attack×defense matrix on Vivaldi.
-pub(crate) fn def_sweep_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
-    vivaldi_sweep(scale, seed).figure()
-}
-
-/// `def-sweep-nps` — the same matrix on NPS (default 3-layer hierarchy,
-/// built-in security filter on, defense layered on top).
-pub(crate) fn def_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
-    sweep(
-        "def-sweep-nps",
-        "defensekit strategies vs attackkit strategies on NPS: error and detection quality",
-        scale,
-        seed,
-        nps_defense,
-    )
-    .figure()
 }
 
 /// Frog-boiling on Vivaldi at 30 % malicious against `defense`.
@@ -174,16 +143,12 @@ fn frog_vs<'a>(
 /// drift cap reaches the same drift reduction by banning exactly the
 /// colluders — the *integrated* directed pull is what it bounds — at a
 /// false-positive rate of zero.
-pub(crate) fn def_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
+fn def_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
     let defenses: [&'static str; 3] = ["none", "mad_outlier", "drift_cap"];
     let mut columns = vec!["tick".to_string()];
     columns.extend(defenses.iter().map(|d| format!("drift_{d}")));
     columns.extend(defenses.iter().map(|d| format!("err_{d}")));
-    let mut fig = FigureResult::new(
-        "def-frog-drift",
-        "Frog-boiling vs defenses on Vivaldi: drift velocity and error over time",
-        columns,
-    );
+    let mut fig = FigureResult::new(columns);
     let deploys = defenses.map(|defense| move |sim: &VivaldiSim| vivaldi_defense(defense, sim));
     let specs: Vec<_> = deploys
         .iter()
@@ -220,7 +185,7 @@ pub(crate) fn def_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
 /// positives) while the MAD curve hugs the floor at every threshold —
 /// frog-boiling is invisible to error-magnitude detection at any
 /// sensitivity.
-pub(crate) fn def_roc(scale: &Scale, seed: u64) -> FigureResult {
+fn def_roc(scale: &Scale, seed: u64) -> FigureResult {
     let caps = [10.0, 20.0, 40.0, 80.0, 160.0];
     let ks = [1.0, 2.0, 3.0, 4.0, 6.0];
     let drift_caps = caps.map(|cap| {
@@ -245,11 +210,7 @@ pub(crate) fn def_roc(scale: &Scale, seed: u64) -> FigureResult {
         "tpr_mad".to_string(),
         "fpr_mad".to_string(),
     ];
-    let mut fig = FigureResult::new(
-        "def-roc",
-        "Frog-boiling detection ROC on Vivaldi: drift cap vs MAD outlier filter",
-        columns,
-    );
+    let mut fig = FigureResult::new(columns);
     for (i, pair) in cells.chunks(2).enumerate() {
         let (cap, k) = (caps[i], ks[i]);
         let (dr_tpr, dr_fpr) = (pair[0].tpr(), pair[0].fpr());
@@ -263,9 +224,37 @@ pub(crate) fn def_roc(scale: &Scale, seed: u64) -> FigureResult {
     fig
 }
 
+/// The defensekit figures: the full attack×defense matrix on Vivaldi and on
+/// NPS (default 3-layer hierarchy, built-in security filter on, the defense
+/// layered on top), then the frog-boiling drift study and ROC.
+pub(crate) const FIGURES: &[Figure] = &[
+    Figure {
+        id: "def-sweep-vivaldi",
+        title:
+            "defensekit strategies vs attackkit strategies on Vivaldi: error and detection quality",
+        run: |scale, seed| sweep(scale, seed, vivaldi_defense).figure(),
+    },
+    Figure {
+        id: "def-sweep-nps",
+        title: "defensekit strategies vs attackkit strategies on NPS: error and detection quality",
+        run: |scale, seed| sweep(scale, seed, nps_defense).figure(),
+    },
+    Figure {
+        id: "def-frog-drift",
+        title: "Frog-boiling vs defenses on Vivaldi: drift velocity and error over time",
+        run: def_frog_drift,
+    },
+    Figure {
+        id: "def-roc",
+        title: "Frog-boiling detection ROC on Vivaldi: drift cap vs MAD outlier filter",
+        run: def_roc,
+    },
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_figure;
 
     #[test]
     fn every_defense_label_resolves() {
@@ -284,7 +273,7 @@ mod tests {
     #[test]
     fn frog_drift_figure_shows_drift_cap_mitigation() {
         let scale = Scale::smoke();
-        let fig = def_frog_drift(&scale, 7);
+        let fig = run_figure("def-frog-drift", &scale, 7).expect("a row");
         assert_eq!(fig.id, "def-frog-drift");
         assert_eq!(fig.columns.len(), 7);
         assert!(!fig.rows.is_empty());
@@ -314,7 +303,7 @@ mod tests {
         let cells = Matrix {
             attacks: &["frog_boiling"],
             defenses: &["drift_cap", "mad_outlier"],
-            ..vivaldi_sweep(&scale, 2006)
+            ..sweep(&scale, 2006, vivaldi_defense)
         }
         .cells();
         let (frog, mad) = (&cells[0], &cells[1]);

@@ -1,11 +1,12 @@
 //! The experiment suite: one reproducible runner per figure of the paper's
-//! evaluation (§5).
+//! evaluation (§5), declared as one row of the figure table ([`registry`]).
 //!
 //! Every runner takes a [`Scale`] (quick vs full/paper scale) and a master
-//! seed, fans its (cell, repetition) jobs out over one pool of threads, and
-//! returns a [`FigureResult`] — a header plus numeric rows mirroring the
-//! series the paper plots. The `figures` binary in `vcoord-bench`
-//! prints/persists these; integration tests run them at tiny scale.
+//! seed, fans its (cell, repetition) jobs out over one pool of threads —
+//! [`run_grid`], the only pool a figure run has — and returns a
+//! [`FigureResult`]: a header plus numeric rows mirroring the series the
+//! paper plots. The `figures` binary in `vcoord-bench` prints/persists
+//! these; integration tests run them at tiny scale.
 //!
 //! See `DESIGN.md` for the figure-by-figure index and `EXPERIMENTS.md` for
 //! recorded paper-vs-measured outcomes.
@@ -21,7 +22,6 @@ pub mod registry;
 mod shapes;
 mod vivaldi_figs;
 
-pub use harness::{DefenseOutcome, Run};
 pub use registry::{figure_ids, run_figure};
 
 use vcoord_metrics::TimeSeries;
@@ -109,7 +109,7 @@ impl Scale {
 /// plots, with column headers and free-form shape notes.
 #[derive(Debug, Clone)]
 pub struct FigureResult {
-    /// Figure id, e.g. `"fig1"`.
+    /// Figure id: what `figures <id>` selects and `<id>.csv` is named after.
     pub id: String,
     /// Human-readable title (matches the paper's caption).
     pub title: String,
@@ -123,11 +123,12 @@ pub struct FigureResult {
 
 impl FigureResult {
     /// An empty table under `columns`, for a runner to push its rows and
-    /// notes into.
-    pub fn new(id: &str, title: &str, columns: Vec<String>) -> FigureResult {
+    /// notes into. The id and title are not the runner's to write:
+    /// [`run_figure`] stamps them from the figure's row of the table.
+    pub(crate) fn new(columns: Vec<String>) -> FigureResult {
         FigureResult {
-            id: id.into(),
-            title: title.into(),
+            id: String::new(),
+            title: String::new(),
             columns,
             rows: Vec::new(),
             notes: Vec::new(),
@@ -171,7 +172,7 @@ impl FigureResult {
 
 /// Average several same-shaped time series pointwise (they share tick
 /// schedules because every repetition records on the same boundaries).
-pub fn average_series(series: &[TimeSeries]) -> TimeSeries {
+pub(crate) fn average_series(series: &[TimeSeries]) -> TimeSeries {
     let mut out = TimeSeries::new();
     let Some(first) = series.first() else {
         return out;
@@ -321,18 +322,6 @@ where
     cells
 }
 
-/// Run `repetitions` independent jobs on the worker pool and collect their
-/// results in repetition order: the one-cell case of [`run_grid`].
-pub fn run_repetitions<T, F>(repetitions: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    run_grid(&[repetitions], |job| f(job.rep))
-        .pop()
-        .expect("one cell")
-}
-
 /// Width of the [`run_grid`] pool for `jobs` jobs — the single source of
 /// truth shared with [`eval_thread_budget`].
 fn repetition_pool_width(jobs: usize) -> usize {
@@ -401,13 +390,13 @@ mod tests {
     }
 
     #[test]
-    fn run_repetitions_preserves_order() {
-        let out = run_repetitions(8, |rep| rep * 10);
-        assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60, 70]);
+    fn one_cell_grid_preserves_repetition_order() {
+        let out = run_grid(&[8], |job| job.rep * 10);
+        assert_eq!(out, vec![vec![0, 10, 20, 30, 40, 50, 60, 70]]);
     }
 
     #[test]
-    fn run_repetitions_bounds_concurrency() {
+    fn one_cell_grid_bounds_concurrency() {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         let cap = vcoord_metrics::worker_threads();
@@ -415,14 +404,14 @@ mod tests {
         let peak = AtomicUsize::new(0);
         // Far more repetitions than cores: the pool must still finish, keep
         // order, and never run more jobs at once than the cap.
-        let out = run_repetitions(4 * cap + 3, |rep| {
+        let out = run_grid(&[4 * cap + 3], |job| {
             let now = active.fetch_add(1, Ordering::SeqCst) + 1;
             peak.fetch_max(now, Ordering::SeqCst);
             std::thread::sleep(std::time::Duration::from_millis(1));
             active.fetch_sub(1, Ordering::SeqCst);
-            rep
+            job.rep
         });
-        assert_eq!(out, (0..(4 * cap as u64 + 3)).collect::<Vec<_>>());
+        assert_eq!(out, vec![(0..(4 * cap as u64 + 3)).collect::<Vec<_>>()]);
         assert!(
             peak.load(Ordering::SeqCst) <= cap,
             "worker pool exceeded available parallelism: {} > {cap}",
@@ -485,7 +474,8 @@ mod tests {
         let started = AtomicUsize::new(0);
         let unwinding = AtomicBool::new(false);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_repetitions(40, |rep| {
+            run_grid(&[40], |job| {
+                let rep = job.rep;
                 started.fetch_add(1, Ordering::SeqCst);
                 if rep == 2 {
                     let _unwinding = SetOnDrop(&unwinding);

@@ -7,6 +7,7 @@ use crate::attacks::nps::{
     NpsAntiDetection, NpsCollusionIsolation, NpsCombined, NpsSimpleDisorder,
 };
 use crate::experiments::harness::{honest, plain, repeat_all, Adversary, Choice, Run, RunSpec};
+use crate::experiments::registry::Figure;
 use crate::experiments::shapes::{
     attacked_err, cdf_by_fraction, cdf_rows, cross, mean_of, mean_series, pct, pooled_cdf,
     series_rows,
@@ -92,15 +93,13 @@ fn victim_err(runs: &[Run]) -> f64 {
 
 /// Error-vs-time figure over fractions × configs (figures 14, 18, 26).
 fn error_vs_time(
-    id: &str,
-    title: &str,
     scale: &Scale,
     seed: u64,
     fractions: &[f64],
     configs: &[(&str, NpsConfig)],
     adversary: &Attack,
 ) -> FigureResult {
-    let mut fig = FigureResult::new(id, title, vec!["round".to_string()]);
+    let mut fig = FigureResult::new(vec!["round".to_string()]);
     let cells: Vec<_> = cross(fractions, configs).collect();
     let specs: Vec<_> = cells
         .iter()
@@ -123,26 +122,9 @@ fn error_vs_time(
     fig
 }
 
-/// Figure 14 — independent disorder without the detection mechanism.
-pub(crate) fn fig14(scale: &Scale, seed: u64) -> FigureResult {
-    error_vs_time(
-        "fig14",
-        "Injection of independent Disorder attackers on NPS (security off vs on): average relative error",
-        scale,
-        seed,
-        &[0.10, 0.20, 0.30, 0.50],
-        &[("off", with_security(false)), ("on", with_security(true))],
-        &plain(disorder),
-    )
-}
-
 /// Figure 15 — independent disorder: CDF, security on vs off.
-pub(crate) fn fig15(scale: &Scale, seed: u64) -> FigureResult {
-    let mut fig = FigureResult::new(
-        "fig15",
-        "Injection of independent Disorder attackers on NPS: CDF",
-        vec!["quantile".to_string()],
-    );
+fn fig15(scale: &Scale, seed: u64) -> FigureResult {
+    let mut fig = FigureResult::new(vec!["quantile".to_string()]);
     let cells: Vec<_> = cross(&[0.20, 0.40], &[("off", false), ("on", true)]).collect();
     let adversary = plain(disorder);
     let specs: Vec<_> = cells
@@ -166,16 +148,12 @@ pub(crate) fn fig15(scale: &Scale, seed: u64) -> FigureResult {
 }
 
 /// Figure 16 — independent disorder: impact of dimensionality.
-pub(crate) fn fig16(scale: &Scale, seed: u64) -> FigureResult {
+fn fig16(scale: &Scale, seed: u64) -> FigureResult {
     let dims = [2usize, 4, 8, 12];
     let fractions = [0.10, 0.20, 0.30, 0.50];
     let mut columns = vec!["fraction_pct".to_string()];
     columns.extend(dims.iter().map(|d| format!("err_{d}D")));
-    let mut fig = FigureResult::new(
-        "fig16",
-        "Injection of independent Disorder attackers on NPS: impact of dimensionality",
-        columns,
-    );
+    let mut fig = FigureResult::new(columns);
     let adversary = plain(disorder);
     let specs: Vec<_> = cross(&fractions, &dims)
         .map(|(&f, &d)| {
@@ -204,7 +182,7 @@ pub(crate) fn fig16(scale: &Scale, seed: u64) -> FigureResult {
 /// the closed-form quantities it illustrates (push bound per α, and the
 /// sophistication cut for the 5 s threshold), which are unit-tested in
 /// `attacks::geometry`.
-pub(crate) fn fig17(_scale: &Scale, _seed: u64) -> FigureResult {
+fn fig17(_scale: &Scale, _seed: u64) -> FigureResult {
     use crate::attacks::geometry::{naive_push_bound, sophistication_cut_ms};
     let alphas = [0.0, 1.0, 2.0, 4.0];
     let rows: Vec<Vec<f64>> = alphas
@@ -217,97 +195,17 @@ pub(crate) fn fig17(_scale: &Scale, _seed: u64) -> FigureResult {
             ]
         })
         .collect();
-    FigureResult {
-        id: "fig17".into(),
-        title: "Anti-detection NPS attack geometry (diagram; closed forms)".into(),
-        columns: vec![
-            "alpha".into(),
-            "push_bound_x_d".into(),
-            "victim_cut_ms".into(),
-        ],
-        rows,
-        notes: vec![
-            "fig 17 in the paper is a geometry diagram, not a data plot".into(),
-            "lie construction verified by attacks::geometry unit tests".into(),
-        ],
-    }
-}
-
-/// Figure 18 — anti-detection naive attackers: impact on convergence,
-/// security on vs off (probe threshold always on).
-pub(crate) fn fig18(scale: &Scale, seed: u64) -> FigureResult {
-    error_vs_time(
-        "fig18",
-        "Injection in NPS of anti-detection naive attackers: impact on convergence",
-        scale,
-        seed,
-        &[0.10, 0.20, 0.30],
-        &[
-            ("secOn", with_security(true)),
-            ("secOff", with_security(false)),
-        ],
-        &plain(|| anti_detection(Knowledge::half(), false)),
-    )
-}
-
-/// Figure 19 — anti-detection naive: effect of victim-coordinate knowledge
-/// on the error ratio.
-pub(crate) fn fig19(scale: &Scale, seed: u64) -> FigureResult {
-    knowledge_sweep(
-        "fig19",
-        "Injection in NPS of anti-detection naive attackers: effect of victim coordinate knowledge",
-        scale,
-        seed,
-        false,
-        KnowledgeMetric::ErrorRatio,
-    )
-}
-
-/// Figure 20 — anti-detection naive: ratio of filtered malicious nodes to
-/// all filtered nodes, per knowledge level.
-pub(crate) fn fig20(scale: &Scale, seed: u64) -> FigureResult {
-    knowledge_sweep(
-        "fig20",
-        "Anti-detection naive attackers: filtered-malicious share of all filter events",
-        scale,
-        seed,
-        false,
-        KnowledgeMetric::FilteredMaliciousRatio,
-    )
-}
-
-/// Figure 21 — anti-detection sophisticated attackers: CDF.
-pub(crate) fn fig21(scale: &Scale, seed: u64) -> FigureResult {
-    cdf_by_fraction(
-        "fig21",
-        "Injected anti-detection sophisticated attacks on NPS: CDF",
-        &RunSpec::<NpsSim> {
-            adversary: &plain(|| anti_detection(Knowledge::half(), true)),
-            ..RunSpec::new(scale, seed)
-        },
-        &[0.10, 0.20, 0.30],
-        |pct, runs, cdf| {
-            let clean = mean_of(runs, |r| r.clean_ref);
-            format!(
-                "{pct}%: median {:.2} (clean system mean ≈ {clean:.2}); fraction worse than clean mean: {:.2}",
-                cdf.median(),
-                1.0 - cdf.fraction_below(clean)
-            )
-        },
-    )
-}
-
-/// Figure 22 — anti-detection sophisticated: filtered-malicious share per
-/// knowledge level.
-pub(crate) fn fig22(scale: &Scale, seed: u64) -> FigureResult {
-    knowledge_sweep(
-        "fig22",
-        "Anti-detection sophisticated attackers: filtered-malicious share per knowledge level",
-        scale,
-        seed,
-        true,
-        KnowledgeMetric::FilteredMaliciousRatio,
-    )
+    let mut fig = FigureResult::new(vec![
+        "alpha".into(),
+        "push_bound_x_d".into(),
+        "victim_cut_ms".into(),
+    ]);
+    fig.rows = rows;
+    fig.notes = vec![
+        "fig 17 in the paper is a geometry diagram, not a data plot".into(),
+        "lie construction verified by attacks::geometry unit tests".into(),
+    ];
+    fig
 }
 
 enum KnowledgeMetric {
@@ -315,9 +213,9 @@ enum KnowledgeMetric {
     FilteredMaliciousRatio,
 }
 
+/// Anti-detection attackers at each victim-coordinate knowledge level
+/// (figures 19, 20, 22): one `metric` column per level, per fraction.
 fn knowledge_sweep(
-    id: &str,
-    title: &str,
     scale: &Scale,
     seed: u64,
     sophisticated: bool,
@@ -327,7 +225,7 @@ fn knowledge_sweep(
     let fractions = [0.05, 0.10, 0.20, 0.30];
     let mut columns = vec!["fraction_pct".to_string()];
     columns.extend(knowledges.iter().map(|k| format!("p{}", k.probability())));
-    let mut fig = FigureResult::new(id, title, columns);
+    let mut fig = FigureResult::new(columns);
     let adversaries = knowledges.map(|k| plain(move || anti_detection(k, sophisticated)));
     let specs: Vec<_> = cross(&fractions, &adversaries)
         .map(|(&f, a)| scenario(scale, NpsConfig::default(), f, seed, a))
@@ -364,22 +262,9 @@ fn knowledge_sweep(
     fig
 }
 
-/// Figure 23 — colluding isolation, 3-layer system: CDF of relative errors.
-pub(crate) fn fig23(scale: &Scale, seed: u64) -> FigureResult {
-    collusion_cdf("fig23", 3, scale, seed)
-}
-
-/// Figure 24 — colluding isolation, 4-layer system: CDF of relative errors.
-pub(crate) fn fig24(scale: &Scale, seed: u64) -> FigureResult {
-    collusion_cdf("fig24", 4, scale, seed)
-}
-
-fn collusion_cdf(id: &str, layers: usize, scale: &Scale, seed: u64) -> FigureResult {
+/// Colluding isolation on a `layers`-layer system (figures 23, 24).
+fn collusion_cdf(layers: usize, scale: &Scale, seed: u64) -> FigureResult {
     cdf_by_fraction(
-        id,
-        &format!(
-            "Injection of colluding Isolation attack on NPS ({layers}-layer): CDF of relative errors"
-        ),
         &RunSpec::<NpsSim> {
             config: NpsConfig::with_layers(layers),
             adversary: &collusion,
@@ -398,7 +283,7 @@ fn collusion_cdf(id: &str, layers: usize, scale: &Scale, seed: u64) -> FigureRes
 
 /// Figure 25 — colluding isolation: propagation of errors across layers
 /// (layer-2 victims vs layer-3 nodes, clean vs 20 % corrupted).
-pub(crate) fn fig25(scale: &Scale, seed: u64) -> FigureResult {
+fn fig25(scale: &Scale, seed: u64) -> FigureResult {
     let runs = repeat_all(&[
         // Corrupted 3-layer and 4-layer systems.
         scenario(scale, NpsConfig::with_layers(3), 0.20, seed, &collusion),
@@ -423,7 +308,14 @@ pub(crate) fn fig25(scale: &Scale, seed: u64) -> FigureResult {
         vec![4.0, 2.0, layer_avg(c4, 2), layer_avg(r4, 2), victim_err(r4)],
         vec![4.0, 3.0, layer_avg(c4, 3), layer_avg(r4, 3), f64::NAN],
     ];
-    let notes = vec![
+    let mut fig = FigureResult::new(vec![
+        "system_layers".into(),
+        "layer".into(),
+        "clean_err".into(),
+        "attacked_err".into(),
+        "victim_err".into(),
+    ]);
+    fig.notes = vec![
         format!(
             "layer-2 victim error similar across structures: 3L {:.2} vs 4L {:.2}",
             victim_err(r3),
@@ -435,37 +327,135 @@ pub(crate) fn fig25(scale: &Scale, seed: u64) -> FigureResult {
             layer_avg(r4, 3)
         ),
     ];
-    FigureResult {
-        id: "fig25".into(),
-        title: "Colluding Isolation on NPS: propagation of errors across layers".into(),
-        columns: vec![
-            "system_layers".into(),
-            "layer".into(),
-            "clean_err".into(),
-            "attacked_err".into(),
-            "victim_err".into(),
-        ],
-        rows,
-        notes,
-    }
+    fig.rows = rows;
+    fig
 }
 
-/// Figure 26 — combined NPS attacks: impact on convergence.
-pub(crate) fn fig26(scale: &Scale, seed: u64) -> FigureResult {
-    error_vs_time(
-        "fig26",
-        "Injection of combined attacks on NPS: impact on convergence",
-        scale,
-        seed,
-        &[0.05, 0.10, 0.15],
-        &[("combined", NpsConfig::default())],
-        &plain(|| Box::new(NpsCombined::new(Knowledge::half(), 0.2))),
-    )
-}
+/// Figures 14–26 (§5.3): independent disorder (14–16), the anti-detection
+/// geometry (17) and its naive (18–20) and sophisticated (21–22) attackers,
+/// colluding isolation (23–25) and the combined attacks (26). The probe
+/// threshold stays on wherever the security filter is switched.
+pub(crate) const FIGURES: &[Figure] = &[
+    Figure {
+        id: "fig14",
+        title: "Injection of independent Disorder attackers on NPS (security off vs on): average relative error",
+        run: |scale, seed| {
+            error_vs_time(
+                scale,
+                seed,
+                &[0.10, 0.20, 0.30, 0.50],
+                &[("off", with_security(false)), ("on", with_security(true))],
+                &plain(disorder),
+            )
+        },
+    },
+    Figure {
+        id: "fig15",
+        title: "Injection of independent Disorder attackers on NPS: CDF",
+        run: fig15,
+    },
+    Figure {
+        id: "fig16",
+        title: "Injection of independent Disorder attackers on NPS: impact of dimensionality",
+        run: fig16,
+    },
+    Figure {
+        id: "fig17",
+        title: "Anti-detection NPS attack geometry (diagram; closed forms)",
+        run: fig17,
+    },
+    Figure {
+        id: "fig18",
+        title: "Injection in NPS of anti-detection naive attackers: impact on convergence",
+        run: |scale, seed| {
+            error_vs_time(
+                scale,
+                seed,
+                &[0.10, 0.20, 0.30],
+                &[
+                    ("secOn", with_security(true)),
+                    ("secOff", with_security(false)),
+                ],
+                &plain(|| anti_detection(Knowledge::half(), false)),
+            )
+        },
+    },
+    Figure {
+        id: "fig19",
+        title: "Injection in NPS of anti-detection naive attackers: effect of victim coordinate knowledge",
+        run: |scale, seed| knowledge_sweep(scale, seed, false, KnowledgeMetric::ErrorRatio),
+    },
+    // The filtered-malicious share of all filter events, per knowledge
+    // level: naive attackers, then (figure 22) sophisticated ones.
+    Figure {
+        id: "fig20",
+        title: "Anti-detection naive attackers: filtered-malicious share of all filter events",
+        run: |scale, seed| {
+            knowledge_sweep(scale, seed, false, KnowledgeMetric::FilteredMaliciousRatio)
+        },
+    },
+    Figure {
+        id: "fig21",
+        title: "Injected anti-detection sophisticated attacks on NPS: CDF",
+        run: |scale, seed| {
+            cdf_by_fraction(
+                &RunSpec::<NpsSim> {
+                    adversary: &plain(|| anti_detection(Knowledge::half(), true)),
+                    ..RunSpec::new(scale, seed)
+                },
+                &[0.10, 0.20, 0.30],
+                |pct, runs, cdf| {
+                    let clean = mean_of(runs, |r| r.clean_ref);
+                    format!(
+                        "{pct}%: median {:.2} (clean system mean ≈ {clean:.2}); fraction worse than clean mean: {:.2}",
+                        cdf.median(),
+                        1.0 - cdf.fraction_below(clean)
+                    )
+                },
+            )
+        },
+    },
+    Figure {
+        id: "fig22",
+        title: "Anti-detection sophisticated attackers: filtered-malicious share per knowledge level",
+        run: |scale, seed| {
+            knowledge_sweep(scale, seed, true, KnowledgeMetric::FilteredMaliciousRatio)
+        },
+    },
+    Figure {
+        id: "fig23",
+        title: "Injection of colluding Isolation attack on NPS (3-layer): CDF of relative errors",
+        run: |scale, seed| collusion_cdf(3, scale, seed),
+    },
+    Figure {
+        id: "fig24",
+        title: "Injection of colluding Isolation attack on NPS (4-layer): CDF of relative errors",
+        run: |scale, seed| collusion_cdf(4, scale, seed),
+    },
+    Figure {
+        id: "fig25",
+        title: "Colluding Isolation on NPS: propagation of errors across layers",
+        run: fig25,
+    },
+    Figure {
+        id: "fig26",
+        title: "Injection of combined attacks on NPS: impact on convergence",
+        run: |scale, seed| {
+            error_vs_time(
+                scale,
+                seed,
+                &[0.05, 0.10, 0.15],
+                &[("combined", NpsConfig::default())],
+                &plain(|| Box::new(NpsCombined::new(Knowledge::half(), 0.2))),
+            )
+        },
+    },
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_figure;
 
     #[test]
     fn fig17_is_static_and_correct() {
@@ -480,7 +470,7 @@ mod tests {
     #[test]
     fn fig14_smoke_shows_attack_effect() {
         let scale = Scale::smoke();
-        let fig = fig14(&scale, 5);
+        let fig = run_figure("fig14", &scale, 5).expect("fig14 is a row");
         assert!(!fig.rows.is_empty());
         assert_eq!(fig.columns.len(), 1 + 4 * 2);
     }

@@ -1,292 +1,65 @@
-//! Figure registry: id → runner.
+//! The figure table: every figure of the suite is one row — its id, its
+//! title and the runner that computes it — declared once, in its family's
+//! module.
 
 use crate::experiments::{
     arms_figs, attack_figs, chaos_figs, defense_figs, extensions, nps_figs, vivaldi_figs,
     FigureResult, Scale,
 };
 
-type Runner = fn(&Scale, u64) -> FigureResult;
-
-/// All figure ids with their runners and one-line summaries, in paper
-/// order. Figure 17 is a diagram; its entry emits the closed forms it
-/// illustrates (see `nps_figs::fig17`).
-pub const FIGURES: &[(&str, Runner, &str)] = &[
-    (
-        "fig1",
-        vivaldi_figs::fig01 as Runner,
-        "Vivaldi disorder: error ratio vs time",
-    ),
-    (
-        "fig2",
-        vivaldi_figs::fig02,
-        "Vivaldi disorder: CDF of relative error",
-    ),
-    (
-        "fig3",
-        vivaldi_figs::fig03,
-        "Vivaldi disorder: impact of dimensions",
-    ),
-    (
-        "fig4",
-        vivaldi_figs::fig04,
-        "Vivaldi disorder: impact of system size",
-    ),
-    (
-        "fig5",
-        vivaldi_figs::fig05,
-        "Vivaldi repulsion: CDF of relative error",
-    ),
-    (
-        "fig6",
-        vivaldi_figs::fig06,
-        "Vivaldi repulsion: impact of dimensions",
-    ),
-    (
-        "fig7",
-        vivaldi_figs::fig07,
-        "Vivaldi repulsion on victim subsets",
-    ),
-    (
-        "fig8",
-        vivaldi_figs::fig08,
-        "Vivaldi repulsion: impact of system size",
-    ),
-    (
-        "fig9",
-        vivaldi_figs::fig09,
-        "Vivaldi colluding isolation: error ratio vs time",
-    ),
-    (
-        "fig10",
-        vivaldi_figs::fig10,
-        "Vivaldi colluding isolation: target error",
-    ),
-    (
-        "fig11",
-        vivaldi_figs::fig11,
-        "Vivaldi colluding isolation: CDF (both strategies)",
-    ),
-    (
-        "fig12",
-        vivaldi_figs::fig12,
-        "Vivaldi combined attacks: convergence",
-    ),
-    (
-        "fig13",
-        vivaldi_figs::fig13,
-        "Vivaldi combined attacks: system size",
-    ),
-    (
-        "fig14",
-        nps_figs::fig14,
-        "NPS disorder: error vs time (security on/off)",
-    ),
-    (
-        "fig15",
-        nps_figs::fig15,
-        "NPS disorder: CDF (security on/off)",
-    ),
-    (
-        "fig16",
-        nps_figs::fig16,
-        "NPS disorder: impact of dimensionality",
-    ),
-    (
-        "fig17",
-        nps_figs::fig17,
-        "NPS anti-detection geometry (diagram closed forms)",
-    ),
-    (
-        "fig18",
-        nps_figs::fig18,
-        "NPS anti-detection naive: convergence",
-    ),
-    (
-        "fig19",
-        nps_figs::fig19,
-        "NPS anti-detection naive: knowledge vs error ratio",
-    ),
-    (
-        "fig20",
-        nps_figs::fig20,
-        "NPS anti-detection naive: filtered-malicious share",
-    ),
-    (
-        "fig21",
-        nps_figs::fig21,
-        "NPS anti-detection sophisticated: CDF",
-    ),
-    (
-        "fig22",
-        nps_figs::fig22,
-        "NPS anti-detection sophisticated: filtered share",
-    ),
-    (
-        "fig23",
-        nps_figs::fig23,
-        "NPS colluding isolation 3-layer: CDF",
-    ),
-    (
-        "fig24",
-        nps_figs::fig24,
-        "NPS colluding isolation 4-layer: CDF",
-    ),
-    (
-        "fig25",
-        nps_figs::fig25,
-        "NPS colluding isolation: error propagation",
-    ),
-    (
-        "fig26",
-        nps_figs::fig26,
-        "NPS combined attacks: convergence",
-    ),
-    // Extensions beyond the paper's evaluation (see experiments::extensions).
-    (
-        "ext-genesis",
-        extensions::ext_genesis,
-        "EXT: genesis vs injection attack timing",
-    ),
-    (
-        "ext-faults",
-        extensions::ext_faults,
-        "EXT: benign faults vs adversarial behaviour",
-    ),
-    // attackkit scenario families (frog-boiling, oscillation, partition,
-    // inflation, deflation — see experiments::attack_figs).
-    (
-        "atk-sweep-vivaldi",
-        attack_figs::atk_sweep_vivaldi,
-        "ATK: attackkit strategy sweep on Vivaldi (error + drift)",
-    ),
-    (
-        "atk-sweep-nps",
-        attack_figs::atk_sweep_nps,
-        "ATK: attackkit strategy sweep on NPS (error + drift)",
-    ),
-    (
-        "atk-frog-drift",
-        attack_figs::atk_frog_drift,
-        "ATK: frog-boiling drift velocity by step size (Vivaldi)",
-    ),
-    // defensekit sweeps (outlier filters, change-point detection, drift
-    // caps, triangle checks, trusted baselines — see
-    // experiments::defense_figs).
-    (
-        "def-sweep-vivaldi",
-        defense_figs::def_sweep_vivaldi,
-        "DEF: attack×defense matrix on Vivaldi (error + TPR/FPR)",
-    ),
-    (
-        "def-sweep-nps",
-        defense_figs::def_sweep_nps,
-        "DEF: attack×defense matrix on NPS (error + TPR/FPR)",
-    ),
-    (
-        "def-frog-drift",
-        defense_figs::def_frog_drift,
-        "DEF: frog-boiling vs defenses — drift and error over time (Vivaldi)",
-    ),
-    (
-        "def-roc",
-        defense_figs::def_roc,
-        "DEF: frog-boiling detection ROC — drift cap vs MAD filter (Vivaldi)",
-    ),
-    // arms-race sweeps (defense-aware adaptive attackers, reputation decay
-    // — see experiments::arms_figs).
-    (
-        "arms-sweep-vivaldi",
-        arms_figs::arms_sweep_vivaldi,
-        "ARMS: adaptive attack×defense matrix on Vivaldi (error + TPR/FPR + reinstatements)",
-    ),
-    (
-        "arms-sweep-nps",
-        arms_figs::arms_sweep_nps,
-        "ARMS: adaptive attack×defense matrix on NPS (error + TPR/FPR + reinstatements)",
-    ),
-    (
-        "arms-evasion-roc",
-        arms_figs::arms_evasion_roc,
-        "ARMS: classic vs defense-modeling frog-boiling over deployed drift caps (Vivaldi)",
-    ),
-    (
-        "arms-evasion-learning",
-        arms_figs::arms_evasion_learning,
-        "ARMS: fixed-model vs cap-learning frog-boiling over deployed drift caps (Vivaldi)",
-    ),
-    (
-        "arms-decay-tradeoff",
-        arms_figs::arms_decay_tradeoff,
-        "ARMS: sleeper collusion vs drift-cap reputation decay half-lives (Vivaldi)",
-    ),
-    // fault-injection sweeps (churn, correlated loss bursts, landmark
-    // takedown, partitions — see experiments::chaos_figs).
-    (
-        "chaos-churn-vivaldi",
-        chaos_figs::chaos_churn_vivaldi,
-        "CHAOS: crash/restart waves vs retry+backoff+eviction on Vivaldi (recovery)",
-    ),
-    (
-        "chaos-churn-nps",
-        chaos_figs::chaos_churn_nps,
-        "CHAOS: crash/restart waves vs in-round retries and membership fail-over on NPS",
-    ),
-    (
-        "chaos-landmark-takedown",
-        chaos_figs::chaos_landmark_takedown,
-        "CHAOS: permanent layer-0 landmark loss vs membership fail-over (NPS)",
-    ),
-    (
-        "chaos-loss-bursts",
-        chaos_figs::chaos_loss_bursts,
-        "CHAOS: Gilbert-Elliott loss bursts vs drift-cap false positives (honest Vivaldi)",
-    ),
-    (
-        "chaos-frog-hides-in-churn",
-        chaos_figs::chaos_frog_hides_in_churn,
-        "CHAOS: frog-boiling detection quality under churn noise (Vivaldi, headline)",
-    ),
-    (
-        "chaos-partition-recovery",
-        chaos_figs::chaos_partition_recovery,
-        "CHAOS: timed network partition — degradation while split, recovery after heal (Vivaldi)",
-    ),
-    (
-        "chaos-probation-nps",
-        chaos_figs::chaos_probation_nps,
-        "CHAOS: probation channel — reputation decay composing with membership banishment (NPS)",
-    ),
-    (
-        "chaos-probation-leak",
-        chaos_figs::chaos_probation_leak,
-        "CHAOS: readmission leases quarantining relief-valve evidence at every window (NPS)",
-    ),
-    (
-        "chaos-detectors-under-faults",
-        chaos_figs::chaos_detectors_under_faults,
-        "CHAOS: MAD/EWMA/triangle detectors crossed with churn and loss-burst noise (Vivaldi)",
-    ),
-];
-
-/// All known figure ids, in paper order.
-pub fn figure_ids() -> Vec<&'static str> {
-    FIGURES.iter().map(|(id, _, _)| *id).collect()
+/// One row of the figure table.
+pub(crate) struct Figure {
+    /// What `figures <id>` selects and `<id>.csv` is named after.
+    pub id: &'static str,
+    /// The caption: the first line of the CSV and the `--list` text.
+    pub title: &'static str,
+    /// The table under that caption, from a scale and a master seed.
+    pub run: fn(&Scale, u64) -> FigureResult,
 }
 
-/// Short description of a figure id, if known.
+/// The families in suite order: the paper's figures 1–13 (Vivaldi) and
+/// 14–26 (NPS; figure 17 is a diagram, its row emits the closed forms it
+/// illustrates), then the extensions beyond the paper's evaluation — attack
+/// timing and benign faults, the attackkit strategies, the defensekit
+/// sweeps, the adaptive attackers, and the fault-injection sweeps.
+const FAMILIES: [&[Figure]; 7] = [
+    vivaldi_figs::FIGURES,
+    nps_figs::FIGURES,
+    extensions::FIGURES,
+    attack_figs::FIGURES,
+    defense_figs::FIGURES,
+    arms_figs::FIGURES,
+    chaos_figs::FIGURES,
+];
+
+fn figures() -> impl Iterator<Item = &'static Figure> {
+    FAMILIES.iter().copied().flatten()
+}
+
+fn find(id: &str) -> Option<&'static Figure> {
+    figures().find(|figure| figure.id == id)
+}
+
+/// All known figure ids, in suite order.
+pub fn figure_ids() -> Vec<&'static str> {
+    // Sized up front: a flattened iterator has no length to collect by.
+    let mut ids = Vec::with_capacity(FAMILIES.iter().map(|family| family.len()).sum());
+    ids.extend(figures().map(|figure| figure.id));
+    ids
+}
+
+/// The title of a figure id, if known.
 pub fn describe(id: &str) -> Option<&'static str> {
-    FIGURES
-        .iter()
-        .find(|(fid, _, _)| *fid == id)
-        .map(|(_, _, d)| *d)
+    find(id).map(|figure| figure.title)
 }
 
 /// Run one figure by id. Returns `None` for unknown ids.
 pub fn run_figure(id: &str, scale: &Scale, seed: u64) -> Option<FigureResult> {
-    FIGURES
-        .iter()
-        .find(|(fid, _, _)| *fid == id)
-        .map(|(_, runner, _)| runner(scale, seed))
+    find(id).map(|figure| FigureResult {
+        id: figure.id.into(),
+        title: figure.title.into(),
+        ..(figure.run)(scale, seed)
+    })
 }
 
 #[cfg(test)]
@@ -302,35 +75,22 @@ mod tests {
             "26 paper figures + 2 extensions + 3 attackkit sweeps + 4 defensekit \
              sweeps + 5 arms-race sweeps + 9 chaos sweeps"
         );
+        let mut unique = ids.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), ids.len(), "an id is declared twice");
         for k in 1..=26 {
             assert!(ids.contains(&format!("fig{k}").as_str()), "missing fig{k}");
         }
-        assert!(ids.contains(&"ext-genesis"));
-        assert!(ids.contains(&"ext-faults"));
-        for id in [
-            "atk-sweep-vivaldi",
-            "atk-sweep-nps",
-            "atk-frog-drift",
-            "def-sweep-vivaldi",
-            "def-sweep-nps",
-            "def-frog-drift",
-            "def-roc",
-            "arms-sweep-vivaldi",
-            "arms-sweep-nps",
-            "arms-evasion-roc",
-            "arms-evasion-learning",
-            "arms-decay-tradeoff",
-            "chaos-churn-vivaldi",
-            "chaos-churn-nps",
-            "chaos-landmark-takedown",
-            "chaos-loss-bursts",
-            "chaos-frog-hides-in-churn",
-            "chaos-partition-recovery",
-            "chaos-probation-nps",
-            "chaos-probation-leak",
-            "chaos-detectors-under-faults",
+        for (prefix, count) in [
+            ("ext-", 2),
+            ("atk-", 3),
+            ("def-", 4),
+            ("arms-", 5),
+            ("chaos-", 9),
         ] {
-            assert!(ids.contains(&id), "missing {id}");
+            let family = ids.iter().filter(|id| id.starts_with(prefix)).count();
+            assert_eq!(family, count, "{prefix}* figures");
         }
     }
 
@@ -345,6 +105,7 @@ mod tests {
     fn fig17_runs_instantly() {
         let fig = run_figure("fig17", &Scale::smoke(), 0).unwrap();
         assert_eq!(fig.id, "fig17");
+        assert_eq!(Some(fig.title.as_str()), describe("fig17"));
         assert!(!fig.rows.is_empty());
     }
 }

@@ -90,13 +90,11 @@ pub(crate) fn cdf_rows(cdfs: &[Cdf]) -> Vec<Vec<f64>> {
 /// CDF figure: one error-CDF column per malicious fraction of `base`;
 /// `note` words a column's shape note from its percentage, runs and CDF.
 pub(crate) fn cdf_by_fraction<S: System>(
-    id: &str,
-    title: &str,
     base: &RunSpec<'_, S>,
     fractions: &[f64],
     note: impl Fn(u32, &[Run], &Cdf) -> String,
 ) -> FigureResult {
-    let mut fig = FigureResult::new(id, title, vec!["quantile".to_string()]);
+    let mut fig = FigureResult::new(vec!["quantile".to_string()]);
     let specs: Vec<_> = fractions
         .iter()
         .map(|&fraction| RunSpec {
@@ -206,8 +204,6 @@ pub(crate) type Block = (&'static str, usize, fn(&Cell) -> f64);
 /// An attack × defense matrix figure: one row per attack label, and per
 /// block of `blocks` one column per defense label.
 pub(crate) struct Matrix<'a, S: System> {
-    pub id: &'a str,
-    pub title: &'a str,
     /// Every cell's run, up to the adversary and the defense.
     pub base: RunSpec<'a, S>,
     pub attacks: &'a [&'static str],
@@ -244,7 +240,7 @@ impl<S: System> Matrix<'_, S> {
     }
 
     pub fn figure(&self) -> FigureResult {
-        let mut fig = FigureResult::new(self.id, self.title, vec!["attack_idx".to_string()]);
+        let mut fig = FigureResult::new(vec!["attack_idx".to_string()]);
         for (prefix, skip, _) in self.blocks {
             let defenses = self.defenses.iter().skip(*skip);
             fig.columns
@@ -272,8 +268,6 @@ pub(crate) type Column = (&'static str, fn(&Cell, f64) -> f64);
 /// read off the level's [`Cell`] — tabulated against the first level's
 /// converged error.
 pub(crate) struct LevelSweep<'a> {
-    pub id: &'a str,
-    pub title: &'a str,
     pub level_column: &'a str,
     pub levels: &'a [f64],
     /// The columns after `point_idx` and the level.
@@ -288,7 +282,7 @@ impl LevelSweep<'_> {
     pub fn figure<S: System>(&self, specs: &[RunSpec<'_, S>]) -> FigureResult {
         let mut columns = vec!["point_idx".to_string(), self.level_column.to_string()];
         columns.extend(self.columns.iter().map(|(name, _)| name.to_string()));
-        let mut fig = FigureResult::new(self.id, self.title, columns);
+        let mut fig = FigureResult::new(columns);
         let cells = Cell::all(specs);
         let baseline = cells[0].err.max(1e-9);
         for (i, (&level, cell)) in self.levels.iter().zip(&cells).enumerate() {

@@ -1,6 +1,6 @@
 //! Figure runners for the Vivaldi attacks (paper figures 1–13).
 //!
-//! Each function regenerates one figure's data series. Scaling notes:
+//! Each row of [`FIGURES`] regenerates one figure's data series. Scaling notes:
 //! x axes are simulation ticks (≈17 s each) counted from simulation start;
 //! attack injection happens at `scale.vivaldi_warmup_ticks`.
 
@@ -8,6 +8,7 @@ use crate::attacks::vivaldi::{
     VivaldiCollusionLure, VivaldiCollusionRepel, VivaldiCombined, VivaldiDisorder, VivaldiRepulsion,
 };
 use crate::experiments::harness::{plain, repeat_all, Adversary, Choice, Run, RunSpec};
+use crate::experiments::registry::Figure;
 use crate::experiments::shapes::{
     attacked_err, cdf_by_fraction, cdf_rows, cross, mean_of, mean_series, pct, pooled_cdf,
     series_rows,
@@ -89,15 +90,8 @@ fn scenario<'a>(
 }
 
 /// Ratio-vs-time figure over a set of fractions (figures 1, 9, 12).
-fn ratio_vs_time(
-    id: &str,
-    title: &str,
-    scale: &Scale,
-    seed: u64,
-    fractions: &[f64],
-    adversary: &Attack,
-) -> FigureResult {
-    let mut fig = FigureResult::new(id, title, vec!["tick".to_string()]);
+fn ratio_vs_time(scale: &Scale, seed: u64, fractions: &[f64], adversary: &Attack) -> FigureResult {
+    let mut fig = FigureResult::new(vec!["tick".to_string()]);
     let specs: Vec<_> = fractions
         .iter()
         .map(|&f| scenario(scale, Space::Euclidean(2), scale.nodes, f, seed, adversary))
@@ -120,18 +114,12 @@ fn ratio_vs_time(
 }
 
 /// CDF figure over [`FRACTIONS`] (figures 2, 5).
-fn cdf_figure(
-    id: &str,
-    title: &str,
-    scale: &Scale,
-    seed: u64,
-    make: fn() -> Box<dyn AttackStrategy>,
-) -> FigureResult {
+fn cdf_figure(scale: &Scale, seed: u64, make: fn() -> Box<dyn AttackStrategy>) -> FigureResult {
     let base = RunSpec::<VivaldiSim> {
         adversary: &plain(make),
         ..RunSpec::new(scale, seed)
     };
-    cdf_by_fraction(id, title, &base, &FRACTIONS, |pct, runs, cdf| {
+    cdf_by_fraction(&base, &FRACTIONS, |pct, runs, cdf| {
         let baseline = mean_of(runs, |r| r.random_baseline);
         format!(
             "{pct}% malicious: median {:.2}, p90 {:.2}, random baseline {baseline:.0}, fraction at/above random {:.2}",
@@ -144,13 +132,7 @@ fn cdf_figure(
 
 /// Dimension-sweep figure (figures 3, 6): converged error per space per
 /// fraction, plus the random baseline per space.
-fn dimension_sweep(
-    id: &str,
-    title: &str,
-    scale: &Scale,
-    seed: u64,
-    adversary: &Attack,
-) -> FigureResult {
+fn dimension_sweep(scale: &Scale, seed: u64, adversary: &Attack) -> FigureResult {
     let spaces = [
         Space::Euclidean(2),
         Space::Euclidean(3),
@@ -161,7 +143,7 @@ fn dimension_sweep(
     let mut columns = vec!["fraction_pct".to_string()];
     columns.extend(spaces.iter().map(|s| format!("err_{}", s.label())));
     columns.extend(spaces.iter().map(|s| format!("rand_{}", s.label())));
-    let mut fig = FigureResult::new(id, title, columns);
+    let mut fig = FigureResult::new(columns);
     let specs: Vec<_> = cross(&fractions, &spaces)
         .map(|(&f, &space)| scenario(scale, space, scale.nodes, f, seed, adversary))
         .collect();
@@ -193,14 +175,7 @@ fn dimension_sweep(
 }
 
 /// System-size sweep (figures 4, 8, 13).
-fn size_sweep(
-    id: &str,
-    title: &str,
-    scale: &Scale,
-    seed: u64,
-    fractions: &[f64],
-    adversary: &Attack,
-) -> FigureResult {
+fn size_sweep(scale: &Scale, seed: u64, fractions: &[f64], adversary: &Attack) -> FigureResult {
     let sizes: Vec<usize> = if scale.nodes >= 1740 {
         vec![200, 400, 800, 1200, 1740]
     } else {
@@ -208,7 +183,7 @@ fn size_sweep(
     };
     let mut columns = vec!["system_size".to_string()];
     columns.extend(fractions.iter().map(|&f| format!("err_{}pct", pct(f))));
-    let mut fig = FigureResult::new(id, title, columns);
+    let mut fig = FigureResult::new(columns);
     let specs: Vec<_> = cross(&sizes, fractions)
         .map(|(&n, &f)| scenario(scale, Space::Euclidean(2), n, f, seed, adversary))
         .collect();
@@ -235,85 +210,13 @@ fn size_sweep(
     fig
 }
 
-/// Figure 1 — injected disorder: average relative error *ratio* vs time.
-pub(crate) fn fig01(scale: &Scale, seed: u64) -> FigureResult {
-    ratio_vs_time(
-        "fig1",
-        "Injection of Disorder attackers on Vivaldi: average relative error ratio",
-        scale,
-        seed,
-        &FRACTIONS,
-        &plain(disorder),
-    )
-}
-
-/// Figure 2 — injected disorder: CDF of relative error after the attack.
-pub(crate) fn fig02(scale: &Scale, seed: u64) -> FigureResult {
-    cdf_figure(
-        "fig2",
-        "Injected Disorder attack on Vivaldi: CDF of relative error",
-        scale,
-        seed,
-        disorder,
-    )
-}
-
-/// Figure 3 — injected disorder: impact of space dimension.
-pub(crate) fn fig03(scale: &Scale, seed: u64) -> FigureResult {
-    dimension_sweep(
-        "fig3",
-        "Injected Disorder attack on Vivaldi: impact of space dimensions",
-        scale,
-        seed,
-        &plain(disorder),
-    )
-}
-
-/// Figure 4 — injected disorder: impact of system size.
-pub(crate) fn fig04(scale: &Scale, seed: u64) -> FigureResult {
-    size_sweep(
-        "fig4",
-        "Injection of Disorder attackers on Vivaldi: impact of system size",
-        scale,
-        seed,
-        &[0.10, 0.30, 0.50],
-        &plain(disorder),
-    )
-}
-
-/// Figure 5 — injected repulsion: CDF of relative error.
-pub(crate) fn fig05(scale: &Scale, seed: u64) -> FigureResult {
-    cdf_figure(
-        "fig5",
-        "Injected Repulsion attack on Vivaldi: CDF of relative error",
-        scale,
-        seed,
-        repulsion,
-    )
-}
-
-/// Figure 6 — injected repulsion: impact of space dimensions.
-pub(crate) fn fig06(scale: &Scale, seed: u64) -> FigureResult {
-    dimension_sweep(
-        "fig6",
-        "Injected Repulsion attack on Vivaldi: impact of space dimensions",
-        scale,
-        seed,
-        &plain(repulsion),
-    )
-}
-
 /// Figure 7 — repulsion on subsets of target nodes.
-pub(crate) fn fig07(scale: &Scale, seed: u64) -> FigureResult {
+fn fig07(scale: &Scale, seed: u64) -> FigureResult {
     let shares = [0.10, 0.30, 1.00];
     let fractions = [0.10, 0.20, 0.30, 0.50];
     let mut columns = vec!["fraction_pct".to_string()];
     columns.extend(shares.iter().map(|&s| format!("err_subset_{}pct", pct(s))));
-    let mut fig = FigureResult::new(
-        "fig7",
-        "Injected Repulsion attack on subsets of target nodes",
-        columns,
-    );
+    let mut fig = FigureResult::new(columns);
     let adversaries = shares.map(|s| {
         let subset = ((scale.nodes as f64) * s).round() as usize;
         plain(move || Box::new(VivaldiRepulsion::with_subset(50_000.0, subset)))
@@ -330,30 +233,6 @@ pub(crate) fn fig07(scale: &Scale, seed: u64) -> FigureResult {
     fig.notes
         .push("smaller independently-chosen subsets dilute the attack (paper fig. 7)".into());
     fig
-}
-
-/// Figure 8 — injected repulsion: effect of system size.
-pub(crate) fn fig08(scale: &Scale, seed: u64) -> FigureResult {
-    size_sweep(
-        "fig8",
-        "Injection Repulsion attack on Vivaldi: effect of system size",
-        scale,
-        seed,
-        &[0.10, 0.30, 0.50],
-        &plain(repulsion),
-    )
-}
-
-/// Figure 9 — colluding isolation (strategy 1): average error ratio.
-pub(crate) fn fig09(scale: &Scale, seed: u64) -> FigureResult {
-    ratio_vs_time(
-        "fig9",
-        "Colluding Isolation attack on Vivaldi: average relative error ratio",
-        scale,
-        seed,
-        &FRACTIONS[..5], // 10–50%
-        &collusion_repel,
-    )
 }
 
 /// Both isolation strategies at 30 % malicious, in strategy order
@@ -375,87 +254,127 @@ fn isolation_runs(scale: &Scale, seed: u64) -> Vec<Vec<Run>> {
 
 /// Figure 10 — colluding isolation: the target's relative error over time,
 /// strategy 1 (repel the world) vs strategy 2 (lure the target).
-pub(crate) fn fig10(scale: &Scale, seed: u64) -> FigureResult {
+fn fig10(scale: &Scale, seed: u64) -> FigureResult {
     let target_err: Vec<TimeSeries> = isolation_runs(scale, seed)
         .iter()
         .map(|runs| mean_series(runs, |r| r.focus_series.clone().expect("target is tracked")))
         .collect();
-    let notes = vec![format!(
+    let mut fig = FigureResult::new(vec![
+        "tick".into(),
+        "target_err_strategy1".into(),
+        "target_err_strategy2".into(),
+    ]);
+    fig.rows = series_rows(&target_err);
+    fig.notes.push(format!(
         "target final error: strategy1 {:.2}, strategy2 {:.2} (paper: strategy 1 is more effective)",
         target_err[0].tail_mean(3),
         target_err[1].tail_mean(3)
-    )];
-    FigureResult {
-        id: "fig10".into(),
-        title: "Colluding Isolation attack on Vivaldi: target relative error".into(),
-        columns: vec![
-            "tick".into(),
-            "target_err_strategy1".into(),
-            "target_err_strategy2".into(),
-        ],
-        rows: series_rows(&target_err),
-        notes,
-    }
+    ));
+    fig
 }
 
 /// Figure 11 — colluding isolation: CDF of relative errors under both
 /// strategies.
-pub(crate) fn fig11(scale: &Scale, seed: u64) -> FigureResult {
+fn fig11(scale: &Scale, seed: u64) -> FigureResult {
     let cdfs: Vec<_> = isolation_runs(scale, seed)
         .iter()
         .map(|runs| pooled_cdf(runs))
         .collect();
-    let notes = vec![format!(
+    let mut fig = FigureResult::new(vec![
+        "quantile".into(),
+        "err_strategy1".into(),
+        "err_strategy2".into(),
+    ]);
+    fig.rows = cdf_rows(&cdfs);
+    fig.notes.push(format!(
         "system-wide median error: strategy1 {:.2}, strategy2 {:.2} (strategy 1 distorts the whole space)",
         cdfs[0].median(),
         cdfs[1].median()
-    )];
-    FigureResult {
-        id: "fig11".into(),
-        title: "Colluding Isolation attack on Vivaldi: CDF of relative errors".into(),
-        columns: vec![
-            "quantile".into(),
-            "err_strategy1".into(),
-            "err_strategy2".into(),
-        ],
-        rows: cdf_rows(&cdfs),
-        notes,
-    }
+    ));
+    fig
 }
 
-/// Figure 12 — combined attacks at low residual levels: impact on
-/// convergence.
-pub(crate) fn fig12(scale: &Scale, seed: u64) -> FigureResult {
-    ratio_vs_time(
-        "fig12",
-        "Combining attacks on Vivaldi: impact on convergence",
-        scale,
-        seed,
-        &[0.03, 0.06, 0.09, 0.15],
-        &plain(combined),
-    )
-}
-
-/// Figure 13 — combined attacks: effect of system size.
-pub(crate) fn fig13(scale: &Scale, seed: u64) -> FigureResult {
-    size_sweep(
-        "fig13",
-        "Combined attacks on Vivaldi: effect of system size",
-        scale,
-        seed,
-        &[0.06, 0.15],
-        &plain(combined),
-    )
-}
+/// Figures 1–13 (§5.2): injected disorder (1–4), injected repulsion (5–8),
+/// colluding isolation (9–11) and the combined attacks at low residual
+/// levels (12–13).
+pub(crate) const FIGURES: &[Figure] = &[
+    Figure {
+        id: "fig1",
+        title: "Injection of Disorder attackers on Vivaldi: average relative error ratio",
+        run: |scale, seed| ratio_vs_time(scale, seed, &FRACTIONS, &plain(disorder)),
+    },
+    Figure {
+        id: "fig2",
+        title: "Injected Disorder attack on Vivaldi: CDF of relative error",
+        run: |scale, seed| cdf_figure(scale, seed, disorder),
+    },
+    Figure {
+        id: "fig3",
+        title: "Injected Disorder attack on Vivaldi: impact of space dimensions",
+        run: |scale, seed| dimension_sweep(scale, seed, &plain(disorder)),
+    },
+    Figure {
+        id: "fig4",
+        title: "Injection of Disorder attackers on Vivaldi: impact of system size",
+        run: |scale, seed| size_sweep(scale, seed, &[0.10, 0.30, 0.50], &plain(disorder)),
+    },
+    Figure {
+        id: "fig5",
+        title: "Injected Repulsion attack on Vivaldi: CDF of relative error",
+        run: |scale, seed| cdf_figure(scale, seed, repulsion),
+    },
+    Figure {
+        id: "fig6",
+        title: "Injected Repulsion attack on Vivaldi: impact of space dimensions",
+        run: |scale, seed| dimension_sweep(scale, seed, &plain(repulsion)),
+    },
+    Figure {
+        id: "fig7",
+        title: "Injected Repulsion attack on subsets of target nodes",
+        run: fig07,
+    },
+    Figure {
+        id: "fig8",
+        title: "Injection Repulsion attack on Vivaldi: effect of system size",
+        run: |scale, seed| size_sweep(scale, seed, &[0.10, 0.30, 0.50], &plain(repulsion)),
+    },
+    // Strategy 1 (repel the world) at 10–50 %.
+    Figure {
+        id: "fig9",
+        title: "Colluding Isolation attack on Vivaldi: average relative error ratio",
+        run: |scale, seed| ratio_vs_time(scale, seed, &FRACTIONS[..5], &collusion_repel),
+    },
+    Figure {
+        id: "fig10",
+        title: "Colluding Isolation attack on Vivaldi: target relative error",
+        run: fig10,
+    },
+    Figure {
+        id: "fig11",
+        title: "Colluding Isolation attack on Vivaldi: CDF of relative errors",
+        run: fig11,
+    },
+    Figure {
+        id: "fig12",
+        title: "Combining attacks on Vivaldi: impact on convergence",
+        run: |scale, seed| ratio_vs_time(scale, seed, &[0.03, 0.06, 0.09, 0.15], &plain(combined)),
+    },
+    Figure {
+        id: "fig13",
+        title: "Combined attacks on Vivaldi: effect of system size",
+        run: |scale, seed| size_sweep(scale, seed, &[0.06, 0.15], &plain(combined)),
+    },
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_figure;
 
     #[test]
     fn fig01_smoke_has_expected_shape() {
         let scale = Scale::smoke();
-        let fig = fig01(&scale, 99);
+        let fig = run_figure("fig1", &scale, 99).expect("fig1 is a row");
         assert_eq!(fig.id, "fig1");
         assert_eq!(fig.columns.len(), 1 + FRACTIONS.len());
         assert!(!fig.rows.is_empty());

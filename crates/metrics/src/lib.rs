@@ -17,8 +17,8 @@
 //!   every component is drawn from `[-50000, 50000]`.
 //! * [`stats`] — small summary-statistics helpers.
 //! * [`worker_threads`] — worker-pool sizing under one process-wide budget,
-//!   shared by every parallel seam in the workspace (job grid, [`EvalPlan`]
-//!   chunked evaluation, figure `--jobs` sweep).
+//!   shared by both parallel seams in the workspace (job grid, [`EvalPlan`]
+//!   chunked evaluation).
 
 #![forbid(unsafe_code)]
 

@@ -1,8 +1,8 @@
 //! Workspace-wide worker-pool sizing.
 //!
-//! Every parallel seam in the workspace — the figure harness's job grid,
-//! [`EvalPlan`]'s chunked error evaluation, and the `figures` binary's
-//! `--jobs` sweep — sizes itself through [`worker_threads`], so one call to
+//! Both parallel seams in the workspace — the figure harness's job grid
+//! and [`EvalPlan`]'s chunked error evaluation nested inside it — size
+//! themselves through [`worker_threads`], so one call to
 //! [`set_worker_budget`] pins the parallelism for reproducible CI and
 //! benchmarking on any core count. The binaries install `VCOORD_THREADS`
 //! through it; this crate reads no environment.
@@ -17,11 +17,8 @@ static BUDGET: AtomicUsize = AtomicUsize::new(0);
 /// Cap every worker pool in this process at `n` threads (clamped to ≥ 1),
 /// overriding the hardware default.
 ///
-/// Used by binaries to install a `VCOORD_THREADS` pin, and by coordinators
-/// that split one machine budget among concurrent jobs: the figures binary
-/// divides [`worker_threads`] by `--jobs` and installs the quotient here,
-/// so `jobs × per-job pools` stays at the pinned total instead of
-/// compounding multiplicatively.
+/// Used by binaries to install a `VCOORD_THREADS` pin (the benchmark's
+/// child process installs its thread budget the same way).
 pub fn set_worker_budget(n: usize) {
     BUDGET.store(n.max(1), Ordering::Relaxed);
 }

@@ -71,25 +71,6 @@ impl TimeSeries {
             points: self.points.iter().map(|&(t, v)| (t, v / denom)).collect(),
         }
     }
-
-    /// First tick at which the series stays within ±`tol` of its final value
-    /// for `hold` consecutive samples — a simple convergence-time estimate.
-    #[cfg(test)]
-    fn settle_tick(&self, tol: f64, hold: usize) -> Option<u64> {
-        if self.points.len() < hold || hold == 0 {
-            return None;
-        }
-        for start in 0..=(self.points.len() - hold) {
-            let (t0, v0) = self.points[start];
-            if self.points[start..start + hold]
-                .iter()
-                .all(|&(_, v)| (v - v0).abs() <= tol)
-            {
-                return Some(t0);
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -125,18 +106,5 @@ mod tests {
         let s = series(&[2.0, 4.0]).ratio_to(2.0);
         assert_eq!(s.points(), &[(0, 1.0), (1, 2.0)]);
         assert!(series(&[1.0]).ratio_to(0.0).is_empty());
-    }
-
-    #[test]
-    fn settle_tick_finds_plateau() {
-        let s = series(&[5.0, 3.0, 1.0, 1.005, 0.995, 1.0, 1.0]);
-        assert_eq!(s.settle_tick(0.02, 4), Some(2));
-        assert_eq!(s.settle_tick(0.0001, 4), None); // no 4-wide window that tight
-    }
-
-    #[test]
-    fn settle_tick_none_when_noisy() {
-        let s = series(&[1.0, 2.0, 1.0, 2.0, 1.0]);
-        assert_eq!(s.settle_tick(0.1, 3), None);
     }
 }

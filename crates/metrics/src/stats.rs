@@ -27,16 +27,6 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     v[idx]
 }
 
-/// Population standard deviation; `0.0` for fewer than two samples.
-#[cfg(test)]
-fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,8 +42,6 @@ mod tests {
     fn empty_inputs_are_zero() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(median(&[]), 0.0);
-        assert_eq!(stddev(&[]), 0.0);
-        assert_eq!(stddev(&[5.0]), 0.0);
     }
 
     #[test]
@@ -67,17 +55,5 @@ mod tests {
     fn percentile_ignores_nan() {
         let xs = [f64::NAN, 2.0, 4.0];
         assert_eq!(percentile(&xs, 0.0), 2.0);
-    }
-
-    #[test]
-    fn stddev_of_constant_is_zero() {
-        assert_eq!(stddev(&[3.0, 3.0, 3.0]), 0.0);
-    }
-
-    #[test]
-    fn stddev_known_value() {
-        // Population stddev of {2,4,4,4,5,5,7,9} is 2.
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((stddev(&xs) - 2.0).abs() < 1e-12);
     }
 }

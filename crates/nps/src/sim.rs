@@ -1059,6 +1059,9 @@ mod tests {
         let plan = EvalPlan::new(&sim.eval_nodes(), &mut SeedStream::new(7).rng("plan"));
         let before = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
         let attackers = sim.pick_attackers(0.3);
+        // 30 % of the 68 ordinary nodes; the 12 landmarks are never picked.
+        assert_eq!(attackers.len(), 20);
+        assert!(attackers.iter().all(|&a| sim.layers_of()[a] != 0));
         sim.inject_adversary(&attackers, Box::new(Honest));
         sim.run_ms(400_000);
         let plan2 = EvalPlan::new(&sim.eval_nodes(), &mut SeedStream::new(7).rng("plan"));

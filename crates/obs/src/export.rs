@@ -2,7 +2,7 @@
 //! object per line, and parse it back through [`crate::json`], against the
 //! small fixed schema documented in the crate root.
 
-use crate::json::{parse_json, Json};
+use crate::json::{json_escape, parse_json, Json};
 use crate::record::{ObsReport, NO_NODE};
 use crate::registry::metric_name;
 use std::fmt;
@@ -52,22 +52,6 @@ pub enum TraceLine {
         node: Option<u32>,
         value: f64,
     },
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Render `report` as JSONL: the `meta` line, counters and histograms each

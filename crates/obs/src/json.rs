@@ -1,7 +1,26 @@
 //! The workspace's one JSON reader (the vendored serde is a no-op stub):
-//! a recursive-descent parser over the full grammar. `BENCH_*.json`
-//! baselines are nested documents; a trace line is one flat object
-//! ([`crate::parse_jsonl`] refuses nested values there).
+//! a recursive-descent parser over the full grammar, next to the string
+//! escape its writers share. `BENCH_*.json` baselines are nested documents;
+//! a trace line is one flat object ([`crate::parse_jsonl`] refuses nested
+//! values there).
+
+/// The body of a JSON string literal holding `s`: what every writer in the
+/// workspace (trace lines, `BENCH_*.json`) puts between the quotes.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A parsed JSON value. Objects preserve insertion order and never hold
 /// one key twice.

@@ -20,8 +20,8 @@
 //! [`ObsReport`] at a deterministic point (e.g. the end of one repetition),
 //! and the coordinator [`absorb`]s the reports in a deterministic order
 //! (repetition order). Traces produced this way are byte-identical
-//! regardless of worker count — the same argument that keeps `--jobs` out
-//! of the figure CSV bytes.
+//! regardless of worker count — the same argument that keeps the pool
+//! width out of the figure CSV bytes.
 //!
 //! # Invariants
 //!

@@ -180,8 +180,8 @@ impl ObsReport {
     }
 
     /// Drop every wall-clock histogram (metric name ending in `_ns`).
-    /// Trace files must be byte-identical across reruns and `--jobs`
-    /// settings, and timing samples are the one nondeterministic thing the
+    /// Trace files must be byte-identical across reruns and pool widths,
+    /// and timing samples are the one nondeterministic thing the
     /// recorder holds — exporters call this before rendering; the timings
     /// remain available to in-process consumers (bench baselines, digests).
     pub fn strip_timings(&mut self) {

@@ -795,6 +795,16 @@ mod tests {
             let attackers = sim.pick_attackers(0.3);
             sim.inject_adversary(&attackers, Box::new(Honest));
             sim.run_ticks(40);
+            if deploy {
+                // Deployed means inspected: every sample went through the
+                // fast path and was tallied as accepted.
+                assert_eq!(sim.defense().unwrap().label(), "none");
+                let stats = sim.defense_stats().unwrap();
+                assert!(stats.accepted > 0, "samples flowed through the fast path");
+                assert_eq!(stats.rejected, 0);
+            } else {
+                assert!(sim.defense_stats().is_none());
+            }
             (sim.coords().to_vec(), sim.errors().to_vec())
         };
         let (ca, ea) = run(false);

@@ -55,7 +55,7 @@ fn figure_csv_is_seed_deterministic() {
 
 #[test]
 fn parallel_repetitions_do_not_perturb_determinism() {
-    // run_repetitions executes on threads; results must not depend on
+    // run_grid runs a figure's jobs on threads; results must not depend on
     // scheduling.
     let scale = Scale::smoke();
     let a = registry::run_figure("fig12", &scale, 9)
