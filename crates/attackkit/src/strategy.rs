@@ -124,7 +124,10 @@ pub struct Lie {
 /// through [`crate::Scenario`], which owns the collusion state and invokes
 /// [`AttackStrategy::on_round`] once per elapsed round before the round's
 /// first response.
-pub trait AttackStrategy {
+///
+/// `Send`, because a simulation carrying its scenario moves between the
+/// threads of an experiment's job pool.
+pub trait AttackStrategy: Send {
     /// Called once when the attacker set is injected into the running
     /// system, before any lie is requested. Collusion strategies use this
     /// to form groups and agree on targets, axes and cluster positions.

@@ -27,8 +27,8 @@
 //! pool of a run is the figure's own job grid (`run_grid`), which gets the
 //! whole worker budget. Every figure derives its seeds from `(master seed,
 //! figure id)` alone, so the width of that pool changes wall-clock time but
-//! never a CSV byte. Traces are deterministic too: `run_grid` merges
-//! per-job observations in (cell, repetition) order and the trace's `run`
+//! never a CSV byte. Traces are deterministic too: the grid merges per-job
+//! observations in its fixed job order and the trace's `run`
 //! id is derived from the scale and seed alone. Wall-clock samples are
 //! stripped from traces before rendering (`strip_timings`); `--progress`
 //! prints its own to stderr only.
@@ -203,7 +203,12 @@ fn main() {
         if args.trace_out.is_some() {
             vcoord::obs::reset();
         }
-        let fig = registry::run_figure(id, &args.scale, args.seed).expect("id validated above");
+        let Some(fig) = registry::run_figure(id, &args.scale, args.seed) else {
+            // Every id was validated above; were one missed, it exits as
+            // any unknown id does, not as a panic.
+            eprintln!("unknown figure id: {id} (try --list)");
+            std::process::exit(1);
+        };
         let compute_secs = start.elapsed().as_secs_f64();
         // Wall-clock histograms are nondeterministic; everything else in
         // the report is seed-derived, so stripping them keeps the JSONL

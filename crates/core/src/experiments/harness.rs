@@ -1,17 +1,20 @@
 //! The injection harness: converge a clean system, inject an attack, record.
 //!
-//! [`run`] is the paper's *injection* protocol (§5.2), written once: the
-//! system first converges cleanly (warm-up), the malicious population is
-//! then selected at random and activated — together with the defense and
-//! the fault plan, when the [`RunSpec`] names them — and the honest
-//! population is measured before and after. Every run is fully determined
-//! by `(seed, rep)`.
+//! The paper's *injection* protocol (§5.2), written once and split at the
+//! injection instant: [`warm_up`] converges the clean system, and [`attack`]
+//! selects the malicious population at random and activates it — together
+//! with the defense and the fault plan, when the [`RunSpec`] names them —
+//! and measures the honest population. Every run is fully determined by
+//! `(seed, rep)`. [`repeat_all`] runs the warm-up once for all the cells
+//! that converge the same clean system and injects each into a fork of it.
 //!
 //! The protocol is generic over [`System`]; everything the Vivaldi and NPS
 //! runs do differently is a named item of that trait, so the loop itself
 //! has no per-system branch.
 
-use crate::experiments::{run_grid, Scale};
+use crate::experiments::{by_cell, run_jobs, Scale};
+use rand_chacha::ChaCha12Rng;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use vcoord_attackkit::{AttackStrategy, Honest};
 use vcoord_chaos::{ChaosCounters, ChaosPlan};
 use vcoord_defense::{Defense, DefenseStrategy};
@@ -42,15 +45,20 @@ const DETECTION_MIN_RATE: f64 = 0.08;
 const MIN_JOINED: usize = 8;
 
 /// What the injection protocol needs from a coordinate system under test.
-pub(crate) trait System: Sized + 'static {
+/// `Send`: a converged system is handed to the pool thread that injects it.
+pub(crate) trait System: Sized + Send + 'static {
     /// System parameters; `Default` is the paper's §5.2 configuration.
-    type Config: Clone + Default + Sync;
+    /// Equal configs build equal systems (the unit key of [`repeat_all`]).
+    type Config: Clone + Default + PartialEq + Sync;
 
     /// Label of the per-repetition seed stream.
     const REP_LABEL: &'static str;
 
     /// A fresh system over `matrix`.
     fn build(matrix: RttMatrix, config: Self::Config, seeds: &SeedStream) -> Self;
+
+    /// A deep copy of a system nothing has been injected into yet.
+    fn fork(&self) -> Self;
 
     /// `(warm-up, attack window, sampling interval)` of `scale`, in this
     /// system's clock unit (Vivaldi ticks, NPS repositioning rounds).
@@ -128,6 +136,9 @@ impl System for VivaldiSim {
     fn build(matrix: RttMatrix, config: VivaldiConfig, seeds: &SeedStream) -> Self {
         VivaldiSim::new(matrix, config, seeds)
     }
+    fn fork(&self) -> Self {
+        VivaldiSim::fork(self)
+    }
     fn schedule(scale: &Scale) -> (u64, u64, u64) {
         (
             scale.vivaldi_warmup_ticks,
@@ -198,6 +209,9 @@ impl System for NpsSim {
 
     fn build(matrix: RttMatrix, config: NpsConfig, seeds: &SeedStream) -> Self {
         NpsSim::new(matrix, config, seeds)
+    }
+    fn fork(&self) -> Self {
+        NpsSim::fork(self)
     }
     fn schedule(scale: &Scale) -> (u64, u64, u64) {
         (
@@ -361,6 +375,24 @@ impl<S: System> Clone for RunSpec<'_, S> {
     }
 }
 
+impl<S: System> RunSpec<'_, S> {
+    /// Whether the two specs converge the same clean system: equal in every
+    /// input [`warm_up`] reads — the config, the population, the seed, the
+    /// repetition, the warm-up horizon and sampling interval, and the
+    /// evaluation-plan bounds. The fraction, the adversary, the defense, the
+    /// fault plan and the attack window only act from the injection instant
+    /// on.
+    fn shares_warm_up(&self, other: &Self) -> bool {
+        let (horizon, _, every) = S::schedule(self.scale);
+        let (other_horizon, _, other_every) = S::schedule(other.scale);
+        let plan = |s: &Scale| (s.eval_all_pairs_threshold, s.eval_sample_peers);
+        self.config == other.config
+            && (self.nodes, self.seed, self.rep) == (other.nodes, other.seed, other.rep)
+            && (horizon, every) == (other_horizon, other_every)
+            && plan(self.scale) == plan(other.scale)
+    }
+}
+
 /// What a deployed defense did during the attack window, graded against
 /// attackkit's ground-truth malicious set after the run.
 #[derive(Debug, Clone)]
@@ -463,30 +495,64 @@ fn since(now: FilterLedger, before: FilterLedger) -> FilterLedger {
     }
 }
 
-/// Run one injection experiment, with `threads` threads for each evaluation
-/// sweep (a [`run_grid`] job passes its `eval_threads`).
-pub(crate) fn run<S: System>(spec: &RunSpec<'_, S>, threads: usize) -> Run {
+/// A converged clean system at the injection instant: what [`warm_up`]
+/// leaves for [`attack`].
+struct Warm<S> {
+    /// The converged system; nothing is injected into it yet.
+    sim: S,
+    /// The repetition's seed stream.
+    seeds: SeedStream,
+    /// The `"eval-plan"` stream, past the warm-up's draws.
+    plan_rng: ChaCha12Rng,
+    /// Converged clean error (see [`Run::clean_ref`]).
+    clean_ref: f64,
+    /// The (security-filter, probe-threshold) ledgers at the injection
+    /// instant, the baseline of the attack window's counts.
+    ledgers: [FilterLedger; 2],
+}
+
+impl<S: System> Warm<S> {
+    /// A copy to inject independently (see [`System::fork`]).
+    fn fork(&self) -> Warm<S> {
+        Warm {
+            sim: self.sim.fork(),
+            seeds: self.seeds,
+            plan_rng: self.plan_rng.clone(),
+            clean_ref: self.clean_ref,
+            ledgers: self.ledgers,
+        }
+    }
+}
+
+/// An evaluation plan over `nodes` within `scale`'s bounds.
+fn draw_plan(scale: &Scale, nodes: &[usize], rng: &mut ChaCha12Rng) -> EvalPlan {
+    EvalPlan::with_params(
+        nodes,
+        scale.eval_all_pairs_threshold,
+        scale.eval_sample_peers,
+        rng,
+    )
+}
+
+/// The injection protocol up to the injection instant: build the topology
+/// and the system, converge it cleanly and record the reference series,
+/// with `threads` threads for each evaluation sweep (a grid job passes its
+/// `eval_threads`).
+fn warm_up<S: System>(spec: &RunSpec<'_, S>, threads: usize) -> Warm<S> {
     let scale = spec.scale;
     let seeds = SeedStream::new(spec.seed).derive_indexed(S::REP_LABEL, spec.rep);
     let matrix =
         KingLike::new(KingLikeConfig::with_nodes(spec.nodes)).generate(&mut seeds.rng("topo"));
     let mut sim = S::build(matrix, spec.config.clone(), &seeds);
-    let (warmup, window, every) = S::schedule(scale);
+    let (warmup, _, every) = S::schedule(scale);
     let mut plan_rng = seeds.rng("eval-plan");
-    let mut plan = |nodes: &[usize]| {
-        EvalPlan::with_params(
-            nodes,
-            scale.eval_all_pairs_threshold,
-            scale.eval_sample_peers,
-            &mut plan_rng,
-        )
-    };
     let avg_error = |plan: &EvalPlan, sim: &S| {
         plan.avg_error_with(sim.coords(), sim.space(), sim.matrix(), threads)
     };
 
-    // Warm-up: converge cleanly, recording the reference series.
-    let fixed_plan = sim.warmup_nodes().map(|nodes| plan(&nodes));
+    let fixed_plan = sim
+        .warmup_nodes()
+        .map(|nodes| draw_plan(scale, &nodes, &mut plan_rng));
     let mut clean_series = TimeSeries::new();
     let mut t = 0;
     while t < warmup {
@@ -499,14 +565,32 @@ pub(crate) fn run<S: System>(spec: &RunSpec<'_, S>, threads: usize) -> Run {
                 if joined.len() < MIN_JOINED {
                     f64::NAN
                 } else {
-                    avg_error(&plan(&joined), &sim)
+                    avg_error(&draw_plan(scale, &joined, &mut plan_rng), &sim)
                 }
             }
         };
         clean_series.push(sim.now(), err);
     }
-    let clean_ref = S::clean_ref(&clean_series);
-    let ledgers_before = sim.ledgers();
+    Warm {
+        clean_ref: S::clean_ref(&clean_series),
+        ledgers: sim.ledgers(),
+        sim,
+        seeds,
+        plan_rng,
+    }
+}
+
+/// The injection protocol from the injection instant on, over the converged
+/// system `warm`: inject, run the attack window and record.
+fn attack<S: System>(spec: &RunSpec<'_, S>, warm: Warm<S>, threads: usize) -> Run {
+    let Warm {
+        mut sim,
+        seeds,
+        mut plan_rng,
+        clean_ref,
+        ledgers: ledgers_before,
+    } = warm;
+    let (_, window, every) = S::schedule(spec.scale);
 
     // Injection — and, in the same instant, defense deployment and fault
     // installation: the sweeps measure how a converged, defended system
@@ -524,7 +608,7 @@ pub(crate) fn run<S: System>(spec: &RunSpec<'_, S>, threads: usize) -> Run {
     }
 
     // Honest-population evaluation plan (the paper measures victims).
-    let plan_honest = plan(&sim.eval_set());
+    let plan_honest = draw_plan(spec.scale, &sim.eval_set(), &mut plan_rng);
     let honest = plan_honest.nodes();
     let (layer_of, depth) = sim.layers();
     let node_layers: Vec<u8> = honest
@@ -603,15 +687,161 @@ pub(crate) fn run<S: System>(spec: &RunSpec<'_, S>, threads: usize) -> Run {
 /// Every repetition of every spec (`rep` = 0, 1, … up to the spec's
 /// `scale.repetitions`) as one job grid on the worker pool: `runs[spec][rep]`.
 /// A figure declares all its cells and calls this once.
+///
+/// The jobs whose warm-ups are identical form a *unit* ([`units`]) and
+/// converge once: the unit's first job runs [`warm_up`], publishes a fork of
+/// the converged system in the unit's [`Slot`] and runs its own [`attack`];
+/// the unit's other jobs wait for the slot, take a fork — the last one takes
+/// the published copy itself — and run only the attack. The pool pulls the
+/// units one after the other, each owner first, so a job only ever waits on
+/// an earlier one; and it never warms a later unit up ahead of its turn, so
+/// at most one snapshot per unit being run is alive.
 pub(crate) fn repeat_all<S: System>(specs: &[RunSpec<'_, S>]) -> Vec<Vec<Run>> {
     let reps_of: Vec<usize> = specs.iter().map(|s| s.scale.repetitions).collect();
-    run_grid(&reps_of, |job| {
+    let units = units(specs);
+    let mut unit_of: Vec<Vec<usize>> = reps_of.iter().map(|&reps| vec![0; reps]).collect();
+    for (u, jobs) in units.iter().enumerate() {
+        for &(cell, rep) in jobs {
+            unit_of[cell][rep as usize] = u;
+        }
+    }
+    let slots: Vec<Slot<Warm<S>>> = units.iter().map(|jobs| Slot::new(jobs.len() - 1)).collect();
+    let order = units.concat();
+    let runs = run_jobs(&order, |job| {
         let spec = RunSpec {
             rep: job.rep,
             ..specs[job.cell].clone()
         };
-        run(&spec, job.eval_threads)
-    })
+        let u = unit_of[job.cell][job.rep as usize];
+        let warm = if units[u][0] == (job.cell, job.rep) {
+            let owner = Owner(&slots[u]);
+            let warm = warm_up(&spec, job.eval_threads);
+            owner.publish(&warm, Warm::fork);
+            warm
+        } else {
+            slots[u].take(Warm::fork)
+        };
+        attack(&spec, warm, job.eval_threads)
+    });
+    by_cell(&reps_of, &order, runs)
+}
+
+/// The jobs of `specs` — every repetition of every spec — grouped into
+/// units of jobs that converge the same clean system
+/// ([`RunSpec::shares_warm_up`]). Units are listed in the order of their
+/// first job, and each lists its jobs cell-major; its first job is the one
+/// that runs the warm-up.
+fn units<S: System>(specs: &[RunSpec<'_, S>]) -> Vec<Vec<(usize, u64)>> {
+    let mut keys: Vec<RunSpec<'_, S>> = Vec::new();
+    let mut units: Vec<Vec<(usize, u64)>> = Vec::new();
+    for (cell, spec) in specs.iter().enumerate() {
+        for rep in 0..spec.scale.repetitions as u64 {
+            let job = RunSpec {
+                rep,
+                ..spec.clone()
+            };
+            match keys.iter().position(|key| key.shares_warm_up(&job)) {
+                Some(u) => units[u].push((cell, rep)),
+                None => {
+                    keys.push(job);
+                    units.push(vec![(cell, rep)]);
+                }
+            }
+        }
+    }
+    units
+}
+
+/// One unit's converged system, handed from the job that warms it up to
+/// the unit's `takers` other jobs.
+struct Slot<W> {
+    takers: usize,
+    state: Mutex<Share<W>>,
+    published: Condvar,
+}
+
+enum Share<W> {
+    /// The owner is still warming up.
+    Warming,
+    /// Published; `left` takers have yet to take their copy.
+    Ready { warm: W, left: usize },
+    /// The owner panicked before publishing.
+    Failed,
+    /// The last taker took the published copy.
+    Taken,
+}
+
+impl<W> Slot<W> {
+    fn new(takers: usize) -> Slot<W> {
+        Slot {
+            takers,
+            state: Mutex::new(Share::Warming),
+            published: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Share<W>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wait for the owner to publish, then return a `fork` of the published
+    /// system — or, to the last taker, the published copy itself.
+    ///
+    /// # Panics
+    /// Unwinds if the owner's warm-up panicked. The payload is a marker: the
+    /// grid resumes the owner's own panic, which comes earlier in job order.
+    fn take(&self, fork: impl FnOnce(&W) -> W) -> W {
+        let mut state = self
+            .published
+            .wait_while(self.lock(), |s| matches!(s, Share::Warming))
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Share::Ready { warm, left } = &mut *state {
+            if *left > 1 {
+                // Forked before the count drops, so every update of the
+                // state is one assignment and a poisoned lock stays valid.
+                let copy = fork(warm);
+                *left -= 1;
+                return copy;
+            }
+        }
+        match std::mem::replace(&mut *state, Share::Taken) {
+            Share::Ready { warm, .. } => warm,
+            Share::Failed => {
+                *state = Share::Failed;
+                drop(state);
+                std::panic::resume_unwind(Box::new("the warm-up of this unit failed"))
+            }
+            Share::Warming | Share::Taken => unreachable!("more takers than the unit has jobs"),
+        }
+    }
+}
+
+/// The warm-up owner's hold on its unit's slot. Dropped unpublished — its
+/// warm-up panicked — it fails the slot and wakes the waiting takers.
+struct Owner<'a, W>(&'a Slot<W>);
+
+impl<W> Owner<'_, W> {
+    /// Hand a `fork` of the converged system to the unit's takers, if any.
+    fn publish(self, warm: &W, fork: impl FnOnce(&W) -> W) {
+        let slot = self.0;
+        if slot.takers > 0 {
+            let copy = fork(warm);
+            *slot.lock() = Share::Ready {
+                warm: copy,
+                left: slot.takers,
+            };
+            slot.published.notify_all();
+        }
+    }
+}
+
+impl<W> Drop for Owner<'_, W> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            *self.0.lock() = Share::Failed;
+            self.0.published.notify_all();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -620,6 +850,253 @@ mod tests {
     use crate::attacks::nps::NpsSimpleDisorder;
     use crate::attacks::vivaldi::VivaldiDisorder;
     use vcoord_defense::NoDefense;
+
+    /// One spec on its own: its own warm-up, then its attack.
+    fn run<S: System>(spec: &RunSpec<'_, S>, threads: usize) -> Run {
+        attack(spec, warm_up(spec, threads), threads)
+    }
+
+    /// Every field of two runs, bit for bit.
+    fn assert_same_run(shared: &Run, solo: &Run, what: &str) {
+        let bits = |s: &TimeSeries| -> Vec<(u64, u64)> {
+            s.points().iter().map(|&(t, v)| (t, v.to_bits())).collect()
+        };
+        let floats = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(
+            bits(&shared.attack_series),
+            bits(&solo.attack_series),
+            "{what}"
+        );
+        assert_eq!(
+            shared.clean_ref.to_bits(),
+            solo.clean_ref.to_bits(),
+            "{what}"
+        );
+        assert_eq!(
+            floats(&shared.final_errors),
+            floats(&solo.final_errors),
+            "{what}"
+        );
+        let layers = |r: &Run| -> Vec<(u8, Vec<(u64, u64)>)> {
+            r.layer_series.iter().map(|(l, s)| (*l, bits(s))).collect()
+        };
+        assert_eq!(layers(shared), layers(solo), "{what}");
+        assert_eq!(
+            shared.focus_series.as_ref().map(bits),
+            solo.focus_series.as_ref().map(bits),
+            "{what}"
+        );
+        assert_eq!(
+            bits(&shared.drift_series),
+            bits(&solo.drift_series),
+            "{what}"
+        );
+        assert_eq!(shared.ledger, solo.ledger, "{what}");
+        assert_eq!(shared.threshold_ledger, solo.threshold_ledger, "{what}");
+        assert_eq!(
+            shared.random_baseline.to_bits(),
+            solo.random_baseline.to_bits(),
+            "{what}"
+        );
+        assert_eq!(
+            format!("{:?}", shared.defense),
+            format!("{:?}", solo.defense),
+            "{what}"
+        );
+        assert_eq!(shared.chaos, solo.chaos, "{what}");
+    }
+
+    /// `repeat_all(specs)` equals `run` of every spec and repetition on its
+    /// own, field for field; returns the number of units it formed.
+    fn assert_shared_equals_solo<S: System>(specs: &[RunSpec<'_, S>]) -> usize {
+        let shared = repeat_all(specs);
+        for (cell, spec) in specs.iter().enumerate() {
+            assert_eq!(shared[cell].len(), spec.scale.repetitions);
+            for (rep, run_shared) in shared[cell].iter().enumerate() {
+                let solo = run(
+                    &RunSpec {
+                        rep: rep as u64,
+                        ..spec.clone()
+                    },
+                    1,
+                );
+                assert_same_run(run_shared, &solo, &format!("cell {cell} rep {rep}"));
+            }
+        }
+        units(specs).len()
+    }
+
+    #[test]
+    fn shared_warm_ups_equal_solo_runs_nps() {
+        let scale = Scale {
+            repetitions: 2,
+            ..Scale::smoke()
+        };
+        let shorter = Scale {
+            nps_warmup_rounds: 6,
+            ..scale.clone()
+        };
+        let sparser = Scale {
+            nps_record_every: 4,
+            ..scale.clone()
+        };
+        let longer_attack = Scale {
+            nps_attack_rounds: 10,
+            ..scale.clone()
+        };
+        let disorder = plain(|| Box::new(NpsSimpleDisorder::default()));
+        let base = RunSpec::<NpsSim> {
+            fraction: 0.2,
+            adversary: &disorder,
+            ..RunSpec::new(&scale, 2006)
+        };
+        let insecure = NpsConfig {
+            security: false,
+            ..NpsConfig::default()
+        };
+        let deploy: &Deploy<'_, NpsSim> = &|_| Box::new(vcoord_defense::DriftCap::new(80.0));
+        let faults: &Faults<'_, NpsSim> =
+            &|sim| ChaosPlan::none().takedown(&sim.landmark_ids()[..2], 0, None);
+        let specs = [
+            // One unit: fraction, adversary, defense, faults and attack
+            // window only act from the injection instant on.
+            base.clone(),
+            RunSpec {
+                fraction: 0.4,
+                ..base.clone()
+            },
+            RunSpec {
+                adversary: &honest,
+                ..base.clone()
+            },
+            RunSpec {
+                defense: Some(deploy),
+                ..base.clone()
+            },
+            RunSpec {
+                chaos: Some(faults),
+                ..base.clone()
+            },
+            RunSpec {
+                scale: &longer_attack,
+                ..base.clone()
+            },
+            // Near misses, each its own unit.
+            RunSpec {
+                config: insecure,
+                ..base.clone()
+            },
+            RunSpec {
+                nodes: 60,
+                ..base.clone()
+            },
+            RunSpec {
+                seed: 2007,
+                ..base.clone()
+            },
+            RunSpec {
+                scale: &shorter,
+                ..base.clone()
+            },
+            RunSpec {
+                scale: &sparser,
+                ..base.clone()
+            },
+        ];
+        // 6 near-miss keys (the base and five) × 2 repetitions.
+        assert_eq!(assert_shared_equals_solo(&specs), 12);
+    }
+
+    #[test]
+    fn shared_warm_ups_equal_solo_runs_vivaldi() {
+        // The evaluation-plan bounds: below the threshold the warm-up plan
+        // samples peers, and the draws land in the plan stream the attack
+        // window continues from.
+        let sampled = Scale {
+            repetitions: 2,
+            eval_all_pairs_threshold: 16,
+            eval_sample_peers: 8,
+            ..Scale::smoke()
+        };
+        let more_peers = Scale {
+            eval_sample_peers: 12,
+            ..sampled.clone()
+        };
+        let all_pairs = Scale {
+            eval_all_pairs_threshold: 128,
+            ..sampled.clone()
+        };
+        let disorder = plain(|| Box::new(VivaldiDisorder::default()));
+        let base = RunSpec::<VivaldiSim> {
+            fraction: 0.2,
+            adversary: &disorder,
+            ..RunSpec::new(&sampled, 5)
+        };
+        let specs = [
+            base.clone(),
+            RunSpec {
+                fraction: 0.3,
+                ..base.clone()
+            },
+            RunSpec {
+                scale: &more_peers,
+                ..base.clone()
+            },
+            RunSpec {
+                scale: &all_pairs,
+                ..base.clone()
+            },
+            RunSpec {
+                config: VivaldiConfig::in_space(Space::Euclidean(3)),
+                ..base.clone()
+            },
+        ];
+        assert_eq!(assert_shared_equals_solo(&specs), 8);
+    }
+
+    #[test]
+    fn failed_warm_up_wakes_its_unit_and_keeps_its_message() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        // The owner fails; its takers must wake (or, pulled later, find the
+        // slot failed) without running, and the grid must report the
+        // owner's panic, not a taker's marker. The assertions hold for any
+        // interleaving and pool width; the delay only makes the waiting
+        // path the likely one on a pool of two or more.
+        let slot = Slot::<u64>::new(3);
+        let failing_warm_up = || -> u64 {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            panic!("warm-up of unit 0 failed")
+        };
+        let attacked = AtomicUsize::new(0);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            crate::experiments::run_grid(&[4], |job| {
+                let warm = if job.rep == 0 {
+                    let owner = Owner(&slot);
+                    let warm = failing_warm_up();
+                    owner.publish(&warm, |w| *w);
+                    warm
+                } else {
+                    slot.take(|w| *w)
+                };
+                attacked.fetch_add(1, Ordering::SeqCst);
+                warm
+            })
+        }));
+        let payload = outcome.expect_err("the panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"warm-up of unit 0 failed"),
+            "the owner's payload, not a taker's"
+        );
+        assert_eq!(
+            attacked.load(Ordering::SeqCst),
+            0,
+            "no taker ran its attack"
+        );
+        assert!(matches!(*slot.lock(), Share::Failed));
+    }
 
     #[test]
     fn no_defense_run_matches_undefended_run_exactly() {

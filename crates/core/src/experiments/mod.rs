@@ -200,19 +200,6 @@ pub struct GridJob {
     pub eval_threads: usize,
 }
 
-/// Sets the grid's stop flag when its worker unwinds, so the surviving
-/// workers stop pulling jobs of a figure that has already failed.
-struct StopOnUnwind<'a>(&'a std::sync::atomic::AtomicBool);
-
-impl Drop for StopOnUnwind<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            // Relaxed: the flag publishes no data, it only ends the loops.
-            self.0.store(true, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-}
-
 /// Run a whole figure's jobs — `reps_of[c]` repetitions of every cell `c` —
 /// on one bounded pool of worker threads and collect the results as
 /// `cells[c][rep]`. Every figure runner declares its cells and calls this
@@ -236,20 +223,33 @@ impl Drop for StopOnUnwind<'_> {
 /// themselves.
 ///
 /// A panicking job stops the grid: the other workers finish the job they
-/// hold and pull no further one, and the panic is resumed on the caller
-/// with its original payload.
+/// hold and pull no further one, and the panic of the earliest failed job
+/// in job order is resumed on the caller with its original payload.
 pub fn run_grid<T, F>(reps_of: &[usize], f: F) -> Vec<Vec<T>>
 where
     T: Send,
     F: Fn(GridJob) -> T + Sync,
 {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
     let jobs: Vec<(usize, u64)> = reps_of
         .iter()
         .enumerate()
         .flat_map(|(cell, &reps)| (0..reps as u64).map(move |rep| (cell, rep)))
         .collect();
+    by_cell(reps_of, &jobs, run_jobs(&jobs, f))
+}
+
+/// The pool behind [`run_grid`], for any job order: workers pull the
+/// `(cell, rep)` jobs in the order given, and the values come back — and
+/// the obs reports are absorbed — in that same order. `harness::repeat_all`
+/// orders its jobs unit by unit, each unit's warm-up owner first.
+pub(crate) fn run_jobs<T, F>(jobs: &[(usize, u64)], f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(GridJob) -> T + Sync,
+{
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
     let workers = repetition_pool_width(jobs.len());
     let eval_threads = eval_thread_budget(jobs.len());
     let next = AtomicUsize::new(0);
@@ -259,9 +259,8 @@ where
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let (f, jobs, next, stop) = (&f, &jobs, &next, &stop);
+                let (f, next, stop) = (&f, &next, &stop);
                 scope.spawn(move || {
-                    let _stop = StopOnUnwind(stop);
                     let mut finished = Vec::new();
                     // Leftovers from earlier work on this pool thread must
                     // not leak into the first job's report.
@@ -274,11 +273,20 @@ where
                             break;
                         };
                         let span = vcoord_obs::span(vcoord_obs::metric_id!("figure.rep_ns"));
-                        let value = f(GridJob {
+                        let job = GridJob {
                             cell,
                             rep,
                             eval_threads,
-                        });
+                        };
+                        let value = match catch_unwind(AssertUnwindSafe(|| f(job))) {
+                            Ok(value) => value,
+                            Err(payload) => {
+                                // Relaxed: the flag publishes no data, it
+                                // only ends the loops.
+                                stop.store(true, Ordering::Relaxed);
+                                return Err((k, payload));
+                            }
+                        };
                         drop(span);
                         let report = vcoord_obs::enabled().then(|| {
                             let mut r = vcoord_obs::drain();
@@ -287,36 +295,49 @@ where
                         });
                         finished.push((k, value, report));
                     }
-                    finished
+                    Ok(finished)
                 })
             })
             .collect();
-        let mut panic = None;
+        // A job that failed because an earlier one did (a cell waiting on
+        // its unit's warm-up) comes later in the order, so the earliest
+        // failure carries the original payload.
+        let mut failed = Vec::new();
         for h in handles {
             match h.join() {
-                Ok(finished) => {
+                Ok(Ok(finished)) => {
                     for (k, value, report) in finished {
                         done[k] = Some((value, report));
                     }
                 }
-                Err(payload) => {
-                    panic.get_or_insert(payload);
-                }
+                Ok(Err(failure)) => failed.push(failure),
+                Err(payload) => failed.push((usize::MAX, payload)),
             }
         }
-        if let Some(payload) = panic {
+        if let Some((_, payload)) = failed.into_iter().min_by_key(|&(k, _)| k) {
             std::panic::resume_unwind(payload);
         }
     });
+    done.into_iter()
+        .map(|job| {
+            let (value, report) = job.expect("every job completed");
+            if let Some(report) = report {
+                vcoord_obs::absorb(report);
+            }
+            value
+        })
+        .collect()
+}
+
+/// `values[k]`, the value of `jobs[k]`, regrouped as `cells[cell][rep]`.
+pub(crate) fn by_cell<T>(reps_of: &[usize], jobs: &[(usize, u64)], values: Vec<T>) -> Vec<Vec<T>> {
+    let mut keyed: Vec<((usize, u64), T)> = jobs.iter().copied().zip(values).collect();
+    keyed.sort_by_key(|&(job, _)| job);
     let mut cells: Vec<Vec<T>> = reps_of
         .iter()
         .map(|&reps| Vec::with_capacity(reps))
         .collect();
-    for (&(cell, _), job) in jobs.iter().zip(done) {
-        let (value, report) = job.expect("every job completed");
-        if let Some(report) = report {
-            vcoord_obs::absorb(report);
-        }
+    for ((cell, _), value) in keyed {
         cells[cell].push(value);
     }
     cells

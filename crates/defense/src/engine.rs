@@ -357,20 +357,19 @@ impl Defense {
 mod tests {
     use super::*;
 
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use std::sync::{Arc, Mutex};
 
     /// Rejects everything after `reject_after` inspections; counts rounds
     /// into a shared cell so tests can observe the cadence from outside.
     struct Trip {
         inspections: u64,
-        rounds: Rc<RefCell<Vec<u64>>>,
+        rounds: Arc<Mutex<Vec<u64>>>,
         reject_after: u64,
     }
 
     impl DefenseStrategy for Trip {
         fn on_round(&mut self, round: u64) {
-            self.rounds.borrow_mut().push(round);
+            self.rounds.lock().unwrap().push(round);
         }
 
         fn inspect_update(&mut self, _v: &UpdateView<'_>, _s: &mut DefenseScratch) -> Verdict {
@@ -427,10 +426,10 @@ mod tests {
         let space = Space::Euclidean(2);
         let me = Coord::origin(2);
         let them = Coord::from_vec(vec![30.0, 40.0]);
-        let rounds = Rc::new(RefCell::new(Vec::new()));
+        let rounds = Arc::new(Mutex::new(Vec::new()));
         let mut d = Defense::new(Box::new(Trip {
             inspections: 0,
-            rounds: Rc::clone(&rounds),
+            rounds: Arc::clone(&rounds),
             reject_after: u64::MAX,
         }));
         d.inspect(&space, &me, update(1, &them, 50.0, 5));
@@ -440,7 +439,7 @@ mod tests {
         let history = d.history().remote(1).unwrap();
         assert_eq!(history.samples(), 4);
         // Deployment round 5 fires nothing; rounds 6,7,8 fire once each.
-        assert_eq!(*rounds.borrow(), vec![6, 7, 8]);
+        assert_eq!(*rounds.lock().unwrap(), vec![6, 7, 8]);
     }
 
     #[test]
@@ -450,7 +449,7 @@ mod tests {
         let them = Coord::from_vec(vec![30.0, 40.0]);
         let mut d = Defense::new(Box::new(Trip {
             inspections: 0,
-            rounds: Rc::new(RefCell::new(Vec::new())),
+            rounds: Arc::new(Mutex::new(Vec::new())),
             reject_after: 2,
         }));
         // Node 1: 2 accepts then 2 rejects. Node 2: rejects only.
@@ -484,7 +483,7 @@ mod tests {
         let them = Coord::from_vec(vec![30.0, 40.0]);
         let mut d = Defense::new(Box::new(Trip {
             inspections: 0,
-            rounds: Rc::new(RefCell::new(Vec::new())),
+            rounds: Arc::new(Mutex::new(Vec::new())),
             reject_after: u64::MAX,
         }));
         for r in 0..4 {
@@ -518,7 +517,7 @@ mod tests {
         let bad = Coord::from_vec(vec![f64::NAN, 0.0]);
         let mut d = Defense::new(Box::new(Trip {
             inspections: 0,
-            rounds: Rc::new(RefCell::new(Vec::new())),
+            rounds: Arc::new(Mutex::new(Vec::new())),
             reject_after: 0, // would reject everything it sees
         }));
         assert_eq!(

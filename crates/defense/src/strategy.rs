@@ -194,7 +194,10 @@ pub(crate) fn median_in_place(values: &mut [f64]) -> Option<f64> {
 /// the shared [`NeighborHistory`](crate::NeighborHistory) and invokes
 /// [`DefenseStrategy::on_round`] once per elapsed round before the round's
 /// first inspection.
-pub trait DefenseStrategy {
+///
+/// `Send`, because a simulation carrying its defense moves between the
+/// threads of an experiment's job pool.
+pub trait DefenseStrategy: Send {
     /// Called exactly once per elapsed round (Vivaldi tick / NPS
     /// repositioning period), before the first
     /// [`DefenseStrategy::inspect_update`] of that round. Decay-based

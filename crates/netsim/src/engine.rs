@@ -28,6 +28,7 @@ pub enum Event<P> {
     },
 }
 
+#[derive(Clone)]
 struct Scheduled<P> {
     at: Time,
     seq: u64,
@@ -75,6 +76,10 @@ impl<P> Eq for Scheduled<P> {}
 /// a single heap gives, for any schedule. Periodic timers re-armed at
 /// `now + period` are monotone and ride `run`; only out-of-order events
 /// (short-latency messages scheduled behind a later timer) pay for the heap.
+///
+/// A clone is a queue with the same events in the same lanes, so it
+/// delivers them in the same order.
+#[derive(Clone)]
 pub struct Scheduler<P> {
     now: Time,
     seq: u64,
@@ -212,6 +217,11 @@ pub trait World {
 /// engine.run_until(&mut world, 100);
 /// assert_eq!(world.pings, 1);
 /// ```
+///
+/// A clone continues from the same clock and queue: driven through equal
+/// worlds, the original and the clone process the same events in the same
+/// order.
+#[derive(Clone)]
 pub struct Engine<P> {
     sched: Scheduler<P>,
 }
@@ -403,6 +413,21 @@ mod tests {
         e.scheduler().timer_at(0, 0, 0);
         assert_eq!(e.run_to_completion(&mut Echo), 3);
         assert_eq!(e.now(), 50);
+    }
+
+    #[test]
+    fn a_clone_continues_like_the_original() {
+        let mut e: Engine<String> = Engine::new();
+        for i in 0..40u64 {
+            e.scheduler().timer_at((i * 7) % 23, (i % 3) as NodeId, i);
+        }
+        e.run_until(&mut recorder(), 10);
+        let mut copy = e.clone();
+        let (mut a, mut b) = (recorder(), recorder());
+        e.run_to_completion(&mut a);
+        copy.run_to_completion(&mut b);
+        assert_eq!(a.log.into_inner(), b.log.into_inner());
+        assert_eq!(e.now(), copy.now());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use vcoord_space::{SimplexOptions, Space};
 /// Defaults are the paper's §5.2 settings: 8-D Euclidean embedding, 20
 /// permanent layer-0 landmarks, 20 % reference points per middle layer, a
 /// 3-layer hierarchy, security constant `C = 4`, 5 s probe threshold.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NpsConfig {
     /// Embedding space (figure 16 sweeps the dimension; NPS itself is
     /// Euclidean-only).

@@ -23,6 +23,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use std::collections::VecDeque;
+use std::sync::Arc;
 use vcoord_attackkit::{AttackStrategy, CoordView, Lie, Probe, Protocol, Scenario};
 use vcoord_chaos::{ChaosCounters, ChaosPlan, ChaosState, ProbeFate};
 use vcoord_defense::{
@@ -64,7 +65,8 @@ pub struct NpsCounters {
 
 struct NpsWorld {
     config: NpsConfig,
-    matrix: RttMatrix,
+    /// Shared with every [`NpsSim::fork`] of this system.
+    matrix: Arc<RttMatrix>,
     membership: Membership,
     layer: Vec<u8>,
     is_ref: Vec<bool>,
@@ -697,10 +699,58 @@ impl NpsSim {
             chaos: None,
             probation_clock: vec![0; n],
             probation_cursor: vec![0; n],
-            matrix,
+            matrix: Arc::new(matrix),
             config,
         };
         NpsSim { engine, world }
+    }
+
+    /// A deep copy of a clean system, sharing its latency matrix: the copy
+    /// holds the same landmark embedding, coordinates, reference sets, ban
+    /// ledgers, event queue and random streams, so advancing both equally
+    /// keeps them bit-equal. This is what lets several injections start from
+    /// one converged warm-up without re-embedding the landmarks.
+    ///
+    /// # Panics
+    /// Panics if an adversary, a defense or a fault plan has been installed:
+    /// a fork is taken before the injection instant, never after.
+    pub fn fork(&self) -> NpsSim {
+        let w = &self.world;
+        assert!(
+            w.scenario.is_none() && w.defense.is_none() && w.chaos.is_none(),
+            "fork of a system an adversary, defense or fault plan has touched"
+        );
+        NpsSim {
+            engine: self.engine.clone(),
+            world: NpsWorld {
+                config: w.config.clone(),
+                matrix: Arc::clone(&w.matrix),
+                membership: w.membership.clone(),
+                layer: w.layer.clone(),
+                is_ref: w.is_ref.clone(),
+                coords: w.coords.clone(),
+                positioned: w.positioned.clone(),
+                refs: w.refs.clone(),
+                banned: w.banned.clone(),
+                leased: w.leased.clone(),
+                malicious: w.malicious.clone(),
+                scenario: None,
+                defense: None,
+                ledger: w.ledger,
+                threshold_ledger: w.threshold_ledger,
+                counters: w.counters,
+                probe_rng: w.probe_rng.clone(),
+                adv_rng: w.adv_rng.clone(),
+                pos_scratch: PositionScratch::new(),
+                samples_buf: Vec::new(),
+                refs_buf: Vec::new(),
+                rep_banned: Vec::new(),
+                rep_reinstated: Vec::new(),
+                chaos: None,
+                probation_clock: w.probation_clock.clone(),
+                probation_cursor: w.probation_cursor.clone(),
+            },
+        }
     }
 
     /// Advance the simulation by `ms` simulated milliseconds.
@@ -1014,6 +1064,57 @@ mod tests {
         let err = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
         assert!(err < 0.8, "converged NPS error too high: {err}");
         assert!(sim.counters().positionings > 100);
+    }
+
+    /// Every coordinate component, as bits.
+    fn coord_bits(sim: &NpsSim) -> Vec<u64> {
+        let coords = sim
+            .coords()
+            .iter()
+            .flat_map(|c| c.vec.iter().chain(std::iter::once(&c.height)));
+        coords.map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_fork_advances_bit_equal_to_its_original() {
+        use vcoord_attackkit::RandomLie;
+
+        let mut sim = small_sim(60, 43);
+        sim.run_ms(300_000);
+        let mut copy = sim.fork();
+        assert!(std::ptr::eq(sim.matrix(), copy.matrix()), "shared matrix");
+        for _ in 0..3 {
+            sim.run_ms(120_000);
+            copy.run_ms(120_000);
+            assert_eq!(coord_bits(&sim), coord_bits(&copy));
+            assert_eq!(sim.counters(), copy.counters());
+            assert_eq!(sim.positioned(), copy.positioned());
+            assert_eq!(sim.currently_banned(), copy.currently_banned());
+            assert_eq!(sim.now_ms(), copy.now_ms());
+        }
+        // The copied adversary stream picks the same attackers, and the
+        // same injection on both sides keeps them equal — filter ledger
+        // included.
+        for s in [&mut sim, &mut copy] {
+            let attackers = s.pick_attackers(0.2);
+            s.inject_adversary(&attackers, Box::new(RandomLie::new(500.0)));
+            s.run_ms(300_000);
+        }
+        assert!(sim.counters().lies_served > 0);
+        assert_eq!(coord_bits(&sim), coord_bits(&copy));
+        assert_eq!(sim.counters(), copy.counters());
+        assert_eq!(sim.ledger(), copy.ledger());
+        assert_eq!(sim.currently_banned(), copy.currently_banned());
+    }
+
+    #[test]
+    #[should_panic(expected = "fork of a system an adversary")]
+    fn fork_after_injection_panics() {
+        let mut sim = small_sim(60, 44);
+        sim.run_ms(120_000);
+        let attackers = sim.pick_attackers(0.2);
+        sim.inject_adversary(&attackers, Box::new(Honest));
+        let _ = sim.fork();
     }
 
     #[test]

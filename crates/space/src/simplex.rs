@@ -21,7 +21,7 @@
 //! tests). Objective evaluations are counted in [`SimplexResult::evals`].
 
 /// Tuning knobs for [`simplex_downhill`].
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SimplexOptions {
     /// Reflection coefficient (α > 0). Standard: 1.0.
     pub alpha: f64,

@@ -10,7 +10,7 @@ use vcoord_space::Space;
 /// recommendations of the Vivaldi paper: 64 springs per node, 32 of them to
 /// nodes closer than 50 ms, adaptive-timestep constant `Cc = 0.25`, 2-D
 /// Euclidean space, one probe per node per 17-second tick.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VivaldiConfig {
     /// Embedding space (default 2-D Euclidean; figures 3 and 6 sweep this).
     pub space: Space,

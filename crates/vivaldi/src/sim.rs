@@ -22,6 +22,7 @@ use crate::node::vivaldi_update_scaled;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
+use std::sync::Arc;
 use vcoord_attackkit::{AttackStrategy, CoordView, Lie, Probe, Protocol, Scenario};
 use vcoord_chaos::{ChaosCounters, ChaosPlan, ChaosState, ProbeFate};
 use vcoord_defense::{
@@ -114,7 +115,8 @@ pub struct Counters {
 
 struct VivaldiWorld {
     config: VivaldiConfig,
-    matrix: RttMatrix,
+    /// Shared with every [`VivaldiSim::fork`] of this system.
+    matrix: Arc<RttMatrix>,
     coords: Vec<Coord>,
     errors: Vec<f64>,
     springs: Vec<Vec<Spring>>,
@@ -460,7 +462,7 @@ impl VivaldiSim {
             update_rng: seeds.rng("vivaldi/update"),
             adv_rng: seeds.rng("vivaldi/adversary"),
             counters: Counters::default(),
-            matrix,
+            matrix: Arc::new(matrix),
             config,
         };
 
@@ -471,6 +473,44 @@ impl VivaldiSim {
             engine.scheduler().timer_at(phase, i, TAG_PROBE);
         }
         VivaldiSim { engine, world }
+    }
+
+    /// A deep copy of a clean system, sharing its latency matrix: the copy
+    /// holds the same coordinates, error estimates, spring table, event
+    /// queue and random streams, so advancing both equally keeps them
+    /// bit-equal. This is what lets several injections start from one
+    /// converged warm-up.
+    ///
+    /// # Panics
+    /// Panics if an adversary, a defense or a fault plan has been installed:
+    /// a fork is taken before the injection instant, never after.
+    pub fn fork(&self) -> VivaldiSim {
+        let w = &self.world;
+        assert!(
+            w.scenario.is_none() && w.defense.is_none() && w.chaos.is_none(),
+            "fork of a system an adversary, defense or fault plan has touched"
+        );
+        VivaldiSim {
+            engine: self.engine.clone(),
+            world: VivaldiWorld {
+                config: w.config.clone(),
+                matrix: Arc::clone(&w.matrix),
+                coords: w.coords.clone(),
+                errors: w.errors.clone(),
+                springs: w.springs.clone(),
+                malicious: w.malicious.clone(),
+                scenario: None,
+                defense: None,
+                quarantined: w.quarantined.clone(),
+                rep_banned: Vec::new(),
+                rep_reinstated: Vec::new(),
+                chaos: None,
+                probe_rng: w.probe_rng.clone(),
+                update_rng: w.update_rng.clone(),
+                adv_rng: w.adv_rng.clone(),
+                counters: w.counters,
+            },
+        }
     }
 
     /// Advance the simulation by `n` ticks.
@@ -725,6 +765,52 @@ mod tests {
             "no convergence: before={before} after={after}"
         );
         assert!(after < 0.6, "converged error too high: {after}");
+    }
+
+    /// Every coordinate component and error estimate, as bits.
+    fn state_bits(sim: &VivaldiSim) -> Vec<u64> {
+        let coords = sim
+            .coords()
+            .iter()
+            .flat_map(|c| c.vec.iter().chain(std::iter::once(&c.height)));
+        coords.chain(sim.errors()).map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_fork_advances_bit_equal_to_its_original() {
+        use vcoord_attackkit::RandomLie;
+
+        let mut sim = small_sim(40, 41);
+        sim.run_ticks(60);
+        let mut copy = sim.fork();
+        assert!(std::ptr::eq(sim.matrix(), copy.matrix()), "shared matrix");
+        for _ in 0..3 {
+            sim.run_ticks(15);
+            copy.run_ticks(15);
+            assert_eq!(state_bits(&sim), state_bits(&copy));
+            assert_eq!(sim.counters(), copy.counters());
+            assert_eq!(sim.now_ms(), copy.now_ms());
+        }
+        // The copied adversary stream picks the same attackers, and the
+        // same injection on both sides keeps them equal.
+        for s in [&mut sim, &mut copy] {
+            let attackers = s.pick_attackers(0.2);
+            s.inject_adversary(&attackers, Box::new(RandomLie::new(500.0)));
+            s.run_ticks(30);
+        }
+        assert!(sim.counters().lies_served > 0);
+        assert_eq!(state_bits(&sim), state_bits(&copy));
+        assert_eq!(sim.counters(), copy.counters());
+    }
+
+    #[test]
+    #[should_panic(expected = "fork of a system an adversary")]
+    fn fork_after_injection_panics() {
+        let mut sim = small_sim(20, 42);
+        sim.run_ticks(10);
+        let attackers = sim.pick_attackers(0.2);
+        sim.inject_adversary(&attackers, Box::new(Honest));
+        let _ = sim.fork();
     }
 
     #[test]
