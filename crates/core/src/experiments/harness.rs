@@ -57,8 +57,12 @@ pub(crate) trait System: Sized + Send + 'static {
     /// A fresh system over `matrix`.
     fn build(matrix: RttMatrix, config: Self::Config, seeds: &SeedStream) -> Self;
 
-    /// A deep copy of a system nothing has been injected into yet.
+    /// A deep copy, latency matrix included, of a system nothing has been
+    /// injected into yet, allocated by the calling thread.
     fn fork(&self) -> Self;
+
+    /// A [`fork`](System::fork) that shares the latency matrix.
+    fn snapshot(&self) -> Self;
 
     /// `(warm-up, attack window, sampling interval)` of `scale`, in this
     /// system's clock unit (Vivaldi ticks, NPS repositioning rounds).
@@ -139,6 +143,9 @@ impl System for VivaldiSim {
     fn fork(&self) -> Self {
         VivaldiSim::fork(self)
     }
+    fn snapshot(&self) -> Self {
+        VivaldiSim::snapshot(self)
+    }
     fn schedule(scale: &Scale) -> (u64, u64, u64) {
         (
             scale.vivaldi_warmup_ticks,
@@ -212,6 +219,9 @@ impl System for NpsSim {
     }
     fn fork(&self) -> Self {
         NpsSim::fork(self)
+    }
+    fn snapshot(&self) -> Self {
+        NpsSim::snapshot(self)
     }
     fn schedule(scale: &Scale) -> (u64, u64, u64) {
         (
@@ -514,8 +524,18 @@ struct Warm<S> {
 impl<S: System> Warm<S> {
     /// A copy to inject independently (see [`System::fork`]).
     fn fork(&self) -> Warm<S> {
+        self.around(self.sim.fork())
+    }
+
+    /// A copy to fork from, sharing the matrix (see [`System::snapshot`]).
+    fn snapshot(&self) -> Warm<S> {
+        self.around(self.sim.snapshot())
+    }
+
+    /// This state around a copy `sim` of its system.
+    fn around(&self, sim: S) -> Warm<S> {
         Warm {
-            sim: self.sim.fork(),
+            sim,
             seeds: self.seeds,
             plan_rng: self.plan_rng.clone(),
             clean_ref: self.clean_ref,
@@ -689,13 +709,21 @@ fn attack<S: System>(spec: &RunSpec<'_, S>, warm: Warm<S>, threads: usize) -> Ru
 /// A figure declares all its cells and calls this once.
 ///
 /// The jobs whose warm-ups are identical form a *unit* ([`units`]) and
-/// converge once: the unit's first job runs [`warm_up`], publishes a fork of
-/// the converged system in the unit's [`Slot`] and runs its own [`attack`];
-/// the unit's other jobs wait for the slot, take a fork — the last one takes
-/// the published copy itself — and run only the attack. The pool pulls the
-/// units one after the other, each owner first, so a job only ever waits on
-/// an earlier one; and it never warms a later unit up ahead of its turn, so
-/// at most one snapshot per unit being run is alive.
+/// converge once: the unit's first job runs [`warm_up`], publishes a
+/// snapshot of the converged system in the unit's [`Slot`] and runs its own
+/// [`attack`]; the unit's other jobs wait for the slot, take a fork of the
+/// snapshot — the last one drops it — and run only the attack. The pool
+/// pulls the units one after the other, each owner first, so a job only
+/// ever waits on an earlier one; and it never warms a later unit up ahead
+/// of its turn, so at most one snapshot per unit being run is alive.
+///
+/// The snapshot shares the owner's latency matrix and each fork copies it
+/// on the taker's thread, so no matrix outlives the job that allocated it:
+/// every worker's allocator gets the memory of its last matrix back before
+/// it builds the next, as when each job builds its own. Were the matrix
+/// shared with the takers, a worker could start its next unit while a taker
+/// on another worker still held its last matrix, and the peak memory would
+/// depend on which worker finished first.
 pub(crate) fn repeat_all<S: System>(specs: &[RunSpec<'_, S>]) -> Vec<Vec<Run>> {
     let reps_of: Vec<usize> = specs.iter().map(|s| s.scale.repetitions).collect();
     let units = units(specs);
@@ -716,7 +744,7 @@ pub(crate) fn repeat_all<S: System>(specs: &[RunSpec<'_, S>]) -> Vec<Vec<Run>> {
         let warm = if units[u][0] == (job.cell, job.rep) {
             let owner = Owner(&slots[u]);
             let warm = warm_up(&spec, job.eval_threads);
-            owner.publish(&warm, Warm::fork);
+            owner.publish(&warm, Warm::snapshot);
             warm
         } else {
             slots[u].take(Warm::fork)
@@ -767,7 +795,7 @@ enum Share<W> {
     Ready { warm: W, left: usize },
     /// The owner panicked before publishing.
     Failed,
-    /// The last taker took the published copy.
+    /// Every taker has its copy and the published one is dropped.
     Taken,
 }
 
@@ -785,7 +813,7 @@ impl<W> Slot<W> {
     }
 
     /// Wait for the owner to publish, then return a `fork` of the published
-    /// system — or, to the last taker, the published copy itself.
+    /// system; the last taker drops the published copy.
     ///
     /// # Panics
     /// Unwinds if the owner's warm-up panicked. The payload is a marker: the
@@ -795,19 +823,18 @@ impl<W> Slot<W> {
             .published
             .wait_while(self.lock(), |s| matches!(s, Share::Warming))
             .unwrap_or_else(PoisonError::into_inner);
-        if let Share::Ready { warm, left } = &mut *state {
-            if *left > 1 {
+        match &mut *state {
+            Share::Ready { warm, left } => {
                 // Forked before the count drops, so every update of the
                 // state is one assignment and a poisoned lock stays valid.
                 let copy = fork(warm);
                 *left -= 1;
-                return copy;
+                if *left == 0 {
+                    *state = Share::Taken;
+                }
+                copy
             }
-        }
-        match std::mem::replace(&mut *state, Share::Taken) {
-            Share::Ready { warm, .. } => warm,
             Share::Failed => {
-                *state = Share::Failed;
                 drop(state);
                 std::panic::resume_unwind(Box::new("the warm-up of this unit failed"))
             }
@@ -821,11 +848,12 @@ impl<W> Slot<W> {
 struct Owner<'a, W>(&'a Slot<W>);
 
 impl<W> Owner<'_, W> {
-    /// Hand a `fork` of the converged system to the unit's takers, if any.
-    fn publish(self, warm: &W, fork: impl FnOnce(&W) -> W) {
+    /// Hand a `snapshot` of the converged system to the unit's takers, if
+    /// any.
+    fn publish(self, warm: &W, snapshot: impl FnOnce(&W) -> W) {
         let slot = self.0;
         if slot.takers > 0 {
-            let copy = fork(warm);
+            let copy = snapshot(warm);
             *slot.lock() = Share::Ready {
                 warm: copy,
                 left: slot.takers,
@@ -1096,6 +1124,32 @@ mod tests {
             "no taker ran its attack"
         );
         assert!(matches!(*slot.lock(), Share::Failed));
+    }
+
+    #[test]
+    fn every_taker_forks_and_the_last_drops_the_snapshot() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        // An `Arc` stands in for the converged system: its count is the
+        // number of copies alive. A taker handed the snapshot itself would
+        // run on memory the owner's thread allocated.
+        let slot = Slot::<Arc<()>>::new(2);
+        let warm = Arc::new(());
+        Owner(&slot).publish(&warm, Arc::clone);
+        let forks = AtomicUsize::new(0);
+        let fork = |w: &Arc<()>| {
+            forks.fetch_add(1, Ordering::Relaxed);
+            Arc::clone(w)
+        };
+        let copies = [slot.take(&fork), slot.take(&fork)];
+        assert_eq!(forks.load(Ordering::Relaxed), 2, "the last taker forks too");
+        assert_eq!(
+            Arc::strong_count(&warm),
+            1 + copies.len(),
+            "snapshot dropped"
+        );
+        assert!(matches!(*slot.lock(), Share::Taken));
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub struct NpsCounters {
 
 struct NpsWorld {
     config: NpsConfig,
-    /// Shared with every [`NpsSim::fork`] of this system.
+    /// Shared with every [`NpsSim::snapshot`] of this system.
     matrix: Arc<RttMatrix>,
     membership: Membership,
     layer: Vec<u8>,
@@ -705,16 +705,31 @@ impl NpsSim {
         NpsSim { engine, world }
     }
 
-    /// A deep copy of a clean system, sharing its latency matrix: the copy
+    /// A deep copy of a clean system, latency matrix included: the copy
     /// holds the same landmark embedding, coordinates, reference sets, ban
     /// ledgers, event queue and random streams, so advancing both equally
     /// keeps them bit-equal. This is what lets several injections start from
-    /// one converged warm-up without re-embedding the landmarks.
+    /// one converged warm-up without re-embedding the landmarks. Every
+    /// allocation of the copy is made by the calling thread, so a fork run
+    /// on a worker thread keeps no memory of the thread that built the
+    /// original alive.
     ///
     /// # Panics
     /// Panics if an adversary, a defense or a fault plan has been installed:
     /// a fork is taken before the injection instant, never after.
     pub fn fork(&self) -> NpsSim {
+        let mut copy = self.snapshot();
+        copy.world.matrix = Arc::new(RttMatrix::clone(&self.world.matrix));
+        copy
+    }
+
+    /// A [`fork`](Self::fork) that shares this system's latency matrix
+    /// instead of copying it: the state several forks are taken from, held
+    /// beside the original for the price of its coordinates alone.
+    ///
+    /// # Panics
+    /// As [`fork`](Self::fork).
+    pub fn snapshot(&self) -> NpsSim {
         let w = &self.world;
         assert!(
             w.scenario.is_none() && w.defense.is_none() && w.chaos.is_none(),
@@ -1081,8 +1096,13 @@ mod tests {
 
         let mut sim = small_sim(60, 43);
         sim.run_ms(300_000);
-        let mut copy = sim.fork();
-        assert!(std::ptr::eq(sim.matrix(), copy.matrix()), "shared matrix");
+        // The harness's path: a snapshot beside the original, a fork of it.
+        let snapshot = sim.snapshot();
+        assert!(std::ptr::eq(sim.matrix(), snapshot.matrix()), "shared");
+        let mut copy = snapshot.fork();
+        drop(snapshot);
+        assert!(!std::ptr::eq(sim.matrix(), copy.matrix()), "own matrix");
+        assert!(sim.matrix() == copy.matrix());
         for _ in 0..3 {
             sim.run_ms(120_000);
             copy.run_ms(120_000);

@@ -115,7 +115,7 @@ pub struct Counters {
 
 struct VivaldiWorld {
     config: VivaldiConfig,
-    /// Shared with every [`VivaldiSim::fork`] of this system.
+    /// Shared with every [`VivaldiSim::snapshot`] of this system.
     matrix: Arc<RttMatrix>,
     coords: Vec<Coord>,
     errors: Vec<f64>,
@@ -475,16 +475,30 @@ impl VivaldiSim {
         VivaldiSim { engine, world }
     }
 
-    /// A deep copy of a clean system, sharing its latency matrix: the copy
+    /// A deep copy of a clean system, latency matrix included: the copy
     /// holds the same coordinates, error estimates, spring table, event
     /// queue and random streams, so advancing both equally keeps them
     /// bit-equal. This is what lets several injections start from one
-    /// converged warm-up.
+    /// converged warm-up. Every allocation of the copy is made by the
+    /// calling thread, so a fork run on a worker thread keeps no memory of
+    /// the thread that built the original alive.
     ///
     /// # Panics
     /// Panics if an adversary, a defense or a fault plan has been installed:
     /// a fork is taken before the injection instant, never after.
     pub fn fork(&self) -> VivaldiSim {
+        let mut copy = self.snapshot();
+        copy.world.matrix = Arc::new(RttMatrix::clone(&self.world.matrix));
+        copy
+    }
+
+    /// A [`fork`](Self::fork) that shares this system's latency matrix
+    /// instead of copying it: the state several forks are taken from, held
+    /// beside the original for the price of its coordinates alone.
+    ///
+    /// # Panics
+    /// As [`fork`](Self::fork).
+    pub fn snapshot(&self) -> VivaldiSim {
         let w = &self.world;
         assert!(
             w.scenario.is_none() && w.defense.is_none() && w.chaos.is_none(),
@@ -782,8 +796,13 @@ mod tests {
 
         let mut sim = small_sim(40, 41);
         sim.run_ticks(60);
-        let mut copy = sim.fork();
-        assert!(std::ptr::eq(sim.matrix(), copy.matrix()), "shared matrix");
+        // The harness's path: a snapshot beside the original, a fork of it.
+        let snapshot = sim.snapshot();
+        assert!(std::ptr::eq(sim.matrix(), snapshot.matrix()), "shared");
+        let mut copy = snapshot.fork();
+        drop(snapshot);
+        assert!(!std::ptr::eq(sim.matrix(), copy.matrix()), "own matrix");
+        assert!(sim.matrix() == copy.matrix());
         for _ in 0..3 {
             sim.run_ticks(15);
             copy.run_ticks(15);
