@@ -12,7 +12,7 @@
 //! average of present pairs, and a warning is logged at DEBUG level
 //! (exceptional event, per the workspace logging policy).
 
-use crate::matrix::RttMatrix;
+use crate::matrix::{upper_index, RttMatrix};
 use std::io::BufRead;
 use std::path::Path;
 
@@ -96,7 +96,8 @@ fn load_triples<R: BufRead>(reader: R, unit: RttUnit) -> Result<RttMatrix, LoadE
     let base = if min_id >= 1 { 1 } else { 0 }; // 1-based files auto-detected
     let n = max_id - base + 1;
     let mut m = RttMatrix::zeros(n);
-    let mut seen = vec![false; n * n];
+    // One flag per pair, packed like the matrix's cells.
+    let mut seen = vec![false; n * (n - 1) / 2];
     let mut sum = 0.0;
     let mut count = 0usize;
     for (i, j, v) in records {
@@ -105,8 +106,7 @@ fn load_triples<R: BufRead>(reader: R, unit: RttUnit) -> Result<RttMatrix, LoadE
             continue;
         }
         m.set(i, j, v);
-        seen[i * n + j] = true;
-        seen[j * n + i] = true;
+        seen[upper_index(n, i.min(j), i.max(j))] = true;
         sum += v;
         count += 1;
     }
@@ -114,7 +114,7 @@ fn load_triples<R: BufRead>(reader: R, unit: RttUnit) -> Result<RttMatrix, LoadE
     let mean = sum / count.max(1) as f64;
     let mut gaps = 0usize;
     m.map_in_place(|i, j, v| {
-        if seen[i * n + j] {
+        if seen[upper_index(n, i, j)] {
             v
         } else {
             gaps += 1;

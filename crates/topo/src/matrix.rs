@@ -1,4 +1,4 @@
-//! Dense symmetric RTT matrices.
+//! Dense symmetric RTT matrices, each pair stored once.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -9,10 +9,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// "not asked since the last `&mut` call".
 static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
 
-/// Side of the square tiles [`RttMatrix::mirror`] copies: 32 × 32 cells read
-/// 32 row segments of 256 B and write 32 column segments of 4 lines each,
-/// which stays inside L1.
-const MIRROR_TILE: usize = 32;
+/// Where pair `(i, j)`, `i < j < n`, sits in a packed upper triangle: row
+/// `i` starts after the `i(2n − i − 1)/2` cells of the rows above it.
+#[inline]
+pub(crate) fn upper_index(n: usize, i: usize, j: usize) -> usize {
+    debug_assert!(i < j && j < n);
+    i * (2 * n - i - 1) / 2 + (j - i - 1)
+}
 
 /// A dense, symmetric matrix of round-trip times in milliseconds.
 ///
@@ -26,17 +29,19 @@ const MIRROR_TILE: usize = 32;
 /// assert!(m.validate().is_ok());
 /// ```
 ///
-/// The diagonal is always zero. Storage is a full row-major `n × n` buffer
-/// (1740 nodes ⇒ ~24 MB): a full delay matrix is what the figures measure
-/// the coordinates against. It is too large to be a cache-friendly read,
-/// though — one random cell is one cache and TLB miss — so code that keeps
-/// returning to the same few cells (a Vivaldi node's springs, an
-/// evaluation plan's pairs) copies them out once instead of calling
-/// [`rtt`](RttMatrix::rtt) per use, and keys the copy on
-/// [`version`](RttMatrix::version) to know when it went stale.
+/// The diagonal is always zero and `(i, j)` is `(j, i)`, so storage is the
+/// `n(n − 1)/2` cells with `i < j`, row-major in one buffer (1740 nodes ⇒
+/// ~12 MB): a full delay matrix is what the figures measure the coordinates
+/// against. It is too large to be a cache-friendly read, though — one
+/// random cell is one cache and TLB miss — so code that keeps returning to
+/// the same few cells (a Vivaldi node's springs, an evaluation plan's
+/// pairs) copies them out once instead of calling [`rtt`](RttMatrix::rtt)
+/// per use, and keys the copy on [`version`](RttMatrix::version) to know
+/// when it went stale.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct RttMatrix {
     n: usize,
+    /// Pair `(i, j)`, `i < j`, at `upper_index(n, i, j)`.
     data: Vec<f64>,
     /// Content version, 0 until [`version`](RttMatrix::version) is asked;
     /// every `&mut` method resets it to 0.
@@ -68,7 +73,7 @@ impl RttMatrix {
     pub fn zeros(n: usize) -> Self {
         RttMatrix {
             n,
-            data: vec![0.0; n * n],
+            data: vec![0.0; n * n.saturating_sub(1) / 2],
             version: AtomicU64::new(0),
         }
     }
@@ -118,65 +123,60 @@ impl RttMatrix {
     /// Panics if either index is out of range.
     #[inline]
     pub fn rtt(&self, i: usize, j: usize) -> f64 {
-        self.data[i * self.n + j]
+        match self.cell(i, j) {
+            Some(k) => self.data[k],
+            None => 0.0,
+        }
     }
 
-    /// Set the RTT between `i` and `j`, updating both triangles.
+    /// Set the RTT between `i` and `j` (and so between `j` and `i`).
     ///
     /// Setting a diagonal entry is a no-op (the diagonal stays zero).
+    ///
+    /// # Panics
+    /// Panics if either index is out of range, before anything is written.
     pub fn set(&mut self, i: usize, j: usize, v: f64) {
-        if i == j {
-            return;
+        if let Some(k) = self.cell(i, j) {
+            *self.version.get_mut() = 0;
+            self.data[k] = v;
         }
-        *self.version.get_mut() = 0;
-        self.data[i * self.n + j] = v;
-        self.data[j * self.n + i] = v;
     }
 
-    /// Iterate over the upper triangle as `(i, j, rtt)` with `i < j`.
+    /// The storage slot of pair `(i, j)` in either order, `None` on the
+    /// diagonal. Both ids are checked first: an id past `n` would otherwise
+    /// land on some other pair's slot.
+    #[inline]
+    fn cell(&self, i: usize, j: usize) -> Option<usize> {
+        let n = self.n;
+        assert!(
+            i < n && j < n,
+            "node pair ({i}, {j}) out of range for a {n}-node matrix"
+        );
+        (i != j).then(|| upper_index(n, i.min(j), i.max(j)))
+    }
+
+    /// Iterate over the upper triangle as `(i, j, rtt)` with `i < j`, in
+    /// row-major order — the order the cells are stored in.
     pub fn pairs(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        (0..self.n).flat_map(move |i| ((i + 1)..self.n).map(move |j| (i, j, self.rtt(i, j))))
+        let n = self.n;
+        (0..n)
+            .flat_map(move |i| ((i + 1)..n).map(move |j| (i, j)))
+            .zip(&self.data)
+            .map(|((i, j), &v)| (i, j, v))
     }
 
-    /// Apply `f` to every off-diagonal entry (both triangles kept in sync).
+    /// Apply `f` to every off-diagonal entry.
     ///
     /// `f` is called once per unordered pair, as `f(i, j, rtt)` with `i < j`
     /// in row-major order, so a closure that draws from an RNG draws in that
-    /// order.
-    pub fn map_in_place<F: FnMut(usize, usize, f64) -> f64>(&mut self, f: F) {
-        self.fill_upper(f);
-        self.mirror();
-    }
-
-    /// The upper-triangle half of [`map_in_place`](RttMatrix::map_in_place):
-    /// same calls in the same order, each result stored at `(i, j)` only.
-    /// One row's cells are one contiguous slice, so a pass streams through
-    /// memory. The lower triangle is stale until [`mirror`](RttMatrix::mirror)
-    /// runs; a writer that needs several passes makes them all, then mirrors
-    /// once.
-    pub(crate) fn fill_upper<F: FnMut(usize, usize, f64) -> f64>(&mut self, mut f: F) {
+    /// order. The cells are stored in that order too, so a pass streams
+    /// through memory front to back.
+    pub fn map_in_place<F: FnMut(usize, usize, f64) -> f64>(&mut self, mut f: F) {
         *self.version.get_mut() = 0;
-        let n = self.n;
-        for (i, row) in self.data.chunks_exact_mut(n.max(1)).enumerate() {
-            for (j, cell) in row.iter_mut().enumerate().skip(i + 1) {
+        let mut cells = self.data.iter_mut();
+        for i in 0..self.n {
+            for (j, cell) in ((i + 1)..self.n).zip(cells.by_ref()) {
                 *cell = f(i, j, *cell);
-            }
-        }
-    }
-
-    /// Copy the upper triangle onto the lower one, tile by tile: within a
-    /// tile the strided column writes stay inside `MIRROR_TILE` cache lines
-    /// instead of touching a new line of a 24 MB buffer per cell.
-    pub(crate) fn mirror(&mut self) {
-        *self.version.get_mut() = 0;
-        let n = self.n;
-        for bi in (0..n).step_by(MIRROR_TILE) {
-            for bj in (bi..n).step_by(MIRROR_TILE) {
-                for i in bi..(bi + MIRROR_TILE).min(n) {
-                    for j in bj.max(i + 1)..(bj + MIRROR_TILE).min(n) {
-                        self.data[j * n + i] = self.data[i * n + j];
-                    }
-                }
             }
         }
     }
@@ -189,8 +189,7 @@ impl RttMatrix {
     /// # Panics
     /// Panics if `k` is not below the number of pairs.
     pub(crate) fn upper_nth(&self, k: usize) -> f64 {
-        let n = self.n;
-        assert!(k < n * n.saturating_sub(1) / 2, "rank {k} out of range");
+        assert!(k < self.data.len(), "rank {k} out of range");
         // Monotone map from total order to unsigned order, and back.
         let key = |v: f64| {
             let b = v.to_bits();
@@ -203,12 +202,10 @@ impl RttMatrix {
             // Cells still in play agree with `prefix` above this digit.
             let above = (!0u64).checked_shl(shift + 16).unwrap_or(0);
             counts.fill(0);
-            for (i, row) in self.data.chunks_exact(n).enumerate() {
-                for &v in &row[i + 1..] {
-                    let x = key(v);
-                    if x & above == prefix {
-                        counts[(x >> shift) as usize & 0xFFFF] += 1;
-                    }
+            for &v in &self.data {
+                let x = key(v);
+                if x & above == prefix {
+                    counts[(x >> shift) as usize & 0xFFFF] += 1;
                 }
             }
             let mut digit = 0;
@@ -254,25 +251,14 @@ impl RttMatrix {
             .min_by(|a, b| a.partial_cmp(b).expect("RTTs are finite"))
     }
 
-    /// Check structural invariants: symmetry, zero diagonal, finite and
-    /// non-negative entries. Returns a human-readable violation if any.
+    /// Check that every entry is finite and non-negative (symmetry and the
+    /// zero diagonal hold by construction). Returns a human-readable
+    /// violation if any.
     pub fn validate(&self) -> Result<(), String> {
-        for i in 0..self.n {
-            if self.data[i * self.n + i] != 0.0 {
-                return Err(format!("diagonal entry ({i},{i}) is non-zero"));
-            }
-            for j in (i + 1)..self.n {
-                let a = self.rtt(i, j);
-                let b = self.rtt(j, i);
-                if a != b {
-                    return Err(format!("asymmetric pair ({i},{j}): {a} vs {b}"));
-                }
-                if !a.is_finite() || a < 0.0 {
-                    return Err(format!("invalid RTT at ({i},{j}): {a}"));
-                }
-            }
+        match self.pairs().find(|&(_, _, v)| !v.is_finite() || v < 0.0) {
+            Some((i, j, v)) => Err(format!("invalid RTT at ({i},{j}): {v}")),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -405,7 +391,7 @@ mod tests {
 
     #[test]
     fn map_in_place_calls_row_major_and_stays_symmetric() {
-        // 70 nodes: more than two mirror tiles a side, and not a multiple.
+        // 70 nodes: rows of every length from 69 cells down to none.
         let n = 70;
         let mut m = RttMatrix::zeros(n);
         let mut calls = Vec::new();
@@ -466,16 +452,15 @@ mod tests {
     fn version_changes_after_every_whole_matrix_write() {
         let mut m = sample();
         let mut seen = vec![m.version()];
-        m.fill_upper(|_, _, v| v);
-        seen.push(m.version());
-        m.mirror();
-        seen.push(m.version());
+        // Rewriting every cell with the value it holds still counts.
         m.map_in_place(|_, _, v| v);
+        seen.push(m.version());
+        m.map_in_place(|_, _, v| v + 1.0);
         seen.push(m.version());
         let s = m.subset(&[0, 1, 2]);
         seen.push(s.version());
         seen.push(m.version()); // reading a subset writes nothing…
-        assert_eq!(seen.pop(), seen.get(3).copied()); // …so this one repeats
+        assert_eq!(seen.pop(), seen.get(2).copied()); // …so this one repeats
         for (a, va) in seen.iter().enumerate() {
             assert_ne!(*va, 0);
             for vb in &seen[a + 1..] {
@@ -489,5 +474,183 @@ mod tests {
         let mut m = sample();
         m.set(0, 1, f64::NAN);
         assert!(m.validate().is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn rtt_panics_on_an_id_past_the_last_node() {
+        // Unchecked index arithmetic would read some other pair's cell.
+        sample().rtt(0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn set_panics_on_an_id_past_the_last_node_before_writing() {
+        let mut m = sample();
+        let write = std::panic::AssertUnwindSafe(|| m.set(0, 5, 3.0));
+        assert!(std::panic::catch_unwind(write).is_err());
+        // The panic came before any cell was written.
+        assert_eq!(m, sample());
+        assert!(m.validate().is_ok());
+        m.set(5, 0, 3.0);
+    }
+
+    #[test]
+    fn a_paper_scale_matrix_holds_each_pair_once() {
+        // 1740 · 1739 / 2 cells, the pairs with i < j; a full n × n buffer
+        // held 3 027 600.
+        const PAIRS: usize = 1_512_930;
+        let zeros = RttMatrix::zeros(1740);
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(1);
+        let generated = crate::KingLike::default().generate(&mut rng);
+        for m in [&zeros, &generated] {
+            assert_eq!(m.len(), 1740);
+            assert_eq!((m.data.len(), m.data.capacity()), (PAIRS, PAIRS));
+        }
+    }
+
+    /// Both triangles and the diagonal of an `n × n` matrix written out in
+    /// full, row-major: the layout the packed storage replaced.
+    #[derive(Clone)]
+    struct Dense {
+        n: usize,
+        cells: Vec<f64>,
+    }
+
+    impl Dense {
+        fn zeros(n: usize) -> Self {
+            Dense {
+                n,
+                cells: vec![0.0; n * n],
+            }
+        }
+
+        fn get(&self, i: usize, j: usize) -> f64 {
+            self.cells[i * self.n + j]
+        }
+
+        fn set(&mut self, i: usize, j: usize, v: f64) {
+            if i != j {
+                self.cells[i * self.n + j] = v;
+                self.cells[j * self.n + i] = v;
+            }
+        }
+
+        fn upper(&self) -> Vec<(usize, usize, f64)> {
+            let n = self.n;
+            (0..n)
+                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j, self.get(i, j))))
+                .collect()
+        }
+
+        fn subset(&self, ids: &[usize]) -> Dense {
+            let mut d = Dense::zeros(ids.len());
+            for (a, &i) in ids.iter().enumerate() {
+                for (b, &j) in ids.iter().enumerate() {
+                    d.set(a, b, self.get(i, j));
+                }
+            }
+            d
+        }
+
+        /// The full-buffer check: zero diagonal, symmetric, every entry
+        /// finite and non-negative.
+        fn valid(&self) -> bool {
+            let n = self.n;
+            (0..n).all(|i| self.get(i, i) == 0.0)
+                && (0..n).all(|i| (0..n).all(|j| self.get(i, j) == self.get(j, i)))
+                && self.cells.iter().all(|v| v.is_finite() && *v >= 0.0)
+        }
+    }
+
+    fn assert_agrees(m: &RttMatrix, d: &Dense, rng: &mut impl Rng, step: &str) {
+        let n = d.n;
+        assert_eq!(m.len(), n, "{step}");
+        for i in 0..n {
+            for j in 0..n {
+                let (got, want) = (m.rtt(i, j).to_bits(), d.get(i, j).to_bits());
+                assert_eq!(got, want, "{step}: rtt({i}, {j})");
+            }
+        }
+        let bits = |p: &[(usize, usize, f64)]| -> Vec<_> {
+            p.iter().map(|&(i, j, v)| (i, j, v.to_bits())).collect()
+        };
+        let upper = d.upper();
+        let pairs: Vec<_> = m.pairs().collect();
+        assert_eq!(bits(&pairs), bits(&upper), "{step}: pairs()");
+        let mut sorted: Vec<f64> = upper.iter().map(|p| p.2).collect();
+        sorted.sort_by(f64::total_cmp);
+        if let Some(last) = sorted.len().checked_sub(1) {
+            for k in [0, last / 2, last, rng.gen_range(0..=last)] {
+                let (got, want) = (m.upper_nth(k).to_bits(), sorted[k].to_bits());
+                assert_eq!(got, want, "{step}: upper_nth({k})");
+            }
+        }
+        assert_eq!(m.validate().is_ok(), d.valid(), "{step}: validate()");
+    }
+
+    #[test]
+    fn packed_cells_agree_with_a_dense_oracle() {
+        // Values a cell may take: mostly RTTs, sometimes a tie, a signed
+        // zero or one that `validate` rejects.
+        let pool = [0.0, -0.0, 1.0, 98.0, -2.0, f64::NAN, f64::INFINITY];
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(26);
+        for n0 in [0usize, 1, 2, 3, 31, 32, 33, 70] {
+            let (mut m, mut d) = (RttMatrix::zeros(n0), Dense::zeros(n0));
+            assert_agrees(&m, &d, &mut rng, &format!("n={n0} zeros"));
+            for step in 0..40 {
+                let n = d.n;
+                let op = rng.gen_range(0..8);
+                let what = match op {
+                    0..=4 if n > 0 => {
+                        let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                        let v = if rng.gen_bool(0.1) {
+                            pool[rng.gen_range(0..pool.len())]
+                        } else {
+                            rng.gen_range(0.5..900.0)
+                        };
+                        m.set(i, j, v);
+                        d.set(i, j, v);
+                        format!("set({i}, {j}, {v})")
+                    }
+                    5 => {
+                        let salt: f64 = rng.gen_range(0.0..4.0);
+                        let f = |i: usize, j: usize, v: f64| v * 0.5 + (i * 31 + j) as f64 * salt;
+                        let mut calls = Vec::new();
+                        m.map_in_place(|i, j, v| {
+                            calls.push((i, j));
+                            f(i, j, v)
+                        });
+                        let want: Vec<_> = d.upper().iter().map(|&(i, j, _)| (i, j)).collect();
+                        assert_eq!(calls, want, "n={n0} step {step}: map_in_place order");
+                        for (i, j, v) in d.upper() {
+                            d.set(i, j, f(i, j, v));
+                        }
+                        format!("map_in_place(salt {salt})")
+                    }
+                    6 => {
+                        // Repeats allowed, and up to two more ids than nodes.
+                        let k = if n == 0 { 0 } else { rng.gen_range(0..=n + 2) };
+                        let ids: Vec<usize> = (0..k).map(|_| rng.gen_range(0..n)).collect();
+                        m = m.subset(&ids);
+                        d = d.subset(&ids);
+                        format!("subset({ids:?})")
+                    }
+                    _ => {
+                        let k = rng.gen_range(0..=n + 1);
+                        let mut twin = rng.clone();
+                        m = m.random_subset(k, &mut rng);
+                        if k < n {
+                            let mut ids: Vec<usize> = (0..n).collect();
+                            ids.shuffle(&mut twin);
+                            ids.truncate(k);
+                            d = d.subset(&ids);
+                        }
+                        format!("random_subset({k})")
+                    }
+                };
+                assert_agrees(&m, &d, &mut rng, &format!("n={n0} step {step}: {what}"));
+            }
+        }
     }
 }

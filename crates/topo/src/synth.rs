@@ -150,14 +150,13 @@ impl KingLike {
             heights.push(h.min(400.0));
         }
 
-        // Steps 4–6 each stream over the upper triangle, one contiguous row
-        // slice after another; the lower triangle is written once, at the
-        // end. The RNG is drawn from in (i, j) order within a step and step
-        // by step, so no two steps can share a pass.
+        // Steps 4–6 each stream over the matrix's cells front to back. The
+        // RNG is drawn from in (i, j) order within a step and step by step,
+        // so no two steps can share a pass.
         let mut m = RttMatrix::zeros(c.nodes);
 
         // 4. Pairwise RTTs with symmetric noise.
-        m.fill_upper(|i, j, _| {
+        m.map_in_place(|i, j, _| {
             let core: f64 = positions[i * dim..(i + 1) * dim]
                 .iter()
                 .zip(&positions[j * dim..(j + 1) * dim])
@@ -172,7 +171,7 @@ impl KingLike {
         // 5. Shortcut rewiring → triangle-inequality violations.
         if c.shortcut_fraction > 0.0 {
             let (lo, hi) = c.shortcut_scale;
-            m.fill_upper(|_, _, v| {
+            m.map_in_place(|_, _, v| {
                 if rng.gen_bool(c.shortcut_fraction) {
                     (v * rng.gen_range(lo..hi)).max(c.min_rtt_ms)
                 } else {
@@ -187,10 +186,9 @@ impl KingLike {
             let median = m.upper_nth(pairs / 2);
             if median > 0.0 {
                 let s = target / median;
-                m.fill_upper(|_, _, v| (v * s).max(c.min_rtt_ms));
+                m.map_in_place(|_, _, v| (v * s).max(c.min_rtt_ms));
             }
         }
-        m.mirror();
 
         debug_assert!(m.validate().is_ok());
         m
