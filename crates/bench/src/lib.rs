@@ -63,15 +63,15 @@ pub fn install_env() {
 /// distance it claims.
 type SimplexRef = (Vec<f64>, f64);
 
-/// The representative NPS positioning fixture behind the `simplex_*_20refs`
-/// and `nps_fit_*` rows: 20 reference points drawn in a `dim`-D Euclidean
+/// The representative NPS positioning fixture behind the `simplex_*` and
+/// `nps_fit_*` rows: `refs` reference points drawn in a `dim`-D Euclidean
 /// space, each claiming an 80 ms measurement, minimized from the all-ones
 /// start (returned second) under [`simplex_bench_opts`].
-fn simplex_fixture(dim: usize) -> (Vec<SimplexRef>, Vec<f64>) {
+fn simplex_fixture(dim: usize, refs: usize) -> (Vec<SimplexRef>, Vec<f64>) {
     let seeds = SeedStream::new(2);
     let mut rng = seeds.rng("bench/simplex-fixture");
     let space = Space::Euclidean(dim);
-    let refs: Vec<SimplexRef> = (0..20)
+    let refs: Vec<SimplexRef> = (0..refs)
         .map(|_| (space.random_coord(150.0, &mut rng).vec, 80.0))
         .collect();
     (refs, vec![1.0; dim])
@@ -115,8 +115,8 @@ fn fit_objective(refs: Vec<SimplexRef>) -> impl Fn(&[f64]) -> f64 + Clone {
 /// call is exactly one fit. The objective is [`fit_objective`]'s, term for
 /// term, so this row, `simplex_*_20refs` and its oracle all walk the same
 /// trajectory and their times compare directly.
-fn nps_fit(dim: usize) -> impl FnMut() -> PositionOutcome {
-    let (refs, start) = simplex_fixture(dim);
+fn nps_fit(dim: usize, refs: usize) -> impl FnMut() -> PositionOutcome {
+    let (refs, start) = simplex_fixture(dim, refs);
     let space = Space::Euclidean(dim);
     let samples: Vec<RefSample> = refs
         .into_iter()
@@ -135,7 +135,7 @@ fn nps_fit(dim: usize) -> impl FnMut() -> PositionOutcome {
             &opts,
             &mut scratch,
         )
-        .expect("20 references position the node")
+        .expect("the fixture's references position the node")
     }
 }
 
@@ -385,7 +385,7 @@ pub fn kernel_rows() -> Vec<KernelRow> {
         (2, ("simplex_2d_20refs", "simplex_oracle_2d_20refs")),
         (8, ("simplex_8d_20refs", "simplex_oracle_8d_20refs")),
     ] {
-        let (refs, start) = simplex_fixture(dim);
+        let (refs, start) = simplex_fixture(dim, 20);
         simplex_pair(&mut rows, names, fit_objective(refs), start);
     }
     simplex_pair(
@@ -396,13 +396,20 @@ pub fn kernel_rows() -> Vec<KernelRow> {
     );
 
     // The 8-D fit again through the production positioning path, per
-    // objective evaluation (the count is deterministic) and per fit.
-    let mut fit = nps_fit(8);
-    let evals = fit().evals;
-    rows.push(row("nps_fit_8d_20refs_per_eval", evals as f64, move || {
-        black_box(fit());
-    }));
-    let mut fit = nps_fit(8);
+    // objective evaluation (the count is deterministic) and per fit; and,
+    // per evaluation, the 4-D fit over 12 references of the chaos figures'
+    // tight reference economy.
+    for (name, dim, refs) in [
+        ("nps_fit_8d_20refs_per_eval", 8, 20),
+        ("nps_fit_4d_12refs_per_eval", 4, 12),
+    ] {
+        let mut fit = nps_fit(dim, refs);
+        let evals = fit().evals;
+        rows.push(row(name, evals as f64, move || {
+            black_box(fit());
+        }));
+    }
+    let mut fit = nps_fit(8, 20);
     rows.push(row("nps_fit_8d_20refs", 1.0, move || {
         black_box(fit());
     }));
@@ -521,8 +528,8 @@ mod tests {
 
     #[test]
     fn fixture_is_deterministic_and_minimizable() {
-        let (refs_a, start) = simplex_fixture(2);
-        let (refs_b, _) = simplex_fixture(2);
+        let (refs_a, start) = simplex_fixture(2, 20);
+        let (refs_b, _) = simplex_fixture(2, 20);
         let opts = simplex_bench_opts();
         assert_eq!(refs_a, refs_b, "fixture must be seed-stable");
         assert_eq!(refs_b.len(), 20);
@@ -567,17 +574,19 @@ mod tests {
 
     #[test]
     fn nps_fit_fixture_walks_the_simplex_fixture_trajectory() {
-        let (refs, start) = simplex_fixture(8);
-        let opts = simplex_bench_opts();
-        let direct = simplex_downhill(
-            fit_objective(refs),
-            &start,
-            &opts,
-            &mut SimplexScratch::new(),
-        );
-        let fit = nps_fit(8)();
-        assert_eq!(fit.evals, direct.evals);
-        assert_eq!(fit.objective.to_bits(), direct.value.to_bits());
-        assert_eq!(fit.coord.vec, direct.point);
+        for (dim, refs) in [(8, 20), (4, 12)] {
+            let (fixture, start) = simplex_fixture(dim, refs);
+            let opts = simplex_bench_opts();
+            let direct = simplex_downhill(
+                fit_objective(fixture),
+                &start,
+                &opts,
+                &mut SimplexScratch::new(),
+            );
+            let fit = nps_fit(dim, refs)();
+            assert_eq!(fit.evals, direct.evals);
+            assert_eq!(fit.objective.to_bits(), direct.value.to_bits());
+            assert_eq!(fit.coord.vec, direct.point);
+        }
     }
 }

@@ -21,7 +21,7 @@
 //! *byte-identical* no-chaos run.
 
 use crate::experiments::attack_figs::strategy_by;
-use crate::experiments::harness::{plain, repeat_all, Faults, RunSpec, System};
+use crate::experiments::harness::{plain, repeat_all, repeat_at, Faults, RunSpec, System};
 use crate::experiments::registry::Figure;
 use crate::experiments::shapes::{cross, mean_series, series_rows, Cell, Column, LevelSweep};
 use crate::experiments::{FigureResult, Scale};
@@ -379,26 +379,25 @@ const LEAK_WINDOWS: [u64; 4] = [1, 2, 4, 8];
 /// recorded), so the sweep's long windows show leases firing and
 /// quarantined evidence piling up while the leak rate stays ≤ 0.05 at
 /// every window.
+///
+/// Each window is a prefix of the longest, so one run per repetition over
+/// the longest window is read at every window's end.
 fn chaos_probation_leak(scale: &Scale, seed: u64) -> FigureResult {
-    let mut base = recovery_scale(scale);
+    let mut longest = recovery_scale(scale);
     // Same variance argument as chaos-probation-nps: a single late
     // readmission moves a whole row, so average more repetitions.
-    base.repetitions = base.repetitions.max(5);
-    let scales = LEAK_WINDOWS.map(|mult| Scale {
-        nps_attack_rounds: base.nps_attack_rounds * mult,
-        ..base.clone()
-    });
-    let windows = LEAK_WINDOWS.map(|mult| (base.nps_attack_rounds * mult) as f64);
+    longest.repetitions = longest.repetitions.max(5);
+    let windows = LEAK_WINDOWS.map(|mult| longest.nps_attack_rounds * mult);
+    longest.nps_attack_rounds = windows[windows.len() - 1];
     let chaos = |_: &NpsSim| ChaosPlan::with_seed(seed ^ 0x1EAC).bursts(BurstModel::mild());
     // Probation off: bans are structurally final — the relief valve can
     // only *lease* them back.
-    let specs: Vec<_> = scales
-        .iter()
-        .map(|window| probation_run(window, seed, 0, &chaos))
-        .collect();
+    let spec = probation_run(&longest, seed, 0, &chaos);
+    let runs = repeat_at(&[spec], &[windows.to_vec()]);
+    let cells: Vec<Cell> = runs[0].iter().map(|at| Cell::of(at)).collect();
     LevelSweep {
         level_column: "window_rounds",
-        levels: &windows,
+        levels: &windows.map(|rounds| rounds as f64),
         columns: &[
             ERR_TAIL,
             ("leases", |c, _| c.leases),
@@ -424,7 +423,7 @@ fn chaos_probation_leak(scale: &Scale, seed: u64) -> FigureResult {
             )
         },
     }
-    .figure(&specs)
+    .table(&cells)
 }
 
 /// Share of the bans that were reinstated although the probation channel

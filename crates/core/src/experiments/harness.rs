@@ -48,11 +48,16 @@ const MIN_JOINED: usize = 8;
 /// `Send`: a converged system is handed to the pool thread that injects it.
 pub(crate) trait System: Sized + Send + 'static {
     /// System parameters; `Default` is the paper's §5.2 configuration.
-    /// Equal configs build equal systems (the unit key of [`repeat_all`]).
     type Config: Clone + Default + PartialEq + Sync;
 
     /// Label of the per-repetition seed stream.
     const REP_LABEL: &'static str;
+
+    /// The warm-up view of `config`: the parameters a clean system reads,
+    /// with those that only act once a defense is deployed cleared (they
+    /// are set by [`System::deploy`]). Equal views converge equal clean
+    /// systems — the config part of the unit key of [`repeat_all`].
+    fn warm_up_view(config: &Self::Config) -> Self::Config;
 
     /// A fresh system over `matrix`.
     fn build(matrix: RttMatrix, config: Self::Config, seeds: &SeedStream) -> Self;
@@ -105,8 +110,9 @@ pub(crate) trait System: Sized + Send + 'static {
     /// Turn `attackers` malicious under `adversary`.
     fn inject(&mut self, attackers: &[usize], adversary: Box<dyn AttackStrategy>);
 
-    /// Deploy `defense` on every honest node.
-    fn deploy(&mut self, defense: Box<dyn DefenseStrategy>);
+    /// Deploy `defense` on every honest node, under the parameters of
+    /// `config` that [`System::warm_up_view`] clears.
+    fn deploy(&mut self, defense: Box<dyn DefenseStrategy>, config: &Self::Config);
 
     /// Install a fault plan; its times count from now.
     fn install_chaos(&mut self, plan: ChaosPlan);
@@ -137,6 +143,9 @@ impl System for VivaldiSim {
     type Config = VivaldiConfig;
     const REP_LABEL: &'static str = "vivaldi-rep";
 
+    fn warm_up_view(config: &VivaldiConfig) -> VivaldiConfig {
+        config.clone()
+    }
     fn build(matrix: RttMatrix, config: VivaldiConfig, seeds: &SeedStream) -> Self {
         VivaldiSim::new(matrix, config, seeds)
     }
@@ -183,7 +192,7 @@ impl System for VivaldiSim {
     fn inject(&mut self, attackers: &[usize], adversary: Box<dyn AttackStrategy>) {
         self.inject_adversary(attackers, adversary);
     }
-    fn deploy(&mut self, defense: Box<dyn DefenseStrategy>) {
+    fn deploy(&mut self, defense: Box<dyn DefenseStrategy>, _: &VivaldiConfig) {
         self.deploy_defense(defense);
     }
     fn install_chaos(&mut self, plan: ChaosPlan) {
@@ -214,6 +223,47 @@ impl System for NpsSim {
     type Config = NpsConfig;
     const REP_LABEL: &'static str = "nps-rep";
 
+    fn warm_up_view(config: &NpsConfig) -> NpsConfig {
+        // Every field is named, so a new one does not compile until it is
+        // classified here.
+        let NpsConfig {
+            space,
+            landmarks,
+            layers,
+            ref_fraction,
+            refs_per_node,
+            security,
+            security_c,
+            security_min_error,
+            probe_threshold_ms,
+            reposition_ms,
+            join_stagger_ms,
+            landmark_rounds,
+            simplex,
+            update_damping,
+            link,
+            // The probation channel only runs while a defense is deployed.
+            probation_every: _,
+        } = config.clone();
+        NpsConfig {
+            space,
+            landmarks,
+            layers,
+            ref_fraction,
+            refs_per_node,
+            security,
+            security_c,
+            security_min_error,
+            probe_threshold_ms,
+            reposition_ms,
+            join_stagger_ms,
+            landmark_rounds,
+            simplex,
+            update_damping,
+            link,
+            probation_every: 0,
+        }
+    }
     fn build(matrix: RttMatrix, config: NpsConfig, seeds: &SeedStream) -> Self {
         NpsSim::new(matrix, config, seeds)
     }
@@ -274,7 +324,8 @@ impl System for NpsSim {
     fn inject(&mut self, attackers: &[usize], adversary: Box<dyn AttackStrategy>) {
         self.inject_adversary(attackers, adversary);
     }
-    fn deploy(&mut self, defense: Box<dyn DefenseStrategy>) {
+    fn deploy(&mut self, defense: Box<dyn DefenseStrategy>, config: &NpsConfig) {
+        self.set_probation_every(config.probation_every);
         self.deploy_defense(defense);
     }
     fn install_chaos(&mut self, plan: ChaosPlan) {
@@ -387,16 +438,17 @@ impl<S: System> Clone for RunSpec<'_, S> {
 
 impl<S: System> RunSpec<'_, S> {
     /// Whether the two specs converge the same clean system: equal in every
-    /// input [`warm_up`] reads — the config, the population, the seed, the
+    /// input [`warm_up`] reads — the config's warm-up view
+    /// ([`System::warm_up_view`]), the population, the seed, the
     /// repetition, the warm-up horizon and sampling interval, and the
-    /// evaluation-plan bounds. The fraction, the adversary, the defense, the
-    /// fault plan and the attack window only act from the injection instant
-    /// on.
+    /// evaluation-plan bounds. The fraction, the adversary, the defense and
+    /// the parameters it deploys with, the fault plan and the attack window
+    /// only act from the injection instant on.
     fn shares_warm_up(&self, other: &Self) -> bool {
         let (horizon, _, every) = S::schedule(self.scale);
         let (other_horizon, _, other_every) = S::schedule(other.scale);
         let plan = |s: &Scale| (s.eval_all_pairs_threshold, s.eval_sample_peers);
-        self.config == other.config
+        S::warm_up_view(&self.config) == S::warm_up_view(&other.config)
             && (self.nodes, self.seed, self.rep) == (other.nodes, other.seed, other.rep)
             && (horizon, every) == (other_horizon, other_every)
             && plan(self.scale) == plan(other.scale)
@@ -447,7 +499,7 @@ impl DefenseOutcome {
     }
 }
 
-/// Outcome of one injection run.
+/// Outcome of one injection run, read at one instant of its attack window.
 #[derive(Debug, Clone)]
 pub(crate) struct Run {
     /// Average relative error of honest nodes after injection.
@@ -600,9 +652,29 @@ fn warm_up<S: System>(spec: &RunSpec<'_, S>, threads: usize) -> Warm<S> {
     }
 }
 
+/// The end of `scale`'s attack window: the first sample instant at or past
+/// it, where the sampling loop of a window that is not a whole number of
+/// sampling intervals stops.
+fn window_end<S: System>(scale: &Scale) -> u64 {
+    let (_, window, every) = S::schedule(scale);
+    window.next_multiple_of(every)
+}
+
 /// The injection protocol from the injection instant on, over the converged
-/// system `warm`: inject, run the attack window and record.
-fn attack<S: System>(spec: &RunSpec<'_, S>, warm: Warm<S>, threads: usize) -> Run {
+/// system `warm`: inject, run the attack window and record, read at each of
+/// the `checkpoints` (clock units after injection). The run read at `c`
+/// equals a run whose attack window is `c`: its series so far, the errors,
+/// defense verdicts, ledgers and fault counters of that instant.
+///
+/// # Panics
+/// Panics unless the checkpoints ascend and each falls on a sample instant
+/// (a multiple of the sampling interval).
+fn attack<S: System>(
+    spec: &RunSpec<'_, S>,
+    warm: Warm<S>,
+    checkpoints: &[u64],
+    threads: usize,
+) -> Vec<Run> {
     let Warm {
         mut sim,
         seeds,
@@ -610,7 +682,11 @@ fn attack<S: System>(spec: &RunSpec<'_, S>, warm: Warm<S>, threads: usize) -> Ru
         clean_ref,
         ledgers: ledgers_before,
     } = warm;
-    let (_, window, every) = S::schedule(spec.scale);
+    let (_, _, every) = S::schedule(spec.scale);
+    assert!(
+        checkpoints.windows(2).all(|w| w[0] <= w[1]) && checkpoints.iter().all(|c| c % every == 0),
+        "checkpoints {checkpoints:?} must ascend on sample instants (multiples of {every})"
+    );
 
     // Injection — and, in the same instant, defense deployment and fault
     // installation: the sweeps measure how a converged, defended system
@@ -620,7 +696,7 @@ fn attack<S: System>(spec: &RunSpec<'_, S>, warm: Warm<S>, threads: usize) -> Ru
     sim.inject(&attackers, adversary);
     if let Some(build) = spec.defense {
         let defense = build(&sim);
-        sim.deploy(defense);
+        sim.deploy(defense, &spec.config);
     }
     if let Some(build) = spec.chaos {
         let faults = build(&sim);
@@ -641,45 +717,8 @@ fn attack<S: System>(spec: &RunSpec<'_, S>, warm: Warm<S>, threads: usize) -> Ru
             .collect()
     });
 
-    let mut attack_series = TimeSeries::new();
-    let mut drift_series = TimeSeries::new();
-    let mut layer_series: Vec<(u8, TimeSeries)> =
-        (1..depth).map(|l| (l as u8, TimeSeries::new())).collect();
-    let mut focus_series = focus_indices.as_ref().map(|_| TimeSeries::new());
-    let mut final_errors: Vec<f64> = Vec::new();
-    let mut prev_coords: Vec<Coord> = honest.iter().map(|&i| sim.coords()[i].clone()).collect();
-    let mut t = 0;
-    while t < window {
-        sim.step(every);
-        t += every;
-        let now = sim.now();
-        let errs =
-            plan_honest.per_node_errors_with(sim.coords(), sim.space(), sim.matrix(), threads);
-        attack_series.push(now, mean(&errs));
-        drift_series.push(
-            now,
-            drift_sample(honest, &mut prev_coords, sim.coords(), sim.space(), every),
-        );
-        for (layer, series) in &mut layer_series {
-            let in_layer = (0..errs.len()).filter(|&k| node_layers[k] == *layer);
-            let vals: Vec<f64> = in_layer.map(|k| errs[k]).collect();
-            if !vals.is_empty() {
-                series.push(now, mean(&vals));
-            }
-        }
-        if let (Some(series), Some(indices)) = (focus_series.as_mut(), focus_indices.as_ref()) {
-            if !indices.is_empty() {
-                let vals: Vec<f64> = indices.iter().map(|&k| errs[k]).collect();
-                series.push(now, mean(&vals));
-            }
-        }
-        final_errors = errs;
-    }
-
-    let defense = sim
-        .defense()
-        .map(|d| DefenseOutcome::grade(d, sim.malicious(), &sim.banned_now()));
-    let [ledger, threshold_ledger] = sim.ledgers();
+    // Random coordinates against the fixed plan and matrix: the same at
+    // every checkpoint.
     let random_baseline = random_baseline_with(
         &plan_honest,
         sim.space(),
@@ -689,24 +728,82 @@ fn attack<S: System>(spec: &RunSpec<'_, S>, warm: Warm<S>, threads: usize) -> Ru
         threads,
     );
 
-    Run {
-        attack_series,
-        clean_ref,
-        final_errors,
-        layer_series,
-        focus_series,
-        drift_series,
-        ledger: since(ledger, ledgers_before[0]),
-        threshold_ledger: since(threshold_ledger, ledgers_before[1]),
-        random_baseline,
-        defense,
-        chaos: sim.chaos_counters().copied(),
+    let mut attack_series = TimeSeries::new();
+    let mut drift_series = TimeSeries::new();
+    let mut layer_series: Vec<(u8, TimeSeries)> =
+        (1..depth).map(|l| (l as u8, TimeSeries::new())).collect();
+    let mut focus_series = focus_indices.as_ref().map(|_| TimeSeries::new());
+    let mut final_errors: Vec<f64> = Vec::new();
+    let mut prev_coords: Vec<Coord> = honest.iter().map(|&i| sim.coords()[i].clone()).collect();
+    let mut runs = Vec::with_capacity(checkpoints.len());
+    let mut t = 0;
+    for &checkpoint in checkpoints {
+        while t < checkpoint {
+            sim.step(every);
+            t += every;
+            let now = sim.now();
+            let errs =
+                plan_honest.per_node_errors_with(sim.coords(), sim.space(), sim.matrix(), threads);
+            attack_series.push(now, mean(&errs));
+            drift_series.push(
+                now,
+                drift_sample(honest, &mut prev_coords, sim.coords(), sim.space(), every),
+            );
+            for (layer, series) in &mut layer_series {
+                let in_layer = (0..errs.len()).filter(|&k| node_layers[k] == *layer);
+                let vals: Vec<f64> = in_layer.map(|k| errs[k]).collect();
+                if !vals.is_empty() {
+                    series.push(now, mean(&vals));
+                }
+            }
+            if let (Some(series), Some(indices)) = (focus_series.as_mut(), focus_indices.as_ref()) {
+                if !indices.is_empty() {
+                    let vals: Vec<f64> = indices.iter().map(|&k| errs[k]).collect();
+                    series.push(now, mean(&vals));
+                }
+            }
+            final_errors = errs;
+        }
+
+        let defense = sim
+            .defense()
+            .map(|d| DefenseOutcome::grade(d, sim.malicious(), &sim.banned_now()));
+        let [ledger, threshold_ledger] = sim.ledgers();
+        runs.push(Run {
+            attack_series: attack_series.clone(),
+            clean_ref,
+            final_errors: final_errors.clone(),
+            layer_series: layer_series.clone(),
+            focus_series: focus_series.clone(),
+            drift_series: drift_series.clone(),
+            ledger: since(ledger, ledgers_before[0]),
+            threshold_ledger: since(threshold_ledger, ledgers_before[1]),
+            random_baseline,
+            defense,
+            chaos: sim.chaos_counters().copied(),
+        });
     }
+    runs
 }
 
 /// Every repetition of every spec (`rep` = 0, 1, … up to the spec's
-/// `scale.repetitions`) as one job grid on the worker pool: `runs[spec][rep]`.
-/// A figure declares all its cells and calls this once.
+/// `scale.repetitions`) as one job grid on the worker pool, read at the end
+/// of the spec's attack window: `runs[spec][rep]`. A figure declares all its
+/// cells and calls this once.
+pub(crate) fn repeat_all<S: System>(specs: &[RunSpec<'_, S>]) -> Vec<Vec<Run>> {
+    let ends: Vec<Vec<u64>> = specs
+        .iter()
+        .map(|s| vec![window_end::<S>(s.scale)])
+        .collect();
+    repeat_at(specs, &ends)
+        .into_iter()
+        .map(|mut at| at.pop().expect("one checkpoint per spec"))
+        .collect()
+}
+
+/// [`repeat_all`], each spec's runs read at each of its `checkpoints` (see
+/// [`attack`]): `runs[spec][checkpoint][rep]`. One run of the longest
+/// window stands for the runs of every shorter one.
 ///
 /// The jobs whose warm-ups are identical form a *unit* ([`units`]) and
 /// converge once: the unit's first job runs [`warm_up`], publishes a
@@ -724,7 +821,10 @@ fn attack<S: System>(spec: &RunSpec<'_, S>, warm: Warm<S>, threads: usize) -> Ru
 /// shared with the takers, a worker could start its next unit while a taker
 /// on another worker still held its last matrix, and the peak memory would
 /// depend on which worker finished first.
-pub(crate) fn repeat_all<S: System>(specs: &[RunSpec<'_, S>]) -> Vec<Vec<Run>> {
+pub(crate) fn repeat_at<S: System>(
+    specs: &[RunSpec<'_, S>],
+    checkpoints: &[Vec<u64>],
+) -> Vec<Vec<Vec<Run>>> {
     let reps_of: Vec<usize> = specs.iter().map(|s| s.scale.repetitions).collect();
     let units = units(specs);
     let mut unit_of: Vec<Vec<usize>> = reps_of.iter().map(|&reps| vec![0; reps]).collect();
@@ -749,9 +849,21 @@ pub(crate) fn repeat_all<S: System>(specs: &[RunSpec<'_, S>]) -> Vec<Vec<Run>> {
         } else {
             slots[u].take(Warm::fork)
         };
-        attack(&spec, warm, job.eval_threads)
+        attack(&spec, warm, &checkpoints[job.cell], job.eval_threads)
     });
     by_cell(&reps_of, &order, runs)
+        .into_iter()
+        .zip(checkpoints)
+        .map(|(reps, at)| {
+            let mut by_checkpoint: Vec<Vec<Run>> = at.iter().map(|_| Vec::new()).collect();
+            for runs in reps {
+                for (column, run) in by_checkpoint.iter_mut().zip(runs) {
+                    column.push(run);
+                }
+            }
+            by_checkpoint
+        })
+        .collect()
 }
 
 /// The jobs of `specs` — every repetition of every spec — grouped into
@@ -879,9 +991,11 @@ mod tests {
     use crate::attacks::vivaldi::VivaldiDisorder;
     use vcoord_defense::NoDefense;
 
-    /// One spec on its own: its own warm-up, then its attack.
+    /// One spec on its own: its own warm-up, then its attack window.
     fn run<S: System>(spec: &RunSpec<'_, S>, threads: usize) -> Run {
-        attack(spec, warm_up(spec, threads), threads)
+        let end = window_end::<S>(spec.scale);
+        let mut runs = attack(spec, warm_up(spec, threads), &[end], threads);
+        runs.pop().expect("one checkpoint")
     }
 
     /// Every field of two runs, bit for bit.
@@ -986,8 +1100,9 @@ mod tests {
         let faults: &Faults<'_, NpsSim> =
             &|sim| ChaosPlan::none().takedown(&sim.landmark_ids()[..2], 0, None);
         let specs = [
-            // One unit: fraction, adversary, defense, faults and attack
-            // window only act from the injection instant on.
+            // One unit: fraction, adversary, defense (with the probation
+            // period it deploys under), faults and attack window only act
+            // from the injection instant on.
             base.clone(),
             RunSpec {
                 fraction: 0.4,
@@ -998,6 +1113,14 @@ mod tests {
                 ..base.clone()
             },
             RunSpec {
+                defense: Some(deploy),
+                ..base.clone()
+            },
+            RunSpec {
+                config: NpsConfig {
+                    probation_every: 2,
+                    ..NpsConfig::default()
+                },
                 defense: Some(deploy),
                 ..base.clone()
             },
@@ -1080,6 +1203,117 @@ mod tests {
             },
         ];
         assert_eq!(assert_shared_equals_solo(&specs), 8);
+    }
+
+    /// `spec`'s attack read at the end of each of `windows` (ascending, each
+    /// `spec.scale` but for its attack window) equals a run of that window on
+    /// its own, field for field.
+    fn assert_checkpoints_equal_windows<S: System>(spec: &RunSpec<'_, S>, windows: &[Scale]) {
+        let ends: Vec<u64> = windows.iter().map(window_end::<S>).collect();
+        let read = attack(spec, warm_up(spec, 1), &ends, 1);
+        assert_eq!(read.len(), windows.len());
+        for ((at, window), end) in read.iter().zip(windows).zip(&ends) {
+            let solo = run(
+                &RunSpec {
+                    scale: window,
+                    ..spec.clone()
+                },
+                1,
+            );
+            assert_same_run(at, &solo, &format!("checkpoint {end}"));
+        }
+    }
+
+    #[test]
+    fn checkpoints_equal_shorter_windows_nps() {
+        let scale = Scale::smoke();
+        let windows = [4, 10, 16].map(|rounds| Scale {
+            nps_attack_rounds: rounds,
+            ..scale.clone()
+        });
+        let adversary = plain(|| Box::new(NpsSimpleDisorder::default()));
+        let spec = RunSpec::<NpsSim> {
+            config: NpsConfig {
+                probation_every: 2,
+                ..NpsConfig::default()
+            },
+            fraction: 0.3,
+            adversary: &adversary,
+            defense: Some(&|_| {
+                Box::new(vcoord_defense::DriftCap::with_decay(
+                    40.0,
+                    vcoord_defense::DriftDecay::new(5.0),
+                ))
+            }),
+            chaos: Some(&|_| ChaosPlan::with_seed(3).bursts(vcoord_chaos::BurstModel::mild())),
+            ..RunSpec::new(&windows[2], 2006)
+        };
+        assert_checkpoints_equal_windows(&spec, &windows);
+    }
+
+    #[test]
+    fn checkpoints_equal_shorter_windows_vivaldi() {
+        let scale = Scale::smoke();
+        let windows = [30, 70, 120].map(|ticks| Scale {
+            vivaldi_attack_ticks: ticks,
+            ..scale.clone()
+        });
+        let adversary = plain(|| Box::new(VivaldiDisorder::default()));
+        let spec = RunSpec::<VivaldiSim> {
+            fraction: 0.3,
+            adversary: &adversary,
+            defense: Some(&|_| Box::new(vcoord_defense::DriftCap::default())),
+            chaos: Some(&|sim| {
+                let nodes = sim.coords().len();
+                let tick = vcoord_netsim::TICK_MS;
+                ChaosPlan::with_seed(3).churn_wave(nodes, 0.2, 10 * tick, 30 * tick)
+            }),
+            ..RunSpec::new(&windows[2], 5)
+        };
+        assert_checkpoints_equal_windows(&spec, &windows);
+    }
+
+    #[test]
+    #[should_panic(expected = "must ascend on sample instants")]
+    fn checkpoint_off_a_sample_instant_panics() {
+        let scale = Scale::smoke();
+        let spec = RunSpec::<VivaldiSim>::new(&scale, 5);
+        // Vivaldi samples every 10 ticks at smoke scale.
+        attack(&spec, warm_up(&spec, 1), &[10, 15], 1);
+    }
+
+    #[test]
+    fn nps_warm_up_does_not_read_the_probation_period() {
+        use rand::RngCore;
+
+        let scale = Scale::smoke();
+        let spec = |probation_every| RunSpec::<NpsSim> {
+            config: NpsConfig {
+                probation_every,
+                ..NpsConfig::default()
+            },
+            ..RunSpec::new(&scale, 2006)
+        };
+        let (off, on) = (warm_up(&spec(0), 1), warm_up(&spec(4), 1));
+        assert_eq!(on.sim.config().probation_every, 4, "warmed up under 4");
+        let bits = |w: &Warm<NpsSim>| -> Vec<u64> {
+            let coords = w.sim.coords().iter();
+            coords
+                .flat_map(|c| c.vec.iter().chain([&c.height]).map(|v| v.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&off), bits(&on), "coordinates");
+        assert_eq!(off.sim.counters(), on.sim.counters());
+        assert_eq!(off.sim.now(), on.sim.now());
+        let draws = |w: &Warm<NpsSim>| -> Vec<u64> {
+            let mut rng = w.plan_rng.clone();
+            (0..4).map(|_| rng.next_u64()).collect()
+        };
+        assert_eq!(draws(&off), draws(&on), "plan-stream position");
+        assert_eq!(off.clean_ref.to_bits(), on.clean_ref.to_bits());
+        assert_eq!(off.ledgers, on.ledgers);
+        // Which is what lets the two share a unit.
+        assert!(spec(0).shares_warm_up(&spec(4)));
     }
 
     #[test]

@@ -280,12 +280,16 @@ impl LevelSweep<'_> {
     /// The figure whose level cells are the repetitions of `specs`, one
     /// spec per level, run as one job grid.
     pub fn figure<S: System>(&self, specs: &[RunSpec<'_, S>]) -> FigureResult {
+        self.table(&Cell::all(specs))
+    }
+
+    /// The figure over `cells`, one per level.
+    pub fn table(&self, cells: &[Cell]) -> FigureResult {
         let mut columns = vec!["point_idx".to_string(), self.level_column.to_string()];
         columns.extend(self.columns.iter().map(|(name, _)| name.to_string()));
         let mut fig = FigureResult::new(columns);
-        let cells = Cell::all(specs);
         let baseline = cells[0].err.max(1e-9);
-        for (i, (&level, cell)) in self.levels.iter().zip(&cells).enumerate() {
+        for (i, (&level, cell)) in self.levels.iter().zip(cells).enumerate() {
             let ratio = cell.err / baseline;
             let mut row = vec![i as f64, level];
             row.extend(self.columns.iter().map(|(_, value)| value(cell, ratio)));

@@ -6,9 +6,11 @@
 //! threshold is pushed below the population (16 < 72, 12 sampled peers):
 //! every plan the harness builds — Vivaldi's single all-nodes warm-up plan,
 //! NPS's per-sample re-plan, and the honest-population plan both share —
-//! draws from the `"eval-plan"` stream, in an order these three CSVs pin
-//! byte for byte. They were recorded from the pre-`System` harness
-//! (`run_vivaldi_chaos` / `run_nps_chaos`) at seed 2006.
+//! draws from the `"eval-plan"` stream, in an order these CSVs pin byte for
+//! byte. The first three were recorded from the pre-`System` harness
+//! (`run_vivaldi_chaos` / `run_nps_chaos`) at seed 2006; the two probation
+//! figures from the harness before their shorter windows became checkpoints
+//! of the longest run and their probation periods left the warm-up key.
 //!
 //! On divergence the fresh CSVs are left under
 //! `$CARGO_TARGET_TMPDIR/sampled_plan/` for diffing (or, for a deliberate
@@ -18,7 +20,13 @@ use std::path::{Path, PathBuf};
 use vcoord::experiments::{run_figure, Scale};
 
 const SEED: u64 = 2006;
-const FIGURES: [&str; 3] = ["fig1", "fig14", "chaos-churn-nps"];
+const FIGURES: [&str; 5] = [
+    "fig1",
+    "fig14",
+    "chaos-churn-nps",
+    "chaos-probation-nps",
+    "chaos-probation-leak",
+];
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sampled_plan")

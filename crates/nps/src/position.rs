@@ -91,6 +91,9 @@ pub struct PositionOutcome {
     pub evals: usize,
 }
 
+/// References one pass of [`FitProblem::objective`] holds in registers.
+const BLOCK: usize = 4;
+
 /// The problem one Simplex fit evaluates against: the fitted samples
 /// gathered once per fit, dimension-major, so that an evaluation streams
 /// each coordinate column past one component of the trial point instead of
@@ -107,10 +110,6 @@ struct FitProblem {
     rtts: Vec<f64>,
     /// Defense dampening weight per fitted sample.
     weights: Vec<f64>,
-    /// The evaluation's working row, one slot per fitted sample: squared
-    /// distances while they accumulate, then the weighted terms the
-    /// objective sums.
-    terms: Vec<f64>,
 }
 
 impl FitProblem {
@@ -139,28 +138,44 @@ impl FitProblem {
             self.rtts.push(s.rtt);
             self.weights.push(s.weight);
         }
-        self.terms.clear();
-        self.terms.resize(m, 0.0);
     }
 
-    /// The fit objective for a node at `x` (height zero): fill `terms` with
-    /// every sample's `(predicted − rtt)² × weight` in one straight-line,
-    /// vectorizable loop, and sum the row in sample order.
+    /// The fit objective for a node at `x` (height zero): every sample's
+    /// `(predicted − rtt)² × weight`, summed in sample order.
     ///
-    /// Per sample this performs the floating-point operations of
-    /// `space.distance` followed by the term, in the same order. Defense
-    /// dampening is a trailing `× 1.0` for full-strength samples, so the
-    /// unweighted fit is preserved bit for bit.
+    /// The samples go [`BLOCK`] at a time, the block's squared distances
+    /// held in registers across every dimension, then a one-sample block per
+    /// leftover. Per sample this performs the floating-point operations of
+    /// `space.distance` followed by the term, in the same order, and the sum
+    /// adds the terms one by one in sample order from `Iterator::sum`'s
+    /// `-0.0`, so the objective equals the naive per-sample loop bit for
+    /// bit. Defense dampening is a trailing `× 1.0` for full-strength
+    /// samples, so the unweighted fit is preserved bit for bit too.
     ///
     /// Never inlined: the Simplex kernel is instantiated per dimension with
     /// several evaluation sites each, and a copy of these loops at every one
     /// of them is some 90 KB of text for no measured time.
     #[inline(never)]
-    fn objective(&mut self, x: &[f64]) -> f64 {
+    fn objective(&self, x: &[f64]) -> f64 {
         let m = self.rtts.len();
-        self.terms.fill(0.0);
+        let full = m - m % BLOCK;
+        let mut total = -0.0;
+        for p in (0..full).step_by(BLOCK) {
+            total = self.block::<BLOCK>(x, p, total);
+        }
+        for p in full..m {
+            total = self.block::<1>(x, p, total);
+        }
+        total
+    }
+
+    /// `total` plus the terms of the `L` samples from `p` on, in order.
+    #[inline(always)]
+    fn block<const L: usize>(&self, x: &[f64], p: usize, mut total: f64) -> f64 {
+        let m = self.rtts.len();
+        let mut sq = [0.0; L];
         for (xi, col) in x.iter().zip(self.cols.chunks_exact(m)) {
-            for (acc, c) in self.terms.iter_mut().zip(col) {
+            for (acc, c) in sq.iter_mut().zip(&col[p..p + L]) {
                 let d = xi - c;
                 *acc += d * d;
             }
@@ -169,12 +184,12 @@ impl FitProblem {
         // zero: `dist` is the square root of a sum of squares, never -0.0,
         // so adding that zero is the identity — as is adding the zero
         // `heights` of a space without a height component.
-        let per_sample = self.terms.iter_mut().zip(&self.heights);
-        for (((t, h), rtt), w) in per_sample.zip(&self.rtts).zip(&self.weights) {
-            let diff = t.sqrt() + h - rtt;
-            *t = diff * diff * w;
+        let per_sample = sq.iter().zip(&self.heights[p..p + L]);
+        for (((s, h), rtt), w) in per_sample.zip(&self.rtts[p..]).zip(&self.weights[p..]) {
+            let diff = s.sqrt() + h - rtt;
+            total += diff * diff * w;
         }
-        self.terms.iter().sum()
+        total
     }
 }
 
@@ -242,9 +257,9 @@ fn fit_error(space: &Space, at: &Coord, s: &RefSample) -> f64 {
 ///
 /// Allocation-free apart from the returned coordinate. The fitted samples
 /// are gathered once into a [`FitProblem`]; one evaluation
-/// ([`FitProblem::objective`]) fills its weighted-term row and sums it in
-/// sample order, which is bit-identical to the naive per-sample
-/// `space.distance` loop. Returns the fitted
+/// ([`FitProblem::objective`]) sums the weighted terms in sample order,
+/// which is bit-identical to the naive per-sample `space.distance` loop.
+/// Returns the fitted
 /// coordinate, the final objective value, and the number of objective
 /// evaluations performed.
 fn fit_samples(

@@ -988,6 +988,14 @@ impl NpsSim {
         self.world.defense = Some(defense);
     }
 
+    /// Set the probation channel's period (`NpsConfig::probation_every`).
+    /// The channel only runs while a defense is deployed, so a system with
+    /// none follows the same trajectory under every period: several
+    /// periods can be set on forks of one clean system.
+    pub fn set_probation_every(&mut self, every: u64) {
+        self.world.config.probation_every = every;
+    }
+
     /// The deployed defense, if any.
     pub fn defense(&self) -> Option<&Defense> {
         self.world.defense.as_ref()
@@ -1519,7 +1527,7 @@ mod tests {
         // An astronomically high cap never bans, so the ledgers below stay
         // exactly as staged.
         sim.deploy_defense(Box::new(DriftCap::new(1e12)));
-        sim.world.config.probation_every = 1;
+        sim.set_probation_every(1);
 
         let node = (0..60)
             .find(|&i| sim.world.layer[i] != 0 && sim.world.positioned[i])
