@@ -29,16 +29,6 @@ impl Scenario {
         }
     }
 
-    /// The strategy's label (for logs and CSV headers).
-    pub fn label(&self) -> &'static str {
-        self.strategy.label()
-    }
-
-    /// The shared collusion state (groups, axes, offsets).
-    pub fn collusion(&self) -> &Collusion {
-        &self.collusion
-    }
-
     /// Forward the injection hook. The round cursor starts at the injection
     /// round: rounds already elapsed before the attack never fire
     /// `on_round`.
@@ -191,6 +181,5 @@ mod tests {
             .respond(probe, &view_at(&space, &coords, &malicious, 7), &mut rng)
             .unwrap();
         assert_eq!(l.delay_ms, 2.0);
-        assert_eq!(s.label(), "counter");
     }
 }

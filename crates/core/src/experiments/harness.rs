@@ -46,7 +46,9 @@ const MIN_JOINED: usize = 8;
 
 /// What the injection protocol needs from a coordinate system under test.
 /// `Send`: a converged system is handed to the pool thread that injects it.
-pub(crate) trait System: Sized + Send + 'static {
+/// `Clone`: a clone of a system nothing has been injected into yet shares
+/// its latency matrix, and cloning one that has been injected into panics.
+pub(crate) trait System: Sized + Send + Clone + 'static {
     /// System parameters; `Default` is the paper's §5.2 configuration.
     type Config: Clone + Default + PartialEq + Sync;
 
@@ -62,12 +64,9 @@ pub(crate) trait System: Sized + Send + 'static {
     /// A fresh system over `matrix`.
     fn build(matrix: RttMatrix, config: Self::Config, seeds: &SeedStream) -> Self;
 
-    /// A deep copy, latency matrix included, of a system nothing has been
-    /// injected into yet, allocated by the calling thread.
+    /// A clone with a latency matrix of its own, allocated by the calling
+    /// thread.
     fn fork(&self) -> Self;
-
-    /// A [`fork`](System::fork) that shares the latency matrix.
-    fn snapshot(&self) -> Self;
 
     /// `(warm-up, attack window, sampling interval)` of `scale`, in this
     /// system's clock unit (Vivaldi ticks, NPS repositioning rounds).
@@ -151,9 +150,6 @@ impl System for VivaldiSim {
     }
     fn fork(&self) -> Self {
         VivaldiSim::fork(self)
-    }
-    fn snapshot(&self) -> Self {
-        VivaldiSim::snapshot(self)
     }
     fn schedule(scale: &Scale) -> (u64, u64, u64) {
         (
@@ -269,9 +265,6 @@ impl System for NpsSim {
     }
     fn fork(&self) -> Self {
         NpsSim::fork(self)
-    }
-    fn snapshot(&self) -> Self {
-        NpsSim::snapshot(self)
     }
     fn schedule(scale: &Scale) -> (u64, u64, u64) {
         (
@@ -558,7 +551,8 @@ fn since(now: FilterLedger, before: FilterLedger) -> FilterLedger {
 }
 
 /// A converged clean system at the injection instant: what [`warm_up`]
-/// leaves for [`attack`].
+/// leaves for [`attack`]. A clone shares the system's latency matrix.
+#[derive(Clone)]
 struct Warm<S> {
     /// The converged system; nothing is injected into it yet.
     sim: S,
@@ -576,18 +570,8 @@ struct Warm<S> {
 impl<S: System> Warm<S> {
     /// A copy to inject independently (see [`System::fork`]).
     fn fork(&self) -> Warm<S> {
-        self.around(self.sim.fork())
-    }
-
-    /// A copy to fork from, sharing the matrix (see [`System::snapshot`]).
-    fn snapshot(&self) -> Warm<S> {
-        self.around(self.sim.snapshot())
-    }
-
-    /// This state around a copy `sim` of its system.
-    fn around(&self, sim: S) -> Warm<S> {
         Warm {
-            sim,
+            sim: self.sim.fork(),
             seeds: self.seeds,
             plan_rng: self.plan_rng.clone(),
             clean_ref: self.clean_ref,
@@ -806,13 +790,13 @@ pub(crate) fn repeat_all<S: System>(specs: &[RunSpec<'_, S>]) -> Vec<Vec<Run>> {
 /// window stands for the runs of every shorter one.
 ///
 /// The jobs whose warm-ups are identical form a *unit* ([`units`]) and
-/// converge once: the unit's first job runs [`warm_up`], publishes a
-/// snapshot of the converged system in the unit's [`Slot`] and runs its own
-/// [`attack`]; the unit's other jobs wait for the slot, take a fork of the
-/// snapshot — the last one drops it — and run only the attack. The pool
-/// pulls the units one after the other, each owner first, so a job only
-/// ever waits on an earlier one; and it never warms a later unit up ahead
-/// of its turn, so at most one snapshot per unit being run is alive.
+/// converge once: the unit's first job runs [`warm_up`], publishes a clone
+/// of the converged system — the snapshot — in the unit's [`Slot`] and runs
+/// its own [`attack`]; the unit's other jobs wait for the slot, take a fork
+/// of the snapshot — the last one drops it — and run only the attack. The
+/// pool pulls the units one after the other, each owner first, so a job
+/// only ever waits on an earlier one; and it never warms a later unit up
+/// ahead of its turn, so at most one snapshot per unit being run is alive.
 ///
 /// The snapshot shares the owner's latency matrix and each fork copies it
 /// on the taker's thread, so no matrix outlives the job that allocated it:
@@ -844,7 +828,7 @@ pub(crate) fn repeat_at<S: System>(
         let warm = if units[u][0] == (job.cell, job.rep) {
             let owner = Owner(&slots[u]);
             let warm = warm_up(&spec, job.eval_threads);
-            owner.publish(&warm, Warm::snapshot);
+            owner.publish(&warm);
             warm
         } else {
             slots[u].take(Warm::fork)
@@ -959,13 +943,13 @@ impl<W> Slot<W> {
 /// warm-up panicked — it fails the slot and wakes the waiting takers.
 struct Owner<'a, W>(&'a Slot<W>);
 
-impl<W> Owner<'_, W> {
-    /// Hand a `snapshot` of the converged system to the unit's takers, if
-    /// any.
-    fn publish(self, warm: &W, snapshot: impl FnOnce(&W) -> W) {
+impl<W: Clone> Owner<'_, W> {
+    /// Hand a clone of the converged system — the snapshot — to the unit's
+    /// takers, if any.
+    fn publish(self, warm: &W) {
         let slot = self.0;
         if slot.takers > 0 {
-            let copy = snapshot(warm);
+            let copy = warm.clone();
             *slot.lock() = Share::Ready {
                 warm: copy,
                 left: slot.takers,
@@ -989,7 +973,9 @@ mod tests {
     use super::*;
     use crate::attacks::nps::NpsSimpleDisorder;
     use crate::attacks::vivaldi::VivaldiDisorder;
-    use vcoord_defense::NoDefense;
+    use std::fmt::Debug;
+    use vcoord_attackkit::RandomLie;
+    use vcoord_defense::{Dampener, NoDefense};
 
     /// One spec on its own: its own warm-up, then its attack window.
     fn run<S: System>(spec: &RunSpec<'_, S>, threads: usize) -> Run {
@@ -1337,7 +1323,7 @@ mod tests {
                 let warm = if job.rep == 0 {
                     let owner = Owner(&slot);
                     let warm = failing_warm_up();
-                    owner.publish(&warm, |w| *w);
+                    owner.publish(&warm);
                     warm
                 } else {
                     slot.take(|w| *w)
@@ -1370,7 +1356,7 @@ mod tests {
         // run on memory the owner's thread allocated.
         let slot = Slot::<Arc<()>>::new(2);
         let warm = Arc::new(());
-        Owner(&slot).publish(&warm, Arc::clone);
+        Owner(&slot).publish(&warm);
         let forks = AtomicUsize::new(0);
         let fork = |w: &Arc<()>| {
             forks.fetch_add(1, Ordering::Relaxed);
@@ -1405,8 +1391,7 @@ mod tests {
         assert_eq!(bare.attack_series.points(), defended.attack_series.points());
         assert_eq!(bare.drift_series.points(), defended.drift_series.points());
         // That the fast path still inspects (label "none", accepted > 0) is
-        // pinned where the tally lives: vivaldi's
-        // `no_defense_deployment_is_bit_identical_to_none`.
+        // pinned by `no_defense_deployment_is_bit_identical_to_none_*`.
         let outcome = defended.defense.expect("defense was deployed");
         assert_eq!(outcome.rejected, 0);
         assert_eq!(outcome.bans, 0);
@@ -1471,5 +1456,304 @@ mod tests {
         }
         assert!(run.clean_ref.is_finite() && run.clean_ref > 0.0);
         assert_eq!(run.layer_series.len(), NpsConfig::default().layers - 1);
+    }
+
+    // ---- One system-level property, two systems ------------------------
+    //
+    // Each property is written once over `System` and pinned by one test per
+    // system. `*_state` is what the two runs of a property must agree on,
+    // bit for bit.
+
+    /// A clean system over its own King-like matrix of `nodes` nodes.
+    fn small<S: System>(nodes: usize, seed: u64, config: S::Config) -> S {
+        let seeds = SeedStream::new(seed);
+        let matrix =
+            KingLike::new(KingLikeConfig::with_nodes(nodes)).generate(&mut seeds.rng("topo"));
+        S::build(matrix, config, &seeds)
+    }
+
+    fn small_vivaldi(nodes: usize, seed: u64) -> VivaldiSim {
+        small(nodes, seed, VivaldiConfig::default())
+    }
+
+    fn small_nps(nodes: usize, seed: u64) -> NpsSim {
+        let config = NpsConfig {
+            landmarks: 12,
+            refs_per_node: 12,
+            space: Space::Euclidean(4),
+            ..NpsConfig::default()
+        };
+        small(nodes, seed, config)
+    }
+
+    /// Every coordinate component, as bits.
+    fn coord_bits(coords: &[Coord]) -> Vec<u64> {
+        let components = coords.iter().flat_map(|c| c.vec.iter().chain([&c.height]));
+        components.map(|v| v.to_bits()).collect()
+    }
+
+    /// Coordinates and error estimates as bits, counters and the clock.
+    fn vivaldi_state(sim: &VivaldiSim) -> impl PartialEq + Debug {
+        let errors: Vec<u64> = sim.errors().iter().map(|e| e.to_bits()).collect();
+        let clock = sim.now_ms();
+        (coord_bits(sim.coords()), errors, sim.counters(), clock)
+    }
+
+    /// Coordinates as bits, counters, joins, bans, the filter ledger and
+    /// the clock.
+    fn nps_state(sim: &NpsSim) -> impl PartialEq + Debug {
+        let joined = sim.positioned().to_vec();
+        let (banned, ledger, clock) = (sim.currently_banned(), sim.ledger(), sim.now_ms());
+        (
+            coord_bits(sim.coords()),
+            sim.counters(),
+            joined,
+            banned,
+            ledger,
+            clock,
+        )
+    }
+
+    /// Turn `fraction` of `sim` into all-honest attackers; returns them.
+    fn inject_honest<S: System>(sim: &mut S, fraction: f64) -> Vec<usize> {
+        let attackers = sim.pick_attackers(fraction);
+        sim.inject(&attackers, Box::new(Honest));
+        attackers
+    }
+
+    /// `sim` after `warm` clock units, a clone beside it and a fork of the
+    /// clone advance bit-equal every `every` units, three times, and again
+    /// over `attack` units after the same injection on both sides. Returns
+    /// the original and the fork.
+    fn assert_fork_advances_bit_equal<S: System, T: PartialEq + Debug>(
+        mut sim: S,
+        [warm, every, attack]: [u64; 3],
+        state: impl Fn(&S) -> T,
+    ) -> [S; 2] {
+        sim.step(warm);
+        // The harness's path: a snapshot beside the original, a fork of it.
+        let snapshot = sim.clone();
+        assert!(std::ptr::eq(sim.matrix(), snapshot.matrix()), "shared");
+        let mut copy = snapshot.fork();
+        drop(snapshot);
+        assert!(!std::ptr::eq(sim.matrix(), copy.matrix()), "own matrix");
+        assert!(sim.matrix() == copy.matrix());
+        for _ in 0..3 {
+            sim.step(every);
+            copy.step(every);
+            assert_eq!(state(&sim), state(&copy));
+        }
+        // The copied adversary stream picks the same attackers, and the
+        // same injection on both sides keeps them equal.
+        for s in [&mut sim, &mut copy] {
+            let attackers = s.pick_attackers(0.2);
+            s.inject(&attackers, Box::new(RandomLie::new(500.0)));
+            s.step(attack);
+        }
+        assert_eq!(state(&sim), state(&copy));
+        [sim, copy]
+    }
+
+    #[test]
+    fn a_fork_advances_bit_equal_to_its_original_vivaldi() {
+        let [sim, _] =
+            assert_fork_advances_bit_equal(small_vivaldi(40, 41), [60, 15, 30], vivaldi_state);
+        assert!(sim.counters().lies_served > 0);
+    }
+
+    #[test]
+    fn a_fork_advances_bit_equal_to_its_original_nps() {
+        let [sim, _] = assert_fork_advances_bit_equal(small_nps(60, 43), [5, 2, 5], nps_state);
+        assert!(sim.counters().lies_served > 0);
+    }
+
+    /// Fork `sim` after `warm` clock units and `install`.
+    fn fork_after<S: System>(mut sim: S, warm: u64, install: impl FnOnce(&mut S)) {
+        sim.step(warm);
+        install(&mut sim);
+        let _ = sim.fork();
+    }
+
+    #[test]
+    #[should_panic(expected = "fork of a system an adversary")]
+    fn fork_after_injection_panics_vivaldi() {
+        fork_after(small_vivaldi(20, 42), 10, |s| {
+            inject_honest(s, 0.2);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "fork of a system an adversary")]
+    fn fork_after_injection_panics_nps() {
+        fork_after(small_nps(60, 44), 2, |s| {
+            inject_honest(s, 0.2);
+        });
+    }
+
+    /// Deploy the inert [`NoDefense`]: even it may not be forked.
+    fn deploy_none<S: System>(sim: &mut S) {
+        sim.deploy(Box::new(NoDefense), &S::Config::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "fork of a system an adversary")]
+    fn fork_after_deployment_panics_vivaldi() {
+        fork_after(small_vivaldi(20, 42), 10, deploy_none);
+    }
+
+    #[test]
+    #[should_panic(expected = "fork of a system an adversary")]
+    fn fork_after_deployment_panics_nps() {
+        fork_after(small_nps(60, 44), 2, deploy_none);
+    }
+
+    #[test]
+    #[should_panic(expected = "fork of a system an adversary")]
+    fn fork_after_chaos_install_panics_vivaldi() {
+        fork_after(small_vivaldi(20, 42), 10, |s| {
+            s.install_chaos(ChaosPlan::none())
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "fork of a system an adversary")]
+    fn fork_after_chaos_install_panics_nps() {
+        fork_after(small_nps(60, 44), 2, |s| s.install_chaos(ChaosPlan::none()));
+    }
+
+    /// Two systems from `make()` advance `warm` clock units; `install` acts
+    /// on the second only, `then` on both; after `window` more units the two
+    /// agree on `state`. Returns `[bare, installed]`.
+    fn assert_inert<S: System, T: PartialEq + Debug>(
+        make: impl Fn() -> S,
+        [warm, window]: [u64; 2],
+        install: impl FnOnce(&mut S),
+        then: impl Fn(&mut S),
+        state: impl Fn(&S) -> T,
+    ) -> [S; 2] {
+        let [mut bare, mut installed] = [make(), make()];
+        bare.step(warm);
+        installed.step(warm);
+        install(&mut installed);
+        for sim in [&mut bare, &mut installed] {
+            then(sim);
+            sim.step(window);
+        }
+        assert_eq!(state(&bare), state(&installed));
+        [bare, installed]
+    }
+
+    /// A [`NoDefense`] deployment, then an all-honest injection, leaves every
+    /// bit of an undefended run in place — the sim-level contract behind the
+    /// golden-figure guarantee — while every sample still goes through the
+    /// defense's fast path and is tallied as accepted.
+    fn assert_no_defense_is_inert<S: System, T: PartialEq + Debug>(
+        make: impl Fn() -> S,
+        clock: [u64; 2],
+        state: impl Fn(&S) -> T,
+    ) {
+        let honest = |sim: &mut S| {
+            inject_honest(sim, 0.3);
+        };
+        let [bare, defended] = assert_inert(make, clock, deploy_none, honest, state);
+        assert!(bare.defense().is_none());
+        let defense = defended.defense().expect("deployed");
+        assert_eq!(defense.label(), "none");
+        assert!(
+            defense.stats().accepted > 0,
+            "samples flowed through the fast path"
+        );
+        assert_eq!(defense.stats().rejected, 0);
+    }
+
+    #[test]
+    fn no_defense_deployment_is_bit_identical_to_none_vivaldi() {
+        assert_no_defense_is_inert(|| small_vivaldi(30, 11), [40, 40], vivaldi_state);
+    }
+
+    #[test]
+    fn no_defense_deployment_is_bit_identical_to_none_nps() {
+        assert_no_defense_is_inert(|| small_nps(60, 21), [5, 5], nps_state);
+    }
+
+    /// A strategy answering `Dampen(1.0)` for everything rides the scaled
+    /// update (Vivaldi) or the weighted objective (NPS), which must still be
+    /// bit-identical to `Accept`.
+    fn assert_dampen_identity_is_inert<S: System, T: PartialEq + Debug>(
+        make: impl Fn() -> S,
+        clock: [u64; 2],
+        state: impl Fn(&S) -> T,
+    ) {
+        let dampen = |sim: &mut S| sim.deploy(Box::new(Dampener::new(1.0)), &S::Config::default());
+        assert_inert(make, clock, dampen, |_| {}, state);
+    }
+
+    #[test]
+    fn dampen_identity_deployment_is_bit_identical_to_none_vivaldi() {
+        assert_dampen_identity_is_inert(|| small_vivaldi(30, 12), [30, 40], vivaldi_state);
+    }
+
+    #[test]
+    fn dampen_identity_deployment_is_bit_identical_to_none_nps() {
+        assert_dampen_identity_is_inert(|| small_nps(60, 22), [5, 5], nps_state);
+    }
+
+    #[test]
+    fn empty_chaos_plan_is_bit_identical_to_no_chaos_vivaldi() {
+        let install = |sim: &mut VivaldiSim| sim.install_chaos(ChaosPlan::none());
+        assert_inert(
+            || small_vivaldi(30, 21),
+            [40, 60],
+            install,
+            |_| {},
+            vivaldi_state,
+        );
+    }
+
+    #[test]
+    fn empty_chaos_plan_is_bit_identical_to_no_chaos_nps() {
+        let install = |sim: &mut NpsSim| sim.install_chaos(ChaosPlan::none());
+        assert_inert(|| small_nps(60, 31), [5, 5], install, |_| {}, nps_state);
+    }
+
+    /// `sim` after `warm` clock units, with 30 % turned into all-honest
+    /// attackers, is no more than about twice as wrong (plus `slack`) after
+    /// `window` more; returns the attackers.
+    fn assert_honest_injection_is_harmless<S: System>(
+        mut sim: S,
+        [warm, window]: [u64; 2],
+        slack: f64,
+    ) -> Vec<usize> {
+        // The measured population is whoever is still honest.
+        let error = |sim: &S| {
+            let plan = EvalPlan::new(&sim.eval_set(), &mut SeedStream::new(9).rng("plan"));
+            plan.avg_error(sim.coords(), sim.space(), sim.matrix())
+        };
+        sim.step(warm);
+        let before = error(&sim);
+        let attackers = inject_honest(&mut sim, 0.3);
+        sim.step(window);
+        let after = error(&sim);
+        assert!(
+            after < before * 2.0 + slack,
+            "honest adversary degraded the system: {before} -> {after}"
+        );
+        attackers
+    }
+
+    #[test]
+    fn honest_injection_is_harmless_vivaldi() {
+        let attackers = assert_honest_injection_is_harmless(small_vivaldi(40, 3), [150, 100], 0.2);
+        assert_eq!(attackers.len(), 12);
+    }
+
+    #[test]
+    fn honest_injection_is_harmless_nps() {
+        let sim = small_nps(80, 4);
+        let landmarks = sim.landmark_ids();
+        let attackers = assert_honest_injection_is_harmless(sim, [7, 7], 0.3);
+        // 30 % of the 68 ordinary nodes; the 12 landmarks are never picked.
+        assert_eq!(attackers.len(), 20);
+        assert!(attackers.iter().all(|a| !landmarks.contains(a)));
     }
 }

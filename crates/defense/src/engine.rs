@@ -147,6 +147,9 @@ pub struct Defense {
     stats: DefenseStats,
     last_round: Option<u64>,
     passthrough: bool,
+    /// The reputation events of the last drain, reused across drains.
+    banned: Vec<usize>,
+    reinstated: Vec<usize>,
 }
 
 impl Defense {
@@ -160,6 +163,8 @@ impl Defense {
             stats: DefenseStats::default(),
             last_round: None,
             passthrough,
+            banned: Vec::new(),
+            reinstated: Vec::new(),
         }
     }
 
@@ -190,39 +195,42 @@ impl Defense {
     }
 
     /// Drain the strategy's reputation events (bans and reinstatements)
-    /// since the last drain, appending node ids to the given buffers and
-    /// folding the counts into [`DefenseStats`]. The simulators poll this
-    /// after inspections and route the events into their structural ban
-    /// machinery; strategies that emit nothing (everything except a
-    /// decay-configured [`DriftCap`](crate::DriftCap) today) make this a
-    /// no-op, so legacy deployments are untouched.
-    pub fn drain_reputation(&mut self, banned: &mut Vec<usize>, reinstated: &mut Vec<usize>) {
-        if self.passthrough {
-            return;
-        }
-        let (b0, r0) = (banned.len(), reinstated.len());
-        self.strategy.drain_reputation(banned, reinstated);
-        self.stats.bans += (banned.len() - b0) as u64;
-        self.stats.reinstated += (reinstated.len() - r0) as u64;
-        if vcoord_obs::enabled() {
-            let round = self.last_round.unwrap_or(0);
-            for &node in &banned[b0..] {
-                vcoord_obs::event(
-                    vcoord_obs::metric_id!("defense.ban"),
-                    round,
-                    node as u32,
-                    1.0,
-                );
+    /// since the last drain, folding the counts into [`DefenseStats`], and
+    /// return the node ids as `(banned, reinstated)`. The simulators poll
+    /// this after inspections and route the events into their structural
+    /// ban machinery; strategies that emit nothing (everything except a
+    /// decay-configured [`DriftCap`](crate::DriftCap) today) return two
+    /// empty slices. The buffers are the engine's own and are reused, so a
+    /// drain allocates nothing once they have grown.
+    pub fn drain_reputation(&mut self) -> (&[usize], &[usize]) {
+        self.banned.clear();
+        self.reinstated.clear();
+        if !self.passthrough {
+            self.strategy
+                .drain_reputation(&mut self.banned, &mut self.reinstated);
+            self.stats.bans += self.banned.len() as u64;
+            self.stats.reinstated += self.reinstated.len() as u64;
+            if vcoord_obs::enabled() {
+                let round = self.last_round.unwrap_or(0);
+                for &node in &self.banned {
+                    vcoord_obs::event(
+                        vcoord_obs::metric_id!("defense.ban"),
+                        round,
+                        node as u32,
+                        1.0,
+                    );
+                }
+                for &node in &self.reinstated {
+                    vcoord_obs::event(
+                        vcoord_obs::metric_id!("defense.reinstate"),
+                        round,
+                        node as u32,
+                        1.0,
+                    );
+                }
             }
-            for &node in &reinstated[r0..] {
-                vcoord_obs::event(
-                    vcoord_obs::metric_id!("defense.reinstate"),
-                    round,
-                    node as u32,
-                    1.0,
-                );
-            }
         }
+        (&self.banned, &self.reinstated)
     }
 
     /// Judge one sample, advancing per-round strategy state first.

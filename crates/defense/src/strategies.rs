@@ -757,8 +757,7 @@ mod tests {
              must land within the configured half-life (+1 round of slack)"
         );
         // The reinstate event flowed through the reputation channel.
-        let (mut bans, mut reinstated) = (Vec::new(), Vec::new());
-        d.drain_reputation(&mut bans, &mut reinstated);
+        let (bans, reinstated) = d.drain_reputation();
         assert_eq!(bans, vec![2]);
         assert_eq!(reinstated, vec![2]);
         assert_eq!(d.stats().bans, 1);
@@ -784,8 +783,7 @@ mod tests {
             "a still-attacking node must stay banned through any number of \
              half-lives"
         );
-        let (mut bans, mut reinstated) = (Vec::new(), Vec::new());
-        d.drain_reputation(&mut bans, &mut reinstated);
+        let (bans, reinstated) = d.drain_reputation();
         assert_eq!(bans, vec![2]);
         assert!(reinstated.is_empty());
     }
@@ -844,8 +842,7 @@ mod tests {
             v.iter().all(|v| *v == Verdict::Reject),
             "leased evidence must never be the path back in"
         );
-        let (mut bans, mut reinstated) = (Vec::new(), Vec::new());
-        d.drain_reputation(&mut bans, &mut reinstated);
+        let (bans, reinstated) = d.drain_reputation();
         assert_eq!(bans, vec![2]);
         assert!(
             reinstated.is_empty(),
@@ -896,8 +893,7 @@ mod tests {
             reinstate_2 - ban_2,
             reinstate_1 - ban_1,
         );
-        let (mut bans, mut reinstated) = (Vec::new(), Vec::new());
-        d.drain_reputation(&mut bans, &mut reinstated);
+        let (bans, reinstated) = d.drain_reputation();
         assert_eq!(bans, vec![2, 2], "two ban events");
         assert_eq!(reinstated, vec![2, 2], "two reinstatements");
     }
@@ -912,8 +908,7 @@ mod tests {
             verdicts.iter().all(|v| *v == Verdict::Reject),
             "permanent bans never forgive, however reformed the node"
         );
-        let (mut bans, mut reinstated) = (Vec::new(), Vec::new());
-        d.drain_reputation(&mut bans, &mut reinstated);
+        let (bans, reinstated) = d.drain_reputation();
         assert_eq!(bans, vec![2]);
         assert!(reinstated.is_empty());
     }

@@ -374,8 +374,7 @@ fn check(kind: Kind, space: Space, rows: &[Row]) {
         let want = model.inspect(kind, &space, &at[*observer], update);
         assert_eq!(got, want, "verdict at round {round}");
 
-        let (mut bans, mut back) = (Vec::new(), Vec::new());
-        defense.drain_reputation(&mut bans, &mut back);
+        let (bans, back) = defense.drain_reputation();
         assert_eq!(bans, std::mem::take(&mut model.ban_events));
         assert_eq!(back, std::mem::take(&mut model.reinstate_events));
 

@@ -296,6 +296,45 @@ impl<P> Engine<P> {
     }
 }
 
+/// World state installed at the injection instant (an adversary, a defense,
+/// a fault plan): an `Option` that a clean world's derived `Clone` copies
+/// as empty and that refuses to be cloned once filled. A world built from
+/// these slots forks by `#[derive(Clone)]` before the injection instant,
+/// never after.
+pub struct Injected<T>(Option<T>);
+
+impl<T> Default for Injected<T> {
+    fn default() -> Self {
+        Injected(None)
+    }
+}
+
+impl<T> Clone for Injected<T> {
+    /// # Panics
+    /// Panics if the slot is filled.
+    fn clone(&self) -> Self {
+        assert!(
+            self.0.is_none(),
+            "fork of a system an adversary, defense or fault plan has touched"
+        );
+        Injected(None)
+    }
+}
+
+impl<T> std::ops::Deref for Injected<T> {
+    type Target = Option<T>;
+
+    fn deref(&self) -> &Option<T> {
+        &self.0
+    }
+}
+
+impl<T> std::ops::DerefMut for Injected<T> {
+    fn deref_mut(&mut self) -> &mut Option<T> {
+        &mut self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,5 +482,19 @@ mod tests {
             w.log.into_inner()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn an_empty_slot_clones_empty() {
+        let slot: Injected<String> = Injected::default();
+        assert!(slot.clone().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "fork of a system an adversary")]
+    fn a_filled_slot_refuses_to_clone() {
+        let mut slot = Injected::default();
+        *slot = Some("installed");
+        let _ = slot.clone();
     }
 }

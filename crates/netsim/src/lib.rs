@@ -13,6 +13,8 @@
 //! * [`Engine`] / [`World`] / [`Scheduler`] — the event loop. Protocols
 //!   implement [`World`]; the engine owns the clock and the queue and
 //!   guarantees deterministic FIFO ordering among same-timestamp events.
+//! * [`Injected`] — a world's slot for state installed at the injection
+//!   instant; an empty slot clones empty, a filled one refuses to clone.
 //! * [`SeedStream`] — labelled, portable RNG streams derived from one master
 //!   seed (ChaCha12; stable across platforms and `rand` upgrades).
 //! * [`LinkModel`] — smoltcp-style fault injection (probe loss, jitter) used
@@ -28,7 +30,7 @@ pub mod seed;
 pub mod simlog;
 pub mod time;
 
-pub use engine::{Engine, Event, NodeId, Scheduler, World};
+pub use engine::{Engine, Event, Injected, NodeId, Scheduler, World};
 pub use link::LinkModel;
 pub use seed::SeedStream;
 pub use time::{Duration, Time, MILLIS, SECS, TICK_MS};

@@ -30,7 +30,7 @@ use vcoord_defense::{
     Defense, DefenseStats, DefenseStrategy, Provenance, Update as DefenseUpdate, Verdict,
 };
 use vcoord_metrics::FilterLedger;
-use vcoord_netsim::{Engine, NodeId, Scheduler, SeedStream, World};
+use vcoord_netsim::{Engine, Injected, NodeId, Scheduler, SeedStream, World};
 use vcoord_space::{Coord, Space};
 use vcoord_topo::RttMatrix;
 
@@ -63,9 +63,10 @@ pub struct NpsCounters {
     pub probation_probes: u64,
 }
 
+#[derive(Clone)]
 struct NpsWorld {
     config: NpsConfig,
-    /// Shared with every [`NpsSim::snapshot`] of this system.
+    /// Shared with every clone of this system.
     matrix: Arc<RttMatrix>,
     membership: Membership,
     layer: Vec<u8>,
@@ -85,8 +86,8 @@ struct NpsWorld {
     /// non-chaos run.
     leased: Vec<Vec<usize>>,
     malicious: Vec<bool>,
-    scenario: Option<Scenario>,
-    defense: Option<Defense>,
+    scenario: Injected<Scenario>,
+    defense: Injected<Defense>,
     ledger: FilterLedger,
     threshold_ledger: FilterLedger,
     counters: NpsCounters,
@@ -99,15 +100,11 @@ struct NpsWorld {
     /// Recycled copy of the repositioning node's reference set (decouples
     /// the probe loop from `self.refs` borrows without a per-round clone).
     refs_buf: Vec<usize>,
-    /// Reusable reputation-event drain buffers (the defense's ban /
-    /// reinstate side channel).
-    rep_banned: Vec<usize>,
-    rep_reinstated: Vec<usize>,
     /// Installed fault schedule, if any. `None` costs one discriminant
     /// check per reference probe; all chaos randomness lives on the plan's
     /// own stream, so a run with an empty plan is bitwise identical to a
     /// plain run.
-    chaos: Option<ChaosState>,
+    chaos: Injected<ChaosState>,
     /// Per-node positioning-round count, driving the probation cadence.
     probation_clock: Vec<u64>,
     /// Per-node round-robin cursor over the rolling ban list.
@@ -352,10 +349,8 @@ impl NpsWorld {
         let Some(defense) = self.defense.as_mut() else {
             return;
         };
-        self.rep_banned.clear();
-        self.rep_reinstated.clear();
-        defense.drain_reputation(&mut self.rep_banned, &mut self.rep_reinstated);
-        for &id in &self.rep_reinstated {
+        let (_, reinstated) = defense.drain_reputation();
+        for &id in reinstated {
             for list in self.banned.iter_mut() {
                 list.retain(|&x| x != id);
             }
@@ -579,6 +574,17 @@ impl World for NpsWorld {
 }
 
 /// A complete NPS system running on the discrete-event engine.
+///
+/// A clone of a clean system holds the same landmark embedding,
+/// coordinates, reference sets, ban ledgers, event queue and random streams,
+/// and shares the latency matrix, so advancing both equally keeps them
+/// bit-equal. This is what lets several injections start from one
+/// converged warm-up without re-embedding the landmarks.
+///
+/// # Panics
+/// Cloning panics once an adversary, a defense or a fault plan has been
+/// installed: a system is copied before the injection instant, never after.
+#[derive(Clone)]
 pub struct NpsSim {
     engine: Engine<()>,
     world: NpsWorld,
@@ -684,8 +690,8 @@ impl NpsSim {
             banned: vec![VecDeque::new(); n],
             leased: vec![Vec::new(); n],
             malicious: vec![false; n],
-            scenario: None,
-            defense: None,
+            scenario: Injected::default(),
+            defense: Injected::default(),
             ledger: FilterLedger::new(),
             threshold_ledger: FilterLedger::new(),
             counters: NpsCounters::default(),
@@ -694,9 +700,7 @@ impl NpsSim {
             pos_scratch: lm_scratch,
             samples_buf: lm_samples,
             refs_buf: Vec::new(),
-            rep_banned: Vec::new(),
-            rep_reinstated: Vec::new(),
-            chaos: None,
+            chaos: Injected::default(),
             probation_clock: vec![0; n],
             probation_cursor: vec![0; n],
             matrix: Arc::new(matrix),
@@ -705,67 +709,16 @@ impl NpsSim {
         NpsSim { engine, world }
     }
 
-    /// A deep copy of a clean system, latency matrix included: the copy
-    /// holds the same landmark embedding, coordinates, reference sets, ban
-    /// ledgers, event queue and random streams, so advancing both equally
-    /// keeps them bit-equal. This is what lets several injections start from
-    /// one converged warm-up without re-embedding the landmarks. Every
-    /// allocation of the copy is made by the calling thread, so a fork run
-    /// on a worker thread keeps no memory of the thread that built the
-    /// original alive.
+    /// A clone with a latency matrix of its own, copied by the calling
+    /// thread, so a fork run on a worker thread keeps no memory of the
+    /// thread that built the original alive.
     ///
     /// # Panics
-    /// Panics if an adversary, a defense or a fault plan has been installed:
-    /// a fork is taken before the injection instant, never after.
+    /// As [`clone`](Clone::clone).
     pub fn fork(&self) -> NpsSim {
-        let mut copy = self.snapshot();
+        let mut copy = self.clone();
         copy.world.matrix = Arc::new(RttMatrix::clone(&self.world.matrix));
         copy
-    }
-
-    /// A [`fork`](Self::fork) that shares this system's latency matrix
-    /// instead of copying it: the state several forks are taken from, held
-    /// beside the original for the price of its coordinates alone.
-    ///
-    /// # Panics
-    /// As [`fork`](Self::fork).
-    pub fn snapshot(&self) -> NpsSim {
-        let w = &self.world;
-        assert!(
-            w.scenario.is_none() && w.defense.is_none() && w.chaos.is_none(),
-            "fork of a system an adversary, defense or fault plan has touched"
-        );
-        NpsSim {
-            engine: self.engine.clone(),
-            world: NpsWorld {
-                config: w.config.clone(),
-                matrix: Arc::clone(&w.matrix),
-                membership: w.membership.clone(),
-                layer: w.layer.clone(),
-                is_ref: w.is_ref.clone(),
-                coords: w.coords.clone(),
-                positioned: w.positioned.clone(),
-                refs: w.refs.clone(),
-                banned: w.banned.clone(),
-                leased: w.leased.clone(),
-                malicious: w.malicious.clone(),
-                scenario: None,
-                defense: None,
-                ledger: w.ledger,
-                threshold_ledger: w.threshold_ledger,
-                counters: w.counters,
-                probe_rng: w.probe_rng.clone(),
-                adv_rng: w.adv_rng.clone(),
-                pos_scratch: PositionScratch::new(),
-                samples_buf: Vec::new(),
-                refs_buf: Vec::new(),
-                rep_banned: Vec::new(),
-                rep_reinstated: Vec::new(),
-                chaos: None,
-                probation_clock: w.probation_clock.clone(),
-                probation_cursor: w.probation_cursor.clone(),
-            },
-        }
     }
 
     /// Advance the simulation by `ms` simulated milliseconds.
@@ -934,20 +887,12 @@ impl NpsSim {
         );
         let mut scenario = Scenario::new(strategy);
         scenario.inject(attackers, &view, &mut self.world.adv_rng);
-        self.world.scenario = Some(scenario);
+        *self.world.scenario = Some(scenario);
         log::trace!(
             "nps: injected {} attackers at t={}ms",
             attackers.len(),
             self.engine.now()
         );
-    }
-
-    /// The running attack scenario, if one was injected (its [`Collusion`]
-    /// state is observable for diagnostics and tests).
-    ///
-    /// [`Collusion`]: vcoord_attackkit::Collusion
-    pub fn scenario(&self) -> Option<&Scenario> {
-        self.world.scenario.as_ref()
     }
 
     /// Deploy `strategy` as the system's defense: every reference probe of
@@ -985,7 +930,7 @@ impl NpsSim {
             defense.label(),
             self.engine.now()
         );
-        self.world.defense = Some(defense);
+        *self.world.defense = Some(defense);
     }
 
     /// Set the probation channel's period (`NpsConfig::probation_every`).
@@ -1020,12 +965,7 @@ impl NpsSim {
             plan.bursts.is_some(),
             self.engine.now()
         );
-        self.world.chaos = Some(ChaosState::new(plan, n, self.engine.now()));
-    }
-
-    /// The installed fault schedule's runtime state, if any.
-    pub fn chaos(&self) -> Option<&ChaosState> {
-        self.world.chaos.as_ref()
+        *self.world.chaos = Some(ChaosState::new(plan, n, self.engine.now()));
     }
 
     /// Fault totals of the installed chaos plan, if any.
@@ -1044,7 +984,6 @@ impl NpsSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcoord_attackkit::Honest;
     use vcoord_metrics::EvalPlan;
     use vcoord_topo::{KingLike, KingLikeConfig};
 
@@ -1089,62 +1028,6 @@ mod tests {
         assert!(sim.counters().positionings > 100);
     }
 
-    /// Every coordinate component, as bits.
-    fn coord_bits(sim: &NpsSim) -> Vec<u64> {
-        let coords = sim
-            .coords()
-            .iter()
-            .flat_map(|c| c.vec.iter().chain(std::iter::once(&c.height)));
-        coords.map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn a_fork_advances_bit_equal_to_its_original() {
-        use vcoord_attackkit::RandomLie;
-
-        let mut sim = small_sim(60, 43);
-        sim.run_ms(300_000);
-        // The harness's path: a snapshot beside the original, a fork of it.
-        let snapshot = sim.snapshot();
-        assert!(std::ptr::eq(sim.matrix(), snapshot.matrix()), "shared");
-        let mut copy = snapshot.fork();
-        drop(snapshot);
-        assert!(!std::ptr::eq(sim.matrix(), copy.matrix()), "own matrix");
-        assert!(sim.matrix() == copy.matrix());
-        for _ in 0..3 {
-            sim.run_ms(120_000);
-            copy.run_ms(120_000);
-            assert_eq!(coord_bits(&sim), coord_bits(&copy));
-            assert_eq!(sim.counters(), copy.counters());
-            assert_eq!(sim.positioned(), copy.positioned());
-            assert_eq!(sim.currently_banned(), copy.currently_banned());
-            assert_eq!(sim.now_ms(), copy.now_ms());
-        }
-        // The copied adversary stream picks the same attackers, and the
-        // same injection on both sides keeps them equal — filter ledger
-        // included.
-        for s in [&mut sim, &mut copy] {
-            let attackers = s.pick_attackers(0.2);
-            s.inject_adversary(&attackers, Box::new(RandomLie::new(500.0)));
-            s.run_ms(300_000);
-        }
-        assert!(sim.counters().lies_served > 0);
-        assert_eq!(coord_bits(&sim), coord_bits(&copy));
-        assert_eq!(sim.counters(), copy.counters());
-        assert_eq!(sim.ledger(), copy.ledger());
-        assert_eq!(sim.currently_banned(), copy.currently_banned());
-    }
-
-    #[test]
-    #[should_panic(expected = "fork of a system an adversary")]
-    fn fork_after_injection_panics() {
-        let mut sim = small_sim(60, 44);
-        sim.run_ms(120_000);
-        let attackers = sim.pick_attackers(0.2);
-        sim.inject_adversary(&attackers, Box::new(Honest));
-        let _ = sim.fork();
-    }
-
     #[test]
     fn strict_counters_record_objective_evals() {
         let mut sim = small_sim(60, 11);
@@ -1178,26 +1061,6 @@ mod tests {
         assert!(
             (total as f64) < 0.2 * positionings as f64,
             "excessive filtering in clean system: {total}/{positionings}"
-        );
-    }
-
-    #[test]
-    fn honest_injection_is_harmless() {
-        let mut sim = small_sim(80, 4);
-        sim.run_ms(400_000);
-        let plan = EvalPlan::new(&sim.eval_nodes(), &mut SeedStream::new(7).rng("plan"));
-        let before = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
-        let attackers = sim.pick_attackers(0.3);
-        // 30 % of the 68 ordinary nodes; the 12 landmarks are never picked.
-        assert_eq!(attackers.len(), 20);
-        assert!(attackers.iter().all(|&a| sim.layers_of()[a] != 0));
-        sim.inject_adversary(&attackers, Box::new(Honest));
-        sim.run_ms(400_000);
-        let plan2 = EvalPlan::new(&sim.eval_nodes(), &mut SeedStream::new(7).rng("plan"));
-        let after = plan2.avg_error(sim.coords(), sim.space(), sim.matrix());
-        assert!(
-            after < before * 2.0 + 0.3,
-            "honest adversary degraded NPS: {before} -> {after}"
         );
     }
 
@@ -1239,36 +1102,6 @@ mod tests {
         }
         let named = sim.ledger().filtered_malicious - before.filtered_malicious;
         assert!(named > 0, "the filter never named a NaN reporter");
-    }
-
-    #[test]
-    fn no_defense_deployment_is_bit_identical_to_none() {
-        let run = |deploy: bool| {
-            let mut sim = small_sim(60, 21);
-            sim.run_ms(300_000);
-            if deploy {
-                sim.deploy_defense(Box::new(vcoord_defense::NoDefense));
-            }
-            sim.run_ms(300_000);
-            sim.coords().to_vec()
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn dampen_identity_deployment_is_bit_identical_to_none() {
-        // Dampen(1.0) rides the weighted-objective path, which must be
-        // bit-identical to the unweighted fit.
-        let run = |deploy: bool| {
-            let mut sim = small_sim(60, 22);
-            sim.run_ms(300_000);
-            if deploy {
-                sim.deploy_defense(Box::new(vcoord_defense::Dampener::new(1.0)));
-            }
-            sim.run_ms(300_000);
-            sim.coords().to_vec()
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]
@@ -1402,20 +1235,6 @@ mod tests {
         let all = sim.eval_nodes();
         assert_eq!(l1.len() + l2.len(), all.len());
         assert!(!l1.is_empty() && !l2.is_empty());
-    }
-
-    #[test]
-    fn empty_chaos_plan_is_bit_identical_to_no_chaos() {
-        let run = |install: bool| {
-            let mut sim = small_sim(60, 31);
-            sim.run_ms(300_000);
-            if install {
-                sim.install_chaos(ChaosPlan::none());
-            }
-            sim.run_ms(300_000);
-            sim.coords().to_vec()
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

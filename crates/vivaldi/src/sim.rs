@@ -28,7 +28,7 @@ use vcoord_chaos::{ChaosCounters, ChaosPlan, ChaosState, ProbeFate};
 use vcoord_defense::{
     Defense, DefenseStats, DefenseStrategy, Provenance, Update as DefenseUpdate, Verdict,
 };
-use vcoord_netsim::{time, Engine, NodeId, Scheduler, SeedStream, World};
+use vcoord_netsim::{time, Engine, Injected, NodeId, Scheduler, SeedStream, World};
 use vcoord_space::{Coord, Space};
 use vcoord_topo::RttMatrix;
 
@@ -113,16 +113,17 @@ pub struct Counters {
     pub delay_clamped: u64,
 }
 
+#[derive(Clone)]
 struct VivaldiWorld {
     config: VivaldiConfig,
-    /// Shared with every [`VivaldiSim::snapshot`] of this system.
+    /// Shared with every clone of this system.
     matrix: Arc<RttMatrix>,
     coords: Vec<Coord>,
     errors: Vec<f64>,
     springs: Vec<Vec<Spring>>,
     malicious: Vec<bool>,
-    scenario: Option<Scenario>,
-    defense: Option<Defense>,
+    scenario: Injected<Scenario>,
+    defense: Injected<Defense>,
     /// Nodes currently banned by the deployed defense (set on a ban event
     /// from the reputation channel, cleared on a reinstate event). Vivaldi
     /// deliberately keeps *probing* quarantined neighbors — the defense
@@ -132,14 +133,11 @@ struct VivaldiWorld {
     /// blind. The flags are the neighbor-set view of the ban state for the
     /// harness and diagnostics.
     quarantined: Vec<bool>,
-    /// Reusable reputation-event drain buffers.
-    rep_banned: Vec<usize>,
-    rep_reinstated: Vec<usize>,
     /// Installed fault schedule, if any. `None` costs one discriminant
     /// check per probe and keeps the run bitwise identical to a build
     /// without the chaos subsystem (all chaos randomness lives on the
     /// plan's own stream).
-    chaos: Option<ChaosState>,
+    chaos: Injected<ChaosState>,
     probe_rng: ChaCha12Rng,
     update_rng: ChaCha12Rng,
     adv_rng: ChaCha12Rng,
@@ -376,13 +374,11 @@ impl VivaldiWorld {
                 );
                 // Route the reputation side channel into the quarantine
                 // flags (no-op for strategies that emit no events).
-                self.rep_banned.clear();
-                self.rep_reinstated.clear();
-                defense.drain_reputation(&mut self.rep_banned, &mut self.rep_reinstated);
-                for &b in &self.rep_banned {
+                let (banned, reinstated) = defense.drain_reputation();
+                for &b in banned {
                     self.quarantined[b] = true;
                 }
-                for &r in &self.rep_reinstated {
+                for &r in reinstated {
                     self.quarantined[r] = false;
                 }
                 // Arms-race feedback: a malicious node can observe whether
@@ -418,6 +414,16 @@ impl VivaldiWorld {
 }
 
 /// A complete Vivaldi system running on the discrete-event engine.
+///
+/// A clone of a clean system holds the same coordinates, error estimates,
+/// spring table, event queue and random streams, and shares the latency
+/// matrix, so advancing both equally keeps them bit-equal. This is what
+/// lets several injections start from one converged warm-up.
+///
+/// # Panics
+/// Cloning panics once an adversary, a defense or a fault plan has been
+/// installed: a system is copied before the injection instant, never after.
+#[derive(Clone)]
 pub struct VivaldiSim {
     engine: Engine<Sample>,
     world: VivaldiWorld,
@@ -452,12 +458,10 @@ impl VivaldiSim {
             errors: vec![config.initial_error; n],
             springs,
             malicious: vec![false; n],
-            scenario: None,
-            defense: None,
+            scenario: Injected::default(),
+            defense: Injected::default(),
             quarantined: vec![false; n],
-            rep_banned: Vec::new(),
-            rep_reinstated: Vec::new(),
-            chaos: None,
+            chaos: Injected::default(),
             probe_rng: seeds.rng("vivaldi/probe"),
             update_rng: seeds.rng("vivaldi/update"),
             adv_rng: seeds.rng("vivaldi/adversary"),
@@ -475,56 +479,16 @@ impl VivaldiSim {
         VivaldiSim { engine, world }
     }
 
-    /// A deep copy of a clean system, latency matrix included: the copy
-    /// holds the same coordinates, error estimates, spring table, event
-    /// queue and random streams, so advancing both equally keeps them
-    /// bit-equal. This is what lets several injections start from one
-    /// converged warm-up. Every allocation of the copy is made by the
-    /// calling thread, so a fork run on a worker thread keeps no memory of
-    /// the thread that built the original alive.
+    /// A clone with a latency matrix of its own, copied by the calling
+    /// thread, so a fork run on a worker thread keeps no memory of the
+    /// thread that built the original alive.
     ///
     /// # Panics
-    /// Panics if an adversary, a defense or a fault plan has been installed:
-    /// a fork is taken before the injection instant, never after.
+    /// As [`clone`](Clone::clone).
     pub fn fork(&self) -> VivaldiSim {
-        let mut copy = self.snapshot();
+        let mut copy = self.clone();
         copy.world.matrix = Arc::new(RttMatrix::clone(&self.world.matrix));
         copy
-    }
-
-    /// A [`fork`](Self::fork) that shares this system's latency matrix
-    /// instead of copying it: the state several forks are taken from, held
-    /// beside the original for the price of its coordinates alone.
-    ///
-    /// # Panics
-    /// As [`fork`](Self::fork).
-    pub fn snapshot(&self) -> VivaldiSim {
-        let w = &self.world;
-        assert!(
-            w.scenario.is_none() && w.defense.is_none() && w.chaos.is_none(),
-            "fork of a system an adversary, defense or fault plan has touched"
-        );
-        VivaldiSim {
-            engine: self.engine.clone(),
-            world: VivaldiWorld {
-                config: w.config.clone(),
-                matrix: Arc::clone(&w.matrix),
-                coords: w.coords.clone(),
-                errors: w.errors.clone(),
-                springs: w.springs.clone(),
-                malicious: w.malicious.clone(),
-                scenario: None,
-                defense: None,
-                quarantined: w.quarantined.clone(),
-                rep_banned: Vec::new(),
-                rep_reinstated: Vec::new(),
-                chaos: None,
-                probe_rng: w.probe_rng.clone(),
-                update_rng: w.update_rng.clone(),
-                adv_rng: w.adv_rng.clone(),
-                counters: w.counters,
-            },
-        }
     }
 
     /// Advance the simulation by `n` ticks.
@@ -647,20 +611,12 @@ impl VivaldiSim {
         );
         let mut scenario = Scenario::new(strategy);
         scenario.inject(attackers, &view, &mut self.world.adv_rng);
-        self.world.scenario = Some(scenario);
+        *self.world.scenario = Some(scenario);
         log::trace!(
             "vivaldi: injected {} attackers at t={}ms",
             attackers.len(),
             self.engine.now()
         );
-    }
-
-    /// The running attack scenario, if one was injected (its [`Collusion`]
-    /// state is observable for diagnostics and tests).
-    ///
-    /// [`Collusion`]: vcoord_attackkit::Collusion
-    pub fn scenario(&self) -> Option<&Scenario> {
-        self.world.scenario.as_ref()
     }
 
     /// Deploy `strategy` as the system's defense: every sample an honest
@@ -693,7 +649,7 @@ impl VivaldiSim {
             defense.label(),
             self.engine.now()
         );
-        self.world.defense = Some(defense);
+        *self.world.defense = Some(defense);
         self.world.quarantined.fill(false);
     }
 
@@ -731,15 +687,10 @@ impl VivaldiSim {
             plan.bursts.is_some(),
             self.engine.now()
         );
-        self.world.chaos = Some(ChaosState::new(plan, n, self.engine.now()));
+        *self.world.chaos = Some(ChaosState::new(plan, n, self.engine.now()));
         for spring in self.world.springs.iter_mut().flatten() {
             spring.strikes = 0;
         }
-    }
-
-    /// The installed fault schedule's runtime state, if any.
-    pub fn chaos(&self) -> Option<&ChaosState> {
-        self.world.chaos.as_ref()
     }
 
     /// Fault totals of the installed chaos plan, if any.
@@ -781,57 +732,6 @@ mod tests {
         assert!(after < 0.6, "converged error too high: {after}");
     }
 
-    /// Every coordinate component and error estimate, as bits.
-    fn state_bits(sim: &VivaldiSim) -> Vec<u64> {
-        let coords = sim
-            .coords()
-            .iter()
-            .flat_map(|c| c.vec.iter().chain(std::iter::once(&c.height)));
-        coords.chain(sim.errors()).map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn a_fork_advances_bit_equal_to_its_original() {
-        use vcoord_attackkit::RandomLie;
-
-        let mut sim = small_sim(40, 41);
-        sim.run_ticks(60);
-        // The harness's path: a snapshot beside the original, a fork of it.
-        let snapshot = sim.snapshot();
-        assert!(std::ptr::eq(sim.matrix(), snapshot.matrix()), "shared");
-        let mut copy = snapshot.fork();
-        drop(snapshot);
-        assert!(!std::ptr::eq(sim.matrix(), copy.matrix()), "own matrix");
-        assert!(sim.matrix() == copy.matrix());
-        for _ in 0..3 {
-            sim.run_ticks(15);
-            copy.run_ticks(15);
-            assert_eq!(state_bits(&sim), state_bits(&copy));
-            assert_eq!(sim.counters(), copy.counters());
-            assert_eq!(sim.now_ms(), copy.now_ms());
-        }
-        // The copied adversary stream picks the same attackers, and the
-        // same injection on both sides keeps them equal.
-        for s in [&mut sim, &mut copy] {
-            let attackers = s.pick_attackers(0.2);
-            s.inject_adversary(&attackers, Box::new(RandomLie::new(500.0)));
-            s.run_ticks(30);
-        }
-        assert!(sim.counters().lies_served > 0);
-        assert_eq!(state_bits(&sim), state_bits(&copy));
-        assert_eq!(sim.counters(), copy.counters());
-    }
-
-    #[test]
-    #[should_panic(expected = "fork of a system an adversary")]
-    fn fork_after_injection_panics() {
-        let mut sim = small_sim(20, 42);
-        sim.run_ticks(10);
-        let attackers = sim.pick_attackers(0.2);
-        sim.inject_adversary(&attackers, Box::new(Honest));
-        let _ = sim.fork();
-    }
-
     #[test]
     fn probes_flow_and_samples_apply() {
         let mut sim = small_sim(20, 2);
@@ -855,25 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn honest_injection_is_harmless() {
-        let mut sim = small_sim(40, 3);
-        sim.run_ticks(150);
-        let plan = EvalPlan::new(&sim.honest_nodes(), &mut SeedStream::new(9).rng("plan"));
-        let before = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
-        let attackers = sim.pick_attackers(0.3);
-        assert_eq!(attackers.len(), 12);
-        sim.inject_adversary(&attackers, Box::new(Honest));
-        sim.run_ticks(100);
-        // Evaluate over the still-honest population.
-        let plan2 = EvalPlan::new(&sim.honest_nodes(), &mut SeedStream::new(9).rng("plan"));
-        let after = plan2.avg_error(sim.coords(), sim.space(), sim.matrix());
-        assert!(
-            after < before * 2.0 + 0.2,
-            "honest adversary degraded system: {before} -> {after}"
-        );
-    }
-
-    #[test]
     fn malicious_nodes_freeze() {
         let mut sim = small_sim(20, 4);
         sim.run_ticks(50);
@@ -884,56 +765,6 @@ mod tests {
         for (k, &a) in attackers.iter().enumerate() {
             assert_eq!(sim.coords()[a], frozen[k], "malicious node moved");
         }
-    }
-
-    #[test]
-    fn no_defense_deployment_is_bit_identical_to_none() {
-        // Deploying the NoDefense strategy must not flip a single
-        // coordinate bit relative to an undefended run — this is the
-        // sim-level contract behind the golden-figure guarantee.
-        let run = |deploy: bool| {
-            let mut sim = small_sim(30, 11);
-            sim.run_ticks(40);
-            if deploy {
-                sim.deploy_defense(Box::new(vcoord_defense::NoDefense));
-            }
-            let attackers = sim.pick_attackers(0.3);
-            sim.inject_adversary(&attackers, Box::new(Honest));
-            sim.run_ticks(40);
-            if deploy {
-                // Deployed means inspected: every sample went through the
-                // fast path and was tallied as accepted.
-                assert_eq!(sim.defense().unwrap().label(), "none");
-                let stats = sim.defense_stats().unwrap();
-                assert!(stats.accepted > 0, "samples flowed through the fast path");
-                assert_eq!(stats.rejected, 0);
-            } else {
-                assert!(sim.defense_stats().is_none());
-            }
-            (sim.coords().to_vec(), sim.errors().to_vec())
-        };
-        let (ca, ea) = run(false);
-        let (cb, eb) = run(true);
-        assert_eq!(ca, cb);
-        for (a, b) in ea.iter().zip(&eb) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn dampen_identity_deployment_is_bit_identical_to_none() {
-        // A strategy answering Dampen(1.0) for everything rides the scaled
-        // update path — which must still be bit-identical to Accept.
-        let run = |deploy: bool| {
-            let mut sim = small_sim(30, 12);
-            sim.run_ticks(30);
-            if deploy {
-                sim.deploy_defense(Box::new(vcoord_defense::Dampener::new(1.0)));
-            }
-            sim.run_ticks(40);
-            sim.coords().to_vec()
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]
@@ -1022,25 +853,6 @@ mod tests {
         assert!(stats.bans > 0, "the frog must get banned");
         assert_eq!(stats.reinstated, 0, "permanent bans never forgive");
         assert!(attackers.iter().any(|&a| sim.quarantined()[a]));
-    }
-
-    #[test]
-    fn empty_chaos_plan_is_bit_identical_to_no_chaos() {
-        let run = |install: bool| {
-            let mut sim = small_sim(30, 21);
-            sim.run_ticks(40);
-            if install {
-                sim.install_chaos(ChaosPlan::none());
-            }
-            sim.run_ticks(60);
-            (sim.coords().to_vec(), sim.errors().to_vec())
-        };
-        let (ca, ea) = run(false);
-        let (cb, eb) = run(true);
-        assert_eq!(ca, cb);
-        for (a, b) in ea.iter().zip(&eb) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

@@ -244,8 +244,7 @@ proptest! {
             v2.iter().all(|v| *v == Verdict::Reject),
             "leased evidence must never be accepted (half-life {half_life:.0}, seed {seed})"
         );
-        let (mut banned, mut reinstated) = (Vec::new(), Vec::new());
-        d.drain_reputation(&mut banned, &mut reinstated);
+        let (_, reinstated) = d.drain_reputation();
         prop_assert!(
             reinstated.is_empty(),
             "leased evidence must never reinstate: {reinstated:?} (seed {seed})"
