@@ -7,7 +7,7 @@
 //!   carries one, the **error estimate**) it reports, and may **delay** the
 //!   probe;
 //! * it can never *shorten* a measurement — the simulators clamp negative
-//!   delays to zero and log the violation;
+//!   delays to zero and count the violation;
 //! * attackers may know their victims' true coordinates (the paper's
 //!   "knowledge" parameter); the [`CoordView`] passed to a strategy is that
 //!   oracle, and strategies decide how much of it to use.
@@ -185,7 +185,7 @@ pub trait AttackStrategy: Send {
     ) {
     }
 
-    /// A short label for logs and CSV headers.
+    /// A short label for CSV headers.
     fn label(&self) -> &'static str {
         "adversary"
     }

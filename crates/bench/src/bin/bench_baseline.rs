@@ -137,7 +137,6 @@ fn time_kernel<F: FnMut()>(budget: Duration, divisor: f64, mut f: F) -> KernelSt
 }
 
 fn main() {
-    vcoord::netsim::simlog::init();
     vcoord_bench::install_env();
     let args = match parse_args() {
         Ok(a) => a,

@@ -36,7 +36,7 @@
 //! Environment (read once, by `vcoord_bench::install_env`): `VCOORD_THREADS`
 //! pins the worker budget (reported as `threads=` in the header line),
 //! `VCOORD_OBS=off|metrics|trace` sets the recording mode when `--trace-out`
-//! does not, `VCOORD_LOG` picks the log level.
+//! does not.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -128,7 +128,6 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() {
-    vcoord::netsim::simlog::init();
     vcoord_bench::install_env();
     let args = match parse_args() {
         Ok(a) => a,

@@ -39,8 +39,8 @@ fn parse_threads(raw: Option<&str>) -> Option<usize> {
 
 /// Read the process environment and install what it asks for; `figures` and
 /// `bench-baseline` call it first thing in `main`. It is the one
-/// place the workspace reads configuration from the environment (the
-/// `VCOORD_LOG` logger backend aside): the libraries take values.
+/// place the workspace reads configuration from the environment: the
+/// libraries take values.
 ///
 /// * `VCOORD_THREADS=N` pins every worker pool to `N` threads
 ///   ([`set_worker_budget`]) for reproducible CI and benchmarking on any

@@ -3,7 +3,6 @@
 use crate::gilbert::BurstFate;
 use crate::plan::{pick_replacement, ChaosPlan, ChurnKind};
 use rand_chacha::ChaCha12Rng;
-use vcoord_netsim::simlog;
 use vcoord_obs as obs;
 
 /// Running totals of every fault the interpreter injected or absorbed.
@@ -105,10 +104,6 @@ impl ChaosState {
                         self.counters.crashes += 1;
                         obs::counter_add(obs::metric_id!("chaos.crashes"), 1);
                         obs::event(obs::metric_id!("chaos.crash"), now_ms, e.node as u32, 0.0);
-                        simlog::fault_event(
-                            "vcoord_chaos",
-                            format_args!("crash node={} t={}ms", e.node, now_ms),
-                        );
                     }
                 }
                 ChurnKind::Restart => {
@@ -118,10 +113,6 @@ impl ChaosState {
                         self.restart_buf.push(e.node);
                         obs::counter_add(obs::metric_id!("chaos.restarts"), 1);
                         obs::event(obs::metric_id!("chaos.restart"), now_ms, e.node as u32, 0.0);
-                        simlog::fault_event(
-                            "vcoord_chaos",
-                            format_args!("restart node={} t={}ms", e.node, now_ms),
-                        );
                     }
                 }
             }
@@ -221,10 +212,6 @@ impl ChaosState {
             node as u32,
             peer as f64,
         );
-        simlog::fault_event(
-            "vcoord_chaos",
-            format_args!("evict node={node} dead_neighbor={peer} t={now_ms}ms"),
-        );
     }
 
     /// Record an NPS reference fail-over.
@@ -236,10 +223,6 @@ impl ChaosState {
             now_ms,
             node as u32,
             dead_ref as f64,
-        );
-        simlog::fault_event(
-            "vcoord_chaos",
-            format_args!("failover node={node} dead_ref={dead_ref} t={now_ms}ms"),
         );
     }
 
@@ -258,10 +241,6 @@ impl ChaosState {
             node as u32,
             leased_ref as f64,
         );
-        simlog::fault_event(
-            "vcoord_chaos",
-            format_args!("lease node={node} banned_ref={leased_ref} t={now_ms}ms"),
-        );
     }
 
     /// Record a lease ending early: the leased reference earned a fresh
@@ -274,10 +253,6 @@ impl ChaosState {
             now_ms,
             node as u32,
             leased_ref as f64,
-        );
-        simlog::fault_event(
-            "vcoord_chaos",
-            format_args!("lease_return node={node} banned_ref={leased_ref} t={now_ms}ms"),
         );
     }
 

@@ -232,11 +232,6 @@ impl AttackStrategy for NpsCollusionIsolation {
             .filter(|&a| view.layer_of(a) == self.attack_layer)
             .collect();
         if colluders.len() < self.min_active {
-            log::debug!(
-                "nps-collusion: only {} colluders in layer {}, staying dormant",
-                colluders.len(),
-                self.attack_layer
-            );
             return;
         }
         self.active = true;

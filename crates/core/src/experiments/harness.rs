@@ -974,7 +974,7 @@ mod tests {
     use crate::attacks::nps::NpsSimpleDisorder;
     use crate::attacks::vivaldi::VivaldiDisorder;
     use std::fmt::Debug;
-    use vcoord_attackkit::RandomLie;
+    use vcoord_attackkit::{Collusion, CoordView, Lie, Probe, RandomLie};
     use vcoord_defense::{Dampener, NoDefense};
 
     /// One spec on its own: its own warm-up, then its attack window.
@@ -1714,6 +1714,86 @@ mod tests {
     fn empty_chaos_plan_is_bit_identical_to_no_chaos_nps() {
         let install = |sim: &mut NpsSim| sim.install_chaos(ChaosPlan::none());
         assert_inert(|| small_nps(60, 31), [5, 5], install, |_| {}, nps_state);
+    }
+
+    /// Answers every probe with the attacker's true state and a negative
+    /// delay: the one lie the threat model forbids.
+    struct Shortener;
+
+    impl AttackStrategy for Shortener {
+        fn respond(
+            &mut self,
+            probe: &Probe,
+            _: &mut Collusion,
+            view: &CoordView<'_>,
+            _: &mut ChaCha12Rng,
+        ) -> Option<Lie> {
+            Some(Lie {
+                coord: view.coords[probe.attacker].clone(),
+                // NPS carries no error field and shows strategies none.
+                error: view.errors.get(probe.attacker).copied().unwrap_or(0.0),
+                delay_ms: -probe.rtt,
+            })
+        }
+    }
+
+    /// Two systems from `make()` advance `warm` clock units, turn the same
+    /// 30 % malicious — all-honest in one, [`Shortener`]s in the other — and
+    /// advance `window` more. Each shortened probe is clamped to its true
+    /// RTT, so the two agree on the state `observe` returns beside its
+    /// `[lies served, delays clamped]`, and every lie counts one clamp.
+    fn assert_shortened_probes_are_clamped<S: System, T: PartialEq + Debug>(
+        make: impl Fn() -> S,
+        [warm, window]: [u64; 2],
+        observe: impl Fn(&S) -> ([u64; 2], T),
+    ) {
+        let run = |adversary: Box<dyn AttackStrategy>| {
+            let mut sim = make();
+            sim.step(warm);
+            let attackers = sim.pick_attackers(0.3);
+            sim.inject(&attackers, adversary);
+            sim.step(window);
+            observe(&sim)
+        };
+        let (honest_lies, honest) = run(Box::new(Honest));
+        let ([lies, clamped], shortened) = run(Box::new(Shortener));
+        assert_eq!(honest_lies, [0, 0]);
+        assert!(lies > 0, "no attacker was probed");
+        assert_eq!(clamped, lies, "every lie is clamped");
+        assert_eq!(honest, shortened, "a clamped sample is the honest one");
+    }
+
+    #[test]
+    fn shortened_probes_are_clamped_to_the_true_rtt_vivaldi() {
+        assert_shortened_probes_are_clamped(
+            || small_vivaldi(30, 14),
+            [40, 40],
+            |sim| {
+                let mut counters = sim.counters();
+                let lies = [counters.lies_served, counters.delay_clamped];
+                (counters.lies_served, counters.delay_clamped) = (0, 0);
+                let errors: Vec<u64> = sim.errors().iter().map(|e| e.to_bits()).collect();
+                (lies, (coord_bits(sim.coords()), errors, counters))
+            },
+        );
+    }
+
+    #[test]
+    fn shortened_probes_are_clamped_to_the_true_rtt_nps() {
+        assert_shortened_probes_are_clamped(
+            || small_nps(60, 24),
+            [5, 5],
+            |sim| {
+                let mut counters = sim.counters();
+                let lies = [counters.lies_served, counters.delay_clamped];
+                (counters.lies_served, counters.delay_clamped) = (0, 0);
+                let bans = sim.currently_banned();
+                (
+                    lies,
+                    (coord_bits(sim.coords()), counters, bans, sim.ledger()),
+                )
+            },
+        );
     }
 
     /// `sim` after `warm` clock units, with 30 % turned into all-honest

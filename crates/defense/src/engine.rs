@@ -173,7 +173,7 @@ impl Defense {
         Defense::new(Box::new(crate::strategies::NoDefense))
     }
 
-    /// The strategy's label (for logs and CSV headers).
+    /// The strategy's label (for CSV headers).
     pub fn label(&self) -> &'static str {
         self.strategy.label()
     }
@@ -347,15 +347,6 @@ impl Defense {
                     1.0,
                 );
             }
-        }
-        if verdict.is_flag() {
-            log::trace!(
-                "defense[{}]: flagged node {} (observer {}, round {})",
-                self.strategy.label(),
-                u.remote,
-                u.observer,
-                u.round
-            );
         }
         verdict
     }

@@ -229,7 +229,7 @@ pub trait DefenseStrategy: Send {
         false
     }
 
-    /// A short label for logs and CSV headers.
+    /// A short label for CSV headers.
     fn label(&self) -> &'static str {
         "defense"
     }

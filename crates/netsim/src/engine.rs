@@ -65,8 +65,8 @@ impl<P> Eq for Scheduled<P> {}
 ///
 /// Worlds schedule timers and message deliveries at *absolute* or *relative*
 /// simulated times; the engine owns the clock. Scheduling in the past is
-/// clamped to "now" (and logged at DEBUG as an exceptional event) rather
-/// than panicking, so adversarial arithmetic cannot wedge a run.
+/// clamped to "now" rather than panicking, so adversarial arithmetic cannot
+/// wedge a run.
 ///
 /// The queue has two lanes holding disjoint events. A push whose time is
 /// not before the last event of `run` is appended to it; since `seq` only
@@ -129,15 +129,7 @@ impl<P> Scheduler<P> {
     }
 
     fn push(&mut self, at: Time, event: Event<P>) {
-        let at = if at < self.now {
-            log::debug!(
-                "event scheduled in the past (at={at}, now={}); clamping",
-                self.now
-            );
-            self.now
-        } else {
-            at
-        };
+        let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
         let scheduled = Scheduled { at, seq, event };

@@ -19,15 +19,12 @@
 //!   seed (ChaCha12; stable across platforms and `rand` upgrades).
 //! * [`LinkModel`] — smoltcp-style fault injection (probe loss, jitter) used
 //!   by the examples' `--loss`/`--jitter` flags.
-//! * [`simlog`] — a minimal `log` backend for binaries (TRACE = normal
-//!   events, DEBUG = exceptional events, per the logging policy).
 
 #![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod link;
 pub mod seed;
-pub mod simlog;
 pub mod time;
 
 pub use engine::{Engine, Event, Injected, NodeId, Scheduler, World};

@@ -323,11 +323,6 @@ pub fn position_node(
         (s.rtt > 0.0 && s.rtt.is_finite() && s.coord.is_finite()).then_some(k)
     }));
     if usable.len() < space.dim() + 1 {
-        log::debug!(
-            "nps: under-constrained positioning ({} refs for {}-D)",
-            usable.len(),
-            space.dim()
-        );
         return None;
     }
 

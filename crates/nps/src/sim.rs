@@ -182,7 +182,6 @@ impl NpsWorld {
                 self.counters.lies_served += 1;
                 let delay = if delay_ms < 0.0 {
                     self.counters.delay_clamped += 1;
-                    log::debug!("nps: adversary tried to shorten a probe; clamped");
                     0.0
                 } else {
                     delay_ms
@@ -888,11 +887,6 @@ impl NpsSim {
         let mut scenario = Scenario::new(strategy);
         scenario.inject(attackers, &view, &mut self.world.adv_rng);
         *self.world.scenario = Some(scenario);
-        log::trace!(
-            "nps: injected {} attackers at t={}ms",
-            attackers.len(),
-            self.engine.now()
-        );
     }
 
     /// Deploy `strategy` as the system's defense: every reference probe of
@@ -924,13 +918,7 @@ impl NpsSim {
     ///   nodes only: landmarks are pinned and never reposition, so there is
     ///   nothing to screen for them.
     pub fn deploy_defense(&mut self, strategy: Box<dyn DefenseStrategy>) {
-        let defense = Defense::new(strategy);
-        log::trace!(
-            "nps: deployed defense '{}' at t={}ms",
-            defense.label(),
-            self.engine.now()
-        );
-        *self.world.defense = Some(defense);
+        *self.world.defense = Some(Defense::new(strategy));
     }
 
     /// Set the probation channel's period (`NpsConfig::probation_every`).
@@ -958,13 +946,6 @@ impl NpsSim {
     /// `chaos_properties` proptests).
     pub fn install_chaos(&mut self, plan: ChaosPlan) {
         let n = self.world.matrix.len();
-        log::trace!(
-            "nps: installed chaos plan ({} churn events, {} partitions, bursts: {}) at t={}ms",
-            plan.churn.len(),
-            plan.partitions.len(),
-            plan.bursts.is_some(),
-            self.engine.now()
-        );
         *self.world.chaos = Some(ChaosState::new(plan, n, self.engine.now()));
     }
 

@@ -72,7 +72,7 @@ impl Coord {
     /// Replace non-finite components with zeros.
     ///
     /// Defensive repair used by protocol code after arithmetic on possibly
-    /// adversarial inputs; logged by callers as an exceptional event.
+    /// adversarial inputs.
     pub fn sanitize(&mut self) {
         for x in &mut self.vec {
             if !x.is_finite() {

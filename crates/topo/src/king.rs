@@ -9,8 +9,7 @@
 //! * **Matrix format** — `n` lines of `n` whitespace-separated RTTs.
 //!
 //! Lines starting with `#` or `%` are comments. Missing pairs default to the
-//! average of present pairs, and a warning is logged at DEBUG level
-//! (exceptional event, per the workspace logging policy).
+//! average of present pairs.
 
 use crate::matrix::{upper_index, RttMatrix};
 use std::io::BufRead;
@@ -112,18 +111,7 @@ fn load_triples<R: BufRead>(reader: R, unit: RttUnit) -> Result<RttMatrix, LoadE
     }
     // Fill gaps with the mean; real King files have a few unmeasured pairs.
     let mean = sum / count.max(1) as f64;
-    let mut gaps = 0usize;
-    m.map_in_place(|i, j, v| {
-        if seen[upper_index(n, i, j)] {
-            v
-        } else {
-            gaps += 1;
-            mean
-        }
-    });
-    if gaps > 0 {
-        log::debug!("king loader: filled {gaps} missing pairs with mean {mean:.1} ms");
-    }
+    m.map_in_place(|i, j, v| if seen[upper_index(n, i, j)] { v } else { mean });
     Ok(m)
 }
 

@@ -14,7 +14,7 @@
 use rand::Rng;
 use vcoord_space::{Coord, Space};
 
-/// Outcome of a single update, for logging/diagnostics.
+/// Outcome of a single update, for diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UpdateOutcome {
     /// Sample relative error `e_s`.
@@ -81,7 +81,6 @@ pub fn vivaldi_update_scaled<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Option<UpdateOutcome> {
     if !(rtt.is_finite() && rtt > 0.0 && remote_coord.is_finite()) {
-        log::debug!("vivaldi: rejecting invalid sample (rtt={rtt})");
         return None;
     }
     let remote_error = remote_error.clamp(0.0, error_clamp.1);
@@ -103,7 +102,6 @@ pub fn vivaldi_update_scaled<R: Rng + ?Sized>(
     let step = delta * (rtt - dist);
     space.apply(coord, &dir, step);
     if !coord.is_finite() {
-        log::debug!("vivaldi: coordinate went non-finite; sanitizing");
         coord.sanitize();
     }
 
@@ -283,6 +281,28 @@ mod tests {
         // State untouched by rejected samples.
         assert_eq!(c.vec, vec![1.0, 1.0]);
         assert_eq!(e, 0.5);
+    }
+
+    #[test]
+    fn non_finite_step_is_sanitized() {
+        // Finite inputs whose distance overflows: the step is not finite.
+        let space = Space::Euclidean(2);
+        let mut c = Coord::from_vec(vec![1e308, 0.0]);
+        let mut e = 0.5;
+        let remote = Coord::from_vec(vec![-1e308, 0.0]);
+        let outcome = vivaldi_update(
+            &space,
+            0.25,
+            CLAMP,
+            &mut c,
+            &mut e,
+            &remote,
+            0.5,
+            10.0,
+            &mut rng(),
+        );
+        assert!(outcome.is_some());
+        assert!(c.is_finite() && e.is_finite(), "{c:?} {e}");
     }
 
     #[test]

@@ -288,7 +288,6 @@ impl VivaldiWorld {
                 let delay = if delay_ms < 0.0 {
                     // Threat model: probes can be delayed, never shortened.
                     self.counters.delay_clamped += 1;
-                    log::debug!("vivaldi: adversary tried to shorten a probe; clamped");
                     0.0
                 } else {
                     delay_ms
@@ -576,8 +575,8 @@ impl VivaldiSim {
     /// * a malicious node controls the **coordinates** and **error
     ///   estimate** it reports ([`Lie::coord`] / [`Lie::error`]), and may
     ///   **delay** the probe; the simulator clamps negative delays to zero
-    ///   and logs the violation — the threat model forbids shortening
-    ///   measurements;
+    ///   and counts the violation in [`Counters::delay_clamped`] — the
+    ///   threat model forbids shortening measurements;
     /// * the [`CoordView`] handed to strategies is the knowledge oracle:
     ///   `coords` and `errors` are the true per-node state (attackers
     ///   legitimately learn victim positions "by means of previous
@@ -612,11 +611,6 @@ impl VivaldiSim {
         let mut scenario = Scenario::new(strategy);
         scenario.inject(attackers, &view, &mut self.world.adv_rng);
         *self.world.scenario = Some(scenario);
-        log::trace!(
-            "vivaldi: injected {} attackers at t={}ms",
-            attackers.len(),
-            self.engine.now()
-        );
     }
 
     /// Deploy `strategy` as the system's defense: every sample an honest
@@ -643,13 +637,7 @@ impl VivaldiSim {
     ///   byte-identical by construction: both leave every sample on the
     ///   pre-existing code path with scale 1.0.
     pub fn deploy_defense(&mut self, strategy: Box<dyn DefenseStrategy>) {
-        let defense = Defense::new(strategy);
-        log::trace!(
-            "vivaldi: deployed defense '{}' at t={}ms",
-            defense.label(),
-            self.engine.now()
-        );
-        *self.world.defense = Some(defense);
+        *self.world.defense = Some(Defense::new(strategy));
         self.world.quarantined.fill(false);
     }
 
@@ -680,13 +668,6 @@ impl VivaldiSim {
     /// to one without chaos (pinned by the `chaos_properties` proptests).
     pub fn install_chaos(&mut self, plan: ChaosPlan) {
         let n = self.world.matrix.len();
-        log::trace!(
-            "vivaldi: installed chaos plan ({} churn events, {} partitions, bursts: {}) at t={}ms",
-            plan.churn.len(),
-            plan.partitions.len(),
-            plan.bursts.is_some(),
-            self.engine.now()
-        );
         *self.world.chaos = Some(ChaosState::new(plan, n, self.engine.now()));
         for spring in self.world.springs.iter_mut().flatten() {
             spring.strikes = 0;

@@ -49,7 +49,6 @@ fn closest_by_coords(sim: &VivaldiSim, victim: usize) -> (usize, f64, usize, f64
 }
 
 fn main() {
-    vcoord::netsim::simlog::init();
     let strategy: String = arg("--strategy", "repel".to_string());
     let fraction: f64 = arg("--malicious", 0.3);
     let nodes: usize = arg("--nodes", 300);

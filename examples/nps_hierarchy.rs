@@ -23,7 +23,6 @@ fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
 }
 
 fn main() {
-    vcoord::netsim::simlog::init();
     let layers: usize = arg("--layers", 3);
     let nodes: usize = arg("--nodes", 300);
     let seed: u64 = arg("--seed", 2006);

@@ -17,7 +17,6 @@ fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
 }
 
 fn main() {
-    vcoord::netsim::simlog::init();
     let nodes: usize = arg("--nodes", 200);
     let seed: u64 = arg("--seed", 2006);
 

@@ -40,7 +40,6 @@ fn histogram(matrix: &RttMatrix, buckets: usize, width: usize) {
 }
 
 fn main() {
-    vcoord::netsim::simlog::init();
     let nodes: usize = arg("--nodes", 1740);
     let seed: u64 = arg("--seed", 2006);
     let king_path: String = arg("--king", String::new());

@@ -30,7 +30,6 @@ fn sparkline(values: &[f64]) -> String {
 }
 
 fn main() {
-    vcoord::netsim::simlog::init();
     let attack: String = arg("--attack", "disorder".to_string());
     let fraction: f64 = arg("--malicious", 0.3);
     let nodes: usize = arg("--nodes", 300);
