@@ -124,7 +124,6 @@ pub struct CapLearner {
     hi: f64,
     clean_rounds: u64,
     flagged: std::collections::HashSet<usize>,
-    first_flags: u64,
 }
 
 impl Default for CapLearner {
@@ -142,7 +141,6 @@ impl CapLearner {
             hi: f64::INFINITY,
             clean_rounds: 0,
             flagged: std::collections::HashSet::new(),
-            first_flags: 0,
         }
     }
 
@@ -172,7 +170,6 @@ impl CapLearner {
         if !self.flagged.insert(attacker) {
             return false;
         }
-        self.first_flags += 1;
         self.clean_rounds = 0;
         if pull.is_finite() && pull > 0.0 && pull < self.hi {
             if pull <= self.lo {
@@ -296,8 +293,6 @@ pub struct EvadingFrogBoil {
     victims: Vec<usize>,
     /// The sampled colluders (fixed at injection).
     sampled_attackers: Vec<usize>,
-    /// Rounds the throttle held (diagnostics).
-    held_rounds: u64,
     /// Online cap learner; `None` means the model is taken on faith.
     learner: Option<CapLearner>,
     /// Worst pull estimate from the latest round — the evidence level a
@@ -317,7 +312,6 @@ impl EvadingFrogBoil {
             init_coords: Vec::new(),
             victims: Vec::new(),
             sampled_attackers: Vec::new(),
-            held_rounds: 0,
             learner: None,
             last_worst_pull: 0.0,
         }
@@ -393,6 +387,10 @@ impl AttackStrategy for EvadingFrogBoil {
             learner.observe_round(worst);
             self.model.drift_cap_ms = learner.believed_cap(self.model.drift_cap_ms);
         }
+        // Advance only while one more step fits the budget. Otherwise hold:
+        // let the dragged victims close the gap before pulling again. This
+        // is the whole evasion — the classic frog would advance anyway and
+        // let the lag integrate past the cap.
         if worst + self.step <= self.model.evasion_budget_ms() {
             collusion.advance_all(self.step, f64::INFINITY);
             if vcoord_obs::enabled() {
@@ -404,11 +402,6 @@ impl AttackStrategy for EvadingFrogBoil {
                     offset,
                 );
             }
-        } else {
-            // Hold: let the dragged victims close the gap before pulling
-            // again. This is the whole evasion — the classic frog would
-            // advance here and let the lag integrate past the cap.
-            self.held_rounds += 1;
         }
     }
 
@@ -475,7 +468,6 @@ pub struct ThresholdProbe {
     guess: f64,
     flagged_this_round: bool,
     responses_this_round: u32,
-    informative_rounds: u64,
 }
 
 impl ThresholdProbe {
@@ -490,7 +482,6 @@ impl ThresholdProbe {
             guess: 0.5 * (lo + hi),
             flagged_this_round: false,
             responses_this_round: 0,
-            informative_rounds: 0,
         }
     }
 
@@ -526,7 +517,6 @@ impl AttackStrategy for ThresholdProbe {
         self.guess = 0.5 * (self.lo + self.hi);
         self.flagged_this_round = false;
         self.responses_this_round = 0;
-        self.informative_rounds += 1;
     }
 
     fn respond(
@@ -606,7 +596,6 @@ pub struct SleeperCollusion {
     pub lie_error: f64,
     rounds: u64,
     in_burst: bool,
-    bursts_started: u64,
 }
 
 impl SleeperCollusion {
@@ -621,7 +610,6 @@ impl SleeperCollusion {
             lie_error: LIE_ERROR,
             rounds: 0,
             in_burst: false,
-            bursts_started: 0,
         }
     }
 
@@ -679,7 +667,6 @@ impl AttackStrategy for SleeperCollusion {
             for g in collusion.groups_mut() {
                 g.offset = 0.0;
             }
-            self.bursts_started += 1;
         }
         collusion.advance_all(self.step, f64::INFINITY);
         if vcoord_obs::enabled() {
@@ -789,8 +776,11 @@ mod tests {
         // Victims never move in this static fixture, so the estimated pull
         // tracks the raw offset: the throttle must stop the advance before
         // the 0.8 × 50 = 40 ms budget and hold from then on.
+        let mut held = 0;
         for r in 1..=20 {
+            let before = coll.groups()[0].offset;
             adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
+            held += usize::from(coll.groups()[0].offset == before);
         }
         let offset = coll.groups()[0].offset;
         assert!(offset > 0.0, "the evader must still attack");
@@ -799,7 +789,7 @@ mod tests {
             worst < 50.0 * 0.8 + 1e-9,
             "estimated pull {worst:.1} must stay under the budget"
         );
-        assert!(adv.held_rounds > 0, "the throttle must have engaged");
+        assert!(held > 0, "the throttle must have engaged");
         // And it still lies with the drifted coordinate, no delay.
         let lie = adv
             .respond(&probe(0, 10, 90.0), &mut coll, &view_at(&f, 20), &mut rng)
@@ -858,7 +848,7 @@ mod tests {
         assert!(l.observe_flag(1, 60.0));
         assert_eq!(l.bracket(), (30.0, 60.0));
         assert_eq!(l.believed_cap(80.0), 45.0);
-        assert_eq!(l.first_flags, 2);
+        assert_eq!(l.flagged.len(), 2);
         // A flag below the proven-safe floor resets the floor: hard
         // evidence outranks soft.
         assert!(l.observe_flag(2, 25.0));
@@ -892,7 +882,7 @@ mod tests {
             adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
         }
         assert_eq!(coll.groups()[0].offset, offset_before, "throttle holds");
-        assert_eq!(adv.learner().unwrap().first_flags, 1);
+        assert_eq!(adv.learner().unwrap().flagged, [0].into());
         // A fixed-model twin keeps advancing at the same point in time.
         let mut coll2 = Collusion::new();
         let mut fixed = EvadingFrogBoil::new(10.0, DefenseModel::drift_cap(80.0));
@@ -947,7 +937,27 @@ mod tests {
             (est - boundary).abs() / boundary < 0.10,
             "estimate {est:.3} must be within 10% of {boundary}"
         );
-        assert!(adv.informative_rounds >= 20);
+        // Each informative round halves the bracket: at least 20 of them.
+        assert!(adv.hi - adv.lo <= 4.0 / f64::from(1 << 20));
+    }
+
+    /// Runs rounds `rounds` and counts the bursts begun in them: a fresh
+    /// burst restarts the drift from the truth, so its first round leaves
+    /// the offset at exactly one step.
+    fn bursts_begun(
+        adv: &mut SleeperCollusion,
+        coll: &mut Collusion,
+        f: &Fixture,
+        rounds: std::ops::RangeInclusive<u64>,
+        rng: &mut ChaCha12Rng,
+    ) -> usize {
+        let mut begun = 0;
+        for r in rounds {
+            adv.on_round(coll, &view_at(f, r), rng);
+            let fresh = adv.phase() == SleeperPhase::Burst && coll.groups()[0].offset == adv.step;
+            begun += usize::from(fresh);
+        }
+        begun
     }
 
     #[test]
@@ -967,27 +977,21 @@ mod tests {
         }
         // Round 5 begins the first burst (offset restarts from 0, then
         // advances by step).
-        adv.on_round(&mut coll, &view_at(&f, 5), &mut rng);
+        assert_eq!(bursts_begun(&mut adv, &mut coll, &f, 5..=5, &mut rng), 1);
         assert_eq!(adv.phase(), SleeperPhase::Burst);
-        assert_eq!(adv.bursts_started, 1);
         assert_eq!(coll.groups()[0].offset, 25.0);
         assert!(adv
             .respond(&probe(0, 10, 90.0), &mut coll, &view_at(&f, 5), &mut rng)
             .is_some());
         // Through the burst and into rest: honest again.
-        for r in 6..=8 {
-            adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
-        }
+        assert_eq!(bursts_begun(&mut adv, &mut coll, &f, 6..=8, &mut rng), 0);
         assert_eq!(adv.phase(), SleeperPhase::Rest);
         assert!(adv
             .respond(&probe(0, 10, 90.0), &mut coll, &view_at(&f, 8), &mut rng)
             .is_none());
         // Next cycle: a fresh burst restarts the offset.
-        for r in 9..=12 {
-            adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
-        }
+        assert_eq!(bursts_begun(&mut adv, &mut coll, &f, 9..=12, &mut rng), 1);
         assert_eq!(adv.phase(), SleeperPhase::Burst);
-        assert_eq!(adv.bursts_started, 2);
         assert_eq!(coll.groups()[0].offset, 25.0, "burst restarts from truth");
     }
 
@@ -998,15 +1002,12 @@ mod tests {
         let mut coll = Collusion::new();
         let mut adv = SleeperCollusion::new(0, 4, 4);
         adv.inject(&[0, 1, 2, 3], &mut coll, &view_at(&f, 0), &mut rng);
-        adv.on_round(&mut coll, &view_at(&f, 1), &mut rng);
+        let first = bursts_begun(&mut adv, &mut coll, &f, 1..=1, &mut rng);
+        assert_eq!(first, 1, "the first burst must be counted");
         assert_eq!(adv.phase(), SleeperPhase::Burst);
-        assert_eq!(adv.bursts_started, 1, "the first burst must be counted");
         assert_eq!(coll.groups()[0].offset, 25.0);
         // Through rest and into the second burst.
-        for r in 2..=9 {
-            adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
-        }
-        assert_eq!(adv.bursts_started, 2);
+        assert_eq!(bursts_begun(&mut adv, &mut coll, &f, 2..=9, &mut rng), 1);
     }
 
     #[test]

@@ -31,16 +31,13 @@ use vcoord_defense::{
     DefenseStrategy, DriftCap, DriftDecay, EwmaChangePoint, ResidualOutlier, TriangleCheck,
 };
 use vcoord_netsim::TICK_MS;
+use vcoord_nps::sim::ROUND_MS as NPS_ROUND_MS;
 use vcoord_nps::{NpsConfig, NpsSim};
 use vcoord_space::Space;
 use vcoord_vivaldi::VivaldiSim;
 
 /// Malicious fraction of the attacked chaos sweeps (matches `def-*`/`arms-*`).
 const FRACTION: f64 = 0.30;
-
-/// NPS repositioning period (ms) at the workspace-default config — the
-/// round-to-milliseconds factor for NPS fault schedules.
-const NPS_ROUND_MS: u64 = 60_000;
 
 /// Churn-intensity grid shared by the churn sweeps: fraction of the
 /// population crashed in the wave (0 = the no-fault baseline row).

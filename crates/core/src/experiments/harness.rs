@@ -226,18 +226,9 @@ impl System for NpsSim {
             space,
             landmarks,
             layers,
-            ref_fraction,
             refs_per_node,
             security,
-            security_c,
-            security_min_error,
-            probe_threshold_ms,
-            reposition_ms,
-            join_stagger_ms,
-            landmark_rounds,
             simplex,
-            update_damping,
-            link,
             // The probation channel only runs while a defense is deployed.
             probation_every: _,
         } = config.clone();
@@ -245,18 +236,9 @@ impl System for NpsSim {
             space,
             landmarks,
             layers,
-            ref_fraction,
             refs_per_node,
             security,
-            security_c,
-            security_min_error,
-            probe_threshold_ms,
-            reposition_ms,
-            join_stagger_ms,
-            landmark_rounds,
             simplex,
-            update_damping,
-            link,
             probation_every: 0,
         }
     }

@@ -34,6 +34,27 @@ use vcoord_netsim::{Engine, Injected, NodeId, Scheduler, SeedStream, World};
 use vcoord_space::{Coord, Space};
 use vcoord_topo::RttMatrix;
 
+/// Length of one positioning round: each node's repositioning period (ms).
+pub const ROUND_MS: u64 = 60_000;
+/// Fraction of ordinary nodes placed in each middle (reference) layer.
+pub(crate) const REF_FRACTION: f64 = 0.20;
+/// Sensitivity constant `C` of the security filter.
+pub(crate) const SECURITY_C: f64 = 4.0;
+/// Absolute fitting-error floor of the security filter (condition 1).
+pub(crate) const SECURITY_MIN_ERROR: f64 = 0.01;
+/// Probes slower than this are discarded as suspicious (ms).
+pub(crate) const PROBE_THRESHOLD_MS: f64 = 5_000.0;
+/// Per-layer join stagger window (ms): layer `i` joins during
+/// `[(i-1)·stagger, i·stagger)`.
+const JOIN_STAGGER_MS: u64 = 120_000;
+/// Passes of iterative landmark embedding at start-up.
+const LANDMARK_ROUNDS: usize = 30;
+/// Per-round movement damping α ∈ (0, 1]: a repositioning moves a node
+/// `α · (fit − incumbent)`. First positionings are undamped. Damped
+/// incremental refinement is what keeps the security filter's reference
+/// frame stable under attack (see DESIGN.md calibration notes).
+const UPDATE_DAMPING: f64 = 0.20;
+
 const TAG_REPOSITION: u64 = 1;
 
 /// Positioning/probe counters, exposed for tests and diagnostics.
@@ -45,8 +66,6 @@ pub struct NpsCounters {
     pub skipped_rounds: u64,
     /// Probes discarded by the probe threshold.
     pub probes_discarded: u64,
-    /// Probes lost to the benign link model.
-    pub probes_lost: u64,
     /// References eliminated by the security filter.
     pub refs_filtered: u64,
     /// Replacement references granted by the membership server.
@@ -115,22 +134,17 @@ impl NpsWorld {
     fn security(&self) -> SecurityPolicy {
         SecurityPolicy {
             enabled: self.config.security,
-            c: self.config.security_c,
-            min_error: self.config.security_min_error,
+            c: SECURITY_C,
+            min_error: SECURITY_MIN_ERROR,
         }
     }
 
     /// Gather one reference probe, applying adversary and threshold rules.
     /// Returns `None` if the probe was lost or discarded.
     fn probe_ref(&mut self, node: usize, r: usize, now_ms: u64) -> Option<RefSample> {
-        let base_rtt = self.matrix.rtt(node, r);
-        let true_rtt = match self.config.link.apply(base_rtt, &mut self.probe_rng) {
-            Some(v) => v,
-            None => {
-                self.counters.probes_lost += 1;
-                return None;
-            }
-        };
+        // Floor the measured RTT at 0.1 ms, as a `LinkModel` does: a loaded
+        // King matrix may hold cells below it.
+        let true_rtt = self.matrix.rtt(node, r).max(0.1);
         let true_rtt = if self.chaos.is_some() {
             match self.chaos_probe(node, r, now_ms, true_rtt) {
                 Some(v) => v,
@@ -154,10 +168,10 @@ impl NpsWorld {
                 layer: &self.layer,
                 malicious: &self.malicious,
                 is_ref: &self.is_ref,
-                round: now_ms / self.config.reposition_ms.max(1),
+                round: now_ms / ROUND_MS,
                 now_ms,
                 params: Protocol {
-                    probe_threshold_ms: self.config.probe_threshold_ms,
+                    probe_threshold_ms: PROBE_THRESHOLD_MS,
                     ..Protocol::default()
                 },
             };
@@ -191,7 +205,7 @@ impl NpsWorld {
             None => (self.coords[r].clone(), true_rtt),
         };
 
-        if rtt > self.config.probe_threshold_ms {
+        if rtt > PROBE_THRESHOLD_MS {
             // The paper: such probes are "considered suspicious" and
             // discarded. The requesting node additionally bans the offending
             // reference — no benign probe can exceed a 5 s threshold, so
@@ -229,7 +243,7 @@ impl NpsWorld {
                     reported_coord: &coord,
                     reported_error: 1.0,
                     rtt,
-                    round: now_ms / self.config.reposition_ms.max(1),
+                    round: now_ms / ROUND_MS,
                     now_ms,
                     provenance,
                 },
@@ -459,11 +473,10 @@ impl NpsWorld {
         }
 
         if self.positioned[node] {
-            // Damped incremental refinement (see NpsConfig::update_damping).
-            let alpha = self.config.update_damping.clamp(0.0, 1.0);
+            // Damped incremental refinement (see `UPDATE_DAMPING`).
             let disp = outcome.coord.sub(&self.coords[node]);
             let space = self.config.space;
-            space.apply(&mut self.coords[node], &disp, alpha);
+            space.apply(&mut self.coords[node], &disp, UPDATE_DAMPING);
         } else {
             self.coords[node] = outcome.coord;
         }
@@ -475,7 +488,7 @@ impl NpsWorld {
             self.ledger.record(self.malicious[bad]);
             vcoord_obs::event(
                 vcoord_obs::metric_id!("nps.filter"),
-                now_ms / self.config.reposition_ms.max(1),
+                now_ms / ROUND_MS,
                 bad as u32,
                 if self.malicious[bad] { 1.0 } else { 0.0 },
             );
@@ -525,7 +538,7 @@ impl NpsWorld {
         vcoord_obs::counter_add(vcoord_obs::metric_id!("nps.probation_probes"), 1);
         vcoord_obs::event(
             vcoord_obs::metric_id!("nps.probation"),
-            now_ms / self.config.reposition_ms.max(1),
+            now_ms / ROUND_MS,
             node as u32,
             candidate as f64,
         );
@@ -542,8 +555,8 @@ impl World for NpsWorld {
     fn on_timer(&mut self, sched: &mut Scheduler<()>, node: NodeId, tag: u64) {
         debug_assert_eq!(tag, TAG_REPOSITION);
         // Jittered periodic repositioning.
-        let jitter = self.probe_rng.gen_range(0..=self.config.reposition_ms / 10);
-        sched.timer_after(self.config.reposition_ms + jitter, node, TAG_REPOSITION);
+        let jitter = self.probe_rng.gen_range(0..=ROUND_MS / 10);
+        sched.timer_after(ROUND_MS + jitter, node, TAG_REPOSITION);
 
         if let Some(chaos) = self.chaos.as_mut() {
             for &r in chaos.advance(sched.now()) {
@@ -613,7 +626,7 @@ impl NpsSim {
             n,
             &landmark_ids,
             config.layers,
-            config.ref_fraction,
+            REF_FRACTION,
             &mut seeds.rng("nps/layers"),
         );
         let membership = Membership::new(&layer, config.layers);
@@ -631,7 +644,7 @@ impl NpsSim {
         }
         let mut lm_scratch = PositionScratch::new();
         let mut lm_samples: Vec<RefSample> = Vec::with_capacity(landmark_ids.len());
-        for _round in 0..config.landmark_rounds {
+        for _round in 0..LANDMARK_ROUNDS {
             for &l in &landmark_ids {
                 lm_samples.clear();
                 lm_samples.extend(
@@ -669,13 +682,12 @@ impl NpsSim {
 
         let mut engine = Engine::new();
         let mut join_rng = seeds.rng("nps/join");
-        let stagger = config.join_stagger_ms.max(1);
         for (i, &l) in layer.iter().enumerate() {
             if l == 0 {
                 continue;
             }
-            let window_start = (l as u64 - 1) * stagger;
-            let at = window_start + join_rng.gen_range(0..stagger);
+            let window_start = (l as u64 - 1) * JOIN_STAGGER_MS;
+            let at = window_start + join_rng.gen_range(0..JOIN_STAGGER_MS);
             engine.scheduler().timer_at(at, i, TAG_REPOSITION);
         }
 
@@ -729,7 +741,7 @@ impl NpsSim {
 
     /// Advance by `n` repositioning rounds (the NPS "tick").
     pub fn run_rounds(&mut self, n: u64) {
-        self.run_ms(n * self.world.config.reposition_ms);
+        self.run_ms(n * ROUND_MS);
     }
 
     /// Current simulated time (ms).
@@ -739,7 +751,7 @@ impl NpsSim {
 
     /// Current round count (floor of now / reposition period).
     pub fn now_rounds(&self) -> u64 {
-        self.engine.now() / self.world.config.reposition_ms
+        self.engine.now() / ROUND_MS
     }
 
     /// The embedding space.
@@ -871,10 +883,10 @@ impl NpsSim {
             layer: &self.world.layer,
             malicious: &self.world.malicious,
             is_ref: &self.world.is_ref,
-            round: self.engine.now() / self.world.config.reposition_ms.max(1),
+            round: self.engine.now() / ROUND_MS,
             now_ms: self.engine.now(),
             params: Protocol {
-                probe_threshold_ms: self.world.config.probe_threshold_ms,
+                probe_threshold_ms: PROBE_THRESHOLD_MS,
                 ..Protocol::default()
             },
         };

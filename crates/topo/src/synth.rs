@@ -4,7 +4,7 @@
 //! coordinates: a high-speed core in which latency behaves roughly like
 //! Euclidean distance, plus per-node access links. Concretely:
 //!
-//! 1. Place `clusters` cluster centres ("continents") in a `core_dim`-D
+//! 1. Place `CLUSTERS` cluster centres ("continents") in a `CORE_DIM`-D
 //!    Euclidean core, scaled for intercontinental distances of ~60–160 ms.
 //! 2. Assign each node to a cluster (skewed weights — the Internet's node
 //!    distribution is uneven) and offset it with a Gaussian intra-cluster
@@ -18,9 +18,11 @@
 //!    leans on when dismissing TIV-based security tests.
 //! 6. Rescale so the median RTT matches the published King median.
 //!
-//! The defaults reproduce the King headline statistics (1740 nodes, median
-//! RTT in the low hundreds of ms, a heavy right tail, a few percent TIVs)
-//! while remaining imperfectly embeddable — which is what the attack dynamics
+//! The calibration is the constants below; a [`KingLikeConfig`] sets only
+//! the node count and the two TIV sources (noise and shortcuts). Together
+//! they reproduce the King headline statistics (1740 nodes, median RTT in
+//! the low hundreds of ms, a heavy right tail, a few percent TIVs) while
+//! remaining imperfectly embeddable — which is what the attack dynamics
 //! actually exercise. See `DESIGN.md` § Substitutions.
 
 use crate::matrix::RttMatrix;
@@ -28,51 +30,42 @@ use rand::Rng;
 use rand_distr::{Distribution, LogNormal, Normal};
 use serde::{Deserialize, Serialize};
 
+/// Dimension of the synthetic core space.
+const CORE_DIM: usize = 5;
+/// Number of clusters ("continents").
+const CLUSTERS: usize = 5;
+/// Std-dev of cluster centres in the core (controls intercontinental RTTs).
+const INTER_SIGMA_MS: f64 = 34.0;
+/// Std-dev of node offsets within a cluster.
+const INTRA_SIGMA_MS: f64 = 7.5;
+/// Median of the log-normal access-link height.
+const HEIGHT_MEDIAN_MS: f64 = 6.0;
+/// σ of the underlying normal for the height (tail heaviness).
+const HEIGHT_SIGMA: f64 = 0.8;
+/// Shortcut scaling range `(lo, hi)` applied multiplicatively.
+const SHORTCUT_SCALE: (f64, f64) = (0.45, 0.85);
+/// Median RTT after calibration (the published King median).
+const TARGET_MEDIAN_MS: f64 = 98.0;
+/// Lower clamp for every RTT.
+const MIN_RTT_MS: f64 = 1.0;
+
 /// Parameters for the King-equivalent generator.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KingLikeConfig {
     /// Number of nodes (the King data set has 1740).
     pub nodes: usize,
-    /// Dimension of the synthetic core space.
-    pub core_dim: usize,
-    /// Number of clusters ("continents").
-    pub clusters: usize,
-    /// Std-dev of cluster centres in the core (controls intercontinental
-    /// RTTs).
-    pub inter_sigma_ms: f64,
-    /// Std-dev of node offsets within a cluster.
-    pub intra_sigma_ms: f64,
-    /// Median of the log-normal access-link height.
-    pub height_median_ms: f64,
-    /// σ of the underlying normal for the height (tail heaviness).
-    pub height_sigma: f64,
     /// σ of the symmetric log-normal measurement noise.
     pub noise_sigma: f64,
     /// Fraction of pairs rewired onto shortcut routes (TIV injection).
     pub shortcut_fraction: f64,
-    /// Shortcut scaling range `(lo, hi)` applied multiplicatively.
-    pub shortcut_scale: (f64, f64),
-    /// Target median RTT after calibration; `None` disables rescaling.
-    pub target_median_ms: Option<f64>,
-    /// Lower clamp for every RTT.
-    pub min_rtt_ms: f64,
 }
 
 impl Default for KingLikeConfig {
     fn default() -> Self {
         KingLikeConfig {
             nodes: 1740,
-            core_dim: 5,
-            clusters: 5,
-            inter_sigma_ms: 34.0,
-            intra_sigma_ms: 7.5,
-            height_median_ms: 6.0,
-            height_sigma: 0.8,
             noise_sigma: 0.10,
             shortcut_fraction: 0.04,
-            shortcut_scale: (0.45, 0.85),
-            target_median_ms: Some(98.0),
-            min_rtt_ms: 1.0,
         }
     }
 }
@@ -104,29 +97,27 @@ impl KingLike {
     /// Generate a latency matrix.
     ///
     /// # Panics
-    /// Panics if `nodes < 2` or `clusters == 0`.
+    /// Panics if `nodes < 2`.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> RttMatrix {
         let c = &self.config;
         assert!(c.nodes >= 2, "need at least two nodes");
-        assert!(c.clusters >= 1, "need at least one cluster");
 
-        let centre_dist = Normal::new(0.0, c.inter_sigma_ms).expect("valid sigma");
-        let offset_dist = Normal::new(0.0, c.intra_sigma_ms).expect("valid sigma");
+        let centre_dist = Normal::new(0.0, INTER_SIGMA_MS).expect("valid sigma");
+        let offset_dist = Normal::new(0.0, INTRA_SIGMA_MS).expect("valid sigma");
         let height_dist =
-            LogNormal::new(c.height_median_ms.ln(), c.height_sigma).expect("valid lognormal");
+            LogNormal::new(HEIGHT_MEDIAN_MS.ln(), HEIGHT_SIGMA).expect("valid lognormal");
         let noise_dist = Normal::new(0.0, c.noise_sigma).expect("valid sigma");
 
-        // 1. Cluster centres, `core_dim` components each in one flat buffer.
-        let dim = c.core_dim;
-        let centres: Vec<f64> = (0..c.clusters * dim)
+        // 1. Cluster centres, `CORE_DIM` components each in one flat buffer.
+        let centres: Vec<f64> = (0..CLUSTERS * CORE_DIM)
             .map(|_| centre_dist.sample(rng))
             .collect();
 
         // 2. Skewed cluster membership: weight ∝ 1/(k+1), normalized.
-        let weights: Vec<f64> = (0..c.clusters).map(|k| 1.0 / (k as f64 + 1.0)).collect();
+        let weights: Vec<f64> = (0..CLUSTERS).map(|k| 1.0 / (k as f64 + 1.0)).collect();
         let wsum: f64 = weights.iter().sum();
 
-        let mut positions: Vec<f64> = Vec::with_capacity(c.nodes * dim);
+        let mut positions: Vec<f64> = Vec::with_capacity(c.nodes * CORE_DIM);
         let mut heights: Vec<f64> = Vec::with_capacity(c.nodes);
         for _ in 0..c.nodes {
             let mut pick = rng.gen_range(0.0..wsum);
@@ -138,7 +129,7 @@ impl KingLike {
                 }
                 pick -= w;
             }
-            for x in &centres[cluster * dim..(cluster + 1) * dim] {
+            for x in &centres[cluster * CORE_DIM..(cluster + 1) * CORE_DIM] {
                 positions.push(x + offset_dist.sample(rng));
             }
             // 3. Access heights; 15% of nodes are "well connected" stubs.
@@ -157,38 +148,34 @@ impl KingLike {
 
         // 4. Pairwise RTTs with symmetric noise.
         m.map_in_place(|i, j, _| {
-            let core: f64 = positions[i * dim..(i + 1) * dim]
+            let core: f64 = positions[i * CORE_DIM..(i + 1) * CORE_DIM]
                 .iter()
-                .zip(&positions[j * dim..(j + 1) * dim])
+                .zip(&positions[j * CORE_DIM..(j + 1) * CORE_DIM])
                 .map(|(a, b)| (a - b) * (a - b))
                 .sum::<f64>()
                 .sqrt();
             let base = core + heights[i] + heights[j];
             let noisy = base * noise_dist.sample(rng).exp();
-            noisy.max(c.min_rtt_ms)
+            noisy.max(MIN_RTT_MS)
         });
 
         // 5. Shortcut rewiring → triangle-inequality violations.
         if c.shortcut_fraction > 0.0 {
-            let (lo, hi) = c.shortcut_scale;
+            let (lo, hi) = SHORTCUT_SCALE;
             m.map_in_place(|_, _, v| {
                 if rng.gen_bool(c.shortcut_fraction) {
-                    (v * rng.gen_range(lo..hi)).max(c.min_rtt_ms)
+                    (v * rng.gen_range(lo..hi)).max(MIN_RTT_MS)
                 } else {
                     v
                 }
             });
         }
 
-        // 6. Median calibration: the upper median of the pairs, by selection.
-        if let Some(target) = c.target_median_ms {
-            let pairs = c.nodes * (c.nodes - 1) / 2;
-            let median = m.upper_nth(pairs / 2);
-            if median > 0.0 {
-                let s = target / median;
-                m.map_in_place(|_, _, v| (v * s).max(c.min_rtt_ms));
-            }
-        }
+        // 6. Median calibration: the upper median of the pairs, by selection
+        // (at least `MIN_RTT_MS`, like every cell).
+        let pairs = c.nodes * (c.nodes - 1) / 2;
+        let s = TARGET_MEDIAN_MS / m.upper_nth(pairs / 2);
+        m.map_in_place(|_, _, v| (v * s).max(MIN_RTT_MS));
 
         debug_assert!(m.validate().is_ok());
         m
@@ -206,23 +193,23 @@ mod tests {
     /// written pair by pair through `RttMatrix::set`, positions as nested
     /// `Vec`s, the median by a full stable sort. Kept as the bit oracle.
     fn generate_oracle<R: Rng + ?Sized>(c: &KingLikeConfig, rng: &mut R) -> RttMatrix {
-        let centre_dist = Normal::new(0.0, c.inter_sigma_ms).unwrap();
-        let offset_dist = Normal::new(0.0, c.intra_sigma_ms).unwrap();
-        let height_dist = LogNormal::new(c.height_median_ms.ln(), c.height_sigma).unwrap();
+        let centre_dist = Normal::new(0.0, INTER_SIGMA_MS).unwrap();
+        let offset_dist = Normal::new(0.0, INTRA_SIGMA_MS).unwrap();
+        let height_dist = LogNormal::new(HEIGHT_MEDIAN_MS.ln(), HEIGHT_SIGMA).unwrap();
         let noise_dist = Normal::new(0.0, c.noise_sigma).unwrap();
-        let centre = |_| (0..c.core_dim).map(|_| centre_dist.sample(rng)).collect();
-        let centres: Vec<Vec<f64>> = (0..c.clusters).map(centre).collect();
-        let weights: Vec<f64> = (0..c.clusters).map(|k| 1.0 / (k as f64 + 1.0)).collect();
+        let centre = |_| (0..CORE_DIM).map(|_| centre_dist.sample(rng)).collect();
+        let centres: Vec<Vec<f64>> = (0..CLUSTERS).map(centre).collect();
+        let weights: Vec<f64> = (0..CLUSTERS).map(|k| 1.0 / (k as f64 + 1.0)).collect();
         let wsum: f64 = weights.iter().sum();
         let (mut positions, mut heights) = (Vec::<Vec<f64>>::new(), Vec::new());
         for _ in 0..c.nodes {
             let (mut pick, mut k) = (rng.gen_range(0.0..wsum), 0);
-            while k < c.clusters && pick >= weights[k] {
+            while k < CLUSTERS && pick >= weights[k] {
                 pick -= weights[k];
                 k += 1;
             }
             let offset = |x: &f64| x + offset_dist.sample(rng);
-            positions.push(centres[k % c.clusters].iter().map(offset).collect());
+            positions.push(centres[k % CLUSTERS].iter().map(offset).collect());
             let h = if rng.gen_bool(0.15) {
                 rng.gen_range(0.3..1.5)
             } else {
@@ -236,22 +223,24 @@ mod tests {
             let sq = positions[i].iter().zip(&positions[j]);
             let core: f64 = sq.map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
             let noisy = (core + heights[i] + heights[j]) * noise_dist.sample(rng).exp();
-            m.set(i, j, noisy.max(c.min_rtt_ms));
+            m.set(i, j, noisy.max(MIN_RTT_MS));
         }
         for (i, j) in pairs(c.nodes).filter(|_| c.shortcut_fraction > 0.0) {
             if rng.gen_bool(c.shortcut_fraction) {
-                let (lo, hi) = c.shortcut_scale;
-                let v = (m.rtt(i, j) * rng.gen_range(lo..hi)).max(c.min_rtt_ms);
+                let (lo, hi) = SHORTCUT_SCALE;
+                let v = (m.rtt(i, j) * rng.gen_range(lo..hi)).max(MIN_RTT_MS);
                 m.set(i, j, v);
             }
         }
-        if let Some(target) = c.target_median_ms {
-            let mut vals: Vec<f64> = m.pairs().map(|(_, _, v)| v).collect();
-            vals.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let median = vals[vals.len() / 2];
-            for (i, j) in pairs(c.nodes).filter(|_| median > 0.0) {
-                m.set(i, j, (m.rtt(i, j) * (target / median)).max(c.min_rtt_ms));
-            }
+        let mut vals: Vec<f64> = m.pairs().map(|(_, _, v)| v).collect();
+        vals.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let median = vals[vals.len() / 2];
+        for (i, j) in pairs(c.nodes) {
+            m.set(
+                i,
+                j,
+                (m.rtt(i, j) * (TARGET_MEDIAN_MS / median)).max(MIN_RTT_MS),
+            );
         }
         m
     }
@@ -263,10 +252,9 @@ mod tests {
 
     #[test]
     fn streaming_generator_matches_the_pairwise_oracle_bit_for_bit() {
-        let variants: [fn(&mut KingLikeConfig); 4] = [
+        let variants: [fn(&mut KingLikeConfig); 3] = [
             |_| {},
             |c| c.shortcut_fraction = 0.0,
-            |c| c.target_median_ms = None,
             |c| c.noise_sigma = 0.0,
         ];
         for n in [2, 3, 50, 72, 400] {

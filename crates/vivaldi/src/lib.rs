@@ -8,9 +8,10 @@
 //! measured RTT; every probe sample relaxes the observing node toward the
 //! spring equilibrium by an adaptive timestep `δ = Cc · w`, where the weight
 //! `w = e_i / (e_i + e_j)` balances local and remote error estimates. The
-//! paper's simulation parameters are the defaults here: 64 neighbours per
-//! node of which 32 are closer than 50 ms, `Cc = 0.25`, a 2-D coordinate
-//! space, and one probe per node per ~17 s tick.
+//! paper's simulation parameters are constants of [`sim`]: 64 neighbours
+//! per node of which 32 are closer than 50 ms, `Cc = 0.25`, and one probe
+//! per node per ~17 s tick. [`VivaldiConfig`] holds only what a run
+//! varies, the space (2-D Euclidean by default) and the link model.
 //!
 //! Malicious behaviour is injected through the generic
 //! [`vcoord_attackkit::AttackStrategy`] seam (see

@@ -28,9 +28,23 @@ use vcoord_chaos::{ChaosCounters, ChaosPlan, ChaosState, ProbeFate};
 use vcoord_defense::{
     Defense, DefenseStats, DefenseStrategy, Provenance, Update as DefenseUpdate, Verdict,
 };
-use vcoord_netsim::{time, Engine, Injected, NodeId, Scheduler, SeedStream, World};
+use vcoord_netsim::{time, Engine, Injected, NodeId, Scheduler, SeedStream, World, TICK_MS};
 use vcoord_space::{Coord, Space};
 use vcoord_topo::RttMatrix;
+
+/// Adaptive timestep constant `Cc` (< 1).
+pub(crate) const CC: f64 = 0.25;
+/// Total neighbours (springs) per node.
+pub(crate) const NEIGHBORS: usize = 64;
+/// How many of the neighbours must be "near" (RTT below
+/// [`NEAR_CUTOFF_MS`]), when enough exist.
+pub(crate) const NEAR_NEIGHBORS: usize = 32;
+/// RTT cutoff defining a near neighbour.
+pub(crate) const NEAR_CUTOFF_MS: f64 = 50.0;
+/// Local error estimate of a fresh (or restarted) node.
+const INITIAL_ERROR: f64 = 1.0;
+/// Numerical clamp range for local error estimates.
+const ERROR_CLAMP: (f64, f64) = (1e-6, 1e3);
 
 /// Timer tag: a node's probe tick.
 const TAG_PROBE: u64 = 0;
@@ -169,14 +183,14 @@ impl World for VivaldiWorld {
         debug_assert_eq!(tag, TAG_PROBE);
         // Keep ticking (even for malicious nodes, so a cured node could
         // resume; cheap either way).
-        sched.timer_after(self.config.tick_ms, node, TAG_PROBE);
+        sched.timer_after(TICK_MS, node, TAG_PROBE);
         if let Some(chaos) = self.chaos.as_mut() {
             // Apply churn that came due. Restarted nodes rejoin from the
             // cold-start state; their strike counts are wiped.
             for &r in chaos.advance(sched.now()) {
                 if !self.malicious[r] {
                     self.coords[r] = self.config.space.origin();
-                    self.errors[r] = self.config.initial_error;
+                    self.errors[r] = INITIAL_ERROR;
                 }
                 for spring in &mut self.springs[r] {
                     spring.strikes = 0;
@@ -258,10 +272,10 @@ impl VivaldiWorld {
                     layer: &[],
                     malicious: &self.malicious,
                     is_ref: &[],
-                    round: sched.now() / self.config.tick_ms.max(1),
+                    round: sched.now() / TICK_MS,
                     now_ms: sched.now(),
                     params: Protocol {
-                        cc: self.config.cc,
+                        cc: CC,
                         probe_threshold_ms: f64::INFINITY,
                     },
                 };
@@ -366,7 +380,7 @@ impl VivaldiWorld {
                         reported_coord: &s.coord,
                         reported_error: s.error,
                         rtt: s.rtt,
-                        round: sched.now() / self.config.tick_ms.max(1),
+                        round: sched.now() / TICK_MS,
                         now_ms: sched.now(),
                         provenance: Provenance::Normal,
                     },
@@ -395,8 +409,8 @@ impl VivaldiWorld {
         };
         let applied = vivaldi_update_scaled(
             &self.config.space,
-            self.config.cc,
-            self.config.error_clamp,
+            CC,
+            ERROR_CLAMP,
             &mut self.coords[to],
             &mut self.errors[to],
             &s.coord,
@@ -443,9 +457,9 @@ impl VivaldiSim {
                 let peers = select_neighbors(
                     &matrix,
                     i,
-                    config.neighbors,
-                    config.near_neighbors,
-                    config.near_cutoff_ms,
+                    NEIGHBORS,
+                    NEAR_NEIGHBORS,
+                    NEAR_CUTOFF_MS,
                     &mut rng,
                 );
                 peers.iter().map(|&j| Spring::new(&matrix, i, j)).collect()
@@ -454,7 +468,7 @@ impl VivaldiSim {
 
         let world = VivaldiWorld {
             coords: vec![config.space.origin(); n],
-            errors: vec![config.initial_error; n],
+            errors: vec![INITIAL_ERROR; n],
             springs,
             malicious: vec![false; n],
             scenario: Injected::default(),
@@ -472,7 +486,7 @@ impl VivaldiSim {
         let mut engine = Engine::new();
         let mut phase_rng = seeds.rng("vivaldi/phase");
         for i in 0..n {
-            let phase = phase_rng.gen_range(0..world.config.tick_ms.max(1));
+            let phase = phase_rng.gen_range(0..TICK_MS);
             engine.scheduler().timer_at(phase, i, TAG_PROBE);
         }
         VivaldiSim { engine, world }
@@ -494,13 +508,13 @@ impl VivaldiSim {
     pub fn run_ticks(&mut self, n: u64) {
         let _span = vcoord_obs::span(vcoord_obs::metric_id!("vivaldi.run_ticks_ns"));
         vcoord_obs::counter_add(vcoord_obs::metric_id!("vivaldi.ticks"), n);
-        let target = self.engine.now() + n * self.world.config.tick_ms;
+        let target = self.engine.now() + n * TICK_MS;
         self.engine.run_until(&mut self.world, target);
     }
 
     /// Current tick count (floor of now / tick length).
     pub fn now_ticks(&self) -> u64 {
-        self.engine.now() / self.world.config.tick_ms
+        self.engine.now() / TICK_MS
     }
 
     /// Current simulated time in ms.
@@ -595,10 +609,10 @@ impl VivaldiSim {
             layer: &[],
             malicious: &self.world.malicious,
             is_ref: &[],
-            round: self.engine.now() / self.world.config.tick_ms.max(1),
+            round: self.engine.now() / TICK_MS,
             now_ms: self.engine.now(),
             params: Protocol {
-                cc: self.world.config.cc,
+                cc: CC,
                 probe_threshold_ms: f64::INFINITY,
             },
         };
@@ -887,10 +901,9 @@ mod tests {
         let mut sim = small_sim(40, 25);
         assert_springs_true(&sim);
         sim.run_ticks(60);
-        let tick = sim.config().tick_ms;
         sim.install_chaos(
             ChaosPlan::with_seed(7)
-                .churn_wave(40, 0.25, 2 * tick, 40 * tick)
+                .churn_wave(40, 0.25, 2 * TICK_MS, 40 * TICK_MS)
                 .bursts(BurstModel::mild()),
         );
         sim.run_ticks(80);
@@ -910,11 +923,10 @@ mod tests {
         // next tick boundary.
         let mut sim = small_sim(10, 26);
         sim.run_ticks(20);
-        let tick = sim.config().tick_ms;
         sim.install_chaos(
             ChaosPlan::none()
                 .takedown(&[0, 1, 2, 3], 0, None)
-                .takedown(&[9], 40 * tick, Some(5 * tick))
+                .takedown(&[9], 40 * TICK_MS, Some(5 * TICK_MS))
                 .probe_policy(ProbePolicy {
                     timeout_ms: 10_000.0,
                     evict_after: u32::MAX,
@@ -988,9 +1000,8 @@ mod tests {
         sim.run_ticks(150);
         let plan = EvalPlan::new(&sim.honest_nodes(), &mut SeedStream::new(9).rng("plan"));
         let steady = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
-        let tick = sim.config().tick_ms;
         // A quarter of the population bounces: down for 10 ticks.
-        sim.install_chaos(ChaosPlan::with_seed(5).churn_wave(40, 0.25, 2 * tick, 10 * tick));
+        sim.install_chaos(ChaosPlan::with_seed(5).churn_wave(40, 0.25, 2 * TICK_MS, 10 * TICK_MS));
         sim.run_ticks(15);
         let c = sim.chaos_counters().unwrap();
         assert_eq!(c.crashes, 10);
@@ -1010,8 +1021,7 @@ mod tests {
     fn partitions_time_probes_out_until_healed() {
         let mut sim = small_sim(20, 24);
         sim.run_ticks(30);
-        let tick = sim.config().tick_ms;
-        sim.install_chaos(ChaosPlan::with_seed(2).split(20, 0.5, 0, 20 * tick));
+        sim.install_chaos(ChaosPlan::with_seed(2).split(20, 0.5, 0, 20 * TICK_MS));
         sim.run_ticks(10);
         let mid = sim.chaos_counters().unwrap().timeouts;
         assert!(mid > 0, "cross-partition probes must time out");
