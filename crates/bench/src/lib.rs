@@ -22,7 +22,7 @@ use vcoord::netsim::{Engine, NodeId, Scheduler, SeedStream, World, TICK_MS};
 use vcoord::nps::{position_node, PositionOutcome, PositionScratch, RefSample, SecurityPolicy};
 use vcoord::obs::{set_mode, ObsMode};
 use vcoord::space::simplex::oracle::simplex_downhill_reference;
-use vcoord::space::{dist_batch, simplex_downhill, Coord, SimplexOptions, SimplexScratch, Space};
+use vcoord::space::{simplex_downhill, Coord, SimplexOptions, SimplexScratch, Space};
 use vcoord::topo::{KingLike, KingLikeConfig};
 use vcoord::vivaldi::node::vivaldi_update;
 
@@ -171,9 +171,9 @@ const QUEUE_NODES: usize = 1740;
 /// Length of a [`netsim_queue_run`], in ticks.
 const QUEUE_TICKS: u64 = 20;
 
-/// A message the size of a Vivaldi probe response (a coordinate, an error
-/// and an RTT), so events weigh what the simulator's do.
-type QueuePayload = [f64; 6];
+/// The payload a Vivaldi probe response travels as (the id of the slot
+/// holding it), so events weigh what the simulator's do.
+type QueuePayload = u32;
 
 struct QueueWorld {
     respond: bool,
@@ -188,7 +188,7 @@ impl World for QueueWorld {
         sched.timer_after(TICK_MS, node, tag);
         if self.respond {
             let rtt = 1 + (lcg_step(&mut self.lcg) >> 33) % 400;
-            sched.deliver_after(rtt, (node + 1) % QUEUE_NODES, node, [0.0; 6]);
+            sched.deliver_after(rtt, (node + 1) % QUEUE_NODES, node, 0);
         }
     }
 
@@ -432,24 +432,6 @@ pub fn kernel_rows() -> Vec<KernelRow> {
         let events = netsim_queue_run(pattern);
         rows.push(row(name, events as f64, move || {
             black_box(netsim_queue_run(pattern));
-        }));
-    }
-
-    {
-        // The batched SoA distance kernel at the EvalPlan working-set shape
-        // (96 sampled peers per node). The row keeps its per-64-calls unit.
-        let space = Space::Euclidean(8);
-        let mut rng = SeedStream::new(5).rng("bench/lanes");
-        let a = space.random_coord(150.0, &mut rng).vec;
-        let peers: Vec<f64> = (0..96)
-            .flat_map(|_| space.random_coord(150.0, &mut rng).vec)
-            .collect();
-        let mut out = vec![0.0; 96];
-        rows.push(row("dist_batch_8d_96pairs_x64", 1.0, move || {
-            for _ in 0..SHORT_CALLS {
-                dist_batch(black_box(&a), &peers, &mut out);
-            }
-            black_box(&mut out);
         }));
     }
 

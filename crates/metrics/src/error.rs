@@ -76,26 +76,6 @@ impl CoordSnapshot {
     fn point(&self, i: usize) -> &[f64] {
         &self.flat[i * self.dim..(i + 1) * self.dim]
     }
-
-    /// Copy the rows and heights of `idxs` into contiguous buffers — the
-    /// gather step feeding [`Space::distance_flat_batch`].
-    fn gather(&self, idxs: &[u32], rows: &mut Vec<f64>, heights: &mut Vec<f64>) {
-        rows.clear();
-        heights.clear();
-        for &j in idxs {
-            rows.extend_from_slice(self.point(j as usize));
-            heights.push(self.heights[j as usize]);
-        }
-    }
-}
-
-/// Per-worker reusable buffers for the batched distance sweep: gathered
-/// peer rows/heights plus the distance lane output.
-#[derive(Debug, Default)]
-struct DistScratch {
-    rows: Vec<f64>,
-    heights: Vec<f64>,
-    dists: Vec<f64>,
 }
 
 /// The measured RTT of every planned pair, copied out of one matrix
@@ -247,36 +227,21 @@ impl EvalPlan {
     }
 
     /// [`EvalPlan::node_error`] evaluated against a flat snapshot and the
-    /// bound RTTs: the node's peers are gathered into the scratch's
-    /// contiguous buffers and all predicted distances come from one
-    /// [`Space::distance_flat_batch`] call. Each distance and the
-    /// peer-order error reduction are bit-identical to the per-pair path.
-    fn node_error_snap(
-        &self,
-        k: usize,
-        snap: &CoordSnapshot,
-        space: &Space,
-        rtts: &[f64],
-        scratch: &mut DistScratch,
-    ) -> f64 {
-        let i = self.nodes[k];
+    /// bound RTTs: each predicted distance is one [`Space::distance_flat`]
+    /// on the snapshot's rows, and the peer-order error reduction is the
+    /// per-pair path's, so the result is bit-identical to it.
+    fn node_error_snap(&self, k: usize, snap: &CoordSnapshot, space: &Space, rtts: &[f64]) -> f64 {
         let span = self.span(k);
         let peers = &self.peers[span.clone()];
         if peers.is_empty() {
             return 0.0;
         }
-        snap.gather(peers, &mut scratch.rows, &mut scratch.heights);
-        scratch.dists.clear();
-        scratch.dists.resize(peers.len(), 0.0);
-        space.distance_flat_batch(
-            snap.point(i),
-            snap.heights[i],
-            &scratch.rows,
-            &scratch.heights,
-            &mut scratch.dists,
-        );
+        let i = self.nodes[k];
+        let (a, a_height) = (snap.point(i), snap.heights[i]);
         let mut sum = 0.0;
-        for (&actual, &predicted) in rtts[span].iter().zip(scratch.dists.iter()) {
+        for (&j, &actual) in peers.iter().zip(&rtts[span]) {
+            let j = j as usize;
+            let predicted = space.distance_flat(a, a_height, snap.point(j), snap.heights[j]);
             sum += relative_error(actual, predicted).min(CLAMP);
         }
         sum / peers.len() as f64
@@ -320,9 +285,8 @@ impl EvalPlan {
         let mut out = vec![0.0; n];
         let workers = threads.max(1).min(n.max(1));
         if workers == 1 || n < Self::PARALLEL_THRESHOLD {
-            let mut scratch = DistScratch::default();
             for (k, e) in out.iter_mut().enumerate() {
-                *e = self.node_error_snap(k, &snap, space, rtts, &mut scratch);
+                *e = self.node_error_snap(k, &snap, space, rtts);
             }
             return out;
         }
@@ -341,15 +305,8 @@ impl EvalPlan {
                     let snap = &snap;
                     scope.spawn(move || {
                         let start = timed.then(std::time::Instant::now);
-                        let mut scratch = DistScratch::default();
                         for (off, e) in slot.iter_mut().enumerate() {
-                            *e = self.node_error_snap(
-                                c * chunk + off,
-                                snap,
-                                space,
-                                rtts,
-                                &mut scratch,
-                            );
+                            *e = self.node_error_snap(c * chunk + off, snap, space, rtts);
                         }
                         start.map(|t| t.elapsed().as_nanos() as f64)
                     })

@@ -8,8 +8,8 @@ use std::collections::{BinaryHeap, VecDeque};
 pub type NodeId = usize;
 
 /// An event delivered to a [`World`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event<P> {
+#[derive(Clone)]
+enum Event<P> {
     /// A timer registered by the world fired at `node` with an opaque `tag`.
     Timer {
         /// Node the timer belongs to.
@@ -187,7 +187,7 @@ pub trait World {
 /// The event loop: a clock plus a deterministic priority queue.
 ///
 /// ```
-/// use vcoord_netsim::{Engine, Event, NodeId, Scheduler, World};
+/// use vcoord_netsim::{Engine, NodeId, Scheduler, World};
 ///
 /// struct PingPong { pings: u32 }
 /// impl World for PingPong {
@@ -474,6 +474,12 @@ mod tests {
             w.log.into_inner()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn a_slot_id_payload_keeps_queue_entries_at_40_bytes() {
+        // Time, sequence number, and a message of two node ids and a u32.
+        assert_eq!(std::mem::size_of::<Scheduled<u32>>(), 40);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod link;
 pub mod seed;
 pub mod time;
 
-pub use engine::{Engine, Event, Injected, NodeId, Scheduler, World};
+pub use engine::{Engine, Injected, NodeId, Scheduler, World};
 pub use link::LinkModel;
 pub use seed::SeedStream;
 pub use time::{Duration, Time, MILLIS, SECS, TICK_MS};

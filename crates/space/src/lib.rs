@@ -29,12 +29,10 @@
 #![forbid(unsafe_code)]
 
 pub mod coord;
-pub mod lanes;
 pub mod simplex;
 pub mod space;
 pub mod vector;
 
 pub use coord::{Coord, Displacement};
-pub use lanes::dist_batch;
 pub use simplex::{simplex_downhill, SimplexOptions, SimplexResult, SimplexScratch};
 pub use space::Space;

@@ -67,38 +67,6 @@ impl Space {
         }
     }
 
-    /// Batched [`Space::distance_flat`]: distances from one point to many
-    /// points stored as contiguous dimension-strided rows
-    /// (`rows[p*dim..(p+1)*dim]` is point `p`, `heights[p]` its height).
-    ///
-    /// Routes through the SoA lane kernel ([`crate::lanes::dist_batch`]).
-    /// Results are bit-identical to calling [`Space::distance_flat`] once per
-    /// pair.
-    ///
-    /// # Panics
-    /// Panics if `rows.len() != a.len() * out.len()`, or (for the height
-    /// model) if `heights.len() < out.len()`.
-    pub fn distance_flat_batch(
-        &self,
-        a: &[f64],
-        a_height: f64,
-        rows: &[f64],
-        heights: &[f64],
-        out: &mut [f64],
-    ) {
-        match self {
-            Space::Euclidean(_) => crate::lanes::dist_batch(a, rows, out),
-            Space::EuclideanHeight(_) => {
-                assert!(heights.len() >= out.len(), "heights/out shape mismatch");
-                crate::lanes::dist_batch(a, rows, out);
-                for (o, h) in out.iter_mut().zip(heights) {
-                    // Same association as `dist + a.height + b.height`.
-                    *o = *o + a_height + h;
-                }
-            }
-        }
-    }
-
     /// Displacement `a − b` in this space.
     ///
     /// For Euclidean spaces the height part is forced to zero; for the height
@@ -229,28 +197,6 @@ mod tests {
                     via_flat.to_bits(),
                     "{space:?}: {via_coord} vs {via_flat}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn distance_flat_batch_is_bit_identical_per_pair() {
-        let mut r = rng();
-        for space in [Space::Euclidean(3), Space::EuclideanHeight(2)] {
-            let a = space.random_coord(2.0, &mut r);
-            let points: Vec<Coord> = (0..7).map(|_| space.random_coord(2.0, &mut r)).collect();
-            let dim = space.dim();
-            let mut rows = Vec::with_capacity(dim * points.len());
-            let mut heights = Vec::with_capacity(points.len());
-            for p in &points {
-                rows.extend_from_slice(&p.vec);
-                heights.push(p.height);
-            }
-            let mut out = vec![0.0; points.len()];
-            space.distance_flat_batch(&a.vec, a.height, &rows, &heights, &mut out);
-            for (p, got) in points.iter().zip(&out) {
-                let want = space.distance(&a, p);
-                assert_eq!(got.to_bits(), want.to_bits(), "{space:?}");
             }
         }
     }

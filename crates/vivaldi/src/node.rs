@@ -12,7 +12,7 @@
 //! ```
 
 use rand::Rng;
-use vcoord_space::{Coord, Space};
+use vcoord_space::{vector, Coord, Space};
 
 /// Outcome of a single update, for diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,6 +67,13 @@ pub fn vivaldi_update<R: Rng + ?Sized>(
 /// `× scale` on the existing expression, and `x × 1.0` preserves every bit
 /// of a finite `x`), which is what lets `Verdict::Dampen(1.0)` stand in
 /// for `Verdict::Accept` without perturbing golden figures.
+///
+/// The node moves in place, with no displacement built: each component
+/// becomes `x += step · ((x − r) · inv)` where `inv` is one over the
+/// height-model norm `‖x − r‖ + (h_x + h_r)` of the direction. These are
+/// the operations of [`Space::direction`] followed by [`Space::apply`], in
+/// the same order, so the result is the same to the bit. Only coincident
+/// nodes take a [`Space::random_unit`] kick.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's update rule inputs
 pub fn vivaldi_update_scaled<R: Rng + ?Sized>(
     space: &Space,
@@ -85,7 +92,17 @@ pub fn vivaldi_update_scaled<R: Rng + ?Sized>(
     }
     let remote_error = remote_error.clamp(0.0, error_clamp.1);
 
-    let dist = space.distance(coord, remote_coord);
+    // The core distance serves both the prediction and the direction norm.
+    let core = vector::dist(&coord.vec, &remote_coord.vec);
+    let (dist, dh) = if space.has_height() {
+        (
+            core + coord.height + remote_coord.height,
+            coord.height + remote_coord.height,
+        )
+    } else {
+        (core, 0.0)
+    };
+    let norm = core + dh;
     let sample_error = (dist - rtt).abs() / rtt;
 
     // Weight balancing local and remote confidence. Two perfectly confident
@@ -98,9 +115,21 @@ pub fn vivaldi_update_scaled<R: Rng + ?Sized>(
     };
 
     let delta = cc * weight * scale;
-    let dir = space.direction(coord, remote_coord, rng);
     let step = delta * (rtt - dist);
-    space.apply(coord, &dir, step);
+    if norm <= f64::EPSILON {
+        space.apply(coord, &space.random_unit(rng), step);
+    } else {
+        let inv = 1.0 / norm;
+        for (x, r) in coord.vec.iter_mut().zip(&remote_coord.vec) {
+            *x += step * ((*x - r) * inv);
+        }
+        let height = coord.height + step * (dh * inv);
+        coord.height = if !space.has_height() || height < 0.0 {
+            0.0
+        } else {
+            height
+        };
+    }
     if !coord.is_finite() {
         coord.sanitize();
     }
@@ -410,6 +439,93 @@ mod tests {
         assert_eq!(out.displacement, 0.0);
         assert_eq!(c.vec, vec![100.0, 0.0], "fully dampened: no movement");
         assert_ne!(e, 1.0, "error estimate still updates");
+    }
+
+    /// The update as it was written before it moved the node in place:
+    /// build the unit direction, then apply the step along it.
+    fn update_via_direction(
+        space: &Space,
+        coord: &mut Coord,
+        error: &mut f64,
+        remote: &Coord,
+        remote_error: f64,
+        rtt: f64,
+        rng: &mut ChaCha12Rng,
+    ) {
+        let remote_error = remote_error.clamp(0.0, CLAMP.1);
+        let dist = space.distance(coord, remote);
+        let sample_error = (dist - rtt).abs() / rtt;
+        let denom = *error + remote_error;
+        let weight = if denom <= f64::EPSILON {
+            0.5
+        } else {
+            *error / denom
+        };
+        let dir = space.direction(coord, remote, rng);
+        space.apply(coord, &dir, 0.25 * weight * (rtt - dist));
+        if !coord.is_finite() {
+            coord.sanitize();
+        }
+        *error = (sample_error * weight + *error * (1.0 - weight)).clamp(CLAMP.0, CLAMP.1);
+    }
+
+    #[test]
+    fn in_place_step_matches_direction_then_apply_bitwise() {
+        let mut draw = ChaCha12Rng::seed_from_u64(5);
+        for space in [
+            Space::Euclidean(2),
+            Space::Euclidean(5),
+            Space::EuclideanHeight(2),
+            Space::EuclideanHeight(3),
+        ] {
+            for case in 0..400 {
+                let mut a = space.random_coord(200.0, &mut draw);
+                let mut remote = space.random_coord(200.0, &mut draw);
+                match case % 8 {
+                    // Coincident nodes take the random kick.
+                    0 => remote = a.clone(),
+                    // Heights that pull the node through zero.
+                    1 if space.has_height() => a.height = 1e-3,
+                    // A Euclidean node carrying a stale height.
+                    2 if !space.has_height() => a.height = 7.0,
+                    // A finite pair whose distance overflows.
+                    3 => {
+                        a.vec[0] = 1e308;
+                        remote.vec[0] = -1e308;
+                    }
+                    _ => {}
+                }
+                let mut b = a.clone();
+                let mut ea: f64 = draw.gen_range(0.0..2.0);
+                let mut eb = ea;
+                let remote_error = draw.gen_range(0.0..2.0);
+                let rtt = draw.gen_range(0.5..400.0);
+                let (mut ra, mut rb) = (rng(), rng());
+                update_via_direction(&space, &mut a, &mut ea, &remote, remote_error, rtt, &mut ra);
+                vivaldi_update(
+                    &space,
+                    0.25,
+                    CLAMP,
+                    &mut b,
+                    &mut eb,
+                    &remote,
+                    remote_error,
+                    rtt,
+                    &mut rb,
+                )
+                .unwrap();
+                let bits = |c: &Coord| -> Vec<u64> {
+                    c.vec
+                        .iter()
+                        .chain([&c.height])
+                        .map(|v| v.to_bits())
+                        .collect()
+                };
+                assert_eq!(bits(&a), bits(&b), "{space:?} case {case}");
+                assert_eq!(ea.to_bits(), eb.to_bits(), "{space:?} case {case}");
+                assert_eq!(ra.gen::<u64>(), rb.gen::<u64>(), "same draws consumed");
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! plus adversarial delay plus benign jitter), at which point the victim
 //! applies the Vivaldi update rule.
 //!
+//! The response itself waits in a slab of in-flight slots and the message
+//! carries only its slot id, so a queue entry stays 40 bytes. A delivered
+//! slot keeps its coordinate buffer for the next honest response, and the
+//! update rule moves the node in place: once the slab has grown to the
+//! peak number of responses in flight, a probe cycle allocates nothing.
+//!
 //! State is stored struct-of-arrays (`coords`, `errors`, `malicious`) so
 //! the whole coordinate table can be lent to adversaries as the knowledge
 //! oracle without copies. The one per-node table is `springs`: each node's
@@ -73,6 +79,35 @@ struct Sample {
     coord: Coord,
     error: f64,
     rtt: f64,
+}
+
+/// The responses in flight, each in a slot whose id is the delivery
+/// event's payload. A delivered slot goes back on the free list with its
+/// coordinate buffer, so the next honest response copies into memory it
+/// already holds; the slab grows only while every slot is in flight, so it
+/// holds as many slots as the peak number of responses in flight.
+#[derive(Clone, Default)]
+struct InFlight {
+    slots: Vec<Sample>,
+    free: Vec<u32>,
+}
+
+impl InFlight {
+    /// A slot for a new response: a free one, or a fresh one holding an
+    /// empty coordinate.
+    fn claim(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Sample {
+                coord: Coord {
+                    vec: Vec::new(),
+                    height: 0.0,
+                },
+                error: 0.0,
+                rtt: 0.0,
+            });
+            u32::try_from(self.slots.len() - 1).expect("in-flight slot id fits u32")
+        })
+    }
 }
 
 /// One spring of a node: the neighbor it probes, the base RTT to it (a copy
@@ -152,6 +187,8 @@ struct VivaldiWorld {
     /// without the chaos subsystem (all chaos randomness lives on the
     /// plan's own stream).
     chaos: Injected<ChaosState>,
+    /// Responses in flight; their delivery events carry slot ids.
+    in_flight: InFlight,
     probe_rng: ChaCha12Rng,
     update_rng: ChaCha12Rng,
     adv_rng: ChaCha12Rng,
@@ -159,9 +196,9 @@ struct VivaldiWorld {
 }
 
 impl World for VivaldiWorld {
-    type Payload = Sample;
+    type Payload = u32;
 
-    fn on_timer(&mut self, sched: &mut Scheduler<Sample>, node: NodeId, tag: u64) {
+    fn on_timer(&mut self, sched: &mut Scheduler<u32>, node: NodeId, tag: u64) {
         if tag & TAG_RETRY_BIT != 0 {
             // A probe retry after a chaos timeout: re-probe the specific
             // peer unless the prober meanwhile crashed or turned.
@@ -214,16 +251,14 @@ impl World for VivaldiWorld {
         self.send_probe(sched, node, spring.peer(), spring.rtt, 0);
     }
 
-    fn on_message(&mut self, sched: &mut Scheduler<Sample>, from: NodeId, to: NodeId, s: Sample) {
-        if self.malicious[to] {
-            return; // infected after the probe left: ignore the sample
+    fn on_message(&mut self, sched: &mut Scheduler<u32>, from: NodeId, to: NodeId, slot: u32) {
+        // Ignored if the prober was infected after the probe left or
+        // crashed while the response was in flight.
+        let crashed = self.chaos.as_ref().is_some_and(|chaos| chaos.is_down(to));
+        if !self.malicious[to] && !crashed {
+            self.apply_sample(sched, from, to, slot);
         }
-        if let Some(chaos) = self.chaos.as_ref() {
-            if chaos.is_down(to) {
-                return; // crashed while the response was in flight
-            }
-        }
-        self.apply_sample(sched, from, to, s);
+        self.in_flight.free.push(slot);
     }
 }
 
@@ -234,7 +269,7 @@ impl VivaldiWorld {
     /// no chaos branch taken.
     fn send_probe(
         &mut self,
-        sched: &mut Scheduler<Sample>,
+        sched: &mut Scheduler<u32>,
         node: usize,
         peer: usize,
         base_rtt: f64,
@@ -292,7 +327,9 @@ impl VivaldiWorld {
                 None
             };
 
-        let (coord, error, measured) = match response {
+        let id = self.in_flight.claim();
+        let sample = &mut self.in_flight.slots[id as usize];
+        match response {
             Some(Lie {
                 coord,
                 error,
@@ -306,21 +343,19 @@ impl VivaldiWorld {
                 } else {
                     delay_ms
                 };
-                (coord, error, rtt + delay)
+                sample.coord = coord;
+                sample.error = error;
+                sample.rtt = rtt + delay;
             }
-            None => (self.coords[peer].clone(), self.errors[peer], rtt),
-        };
-
-        sched.deliver_after(
-            time::from_ms_f64(measured),
-            peer,
-            node,
-            Sample {
-                coord,
-                error,
-                rtt: measured,
-            },
-        );
+            None => {
+                let truth = &self.coords[peer];
+                sample.coord.vec.clone_from(&truth.vec);
+                sample.coord.height = truth.height;
+                sample.error = self.errors[peer];
+                sample.rtt = rtt;
+            }
+        }
+        sched.deliver_after(time::from_ms_f64(sample.rtt), peer, node, id);
     }
 
     /// A probe attempt to `peer` timed out: schedule the next
@@ -330,7 +365,7 @@ impl VivaldiWorld {
     /// spring count survives churn.
     fn handle_timeout(
         &mut self,
-        sched: &mut Scheduler<Sample>,
+        sched: &mut Scheduler<u32>,
         node: usize,
         peer: usize,
         attempt: u32,
@@ -363,7 +398,8 @@ impl VivaldiWorld {
         }
     }
 
-    fn apply_sample(&mut self, sched: &mut Scheduler<Sample>, from: NodeId, to: NodeId, s: Sample) {
+    fn apply_sample(&mut self, sched: &mut Scheduler<u32>, from: NodeId, to: NodeId, slot: u32) {
+        let s = &self.in_flight.slots[slot as usize];
         // Screen the sample through the deployed defense (if any) before
         // the update rule sees it. No deployment and a `NoDefense`
         // deployment both leave `scale = 1.0`, which is bit-identical to
@@ -438,7 +474,7 @@ impl VivaldiWorld {
 /// installed: a system is copied before the injection instant, never after.
 #[derive(Clone)]
 pub struct VivaldiSim {
-    engine: Engine<Sample>,
+    engine: Engine<u32>,
     world: VivaldiWorld,
 }
 
@@ -475,6 +511,7 @@ impl VivaldiSim {
             defense: Injected::default(),
             quarantined: vec![false; n],
             chaos: Injected::default(),
+            in_flight: InFlight::default(),
             probe_rng: seeds.rng("vivaldi/probe"),
             update_rng: seeds.rng("vivaldi/update"),
             adv_rng: seeds.rng("vivaldi/adversary"),
@@ -911,6 +948,84 @@ mod tests {
         assert!(c.evictions > 0 && c.burst_losses > 0, "{c:?}");
         assert_eq!(c.restarts, 10);
         assert_springs_true(&sim);
+    }
+
+    /// Responses in flight: the slab's slots not on its free list.
+    fn in_flight(sim: &VivaldiSim) -> usize {
+        let slab = &sim.world.in_flight;
+        slab.slots.len() - slab.free.len()
+    }
+
+    #[test]
+    fn a_fork_with_responses_in_flight_advances_bit_equal() {
+        let mut sim = small_sim(30, 28);
+        sim.run_ticks(37);
+        // One probe timer per node is always queued; the rest are responses.
+        while sim.engine.scheduler().pending() < 32 {
+            sim.engine.step(&mut sim.world);
+        }
+        assert_eq!(in_flight(&sim), sim.engine.scheduler().pending() - 30);
+        let mut copy = sim.fork();
+        sim.run_ticks(50);
+        copy.run_ticks(50);
+        let bits = |sim: &VivaldiSim| -> Vec<u64> {
+            sim.coords()
+                .iter()
+                .flat_map(|c| c.vec.iter().chain([&c.height]))
+                .chain(sim.errors())
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&sim), bits(&copy));
+        assert_eq!(sim.counters(), copy.counters());
+        assert_eq!(sim.world.in_flight.free, copy.world.in_flight.free);
+    }
+
+    #[test]
+    fn response_slots_stay_bounded_and_all_come_back_under_churn_and_bursts() {
+        use vcoord_chaos::BurstModel;
+
+        let n = 40;
+        let mut sim = small_sim(n, 25);
+        // Event by event: every slot in use is a response in the queue
+        // (beside one probe timer per node, and retry timers under chaos),
+        // and the slab grows only while all of its slots are in use.
+        let mut peak = 0;
+        let mut advance = |sim: &mut VivaldiSim, ticks: u64| {
+            let end = sim.now_ms() + ticks * TICK_MS;
+            while sim.now_ms() < end {
+                sim.engine.step(&mut sim.world);
+                let in_use = in_flight(sim);
+                assert!(in_use <= sim.engine.scheduler().pending() - n);
+                peak = peak.max(in_use);
+                assert!(sim.world.in_flight.slots.len() <= peak);
+            }
+        };
+        advance(&mut sim, 60);
+        sim.install_chaos(
+            ChaosPlan::with_seed(7)
+                .churn_wave(40, 0.25, 2 * TICK_MS, 40 * TICK_MS)
+                .bursts(BurstModel::mild()),
+        );
+        advance(&mut sim, 80);
+        let c = sim.chaos_counters().unwrap();
+        assert!(c.retries > 0 && c.burst_losses > 0, "{c:?}");
+        assert_eq!(c.restarts, 10);
+        // Stop every probe: the responses and retries drain, and every slot
+        // is back on the free list exactly once.
+        sim.world.malicious.fill(true);
+        sim.run_ticks(10);
+        assert_eq!(
+            sim.engine.scheduler().pending(),
+            n,
+            "queue holds only ticks"
+        );
+        let slab = &sim.world.in_flight;
+        let mut free = slab.free.clone();
+        free.sort_unstable();
+        free.dedup();
+        assert_eq!(free.len(), slab.slots.len());
+        assert_eq!(free.len(), slab.free.len());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Allocation accounting for the Vivaldi update rule with the obs plane
-//! off: the kernel allocates exactly once per applied sample (the
-//! direction displacement from `Space::direction`), so the
-//! `vivaldi.samples_applied` instrumentation added to the hot path must
-//! cost one relaxed load and a branch — never a heap allocation.
+//! off: the kernel moves the node in place and never allocates for nodes
+//! that do not coincide, so the `vivaldi.samples_applied` instrumentation
+//! on the hot path must cost one relaxed load and a branch — never a heap
+//! allocation.
 //!
 //! This file holds exactly one `#[test]`: the libtest harness runs tests on
 //! worker threads, and a sibling test allocating concurrently would
@@ -58,9 +58,9 @@ fn vivaldi_update_allocation_budget_holds_with_obs_off() {
         }
     });
     assert_eq!(
-        allocs, CALLS,
-        "vivaldi_update_scaled must allocate exactly the direction \
-         displacement per applied sample with the obs plane off"
+        allocs, 0,
+        "vivaldi_update_scaled must not allocate for an applied sample \
+         with the obs plane off"
     );
 
     // Allocator sanity: the counter does observe real allocations.

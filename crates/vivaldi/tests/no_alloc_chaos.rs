@@ -1,9 +1,10 @@
-//! Allocation accounting for the chaos seam in the Vivaldi probe loop
-//! with no faults scheduled: the per-probe chaos check is one `Option`
-//! discriminant test, so a sim carrying an **empty** [`ChaosPlan`] must
-//! spend exactly as many heap allocations per simulated window as a sim
-//! with no chaos installed at all — and produce bitwise-identical
-//! coordinates while doing it.
+//! Allocation accounting for the Vivaldi probe loop: once warm, a clean
+//! window allocates nothing (responses wait in retained slab slots, the
+//! update moves nodes in place, the queue keeps its capacity). The chaos
+//! seam with no faults scheduled is one `Option` discriminant test per
+//! probe, so a sim carrying an **empty** [`ChaosPlan`] must allocate
+//! nothing either — and produce bitwise-identical coordinates to a sim
+//! with no chaos installed at all.
 //!
 //! This file holds exactly one `#[test]`: the libtest harness runs tests
 //! on worker threads, and a sibling test allocating concurrently would
@@ -42,22 +43,23 @@ fn disabled_chaos_check_adds_no_allocations_to_the_tick_loop() {
     let mut plain = warm_sim(false);
     let mut chaotic = warm_sim(true);
     // The counter is process-global, so a harness-side allocation landing
-    // inside one measured window under parallel-suite load breaks equality
-    // spuriously. A real budget difference recurs every window; ambient
-    // noise doesn't — retry the pair (both sims always advance in
-    // lockstep, preserving the bitwise comparison below).
+    // inside one measured window under parallel-suite load counts
+    // spuriously. A real allocation recurs every window; ambient noise
+    // doesn't — retry the pair (both sims always advance in lockstep,
+    // preserving the bitwise comparison below).
     let mut plain_allocs = 0;
     let mut chaotic_allocs = 0;
     for _ in 0..3 {
         plain_allocs = window_allocations(&mut plain);
         chaotic_allocs = window_allocations(&mut chaotic);
-        if plain_allocs == chaotic_allocs {
+        if plain_allocs == 0 && chaotic_allocs == 0 {
             break;
         }
     }
+    assert_eq!(plain_allocs, 0, "a warm clean tick window allocated");
     assert_eq!(
-        plain_allocs, chaotic_allocs,
-        "an empty chaos plan changed the tick loop's allocation budget"
+        chaotic_allocs, 0,
+        "a warm tick window under an empty chaos plan allocated"
     );
 
     let plain_bits: Vec<u64> = plain
