@@ -440,9 +440,9 @@ pub fn kernel_rows() -> Vec<KernelRow> {
         let matrix =
             KingLike::new(KingLikeConfig::with_nodes(400)).generate(&mut seeds.rng("topo"));
         let space = Space::Euclidean(2);
-        let mut rng = seeds.rng("plan");
         let nodes: Vec<usize> = (0..400).collect();
-        let plan = EvalPlan::with_params(&nodes, 128, 96, &mut rng);
+        let plan = EvalPlan::with_params(&nodes, 128, 96, &mut seeds.rng("plan"));
+        let mut rng = seeds.rng("coords");
         let coords: Vec<Coord> = (0..400)
             .map(|_| space.random_coord(150.0, &mut rng))
             .collect();
@@ -450,6 +450,14 @@ pub fn kernel_rows() -> Vec<KernelRow> {
             black_box(plan.avg_error(&coords, &space, &matrix));
         }));
     }
+
+    // Drawing the benchmark workloads' sampled plan: 128 peers for each of
+    // 1740 nodes.
+    let nodes: Vec<usize> = (0..1740).collect();
+    let mut rng = SeedStream::new(3).rng("plan");
+    rows.push(row("eval_plan_build_1740n_128peers", 1.0, move || {
+        black_box(EvalPlan::with_params(&nodes, 256, 128, &mut rng));
+    }));
 
     let mut fixture = InspectFixture::warmed();
     rows.push(row(

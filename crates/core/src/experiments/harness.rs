@@ -1788,7 +1788,12 @@ mod tests {
     ) -> Vec<usize> {
         // The measured population is whoever is still honest.
         let error = |sim: &S| {
-            let plan = EvalPlan::new(&sim.eval_set(), &mut SeedStream::new(9).rng("plan"));
+            let plan = EvalPlan::with_params(
+                &sim.eval_set(),
+                512,
+                256,
+                &mut SeedStream::new(9).rng("plan"),
+            );
             plan.avg_error(sim.coords(), sim.space(), sim.matrix())
         };
         sim.step(warm);

@@ -47,7 +47,7 @@
 //! sim.run_ticks(50);
 //!
 //! // Accuracy of the honest population, measured against ground truth.
-//! let plan = EvalPlan::new(&sim.honest_nodes(), &mut seeds.rng("plan"));
+//! let plan = EvalPlan::with_params(&sim.honest_nodes(), 512, 256, &mut seeds.rng("plan"));
 //! let err = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
 //! assert!(err > 0.5, "attack should visibly disrupt the system");
 //! ```

@@ -7,10 +7,12 @@
 //! every plan the harness builds — Vivaldi's single all-nodes warm-up plan,
 //! NPS's per-sample re-plan, and the honest-population plan both share —
 //! draws from the `"eval-plan"` stream, in an order these CSVs pin byte for
-//! byte. The first three were recorded from the pre-`System` harness
-//! (`run_vivaldi_chaos` / `run_nps_chaos`) at seed 2006; the two probation
-//! figures from the harness before their shorter windows became checkpoints
-//! of the longest run and their probation periods left the warm-up key.
+//! byte. They pin the sampler's draws themselves (`k` draws per node, a
+//! partial Fisher–Yates over the node's candidates in plan order), so only
+//! a change of sampler may re-record them, and then only their error
+//! columns may move: the simulations never read the `"eval-plan"` stream.
+//! All five were recorded at seed 2006 when the `k`-draw sampler replaced
+//! shuffling each node's whole candidate pool.
 //!
 //! On divergence the fresh CSVs are left under
 //! `$CARGO_TARGET_TMPDIR/sampled_plan/` for diffing (or, for a deliberate

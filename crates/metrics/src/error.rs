@@ -1,6 +1,5 @@
 //! Relative-error evaluation against a latency matrix.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use vcoord_space::{Coord, Space};
@@ -115,18 +114,14 @@ pub struct EvalPlan {
 }
 
 impl EvalPlan {
-    /// Default cut-over from all-pairs to sampled evaluation.
-    const ALL_PAIRS_THRESHOLD: usize = 512;
-
-    /// Default number of sampled peers per node above the threshold.
-    const SAMPLE_PEERS: usize = 256;
-
-    /// Build a plan over `nodes` (peers are drawn from the same set).
-    pub fn new<R: Rng + ?Sized>(nodes: &[usize], rng: &mut R) -> EvalPlan {
-        Self::with_params(nodes, Self::ALL_PAIRS_THRESHOLD, Self::SAMPLE_PEERS, rng)
-    }
-
-    /// Build a plan with explicit threshold and sample size.
+    /// Build a plan over the distinct ids `nodes` (peers are drawn from the
+    /// same set): every other node up to `all_pairs_threshold` nodes, above
+    /// it `sample_peers` of them per node.
+    ///
+    /// A sampled node's peers are the first `k` steps of a Fisher–Yates
+    /// shuffle of its candidates — a uniform `k`-subset in uniform order
+    /// for exactly `k` draws of `rng`, where shuffling the whole pool
+    /// would take `n − 1`.
     ///
     /// # Panics
     /// Panics if a node id does not fit the plan's 32-bit peer ids.
@@ -146,16 +141,26 @@ impl EvalPlan {
         let mut peers = Vec::with_capacity(ids.len() * per_node);
         let mut offsets = Vec::with_capacity(ids.len() + 1);
         offsets.push(0);
-        let mut pool: Vec<u32> = Vec::with_capacity(ids.len());
-        for &i in &ids {
-            pool.clear();
-            pool.extend(ids.iter().copied().filter(|&j| j != i));
-            if sampled {
-                pool.shuffle(rng);
-                pool.truncate(sample_peers);
+        // The `x`-th node's candidates are `ids[..x] ++ ids[x + 1..]`: one
+        // write away from the previous node's, once its draws are undone.
+        let mut pool: Vec<u32> = ids.iter().skip(1).copied().collect();
+        let mut drawn = Vec::new();
+        for x in 0..ids.len() {
+            if x > 0 {
+                pool[x - 1] = ids[x - 1];
             }
-            peers.extend_from_slice(&pool);
+            if sampled {
+                for t in 0..per_node {
+                    let j = rng.gen_range(t..pool.len());
+                    pool.swap(t, j);
+                    drawn.push(j);
+                }
+            }
+            peers.extend_from_slice(&pool[..per_node]);
             offsets.push(peers.len());
+            while let Some(j) = drawn.pop() {
+                pool.swap(drawn.len(), j);
+            }
         }
         EvalPlan {
             nodes: nodes.to_vec(),
@@ -181,6 +186,12 @@ impl EvalPlan {
         self.offsets[k]..self.offsets[k + 1]
     }
 
+    /// The peers the `k`-th planned node's error is measured against, in
+    /// draw order.
+    pub fn peers(&self, k: usize) -> &[u32] {
+        &self.peers[self.span(k)]
+    }
+
     /// Relative error of the `k`-th planned node given current coordinates.
     ///
     /// Infinite per-pair errors (degenerate predictions) are clamped to
@@ -188,7 +199,7 @@ impl EvalPlan {
     /// construction.
     pub fn node_error(&self, k: usize, coords: &[Coord], space: &Space, matrix: &RttMatrix) -> f64 {
         let i = self.nodes[k];
-        let peers = &self.peers[self.span(k)];
+        let peers = self.peers(k);
         if peers.is_empty() {
             return 0.0;
         }
@@ -217,7 +228,7 @@ impl EvalPlan {
             bound.rtts.clear();
             bound.rtts.reserve_exact(self.peers.len());
             for (k, &i) in self.nodes.iter().enumerate() {
-                for &j in &self.peers[self.span(k)] {
+                for &j in self.peers(k) {
                     bound.rtts.push(matrix.rtt(i, j as usize));
                 }
             }
@@ -434,7 +445,7 @@ mod tests {
         let m = line_matrix();
         let space = Space::Euclidean(1);
         let mut rng = ChaCha12Rng::seed_from_u64(0);
-        let plan = EvalPlan::new(&[0, 1, 2], &mut rng);
+        let plan = EvalPlan::with_params(&[0, 1, 2], 512, 256, &mut rng);
         let coords = line_coords();
         assert_eq!(plan.avg_error(&coords, &space, &m), 0.0);
         assert_eq!(plan.per_node_errors(&coords, &space, &m), vec![0.0; 3]);
@@ -445,7 +456,7 @@ mod tests {
         let m = line_matrix();
         let space = Space::Euclidean(1);
         let mut rng = ChaCha12Rng::seed_from_u64(0);
-        let plan = EvalPlan::new(&[0, 1, 2], &mut rng);
+        let plan = EvalPlan::with_params(&[0, 1, 2], 512, 256, &mut rng);
         let mut coords = line_coords();
         coords[2] = Coord::from_vec(vec![50.0]); // should be at 25
         let errs = plan.per_node_errors(&coords, &space, &m);
@@ -459,7 +470,7 @@ mod tests {
         let space = Space::Euclidean(1);
         let mut rng = ChaCha12Rng::seed_from_u64(0);
         // Node 2 (e.g. malicious) excluded: its lie must not affect the metric.
-        let plan = EvalPlan::new(&[0, 1], &mut rng);
+        let plan = EvalPlan::with_params(&[0, 1], 512, 256, &mut rng);
         let mut coords = line_coords();
         coords[2] = Coord::from_vec(vec![1.0e9]);
         assert_eq!(plan.avg_error(&coords, &space, &m), 0.0);
@@ -478,7 +489,7 @@ mod tests {
         let mut rng = ChaCha12Rng::seed_from_u64(0);
         let plan = EvalPlan::with_params(&nodes, 10, 5, &mut rng);
         for (k, &node) in nodes.iter().enumerate() {
-            let peers = &plan.peers[plan.span(k)];
+            let peers = plan.peers(k);
             assert_eq!(peers.len(), 5);
             assert!(!peers.contains(&(node as u32)));
         }
@@ -486,8 +497,9 @@ mod tests {
 
     #[test]
     fn sampled_plan_stores_only_the_sampled_peers() {
-        // Each node's candidate pool is shuffled whole and cut to the
-        // sample; what the plan keeps must be the cut, not the pool.
+        // Each node's sample is drawn into the front of a reused pool of
+        // all its candidates; what the plan keeps must be the sample, not
+        // the pool.
         let nodes: Vec<usize> = (0..600).collect();
         let mut rng = ChaCha12Rng::seed_from_u64(0);
         let plan = EvalPlan::with_params(&nodes, 256, 16, &mut rng);
@@ -513,7 +525,7 @@ mod tests {
     fn node_id_beyond_32_bits_panics_instead_of_truncating() {
         // 2³² would truncate to peer id 0 and silently alias node 0.
         let mut rng = ChaCha12Rng::seed_from_u64(0);
-        EvalPlan::new(&[0, 1 << 32], &mut rng);
+        EvalPlan::with_params(&[0, 1 << 32], 512, 256, &mut rng);
     }
 
     #[test]
@@ -522,7 +534,7 @@ mod tests {
         // with the plan's lock held.
         let space = Space::Euclidean(1);
         let mut rng = ChaCha12Rng::seed_from_u64(0);
-        let plan = EvalPlan::new(&[0, 1, 2, 3], &mut rng);
+        let plan = EvalPlan::with_params(&[0, 1, 2, 3], 512, 256, &mut rng);
         let mut coords = line_coords();
         coords.push(Coord::from_vec(vec![40.0]));
         let small = line_matrix();
@@ -547,7 +559,7 @@ mod tests {
         let m = line_matrix();
         let space = Space::Euclidean(2);
         let mut rng = ChaCha12Rng::seed_from_u64(0);
-        let plan = EvalPlan::new(&[0, 1, 2], &mut rng);
+        let plan = EvalPlan::with_params(&[0, 1, 2], 512, 256, &mut rng);
         let base = random_baseline(&plan, &space, &m, 50_000.0, &mut rng);
         assert!(base > 100.0, "baseline {base} suspiciously good");
     }
@@ -617,7 +629,7 @@ mod tests {
         let mut rng = ChaCha12Rng::seed_from_u64(0);
         let mut m = RttMatrix::zeros(2);
         m.set(0, 1, 5.0);
-        let plan = EvalPlan::new(&[0, 1], &mut rng);
+        let plan = EvalPlan::with_params(&[0, 1], 512, 256, &mut rng);
         let errs = plan.per_node_errors(&coords, &space, &m);
         assert_eq!(errs, per_node_errors_naive(&plan, &coords, &space, &m));
     }
@@ -649,7 +661,7 @@ mod tests {
         let m = line_matrix();
         let space = Space::Euclidean(1);
         let mut rng = ChaCha12Rng::seed_from_u64(0);
-        let plan = EvalPlan::new(&[0, 1, 2], &mut rng);
+        let plan = EvalPlan::with_params(&[0, 1, 2], 512, 256, &mut rng);
         let mut coords = line_coords();
         coords[1] = Coord::from_vec(vec![f64::NAN]);
         let errs = plan.per_node_errors(&coords, &space, &m);

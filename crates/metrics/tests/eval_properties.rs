@@ -2,10 +2,12 @@
 //! path to the naive per-`Coord` path: identical per-node errors and
 //! identical averages, bit for bit, for any worker count — and for any
 //! history of matrices the plan was swept against before, since the plan
-//! keeps a copy of the last one's RTTs.
+//! keeps a copy of the last one's RTTs. And the peer sampler: `k` distinct
+//! peers per node, uniform over the candidates and in order, for exactly
+//! `k` draws.
 
 use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use vcoord_metrics::EvalPlan;
 use vcoord_space::{Coord, Space};
@@ -46,8 +48,125 @@ fn random_world(
     (m, coords, plan)
 }
 
+/// An RNG that counts the words drawn from it.
+struct Counting<R> {
+    inner: R,
+    u64s: usize,
+    other: usize,
+}
+
+impl<R: RngCore> RngCore for Counting<R> {
+    fn next_u32(&mut self) -> u32 {
+        self.other += 1;
+        self.inner.next_u32()
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.u64s += 1;
+        self.inner.next_u64()
+    }
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.other += 1;
+        self.inner.fill_bytes(dest)
+    }
+}
+
+/// `nodes` distinct ids out of `0..3 * nodes`, in a random order.
+fn scattered_ids<R: Rng>(nodes: usize, rng: &mut R) -> Vec<usize> {
+    let mut ids: Vec<usize> = (0..3 * nodes).collect();
+    for t in 0..nodes {
+        let j = rng.gen_range(t..ids.len());
+        ids.swap(t, j);
+    }
+    ids.truncate(nodes);
+    ids
+}
+
+/// Pearson's χ² of `counts` against a uniform expectation.
+fn chi_squared(counts: &[usize]) -> f64 {
+    let expected = counts.iter().sum::<usize>() as f64 / counts.len() as f64;
+    counts
+        .iter()
+        .map(|&c| (c as f64 - expected).powi(2) / expected)
+        .sum()
+}
+
+/// Over plans of 21 nodes × 5 peers at seeds `0..200`, how often each node
+/// drew each of its 20 candidates at all and first must both be uniform:
+/// Σ of the nodes' χ², 21 × 19 = 399 degrees of freedom, under the value
+/// exceeded with probability 0.001.
+#[test]
+fn sampled_peers_and_the_first_of_them_are_uniform() {
+    const N: usize = 21;
+    const CHI2_399_P001: f64 = 492.05;
+    let nodes: Vec<usize> = (0..N).collect();
+    let (mut all, mut first) = ([[0; N - 1]; N], [[0; N - 1]; N]);
+    for seed in 0..200 {
+        let plan = EvalPlan::with_params(&nodes, 8, 5, &mut ChaCha12Rng::seed_from_u64(seed));
+        for k in 0..N {
+            // Node k's candidates in plan order, itself left out.
+            let slot = |j: u32| j as usize - usize::from(j as usize > k);
+            for &j in plan.peers(k) {
+                all[k][slot(j)] += 1;
+            }
+            first[k][slot(plan.peers(k)[0])] += 1;
+        }
+    }
+    for (what, counts) in [("inclusion", &all), ("first-slot", &first)] {
+        let chi2: f64 = counts.iter().map(|row| chi_squared(row)).sum();
+        assert!(chi2 < CHI2_399_P001, "{what} χ² {chi2:.1}: {counts:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Every node gets `k = min(sample_peers, n − 1)` distinct peers above
+    /// the threshold and every other node at or below it; never itself,
+    /// always from `nodes`.
+    #[test]
+    fn each_node_gets_k_distinct_peers_from_the_plan(
+        seed in 0u64..10_000,
+        n in 0usize..90,
+        threshold in 0usize..100,
+        sample_peers in 0usize..100,
+    ) {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let nodes = scattered_ids(n, &mut rng);
+        let plan = EvalPlan::with_params(&nodes, threshold, sample_peers, &mut rng);
+        let others = n.saturating_sub(1);
+        let k = if n > threshold { sample_peers.min(others) } else { others };
+        prop_assert_eq!(plan.nodes(), &nodes[..]);
+        for (x, &node) in nodes.iter().enumerate() {
+            let mut peers: Vec<usize> = plan.peers(x).iter().map(|&j| j as usize).collect();
+            prop_assert_eq!(peers.len(), k, "node {}", node);
+            prop_assert!(!peers.contains(&node), "node {} is its own peer", node);
+            prop_assert!(peers.iter().all(|j| nodes.contains(j)), "peer outside the plan");
+            peers.sort_unstable();
+            peers.dedup();
+            prop_assert_eq!(peers.len(), k, "node {} has a repeated peer", node);
+        }
+    }
+
+    /// A sampled plan costs exactly one `u64` per sampled peer, Σk over its
+    /// nodes; an all-pairs plan draws nothing.
+    #[test]
+    fn a_plan_draws_one_word_per_sampled_peer(
+        seed in 0u64..10_000,
+        n in 0usize..300,
+        threshold in 0usize..300,
+        sample_peers in 0usize..150,
+    ) {
+        let nodes: Vec<usize> = (0..n).collect();
+        let mut rng = Counting { inner: ChaCha12Rng::seed_from_u64(seed), u64s: 0, other: 0 };
+        let plan = EvalPlan::with_params(&nodes, threshold, sample_peers, &mut rng);
+        let planned: usize = (0..n).map(|x| plan.peers(x).len()).sum();
+        let sampled = n > threshold;
+        prop_assert_eq!(rng.u64s, if sampled { planned } else { 0 });
+        prop_assert_eq!(rng.other, 0);
+        if sampled {
+            prop_assert_eq!(planned, n * sample_peers.min(n.saturating_sub(1)));
+        }
+    }
 
     /// Above the parallel threshold, every worker count must reproduce the
     /// naive path exactly — per node and in the aggregate.

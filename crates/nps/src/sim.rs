@@ -1015,7 +1015,7 @@ mod tests {
         sim.run_ms(600_000); // 10 repositioning periods
         let eval = sim.eval_nodes();
         assert!(eval.len() > 50, "most nodes should have positioned");
-        let plan = EvalPlan::new(&eval, &mut SeedStream::new(7).rng("plan"));
+        let plan = EvalPlan::with_params(&eval, 512, 256, &mut SeedStream::new(7).rng("plan"));
         let err = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
         assert!(err < 0.8, "converged NPS error too high: {err}");
         assert!(sim.counters().positionings > 100);

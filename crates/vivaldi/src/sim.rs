@@ -753,7 +753,12 @@ mod tests {
     #[test]
     fn converges_on_king_like_topology() {
         let mut sim = small_sim(60, 1);
-        let plan = EvalPlan::new(&sim.honest_nodes(), &mut SeedStream::new(9).rng("plan"));
+        let plan = EvalPlan::with_params(
+            &sim.honest_nodes(),
+            512,
+            256,
+            &mut SeedStream::new(9).rng("plan"),
+        );
         let before = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
         sim.run_ticks(200);
         let after = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
@@ -1113,7 +1118,12 @@ mod tests {
     fn restarted_nodes_rejoin_and_reconverge() {
         let mut sim = small_sim(40, 23);
         sim.run_ticks(150);
-        let plan = EvalPlan::new(&sim.honest_nodes(), &mut SeedStream::new(9).rng("plan"));
+        let plan = EvalPlan::with_params(
+            &sim.honest_nodes(),
+            512,
+            256,
+            &mut SeedStream::new(9).rng("plan"),
+        );
         let steady = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
         // A quarter of the population bounces: down for 10 ticks.
         sim.install_chaos(ChaosPlan::with_seed(5).churn_wave(40, 0.25, 2 * TICK_MS, 10 * TICK_MS));

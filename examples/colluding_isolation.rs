@@ -86,7 +86,7 @@ fn main() {
     );
     sim.inject_adversary(&attackers, adversary);
 
-    let plan = EvalPlan::new(&sim.honest_nodes(), &mut seeds.rng("plan"));
+    let plan = EvalPlan::with_params(&sim.honest_nodes(), 512, 256, &mut seeds.rng("plan"));
     let victim_idx = plan
         .nodes()
         .iter()

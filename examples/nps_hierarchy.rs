@@ -53,7 +53,7 @@ fn main() {
 
     // Converge.
     sim.run_rounds(25);
-    let plan = EvalPlan::new(&sim.eval_nodes(), &mut seeds.rng("plan"));
+    let plan = EvalPlan::with_params(&sim.eval_nodes(), 512, 256, &mut seeds.rng("plan"));
     let clean = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
     println!(
         "\nconverged after {} rounds: avg relative error {clean:.3}",
@@ -61,7 +61,7 @@ fn main() {
     );
     for l in 1..layers as u8 {
         let nodes_l = sim.eval_nodes_in_layer(l);
-        let plan_l = EvalPlan::new(&nodes_l, &mut seeds.rng("plan-layer"));
+        let plan_l = EvalPlan::with_params(&nodes_l, 512, 256, &mut seeds.rng("plan-layer"));
         let err = plan_l.avg_error(sim.coords(), sim.space(), sim.matrix());
         println!("  layer {l}: {err:.3}");
     }
@@ -90,7 +90,7 @@ fn main() {
     let ledger_before = sim.ledger();
     sim.inject_adversary(&attackers, adversary);
 
-    let plan = EvalPlan::new(&sim.eval_nodes(), &mut seeds.rng("plan-post"));
+    let plan = EvalPlan::with_params(&sim.eval_nodes(), 512, 256, &mut seeds.rng("plan-post"));
     println!("\nround   avg err   ratio");
     for _ in 0..8 {
         sim.run_rounds(5);

@@ -32,8 +32,9 @@ fn main() {
     //    64 springs of which 32 near).
     let mut sim = VivaldiSim::new(matrix, VivaldiConfig::default(), &seeds);
 
-    // 3. Converge: watch the average relative error settle.
-    let plan = EvalPlan::new(&sim.honest_nodes(), &mut seeds.rng("plan"));
+    // 3. Converge: watch the average relative error settle (measured over
+    //    all pairs up to 512 nodes, over 256 sampled peers a node above).
+    let plan = EvalPlan::with_params(&sim.honest_nodes(), 512, 256, &mut seeds.rng("plan"));
     println!("\n tick   avg relative error");
     for _ in 0..10 {
         sim.run_ticks(30);

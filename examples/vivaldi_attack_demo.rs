@@ -50,7 +50,7 @@ fn main() {
     let mut sim = VivaldiSim::new(matrix, config, &seeds);
 
     // Clean convergence.
-    let plan = EvalPlan::new(&sim.honest_nodes(), &mut seeds.rng("plan"));
+    let plan = EvalPlan::with_params(&sim.honest_nodes(), 512, 256, &mut seeds.rng("plan"));
     let mut series = Vec::new();
     for _ in 0..15 {
         sim.run_ticks(20);
@@ -84,7 +84,7 @@ fn main() {
     );
     sim.inject_adversary(&attackers, adversary);
 
-    let plan = EvalPlan::new(&sim.honest_nodes(), &mut seeds.rng("plan2"));
+    let plan = EvalPlan::with_params(&sim.honest_nodes(), 512, 256, &mut seeds.rng("plan2"));
     let mut attacked = Vec::new();
     println!(" tick   avg err   ratio");
     for _ in 0..15 {

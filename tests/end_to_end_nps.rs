@@ -11,7 +11,7 @@ fn build(nodes: usize, seed: u64, config: NpsConfig) -> (NpsSim, SeedStream) {
 }
 
 fn avg_error(sim: &NpsSim, seeds: &SeedStream) -> f64 {
-    let plan = EvalPlan::new(&sim.eval_nodes(), &mut seeds.rng("plan"));
+    let plan = EvalPlan::with_params(&sim.eval_nodes(), 512, 256, &mut seeds.rng("plan"));
     plan.avg_error(sim.coords(), sim.space(), sim.matrix())
 }
 
@@ -152,7 +152,7 @@ fn collusion_activates_and_hits_designated_victims_hardest() {
     sim.inject_adversary(&attackers, Box::new(adv));
     sim.run_rounds(40);
 
-    let plan = EvalPlan::new(&sim.eval_nodes(), &mut seeds.rng("plan"));
+    let plan = EvalPlan::with_params(&sim.eval_nodes(), 512, 256, &mut seeds.rng("plan"));
     let errs = plan.per_node_errors(sim.coords(), sim.space(), sim.matrix());
     let (mut victim_sum, mut victim_n, mut other_sum, mut other_n) = (0.0, 0, 0.0, 0);
     for (k, &node) in plan.nodes().iter().enumerate() {

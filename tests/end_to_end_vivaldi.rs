@@ -36,7 +36,7 @@ fn per_node_median_errors(sim: &VivaldiSim, nodes: &[usize]) -> Vec<f64> {
 #[test]
 fn clean_system_converges_to_low_error() {
     let (mut sim, seeds) = build(120, 1, Space::Euclidean(2));
-    let plan = EvalPlan::new(&sim.honest_nodes(), &mut seeds.rng("plan"));
+    let plan = EvalPlan::with_params(&sim.honest_nodes(), 512, 256, &mut seeds.rng("plan"));
     sim.run_ticks(300);
     let err = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
     assert!(err < 0.45, "clean Vivaldi error too high: {err}");
@@ -71,7 +71,7 @@ fn convergence_criterion_fires_on_clean_system() {
 fn disorder_injection_degrades_then_more_attackers_degrade_more() {
     let (mut sim, seeds) = build(120, 3, Space::Euclidean(2));
     sim.run_ticks(250);
-    let plan = EvalPlan::new(&sim.honest_nodes(), &mut seeds.rng("plan"));
+    let plan = EvalPlan::with_params(&sim.honest_nodes(), 512, 256, &mut seeds.rng("plan"));
     let clean = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
 
     let run_attacked = |seed: u64, fraction: f64| -> f64 {
@@ -80,7 +80,7 @@ fn disorder_injection_degrades_then_more_attackers_degrade_more() {
         let attackers = sim.pick_attackers(fraction);
         sim.inject_adversary(&attackers, Box::new(VivaldiDisorder::default()));
         sim.run_ticks(150);
-        let plan = EvalPlan::new(&sim.honest_nodes(), &mut seeds.rng("plan"));
+        let plan = EvalPlan::with_params(&sim.honest_nodes(), 512, 256, &mut seeds.rng("plan"));
         plan.avg_error(sim.coords(), sim.space(), sim.matrix())
     };
     let at10 = run_attacked(3, 0.10);
@@ -105,7 +105,7 @@ fn larger_systems_resist_better() {
         let attackers = sim.pick_attackers(0.30);
         sim.inject_adversary(&attackers, Box::new(VivaldiDisorder::default()));
         sim.run_ticks(150);
-        let plan = EvalPlan::new(&sim.honest_nodes(), &mut seeds.rng("plan"));
+        let plan = EvalPlan::with_params(&sim.honest_nodes(), 512, 256, &mut seeds.rng("plan"));
         plan.avg_error(sim.coords(), sim.space(), sim.matrix())
     };
     let small = run(60);
@@ -120,12 +120,12 @@ fn larger_systems_resist_better() {
 fn repulsion_is_consistent_and_damaging() {
     let (mut sim, seeds) = build(120, 5, Space::Euclidean(2));
     sim.run_ticks(250);
-    let plan = EvalPlan::new(&sim.honest_nodes(), &mut seeds.rng("plan"));
+    let plan = EvalPlan::with_params(&sim.honest_nodes(), 512, 256, &mut seeds.rng("plan"));
     let clean = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
     let attackers = sim.pick_attackers(0.3);
     sim.inject_adversary(&attackers, Box::new(VivaldiRepulsion::default()));
     sim.run_ticks(150);
-    let plan2 = EvalPlan::new(&sim.honest_nodes(), &mut seeds.rng("plan"));
+    let plan2 = EvalPlan::with_params(&sim.honest_nodes(), 512, 256, &mut seeds.rng("plan"));
     let attacked = plan2.avg_error(sim.coords(), sim.space(), sim.matrix());
     assert!(
         attacked > 5.0 * clean,
@@ -148,7 +148,7 @@ fn collusion_isolates_the_designated_target() {
         Box::new(VivaldiCollusionRepel::against(victim, 10_000.0)),
     );
     sim.run_ticks(200);
-    let plan = EvalPlan::new(&sim.honest_nodes(), &mut seeds.rng("plan"));
+    let plan = EvalPlan::with_params(&sim.honest_nodes(), 512, 256, &mut seeds.rng("plan"));
     let errs = plan.per_node_errors(sim.coords(), sim.space(), sim.matrix());
     let victim_err = errs[plan
         .nodes()
@@ -175,7 +175,7 @@ fn benign_faults_do_not_destroy_convergence() {
     };
     let mut sim = VivaldiSim::new(matrix, config, &seeds);
     sim.run_ticks(300);
-    let plan = EvalPlan::new(&sim.honest_nodes(), &mut seeds.rng("plan"));
+    let plan = EvalPlan::with_params(&sim.honest_nodes(), 512, 256, &mut seeds.rng("plan"));
     let err = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
     assert!(
         err < 0.8,
@@ -187,7 +187,7 @@ fn benign_faults_do_not_destroy_convergence() {
 fn height_model_space_also_converges() {
     let (mut sim, seeds) = build(100, 8, Space::EuclideanHeight(2));
     sim.run_ticks(300);
-    let plan = EvalPlan::new(&sim.honest_nodes(), &mut seeds.rng("plan"));
+    let plan = EvalPlan::with_params(&sim.honest_nodes(), 512, 256, &mut seeds.rng("plan"));
     let err = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
     assert!(err < 0.5, "height-model Vivaldi should converge: {err}");
     // Heights stay physical.

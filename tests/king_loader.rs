@@ -70,7 +70,7 @@ fn loaded_matrix_drives_a_simulation() {
     let group = loaded.random_subset(40, &mut seeds.rng("group"));
     let mut sim = VivaldiSim::new(group, VivaldiConfig::default(), &seeds);
     sim.run_ticks(150);
-    let plan = EvalPlan::new(&sim.honest_nodes(), &mut seeds.rng("plan"));
+    let plan = EvalPlan::with_params(&sim.honest_nodes(), 512, 256, &mut seeds.rng("plan"));
     let err = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
     assert!(
         err < 0.7,
