@@ -360,6 +360,49 @@ fn vivaldi_update_row(name: &'static str, space: Space) -> KernelRow {
     })
 }
 
+/// The mixed-problem kernel: `problems` drawn 8-D positionings cycled in
+/// one sample, each a hidden node and 20 references drawn in the fixture's
+/// 150 ms cube, every reference measuring its true distance plus 1 ms,
+/// positioned the way [`nps_fit`] positions its one fixture. A row that
+/// replays one problem trains the branch predictor on that one trajectory,
+/// which no simulated fit shares; cycling through 64 does not. Returns the
+/// objective evaluations of the whole cycle (deterministic).
+fn nps_fit_mixed(problems: usize) -> impl FnMut() -> usize {
+    let mut rng = SeedStream::new(4).rng("bench/nps-fit-mixed");
+    let space = Space::Euclidean(8);
+    let sets: Vec<Vec<RefSample>> = (0..problems)
+        .map(|_| {
+            let node = space.random_coord(150.0, &mut rng);
+            (0..20)
+                .map(|i| {
+                    let at = space.random_coord(150.0, &mut rng);
+                    let rtt = space.distance(&node, &at) + 1.0;
+                    RefSample::new(i, at, rtt)
+                })
+                .collect()
+        })
+        .collect();
+    let (start, opts) = (Coord::from_vec(vec![1.0; 8]), simplex_bench_opts());
+    let mut scratch = PositionScratch::new();
+    move || {
+        sets.iter()
+            .map(|samples| {
+                position_node(
+                    &space,
+                    samples,
+                    &start,
+                    Some(&start),
+                    SecurityPolicy::off(),
+                    &opts,
+                    &mut scratch,
+                )
+                .expect("20 references position an 8-D node")
+                .evals
+            })
+            .sum()
+    }
+}
+
 /// A recording call with recording off, a nanosecond each and so
 /// [`InspectFixture::BATCH`] of them a sample: the "zero-overhead-when-off"
 /// claim as a number, one relaxed load and a branch.
@@ -412,6 +455,12 @@ pub fn kernel_rows() -> Vec<KernelRow> {
     let mut fit = nps_fit(8, 20);
     rows.push(row("nps_fit_8d_20refs", 1.0, move || {
         black_box(fit());
+    }));
+    // The 8-D per-evaluation row again over 64 drawn problems in turn.
+    let mut fits = nps_fit_mixed(64);
+    let evals = fits() as f64;
+    rows.push(row("nps_fit_8d_20refs_mixed_per_eval", evals, move || {
+        black_box(fits());
     }));
 
     // The event queue alone, per event, one run per sample.

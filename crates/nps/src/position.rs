@@ -91,8 +91,9 @@ pub struct PositionOutcome {
     pub evals: usize,
 }
 
-/// References one pass of [`FitProblem::objective`] holds in registers.
-const BLOCK: usize = 4;
+/// The widest block of references one pass of [`FitProblem::objective`]
+/// holds in registers; a 4-block, then single references, take the rest.
+const BLOCK: usize = 8;
 
 /// The problem one Simplex fit evaluates against: the fitted samples
 /// gathered once per fit, dimension-major, so that an evaluation streams
@@ -143,28 +144,46 @@ impl FitProblem {
     /// The fit objective for a node at `x` (height zero): every sample's
     /// `(predicted − rtt)² × weight`, summed in sample order.
     ///
-    /// The samples go [`BLOCK`] at a time, the block's squared distances
-    /// held in registers across every dimension, then a one-sample block per
-    /// leftover. Per sample this performs the floating-point operations of
-    /// `space.distance` followed by the term, in the same order, and the sum
-    /// adds the terms one by one in sample order from `Iterator::sum`'s
-    /// `-0.0`, so the objective equals the naive per-sample loop bit for
-    /// bit. Defense dampening is a trailing `× 1.0` for full-strength
-    /// samples, so the unweighted fit is preserved bit for bit too.
+    /// Dispatches once on `x.len()` over the Simplex kernel's fixed
+    /// dimensions: each arm inlines [`sum`](Self::sum) over a slice of
+    /// constant length `D`, so its dimension loops have compile-time trip
+    /// counts; larger points run the same body at run-time length.
     ///
-    /// Never inlined: the Simplex kernel is instantiated per dimension with
-    /// several evaluation sites each, and a copy of these loops at every one
-    /// of them is some 90 KB of text for no measured time.
+    /// Never inlined: the twelve fixed-size bodies are some 25 KB of text
+    /// in this one function, while the Simplex kernel is instantiated per
+    /// dimension with several evaluation sites each, and a copy of its
+    /// dimension's body at every one of them is text for no measured gain.
     #[inline(never)]
     fn objective(&self, x: &[f64]) -> f64 {
+        vcoord_space::with_fixed_dim!(x.len(), D => self.sum(&x[..D]), _ => self.sum(x))
+    }
+
+    /// The objective at `x`.
+    ///
+    /// The samples go [`BLOCK`] at a time, then one block of 4 if that many
+    /// are left, then one at a time; a block's squared distances stay in
+    /// registers across every dimension. Per sample this performs the
+    /// floating-point operations of `space.distance` followed by the term,
+    /// in the same order, and the sum adds the terms one by one in sample
+    /// order from `Iterator::sum`'s `-0.0`, so the objective equals the
+    /// naive per-sample loop bit for bit. Defense dampening is a trailing
+    /// `× 1.0` for full-strength samples, so the unweighted fit is preserved
+    /// bit for bit too.
+    #[inline(always)]
+    fn sum(&self, x: &[f64]) -> f64 {
         let m = self.rtts.len();
-        let full = m - m % BLOCK;
-        let mut total = -0.0;
-        for p in (0..full).step_by(BLOCK) {
+        let (mut p, mut total) = (0, -0.0);
+        while p + BLOCK <= m {
             total = self.block::<BLOCK>(x, p, total);
+            p += BLOCK;
         }
-        for p in full..m {
+        if p + 4 <= m {
+            total = self.block::<4>(x, p, total);
+            p += 4;
+        }
+        while p < m {
             total = self.block::<1>(x, p, total);
+            p += 1;
         }
         total
     }
@@ -173,9 +192,16 @@ impl FitProblem {
     #[inline(always)]
     fn block<const L: usize>(&self, x: &[f64], p: usize, mut total: f64) -> f64 {
         let m = self.rtts.len();
+        // Fixed-size copies of the block's slots: one bounds check per row,
+        // and loops over `L` with a compile-time trip count.
+        let window = |row: &[f64]| -> [f64; L] {
+            row[p..p + L]
+                .try_into()
+                .expect("a block lies inside the problem")
+        };
         let mut sq = [0.0; L];
         for (xi, col) in x.iter().zip(self.cols.chunks_exact(m)) {
-            for (acc, c) in sq.iter_mut().zip(&col[p..p + L]) {
+            for (acc, c) in sq.iter_mut().zip(window(col)) {
                 let d = xi - c;
                 *acc += d * d;
             }
@@ -184,8 +210,11 @@ impl FitProblem {
         // zero: `dist` is the square root of a sum of squares, never -0.0,
         // so adding that zero is the identity — as is adding the zero
         // `heights` of a space without a height component.
-        let per_sample = sq.iter().zip(&self.heights[p..p + L]);
-        for (((s, h), rtt), w) in per_sample.zip(&self.rtts[p..]).zip(&self.weights[p..]) {
+        let per_sample = sq.into_iter().zip(window(&self.heights));
+        for (((s, h), rtt), w) in per_sample
+            .zip(window(&self.rtts))
+            .zip(window(&self.weights))
+        {
             let diff = s.sqrt() + h - rtt;
             total += diff * diff * w;
         }

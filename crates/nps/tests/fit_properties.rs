@@ -284,6 +284,58 @@ proptest! {
     }
 }
 
+/// A fixed, spread-out draw: references across the ±150 cube.
+fn fixed_draw() -> Draw {
+    Draw {
+        values: (0..(MAX_REFS + 1) * MAX_DIM)
+            .map(|i| ((i * 7919) % 300) as f64 - 150.0)
+            .collect(),
+        heights: (0..MAX_REFS).map(|p| (p * 13 % 40) as f64).collect(),
+        noise: (0..MAX_REFS).map(|p| 0.8 + (p % 5) as f64 * 0.1).collect(),
+        weight_picks: (0..MAX_REFS).map(|p| p % 3).collect(),
+    }
+}
+
+/// The objective walks the fitted samples in blocks of 8, then 4, then
+/// one at a time, and its dimension loop is fixed-size up to 12-D; the
+/// property's random `refs` need not reach every remainder. Pin each one:
+/// every reference count at every dimension below, with and without
+/// height, against the straight-line reference. No incumbent, so a
+/// provisional fit over all `refs` runs; the liar's elimination then fits
+/// `refs − 1` samples too. 13-D runs the runtime-length objective.
+#[test]
+fn every_block_tail_matches_the_straight_line_reference() {
+    let d = fixed_draw();
+    let opts = sim_opts(150);
+    let mut scratch = PositionScratch::new();
+    for dim in [1, 2, 4, 8, 12, 13] {
+        for space in [Space::Euclidean(dim), Space::EuclideanHeight(dim)] {
+            for refs in 1..=MAX_REFS {
+                let (samples, start) = d.samples(&space, refs, Some(0), false);
+                let got = position_node(
+                    &space,
+                    &samples,
+                    &start,
+                    None,
+                    SecurityPolicy::paper(),
+                    &opts,
+                    &mut scratch,
+                );
+                let want = reference_positioning(
+                    &space,
+                    &samples,
+                    &start,
+                    None,
+                    SecurityPolicy::paper(),
+                    &opts,
+                );
+                assert_eq!(got.is_some(), refs > dim, "{space:?}, {refs} refs");
+                assert_same_outcome(&got, &want);
+            }
+        }
+    }
+}
+
 /// The property above only means something if its cases reach every path;
 /// pin that on one fixed draw: a liar with no incumbent gets a reference
 /// eliminated after the provisional fit (second fit, both charged), a clean
@@ -293,12 +345,10 @@ proptest! {
 fn fixed_cases_reach_cached_pair_dup_skip_and_single_fit() {
     let space = Space::Euclidean(8);
     let d = Draw {
-        values: (0..(MAX_REFS + 1) * MAX_DIM)
-            .map(|i| ((i * 7919) % 300) as f64 - 150.0)
-            .collect(),
         heights: vec![0.0; MAX_REFS],
         noise: vec![1.0; MAX_REFS],
         weight_picks: vec![0; MAX_REFS],
+        ..fixed_draw()
     };
     let opts = sim_opts(150);
     let mut scratch = PositionScratch::new();

@@ -21,9 +21,10 @@
 //! runtime values rather than const generics — the workspace follows the
 //! smoltcp guideline of preferring simplicity and robustness over
 //! compile-time cleverness, and the evaluation sweeps dimension as an
-//! experiment parameter anyway. The one exception is private to
-//! [`simplex`]: its descent kernel is instantiated per dimension behind the
-//! runtime-dimension entry points, because that is measurably where the
+//! experiment parameter anyway. The one exception sits behind the
+//! runtime-dimension entry points: [`simplex`]'s descent kernel, and the NPS
+//! fit objective it drives, are instantiated per dimension (the shared list
+//! is the hidden `with_fixed_dim!`), because that is measurably where the
 //! NPS fit's time went.
 
 #![forbid(unsafe_code)]

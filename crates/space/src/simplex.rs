@@ -237,15 +237,33 @@ where
     F: FnMut(&[f64]) -> f64,
 {
     assert!(!x0.is_empty(), "cannot optimize a zero-dimensional point");
-    macro_rules! fixed_dims {
-        ($($n:literal)+) => {
-            match x0.len() {
-                $($n => run(f, x0, opts, Fixed::<$n, { $n + 1 }>::new().view()),)+
-                n => run(f, x0, opts, scratch.view(n)),
-            }
-        };
-    }
-    fixed_dims!(1 2 3 4 5 6 7 8 9 10 11 12)
+    crate::with_fixed_dim!(
+        x0.len(),
+        D => run(f, x0, opts, Fixed::<D, { D + 1 }>::new().view()),
+        _ => run(f, x0, opts, scratch.view(x0.len()))
+    )
+}
+
+/// `$fixed` with `$d` bound to a `const usize` equal to `$n` when `$n` is a
+/// dimension with a fixed-size instantiation (1..=12, where the paper's
+/// dimensionality sweep tops out), `$fallback` otherwise. The one copy of
+/// that list: [`simplex_downhill`] picks its vertex storage with it and the
+/// NPS fit objective its loop bounds, so the two cannot drift. Not API.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! with_fixed_dim {
+    ($n:expr, $d:ident => $fixed:expr, _ => $fallback:expr) => {
+        $crate::with_fixed_dim!(@ $n, $d, $fixed, $fallback; 1 2 3 4 5 6 7 8 9 10 11 12)
+    };
+    (@ $n:expr, $d:ident, $fixed:expr, $fallback:expr; $($k:literal)+) => {
+        match $n {
+            $($k => {
+                const $d: usize = $k;
+                $fixed
+            })+
+            _ => $fallback,
+        }
+    };
 }
 
 /// One fit on storage `V`: build the axis simplex, descend, account.
