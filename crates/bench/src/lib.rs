@@ -18,7 +18,7 @@ use vcoord::defense::testing::ring_fill_samples;
 use vcoord::defense::{Defense, DriftCap, Provenance, Update, Verdict};
 use vcoord::metrics::parallel::set_worker_budget;
 use vcoord::metrics::EvalPlan;
-use vcoord::netsim::{Engine, NodeId, Scheduler, SeedStream, World, TICK_MS};
+use vcoord::netsim::{Engine, NodeId, RngCore, Scheduler, SeedStream, World, TICK_MS};
 use vcoord::nps::{position_node, PositionOutcome, PositionScratch, RefSample, SecurityPolicy};
 use vcoord::obs::{set_mode, ObsMode};
 use vcoord::space::simplex::oracle::simplex_downhill_reference;
@@ -514,6 +514,15 @@ pub fn kernel_rows() -> Vec<KernelRow> {
         InspectFixture::BATCH as f64,
         move || fixture.run_batch(),
     ));
+
+    // The keystream under every `SeedStream` stream, per `next_u64`.
+    const DRAWS: usize = 1 << 14;
+    let mut rng = SeedStream::new(2006).rng("bench/chacha12");
+    rows.push(row("chacha12_next_u64", DRAWS as f64, move || {
+        for _ in 0..DRAWS {
+            black_box(rng.next_u64());
+        }
+    }));
 
     // The benchmark workloads' data set, synthesised whole.
     rows.push(row("topo_generate_1740n", 1.0, || {

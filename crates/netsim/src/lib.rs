@@ -29,5 +29,8 @@ pub mod time;
 
 pub use engine::{Engine, Injected, NodeId, Scheduler, World};
 pub use link::LinkModel;
+/// The trait a [`SeedStream`] stream draws words through, for callers with
+/// no `rand` dependency of their own.
+pub use rand::RngCore;
 pub use seed::SeedStream;
 pub use time::{Duration, Time, MILLIS, SECS, TICK_MS};

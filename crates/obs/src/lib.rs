@@ -63,7 +63,8 @@ pub mod json;
 mod record;
 mod registry;
 mod report;
-// The counting `GlobalAlloc` is the workspace's only unsafe code.
+// The counting `GlobalAlloc` is the workspace's only unsafe code outside
+// the x86_64 keystream refill of the vendored `rand_chacha`.
 #[allow(unsafe_code)]
 pub mod testing;
 

@@ -39,15 +39,10 @@ pub fn select_neighbors<R: Rng + ?Sized>(
     far.shuffle(rng);
 
     let mut picked: Vec<usize> = near.iter().copied().take(near_target).collect();
-    // Fill with far nodes first, then spill into unused near nodes.
-    for &j in far.iter().chain(near.iter().skip(near_target)) {
-        if picked.len() >= total {
-            break;
-        }
-        if !picked.contains(&j) {
-            picked.push(j);
-        }
-    }
+    // Fill with far nodes first, then spill into unused near nodes. Near and
+    // far partition the other nodes, so no node is picked twice.
+    let fill = total.saturating_sub(picked.len());
+    picked.extend(far.iter().chain(&near[picked.len()..]).take(fill));
     picked
 }
 
