@@ -1,13 +1,11 @@
-//! Persistent perf baseline: `BENCH_<label>.json`.
+//! Persistent perf baseline: `BENCH_<scale>.json`.
 //!
 //! ```text
-//! bench-baseline [IDS...] [--smoke|--quick] [--label L] [--seed N] [--out DIR]
+//! bench-baseline [IDS...] [--smoke|--quick] [--seed N] [--out DIR]
 //!
 //!   IDS        figure ids to wall-clock (default: all)
 //!   --smoke    72-node scale (default; the committed baseline)
 //!   --quick    400-node scale (slower, closer to real workloads)
-//!   --label L  baseline label; output file is BENCH_<label>.json
-//!              (default: the scale name)
 //!   --seed N   master seed (default 2006)
 //!   --out DIR  output directory (default .)
 //! ```
@@ -20,10 +18,9 @@
 //! `"obs"` block: the figure sweep runs with `vcoord-obs` in `Metrics` mode
 //! and each figure's drained counters and histogram summaries (count, mean,
 //! p50/p90/p95/p99; wall-clock ones included — this file is a perf record,
-//! not a byte-compared trace) land beside its wall-clock, with
-//! `evals_per_round` (mean/median/p99 Simplex objective evaluations per NPS
-//! positioning round; Vivaldi-only figures record no entry) read off the
-//! same report's `nps.round_evals` histogram — and (c) hot-kernel timings:
+//! not a byte-compared trace) land beside its wall-clock; Simplex objective
+//! evaluations per NPS positioning round are its `nps.round_evals`
+//! histogram (Vivaldi-only figures hold none) — and (c) hot-kernel timings:
 //! one entry per row of `vcoord_bench::kernel_rows`, the one table of
 //! isolated kernels, timed in-process by `time_kernel` below.
 //! Kernel entries carry mean/median/trimmed-mean/p95/min/max: compare the
@@ -44,7 +41,6 @@ struct Args {
     ids: Vec<String>,
     scale: Scale,
     scale_name: &'static str,
-    label: Option<String>,
     seed: u64,
     out: PathBuf,
 }
@@ -53,7 +49,6 @@ fn parse_args() -> Result<Args, String> {
     let mut ids = Vec::new();
     let mut scale = Scale::smoke();
     let mut scale_name = "smoke";
-    let mut label = None;
     let mut seed = 2006u64;
     let mut out = PathBuf::from(".");
     let mut argv = std::env::args().skip(1);
@@ -67,7 +62,6 @@ fn parse_args() -> Result<Args, String> {
                 scale = Scale::quick();
                 scale_name = "quick";
             }
-            "--label" => label = Some(argv.next().ok_or("--label needs a value")?),
             "--seed" => {
                 seed = argv
                     .next()
@@ -78,7 +72,7 @@ fn parse_args() -> Result<Args, String> {
             "--out" => out = PathBuf::from(argv.next().ok_or("--out needs a value")?),
             "--help" | "-h" => {
                 return Err(
-                    "usage: bench-baseline [IDS...|all] [--smoke|--quick] [--label L] [--seed N] [--out DIR]"
+                    "usage: bench-baseline [IDS...|all] [--smoke|--quick] [--seed N] [--out DIR]"
                         .into(),
                 );
             }
@@ -90,7 +84,6 @@ fn parse_args() -> Result<Args, String> {
         ids,
         scale,
         scale_name,
-        label,
         seed,
         out,
     })
@@ -145,11 +138,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let label = args
-        .label
-        .clone()
-        .unwrap_or_else(|| args.scale_name.to_string());
-
     // --- Kernel timings -------------------------------------------------
     // One loop over the ledger's table (vcoord_bench::kernel_rows), before
     // the sweep switches recording on: every row times the disabled path.
@@ -175,10 +163,6 @@ fn main() {
         args.ids.clone()
     };
     let mut figures: Vec<(String, f64)> = Vec::new();
-    // Per-figure NPS positioning cost: (id, mean, median, p99, rounds).
-    // Figures that never reposition an NPS node (the Vivaldi family) record
-    // no entry.
-    let mut figure_evals: Vec<(String, f64, f64, f64, u64)> = Vec::new();
     // Per-figure obs summaries for the "obs" block. The sweep (and only the
     // sweep) runs in Metrics mode: kernel timings above stay on the
     // disabled path, comparable with pre-obs baselines.
@@ -194,20 +178,11 @@ fn main() {
                 let secs = start.elapsed().as_secs_f64();
                 let report = vcoord::obs::drain();
                 match report.hists().iter().find(|(m, _)| *m == round_evals) {
-                    Some((_, h)) => {
-                        println!(
-                            "{id:<20} {secs:>8.2}s  {:>7.1} evals/round over {} rounds",
-                            h.mean(),
-                            h.count
-                        );
-                        figure_evals.push((
-                            id.clone(),
-                            h.mean(),
-                            h.quantile(0.5),
-                            h.quantile(0.99),
-                            h.count,
-                        ));
-                    }
+                    Some((_, h)) => println!(
+                        "{id:<20} {secs:>8.2}s  {:>7.1} evals/round over {} rounds",
+                        h.mean(),
+                        h.count
+                    ),
                     None => println!("{id:<20} {secs:>8.2}s"),
                 }
                 figure_obs.push((id.clone(), report));
@@ -225,7 +200,6 @@ fn main() {
     // --- JSON -----------------------------------------------------------
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str(&format!("  \"label\": \"{}\",\n", json_escape(&label)));
     json.push_str(&format!(
         "  \"schema\": {},\n",
         vcoord::obs::diff::BENCH_SCHEMA
@@ -249,15 +223,6 @@ fn main() {
             s.max_s,
             s.samples,
             if i + 1 < kernels.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  },\n");
-    json.push_str("  \"evals_per_round\": {\n");
-    for (i, (id, mean, median, p99, rounds)) in figure_evals.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{}\": {{\"mean\": {mean:.3}, \"median\": {median:.1}, \"p99\": {p99:.1}, \"rounds\": {rounds}}}{}\n",
-            json_escape(id),
-            if i + 1 < figure_evals.len() { "," } else { "" }
         ));
     }
     json.push_str("  },\n");
@@ -303,7 +268,7 @@ fn main() {
     json.push_str("}\n");
 
     std::fs::create_dir_all(&args.out).expect("create output directory");
-    let path = args.out.join(format!("BENCH_{label}.json"));
+    let path = args.out.join(format!("BENCH_{}.json", args.scale_name));
     let mut file = std::fs::File::create(&path).expect("create baseline file");
     file.write_all(json.as_bytes()).expect("write baseline");
     println!(

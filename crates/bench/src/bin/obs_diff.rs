@@ -1,29 +1,29 @@
 //! Compare two runs — JSONL traces, trace directories, or `BENCH_*.json`
-//! baselines — under a declarative tolerance spec, and fail on regression.
+//! baselines — and fail when a seed-derived key moved.
 //!
 //! ```text
-//! obs-diff [--tolerances FILE] [--report-only] [--verbose] BASE NEW
+//! obs-diff [--verbose] BASE NEW
 //!
-//!   BASE, NEW      a trace file (figures --trace-out), a directory of
-//!                  *.jsonl traces, or a BENCH_*.json baseline; BASE and
-//!                  NEW must be the same kind
-//!   --tolerances   TOML tolerance spec (see vcoord-obs::diff docs);
-//!                  defaults to exact counters + 10 % everywhere else
-//!   --report-only  print the delta table but always exit 0 on regression
-//!   --verbose      include in-tolerance rows in the table
+//!   BASE, NEW  a trace file (figures --trace-out), a directory of
+//!              *.jsonl traces, or a BENCH_*.json baseline; BASE and
+//!              NEW must be the same kind
+//!   --verbose  also print the keys that did not regress
 //! ```
 //!
-//! Exit codes: 0 in tolerance (or `--report-only`), 1 regression,
-//! 2 usage error, 3 unreadable/unparseable input.
+//! One rule (see `vcoord-obs::diff`): every key both runs hold must be
+//! equal unless it is a wall-clock timing (BENCH kernels and figure
+//! seconds, `*_ns` histograms), which is compared and only reported.
+//!
+//! Exit codes: 0 every gated key equal, 1 regression (or a base trace
+//! missing from a NEW directory), 2 usage error, 3 unreadable or
+//! unparseable input, or two runs that share no gated key.
 
 use std::path::Path;
-use vcoord::obs::diff::{
-    diff_samples, samples_from_bench, samples_from_trace, Sample, ToleranceSpec,
-};
+use vcoord::obs::diff::{diff_samples, samples_from_bench, samples_from_trace, Sample};
 use vcoord::obs::json::parse_json;
 use vcoord::obs::{parse_jsonl, TraceLine};
 
-const USAGE: &str = "usage: obs-diff [--tolerances FILE] [--report-only] [--verbose] BASE NEW";
+const USAGE: &str = "usage: obs-diff [--verbose] BASE NEW";
 
 fn die_input(msg: &str) -> ! {
     eprintln!("obs-diff: {msg}");
@@ -74,21 +74,10 @@ fn trace_names(dir: &Path) -> Vec<String> {
 }
 
 fn main() {
-    let mut tolerances: Option<String> = None;
-    let mut report_only = false;
     let mut verbose = false;
     let mut paths: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--tolerances" => match args.next() {
-                Some(f) => tolerances = Some(f),
-                None => {
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--report-only" => report_only = true,
             "--verbose" => verbose = true,
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
@@ -107,15 +96,6 @@ fn main() {
     };
     let base = Path::new(base);
     let new = Path::new(new);
-
-    let spec = match &tolerances {
-        None => ToleranceSpec::default(),
-        Some(file) => {
-            let text = std::fs::read_to_string(file)
-                .unwrap_or_else(|e| die_input(&format!("{file}: {e}")));
-            ToleranceSpec::parse(&text).unwrap_or_else(|e| die_input(&format!("{file}: {e}")))
-        }
-    };
 
     // Directories compare per-name: a base trace missing from the new run
     // is itself a regression (the suite shrank); extra new traces are
@@ -151,14 +131,12 @@ fn main() {
         (samples_from_file(base), samples_from_file(new))
     };
 
-    let report = diff_samples(&base_samples, &new_samples, &spec);
+    let report = diff_samples(&base_samples, &new_samples);
     print!("{}", report.to_text(verbose));
-    let regressions = report.regressions() + missing_files;
-    if regressions > 0 {
-        if report_only {
-            println!("report-only: {regressions} regressions ignored");
-        } else {
-            std::process::exit(1);
-        }
+    if report.gated() == 0 {
+        die_input("BASE and NEW share no seed-derived key: nothing to compare");
+    }
+    if report.regressions() + missing_files > 0 {
+        std::process::exit(1);
     }
 }

@@ -6,7 +6,7 @@
 //!   the paper's evaluation (`cargo run -p vcoord-bench --release --bin
 //!   figures -- all`), printing the series and writing CSVs;
 //! * the **`bench-baseline` binary** — wall-clocks the figure suite and the
-//!   hot kernels into a machine-readable `BENCH_<label>.json` perf
+//!   hot kernels into a machine-readable `BENCH_<scale>.json` perf
 //!   baseline;
 //! * the **kernel ledger** ([`kernel_rows`]) — every isolated kernel that
 //!   binary times, defined once, as data.

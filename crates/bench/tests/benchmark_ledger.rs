@@ -37,7 +37,7 @@ const NO_READER: [(&str, &str); 14] = [
     (
         "evalplan.worker_ns",
         "wall-clock per-worker sweep time; no smoke-scale plan sweeps \
-         in parallel, so no BENCH row holds it; ROADMAP direction 7's reconcile table \
+         in parallel, so no BENCH row holds it; ROADMAP direction 9's reconcile table \
          reads it, or it goes",
     ),
     ("nps.filter", TRACE_EVENT),
@@ -48,7 +48,7 @@ const NO_READER: [(&str, &str); 14] = [
 
 /// The reason shared by the trace events in [`NO_READER`].
 const TRACE_EVENT: &str = "a trace event: obs-report's per-round digest prints every \
-    event without naming any, and nothing compares it; ROADMAP direction 9 \
+    event without naming any, and nothing compares it; ROADMAP direction 11 \
     (`obs-report --explain`) reads it, or it goes";
 
 fn repo_root() -> PathBuf {
@@ -178,7 +178,6 @@ fn every_obs_name_the_benchmark_reads_has_an_emitter() {
 ///
 /// * a counter or histogram key of a figure's `obs` block in
 ///   `BENCH_smoke.json`, which `obs-diff` compares;
-/// * a key of `ci-tolerances.toml`;
 /// * a name `benchmark/src/layers.rs` looks up;
 /// * a name of `emitted` that is a string literal in the non-test code of
 ///   `crates/obs/src/{report,diff}.rs` or `benchmark/src/layers.rs`.
@@ -196,13 +195,6 @@ fn names_with_a_reader(emitted: &BTreeSet<String>) -> BTreeSet<String> {
             if let Some(Json::Obj(fields)) = figure.get(section) {
                 read.extend(fields.iter().map(|(name, _)| name.clone()));
             }
-        }
-    }
-
-    let text = std::fs::read_to_string(root.join("ci-tolerances.toml")).expect("ci-tolerances");
-    for line in text.lines().map(str::trim) {
-        if let (false, Some((key, _))) = (line.starts_with('#'), line.split_once('=')) {
-            read.insert(key.trim().trim_matches('"').to_string());
         }
     }
 

@@ -179,15 +179,22 @@ impl ObsReport {
         }
     }
 
-    /// Drop every wall-clock histogram (metric name ending in `_ns`).
-    /// Trace files must be byte-identical across reruns and pool widths,
-    /// and timing samples are the one nondeterministic thing the
-    /// recorder holds — exporters call this before rendering; the timings
-    /// remain available to in-process consumers (bench baselines, digests).
+    /// Drop every wall-clock histogram (`is_timing`). Trace files must
+    /// be byte-identical across reruns and pool widths, and timing samples
+    /// are the one nondeterministic thing the recorder holds — exporters
+    /// call this before rendering; the timings remain available to
+    /// in-process consumers (bench baselines, digests).
     pub fn strip_timings(&mut self) {
-        self.hists
-            .retain(|(id, _)| !metric_name(*id).ends_with("_ns"));
+        self.hists.retain(|(id, _)| !is_timing(metric_name(*id)));
     }
+}
+
+/// Whether a histogram holds wall-clock samples: its metric name ends in
+/// `_ns`. Everything else the recorder holds is a function of the seed —
+/// the line traces and `obs-diff` draw between what must reproduce and what
+/// only reports.
+pub(crate) fn is_timing(metric: &str) -> bool {
+    metric.ends_with("_ns")
 }
 
 /// Add `n` to a counter. One load-and-branch when the mode is off.
