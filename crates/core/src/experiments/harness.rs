@@ -12,9 +12,8 @@
 //! runs do differently is a named item of that trait, so the loop itself
 //! has no per-system branch.
 
-use crate::experiments::{by_cell, run_jobs, Scale};
+use crate::experiments::{by_cell, repetition_pool_width, GridJob, Pool, Scale};
 use rand_chacha::ChaCha12Rng;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use vcoord_attackkit::{AttackStrategy, Honest};
 use vcoord_chaos::{ChaosCounters, ChaosPlan};
 use vcoord_defense::{Defense, DefenseStrategy};
@@ -772,52 +771,36 @@ pub(crate) fn repeat_all<S: System>(specs: &[RunSpec<'_, S>]) -> Vec<Vec<Run>> {
 /// window stands for the runs of every shorter one.
 ///
 /// The jobs whose warm-ups are identical form a *unit* ([`units`]) and
-/// converge once: the unit's first job runs [`warm_up`], publishes a clone
-/// of the converged system — the snapshot — in the unit's [`Slot`] and runs
-/// its own [`attack`]; the unit's other jobs wait for the slot, take a fork
-/// of the snapshot — the last one drops it — and run only the attack. The
-/// pool pulls the units one after the other, each owner first, so a job
-/// only ever waits on an earlier one; and it never warms a later unit up
-/// ahead of its turn, so at most one snapshot per unit being run is alive.
-///
-/// The snapshot shares the owner's latency matrix and each fork copies it
-/// on the taker's thread, so no matrix outlives the job that allocated it:
-/// every worker's allocator gets the memory of its last matrix back before
-/// it builds the next, as when each job builds its own. Were the matrix
-/// shared with the takers, a worker could start its next unit while a taker
-/// on another worker still held its last matrix, and the peak memory would
-/// depend on which worker finished first.
+/// converge once, on one [`Pool`]: the unit's first job runs [`warm_up`]
+/// and its own [`attack`], and the others run only the attack, each on a
+/// copy of the converged system — a clone that shares its latency matrix on
+/// the thread that warmed it up, a [`System::fork`] on any other.
 pub(crate) fn repeat_at<S: System>(
+    specs: &[RunSpec<'_, S>],
+    checkpoints: &[Vec<u64>],
+) -> Vec<Vec<Vec<Run>>> {
+    let jobs = specs.iter().map(|s| s.scale.repetitions).sum();
+    repeat_on(repetition_pool_width(jobs), specs, checkpoints)
+}
+
+/// [`repeat_at`] on a pool `workers` wide.
+fn repeat_on<S: System>(
+    workers: usize,
     specs: &[RunSpec<'_, S>],
     checkpoints: &[Vec<u64>],
 ) -> Vec<Vec<Vec<Run>>> {
     let reps_of: Vec<usize> = specs.iter().map(|s| s.scale.repetitions).collect();
     let units = units(specs);
-    let mut unit_of: Vec<Vec<usize>> = reps_of.iter().map(|&reps| vec![0; reps]).collect();
-    for (u, jobs) in units.iter().enumerate() {
-        for &(cell, rep) in jobs {
-            unit_of[cell][rep as usize] = u;
-        }
-    }
-    let slots: Vec<Slot<Warm<S>>> = units.iter().map(|jobs| Slot::new(jobs.len() - 1)).collect();
-    let order = units.concat();
-    let runs = run_jobs(&order, |job| {
-        let spec = RunSpec {
-            rep: job.rep,
-            ..specs[job.cell].clone()
-        };
-        let u = unit_of[job.cell][job.rep as usize];
-        let warm = if units[u][0] == (job.cell, job.rep) {
-            let owner = Owner(&slots[u]);
-            let warm = warm_up(&spec, job.eval_threads);
-            owner.publish(&warm);
-            warm
-        } else {
-            slots[u].take(Warm::fork)
-        };
-        attack(&spec, warm, &checkpoints[job.cell], job.eval_threads)
-    });
-    by_cell(&reps_of, &order, runs)
+    let spec = |job: GridJob| RunSpec {
+        rep: job.rep,
+        ..specs[job.cell].clone()
+    };
+    let runs = Pool::new(&units, workers).run(
+        |job| warm_up(&spec(job), job.eval_threads),
+        Warm::fork,
+        |job, warm| attack(&spec(job), warm, &checkpoints[job.cell], job.eval_threads),
+    );
+    by_cell(&reps_of, &units.concat(), runs)
         .into_iter()
         .zip(checkpoints)
         .map(|(reps, at)| {
@@ -856,98 +839,6 @@ fn units<S: System>(specs: &[RunSpec<'_, S>]) -> Vec<Vec<(usize, u64)>> {
         }
     }
     units
-}
-
-/// One unit's converged system, handed from the job that warms it up to
-/// the unit's `takers` other jobs.
-struct Slot<W> {
-    takers: usize,
-    state: Mutex<Share<W>>,
-    published: Condvar,
-}
-
-enum Share<W> {
-    /// The owner is still warming up.
-    Warming,
-    /// Published; `left` takers have yet to take their copy.
-    Ready { warm: W, left: usize },
-    /// The owner panicked before publishing.
-    Failed,
-    /// Every taker has its copy and the published one is dropped.
-    Taken,
-}
-
-impl<W> Slot<W> {
-    fn new(takers: usize) -> Slot<W> {
-        Slot {
-            takers,
-            state: Mutex::new(Share::Warming),
-            published: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Share<W>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Wait for the owner to publish, then return a `fork` of the published
-    /// system; the last taker drops the published copy.
-    ///
-    /// # Panics
-    /// Unwinds if the owner's warm-up panicked. The payload is a marker: the
-    /// grid resumes the owner's own panic, which comes earlier in job order.
-    fn take(&self, fork: impl FnOnce(&W) -> W) -> W {
-        let mut state = self
-            .published
-            .wait_while(self.lock(), |s| matches!(s, Share::Warming))
-            .unwrap_or_else(PoisonError::into_inner);
-        match &mut *state {
-            Share::Ready { warm, left } => {
-                // Forked before the count drops, so every update of the
-                // state is one assignment and a poisoned lock stays valid.
-                let copy = fork(warm);
-                *left -= 1;
-                if *left == 0 {
-                    *state = Share::Taken;
-                }
-                copy
-            }
-            Share::Failed => {
-                drop(state);
-                std::panic::resume_unwind(Box::new("the warm-up of this unit failed"))
-            }
-            Share::Warming | Share::Taken => unreachable!("more takers than the unit has jobs"),
-        }
-    }
-}
-
-/// The warm-up owner's hold on its unit's slot. Dropped unpublished — its
-/// warm-up panicked — it fails the slot and wakes the waiting takers.
-struct Owner<'a, W>(&'a Slot<W>);
-
-impl<W: Clone> Owner<'_, W> {
-    /// Hand a clone of the converged system — the snapshot — to the unit's
-    /// takers, if any.
-    fn publish(self, warm: &W) {
-        let slot = self.0;
-        if slot.takers > 0 {
-            let copy = warm.clone();
-            *slot.lock() = Share::Ready {
-                warm: copy,
-                left: slot.takers,
-            };
-            slot.published.notify_all();
-        }
-    }
-}
-
-impl<W> Drop for Owner<'_, W> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            *self.0.lock() = Share::Failed;
-            self.0.published.notify_all();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1284,35 +1175,45 @@ mod tests {
         assert!(spec(0).shares_warm_up(&spec(4)));
     }
 
+    /// Count one more arrival at `count` and spin until `n` have arrived or
+    /// five seconds passed; whether all `n` arrived. Forces jobs that a
+    /// scheduler can run side by side to overlap.
+    fn rendezvous(count: &std::sync::atomic::AtomicUsize, n: usize) -> bool {
+        use std::sync::atomic::Ordering;
+        use std::time::{Duration, Instant};
+
+        count.fetch_add(1, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while count.load(Ordering::SeqCst) < n && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        count.load(Ordering::SeqCst) >= n
+    }
+
     #[test]
     fn failed_warm_up_wakes_its_unit_and_keeps_its_message() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::sync::atomic::{AtomicUsize, Ordering};
 
-        // The owner fails; its takers must wake (or, pulled later, find the
-        // slot failed) without running, and the grid must report the
-        // owner's panic, not a taker's marker. The assertions hold for any
-        // interleaving and pool width; the delay only makes the waiting
-        // path the likely one on a pool of two or more.
-        let slot = Slot::<u64>::new(3);
-        let failing_warm_up = || -> u64 {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            panic!("warm-up of unit 0 failed")
-        };
+        // The owner fails; the worker waiting for its unit must wake and
+        // stop without running a job of it, and the pool must report the
+        // owner's panic. The assertions hold for any interleaving; the
+        // delay only makes the waiting path the likely one.
+        let units = [vec![(0, 0), (0, 1), (0, 2), (0, 3)]];
+        let pool = Pool::new(&units, 2);
         let attacked = AtomicUsize::new(0);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            crate::experiments::run_grid(&[4], |job| {
-                let warm = if job.rep == 0 {
-                    let owner = Owner(&slot);
-                    let warm = failing_warm_up();
-                    owner.publish(&warm);
+            pool.run(
+                |_| -> u64 {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    panic!("warm-up of unit 0 failed")
+                },
+                |w| *w,
+                |_, warm| {
+                    attacked.fetch_add(1, Ordering::SeqCst);
                     warm
-                } else {
-                    slot.take(|w| *w)
-                };
-                attacked.fetch_add(1, Ordering::SeqCst);
-                warm
-            })
+                },
+            )
         }));
         let payload = outcome.expect_err("the panic reaches the caller");
         assert_eq!(
@@ -1325,33 +1226,207 @@ mod tests {
             0,
             "no taker ran its attack"
         );
-        assert!(matches!(*slot.lock(), Share::Failed));
+        let queue = pool.lock();
+        assert!(queue.stopped && queue.open.is_empty(), "nothing published");
     }
 
     #[test]
-    fn every_taker_forks_and_the_last_drops_the_snapshot() {
+    fn no_job_waits_for_a_warm_up_while_another_can_run() {
+        use std::sync::atomic::AtomicUsize;
+
+        // 2 units × 2 jobs on 2 workers. A pool that ran the jobs unit by
+        // unit would hand worker 2 a job of unit 0 and block it for unit
+        // 0's warm-up; this one has it warm unit 1 up instead, so the two
+        // warm-ups meet, then the two owners' jobs meet, and the two jobs
+        // left run on published snapshots.
+        let units = [vec![(0, 0), (1, 0)], vec![(0, 1), (1, 1)]];
+        let pool = Pool::new(&units, 2);
+        let (warming, owning) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let runs = pool.run(
+            |job| rendezvous(&warming, 2).then_some(job.rep),
+            Clone::clone,
+            |job, warm| {
+                let owner = units[job.rep as usize][0] == (job.cell, job.rep);
+                let met = !owner || rendezvous(&owning, 2);
+                (job.cell, warm, met)
+            },
+        );
+        assert_eq!(
+            runs,
+            [
+                (0, Some(0), true),
+                (1, Some(0), true),
+                (0, Some(1), true),
+                (1, Some(1), true)
+            ],
+            "both warm-ups and both owners' jobs overlapped"
+        );
+        assert_eq!(pool.lock().waits, 0, "a worker waited for a warm-up");
+    }
+
+    #[test]
+    fn units_of_one_two_and_four_jobs_are_width_invariant() {
+        /// Obs recording on for the test's body, off again however it ends.
+        /// The mode is process-global: no other unit test of this crate
+        /// sets it or reads a report.
+        struct Tracing;
+        impl Drop for Tracing {
+            fn drop(&mut self) {
+                vcoord_obs::set_mode(vcoord_obs::ObsMode::Off);
+            }
+        }
+
+        let scale = Scale::smoke();
+        let disorder = plain(|| Box::new(NpsSimpleDisorder::default()));
+        let base = RunSpec::<NpsSim> {
+            fraction: 0.2,
+            adversary: &disorder,
+            ..RunSpec::new(&scale, 2006)
+        };
+        let at = |fraction, seed, nodes| RunSpec {
+            fraction,
+            seed,
+            nodes,
+            ..base.clone()
+        };
+        // Units of 4 (seed 2006), 2 (seed 2007) and 1 (60 nodes) jobs,
+        // their jobs interleaved.
+        let specs = [
+            at(0.1, 2006, 72),
+            at(0.1, 2007, 72),
+            at(0.2, 2006, 72),
+            at(0.2, 2006, 60),
+            at(0.3, 2006, 72),
+            at(0.3, 2007, 72),
+            at(0.4, 2006, 72),
+        ];
+        let sizes: Vec<usize> = units(&specs).iter().map(Vec::len).collect();
+        assert_eq!(sizes, [4, 2, 1]);
+        let ends: Vec<Vec<u64>> = specs
+            .iter()
+            .map(|s| vec![window_end::<NpsSim>(s.scale)])
+            .collect();
+
+        vcoord_obs::set_mode(vcoord_obs::ObsMode::Trace);
+        let _tracing = Tracing;
+        let traced = |width| {
+            vcoord_obs::reset();
+            let runs = repeat_on(width, &specs, &ends);
+            let mut report = vcoord_obs::drain();
+            report.strip_timings();
+            (runs, report)
+        };
+        let (want, want_report) = traced(1);
+        assert!(!want_report.events().is_empty(), "the order is visible");
+        for width in [2, 3] {
+            let (runs, report) = traced(width);
+            for (cell, (got, want)) in runs.iter().zip(&want).enumerate() {
+                let (got, want) = (&got[0][0], &want[0][0]);
+                assert_same_run(got, want, &format!("cell {cell} at width {width}"));
+            }
+            assert!(report == want_report, "absorbed reports at width {width}");
+        }
+    }
+
+    #[test]
+    fn a_taker_shares_its_owners_matrix_only_on_the_owners_thread() {
+        use std::sync::atomic::AtomicUsize;
+        use std::thread::{current, ThreadId};
+
+        let scale = Scale::smoke();
+        let spec = RunSpec::<VivaldiSim>::new(&scale, 5);
+        let units = [vec![(0, 0), (1, 0), (2, 0)]];
+        // (position in the unit, thread, matrix address) of every job.
+        let jobs = |width, met: &AtomicUsize| -> Vec<(usize, ThreadId, usize)> {
+            Pool::new(&units, width).run(
+                |_| warm_up(&spec, 1),
+                Warm::fork,
+                |job, warm| {
+                    // On two workers the owner's job holds its worker until
+                    // the first taker runs, so that taker is on the other.
+                    if width > 1 && job.cell < 2 {
+                        assert!(rendezvous(met, 2), "no taker ran beside the owner");
+                    }
+                    let matrix = warm.sim.matrix() as *const RttMatrix as usize;
+                    (job.cell, current().id(), matrix)
+                },
+            )
+        };
+        for width in [1, 2] {
+            let met = AtomicUsize::new(0);
+            let seen = jobs(width, &met);
+            let (_, owner_thread, owner_matrix) = seen[0];
+            let mut elsewhere = 0;
+            for &(job, thread, matrix) in &seen[1..] {
+                let own = thread == owner_thread;
+                elsewhere += usize::from(!own);
+                assert_eq!(
+                    matrix == owner_matrix,
+                    own,
+                    "job {job} at width {width}: shares the matrix iff on the owner's thread"
+                );
+            }
+            assert_eq!(elsewhere > 0, width > 1, "width {width}");
+        }
+    }
+
+    #[test]
+    fn own_thread_takers_clone_and_the_last_takes_the_snapshot() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
 
         // An `Arc` stands in for the converged system: its count is the
-        // number of copies alive. A taker handed the snapshot itself would
-        // run on memory the owner's thread allocated.
-        let slot = Slot::<Arc<()>>::new(2);
-        let warm = Arc::new(());
-        Owner(&slot).publish(&warm);
+        // number of copies alive, the test's own handle included. On one
+        // worker every taker is on the owner's thread, so none forks.
+        let root = Arc::new(());
         let forks = AtomicUsize::new(0);
-        let fork = |w: &Arc<()>| {
-            forks.fetch_add(1, Ordering::Relaxed);
-            Arc::clone(w)
-        };
-        let copies = [slot.take(&fork), slot.take(&fork)];
-        assert_eq!(forks.load(Ordering::Relaxed), 2, "the last taker forks too");
-        assert_eq!(
-            Arc::strong_count(&warm),
-            1 + copies.len(),
-            "snapshot dropped"
+        let units = [vec![(0, 0), (1, 0), (2, 0)]];
+        let counts = Pool::new(&units, 1).run(
+            |_| Arc::clone(&root),
+            |w| {
+                forks.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(w)
+            },
+            |_, warm| Arc::strong_count(&warm),
         );
-        assert!(matches!(*slot.lock(), Share::Taken));
+        assert_eq!(forks.load(Ordering::Relaxed), 0, "no taker forks");
+        // The owner's job runs beside the snapshot, the first taker on a
+        // clone of it, and the last taker on the snapshot itself.
+        assert_eq!(counts, [3, 3, 2]);
+        assert_eq!(Arc::strong_count(&root), 1, "snapshot dropped");
+    }
+
+    #[test]
+    fn live_snapshots_never_exceed_the_width() {
+        use std::time::Duration;
+
+        // Units of uneven sizes and jobs of uneven lengths, so the workers
+        // drift apart and publish while others still have jobs left.
+        let sizes = [1, 3, 2, 4, 1, 2, 3, 1, 4, 2];
+        let units: Vec<Vec<(usize, u64)>> = sizes
+            .iter()
+            .enumerate()
+            .map(|(u, &n)| (0..n).map(|cell| (cell, u as u64)).collect())
+            .collect();
+        let nap = |job: GridJob| Duration::from_millis((job.cell as u64 * 3 + job.rep) % 5);
+        for width in [1, 2, 3] {
+            let pool = Pool::new(&units, width);
+            let values = pool.run(
+                |job| {
+                    std::thread::sleep(nap(job));
+                    job.rep
+                },
+                |w| *w,
+                |job, warm| {
+                    std::thread::sleep(nap(job));
+                    (job.cell, warm)
+                },
+            );
+            let want: Vec<(usize, u64)> = units.concat();
+            assert_eq!(values, want, "job order at width {width}");
+            let peak = pool.lock().peak_open;
+            assert!(peak <= width, "{peak} snapshots alive on {width} workers");
+        }
     }
 
     #[test]

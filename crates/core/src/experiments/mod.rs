@@ -24,6 +24,7 @@ mod vivaldi_figs;
 
 pub use registry::{figure_ids, run_figure};
 
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use vcoord_metrics::TimeSeries;
 
 /// Experiment scale knobs.
@@ -210,9 +211,10 @@ pub struct GridJob {
 /// available parallelism unless a budget pins it (the binaries install
 /// `VCOORD_THREADS` as one, so CI and bench runs are reproducible on any
 /// core count) — and it is the only level of threads a figure has: cells are
-/// never fanned out around it. Workers pull jobs cell-major, rep-minor from
-/// a shared counter, so a sweep of many one-repetition cells keeps every
-/// worker as busy as one cell of many repetitions does.
+/// never fanned out around it. Each job is a unit of its own (see `Pool`),
+/// so workers take the jobs cell-major, rep-minor, and a sweep of many
+/// one-repetition cells keeps every worker as busy as one cell of many
+/// repetitions does.
 ///
 /// This is also the observability merge seam: when the `vcoord_obs` gated
 /// plane is on, each worker drains its thread-local recorder after every
@@ -223,110 +225,303 @@ pub struct GridJob {
 /// themselves.
 ///
 /// A panicking job stops the grid: the other workers finish the job they
-/// hold and pull no further one, and the panic of the earliest failed job
+/// hold and take no further one, and the panic of the earliest failed job
 /// in job order is resumed on the caller with its original payload.
 pub fn run_grid<T, F>(reps_of: &[usize], f: F) -> Vec<Vec<T>>
 where
     T: Send,
     F: Fn(GridJob) -> T + Sync,
 {
-    let jobs: Vec<(usize, u64)> = reps_of
+    let jobs: Vec<Vec<(usize, u64)>> = reps_of
         .iter()
         .enumerate()
-        .flat_map(|(cell, &reps)| (0..reps as u64).map(move |rep| (cell, rep)))
+        .flat_map(|(cell, &reps)| (0..reps as u64).map(move |rep| vec![(cell, rep)]))
         .collect();
-    by_cell(reps_of, &jobs, run_jobs(&jobs, f))
+    let pool = Pool::new(&jobs, repetition_pool_width(jobs.len()));
+    let values = pool.run(|_| (), |_| (), |job, ()| f(job));
+    by_cell(reps_of, &jobs.concat(), values)
 }
 
-/// The pool behind [`run_grid`], for any job order: workers pull the
-/// `(cell, rep)` jobs in the order given, and the values come back — and
-/// the obs reports are absorbed — in that same order. `harness::repeat_all`
-/// orders its jobs unit by unit, each unit's warm-up owner first.
-pub(crate) fn run_jobs<T, F>(jobs: &[(usize, u64)], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(GridJob) -> T + Sync,
-{
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+/// The pool behind [`run_grid`] and `harness::repeat_all`: `units` of jobs,
+/// each unit converged once by its first job's warm-up and its other jobs
+/// run on copies of that converged system, on `workers` threads.
+///
+/// *Job order* is `units` concatenated. The values come back, and the obs
+/// reports are absorbed, in job order whatever ran where, so results and
+/// traces are width-invariant.
+///
+/// The pick is work-conserving: a free worker takes the first of
+/// 1. the next job of a published unit that it warmed up itself, on a clone
+///    of the snapshot (sharing its latency matrix, which already sits in
+///    this thread's allocator arena; the unit's last job takes the snapshot
+///    itself);
+/// 2. the next job of any published unit, on a `fork` of the snapshot made
+///    on its own thread (the unit's last job then drops the snapshot);
+/// 3. the next unit's first job, which runs the warm-up, publishes a clone
+///    of the converged system — the snapshot — if the unit has more jobs,
+///    and runs its own job on the original;
+/// 4. nothing: every job left belongs to a unit still warming up, and the
+///    worker waits for it. Each such unit's warm-up is running on another
+///    worker, so the wait ends.
+///
+/// A warm-up starts only when no published unit has a job left, so at most
+/// `workers` snapshots are alive, and at width 1 the jobs run in job order.
+/// A job that panics, warm-up included, stops the pool as in [`run_grid`];
+/// the jobs of a unit whose warm-up failed never start.
+pub(crate) struct Pool<'u, W> {
+    units: &'u [Vec<(usize, u64)>],
+    workers: usize,
+    queue: Mutex<Queue<W>>,
+    changed: Condvar,
+}
 
-    let workers = repetition_pool_width(jobs.len());
-    let eval_threads = eval_thread_budget(jobs.len());
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let mut done: Vec<Option<(T, Option<vcoord_obs::ObsReport>)>> =
-        jobs.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (f, next, stop) = (&f, &next, &stop);
-                scope.spawn(move || {
-                    let mut finished = Vec::new();
-                    // Leftovers from earlier work on this pool thread must
-                    // not leak into the first job's report.
-                    if vcoord_obs::enabled() {
-                        vcoord_obs::reset();
-                    }
-                    while !stop.load(Ordering::Relaxed) {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(cell, rep)) = jobs.get(k) else {
-                            break;
-                        };
-                        let span = vcoord_obs::span(vcoord_obs::metric_id!("figure.rep_ns"));
-                        let job = GridJob {
-                            cell,
-                            rep,
-                            eval_threads,
-                        };
-                        let value = match catch_unwind(AssertUnwindSafe(|| f(job))) {
-                            Ok(value) => value,
-                            Err(payload) => {
-                                // Relaxed: the flag publishes no data, it
-                                // only ends the loops.
-                                stop.store(true, Ordering::Relaxed);
-                                return Err((k, payload));
-                            }
-                        };
-                        drop(span);
-                        let report = vcoord_obs::enabled().then(|| {
-                            let mut r = vcoord_obs::drain();
-                            r.retag_rep(rep as i32);
-                            r
-                        });
-                        finished.push((k, value, report));
-                    }
-                    Ok(finished)
-                })
+/// What is left to hand out.
+struct Queue<W> {
+    /// The first unit whose warm-up has not started.
+    next_unit: usize,
+    /// Warm-ups running.
+    warming: usize,
+    /// Published units with a job left, oldest first.
+    open: Vec<Snapshot<W>>,
+    /// A job panicked: hand out nothing more.
+    stopped: bool,
+    /// Times a worker waited for a warm-up (rule 4).
+    #[cfg(test)]
+    waits: usize,
+    /// The most snapshots alive at once.
+    #[cfg(test)]
+    peak_open: usize,
+}
+
+/// A published unit: the converged system its remaining jobs copy.
+struct Snapshot<W> {
+    unit: usize,
+    /// The worker that warmed it up.
+    owner: usize,
+    /// Its next job, by position in the unit.
+    next: usize,
+    warm: W,
+}
+
+/// A job handed to a worker: position `at` of unit `unit`, with its copy of
+/// the converged system, or `None` for a unit's first job, which warms the
+/// system up itself.
+struct Claim<W> {
+    unit: usize,
+    at: usize,
+    warm: Option<W>,
+}
+
+impl<'u, W: Clone + Send> Pool<'u, W> {
+    pub(crate) fn new(units: &'u [Vec<(usize, u64)>], workers: usize) -> Self {
+        Pool {
+            units,
+            workers,
+            queue: Mutex::new(Queue {
+                next_unit: 0,
+                warming: 0,
+                open: Vec::new(),
+                stopped: false,
+                #[cfg(test)]
+                waits: 0,
+                #[cfg(test)]
+                peak_open: 0,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Queue<W>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Every job: a unit's first runs `warm_up` and then `attack` on what
+    /// it returned, every other job `attack` on a copy of that (see
+    /// [`Pool`]). The values come back in job order.
+    pub(crate) fn run<T: Send>(
+        &self,
+        warm_up: impl Fn(GridJob) -> W + Sync,
+        fork: impl Fn(&W) -> W + Sync,
+        attack: impl Fn(GridJob, W) -> T + Sync,
+    ) -> Vec<T> {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let eval_threads = eval_thread_budget(self.workers);
+        // Job order: the index of each unit's first job.
+        let first: Vec<usize> = self
+            .units
+            .iter()
+            .scan(0, |k, unit| {
+                let at = *k;
+                *k += unit.len();
+                Some(at)
             })
             .collect();
-        // A job that failed because an earlier one did (a cell waiting on
-        // its unit's warm-up) comes later in the order, so the earliest
-        // failure carries the original payload.
-        let mut failed = Vec::new();
-        for h in handles {
-            match h.join() {
-                Ok(Ok(finished)) => {
-                    for (k, value, report) in finished {
-                        done[k] = Some((value, report));
+        let mut done: Vec<Option<(T, Option<vcoord_obs::ObsReport>)>> =
+            self.units.iter().flatten().map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.workers)
+                .map(|me| {
+                    let (first, warm_up, fork, attack) = (&first, &warm_up, &fork, &attack);
+                    scope.spawn(move || {
+                        let mut finished = Vec::new();
+                        // Leftovers from earlier work on this pool thread must
+                        // not leak into the first job's report.
+                        if vcoord_obs::enabled() {
+                            vcoord_obs::reset();
+                        }
+                        while let Some(Claim { unit, at, warm }) = self.next(me, fork) {
+                            let k = first[unit] + at;
+                            let (cell, rep) = self.units[unit][at];
+                            let job = GridJob {
+                                cell,
+                                rep,
+                                eval_threads,
+                            };
+                            // Opened once the job holds its system or is
+                            // about to build it: waiting is pool idle time.
+                            let span = vcoord_obs::span(vcoord_obs::metric_id!("figure.rep_ns"));
+                            let run = || {
+                                let warm = warm.unwrap_or_else(|| {
+                                    let warm = warm_up(job);
+                                    self.publish(me, unit, &warm);
+                                    warm
+                                });
+                                attack(job, warm)
+                            };
+                            let value = match catch_unwind(AssertUnwindSafe(run)) {
+                                Ok(value) => value,
+                                Err(payload) => {
+                                    self.stop();
+                                    return Err((k, payload));
+                                }
+                            };
+                            drop(span);
+                            let report = vcoord_obs::enabled().then(|| {
+                                let mut r = vcoord_obs::drain();
+                                r.retag_rep(rep as i32);
+                                r
+                            });
+                            finished.push((k, value, report));
+                        }
+                        Ok(finished)
+                    })
+                })
+                .collect();
+            // Jobs already running when one fails can fail too: resume the
+            // earliest in job order.
+            let mut failed = Vec::new();
+            for h in handles {
+                match h.join() {
+                    Ok(Ok(finished)) => {
+                        for (k, value, report) in finished {
+                            done[k] = Some((value, report));
+                        }
                     }
+                    Ok(Err(failure)) => failed.push(failure),
+                    Err(payload) => failed.push((usize::MAX, payload)),
                 }
-                Ok(Err(failure)) => failed.push(failure),
-                Err(payload) => failed.push((usize::MAX, payload)),
             }
-        }
-        if let Some((_, payload)) = failed.into_iter().min_by_key(|&(k, _)| k) {
-            std::panic::resume_unwind(payload);
-        }
-    });
-    done.into_iter()
-        .map(|job| {
-            let (value, report) = job.expect("every job completed");
-            if let Some(report) = report {
-                vcoord_obs::absorb(report);
+            if let Some((_, payload)) = failed.into_iter().min_by_key(|&(k, _)| k) {
+                std::panic::resume_unwind(payload);
             }
-            value
-        })
-        .collect()
+        });
+        done.into_iter()
+            .map(|job| {
+                let (value, report) = job.expect("every job completed");
+                if let Some(report) = report {
+                    vcoord_obs::absorb(report);
+                }
+                value
+            })
+            .collect()
+    }
+
+    /// Worker `me`'s next job by the pick of [`Pool`], waiting while only
+    /// warming units have jobs left; `None` once no job is left or the pool
+    /// stopped. A job's copy of its snapshot is made here, on the calling
+    /// thread, under the lock: a clone of the system and, off the owner's
+    /// thread, one copy of its matrix. A copy that panics leaves its job
+    /// claimed and the queue valid, and the panic reaches the caller.
+    fn next(&self, me: usize, fork: &impl Fn(&W) -> W) -> Option<Claim<W>> {
+        let mut queue = self.lock();
+        loop {
+            if queue.stopped {
+                return None;
+            }
+            let mine = queue.open.iter().position(|s| s.owner == me);
+            if let Some(i) = mine.or((!queue.open.is_empty()).then_some(0)) {
+                let snapshot = &mut queue.open[i];
+                let (unit, at) = (snapshot.unit, snapshot.next);
+                snapshot.next += 1;
+                let warm = if snapshot.next < self.units[unit].len() {
+                    match mine {
+                        Some(_) => snapshot.warm.clone(),
+                        None => fork(&snapshot.warm),
+                    }
+                } else {
+                    // The unit's last job: the snapshot leaves the queue.
+                    let snapshot = queue.open.remove(i);
+                    match mine {
+                        Some(_) => snapshot.warm,
+                        None => fork(&snapshot.warm),
+                    }
+                };
+                return Some(Claim {
+                    unit,
+                    at,
+                    warm: Some(warm),
+                });
+            }
+            if queue.next_unit < self.units.len() {
+                let unit = queue.next_unit;
+                queue.next_unit += 1;
+                queue.warming += 1;
+                return Some(Claim {
+                    unit,
+                    at: 0,
+                    warm: None,
+                });
+            }
+            if queue.warming == 0 {
+                return None;
+            }
+            #[cfg(test)]
+            {
+                queue.waits += 1;
+            }
+            queue = self
+                .changed
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Worker `me` has warmed `unit` up to `warm`: publish a clone of it for
+    /// the unit's other jobs, if it has any.
+    fn publish(&self, me: usize, unit: usize, warm: &W) {
+        let snapshot = (self.units[unit].len() > 1).then(|| Snapshot {
+            unit,
+            owner: me,
+            next: 1,
+            warm: warm.clone(),
+        });
+        let mut queue = self.lock();
+        queue.warming -= 1;
+        queue.open.extend(snapshot);
+        #[cfg(test)]
+        {
+            queue.peak_open = queue.peak_open.max(queue.open.len());
+        }
+        drop(queue);
+        self.changed.notify_all();
+    }
+
+    /// A job panicked: hand out nothing more, and wake the waiting workers.
+    fn stop(&self) {
+        self.lock().stopped = true;
+        self.changed.notify_all();
+    }
 }
 
 /// `values[k]`, the value of `jobs[k]`, regrouped as `cells[cell][rep]`.
@@ -343,22 +538,22 @@ pub(crate) fn by_cell<T>(reps_of: &[usize], jobs: &[(usize, u64)], values: Vec<T
     cells
 }
 
-/// Width of the [`run_grid`] pool for `jobs` jobs — the single source of
-/// truth shared with [`eval_thread_budget`].
-fn repetition_pool_width(jobs: usize) -> usize {
+/// Width of the pool for `jobs` jobs: the worker budget, or fewer if there
+/// are fewer jobs.
+pub(crate) fn repetition_pool_width(jobs: usize) -> usize {
     vcoord_metrics::worker_threads().min(jobs).max(1)
 }
 
 /// Leftover per-job thread budget for nested sweeps (the [`EvalPlan`]
-/// snapshot path) running *inside* a [`run_grid`] worker: the machine
-/// budget divided by the pool width of a grid of `jobs` jobs, never zero.
-/// Handing each job the full budget instead would multiply pools — W×W
-/// scoped threads spawned per sample tick. The sweeps are bit-identical
-/// for any worker count, so this is purely a scheduling choice.
+/// snapshot path) running *inside* a worker of a pool `workers` wide: the
+/// machine budget divided by the pool width, never zero. Handing each job
+/// the full budget instead would multiply pools — W×W scoped threads
+/// spawned per sample tick. The sweeps are bit-identical for any worker
+/// count, so this is purely a scheduling choice.
 ///
 /// [`EvalPlan`]: vcoord_metrics::EvalPlan
-fn eval_thread_budget(jobs: usize) -> usize {
-    (vcoord_metrics::worker_threads() / repetition_pool_width(jobs)).max(1)
+fn eval_thread_budget(workers: usize) -> usize {
+    (vcoord_metrics::worker_threads() / workers).max(1)
 }
 
 #[cfg(test)]
@@ -370,7 +565,7 @@ mod tests {
         let total = vcoord_metrics::worker_threads();
         for reps in [1usize, 2, 3, 10, 1000] {
             let pool = repetition_pool_width(reps);
-            let eval = eval_thread_budget(reps);
+            let eval = eval_thread_budget(pool);
             assert!(pool >= 1 && eval >= 1);
             assert!(pool <= total.max(1));
             // The product never oversubscribes the budget (up to the
