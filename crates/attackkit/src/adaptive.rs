@@ -144,11 +144,6 @@ impl CapLearner {
         }
     }
 
-    /// Current bracket `(lo, hi)` on the deployed cap, in ms of pull.
-    pub fn bracket(&self) -> (f64, f64) {
-        (self.lo, self.hi)
-    }
-
     /// One round passed; `sustained` is the worst pull the colluders held
     /// through it. After a full clean patience window that pull is
     /// proven safe and becomes the lower bracket.
@@ -830,29 +825,29 @@ mod tests {
     #[test]
     fn cap_learner_bisects_toward_the_deployed_cap() {
         let mut l = CapLearner::new(2);
-        assert_eq!(l.bracket(), (0.0, f64::INFINITY));
+        assert_eq!((l.lo, l.hi), (0.0, f64::INFINITY));
         // Unbounded above: the configured model stands.
         assert_eq!(l.believed_cap(80.0), 80.0);
         // Two clean rounds at 30 ms sustained: proven safe.
         l.observe_round(30.0);
         l.observe_round(30.0);
-        assert_eq!(l.bracket().0, 30.0);
+        assert_eq!((l.lo, l.hi).0, 30.0);
         // First flag at a worst pull of 70 ms bounds the cap above.
         assert!(l.observe_flag(0, 70.0));
-        assert_eq!(l.bracket(), (30.0, 70.0));
+        assert_eq!((l.lo, l.hi), (30.0, 70.0));
         assert_eq!(l.believed_cap(80.0), 50.0);
         // The same colluder re-flagging (permanent ban) is not evidence.
         assert!(!l.observe_flag(0, 55.0));
-        assert_eq!(l.bracket(), (30.0, 70.0));
+        assert_eq!((l.lo, l.hi), (30.0, 70.0));
         // A different colluder's first flag tightens the top.
         assert!(l.observe_flag(1, 60.0));
-        assert_eq!(l.bracket(), (30.0, 60.0));
+        assert_eq!((l.lo, l.hi), (30.0, 60.0));
         assert_eq!(l.believed_cap(80.0), 45.0);
         assert_eq!(l.flagged.len(), 2);
         // A flag below the proven-safe floor resets the floor: hard
         // evidence outranks soft.
         assert!(l.observe_flag(2, 25.0));
-        assert_eq!(l.bracket(), (0.0, 25.0));
+        assert_eq!((l.lo, l.hi), (0.0, 25.0));
     }
 
     #[test]

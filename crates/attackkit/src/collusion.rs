@@ -55,7 +55,7 @@ impl Collusion {
     /// With `n_groups == 2` the two axes are exactly antiparallel — the
     /// partition-attack geometry. With any other count each group draws an
     /// independent random unit axis. Re-forming replaces existing groups.
-    pub fn form_groups(
+    pub(crate) fn form_groups(
         &mut self,
         members: &[usize],
         n_groups: usize,
@@ -119,7 +119,7 @@ impl Collusion {
 
     /// Advance every group's accumulated offset by `step`, capped at
     /// `max_offset` — the shared per-round drift update.
-    pub fn advance_all(&mut self, step: f64, max_offset: f64) {
+    pub(crate) fn advance_all(&mut self, step: f64, max_offset: f64) {
         for g in &mut self.groups {
             g.offset = (g.offset + step).min(max_offset);
         }
@@ -131,7 +131,7 @@ impl Collusion {
     }
 
     /// Mutable access to the formed groups.
-    pub fn groups_mut(&mut self) -> &mut [Group] {
+    pub(crate) fn groups_mut(&mut self) -> &mut [Group] {
         &mut self.groups
     }
 
@@ -141,7 +141,7 @@ impl Collusion {
     }
 
     /// The group `node` belongs to, if any.
-    pub fn group_for(&self, node: usize) -> Option<&Group> {
+    pub(crate) fn group_for(&self, node: usize) -> Option<&Group> {
         self.group_of(node).map(|g| &self.groups[g])
     }
 

@@ -17,11 +17,11 @@
 //!   coherently;
 //! * [`Scenario`] — the engine object a simulator holds: strategy +
 //!   collusion + round bookkeeping;
-//! * [`strategies`] — the concrete generic strategies: gradual
+//! * the concrete generic strategies: gradual
 //!   ([`FrogBoiling`], [`Oscillation`]), coordinated
 //!   ([`NetworkPartition`]), and the classic single-shape lies
 //!   ([`Inflation`], [`Deflation`], [`RandomLie`]);
-//! * [`adaptive`] — the arms-race layer: the [`DefenseModel`] oracle (the
+//! * the arms-race layer: the [`DefenseModel`] oracle (the
 //!   attacker's belief about the deployed defense) and the defense-aware
 //!   strategies [`EvadingFrogBoil`], [`ThresholdProbe`] (driven by the
 //!   [`AttackStrategy::feedback`] verdict-observation channel) and
@@ -65,11 +65,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
-pub mod collusion;
-pub mod scenario;
-pub mod strategies;
-pub mod strategy;
+mod adaptive;
+mod collusion;
+mod scenario;
+mod strategies;
+mod strategy;
 
 pub use adaptive::{
     CapLearner, DefenseModel, EvadingFrogBoil, SleeperCollusion, SleeperPhase, ThresholdProbe,

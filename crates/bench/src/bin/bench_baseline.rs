@@ -34,7 +34,7 @@
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use vcoord::experiments::{registry, Scale};
+use vcoord::experiments::{figure_ids, run_figure, Scale};
 use vcoord::obs::json::json_escape;
 
 struct Args {
@@ -155,10 +155,7 @@ fn main() {
 
     // --- Figure wall-clocks ---------------------------------------------
     let ids: Vec<String> = if args.ids.is_empty() || args.ids.iter().any(|i| i == "all") {
-        registry::figure_ids()
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
+        figure_ids().iter().map(|s| s.to_string()).collect()
     } else {
         args.ids.clone()
     };
@@ -173,7 +170,7 @@ fn main() {
     for id in &ids {
         let start = Instant::now();
         vcoord::obs::reset();
-        match registry::run_figure(id, &args.scale, args.seed) {
+        match run_figure(id, &args.scale, args.seed) {
             Some(_) => {
                 let secs = start.elapsed().as_secs_f64();
                 let report = vcoord::obs::drain();

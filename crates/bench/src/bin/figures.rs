@@ -41,7 +41,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use vcoord::experiments::{registry, Scale};
+use vcoord::experiments::{describe, figure_ids, run_figure, Scale};
 
 struct Args {
     ids: Vec<String>,
@@ -144,14 +144,14 @@ fn main() {
 
     if args.list {
         println!("available figures:");
-        for id in registry::figure_ids() {
-            println!("  {id:<7} {}", registry::describe(id).unwrap_or(""));
+        for id in figure_ids() {
+            println!("  {id:<7} {}", describe(id).unwrap_or(""));
         }
         return;
     }
 
     let requested: Vec<&str> = if args.ids.is_empty() || args.ids.iter().any(|i| i == "all") {
-        registry::figure_ids()
+        figure_ids()
     } else {
         args.ids.iter().map(String::as_str).collect()
     };
@@ -162,7 +162,7 @@ fn main() {
     let ids: Vec<&str> = requested
         .into_iter()
         .filter(|id| {
-            let known = registry::describe(id).is_some();
+            let known = describe(id).is_some();
             if !known {
                 eprintln!("unknown figure id: {id} (try --list)");
                 failures += 1;
@@ -202,7 +202,7 @@ fn main() {
         if args.trace_out.is_some() {
             vcoord::obs::reset();
         }
-        let Some(fig) = registry::run_figure(id, &args.scale, args.seed) else {
+        let Some(fig) = run_figure(id, &args.scale, args.seed) else {
             // Every id was validated above; were one missed, it exits as
             // any unknown id does, not as a panic.
             eprintln!("unknown figure id: {id} (try --list)");

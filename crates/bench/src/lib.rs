@@ -21,7 +21,7 @@ use vcoord::metrics::EvalPlan;
 use vcoord::netsim::{Engine, NodeId, RngCore, Scheduler, SeedStream, World, TICK_MS};
 use vcoord::nps::{position_node, PositionOutcome, PositionScratch, RefSample, SecurityPolicy};
 use vcoord::obs::{set_mode, ObsMode};
-use vcoord::space::simplex::oracle::simplex_downhill_reference;
+use vcoord::space::oracle::simplex_downhill_reference;
 use vcoord::space::{simplex_downhill, Coord, SimplexOptions, SimplexScratch, Space};
 use vcoord::topo::{KingLike, KingLikeConfig};
 use vcoord::vivaldi::node::vivaldi_update;
@@ -228,7 +228,7 @@ fn netsim_queue_run(pattern: QueuePattern) -> usize {
 /// are both drawn over 1740 nodes, so each inspection lands on history the
 /// cache has not seen for a thousand samples: the row times the store, not
 /// the arithmetic.
-pub struct InspectFixture {
+struct InspectFixture {
     space: Space,
     coords: Vec<Coord>,
     defense: Defense,
@@ -239,10 +239,10 @@ pub struct InspectFixture {
 
 impl InspectFixture {
     /// Samples per timed call of [`InspectFixture::run_batch`].
-    pub const BATCH: u64 = 4096;
+    const BATCH: u64 = 4096;
 
     /// Every node placed, every history window full.
-    pub fn warmed() -> InspectFixture {
+    fn warmed() -> InspectFixture {
         let space = Space::Euclidean(2);
         let mut rng = SeedStream::new(6).rng("bench/inspect-fixture");
         let mut fixture = InspectFixture {
@@ -283,7 +283,7 @@ impl InspectFixture {
 
     /// [`InspectFixture::BATCH`] samples, each between a random pair: long
     /// enough for a timer to read.
-    pub fn run_batch(&mut self) {
+    fn run_batch(&mut self) {
         for _ in 0..Self::BATCH {
             let draw = lcg_step(&mut self.lcg);
             let (observer, remote) = ((draw >> 12) as usize, (draw >> 33) as usize);

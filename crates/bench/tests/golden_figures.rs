@@ -195,7 +195,7 @@ fn traced_smoke_suite_matches_committed_csvs_and_emits_valid_traces() {
                 scale,
                 ..
             } => {
-                assert_eq!(*schema, vcoord::obs::TRACE_SCHEMA);
+                assert_eq!(*schema, 2);
                 assert_eq!(fig, id);
                 assert_eq!(*seed, 2006);
                 assert_eq!(scale, "smoke");

@@ -7,19 +7,21 @@
 //! the count.
 
 use vcoord::obs::testing::{min_allocations_over, CountingAllocator};
-use vcoord_bench::InspectFixture;
+use vcoord_bench::kernel_rows;
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 #[test]
 fn warmed_1740_node_inspection_batch_is_allocation_free() {
-    let mut fixture = InspectFixture::warmed();
-    let allocs = min_allocations_over(3, || fixture.run_batch());
+    let mut row = kernel_rows()
+        .into_iter()
+        .find(|row| row.name == "defense_inspect_drift_cap_1740n_per_sample")
+        .expect("the kernel ledger has the inspection row");
+    let allocs = min_allocations_over(3, || (row.sample)());
     assert_eq!(
-        allocs,
-        0,
+        allocs, 0,
         "warmed-up 1740-node inspection allocated {allocs} times over one batch of {}",
-        InspectFixture::BATCH
+        row.divisor
     );
 }

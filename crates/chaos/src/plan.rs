@@ -49,7 +49,7 @@ pub struct PartitionWindow {
 impl PartitionWindow {
     /// Are `a` and `b` on opposite sides of this window's split at
     /// relative time `rel_ms`?
-    pub fn separates(&self, a: usize, b: usize, rel_ms: u64) -> bool {
+    pub(crate) fn separates(&self, a: usize, b: usize, rel_ms: u64) -> bool {
         if rel_ms < self.start_ms || rel_ms >= self.end_ms {
             return false;
         }

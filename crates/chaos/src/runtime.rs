@@ -129,7 +129,7 @@ impl ChaosState {
 
     /// Are `a` and `b` separated by an active partition window at absolute
     /// time `now_ms`?
-    pub fn partitioned(&self, a: usize, b: usize, now_ms: u64) -> bool {
+    pub(crate) fn partitioned(&self, a: usize, b: usize, now_ms: u64) -> bool {
         if self.plan.partitions.is_empty() {
             return false;
         }

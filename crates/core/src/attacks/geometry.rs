@@ -14,7 +14,7 @@ use vcoord_space::{Coord, Space};
 /// made to measure. The caller turns the latter into a delay
 /// (`needed_rtt − true_rtt`, clamped at zero by the simulator).
 #[derive(Debug, Clone)]
-pub struct ConsistentLie {
+pub(crate) struct ConsistentLie {
     /// Coordinates the attacker reports.
     pub coord: Coord,
     /// The RTT the victim should measure for the lie to be consistent.
@@ -30,7 +30,7 @@ pub struct ConsistentLie {
 /// with `d = ‖target − victim‖` and `δ = Cc` since the attacker also
 /// reports a near-zero error to drive the victim's weight to ≈1) lands the
 /// victim exactly on `target`.
-pub fn repulsion_lie<R: Rng + ?Sized>(
+pub(crate) fn repulsion_lie<R: Rng + ?Sized>(
     space: &Space,
     victim_pos: &Coord,
     target: &Coord,
@@ -76,7 +76,7 @@ pub fn repulsion_lie<R: Rng + ?Sized>(
 ///   observation that the filter's median gets "skewed sufficiently that
 ///   malicious behaviour is assimilated to normal behaviour".
 #[allow(clippy::too_many_arguments)] // the lie construction takes the full attack context
-pub fn anti_detection_lie<R: Rng + ?Sized>(
+pub(crate) fn anti_detection_lie<R: Rng + ?Sized>(
     space: &Space,
     victim_anchor: &Coord,
     attacker_pos: &Coord,
@@ -107,7 +107,7 @@ pub fn anti_detection_lie<R: Rng + ?Sized>(
 /// to stay below 0.01, the pushed distance `d″` must exceed
 /// `(α + 1.99)/0.01 · d`. Used to pick sane `push_factor` defaults and to
 /// unit-test the lie construction.
-pub fn naive_push_bound(alpha: f64) -> f64 {
+pub(crate) fn naive_push_bound(alpha: f64) -> f64 {
     (alpha + 1.99) / 0.01
 }
 
@@ -115,7 +115,7 @@ pub fn naive_push_bound(alpha: f64) -> f64 {
 /// and pushed distance `push_factor · d`, the measured RTT stays below `T`
 /// only when `d < T / (push_factor + 1)` — 25 ms for the paper's parameters
 /// (5 s threshold, push ≈ 199·d).
-pub fn sophistication_cut_ms(probe_threshold_ms: f64, push_factor: f64) -> f64 {
+pub(crate) fn sophistication_cut_ms(probe_threshold_ms: f64, push_factor: f64) -> f64 {
     probe_threshold_ms / (push_factor + 1.0)
 }
 

@@ -13,6 +13,6 @@
 //! All coordinate/delay arithmetic shared between strategies lives in
 //! [`geometry`], which is unit-tested against the paper's closed forms.
 
-pub mod geometry;
-pub mod nps;
-pub mod vivaldi;
+pub(crate) mod geometry;
+pub(crate) mod nps;
+pub(crate) mod vivaldi;

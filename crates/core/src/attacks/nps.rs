@@ -64,7 +64,7 @@ impl AttackStrategy for NpsSimpleDisorder {
 /// estimates the distance from the probe's one-way timestamp.
 ///
 /// The `sophisticated` variant additionally refuses to attack victims it
-/// believes to be farther than [`NpsAntiDetection::victim_cut_ms`], so the
+/// believes to be farther than its victim cut (half the probe threshold), so the
 /// inflated RTT stays below the victim's probe threshold and the attack
 /// never trips the threshold check (§5.4.3: with a 5 s threshold and the
 /// paper's parameters this cut is 25 ms).
@@ -75,7 +75,7 @@ pub struct NpsAntiDetection {
     /// How far to push, as a multiple of the estimated victim distance.
     pub push_factor: f64,
     /// Aggression margin as a fraction of the filter's 1 % floor (see
-    /// [`anti_detection_lie`]).
+    /// `anti_detection_lie`).
     pub margin: f64,
     /// Whether to avoid the probe-threshold mechanism (§5.4.3).
     pub sophisticated: bool,
@@ -104,7 +104,7 @@ impl NpsAntiDetection {
 
     /// The victim-distance cut used by the sophisticated variant, given the
     /// protocol's probe threshold.
-    pub fn victim_cut_ms(&self, probe_threshold_ms: f64) -> f64 {
+    pub(crate) fn victim_cut_ms(&self, probe_threshold_ms: f64) -> f64 {
         sophistication_cut_ms(probe_threshold_ms, self.push_factor)
     }
 }
@@ -319,21 +319,6 @@ impl NpsCombined {
             assignment: HashMap::new(),
         }
     }
-
-    /// How many attackers were assigned to each class (d, a, c).
-    pub fn class_sizes(&self) -> (usize, usize, usize) {
-        let mut d = 0;
-        let mut a = 0;
-        let mut c = 0;
-        for v in self.assignment.values() {
-            match v {
-                0 => d += 1,
-                1 => a += 1,
-                _ => c += 1,
-            }
-        }
-        (d, a, c)
-    }
 }
 
 impl AttackStrategy for NpsCombined {
@@ -397,6 +382,21 @@ mod tests {
     use rand::SeedableRng;
     use vcoord_attackkit::Protocol;
     use vcoord_space::Space;
+
+    /// How many attackers were assigned to each class (d, a, c).
+    fn class_sizes(adv: &NpsCombined) -> (usize, usize, usize) {
+        let mut d = 0;
+        let mut a = 0;
+        let mut c = 0;
+        for v in adv.assignment.values() {
+            match v {
+                0 => d += 1,
+                1 => a += 1,
+                _ => c += 1,
+            }
+        }
+        (d, a, c)
+    }
 
     struct Fixture {
         space: Space,
@@ -566,7 +566,7 @@ mod tests {
         let mut adv = NpsCombined::new(Knowledge::half(), 0.3);
         let attackers = [0usize, 1, 2, 3, 4, 5];
         adv.inject(&attackers, &mut coll, &v, &mut rng);
-        let (d, a, c) = adv.class_sizes();
+        let (d, a, c) = class_sizes(&adv);
         assert_eq!(d + a + c, 6);
         assert!(d >= 1 && a >= 1 && c >= 1);
     }

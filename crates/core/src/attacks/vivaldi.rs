@@ -78,7 +78,7 @@ impl VivaldiRepulsion {
     }
 
     /// Attack only `subset` victims per attacker (figure 7).
-    pub fn with_subset(target_range: f64, subset: usize) -> Self {
+    pub(crate) fn with_subset(target_range: f64, subset: usize) -> Self {
         VivaldiRepulsion {
             subset_size: Some(subset),
             ..Self::new(target_range)
@@ -383,21 +383,6 @@ impl VivaldiCombined {
             assignment: HashMap::new(),
         }
     }
-
-    /// How many attackers were assigned to each class (d, r, c).
-    pub fn class_sizes(&self) -> (usize, usize, usize) {
-        let mut d = 0;
-        let mut r = 0;
-        let mut c = 0;
-        for v in self.assignment.values() {
-            match v {
-                0 => d += 1,
-                1 => r += 1,
-                _ => c += 1,
-            }
-        }
-        (d, r, c)
-    }
 }
 
 impl Default for VivaldiCombined {
@@ -459,6 +444,21 @@ mod tests {
     use rand::SeedableRng;
     use vcoord_attackkit::Protocol;
     use vcoord_space::Space;
+
+    /// How many attackers were assigned to each class (d, r, c).
+    fn class_sizes(adv: &VivaldiCombined) -> (usize, usize, usize) {
+        let mut d = 0;
+        let mut r = 0;
+        let mut c = 0;
+        for v in adv.assignment.values() {
+            match v {
+                0 => d += 1,
+                1 => r += 1,
+                _ => c += 1,
+            }
+        }
+        (d, r, c)
+    }
 
     fn view_fixture<'a>(
         space: &'a Space,
@@ -617,6 +617,6 @@ mod tests {
         let mut adv = VivaldiCombined::new();
         let attackers: Vec<usize> = (0..9).collect();
         adv.inject(&attackers, &mut coll, &view, &mut rng);
-        assert_eq!(adv.class_sizes(), (3, 3, 3));
+        assert_eq!(class_sizes(&adv), (3, 3, 3));
     }
 }

@@ -31,7 +31,7 @@ use vcoord_defense::{
     DefenseStrategy, DriftCap, DriftDecay, EwmaChangePoint, ResidualOutlier, TriangleCheck,
 };
 use vcoord_netsim::TICK_MS;
-use vcoord_nps::sim::ROUND_MS as NPS_ROUND_MS;
+use vcoord_nps::ROUND_MS as NPS_ROUND_MS;
 use vcoord_nps::{NpsConfig, NpsSim};
 use vcoord_space::Space;
 use vcoord_vivaldi::VivaldiSim;

@@ -386,7 +386,7 @@ impl<'a, S: System> RunSpec<'a, S> {
     /// The default run: the default system at `scale.nodes`, no attackers
     /// (the [`honest`] adversary over an empty set), no defense, no faults,
     /// repetition 0.
-    pub fn new(scale: &'a Scale, seed: u64) -> Self {
+    pub(crate) fn new(scale: &'a Scale, seed: u64) -> Self {
         RunSpec {
             scale,
             config: S::Config::default(),

@@ -1,5 +1,6 @@
 //! The experiment suite: one reproducible runner per figure of the paper's
-//! evaluation (§5), declared as one row of the figure table ([`registry`]).
+//! evaluation (§5), declared as one row of the figure table ([`figure_ids`]
+//! lists them, [`run_figure`] runs one).
 //!
 //! Every runner takes a [`Scale`] (quick vs full/paper scale) and a master
 //! seed, fans its (cell, repetition) jobs out over one pool of threads —
@@ -18,11 +19,11 @@ mod defense_figs;
 mod extensions;
 mod harness;
 mod nps_figs;
-pub mod registry;
+mod registry;
 mod shapes;
 mod vivaldi_figs;
 
-pub use registry::{figure_ids, run_figure};
+pub use registry::{describe, figure_ids, run_figure};
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use vcoord_metrics::TimeSeries;

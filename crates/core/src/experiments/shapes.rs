@@ -144,14 +144,14 @@ pub(crate) struct Cell {
 
 impl Cell {
     /// Every repetition of every spec as one job grid, reduced per spec.
-    pub fn all<S: System>(specs: &[RunSpec<'_, S>]) -> Vec<Cell> {
+    pub(crate) fn all<S: System>(specs: &[RunSpec<'_, S>]) -> Vec<Cell> {
         repeat_all(specs)
             .iter()
             .map(|runs| Cell::of(runs))
             .collect()
     }
 
-    pub fn of(runs: &[Run]) -> Cell {
+    pub(crate) fn of(runs: &[Run]) -> Cell {
         let total = |count: &dyn Fn(&Run) -> u64| runs.iter().map(count).sum::<u64>();
         let mean = |count: &dyn Fn(&Run) -> u64| total(count) as f64 / runs.len().max(1) as f64;
         let defense = |count: fn(&DefenseOutcome) -> u64| {
@@ -186,12 +186,12 @@ impl Cell {
     }
 
     /// True-positive rate (0 when no malicious node was inspected).
-    pub fn tpr(&self) -> f64 {
+    pub(crate) fn tpr(&self) -> f64 {
         self.confusion.tpr().unwrap_or(0.0)
     }
 
     /// False-positive rate (0 when no honest node was inspected).
-    pub fn fpr(&self) -> f64 {
+    pub(crate) fn fpr(&self) -> f64 {
         self.confusion.fpr().unwrap_or(0.0)
     }
 }
@@ -217,7 +217,7 @@ pub(crate) struct Matrix<'a, S: System> {
 
 impl<S: System> Matrix<'_, S> {
     /// The (attack × defense) cells, attack-major, as one job grid.
-    pub fn cells(&self) -> Vec<Cell> {
+    pub(crate) fn cells(&self) -> Vec<Cell> {
         let (attack_by, defense_by) = (self.attack_by, self.defense_by);
         let attacks: Vec<_> = self
             .attacks
@@ -239,7 +239,7 @@ impl<S: System> Matrix<'_, S> {
         Cell::all(&specs)
     }
 
-    pub fn figure(&self) -> FigureResult {
+    pub(crate) fn figure(&self) -> FigureResult {
         let mut fig = FigureResult::new(vec!["attack_idx".to_string()]);
         for (prefix, skip, _) in self.blocks {
             let defenses = self.defenses.iter().skip(*skip);
@@ -279,12 +279,12 @@ pub(crate) struct LevelSweep<'a> {
 impl LevelSweep<'_> {
     /// The figure whose level cells are the repetitions of `specs`, one
     /// spec per level, run as one job grid.
-    pub fn figure<S: System>(&self, specs: &[RunSpec<'_, S>]) -> FigureResult {
+    pub(crate) fn figure<S: System>(&self, specs: &[RunSpec<'_, S>]) -> FigureResult {
         self.table(&Cell::all(specs))
     }
 
     /// The figure over `cells`, one per level.
-    pub fn table(&self, cells: &[Cell]) -> FigureResult {
+    pub(crate) fn table(&self, cells: &[Cell]) -> FigureResult {
         let mut columns = vec!["point_idx".to_string(), self.level_column.to_string()];
         columns.extend(self.columns.iter().map(|(name, _)| name.to_string()));
         let mut fig = FigureResult::new(columns);
@@ -303,7 +303,7 @@ impl LevelSweep<'_> {
     /// re-run under the fault plan `plan(level, converged system)` of each
     /// level. Level 0 installs no plan at all, so its row is the
     /// byte-identical no-chaos run the other levels are read against.
-    pub fn recovery<S: System>(
+    pub(crate) fn recovery<S: System>(
         &self,
         base: &RunSpec<'_, S>,
         plan: &(dyn Fn(f64, &S) -> ChaosPlan + Sync),

@@ -27,7 +27,7 @@ impl Knowledge {
     }
 
     /// Sample whether this particular probe benefits from knowledge.
-    pub fn knows<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+    pub(crate) fn knows<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         match *self {
             Knowledge::Oracle => true,
             Knowledge::None => false,
@@ -44,7 +44,7 @@ impl Knowledge {
     }
 
     /// The nominal probability (for CSV headers and sweeps).
-    pub fn probability(&self) -> f64 {
+    pub(crate) fn probability(&self) -> f64 {
         match *self {
             Knowledge::Oracle => 1.0,
             Knowledge::None => 0.0,

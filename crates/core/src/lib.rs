@@ -23,10 +23,10 @@
 //!
 //! The paper-specific pieces are local:
 //!
-//! * [`attacks`] — every attack strategy from §4/§5, built on the shared
-//!   lie-consistency geometry of [`attacks::geometry`];
-//! * [`knowledge`] — the attacker's victim-coordinate knowledge model
-//!   (figures 19/20/22 sweep it);
+//! * every attack strategy from §4/§5 (the `Vivaldi*` and `Nps*` types of
+//!   the [`prelude`]), built on one shared lie-consistency geometry;
+//! * [`prelude::Knowledge`] — the attacker's victim-coordinate knowledge
+//!   model (figures 19/20/22 sweep it);
 //! * [`experiments`] — one configured, reproducible runner per figure.
 //!
 //! ## Quickstart
@@ -54,11 +54,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod attacks;
+mod attacks;
 pub mod experiments;
-pub mod knowledge;
-
-pub use knowledge::Knowledge;
+mod knowledge;
 
 // Substrate re-exports under stable names.
 pub use vcoord_attackkit as attackkit;

@@ -6,9 +6,9 @@
 //!
 //! The worker budget and the obs mode are process-global, so this binary
 //! holds exactly one `#[test]` — a sibling flipping either on another
-//! libtest thread would race. Events are only buffered for export in
-//! `Trace` mode (`Metrics` keeps them in the flight ring alone), so that is
-//! the mode the tags are read in.
+//! libtest thread would race. Events are recorded only in `Trace` mode
+//! (`Metrics` keeps counters and histograms and drops every event), so that
+//! is the mode the tags are read in.
 
 use vcoord::experiments::run_grid;
 use vcoord::metrics::parallel::set_worker_budget;

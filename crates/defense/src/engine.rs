@@ -67,31 +67,21 @@ pub struct DefenseStats {
     /// tallied above, but kept out of every history window).
     pub quarantined: u64,
     /// Per remote node, indexed by node id.
-    nodes: Vec<NodeTally>,
+    pub(crate) nodes: Vec<NodeTally>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
-struct NodeTally {
+pub(crate) struct NodeTally {
     /// Inspections of this node's reports.
-    inspected: u64,
+    pub(crate) inspected: u64,
     /// Flag events (rejections + strict dampenings) against it.
-    flags: u64,
+    pub(crate) flags: u64,
 }
 
 impl DefenseStats {
     /// Total samples inspected.
     pub fn total(&self) -> u64 {
         self.accepted + self.rejected + self.dampened
-    }
-
-    /// Flag events recorded against `node`.
-    pub fn flags_of(&self, node: usize) -> u64 {
-        self.nodes.get(node).map_or(0, |t| t.flags)
-    }
-
-    /// Inspections of samples reported by `node`.
-    pub fn inspected_of(&self, node: usize) -> u64 {
-        self.nodes.get(node).map_or(0, |t| t.inspected)
     }
 
     /// Grade the per-node flags against a ground-truth malicious set: a
@@ -176,12 +166,6 @@ impl Defense {
     /// The strategy's label (for CSV headers).
     pub fn label(&self) -> &'static str {
         self.strategy.label()
-    }
-
-    /// Whether the fast path is active (the deployed strategy is
-    /// [`NoDefense`](crate::NoDefense)).
-    pub fn is_passthrough(&self) -> bool {
-        self.passthrough
     }
 
     /// Verdict accounting so far.
@@ -315,7 +299,6 @@ impl Defense {
                 u.round,
                 u.reported_coord,
                 residual,
-                rel_residual,
             );
             if verdict != Verdict::Reject {
                 self.history.record_observer(
@@ -355,8 +338,12 @@ impl Defense {
 #[cfg(test)]
 mod tests {
     use super::*;
-
     use std::sync::{Arc, Mutex};
+
+    /// The verdict tally of `node`'s reports (zero if never inspected).
+    fn tally(d: &Defense, node: usize) -> NodeTally {
+        d.stats().nodes.get(node).copied().unwrap_or_default()
+    }
 
     /// Rejects everything after `reject_after` inspections; counts rounds
     /// into a shared cell so tests can observe the cadence from outside.
@@ -404,7 +391,7 @@ mod tests {
         let me = Coord::origin(2);
         let them = Coord::from_vec(vec![30.0, 40.0]);
         let mut d = Defense::none();
-        assert!(d.is_passthrough());
+        assert!(d.passthrough);
         assert_eq!(d.label(), "none");
         for r in 0..5 {
             assert_eq!(
@@ -417,7 +404,7 @@ mod tests {
             d.history().remote(1).is_none(),
             "fast path keeps no history"
         );
-        assert_eq!(d.stats().inspected_of(1), 0);
+        assert_eq!(tally(&d, 1).inspected, 0);
     }
 
     #[test]
@@ -458,9 +445,9 @@ mod tests {
         d.inspect(&space, &me, update(2, &them, 50.0, 4));
         assert_eq!(d.stats().accepted, 2);
         assert_eq!(d.stats().rejected, 3);
-        assert_eq!(d.stats().flags_of(1), 2);
-        assert_eq!(d.stats().flags_of(2), 1);
-        assert_eq!(d.stats().inspected_of(1), 4);
+        assert_eq!(tally(&d, 1).flags, 2);
+        assert_eq!(tally(&d, 2).flags, 1);
+        assert_eq!(tally(&d, 1).inspected, 4);
 
         // Ground truth: node 1 malicious, node 2 honest.
         let malicious = vec![false, true, false];

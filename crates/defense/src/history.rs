@@ -17,20 +17,17 @@
 //!
 //! Both indexes are tables indexed by node id — the simulators' node
 //! indices, dense from zero, so a lookup is a bounds check and not a hash —
-//! and every ring is a fixed-size buffer written in place: scalar rings are arrays
-//! inside the table entry, vector payloads (pulls, coordinates) sit in one
-//! flat buffer per ring, `dim + 1` components per slot, allocated whole at
-//! the ring's first sample. After a node's first sample the store records
+//! and every ring is a fixed-size buffer written in place: vector payloads
+//! (pulls, coordinates) sit in one flat buffer per ring, `dim + 1`
+//! components per slot, allocated whole at the ring's first sample. After a node's first sample the store records
 //! without heap allocation.
 
-use vcoord_space::{Coord, Space};
+use vcoord_space::Coord;
 
 /// Residual-window length of [`RemoteHistory`].
-pub const RESIDUAL_WINDOW: usize = 16;
-/// Reported-coordinate trail length of [`RemoteHistory`].
-pub const REPORTED_WINDOW: usize = 8;
+pub(crate) const RESIDUAL_WINDOW: usize = 16;
 /// Per-observer recent-sample ring length.
-pub const OBSERVER_WINDOW: usize = 24;
+pub(crate) const OBSERVER_WINDOW: usize = 24;
 
 /// The entry of `id` in a table indexed by node id, grown on demand.
 ///
@@ -89,24 +86,13 @@ impl VecRing {
 /// Accumulated history of one node's reports, across all observers.
 #[derive(Debug, Clone, Default)]
 pub struct RemoteHistory {
-    /// Ring of signed residuals `rtt − predicted` (ms), unordered; the
-    /// first `len` slots are live.
-    residuals: [f64; RESIDUAL_WINDOW],
-    /// Ring of relative residuals `|predicted − rtt| / rtt`, parallel to
-    /// `residuals`.
-    rel_residuals: [f64; RESIDUAL_WINDOW],
-    /// Ring of *pull vectors*, parallel to `residuals`: the per-sample
-    /// displacement this node's report exerts on its observer,
+    /// Ring of *pull vectors*, unordered: the per-sample displacement this
+    /// node's report exerts on its observer,
     /// `(rtt − predicted) · u(observer − reported)`, stored as Euclidean
-    /// components plus a trailing height component. See
-    /// [`RemoteHistory::mean_pull_norm`].
+    /// components plus a trailing height component; the first `len` slots
+    /// are live. See [`RemoteHistory::mean_pull_norm`].
     pulls: VecRing,
     len: usize,
-    /// The report trail: rounds here, the coordinates reported in them
-    /// beside; the first `rep_len` slots are live.
-    reported_rounds: [u64; REPORTED_WINDOW],
-    reported: VecRing,
-    rep_len: usize,
     /// Samples ever recorded; slot `samples % window` of each ring is the
     /// next one written, which once the ring is full is its oldest.
     samples: u64,
@@ -132,28 +118,6 @@ impl RemoteHistory {
         self.last_round
     }
 
-    /// The retained window of signed residuals (ms), unordered.
-    pub fn residuals(&self) -> &[f64] {
-        &self.residuals[..self.len]
-    }
-
-    /// The retained window of relative residuals, unordered.
-    pub fn rel_residuals(&self) -> &[f64] {
-        &self.rel_residuals[..self.len]
-    }
-
-    /// Mean *signed* residual over the window (`None` when empty). Note
-    /// the caveat that motivates [`RemoteHistory::mean_pull_norm`]: an
-    /// honest node whose topology cannot be embedded (the classic
-    /// access-link/height effect) holds a *scalar* residual bias to every
-    /// neighbor, so this mean alone misfires on real topologies.
-    pub fn mean_residual(&self) -> Option<f64> {
-        if self.len == 0 {
-            return None;
-        }
-        Some(self.residuals().iter().sum::<f64>() / self.len as f64)
-    }
-
     /// Norm of the **vector** mean pull this node's reports exert on their
     /// observers, ms per sample (`None` when the window is empty), in any
     /// number of dimensions.
@@ -165,7 +129,7 @@ impl RemoteHistory {
     /// why it sits at spring equilibrium) — while a frog-boiling colluder
     /// pulls every observer along the shared collusion axis, so the
     /// vector mean keeps the full gap magnitude.
-    pub fn mean_pull_norm(&self) -> Option<f64> {
+    pub(crate) fn mean_pull_norm(&self) -> Option<f64> {
         if self.len == 0 {
             return None;
         }
@@ -185,40 +149,8 @@ impl RemoteHistory {
         Some(sq.sqrt())
     }
 
-    /// Net displacement per round of the *reported* coordinate across the
-    /// retained trail: `dist(newest, oldest) / (round_newest − round_oldest)`.
-    /// `None` until the trail spans at least one round.
-    pub fn reported_velocity(&self, space: &Space) -> Option<f64> {
-        if self.rep_len < 2 {
-            return None;
-        }
-        let next = self.samples as usize % REPORTED_WINDOW;
-        let (oldest, newest) = if self.rep_len < REPORTED_WINDOW {
-            (0, self.rep_len - 1)
-        } else {
-            // Full ring: the slot about to be overwritten is the oldest.
-            (next, (next + REPORTED_WINDOW - 1) % REPORTED_WINDOW)
-        };
-        let span = self.reported_rounds[newest].saturating_sub(self.reported_rounds[oldest]);
-        if span == 0 {
-            return None;
-        }
-        let (c0, h0) = self.reported.get(oldest);
-        let (c1, h1) = self.reported.get(newest);
-        Some(space.distance_flat(c1, h1, c0, h0) / span as f64)
-    }
-
-    fn record(
-        &mut self,
-        round: u64,
-        observer: &Coord,
-        reported: &Coord,
-        residual: f64,
-        rel_residual: f64,
-    ) {
+    fn record(&mut self, round: u64, observer: &Coord, reported: &Coord, residual: f64) {
         let k = self.samples as usize % RESIDUAL_WINDOW;
-        self.residuals[k] = residual;
-        self.rel_residuals[k] = rel_residual;
         write_pull(
             self.pulls.slot_mut(RESIDUAL_WINDOW, k, reported),
             observer,
@@ -226,11 +158,6 @@ impl RemoteHistory {
             residual,
         );
         self.len = (self.len + 1).min(RESIDUAL_WINDOW);
-
-        let k = self.samples as usize % REPORTED_WINDOW;
-        self.reported_rounds[k] = round;
-        self.reported.put(REPORTED_WINDOW, k, reported);
-        self.rep_len = (self.rep_len + 1).min(REPORTED_WINDOW);
 
         self.samples += 1;
         self.last_round = round;
@@ -331,7 +258,7 @@ impl<'a> Recent<'a> {
 
     /// Each sample with the coordinate its neighbor reported, as
     /// `(sample, Euclidean part, height)` — the argument shape of
-    /// [`Space::distance_flat`].
+    /// [`vcoord_space::Space::distance_flat`].
     pub fn iter(&self) -> impl Iterator<Item = (&'a ObserverSample, &'a [f64], f64)> + 'a {
         let coords = self.coords;
         self.samples.iter().enumerate().map(move |(k, s)| {
@@ -383,7 +310,7 @@ impl NeighborHistory {
         (&self.remotes[remote], self.recent(observer))
     }
 
-    /// Record one inspected sample into the remote's report trail (every
+    /// Record one inspected sample into the remote's pull window (every
     /// inspected sample belongs here — detectors keep observing flagged
     /// nodes).
     pub(crate) fn record_remote(
@@ -393,11 +320,10 @@ impl NeighborHistory {
         round: u64,
         reported: &Coord,
         residual: f64,
-        rel_residual: f64,
     ) {
         let h = slot(&mut self.remotes, remote);
         h.inspected = true;
-        h.record(round, observer_coord, reported, residual, rel_residual);
+        h.record(round, observer_coord, reported, residual);
     }
 
     /// Record one sample into the observer's recent ring — the population
@@ -416,7 +342,6 @@ impl NeighborHistory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcoord_space::Space;
 
     #[test]
     fn remote_window_wraps_and_means() {
@@ -424,11 +349,10 @@ mod tests {
         let reported = Coord::origin(2);
         let observer = Coord::from_vec(vec![100.0, 0.0]);
         for k in 0..(RESIDUAL_WINDOW + 4) {
-            h.record(k as u64, &observer, &reported, 10.0, 0.1);
+            h.record(k as u64, &observer, &reported, 10.0);
         }
         assert_eq!(h.samples(), (RESIDUAL_WINDOW + 4) as u64);
-        assert_eq!(h.residuals().len(), RESIDUAL_WINDOW);
-        assert_eq!(h.mean_residual(), Some(10.0));
+        assert_eq!(h.len, RESIDUAL_WINDOW);
         // One observer, fixed direction: the vector mean keeps the full
         // magnitude.
         assert!((h.mean_pull_norm().unwrap() - 10.0).abs() < 1e-9);
@@ -446,9 +370,8 @@ mod tests {
         for k in 0..8u64 {
             let a = k as f64 / 8.0 * std::f64::consts::TAU;
             let observer = Coord::from_vec(vec![100.0 * a.cos(), 100.0 * a.sin()]);
-            hub.record(k, &observer, &reported, 50.0, 0.5);
+            hub.record(k, &observer, &reported, 50.0);
         }
-        assert_eq!(hub.mean_residual(), Some(50.0), "scalar bias persists");
         assert!(
             hub.mean_pull_norm().unwrap() < 1e-9,
             "radial pulls must cancel: {}",
@@ -461,7 +384,7 @@ mod tests {
             // out along the collusion axis: every pull is ~axis-aligned.
             let observer = Coord::from_vec(vec![10.0 * k as f64, 5.0]);
             let far = Coord::from_vec(vec![10_000.0, 0.0]);
-            colluder.record(k, &observer, &far, -120.0, 1.2);
+            colluder.record(k, &observer, &far, -120.0);
         }
         assert!(
             colluder.mean_pull_norm().unwrap() > 110.0,
@@ -486,44 +409,18 @@ mod tests {
         for k in 0..RESIDUAL_WINDOW {
             // Observers in opposite pairs along eight of the axes.
             let observer = axis(k / 2 + 11, if k % 2 == 0 { 100.0 } else { -100.0 });
-            hub.record(k as u64, &observer, &reported, 50.0, 0.5);
+            hub.record(k as u64, &observer, &reported, 50.0);
         }
-        assert_eq!(hub.mean_residual(), Some(50.0), "scalar bias persists");
         assert_eq!(hub.mean_pull_norm(), Some(0.0), "radial pulls must cancel");
 
         let far = axis(dim - 1, 10_000.0);
         let mut colluder = RemoteHistory::new();
         for k in 0..RESIDUAL_WINDOW {
             let observer = axis(k, 10.0 * k as f64);
-            colluder.record(k as u64, &observer, &far, -120.0, 1.2);
+            colluder.record(k as u64, &observer, &far, -120.0);
         }
         let drag = colluder.mean_pull_norm().unwrap();
         assert!(drag > 119.0 && drag <= 120.0, "coherent drag: {drag}");
-    }
-
-    #[test]
-    fn reported_velocity_tracks_a_moving_trail() {
-        let space = Space::Euclidean(2);
-        let mut h = RemoteHistory::new();
-        let observer = Coord::origin(2);
-        // Reported coordinate advances 5 ms per round along x.
-        for r in 0..20u64 {
-            let c = Coord::from_vec(vec![5.0 * r as f64, 0.0]);
-            h.record(r, &observer, &c, 0.0, 0.0);
-        }
-        let v = h.reported_velocity(&space).unwrap();
-        assert!((v - 5.0).abs() < 1e-9, "velocity {v}");
-    }
-
-    #[test]
-    fn reported_velocity_none_without_span() {
-        let space = Space::Euclidean(2);
-        let mut h = RemoteHistory::new();
-        assert!(h.reported_velocity(&space).is_none());
-        let c = Coord::origin(2);
-        h.record(3, &c, &c, 0.0, 0.0);
-        h.record(3, &c, &c, 0.0, 0.0); // same round: zero span
-        assert!(h.reported_velocity(&space).is_none());
     }
 
     #[test]
@@ -532,7 +429,7 @@ mod tests {
         let c = Coord::from_vec(vec![1.0, 2.0]);
         let me = Coord::origin(2);
         for k in 0..(OBSERVER_WINDOW + 7) {
-            store.record_remote(&me, k % 5, k as u64, &c, -1.0, 0.02);
+            store.record_remote(&me, k % 5, k as u64, &c, -1.0);
             let sample = ObserverSample {
                 remote: k % 5,
                 rtt: 50.0,

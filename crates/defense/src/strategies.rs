@@ -279,7 +279,7 @@ impl DefenseStrategy for EwmaChangePoint {
 /// vector, held open round after round, is precisely the drift velocity
 /// it feeds its victims (NPS: the persistent directional bias on the
 /// Simplex fit). The mean is taken *vectorially*
-/// ([`RemoteHistory::mean_pull_norm`](crate::RemoteHistory::mean_pull_norm)):
+/// (`RemoteHistory::mean_pull_norm`):
 /// an honest-but-unembeddable hub (positive scalar residual to everyone —
 /// the access-link/height effect) pulls its observers radially, the
 /// directions cancel, and the cap stays silent; frog-boiling must pull
@@ -316,7 +316,7 @@ impl DriftCap {
     /// Ban neighbors sustaining more than `max_drag_ms` mean pull.
     ///
     /// The cap arms only once a neighbor's full residual window
-    /// ([`RESIDUAL_WINDOW`](crate::history::RESIDUAL_WINDOW) samples) has
+    /// (16 samples) has
     /// accumulated: a node that is momentarily mispositioned (just
     /// rebooted, unlucky neighbor draw) exerts a large but *transient*
     /// drag that its own honest updates erase within a few rounds — only
@@ -344,12 +344,12 @@ impl DriftCap {
     }
 
     /// Whether `node` is banned right now (a reinstated node is not).
-    pub fn is_banned(&self, node: usize) -> bool {
+    pub(crate) fn is_banned(&self, node: usize) -> bool {
         self.banned.get(node).copied().unwrap_or(false)
     }
 
     /// Decayed flag weight of `node` as of the last round it was touched.
-    pub fn flag_weight(&self, node: usize) -> f64 {
+    pub(crate) fn flag_weight(&self, node: usize) -> f64 {
         self.weights.get(node).map_or(0.0, |&(w, _)| w)
     }
 
@@ -566,7 +566,7 @@ impl TrustedBaseline {
     }
 
     /// Whether `node` is in the configured trusted set.
-    pub fn is_trusted(&self, node: usize) -> bool {
+    pub(crate) fn is_trusted(&self, node: usize) -> bool {
         self.trusted.get(node).copied().unwrap_or(false)
     }
 }

@@ -42,7 +42,7 @@ pub enum Provenance {
 impl Provenance {
     /// Whether the engine quarantines this sample's evidence (keeps it out
     /// of the history windows that feed healed-window reinstatement).
-    pub fn is_quarantined(&self) -> bool {
+    pub(crate) fn is_quarantined(&self) -> bool {
         matches!(self, Provenance::Lease)
     }
 }
@@ -148,7 +148,7 @@ impl UpdateView<'_> {
     /// error `E_Ri`, the scale-free quantity outlier filters threshold.
     /// Infinite for non-positive RTTs (the simulators reject those before
     /// the defense ever sees them).
-    pub fn rel_residual(&self) -> f64 {
+    pub(crate) fn rel_residual(&self) -> f64 {
         if self.rtt > 0.0 {
             (self.predicted - self.rtt).abs() / self.rtt
         } else {

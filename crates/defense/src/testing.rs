@@ -11,8 +11,6 @@
 /// and verdicts settle only when the deepest window is full, which is what
 /// the kernel rows mean by "steady".
 pub fn ring_fill_samples(remotes: usize) -> u64 {
-    let deepest = crate::history::RESIDUAL_WINDOW
-        .max(crate::history::REPORTED_WINDOW)
-        .max(crate::history::OBSERVER_WINDOW);
+    let deepest = crate::history::RESIDUAL_WINDOW.max(crate::history::OBSERVER_WINDOW);
     (remotes * deepest * 2) as u64
 }

@@ -197,7 +197,13 @@ impl EvalPlan {
     /// Infinite per-pair errors (degenerate predictions) are clamped to
     /// keep averages finite; the paper's plots are bounded the same way by
     /// construction.
-    pub fn node_error(&self, k: usize, coords: &[Coord], space: &Space, matrix: &RttMatrix) -> f64 {
+    pub(crate) fn node_error(
+        &self,
+        k: usize,
+        coords: &[Coord],
+        space: &Space,
+        matrix: &RttMatrix,
+    ) -> f64 {
         let i = self.nodes[k];
         let peers = self.peers(k);
         if peers.is_empty() {

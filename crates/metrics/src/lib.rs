@@ -22,12 +22,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cdf;
-pub mod detection;
-pub mod error;
-pub mod ledger;
+mod cdf;
+mod detection;
+mod error;
+mod ledger;
 pub mod parallel;
-pub mod series;
+mod series;
 pub mod stats;
 
 pub use cdf::Cdf;

@@ -17,7 +17,7 @@ pub fn median(xs: &[f64]) -> f64 {
 ///
 /// `0.0` for an empty slice. NaNs are filtered out defensively (adversarial
 /// coordinate arithmetic can produce them upstream).
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile(xs: &[f64], p: f64) -> f64 {
     let mut v: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
     if v.is_empty() {
         return 0.0;

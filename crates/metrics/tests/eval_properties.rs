@@ -9,15 +9,28 @@
 use proptest::prelude::*;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use vcoord_metrics::EvalPlan;
+use vcoord_metrics::{relative_error, EvalPlan};
 use vcoord_space::{Coord, Space};
 use vcoord_topo::RttMatrix;
 
 /// The naive evaluation loop, written out independently of the snapshot
-/// machinery: a plain map over the public single-node method.
+/// machinery: per planned node, the mean over its peers (in draw order) of
+/// the paper's relative error, each pair clamped at 10⁶ as `EvalPlan` does.
 fn naive_errors(plan: &EvalPlan, coords: &[Coord], space: &Space, m: &RttMatrix) -> Vec<f64> {
     (0..plan.nodes().len())
-        .map(|k| plan.node_error(k, coords, space, m))
+        .map(|k| {
+            let (i, peers) = (plan.nodes()[k], plan.peers(k));
+            if peers.is_empty() {
+                return 0.0;
+            }
+            let mut sum = 0.0;
+            for &j in peers {
+                let j = j as usize;
+                let predicted = space.distance(&coords[i], &coords[j]);
+                sum += relative_error(m.rtt(i, j), predicted).min(1.0e6);
+            }
+            sum / peers.len() as f64
+        })
         .collect()
 }
 
@@ -241,8 +254,10 @@ proptest! {
         check(&a, "first matrix again");
         a.set(i, j, a.rtt(i, j) + 250.0);
         check(&a, "after set");
-        a.map_in_place(|_, _, v| v * 1.5);
-        check(&a, "after map_in_place");
+        for (i, j, v) in a.pairs().collect::<Vec<_>>() {
+            a.set(i, j, v * 1.5);
+        }
+        check(&a, "after rewriting every cell");
 
         let mut copy = a.clone();
         check(&copy, "clone");

@@ -277,15 +277,6 @@ impl<P> Engine<P> {
         }
         processed
     }
-
-    /// Run until the queue is empty. Returns events processed.
-    pub fn run_to_completion<W: World<Payload = P>>(&mut self, world: &mut W) -> usize {
-        let mut processed = 0;
-        while self.step(world) {
-            processed += 1;
-        }
-        processed
-    }
 }
 
 /// World state installed at the injection instant (an adversary, a defense,
@@ -332,6 +323,15 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
 
+    /// Run `e` until its queue is empty; returns the events processed.
+    fn drain<P, W: World<Payload = P>>(e: &mut Engine<P>, world: &mut W) -> usize {
+        let mut processed = 0;
+        while e.step(world) {
+            processed += 1;
+        }
+        processed
+    }
+
     /// Records the order events were seen in.
     struct Recorder {
         log: RefCell<Vec<(Time, String)>>,
@@ -364,7 +364,7 @@ mod tests {
         e.scheduler().timer_at(10, 0, 1);
         e.scheduler().timer_at(20, 0, 2);
         let mut w = recorder();
-        e.run_to_completion(&mut w);
+        drain(&mut e, &mut w);
         let log = w.log.into_inner();
         assert_eq!(
             log,
@@ -383,7 +383,7 @@ mod tests {
             e.scheduler().timer_at(7, 0, tag);
         }
         let mut w = recorder();
-        e.run_to_completion(&mut w);
+        drain(&mut e, &mut w);
         let tags: Vec<String> = w.log.into_inner().into_iter().map(|(_, s)| s).collect();
         assert_eq!(tags, vec!["t0:0", "t0:1", "t0:2", "t0:3", "t0:4"]);
     }
@@ -419,7 +419,7 @@ mod tests {
         }
         let mut e: Engine<()> = Engine::new();
         e.scheduler().timer_at(10, 0, 0);
-        let n = e.run_to_completion(&mut PastSched);
+        let n = drain(&mut e, &mut PastSched);
         assert_eq!(n, 2, "clamped event still fires");
         assert_eq!(e.now(), 10);
     }
@@ -442,7 +442,7 @@ mod tests {
         }
         let mut e: Engine<u32> = Engine::new();
         e.scheduler().timer_at(0, 0, 0);
-        assert_eq!(e.run_to_completion(&mut Echo), 3);
+        assert_eq!(drain(&mut e, &mut Echo), 3);
         assert_eq!(e.now(), 50);
     }
 
@@ -455,8 +455,8 @@ mod tests {
         e.run_until(&mut recorder(), 10);
         let mut copy = e.clone();
         let (mut a, mut b) = (recorder(), recorder());
-        e.run_to_completion(&mut a);
-        copy.run_to_completion(&mut b);
+        drain(&mut e, &mut a);
+        drain(&mut copy, &mut b);
         assert_eq!(a.log.into_inner(), b.log.into_inner());
         assert_eq!(e.now(), copy.now());
     }
@@ -470,7 +470,7 @@ mod tests {
                 e.scheduler().timer_at(i % 17, (i % 5) as NodeId, i);
             }
             let mut w = recorder();
-            e.run_to_completion(&mut w);
+            drain(&mut e, &mut w);
             w.log.into_inner()
         };
         assert_eq!(run(), run());

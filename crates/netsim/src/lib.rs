@@ -22,10 +22,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod engine;
-pub mod link;
-pub mod seed;
-pub mod time;
+mod engine;
+mod link;
+mod seed;
+mod time;
 
 pub use engine::{Engine, Injected, NodeId, Scheduler, World};
 pub use link::LinkModel;
@@ -33,4 +33,4 @@ pub use link::LinkModel;
 /// no `rand` dependency of their own.
 pub use rand::RngCore;
 pub use seed::SeedStream;
-pub use time::{Duration, Time, MILLIS, SECS, TICK_MS};
+pub use time::{from_ms_f64, Duration, Time, TICK_MS};

@@ -53,11 +53,6 @@ impl SeedStream {
         SeedStream { master }
     }
 
-    /// The root seed.
-    pub fn master(&self) -> u64 {
-        self.master
-    }
-
     /// The seed for `label`, without constructing an RNG.
     pub fn seed_for(&self, label: &str) -> u64 {
         mix(fnv1a(label.as_bytes(), self.master ^ 0xcbf2_9ce4_8422_2325))

@@ -11,11 +11,8 @@ pub type Time = u64;
 /// A simulated span, in milliseconds.
 pub type Duration = u64;
 
-/// One millisecond.
-pub const MILLIS: Duration = 1;
-
 /// One second.
-pub const SECS: Duration = 1_000;
+const SECS: Duration = 1_000;
 
 /// One *simulation tick*, the paper's reporting unit for Vivaldi: "1 tick is
 /// roughly 17 seconds" (§5.2). Metrics are sampled on tick boundaries.
@@ -33,12 +30,6 @@ pub fn from_ms_f64(ms: f64) -> Duration {
     }
 }
 
-/// Convert ticks to milliseconds.
-#[inline]
-pub fn ticks(n: u64) -> Duration {
-    n * TICK_MS
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,6 +40,6 @@ mod tests {
         assert_eq!(from_ms_f64(1.6), 2);
         assert_eq!(from_ms_f64(-3.0), 0);
         assert_eq!(from_ms_f64(f64::NAN), 0);
-        assert_eq!(ticks(2), 34_000);
+        assert_eq!(2 * TICK_MS, 34_000);
     }
 }

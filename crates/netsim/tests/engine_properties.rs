@@ -214,7 +214,7 @@ fn check(rows: &[Row], gaps: &[u64]) {
     if gaps.is_empty() {
         schedule_roots(&mut engine, &mut reference, true);
     }
-    engine.run_to_completion(&mut world);
+    while engine.step(&mut world) {}
     reference.run(None);
     prop_assert_eq!(&world.log, &reference.log);
     prop_assert_eq!(

@@ -7,7 +7,7 @@ use vcoord_space::{SimplexOptions, Space};
 ///
 /// Defaults are the paper's §5.2 settings: 8-D Euclidean embedding, 20
 /// permanent layer-0 landmarks, a 3-layer hierarchy, security on. The
-/// settings no run varies are constants of [`crate::sim`]: 20 % reference
+/// settings no run varies are constants of the simulator: 20 % reference
 /// points per middle layer, security constant `C = 4`, 5 s probe
 /// threshold, and a [`ROUND_MS`](crate::sim::ROUND_MS) repositioning
 /// period.

@@ -11,7 +11,7 @@ use vcoord_topo::RttMatrix;
 ///
 /// # Panics
 /// Panics if `k` exceeds the node count or `k == 0`.
-pub fn select_landmarks(matrix: &RttMatrix, k: usize) -> Vec<usize> {
+pub(crate) fn select_landmarks(matrix: &RttMatrix, k: usize) -> Vec<usize> {
     let n = matrix.len();
     assert!(k >= 1 && k <= n, "invalid landmark count {k} for {n} nodes");
     // Seed with one endpoint of the (approximate) diameter.
@@ -49,7 +49,7 @@ pub fn select_landmarks(matrix: &RttMatrix, k: usize) -> Vec<usize> {
 ///
 /// # Panics
 /// Panics if `layers < 2` or the parameters leave a middle layer empty.
-pub fn assign_layers<R: Rng + ?Sized>(
+pub(crate) fn assign_layers<R: Rng + ?Sized>(
     n: usize,
     landmarks: &[usize],
     layers: usize,
@@ -83,7 +83,7 @@ pub fn assign_layers<R: Rng + ?Sized>(
 }
 
 /// Group node ids by layer: `members[l]` lists the nodes of layer `l`.
-pub fn layer_members(layer: &[u8], layers: usize) -> Vec<Vec<usize>> {
+pub(crate) fn layer_members(layer: &[u8], layers: usize) -> Vec<Vec<usize>> {
     let mut members = vec![Vec::new(); layers];
     for (i, &l) in layer.iter().enumerate() {
         members[l as usize].push(i);

@@ -36,12 +36,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod config;
-pub mod layers;
-pub mod membership;
-pub mod position;
-pub mod sim;
+mod config;
+mod layers;
+mod membership;
+mod position;
+mod sim;
 
 pub use config::NpsConfig;
 pub use position::{position_node, PositionOutcome, PositionScratch, RefSample, SecurityPolicy};
-pub use sim::NpsSim;
+pub use sim::{NpsSim, ROUND_MS};

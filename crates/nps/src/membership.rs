@@ -10,26 +10,16 @@ use rand::Rng;
 
 /// Membership server state: the layer directory.
 #[derive(Debug, Clone)]
-pub struct Membership {
+pub(crate) struct Membership {
     members: Vec<Vec<usize>>,
 }
 
 impl Membership {
     /// Build from a per-node layer vector (`layer[i]` = layer of node `i`).
-    pub fn new(layer: &[u8], layers: usize) -> Membership {
+    pub(crate) fn new(layer: &[u8], layers: usize) -> Membership {
         Membership {
             members: crate::layers::layer_members(layer, layers),
         }
-    }
-
-    /// Nodes of layer `l`.
-    pub fn layer(&self, l: usize) -> &[usize] {
-        &self.members[l]
-    }
-
-    /// Number of layers.
-    pub fn layers(&self) -> usize {
-        self.members.len()
     }
 
     /// Assign `k` random reference points for `node` (member of `layer`),
@@ -37,7 +27,7 @@ impl Membership {
     ///
     /// Returns fewer than `k` when the pool is small; empty for layer 0
     /// (landmarks position among themselves).
-    pub fn assign_refs<R: Rng + ?Sized>(
+    pub(crate) fn assign_refs<R: Rng + ?Sized>(
         &self,
         node: usize,
         layer: u8,
@@ -63,7 +53,7 @@ impl Membership {
     /// banned ids. `None` when the pool is exhausted — the node then keeps
     /// running with fewer references (the paper's attackers rely on
     /// exactly this kind of slack).
-    pub fn replacement<R: Rng + ?Sized>(
+    pub(crate) fn replacement<R: Rng + ?Sized>(
         &self,
         node: usize,
         layer: u8,
@@ -100,9 +90,9 @@ mod tests {
     #[test]
     fn directory_is_correct() {
         let m = membership();
-        assert_eq!(m.layer(0), &[0, 1, 2, 3]);
-        assert_eq!(m.layer(1), &[4, 5, 6, 7]);
-        assert_eq!(m.layers(), 3);
+        assert_eq!(&m.members[0][..], &[0, 1, 2, 3]);
+        assert_eq!(m.members[1], &[4, 5, 6, 7]);
+        assert_eq!(m.members.len(), 3);
     }
 
     #[test]
@@ -111,7 +101,7 @@ mod tests {
         let mut rng = ChaCha12Rng::seed_from_u64(0);
         let refs = m.assign_refs(9, 2, 3, &[], &mut rng);
         assert_eq!(refs.len(), 3);
-        assert!(refs.iter().all(|r| m.layer(1).contains(r)));
+        assert!(refs.iter().all(|r| m.members[1].contains(r)));
     }
 
     #[test]

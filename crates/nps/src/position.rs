@@ -147,10 +147,10 @@ impl FitProblem {
     /// Dispatches once on `x.len()` over the Simplex kernel's fixed
     /// dimensions: each arm inlines [`sum`](Self::sum) over a slice of
     /// constant length `D`, so its dimension loops have compile-time trip
-    /// counts; larger points run the same body at run-time length.
+    /// counts; other dimensions run the same body at run-time length.
     ///
-    /// Never inlined: the twelve fixed-size bodies are some 25 KB of text
-    /// in this one function, while the Simplex kernel is instantiated per
+    /// Never inlined: the four fixed-size bodies are text enough in this
+    /// one function, while the Simplex kernel is instantiated per
     /// dimension with several evaluation sites each, and a copy of its
     /// dimension's body at every one of them is text for no measured gain.
     #[inline(never)]
@@ -405,12 +405,7 @@ pub fn position_node(
 }
 
 /// The filter decision alone: index of the sample to eliminate, if both
-/// conditions hold. Exposed for direct unit testing.
-pub fn apply_filter(fit_errors: &[f64], policy: SecurityPolicy) -> Option<usize> {
-    filter_index(fit_errors, policy, &mut Vec::new())
-}
-
-/// [`apply_filter`] taking its median over the caller's `finite` buffer.
+/// conditions hold, taking the median over the caller's `finite` buffer.
 fn filter_index(
     fit_errors: &[f64],
     policy: SecurityPolicy,
@@ -552,7 +547,10 @@ mod tests {
         // Max error below the 0.01 floor: no filtering even if it dominates
         // the median.
         let errs = [0.0001, 0.0001, 0.0001, 0.009];
-        assert_eq!(apply_filter(&errs, SecurityPolicy::paper()), None);
+        assert_eq!(
+            filter_index(&errs, SecurityPolicy::paper(), &mut Vec::new()),
+            None
+        );
     }
 
     #[test]
@@ -560,13 +558,19 @@ mod tests {
         // Everyone is bad: max not > 4×median → nothing filtered. This is
         // exactly how a large colluding population survives the filter.
         let errs = [0.5, 0.6, 0.55, 0.62, 0.58];
-        assert_eq!(apply_filter(&errs, SecurityPolicy::paper()), None);
+        assert_eq!(
+            filter_index(&errs, SecurityPolicy::paper(), &mut Vec::new()),
+            None
+        );
     }
 
     #[test]
     fn filter_picks_the_max() {
         let errs = [0.001, 0.002, 0.9, 0.003];
-        assert_eq!(apply_filter(&errs, SecurityPolicy::paper()), Some(2));
+        assert_eq!(
+            filter_index(&errs, SecurityPolicy::paper(), &mut Vec::new()),
+            Some(2)
+        );
     }
 
     #[test]
@@ -575,7 +579,10 @@ mod tests {
         // to replace the running maximum with whatever followed it, so
         // nothing was filtered; it now counts as +∞ and is the maximum.
         let errs = [0.001, 0.002, 0.9, f64::NAN, 0.003];
-        assert_eq!(apply_filter(&errs, SecurityPolicy::paper()), Some(3));
+        assert_eq!(
+            filter_index(&errs, SecurityPolicy::paper(), &mut Vec::new()),
+            Some(3)
+        );
     }
 
     #[test]
@@ -607,7 +614,7 @@ mod tests {
     fn at_most_one_filtered_per_positioning() {
         // Two equally terrible refs: the filter still names only one index.
         let errs = [0.9, 0.9, 0.001, 0.002, 0.001];
-        let idx = apply_filter(&errs, SecurityPolicy::paper());
+        let idx = filter_index(&errs, SecurityPolicy::paper(), &mut Vec::new());
         assert!(idx == Some(0) || idx == Some(1));
     }
 

@@ -733,7 +733,7 @@ impl NpsSim {
     }
 
     /// Advance the simulation by `ms` simulated milliseconds.
-    pub fn run_ms(&mut self, ms: u64) {
+    fn run_ms(&mut self, ms: u64) {
         let _span = vcoord_obs::span(vcoord_obs::metric_id!("nps.run_rounds_ns"));
         let target = self.engine.now() + ms;
         self.engine.run_until(&mut self.world, target);

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use vcoord_nps::{position_node, PositionOutcome, PositionScratch, RefSample, SecurityPolicy};
-use vcoord_space::simplex::oracle::simplex_downhill_reference;
+use vcoord_space::oracle::simplex_downhill_reference;
 use vcoord_space::{Coord, SimplexOptions, Space};
 
 /// Largest dimension exercised: one past the kernel's last fixed-size

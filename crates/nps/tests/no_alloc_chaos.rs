@@ -33,9 +33,9 @@ fn warm_sim(install_empty_plan: bool) -> NpsSim {
         ..NpsConfig::default()
     };
     let mut sim = NpsSim::new(matrix, config, &seeds);
-    sim.run_ms(900_000); // joins done, gathering buffers sized
+    sim.run_rounds(15); // joins done, gathering buffers sized
     sim.deploy_defense(Box::new(DriftCap::with_decay(40.0, DriftDecay::new(5.0))));
-    sim.run_ms(300_000); // defense histories sized
+    sim.run_rounds(5); // defense histories sized
     if install_empty_plan {
         sim.install_chaos(ChaosPlan::none());
     }
@@ -44,7 +44,7 @@ fn warm_sim(install_empty_plan: bool) -> NpsSim {
 
 fn window_allocations(sim: &mut NpsSim) -> u64 {
     let before = allocations();
-    sim.run_ms(600_000);
+    sim.run_rounds(10);
     allocations() - before
 }
 

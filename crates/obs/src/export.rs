@@ -9,7 +9,7 @@ use std::fmt;
 
 /// Version stamped into every `meta` line, and the only one
 /// [`parse_jsonl`] reads.
-pub const TRACE_SCHEMA: u32 = 2;
+pub(crate) const TRACE_SCHEMA: u32 = 2;
 
 /// Identity of one trace: which run, figure, seed, and scale produced it.
 /// Deliberately free of wall-clock fields so traces of the same run are
@@ -118,7 +118,7 @@ pub enum TraceErrorKind {
     /// missing field, a nested value, a string for a number, a fraction or
     /// an out-of-range value for an integer, an unknown line `type`.
     Field { key: String, found: String },
-    /// A `meta` line of a schema other than [`TRACE_SCHEMA`].
+    /// A `meta` line of a schema other than the one this reader takes (2).
     Schema(u32),
     /// The first line is not a `meta` record.
     NoMeta,
@@ -219,7 +219,7 @@ fn parse_line(line: &str) -> Result<TraceLine, TraceErrorKind> {
 }
 
 /// Parse a whole trace, reporting the first bad line by number. Requires a
-/// `meta` line of [`TRACE_SCHEMA`] first (the schema's one ordering
+/// `meta` line of this reader's schema (2) first (the schema's one ordering
 /// guarantee).
 pub fn parse_jsonl(text: &str) -> Result<Vec<TraceLine>, TraceError> {
     let mut lines = Vec::new();

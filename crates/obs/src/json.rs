@@ -56,7 +56,7 @@ impl Json {
     }
 
     /// An integer, if it is one `T` can hold.
-    pub fn as_int<T: TryFrom<i128>>(&self) -> Option<T> {
+    pub(crate) fn as_int<T: TryFrom<i128>>(&self) -> Option<T> {
         match self {
             Json::Int(i) => T::try_from(*i).ok(),
             _ => None,

@@ -33,7 +33,7 @@
 //! # JSONL trace schema
 //!
 //! One file per figure, one JSON object per line ([`render_jsonl`] /
-//! [`parse_jsonl`]), schema version [`TRACE_SCHEMA`]:
+//! [`parse_jsonl`]), schema version 2:
 //!
 //! ```text
 //! {"type":"meta","schema":2,"run":"smoke-seed2006","fig":"fig1","seed":2006,"scale":"smoke"}
@@ -58,7 +58,7 @@
 
 pub mod diff;
 mod export;
-pub mod hdr;
+mod hdr;
 pub mod json;
 mod record;
 mod registry;
@@ -68,12 +68,10 @@ mod report;
 #[allow(unsafe_code)]
 pub mod testing;
 
-pub use export::{
-    parse_jsonl, render_jsonl, TraceError, TraceErrorKind, TraceLine, TraceMeta, TRACE_SCHEMA,
-};
+pub use export::{parse_jsonl, render_jsonl, TraceError, TraceErrorKind, TraceLine, TraceMeta};
 pub use record::{
     absorb, counter_add, drain, event, observe, reset, span, Event, HistData, ObsReport, Span,
-    NO_NODE, NO_REP,
+    NO_NODE,
 };
 pub use registry::{metric, metric_name, MetricId};
 pub use report::{

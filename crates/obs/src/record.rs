@@ -12,7 +12,7 @@ pub const NO_NODE: u32 = u32::MAX;
 
 /// `rep` value for events recorded outside any repetition (see
 /// [`ObsReport::retag_rep`]).
-pub const NO_REP: i32 = -1;
+pub(crate) const NO_REP: i32 = -1;
 
 /// One structured event: something that happened to `node` at `round`
 /// during repetition `rep`, with a metric-specific `value` payload.
@@ -168,7 +168,7 @@ impl ObsReport {
         self.counters.is_empty() && self.hists.is_empty() && self.events.is_empty()
     }
 
-    /// Stamp `rep` onto every event still tagged [`NO_REP`]. Called by the
+    /// Stamp `rep` onto every event still tagged `NO_REP` (-1). Called by the
     /// repetition harness right after draining a worker, so nested merges
     /// never re-tag.
     pub fn retag_rep(&mut self, rep: i32) {

@@ -61,7 +61,7 @@ impl Coord {
     }
 
     /// Move this coordinate by `disp * s`, clamping the height at zero.
-    pub fn add_scaled(&mut self, disp: &Displacement, s: f64) {
+    pub(crate) fn add_scaled(&mut self, disp: &Displacement, s: f64) {
         vector::add_scaled(&mut self.vec, &disp.vec, s);
         self.height += disp.height * s;
         if self.height < 0.0 {

@@ -14,7 +14,7 @@
 //! * [`Space`] — the space a simulation embeds into (`Euclidean(d)` or
 //!   `EuclideanHeight(d)`), with distance, direction and random-point
 //!   primitives.
-//! * [`simplex`] — a Nelder–Mead Simplex Downhill minimizer, the optimization
+//! * [`simplex_downhill`] — a Nelder–Mead Simplex Downhill minimizer, the optimization
 //!   engine used by GNP/NPS to embed nodes from latency measurements.
 //!
 //! Design notes (see `DESIGN.md` at the workspace root): dimensions are
@@ -22,18 +22,18 @@
 //! smoltcp guideline of preferring simplicity and robustness over
 //! compile-time cleverness, and the evaluation sweeps dimension as an
 //! experiment parameter anyway. The one exception sits behind the
-//! runtime-dimension entry points: [`simplex`]'s descent kernel, and the NPS
+//! runtime-dimension entry points: [`simplex_downhill`]'s descent kernel, and the NPS
 //! fit objective it drives, are instantiated per dimension (the shared list
 //! is the hidden `with_fixed_dim!`), because that is measurably where the
 //! NPS fit's time went.
 
 #![forbid(unsafe_code)]
 
-pub mod coord;
-pub mod simplex;
-pub mod space;
+mod coord;
+mod simplex;
+mod space;
 pub mod vector;
 
 pub use coord::{Coord, Displacement};
-pub use simplex::{simplex_downhill, SimplexOptions, SimplexResult, SimplexScratch};
+pub use simplex::{oracle, simplex_downhill, SimplexOptions, SimplexResult, SimplexScratch};
 pub use space::Space;

@@ -8,10 +8,11 @@
 //!
 //! [`simplex_downhill`] is the one production entry point. Its descent kernel
 //! is written once and generic over vertex storage: `[f64; N]` on the stack
-//! for N = 1..=12 — every dimension the figures use, with each
-//! per-coordinate loop unrolled at compile time — and `Vec<f64>` borrowed
-//! from the caller-held [`SimplexScratch`] for anything larger, so the only
-//! allocation is the returned best point. The kernel keeps an incrementally
+//! for N ∈ {2, 4, 8, 12} — every dimension the figures, the kernel rows and
+//! the benchmark workloads run, with each per-coordinate loop unrolled at
+//! compile time — and `Vec<f64>` borrowed from the caller-held
+//! [`SimplexScratch`] for any other, so the only allocation is the returned
+//! best point. The kernel keeps an incrementally
 //! maintained order array — a single ordered reinsertion on the common
 //! reflect/expand/contract moves — in place of the original full index sort
 //! per iteration, while performing *bit-identical* floating-point
@@ -72,14 +73,13 @@ pub struct SimplexResult {
 
 /// Reusable working state for [`simplex_downhill`].
 ///
-/// Dimensions 1–12 (everything the figures sweep) run on fixed-size
-/// vertices that live on the stack and never touch a scratch; larger
+/// Dimensions 2, 4, 8 and 12 (everything the figures run) use fixed-size
+/// vertices that live on the stack and never touch a scratch; other
 /// problems keep their simplex vertices, objective values, vertex order,
 /// centroid and trial points here. The buffers grow to fit the largest such
-/// dimension seen, so a long-lived scratch (e.g. one per [`NpsSim`] world)
-/// keeps every positioning allocation-free at any dimension.
-///
-/// [`NpsSim`]: https://docs.rs/vcoord-nps
+/// dimension seen, so a long-lived scratch (e.g. one per `NpsSim` world of
+/// the `vcoord-nps` crate) keeps every positioning allocation-free at any
+/// dimension.
 #[derive(Debug, Clone, Default)]
 pub struct SimplexScratch {
     /// `n + 1` simplex vertices of dimension `n`.
@@ -222,8 +222,9 @@ fn lerp_into(out: &mut [f64], from: &[f64], to: &[f64], t: f64) {
 /// mutability.
 ///
 /// Picks the vertex storage for `x0`'s dimension and runs the one kernel on
-/// it: a fixed-size instantiation up to 12-D (where the paper's
-/// dimensionality sweep tops out), the scratch's `Vec`s beyond.
+/// it: a fixed-size instantiation at 2, 4, 8 and 12-D (the dimensions the
+/// paper's sweep and the default NPS space use), the scratch's `Vec`s at
+/// any other, with the same result to the bit.
 ///
 /// # Panics
 /// Panics if `x0` is empty.
@@ -245,15 +246,16 @@ where
 }
 
 /// `$fixed` with `$d` bound to a `const usize` equal to `$n` when `$n` is a
-/// dimension with a fixed-size instantiation (1..=12, where the paper's
-/// dimensionality sweep tops out), `$fallback` otherwise. The one copy of
+/// dimension with a fixed-size instantiation (2, 4, 8 and 12: fig16's sweep,
+/// the chaos figures' 4-D fits and the 8-D default NPS space; nothing else
+/// runs), `$fallback` otherwise. The one copy of
 /// that list: [`simplex_downhill`] picks its vertex storage with it and the
 /// NPS fit objective its loop bounds, so the two cannot drift. Not API.
 #[doc(hidden)]
 #[macro_export]
 macro_rules! with_fixed_dim {
     ($n:expr, $d:ident => $fixed:expr, _ => $fallback:expr) => {
-        $crate::with_fixed_dim!(@ $n, $d, $fixed, $fallback; 1 2 3 4 5 6 7 8 9 10 11 12)
+        $crate::with_fixed_dim!(@ $n, $d, $fixed, $fallback; 2 4 8 12)
     };
     (@ $n:expr, $d:ident, $fixed:expr, $fallback:expr; $($k:literal)+) => {
         match $n {

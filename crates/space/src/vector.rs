@@ -30,16 +30,9 @@ pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
     a.iter().zip(b).map(|(x, y)| x - y).collect()
 }
 
-/// Component-wise `a + b`, written into a fresh `Vec`.
-#[inline]
-pub fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    a.iter().zip(b).map(|(x, y)| x + y).collect()
-}
-
 /// In-place `a += s * b`.
 #[inline]
-pub fn add_scaled(a: &mut [f64], b: &[f64], s: f64) {
+pub(crate) fn add_scaled(a: &mut [f64], b: &[f64], s: f64) {
     debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
     for (x, y) in a.iter_mut().zip(b) {
         *x += s * y;
@@ -52,13 +45,6 @@ pub fn scale(v: &mut [f64], s: f64) {
     for x in v {
         *x *= s;
     }
-}
-
-/// Dot product of `a` and `b`.
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// Arithmetic mean of the rows in `rows` (each of dimension `dim`).
@@ -102,8 +88,8 @@ mod tests {
     fn add_sub_roundtrip() {
         let a = [1.0, -2.0, 0.5];
         let b = [0.25, 8.0, -1.5];
-        let s = sub(&a, &b);
-        let back = add(&s, &b);
+        let mut back = sub(&a, &b);
+        add_scaled(&mut back, &b, 1.0);
         for (x, y) in back.iter().zip(&a) {
             assert!((x - y).abs() < 1e-12);
         }
@@ -126,10 +112,5 @@ mod tests {
     fn centroid_empty_is_origin() {
         let rows: Vec<&[f64]> = vec![];
         assert_eq!(centroid(&rows, 3), vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn dot_orthogonal_is_zero() {
-        assert_eq!(dot(&[1.0, 0.0], &[0.0, 5.0]), 0.0);
     }
 }

@@ -8,7 +8,7 @@
 //! truncating iteration caps.
 
 use proptest::prelude::*;
-use vcoord_space::simplex::oracle::simplex_downhill_reference;
+use vcoord_space::oracle::simplex_downhill_reference;
 use vcoord_space::{simplex_downhill, Coord, SimplexOptions, SimplexResult, SimplexScratch, Space};
 
 /// Full bit-level comparison of two runs (panics on divergence, which the

@@ -171,7 +171,7 @@ impl RttMatrix {
     /// in row-major order, so a closure that draws from an RNG draws in that
     /// order. The cells are stored in that order too, so a pass streams
     /// through memory front to back.
-    pub fn map_in_place<F: FnMut(usize, usize, f64) -> f64>(&mut self, mut f: F) {
+    pub(crate) fn map_in_place<F: FnMut(usize, usize, f64) -> f64>(&mut self, mut f: F) {
         *self.version.get_mut() = 0;
         let mut cells = self.data.iter_mut();
         for i in 0..self.n {
@@ -242,13 +242,6 @@ impl RttMatrix {
         ids.shuffle(rng);
         ids.truncate(k);
         self.subset(&ids)
-    }
-
-    /// The smallest non-zero RTT, or `None` for matrices with < 2 nodes.
-    pub fn min_rtt(&self) -> Option<f64> {
-        self.pairs()
-            .map(|(_, _, v)| v)
-            .min_by(|a, b| a.partial_cmp(b).expect("RTTs are finite"))
     }
 
     /// Check that every entry is finite and non-negative (symmetry and the
@@ -322,23 +315,12 @@ mod tests {
     }
 
     #[test]
-    fn min_rtt_found() {
-        assert_eq!(sample().min_rtt(), Some(10.0));
-        assert_eq!(RttMatrix::zeros(1).min_rtt(), None);
-    }
-
-    #[test]
     fn version_is_stable_across_shared_calls_and_clone() {
         let m = sample();
         let v = m.version();
         assert_ne!(v, 0);
         assert_eq!(m.version(), v);
-        let _ = (
-            m.rtt(0, 1),
-            m.pairs().count(),
-            m.min_rtt(),
-            m.subset(&[0, 1]),
-        );
+        let _ = (m.rtt(0, 1), m.pairs().count(), m.subset(&[0, 1]));
         assert_eq!(m.version(), v);
         assert_eq!(m.clone().version(), v);
         // A clone taken before anyone asked is a separate matrix from then on.

@@ -7,7 +7,7 @@ use vcoord_space::Space;
 /// Parameters for a [`crate::VivaldiSim`]: only what a run varies.
 ///
 /// The CoNEXT'06 §5.2 settings that no run varies are constants of
-/// [`crate::sim`], following the recommendations of the Vivaldi paper: 64
+/// the simulator, following the recommendations of the Vivaldi paper: 64
 /// springs per node, 32 of them to nodes closer than 50 ms,
 /// adaptive-timestep constant `Cc = 0.25`, one probe per node per
 /// [`vcoord_netsim::TICK_MS`] (17 s) tick.

@@ -8,7 +8,7 @@
 //! measured RTT; every probe sample relaxes the observing node toward the
 //! spring equilibrium by an adaptive timestep `δ = Cc · w`, where the weight
 //! `w = e_i / (e_i + e_j)` balances local and remote error estimates. The
-//! paper's simulation parameters are constants of [`sim`]: 64 neighbours
+//! paper's simulation parameters are constants of the simulator: 64 neighbours
 //! per node of which 32 are closer than 50 ms, `Cc = 0.25`, and one probe
 //! per node per ~17 s tick. [`VivaldiConfig`] holds only what a run
 //! varies, the space (2-D Euclidean by default) and the link model.
@@ -28,12 +28,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod config;
-pub mod convergence;
-pub mod neighbors;
+mod config;
+mod convergence;
+mod neighbors;
 pub mod node;
-pub mod sim;
+mod sim;
 
 pub use config::VivaldiConfig;
 pub use convergence::ConvergenceTracker;
-pub use sim::{Spring, VivaldiSim};
+pub use sim::VivaldiSim;

@@ -14,7 +14,7 @@ use vcoord_topo::RttMatrix;
 /// Picks up to `near_target` random nodes with `rtt < near_cutoff_ms`, then
 /// fills up to `total` with random remaining nodes. Returns fewer than
 /// `total` only when the system itself is smaller.
-pub fn select_neighbors<R: Rng + ?Sized>(
+pub(crate) fn select_neighbors<R: Rng + ?Sized>(
     matrix: &RttMatrix,
     i: usize,
     total: usize,

@@ -75,7 +75,7 @@ pub fn vivaldi_update<R: Rng + ?Sized>(
 /// the same order, so the result is the same to the bit. Only coincident
 /// nodes take a [`Space::random_unit`] kick.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's update rule inputs
-pub fn vivaldi_update_scaled<R: Rng + ?Sized>(
+pub(crate) fn vivaldi_update_scaled<R: Rng + ?Sized>(
     space: &Space,
     cc: f64,
     error_clamp: (f64, f64),

@@ -34,7 +34,7 @@ use vcoord_chaos::{ChaosCounters, ChaosPlan, ChaosState, ProbeFate};
 use vcoord_defense::{
     Defense, DefenseStats, DefenseStrategy, Provenance, Update as DefenseUpdate, Verdict,
 };
-use vcoord_netsim::{time, Engine, Injected, NodeId, Scheduler, SeedStream, World, TICK_MS};
+use vcoord_netsim::{from_ms_f64, Engine, Injected, NodeId, Scheduler, SeedStream, World, TICK_MS};
 use vcoord_space::{Coord, Space};
 use vcoord_topo::RttMatrix;
 
@@ -114,7 +114,7 @@ impl InFlight {
 /// of the latency matrix cell, bit for bit) and, under chaos, the count of
 /// consecutive probe cycles to it that exhausted their retries.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Spring {
+struct Spring {
     peer: u32,
     strikes: u32,
     rtt: f64,
@@ -130,20 +130,8 @@ impl Spring {
     }
 
     /// The neighbor at the other end.
-    pub fn peer(&self) -> usize {
+    fn peer(&self) -> usize {
         self.peer as usize
-    }
-
-    /// Base RTT to the peer in ms, before link jitter and faults.
-    pub fn rtt(&self) -> f64 {
-        self.rtt
-    }
-
-    /// Consecutive exhausted probe cycles (always 0 without chaos). At
-    /// `evict_after` strikes the stale spring is shed and a replacement
-    /// drawn from the chaos stream.
-    pub fn strikes(&self) -> u32 {
-        self.strikes
     }
 }
 
@@ -355,7 +343,7 @@ impl VivaldiWorld {
                 sample.rtt = rtt;
             }
         }
-        sched.deliver_after(time::from_ms_f64(sample.rtt), peer, node, id);
+        sched.deliver_after(from_ms_f64(sample.rtt), peer, node, id);
     }
 
     /// A probe attempt to `peer` timed out: schedule the next
@@ -374,7 +362,7 @@ impl VivaldiWorld {
         if attempt < chaos.max_retries() {
             chaos.note_retry();
             let delay = chaos.retry_delay_ms(attempt + 1);
-            sched.timer_after(time::from_ms_f64(delay), node, retry_tag(peer, attempt + 1));
+            sched.timer_after(from_ms_f64(delay), node, retry_tag(peer, attempt + 1));
             return;
         }
         let springs = &mut self.springs[node];
@@ -626,7 +614,7 @@ impl VivaldiSim {
     /// * a malicious node controls the **coordinates** and **error
     ///   estimate** it reports ([`Lie::coord`] / [`Lie::error`]), and may
     ///   **delay** the probe; the simulator clamps negative delays to zero
-    ///   and counts the violation in [`Counters::delay_clamped`] — the
+    ///   and counts the violation in `Counters::delay_clamped` — the
     ///   threat model forbids shortening measurements;
     /// * the [`CoordView`] handed to strategies is the knowledge oracle:
     ///   `coords` and `errors` are the true per-node state (attackers
@@ -679,7 +667,7 @@ impl VivaldiSim {
     /// * [`Verdict::Reject`] drops the sample before the update rule runs
     ///   (coordinate and error estimate both untouched);
     ///   [`Verdict::Dampen`] scales the adaptive timestep `δ = Cc · w` only
-    ///   — see [`vivaldi_update_scaled`] for the `Dampen(1.0) ≡ Accept`
+    ///   — see `vivaldi_update_scaled` for the `Dampen(1.0) ≡ Accept`
     ///   bit-identity;
     /// * `round` is the probe tick, the same clock the adversary seam uses
     ///   — attack `on_round` and defense `on_round` advance in lockstep;
@@ -728,12 +716,6 @@ impl VivaldiSim {
     /// Fault totals of the installed chaos plan, if any.
     pub fn chaos_counters(&self) -> Option<&ChaosCounters> {
         self.world.chaos.as_ref().map(|c| c.counters())
-    }
-
-    /// Current spring table, one row per node. Chaos staleness eviction
-    /// mutates it; without chaos it is fixed at construction.
-    pub fn springs(&self) -> &[Vec<Spring>] {
-        &self.world.springs
     }
 }
 
@@ -908,7 +890,8 @@ mod tests {
         assert!(c.evictions > 0, "peers must evict dead neighbors: {c:?}");
         // Eviction keeps the spring count: replacements were drawn.
         let degree_ok = sim
-            .springs()
+            .world
+            .springs
             .iter()
             .enumerate()
             .filter(|(i, _)| *i >= 3)
@@ -919,12 +902,12 @@ mod tests {
     /// Every spring's cached RTT is the matrix cell bit for bit, and no
     /// row lists a peer twice or its own node.
     fn assert_springs_true(sim: &VivaldiSim) {
-        for (node, row) in sim.springs().iter().enumerate() {
+        for (node, row) in sim.world.springs.iter().enumerate() {
             let mut peers: Vec<usize> = row.iter().map(Spring::peer).collect();
             assert!(!peers.contains(&node), "node {node} springs to itself");
             for s in row {
                 assert_eq!(
-                    s.rtt().to_bits(),
+                    s.rtt.to_bits(),
                     sim.matrix().rtt(node, s.peer()).to_bits(),
                     "stale rtt on spring {node}->{}",
                     s.peer()
@@ -1054,12 +1037,12 @@ mod tests {
                 }),
         );
         let strikes =
-            |sim: &VivaldiSim| -> u32 { sim.springs()[9].iter().map(|s| s.strikes()).sum() };
+            |sim: &VivaldiSim| -> u32 { sim.world.springs[9].iter().map(|s| s.strikes).sum() };
         sim.run_ticks(40);
         assert!(strikes(&sim) > 0, "node 9 never struck a dead peer");
-        assert!(sim.springs()[9]
+        assert!(sim.world.springs[9]
             .iter()
-            .all(|s| s.strikes() == 0 || s.peer() < 4));
+            .all(|s| s.strikes == 0 || s.peer() < 4));
         sim.run_ticks(6);
         assert_eq!(sim.chaos_counters().unwrap().restarts, 1);
         assert_eq!(strikes(&sim), 0, "restart must wipe node 9's strikes");
@@ -1097,12 +1080,12 @@ mod tests {
         );
         sim.run_ticks(40);
         let mut cycles = 0;
-        for (node, row) in sim.springs().iter().enumerate() {
+        for (node, row) in sim.world.springs.iter().enumerate() {
             for s in row {
                 if s.peer() == 4 && node != 4 {
-                    cycles += u64::from(s.strikes());
+                    cycles += u64::from(s.strikes);
                 } else {
-                    assert_eq!(s.strikes(), 0, "strike on live peer {}", s.peer());
+                    assert_eq!(s.strikes, 0, "strike on live peer {}", s.peer());
                 }
             }
         }

@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use vcoord_obs::testing::{allocations, min_allocations_over, CountingAllocator};
 use vcoord_space::Space;
-use vcoord_vivaldi::node::vivaldi_update_scaled;
+use vcoord_vivaldi::node::vivaldi_update;
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -27,7 +27,7 @@ fn vivaldi_update_allocation_budget_holds_with_obs_off() {
     let remote = space.random_coord(100.0, &mut rng);
 
     // Pay any one-time lazy init (metric interning happens at first call).
-    vivaldi_update_scaled(
+    vivaldi_update(
         &space,
         0.25,
         (1e-6, 1e3),
@@ -36,14 +36,13 @@ fn vivaldi_update_allocation_budget_holds_with_obs_off() {
         &remote,
         0.3,
         85.0,
-        1.0,
         &mut rng,
     );
 
     const CALLS: u64 = 100_000;
     let allocs = min_allocations_over(3, || {
         for _ in 0..CALLS {
-            vivaldi_update_scaled(
+            vivaldi_update(
                 &space,
                 0.25,
                 (1e-6, 1e3),
@@ -52,7 +51,6 @@ fn vivaldi_update_allocation_budget_holds_with_obs_off() {
                 &remote,
                 0.3,
                 85.0,
-                1.0,
                 &mut rng,
             );
         }

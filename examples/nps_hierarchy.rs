@@ -9,8 +9,6 @@
 //!     [--malicious 0.2] [--security on|off]
 //! ```
 
-use vcoord::knowledge::Knowledge;
-
 use vcoord::prelude::*;
 
 fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {

@@ -63,14 +63,14 @@ fn nps_run(seed: u64, empty_plan: bool) -> RunFingerprint {
         ..NpsConfig::default()
     };
     let mut sim = NpsSim::new(matrix, config, &seeds);
-    sim.run_ms(600_000);
+    sim.run_rounds(10);
     let attackers = sim.pick_attackers(0.25);
     sim.inject_adversary(&attackers, Box::new(NpsSimpleDisorder::default()));
     sim.deploy_defense(Box::new(DriftCap::with_decay(40.0, DriftDecay::new(5.0))));
     if empty_plan {
         sim.install_chaos(ChaosPlan::none());
     }
-    sim.run_ms(600_000);
+    sim.run_rounds(10);
     if empty_plan {
         assert_eq!(
             *sim.chaos_counters().expect("plan installed"),

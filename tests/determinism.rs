@@ -1,7 +1,7 @@
 //! Reproducibility: every figure and simulation replays byte-identically
 //! from a master seed.
 
-use vcoord::experiments::{registry, Scale};
+use vcoord::experiments::{run_figure, Scale};
 use vcoord::prelude::*;
 
 #[test]
@@ -40,16 +40,10 @@ fn nps_simulation_replays_identically() {
 #[test]
 fn figure_csv_is_seed_deterministic() {
     let scale = Scale::smoke();
-    let a = registry::run_figure("fig1", &scale, 5)
-        .expect("known id")
-        .to_csv();
-    let b = registry::run_figure("fig1", &scale, 5)
-        .expect("known id")
-        .to_csv();
+    let a = run_figure("fig1", &scale, 5).expect("known id").to_csv();
+    let b = run_figure("fig1", &scale, 5).expect("known id").to_csv();
     assert_eq!(a, b, "same seed must reproduce the CSV byte-for-byte");
-    let c = registry::run_figure("fig1", &scale, 6)
-        .expect("known id")
-        .to_csv();
+    let c = run_figure("fig1", &scale, 6).expect("known id").to_csv();
     assert_ne!(a, c, "different seeds must differ");
 }
 
@@ -58,12 +52,8 @@ fn parallel_repetitions_do_not_perturb_determinism() {
     // run_grid runs a figure's jobs on threads; results must not depend on
     // scheduling.
     let scale = Scale::smoke();
-    let a = registry::run_figure("fig12", &scale, 9)
-        .expect("known id")
-        .to_csv();
-    let b = registry::run_figure("fig12", &scale, 9)
-        .expect("known id")
-        .to_csv();
+    let a = run_figure("fig12", &scale, 9).expect("known id").to_csv();
+    let b = run_figure("fig12", &scale, 9).expect("known id").to_csv();
     assert_eq!(a, b);
 }
 

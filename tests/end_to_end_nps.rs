@@ -1,7 +1,6 @@
 //! End-to-end NPS behaviour: hierarchy convergence, the security filter's
 //! value against simple disorder, and the anti-detection loopholes.
 
-use vcoord::knowledge::Knowledge;
 use vcoord::prelude::*;
 
 fn build(nodes: usize, seed: u64, config: NpsConfig) -> (NpsSim, SeedStream) {

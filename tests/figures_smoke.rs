@@ -2,13 +2,13 @@
 //! structurally sound result (header/row arity, finite numbers where
 //! expected, non-empty series).
 
-use vcoord::experiments::{registry, Scale};
+use vcoord::experiments::{run_figure, Scale};
 
 /// Vivaldi figures (fast at smoke scale) checked one by one; the NPS
 /// figures are split across tests to keep wall-clock per test reasonable.
 fn check(id: &str) {
     let scale = Scale::smoke();
-    let fig = registry::run_figure(id, &scale, 1).unwrap_or_else(|| panic!("unknown id {id}"));
+    let fig = run_figure(id, &scale, 1).unwrap_or_else(|| panic!("unknown id {id}"));
     assert_eq!(fig.id, id);
     assert!(!fig.columns.is_empty(), "{id}: no columns");
     assert!(!fig.rows.is_empty(), "{id}: no rows");

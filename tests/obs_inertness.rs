@@ -45,10 +45,10 @@ fn nps_run(seed: u64) -> RunFingerprint {
     let seeds = SeedStream::new(seed);
     let matrix = KingLike::new(KingLikeConfig::with_nodes(40)).generate(&mut seeds.rng("topo"));
     let mut sim = NpsSim::new(matrix, NpsConfig::default(), &seeds);
-    sim.run_ms(600_000);
+    sim.run_rounds(10);
     let attackers = sim.pick_attackers(0.25);
     sim.inject_adversary(&attackers, Box::new(NpsSimpleDisorder::default()));
-    sim.run_ms(600_000);
+    sim.run_rounds(10);
     RunFingerprint {
         coord_bits: sim
             .coords()

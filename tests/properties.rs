@@ -148,7 +148,7 @@ proptest! {
         let m = KingLike::new(KingLikeConfig::with_nodes(n))
             .generate(&mut ChaCha12Rng::seed_from_u64(seed));
         prop_assert!(m.validate().is_ok());
-        prop_assert!(m.min_rtt().map_or(true, |v| v >= 1.0));
+        prop_assert!(m.pairs().all(|(_, _, v)| v >= 1.0));
     }
 
     #[test]
