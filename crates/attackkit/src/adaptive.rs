@@ -432,14 +432,6 @@ impl AttackStrategy for EvadingFrogBoil {
         learner.observe_flag(attacker, self.last_worst_pull);
         self.model.drift_cap_ms = learner.believed_cap(self.model.drift_cap_ms);
     }
-
-    fn label(&self) -> &'static str {
-        if self.learner.is_some() {
-            "evading-frog-learn"
-        } else {
-            "evading-frog"
-        }
-    }
 }
 
 /// *Threshold probe*: reconnaissance that binary-searches the deployed
@@ -546,10 +538,6 @@ impl AttackStrategy for ThresholdProbe {
     ) {
         self.responses_this_round += 1;
         self.flagged_this_round |= flagged;
-    }
-
-    fn label(&self) -> &'static str {
-        "threshold-probe"
     }
 }
 
@@ -692,10 +680,6 @@ impl AttackStrategy for SleeperCollusion {
             error: self.lie_error,
             delay_ms: 0.0,
         })
-    }
-
-    fn label(&self) -> &'static str {
-        "sleeper-collusion"
     }
 }
 
@@ -1015,28 +999,15 @@ mod tests {
             Box::new(ThresholdProbe::default()),
             Box::new(SleeperCollusion::new(0, 4, 4)),
         ];
-        for adv in all.iter_mut() {
+        for (i, adv) in all.iter_mut().enumerate() {
             let mut coll = Collusion::new();
             adv.inject(&attackers, &mut coll, &view_at(&f, 0), &mut rng);
             adv.on_round(&mut coll, &view_at(&f, 1), &mut rng);
             if let Some(lie) =
                 adv.respond(&probe(0, 10, 90.0), &mut coll, &view_at(&f, 1), &mut rng)
             {
-                assert_eq!(lie.delay_ms, 0.0, "{} delayed a probe", adv.label());
+                assert_eq!(lie.delay_ms, 0.0, "strategy {i} delayed a probe");
             }
         }
-    }
-
-    #[test]
-    fn labels_are_distinct_from_the_classic_families() {
-        let labels = [
-            EvadingFrogBoil::default().label(),
-            EvadingFrogBoil::learning(5.0, DefenseModel::default()).label(),
-            ThresholdProbe::default().label(),
-            SleeperCollusion::default().label(),
-            crate::FrogBoiling::default().label(),
-        ];
-        let unique: std::collections::HashSet<_> = labels.iter().collect();
-        assert_eq!(unique.len(), labels.len(), "duplicate labels: {labels:?}");
     }
 }

@@ -127,10 +127,6 @@ mod tests {
                 delay_ms: self.rounds as f64,
             })
         }
-
-        fn label(&self) -> &'static str {
-            "counter"
-        }
     }
 
     fn view_at<'a>(

@@ -132,10 +132,6 @@ impl AttackStrategy for FrogBoiling {
             delay_ms: 0.0,
         })
     }
-
-    fn label(&self) -> &'static str {
-        "frog-boiling"
-    }
 }
 
 /// *Oscillation*: each attacker's reported position swings sinusoidally
@@ -204,10 +200,6 @@ impl AttackStrategy for Oscillation {
             error: self.lie_error,
             delay_ms: 0.0,
         })
-    }
-
-    fn label(&self) -> &'static str {
-        "oscillation"
     }
 }
 
@@ -285,10 +277,6 @@ impl AttackStrategy for NetworkPartition {
             delay_ms: 0.0,
         })
     }
-
-    fn label(&self) -> &'static str {
-        "network-partition"
-    }
 }
 
 /// *Inflation*: report coordinates pushed `magnitude` ms radially outward
@@ -338,10 +326,6 @@ impl AttackStrategy for Inflation {
             error: self.lie_error,
             delay_ms: 0.0,
         })
-    }
-
-    fn label(&self) -> &'static str {
-        "inflation"
     }
 }
 
@@ -394,10 +378,6 @@ impl AttackStrategy for Deflation {
             delay_ms: 0.0,
         })
     }
-
-    fn label(&self) -> &'static str {
-        "deflation"
-    }
 }
 
 /// *Random lie* (disorder): a fresh random coordinate every probe, with a
@@ -443,10 +423,6 @@ impl AttackStrategy for RandomLie {
             error: self.lie_error,
             delay_ms: rng.gen_range(self.delay_range.0..self.delay_range.1),
         })
-    }
-
-    fn label(&self) -> &'static str {
-        "random-lie"
     }
 }
 
@@ -502,10 +478,6 @@ impl AttackStrategy for BurstThenReform {
             error: LIE_ERROR,
             delay_ms: 0.0,
         })
-    }
-
-    fn label(&self) -> &'static str {
-        "burst-then-reform"
     }
 }
 
@@ -716,13 +688,13 @@ mod tests {
             Box::new(Inflation::default()),
             Box::new(Deflation::default()),
         ];
-        for adv in all.iter_mut() {
+        for (i, adv) in all.iter_mut().enumerate() {
             adv.inject(&attackers, &mut coll, &view_at(&f, 0), &mut rng);
             adv.on_round(&mut coll, &view_at(&f, 1), &mut rng);
             let lie = adv
                 .respond(&probe(0, 5), &mut coll, &view_at(&f, 1), &mut rng)
                 .unwrap();
-            assert_eq!(lie.delay_ms, 0.0, "{} delayed a probe", adv.label());
+            assert_eq!(lie.delay_ms, 0.0, "strategy {i} delayed a probe");
         }
     }
 }

@@ -165,8 +165,8 @@ pub trait AttackStrategy: Send {
 
     /// The arms-race feedback channel: called when the fate of one of this
     /// strategy's responses at the deployed defense becomes observable to
-    /// the attacker — `flagged` is whether the defense rejected (or
-    /// strictly dampened) the sample `victim` received from `attacker`.
+    /// the attacker — `flagged` is whether the defense rejected the sample
+    /// `victim` received from `attacker`.
     ///
     /// The observation is realistic, not an oracle leak: a malicious node
     /// can tell whether its report took hold (the victim's next reported
@@ -184,11 +184,6 @@ pub trait AttackStrategy: Send {
         _collusion: &mut Collusion,
     ) {
     }
-
-    /// A short label for CSV headers.
-    fn label(&self) -> &'static str {
-        "adversary"
-    }
 }
 
 /// The null strategy: every malicious node behaves honestly. Useful for
@@ -205,10 +200,6 @@ impl AttackStrategy for Honest {
         _rng: &mut ChaCha12Rng,
     ) -> Option<Lie> {
         None
-    }
-
-    fn label(&self) -> &'static str {
-        "honest"
     }
 }
 
@@ -241,7 +232,6 @@ mod tests {
             rtt: 10.0,
         };
         assert!(Honest.respond(&probe, &mut coll, &view, &mut rng).is_none());
-        assert_eq!(Honest.label(), "honest");
     }
 
     #[test]

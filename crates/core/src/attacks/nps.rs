@@ -48,10 +48,6 @@ impl AttackStrategy for NpsSimpleDisorder {
             delay_ms: rng.gen_range(self.delay_range.0..self.delay_range.1),
         })
     }
-
-    fn label(&self) -> &'static str {
-        "nps-simple-disorder"
-    }
 }
 
 /// §5.4.2/§5.4.3 — the *anti-detection* disorder attacks.
@@ -148,14 +144,6 @@ impl AttackStrategy for NpsAntiDetection {
             error: 0.01,
             delay_ms: lie.needed_rtt - probe.rtt,
         })
-    }
-
-    fn label(&self) -> &'static str {
-        if self.sophisticated {
-            "nps-anti-detection-sophisticated"
-        } else {
-            "nps-anti-detection-naive"
-        }
     }
 }
 
@@ -293,10 +281,6 @@ impl AttackStrategy for NpsCollusionIsolation {
             delay_ms: needed - probe.rtt,
         })
     }
-
-    fn label(&self) -> &'static str {
-        "nps-collusion-isolation"
-    }
 }
 
 /// Figure 26 — *combined NPS attacks*: equal shares of independent
@@ -369,10 +353,6 @@ impl AttackStrategy for NpsCombined {
             Some(2) => self.collusion.respond(probe, collusion, view, rng),
             _ => None,
         }
-    }
-
-    fn label(&self) -> &'static str {
-        "nps-combined"
     }
 }
 

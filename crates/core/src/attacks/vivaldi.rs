@@ -39,10 +39,6 @@ impl AttackStrategy for VivaldiDisorder {
     ) -> Option<Lie> {
         self.0.respond(probe, collusion, view, rng)
     }
-
-    fn label(&self) -> &'static str {
-        "vivaldi-disorder"
-    }
 }
 
 /// §5.3.2 — the *repulsion* attack.
@@ -151,10 +147,6 @@ impl AttackStrategy for VivaldiRepulsion {
             delay_ms: lie.needed_rtt - probe.rtt,
         })
     }
-
-    fn label(&self) -> &'static str {
-        "vivaldi-repulsion"
-    }
 }
 
 /// §5.3.3 strategy 1 — *colluding isolation by repelling the world*.
@@ -262,10 +254,6 @@ impl AttackStrategy for VivaldiCollusionRepel {
             delay_ms: lie.needed_rtt - probe.rtt,
         })
     }
-
-    fn label(&self) -> &'static str {
-        "vivaldi-collusion-repel"
-    }
 }
 
 /// §5.3.3 strategy 2 — *colluding isolation by luring the target*.
@@ -357,10 +345,6 @@ impl AttackStrategy for VivaldiCollusionLure {
             delay_ms: 0.0,
         })
     }
-
-    fn label(&self) -> &'static str {
-        "vivaldi-collusion-lure"
-    }
 }
 
 /// §5.3.4 — *combined attacks*: equal shares of disorder, repulsion and
@@ -431,10 +415,6 @@ impl AttackStrategy for VivaldiCombined {
             Some(2) => self.collusion.respond(probe, collusion, view, rng),
             _ => None,
         }
-    }
-
-    fn label(&self) -> &'static str {
-        "vivaldi-combined"
     }
 }
 

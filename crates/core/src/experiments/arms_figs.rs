@@ -343,11 +343,16 @@ mod tests {
 
     #[test]
     fn every_arms_label_resolves() {
+        // The labels name CSV columns, so each list must be distinct.
+        let distinct: std::collections::BTreeSet<_> = ARMS_ATTACKS.iter().collect();
+        assert_eq!(distinct.len(), ARMS_ATTACKS.len(), "{ARMS_ATTACKS:?}");
+        let distinct: std::collections::BTreeSet<_> = ARMS_DEFENSES.iter().collect();
+        assert_eq!(distinct.len(), ARMS_DEFENSES.len(), "{ARMS_DEFENSES:?}");
         for a in ARMS_ATTACKS {
-            assert!(!arms_strategy_by(a).label().is_empty());
+            arms_strategy_by(a);
         }
         for d in ARMS_DEFENSES {
-            assert!(!arms_defense_by(d).label().is_empty());
+            arms_defense_by(d);
         }
     }
 

@@ -258,8 +258,11 @@ mod tests {
 
     #[test]
     fn every_defense_label_resolves() {
+        // The labels name CSV columns, so they must be distinct.
+        let distinct: std::collections::BTreeSet<_> = DEFENSES.iter().collect();
+        assert_eq!(distinct.len(), DEFENSES.len(), "{DEFENSES:?}");
         for d in DEFENSES {
-            assert!(!defense_by(d, &[0, 1]).label().is_empty());
+            defense_by(d, &[0, 1]);
         }
     }
 

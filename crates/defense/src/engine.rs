@@ -53,12 +53,10 @@ pub struct Update<'a> {
 /// Verdict tallies, overall and per remote node.
 #[derive(Debug, Clone, Default)]
 pub struct DefenseStats {
-    /// Samples accepted unchanged (including `Dampen(1.0)` identities).
+    /// Samples accepted.
     pub accepted: u64,
     /// Samples rejected.
     pub rejected: u64,
-    /// Samples dampened below full strength.
-    pub dampened: u64,
     /// Node-level ban events drained through the reputation channel.
     pub bans: u64,
     /// Node-level reinstatements drained through the reputation channel.
@@ -74,14 +72,14 @@ pub struct DefenseStats {
 pub(crate) struct NodeTally {
     /// Inspections of this node's reports.
     pub(crate) inspected: u64,
-    /// Flag events (rejections + strict dampenings) against it.
+    /// Rejections of its reports.
     pub(crate) flags: u64,
 }
 
 impl DefenseStats {
     /// Total samples inspected.
     pub fn total(&self) -> u64 {
-        self.accepted + self.rejected + self.dampened
+        self.accepted + self.rejected
     }
 
     /// Grade the per-node flags against a ground-truth malicious set: a
@@ -116,15 +114,12 @@ impl DefenseStats {
     fn record(&mut self, remote: usize, verdict: &Verdict) {
         let tally = slot(&mut self.nodes, remote);
         tally.inspected += 1;
-        tally.flags += u64::from(verdict.is_flag());
         match verdict {
             Verdict::Accept => self.accepted += 1,
-            Verdict::Reject => self.rejected += 1,
-            // Classify by the *effective* factor (NaN payloads suppress the
-            // sample entirely), keeping these tallies consistent with
-            // `Verdict::factor`/`Verdict::is_flag`.
-            Verdict::Dampen(_) if verdict.factor() < 1.0 => self.dampened += 1,
-            Verdict::Dampen(_) => self.accepted += 1,
+            Verdict::Reject => {
+                self.rejected += 1;
+                tally.flags += 1;
+            }
         }
     }
 }
@@ -156,16 +151,6 @@ impl Defense {
             banned: Vec::new(),
             reinstated: Vec::new(),
         }
-    }
-
-    /// The no-op defense (every sample accepted via the fast path).
-    pub fn none() -> Defense {
-        Defense::new(Box::new(crate::strategies::NoDefense))
-    }
-
-    /// The strategy's label (for CSV headers).
-    pub fn label(&self) -> &'static str {
-        self.strategy.label()
     }
 
     /// Verdict accounting so far.
@@ -319,10 +304,9 @@ impl Defense {
             let which = match verdict {
                 Verdict::Accept => vcoord_obs::metric_id!("defense.accept"),
                 Verdict::Reject => vcoord_obs::metric_id!("defense.reject"),
-                Verdict::Dampen(_) => vcoord_obs::metric_id!("defense.dampen"),
             };
             vcoord_obs::counter_add(which, 1);
-            if verdict.is_flag() {
+            if verdict == Verdict::Reject {
                 vcoord_obs::event(
                     vcoord_obs::metric_id!("defense.flag"),
                     u.round,
@@ -366,10 +350,6 @@ mod tests {
                 Verdict::Accept
             }
         }
-
-        fn label(&self) -> &'static str {
-            "trip"
-        }
     }
 
     fn update<'a>(remote: usize, coord: &'a Coord, rtt: f64, round: u64) -> Update<'a> {
@@ -390,9 +370,8 @@ mod tests {
         let space = Space::Euclidean(2);
         let me = Coord::origin(2);
         let them = Coord::from_vec(vec![30.0, 40.0]);
-        let mut d = Defense::none();
+        let mut d = Defense::new(Box::new(crate::NoDefense));
         assert!(d.passthrough);
-        assert_eq!(d.label(), "none");
         for r in 0..5 {
             assert_eq!(
                 d.inspect(&space, &me, update(1, &them, 50.0, r)),

@@ -15,9 +15,9 @@
 //!   ([`DefenseStrategy::on_round`]) and the read-only [`UpdateView`] of
 //!   each sample (reported coordinate, measured RTT, predicted distance,
 //!   neighbor history);
-//! * [`Verdict`] — what to do with a sample: `Accept`, `Reject`, or
-//!   `Dampen(f)` (graduated trust; `Dampen(1.0)` is bit-identical to
-//!   `Accept` in both simulators);
+//! * [`Verdict`] — what to do with a sample: `Accept` or `Reject`, all or
+//!   nothing like the paper's own defenses (§5.4: the NPS security filter
+//!   eliminates a reference, the probe threshold discards a probe);
 //! * [`Defense`] — the engine object a simulator holds next to its
 //!   attackkit `Scenario` slot: strategy + shared [`NeighborHistory`] +
 //!   reusable [`DefenseScratch`] + [`DefenseStats`] verdict accounting
@@ -75,7 +75,7 @@ pub mod testing;
 pub use engine::{Defense, DefenseStats, Update};
 pub use history::{NeighborHistory, ObserverSample, Recent, RemoteHistory};
 pub use strategies::{
-    Dampener, DriftCap, DriftDecay, EwmaChangePoint, NoDefense, ResidualOutlier, TriangleCheck,
+    DriftCap, DriftDecay, EwmaChangePoint, NoDefense, ResidualOutlier, TriangleCheck,
     TrustedBaseline,
 };
 pub use strategy::{DefenseScratch, DefenseStrategy, Provenance, UpdateView, Verdict};
@@ -455,8 +455,8 @@ mod store_model {
         }
         let stats = defense.stats();
         assert_eq!(
-            (stats.accepted, stats.rejected, stats.dampened),
-            (model.accepted, model.rejected, 0)
+            (stats.accepted, stats.rejected),
+            (model.accepted, model.rejected)
         );
         assert_eq!(stats.quarantined, model.quarantined);
         let malicious: Vec<bool> = (0..NODES).map(|k| k % 3 == 0).collect();

@@ -28,9 +28,7 @@
 //!   trusted nodes (landmarks, surveyors) calibrates the honest residual
 //!   distribution, and everyone else is held to it.
 //!
-//! Plus the null strategy [`NoDefense`] (the engine's zero-cost fast path)
-//! and the diagnostic [`Dampener`] (a uniform [`Verdict::Dampen`], used by
-//! the `Dampen(1.0) ≡ Accept` bit-identity tests).
+//! Plus the null strategy [`NoDefense`] (the engine's zero-cost fast path).
 
 use crate::history::slot;
 use crate::strategy::{median_in_place, DefenseScratch, DefenseStrategy, UpdateView, Verdict};
@@ -88,36 +86,6 @@ impl DefenseStrategy for NoDefense {
 
     fn is_passthrough(&self) -> bool {
         true
-    }
-
-    fn label(&self) -> &'static str {
-        "none"
-    }
-}
-
-/// Uniformly dampen every sample by a fixed factor — a diagnostic strategy
-/// for the `Dampen(1.0) ≡ Accept` identity and for studying graduated
-/// trust, not a detector.
-#[derive(Debug, Clone, Copy)]
-pub struct Dampener {
-    /// The factor handed to [`Verdict::Dampen`] for every sample.
-    pub factor: f64,
-}
-
-impl Dampener {
-    /// Dampen every update by `factor`.
-    pub fn new(factor: f64) -> Dampener {
-        Dampener { factor }
-    }
-}
-
-impl DefenseStrategy for Dampener {
-    fn inspect_update(&mut self, _view: &UpdateView<'_>, _s: &mut DefenseScratch) -> Verdict {
-        Verdict::Dampen(self.factor)
-    }
-
-    fn label(&self) -> &'static str {
-        "dampener"
     }
 }
 
@@ -192,10 +160,6 @@ impl DefenseStrategy for ResidualOutlier {
             Verdict::Accept
         }
     }
-
-    fn label(&self) -> &'static str {
-        "mad-outlier"
-    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -264,10 +228,6 @@ impl DefenseStrategy for EwmaChangePoint {
         e.var = (1.0 - self.alpha) * (e.var + self.alpha * d * d);
         e.n += 1;
         Verdict::Accept
-    }
-
-    fn label(&self) -> &'static str {
-        "ewma-cpd"
     }
 }
 
@@ -433,10 +393,6 @@ impl DefenseStrategy for DriftCap {
         banned.append(&mut self.ban_events);
         reinstated.append(&mut self.reinstate_events);
     }
-
-    fn label(&self) -> &'static str {
-        "drift-cap"
-    }
 }
 
 /// Triangle-inequality consistency of a reported coordinate against the
@@ -509,10 +465,6 @@ impl DefenseStrategy for TriangleCheck {
         } else {
             Verdict::Accept
         }
-    }
-
-    fn label(&self) -> &'static str {
-        "triangle"
     }
 }
 
@@ -606,10 +558,6 @@ impl DefenseStrategy for TrustedBaseline {
         } else {
             Verdict::Accept
         }
-    }
-
-    fn label(&self) -> &'static str {
-        "trusted"
     }
 }
 
@@ -1013,30 +961,5 @@ mod tests {
         // Trusted nodes are never rejected, whatever they report.
         let v = feed(&mut d, &space, 0, 1, 9000.0, 100.0, 14..15);
         assert_eq!(v, vec![Verdict::Accept], "trust is an assumption");
-    }
-
-    #[test]
-    fn dampener_is_uniform() {
-        let space = Space::Euclidean(2);
-        let mut d = Defense::new(Box::new(Dampener::new(0.5)));
-        let v = feed(&mut d, &space, 0, 1, 100.0, 100.0, 0..3);
-        assert!(v.iter().all(|v| *v == Verdict::Dampen(0.5)));
-        assert_eq!(d.stats().dampened, 3);
-        assert_eq!(d.label(), "dampener");
-    }
-
-    #[test]
-    fn labels_are_distinct() {
-        let labels = [
-            NoDefense.label(),
-            Dampener::new(1.0).label(),
-            ResidualOutlier::default().label(),
-            EwmaChangePoint::default().label(),
-            DriftCap::default().label(),
-            TriangleCheck::default().label(),
-            TrustedBaseline::new([]).label(),
-        ];
-        let unique: std::collections::HashSet<_> = labels.iter().collect();
-        assert_eq!(unique.len(), labels.len(), "duplicate labels: {labels:?}");
     }
 }

@@ -48,49 +48,18 @@ impl Provenance {
 }
 
 /// A strategy's decision about one incoming coordinate/RTT sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// All or nothing, like the paper's defenses: NPS's security filter
+/// eliminates a reference and the probe threshold discards a probe; there
+/// is no partial trust.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Apply the update unchanged.
     Accept,
-    /// Drop the sample entirely (it never reaches the update rule).
+    /// Drop the sample entirely (it never reaches the update rule). A
+    /// rejection is also a *flag* against the remote node in the detection
+    /// accounting.
     Reject,
-    /// Apply the update at reduced strength: the factor scales Vivaldi's
-    /// timestep `δ` (coordinate movement only; the error estimate update is
-    /// untouched) and weights the sample's term in the NPS fit objective.
-    ///
-    /// `Dampen(1.0)` is **bit-identical** to [`Verdict::Accept`] — both
-    /// simulators implement dampening as a trailing `× factor` on existing
-    /// expressions, and `x × 1.0` preserves every bit of `x` — so a strategy
-    /// may emit continuous confidence without a discontinuity at full trust.
-    Dampen(f64),
-}
-
-impl Verdict {
-    /// The update-strength factor this verdict applies: `Accept` = 1,
-    /// `Reject` = 0, `Dampen(f)` = `f` clamped to `[0, 1]`. A
-    /// non-finite `Dampen` payload (a strategy's 0/0 confidence ratio)
-    /// clamps to 0 — `f64::clamp` would propagate the NaN straight into
-    /// the victim's coordinates, silently and unflagged.
-    pub fn factor(&self) -> f64 {
-        match self {
-            Verdict::Accept => 1.0,
-            Verdict::Reject => 0.0,
-            Verdict::Dampen(f) if f.is_nan() => 0.0,
-            Verdict::Dampen(f) => f.clamp(0.0, 1.0),
-        }
-    }
-
-    /// Whether this verdict counts as *flagging* the remote node for
-    /// detection accounting: rejections and strict dampenings (factor
-    /// below 1, including a NaN payload) do; `Accept` and the
-    /// `Dampen(1.0)` identity do not.
-    pub fn is_flag(&self) -> bool {
-        match self {
-            Verdict::Accept => false,
-            Verdict::Reject => true,
-            Verdict::Dampen(_) => self.factor() < 1.0,
-        }
-    }
 }
 
 /// Read-only view of one coordinate/RTT sample, as the observing node sees
@@ -228,37 +197,11 @@ pub trait DefenseStrategy: Send {
     fn is_passthrough(&self) -> bool {
         false
     }
-
-    /// A short label for CSV headers.
-    fn label(&self) -> &'static str {
-        "defense"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn verdict_factors_and_flags() {
-        assert_eq!(Verdict::Accept.factor(), 1.0);
-        assert_eq!(Verdict::Reject.factor(), 0.0);
-        assert_eq!(Verdict::Dampen(0.25).factor(), 0.25);
-        assert_eq!(Verdict::Dampen(7.0).factor(), 1.0, "factor clamps to [0,1]");
-        assert_eq!(
-            Verdict::Dampen(f64::NAN).factor(),
-            0.0,
-            "a NaN confidence must not poison coordinates"
-        );
-        assert!(Verdict::Dampen(f64::NAN).is_flag());
-        assert!(!Verdict::Accept.is_flag());
-        assert!(Verdict::Reject.is_flag());
-        assert!(Verdict::Dampen(0.5).is_flag());
-        assert!(
-            !Verdict::Dampen(1.0).is_flag(),
-            "the identity dampening is not a flag"
-        );
-    }
 
     #[test]
     fn view_residuals() {

@@ -9,7 +9,9 @@
 //! corrupt the global counter.
 
 use vcoord_defense::testing::ring_fill_samples;
-use vcoord_defense::{Defense, DefenseStrategy, DriftCap, Provenance, ResidualOutlier, Update};
+use vcoord_defense::{
+    Defense, DefenseStrategy, DriftCap, NoDefense, Provenance, ResidualOutlier, Update,
+};
 use vcoord_obs::testing::{min_allocations_over, CountingAllocator};
 use vcoord_space::{Coord, Space};
 
@@ -36,7 +38,7 @@ fn inspection_loops_are_allocation_free() {
     };
 
     // --- NoDefense: zero allocation from the very first call. ---
-    let mut none = Defense::none();
+    let mut none = Defense::new(Box::new(NoDefense));
     none.inspect(&space, &me, sample(1, 0)); // pay one-time lazy init, if any
     let mut round = 1u64;
     let allocs = min_allocations_over(3, || {

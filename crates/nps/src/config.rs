@@ -31,11 +31,9 @@ pub struct NpsConfig {
     /// rolling ban list (round-robin). The probation sample is *evidence
     /// only* — it is screened through the deployed defense so a decaying
     /// ban (`DriftDecay`) can observe reform and emit a `Reinstate`, but it
-    /// never enters the Simplex fit. `0` (the default, and the value
-    /// absent in older serialized configs) disables the channel; without
-    /// it, membership-mediated banning cuts the evidence stream and decay
-    /// can never compose with banishment.
-    #[serde(default)]
+    /// never enters the Simplex fit. `0` (the default) disables the
+    /// channel; without it, membership-mediated banning cuts the evidence
+    /// stream and decay can never compose with banishment.
     pub probation_every: u64,
 }
 

@@ -44,4 +44,4 @@ mod sim;
 
 pub use config::NpsConfig;
 pub use position::{position_node, PositionOutcome, PositionScratch, RefSample, SecurityPolicy};
-pub use sim::{NpsSim, ROUND_MS};
+pub use sim::{NpsCounters, NpsSim, ROUND_MS};

@@ -2,7 +2,6 @@
 //! functions (directly testable against §3.1 of the paper).
 
 use serde::{Deserialize, Serialize};
-use vcoord_defense::Provenance;
 use vcoord_space::{simplex_downhill, Coord, SimplexOptions, SimplexScratch, Space};
 
 /// One reference-point measurement: the coordinates the reference
@@ -15,30 +14,12 @@ pub struct RefSample {
     pub coord: Coord,
     /// Measured distance `D_Ri` (ms).
     pub rtt: f64,
-    /// Defense dampening weight on this sample's term in the fit
-    /// objective: `1.0` (the default, bit-identical to an unweighted fit)
-    /// for accepted samples, `< 1.0` for `Verdict::Dampen`ed ones. The
-    /// security filter's fitting errors `E_Ri` are *not* weighted — a
-    /// dampened reference is still judged (and eliminable) at full
-    /// strength.
-    pub weight: f64,
-    /// How the sample entered the probe rotation: `Normal` for freely
-    /// chosen references, `Lease` for a starvation-relief readmission of a
-    /// still-banned reference (the defense engine quarantines the
-    /// latter's evidence). The fit itself ignores this tag.
-    pub provenance: Provenance,
 }
 
 impl RefSample {
-    /// A full-strength sample (weight 1.0, normal provenance).
+    /// The sample of reference `id`.
     pub fn new(id: usize, coord: Coord, rtt: f64) -> RefSample {
-        RefSample {
-            id,
-            coord,
-            rtt,
-            weight: 1.0,
-            provenance: Provenance::Normal,
-        }
+        RefSample { id, coord, rtt }
     }
 }
 
@@ -78,8 +59,8 @@ impl SecurityPolicy {
 pub struct PositionOutcome {
     /// The minimizing coordinates found.
     pub coord: Coord,
-    /// Final objective value (weighted sum of squared absolute fitting
-    /// residuals, ms²).
+    /// Final objective value (sum of squared absolute fitting residuals,
+    /// ms²).
     pub objective: f64,
     /// Per-reference fitting errors `E_Ri`, parallel to the input samples.
     pub fit_errors: Vec<f64>,
@@ -109,8 +90,6 @@ struct FitProblem {
     heights: Vec<f64>,
     /// Measured RTT per fitted sample.
     rtts: Vec<f64>,
-    /// Defense dampening weight per fitted sample.
-    weights: Vec<f64>,
 }
 
 impl FitProblem {
@@ -124,7 +103,6 @@ impl FitProblem {
         self.cols.resize(dim * m, 0.0);
         self.heights.clear();
         self.rtts.clear();
-        self.weights.clear();
         for (p, &k) in idxs.iter().enumerate() {
             let s = &samples[k];
             assert_eq!(s.coord.vec.len(), dim, "reference dimension mismatch");
@@ -137,12 +115,11 @@ impl FitProblem {
                 0.0
             });
             self.rtts.push(s.rtt);
-            self.weights.push(s.weight);
         }
     }
 
     /// The fit objective for a node at `x` (height zero): every sample's
-    /// `(predicted − rtt)² × weight`, summed in sample order.
+    /// `(predicted − rtt)²`, summed in sample order.
     ///
     /// Dispatches once on `x.len()` over the Simplex kernel's fixed
     /// dimensions: each arm inlines [`sum`](Self::sum) over a slice of
@@ -166,9 +143,7 @@ impl FitProblem {
     /// floating-point operations of `space.distance` followed by the term,
     /// in the same order, and the sum adds the terms one by one in sample
     /// order from `Iterator::sum`'s `-0.0`, so the objective equals the
-    /// naive per-sample loop bit for bit. Defense dampening is a trailing
-    /// `× 1.0` for full-strength samples, so the unweighted fit is preserved
-    /// bit for bit too.
+    /// naive per-sample loop bit for bit.
     #[inline(always)]
     fn sum(&self, x: &[f64]) -> f64 {
         let m = self.rtts.len();
@@ -211,12 +186,9 @@ impl FitProblem {
         // so adding that zero is the identity — as is adding the zero
         // `heights` of a space without a height component.
         let per_sample = sq.into_iter().zip(window(&self.heights));
-        for (((s, h), rtt), w) in per_sample
-            .zip(window(&self.rtts))
-            .zip(window(&self.weights))
-        {
+        for ((s, h), rtt) in per_sample.zip(window(&self.rtts)) {
             let diff = s.sqrt() + h - rtt;
-            total += diff * diff * w;
+            total += diff * diff;
         }
         total
     }
@@ -273,7 +245,7 @@ fn fit_error(space: &Space, at: &Coord, s: &RefSample) -> f64 {
 }
 
 /// Run one Simplex fit over `samples[idxs]`, minimizing the latency-fit
-/// objective `Σ wᵢ · (dist(x, P_Ri) − D_Ri)²`.
+/// objective `Σ (dist(x, P_Ri) − D_Ri)²`.
 ///
 /// GNP's *paper* normalizes each term by the measured distance; the
 /// reference implementation lineage (and the attack dynamics the CoNEXT'06
@@ -286,7 +258,7 @@ fn fit_error(space: &Space, at: &Coord, s: &RefSample) -> f64 {
 ///
 /// Allocation-free apart from the returned coordinate. The fitted samples
 /// are gathered once into a [`FitProblem`]; one evaluation
-/// ([`FitProblem::objective`]) sums the weighted terms in sample order,
+/// ([`FitProblem::objective`]) sums the terms in sample order,
 /// which is bit-identical to the naive per-sample `space.distance` loop.
 /// Returns the fitted
 /// coordinate, the final objective value, and the number of objective
@@ -668,70 +640,6 @@ mod tests {
         let displacement =
             ((out.coord.vec[0] - 50.0).powi(2) + (out.coord.vec[1] - 50.0).powi(2)).sqrt();
         assert!(displacement > 10.0, "lie must drag the fit: {displacement}");
-    }
-
-    #[test]
-    fn unit_weights_are_bit_identical_to_unweighted_fit() {
-        // The NPS side of the Dampen(1.0) ≡ Accept identity: explicit 1.0
-        // weights must not flip a single bit of the fitted position.
-        let d = 50.0 * std::f64::consts::SQRT_2;
-        let samples = square_samples(&[d, d, d, d, 50.0]);
-        let a = position(
-            &samples,
-            &Coord::from_vec(vec![10.0, 10.0]),
-            None,
-            SecurityPolicy::paper(),
-        )
-        .unwrap();
-        // Same samples, weights written explicitly.
-        let reweighted: Vec<RefSample> = samples
-            .iter()
-            .map(|s| RefSample {
-                weight: 1.0,
-                ..s.clone()
-            })
-            .collect();
-        let b = position(
-            &reweighted,
-            &Coord::from_vec(vec![10.0, 10.0]),
-            None,
-            SecurityPolicy::paper(),
-        )
-        .unwrap();
-        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-        assert_eq!(a.coord.height.to_bits(), b.coord.height.to_bits());
-        for (x, y) in a.coord.vec.iter().zip(&b.coord.vec) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn dampened_sample_loses_influence_on_the_fit() {
-        // Four consistent refs put the node at (50,50); a fifth lies hard.
-        // Dampening the liar's weight toward zero must pull the fit back
-        // toward the honest solution.
-        let d = 50.0 * std::f64::consts::SQRT_2;
-        let mut samples = square_samples(&[d, d, d, d, 5000.0]);
-        let fit = |samples: &[RefSample]| {
-            position(
-                samples,
-                &Coord::from_vec(vec![10.0, 10.0]),
-                None,
-                SecurityPolicy::off(),
-            )
-            .unwrap()
-            .coord
-        };
-        let dragged = fit(&samples);
-        samples[4].weight = 0.01;
-        let recovered = fit(&samples);
-        let err = |c: &Coord| ((c.vec[0] - 50.0).powi(2) + (c.vec[1] - 50.0).powi(2)).sqrt();
-        assert!(
-            err(&recovered) < err(&dragged) * 0.2,
-            "dampening must defang the liar: dragged {:.1}, recovered {:.1}",
-            err(&dragged),
-            err(&recovered)
-        );
     }
 
     #[test]

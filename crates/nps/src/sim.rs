@@ -218,22 +218,18 @@ impl NpsWorld {
             return None;
         }
 
-        // Was this reference handed out on a readmission lease? Leased
-        // evidence is tagged so the defense engine quarantines it (the
-        // `leased` lists are empty outside chaos runs, so this is one
-        // scan of an empty Vec on the pre-chaos path).
-        let provenance = if self.leased[node].contains(&r) {
-            Provenance::Lease
-        } else {
-            Provenance::Normal
-        };
-
         // Screen the surviving sample through the deployed defense (if
-        // any) before it can enter the fit. No deployment and a
-        // `NoDefense` deployment both leave `weight = 1.0`, bit-identical
-        // to the unweighted objective.
-        let mut weight = 1.0;
+        // any) before it can enter the fit.
         if let Some(defense) = self.defense.as_mut() {
+            // Was this reference handed out on a readmission lease? Leased
+            // evidence is tagged so the defense engine quarantines it (the
+            // `leased` lists are empty outside chaos runs, so this is one
+            // scan of an empty Vec on the pre-chaos path).
+            let provenance = if self.leased[node].contains(&r) {
+                Provenance::Lease
+            } else {
+                Provenance::Normal
+            };
             let verdict = defense.inspect(
                 &self.config.space,
                 &self.coords[node],
@@ -253,7 +249,7 @@ impl NpsWorld {
             // reference visibly drops it and draws a replacement).
             if self.malicious[r] {
                 if let Some(scenario) = self.scenario.as_mut() {
-                    scenario.feedback(r, node, verdict.is_flag());
+                    scenario.feedback(r, node, verdict == Verdict::Reject);
                 }
             }
             if verdict == Verdict::Reject {
@@ -267,15 +263,8 @@ impl NpsWorld {
                 self.ban_ref(node, r, now_ms);
                 return None;
             }
-            weight = verdict.factor();
         }
-        Some(RefSample {
-            id: r,
-            coord,
-            rtt,
-            weight,
-            provenance,
-        })
+        Some(RefSample::new(r, coord, rtt))
     }
 
     /// NPS positioning is atomic per round, so retries cannot be deferred
@@ -921,9 +910,7 @@ impl NpsSim {
     ///   like a probe-threshold hit: the membership server supplies a
     ///   substitute, so a strategy that permanently bans a neighbor (the
     ///   drift cap) shrinks the attacker's reach instead of starving the
-    ///   victim's reference set; [`Verdict::Dampen`] weights the sample's
-    ///   term in the fit objective (see [`RefSample::weight`]), while the
-    ///   security filter still judges the reference at full strength;
+    ///   victim's reference set;
     /// * `round` is the repositioning period index — the same clock the
     ///   adversary seam uses;
     /// * the defense inspects reference probes of *ordinary* repositioning
@@ -1079,9 +1066,6 @@ mod tests {
                     delay_ms: 0.0,
                 })
             }
-            fn label(&self) -> &'static str {
-                "nan-coord"
-            }
         }
         let mut sim = small_sim(80, 31);
         sim.run_ms(400_000);
@@ -1109,9 +1093,6 @@ mod tests {
                 _s: &mut vcoord_defense::DefenseScratch,
             ) -> Verdict {
                 Verdict::Reject
-            }
-            fn label(&self) -> &'static str {
-                "reject-all"
             }
         }
         // Fewer refs than the eligible pool, so the membership server has
@@ -1182,9 +1163,6 @@ mod tests {
             fn drain_reputation(&mut self, banned: &mut Vec<usize>, reinstated: &mut Vec<usize>) {
                 banned.append(&mut self.bans);
                 reinstated.append(&mut self.reinstates);
-            }
-            fn label(&self) -> &'static str {
-                "ban-once"
             }
         }
 

@@ -31,7 +31,7 @@ fn reference_fit(
             .map(|&k| {
                 let s = &samples[k];
                 let diff = space.distance(&at, &s.coord) - s.rtt;
-                diff * diff * s.weight
+                diff * diff
             })
             .sum()
     };
@@ -169,7 +169,6 @@ struct Draw {
     heights: Vec<f64>,
     /// Measurement noise factor per reference.
     noise: Vec<f64>,
-    weight_picks: Vec<usize>,
 }
 
 impl Draw {
@@ -203,10 +202,7 @@ impl Draw {
                 if p == 1 && dead_probe {
                     rtt = -1.0;
                 }
-                RefSample {
-                    weight: [1.0, 0.25, 0.0][self.weight_picks[p]],
-                    ..RefSample::new(100 + p, coord, rtt)
-                }
+                RefSample::new(100 + p, coord, rtt)
             })
             .collect();
         let mut start = truth;
@@ -223,13 +219,11 @@ fn draw() -> impl Strategy<Value = Draw> {
         prop::collection::vec(-150.0f64..150.0, (MAX_REFS + 1) * MAX_DIM),
         prop::collection::vec(0.0f64..40.0, MAX_REFS),
         prop::collection::vec(0.8f64..1.2, MAX_REFS),
-        prop::collection::vec(0usize..3, MAX_REFS),
     )
-        .prop_map(|(values, heights, noise, weight_picks)| Draw {
+        .prop_map(|(values, heights, noise)| Draw {
             values,
             heights,
             noise,
-            weight_picks,
         })
 }
 
@@ -292,7 +286,6 @@ fn fixed_draw() -> Draw {
             .collect(),
         heights: (0..MAX_REFS).map(|p| (p * 13 % 40) as f64).collect(),
         noise: (0..MAX_REFS).map(|p| 0.8 + (p % 5) as f64 * 0.1).collect(),
-        weight_picks: (0..MAX_REFS).map(|p| p % 3).collect(),
     }
 }
 
@@ -347,7 +340,6 @@ fn fixed_cases_reach_cached_pair_dup_skip_and_single_fit() {
     let d = Draw {
         heights: vec![0.0; MAX_REFS],
         noise: vec![1.0; MAX_REFS],
-        weight_picks: vec![0; MAX_REFS],
         ..fixed_draw()
     };
     let opts = sim_opts(150);

@@ -41,7 +41,7 @@ proptest! {
     /// The NPS latency fit, the naive way — one `Space::distance` per
     /// reference per evaluation — at every dimension 1..=13 of each drawn
     /// case: odd and even reference counts, absolute and relative terms,
-    /// full / dampened / zero weights, with and without heights, NaN and
+    /// full / fractional / zero weights, with and without heights, NaN and
     /// +∞ regions next to the start, and caps that cut the descent short
     /// (0 = no iteration at all).
     #[test]

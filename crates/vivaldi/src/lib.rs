@@ -24,7 +24,7 @@
 //! [`vcoord_defense::DefenseStrategy`] seam (see
 //! [`VivaldiSim::deploy_defense`]): every sample an honest node is about to
 //! apply passes the deployed [`vcoord_defense::Defense`] first, whose verdict
-//! drops, dampens, or admits it.
+//! drops or admits it.
 
 #![forbid(unsafe_code)]
 
@@ -36,4 +36,4 @@ mod sim;
 
 pub use config::VivaldiConfig;
 pub use convergence::ConvergenceTracker;
-pub use sim::VivaldiSim;
+pub use sim::{Counters, VivaldiSim};

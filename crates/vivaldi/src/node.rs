@@ -32,6 +32,13 @@ pub struct UpdateOutcome {
 /// Samples with non-positive or non-finite RTT are rejected (`None`), as are
 /// non-finite remote coordinates — the defensive guards that keep
 /// adversarial input from corrupting local state with NaNs.
+///
+/// The node moves in place, with no displacement built: each component
+/// becomes `x += step · ((x − r) · inv)` where `inv` is one over the
+/// height-model norm `‖x − r‖ + (h_x + h_r)` of the direction. These are
+/// the operations of [`Space::direction`] followed by [`Space::apply`], in
+/// the same order, so the result is the same to the bit. Only coincident
+/// nodes take a [`Space::random_unit`] kick.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's update rule inputs
 pub fn vivaldi_update<R: Rng + ?Sized>(
     space: &Space,
@@ -42,49 +49,6 @@ pub fn vivaldi_update<R: Rng + ?Sized>(
     remote_coord: &Coord,
     remote_error: f64,
     rtt: f64,
-    rng: &mut R,
-) -> Option<UpdateOutcome> {
-    vivaldi_update_scaled(
-        space,
-        cc,
-        error_clamp,
-        coord,
-        error,
-        remote_coord,
-        remote_error,
-        rtt,
-        1.0,
-        rng,
-    )
-}
-
-/// [`vivaldi_update`] with a defense dampening factor on the timestep.
-///
-/// `scale` multiplies the adaptive timestep `δ = Cc · w` — the coordinate
-/// movement only; the error-estimate update is untouched, so a dampened
-/// node still learns how good its samples are. `scale = 1.0` is
-/// **bit-identical** to [`vivaldi_update`] (the factor enters as a trailing
-/// `× scale` on the existing expression, and `x × 1.0` preserves every bit
-/// of a finite `x`), which is what lets `Verdict::Dampen(1.0)` stand in
-/// for `Verdict::Accept` without perturbing golden figures.
-///
-/// The node moves in place, with no displacement built: each component
-/// becomes `x += step · ((x − r) · inv)` where `inv` is one over the
-/// height-model norm `‖x − r‖ + (h_x + h_r)` of the direction. These are
-/// the operations of [`Space::direction`] followed by [`Space::apply`], in
-/// the same order, so the result is the same to the bit. Only coincident
-/// nodes take a [`Space::random_unit`] kick.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's update rule inputs
-pub(crate) fn vivaldi_update_scaled<R: Rng + ?Sized>(
-    space: &Space,
-    cc: f64,
-    error_clamp: (f64, f64),
-    coord: &mut Coord,
-    error: &mut f64,
-    remote_coord: &Coord,
-    remote_error: f64,
-    rtt: f64,
-    scale: f64,
     rng: &mut R,
 ) -> Option<UpdateOutcome> {
     if !(rtt.is_finite() && rtt > 0.0 && remote_coord.is_finite()) {
@@ -114,8 +78,7 @@ pub(crate) fn vivaldi_update_scaled<R: Rng + ?Sized>(
         *error / denom
     };
 
-    let delta = cc * weight * scale;
-    let step = delta * (rtt - dist);
+    let step = cc * weight * (rtt - dist);
     if norm <= f64::EPSILON {
         space.apply(coord, &space.random_unit(rng), step);
     } else {
@@ -379,66 +342,6 @@ mod tests {
         .unwrap();
         assert!(e <= CLAMP.1);
         assert!(e >= CLAMP.0);
-    }
-
-    #[test]
-    fn scale_one_is_bit_identical_to_unscaled() {
-        // The Dampen(1.0) ≡ Accept identity at the update-rule level: every
-        // output bit of coordinate and error must match.
-        let space = Space::EuclideanHeight(3);
-        let mut rng_a = rng();
-        let mut rng_b = rng();
-        let mut ca = Coord {
-            vec: vec![10.0, -3.0, 7.5],
-            height: 2.0,
-        };
-        let mut cb = ca.clone();
-        let (mut ea, mut eb) = (0.37, 0.37);
-        let remote = Coord {
-            vec: vec![1.0, 2.0, 3.0],
-            height: 0.5,
-        };
-        for k in 0..50 {
-            let rtt = 10.0 + k as f64;
-            let a = vivaldi_update(
-                &space, 0.25, CLAMP, &mut ca, &mut ea, &remote, 0.4, rtt, &mut rng_a,
-            )
-            .unwrap();
-            let b = vivaldi_update_scaled(
-                &space, 0.25, CLAMP, &mut cb, &mut eb, &remote, 0.4, rtt, 1.0, &mut rng_b,
-            )
-            .unwrap();
-            assert_eq!(a, b);
-            assert_eq!(ea.to_bits(), eb.to_bits());
-            assert_eq!(ca.height.to_bits(), cb.height.to_bits());
-            for (x, y) in ca.vec.iter().zip(&cb.vec) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn scale_zero_freezes_movement_but_still_learns_error() {
-        let space = Space::Euclidean(2);
-        let mut c = Coord::from_vec(vec![100.0, 0.0]);
-        let mut e = 1.0;
-        let remote = Coord::from_vec(vec![0.0, 0.0]);
-        let out = vivaldi_update_scaled(
-            &space,
-            0.25,
-            CLAMP,
-            &mut c,
-            &mut e,
-            &remote,
-            0.5,
-            10.0,
-            0.0,
-            &mut rng(),
-        )
-        .unwrap();
-        assert_eq!(out.displacement, 0.0);
-        assert_eq!(c.vec, vec![100.0, 0.0], "fully dampened: no movement");
-        assert_ne!(e, 1.0, "error estimate still updates");
     }
 
     /// The update as it was written before it moved the node in place:

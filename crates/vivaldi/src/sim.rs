@@ -24,7 +24,7 @@
 
 use crate::config::VivaldiConfig;
 use crate::neighbors::select_neighbors;
-use crate::node::vivaldi_update_scaled;
+use crate::node::vivaldi_update;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
@@ -389,49 +389,43 @@ impl VivaldiWorld {
     fn apply_sample(&mut self, sched: &mut Scheduler<u32>, from: NodeId, to: NodeId, slot: u32) {
         let s = &self.in_flight.slots[slot as usize];
         // Screen the sample through the deployed defense (if any) before
-        // the update rule sees it. No deployment and a `NoDefense`
-        // deployment both leave `scale = 1.0`, which is bit-identical to
-        // the undefended path.
-        let scale = match self.defense.as_mut() {
-            None => 1.0,
-            Some(defense) => {
-                let verdict = defense.inspect(
-                    &self.config.space,
-                    &self.coords[to],
-                    DefenseUpdate {
-                        observer: to,
-                        remote: from,
-                        reported_coord: &s.coord,
-                        reported_error: s.error,
-                        rtt: s.rtt,
-                        round: sched.now() / TICK_MS,
-                        now_ms: sched.now(),
-                        provenance: Provenance::Normal,
-                    },
-                );
-                // Route the reputation side channel into the quarantine
-                // flags (no-op for strategies that emit no events).
-                let (banned, reinstated) = defense.drain_reputation();
-                for &b in banned {
-                    self.quarantined[b] = true;
-                }
-                for &r in reinstated {
-                    self.quarantined[r] = false;
-                }
-                // Arms-race feedback: a malicious node can observe whether
-                // its report took hold, so the scenario learns the verdict.
-                if self.malicious[from] {
-                    if let Some(scenario) = self.scenario.as_mut() {
-                        scenario.feedback(from, to, verdict.is_flag());
-                    }
-                }
-                if verdict == Verdict::Reject {
-                    return; // dropped: coordinate and error untouched
-                }
-                verdict.factor()
+        // the update rule sees it: a rejected sample never reaches it.
+        if let Some(defense) = self.defense.as_mut() {
+            let verdict = defense.inspect(
+                &self.config.space,
+                &self.coords[to],
+                DefenseUpdate {
+                    observer: to,
+                    remote: from,
+                    reported_coord: &s.coord,
+                    reported_error: s.error,
+                    rtt: s.rtt,
+                    round: sched.now() / TICK_MS,
+                    now_ms: sched.now(),
+                    provenance: Provenance::Normal,
+                },
+            );
+            // Route the reputation side channel into the quarantine
+            // flags (no-op for strategies that emit no events).
+            let (banned, reinstated) = defense.drain_reputation();
+            for &b in banned {
+                self.quarantined[b] = true;
             }
-        };
-        let applied = vivaldi_update_scaled(
+            for &r in reinstated {
+                self.quarantined[r] = false;
+            }
+            // Arms-race feedback: a malicious node can observe whether
+            // its report took hold, so the scenario learns the verdict.
+            if self.malicious[from] {
+                if let Some(scenario) = self.scenario.as_mut() {
+                    scenario.feedback(from, to, verdict == Verdict::Reject);
+                }
+            }
+            if verdict == Verdict::Reject {
+                return; // dropped: coordinate and error untouched
+            }
+        }
+        let applied = vivaldi_update(
             &self.config.space,
             CC,
             ERROR_CLAMP,
@@ -440,7 +434,6 @@ impl VivaldiWorld {
             &s.coord,
             s.error,
             s.rtt,
-            scale,
             &mut self.update_rng,
         );
         if applied.is_some() {
@@ -614,7 +607,7 @@ impl VivaldiSim {
     /// * a malicious node controls the **coordinates** and **error
     ///   estimate** it reports ([`Lie::coord`] / [`Lie::error`]), and may
     ///   **delay** the probe; the simulator clamps negative delays to zero
-    ///   and counts the violation in `Counters::delay_clamped` — the
+    ///   and counts the violation in [`Counters::delay_clamped`] — the
     ///   threat model forbids shortening measurements;
     /// * the [`CoordView`] handed to strategies is the knowledge oracle:
     ///   `coords` and `errors` are the true per-node state (attackers
@@ -665,16 +658,14 @@ impl VivaldiSim {
     ///   RTT, judged at delivery time against the victim's *current*
     ///   coordinate;
     /// * [`Verdict::Reject`] drops the sample before the update rule runs
-    ///   (coordinate and error estimate both untouched);
-    ///   [`Verdict::Dampen`] scales the adaptive timestep `δ = Cc · w` only
-    ///   — see `vivaldi_update_scaled` for the `Dampen(1.0) ≡ Accept`
-    ///   bit-identity;
+    ///   (coordinate and error estimate both untouched); an accepted one
+    ///   runs it unchanged;
     /// * `round` is the probe tick, the same clock the adversary seam uses
     ///   — attack `on_round` and defense `on_round` advance in lockstep;
     /// * an undefended simulation (no [`Defense`] deployed) and a
     ///   [`NoDefense`](vcoord_defense::NoDefense) deployment are
     ///   byte-identical by construction: both leave every sample on the
-    ///   pre-existing code path with scale 1.0.
+    ///   same update path.
     pub fn deploy_defense(&mut self, strategy: Box<dyn DefenseStrategy>) {
         *self.world.defense = Some(Defense::new(strategy));
         self.world.quarantined.fill(false);
@@ -798,9 +789,6 @@ mod tests {
                 _s: &mut vcoord_defense::DefenseScratch,
             ) -> Verdict {
                 Verdict::Reject
-            }
-            fn label(&self) -> &'static str {
-                "reject-all"
             }
         }
         let mut sim = small_sim(20, 13);

@@ -57,7 +57,7 @@ fn vivaldi_update_allocation_budget_holds_with_obs_off() {
     });
     assert_eq!(
         allocs, 0,
-        "vivaldi_update_scaled must not allocate for an applied sample \
+        "vivaldi_update must not allocate for an applied sample \
          with the obs plane off"
     );
 
