@@ -19,11 +19,16 @@ use vcoord::obs::json::{parse_json, Json};
 
 /// Names `layers.rs` reads that nothing emits, with the reason each is
 /// tolerated. The test also fails when an entry stops being needed.
-const NO_EMITTER: [(&str, &str); 2] = [
+const NO_EMITTER: [(&str, &str); 3] = [
     (
         "defense.dampen",
         "no emitter since the graduated-trust verdict went; it always read 0 in \
          `defense.inspects`: drop it from that sum in the next `benchmark` PR",
+    ),
+    (
+        "evalplan.parallel_sweeps",
+        "no emitter since `EvalPlan` sweeps on the calling thread; it read 0 on every \
+         workload before: retire `metrics.parallel_sweeps` in the next `benchmark` PR",
     ),
     (
         "simplex.warm_start",
@@ -34,7 +39,7 @@ const NO_EMITTER: [(&str, &str); 2] = [
 /// Names the crates emit that no consumer reads, each with the reason and
 /// the ROADMAP direction or PR that gives it a reader or removes it. The
 /// test also fails when an entry stops being needed.
-const NO_READER: [(&str, &str); 14] = [
+const NO_READER: [(&str, &str); 13] = [
     ("attack.feedback", TRACE_EVENT),
     ("attack.offset_advance", TRACE_EVENT),
     ("chaos.crash", TRACE_EVENT),
@@ -44,12 +49,6 @@ const NO_READER: [(&str, &str); 14] = [
     ("chaos.lease_return", TRACE_EVENT),
     ("chaos.restart", TRACE_EVENT),
     ("defense.flag", TRACE_EVENT),
-    (
-        "evalplan.worker_ns",
-        "wall-clock per-worker sweep time; no smoke-scale plan sweeps \
-         in parallel, so no BENCH row holds it; ROADMAP direction 9's reconcile table \
-         reads it, or it goes",
-    ),
     ("nps.filter", TRACE_EVENT),
     ("nps.inject", TRACE_EVENT),
     ("nps.probation", TRACE_EVENT),
@@ -247,7 +246,7 @@ fn every_obs_name_the_crates_emit_has_a_reader() {
 /// method's runs through its type); an entry naming a module or a type
 /// covers everything declared in it, and the root `pub use` of its name.
 /// The test also fails when an entry stops being needed.
-const PUB_NO_READER: [(&str, &str); 10] = [
+const PUB_NO_READER: [(&str, &str); 9] = [
     (
         "vcoord_obs::testing",
         "the counting global allocator; each no-alloc suite under crates/*/tests \
@@ -279,11 +278,6 @@ const PUB_NO_READER: [(&str, &str); 10] = [
         "vcoord::experiments::run_grid",
         "crates/core/tests/grid_width_invariance.rs drives the figure grid directly \
          at widths 1, 2 and 3",
-    ),
-    (
-        "vcoord_metrics::error::EvalPlan::PARALLEL_THRESHOLD",
-        "tests/eval_properties.rs sizes its plans across the parallel cut-over, so \
-         both sweep paths stay compared with the naive loop",
     ),
     (
         "vcoord_netsim::engine::Scheduler::deliver_at",

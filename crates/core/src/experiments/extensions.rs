@@ -73,7 +73,7 @@ fn disorder_run(
         scale.eval_sample_peers,
         &mut seeds.rng("plan"),
     );
-    plan.avg_error_with(sim.coords(), sim.space(), sim.matrix(), job.eval_threads)
+    plan.avg_error(sim.coords(), sim.space(), sim.matrix())
 }
 
 /// Genesis vs injection comparison across attacker fractions.

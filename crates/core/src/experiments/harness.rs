@@ -18,7 +18,7 @@ use vcoord_attackkit::{AttackStrategy, Honest};
 use vcoord_chaos::{ChaosCounters, ChaosPlan};
 use vcoord_defense::{Defense, DefenseStrategy};
 use vcoord_metrics::stats::mean;
-use vcoord_metrics::{random_baseline_with, Confusion, EvalPlan, FilterLedger, TimeSeries};
+use vcoord_metrics::{random_baseline, Confusion, EvalPlan, FilterLedger, TimeSeries};
 use vcoord_netsim::SeedStream;
 use vcoord_nps::{NpsConfig, NpsSim};
 use vcoord_space::{Coord, Space};
@@ -572,10 +572,8 @@ fn draw_plan(scale: &Scale, nodes: &[usize], rng: &mut ChaCha12Rng) -> EvalPlan 
 }
 
 /// The injection protocol up to the injection instant: build the topology
-/// and the system, converge it cleanly and record the reference series,
-/// with `threads` threads for each evaluation sweep (a grid job passes its
-/// `eval_threads`).
-fn warm_up<S: System>(spec: &RunSpec<'_, S>, threads: usize) -> Warm<S> {
+/// and the system, converge it cleanly and record the reference series.
+fn warm_up<S: System>(spec: &RunSpec<'_, S>) -> Warm<S> {
     let scale = spec.scale;
     let seeds = SeedStream::new(spec.seed).derive_indexed(S::REP_LABEL, spec.rep);
     let matrix =
@@ -583,9 +581,8 @@ fn warm_up<S: System>(spec: &RunSpec<'_, S>, threads: usize) -> Warm<S> {
     let mut sim = S::build(matrix, spec.config.clone(), &seeds);
     let (warmup, _, every) = S::schedule(scale);
     let mut plan_rng = seeds.rng("eval-plan");
-    let avg_error = |plan: &EvalPlan, sim: &S| {
-        plan.avg_error_with(sim.coords(), sim.space(), sim.matrix(), threads)
-    };
+    let avg_error =
+        |plan: &EvalPlan, sim: &S| plan.avg_error(sim.coords(), sim.space(), sim.matrix());
 
     let fixed_plan = sim
         .warmup_nodes()
@@ -634,12 +631,7 @@ fn window_end<S: System>(scale: &Scale) -> u64 {
 /// # Panics
 /// Panics unless the checkpoints ascend and each falls on a sample instant
 /// (a multiple of the sampling interval).
-fn attack<S: System>(
-    spec: &RunSpec<'_, S>,
-    warm: Warm<S>,
-    checkpoints: &[u64],
-    threads: usize,
-) -> Vec<Run> {
+fn attack<S: System>(spec: &RunSpec<'_, S>, warm: Warm<S>, checkpoints: &[u64]) -> Vec<Run> {
     let Warm {
         mut sim,
         seeds,
@@ -684,13 +676,12 @@ fn attack<S: System>(
 
     // Random coordinates against the fixed plan and matrix: the same at
     // every checkpoint.
-    let random_baseline = random_baseline_with(
+    let random_baseline = random_baseline(
         &plan_honest,
         sim.space(),
         sim.matrix(),
         RANDOM_RANGE,
         &mut seeds.rng("random-baseline"),
-        threads,
     );
 
     let mut attack_series = TimeSeries::new();
@@ -707,8 +698,7 @@ fn attack<S: System>(
             sim.step(every);
             t += every;
             let now = sim.now();
-            let errs =
-                plan_honest.per_node_errors_with(sim.coords(), sim.space(), sim.matrix(), threads);
+            let errs = plan_honest.per_node_errors(sim.coords(), sim.space(), sim.matrix());
             attack_series.push(now, mean(&errs));
             drift_series.push(
                 now,
@@ -796,9 +786,9 @@ fn repeat_on<S: System>(
         ..specs[job.cell].clone()
     };
     let runs = Pool::new(&units, workers).run(
-        |job| warm_up(&spec(job), job.eval_threads),
+        |job| warm_up(&spec(job)),
         Warm::fork,
-        |job, warm| attack(&spec(job), warm, &checkpoints[job.cell], job.eval_threads),
+        |job, warm| attack(&spec(job), warm, &checkpoints[job.cell]),
     );
     by_cell(&reps_of, &units.concat(), runs)
         .into_iter()
@@ -851,9 +841,9 @@ mod tests {
     use vcoord_defense::NoDefense;
 
     /// One spec on its own: its own warm-up, then its attack window.
-    fn run<S: System>(spec: &RunSpec<'_, S>, threads: usize) -> Run {
+    fn run<S: System>(spec: &RunSpec<'_, S>) -> Run {
         let end = window_end::<S>(spec.scale);
-        let mut runs = attack(spec, warm_up(spec, threads), &[end], threads);
+        let mut runs = attack(spec, warm_up(spec), &[end]);
         runs.pop().expect("one checkpoint")
     }
 
@@ -914,13 +904,10 @@ mod tests {
         for (cell, spec) in specs.iter().enumerate() {
             assert_eq!(shared[cell].len(), spec.scale.repetitions);
             for (rep, run_shared) in shared[cell].iter().enumerate() {
-                let solo = run(
-                    &RunSpec {
-                        rep: rep as u64,
-                        ..spec.clone()
-                    },
-                    1,
-                );
+                let solo = run(&RunSpec {
+                    rep: rep as u64,
+                    ..spec.clone()
+                });
                 assert_same_run(run_shared, &solo, &format!("cell {cell} rep {rep}"));
             }
         }
@@ -1069,16 +1056,13 @@ mod tests {
     /// its own, field for field.
     fn assert_checkpoints_equal_windows<S: System>(spec: &RunSpec<'_, S>, windows: &[Scale]) {
         let ends: Vec<u64> = windows.iter().map(window_end::<S>).collect();
-        let read = attack(spec, warm_up(spec, 1), &ends, 1);
+        let read = attack(spec, warm_up(spec), &ends);
         assert_eq!(read.len(), windows.len());
         for ((at, window), end) in read.iter().zip(windows).zip(&ends) {
-            let solo = run(
-                &RunSpec {
-                    scale: window,
-                    ..spec.clone()
-                },
-                1,
-            );
+            let solo = run(&RunSpec {
+                scale: window,
+                ..spec.clone()
+            });
             assert_same_run(at, &solo, &format!("checkpoint {end}"));
         }
     }
@@ -1138,7 +1122,7 @@ mod tests {
         let scale = Scale::smoke();
         let spec = RunSpec::<VivaldiSim>::new(&scale, 5);
         // Vivaldi samples every 10 ticks at smoke scale.
-        attack(&spec, warm_up(&spec, 1), &[10, 15], 1);
+        attack(&spec, warm_up(&spec), &[10, 15]);
     }
 
     #[test]
@@ -1153,7 +1137,7 @@ mod tests {
             },
             ..RunSpec::new(&scale, 2006)
         };
-        let (off, on) = (warm_up(&spec(0), 1), warm_up(&spec(4), 1));
+        let (off, on) = (warm_up(&spec(0)), warm_up(&spec(4)));
         assert_eq!(on.sim.config().probation_every, 4, "warmed up under 4");
         let bits = |w: &Warm<NpsSim>| -> Vec<u64> {
             let coords = w.sim.coords().iter();
@@ -1339,7 +1323,7 @@ mod tests {
         // (position in the unit, thread, matrix address) of every job.
         let jobs = |width, met: &AtomicUsize| -> Vec<(usize, ThreadId, usize)> {
             Pool::new(&units, width).run(
-                |_| warm_up(&spec, 1),
+                |_| warm_up(&spec),
                 Warm::fork,
                 |job, warm| {
                     // On two workers the owner's job holds its worker until
@@ -1441,7 +1425,7 @@ mod tests {
             defense: Some(&|_| Box::new(NoDefense)),
             ..bare.clone()
         };
-        let (bare, defended) = (run(&bare, 1), run(&defended, 1));
+        let (bare, defended) = (run(&bare), run(&defended));
         // Byte-identical trajectories: the NoDefense fast path perturbs
         // nothing, so every recorded series matches exactly.
         assert_eq!(bare.final_errors, defended.final_errors);
@@ -1458,14 +1442,11 @@ mod tests {
     #[test]
     fn vivaldi_run_produces_complete_record() {
         let scale = Scale::smoke();
-        let run = run(
-            &RunSpec::<VivaldiSim> {
-                fraction: 0.3,
-                adversary: &plain(|| Box::new(VivaldiDisorder::default())),
-                ..RunSpec::new(&scale, 7)
-            },
-            1,
-        );
+        let run = run(&RunSpec::<VivaldiSim> {
+            fraction: 0.3,
+            adversary: &plain(|| Box::new(VivaldiDisorder::default())),
+            ..RunSpec::new(&scale, 7)
+        });
         // `clean_ref` averages the last five warm-up samples: the schedule
         // must record that many.
         let (warmup, _, every) = VivaldiSim::schedule(&scale);
@@ -1493,14 +1474,11 @@ mod tests {
     #[test]
     fn nps_run_produces_complete_record() {
         let scale = Scale::smoke();
-        let run = run(
-            &RunSpec::<NpsSim> {
-                fraction: 0.3,
-                adversary: &plain(|| Box::new(NpsSimpleDisorder::default())),
-                ..RunSpec::new(&scale, 2006)
-            },
-            1,
-        );
+        let run = run(&RunSpec::<NpsSim> {
+            fraction: 0.3,
+            adversary: &plain(|| Box::new(NpsSimpleDisorder::default())),
+            ..RunSpec::new(&scale, 2006)
+        });
         // NPS draws attackers from the ordinary (non-landmark) population,
         // and the measured population is the rest of it.
         let ordinary = scale.nodes - NpsConfig::default().landmarks;

@@ -195,11 +195,6 @@ pub struct GridJob {
     pub cell: usize,
     /// Repetition index within the cell.
     pub rep: u64,
-    /// Threads the job may hand to nested sweeps (the [`EvalPlan`] snapshot
-    /// path): the worker budget divided by the width of the grid's pool.
-    ///
-    /// [`EvalPlan`]: vcoord_metrics::EvalPlan
-    pub eval_threads: usize,
 }
 
 /// Run a whole figure's jobs — `reps_of[c]` repetitions of every cell `c` —
@@ -212,8 +207,9 @@ pub struct GridJob {
 /// available parallelism unless a budget pins it (the binaries install
 /// `VCOORD_THREADS` as one, so CI and bench runs are reproducible on any
 /// core count) — and it is the only level of threads a figure has: cells are
-/// never fanned out around it. Each job is a unit of its own (see `Pool`),
-/// so workers take the jobs cell-major, rep-minor, and a sweep of many
+/// never fanned out around it, and a job's [`EvalPlan`] sweeps run on the
+/// job's own thread. Each job is a unit of its own (see `Pool`), so
+/// workers take the jobs cell-major, rep-minor, and a sweep of many
 /// one-repetition cells keeps every worker as busy as one cell of many
 /// repetitions does.
 ///
@@ -228,6 +224,8 @@ pub struct GridJob {
 /// A panicking job stops the grid: the other workers finish the job they
 /// hold and take no further one, and the panic of the earliest failed job
 /// in job order is resumed on the caller with its original payload.
+///
+/// [`EvalPlan`]: vcoord_metrics::EvalPlan
 pub fn run_grid<T, F>(reps_of: &[usize], f: F) -> Vec<Vec<T>>
 where
     T: Send,
@@ -347,7 +345,6 @@ impl<'u, W: Clone + Send> Pool<'u, W> {
     ) -> Vec<T> {
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
-        let eval_threads = eval_thread_budget(self.workers);
         // Job order: the index of each unit's first job.
         let first: Vec<usize> = self
             .units
@@ -374,11 +371,7 @@ impl<'u, W: Clone + Send> Pool<'u, W> {
                         while let Some(Claim { unit, at, warm }) = self.next(me, fork) {
                             let k = first[unit] + at;
                             let (cell, rep) = self.units[unit][at];
-                            let job = GridJob {
-                                cell,
-                                rep,
-                                eval_threads,
-                            };
+                            let job = GridJob { cell, rep };
                             // Opened once the job holds its system or is
                             // about to build it: waiting is pool idle time.
                             let span = vcoord_obs::span(vcoord_obs::metric_id!("figure.rep_ns"));
@@ -545,38 +538,9 @@ pub(crate) fn repetition_pool_width(jobs: usize) -> usize {
     vcoord_metrics::worker_threads().min(jobs).max(1)
 }
 
-/// Leftover per-job thread budget for nested sweeps (the [`EvalPlan`]
-/// snapshot path) running *inside* a worker of a pool `workers` wide: the
-/// machine budget divided by the pool width, never zero. Handing each job
-/// the full budget instead would multiply pools — W×W scoped threads
-/// spawned per sample tick. The sweeps are bit-identical for any worker
-/// count, so this is purely a scheduling choice.
-///
-/// [`EvalPlan`]: vcoord_metrics::EvalPlan
-fn eval_thread_budget(workers: usize) -> usize {
-    (vcoord_metrics::worker_threads() / workers).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn repetition_pool_and_eval_budget_partition_the_machine() {
-        let total = vcoord_metrics::worker_threads();
-        for reps in [1usize, 2, 3, 10, 1000] {
-            let pool = repetition_pool_width(reps);
-            let eval = eval_thread_budget(pool);
-            assert!(pool >= 1 && eval >= 1);
-            assert!(pool <= total.max(1));
-            // The product never oversubscribes the budget (up to the
-            // integer-division remainder kept by the final .max(1)).
-            assert!(
-                pool * eval <= total.max(1) || eval == 1,
-                "pool={pool} eval={eval} total={total}"
-            );
-        }
-    }
 
     #[test]
     fn csv_roundtrip_shape() {
@@ -649,30 +613,6 @@ mod tests {
             ]
         );
         assert_eq!(run_grid(&[], |job| job.rep), Vec::<Vec<u64>>::new());
-    }
-
-    #[test]
-    fn grid_splits_the_machine_between_live_jobs_and_their_sweeps() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        // A figure of 5 cells × 3 repetitions: the budget follows the 15
-        // jobs the pool actually runs, not the 3 repetitions of a cell.
-        let total = vcoord_metrics::worker_threads();
-        let width = repetition_pool_width(15);
-        let active = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let budgets = run_grid(&[3; 5], |job| {
-            let now = active.fetch_add(1, Ordering::SeqCst) + 1;
-            peak.fetch_max(now, Ordering::SeqCst);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            active.fetch_sub(1, Ordering::SeqCst);
-            job.eval_threads
-        });
-        assert!(peak.load(Ordering::SeqCst) <= total);
-        for threads in budgets.into_iter().flatten() {
-            assert_eq!(threads, (total / width).max(1));
-            assert!(width * threads <= total.max(1));
-        }
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 use vcoord::experiments::run_grid;
 use vcoord::metrics::parallel::set_worker_budget;
-use vcoord::metrics::worker_threads;
 use vcoord::obs;
 
 /// Ragged on purpose: an empty cell, a one-repetition cell, unequal others.
@@ -32,11 +31,6 @@ fn traced_grid() -> (Vec<Vec<(usize, u64)>>, obs::ObsReport) {
                 step as f64,
             );
         }
-        assert_eq!(
-            job.eval_threads,
-            (worker_threads() / worker_threads().min(10)).max(1),
-            "machine budget ÷ pool width of the 10-job grid"
-        );
         (job.cell, job.rep)
     });
     (cells, obs::drain())

@@ -175,11 +175,6 @@ impl EvalPlan {
         &self.nodes
     }
 
-    /// Cut-over above which [`EvalPlan::per_node_errors`] fans node
-    /// evaluation out over a worker pool (when more than one worker is
-    /// available). Below it, thread-spawn overhead beats the win.
-    pub const PARALLEL_THRESHOLD: usize = 192;
-
     /// Where the `k`-th planned node's peers sit in `peers` (and their
     /// RTTs in a [`Binding`]).
     fn span(&self, k: usize) -> std::ops::Range<usize> {
@@ -266,108 +261,49 @@ impl EvalPlan {
 
     /// Per-node relative errors, in `nodes()` order.
     ///
-    /// Restructured around a flat coordinate snapshot taken once per call; above
-    /// [`EvalPlan::PARALLEL_THRESHOLD`] nodes the sweep fans out over
-    /// [`worker_threads`] workers. Each worker owns a contiguous chunk of
-    /// the output and every per-node value is a complete, independently
-    /// computed mean, so results are bit-identical to the serial naive path
-    /// regardless of worker count.
-    ///
-    /// [`worker_threads`]: crate::parallel::worker_threads
+    /// Swept over a flat coordinate snapshot taken once per call and the
+    /// bound RTTs, on the calling thread: a figure's job grid is the one
+    /// level of threads. Every per-node value is the naive path's mean bit
+    /// for bit.
     pub fn per_node_errors(&self, coords: &[Coord], space: &Space, matrix: &RttMatrix) -> Vec<f64> {
-        self.per_node_errors_with(coords, space, matrix, crate::parallel::worker_threads())
-    }
-
-    /// [`EvalPlan::per_node_errors`] with an explicit worker count
-    /// (reproducibility harnesses and tests pin this; `1` forces the serial
-    /// path).
-    pub fn per_node_errors_with(
-        &self,
-        coords: &[Coord],
-        space: &Space,
-        matrix: &RttMatrix,
-        threads: usize,
-    ) -> Vec<f64> {
-        let n = self.nodes.len();
         let Some(snap) = CoordSnapshot::capture(coords, space) else {
             // Dimension-degenerate input: the naive path is the behaviour
             // such coordinates always had.
-            return (0..n)
+            return (0..self.nodes.len())
                 .map(|k| self.node_error(k, coords, space, matrix))
                 .collect();
         };
-        // Resolved here, before any worker exists: workers only read it.
         let bound = self.bind(matrix);
         let rtts = bound.rtts.as_slice();
-        let mut out = vec![0.0; n];
-        let workers = threads.max(1).min(n.max(1));
-        if workers == 1 || n < Self::PARALLEL_THRESHOLD {
-            for (k, e) in out.iter_mut().enumerate() {
-                *e = self.node_error_snap(k, &snap, space, rtts);
-            }
-            return out;
-        }
-        let chunk = n.div_ceil(workers);
-        // Worker timings flow back through the join handles and are
-        // recorded by this coordinating thread in spawn order — workers
-        // never touch the thread-local recorder, so traces stay
-        // deterministic for any worker count (the crate's sequential-merge
-        // discipline).
-        let timed = vcoord_obs::enabled();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = out
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(c, slot)| {
-                    let snap = &snap;
-                    scope.spawn(move || {
-                        let start = timed.then(std::time::Instant::now);
-                        for (off, e) in slot.iter_mut().enumerate() {
-                            *e = self.node_error_snap(c * chunk + off, snap, space, rtts);
-                        }
-                        start.map(|t| t.elapsed().as_nanos() as f64)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                if let Some(ns) = handle.join().expect("eval worker panicked") {
-                    vcoord_obs::observe(vcoord_obs::metric_id!("evalplan.worker_ns"), ns);
-                }
-            }
-        });
-        vcoord_obs::counter_add(vcoord_obs::metric_id!("evalplan.parallel_sweeps"), 1);
-        out
+        (0..self.nodes.len())
+            .map(|k| self.node_error_snap(k, &snap, space, rtts))
+            .collect()
     }
 
     /// System-wide average relative error (the paper's headline accuracy
     /// indicator).
     ///
-    /// Computed over [`EvalPlan::per_node_errors`] (snapshot path, possibly
-    /// parallel) and reduced in deterministic `nodes()` order, so the result
-    /// is bit-identical to the naive serial sweep.
+    /// Computed over [`EvalPlan::per_node_errors`] and reduced in `nodes()`
+    /// order, so the result is bit-identical to the naive sweep.
     pub fn avg_error(&self, coords: &[Coord], space: &Space, matrix: &RttMatrix) -> f64 {
-        self.avg_error_with(coords, space, matrix, crate::parallel::worker_threads())
+        if self.nodes.is_empty() {
+            return 0.0;
+        }
+        let total: f64 = self.per_node_errors(coords, space, matrix).iter().sum();
+        total / self.nodes.len() as f64
     }
 
-    /// [`EvalPlan::avg_error`] with an explicit worker count — callers that
-    /// already run inside a worker pool (e.g. the figure harness's
-    /// repetition workers) pass their leftover thread budget here instead
-    /// of multiplying pools.
+    /// [`EvalPlan::avg_error`]; the thread count is ignored. Kept only for
+    /// the benchmark's workloads, which call it with `1`; ROADMAP direction
+    /// 4 deletes it with the next change to the benchmark.
     pub fn avg_error_with(
         &self,
         coords: &[Coord],
         space: &Space,
         matrix: &RttMatrix,
-        threads: usize,
+        _threads: usize,
     ) -> f64 {
-        if self.nodes.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = self
-            .per_node_errors_with(coords, space, matrix, threads)
-            .iter()
-            .sum();
-        total / self.nodes.len() as f64
+        self.avg_error(coords, space, matrix)
     }
 }
 
@@ -381,30 +317,10 @@ pub fn random_baseline<R: Rng + ?Sized>(
     range: f64,
     rng: &mut R,
 ) -> f64 {
-    random_baseline_with(
-        plan,
-        space,
-        matrix,
-        range,
-        rng,
-        crate::parallel::worker_threads(),
-    )
-}
-
-/// [`random_baseline`] with an explicit worker count — see
-/// [`EvalPlan::avg_error_with`] for when callers pass their own budget.
-pub fn random_baseline_with<R: Rng + ?Sized>(
-    plan: &EvalPlan,
-    space: &Space,
-    matrix: &RttMatrix,
-    range: f64,
-    rng: &mut R,
-    threads: usize,
-) -> f64 {
     let coords: Vec<Coord> = (0..matrix.len())
         .map(|_| space.random_coord(range, rng))
         .collect();
-    plan.avg_error_with(&coords, space, matrix, threads)
+    plan.avg_error(&coords, space, matrix)
 }
 
 #[cfg(test)]
@@ -520,7 +436,7 @@ mod tests {
         // The RTT copy is as large as the peer table and no larger.
         let m = RttMatrix::zeros(nodes.len());
         let coords = vec![Coord::from_vec(vec![0.0]); nodes.len()];
-        plan.avg_error_with(&coords, &Space::Euclidean(1), &m, 1);
+        plan.avg_error(&coords, &Space::Euclidean(1), &m);
         let bound = plan.bound.lock().unwrap();
         assert_eq!(bound.rtts.len(), planned);
         assert!(bound.rtts.capacity() <= planned + planned / 20);
@@ -571,7 +487,7 @@ mod tests {
     }
 
     /// The pre-snapshot evaluation path, retained as the oracle for the
-    /// snapshot/parallel rewrite.
+    /// snapshot sweep.
     fn per_node_errors_naive(
         plan: &EvalPlan,
         coords: &[Coord],
@@ -583,8 +499,7 @@ mod tests {
             .collect()
     }
 
-    /// Random-ish but deterministic test world big enough to cross
-    /// [`EvalPlan::PARALLEL_THRESHOLD`].
+    /// Random-ish but deterministic test world with a sampled plan.
     fn random_world(n: usize, space: &Space, seed: u64) -> (RttMatrix, Vec<Coord>, EvalPlan) {
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let mut m = RttMatrix::zeros(n);
@@ -604,14 +519,12 @@ mod tests {
     #[test]
     fn snapshot_path_matches_naive_bitwise() {
         for space in [Space::Euclidean(3), Space::EuclideanHeight(2)] {
-            let (m, coords, plan) = random_world(EvalPlan::PARALLEL_THRESHOLD + 28, &space, 9);
+            let (m, coords, plan) = random_world(220, &space, 9);
             let naive = per_node_errors_naive(&plan, &coords, &space, &m);
-            for threads in [1, 2, 5] {
-                let fast = plan.per_node_errors_with(&coords, &space, &m, threads);
-                let naive_bits: Vec<u64> = naive.iter().map(|v| v.to_bits()).collect();
-                let fast_bits: Vec<u64> = fast.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(naive_bits, fast_bits, "threads={threads} {space:?}");
-            }
+            let fast = plan.per_node_errors(&coords, &space, &m);
+            let naive_bits: Vec<u64> = naive.iter().map(|v| v.to_bits()).collect();
+            let fast_bits: Vec<u64> = fast.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(naive_bits, fast_bits, "{space:?}");
             // And the headline aggregate reduces identically.
             let avg_naive = naive.iter().sum::<f64>() / naive.len() as f64;
             let avg = plan.avg_error(&coords, &space, &m);

@@ -16,9 +16,8 @@
 //! * [`random_baseline`] — the worst-case *random coordinate system* where
 //!   every component is drawn from `[-50000, 50000]`.
 //! * [`stats`] — small summary-statistics helpers.
-//! * [`worker_threads`] — worker-pool sizing under one process-wide budget,
-//!   shared by both parallel seams in the workspace (job grid, [`EvalPlan`]
-//!   chunked evaluation).
+//! * [`worker_threads`] — the width of the figure job grid, the one level of
+//!   threads in the workspace, under one process-wide budget.
 
 #![forbid(unsafe_code)]
 
@@ -32,7 +31,7 @@ pub mod stats;
 
 pub use cdf::Cdf;
 pub use detection::Confusion;
-pub use error::{random_baseline, random_baseline_with, relative_error, EvalPlan};
+pub use error::{random_baseline, relative_error, EvalPlan};
 pub use ledger::FilterLedger;
 pub use parallel::worker_threads;
 pub use series::TimeSeries;

@@ -1,8 +1,8 @@
 //! Workspace-wide worker-pool sizing.
 //!
-//! Both parallel seams in the workspace — the figure harness's job grid
-//! and [`EvalPlan`]'s chunked error evaluation nested inside it — size
-//! themselves through [`worker_threads`], so one call to
+//! The figure harness's job grid is the one level of threads in the
+//! workspace (an [`EvalPlan`] sweep runs on the thread that calls it). It
+//! sizes itself through [`worker_threads`], so one call to
 //! [`set_worker_budget`] pins the parallelism for reproducible CI and
 //! benchmarking on any core count. The binaries install `VCOORD_THREADS`
 //! through it; this crate reads no environment.

@@ -1,10 +1,9 @@
-//! Property tests pinning `EvalPlan`'s snapshot (and parallel) evaluation
-//! path to the naive per-`Coord` path: identical per-node errors and
-//! identical averages, bit for bit, for any worker count — and for any
-//! history of matrices the plan was swept against before, since the plan
-//! keeps a copy of the last one's RTTs. And the peer sampler: `k` distinct
-//! peers per node, uniform over the candidates and in order, for exactly
-//! `k` draws.
+//! Property tests pinning `EvalPlan`'s snapshot evaluation path to the
+//! naive per-`Coord` path: identical per-node errors and identical
+//! averages, bit for bit — and for any history of matrices the plan was
+//! swept against before, since the plan keeps a copy of the last one's
+//! RTTs. And the peer sampler: `k` distinct peers per node, uniform over
+//! the candidates and in order, for exactly `k` draws.
 
 use proptest::prelude::*;
 use rand::{Rng, RngCore, SeedableRng};
@@ -181,48 +180,30 @@ proptest! {
         }
     }
 
-    /// Above the parallel threshold, every worker count must reproduce the
-    /// naive path exactly — per node and in the aggregate.
+    /// The snapshot sweep reproduces the naive path exactly — per node and
+    /// in the aggregate — from smoke-scale all-pairs plans to sampled plans
+    /// of a few hundred nodes, in flat and height spaces.
     #[test]
-    fn snapshot_parallel_path_matches_naive(
+    fn snapshot_path_matches_naive(
         seed in 0u64..10_000,
-        extra in 0usize..40,
-        threads in 2usize..6,
+        n in 8usize..232,
+        dim in 1usize..5,
         heights in 0u8..2,
     ) {
         let space = if heights == 1 {
-            Space::EuclideanHeight(3)
+            Space::EuclideanHeight(dim)
         } else {
-            Space::Euclidean(2)
+            Space::Euclidean(dim)
         };
-        let n = EvalPlan::PARALLEL_THRESHOLD + extra;
         let (m, coords, plan) = random_world(n, &space, seed, 16);
-        let naive = naive_errors(&plan, &coords, &space, &m);
-        let serial = plan.per_node_errors_with(&coords, &space, &m, 1);
-        let parallel = plan.per_node_errors_with(&coords, &space, &m, threads);
-        let to_bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(to_bits(&naive), to_bits(&serial), "serial snapshot diverges");
-        prop_assert_eq!(to_bits(&naive), to_bits(&parallel), "parallel snapshot diverges");
-
-        let avg = plan.avg_error(&coords, &space, &m);
-        let avg_naive = naive.iter().sum::<f64>() / naive.len() as f64;
-        prop_assert_eq!(avg.to_bits(), avg_naive.to_bits(), "average diverges");
-    }
-
-    /// Below the threshold (the smoke-scale shape) the snapshot fast path
-    /// still runs serially — and must still match.
-    #[test]
-    fn snapshot_serial_path_matches_naive(
-        seed in 0u64..10_000,
-        n in 8usize..72,
-        dim in 1usize..5,
-    ) {
-        let space = Space::Euclidean(dim);
-        let (m, coords, plan) = random_world(n, &space, seed, 8);
         let naive = naive_errors(&plan, &coords, &space, &m);
         let fast = plan.per_node_errors(&coords, &space, &m);
         let to_bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(to_bits(&naive), to_bits(&fast));
+
+        let avg = plan.avg_error(&coords, &space, &m);
+        let avg_naive = naive.iter().sum::<f64>() / naive.len() as f64;
+        prop_assert_eq!(avg.to_bits(), avg_naive.to_bits(), "average diverges");
     }
 
     /// One plan swept against a succession of matrices — written in place,
@@ -233,20 +214,17 @@ proptest! {
     #[test]
     fn sweeps_follow_the_matrix_content_not_the_last_binding(
         seed in 0u64..10_000,
-        parallel in 0u8..2,
+        large in 0u8..2,
         extra in 0usize..24,
         cell in 0usize..1_000,
     ) {
         let space = Space::EuclideanHeight(2);
-        let n = if parallel == 1 { EvalPlan::PARALLEL_THRESHOLD } else { 24 } + extra;
+        let n = if large == 1 { 200 } else { 24 } + extra;
         let (mut a, coords, plan) = random_world(n, &space, seed, 8);
         let to_bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
         let check = |m: &RttMatrix, step: &str| {
             let naive = to_bits(&naive_errors(&plan, &coords, &space, m));
-            for threads in [1, 2, 5] {
-                let swept = to_bits(&plan.per_node_errors_with(&coords, &space, m, threads));
-                assert_eq!(swept, naive, "{step} at {threads} threads");
-            }
+            assert_eq!(to_bits(&plan.per_node_errors(&coords, &space, m)), naive, "{step}");
         };
         let (i, j) = (cell % n, (cell % n + 1 + cell % (n - 1)) % n);
 

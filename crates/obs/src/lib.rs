@@ -14,13 +14,12 @@
 //!
 //! # Ownership discipline
 //!
-//! Per-thread buffers are merged *sequentially*, exactly like `EvalPlan`
-//! hands chunk results back to its coordinator: a worker thread records
-//! freely without synchronization, then [`drain`]s its buffer into an
-//! [`ObsReport`] at a deterministic point (e.g. the end of one repetition),
-//! and the coordinator [`absorb`]s the reports in a deterministic order
-//! (repetition order). Traces produced this way are byte-identical
-//! regardless of worker count — the same argument that keeps the pool
+//! Per-thread buffers are merged *sequentially*: a worker thread of a
+//! figure's job pool records freely without synchronization, then
+//! [`drain`]s its buffer into an [`ObsReport`] at a deterministic point
+//! (the end of one job), and the coordinator [`absorb`]s the reports in a
+//! deterministic order (job order). Traces produced this way are
+//! byte-identical regardless of worker count — the same argument that keeps the pool
 //! width out of the figure CSV bytes.
 //!
 //! # Invariants
