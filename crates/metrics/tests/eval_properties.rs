@@ -60,6 +60,25 @@ fn random_world(
     (m, coords, plan)
 }
 
+/// The snapshot sweep against the naive path on a random `n`-node world,
+/// bit for bit per node and in the average.
+fn check_against_naive(n: usize, dim: usize, heights: bool, seed: u64) {
+    let space = if heights {
+        Space::EuclideanHeight(dim)
+    } else {
+        Space::Euclidean(dim)
+    };
+    let (m, coords, plan) = random_world(n, &space, seed, 16);
+    let naive = naive_errors(&plan, &coords, &space, &m);
+    let fast = plan.per_node_errors(&coords, &space, &m);
+    let to_bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+    assert_eq!(to_bits(&naive), to_bits(&fast));
+
+    let avg = plan.avg_error(&coords, &space, &m);
+    let avg_naive = naive.iter().sum::<f64>() / naive.len() as f64;
+    assert_eq!(avg.to_bits(), avg_naive.to_bits(), "average diverges");
+}
+
 /// An RNG that counts the words drawn from it.
 struct Counting<R> {
     inner: R,
@@ -180,30 +199,29 @@ proptest! {
         }
     }
 
-    /// The snapshot sweep reproduces the naive path exactly — per node and
-    /// in the aggregate — from smoke-scale all-pairs plans to sampled plans
-    /// of a few hundred nodes, in flat and height spaces.
+    /// From 192 nodes up, the plan sizes the sweep once fanned out over
+    /// worker threads for, the one sweep path must still reproduce the
+    /// naive path exactly — per node and in the aggregate.
     #[test]
-    fn snapshot_path_matches_naive(
+    fn snapshot_parallel_path_matches_naive(
         seed in 0u64..10_000,
-        n in 8usize..232,
+        extra in 0usize..40,
         dim in 1usize..5,
         heights in 0u8..2,
     ) {
-        let space = if heights == 1 {
-            Space::EuclideanHeight(dim)
-        } else {
-            Space::Euclidean(dim)
-        };
-        let (m, coords, plan) = random_world(n, &space, seed, 16);
-        let naive = naive_errors(&plan, &coords, &space, &m);
-        let fast = plan.per_node_errors(&coords, &space, &m);
-        let to_bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(to_bits(&naive), to_bits(&fast));
+        check_against_naive(192 + extra, dim, heights == 1, seed);
+    }
 
-        let avg = plan.avg_error(&coords, &space, &m);
-        let avg_naive = naive.iter().sum::<f64>() / naive.len() as f64;
-        prop_assert_eq!(avg.to_bits(), avg_naive.to_bits(), "average diverges");
+    /// Below that (the smoke-scale shape, all-pairs and sampled plans) the
+    /// snapshot sweep must match too.
+    #[test]
+    fn snapshot_serial_path_matches_naive(
+        seed in 0u64..10_000,
+        n in 8usize..192,
+        dim in 1usize..5,
+        heights in 0u8..2,
+    ) {
+        check_against_naive(n, dim, heights == 1, seed);
     }
 
     /// One plan swept against a succession of matrices — written in place,
