@@ -6,17 +6,15 @@
 //! Heart*) shows what happens next: static thresholds invite adversaries
 //! who calibrate to them. This module supplies those adversaries:
 //!
-//! * [`DefenseModel`] — the attacker's *belief* about the deployed defense
-//!   (drift-cap bound, MAD sensitivity, trusted-baseline percentile). The
-//!   model is knowledge the arms race hands every serious adversary: the
-//!   detector's algorithm and default thresholds are public (published
-//!   code, observable behaviour), even when the concrete deployment tuned
-//!   them — which is exactly what the `arms-evasion-roc` sweep probes by
-//!   deploying caps the model did *not* anticipate.
 //! * [`EvadingFrogBoil`] — frog-boiling that modulates its per-round
 //!   displacement to keep the vector mean pull each colluder exerts
-//!   *strictly under* the modeled drift cap, advancing only when its
-//!   victims have caught up enough to re-open headroom.
+//!   *strictly under* a modeled drift cap, advancing only when its victims
+//!   have caught up enough to re-open headroom. The modeled cap is
+//!   knowledge the arms race hands every serious adversary: the detector's
+//!   algorithm and default thresholds are public (published code,
+//!   observable behaviour), even when the concrete deployment tuned them —
+//!   which is exactly what the `arms-evasion-roc` sweep probes by
+//!   deploying caps the model did *not* anticipate.
 //! * [`ThresholdProbe`] — reconnaissance: binary-searches the deployed
 //!   filter's rejection boundary on the relative residual, driven by the
 //!   [`AttackStrategy::feedback`] channel (which lies got flagged).
@@ -31,61 +29,10 @@
 //! All three honour the delay-only threat model and add no probe delay.
 
 use crate::collusion::Collusion;
-use crate::strategies::drifted;
+use crate::strategies::{drifted, LIE_ERROR};
 use crate::strategy::{AttackStrategy, CoordView, Lie, Probe};
 use rand_chacha::ChaCha12Rng;
 use vcoord_space::Coord;
-
-/// Reported error estimate driving a Vivaldi victim's sample weight toward
-/// 1; ignored by NPS (same convention as the non-adaptive strategies).
-const LIE_ERROR: f64 = 0.01;
-
-/// The attacker's belief about the deployed defense.
-///
-/// Defaults mirror the workspace-default detectors (the `def-roc` corner
-/// cap, the MAD filter's `k`, the trusted baseline's quantile): the
-/// adversary assumes the defender deployed the published configuration.
-/// [`DefenseModel::safety_margin`] is the fraction of the modeled bound the
-/// attacker is willing to occupy — headroom against the model being
-/// slightly wrong (embedding noise, a re-tuned deployment).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DefenseModel {
-    /// Modeled drift-cap bound: largest sustained vector mean pull (ms per
-    /// sample) a neighbor may exert before being banned.
-    pub drift_cap_ms: f64,
-    /// Modeled MAD-filter multiplier `k` (relative-residual units).
-    pub mad_k: f64,
-    /// Modeled trusted-baseline upper quantile.
-    pub trusted_quantile: f64,
-    /// Fraction of the modeled bound the attacker occupies (in `(0, 1]`).
-    pub safety_margin: f64,
-}
-
-impl Default for DefenseModel {
-    fn default() -> Self {
-        DefenseModel {
-            drift_cap_ms: 80.0,
-            mad_k: 3.0,
-            trusted_quantile: 0.9,
-            safety_margin: 0.8,
-        }
-    }
-}
-
-impl DefenseModel {
-    /// A model of a drift cap at `cap_ms` with the default margin.
-    pub fn drift_cap(cap_ms: f64) -> DefenseModel {
-        DefenseModel {
-            drift_cap_ms: cap_ms,
-            ..DefenseModel::default()
-        }
-    }
-
-    /// The pull budget the attacker allows itself: `margin × modeled cap`.
-    fn evasion_budget_ms(&self) -> f64 {
-        self.safety_margin.clamp(0.0, 1.0) * self.drift_cap_ms
-    }
-}
 
 /// Online drift-cap learner: turns the arms-race feedback channel into a
 /// running bisection on the *deployed* drift cap, so an
@@ -255,15 +202,14 @@ fn strided_sample(ids: &[usize], cap: usize) -> Vec<usize> {
 }
 
 /// *Evading frog-boiling*: the classic coherent drift, throttled against a
-/// [`DefenseModel`] so each colluder's estimated vector mean pull stays
-/// strictly under the modeled drift cap.
+/// modeled drift cap so each colluder's estimated vector mean pull stays
+/// strictly under it.
 ///
 /// The classic attack advances its offset every round regardless of
 /// whether the victims keep up; the lag between offset and victim drift is
 /// the sustained pull the drift cap bans on. This variant advances *only
 /// when the estimated pull plus one more step still fits inside the
-/// [`DefenseModel`]'s evasion budget (margin × modeled cap)*, and holds
-/// otherwise — victims
+/// evasion budget (0.8 × modeled cap)*, and holds otherwise — victims
 /// catch up, the gap re-closes, and the drift resumes. Against a deployed
 /// cap at (or above) the modeled bound it is never banned, and the
 /// integrated displacement is unbounded: slower than the classic frog, but
@@ -274,14 +220,10 @@ pub struct EvadingFrogBoil {
     /// budget knob as [`FrogBoiling::step`](crate::FrogBoiling::step), for
     /// matched-budget comparisons.
     pub step: f64,
-    /// The attacker's belief about the deployed defense.
-    pub model: DefenseModel,
-    /// Error estimate reported with every lie.
-    pub lie_error: f64,
-    /// Honest victims sampled for the pull estimate each round.
-    pub victim_sample: usize,
-    /// Colluders sampled for the worst-case pull estimate each round.
-    pub attacker_sample: usize,
+    /// Modeled drift-cap bound: the largest sustained vector mean pull (ms
+    /// per sample) the attacker believes a neighbor may exert before being
+    /// banned. A learning evader revises it every round.
+    cap_ms: f64,
     /// Converged coordinates snapshotted at injection (the RTT proxy).
     init_coords: Vec<Coord>,
     /// The sampled honest victims (fixed at injection).
@@ -295,15 +237,21 @@ pub struct EvadingFrogBoil {
     last_worst_pull: f64,
 }
 
+/// Fraction of the modeled cap the attacker occupies: headroom against the
+/// model being slightly wrong (embedding noise, a re-tuned deployment).
+const SAFETY_MARGIN: f64 = 0.8;
+/// Honest victims sampled for the pull estimate each round.
+const VICTIM_SAMPLE: usize = 32;
+/// Colluders sampled for the worst-case pull estimate each round.
+const ATTACKER_SAMPLE: usize = 16;
+
 impl EvadingFrogBoil {
-    /// Evade `model` while drifting up to `step` ms per round.
-    pub fn new(step: f64, model: DefenseModel) -> EvadingFrogBoil {
+    /// Evade a drift cap modeled at `cap_ms` while drifting up to `step` ms
+    /// per round.
+    pub fn new(step: f64, cap_ms: f64) -> EvadingFrogBoil {
         EvadingFrogBoil {
             step,
-            model,
-            lie_error: LIE_ERROR,
-            victim_sample: 32,
-            attacker_sample: 16,
+            cap_ms,
             init_coords: Vec::new(),
             victims: Vec::new(),
             sampled_attackers: Vec::new(),
@@ -312,15 +260,21 @@ impl EvadingFrogBoil {
         }
     }
 
-    /// Evade `model` while *refining* its drift cap online: first-flag
-    /// feedback and clean patience windows drive a [`CapLearner`] whose
-    /// believed cap replaces [`DefenseModel::drift_cap_ms`] every round.
-    /// Until the first flag the behaviour is exactly [`EvadingFrogBoil::new`]'s.
-    pub fn learning(step: f64, model: DefenseModel) -> EvadingFrogBoil {
+    /// Evade a drift cap modeled at `cap_ms` while *refining* it online:
+    /// first-flag feedback and clean patience windows drive a
+    /// [`CapLearner`] whose believed cap replaces the modeled one every
+    /// round. Until the first flag the behaviour is exactly
+    /// [`EvadingFrogBoil::new`]'s.
+    pub fn learning(step: f64, cap_ms: f64) -> EvadingFrogBoil {
         EvadingFrogBoil {
             learner: Some(CapLearner::default()),
-            ..EvadingFrogBoil::new(step, model)
+            ..EvadingFrogBoil::new(step, cap_ms)
         }
+    }
+
+    /// The pull budget the attacker allows itself: margin × modeled cap.
+    fn evasion_budget_ms(&self) -> f64 {
+        SAFETY_MARGIN * self.cap_ms
     }
 
     /// The online cap learner, when built via [`EvadingFrogBoil::learning`].
@@ -347,8 +301,9 @@ impl EvadingFrogBoil {
 impl Default for EvadingFrogBoil {
     fn default() -> Self {
         // Matched budget with FrogBoiling::default() (5 ms/round) against
-        // the workspace-default drift cap model.
-        EvadingFrogBoil::new(5.0, DefenseModel::default())
+        // the workspace-default drift cap (the `def-roc` corner, 80 ms): the
+        // adversary assumes the defender deployed the published default.
+        EvadingFrogBoil::new(5.0, 80.0)
     }
 }
 
@@ -363,8 +318,8 @@ impl AttackStrategy for EvadingFrogBoil {
         collusion.form_groups(attackers, 1, view, rng);
         // Snapshot the converged map: the attacker's immutable RTT proxy.
         self.init_coords = view.coords.to_vec();
-        self.victims = strided_sample(&view.honest_nodes(), self.victim_sample.max(1));
-        self.sampled_attackers = strided_sample(attackers, self.attacker_sample.max(1));
+        self.victims = strided_sample(&view.honest_nodes(), VICTIM_SAMPLE);
+        self.sampled_attackers = strided_sample(attackers, ATTACKER_SAMPLE);
     }
 
     fn on_round(
@@ -380,13 +335,13 @@ impl AttackStrategy for EvadingFrogBoil {
             // flag would have zeroed the clean streak), so this round
             // counts toward the patience window at the sustained pull.
             learner.observe_round(worst);
-            self.model.drift_cap_ms = learner.believed_cap(self.model.drift_cap_ms);
+            self.cap_ms = learner.believed_cap(self.cap_ms);
         }
         // Advance only while one more step fits the budget. Otherwise hold:
         // let the dragged victims close the gap before pulling again. This
         // is the whole evasion — the classic frog would advance anyway and
         // let the lag integrate past the cap.
-        if worst + self.step <= self.model.evasion_budget_ms() {
+        if worst + self.step <= self.evasion_budget_ms() {
             collusion.advance_all(self.step, f64::INFINITY);
             if vcoord_obs::enabled() {
                 let offset = collusion.groups().first().map_or(0.0, |g| g.offset);
@@ -411,7 +366,7 @@ impl AttackStrategy for EvadingFrogBoil {
         let coord = drifted(view, probe.attacker, &group.axis, group.offset);
         Some(Lie {
             coord,
-            error: self.lie_error,
+            error: LIE_ERROR,
             delay_ms: 0.0,
         })
     }
@@ -430,7 +385,7 @@ impl AttackStrategy for EvadingFrogBoil {
             return;
         };
         learner.observe_flag(attacker, self.last_worst_pull);
-        self.model.drift_cap_ms = learner.believed_cap(self.model.drift_cap_ms);
+        self.cap_ms = learner.believed_cap(self.cap_ms);
     }
 }
 
@@ -450,8 +405,6 @@ pub struct ThresholdProbe {
     pub lo: f64,
     /// Upper bracket: a relative residual known (assumed) to be rejected.
     pub hi: f64,
-    /// Error estimate reported with every lie.
-    pub lie_error: f64,
     guess: f64,
     flagged_this_round: bool,
     responses_this_round: u32,
@@ -465,7 +418,6 @@ impl ThresholdProbe {
         ThresholdProbe {
             lo,
             hi,
-            lie_error: LIE_ERROR,
             guess: 0.5 * (lo + hi),
             flagged_this_round: false,
             responses_this_round: 0,
@@ -524,7 +476,7 @@ impl AttackStrategy for ThresholdProbe {
             .apply(&mut coord, &dir, probe.rtt * (1.0 + self.guess));
         Some(Lie {
             coord,
-            error: self.lie_error,
+            error: LIE_ERROR,
             delay_ms: 0.0,
         })
     }
@@ -572,14 +524,13 @@ pub struct SleeperCollusion {
     /// Honest rounds between bursts — size this to the modeled ban
     /// half-life so re-admission lands just before the next burst.
     pub rest_rounds: u64,
-    /// Per-round drift during a burst, ms (deliberately loud: the sleeper
-    /// relies on forgiveness, not stealth).
-    pub step: f64,
-    /// Error estimate reported with every lie.
-    pub lie_error: f64,
     rounds: u64,
     in_burst: bool,
 }
+
+/// Per-round drift during a sleeper burst, ms (deliberately loud: the
+/// sleeper relies on forgiveness, not stealth).
+const SLEEPER_STEP: f64 = 25.0;
 
 impl SleeperCollusion {
     /// Sleep, then cycle `burst_rounds` of drift with `rest_rounds` of
@@ -589,8 +540,6 @@ impl SleeperCollusion {
             sleep_rounds,
             burst_rounds: burst_rounds.max(1),
             rest_rounds: rest_rounds.max(1),
-            step: 25.0,
-            lie_error: LIE_ERROR,
             rounds: 0,
             in_burst: false,
         }
@@ -651,7 +600,7 @@ impl AttackStrategy for SleeperCollusion {
                 g.offset = 0.0;
             }
         }
-        collusion.advance_all(self.step, f64::INFINITY);
+        collusion.advance_all(SLEEPER_STEP, f64::INFINITY);
         if vcoord_obs::enabled() {
             let offset = collusion.groups().first().map_or(0.0, |g| g.offset);
             vcoord_obs::event(
@@ -677,7 +626,7 @@ impl AttackStrategy for SleeperCollusion {
         let coord = drifted(view, probe.attacker, &group.axis, group.offset);
         Some(Lie {
             coord,
-            error: self.lie_error,
+            error: LIE_ERROR,
             delay_ms: 0.0,
         })
     }
@@ -736,11 +685,11 @@ mod tests {
     }
 
     #[test]
-    fn defense_model_budget_applies_margin() {
-        let m = DefenseModel::default();
-        assert_eq!(m.drift_cap_ms, 80.0);
+    fn evading_frog_budget_applies_margin() {
+        let m = EvadingFrogBoil::default();
+        assert_eq!(m.cap_ms, 80.0);
         assert!((m.evasion_budget_ms() - 64.0).abs() < 1e-12);
-        let tight = DefenseModel::drift_cap(40.0);
+        let tight = EvadingFrogBoil::new(5.0, 40.0);
         assert!((tight.evasion_budget_ms() - 32.0).abs() < 1e-12);
     }
 
@@ -749,7 +698,7 @@ mod tests {
         let f = fixture(24, 6);
         let mut rng = ChaCha12Rng::seed_from_u64(1);
         let mut coll = Collusion::new();
-        let mut adv = EvadingFrogBoil::new(10.0, DefenseModel::drift_cap(50.0));
+        let mut adv = EvadingFrogBoil::new(10.0, 50.0);
         adv.inject(&[0, 1, 2, 3, 4, 5], &mut coll, &view_at(&f, 0), &mut rng);
 
         // Victims never move in this static fixture, so the estimated pull
@@ -783,7 +732,7 @@ mod tests {
         let mut f = fixture(24, 6);
         let mut rng = ChaCha12Rng::seed_from_u64(2);
         let mut coll = Collusion::new();
-        let mut adv = EvadingFrogBoil::new(10.0, DefenseModel::drift_cap(50.0));
+        let mut adv = EvadingFrogBoil::new(10.0, 50.0);
         adv.inject(&[0, 1, 2, 3, 4, 5], &mut coll, &view_at(&f, 0), &mut rng);
         for r in 1..=10 {
             adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
@@ -840,7 +789,7 @@ mod tests {
         let mut rng = ChaCha12Rng::seed_from_u64(8);
         let mut coll = Collusion::new();
         // Modeled cap 80 ms: budget 64. Suppose the deployment is tighter.
-        let mut adv = EvadingFrogBoil::learning(10.0, DefenseModel::drift_cap(80.0));
+        let mut adv = EvadingFrogBoil::learning(10.0, 80.0);
         adv.inject(&[0, 1, 2, 3, 4, 5], &mut coll, &view_at(&f, 0), &mut rng);
         for r in 1..=4 {
             adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
@@ -850,12 +799,12 @@ mod tests {
         // A colluder gets banned: the bracket closes over the pull level
         // the colluders were exerting, and the budget collapses under it.
         adv.feedback(0, 10, true, &mut coll);
-        let learned = adv.model.drift_cap_ms;
+        let learned = adv.cap_ms;
         assert!(
             learned < 80.0,
             "believed cap must drop below the model: {learned}"
         );
-        assert!(adv.model.evasion_budget_ms() < adv.last_worst_pull);
+        assert!(adv.evasion_budget_ms() < adv.last_worst_pull);
         // Subsequent rounds hold instead of feeding more colluders in.
         for r in 5..=10 {
             adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
@@ -864,7 +813,7 @@ mod tests {
         assert_eq!(adv.learner().unwrap().flagged, [0].into());
         // A fixed-model twin keeps advancing at the same point in time.
         let mut coll2 = Collusion::new();
-        let mut fixed = EvadingFrogBoil::new(10.0, DefenseModel::drift_cap(80.0));
+        let mut fixed = EvadingFrogBoil::new(10.0, 80.0);
         fixed.inject(&[0, 1, 2, 3, 4, 5], &mut coll2, &view_at(&f, 0), &mut rng);
         for r in 1..=10 {
             fixed.on_round(&mut coll2, &view_at(&f, r), &mut rng);
@@ -933,7 +882,8 @@ mod tests {
         let mut begun = 0;
         for r in rounds {
             adv.on_round(coll, &view_at(f, r), rng);
-            let fresh = adv.phase() == SleeperPhase::Burst && coll.groups()[0].offset == adv.step;
+            let fresh =
+                adv.phase() == SleeperPhase::Burst && coll.groups()[0].offset == SLEEPER_STEP;
             begun += usize::from(fresh);
         }
         begun

@@ -21,11 +21,12 @@
 //!   ([`FrogBoiling`], [`Oscillation`]), coordinated
 //!   ([`NetworkPartition`]), and the classic single-shape lies
 //!   ([`Inflation`], [`Deflation`], [`RandomLie`]);
-//! * the arms-race layer: the [`DefenseModel`] oracle (the
-//!   attacker's belief about the deployed defense) and the defense-aware
-//!   strategies [`EvadingFrogBoil`], [`ThresholdProbe`] (driven by the
-//!   [`AttackStrategy::feedback`] verdict-observation channel) and
-//!   [`SleeperCollusion`].
+//! * the arms-race layer: the defense-aware strategies
+//!   [`EvadingFrogBoil`] (throttled against a modeled drift cap),
+//!   [`ThresholdProbe`] (driven by the [`AttackStrategy::feedback`]
+//!   verdict-observation channel) and [`SleeperCollusion`].
+//!
+//! Every lie carries the same reported error, [`LIE_ERROR`].
 //!
 //! The paper-specific strategies (disorder, repulsion, colluding isolation,
 //! NPS anti-detection) implement the same trait from the `vcoord` facade
@@ -71,12 +72,11 @@ mod scenario;
 mod strategies;
 mod strategy;
 
-pub use adaptive::{
-    CapLearner, DefenseModel, EvadingFrogBoil, SleeperCollusion, SleeperPhase, ThresholdProbe,
-};
+pub use adaptive::{CapLearner, EvadingFrogBoil, SleeperCollusion, SleeperPhase, ThresholdProbe};
 pub use collusion::{Collusion, Group};
 pub use scenario::Scenario;
 pub use strategies::{
     BurstThenReform, Deflation, FrogBoiling, Inflation, NetworkPartition, Oscillation, RandomLie,
+    LIE_ERROR,
 };
 pub use strategy::{AttackStrategy, CoordView, Honest, Lie, Probe, Protocol};

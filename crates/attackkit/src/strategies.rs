@@ -39,8 +39,12 @@ use std::collections::HashMap;
 use vcoord_space::{Coord, Displacement};
 
 /// Reported error estimate that drives a Vivaldi victim's sample weight
-/// toward 1 (the paper's disorder value); ignored by NPS.
-const LIE_ERROR: f64 = 0.01;
+/// toward 1 (the paper's disorder value), sent with every lie; ignored by
+/// NPS.
+pub const LIE_ERROR: f64 = 0.01;
+
+/// Probe delay range of the disorder lie, ms (§5.3.1).
+const DISORDER_DELAY_MS: (f64, f64) = (100.0, 1000.0);
 
 /// Drift the true coordinate of `node` by `offset` along `axis` (shared
 /// with the adaptive strategies in [`crate::adaptive`]).
@@ -69,8 +73,6 @@ pub struct FrogBoiling {
     pub step: f64,
     /// Cap on the accumulated offset (`f64::INFINITY` = boil forever).
     pub max_offset: f64,
-    /// Error estimate reported with every lie.
-    pub lie_error: f64,
 }
 
 impl FrogBoiling {
@@ -79,7 +81,6 @@ impl FrogBoiling {
         FrogBoiling {
             step,
             max_offset: f64::INFINITY,
-            lie_error: LIE_ERROR,
         }
     }
 }
@@ -128,7 +129,7 @@ impl AttackStrategy for FrogBoiling {
         // the gap re-closes and the next round's step re-opens it.
         Some(Lie {
             coord,
-            error: self.lie_error,
+            error: LIE_ERROR,
             delay_ms: 0.0,
         })
     }
@@ -143,8 +144,6 @@ pub struct Oscillation {
     pub amplitude: f64,
     /// Rounds per full swing cycle.
     pub period: u64,
-    /// Error estimate reported with every lie.
-    pub lie_error: f64,
     axes: HashMap<usize, Displacement>,
 }
 
@@ -154,7 +153,6 @@ impl Oscillation {
         Oscillation {
             amplitude,
             period: period.max(2),
-            lie_error: LIE_ERROR,
             axes: HashMap::new(),
         }
     }
@@ -197,7 +195,7 @@ impl AttackStrategy for Oscillation {
         // No delay: victims chase the honestly-timed but swinging target.
         Some(Lie {
             coord,
-            error: self.lie_error,
+            error: LIE_ERROR,
             delay_ms: 0.0,
         })
     }
@@ -218,8 +216,6 @@ pub struct NetworkPartition {
     pub step: f64,
     /// Cap on each half's accumulated offset.
     pub max_offset: f64,
-    /// Error estimate reported with every lie.
-    pub lie_error: f64,
 }
 
 impl NetworkPartition {
@@ -228,7 +224,6 @@ impl NetworkPartition {
         NetworkPartition {
             step,
             max_offset: f64::INFINITY,
-            lie_error: LIE_ERROR,
         }
     }
 }
@@ -273,7 +268,7 @@ impl AttackStrategy for NetworkPartition {
         // that half's direction; the two sub-populations tear apart.
         Some(Lie {
             coord,
-            error: self.lie_error,
+            error: LIE_ERROR,
             delay_ms: 0.0,
         })
     }
@@ -286,17 +281,12 @@ impl AttackStrategy for NetworkPartition {
 pub struct Inflation {
     /// Radial push distance, ms.
     pub magnitude: f64,
-    /// Error estimate reported with every lie.
-    pub lie_error: f64,
 }
 
 impl Inflation {
     /// Push reported positions `magnitude` ms outward.
     pub fn new(magnitude: f64) -> Inflation {
-        Inflation {
-            magnitude,
-            lie_error: LIE_ERROR,
-        }
+        Inflation { magnitude }
     }
 }
 
@@ -323,7 +313,7 @@ impl AttackStrategy for Inflation {
         // position (rtt − dist ≪ 0 in the Vivaldi update).
         Some(Lie {
             coord,
-            error: self.lie_error,
+            error: LIE_ERROR,
             delay_ms: 0.0,
         })
     }
@@ -339,8 +329,6 @@ pub struct Deflation {
     /// Scale factor applied to the true coordinates (0 = collapse to the
     /// origin).
     pub shrink: f64,
-    /// Error estimate reported with every lie.
-    pub lie_error: f64,
 }
 
 impl Deflation {
@@ -348,7 +336,6 @@ impl Deflation {
     pub fn new(shrink: f64) -> Deflation {
         Deflation {
             shrink: shrink.clamp(0.0, 1.0),
-            lie_error: LIE_ERROR,
         }
     }
 }
@@ -374,7 +361,7 @@ impl AttackStrategy for Deflation {
         coord.height *= self.shrink;
         Some(Lie {
             coord,
-            error: self.lie_error,
+            error: LIE_ERROR,
             delay_ms: 0.0,
         })
     }
@@ -387,20 +374,12 @@ pub struct RandomLie {
     /// Range of the random coordinate components (the paper's random
     /// scenario interval `[-50000, 50000]` is the default).
     pub coord_range: f64,
-    /// Probe delay range in ms.
-    pub delay_range: (f64, f64),
-    /// Error estimate reported with every lie.
-    pub lie_error: f64,
 }
 
 impl RandomLie {
     /// Random coordinates in `[-range, range]` per component.
     pub fn new(coord_range: f64) -> RandomLie {
-        RandomLie {
-            coord_range,
-            delay_range: (100.0, 1000.0),
-            lie_error: LIE_ERROR,
-        }
+        RandomLie { coord_range }
     }
 }
 
@@ -420,8 +399,8 @@ impl AttackStrategy for RandomLie {
     ) -> Option<Lie> {
         Some(Lie {
             coord: view.space.random_coord(self.coord_range, rng),
-            error: self.lie_error,
-            delay_ms: rng.gen_range(self.delay_range.0..self.delay_range.1),
+            error: LIE_ERROR,
+            delay_ms: rng.gen_range(DISORDER_DELAY_MS.0..DISORDER_DELAY_MS.1),
         })
     }
 }
@@ -564,7 +543,6 @@ mod tests {
         let mut adv = FrogBoiling {
             step: 10.0,
             max_offset: 25.0,
-            lie_error: 0.01,
         };
         adv.inject(&[0, 1], &mut coll, &view_at(&f, 0), &mut rng);
         for r in 1..=10 {

@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use vcoord_attackkit::{
-    AttackStrategy, Collusion, CoordView, DefenseModel, EvadingFrogBoil, FrogBoiling,
-    NetworkPartition, Probe, Protocol, ThresholdProbe,
+    AttackStrategy, Collusion, CoordView, EvadingFrogBoil, FrogBoiling, NetworkPartition, Probe,
+    Protocol, ThresholdProbe,
 };
 use vcoord_space::{Coord, Space};
 
@@ -180,7 +180,7 @@ proptest! {
         let attackers: Vec<usize> = (0..5).collect();
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let mut coll = Collusion::new();
-        let mut adv = EvadingFrogBoil::new(step, DefenseModel::drift_cap(cap));
+        let mut adv = EvadingFrogBoil::new(step, cap);
         adv.inject(&attackers, &mut coll, &view_at(&space, &coords, &malicious, 0), &mut rng);
         // Static victims are the worst case for the throttle: nobody ever
         // catches up, so the offset saturates right at the budget. The

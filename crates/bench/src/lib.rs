@@ -19,10 +19,10 @@ use vcoord::defense::{Defense, DriftCap, Provenance, Update, Verdict};
 use vcoord::metrics::parallel::set_worker_budget;
 use vcoord::metrics::EvalPlan;
 use vcoord::netsim::{Engine, NodeId, RngCore, Scheduler, SeedStream, World, TICK_MS};
-use vcoord::nps::{position_node, PositionOutcome, PositionScratch, RefSample, SecurityPolicy};
+use vcoord::nps::{position_node, PositionOutcome, PositionScratch, RefSample, SIMPLEX};
 use vcoord::obs::{set_mode, ObsMode};
 use vcoord::space::oracle::simplex_downhill_reference;
-use vcoord::space::{simplex_downhill, Coord, SimplexOptions, SimplexScratch, Space};
+use vcoord::space::{simplex_downhill, Coord, SimplexScratch, Space};
 use vcoord::topo::{KingLike, KingLikeConfig};
 use vcoord::vivaldi::node::vivaldi_update;
 
@@ -66,7 +66,7 @@ type SimplexRef = (Vec<f64>, f64);
 /// The representative NPS positioning fixture behind the `simplex_*` and
 /// `nps_fit_*` rows: `refs` reference points drawn in a `dim`-D Euclidean
 /// space, each claiming an 80 ms measurement, minimized from the all-ones
-/// start (returned second) under [`simplex_bench_opts`].
+/// start (returned second) under the NPS simulator's [`SIMPLEX`] options.
 fn simplex_fixture(dim: usize, refs: usize) -> (Vec<SimplexRef>, Vec<f64>) {
     let seeds = SeedStream::new(2);
     let mut rng = seeds.rng("bench/simplex-fixture");
@@ -75,16 +75,6 @@ fn simplex_fixture(dim: usize, refs: usize) -> (Vec<SimplexRef>, Vec<f64>) {
         .map(|_| (space.random_coord(150.0, &mut rng).vec, 80.0))
         .collect();
     (refs, vec![1.0; dim])
-}
-
-/// The Simplex option set of every Simplex row (the NPS simulator's
-/// positioning budget).
-fn simplex_bench_opts() -> SimplexOptions {
-    SimplexOptions {
-        max_iterations: 150,
-        initial_step: 20.0,
-        ..SimplexOptions::default()
-    }
 }
 
 /// The simulator's latency-fit objective over `refs` — `Σ (dist − D)²`, see
@@ -123,7 +113,7 @@ fn nps_fit(dim: usize, refs: usize) -> impl FnMut() -> PositionOutcome {
         .enumerate()
         .map(|(i, (at, rtt))| RefSample::new(i, Coord::from_vec(at), rtt))
         .collect();
-    let (start, opts) = (Coord::from_vec(start), simplex_bench_opts());
+    let start = Coord::from_vec(start);
     let mut scratch = PositionScratch::new();
     move || {
         position_node(
@@ -131,8 +121,8 @@ fn nps_fit(dim: usize, refs: usize) -> impl FnMut() -> PositionOutcome {
             &samples,
             &start,
             Some(&start),
-            SecurityPolicy::off(),
-            &opts,
+            false,
+            &SIMPLEX,
             &mut scratch,
         )
         .expect("the fixture's references position the node")
@@ -325,14 +315,13 @@ fn simplex_pair(
     objective: impl Fn(&[f64]) -> f64 + Clone + 'static,
     start: Vec<f64>,
 ) {
-    let (f, x0, opts) = (objective.clone(), start.clone(), simplex_bench_opts());
+    let (f, x0) = (objective.clone(), start.clone());
     let mut scratch = SimplexScratch::new();
     rows.push(row(kernel, 1.0, move || {
-        black_box(simplex_downhill(&f, &x0, &opts, &mut scratch));
+        black_box(simplex_downhill(&f, &x0, &SIMPLEX, &mut scratch));
     }));
-    let opts = simplex_bench_opts();
     rows.push(row(oracle, 1.0, move || {
-        black_box(simplex_downhill_reference(&objective, &start, &opts));
+        black_box(simplex_downhill_reference(&objective, &start, &SIMPLEX));
     }));
 }
 
@@ -347,8 +336,6 @@ fn vivaldi_update_row(name: &'static str, space: Space) -> KernelRow {
         for _ in 0..SHORT_CALLS {
             black_box(vivaldi_update(
                 &space,
-                0.25,
-                (1e-6, 1e3),
                 black_box(&mut coord),
                 black_box(&mut error),
                 black_box(&remote),
@@ -382,7 +369,7 @@ fn nps_fit_mixed(problems: usize) -> impl FnMut() -> usize {
                 .collect()
         })
         .collect();
-    let (start, opts) = (Coord::from_vec(vec![1.0; 8]), simplex_bench_opts());
+    let start = Coord::from_vec(vec![1.0; 8]);
     let mut scratch = PositionScratch::new();
     move || {
         sets.iter()
@@ -392,8 +379,8 @@ fn nps_fit_mixed(problems: usize) -> impl FnMut() -> usize {
                     samples,
                     &start,
                     Some(&start),
-                    SecurityPolicy::off(),
-                    &opts,
+                    false,
+                    &SIMPLEX,
                     &mut scratch,
                 )
                 .expect("20 references position an 8-D node")
@@ -578,12 +565,11 @@ mod tests {
     fn fixture_is_deterministic_and_minimizable() {
         let (refs_a, start) = simplex_fixture(2, 20);
         let (refs_b, _) = simplex_fixture(2, 20);
-        let opts = simplex_bench_opts();
         assert_eq!(refs_a, refs_b, "fixture must be seed-stable");
         assert_eq!(refs_b.len(), 20);
         assert_eq!(start, vec![1.0; 2]);
         let f = fit_objective(refs_a);
-        let r = simplex_downhill(&f, &start, &opts, &mut SimplexScratch::new());
+        let r = simplex_downhill(&f, &start, &SIMPLEX, &mut SimplexScratch::new());
         assert!(
             r.value < f(&start),
             "minimization must improve on the start"
@@ -624,11 +610,10 @@ mod tests {
     fn nps_fit_fixture_walks_the_simplex_fixture_trajectory() {
         for (dim, refs) in [(8, 20), (4, 12)] {
             let (fixture, start) = simplex_fixture(dim, refs);
-            let opts = simplex_bench_opts();
             let direct = simplex_downhill(
                 fit_objective(fixture),
                 &start,
-                &opts,
+                &SIMPLEX,
                 &mut SimplexScratch::new(),
             );
             let fit = nps_fit(dim, refs)();

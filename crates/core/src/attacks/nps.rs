@@ -14,25 +14,17 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use std::collections::{HashMap, HashSet};
-use vcoord_attackkit::{AttackStrategy, Collusion, CoordView, Lie, Probe};
+use vcoord_attackkit::{AttackStrategy, Collusion, CoordView, Lie, Probe, LIE_ERROR};
 use vcoord_space::Coord;
 
 /// §5.4.1 — *independent disorder*: a malicious reference point transmits
 /// its **correct** coordinates but delays measurement probes by a random
 /// `[100, 1000]` ms, without caring about lie consistency.
-#[derive(Debug, Clone)]
-pub struct NpsSimpleDisorder {
-    /// Probe delay range in ms.
-    pub delay_range: (f64, f64),
-}
+#[derive(Debug, Clone, Default)]
+pub struct NpsSimpleDisorder;
 
-impl Default for NpsSimpleDisorder {
-    fn default() -> Self {
-        NpsSimpleDisorder {
-            delay_range: (100.0, 1000.0),
-        }
-    }
-}
+/// Probe delay range of the independent disorder attack, ms.
+const DISORDER_DELAY_MS: (f64, f64) = (100.0, 1000.0);
 
 impl AttackStrategy for NpsSimpleDisorder {
     fn respond(
@@ -44,16 +36,16 @@ impl AttackStrategy for NpsSimpleDisorder {
     ) -> Option<Lie> {
         Some(Lie {
             coord: view.coords[probe.attacker].clone(),
-            error: 0.01,
-            delay_ms: rng.gen_range(self.delay_range.0..self.delay_range.1),
+            error: LIE_ERROR,
+            delay_ms: rng.gen_range(DISORDER_DELAY_MS.0..DISORDER_DELAY_MS.1),
         })
     }
 }
 
 /// §5.4.2/§5.4.3 — the *anti-detection* disorder attacks.
 ///
-/// The attacker lies consistently: it pretends to sit `push_factor · d`
-/// away from the victim and delays the probe by the corresponding amount,
+/// The attacker lies consistently: it pretends to sit `199 · d` away from
+/// the victim and delays the probe by the corresponding amount,
 /// keeping the victim-computed fitting error under the NPS filter's 0.01
 /// floor. With probability given by [`Knowledge`] it knows the victim's
 /// coordinates (perfect anchoring); otherwise it guesses the direction and
@@ -68,22 +60,22 @@ impl AttackStrategy for NpsSimpleDisorder {
 pub struct NpsAntiDetection {
     /// Victim-coordinate knowledge model.
     pub knowledge: Knowledge,
-    /// How far to push, as a multiple of the estimated victim distance.
-    pub push_factor: f64,
-    /// Aggression margin as a fraction of the filter's 1 % floor (see
-    /// `anti_detection_lie`).
-    pub margin: f64,
     /// Whether to avoid the probe-threshold mechanism (§5.4.3).
     pub sophisticated: bool,
 }
+
+/// How far the anti-detection attacker pushes, as a multiple of the
+/// estimated victim distance.
+const PUSH_FACTOR: f64 = 199.0;
+/// Anti-detection aggression margin as a fraction of the filter's 1 % floor
+/// (see `anti_detection_lie`).
+const MARGIN: f64 = 0.25;
 
 impl NpsAntiDetection {
     /// The naive variant (§5.4.2) with the paper's default half-knowledge.
     pub fn naive(knowledge: Knowledge) -> Self {
         NpsAntiDetection {
             knowledge,
-            push_factor: 199.0,
-            margin: 0.25,
             sophisticated: false,
         }
     }
@@ -92,8 +84,6 @@ impl NpsAntiDetection {
     pub fn sophisticated(knowledge: Knowledge) -> Self {
         NpsAntiDetection {
             knowledge,
-            push_factor: 199.0,
-            margin: 0.25,
             sophisticated: true,
         }
     }
@@ -101,7 +91,7 @@ impl NpsAntiDetection {
     /// The victim-distance cut used by the sophisticated variant, given the
     /// protocol's probe threshold.
     pub(crate) fn victim_cut_ms(&self, probe_threshold_ms: f64) -> f64 {
-        sophistication_cut_ms(probe_threshold_ms, self.push_factor)
+        sophistication_cut_ms(probe_threshold_ms, PUSH_FACTOR)
     }
 }
 
@@ -134,14 +124,14 @@ impl AttackStrategy for NpsAntiDetection {
             &anchor,
             attacker_pos,
             d_est,
-            self.push_factor,
-            self.margin,
+            PUSH_FACTOR,
+            MARGIN,
             knows,
             rng,
         );
         Some(Lie {
             coord: lie.coord,
-            error: 0.01,
+            error: LIE_ERROR,
             delay_ms: lie.needed_rtt - probe.rtt,
         })
     }
@@ -149,25 +139,17 @@ impl AttackStrategy for NpsAntiDetection {
 
 /// §5.4.4 — *colluding isolation*.
 ///
-/// The attackers behave honestly until at least `min_active` of them serve
-/// as reference points in the agreed attack layer. They then pick a common
-/// victim set in the layer below and, only when serving those victims,
+/// The attackers behave honestly until at least 5 of them serve as
+/// reference points in the agreed attack layer (layer 1). They then pick a
+/// common victim set in the layer below and, only when serving those victims,
 /// pretend to be clustered in a remote region of the space while delaying
 /// probes consistently with an agreed isolation point at the *opposite*
 /// side — pushing every victim there. Non-victims always observe honest
 /// behaviour, and by lying as a group the colluders drag the median fitting
 /// error upward, blunting condition (2) of the NPS filter.
 pub struct NpsCollusionIsolation {
-    /// Colluders needed in the attack layer before the attack activates.
-    pub min_active: usize,
-    /// The reference layer the colluders attack from.
-    pub attack_layer: u8,
     /// Fraction of the layer below designated as common victims.
     pub victim_fraction: f64,
-    /// Distance of the pretend cluster from the origin.
-    pub cluster_range: f64,
-    /// Scatter of colluders within the cluster.
-    pub cluster_spread: f64,
     active: bool,
     cluster: HashMap<usize, Coord>,
     victims: HashSet<usize>,
@@ -175,16 +157,22 @@ pub struct NpsCollusionIsolation {
     isolation_point: Coord,
 }
 
+/// Colluders needed in the attack layer before the isolation attack
+/// activates (the paper's activation threshold).
+const MIN_ACTIVE: usize = 5;
+/// The reference layer the isolation colluders attack from.
+const ATTACK_LAYER: u8 = 1;
+/// Distance of the isolation colluders' pretend cluster from the origin.
+const ISOLATION_CLUSTER_RANGE: f64 = 10_000.0;
+/// Scatter of isolation colluders within the cluster.
+const ISOLATION_CLUSTER_SPREAD: f64 = 100.0;
+
 impl NpsCollusionIsolation {
     /// Build with the paper's activation threshold (5 colluding reference
     /// points) attacking from layer 1.
     pub fn new(victim_fraction: f64) -> Self {
         NpsCollusionIsolation {
-            min_active: 5,
-            attack_layer: 1,
             victim_fraction,
-            cluster_range: 10_000.0,
-            cluster_spread: 100.0,
             active: false,
             cluster: HashMap::new(),
             victims: HashSet::new(),
@@ -217,9 +205,9 @@ impl AttackStrategy for NpsCollusionIsolation {
         let colluders: Vec<usize> = attackers
             .iter()
             .copied()
-            .filter(|&a| view.layer_of(a) == self.attack_layer)
+            .filter(|&a| view.layer_of(a) == ATTACK_LAYER)
             .collect();
-        if colluders.len() < self.min_active {
+        if colluders.len() < MIN_ACTIVE {
             return;
         }
         self.active = true;
@@ -230,9 +218,9 @@ impl AttackStrategy for NpsCollusionIsolation {
         // threshold — the colluders know the protocol constant, and a lie
         // above it would simply be discarded and banned.
         let range = if view.params.probe_threshold_ms.is_finite() {
-            self.cluster_range.min(0.4 * view.params.probe_threshold_ms)
+            ISOLATION_CLUSTER_RANGE.min(0.4 * view.params.probe_threshold_ms)
         } else {
-            self.cluster_range
+            ISOLATION_CLUSTER_RANGE
         };
         let mut centre = view.space.origin();
         let dir = view.space.random_unit(rng);
@@ -243,8 +231,11 @@ impl AttackStrategy for NpsCollusionIsolation {
         for &a in &colluders {
             let mut pos = centre.clone();
             let jitter = view.space.random_unit(rng);
-            view.space
-                .apply(&mut pos, &jitter, rng.gen_range(0.0..self.cluster_spread));
+            view.space.apply(
+                &mut pos,
+                &jitter,
+                rng.gen_range(0.0..ISOLATION_CLUSTER_SPREAD),
+            );
             self.cluster.insert(a, pos);
         }
 
@@ -252,7 +243,7 @@ impl AttackStrategy for NpsCollusionIsolation {
         // caller preset one).
         if !self.victims_preset {
             let mut pool: Vec<usize> = (0..view.coords.len())
-                .filter(|&i| view.layer_of(i) == self.attack_layer + 1 && !view.malicious[i])
+                .filter(|&i| view.layer_of(i) == ATTACK_LAYER + 1 && !view.malicious[i])
                 .collect();
             pool.shuffle(rng);
             let k = ((pool.len() as f64) * self.victim_fraction.clamp(0.0, 1.0)).round() as usize;
@@ -277,7 +268,7 @@ impl AttackStrategy for NpsCollusionIsolation {
         let needed = view.space.distance(pos, &self.isolation_point);
         Some(Lie {
             coord: pos.clone(),
-            error: 0.01,
+            error: LIE_ERROR,
             delay_ms: needed - probe.rtt,
         })
     }
@@ -297,7 +288,7 @@ impl NpsCombined {
     /// Build with the paper's sub-strategy parameters.
     pub fn new(knowledge: Knowledge, victim_fraction: f64) -> Self {
         NpsCombined {
-            disorder: NpsSimpleDisorder::default(),
+            disorder: NpsSimpleDisorder,
             anti_detection: NpsAntiDetection::sophisticated(knowledge),
             collusion: NpsCollusionIsolation::new(victim_fraction),
             assignment: HashMap::new(),
@@ -319,7 +310,7 @@ impl AttackStrategy for NpsCombined {
         // the activation threshold has a fighting chance at low fractions,
         // then split the rest evenly.
         shuffled.sort_by_key(|&a| {
-            if view.layer_of(a) == self.collusion.attack_layer {
+            if view.layer_of(a) == ATTACK_LAYER {
                 0
             } else {
                 1
@@ -437,7 +428,7 @@ mod tests {
         let v = view(&f);
         let mut rng = ChaCha12Rng::seed_from_u64(0);
         let mut coll = Collusion::new();
-        let mut adv = NpsSimpleDisorder::default();
+        let mut adv = NpsSimpleDisorder;
         let lie = adv
             .respond(&probe(2, 7, 50.0), &mut coll, &v, &mut rng)
             .unwrap();
@@ -461,7 +452,7 @@ mod tests {
         let measured = rtt + lie.delay_ms;
         let implied = f.space.distance(&f.coords[7], &lie.coord);
         let fit = (implied - measured).abs() / measured;
-        let bound = adv.margin / (1.0 - adv.margin);
+        let bound = MARGIN / (1.0 - MARGIN);
         assert!((fit - bound).abs() < 1e-9, "fit {fit} vs bound {bound}");
         assert!(lie.delay_ms > 0.0);
     }

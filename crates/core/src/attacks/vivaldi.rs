@@ -12,7 +12,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use std::collections::{HashMap, HashSet};
-use vcoord_attackkit::{AttackStrategy, Collusion, CoordView, Lie, Probe};
+use vcoord_attackkit::{AttackStrategy, Collusion, CoordView, Lie, Probe, LIE_ERROR};
 use vcoord_space::Coord;
 
 /// §5.3.1 — the *disorder* attack.
@@ -52,8 +52,6 @@ impl AttackStrategy for VivaldiDisorder {
 pub struct VivaldiRepulsion {
     /// Magnitude of each attacker's `X_target` (distance from the origin).
     pub target_range: f64,
-    /// Error estimate reported with every lie (drives victim weight → 1).
-    pub lie_error: f64,
     /// If set, each attacker only attacks this many victims, chosen
     /// independently at injection (figure 7's modified attack).
     pub subset_size: Option<usize>,
@@ -66,7 +64,6 @@ impl VivaldiRepulsion {
     pub fn new(target_range: f64) -> Self {
         VivaldiRepulsion {
             target_range,
-            lie_error: 0.01,
             subset_size: None,
             targets: HashMap::new(),
             victims: HashMap::new(),
@@ -143,7 +140,7 @@ impl AttackStrategy for VivaldiRepulsion {
         );
         Some(Lie {
             coord: lie.coord,
-            error: self.lie_error,
+            error: LIE_ERROR,
             delay_ms: lie.needed_rtt - probe.rtt,
         })
     }
@@ -161,8 +158,6 @@ impl AttackStrategy for VivaldiRepulsion {
 pub struct VivaldiCollusionRepel {
     /// The agreed isolation distance from the target.
     pub distance: f64,
-    /// Error estimate reported with every lie.
-    pub lie_error: f64,
     /// The designated target node (chosen at injection unless preset).
     pub target: Option<usize>,
     target_coord: Coord,
@@ -174,7 +169,6 @@ impl VivaldiCollusionRepel {
     pub fn new(distance: f64) -> Self {
         VivaldiCollusionRepel {
             distance,
-            lie_error: 0.01,
             target: None,
             target_coord: Coord::origin(0),
             designated: HashMap::new(),
@@ -250,7 +244,7 @@ impl AttackStrategy for VivaldiCollusionRepel {
         );
         Some(Lie {
             coord: lie.coord,
-            error: self.lie_error,
+            error: LIE_ERROR,
             delay_ms: lie.needed_rtt - probe.rtt,
         })
     }
@@ -268,22 +262,19 @@ impl AttackStrategy for VivaldiCollusionRepel {
 pub struct VivaldiCollusionLure {
     /// Distance of the pretend cluster from the origin.
     pub cluster_range: f64,
-    /// Scatter of individual attackers inside the cluster.
-    pub cluster_spread: f64,
-    /// Error estimate reported with every lie.
-    pub lie_error: f64,
     /// The designated victim (chosen at injection unless preset).
     pub target: Option<usize>,
     cluster: HashMap<usize, Coord>,
 }
+
+/// Scatter of individual lure attackers inside the cluster.
+const LURE_CLUSTER_SPREAD: f64 = 50.0;
 
 impl VivaldiCollusionLure {
     /// Lure a random honest node into a remote cluster.
     pub fn new(cluster_range: f64) -> Self {
         VivaldiCollusionLure {
             cluster_range,
-            cluster_spread: 50.0,
-            lie_error: 0.01,
             target: None,
             cluster: HashMap::new(),
         }
@@ -320,7 +311,7 @@ impl AttackStrategy for VivaldiCollusionLure {
             let mut pos = centre.clone();
             let jitter = view.space.random_unit(rng);
             view.space
-                .apply(&mut pos, &jitter, rng.gen_range(0.0..self.cluster_spread));
+                .apply(&mut pos, &jitter, rng.gen_range(0.0..LURE_CLUSTER_SPREAD));
             self.cluster.insert(a, pos);
         }
     }
@@ -341,7 +332,7 @@ impl AttackStrategy for VivaldiCollusionLure {
         // steps (rtt − dist ≪ 0).
         Some(Lie {
             coord,
-            error: self.lie_error,
+            error: LIE_ERROR,
             delay_ms: 0.0,
         })
     }

@@ -30,9 +30,7 @@ use crate::experiments::harness::{plain, Adversary, Deploy, RunSpec, System};
 use crate::experiments::registry::Figure;
 use crate::experiments::shapes::{cross, Block, Cell, LevelSweep, Matrix};
 use crate::experiments::{FigureResult, Scale};
-use vcoord_attackkit::{
-    AttackStrategy, DefenseModel, EvadingFrogBoil, SleeperCollusion, ThresholdProbe,
-};
+use vcoord_attackkit::{AttackStrategy, EvadingFrogBoil, SleeperCollusion, ThresholdProbe};
 use vcoord_defense::{DefenseStrategy, DriftCap, DriftDecay, ResidualOutlier};
 use vcoord_nps::NpsSim;
 use vcoord_vivaldi::VivaldiSim;
@@ -229,11 +227,9 @@ fn arms_evasion_learning(scale: &Scale, seed: u64) -> FigureResult {
         scale,
         seed,
         [
-            ("fixed", || {
-                Box::new(EvadingFrogBoil::new(5.0, DefenseModel::default()))
-            }),
+            ("fixed", || Box::new(EvadingFrogBoil::new(5.0, 80.0))),
             ("learning", || {
-                Box::new(EvadingFrogBoil::learning(5.0, DefenseModel::default()))
+                Box::new(EvadingFrogBoil::learning(5.0, 80.0))
             }),
         ],
         ("err", |c| c.err),

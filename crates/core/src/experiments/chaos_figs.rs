@@ -442,7 +442,7 @@ fn detector_by(label: &str) -> Box<dyn DefenseStrategy> {
     match label {
         "mad" => Box::new(ResidualOutlier::default()),
         "ewma" => Box::new(EwmaChangePoint::default()),
-        "triangle" => Box::new(TriangleCheck::default()),
+        "triangle" => Box::new(TriangleCheck),
         other => unreachable!("unknown detector label {other}"),
     }
 }

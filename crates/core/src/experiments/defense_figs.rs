@@ -48,7 +48,7 @@ pub(crate) fn defense_by(label: &str, trusted: &[usize]) -> Box<dyn DefenseStrat
         "mad_outlier" => Box::new(ResidualOutlier::default()),
         "ewma_cpd" => Box::new(EwmaChangePoint::default()),
         "drift_cap" => Box::new(DriftCap::default()),
-        "triangle" => Box::new(TriangleCheck::default()),
+        "triangle" => Box::new(TriangleCheck),
         "trusted" => Box::new(TrustedBaseline::new(trusted.iter().copied())),
         other => unreachable!("unknown defensekit strategy label {other}"),
     }
@@ -192,7 +192,7 @@ fn def_roc(scale: &Scale, seed: u64) -> FigureResult {
         move |_: &VivaldiSim| -> Box<dyn DefenseStrategy> { Box::new(DriftCap::new(cap)) }
     });
     let mads = ks.map(|k| {
-        move |_: &VivaldiSim| -> Box<dyn DefenseStrategy> { Box::new(ResidualOutlier::new(12, k)) }
+        move |_: &VivaldiSim| -> Box<dyn DefenseStrategy> { Box::new(ResidualOutlier::new(k)) }
     });
     // Per point, the drift cap's cell, then the MAD filter's.
     let specs: Vec<_> = drift_caps

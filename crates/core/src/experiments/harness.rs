@@ -227,7 +227,6 @@ impl System for NpsSim {
             layers,
             refs_per_node,
             security,
-            simplex,
             // The probation channel only runs while a defense is deployed.
             probation_every: _,
         } = config.clone();
@@ -237,7 +236,6 @@ impl System for NpsSim {
             layers,
             refs_per_node,
             security,
-            simplex,
             probation_every: 0,
         }
     }
@@ -932,7 +930,7 @@ mod tests {
             nps_attack_rounds: 10,
             ..scale.clone()
         };
-        let disorder = plain(|| Box::new(NpsSimpleDisorder::default()));
+        let disorder = plain(|| Box::new(NpsSimpleDisorder));
         let base = RunSpec::<NpsSim> {
             fraction: 0.2,
             adversary: &disorder,
@@ -1074,7 +1072,7 @@ mod tests {
             nps_attack_rounds: rounds,
             ..scale.clone()
         });
-        let adversary = plain(|| Box::new(NpsSimpleDisorder::default()));
+        let adversary = plain(|| Box::new(NpsSimpleDisorder));
         let spec = RunSpec::<NpsSim> {
             config: NpsConfig {
                 probation_every: 2,
@@ -1261,7 +1259,7 @@ mod tests {
         }
 
         let scale = Scale::smoke();
-        let disorder = plain(|| Box::new(NpsSimpleDisorder::default()));
+        let disorder = plain(|| Box::new(NpsSimpleDisorder));
         let base = RunSpec::<NpsSim> {
             fraction: 0.2,
             adversary: &disorder,
@@ -1476,7 +1474,7 @@ mod tests {
         let scale = Scale::smoke();
         let run = run(&RunSpec::<NpsSim> {
             fraction: 0.3,
-            adversary: &plain(|| Box::new(NpsSimpleDisorder::default())),
+            adversary: &plain(|| Box::new(NpsSimpleDisorder)),
             ..RunSpec::new(&scale, 2006)
         });
         // NPS draws attackers from the ordinary (non-landmark) population,

@@ -25,7 +25,7 @@ use vcoord_space::Space;
 type Attack<'a> = Adversary<'a, NpsSim>;
 
 fn disorder() -> Box<dyn AttackStrategy> {
-    Box::new(NpsSimpleDisorder::default())
+    Box::new(NpsSimpleDisorder)
 }
 
 fn anti_detection(knowledge: Knowledge, sophisticated: bool) -> Box<dyn AttackStrategy> {

@@ -187,7 +187,7 @@ mod store_model {
                 } => Box::new(DriftCap::with_decay(cap, DriftDecay::new(h))),
                 Kind::Ewma => Box::new(EwmaChangePoint::default()),
                 Kind::Mad => Box::new(ResidualOutlier::default()),
-                Kind::Triangle => Box::new(TriangleCheck::default()),
+                Kind::Triangle => Box::new(TriangleCheck),
                 Kind::Trusted => Box::new(TrustedBaseline::new(TRUSTED)),
             })
         }

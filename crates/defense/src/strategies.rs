@@ -43,8 +43,8 @@ use crate::strategy::{median_in_place, DefenseScratch, DefenseStrategy, UpdateVi
 /// emitted through [`DefenseStrategy::drain_reputation`] — once **both**
 /// hold:
 ///
-/// * its decayed flag weight fell below [`DriftDecay::reinstate_below`]
-///   (first offense: exactly one half-life after the ban), and
+/// * its decayed flag weight fell below 0.5 (first offense: exactly one
+///   half-life after the ban), and
 /// * its current evidence window has *healed*: the vector mean pull over
 ///   the full window is back under the cap. A node that kept attacking
 ///   while banned keeps its window hot (the engine records every inspected
@@ -59,17 +59,17 @@ use crate::strategy::{median_in_place, DefenseScratch, DefenseStrategy, UpdateVi
 pub struct DriftDecay {
     /// Rounds for a flag weight to halve.
     pub half_life_rounds: f64,
-    /// Reinstate once the decayed weight falls below this (and the window
-    /// healed). `0.5` means one half-life per unit of flag weight.
-    pub reinstate_below: f64,
 }
+
+/// Reinstate once the decayed weight falls below this (and the window
+/// healed). `0.5` means one half-life per unit of flag weight.
+const REINSTATE_BELOW: f64 = 0.5;
 
 impl DriftDecay {
     /// Halve flag weights every `half_life_rounds`, reinstating below 0.5.
     pub fn new(half_life_rounds: f64) -> DriftDecay {
         DriftDecay {
             half_life_rounds: half_life_rounds.max(1e-9),
-            reinstate_below: 0.5,
         }
     }
 }
@@ -99,44 +99,39 @@ impl DefenseStrategy for NoDefense {
 /// to consistent liars, whose residuals sit inside the honest band.
 #[derive(Debug, Clone)]
 pub struct ResidualOutlier {
-    /// Minimum recent samples before the adaptive threshold arms.
-    pub min_samples: usize,
     /// MAD multiplier `k`.
     pub k: f64,
-    /// Absolute floor on the rejection threshold (relative-residual units).
-    pub floor: f64,
-    /// Unconditional sanity bound, active from the first sample: a
-    /// relative residual above this is rejected even before the window
-    /// arms. Without it, a dozen pre-arming inflation lies (each pulling
-    /// its victim hundreds of ms) wreck the embedding before the adaptive
-    /// threshold exists.
-    pub hard_reject: f64,
 }
 
+/// Minimum recent samples before the adaptive threshold arms.
+const MAD_MIN_SAMPLES: usize = 12;
+/// Absolute floor on the rejection threshold (relative-residual units).
+const MAD_FLOOR: f64 = 0.5;
+/// Unconditional sanity bound, active from the first sample: a relative
+/// residual above this is rejected even before the window arms. Without
+/// it, a dozen pre-arming inflation lies (each pulling its victim hundreds
+/// of ms) wreck the embedding before the adaptive threshold exists.
+const MAD_HARD_REJECT: f64 = 5.0;
+
 impl ResidualOutlier {
-    /// Arm after `min_samples` observations, reject above `k` scaled MADs.
-    pub fn new(min_samples: usize, k: f64) -> ResidualOutlier {
-        ResidualOutlier {
-            min_samples,
-            k,
-            floor: 0.5,
-            hard_reject: 5.0,
-        }
+    /// Arm after 12 observations, reject above `k` scaled MADs.
+    pub fn new(k: f64) -> ResidualOutlier {
+        ResidualOutlier { k }
     }
 }
 
 impl Default for ResidualOutlier {
     fn default() -> Self {
-        ResidualOutlier::new(12, 3.0)
+        ResidualOutlier::new(3.0)
     }
 }
 
 impl DefenseStrategy for ResidualOutlier {
     fn inspect_update(&mut self, view: &UpdateView<'_>, scratch: &mut DefenseScratch) -> Verdict {
-        if view.rel_residual() > self.hard_reject {
+        if view.rel_residual() > MAD_HARD_REJECT {
             return Verdict::Reject;
         }
-        if view.recent.samples().len() < self.min_samples {
+        if view.recent.samples().len() < MAD_MIN_SAMPLES {
             return Verdict::Accept;
         }
         scratch.sort.clear();
@@ -153,7 +148,7 @@ impl DefenseStrategy for ResidualOutlier {
         let mad = median_in_place(&mut scratch.aux).unwrap_or(0.0);
         // 1.4826 · MAD estimates σ for Gaussian noise; the tiny floor keeps
         // a degenerate (all-identical) window from arming a zero threshold.
-        let threshold = (median + self.k * (1.4826 * mad).max(0.02)).max(self.floor);
+        let threshold = (median + self.k * (1.4826 * mad).max(0.02)).max(MAD_FLOOR);
         if view.rel_residual() > threshold {
             Verdict::Reject
         } else {
@@ -178,54 +173,36 @@ struct Ewma {
 /// change — but a steady lie present from the detector's first sight is
 /// learned as normal, which is exactly why residual-based filters miss
 /// consistent liars.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EwmaChangePoint {
-    /// EWMA smoothing factor (weight of the newest sample).
-    pub alpha: f64,
-    /// Rejection threshold in learned standard deviations.
-    pub k: f64,
-    /// Minimum samples per neighbor before the detector arms.
-    pub min_samples: u64,
-    /// Floor on the learned σ (relative-residual units), so a frozen
-    /// series cannot arm a zero-width band.
-    pub sigma_floor: f64,
     /// Per neighbor, indexed by node id.
     state: Vec<Ewma>,
 }
 
-impl EwmaChangePoint {
-    /// Smooth with `alpha`, reject beyond `k` learned standard deviations.
-    pub fn new(alpha: f64, k: f64) -> EwmaChangePoint {
-        EwmaChangePoint {
-            alpha,
-            k,
-            min_samples: 8,
-            sigma_floor: 0.1,
-            state: Vec::new(),
-        }
-    }
-}
-
-impl Default for EwmaChangePoint {
-    fn default() -> Self {
-        EwmaChangePoint::new(0.2, 4.0)
-    }
-}
+/// EWMA smoothing factor (weight of the newest sample).
+const EWMA_ALPHA: f64 = 0.2;
+/// Rejection threshold in learned standard deviations.
+const EWMA_K: f64 = 4.0;
+/// Minimum samples per neighbor before the detector arms.
+const EWMA_MIN_SAMPLES: u64 = 8;
+/// Floor on the learned σ (relative-residual units), so a frozen series
+/// cannot arm a zero-width band.
+const EWMA_SIGMA_FLOOR: f64 = 0.1;
 
 impl DefenseStrategy for EwmaChangePoint {
     fn inspect_update(&mut self, view: &UpdateView<'_>, _s: &mut DefenseScratch) -> Verdict {
         let rel = view.rel_residual();
         let e = slot(&mut self.state, view.remote);
-        if e.n >= self.min_samples
-            && (rel - e.mean).abs() > self.k * e.var.sqrt().max(self.sigma_floor)
+        if e.n >= EWMA_MIN_SAMPLES
+            && (rel - e.mean).abs() > EWMA_K * e.var.sqrt().max(EWMA_SIGMA_FLOOR)
         {
             // Anomalies are rejected and excluded from the baseline, so a
             // detected shift keeps being detected instead of being learned.
             return Verdict::Reject;
         }
         let d = rel - e.mean;
-        e.mean += self.alpha * d;
-        e.var = (1.0 - self.alpha) * (e.var + self.alpha * d * d);
+        e.mean += EWMA_ALPHA * d;
+        e.var = (1.0 - EWMA_ALPHA) * (e.var + EWMA_ALPHA * d * d);
         e.n += 1;
         Verdict::Accept
     }
@@ -255,8 +232,6 @@ impl DefenseStrategy for EwmaChangePoint {
 pub struct DriftCap {
     /// Largest sustained mean-pull norm tolerated, ms per sample.
     pub max_drag_ms: f64,
-    /// Minimum samples in a neighbor's window before the cap arms.
-    pub min_samples: u64,
     /// Reputation decay / un-banning. `None` (the default) keeps today's
     /// permanent bans: the no-decay path is bitwise-identical to the
     /// pre-decay `DriftCap` (proven by the golden-figure suite and the
@@ -272,6 +247,10 @@ pub struct DriftCap {
     reinstate_events: Vec<usize>,
 }
 
+/// Minimum samples in a neighbor's window before the cap arms: the full
+/// residual window.
+const DRIFT_MIN_SAMPLES: u64 = crate::history::RESIDUAL_WINDOW as u64;
+
 impl DriftCap {
     /// Ban neighbors sustaining more than `max_drag_ms` mean pull.
     ///
@@ -284,7 +263,6 @@ impl DriftCap {
     pub fn new(max_drag_ms: f64) -> DriftCap {
         DriftCap {
             max_drag_ms,
-            min_samples: crate::history::RESIDUAL_WINDOW as u64,
             decay: None,
             banned: Vec::new(),
             weights: Vec::new(),
@@ -346,9 +324,9 @@ impl DefenseStrategy for DriftCap {
     fn inspect_update(&mut self, view: &UpdateView<'_>, _s: &mut DefenseScratch) -> Verdict {
         let h = view.remote_history;
         if self.is_banned(view.remote) {
-            let Some(decay) = self.decay else {
+            if self.decay.is_none() {
                 return Verdict::Reject; // permanent bans (the legacy path)
-            };
+            }
             if view.provenance.is_quarantined() {
                 // Readmission-lease evidence: the node is on loan, not
                 // forgiven. The engine already keeps leased samples out of
@@ -361,10 +339,10 @@ impl DefenseStrategy for DriftCap {
             // The engine keeps recording every inspected sample, so the
             // window under the ban reflects the node's *current* conduct:
             // healed means a full window of honest-looking reports.
-            let healed = h.samples() >= self.min_samples
+            let healed = h.samples() >= DRIFT_MIN_SAMPLES
                 && h.mean_pull_norm()
                     .is_some_and(|drag| drag <= self.max_drag_ms);
-            if weight < decay.reinstate_below && healed {
+            if weight < REINSTATE_BELOW && healed {
                 self.banned[view.remote] = false;
                 self.reinstate_events.push(view.remote);
                 // Fall through to normal judging: the healed window
@@ -373,7 +351,7 @@ impl DefenseStrategy for DriftCap {
                 return Verdict::Reject;
             }
         }
-        if h.samples() >= self.min_samples {
+        if h.samples() >= DRIFT_MIN_SAMPLES {
             if let Some(drag) = h.mean_pull_norm() {
                 if drag > self.max_drag_ms {
                     *slot(&mut self.banned, view.remote) = true;
@@ -400,7 +378,7 @@ impl DefenseStrategy for DriftCap {
 ///
 /// For each recent neighbor `k` with reported coordinate `x_k` and measured
 /// RTT `r_k`, the current report `x_j` (measured RTT `r_j`) must satisfy
-/// both physical bounds up to `slack` and `margin_ms`:
+/// both physical bounds up to a slack of 1.3 and a margin of 30 ms:
 ///
 /// * `d(x_j, x_k) ≤ slack · (r_j + r_k) + margin` — the claimed separation
 ///   cannot exceed any real path through the observer;
@@ -410,35 +388,17 @@ impl DefenseStrategy for DriftCap {
 /// Inflation blows the upper bound; deflation (claiming a central position
 /// while honest RTTs stay long) trips the lower one. A sample is rejected
 /// when a majority of comparisons are violations.
-#[derive(Debug, Clone)]
-pub struct TriangleCheck {
-    /// Multiplicative tolerance on both bounds.
-    pub slack: f64,
-    /// Additive tolerance, ms (absorbs jitter and embedding noise).
-    pub margin_ms: f64,
-    /// Minimum comparisons before a verdict is reached.
-    pub min_checks: usize,
-    /// Violation share above which the sample is rejected.
-    pub max_violation_share: f64,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TriangleCheck;
 
-impl TriangleCheck {
-    /// Check against recent neighbors with the given tolerances.
-    pub fn new(slack: f64, margin_ms: f64) -> TriangleCheck {
-        TriangleCheck {
-            slack,
-            margin_ms,
-            min_checks: 4,
-            max_violation_share: 0.5,
-        }
-    }
-}
-
-impl Default for TriangleCheck {
-    fn default() -> Self {
-        TriangleCheck::new(1.3, 30.0)
-    }
-}
+/// Multiplicative tolerance on both bounds.
+const TRIANGLE_SLACK: f64 = 1.3;
+/// Additive tolerance, ms (absorbs jitter and embedding noise).
+const TRIANGLE_MARGIN_MS: f64 = 30.0;
+/// Minimum comparisons before a verdict is reached.
+const TRIANGLE_MIN_CHECKS: usize = 4;
+/// Violation share above which the sample is rejected.
+const TRIANGLE_MAX_VIOLATION_SHARE: f64 = 0.5;
 
 impl DefenseStrategy for TriangleCheck {
     fn inspect_update(&mut self, view: &UpdateView<'_>, _s: &mut DefenseScratch) -> Verdict {
@@ -452,14 +412,15 @@ impl DefenseStrategy for TriangleCheck {
             let d = view
                 .space
                 .distance_flat(mine, my_height, theirs, their_height);
-            let upper = self.slack * (view.rtt + s.rtt) + self.margin_ms;
-            let lower = ((view.rtt - s.rtt).abs() - self.margin_ms).max(0.0) / self.slack;
+            let upper = TRIANGLE_SLACK * (view.rtt + s.rtt) + TRIANGLE_MARGIN_MS;
+            let lower = ((view.rtt - s.rtt).abs() - TRIANGLE_MARGIN_MS).max(0.0) / TRIANGLE_SLACK;
             if d > upper || d < lower {
                 violations += 1;
             }
             checks += 1;
         }
-        if checks >= self.min_checks && violations as f64 > self.max_violation_share * checks as f64
+        if checks >= TRIANGLE_MIN_CHECKS
+            && violations as f64 > TRIANGLE_MAX_VIOLATION_SHARE * checks as f64
         {
             Verdict::Reject
         } else {
@@ -480,12 +441,6 @@ impl DefenseStrategy for TriangleCheck {
 /// measure by including trusted ids in the attacker draw.
 #[derive(Debug, Clone)]
 pub struct TrustedBaseline {
-    /// Rejection threshold as a multiple of the trusted upper quantile.
-    pub slack: f64,
-    /// Upper quantile of the trusted residual window used as the baseline.
-    pub quantile: f64,
-    /// Minimum trusted observations before the filter arms.
-    pub min_trusted: usize,
     /// Whether each node is trusted, indexed by node id.
     trusted: Vec<bool>,
     window: Vec<f64>,
@@ -498,6 +453,12 @@ pub struct TrustedBaseline {
 
 /// Trusted residual-window length.
 const TRUSTED_WINDOW: usize = 64;
+/// Rejection threshold as a multiple of the trusted upper quantile.
+const TRUSTED_SLACK: f64 = 3.0;
+/// Upper quantile of the trusted residual window used as the baseline.
+const TRUSTED_QUANTILE: f64 = 0.9;
+/// Minimum trusted observations before the filter arms.
+const MIN_TRUSTED: usize = 8;
 
 impl TrustedBaseline {
     /// Trust `ids`; hold everyone else to their observed residuals.
@@ -507,9 +468,6 @@ impl TrustedBaseline {
             *slot(&mut trusted, id) = true;
         }
         TrustedBaseline {
-            slack: 3.0,
-            quantile: 0.9,
-            min_trusted: 8,
             trusted,
             window: Vec::new(),
             cursor: 0,
@@ -536,7 +494,7 @@ impl DefenseStrategy for TrustedBaseline {
             self.cached_baseline = None; // window changed: recompute lazily
             return Verdict::Accept;
         }
-        if self.window.len() < self.min_trusted {
+        if self.window.len() < MIN_TRUSTED {
             return Verdict::Accept;
         }
         let baseline = match self.cached_baseline {
@@ -547,13 +505,13 @@ impl DefenseStrategy for TrustedBaseline {
                 scratch
                     .sort
                     .sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                let idx = ((scratch.sort.len() - 1) as f64 * self.quantile).round() as usize;
+                let idx = ((scratch.sort.len() - 1) as f64 * TRUSTED_QUANTILE).round() as usize;
                 let b = scratch.sort[idx].max(0.05);
                 self.cached_baseline = Some(b);
                 b
             }
         };
-        if rel > self.slack * baseline {
+        if rel > TRUSTED_SLACK * baseline {
             Verdict::Reject
         } else {
             Verdict::Accept
@@ -864,7 +822,7 @@ mod tests {
     #[test]
     fn triangle_check_catches_inflation_and_deflation() {
         let space = Space::Euclidean(2);
-        let mut d = Defense::new(Box::new(TriangleCheck::default()));
+        let mut d = Defense::new(Box::new(TriangleCheck));
         // Populate the observer's recent ring with consistent neighbors
         // ~100 ms away in different directions.
         let me = Coord::origin(2);

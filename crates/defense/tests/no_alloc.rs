@@ -62,7 +62,7 @@ fn inspection_loops_are_allocation_free() {
     let warmup = ring_fill_samples(REMOTES);
     let strategies: [(&str, Box<dyn DefenseStrategy>); 2] = [
         ("DriftCap", Box::new(DriftCap::new(1e12))),
-        ("ResidualOutlier", Box::new(ResidualOutlier::new(12, 1e12))),
+        ("ResidualOutlier", Box::new(ResidualOutlier::new(1e12))),
     ];
     for (label, strategy) in strategies {
         let mut armed = Defense::new(strategy);

@@ -1,7 +1,7 @@
 //! NPS simulation parameters.
 
 use serde::{Deserialize, Serialize};
-use vcoord_space::{SimplexOptions, Space};
+use vcoord_space::Space;
 
 /// Parameters for an [`crate::NpsSim`]: only what a run varies.
 ///
@@ -9,8 +9,8 @@ use vcoord_space::{SimplexOptions, Space};
 /// permanent layer-0 landmarks, a 3-layer hierarchy, security on. The
 /// settings no run varies are constants of the simulator: 20 % reference
 /// points per middle layer, security constant `C = 4`, 5 s probe
-/// threshold, and a [`ROUND_MS`](crate::sim::ROUND_MS) repositioning
-/// period.
+/// threshold, a [`ROUND_MS`](crate::sim::ROUND_MS) repositioning period and
+/// the [`SIMPLEX`](crate::sim::SIMPLEX) fit options.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NpsConfig {
     /// Embedding space (figure 16 sweeps the dimension; NPS itself is
@@ -24,8 +24,6 @@ pub struct NpsConfig {
     pub refs_per_node: usize,
     /// Whether the malicious-reference detection mechanism is on.
     pub security: bool,
-    /// Simplex Downhill options for node positioning.
-    pub simplex: SimplexOptions,
     /// Probation channel period, in positioning rounds: every
     /// `probation_every`-th round a node re-measures one reference from its
     /// rolling ban list (round-robin). The probation sample is *evidence
@@ -45,12 +43,6 @@ impl Default for NpsConfig {
             layers: 3,
             refs_per_node: 20,
             security: true,
-            simplex: SimplexOptions {
-                initial_step: 20.0,
-                tolerance: 1e-7,
-                max_iterations: 150,
-                ..SimplexOptions::default()
-            },
             probation_every: 0,
         }
     }
@@ -77,7 +69,8 @@ impl NpsConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{PROBE_THRESHOLD_MS, REF_FRACTION, SECURITY_C, SECURITY_MIN_ERROR};
+    use crate::position::{SECURITY_C, SECURITY_MIN_ERROR};
+    use crate::sim::{PROBE_THRESHOLD_MS, REF_FRACTION, SIMPLEX};
 
     #[test]
     fn defaults_match_paper() {
@@ -89,6 +82,15 @@ mod tests {
         assert_eq!(SECURITY_C, 4.0);
         assert_eq!(SECURITY_MIN_ERROR, 0.01);
         assert_eq!(PROBE_THRESHOLD_MS, 5_000.0);
+        assert_eq!(
+            (
+                SIMPLEX.initial_step,
+                SIMPLEX.tolerance,
+                SIMPLEX.max_iterations
+            ),
+            (20.0, 1e-7, 150)
+        );
+        assert_eq!(vcoord_space::NELDER_MEAD, [1.0, 2.0, 0.5, 0.5]);
         assert!(c.security);
         assert_eq!(c.probation_every, 0, "probation is opt-in");
     }

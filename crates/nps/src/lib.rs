@@ -43,5 +43,5 @@ mod position;
 mod sim;
 
 pub use config::NpsConfig;
-pub use position::{position_node, PositionOutcome, PositionScratch, RefSample, SecurityPolicy};
-pub use sim::{NpsCounters, NpsSim, ROUND_MS};
+pub use position::{position_node, PositionOutcome, PositionScratch, RefSample};
+pub use sim::{NpsCounters, NpsSim, ROUND_MS, SIMPLEX};

@@ -1,7 +1,6 @@
 //! Node positioning and the reference-point security filter, as pure
 //! functions (directly testable against §3.1 of the paper).
 
-use serde::{Deserialize, Serialize};
 use vcoord_space::{simplex_downhill, Coord, SimplexOptions, SimplexScratch, Space};
 
 /// One reference-point measurement: the coordinates the reference
@@ -23,36 +22,11 @@ impl RefSample {
     }
 }
 
-/// The NPS malicious-reference detection policy (§3.1).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct SecurityPolicy {
-    /// Master switch.
-    pub enabled: bool,
-    /// Sensitivity constant `C`.
-    pub c: f64,
-    /// Absolute floor: condition (1) `max E_Ri > min_error`.
-    pub min_error: f64,
-}
-
-impl SecurityPolicy {
-    /// The paper's configuration: `C = 4`, floor `0.01`, enabled.
-    pub fn paper() -> SecurityPolicy {
-        SecurityPolicy {
-            enabled: true,
-            c: 4.0,
-            min_error: 0.01,
-        }
-    }
-
-    /// Detection disabled.
-    pub fn off() -> SecurityPolicy {
-        SecurityPolicy {
-            enabled: false,
-            c: 4.0,
-            min_error: 0.01,
-        }
-    }
-}
+/// Sensitivity constant `C` of the security filter (§3.1).
+pub(crate) const SECURITY_C: f64 = 4.0;
+/// Absolute fitting-error floor of the security filter: condition (1)
+/// `max E_Ri > SECURITY_MIN_ERROR`.
+pub(crate) const SECURITY_MIN_ERROR: f64 = 0.01;
 
 /// Result of one positioning round.
 #[derive(Debug, Clone)]
@@ -281,9 +255,10 @@ fn fit_samples(
     (coord, result.value, result.evals)
 }
 
-/// Position a node against `samples` using Simplex Downhill and apply the
-/// security filter — the allocation-free path driven once per repositioning
-/// round by the NPS simulator (`scratch` holds every buffer but the returned
+/// Position a node against `samples` using Simplex Downhill and, when
+/// `security` is on, apply the §3.1 security filter (`C = 4`, floor 0.01)
+/// — the allocation-free path driven once per repositioning round by the
+/// NPS simulator (`scratch` holds every buffer but the returned
 /// [`PositionOutcome`]).
 ///
 /// Returns `None` when fewer than `dim + 1` usable samples are available
@@ -309,7 +284,7 @@ pub fn position_node(
     samples: &[RefSample],
     start: &Coord,
     incumbent: Option<&Coord>,
-    security: SecurityPolicy,
+    security: bool,
     opts: &SimplexOptions,
     scratch: &mut PositionScratch,
 ) -> Option<PositionOutcome> {
@@ -378,12 +353,8 @@ pub fn position_node(
 
 /// The filter decision alone: index of the sample to eliminate, if both
 /// conditions hold, taking the median over the caller's `finite` buffer.
-fn filter_index(
-    fit_errors: &[f64],
-    policy: SecurityPolicy,
-    finite: &mut Vec<f64>,
-) -> Option<usize> {
-    if !policy.enabled || fit_errors.is_empty() {
+fn filter_index(fit_errors: &[f64], security: bool, finite: &mut Vec<f64>) -> Option<usize> {
+    if !security || fit_errors.is_empty() {
         return None;
     }
     let (max_idx, max_err) = fit_errors
@@ -399,7 +370,7 @@ fn filter_index(
     // Upper median: the element a full sort would leave at `len / 2`.
     let mid = finite.len() / 2;
     let (_, median, _) = finite.select_nth_unstable_by(mid, f64::total_cmp);
-    if max_err > policy.min_error && max_err > policy.c * *median {
+    if max_err > SECURITY_MIN_ERROR && max_err > SECURITY_C * *median {
         Some(max_idx)
     } else {
         None
@@ -420,7 +391,7 @@ mod tests {
         samples: &[RefSample],
         start: &Coord,
         incumbent: Option<&Coord>,
-        security: SecurityPolicy,
+        security: bool,
     ) -> Option<PositionOutcome> {
         position_node(
             &space(),
@@ -454,13 +425,7 @@ mod tests {
         // Distances consistent with the point (50, 50).
         let d = 50.0 * std::f64::consts::SQRT_2;
         let samples = square_samples(&[d, d, d, d, 50.0]);
-        let out = position(
-            &samples,
-            &Coord::from_vec(vec![10.0, 10.0]),
-            None,
-            SecurityPolicy::paper(),
-        )
-        .unwrap();
+        let out = position(&samples, &Coord::from_vec(vec![10.0, 10.0]), None, true).unwrap();
         assert!((out.coord.vec[0] - 50.0).abs() < 1.0, "{:?}", out.coord);
         assert!((out.coord.vec[1] - 50.0).abs() < 1.0);
         assert!(out.filtered.is_none(), "clean refs must not be filtered");
@@ -476,13 +441,7 @@ mod tests {
         // (figures 20/22).
         let d = 50.0 * std::f64::consts::SQRT_2;
         let samples = square_samples(&[d, d, d, d, 5000.0]);
-        let out = position(
-            &samples,
-            &Coord::from_vec(vec![10.0, 10.0]),
-            None,
-            SecurityPolicy::paper(),
-        )
-        .unwrap();
+        let out = position(&samples, &Coord::from_vec(vec![10.0, 10.0]), None, true).unwrap();
         // The dragged fit inflates every fitting error, not just the liar's.
         let honest_max = out.fit_errors[..4].iter().copied().fold(0.0f64, f64::max);
         assert!(honest_max > 0.5, "honest refs get blamed too: {honest_max}");
@@ -492,26 +451,14 @@ mod tests {
     fn security_off_never_filters() {
         let d = 50.0 * std::f64::consts::SQRT_2;
         let samples = square_samples(&[d, d, d, d, 5000.0]);
-        let out = position(
-            &samples,
-            &Coord::from_vec(vec![10.0, 10.0]),
-            None,
-            SecurityPolicy::off(),
-        )
-        .unwrap();
+        let out = position(&samples, &Coord::from_vec(vec![10.0, 10.0]), None, false).unwrap();
         assert!(out.filtered.is_none());
     }
 
     #[test]
     fn under_constrained_returns_none() {
         let samples = square_samples(&[70.0, 70.0, 70.0, 70.0, 50.0]);
-        assert!(position(
-            &samples[..2],
-            &Coord::origin(2),
-            None,
-            SecurityPolicy::paper(),
-        )
-        .is_none());
+        assert!(position(&samples[..2], &Coord::origin(2), None, true).is_none());
     }
 
     #[test]
@@ -519,10 +466,7 @@ mod tests {
         // Max error below the 0.01 floor: no filtering even if it dominates
         // the median.
         let errs = [0.0001, 0.0001, 0.0001, 0.009];
-        assert_eq!(
-            filter_index(&errs, SecurityPolicy::paper(), &mut Vec::new()),
-            None
-        );
+        assert_eq!(filter_index(&errs, true, &mut Vec::new()), None);
     }
 
     #[test]
@@ -530,19 +474,13 @@ mod tests {
         // Everyone is bad: max not > 4×median → nothing filtered. This is
         // exactly how a large colluding population survives the filter.
         let errs = [0.5, 0.6, 0.55, 0.62, 0.58];
-        assert_eq!(
-            filter_index(&errs, SecurityPolicy::paper(), &mut Vec::new()),
-            None
-        );
+        assert_eq!(filter_index(&errs, true, &mut Vec::new()), None);
     }
 
     #[test]
     fn filter_picks_the_max() {
         let errs = [0.001, 0.002, 0.9, 0.003];
-        assert_eq!(
-            filter_index(&errs, SecurityPolicy::paper(), &mut Vec::new()),
-            Some(2)
-        );
+        assert_eq!(filter_index(&errs, true, &mut Vec::new()), Some(2));
     }
 
     #[test]
@@ -551,10 +489,7 @@ mod tests {
         // to replace the running maximum with whatever followed it, so
         // nothing was filtered; it now counts as +∞ and is the maximum.
         let errs = [0.001, 0.002, 0.9, f64::NAN, 0.003];
-        assert_eq!(
-            filter_index(&errs, SecurityPolicy::paper(), &mut Vec::new()),
-            Some(3)
-        );
+        assert_eq!(filter_index(&errs, true, &mut Vec::new()), Some(3));
     }
 
     #[test]
@@ -569,13 +504,7 @@ mod tests {
         samples.push(RefSample::new(105, Coord::from_vec(vec![0.0, 50.0]), 50.0));
         samples[4].coord = Coord::from_vec(vec![f64::NAN, 0.0]);
         let incumbent = Coord::from_vec(vec![50.0, 50.0]);
-        let out = position(
-            &samples,
-            &incumbent,
-            Some(&incumbent),
-            SecurityPolicy::paper(),
-        )
-        .unwrap();
+        let out = position(&samples, &incumbent, Some(&incumbent), true).unwrap();
         assert_eq!(out.fit_errors[4], f64::INFINITY);
         assert!(out.fit_errors.iter().all(|e| !e.is_nan()));
         assert_eq!(out.filtered, Some(104), "the NaN reporter is named");
@@ -586,7 +515,7 @@ mod tests {
     fn at_most_one_filtered_per_positioning() {
         // Two equally terrible refs: the filter still names only one index.
         let errs = [0.9, 0.9, 0.001, 0.002, 0.001];
-        let idx = filter_index(&errs, SecurityPolicy::paper(), &mut Vec::new());
+        let idx = filter_index(&errs, true, &mut Vec::new());
         assert!(idx == Some(0) || idx == Some(1));
     }
 
@@ -600,13 +529,7 @@ mod tests {
         let d = 50.0 * std::f64::consts::SQRT_2;
         let samples = square_samples(&[d, d, d, d, 800.0]); // true rtt 50, delayed
         let incumbent = Coord::from_vec(vec![50.0, 50.0]);
-        let out = position(
-            &samples,
-            &incumbent,
-            Some(&incumbent),
-            SecurityPolicy::paper(),
-        )
-        .unwrap();
+        let out = position(&samples, &incumbent, Some(&incumbent), true).unwrap();
         assert_eq!(out.filtered, Some(104), "the delayer must be rejected");
         // Final position fitted without the liar: stays at the truth.
         assert!((out.coord.vec[0] - 50.0).abs() < 1.0, "{:?}", out.coord);
@@ -628,13 +551,7 @@ mod tests {
         samples[4].coord = Coord::from_vec(vec![50.0, -10_000.0]);
         samples[4].rtt = 10_050.0 * 0.991;
         let incumbent = Coord::from_vec(vec![50.0, 50.0]);
-        let out = position(
-            &samples,
-            &incumbent,
-            Some(&incumbent),
-            SecurityPolicy::paper(),
-        )
-        .unwrap();
+        let out = position(&samples, &incumbent, Some(&incumbent), true).unwrap();
         assert_eq!(out.filtered, None, "consistent lies evade the filter");
         // And the fit is dragged away from the truth.
         let displacement =
@@ -650,6 +567,6 @@ mod tests {
         samples[1].rtt = -5.0;
         samples[2].coord = Coord::from_vec(vec![f64::INFINITY, 0.0]);
         // Only 2 usable refs left < dim+1 = 3.
-        assert!(position(&samples, &Coord::origin(2), None, SecurityPolicy::paper(),).is_none());
+        assert!(position(&samples, &Coord::origin(2), None, true).is_none());
     }
 }

@@ -18,7 +18,7 @@
 use crate::config::NpsConfig;
 use crate::layers::{assign_layers, select_landmarks};
 use crate::membership::Membership;
-use crate::position::{position_node, PositionScratch, RefSample, SecurityPolicy};
+use crate::position::{position_node, PositionScratch, RefSample};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
@@ -31,17 +31,20 @@ use vcoord_defense::{
 };
 use vcoord_metrics::FilterLedger;
 use vcoord_netsim::{Engine, Injected, NodeId, Scheduler, SeedStream, World};
-use vcoord_space::{Coord, Space};
+use vcoord_space::{Coord, SimplexOptions, Space};
 use vcoord_topo::RttMatrix;
 
 /// Length of one positioning round: each node's repositioning period (ms).
 pub const ROUND_MS: u64 = 60_000;
 /// Fraction of ordinary nodes placed in each middle (reference) layer.
 pub(crate) const REF_FRACTION: f64 = 0.20;
-/// Sensitivity constant `C` of the security filter.
-pub(crate) const SECURITY_C: f64 = 4.0;
-/// Absolute fitting-error floor of the security filter (condition 1).
-pub(crate) const SECURITY_MIN_ERROR: f64 = 0.01;
+/// Simplex Downhill options of every positioning fit: a 20 ms starting
+/// step, stop below a 1e-7 best–worst spread or after 150 iterations.
+pub const SIMPLEX: SimplexOptions = SimplexOptions {
+    initial_step: 20.0,
+    tolerance: 1e-7,
+    max_iterations: 150,
+};
 /// Probes slower than this are discarded as suspicious (ms).
 pub(crate) const PROBE_THRESHOLD_MS: f64 = 5_000.0;
 /// Per-layer join stagger window (ms): layer `i` joins during
@@ -131,14 +134,6 @@ struct NpsWorld {
 }
 
 impl NpsWorld {
-    fn security(&self) -> SecurityPolicy {
-        SecurityPolicy {
-            enabled: self.config.security,
-            c: SECURITY_C,
-            min_error: SECURITY_MIN_ERROR,
-        }
-    }
-
     /// Gather one reference probe, applying adversary and threshold rules.
     /// Returns `None` if the probe was lost or discarded.
     fn probe_ref(&mut self, node: usize, r: usize, now_ms: u64) -> Option<RefSample> {
@@ -441,8 +436,8 @@ impl NpsWorld {
             &samples,
             &self.coords[node],
             incumbent,
-            self.security(),
-            &self.config.simplex,
+            self.config.security,
+            &SIMPLEX,
             &mut scratch,
         );
         self.pos_scratch = scratch;
@@ -647,8 +642,8 @@ impl NpsSim {
                     &lm_samples,
                     &coords[l],
                     None,
-                    SecurityPolicy::off(),
-                    &config.simplex,
+                    false,
+                    &SIMPLEX,
                     &mut lm_scratch,
                 ) {
                     coords[l] = out.coord;

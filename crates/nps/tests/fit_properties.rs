@@ -6,7 +6,7 @@
 //! median. Everything `position_node` returns must match it bit for bit.
 
 use proptest::prelude::*;
-use vcoord_nps::{position_node, PositionOutcome, PositionScratch, RefSample, SecurityPolicy};
+use vcoord_nps::{position_node, PositionOutcome, PositionScratch, RefSample, SIMPLEX};
 use vcoord_space::oracle::simplex_downhill_reference;
 use vcoord_space::{Coord, SimplexOptions, Space};
 
@@ -51,7 +51,7 @@ fn reference_positioning(
     samples: &[RefSample],
     start: &Coord,
     incumbent: Option<&Coord>,
-    security: SecurityPolicy,
+    security: bool,
     opts: &SimplexOptions,
 ) -> Option<PositionOutcome> {
     let usable: Vec<usize> = (0..samples.len())
@@ -80,7 +80,7 @@ fn reference_positioning(
         })
         .collect();
     let mut filtered = None;
-    if security.enabled {
+    if security {
         // Last of the maximal errors, as `Iterator::max_by` picks.
         let mut worst = 0;
         for (k, e) in fit_errors.iter().enumerate() {
@@ -97,7 +97,8 @@ fn reference_positioning(
         let eliminate = match finite.get(finite.len() / 2) {
             None => true,
             Some(&median) => {
-                fit_errors[worst] > security.min_error && fit_errors[worst] > security.c * median
+                // The paper's floor 0.01 and sensitivity C = 4.
+                fit_errors[worst] > 0.01 && fit_errors[worst] > 4.0 * median
             }
         };
         if eliminate {
@@ -229,10 +230,8 @@ fn draw() -> impl Strategy<Value = Draw> {
 
 fn sim_opts(max_iterations: usize) -> SimplexOptions {
     SimplexOptions {
-        initial_step: 20.0,
-        tolerance: 1e-7,
         max_iterations,
-        ..SimplexOptions::default()
+        ..SIMPLEX
     }
 }
 
@@ -268,10 +267,10 @@ proptest! {
             let (samples, start) = d.samples(&space, refs, liar, dead_probe);
             let incumbent = with_incumbent.then_some(&start);
             let got = position_node(
-                &space, &samples, &start, incumbent, SecurityPolicy::paper(), &opts, &mut scratch,
+                &space, &samples, &start, incumbent, true, &opts, &mut scratch,
             );
             let want = reference_positioning(
-                &space, &samples, &start, incumbent, SecurityPolicy::paper(), &opts,
+                &space, &samples, &start, incumbent, true, &opts,
             );
             assert_same_outcome(&got, &want);
         }
@@ -305,23 +304,8 @@ fn every_block_tail_matches_the_straight_line_reference() {
         for space in [Space::Euclidean(dim), Space::EuclideanHeight(dim)] {
             for refs in 1..=MAX_REFS {
                 let (samples, start) = d.samples(&space, refs, Some(0), false);
-                let got = position_node(
-                    &space,
-                    &samples,
-                    &start,
-                    None,
-                    SecurityPolicy::paper(),
-                    &opts,
-                    &mut scratch,
-                );
-                let want = reference_positioning(
-                    &space,
-                    &samples,
-                    &start,
-                    None,
-                    SecurityPolicy::paper(),
-                    &opts,
-                );
+                let got = position_node(&space, &samples, &start, None, true, &opts, &mut scratch);
+                let want = reference_positioning(&space, &samples, &start, None, true, &opts);
                 assert_eq!(got.is_some(), refs > dim, "{space:?}, {refs} refs");
                 assert_same_outcome(&got, &want);
             }
@@ -352,18 +336,11 @@ fn fixed_cases_reach_cached_pair_dup_skip_and_single_fit() {
             &samples,
             &start,
             incumbent,
-            SecurityPolicy::paper(),
+            true,
             &opts,
             &mut scratch,
         );
-        let want = reference_positioning(
-            &space,
-            &samples,
-            &start,
-            incumbent,
-            SecurityPolicy::paper(),
-            &opts,
-        );
+        let want = reference_positioning(&space, &samples, &start, incumbent, true, &opts);
         assert_same_outcome(&got, &want);
         let single = reference_fit(
             &space,

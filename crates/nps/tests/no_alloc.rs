@@ -11,7 +11,7 @@
 //! worker threads, and a sibling test allocating concurrently would
 //! corrupt the global counter.
 
-use vcoord_nps::{position_node, PositionScratch, RefSample, SecurityPolicy};
+use vcoord_nps::{position_node, PositionScratch, RefSample};
 use vcoord_obs::testing::{allocations, min_allocations_over, CountingAllocator};
 use vcoord_space::{simplex_downhill, Coord, SimplexOptions, SimplexScratch, Space};
 
@@ -71,7 +71,7 @@ fn fit_hot_path_allocation_budget_holds_with_obs_off() {
             samples,
             &start,
             incumbent,
-            SecurityPolicy::paper(),
+            true,
             &opts,
             &mut pos_scratch,
         )

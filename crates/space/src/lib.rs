@@ -35,5 +35,7 @@ mod space;
 pub mod vector;
 
 pub use coord::{Coord, Displacement};
-pub use simplex::{oracle, simplex_downhill, SimplexOptions, SimplexResult, SimplexScratch};
+pub use simplex::{
+    oracle, simplex_downhill, SimplexOptions, SimplexResult, SimplexScratch, NELDER_MEAD,
+};
 pub use space::Space;

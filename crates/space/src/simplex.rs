@@ -21,17 +21,14 @@
 //! `tests/simplex_properties.rs`, and relied on by the figure-CSV golden
 //! tests). Objective evaluations are counted in [`SimplexResult::evals`].
 
+/// The Nelder–Mead move coefficients `[α, γ, ρ, σ]`, the standard
+/// `[1, 2, ½, ½]`: reflection (α > 0), expansion (γ > 1), contraction
+/// (0 < ρ ≤ 0.5) and shrink (0 < σ < 1).
+pub const NELDER_MEAD: [f64; 4] = [1.0, 2.0, 0.5, 0.5];
+
 /// Tuning knobs for [`simplex_downhill`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimplexOptions {
-    /// Reflection coefficient (α > 0). Standard: 1.0.
-    pub alpha: f64,
-    /// Expansion coefficient (γ > 1). Standard: 2.0.
-    pub gamma: f64,
-    /// Contraction coefficient (0 < ρ ≤ 0.5). Standard: 0.5.
-    pub rho: f64,
-    /// Shrink coefficient (0 < σ < 1). Standard: 0.5.
-    pub sigma: f64,
     /// Initial step added to each axis to build the starting simplex.
     pub initial_step: f64,
     /// Stop when the best–worst objective spread falls below this.
@@ -43,10 +40,6 @@ pub struct SimplexOptions {
 impl Default for SimplexOptions {
     fn default() -> Self {
         SimplexOptions {
-            alpha: 1.0,
-            gamma: 2.0,
-            rho: 0.5,
-            sigma: 0.5,
             initial_step: 50.0,
             tolerance: 1e-8,
             max_iterations: 400,
@@ -348,6 +341,7 @@ where
         points,
     } = s;
     let [centroid, best_buf, trial, trial2] = &mut **points;
+    let [alpha, gamma, rho, sigma] = NELDER_MEAD;
     let (centroid, best_buf) = (centroid.as_mut(), best_buf.as_mut());
     let (trial, trial2) = (trial.as_mut(), trial2.as_mut());
     // Read off a vertex rather than `verts.len()`: a compile-time constant
@@ -409,11 +403,11 @@ where
         }
 
         // Reflection.
-        lerp_into(trial, centroid, verts[worst].as_ref(), -opts.alpha);
+        lerp_into(trial, centroid, verts[worst].as_ref(), -alpha);
         let fr = eval(trial);
         if fr < vals[best] {
             // Expansion.
-            lerp_into(trial2, centroid, verts[worst].as_ref(), -opts.gamma);
+            lerp_into(trial2, centroid, verts[worst].as_ref(), -gamma);
             let fe = eval(trial2);
             if fe < fr {
                 reinsert(verts, vals, order, trial2, fe);
@@ -430,9 +424,9 @@ where
         // Contraction (outside if the reflection improved on the worst,
         // inside otherwise).
         if fr < vals[worst] {
-            lerp_into(trial2, centroid, trial, opts.rho);
+            lerp_into(trial2, centroid, trial, rho);
         } else {
-            lerp_into(trial2, centroid, verts[worst].as_ref(), opts.rho);
+            lerp_into(trial2, centroid, verts[worst].as_ref(), rho);
         }
         let fc = eval(trial2);
         if fc < vals[worst].min(fr) {
@@ -448,7 +442,7 @@ where
             }
             let v = v.as_mut();
             for (x, b) in v.iter_mut().zip(best_buf.iter()) {
-                *x = b + opts.sigma * (*x - b);
+                *x = b + sigma * (*x - b);
             }
             vals[i] = eval(v);
         }
@@ -465,7 +459,7 @@ where
 /// trajectories bit for bit; the `kernels` bench measures the speedup
 /// against it. Not intended for production use.
 pub mod oracle {
-    use super::{SimplexOptions, SimplexResult};
+    use super::{SimplexOptions, SimplexResult, NELDER_MEAD};
 
     /// Reference Nelder–Mead implementation (full sort + fresh allocations
     /// every iteration). See the module docs.
@@ -478,6 +472,7 @@ pub mod oracle {
     {
         assert!(!x0.is_empty(), "cannot optimize a zero-dimensional point");
         let n = x0.len();
+        let [alpha, gamma, rho, sigma] = NELDER_MEAD;
         let evals = std::cell::Cell::new(0usize);
         let eval = |x: &[f64]| -> f64 {
             evals.set(evals.get() + 1);
@@ -541,11 +536,11 @@ pub mod oracle {
             };
 
             // Reflection.
-            let reflected = lerp(&centroid, &verts[worst], -opts.alpha);
+            let reflected = lerp(&centroid, &verts[worst], -alpha);
             let fr = eval(&reflected);
             if fr < vals[best] {
                 // Expansion.
-                let expanded = lerp(&centroid, &verts[worst], -opts.gamma);
+                let expanded = lerp(&centroid, &verts[worst], -gamma);
                 let fe = eval(&expanded);
                 if fe < fr {
                     verts[worst] = expanded;
@@ -565,9 +560,9 @@ pub mod oracle {
             // Contraction (outside if the reflection improved on the worst,
             // inside otherwise).
             let contracted = if fr < vals[worst] {
-                lerp(&centroid, &reflected, opts.rho)
+                lerp(&centroid, &reflected, rho)
             } else {
-                lerp(&centroid, &verts[worst], opts.rho)
+                lerp(&centroid, &verts[worst], rho)
             };
             let fc = eval(&contracted);
             if fc < vals[worst].min(fr) {
@@ -579,7 +574,7 @@ pub mod oracle {
             // Shrink toward the best vertex.
             let best_v = verts[best].clone();
             for &i in order.iter().skip(1) {
-                verts[i] = lerp(&best_v, &verts[i], opts.sigma);
+                verts[i] = lerp(&best_v, &verts[i], sigma);
                 vals[i] = eval(&verts[i]);
             }
         }

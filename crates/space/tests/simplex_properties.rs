@@ -61,7 +61,6 @@ proptest! {
             initial_step: 20.0,
             tolerance: 1e-7,
             max_iterations,
-            ..SimplexOptions::default()
         };
         let mut scratch = SimplexScratch::new();
         for dim in 1..=MAX_DIM {

@@ -42,7 +42,8 @@ impl VivaldiConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{CC, NEAR_CUTOFF_MS, NEAR_NEIGHBORS, NEIGHBORS};
+    use crate::node::CC;
+    use crate::sim::{NEAR_CUTOFF_MS, NEAR_NEIGHBORS, NEIGHBORS};
 
     #[test]
     fn defaults_match_paper() {

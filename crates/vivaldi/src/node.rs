@@ -14,6 +14,11 @@
 use rand::Rng;
 use vcoord_space::{vector, Coord, Space};
 
+/// Adaptive timestep constant `Cc` (< 1).
+pub(crate) const CC: f64 = 0.25;
+/// Numerical clamp range for local error estimates.
+const ERROR_CLAMP: (f64, f64) = (1e-6, 1e3);
+
 /// Outcome of a single update, for diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UpdateOutcome {
@@ -39,11 +44,8 @@ pub struct UpdateOutcome {
 /// the operations of [`Space::direction`] followed by [`Space::apply`], in
 /// the same order, so the result is the same to the bit. Only coincident
 /// nodes take a [`Space::random_unit`] kick.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's update rule inputs
 pub fn vivaldi_update<R: Rng + ?Sized>(
     space: &Space,
-    cc: f64,
-    error_clamp: (f64, f64),
     coord: &mut Coord,
     error: &mut f64,
     remote_coord: &Coord,
@@ -54,7 +56,7 @@ pub fn vivaldi_update<R: Rng + ?Sized>(
     if !(rtt.is_finite() && rtt > 0.0 && remote_coord.is_finite()) {
         return None;
     }
-    let remote_error = remote_error.clamp(0.0, error_clamp.1);
+    let remote_error = remote_error.clamp(0.0, ERROR_CLAMP.1);
 
     // The core distance serves both the prediction and the direction norm.
     let core = vector::dist(&coord.vec, &remote_coord.vec);
@@ -78,7 +80,7 @@ pub fn vivaldi_update<R: Rng + ?Sized>(
         *error / denom
     };
 
-    let step = cc * weight * (rtt - dist);
+    let step = CC * weight * (rtt - dist);
     if norm <= f64::EPSILON {
         space.apply(coord, &space.random_unit(rng), step);
     } else {
@@ -97,7 +99,7 @@ pub fn vivaldi_update<R: Rng + ?Sized>(
         coord.sanitize();
     }
 
-    *error = (sample_error * weight + *error * (1.0 - weight)).clamp(error_clamp.0, error_clamp.1);
+    *error = (sample_error * weight + *error * (1.0 - weight)).clamp(ERROR_CLAMP.0, ERROR_CLAMP.1);
 
     Some(UpdateOutcome {
         sample_error,
@@ -112,8 +114,6 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
 
-    const CLAMP: (f64, f64) = (1e-6, 1e3);
-
     fn rng() -> ChaCha12Rng {
         ChaCha12Rng::seed_from_u64(11)
     }
@@ -127,18 +127,7 @@ mod tests {
         let mut e = 0.5;
         let remote = Coord::from_vec(vec![0.0, 0.0]);
         let before = space.distance(&c, &remote);
-        vivaldi_update(
-            &space,
-            0.25,
-            CLAMP,
-            &mut c,
-            &mut e,
-            &remote,
-            0.5,
-            10.0,
-            &mut rng(),
-        )
-        .unwrap();
+        vivaldi_update(&space, &mut c, &mut e, &remote, 0.5, 10.0, &mut rng()).unwrap();
         assert!(space.distance(&c, &remote) < before);
     }
 
@@ -149,18 +138,7 @@ mod tests {
         let mut e = 0.5;
         let remote = Coord::from_vec(vec![0.0, 0.0]);
         let before = space.distance(&c, &remote);
-        vivaldi_update(
-            &space,
-            0.25,
-            CLAMP,
-            &mut c,
-            &mut e,
-            &remote,
-            0.5,
-            100.0,
-            &mut rng(),
-        )
-        .unwrap();
+        vivaldi_update(&space, &mut c, &mut e, &remote, 0.5, 100.0, &mut rng()).unwrap();
         assert!(space.distance(&c, &remote) > before);
     }
 
@@ -170,18 +148,7 @@ mod tests {
         let mut c = Coord::from_vec(vec![10.0, 0.0]);
         let mut e = 1.0;
         let remote = Coord::from_vec(vec![0.0, 0.0]);
-        let out = vivaldi_update(
-            &space,
-            0.25,
-            CLAMP,
-            &mut c,
-            &mut e,
-            &remote,
-            1.0,
-            10.0,
-            &mut rng(),
-        )
-        .unwrap();
+        let out = vivaldi_update(&space, &mut c, &mut e, &remote, 1.0, 10.0, &mut rng()).unwrap();
         assert_eq!(out.sample_error, 0.0);
         assert!(e < 1.0);
     }
@@ -195,33 +162,12 @@ mod tests {
 
         let mut c1 = Coord::from_vec(vec![10.0, 0.0]);
         let mut e1 = 0.5;
-        let o1 = vivaldi_update(
-            &space,
-            0.25,
-            CLAMP,
-            &mut c1,
-            &mut e1,
-            &remote,
-            0.01,
-            500.0,
-            &mut rng(),
-        )
-        .unwrap();
+        let o1 =
+            vivaldi_update(&space, &mut c1, &mut e1, &remote, 0.01, 500.0, &mut rng()).unwrap();
 
         let mut c2 = Coord::from_vec(vec![10.0, 0.0]);
         let mut e2 = 0.5;
-        let o2 = vivaldi_update(
-            &space,
-            0.25,
-            CLAMP,
-            &mut c2,
-            &mut e2,
-            &remote,
-            5.0,
-            500.0,
-            &mut rng(),
-        )
-        .unwrap();
+        let o2 = vivaldi_update(&space, &mut c2, &mut e2, &remote, 5.0, 500.0, &mut rng()).unwrap();
 
         assert!(o1.weight > o2.weight);
         assert!(o1.displacement > o2.displacement);
@@ -233,43 +179,12 @@ mod tests {
         let mut c = Coord::from_vec(vec![1.0, 1.0]);
         let mut e = 0.5;
         let remote = Coord::from_vec(vec![0.0, 0.0]);
-        assert!(vivaldi_update(
-            &space,
-            0.25,
-            CLAMP,
-            &mut c,
-            &mut e,
-            &remote,
-            0.5,
-            0.0,
-            &mut rng()
-        )
-        .is_none());
-        assert!(vivaldi_update(
-            &space,
-            0.25,
-            CLAMP,
-            &mut c,
-            &mut e,
-            &remote,
-            0.5,
-            f64::NAN,
-            &mut rng()
-        )
-        .is_none());
+        assert!(vivaldi_update(&space, &mut c, &mut e, &remote, 0.5, 0.0, &mut rng()).is_none());
+        assert!(
+            vivaldi_update(&space, &mut c, &mut e, &remote, 0.5, f64::NAN, &mut rng()).is_none()
+        );
         let bad = Coord::from_vec(vec![f64::NAN, 0.0]);
-        assert!(vivaldi_update(
-            &space,
-            0.25,
-            CLAMP,
-            &mut c,
-            &mut e,
-            &bad,
-            0.5,
-            10.0,
-            &mut rng()
-        )
-        .is_none());
+        assert!(vivaldi_update(&space, &mut c, &mut e, &bad, 0.5, 10.0, &mut rng()).is_none());
         // State untouched by rejected samples.
         assert_eq!(c.vec, vec![1.0, 1.0]);
         assert_eq!(e, 0.5);
@@ -282,17 +197,7 @@ mod tests {
         let mut c = Coord::from_vec(vec![1e308, 0.0]);
         let mut e = 0.5;
         let remote = Coord::from_vec(vec![-1e308, 0.0]);
-        let outcome = vivaldi_update(
-            &space,
-            0.25,
-            CLAMP,
-            &mut c,
-            &mut e,
-            &remote,
-            0.5,
-            10.0,
-            &mut rng(),
-        );
+        let outcome = vivaldi_update(&space, &mut c, &mut e, &remote, 0.5, 10.0, &mut rng());
         assert!(outcome.is_some());
         assert!(c.is_finite() && e.is_finite(), "{c:?} {e}");
     }
@@ -303,18 +208,7 @@ mod tests {
         let mut c = Coord::origin(2);
         let mut e = 1.0;
         let remote = Coord::origin(2);
-        vivaldi_update(
-            &space,
-            0.25,
-            CLAMP,
-            &mut c,
-            &mut e,
-            &remote,
-            1.0,
-            50.0,
-            &mut rng(),
-        )
-        .unwrap();
+        vivaldi_update(&space, &mut c, &mut e, &remote, 1.0, 50.0, &mut rng()).unwrap();
         assert!(
             space.distance(&c, &remote) > 0.0,
             "random kick must separate"
@@ -328,20 +222,9 @@ mod tests {
         let mut e = 1.0;
         let remote = Coord::from_vec(vec![0.0, 0.0]);
         // Absurd sample error (dist 1 vs rtt 1e9): error must stay within clamp.
-        vivaldi_update(
-            &space,
-            0.25,
-            CLAMP,
-            &mut c,
-            &mut e,
-            &remote,
-            0.0001,
-            1e9,
-            &mut rng(),
-        )
-        .unwrap();
-        assert!(e <= CLAMP.1);
-        assert!(e >= CLAMP.0);
+        vivaldi_update(&space, &mut c, &mut e, &remote, 0.0001, 1e9, &mut rng()).unwrap();
+        assert!(e <= ERROR_CLAMP.1);
+        assert!(e >= ERROR_CLAMP.0);
     }
 
     /// The update as it was written before it moved the node in place:
@@ -355,7 +238,7 @@ mod tests {
         rtt: f64,
         rng: &mut ChaCha12Rng,
     ) {
-        let remote_error = remote_error.clamp(0.0, CLAMP.1);
+        let remote_error = remote_error.clamp(0.0, ERROR_CLAMP.1);
         let dist = space.distance(coord, remote);
         let sample_error = (dist - rtt).abs() / rtt;
         let denom = *error + remote_error;
@@ -365,11 +248,12 @@ mod tests {
             *error / denom
         };
         let dir = space.direction(coord, remote, rng);
-        space.apply(coord, &dir, 0.25 * weight * (rtt - dist));
+        space.apply(coord, &dir, CC * weight * (rtt - dist));
         if !coord.is_finite() {
             coord.sanitize();
         }
-        *error = (sample_error * weight + *error * (1.0 - weight)).clamp(CLAMP.0, CLAMP.1);
+        *error =
+            (sample_error * weight + *error * (1.0 - weight)).clamp(ERROR_CLAMP.0, ERROR_CLAMP.1);
     }
 
     #[test]
@@ -405,18 +289,8 @@ mod tests {
                 let rtt = draw.gen_range(0.5..400.0);
                 let (mut ra, mut rb) = (rng(), rng());
                 update_via_direction(&space, &mut a, &mut ea, &remote, remote_error, rtt, &mut ra);
-                vivaldi_update(
-                    &space,
-                    0.25,
-                    CLAMP,
-                    &mut b,
-                    &mut eb,
-                    &remote,
-                    remote_error,
-                    rtt,
-                    &mut rb,
-                )
-                .unwrap();
+                vivaldi_update(&space, &mut b, &mut eb, &remote, remote_error, rtt, &mut rb)
+                    .unwrap();
                 let bits = |c: &Coord| -> Vec<u64> {
                     c.vec
                         .iter()
@@ -444,18 +318,7 @@ mod tests {
             height: 0.5,
         };
         for _ in 0..50 {
-            vivaldi_update(
-                &space,
-                0.25,
-                CLAMP,
-                &mut c,
-                &mut e,
-                &remote,
-                0.5,
-                1.0,
-                &mut rng(),
-            )
-            .unwrap();
+            vivaldi_update(&space, &mut c, &mut e, &remote, 0.5, 1.0, &mut rng()).unwrap();
             assert!(c.height >= 0.0);
         }
     }

@@ -24,7 +24,7 @@
 
 use crate::config::VivaldiConfig;
 use crate::neighbors::select_neighbors;
-use crate::node::vivaldi_update;
+use crate::node::{vivaldi_update, CC};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
@@ -38,8 +38,6 @@ use vcoord_netsim::{from_ms_f64, Engine, Injected, NodeId, Scheduler, SeedStream
 use vcoord_space::{Coord, Space};
 use vcoord_topo::RttMatrix;
 
-/// Adaptive timestep constant `Cc` (< 1).
-pub(crate) const CC: f64 = 0.25;
 /// Total neighbours (springs) per node.
 pub(crate) const NEIGHBORS: usize = 64;
 /// How many of the neighbours must be "near" (RTT below
@@ -49,8 +47,6 @@ pub(crate) const NEAR_NEIGHBORS: usize = 32;
 pub(crate) const NEAR_CUTOFF_MS: f64 = 50.0;
 /// Local error estimate of a fresh (or restarted) node.
 const INITIAL_ERROR: f64 = 1.0;
-/// Numerical clamp range for local error estimates.
-const ERROR_CLAMP: (f64, f64) = (1e-6, 1e3);
 
 /// Timer tag: a node's probe tick.
 const TAG_PROBE: u64 = 0;
@@ -427,8 +423,6 @@ impl VivaldiWorld {
         }
         let applied = vivaldi_update(
             &self.config.space,
-            CC,
-            ERROR_CLAMP,
             &mut self.coords[to],
             &mut self.errors[to],
             &s.coord,

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use vcoord_attackkit::{DefenseModel, EvadingFrogBoil, FrogBoiling};
+use vcoord_attackkit::{EvadingFrogBoil, FrogBoiling};
 use vcoord_defense::{Defense, DriftCap, DriftDecay, Provenance, Update, Verdict};
 use vcoord_netsim::SeedStream;
 use vcoord_space::{Coord, Space};
@@ -301,7 +301,7 @@ proptest! {
             if evading {
                 sim.inject_adversary(
                     &attackers,
-                    Box::new(EvadingFrogBoil::new(5.0, DefenseModel::drift_cap(cap))),
+                    Box::new(EvadingFrogBoil::new(5.0, cap)),
                 );
             } else {
                 sim.inject_adversary(&attackers, Box::new(FrogBoiling::new(5.0)));
@@ -344,11 +344,10 @@ proptest! {
         let run = |learning: bool| {
             let mut sim = converged_sim(n, seed);
             let attackers = sim.pick_attackers(0.3);
-            let model = DefenseModel::drift_cap(80.0);
             let adv = if learning {
-                EvadingFrogBoil::learning(5.0, model)
+                EvadingFrogBoil::learning(5.0, 80.0)
             } else {
-                EvadingFrogBoil::new(5.0, model)
+                EvadingFrogBoil::new(5.0, 80.0)
             };
             sim.inject_adversary(&attackers, Box::new(adv));
             sim.deploy_defense(Box::new(DriftCap::new(deployed)));

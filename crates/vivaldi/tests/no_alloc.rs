@@ -27,32 +27,12 @@ fn vivaldi_update_allocation_budget_holds_with_obs_off() {
     let remote = space.random_coord(100.0, &mut rng);
 
     // Pay any one-time lazy init (metric interning happens at first call).
-    vivaldi_update(
-        &space,
-        0.25,
-        (1e-6, 1e3),
-        &mut coord,
-        &mut error,
-        &remote,
-        0.3,
-        85.0,
-        &mut rng,
-    );
+    vivaldi_update(&space, &mut coord, &mut error, &remote, 0.3, 85.0, &mut rng);
 
     const CALLS: u64 = 100_000;
     let allocs = min_allocations_over(3, || {
         for _ in 0..CALLS {
-            vivaldi_update(
-                &space,
-                0.25,
-                (1e-6, 1e3),
-                &mut coord,
-                &mut error,
-                &remote,
-                0.3,
-                85.0,
-                &mut rng,
-            );
+            vivaldi_update(&space, &mut coord, &mut error, &remote, 0.3, 85.0, &mut rng);
         }
     });
     assert_eq!(

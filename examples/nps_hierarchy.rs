@@ -71,7 +71,7 @@ fn main() {
     // Attack.
     let attackers = sim.pick_attackers(fraction);
     let adversary: Box<dyn AttackStrategy> = match attack.as_str() {
-        "disorder" => Box::new(NpsSimpleDisorder::default()),
+        "disorder" => Box::new(NpsSimpleDisorder),
         "antidetect" => Box::new(NpsAntiDetection::naive(Knowledge::half())),
         "sophisticated" => Box::new(NpsAntiDetection::sophisticated(Knowledge::half())),
         "collusion" => Box::new(NpsCollusionIsolation::new(0.2)),

@@ -65,7 +65,7 @@ fn nps_run(seed: u64, empty_plan: bool) -> RunFingerprint {
     let mut sim = NpsSim::new(matrix, config, &seeds);
     sim.run_rounds(10);
     let attackers = sim.pick_attackers(0.25);
-    sim.inject_adversary(&attackers, Box::new(NpsSimpleDisorder::default()));
+    sim.inject_adversary(&attackers, Box::new(NpsSimpleDisorder));
     sim.deploy_defense(Box::new(DriftCap::with_decay(40.0, DriftDecay::new(5.0))));
     if empty_plan {
         sim.install_chaos(ChaosPlan::none());

@@ -29,7 +29,7 @@ fn nps_simulation_replays_identically() {
         let mut sim = NpsSim::new(matrix, NpsConfig::default(), &seeds);
         sim.run_rounds(12);
         let attackers = sim.pick_attackers(0.2);
-        sim.inject_adversary(&attackers, Box::new(NpsSimpleDisorder::default()));
+        sim.inject_adversary(&attackers, Box::new(NpsSimpleDisorder));
         sim.run_rounds(10);
         sim.coords().to_vec()
     };

@@ -52,7 +52,7 @@ fn security_filter_mitigates_low_fraction_disorder() {
         let (mut sim, seeds) = build(250, 3, config);
         sim.run_rounds(25);
         let attackers = sim.pick_attackers(0.10);
-        sim.inject_adversary(&attackers, Box::new(NpsSimpleDisorder::default()));
+        sim.inject_adversary(&attackers, Box::new(NpsSimpleDisorder));
         sim.run_rounds(40);
         avg_error(&sim, &seeds)
     };
@@ -76,7 +76,7 @@ fn heavy_disorder_defeats_the_filter() {
     sim.run_rounds(25);
     let clean = avg_error(&sim, &seeds);
     let attackers = sim.pick_attackers(0.50);
-    sim.inject_adversary(&attackers, Box::new(NpsSimpleDisorder::default()));
+    sim.inject_adversary(&attackers, Box::new(NpsSimpleDisorder));
     sim.run_rounds(40);
     let attacked = avg_error(&sim, &seeds);
     assert!(

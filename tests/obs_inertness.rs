@@ -47,7 +47,7 @@ fn nps_run(seed: u64) -> RunFingerprint {
     let mut sim = NpsSim::new(matrix, NpsConfig::default(), &seeds);
     sim.run_rounds(10);
     let attackers = sim.pick_attackers(0.25);
-    sim.inject_adversary(&attackers, Box::new(NpsSimpleDisorder::default()));
+    sim.inject_adversary(&attackers, Box::new(NpsSimpleDisorder));
     sim.run_rounds(10);
     RunFingerprint {
         coord_bits: sim

@@ -87,7 +87,7 @@ proptest! {
         let mut e = error;
         let mut rng = ChaCha12Rng::seed_from_u64(1);
         let _ = vivaldi_update(
-            &space, 0.25, (1e-6, 1e3), &mut c, &mut e, &remote, remote_error, rtt, &mut rng,
+            &space, &mut c, &mut e, &remote, remote_error, rtt, &mut rng,
         );
         prop_assert!(c.is_finite());
         prop_assert!(e.is_finite() && e >= 0.0);
@@ -105,7 +105,7 @@ proptest! {
         let remote = Coord::origin(2);
         let before = (x - rtt).abs();
         let mut rng = ChaCha12Rng::seed_from_u64(2);
-        vivaldi_update(&space, 0.25, (1e-6, 1e3), &mut c, &mut e, &remote, 0.5, rtt, &mut rng)
+        vivaldi_update(&space, &mut c, &mut e, &remote, 0.5, rtt, &mut rng)
             .expect("valid sample");
         let after = (space.distance(&c, &remote) - rtt).abs();
         prop_assert!(after <= before + 1e-9, "{before} -> {after}");
