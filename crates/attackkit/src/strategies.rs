@@ -43,8 +43,9 @@ use vcoord_space::{Coord, Displacement};
 /// NPS.
 pub const LIE_ERROR: f64 = 0.01;
 
-/// Probe delay range of the disorder lie, ms (§5.3.1).
-const DISORDER_DELAY_MS: (f64, f64) = (100.0, 1000.0);
+/// Probe delay range of the disorder lie, ms (§5.3.1), shared by the
+/// Vivaldi and NPS disorder attacks.
+pub const DISORDER_DELAY_MS: (f64, f64) = (100.0, 1000.0);
 
 /// Drift the true coordinate of `node` by `offset` along `axis` (shared
 /// with the adaptive strategies in [`crate::adaptive`]).

@@ -14,7 +14,9 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use std::collections::{HashMap, HashSet};
-use vcoord_attackkit::{AttackStrategy, Collusion, CoordView, Lie, Probe, LIE_ERROR};
+use vcoord_attackkit::{
+    AttackStrategy, Collusion, CoordView, Lie, Probe, DISORDER_DELAY_MS, LIE_ERROR,
+};
 use vcoord_space::Coord;
 
 /// §5.4.1 — *independent disorder*: a malicious reference point transmits
@@ -22,9 +24,6 @@ use vcoord_space::Coord;
 /// `[100, 1000]` ms, without caring about lie consistency.
 #[derive(Debug, Clone, Default)]
 pub struct NpsSimpleDisorder;
-
-/// Probe delay range of the independent disorder attack, ms.
-const DISORDER_DELAY_MS: (f64, f64) = (100.0, 1000.0);
 
 impl AttackStrategy for NpsSimpleDisorder {
     fn respond(

@@ -25,13 +25,9 @@ pub struct NpsConfig {
     /// Whether the malicious-reference detection mechanism is on.
     pub security: bool,
     /// Probation channel period, in positioning rounds: every
-    /// `probation_every`-th round a node re-measures one reference from its
-    /// rolling ban list (round-robin). The probation sample is *evidence
-    /// only* — it is screened through the deployed defense so a decaying
-    /// ban (`DriftDecay`) can observe reform and emit a `Reinstate`, but it
-    /// never enters the Simplex fit. `0` (the default) disables the
-    /// channel; without it, membership-mediated banning cuts the evidence
-    /// stream and decay can never compose with banishment.
+    /// `probation_every`-th round a node re-measures one banned reference as
+    /// evidence only (screened by the defense, never fitted), so a decaying
+    /// ban can observe reform. `0` (the default) disables the channel.
     pub probation_every: u64,
 }
 

@@ -37,6 +37,7 @@
 #![forbid(unsafe_code)]
 
 mod config;
+mod exclusion;
 mod layers;
 mod membership;
 mod position;

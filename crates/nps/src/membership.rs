@@ -11,6 +11,7 @@ use rand::Rng;
 /// Membership server state: the layer directory.
 #[derive(Debug, Clone)]
 pub(crate) struct Membership {
+    layer: Vec<u8>,
     members: Vec<Vec<usize>>,
 }
 
@@ -18,56 +19,40 @@ impl Membership {
     /// Build from a per-node layer vector (`layer[i]` = layer of node `i`).
     pub(crate) fn new(layer: &[u8], layers: usize) -> Membership {
         Membership {
+            layer: layer.to_vec(),
             members: crate::layers::layer_members(layer, layers),
         }
     }
 
-    /// Assign `k` random reference points for `node` (member of `layer`),
-    /// drawn from layer `layer - 1`, excluding `banned` ids.
-    ///
-    /// Returns fewer than `k` when the pool is small; empty for layer 0
-    /// (landmarks position among themselves).
-    pub(crate) fn assign_refs<R: Rng + ?Sized>(
-        &self,
-        node: usize,
-        layer: u8,
-        k: usize,
-        banned: &[usize],
-        rng: &mut R,
-    ) -> Vec<usize> {
-        if layer == 0 {
-            return Vec::new();
-        }
-        let pool: Vec<usize> = self.members[(layer - 1) as usize]
-            .iter()
-            .copied()
-            .filter(|&r| r != node && !banned.contains(&r))
-            .collect();
-        let mut pool = pool;
+    /// The layer above `node`'s, which its references come from; `None`
+    /// for a landmark (landmarks position among themselves).
+    fn above(&self, node: usize) -> Option<&[usize]> {
+        let layer = self.layer[node].checked_sub(1)?;
+        Some(&self.members[layer as usize])
+    }
+
+    /// Assign `k` random reference points for `node`; fewer when the pool
+    /// is small, none for a landmark.
+    pub(crate) fn assign_refs(&self, node: usize, k: usize, rng: &mut impl Rng) -> Vec<usize> {
+        let mut pool = self.above(node).unwrap_or_default().to_vec();
         pool.shuffle(rng);
         pool.truncate(k);
         pool
     }
 
-    /// One replacement reference for `node`, excluding current refs and
-    /// banned ids. `None` when the pool is exhausted — the node then keeps
-    /// running with fewer references (the paper's attackers rely on
-    /// exactly this kind of slack).
-    pub(crate) fn replacement<R: Rng + ?Sized>(
+    /// One replacement reference for `node`, drawn uniformly from the
+    /// layer above minus `excluded` ids. `None` when the pool is exhausted.
+    pub(crate) fn replacement(
         &self,
         node: usize,
-        layer: u8,
-        current: &[usize],
-        banned: &[usize],
-        rng: &mut R,
+        excluded: impl Fn(usize) -> bool,
+        rng: &mut impl Rng,
     ) -> Option<usize> {
-        if layer == 0 {
-            return None;
-        }
-        let pool: Vec<usize> = self.members[(layer - 1) as usize]
+        let pool: Vec<usize> = self
+            .above(node)?
             .iter()
             .copied()
-            .filter(|&r| r != node && !current.contains(&r) && !banned.contains(&r))
+            .filter(|&r| !excluded(r))
             .collect();
         pool.choose(rng).copied()
     }
@@ -99,47 +84,40 @@ mod tests {
     fn refs_come_from_layer_above() {
         let m = membership();
         let mut rng = ChaCha12Rng::seed_from_u64(0);
-        let refs = m.assign_refs(9, 2, 3, &[], &mut rng);
+        let refs = m.assign_refs(9, 3, &mut rng);
         assert_eq!(refs.len(), 3);
         assert!(refs.iter().all(|r| m.members[1].contains(r)));
-    }
-
-    #[test]
-    fn banned_refs_are_excluded() {
-        let m = membership();
-        let mut rng = ChaCha12Rng::seed_from_u64(0);
-        let refs = m.assign_refs(9, 2, 4, &[4, 5], &mut rng);
-        assert_eq!(refs.len(), 2);
-        assert!(!refs.contains(&4) && !refs.contains(&5));
     }
 
     #[test]
     fn replacement_avoids_current_and_banned() {
         let m = membership();
         let mut rng = ChaCha12Rng::seed_from_u64(0);
-        let r = m.replacement(9, 2, &[4, 5], &[6], &mut rng);
+        let r = m.replacement(9, |r| [4, 5, 6].contains(&r), &mut rng);
         assert_eq!(r, Some(7));
-        assert_eq!(m.replacement(9, 2, &[4, 5, 7], &[6], &mut rng), None);
+        assert_eq!(
+            m.replacement(9, |r| [4, 5, 6, 7].contains(&r), &mut rng),
+            None
+        );
     }
 
     #[test]
     fn landmarks_get_no_refs() {
         let m = membership();
         let mut rng = ChaCha12Rng::seed_from_u64(0);
-        assert!(m.assign_refs(0, 0, 5, &[], &mut rng).is_empty());
-        assert_eq!(m.replacement(0, 0, &[], &[], &mut rng), None);
+        assert!(m.assign_refs(0, 5, &mut rng).is_empty());
+        assert_eq!(m.replacement(0, |_| false, &mut rng), None);
     }
 
     #[test]
     fn never_assigns_self() {
-        // Node 4 is in layer 1; when (hypothetically) asking for layer-1
-        // refs for a layer-2 node id equal to a pool member, self is
-        // excluded.
+        // A node's references come from the layer above its own, so no
+        // assignment or replacement can hand a node itself.
         let m = membership();
         let mut rng = ChaCha12Rng::seed_from_u64(0);
-        for _ in 0..20 {
-            let refs = m.assign_refs(4, 2, 4, &[], &mut rng);
-            assert!(!refs.contains(&4));
+        for node in 0..12 {
+            assert!(!m.assign_refs(node, 4, &mut rng).contains(&node));
+            assert_ne!(m.replacement(node, |_| false, &mut rng), Some(node));
         }
     }
 }

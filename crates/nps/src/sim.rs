@@ -16,13 +16,13 @@
 //! that never cheat".
 
 use crate::config::NpsConfig;
+use crate::exclusion::Exclusion;
 use crate::layers::{assign_layers, select_landmarks};
 use crate::membership::Membership;
 use crate::position::{position_node, PositionScratch, RefSample};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
-use std::collections::VecDeque;
 use std::sync::Arc;
 use vcoord_attackkit::{AttackStrategy, CoordView, Lie, Probe, Protocol, Scenario};
 use vcoord_chaos::{ChaosCounters, ChaosPlan, ChaosState, ProbeFate};
@@ -90,23 +90,13 @@ struct NpsWorld {
     config: NpsConfig,
     /// Shared with every clone of this system.
     matrix: Arc<RttMatrix>,
-    membership: Membership,
     layer: Vec<u8>,
     is_ref: Vec<bool>,
     coords: Vec<Coord>,
     positioned: Vec<bool>,
     refs: Vec<Vec<usize>>,
-    /// Per-node rolling ban ledger, FIFO: `push_back` on ban, `pop_front`
-    /// on window expiry and starvation-relief lease selection — a
-    /// `VecDeque` so long ledgers under heavy churn stay O(1) per event
-    /// instead of the old `Vec::remove(0)` front-pop going quadratic.
-    banned: Vec<VecDeque<usize>>,
-    /// Per-node readmission leases: references readmitted into the probe
-    /// rotation by starvation relief while *still on the ban ledger*.
-    /// Their samples carry `Provenance::Lease` and are quarantined by the
-    /// defense engine. Always a subset of `refs[node]`; empty in every
-    /// non-chaos run.
-    leased: Vec<Vec<usize>>,
+    /// Bans, leases, probation and replacement draws.
+    exclusion: Exclusion,
     malicious: Vec<bool>,
     scenario: Injected<Scenario>,
     defense: Injected<Defense>,
@@ -127,10 +117,6 @@ struct NpsWorld {
     /// own stream, so a run with an empty plan is bitwise identical to a
     /// plain run.
     chaos: Injected<ChaosState>,
-    /// Per-node positioning-round count, driving the probation cadence.
-    probation_clock: Vec<u64>,
-    /// Per-node round-robin cursor over the rolling ban list.
-    probation_cursor: Vec<usize>,
 }
 
 impl NpsWorld {
@@ -144,9 +130,8 @@ impl NpsWorld {
             match self.chaos_probe(node, r, now_ms, true_rtt) {
                 Some(v) => v,
                 None => {
-                    // The reference is unreachable after a full retry
-                    // cycle: fail over through the existing membership /
-                    // replacement channel, exactly like a distrusted one.
+                    // Unreachable after a full retry cycle: fail over
+                    // through the ban channel, like a distrusted reference.
                     self.ban_ref(node, r, now_ms);
                     return None;
                 }
@@ -216,11 +201,8 @@ impl NpsWorld {
         // Screen the surviving sample through the deployed defense (if
         // any) before it can enter the fit.
         if let Some(defense) = self.defense.as_mut() {
-            // Was this reference handed out on a readmission lease? Leased
-            // evidence is tagged so the defense engine quarantines it (the
-            // `leased` lists are empty outside chaos runs, so this is one
-            // scan of an empty Vec on the pre-chaos path).
-            let provenance = if self.leased[node].contains(&r) {
+            // Leased evidence is tagged so the defense engine quarantines it.
+            let provenance = if self.exclusion.is_leased(node, r) {
                 Provenance::Lease
             } else {
                 Provenance::Normal
@@ -248,13 +230,9 @@ impl NpsWorld {
                 }
             }
             if verdict == Verdict::Reject {
-                // Dropped from the round — and, like a probe-threshold
-                // hit, routed through the rolling ban/replacement channel:
-                // a deployed node that distrusts a reference asks the
-                // membership server for another. Without the replacement a
-                // permanently-banning strategy (the drift cap) would
-                // silently starve the node's reference set until it can no
-                // longer position at all.
+                // Dropped from the round and banned, like a probe-threshold
+                // hit: without the replacement a permanently-banning
+                // strategy would starve the node's reference set.
                 self.ban_ref(node, r, now_ms);
                 return None;
             }
@@ -287,126 +265,58 @@ impl NpsWorld {
     /// Ban reference `bad` for `node` and request a replacement from the
     /// membership server.
     fn ban_ref(&mut self, node: usize, bad: usize, now_ms: u64) {
-        if let Some(pos) = self.leased[node].iter().position(|&l| l == bad) {
-            // A leased reference earned a fresh ban: the loan is called in.
-            // Its old ledger entries dissolve (the new ban below re-files it
-            // at the FIFO tail, so it goes to the back of the relief queue).
-            self.leased[node].swap_remove(pos);
-            self.banned[node].retain(|&b| b != bad);
+        if self.exclusion.ban(node, bad) {
             if let Some(chaos) = self.chaos.as_mut() {
                 chaos.note_lease_return(node, bad, now_ms);
             }
         }
-        self.banned[node].push_back(bad);
-        // Rolling exclusion window, not a permanent blacklist: NPS replaces
-        // a rejected reference "for future repositioning"; an unbounded
-        // blacklist would exhaust the reference pool under false positives
-        // (and the paper's attackers demonstrably keep getting reprieves).
-        let window = (2 * self.config.refs_per_node).max(8);
-        if self.banned[node].len() > window {
-            if let Some(expired) = self.banned[node].pop_front() {
-                // If the expiring entry was the *last* ledger record of a
-                // leased reference, the lease dissolves with it: the window
-                // has rolled past the ban, so the reference is an ordinary
-                // member again, exactly as a non-leased ban would age out.
-                if !self.banned[node].contains(&expired) {
-                    self.leased[node].retain(|&l| l != expired);
-                }
-            }
-        }
         let had = self.refs[node].len();
         self.refs[node].retain(|&r| r != bad);
-        if self.refs[node].len() == had {
-            // `bad` was not an active reference (a probation re-measure of
-            // an already-banned node): the window refreshed, but no slot
-            // opened, so no replacement is due.
-            return;
-        }
-        self.banned[node].make_contiguous();
-        if let Some(replacement) = self.membership.replacement(
-            node,
-            self.layer[node],
-            &self.refs[node],
-            self.banned[node].as_slices().0,
-            &mut self.probe_rng,
-        ) {
-            self.refs[node].push(replacement);
-            self.counters.refs_replaced += 1;
+        // A re-ban of a reference already out of the rotation (a probation
+        // re-measure) opens no slot.
+        if self.refs[node].len() < had {
+            self.replace_ref(node);
         }
     }
 
-    /// Drain the deployed defense's reputation events. A `Reinstate` event
-    /// is routed through the ban/replacement channel in reverse: the
-    /// forgiven node is scrubbed from **every** observer's rolling ban
-    /// list, so the membership server can hand it out as a replacement
-    /// again (the structural undo of the bans its `Reject` verdicts
-    /// caused). Ban events need no extra routing — each `Reject` already
-    /// went through [`NpsWorld::ban_ref`] at inspection time.
+    /// Draw a replacement reference for `node`; false when the pool is
+    /// exhausted.
+    fn replace_ref(&mut self, node: usize) -> bool {
+        let refs = &mut self.refs[node];
+        let replaced = self.exclusion.replace(node, refs, &mut self.probe_rng);
+        self.counters.refs_replaced += u64::from(replaced);
+        replaced
+    }
+
+    /// Drain the deployed defense's reputation events: each `Reinstate`
+    /// forgives its node. Ban events need no routing — each `Reject`
+    /// already went through [`NpsWorld::ban_ref`] at inspection time.
     fn drain_reputation_events(&mut self) {
         let Some(defense) = self.defense.as_mut() else {
             return;
         };
         let (_, reinstated) = defense.drain_reputation();
         for &id in reinstated {
-            for list in self.banned.iter_mut() {
-                list.retain(|&x| x != id);
-            }
-            // A strategy-level reinstatement clears leases too: the node is
-            // genuinely forgiven, so holding it on quarantined evidence
-            // would re-open the very gap the lease closed.
-            for list in self.leased.iter_mut() {
-                list.retain(|&x| x != id);
-            }
+            self.exclusion.forgive(id);
         }
     }
 
     fn reposition(&mut self, node: usize, now_ms: u64) {
         let _span = vcoord_obs::span(vcoord_obs::metric_id!("nps.position_ns"));
-        // Starvation relief, chaos runs only. A ban whose replacement
-        // request found the membership pool exhausted loses the reference
-        // slot permanently, and under churn that can starve a node's
-        // reference set below the dim+1 positioning constraint — a
-        // restarted (origin-reset) node would then skip every round
-        // forever. Refill: first re-ask the membership server for
-        // never-banned candidates (bans are scrubbed on reinstatement, so
-        // the pool recovers over time), then fall back to *leasing* the
-        // oldest banned references back into the rotation — readmission is
-        // a loan, not forgiveness: the reference stays on the ban ledger
-        // and every sample it produces is tagged `Provenance::Lease`, so
-        // the defense quarantines its evidence instead of letting it heal
-        // the ban. Without a chaos plan installed a starved node keeps a
-        // valid incumbent coordinate, so the pre-chaos behavior (and its
-        // goldens) is untouched. Gated on the plan carrying actual faults
-        // — an empty plan must stay bitwise inert
-        // (tests/chaos_properties.rs), and starvation without faults
-        // cannot strand a node at the origin.
+        // Starvation relief, chaos runs only: a node whose bans found the
+        // membership pool exhausted refills to the dim+1 positioning
+        // constraint, first by replacement, then by leases. Without faults
+        // a starved node keeps a valid incumbent coordinate, and an empty
+        // plan must stay bitwise inert (tests/chaos_properties.rs).
         if self.chaos.as_ref().is_some_and(|c| !c.plan().is_empty()) {
             let need = self.config.space.dim() + 1;
             while self.refs[node].len() < need {
-                self.banned[node].make_contiguous();
-                if let Some(repl) = self.membership.replacement(
-                    node,
-                    self.layer[node],
-                    &self.refs[node],
-                    self.banned[node].as_slices().0,
-                    &mut self.probe_rng,
-                ) {
-                    self.refs[node].push(repl);
-                    self.counters.refs_replaced += 1;
+                if self.replace_ref(node) {
                     continue;
                 }
-                // FIFO over the ban ledger: oldest entry whose reference is
-                // not already in the rotation (skips live leases — `leased`
-                // is a subset of `refs` — and duplicate ledger entries).
-                let candidate = self.banned[node]
-                    .iter()
-                    .copied()
-                    .find(|b| !self.refs[node].contains(b));
-                let Some(back) = candidate else {
+                let Some(back) = self.exclusion.lend(node, &mut self.refs[node]) else {
                     break;
                 };
-                self.refs[node].push(back);
-                self.leased[node].push(back);
                 if let Some(chaos) = self.chaos.as_mut() {
                     chaos.note_lease(node, back, now_ms);
                 }
@@ -480,42 +390,18 @@ impl NpsWorld {
         }
     }
 
-    /// The probation channel (`NpsConfig::probation_every`): every N-th
-    /// positioning round a node re-measures one reference from its rolling
-    /// ban list, round-robin. The probe runs the full adversary + defense
-    /// path of [`NpsWorld::probe_ref`], so a decaying ban keeps receiving
-    /// evidence about the banned node and can observe reform — but the
-    /// returned sample is dropped here and never enters the fit. This is
-    /// what lets reputation decay compose with membership-mediated
-    /// banishment: without it, a ban cuts the evidence stream and
+    /// The probation channel (`NpsConfig::probation_every`): the probe runs
+    /// the full adversary + defense path of [`NpsWorld::probe_ref`], so a
+    /// decaying ban keeps receiving evidence about the banned node and can
+    /// observe reform — but the returned sample is dropped here and never
+    /// enters the fit. Without it, a ban cuts the evidence stream and
     /// forgiveness is structurally blind.
     fn maybe_probation(&mut self, node: usize, now_ms: u64) {
         let every = self.config.probation_every;
         if every == 0 || self.defense.is_none() {
             return;
         }
-        self.probation_clock[node] += 1;
-        if self.probation_clock[node] % every != 0 || self.banned[node].is_empty() {
-            return;
-        }
-        let cursor = self.probation_cursor[node];
-        // Skip ledger entries whose reference is out on a lease: a leased
-        // reference already feeds (quarantined) evidence through the
-        // regular probe rotation, and probing it here would double-count
-        // the same round's sample — once as probation, once as lease.
-        let len = self.banned[node].len();
-        let mut candidate = None;
-        for k in 0..len {
-            let cand = self.banned[node][cursor.wrapping_add(k) % len];
-            if !self.leased[node].contains(&cand) {
-                candidate = Some(cand);
-                self.probation_cursor[node] = cursor.wrapping_add(k + 1);
-                break;
-            }
-        }
-        let Some(candidate) = candidate else {
-            // Every banned reference is currently leased: nothing to probe.
-            self.probation_cursor[node] = cursor.wrapping_add(1);
+        let Some(candidate) = self.exclusion.probation(node, every) else {
             return;
         };
         self.counters.probation_probes += 1;
@@ -654,9 +540,7 @@ impl NpsSim {
         // Reference assignment (static membership; bans accrue at runtime).
         let mut member_rng = seeds.rng("nps/membership");
         let refs: Vec<Vec<usize>> = (0..n)
-            .map(|i| {
-                membership.assign_refs(i, layer[i], config.refs_per_node, &[], &mut member_rng)
-            })
+            .map(|i| membership.assign_refs(i, config.refs_per_node, &mut member_rng))
             .collect();
 
         let mut positioned = vec![false; n];
@@ -677,13 +561,11 @@ impl NpsSim {
 
         let world = NpsWorld {
             is_ref,
-            membership,
+            exclusion: Exclusion::new(membership, n, config.refs_per_node),
             layer,
             coords,
             positioned,
             refs,
-            banned: vec![VecDeque::new(); n],
-            leased: vec![Vec::new(); n],
             malicious: vec![false; n],
             scenario: Injected::default(),
             defense: Injected::default(),
@@ -696,8 +578,6 @@ impl NpsSim {
             samples_buf: lm_samples,
             refs_buf: Vec::new(),
             chaos: Injected::default(),
-            probation_clock: vec![0; n],
-            probation_cursor: vec![0; n],
             matrix: Arc::new(matrix),
             config,
         };
@@ -795,15 +675,7 @@ impl NpsSim {
     /// all land here; a defense `Reinstate` event scrubs them out again).
     /// Sorted and deduplicated.
     pub fn currently_banned(&self) -> Vec<usize> {
-        let mut ids: Vec<usize> = self
-            .world
-            .banned
-            .iter()
-            .flat_map(|l| l.iter().copied())
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        self.world.exclusion.banned_ids()
     }
 
     /// Honest, positioned, non-landmark nodes — the evaluation population.
@@ -900,12 +772,9 @@ impl NpsSim {
     ///   fit; `reported_error` is `1.0` — the NPS protocol carries no error
     ///   field;
     /// * [`Verdict::Reject`] drops the reference sample from the round (it
-    ///   neither enters the fit nor the security filter) **and** routes the
-    ///   reference through NPS's rolling ban/replacement channel, exactly
-    ///   like a probe-threshold hit: the membership server supplies a
-    ///   substitute, so a strategy that permanently bans a neighbor (the
-    ///   drift cap) shrinks the attacker's reach instead of starving the
-    ///   victim's reference set;
+    ///   neither enters the fit nor the security filter) **and** bans the
+    ///   reference like a probe-threshold hit, so the membership server
+    ///   supplies a substitute;
     /// * `round` is the repositioning period index — the same clock the
     ///   adversary seam uses;
     /// * the defense inspects reference probes of *ordinary* repositioning
@@ -1180,7 +1049,7 @@ mod tests {
         // The Reject routed the target through ban/replacement; the
         // reinstate event scrubbed it from every rolling ban list again.
         assert!(
-            sim.world.banned.iter().all(|l| !l.contains(&target)),
+            !sim.currently_banned().contains(&target),
             "reinstatement must scrub the rolling ban lists"
         );
     }
@@ -1323,12 +1192,16 @@ mod tests {
         };
         // Stage: both a and b on the ban ledger (a oldest), a out on lease
         // (leases live inside the rotation, so it is also an active ref).
-        sim.world.banned[node] = VecDeque::from(vec![a, b]);
-        sim.world.refs[node].retain(|&r| r != a && r != b);
-        sim.world.refs[node].push(a);
-        sim.world.leased[node] = vec![a];
-        sim.world.probation_clock[node] = 0;
-        sim.world.probation_cursor[node] = 0;
+        // Forgiving every warm-up ban empties the ledgers first; the
+        // probation clock and cursor are still at zero (no defense ran).
+        let world = &mut sim.world;
+        for id in world.exclusion.banned_ids() {
+            world.exclusion.forgive(id);
+        }
+        world.refs[node].retain(|&r| r != a && r != b);
+        world.exclusion.ban(node, a);
+        world.exclusion.ban(node, b);
+        assert_eq!(world.exclusion.lend(node, &mut world.refs[node]), Some(a));
 
         sim.world.maybe_probation(node, 600_000);
         assert_eq!(sim.world.counters.probation_probes, 1);
@@ -1347,13 +1220,14 @@ mod tests {
             "a leased reference must never receive a probation probe"
         );
         assert_eq!(
-            sim.world.probation_cursor[node], 2,
+            sim.world.exclusion.cursor(node),
+            2,
             "cursor skips past the lease"
         );
 
         // With every ledger entry leased, probation has nothing to probe.
-        sim.world.refs[node].push(b);
-        sim.world.leased[node] = vec![a, b];
+        let world = &mut sim.world;
+        assert_eq!(world.exclusion.lend(node, &mut world.refs[node]), Some(b));
         sim.world.maybe_probation(node, 660_000);
         assert_eq!(
             sim.world.counters.probation_probes, 1,
