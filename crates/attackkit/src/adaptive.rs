@@ -48,7 +48,7 @@ use vcoord_space::Coord;
 ///   flag per colluder is informative: the drift cap bans permanently,
 ///   and every later rejection of the same colluder merely re-states the
 ///   old evidence.
-/// * **Clean patience windows** — [`CapLearner::patience`] consecutive
+/// * **Clean patience windows** — `CAP_LEARNER_PATIENCE` consecutive
 ///   rounds without a fresh flag. The pull sustained across the window
 ///   outlived the defense's evidence window without a ban, so the lower
 ///   bracket rises to it.
@@ -59,12 +59,6 @@ use vcoord_space::Coord;
 /// the fixed-model evader.
 #[derive(Debug, Clone)]
 pub struct CapLearner {
-    /// Rounds without a fresh flag before the sustained pull is accepted
-    /// as proven-safe. Sized past the drift cap's default evidence window
-    /// (16 residuals at roughly one inspection per round): a shorter
-    /// window would promote pulls the defense simply had not finished
-    /// judging.
-    pub patience: u64,
     /// Largest sustained pull proven safe so far (ms).
     lo: f64,
     /// Smallest pull observed to draw a ban (`f64::INFINITY` until one).
@@ -73,30 +67,31 @@ pub struct CapLearner {
     flagged: std::collections::HashSet<usize>,
 }
 
+/// Rounds without a fresh flag before a [`CapLearner`] accepts the
+/// sustained pull as proven-safe. Sized past the drift cap's default
+/// evidence window (16 residuals at roughly one inspection per round): a
+/// shorter window would promote pulls the defense simply had not finished
+/// judging.
+const CAP_LEARNER_PATIENCE: u64 = 20;
+
 impl Default for CapLearner {
     fn default() -> Self {
-        CapLearner::new(20)
-    }
-}
-
-impl CapLearner {
-    /// A fresh learner with the given patience window.
-    pub fn new(patience: u64) -> CapLearner {
         CapLearner {
-            patience: patience.max(1),
             lo: 0.0,
             hi: f64::INFINITY,
             clean_rounds: 0,
             flagged: std::collections::HashSet::new(),
         }
     }
+}
 
+impl CapLearner {
     /// One round passed; `sustained` is the worst pull the colluders held
     /// through it. After a full clean patience window that pull is
     /// proven safe and becomes the lower bracket.
     fn observe_round(&mut self, sustained: f64) {
         self.clean_rounds += 1;
-        if self.clean_rounds < self.patience {
+        if self.clean_rounds < CAP_LEARNER_PATIENCE {
             return;
         }
         self.clean_rounds = 0;
@@ -203,7 +198,8 @@ fn strided_sample(ids: &[usize], cap: usize) -> Vec<usize> {
 
 /// *Evading frog-boiling*: the classic coherent drift, throttled against a
 /// modeled drift cap so each colluder's estimated vector mean pull stays
-/// strictly under it.
+/// strictly under it. [`EvadingFrogBoil::default`] takes the model on
+/// faith; [`EvadingFrogBoil::learning`] revises it online.
 ///
 /// The classic attack advances its offset every round regardless of
 /// whether the victims keep up; the lag between offset and victim drift is
@@ -216,13 +212,10 @@ fn strided_sample(ids: &[usize], cap: usize) -> Vec<usize> {
 /// invisible to the detector that kills the classic frog outright.
 #[derive(Debug, Clone)]
 pub struct EvadingFrogBoil {
-    /// Largest per-round offset advance, ms — the same detectability
-    /// budget knob as [`FrogBoiling::step`](crate::FrogBoiling::step), for
-    /// matched-budget comparisons.
-    pub step: f64,
-    /// Modeled drift-cap bound: the largest sustained vector mean pull (ms
+    /// Believed drift-cap bound: the largest sustained vector mean pull (ms
     /// per sample) the attacker believes a neighbor may exert before being
-    /// banned. A learning evader revises it every round.
+    /// banned. Starts at `MODELED_CAP_MS`; a learning evader revises it
+    /// every round.
     cap_ms: f64,
     /// Converged coordinates snapshotted at injection (the RTT proxy).
     init_coords: Vec<Coord>,
@@ -237,6 +230,14 @@ pub struct EvadingFrogBoil {
     last_worst_pull: f64,
 }
 
+/// Largest per-round offset advance of the evader, ms: matched budget with
+/// `FrogBoiling::default()` (5 ms/round), the same detectability budget
+/// as [`FrogBoiling::step`](crate::FrogBoiling::step).
+const EVADER_STEP_MS: f64 = 5.0;
+/// The evader's modeled drift cap, ms: the workspace-default drift cap
+/// (the `def-roc` corner, 80 ms) — the adversary assumes the defender
+/// deployed the published default.
+const MODELED_CAP_MS: f64 = 80.0;
 /// Fraction of the modeled cap the attacker occupies: headroom against the
 /// model being slightly wrong (embedding noise, a re-tuned deployment).
 const SAFETY_MARGIN: f64 = 0.8;
@@ -246,29 +247,14 @@ const VICTIM_SAMPLE: usize = 32;
 const ATTACKER_SAMPLE: usize = 16;
 
 impl EvadingFrogBoil {
-    /// Evade a drift cap modeled at `cap_ms` while drifting up to `step` ms
-    /// per round.
-    pub fn new(step: f64, cap_ms: f64) -> EvadingFrogBoil {
-        EvadingFrogBoil {
-            step,
-            cap_ms,
-            init_coords: Vec::new(),
-            victims: Vec::new(),
-            sampled_attackers: Vec::new(),
-            learner: None,
-            last_worst_pull: 0.0,
-        }
-    }
-
-    /// Evade a drift cap modeled at `cap_ms` while *refining* it online:
-    /// first-flag feedback and clean patience windows drive a
-    /// [`CapLearner`] whose believed cap replaces the modeled one every
-    /// round. Until the first flag the behaviour is exactly
-    /// [`EvadingFrogBoil::new`]'s.
-    pub fn learning(step: f64, cap_ms: f64) -> EvadingFrogBoil {
+    /// Evade the modeled drift cap while *refining* it online: first-flag
+    /// feedback and clean patience windows drive a [`CapLearner`] whose
+    /// believed cap replaces the modeled one every round. Until the first
+    /// flag the behaviour is exactly [`EvadingFrogBoil::default`]'s.
+    pub fn learning() -> EvadingFrogBoil {
         EvadingFrogBoil {
             learner: Some(CapLearner::default()),
-            ..EvadingFrogBoil::new(step, cap_ms)
+            ..EvadingFrogBoil::default()
         }
     }
 
@@ -300,10 +286,14 @@ impl EvadingFrogBoil {
 
 impl Default for EvadingFrogBoil {
     fn default() -> Self {
-        // Matched budget with FrogBoiling::default() (5 ms/round) against
-        // the workspace-default drift cap (the `def-roc` corner, 80 ms): the
-        // adversary assumes the defender deployed the published default.
-        EvadingFrogBoil::new(5.0, 80.0)
+        EvadingFrogBoil {
+            cap_ms: MODELED_CAP_MS,
+            init_coords: Vec::new(),
+            victims: Vec::new(),
+            sampled_attackers: Vec::new(),
+            learner: None,
+            last_worst_pull: 0.0,
+        }
     }
 }
 
@@ -341,8 +331,8 @@ impl AttackStrategy for EvadingFrogBoil {
         // let the dragged victims close the gap before pulling again. This
         // is the whole evasion — the classic frog would advance anyway and
         // let the lag integrate past the cap.
-        if worst + self.step <= self.evasion_budget_ms() {
-            collusion.advance_all(self.step, f64::INFINITY);
+        if worst + EVADER_STEP_MS <= self.evasion_budget_ms() {
+            collusion.advance_all(EVADER_STEP_MS);
             if vcoord_obs::enabled() {
                 let offset = collusion.groups().first().map_or(0.0, |g| g.offset);
                 vcoord_obs::event(
@@ -402,28 +392,20 @@ impl AttackStrategy for EvadingFrogBoil {
 #[derive(Debug, Clone)]
 pub struct ThresholdProbe {
     /// Lower bracket: a relative residual known (assumed) to pass.
-    pub lo: f64,
+    lo: f64,
     /// Upper bracket: a relative residual known (assumed) to be rejected.
-    pub hi: f64,
+    hi: f64,
     guess: f64,
     flagged_this_round: bool,
     responses_this_round: u32,
 }
 
-impl ThresholdProbe {
-    /// Search the boundary inside `[lo, hi]` (relative-residual units).
-    pub fn new(lo: f64, hi: f64) -> ThresholdProbe {
-        let lo = lo.max(0.0);
-        let hi = hi.max(lo + f64::EPSILON);
-        ThresholdProbe {
-            lo,
-            hi,
-            guess: 0.5 * (lo + hi),
-            flagged_this_round: false,
-            responses_this_round: 0,
-        }
-    }
+/// The threshold probe's opening bracket `(lo, hi)`, relative-residual
+/// units: below the MAD filter's unconditional hard-reject bound (5.0), so
+/// the boundary searched is the adaptive one under it.
+const PROBE_BRACKET: (f64, f64) = (0.0, 4.0);
 
+impl ThresholdProbe {
     /// Current estimate of the rejection boundary.
     pub fn estimate(&self) -> f64 {
         0.5 * (self.lo + self.hi)
@@ -432,9 +414,14 @@ impl ThresholdProbe {
 
 impl Default for ThresholdProbe {
     fn default() -> Self {
-        // Bracket below the MAD filter's unconditional hard-reject bound
-        // (5.0): the interesting boundary is the adaptive one under it.
-        ThresholdProbe::new(0.0, 4.0)
+        let (lo, hi) = PROBE_BRACKET;
+        ThresholdProbe {
+            lo,
+            hi,
+            guess: 0.5 * (lo + hi),
+            flagged_this_round: false,
+            responses_this_round: 0,
+        }
     }
 }
 
@@ -505,8 +492,10 @@ pub enum SleeperPhase {
     Rest,
 }
 
-/// *Sleeper collusion*: honest until reputation accrues, then attack in
-/// bursts timed to the defense's decay windows.
+/// *Sleeper collusion*: honest for `SLEEPER_SLEEP_ROUNDS` while
+/// reputation accrues, then attack in `SLEEPER_BURST_ROUNDS` bursts
+/// separated by `SLEEPER_REST_ROUNDS` of honesty, timed to the defense's
+/// decay windows.
 ///
 /// Against a permanently-banning drift cap the first burst is the last —
 /// every subsequent burst is pre-banned, and the attack is expensive
@@ -515,15 +504,8 @@ pub enum SleeperPhase {
 /// repeat indefinitely: this is the adversary that makes the
 /// `arms-decay-tradeoff` sweep a real trade-off rather than a free win for
 /// forgiveness.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SleeperCollusion {
-    /// Rounds of honest behaviour after injection (reputation accrual).
-    pub sleep_rounds: u64,
-    /// Rounds of coherent drift per burst.
-    pub burst_rounds: u64,
-    /// Honest rounds between bursts — size this to the modeled ban
-    /// half-life so re-admission lands just before the next burst.
-    pub rest_rounds: u64,
     rounds: u64,
     in_burst: bool,
 }
@@ -531,39 +513,28 @@ pub struct SleeperCollusion {
 /// Per-round drift during a sleeper burst, ms (deliberately loud: the
 /// sleeper relies on forgiveness, not stealth).
 const SLEEPER_STEP: f64 = 25.0;
+/// Rounds of honest behaviour after injection (reputation accrual): past
+/// the drift cap's evidence window.
+const SLEEPER_SLEEP_ROUNDS: u64 = 30;
+/// Rounds of coherent drift per burst: roughly one evidence window.
+const SLEEPER_BURST_ROUNDS: u64 = 12;
+/// Honest rounds between bursts: the arms-decay-tradeoff's middle ban
+/// half-life, so re-admission lands just before the next burst.
+const SLEEPER_REST_ROUNDS: u64 = 60;
 
 impl SleeperCollusion {
-    /// Sleep, then cycle `burst_rounds` of drift with `rest_rounds` of
-    /// honesty.
-    pub fn new(sleep_rounds: u64, burst_rounds: u64, rest_rounds: u64) -> SleeperCollusion {
-        SleeperCollusion {
-            sleep_rounds,
-            burst_rounds: burst_rounds.max(1),
-            rest_rounds: rest_rounds.max(1),
-            rounds: 0,
-            in_burst: false,
-        }
-    }
-
     /// The current phase of the cycle.
     pub fn phase(&self) -> SleeperPhase {
-        if self.rounds < self.sleep_rounds {
+        if self.rounds < SLEEPER_SLEEP_ROUNDS {
             return SleeperPhase::Sleep;
         }
-        let pos = (self.rounds - self.sleep_rounds) % (self.burst_rounds + self.rest_rounds);
-        if pos < self.burst_rounds {
+        let pos =
+            (self.rounds - SLEEPER_SLEEP_ROUNDS) % (SLEEPER_BURST_ROUNDS + SLEEPER_REST_ROUNDS);
+        if pos < SLEEPER_BURST_ROUNDS {
             SleeperPhase::Burst
         } else {
             SleeperPhase::Rest
         }
-    }
-}
-
-impl Default for SleeperCollusion {
-    fn default() -> Self {
-        // Sleep past the drift cap's evidence window, burst for roughly
-        // one window, rest for the arms-decay-tradeoff's middle half-life.
-        SleeperCollusion::new(30, 12, 60)
     }
 }
 
@@ -590,17 +561,16 @@ impl AttackStrategy for SleeperCollusion {
             return;
         }
         if !self.in_burst {
-            // Fresh burst (detected as the phase edge, so a zero-sleep
-            // config counts its first burst too): restart the drift from
-            // the truth — resuming from the previous burst's accumulated
-            // offset would open a huge instantaneous residual that any
-            // magnitude filter kills.
+            // Fresh burst (detected as the phase edge): restart the drift
+            // from the truth — resuming from the previous burst's
+            // accumulated offset would open a huge instantaneous residual
+            // that any magnitude filter kills.
             self.in_burst = true;
             for g in collusion.groups_mut() {
                 g.offset = 0.0;
             }
         }
-        collusion.advance_all(SLEEPER_STEP, f64::INFINITY);
+        collusion.advance_all(SLEEPER_STEP);
         if vcoord_obs::enabled() {
             let offset = collusion.groups().first().map_or(0.0, |g| g.offset);
             vcoord_obs::event(
@@ -686,11 +656,12 @@ mod tests {
 
     #[test]
     fn evading_frog_budget_applies_margin() {
-        let m = EvadingFrogBoil::default();
+        let mut m = EvadingFrogBoil::default();
         assert_eq!(m.cap_ms, 80.0);
         assert!((m.evasion_budget_ms() - 64.0).abs() < 1e-12);
-        let tight = EvadingFrogBoil::new(5.0, 40.0);
-        assert!((tight.evasion_budget_ms() - 32.0).abs() < 1e-12);
+        // A learner's revised belief moves the budget with it.
+        m.cap_ms = 40.0;
+        assert!((m.evasion_budget_ms() - 32.0).abs() < 1e-12);
     }
 
     #[test]
@@ -698,29 +669,29 @@ mod tests {
         let f = fixture(24, 6);
         let mut rng = ChaCha12Rng::seed_from_u64(1);
         let mut coll = Collusion::new();
-        let mut adv = EvadingFrogBoil::new(10.0, 50.0);
+        let mut adv = EvadingFrogBoil::default();
         adv.inject(&[0, 1, 2, 3, 4, 5], &mut coll, &view_at(&f, 0), &mut rng);
 
         // Victims never move in this static fixture, so the estimated pull
         // tracks the raw offset: the throttle must stop the advance before
-        // the 0.8 × 50 = 40 ms budget and hold from then on.
+        // the 0.8 × 80 = 64 ms budget and hold from then on.
         let mut held = 0;
-        for r in 1..=20 {
+        for r in 1..=40 {
             let before = coll.groups()[0].offset;
             adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
             held += usize::from(coll.groups()[0].offset == before);
         }
         let offset = coll.groups()[0].offset;
         assert!(offset > 0.0, "the evader must still attack");
-        let worst = adv.worst_estimated_pull(&coll, &view_at(&f, 20));
+        let worst = adv.worst_estimated_pull(&coll, &view_at(&f, 40));
         assert!(
-            worst < 50.0 * 0.8 + 1e-9,
+            worst < 80.0 * 0.8 + 1e-9,
             "estimated pull {worst:.1} must stay under the budget"
         );
         assert!(held > 0, "the throttle must have engaged");
         // And it still lies with the drifted coordinate, no delay.
         let lie = adv
-            .respond(&probe(0, 10, 90.0), &mut coll, &view_at(&f, 20), &mut rng)
+            .respond(&probe(0, 10, 90.0), &mut coll, &view_at(&f, 40), &mut rng)
             .unwrap();
         assert_eq!(lie.delay_ms, 0.0);
         let moved = f.space.distance(&lie.coord, &f.coords[0]);
@@ -732,19 +703,21 @@ mod tests {
         let mut f = fixture(24, 6);
         let mut rng = ChaCha12Rng::seed_from_u64(2);
         let mut coll = Collusion::new();
-        let mut adv = EvadingFrogBoil::new(10.0, 50.0);
+        let mut adv = EvadingFrogBoil::default();
         adv.inject(&[0, 1, 2, 3, 4, 5], &mut coll, &view_at(&f, 0), &mut rng);
-        for r in 1..=10 {
+        for r in 1..=40 {
             adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
         }
         let stalled = coll.groups()[0].offset;
+        adv.on_round(&mut coll, &view_at(&f, 41), &mut rng);
+        assert_eq!(coll.groups()[0].offset, stalled, "the throttle holds");
         // Teleport every honest victim along the collusion axis — the
         // dragged-population state the throttle is waiting for.
         let axis = coll.groups()[0].axis.clone();
         for i in 6..24 {
             f.space.apply(&mut f.coords[i], &axis, stalled);
         }
-        for r in 11..=13 {
+        for r in 42..=44 {
             adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
         }
         assert!(
@@ -757,12 +730,16 @@ mod tests {
 
     #[test]
     fn cap_learner_bisects_toward_the_deployed_cap() {
-        let mut l = CapLearner::new(2);
+        let mut l = CapLearner::default();
         assert_eq!((l.lo, l.hi), (0.0, f64::INFINITY));
         // Unbounded above: the configured model stands.
         assert_eq!(l.believed_cap(80.0), 80.0);
-        // Two clean rounds at 30 ms sustained: proven safe.
-        l.observe_round(30.0);
+        // A full patience window of clean rounds at 30 ms sustained:
+        // proven safe, and not a round earlier.
+        for _ in 1..CAP_LEARNER_PATIENCE {
+            l.observe_round(30.0);
+        }
+        assert_eq!(l.lo, 0.0);
         l.observe_round(30.0);
         assert_eq!((l.lo, l.hi).0, 30.0);
         // First flag at a worst pull of 70 ms bounds the cap above.
@@ -789,9 +766,9 @@ mod tests {
         let mut rng = ChaCha12Rng::seed_from_u64(8);
         let mut coll = Collusion::new();
         // Modeled cap 80 ms: budget 64. Suppose the deployment is tighter.
-        let mut adv = EvadingFrogBoil::learning(10.0, 80.0);
+        let mut adv = EvadingFrogBoil::learning();
         adv.inject(&[0, 1, 2, 3, 4, 5], &mut coll, &view_at(&f, 0), &mut rng);
-        for r in 1..=4 {
+        for r in 1..=8 {
             adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
         }
         let offset_before = coll.groups()[0].offset;
@@ -806,16 +783,16 @@ mod tests {
         );
         assert!(adv.evasion_budget_ms() < adv.last_worst_pull);
         // Subsequent rounds hold instead of feeding more colluders in.
-        for r in 5..=10 {
+        for r in 9..=14 {
             adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
         }
         assert_eq!(coll.groups()[0].offset, offset_before, "throttle holds");
         assert_eq!(adv.learner().unwrap().flagged, [0].into());
         // A fixed-model twin keeps advancing at the same point in time.
         let mut coll2 = Collusion::new();
-        let mut fixed = EvadingFrogBoil::new(10.0, 80.0);
+        let mut fixed = EvadingFrogBoil::default();
         fixed.inject(&[0, 1, 2, 3, 4, 5], &mut coll2, &view_at(&f, 0), &mut rng);
-        for r in 1..=10 {
+        for r in 1..=14 {
             fixed.on_round(&mut coll2, &view_at(&f, r), &mut rng);
         }
         assert!(coll2.groups()[0].offset > offset_before);
@@ -826,7 +803,7 @@ mod tests {
         let f = fixture(16, 2);
         let mut rng = ChaCha12Rng::seed_from_u64(3);
         let mut coll = Collusion::new();
-        let mut adv = ThresholdProbe::new(0.0, 2.0);
+        let mut adv = ThresholdProbe::default();
         let rtt = 80.0;
         let lie = adv
             .respond(&probe(0, 5, rtt), &mut coll, &view_at(&f, 0), &mut rng)
@@ -848,7 +825,7 @@ mod tests {
         let f = fixture(16, 2);
         let mut rng = ChaCha12Rng::seed_from_u64(4);
         let mut coll = Collusion::new();
-        let mut adv = ThresholdProbe::new(0.0, 4.0);
+        let mut adv = ThresholdProbe::default();
         let boundary = 0.73;
         let rtt = 100.0;
         for round in 0..30u64 {
@@ -891,52 +868,63 @@ mod tests {
 
     #[test]
     fn sleeper_cycles_through_phases_and_resets_bursts() {
+        let (sleep, burst, rest) = (
+            SLEEPER_SLEEP_ROUNDS,
+            SLEEPER_BURST_ROUNDS,
+            SLEEPER_REST_ROUNDS,
+        );
         let f = fixture(20, 4);
         let mut rng = ChaCha12Rng::seed_from_u64(5);
         let mut coll = Collusion::new();
-        let mut adv = SleeperCollusion::new(5, 3, 4);
+        let mut adv = SleeperCollusion::default();
         adv.inject(&[0, 1, 2, 3], &mut coll, &view_at(&f, 0), &mut rng);
         assert_eq!(adv.phase(), SleeperPhase::Sleep);
         // Sleep: honest responses.
-        for r in 1..=4 {
+        for r in 1..sleep {
             adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
             assert!(adv
                 .respond(&probe(0, 10, 90.0), &mut coll, &view_at(&f, r), &mut rng)
                 .is_none());
         }
-        // Round 5 begins the first burst (offset restarts from 0, then
-        // advances by step).
-        assert_eq!(bursts_begun(&mut adv, &mut coll, &f, 5..=5, &mut rng), 1);
+        // The last sleep round begins the first burst (offset restarts
+        // from 0, then advances by step).
+        assert_eq!(
+            bursts_begun(&mut adv, &mut coll, &f, sleep..=sleep, &mut rng),
+            1
+        );
         assert_eq!(adv.phase(), SleeperPhase::Burst);
-        assert_eq!(coll.groups()[0].offset, 25.0);
+        assert_eq!(coll.groups()[0].offset, SLEEPER_STEP);
         assert!(adv
-            .respond(&probe(0, 10, 90.0), &mut coll, &view_at(&f, 5), &mut rng)
+            .respond(
+                &probe(0, 10, 90.0),
+                &mut coll,
+                &view_at(&f, sleep),
+                &mut rng
+            )
             .is_some());
         // Through the burst and into rest: honest again.
-        assert_eq!(bursts_begun(&mut adv, &mut coll, &f, 6..=8, &mut rng), 0);
+        let rest_from = sleep + burst;
+        let begun = bursts_begun(&mut adv, &mut coll, &f, sleep + 1..=rest_from, &mut rng);
+        assert_eq!(begun, 0);
         assert_eq!(adv.phase(), SleeperPhase::Rest);
         assert!(adv
-            .respond(&probe(0, 10, 90.0), &mut coll, &view_at(&f, 8), &mut rng)
+            .respond(
+                &probe(0, 10, 90.0),
+                &mut coll,
+                &view_at(&f, rest_from),
+                &mut rng
+            )
             .is_none());
         // Next cycle: a fresh burst restarts the offset.
-        assert_eq!(bursts_begun(&mut adv, &mut coll, &f, 9..=12, &mut rng), 1);
+        let next = rest_from + rest;
+        let begun = bursts_begun(&mut adv, &mut coll, &f, rest_from + 1..=next, &mut rng);
+        assert_eq!(begun, 1);
         assert_eq!(adv.phase(), SleeperPhase::Burst);
-        assert_eq!(coll.groups()[0].offset, 25.0, "burst restarts from truth");
-    }
-
-    #[test]
-    fn sleeper_with_zero_sleep_counts_its_first_burst() {
-        let f = fixture(20, 4);
-        let mut rng = ChaCha12Rng::seed_from_u64(7);
-        let mut coll = Collusion::new();
-        let mut adv = SleeperCollusion::new(0, 4, 4);
-        adv.inject(&[0, 1, 2, 3], &mut coll, &view_at(&f, 0), &mut rng);
-        let first = bursts_begun(&mut adv, &mut coll, &f, 1..=1, &mut rng);
-        assert_eq!(first, 1, "the first burst must be counted");
-        assert_eq!(adv.phase(), SleeperPhase::Burst);
-        assert_eq!(coll.groups()[0].offset, 25.0);
-        // Through rest and into the second burst.
-        assert_eq!(bursts_begun(&mut adv, &mut coll, &f, 2..=9, &mut rng), 1);
+        assert_eq!(
+            coll.groups()[0].offset,
+            SLEEPER_STEP,
+            "burst restarts from truth"
+        );
     }
 
     #[test]
@@ -947,15 +935,22 @@ mod tests {
         let mut all: Vec<Box<dyn AttackStrategy>> = vec![
             Box::new(EvadingFrogBoil::default()),
             Box::new(ThresholdProbe::default()),
-            Box::new(SleeperCollusion::new(0, 4, 4)),
+            Box::new(SleeperCollusion::default()),
         ];
+        // Run to the sleeper's first burst round, so every strategy lies.
+        let round = SLEEPER_SLEEP_ROUNDS;
         for (i, adv) in all.iter_mut().enumerate() {
             let mut coll = Collusion::new();
             adv.inject(&attackers, &mut coll, &view_at(&f, 0), &mut rng);
-            adv.on_round(&mut coll, &view_at(&f, 1), &mut rng);
-            if let Some(lie) =
-                adv.respond(&probe(0, 10, 90.0), &mut coll, &view_at(&f, 1), &mut rng)
-            {
+            for r in 1..=round {
+                adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
+            }
+            if let Some(lie) = adv.respond(
+                &probe(0, 10, 90.0),
+                &mut coll,
+                &view_at(&f, round),
+                &mut rng,
+            ) {
                 assert_eq!(lie.delay_ms, 0.0, "strategy {i} delayed a probe");
             }
         }

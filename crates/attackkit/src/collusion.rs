@@ -117,11 +117,11 @@ impl Collusion {
         }
     }
 
-    /// Advance every group's accumulated offset by `step`, capped at
-    /// `max_offset` — the shared per-round drift update.
-    pub(crate) fn advance_all(&mut self, step: f64, max_offset: f64) {
+    /// Advance every group's accumulated offset by `step` — the shared
+    /// per-round drift update.
+    pub(crate) fn advance_all(&mut self, step: f64) {
         for g in &mut self.groups {
-            g.offset = (g.offset + step).min(max_offset);
+            g.offset += step;
         }
     }
 
@@ -211,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn advance_all_caps_offsets() {
+    fn advance_all_accumulates_offsets() {
         let space = Space::Euclidean(2);
         let coords = vec![Coord::origin(2); 4];
         let malicious = vec![true; 4];
@@ -220,9 +220,9 @@ mod tests {
         let mut coll = Collusion::new();
         coll.form_groups(&[0, 1, 2, 3], 1, &view, &mut rng);
         for _ in 0..10 {
-            coll.advance_all(3.0, 12.0);
+            coll.advance_all(3.0);
         }
-        assert_eq!(coll.groups()[0].offset, 12.0);
+        assert_eq!(coll.groups()[0].offset, 30.0);
     }
 
     #[test]

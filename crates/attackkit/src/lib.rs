@@ -77,6 +77,6 @@ pub use collusion::{Collusion, Group};
 pub use scenario::Scenario;
 pub use strategies::{
     BurstThenReform, Deflation, FrogBoiling, Inflation, NetworkPartition, Oscillation, RandomLie,
-    DISORDER_DELAY_MS, LIE_ERROR,
+    DISORDER_DELAY_MS, LIE_ERROR, RANDOM_RANGE,
 };
 pub use strategy::{AttackStrategy, CoordView, Honest, Lie, Probe, Protocol};

@@ -47,6 +47,11 @@ pub const LIE_ERROR: f64 = 0.01;
 /// Vivaldi and NPS disorder attacks.
 pub const DISORDER_DELAY_MS: (f64, f64) = (100.0, 1000.0);
 
+/// Half-width of §5.1's random interval `[-50000, 50000]`: the range of a
+/// disorder lie's random coordinate components, the scale of the
+/// repulsion target and of the worst-case random baseline.
+pub const RANDOM_RANGE: f64 = 50_000.0;
+
 /// Drift the true coordinate of `node` by `offset` along `axis` (shared
 /// with the adaptive strategies in [`crate::adaptive`]).
 pub(crate) fn drifted(
@@ -72,17 +77,12 @@ pub struct FrogBoiling {
     /// Coordinate drift per round, ms. This is the attack's detectability
     /// budget: reported positions never move more than this per round.
     pub step: f64,
-    /// Cap on the accumulated offset (`f64::INFINITY` = boil forever).
-    pub max_offset: f64,
 }
 
 impl FrogBoiling {
     /// Drift by `step` ms per round, unbounded.
     pub fn new(step: f64) -> FrogBoiling {
-        FrogBoiling {
-            step,
-            max_offset: f64::INFINITY,
-        }
+        FrogBoiling { step }
     }
 }
 
@@ -112,7 +112,7 @@ impl AttackStrategy for FrogBoiling {
         _view: &CoordView<'_>,
         _rng: &mut ChaCha12Rng,
     ) {
-        collusion.advance_all(self.step, self.max_offset);
+        collusion.advance_all(self.step);
     }
 
     fn respond(
@@ -137,33 +137,18 @@ impl AttackStrategy for FrogBoiling {
 }
 
 /// *Oscillation*: each attacker's reported position swings sinusoidally
-/// along a private axis — `offset = amplitude · sin(2π · round / period)` —
-/// so victims chase a moving target and never settle.
-#[derive(Debug, Clone)]
+/// along a private axis — `offset = OSCILLATION_AMPLITUDE · sin(2π · round
+/// / OSCILLATION_PERIOD)` — so victims chase a moving target and never
+/// settle.
+#[derive(Debug, Clone, Default)]
 pub struct Oscillation {
-    /// Peak displacement of the reported coordinate, ms.
-    pub amplitude: f64,
-    /// Rounds per full swing cycle.
-    pub period: u64,
     axes: HashMap<usize, Displacement>,
 }
 
-impl Oscillation {
-    /// Swing `amplitude` ms over `period` rounds.
-    pub fn new(amplitude: f64, period: u64) -> Oscillation {
-        Oscillation {
-            amplitude,
-            period: period.max(2),
-            axes: HashMap::new(),
-        }
-    }
-}
-
-impl Default for Oscillation {
-    fn default() -> Self {
-        Oscillation::new(500.0, 20)
-    }
-}
+/// Peak displacement of an oscillating reported coordinate, ms.
+const OSCILLATION_AMPLITUDE: f64 = 500.0;
+/// Rounds per full oscillation cycle.
+const OSCILLATION_PERIOD: u64 = 20;
 
 impl AttackStrategy for Oscillation {
     fn inject(
@@ -190,8 +175,8 @@ impl AttackStrategy for Oscillation {
             .axes
             .entry(probe.attacker)
             .or_insert_with(|| view.space.random_unit(rng));
-        let phase = (view.round % self.period) as f64 / self.period as f64;
-        let offset = self.amplitude * (2.0 * std::f64::consts::PI * phase).sin();
+        let phase = (view.round % OSCILLATION_PERIOD) as f64 / OSCILLATION_PERIOD as f64;
+        let offset = OSCILLATION_AMPLITUDE * (2.0 * std::f64::consts::PI * phase).sin();
         let coord = drifted(view, probe.attacker, axis, offset);
         // No delay: victims chase the honestly-timed but swinging target.
         Some(Lie {
@@ -203,37 +188,19 @@ impl AttackStrategy for Oscillation {
 }
 
 /// *Network partition*: the colluders split into exactly two groups whose
-/// reported positions drift in opposite directions at
-/// [`NetworkPartition::step`] ms per round.
+/// reported positions drift in opposite directions at `PARTITION_STEP` ms
+/// per round, unbounded.
 ///
 /// Victims anchored (through their probe mix) to either half get dragged
 /// with it: the embedding tears into two mutually-distant clusters whose
 /// inter-cluster distance estimates diverge — an eclipse-style partition of
 /// the coordinate overlay without touching a single packet route.
-#[derive(Debug, Clone)]
-pub struct NetworkPartition {
-    /// Per-round drift of each half, ms (the halves separate at `2·step`
-    /// per round).
-    pub step: f64,
-    /// Cap on each half's accumulated offset.
-    pub max_offset: f64,
-}
+#[derive(Debug, Clone, Default)]
+pub struct NetworkPartition;
 
-impl NetworkPartition {
-    /// Separate the two halves by `2·step` ms per round, unbounded.
-    pub fn new(step: f64) -> NetworkPartition {
-        NetworkPartition {
-            step,
-            max_offset: f64::INFINITY,
-        }
-    }
-}
-
-impl Default for NetworkPartition {
-    fn default() -> Self {
-        NetworkPartition::new(25.0)
-    }
-}
+/// Per-round drift of each partition half, ms (the halves separate at
+/// twice this per round).
+const PARTITION_STEP: f64 = 25.0;
 
 impl AttackStrategy for NetworkPartition {
     fn inject(
@@ -253,7 +220,7 @@ impl AttackStrategy for NetworkPartition {
         _view: &CoordView<'_>,
         _rng: &mut ChaCha12Rng,
     ) {
-        collusion.advance_all(self.step, self.max_offset);
+        collusion.advance_all(PARTITION_STEP);
     }
 
     fn respond(
@@ -275,27 +242,14 @@ impl AttackStrategy for NetworkPartition {
     }
 }
 
-/// *Inflation*: report coordinates pushed `magnitude` ms radially outward
+/// *Inflation*: report coordinates pushed `INFLATION_MS` radially outward
 /// from the origin, inflating every distance estimate involving an
 /// attacker and stretching the space.
-#[derive(Debug, Clone)]
-pub struct Inflation {
-    /// Radial push distance, ms.
-    pub magnitude: f64,
-}
+#[derive(Debug, Clone, Default)]
+pub struct Inflation;
 
-impl Inflation {
-    /// Push reported positions `magnitude` ms outward.
-    pub fn new(magnitude: f64) -> Inflation {
-        Inflation { magnitude }
-    }
-}
-
-impl Default for Inflation {
-    fn default() -> Self {
-        Inflation::new(5_000.0)
-    }
-}
+/// Radial push distance of an inflated report, ms.
+const INFLATION_MS: f64 = 5_000.0;
 
 impl AttackStrategy for Inflation {
     fn respond(
@@ -308,7 +262,7 @@ impl AttackStrategy for Inflation {
         let truth = &view.coords[probe.attacker];
         // Radially away from the origin (random direction at the origin).
         let axis = view.space.direction(truth, &view.space.origin(), rng);
-        let coord = drifted(view, probe.attacker, &axis, self.magnitude);
+        let coord = drifted(view, probe.attacker, &axis, INFLATION_MS);
         // No delay: the implied distance dwarfs the honestly-measured RTT,
         // so every sample yanks the victim hard toward the remote fake
         // position (rtt − dist ≪ 0 in the Vivaldi update).
@@ -321,31 +275,16 @@ impl AttackStrategy for Inflation {
 }
 
 /// *Deflation*: report coordinates shrunk toward the origin by
-/// [`Deflation::shrink`], under-stating distances. The attacker cannot
+/// `DEFLATION_SHRINK`, under-stating distances. The attacker cannot
 /// shorten the matching RTT (delay-only model), so the lie is inherently
 /// inconsistent — its signature is a cluster of implausibly central nodes
 /// whose measured RTTs contradict their claimed positions.
-#[derive(Debug, Clone)]
-pub struct Deflation {
-    /// Scale factor applied to the true coordinates (0 = collapse to the
-    /// origin).
-    pub shrink: f64,
-}
+#[derive(Debug, Clone, Default)]
+pub struct Deflation;
 
-impl Deflation {
-    /// Scale reported coordinates by `shrink` toward the origin.
-    pub fn new(shrink: f64) -> Deflation {
-        Deflation {
-            shrink: shrink.clamp(0.0, 1.0),
-        }
-    }
-}
-
-impl Default for Deflation {
-    fn default() -> Self {
-        Deflation::new(0.05)
-    }
-}
+/// Scale factor applied to a deflating attacker's true coordinates (0 =
+/// collapse to the origin).
+const DEFLATION_SHRINK: f64 = 0.05;
 
 impl AttackStrategy for Deflation {
     fn respond(
@@ -357,9 +296,9 @@ impl AttackStrategy for Deflation {
     ) -> Option<Lie> {
         let mut coord = view.coords[probe.attacker].clone();
         for x in &mut coord.vec {
-            *x *= self.shrink;
+            *x *= DEFLATION_SHRINK;
         }
-        coord.height *= self.shrink;
+        coord.height *= DEFLATION_SHRINK;
         Some(Lie {
             coord,
             error: LIE_ERROR,
@@ -368,27 +307,11 @@ impl AttackStrategy for Deflation {
     }
 }
 
-/// *Random lie* (disorder): a fresh random coordinate every probe, with a
+/// *Random lie* (disorder): a fresh random coordinate every probe, its
+/// components drawn from §5.1's random interval ([`RANDOM_RANGE`]), with a
 /// random delay — the generic re-expression of the paper's §5.3.1 attack.
-#[derive(Debug, Clone)]
-pub struct RandomLie {
-    /// Range of the random coordinate components (the paper's random
-    /// scenario interval `[-50000, 50000]` is the default).
-    pub coord_range: f64,
-}
-
-impl RandomLie {
-    /// Random coordinates in `[-range, range]` per component.
-    pub fn new(coord_range: f64) -> RandomLie {
-        RandomLie { coord_range }
-    }
-}
-
-impl Default for RandomLie {
-    fn default() -> Self {
-        RandomLie::new(50_000.0)
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct RandomLie;
 
 impl AttackStrategy for RandomLie {
     fn respond(
@@ -399,7 +322,7 @@ impl AttackStrategy for RandomLie {
         rng: &mut ChaCha12Rng,
     ) -> Option<Lie> {
         Some(Lie {
-            coord: view.space.random_coord(self.coord_range, rng),
+            coord: view.space.random_coord(RANDOM_RANGE, rng),
             error: LIE_ERROR,
             delay_ms: rng.gen_range(DISORDER_DELAY_MS.0..DISORDER_DELAY_MS.1),
         })
@@ -407,27 +330,20 @@ impl AttackStrategy for RandomLie {
 }
 
 /// *Burst, then reform*: every attacker reports its coordinate shifted a
-/// flat 250 ms along axis 0 for the first `attack_rounds` rounds after
-/// injection, then answers honestly forever — the minimal reform story
-/// the reputation-decay and probation tests and figures are built on. The
-/// flat offset is flagrant to a drift cap's vector-mean pull (no
+/// flat 250 ms along axis 0 for the first `REFORM_AFTER_ROUNDS` rounds
+/// after injection, then answers honestly forever — the minimal reform
+/// story the reputation-decay and probation tests and figures are built
+/// on. The flat offset is flagrant to a drift cap's vector-mean pull (no
 /// per-observer cancellation), so every attacker lands in the defense's
 /// ban set during the burst.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BurstThenReform {
-    attack_rounds: u64,
     injected_at: Option<u64>,
 }
 
-impl BurstThenReform {
-    /// Lie for `attack_rounds` rounds after injection, then reform.
-    pub fn new(attack_rounds: u64) -> BurstThenReform {
-        BurstThenReform {
-            attack_rounds,
-            injected_at: None,
-        }
-    }
-}
+/// Rounds a [`BurstThenReform`] attacker lies after injection before it
+/// reforms.
+const REFORM_AFTER_ROUNDS: u64 = 10;
 
 impl AttackStrategy for BurstThenReform {
     fn inject(
@@ -448,7 +364,7 @@ impl AttackStrategy for BurstThenReform {
         _rng: &mut ChaCha12Rng,
     ) -> Option<Lie> {
         let start = self.injected_at.unwrap_or(0);
-        if view.round.saturating_sub(start) >= self.attack_rounds {
+        if view.round.saturating_sub(start) >= REFORM_AFTER_ROUNDS {
             return None; // reformed
         }
         let mut coord = view.coords[probe.attacker].clone();
@@ -537,27 +453,11 @@ mod tests {
     }
 
     #[test]
-    fn frog_boiling_respects_max_offset() {
-        let f = fixture();
-        let mut rng = ChaCha12Rng::seed_from_u64(2);
-        let mut coll = Collusion::new();
-        let mut adv = FrogBoiling {
-            step: 10.0,
-            max_offset: 25.0,
-        };
-        adv.inject(&[0, 1], &mut coll, &view_at(&f, 0), &mut rng);
-        for r in 1..=10 {
-            adv.on_round(&mut coll, &view_at(&f, r), &mut rng);
-        }
-        assert_eq!(coll.groups()[0].offset, 25.0);
-    }
-
-    #[test]
     fn oscillation_returns_to_truth_each_cycle() {
         let f = fixture();
         let mut rng = ChaCha12Rng::seed_from_u64(3);
         let mut coll = Collusion::new();
-        let mut adv = Oscillation::new(200.0, 8);
+        let mut adv = Oscillation::default();
         adv.inject(&[0], &mut coll, &view_at(&f, 0), &mut rng);
         let at = |round: u64, adv: &mut Oscillation, rng: &mut ChaCha12Rng| {
             adv.respond(
@@ -570,11 +470,18 @@ mod tests {
             .coord
         };
         // Phase 0 and a full period later: the truth.
+        let period = OSCILLATION_PERIOD;
         assert!(f.space.distance(&at(0, &mut adv, &mut rng), &f.coords[0]) < 1e-9);
-        assert!(f.space.distance(&at(8, &mut adv, &mut rng), &f.coords[0]) < 1e-9);
+        assert!(
+            f.space
+                .distance(&at(period, &mut adv, &mut rng), &f.coords[0])
+                < 1e-9
+        );
         // Quarter period: peak amplitude.
-        let peak = f.space.distance(&at(2, &mut adv, &mut rng), &f.coords[0]);
-        assert!((peak - 200.0).abs() < 1e-9, "peak {peak}");
+        let peak = f
+            .space
+            .distance(&at(period / 4, &mut adv, &mut rng), &f.coords[0]);
+        assert!((peak - OSCILLATION_AMPLITUDE).abs() < 1e-9, "peak {peak}");
     }
 
     #[test]
@@ -582,7 +489,7 @@ mod tests {
         let f = fixture();
         let mut rng = ChaCha12Rng::seed_from_u64(4);
         let mut coll = Collusion::new();
-        let mut adv = NetworkPartition::new(10.0);
+        let mut adv = NetworkPartition;
         adv.inject(&[0, 1, 2, 3], &mut coll, &view_at(&f, 0), &mut rng);
         assert_eq!(coll.len(), 2);
         for r in 1..=5 {
@@ -614,7 +521,8 @@ mod tests {
         let dot: f64 = da.iter().zip(&db).map(|(x, y)| x * y).sum();
         assert!(dot < 0.0, "drifts must oppose: {da:?} vs {db:?}");
         let na = da.iter().map(|x| x * x).sum::<f64>().sqrt();
-        assert!((na - 50.0).abs() < 1e-9, "each half moved 5·step: {na}");
+        let want = 5.0 * PARTITION_STEP;
+        assert!((na - want).abs() < 1e-9, "each half moved 5·step: {na}");
     }
 
     #[test]
@@ -624,15 +532,15 @@ mod tests {
         let mut coll = Collusion::new();
         let truth_mag = f.coords[2].magnitude();
 
-        let li = Inflation::new(1_000.0)
+        let li = Inflation
             .respond(&probe(2, 5), &mut coll, &view_at(&f, 0), &mut rng)
             .unwrap();
-        assert!((li.coord.magnitude() - (truth_mag + 1_000.0)).abs() < 1e-6);
+        assert!((li.coord.magnitude() - (truth_mag + INFLATION_MS)).abs() < 1e-6);
 
-        let ld = Deflation::new(0.1)
+        let ld = Deflation
             .respond(&probe(2, 5), &mut coll, &view_at(&f, 0), &mut rng)
             .unwrap();
-        assert!((ld.coord.magnitude() - 0.1 * truth_mag).abs() < 1e-9);
+        assert!((ld.coord.magnitude() - DEFLATION_SHRINK * truth_mag).abs() < 1e-9);
         assert_eq!(ld.delay_ms, 0.0, "deflation cannot shorten probes");
     }
 
@@ -641,14 +549,14 @@ mod tests {
         let f = fixture();
         let mut rng = ChaCha12Rng::seed_from_u64(6);
         let mut coll = Collusion::new();
-        let mut adv = RandomLie::default();
+        let mut adv = RandomLie;
         for _ in 0..50 {
             let lie = adv
                 .respond(&probe(0, 5), &mut coll, &view_at(&f, 0), &mut rng)
                 .unwrap();
             assert_eq!(lie.error, 0.01);
             assert!((100.0..1000.0).contains(&lie.delay_ms));
-            assert!(lie.coord.vec.iter().all(|x| x.abs() <= 50_000.0));
+            assert!(lie.coord.vec.iter().all(|x| x.abs() <= RANDOM_RANGE));
         }
     }
 
@@ -663,9 +571,9 @@ mod tests {
         let mut all: Vec<Box<dyn AttackStrategy>> = vec![
             Box::new(FrogBoiling::default()),
             Box::new(Oscillation::default()),
-            Box::new(NetworkPartition::default()),
-            Box::new(Inflation::default()),
-            Box::new(Deflation::default()),
+            Box::new(NetworkPartition),
+            Box::new(Inflation),
+            Box::new(Deflation),
         ];
         for (i, adv) in all.iter_mut().enumerate() {
             adv.inject(&attackers, &mut coll, &view_at(&f, 0), &mut rng);

@@ -1,10 +1,10 @@
-//! Property-based tests over the attackkit invariants the ISSUE pins down:
-//! frog-boiling's per-round reported displacement stays below the
-//! configured step bound, the partition attack splits colluders into
-//! exactly two coherent drift groups, and the arms-race layer's contracts
-//! hold — the evading frog's estimated per-remote mean pull stays strictly
-//! under the modeled cap, and the threshold probe's binary search
-//! converges to within 10 % of an arbitrary rejection boundary.
+//! Property-based tests over the attackkit invariants: frog-boiling's
+//! per-round reported displacement stays below the configured step bound,
+//! the partition attack splits colluders into exactly two coherent drift
+//! groups, and the arms-race layer's contracts hold — the evading frog's
+//! estimated per-remote mean pull stays strictly under the modeled cap,
+//! and the threshold probe's binary search converges to within 10 % of an
+//! arbitrary rejection boundary.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -14,6 +14,11 @@ use vcoord_attackkit::{
     Protocol, ThresholdProbe,
 };
 use vcoord_space::{Coord, Space};
+
+/// `NetworkPartition`'s per-round drift of each half, ms.
+const PARTITION_STEP: f64 = 25.0;
+/// `EvadingFrogBoil`'s modeled drift cap, ms.
+const MODELED_CAP_MS: f64 = 80.0;
 
 /// A population of `n` nodes on a ring, first `k` malicious.
 fn population(space: &Space, n: usize, k: usize) -> (Vec<Coord>, Vec<bool>) {
@@ -96,7 +101,6 @@ proptest! {
     #[test]
     fn partition_splits_colluders_into_two_coherent_groups(
         n_attackers in 2usize..10,
-        step in 1.0f64..40.0,
         seed in 0u64..500,
         rounds in 1usize..20,
     ) {
@@ -105,7 +109,7 @@ proptest! {
         let attackers: Vec<usize> = (0..n_attackers).collect();
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let mut coll = Collusion::new();
-        let mut adv = NetworkPartition::new(step);
+        let mut adv = NetworkPartition;
         adv.inject(&attackers, &mut coll, &view_at(&space, &coords, &malicious, 0), &mut rng);
 
         // Exactly two groups, disjoint, covering every colluder.
@@ -132,7 +136,7 @@ proptest! {
         for r in 1..=rounds as u64 {
             adv.on_round(&mut coll, &view_at(&space, &coords, &malicious, r), &mut rng);
         }
-        let expected = rounds as f64 * step;
+        let expected = rounds as f64 * PARTITION_STEP;
         for &a in &attackers {
             let lie = adv
                 .respond(
@@ -169,8 +173,6 @@ proptest! {
 
     #[test]
     fn evading_frog_estimated_pull_stays_strictly_under_the_modeled_cap(
-        step in 1.0f64..20.0,
-        cap in 20.0f64..120.0,
         dim in 2usize..5,
         seed in 0u64..500,
         rounds in 5usize..40,
@@ -180,7 +182,7 @@ proptest! {
         let attackers: Vec<usize> = (0..5).collect();
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let mut coll = Collusion::new();
-        let mut adv = EvadingFrogBoil::new(step, cap);
+        let mut adv = EvadingFrogBoil::default();
         adv.inject(&attackers, &mut coll, &view_at(&space, &coords, &malicious, 0), &mut rng);
         // Static victims are the worst case for the throttle: nobody ever
         // catches up, so the offset saturates right at the budget. The
@@ -189,9 +191,9 @@ proptest! {
             adv.on_round(&mut coll, &view_at(&space, &coords, &malicious, r), &mut rng);
             let worst = adv.worst_estimated_pull(&coll, &view_at(&space, &coords, &malicious, r));
             prop_assert!(
-                worst < cap,
-                "round {r}: estimated pull {worst:.2} reached the modeled cap {cap} \
-                 (step {step:.1}, dim {dim}, seed {seed})"
+                worst < MODELED_CAP_MS,
+                "round {r}: estimated pull {worst:.2} reached the modeled cap \
+                 (dim {dim}, seed {seed})"
             );
         }
     }
@@ -208,7 +210,7 @@ proptest! {
         let (coords, malicious) = population(&space, 12, 2);
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let mut coll = Collusion::new();
-        let mut adv = ThresholdProbe::new(0.0, 4.0);
+        let mut adv = ThresholdProbe::default();
         let probe = Probe { attacker: 0, victim: 7, rtt };
         // Synthetic defense oracle: flag any relative residual above the
         // boundary. 30 informative rounds shrink the bracket to 4/2^30.

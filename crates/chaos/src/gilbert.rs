@@ -3,45 +3,42 @@
 //! The classic two-state Markov chain: a prober is either in the *good*
 //! state (probes pass untouched — any i.i.d. `LinkModel` loss still
 //! applies upstream) or the *bad* state (probes are lost with probability
-//! [`BurstModel::loss`], and survivors carry an RTT spike). The chain
-//! advances one step per probe, so burst lengths are geometric with mean
-//! `1 / p_exit` probes — the correlated-loss upgrade over `LinkModel`'s
-//! memoryless coin flip.
+//! `BURST_LOSS`, and survivors carry a `BURST_SPIKE_MS` RTT spike). The
+//! chain advances one step per probe, so burst lengths are geometric with
+//! mean `1 / BURST_P_EXIT` probes — the correlated-loss upgrade over
+//! `LinkModel`'s memoryless coin flip.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Parameters of the two-state Gilbert–Elliott chain. State is kept
-/// per-prober (a single `bool`) by [`crate::ChaosState`].
+/// The burst regime of the two-state Gilbert–Elliott chain: how often a
+/// burst begins. State is kept per-prober (a single `bool`) by
+/// [`crate::ChaosState`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BurstModel {
     /// Per-probe probability of entering a burst (good → bad).
     pub p_enter: f64,
-    /// Per-probe probability of leaving a burst (bad → good); the mean
-    /// burst length is `1 / p_exit` probes.
-    pub p_exit: f64,
-    /// Loss probability while inside a burst.
-    pub loss: f64,
-    /// Additive RTT spike (ms) on probes that survive a burst.
-    pub spike_ms: f64,
 }
+
+/// Per-probe probability of leaving a burst (bad → good); the mean burst
+/// length is `1 / BURST_P_EXIT` probes.
+const BURST_P_EXIT: f64 = 0.25;
+/// Loss probability while inside a burst.
+const BURST_LOSS: f64 = 0.5;
+/// Additive RTT spike (ms) on probes that survive a burst.
+const BURST_SPIKE_MS: f64 = 40.0;
 
 impl BurstModel {
     /// A mild default regime: rare, short bursts that mostly spike RTT.
     pub fn mild() -> Self {
-        BurstModel {
-            p_enter: 0.02,
-            p_exit: 0.25,
-            loss: 0.5,
-            spike_ms: 40.0,
-        }
+        BurstModel { p_enter: 0.02 }
     }
 
     /// Advance the chain one step for a prober whose state is `bad`, then
     /// sample this probe's fate from the *new* state.
     pub fn step<R: Rng + ?Sized>(&self, bad: &mut bool, rng: &mut R) -> BurstFate {
         if *bad {
-            if rng.gen_bool(self.p_exit.clamp(0.0, 1.0)) {
+            if rng.gen_bool(BURST_P_EXIT) {
                 *bad = false;
             }
         } else if rng.gen_bool(self.p_enter.clamp(0.0, 1.0)) {
@@ -50,10 +47,10 @@ impl BurstModel {
         if !*bad {
             return BurstFate::Clean;
         }
-        if rng.gen_bool(self.loss.clamp(0.0, 1.0)) {
+        if rng.gen_bool(BURST_LOSS) {
             BurstFate::Lost
         } else {
-            BurstFate::Spiked(self.spike_ms)
+            BurstFate::Spiked(BURST_SPIKE_MS)
         }
     }
 }
@@ -77,55 +74,49 @@ mod tests {
 
     #[test]
     fn bursts_are_correlated_not_iid() {
-        let m = BurstModel {
-            p_enter: 0.05,
-            p_exit: 0.2,
-            loss: 1.0,
-            spike_ms: 0.0,
-        };
+        let m = BurstModel { p_enter: 0.0625 };
         let mut rng = ChaCha12Rng::seed_from_u64(7);
         let mut bad = false;
+        // Every fate that is not clean was sampled in the bad state.
         let fates: Vec<bool> = (0..20_000)
-            .map(|_| matches!(m.step(&mut bad, &mut rng), BurstFate::Lost))
+            .map(|_| m.step(&mut bad, &mut rng) != BurstFate::Clean)
             .collect();
-        let loss_rate = fates.iter().filter(|&&l| l).count() as f64 / fates.len() as f64;
-        // Stationary bad-state occupancy is p_enter / (p_enter + p_exit) = 0.2.
-        assert!((0.15..0.25).contains(&loss_rate), "loss_rate={loss_rate}");
-        // Conditional loss after a loss must far exceed the marginal rate:
-        // that is what "correlated" means.
+        let bad_rate = fates.iter().filter(|&&b| b).count() as f64 / fates.len() as f64;
+        // Stationary bad-state occupancy is p_enter / (p_enter + BURST_P_EXIT) = 0.2.
+        assert!((0.15..0.25).contains(&bad_rate), "bad_rate={bad_rate}");
+        // The bad state after a bad probe must far exceed the marginal
+        // rate: that is what "correlated" means.
         let pairs = fates.windows(2).filter(|w| w[0]).count();
         let both = fates.windows(2).filter(|w| w[0] && w[1]).count();
         let cond = both as f64 / pairs as f64;
         assert!(
-            cond > 2.0 * loss_rate,
-            "cond={cond} marginal={loss_rate}: bursts look i.i.d."
+            cond > 2.0 * bad_rate,
+            "cond={cond} marginal={bad_rate}: bursts look i.i.d."
         );
     }
 
     #[test]
     fn good_state_is_clean_and_spikes_apply() {
-        let m = BurstModel {
-            p_enter: 1.0,
-            p_exit: 0.0,
-            loss: 0.0,
-            spike_ms: 25.0,
-        };
         let mut rng = ChaCha12Rng::seed_from_u64(1);
+        // p_enter = 1 forces the bad state at once and re-enters it the
+        // step after every exit: a probe is clean only as the burst ends,
+        // and the bad state both loses probes and spikes the survivors.
+        let stormy = BurstModel { p_enter: 1.0 };
         let mut bad = false;
-        // p_enter = 1 forces the bad state immediately; loss = 0 means
-        // every probe survives with the spike.
-        for _ in 0..16 {
-            assert_eq!(m.step(&mut bad, &mut rng), BurstFate::Spiked(25.0));
-        }
-        let calm = BurstModel {
-            p_enter: 0.0,
-            p_exit: 1.0,
-            loss: 1.0,
-            spike_ms: 0.0,
-        };
+        let fates: Vec<BurstFate> = (0..64).map(|_| stormy.step(&mut bad, &mut rng)).collect();
+        assert_ne!(fates[0], BurstFate::Clean);
+        assert!(fates
+            .windows(2)
+            .all(|w| w[0] != BurstFate::Clean || w[1] != BurstFate::Clean));
+        assert!(fates.contains(&BurstFate::Lost));
+        assert!(fates.contains(&BurstFate::Spiked(BURST_SPIKE_MS)));
+        // p_enter = 0: once the burst ends, every probe is clean.
+        let calm = BurstModel { p_enter: 0.0 };
         let mut bad = true;
-        // p_exit = 1 leaves the burst before sampling: first probe is clean.
-        assert_eq!(calm.step(&mut bad, &mut rng), BurstFate::Clean);
+        let fates: Vec<BurstFate> = (0..64).map(|_| calm.step(&mut bad, &mut rng)).collect();
+        let first_clean = fates.iter().position(|f| *f == BurstFate::Clean);
+        let first_clean = first_clean.expect("the burst never ended");
+        assert!(fates[first_clean..].iter().all(|f| *f == BurstFate::Clean));
         assert!(!bad);
     }
 }

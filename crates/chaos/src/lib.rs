@@ -11,8 +11,8 @@
 //!
 //! - [`ChaosPlan`] — a declarative, seeded fault schedule (who crashes
 //!   when, which windows partition which groups, the Gilbert–Elliott burst
-//!   regime, the probe retry policy). Plans are plain data: serializable,
-//!   comparable, and composable through the builder methods.
+//!   regime). Plans are plain data: serializable, comparable, and
+//!   composable through the builder methods.
 //! - [`BurstModel`] — the two-state Gilbert–Elliott chain upgrading
 //!   `netsim::link::LinkModel` from i.i.d. loss to correlated bursts.
 //! - [`ChaosState`] — the per-run interpreter the sims thread through
@@ -36,5 +36,5 @@ mod plan;
 mod runtime;
 
 pub use gilbert::{BurstFate, BurstModel};
-pub use plan::{ChaosPlan, ChurnEvent, ChurnKind, PartitionWindow, ProbePolicy};
+pub use plan::{ChaosPlan, ChurnEvent, ChurnKind, PartitionWindow};
 pub use runtime::{ChaosCounters, ChaosState, ProbeFate};

@@ -1,7 +1,8 @@
 //! Declarative fault schedules.
 //!
 //! A [`ChaosPlan`] is plain data: a sorted churn timeline, partition
-//! windows, an optional burst regime, and the probe retry policy. Builders
+//! windows and an optional burst regime (the probe retry policy is fixed,
+//! beside its reader in the runtime). Builders
 //! that need randomness (victim selection for [`ChaosPlan::churn_wave`] and
 //! [`ChaosPlan::split`]) draw from labelled streams derived from the plan's
 //! own seed, so a plan is fully determined by its inputs and never touches
@@ -57,35 +58,6 @@ impl PartitionWindow {
     }
 }
 
-/// How probers cope with unresponsive peers: bounded retry with
-/// exponential backoff, then (for Vivaldi) staleness eviction of the
-/// neighbor or (for NPS) fail-over through membership replacement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ProbePolicy {
-    /// Time a prober waits before declaring one probe attempt dead.
-    pub timeout_ms: f64,
-    /// Retries after the first failed attempt (so `max_retries + 1`
-    /// attempts total per probe cycle).
-    pub max_retries: u32,
-    /// Backoff multiplier: retry `k` fires `timeout_ms * backoff^k` after
-    /// its predecessor failed.
-    pub backoff: f64,
-    /// Consecutive exhausted probe cycles to one peer before it is
-    /// evicted / failed over.
-    pub evict_after: u32,
-}
-
-impl Default for ProbePolicy {
-    fn default() -> Self {
-        ProbePolicy {
-            timeout_ms: 3_000.0,
-            max_retries: 2,
-            backoff: 2.0,
-            evict_after: 2,
-        }
-    }
-}
-
 /// A complete seeded fault schedule. Start from [`ChaosPlan::none`] and
 /// chain builders; an untouched plan is *inert* ([`ChaosPlan::is_empty`])
 /// and a sim running one is bitwise identical to a sim without chaos.
@@ -99,19 +71,19 @@ pub struct ChaosPlan {
     pub partitions: Vec<PartitionWindow>,
     /// Gilbert–Elliott burst regime, if any.
     pub bursts: Option<BurstModel>,
-    /// Probe timeout/retry/eviction policy.
-    pub probe: ProbePolicy,
 }
 
+/// Share of the nodes [`ChaosPlan::split`] partitions away from the rest.
+const SPLIT_FRACTION: f64 = 0.5;
+
 impl ChaosPlan {
-    /// The inert plan: no faults, default probe policy, seed 0.
+    /// The inert plan: no faults, seed 0.
     pub fn none() -> Self {
         ChaosPlan {
             seed: 0,
             churn: Vec::new(),
             partitions: Vec::new(),
             bursts: None,
-            probe: ProbePolicy::default(),
         }
     }
 
@@ -159,21 +131,14 @@ impl ChaosPlan {
     }
 
     /// Degree-targeted takedown: crash exactly `targets` (e.g. NPS layer-0
-    /// landmarks) at `at_ms`; restart them `up_after_ms` later if given.
-    pub fn takedown(mut self, targets: &[usize], at_ms: u64, up_after_ms: Option<u64>) -> Self {
+    /// landmarks) at `at_ms`, for good.
+    pub fn takedown(mut self, targets: &[usize], at_ms: u64) -> Self {
         for &node in targets {
             self.churn.push(ChurnEvent {
                 at_ms,
                 node,
                 kind: ChurnKind::Crash,
             });
-            if let Some(up) = up_after_ms {
-                self.churn.push(ChurnEvent {
-                    at_ms: at_ms + up,
-                    node,
-                    kind: ChurnKind::Restart,
-                });
-            }
         }
         self.normalized()
     }
@@ -191,10 +156,10 @@ impl ChaosPlan {
         self
     }
 
-    /// Partition a random `fraction` of the `n` nodes (label
-    /// `chaos/partition`) away from the rest during `[start_ms, end_ms)`.
-    pub fn split(self, n: usize, fraction: f64, start_ms: u64, end_ms: u64) -> Self {
-        let count = ((n as f64) * fraction.clamp(0.0, 1.0)).round() as usize;
+    /// Partition a random half of the `n` nodes (label `chaos/partition`)
+    /// away from the rest during `[start_ms, end_ms)`.
+    pub fn split(self, n: usize, start_ms: u64, end_ms: u64) -> Self {
+        let count = ((n as f64) * SPLIT_FRACTION).round() as usize;
         let mut ids: Vec<usize> = (0..n).collect();
         let mut rng = SeedStream::new(self.seed).rng("chaos/partition");
         ids.shuffle(&mut rng);
@@ -205,12 +170,6 @@ impl ChaosPlan {
     /// Install a Gilbert–Elliott burst regime.
     pub fn bursts(mut self, model: BurstModel) -> Self {
         self.bursts = Some(model);
-        self
-    }
-
-    /// Replace the probe timeout/retry policy.
-    pub fn probe_policy(mut self, policy: ProbePolicy) -> Self {
-        self.probe = policy;
         self
     }
 
@@ -271,7 +230,7 @@ mod tests {
 
     #[test]
     fn takedown_hits_exact_targets() {
-        let p = ChaosPlan::none().takedown(&[3, 1, 4], 100, None);
+        let p = ChaosPlan::none().takedown(&[3, 1, 4], 100);
         assert_eq!(p.churn.len(), 3);
         assert!(p.churn.iter().all(|e| e.kind == ChurnKind::Crash));
         let mut nodes: Vec<usize> = p.churn.iter().map(|e| e.node).collect();
@@ -303,11 +262,12 @@ mod tests {
     #[test]
     fn composed_plans_stay_sorted_and_comparable() {
         let p = ChaosPlan::with_seed(5)
-            .takedown(&[7], 9_000, Some(1_000))
+            .takedown(&[7], 9_000)
             .churn_wave(20, 0.25, 500, 2_000)
-            .split(20, 0.5, 100, 900)
+            .split(20, 100, 900)
             .bursts(BurstModel::mild());
         assert!(p.churn.windows(2).all(|w| w[0].at_ms <= w[1].at_ms));
+        assert_eq!(p.partitions[0].group.len(), 10);
         assert_eq!(p.clone(), p);
     }
 }

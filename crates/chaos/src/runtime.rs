@@ -42,6 +42,22 @@ pub enum ProbeFate {
     Timeout,
 }
 
+// How probers cope with unresponsive peers: bounded retry with exponential
+// backoff, then (for Vivaldi) staleness eviction of the neighbor or (for
+// NPS) fail-over through membership replacement.
+
+/// Time a prober waits before declaring one probe attempt dead, ms.
+const PROBE_TIMEOUT_MS: f64 = 3_000.0;
+/// Retries after the first failed attempt (so `PROBE_MAX_RETRIES + 1`
+/// attempts total per probe cycle).
+const PROBE_MAX_RETRIES: u32 = 2;
+/// Backoff multiplier: retry `k` fires `PROBE_TIMEOUT_MS · PROBE_BACKOFF^k`
+/// after its predecessor failed.
+const PROBE_BACKOFF: f64 = 2.0;
+/// Consecutive exhausted probe cycles to one peer before it is evicted /
+/// failed over.
+const PROBE_EVICT_AFTER: u32 = 2;
+
 /// A [`ChaosPlan`] bound to a run: tracks which nodes are down, each
 /// prober's burst-chain state, and the fault counters. All randomness
 /// comes from the plan's private stream, so an empty plan draws nothing
@@ -176,24 +192,19 @@ impl ChaosState {
     /// `timeout * backoff^(attempt-1)` — exponential backoff anchored at
     /// the probe timeout.
     pub fn retry_delay_ms(&self, attempt: u32) -> f64 {
-        self.plan.probe.timeout_ms
-            * self
-                .plan
-                .probe
-                .backoff
-                .powi(attempt.saturating_sub(1) as i32)
+        PROBE_TIMEOUT_MS * PROBE_BACKOFF.powi(attempt.saturating_sub(1) as i32)
     }
 
     /// Retry budget per probe cycle (attempts beyond the first).
     #[inline]
     pub fn max_retries(&self) -> u32 {
-        self.plan.probe.max_retries
+        PROBE_MAX_RETRIES
     }
 
     /// Exhausted probe cycles tolerated before eviction/fail-over.
     #[inline]
     pub fn evict_after(&self) -> u32 {
-        self.plan.probe.evict_after
+        PROBE_EVICT_AFTER
     }
 
     /// Record a scheduled retry.
@@ -268,10 +279,16 @@ impl ChaosState {
 mod tests {
     use super::*;
     use crate::gilbert::BurstModel;
+    use crate::plan::ChurnEvent;
 
     #[test]
     fn churn_timeline_applies_in_order_and_reports_restarts() {
-        let plan = ChaosPlan::none().takedown(&[1, 2], 100, Some(400));
+        let mut plan = ChaosPlan::none().takedown(&[1, 2], 100);
+        plan.churn.extend([2, 1].map(|node| ChurnEvent {
+            at_ms: 500,
+            node,
+            kind: ChurnKind::Restart,
+        }));
         let mut st = ChaosState::new(plan, 4, 1_000);
         assert!(st.advance(1_050).is_empty());
         assert!(!st.is_down(1));
@@ -287,7 +304,7 @@ mod tests {
     #[test]
     fn probe_fate_times_out_on_down_or_partitioned_peers() {
         let plan = ChaosPlan::none()
-            .takedown(&[3], 0, None)
+            .takedown(&[3], 0)
             .partition(vec![0, 1], 0, 10_000);
         let mut st = ChaosState::new(plan, 6, 0);
         st.advance(0);
@@ -335,14 +352,16 @@ mod tests {
 
     #[test]
     fn bursts_mark_and_spike_probes() {
-        let plan = ChaosPlan::with_seed(11).bursts(BurstModel {
-            p_enter: 1.0,
-            p_exit: 0.0,
-            loss: 0.0,
-            spike_ms: 30.0,
-        });
+        // p_enter = 1: the prober's first probe is in a burst, and every
+        // later one too unless the burst just ended.
+        let plan = ChaosPlan::with_seed(11).bursts(BurstModel { p_enter: 1.0 });
         let mut st = ChaosState::new(plan, 2, 0);
-        assert_eq!(st.probe_fate(0, 1, 0, 10.0), ProbeFate::Delivered(40.0));
-        assert_eq!(st.counters().spiked, 1);
+        let fates: Vec<ProbeFate> = (0..16).map(|t| st.probe_fate(0, 1, t, 10.0)).collect();
+        assert_ne!(fates[0], ProbeFate::Delivered(10.0));
+        let count = |fate: ProbeFate| fates.iter().filter(|f| **f == fate).count() as u64;
+        let spiked = count(ProbeFate::Delivered(50.0));
+        assert!(spiked > 0);
+        assert_eq!(st.counters().spiked, spiked);
+        assert_eq!(st.counters().burst_losses, count(ProbeFate::Timeout));
     }
 }

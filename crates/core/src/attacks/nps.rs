@@ -140,15 +140,14 @@ impl AttackStrategy for NpsAntiDetection {
 ///
 /// The attackers behave honestly until at least 5 of them serve as
 /// reference points in the agreed attack layer (layer 1). They then pick a
-/// common victim set in the layer below and, only when serving those victims,
+/// common victim set (`VICTIM_FRACTION` of the honest nodes) in the layer
+/// below and, only when serving those victims,
 /// pretend to be clustered in a remote region of the space while delaying
 /// probes consistently with an agreed isolation point at the *opposite*
 /// side — pushing every victim there. Non-victims always observe honest
 /// behaviour, and by lying as a group the colluders drag the median fitting
 /// error upward, blunting condition (2) of the NPS filter.
 pub struct NpsCollusionIsolation {
-    /// Fraction of the layer below designated as common victims.
-    pub victim_fraction: f64,
     active: bool,
     cluster: HashMap<usize, Coord>,
     victims: HashSet<usize>,
@@ -156,6 +155,9 @@ pub struct NpsCollusionIsolation {
     isolation_point: Coord,
 }
 
+/// Fraction of the layer below the isolation colluders designate as common
+/// victims.
+pub(crate) const VICTIM_FRACTION: f64 = 0.2;
 /// Colluders needed in the attack layer before the isolation attack
 /// activates (the paper's activation threshold).
 const MIN_ACTIVE: usize = 5;
@@ -166,12 +168,9 @@ const ISOLATION_CLUSTER_RANGE: f64 = 10_000.0;
 /// Scatter of isolation colluders within the cluster.
 const ISOLATION_CLUSTER_SPREAD: f64 = 100.0;
 
-impl NpsCollusionIsolation {
-    /// Build with the paper's activation threshold (5 colluding reference
-    /// points) attacking from layer 1.
-    pub fn new(victim_fraction: f64) -> Self {
+impl Default for NpsCollusionIsolation {
+    fn default() -> Self {
         NpsCollusionIsolation {
-            victim_fraction,
             active: false,
             cluster: HashMap::new(),
             victims: HashSet::new(),
@@ -179,7 +178,9 @@ impl NpsCollusionIsolation {
             isolation_point: Coord::origin(0),
         }
     }
+}
 
+impl NpsCollusionIsolation {
     /// Preset the common victim set (otherwise chosen at injection). Used
     /// by the experiment harness so it can track exactly these nodes.
     pub fn preset_victims(&mut self, victims: HashSet<usize>) {
@@ -245,7 +246,7 @@ impl AttackStrategy for NpsCollusionIsolation {
                 .filter(|&i| view.layer_of(i) == ATTACK_LAYER + 1 && !view.malicious[i])
                 .collect();
             pool.shuffle(rng);
-            let k = ((pool.len() as f64) * self.victim_fraction.clamp(0.0, 1.0)).round() as usize;
+            let k = ((pool.len() as f64) * VICTIM_FRACTION).round() as usize;
             pool.truncate(k.max(1));
             self.victims = pool.into_iter().collect();
         }
@@ -274,8 +275,9 @@ impl AttackStrategy for NpsCollusionIsolation {
 }
 
 /// Figure 26 — *combined NPS attacks*: equal shares of independent
-/// disorder, anti-detection sophisticated disorder, and colluding isolation
-/// attackers, modelling the low-level residual infection after an outbreak.
+/// disorder, anti-detection sophisticated disorder (with the paper's
+/// default half-knowledge), and colluding isolation attackers, modelling
+/// the low-level residual infection after an outbreak.
 pub struct NpsCombined {
     disorder: NpsSimpleDisorder,
     anti_detection: NpsAntiDetection,
@@ -283,13 +285,12 @@ pub struct NpsCombined {
     assignment: HashMap<usize, u8>,
 }
 
-impl NpsCombined {
-    /// Build with the paper's sub-strategy parameters.
-    pub fn new(knowledge: Knowledge, victim_fraction: f64) -> Self {
+impl Default for NpsCombined {
+    fn default() -> Self {
         NpsCombined {
             disorder: NpsSimpleDisorder,
-            anti_detection: NpsAntiDetection::sophisticated(knowledge),
-            collusion: NpsCollusionIsolation::new(victim_fraction),
+            anti_detection: NpsAntiDetection::sophisticated(Knowledge::half()),
+            collusion: NpsCollusionIsolation::default(),
             assignment: HashMap::new(),
         }
     }
@@ -485,7 +486,7 @@ mod tests {
         let v = view(&f);
         let mut rng = ChaCha12Rng::seed_from_u64(3);
         let mut coll = Collusion::new();
-        let mut adv = NpsCollusionIsolation::new(0.5);
+        let mut adv = NpsCollusionIsolation::default();
         adv.inject(&[0, 1, 2, 3], &mut coll, &v, &mut rng); // only 4 < 5
         assert!(!adv.active);
         assert!(adv
@@ -499,7 +500,7 @@ mod tests {
         let v = view(&f);
         let mut rng = ChaCha12Rng::seed_from_u64(4);
         let mut coll = Collusion::new();
-        let mut adv = NpsCollusionIsolation::new(0.5);
+        let mut adv = NpsCollusionIsolation::default();
         adv.inject(&[0, 1, 2, 3, 4], &mut coll, &v, &mut rng);
         assert!(adv.active);
         let victims = adv.victims().clone();
@@ -533,7 +534,7 @@ mod tests {
         let v = view(&f);
         let mut rng = ChaCha12Rng::seed_from_u64(5);
         let mut coll = Collusion::new();
-        let mut adv = NpsCombined::new(Knowledge::half(), 0.3);
+        let mut adv = NpsCombined::default();
         let attackers = [0usize, 1, 2, 3, 4, 5];
         adv.inject(&attackers, &mut coll, &v, &mut rng);
         let (d, a, c) = class_sizes(&adv);

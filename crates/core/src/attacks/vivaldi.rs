@@ -12,7 +12,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use std::collections::{HashMap, HashSet};
-use vcoord_attackkit::{AttackStrategy, Collusion, CoordView, Lie, Probe, LIE_ERROR};
+use vcoord_attackkit::{AttackStrategy, Collusion, CoordView, Lie, Probe, LIE_ERROR, RANDOM_RANGE};
 use vcoord_space::Coord;
 
 /// §5.3.1 — the *disorder* attack.
@@ -25,7 +25,7 @@ use vcoord_space::Coord;
 /// The lie shape is exactly [`RandomLie`](vcoord_attackkit::RandomLie) —
 /// this type only pins the paper's name and defaults on it, so the two can
 /// never drift apart.
-// `RandomLie::default()` IS the paper's §5.3.1 parameter set.
+// `RandomLie` IS the paper's §5.3.1 parameter set.
 #[derive(Debug, Clone, Default)]
 pub struct VivaldiDisorder(vcoord_attackkit::RandomLie);
 
@@ -48,10 +48,14 @@ impl AttackStrategy for VivaldiDisorder {
 /// subset of victims, figure 7) toward it: it reports the mirror point of
 /// `X_target` through the victim's current position and delays the probe to
 /// the paper's `RTT = d/δ + d`, so the lie is fully consistent.
-#[derive(Debug, Clone)]
+///
+/// `X_target`'s distance from the origin is drawn from
+/// `[0.5, 1) ×` [`RANDOM_RANGE`]: "far away from the origin" at the
+/// random-interval scale of §5.1. The paper leaves the magnitude open; at
+/// this scale the attacked system degrades to the random-baseline regime
+/// (see EXPERIMENTS.md calibration notes).
+#[derive(Debug, Clone, Default)]
 pub struct VivaldiRepulsion {
-    /// Magnitude of each attacker's `X_target` (distance from the origin).
-    pub target_range: f64,
     /// If set, each attacker only attacks this many victims, chosen
     /// independently at injection (figure 7's modified attack).
     pub subset_size: Option<usize>,
@@ -60,32 +64,12 @@ pub struct VivaldiRepulsion {
 }
 
 impl VivaldiRepulsion {
-    /// Attack every requesting node (the base attack).
-    pub fn new(target_range: f64) -> Self {
-        VivaldiRepulsion {
-            target_range,
-            subset_size: None,
-            targets: HashMap::new(),
-            victims: HashMap::new(),
-        }
-    }
-
     /// Attack only `subset` victims per attacker (figure 7).
-    pub(crate) fn with_subset(target_range: f64, subset: usize) -> Self {
+    pub(crate) fn with_subset(subset: usize) -> Self {
         VivaldiRepulsion {
             subset_size: Some(subset),
-            ..Self::new(target_range)
+            ..Self::default()
         }
-    }
-}
-
-impl Default for VivaldiRepulsion {
-    fn default() -> Self {
-        // "Far away from the origin": the random-interval scale of §5.1.
-        // The paper leaves the magnitude open; at this scale the attacked
-        // system degrades to the random-baseline regime (see
-        // EXPERIMENTS.md calibration notes).
-        Self::new(50_000.0)
     }
 }
 
@@ -105,7 +89,7 @@ impl AttackStrategy for VivaldiRepulsion {
             // far away from the origin."
             let mut target = view.space.origin();
             let dir = view.space.random_unit(rng);
-            let magnitude = rng.gen_range(0.5..1.0) * self.target_range;
+            let magnitude = rng.gen_range(0.5..1.0) * RANDOM_RANGE;
             view.space.apply(&mut target, &dir, magnitude);
             self.targets.insert(a, target);
 
@@ -149,37 +133,39 @@ impl AttackStrategy for VivaldiRepulsion {
 /// §5.3.3 strategy 1 — *colluding isolation by repelling the world*.
 ///
 /// All attackers agree on one target node and on a designated coordinate
-/// per victim (computed radially away from the target at an agreed
-/// distance, frozen when first used), then collectively and consistently
-/// repel every other honest node toward its designated coordinate. The
-/// target itself is left alone; it ends up isolated because everyone else
-/// has been moved away.
+/// per victim (computed radially away from the target at the agreed
+/// `REPEL_DISTANCE`, frozen when first used), then collectively and
+/// consistently repel every other honest node toward its designated
+/// coordinate. The target itself is left alone; it ends up isolated
+/// because everyone else has been moved away. [`Default`] isolates a
+/// random honest node.
 #[derive(Debug, Clone)]
 pub struct VivaldiCollusionRepel {
-    /// The agreed isolation distance from the target.
-    pub distance: f64,
     /// The designated target node (chosen at injection unless preset).
     pub target: Option<usize>,
     target_coord: Coord,
     designated: HashMap<usize, Coord>,
 }
 
-impl VivaldiCollusionRepel {
-    /// Collude to isolate a random honest node at the given distance.
-    pub fn new(distance: f64) -> Self {
+/// The repelling colluders' agreed isolation distance from the target, ms.
+const REPEL_DISTANCE: f64 = 10_000.0;
+
+impl Default for VivaldiCollusionRepel {
+    fn default() -> Self {
         VivaldiCollusionRepel {
-            distance,
             target: None,
             target_coord: Coord::origin(0),
             designated: HashMap::new(),
         }
     }
+}
 
+impl VivaldiCollusionRepel {
     /// Collude against a specific node.
-    pub fn against(target: usize, distance: f64) -> Self {
+    pub fn against(target: usize) -> Self {
         VivaldiCollusionRepel {
             target: Some(target),
-            ..Self::new(distance)
+            ..Self::default()
         }
     }
 
@@ -198,7 +184,7 @@ impl VivaldiCollusionRepel {
             .space
             .direction(&view.coords[victim], &self.target_coord, rng);
         let mut dest = self.target_coord.clone();
-        view.space.apply(&mut dest, &dir, self.distance);
+        view.space.apply(&mut dest, &dir, REPEL_DISTANCE);
         self.designated.insert(victim, dest.clone());
         dest
     }
@@ -257,34 +243,25 @@ impl AttackStrategy for VivaldiCollusionRepel {
 /// own coordinate lies within that cluster: every probe from the victim is
 /// answered with a cluster coordinate and a near-zero error, so the victim
 /// is pulled into the (empty) remote area. All other nodes see honest
-/// behaviour.
-#[derive(Debug, Clone)]
+/// behaviour. [`Default`] lures a random honest node.
+#[derive(Debug, Clone, Default)]
 pub struct VivaldiCollusionLure {
-    /// Distance of the pretend cluster from the origin.
-    pub cluster_range: f64,
     /// The designated victim (chosen at injection unless preset).
     pub target: Option<usize>,
     cluster: HashMap<usize, Coord>,
 }
 
+/// Distance of the lure colluders' pretend cluster from the origin, ms.
+const LURE_CLUSTER_RANGE: f64 = 10_000.0;
 /// Scatter of individual lure attackers inside the cluster.
 const LURE_CLUSTER_SPREAD: f64 = 50.0;
 
 impl VivaldiCollusionLure {
-    /// Lure a random honest node into a remote cluster.
-    pub fn new(cluster_range: f64) -> Self {
-        VivaldiCollusionLure {
-            cluster_range,
-            target: None,
-            cluster: HashMap::new(),
-        }
-    }
-
     /// Lure a specific node.
-    pub fn against(target: usize, cluster_range: f64) -> Self {
+    pub fn against(target: usize) -> Self {
         VivaldiCollusionLure {
             target: Some(target),
-            ..Self::new(cluster_range)
+            ..Self::default()
         }
     }
 }
@@ -306,7 +283,7 @@ impl AttackStrategy for VivaldiCollusionLure {
         // Agree on a remote cluster centre, then scatter members around it.
         let mut centre = view.space.origin();
         let dir = view.space.random_unit(rng);
-        view.space.apply(&mut centre, &dir, self.cluster_range);
+        view.space.apply(&mut centre, &dir, LURE_CLUSTER_RANGE);
         for &a in attackers {
             let mut pos = centre.clone();
             let jitter = view.space.random_unit(rng);
@@ -354,7 +331,7 @@ impl VivaldiCombined {
         VivaldiCombined {
             disorder: VivaldiDisorder::default(),
             repulsion: VivaldiRepulsion::default(),
-            collusion: VivaldiCollusionRepel::new(10_000.0),
+            collusion: VivaldiCollusionRepel::default(),
             assignment: HashMap::new(),
         }
     }
@@ -487,7 +464,7 @@ mod tests {
                 .unwrap();
             assert_eq!(lie.error, 0.01);
             assert!((100.0..1000.0).contains(&lie.delay_ms));
-            assert!(lie.coord.vec.iter().all(|x| x.abs() <= 50_000.0));
+            assert!(lie.coord.vec.iter().all(|x| x.abs() <= RANDOM_RANGE));
         }
     }
 
@@ -497,11 +474,11 @@ mod tests {
         let view = view_fixture(&space, &coords, &errors, &malicious);
         let mut rng = ChaCha12Rng::seed_from_u64(1);
         let mut coll = Collusion::new();
-        let mut adv = VivaldiRepulsion::new(5_000.0);
+        let mut adv = VivaldiRepulsion::default();
         adv.inject(&[0], &mut coll, &view, &mut rng);
         let target = adv.targets.get(&0).unwrap().clone();
         assert!(
-            target.magnitude() >= 2_500.0,
+            target.magnitude() >= 0.5 * RANDOM_RANGE,
             "target must be far from origin"
         );
 
@@ -524,7 +501,7 @@ mod tests {
         let view = view_fixture(&space, &coords, &errors, &malicious);
         let mut rng = ChaCha12Rng::seed_from_u64(2);
         let mut coll = Collusion::new();
-        let mut adv = VivaldiRepulsion::with_subset(5_000.0, 1);
+        let mut adv = VivaldiRepulsion::with_subset(1);
         adv.inject(&[0], &mut coll, &view, &mut rng);
         let attacked: Vec<bool> = (1..4)
             .map(|v| {
@@ -541,7 +518,7 @@ mod tests {
         let view = view_fixture(&space, &coords, &errors, &malicious);
         let mut rng = ChaCha12Rng::seed_from_u64(3);
         let mut coll = Collusion::new();
-        let mut adv = VivaldiCollusionRepel::against(3, 4_000.0);
+        let mut adv = VivaldiCollusionRepel::against(3);
         adv.inject(&[0], &mut coll, &view, &mut rng);
         assert!(adv
             .respond(&probe(0, 3, 80.0), &mut coll, &view, &mut rng)
@@ -563,7 +540,7 @@ mod tests {
         let view = view_fixture(&space, &coords, &errors, &malicious);
         let mut rng = ChaCha12Rng::seed_from_u64(4);
         let mut coll = Collusion::new();
-        let mut adv = VivaldiCollusionLure::against(2, 8_000.0);
+        let mut adv = VivaldiCollusionLure::against(2);
         adv.inject(&[0], &mut coll, &view, &mut rng);
         assert!(adv
             .respond(&probe(0, 1, 80.0), &mut coll, &view, &mut rng)
@@ -573,7 +550,7 @@ mod tests {
             .unwrap();
         assert_eq!(lie.delay_ms, 0.0);
         assert!(
-            lie.coord.magnitude() > 4_000.0,
+            lie.coord.magnitude() > 0.5 * LURE_CLUSTER_RANGE,
             "cluster must be remote, got {:?}",
             lie.coord
         );

@@ -70,7 +70,10 @@ fn arms_strategy_by(label: &str) -> Box<dyn AttackStrategy> {
 fn arms_defense_by(label: &str) -> Box<dyn DefenseStrategy> {
     match label {
         "drift_cap" => Box::new(DriftCap::default()),
-        "drift_cap_decay" => Box::new(DriftCap::with_decay(80.0, DriftDecay::new(SWEEP_HALF_LIFE))),
+        "drift_cap_decay" => Box::new(DriftCap::with_decay(
+            DriftCap::default().max_drag_ms,
+            DriftDecay::new(SWEEP_HALF_LIFE),
+        )),
         "mad_outlier" => Box::new(ResidualOutlier::default()),
         other => unreachable!("unknown arms defense label {other}"),
     }
@@ -227,10 +230,8 @@ fn arms_evasion_learning(scale: &Scale, seed: u64) -> FigureResult {
         scale,
         seed,
         [
-            ("fixed", || Box::new(EvadingFrogBoil::new(5.0, 80.0))),
-            ("learning", || {
-                Box::new(EvadingFrogBoil::learning(5.0, 80.0))
-            }),
+            ("fixed", || Box::new(EvadingFrogBoil::default())),
+            ("learning", || Box::new(EvadingFrogBoil::learning())),
         ],
         ("err", |c| c.err),
         |cap, fixed, learning| {

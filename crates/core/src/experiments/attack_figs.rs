@@ -41,9 +41,9 @@ pub(crate) fn strategy_by(label: &str) -> Box<dyn AttackStrategy> {
     match label {
         "frog_boiling" => Box::new(FrogBoiling::default()),
         "oscillation" => Box::new(Oscillation::default()),
-        "partition" => Box::new(NetworkPartition::default()),
-        "inflation" => Box::new(Inflation::default()),
-        "deflation" => Box::new(Deflation::default()),
+        "partition" => Box::new(NetworkPartition),
+        "inflation" => Box::new(Inflation),
+        "deflation" => Box::new(Deflation),
         other => unreachable!("unknown attackkit strategy label {other}"),
     }
 }

@@ -141,7 +141,7 @@ fn chaos_landmark_takedown(scale: &Scale, seed: u64) -> FigureResult {
     .recovery(&drift_capped(&scale, seed), &|down, sim: &NpsSim| {
         let landmarks = sim.landmark_ids();
         let k = (down as usize).min(landmarks.len());
-        ChaosPlan::with_seed(seed ^ 0x7A4E).takedown(&landmarks[..k], NPS_ROUND_MS, None)
+        ChaosPlan::with_seed(seed ^ 0x7A4E).takedown(&landmarks[..k], NPS_ROUND_MS)
     })
 }
 
@@ -176,10 +176,7 @@ fn chaos_loss_bursts(scale: &Scale, seed: u64) -> FigureResult {
         },
     }
     .recovery(&drift_capped::<VivaldiSim>(&scale, seed), &|p_enter, _| {
-        ChaosPlan::with_seed(seed ^ 0xB0557).bursts(BurstModel {
-            p_enter,
-            ..BurstModel::mild()
-        })
+        ChaosPlan::with_seed(seed ^ 0xB0557).bursts(BurstModel { p_enter })
     })
 }
 
@@ -236,7 +233,7 @@ fn chaos_partition_recovery(scale: &Scale, seed: u64) -> FigureResult {
     let end = start + (scale.vivaldi_attack_ticks / 3) * TICK_MS;
     let calm = drift_capped::<VivaldiSim>(&scale, seed);
     let split = RunSpec {
-        chaos: Some(&|_| ChaosPlan::with_seed(seed ^ 0x9A47).split(nodes, 0.5, start, end)),
+        chaos: Some(&|_| ChaosPlan::with_seed(seed ^ 0x9A47).split(nodes, start, end)),
         ..calm.clone()
     };
     let runs = repeat_all(&[split, calm]);
@@ -294,7 +291,7 @@ fn probation_run<'a>(
             ..NpsConfig::default()
         },
         fraction: FRACTION,
-        adversary: &|_, _, _| (Box::new(BurstThenReform::new(10)), None),
+        adversary: &|_, _, _| (Box::new(BurstThenReform::default()), None),
         defense: Some(&|_| Box::new(DriftCap::with_decay(40.0, DriftDecay::new(5.0)))),
         chaos: Some(chaos),
         ..RunSpec::new(scale, seed)

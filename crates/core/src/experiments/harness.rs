@@ -14,7 +14,7 @@
 
 use crate::experiments::{by_cell, repetition_pool_width, GridJob, Pool, Scale};
 use rand_chacha::ChaCha12Rng;
-use vcoord_attackkit::{AttackStrategy, Honest};
+use vcoord_attackkit::{AttackStrategy, Honest, RANDOM_RANGE};
 use vcoord_chaos::{ChaosCounters, ChaosPlan};
 use vcoord_defense::{Defense, DefenseStrategy};
 use vcoord_metrics::stats::mean;
@@ -24,9 +24,6 @@ use vcoord_nps::{NpsConfig, NpsSim};
 use vcoord_space::{Coord, Space};
 use vcoord_topo::{KingLike, KingLikeConfig, RttMatrix};
 use vcoord_vivaldi::{VivaldiConfig, VivaldiSim};
-
-/// The random-coordinate interval of the paper's worst-case baseline.
-const RANDOM_RANGE: f64 = 50_000.0;
 
 /// Flag events a node must accumulate before the harness counts it as
 /// *detected* when grading verdicts into a [`Confusion`]: sample-level
@@ -942,7 +939,7 @@ mod tests {
         };
         let deploy: &Deploy<'_, NpsSim> = &|_| Box::new(vcoord_defense::DriftCap::new(80.0));
         let faults: &Faults<'_, NpsSim> =
-            &|sim| ChaosPlan::none().takedown(&sim.landmark_ids()[..2], 0, None);
+            &|sim| ChaosPlan::none().takedown(&sim.landmark_ids()[..2], 0);
         let specs = [
             // One unit: fraction, adversary, defense (with the probation
             // period it deploys under), faults and attack window only act
@@ -1580,7 +1577,7 @@ mod tests {
         // same injection on both sides keeps them equal.
         for s in [&mut sim, &mut copy] {
             let attackers = s.pick_attackers(0.2);
-            s.inject(&attackers, Box::new(RandomLie::new(500.0)));
+            s.inject(&attackers, Box::new(RandomLie));
             s.step(attack);
         }
         assert_eq!(state(&sim), state(&copy));

@@ -4,7 +4,7 @@
 //! injection happens at `scale.nps_warmup_rounds`.
 
 use crate::attacks::nps::{
-    NpsAntiDetection, NpsCollusionIsolation, NpsCombined, NpsSimpleDisorder,
+    NpsAntiDetection, NpsCollusionIsolation, NpsCombined, NpsSimpleDisorder, VICTIM_FRACTION,
 };
 use crate::experiments::harness::{honest, plain, repeat_all, Adversary, Choice, Run, RunSpec};
 use crate::experiments::registry::Figure;
@@ -36,9 +36,6 @@ fn anti_detection(knowledge: Knowledge, sophisticated: bool) -> Box<dyn AttackSt
     })
 }
 
-/// Share of the honest layer-2 nodes the colluders designate as victims.
-const VICTIM_FRACTION: f64 = 0.2;
-
 /// Colluding isolation; victims are reported as the focus set so the
 /// harness can track their error separately (figure 25).
 fn collusion(sim: &NpsSim, attackers: &[usize], seeds: &SeedStream) -> Choice {
@@ -50,7 +47,7 @@ fn collusion(sim: &NpsSim, attackers: &[usize], seeds: &SeedStream) -> Choice {
     pool.shuffle(&mut seeds.rng("collusion-victims"));
     let k = ((pool.len() as f64) * VICTIM_FRACTION).round().max(1.0) as usize;
     pool.truncate(k);
-    let mut adv = NpsCollusionIsolation::new(VICTIM_FRACTION);
+    let mut adv = NpsCollusionIsolation::default();
     adv.preset_victims(pool.iter().copied().collect());
     (Box::new(adv), Some(pool))
 }
@@ -446,7 +443,7 @@ pub(crate) const FIGURES: &[Figure] = &[
                 seed,
                 &[0.05, 0.10, 0.15],
                 &[("combined", NpsConfig::default())],
-                &plain(|| Box::new(NpsCombined::new(Knowledge::half(), 0.2))),
+                &plain(|| Box::new(NpsCombined::default())),
             )
         },
     },

@@ -56,7 +56,7 @@ fn isolation_target(sim: &VivaldiSim, attackers: &[usize], seeds: &SeedStream) -
 fn collusion_repel(sim: &VivaldiSim, attackers: &[usize], seeds: &SeedStream) -> Choice {
     let target = isolation_target(sim, attackers, seeds);
     (
-        Box::new(VivaldiCollusionRepel::against(target, 10_000.0)),
+        Box::new(VivaldiCollusionRepel::against(target)),
         Some(vec![target]),
     )
 }
@@ -65,7 +65,7 @@ fn collusion_repel(sim: &VivaldiSim, attackers: &[usize], seeds: &SeedStream) ->
 fn collusion_lure(sim: &VivaldiSim, attackers: &[usize], seeds: &SeedStream) -> Choice {
     let target = isolation_target(sim, attackers, seeds);
     (
-        Box::new(VivaldiCollusionLure::against(target, 10_000.0)),
+        Box::new(VivaldiCollusionLure::against(target)),
         Some(vec![target]),
     )
 }
@@ -219,7 +219,7 @@ fn fig07(scale: &Scale, seed: u64) -> FigureResult {
     let mut fig = FigureResult::new(columns);
     let adversaries = shares.map(|s| {
         let subset = ((scale.nodes as f64) * s).round() as usize;
-        plain(move || Box::new(VivaldiRepulsion::with_subset(50_000.0, subset)))
+        plain(move || Box::new(VivaldiRepulsion::with_subset(subset)))
     });
     let specs: Vec<_> = cross(&fractions, &adversaries)
         .map(|(&f, a)| scenario(scale, Space::Euclidean(2), scale.nodes, f, seed, a))

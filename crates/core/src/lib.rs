@@ -83,7 +83,7 @@ pub mod prelude {
         AttackStrategy, Collusion, CoordView, Deflation, FrogBoiling, Honest, Inflation, Lie,
         NetworkPartition, Oscillation, Probe, Protocol, RandomLie, Scenario,
     };
-    pub use vcoord_chaos::{BurstModel, ChaosCounters, ChaosPlan, ProbePolicy};
+    pub use vcoord_chaos::{BurstModel, ChaosCounters, ChaosPlan};
     pub use vcoord_defense::{
         Defense, DefenseStrategy, DriftCap, DriftDecay, EwmaChangePoint, NoDefense, Provenance,
         ResidualOutlier, TriangleCheck, TrustedBaseline, Verdict,

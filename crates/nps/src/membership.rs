@@ -32,11 +32,14 @@ impl Membership {
     }
 
     /// Assign `k` random reference points for `node`; fewer when the pool
-    /// is small, none for a landmark.
+    /// is small, none for a landmark. The whole layer above is shuffled
+    /// (the draws do not depend on `k`), and the list keeps no more slots
+    /// than references.
     pub(crate) fn assign_refs(&self, node: usize, k: usize, rng: &mut impl Rng) -> Vec<usize> {
         let mut pool = self.above(node).unwrap_or_default().to_vec();
         pool.shuffle(rng);
         pool.truncate(k);
+        pool.shrink_to_fit();
         pool
     }
 
@@ -87,6 +90,16 @@ mod tests {
         let refs = m.assign_refs(9, 3, &mut rng);
         assert_eq!(refs.len(), 3);
         assert!(refs.iter().all(|r| m.members[1].contains(r)));
+    }
+
+    #[test]
+    fn assigned_refs_keep_no_spare_capacity() {
+        let m = membership();
+        let mut rng = ChaCha12Rng::seed_from_u64(0);
+        for k in 1..=4 {
+            let refs = m.assign_refs(9, k, &mut rng);
+            assert_eq!(refs.capacity(), refs.len(), "k={k}");
+        }
     }
 
     #[test]

@@ -1080,7 +1080,7 @@ mod tests {
         assert_eq!(landmarks.len(), 12);
         let replaced_before = sim.counters().refs_replaced;
         // Take down half the landmark backbone, permanently.
-        sim.install_chaos(ChaosPlan::none().takedown(&landmarks[..6], 0, None));
+        sim.install_chaos(ChaosPlan::none().takedown(&landmarks[..6], 0));
         sim.run_ms(600_000);
         let c = sim.chaos_counters().unwrap();
         assert_eq!(c.crashes, 6);
@@ -1103,7 +1103,13 @@ mod tests {
             .find(|&i| sim.layers_of()[i] != 0 && sim.positioned()[i])
             .unwrap();
         let coord_before = sim.coords()[victim].clone();
-        sim.install_chaos(ChaosPlan::none().takedown(&[victim], 0, Some(120_000)));
+        let mut plan = ChaosPlan::none().takedown(&[victim], 0);
+        plan.churn.push(vcoord_chaos::ChurnEvent {
+            at_ms: 120_000,
+            node: victim,
+            kind: vcoord_chaos::ChurnKind::Restart,
+        });
+        sim.install_chaos(plan);
         sim.run_ms(600_000);
         assert!(
             sim.positioned()[victim],
@@ -1138,7 +1144,7 @@ mod tests {
                 &attackers,
                 // Attack hard for 10 rounds after injection, then reform —
                 // the Vivaldi decay test's story, on the NPS seam.
-                Box::new(BurstThenReform::new(10)),
+                Box::new(BurstThenReform::default()),
             );
             sim.deploy_defense(Box::new(DriftCap::with_decay(40.0, DriftDecay::new(5.0))));
             sim.run_ms(3_000_000);

@@ -289,24 +289,20 @@ proptest! {
     fn evading_frog_undercuts_classic_frog_detection_at_the_same_seed(
         seed in 0u64..1000,
     ) {
-        // At the deployed = modeled cap, the defense-aware frog's
+        // At the deployed = modeled cap (80 ms), the defense-aware frog's
         // detection rate must fall strictly below the classic frog's at
         // the same seed and matched 5 ms/round budget (the arms-race
         // headline, as a per-seed invariant rather than one golden run).
         let n = 60;
-        let cap = 80.0;
         let run = |evading: bool| {
             let mut sim = converged_sim(n, seed);
             let attackers = sim.pick_attackers(0.3);
             if evading {
-                sim.inject_adversary(
-                    &attackers,
-                    Box::new(EvadingFrogBoil::new(5.0, cap)),
-                );
+                sim.inject_adversary(&attackers, Box::new(EvadingFrogBoil::default()));
             } else {
                 sim.inject_adversary(&attackers, Box::new(FrogBoiling::new(5.0)));
             }
-            sim.deploy_defense(Box::new(DriftCap::new(cap)));
+            sim.deploy_defense(Box::new(DriftCap::default()));
             sim.run_ticks(DEFENDED_TICKS);
             let stats = sim.defense_stats().expect("defense deployed");
             stats.confusion(sim.malicious(), 1).tpr().expect("attackers present")
@@ -345,9 +341,9 @@ proptest! {
             let mut sim = converged_sim(n, seed);
             let attackers = sim.pick_attackers(0.3);
             let adv = if learning {
-                EvadingFrogBoil::learning(5.0, 80.0)
+                EvadingFrogBoil::learning()
             } else {
-                EvadingFrogBoil::new(5.0, 80.0)
+                EvadingFrogBoil::default()
             };
             sim.inject_adversary(&attackers, Box::new(adv));
             sim.deploy_defense(Box::new(DriftCap::new(deployed)));

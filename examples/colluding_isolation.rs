@@ -72,8 +72,8 @@ fn main() {
     );
 
     let adversary: Box<dyn AttackStrategy> = match strategy.as_str() {
-        "repel" => Box::new(VivaldiCollusionRepel::against(victim, 10_000.0)),
-        "lure" => Box::new(VivaldiCollusionLure::against(victim, 10_000.0)),
+        "repel" => Box::new(VivaldiCollusionRepel::against(victim)),
+        "lure" => Box::new(VivaldiCollusionLure::against(victim)),
         other => {
             eprintln!("unknown strategy {other:?} (repel|lure)");
             std::process::exit(2);

@@ -74,7 +74,7 @@ fn main() {
         "disorder" => Box::new(NpsSimpleDisorder),
         "antidetect" => Box::new(NpsAntiDetection::naive(Knowledge::half())),
         "sophisticated" => Box::new(NpsAntiDetection::sophisticated(Knowledge::half())),
-        "collusion" => Box::new(NpsCollusionIsolation::new(0.2)),
+        "collusion" => Box::new(NpsCollusionIsolation::default()),
         other => {
             eprintln!("unknown attack {other:?}");
             std::process::exit(2);

@@ -67,8 +67,8 @@ fn main() {
     let adversary: Box<dyn AttackStrategy> = match attack.as_str() {
         "disorder" => Box::new(VivaldiDisorder::default()),
         "repulsion" => Box::new(VivaldiRepulsion::default()),
-        "collusion" => Box::new(VivaldiCollusionRepel::new(10_000.0)),
-        "lure" => Box::new(VivaldiCollusionLure::new(10_000.0)),
+        "collusion" => Box::new(VivaldiCollusionRepel::default()),
+        "lure" => Box::new(VivaldiCollusionLure::default()),
         "combined" => Box::new(VivaldiCombined::new()),
         other => {
             eprintln!("unknown attack {other:?} (disorder|repulsion|collusion|lure|combined)");

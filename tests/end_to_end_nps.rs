@@ -146,7 +146,7 @@ fn collusion_activates_and_hits_designated_victims_hardest() {
         .filter(|i| sim.layers_of()[*i] == 2 && !attackers.contains(i))
         .take(20)
         .collect();
-    let mut adv = NpsCollusionIsolation::new(0.2);
+    let mut adv = NpsCollusionIsolation::default();
     adv.preset_victims(victims.iter().copied().collect());
     sim.inject_adversary(&attackers, Box::new(adv));
     sim.run_rounds(40);
@@ -176,10 +176,7 @@ fn no_attacker_ever_shortens_a_probe() {
     let (mut sim, _seeds) = build(200, 8, NpsConfig::default());
     sim.run_rounds(20);
     let attackers = sim.pick_attackers(0.30);
-    sim.inject_adversary(
-        &attackers,
-        Box::new(NpsCombined::new(Knowledge::half(), 0.2)),
-    );
+    sim.inject_adversary(&attackers, Box::new(NpsCombined::default()));
     sim.run_rounds(30);
     assert_eq!(
         sim.counters().delay_clamped,

@@ -143,10 +143,7 @@ fn collusion_isolates_the_designated_target() {
     let victim = (0..120)
         .find(|v| !attackers.contains(v))
         .expect("honest node");
-    sim.inject_adversary(
-        &attackers,
-        Box::new(VivaldiCollusionRepel::against(victim, 10_000.0)),
-    );
+    sim.inject_adversary(&attackers, Box::new(VivaldiCollusionRepel::against(victim)));
     sim.run_ticks(200);
     let plan = EvalPlan::with_params(&sim.honest_nodes(), 512, 256, &mut seeds.rng("plan"));
     let errs = plan.per_node_errors(sim.coords(), sim.space(), sim.matrix());
