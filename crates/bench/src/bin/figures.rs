@@ -24,8 +24,8 @@
 //! unknown figure id, 2 flag errors, 3 an output path that cannot be written.
 //!
 //! The ids are computed one after the other on the main thread; the one
-//! pool of a run is the figure's own job grid (`run_grid`), which gets the
-//! whole worker budget. Every figure derives its seeds from `(master seed,
+//! pool of a run is the figure's own job grid (the experiment harness's
+//! pool), which gets the whole worker budget. Every figure derives its seeds from `(master seed,
 //! figure id)` alone, so the width of that pool changes wall-clock time but
 //! never a CSV byte. Traces are deterministic too: the grid merges per-job
 //! observations in its fixed job order and the trace's `run`
@@ -34,9 +34,9 @@
 //! prints its own to stderr only.
 //!
 //! Environment (read once, by `vcoord_bench::install_env`): `VCOORD_THREADS`
-//! pins the worker budget (reported as `threads=` in the header line),
-//! `VCOORD_OBS=off|metrics|trace` sets the recording mode when `--trace-out`
-//! does not.
+//! pins the worker budget (reported as `threads=` in the header line).
+//! Recording is on only with `--trace-out`, the one reader of what it
+//! records.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -137,7 +137,7 @@ fn main() {
         }
     };
 
-    // `--trace-out` forces full tracing, whatever VCOORD_OBS installed.
+    // Full tracing for `--trace-out`, which writes what it records.
     if args.trace_out.is_some() {
         vcoord::obs::set_mode(vcoord::obs::ObsMode::Trace);
     }
@@ -196,7 +196,7 @@ fn main() {
 
     for (idx, id) in ids.iter().enumerate() {
         let start = Instant::now();
-        // `run_grid` absorbs its workers' per-job reports into this
+        // The figure's pool absorbs its workers' per-job reports into this
         // thread's recorder, so between reset() and drain() it holds
         // exactly this figure's observations.
         if args.trace_out.is_some() {

@@ -2,12 +2,11 @@
 //! trace directory into one health matrix.
 //!
 //! ```text
-//! obs-report [--csv] [--summary] PATH...
+//! obs-report [--summary] PATH...
 //!
 //!   PATH...    JSONL traces written by `figures --trace-out DIR`, or
 //!              directories thereof (expanded to their *.jsonl files,
 //!              sorted by name)
-//!   --csv      emit CSV instead of the aligned text tables
 //!   --summary  one health-matrix row per trace (bans, reinstates, chaos
 //!              faults/recoveries) instead of the full per-trace digests
 //! ```
@@ -21,18 +20,16 @@
 //! empty report once masked a mis-pointed CI path.
 
 use std::path::Path;
-use vcoord::obs::{digest, parse_jsonl, summarize, summary_csv, summary_text};
+use vcoord::obs::{digest, parse_jsonl, summarize, summary_text};
 
 fn main() {
-    let mut csv = false;
     let mut summary = false;
     let mut paths = Vec::new();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--csv" => csv = true,
             "--summary" => summary = true,
             "--help" | "-h" => {
-                eprintln!("usage: obs-report [--csv] [--summary] PATH...");
+                eprintln!("usage: obs-report [--summary] PATH...");
                 return;
             }
             other if other.starts_with('-') => {
@@ -43,7 +40,7 @@ fn main() {
         }
     }
     if paths.is_empty() {
-        eprintln!("usage: obs-report [--csv] [--summary] PATH...");
+        eprintln!("usage: obs-report [--summary] PATH...");
         std::process::exit(2);
     }
 
@@ -94,17 +91,11 @@ fn main() {
         let d = digest(&lines);
         if summary {
             rows.push(summarize(&d));
-        } else if csv {
-            print!("{}", d.to_csv());
         } else {
             print!("{}", d.to_text());
         }
     }
     if summary {
-        if csv {
-            print!("{}", summary_csv(&rows));
-        } else {
-            print!("{}", summary_text(&rows));
-        }
+        print!("{}", summary_text(&rows));
     }
 }

@@ -20,7 +20,6 @@ use vcoord::metrics::parallel::set_worker_budget;
 use vcoord::metrics::EvalPlan;
 use vcoord::netsim::{Engine, NodeId, RngCore, Scheduler, SeedStream, World, TICK_MS};
 use vcoord::nps::{position_node, PositionOutcome, PositionScratch, RefSample, SIMPLEX};
-use vcoord::obs::{set_mode, ObsMode};
 use vcoord::space::oracle::simplex_downhill_reference;
 use vcoord::space::{simplex_downhill, Coord, SimplexScratch, Space};
 use vcoord::topo::{KingLike, KingLikeConfig};
@@ -42,20 +41,13 @@ fn parse_threads(raw: Option<&str>) -> Option<usize> {
 /// place the workspace reads configuration from the environment: the
 /// libraries take values.
 ///
-/// * `VCOORD_THREADS=N` pins every worker pool to `N` threads
-///   ([`set_worker_budget`]) for reproducible CI and benchmarking on any
-///   core count.
-/// * `VCOORD_OBS=off|metrics|trace` sets the recording mode; anything else
-///   leaves it off.
+/// `VCOORD_THREADS=N` pins every worker pool to `N` threads
+/// ([`set_worker_budget`]) for reproducible CI and benchmarking on any core
+/// count. The recording mode is not configurable from the environment: a
+/// binary switches recording on where it reads what is recorded.
 pub fn install_env() {
     if let Some(n) = parse_threads(std::env::var("VCOORD_THREADS").ok().as_deref()) {
         set_worker_budget(n);
-    }
-    match std::env::var("VCOORD_OBS").as_deref() {
-        Ok("off") => set_mode(ObsMode::Off),
-        Ok("metrics") => set_mode(ObsMode::Metrics),
-        Ok("trace") => set_mode(ObsMode::Trace),
-        _ => {}
     }
 }
 

@@ -246,7 +246,7 @@ fn every_obs_name_the_crates_emit_has_a_reader() {
 /// method's runs through its type); an entry naming a module or a type
 /// covers everything declared in it, and the root `pub use` of its name.
 /// The test also fails when an entry stops being needed.
-const PUB_NO_READER: [(&str, &str); 9] = [
+const PUB_NO_READER: [(&str, &str); 8] = [
     (
         "vcoord_obs::testing",
         "the counting global allocator; each no-alloc suite under crates/*/tests \
@@ -273,11 +273,6 @@ const PUB_NO_READER: [(&str, &str); 9] = [
         "vcoord::attacks::nps::NpsCombined",
         "fig26's attack; tests/end_to_end_nps.rs runs it through the prelude, which \
          lists every paper attack",
-    ),
-    (
-        "vcoord::experiments::run_grid",
-        "crates/core/tests/grid_width_invariance.rs drives the figure grid directly \
-         at widths 1, 2 and 3",
     ),
     (
         "vcoord_netsim::engine::Scheduler::deliver_at",

@@ -157,7 +157,7 @@ pub struct NpsCollusionIsolation {
 
 /// Fraction of the layer below the isolation colluders designate as common
 /// victims.
-pub(crate) const VICTIM_FRACTION: f64 = 0.2;
+const VICTIM_FRACTION: f64 = 0.2;
 /// Colluders needed in the attack layer before the isolation attack
 /// activates (the paper's activation threshold).
 const MIN_ACTIVE: usize = 5;
@@ -167,6 +167,25 @@ const ATTACK_LAYER: u8 = 1;
 const ISOLATION_CLUSTER_RANGE: f64 = 10_000.0;
 /// Scatter of isolation colluders within the cluster.
 const ISOLATION_CLUSTER_SPREAD: f64 = 100.0;
+
+/// The isolation colluders' common victim set: [`VICTIM_FRACTION`] (at
+/// least one) of the honest nodes of the layer below the attack layer, in
+/// the order of a shuffle drawn from `rng`. `layer_of` and `malicious`
+/// describe each of the `nodes` nodes.
+pub(crate) fn victim_pool(
+    nodes: usize,
+    layer_of: impl Fn(usize) -> u8,
+    malicious: impl Fn(usize) -> bool,
+    rng: &mut impl Rng,
+) -> Vec<usize> {
+    let mut pool: Vec<usize> = (0..nodes)
+        .filter(|&i| layer_of(i) == ATTACK_LAYER + 1 && !malicious(i))
+        .collect();
+    pool.shuffle(rng);
+    let k = ((pool.len() as f64) * VICTIM_FRACTION).round() as usize;
+    pool.truncate(k.max(1));
+    pool
+}
 
 impl Default for NpsCollusionIsolation {
     fn default() -> Self {
@@ -239,15 +258,14 @@ impl AttackStrategy for NpsCollusionIsolation {
             self.cluster.insert(a, pos);
         }
 
-        // Common victim set: honest nodes of the layer below (unless the
-        // caller preset one).
+        // Common victim set (unless the caller preset one).
         if !self.victims_preset {
-            let mut pool: Vec<usize> = (0..view.coords.len())
-                .filter(|&i| view.layer_of(i) == ATTACK_LAYER + 1 && !view.malicious[i])
-                .collect();
-            pool.shuffle(rng);
-            let k = ((pool.len() as f64) * VICTIM_FRACTION).round() as usize;
-            pool.truncate(k.max(1));
+            let pool = victim_pool(
+                view.coords.len(),
+                |i| view.layer_of(i),
+                |i| view.malicious[i],
+                rng,
+            );
             self.victims = pool.into_iter().collect();
         }
     }

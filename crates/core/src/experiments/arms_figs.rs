@@ -25,25 +25,44 @@
 //!   other corner: one burst is the last, at the price of every false
 //!   positive being banned forever.
 
-use crate::experiments::attack_figs::strategy_by;
+use crate::experiments::attack_figs::STRATEGIES;
 use crate::experiments::harness::{plain, Adversary, Deploy, RunSpec, System};
 use crate::experiments::registry::Figure;
-use crate::experiments::shapes::{cross, Block, Cell, LevelSweep, Matrix};
+use crate::experiments::shapes::{cross, Attack, Block, Cell, Defense, LevelSweep, Matrix};
 use crate::experiments::{FigureResult, Scale};
-use vcoord_attackkit::{AttackStrategy, EvadingFrogBoil, SleeperCollusion, ThresholdProbe};
+use vcoord_attackkit::{
+    AttackStrategy, EvadingFrogBoil, FrogBoiling, SleeperCollusion, ThresholdProbe,
+};
 use vcoord_defense::{DefenseStrategy, DriftCap, DriftDecay, ResidualOutlier};
 use vcoord_nps::NpsSim;
 use vcoord_vivaldi::VivaldiSim;
 
-/// The adaptive attack labels swept by the `arms-sweep-*` figures, in CSV
-/// column order. `frog_boiling` rides along as the non-adaptive baseline
-/// every adaptive variant is judged against.
-const ARMS_ATTACKS: [&str; 4] = ["frog_boiling", "evading_frog", "threshold_probe", "sleeper"];
+/// The adaptive attacks swept by the `arms-sweep-*` figures, in CSV column
+/// order. `frog_boiling` rides along as the non-adaptive baseline every
+/// adaptive variant is judged against.
+const ARMS_ATTACKS: [Attack; 4] = [
+    // Classic baseline at the default 5 ms/round budget.
+    STRATEGIES[0],
+    // Same 5 ms/round budget, throttled against the modeled default cap —
+    // the matched-budget comparison the evasion ROC plots.
+    ("evading_frog", || Box::new(EvadingFrogBoil::default())),
+    ("threshold_probe", || Box::new(ThresholdProbe::default())),
+    ("sleeper", || Box::new(SleeperCollusion::default())),
+];
 
-/// The defense labels of the `arms-sweep-*` figures: the permanent-ban
-/// drift cap, its decaying (forgiving) variant, and the MAD filter as the
+/// The defenses of the `arms-sweep-*` figures: the permanent-ban drift cap,
+/// its decaying (forgiving) variant, and the MAD filter as the
 /// error-magnitude baseline.
-const ARMS_DEFENSES: [&str; 3] = ["drift_cap", "drift_cap_decay", "mad_outlier"];
+const ARMS_DEFENSES: [Defense; 3] = [
+    ("drift_cap", |_| Box::new(DriftCap::default())),
+    ("drift_cap_decay", |_| {
+        Box::new(DriftCap::with_decay(
+            DriftCap::default().max_drag_ms,
+            DriftDecay::new(SWEEP_HALF_LIFE),
+        ))
+    }),
+    ("mad_outlier", |_| Box::new(ResidualOutlier::default())),
+];
 
 /// Malicious fraction of the arms sweeps (matches the `def-*` sweeps).
 const FRACTION: f64 = 0.30;
@@ -51,33 +70,6 @@ const FRACTION: f64 = 0.30;
 /// Half-life (rounds) of the sweeps' decaying drift cap — comfortably
 /// inside even the smoke-scale attack window so forgiveness is observable.
 const SWEEP_HALF_LIFE: f64 = 40.0;
-
-/// Workspace-default instance of one adaptive attack by label.
-fn arms_strategy_by(label: &str) -> Box<dyn AttackStrategy> {
-    match label {
-        // Classic baseline at the default 5 ms/round budget.
-        "frog_boiling" => strategy_by("frog_boiling"),
-        // Same 5 ms/round budget, throttled against the modeled default
-        // cap — the matched-budget comparison the evasion ROC plots.
-        "evading_frog" => Box::new(EvadingFrogBoil::default()),
-        "threshold_probe" => Box::new(ThresholdProbe::default()),
-        "sleeper" => Box::new(SleeperCollusion::default()),
-        other => unreachable!("unknown arms attack label {other}"),
-    }
-}
-
-/// Workspace-default instance of one arms-sweep defense by label.
-fn arms_defense_by(label: &str) -> Box<dyn DefenseStrategy> {
-    match label {
-        "drift_cap" => Box::new(DriftCap::default()),
-        "drift_cap_decay" => Box::new(DriftCap::with_decay(
-            DriftCap::default().max_drag_ms,
-            DriftDecay::new(SWEEP_HALF_LIFE),
-        )),
-        "mad_outlier" => Box::new(ResidualOutlier::default()),
-        other => unreachable!("unknown arms defense label {other}"),
-    }
-}
 
 /// Per defense: error, drift, detection quality, reinstatements.
 const BLOCKS: [Block; 5] = [
@@ -113,9 +105,7 @@ fn sweep<S: System>(scale: &Scale, seed: u64) -> Matrix<'_, S> {
             ..RunSpec::new(scale, seed)
         },
         attacks: &ARMS_ATTACKS,
-        attack_by: arms_strategy_by,
         defenses: &ARMS_DEFENSES,
-        defense_by: |label, _| arms_defense_by(label),
         blocks: &BLOCKS,
         note: sweep_note,
     }
@@ -197,8 +187,8 @@ fn arms_evasion_roc(scale: &Scale, seed: u64) -> FigureResult {
         scale,
         seed,
         [
-            ("frog", || arms_strategy_by("frog_boiling")),
-            ("evading", || arms_strategy_by("evading_frog")),
+            ("frog", || Box::new(FrogBoiling::default())),
+            ("evading", || Box::new(EvadingFrogBoil::default())),
         ],
         ("j", |c| c.confusion.youden_j().unwrap_or(0.0)),
         |cap, frog, evading| {
@@ -256,7 +246,7 @@ fn arms_evasion_learning(scale: &Scale, seed: u64) -> FigureResult {
 /// exactly the FPR-vs-exposure trade decay is supposed to navigate.
 fn arms_decay_tradeoff(scale: &Scale, seed: u64) -> FigureResult {
     let half_lives = [0.0, 20.0, 40.0, 80.0];
-    let sleeper = plain(|| arms_strategy_by("sleeper"));
+    let sleeper = plain(|| Box::new(SleeperCollusion::default()));
     let defenses = half_lives.map(|half_life| drift_cap(40.0, half_life));
     let specs: Vec<_> = defenses
         .iter()
@@ -339,29 +329,14 @@ mod tests {
     use crate::experiments::run_figure;
 
     #[test]
-    fn every_arms_label_resolves() {
-        // The labels name CSV columns, so each list must be distinct.
-        let distinct: std::collections::BTreeSet<_> = ARMS_ATTACKS.iter().collect();
-        assert_eq!(distinct.len(), ARMS_ATTACKS.len(), "{ARMS_ATTACKS:?}");
-        let distinct: std::collections::BTreeSet<_> = ARMS_DEFENSES.iter().collect();
-        assert_eq!(distinct.len(), ARMS_DEFENSES.len(), "{ARMS_DEFENSES:?}");
-        for a in ARMS_ATTACKS {
-            arms_strategy_by(a);
-        }
-        for d in ARMS_DEFENSES {
-            arms_defense_by(d);
-        }
-    }
-
-    #[test]
     fn evasion_collapses_drift_cap_detection_at_the_modeled_cap() {
         // The tentpole claim at harness level: at the deployed = modeled
         // 80 ms cap, the classic frog is caught near-perfectly while the
         // evader — same 5 ms/round budget — goes essentially undetected.
         let scale = Scale::smoke();
         let cells = Matrix {
-            attacks: &["frog_boiling", "evading_frog"],
-            defenses: &["drift_cap"],
+            attacks: &ARMS_ATTACKS[..2],
+            defenses: &ARMS_DEFENSES[..1],
             ..sweep::<VivaldiSim>(&scale, 2006)
         }
         .cells();

@@ -14,48 +14,35 @@
 
 use crate::experiments::harness::{plain, repeat_all, RunSpec, System};
 use crate::experiments::registry::Figure;
-use crate::experiments::shapes::{attacked_err, cross, mean_series, pct, series_rows, Cell};
-use crate::experiments::{FigureResult, Scale};
-use vcoord_attackkit::{
-    AttackStrategy, Deflation, FrogBoiling, Inflation, NetworkPartition, Oscillation,
+use crate::experiments::shapes::{
+    attacked_err, cross, mean_series, pct, series_rows, Attack, Cell,
 };
+use crate::experiments::{FigureResult, Scale};
+use vcoord_attackkit::{Deflation, FrogBoiling, Inflation, NetworkPartition, Oscillation};
 use vcoord_nps::NpsSim;
 use vcoord_vivaldi::VivaldiSim;
 
-/// The generic strategy labels swept by the attack figures, in CSV column
-/// order.
-pub(crate) const STRATEGIES: [&str; 5] = [
-    "frog_boiling",
-    "oscillation",
-    "partition",
-    "inflation",
-    "deflation",
+/// The generic strategies swept by the attack figures, in CSV column order
+/// (shared with the defense sweeps in `experiments::defense_figs`).
+pub(crate) const STRATEGIES: [Attack; 5] = [
+    ("frog_boiling", || Box::new(FrogBoiling::default())),
+    ("oscillation", || Box::new(Oscillation::default())),
+    ("partition", || Box::new(NetworkPartition)),
+    ("inflation", || Box::new(Inflation)),
+    ("deflation", || Box::new(Deflation)),
 ];
 
 /// Malicious fractions swept by the attack-strength figures.
 const FRACTIONS: [f64; 3] = [0.10, 0.30, 0.50];
 
-/// Workspace-default instance of one generic strategy by label (shared
-/// with the defense sweeps in `experiments::defense_figs`).
-pub(crate) fn strategy_by(label: &str) -> Box<dyn AttackStrategy> {
-    match label {
-        "frog_boiling" => Box::new(FrogBoiling::default()),
-        "oscillation" => Box::new(Oscillation::default()),
-        "partition" => Box::new(NetworkPartition),
-        "inflation" => Box::new(Inflation),
-        "deflation" => Box::new(Deflation),
-        other => unreachable!("unknown attackkit strategy label {other}"),
-    }
-}
-
 /// One attack-strength sweep: for each fraction, per-strategy converged
 /// error and drift velocity on system `S`.
 fn atk_sweep<S: System>(scale: &Scale, seed: u64) -> FigureResult {
     let mut columns = vec!["fraction_pct".to_string()];
-    columns.extend(STRATEGIES.iter().map(|s| format!("err_{s}")));
-    columns.extend(STRATEGIES.iter().map(|s| format!("drift_{s}")));
+    columns.extend(STRATEGIES.iter().map(|(s, _)| format!("err_{s}")));
+    columns.extend(STRATEGIES.iter().map(|(s, _)| format!("drift_{s}")));
     let mut fig = FigureResult::new(columns);
-    let adversaries = STRATEGIES.map(|label| plain(move || strategy_by(label)));
+    let adversaries = STRATEGIES.map(|(_, make)| plain(make));
     let specs: Vec<_> = cross(&FRACTIONS, &adversaries)
         .map(|(&fraction, adversary)| RunSpec::<S> {
             fraction,
@@ -168,15 +155,5 @@ mod tests {
         let fig = atk_frog_drift(&scale, 9);
         assert_eq!(fig.columns.len(), 4);
         assert!(!fig.rows.is_empty());
-    }
-
-    #[test]
-    fn every_strategy_label_resolves() {
-        // The labels name CSV columns, so they must be distinct.
-        let distinct: std::collections::BTreeSet<_> = STRATEGIES.iter().collect();
-        assert_eq!(distinct.len(), STRATEGIES.len(), "{STRATEGIES:?}");
-        for s in STRATEGIES {
-            strategy_by(s);
-        }
     }
 }

@@ -20,16 +20,15 @@
 //! plan's own seeded streams, so the `0`-level row of every sweep is the
 //! *byte-identical* no-chaos run.
 
-use crate::experiments::attack_figs::strategy_by;
 use crate::experiments::harness::{plain, repeat_all, repeat_at, Faults, RunSpec, System};
 use crate::experiments::registry::Figure;
-use crate::experiments::shapes::{cross, mean_series, series_rows, Cell, Column, LevelSweep};
-use crate::experiments::{FigureResult, Scale};
-use vcoord_attackkit::BurstThenReform;
-use vcoord_chaos::{BurstModel, ChaosPlan};
-use vcoord_defense::{
-    DefenseStrategy, DriftCap, DriftDecay, EwmaChangePoint, ResidualOutlier, TriangleCheck,
+use crate::experiments::shapes::{
+    cross, mean_series, series_rows, Cell, Column, Defense, LevelSweep,
 };
+use crate::experiments::{FigureResult, Scale};
+use vcoord_attackkit::{BurstThenReform, FrogBoiling, Inflation};
+use vcoord_chaos::{BurstModel, ChaosPlan};
+use vcoord_defense::{DriftCap, DriftDecay, EwmaChangePoint, ResidualOutlier, TriangleCheck};
 use vcoord_netsim::TICK_MS;
 use vcoord_nps::ROUND_MS as NPS_ROUND_MS;
 use vcoord_nps::{NpsConfig, NpsSim};
@@ -188,7 +187,7 @@ fn chaos_frog_hides_in_churn(scale: &Scale, seed: u64) -> FigureResult {
     let scale = recovery_scale(scale);
     let frog = RunSpec::<VivaldiSim> {
         fraction: FRACTION,
-        adversary: &plain(|| strategy_by("frog_boiling")),
+        adversary: &plain(|| Box::new(FrogBoiling::default())),
         ..drift_capped(&scale, seed)
     };
     LevelSweep {
@@ -431,18 +430,26 @@ fn leak_rate(c: &Cell) -> f64 {
 }
 
 /// Detector grid for `chaos-detectors-under-faults`.
-const FAULT_DETECTORS: [&str; 3] = ["mad", "ewma", "triangle"];
-/// Fault regimes crossed against the detectors (0 = clean baseline).
-const FAULT_REGIMES: [&str; 3] = ["none", "churn", "loss"];
+const FAULT_DETECTORS: [Defense; 3] = [
+    ("mad", |_| Box::new(ResidualOutlier::default())),
+    ("ewma", |_| Box::new(EwmaChangePoint::default())),
+    ("triangle", |_| Box::new(TriangleCheck)),
+];
 
-fn detector_by(label: &str) -> Box<dyn DefenseStrategy> {
-    match label {
-        "mad" => Box::new(ResidualOutlier::default()),
-        "ewma" => Box::new(EwmaChangePoint::default()),
-        "triangle" => Box::new(TriangleCheck),
-        other => unreachable!("unknown detector label {other}"),
-    }
-}
+/// A fault regime: its label and the faults it adds to a plan over `nodes`
+/// nodes, if any.
+type Regime = (&'static str, Option<fn(ChaosPlan, usize) -> ChaosPlan>);
+
+/// Fault regimes crossed against the detectors (the first is the clean
+/// baseline, which installs no plan).
+const FAULT_REGIMES: [Regime; 3] = [
+    ("none", None),
+    (
+        "churn",
+        Some(|plan, nodes| plan.churn_wave(nodes, 0.2, 10 * TICK_MS, 30 * TICK_MS)),
+    ),
+    ("loss", Some(|plan, _| plan.bursts(BurstModel::mild()))),
+];
 
 /// `chaos-detectors-under-faults` — the lightweight per-sample detectors
 /// (MAD residual outlier, EWMA change-point, triangle-inequality check)
@@ -464,33 +471,25 @@ fn chaos_detectors_under_faults(scale: &Scale, seed: u64) -> FigureResult {
         "err_ratio".to_string(),
     ]);
     let nodes = scale.nodes;
-    let adversary = plain(|| strategy_by("inflation"));
-    let defenses = FAULT_DETECTORS.map(|detector| move |_: &VivaldiSim| detector_by(detector));
-    let faults = FAULT_REGIMES.map(|regime| {
-        let plan = move |_: &VivaldiSim| {
-            let plan = ChaosPlan::with_seed(seed ^ 0xDE7EC7);
-            match regime {
-                "churn" => plan.churn_wave(nodes, 0.2, 10 * TICK_MS, 30 * TICK_MS),
-                "loss" => plan.bursts(BurstModel::mild()),
-                _ => unreachable!("the clean regime installs no plan"),
-            }
-        };
-        (regime, plan)
+    let adversary = plain(|| Box::new(Inflation));
+    let defenses = FAULT_DETECTORS.map(|(_, make)| move |_: &VivaldiSim| make(&[]));
+    let faults = FAULT_REGIMES.map(|(_, faults)| {
+        faults.map(|add| move |_: &VivaldiSim| add(ChaosPlan::with_seed(seed ^ 0xDE7EC7), nodes))
     });
     let specs: Vec<_> = cross(&defenses, &faults)
-        .map(|(defense, (regime, plan))| RunSpec::<VivaldiSim> {
+        .map(|(defense, plan)| RunSpec::<VivaldiSim> {
             fraction: FRACTION,
             adversary: &adversary,
             defense: Some(defense),
-            chaos: (*regime != "none").then_some(plan as &Faults<'_, VivaldiSim>),
+            chaos: plan.as_ref().map(|plan| plan as &Faults<'_, VivaldiSim>),
             ..RunSpec::new(&scale, seed)
         })
         .collect();
     let cells = Cell::all(&specs);
     let per_detector = cells.chunks(FAULT_REGIMES.len());
-    for (di, (&detector, cells)) in FAULT_DETECTORS.iter().zip(per_detector).enumerate() {
+    for (di, ((detector, _), cells)) in FAULT_DETECTORS.iter().zip(per_detector).enumerate() {
         let baseline = cells[0].err.max(1e-9);
-        for (ri, (&regime, cell)) in FAULT_REGIMES.iter().zip(cells).enumerate() {
+        for (ri, ((regime, _), cell)) in FAULT_REGIMES.iter().zip(cells).enumerate() {
             let (tpr, fpr, err) = (cell.tpr(), cell.fpr(), cell.err);
             fig.rows.push(vec![
                 fig.rows.len() as f64,
@@ -763,7 +762,7 @@ mod tests {
         // Every detector must actually flag the loud inflation on its
         // clean row — a detector that can't see the attack without fault
         // noise makes the degradation columns meaningless.
-        for (di, &detector) in FAULT_DETECTORS.iter().enumerate() {
+        for (di, (detector, _)) in FAULT_DETECTORS.iter().enumerate() {
             let clean = &fig.rows[di * FAULT_REGIMES.len()];
             assert!(
                 clean[3] > 0.0,

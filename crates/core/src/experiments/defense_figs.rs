@@ -14,11 +14,12 @@
 //! malicious set (see `harness::DETECTION_MIN_FLAGS`): TPR = flagged
 //! malicious / all malicious, FPR = flagged honest / all honest.
 
-use crate::experiments::attack_figs::{strategy_by, STRATEGIES};
+use crate::experiments::attack_figs::STRATEGIES;
 use crate::experiments::harness::{repeat_all, Deploy, RunSpec, System};
 use crate::experiments::registry::Figure;
-use crate::experiments::shapes::{mean_series, series_rows, Block, Cell, Matrix};
+use crate::experiments::shapes::{mean_series, series_rows, Block, Cell, Defense, Matrix};
 use crate::experiments::{FigureResult, Scale};
+use vcoord_attackkit::FrogBoiling;
 use vcoord_defense::{
     DefenseStrategy, DriftCap, EwmaChangePoint, NoDefense, ResidualOutlier, TriangleCheck,
     TrustedBaseline,
@@ -26,49 +27,21 @@ use vcoord_defense::{
 use vcoord_nps::NpsSim;
 use vcoord_vivaldi::VivaldiSim;
 
-/// The defense labels swept by the `def-*` figures, in CSV column order.
-const DEFENSES: [&str; 6] = [
-    "none",
-    "mad_outlier",
-    "ewma_cpd",
-    "drift_cap",
-    "triangle",
-    "trusted",
+/// The defenses swept by the `def-*` figures, in CSV column order.
+const DEFENSES: [Defense; 6] = [
+    ("none", |_| Box::new(NoDefense)),
+    ("mad_outlier", |_| Box::new(ResidualOutlier::default())),
+    ("ewma_cpd", |_| Box::new(EwmaChangePoint::default())),
+    ("drift_cap", |_| Box::new(DriftCap::default())),
+    ("triangle", |_| Box::new(TriangleCheck)),
+    ("trusted", |trusted| {
+        Box::new(TrustedBaseline::new(trusted.iter().copied()))
+    }),
 ];
 
 /// Malicious fraction of the attack×defense sweeps (the paper's standard
 /// heavy-attack share).
 const FRACTION: f64 = 0.30;
-
-/// Workspace-default instance of one defense by label. `trusted` ids feed
-/// the verified-set strategy; the other labels ignore them.
-pub(crate) fn defense_by(label: &str, trusted: &[usize]) -> Box<dyn DefenseStrategy> {
-    match label {
-        "none" => Box::new(NoDefense),
-        "mad_outlier" => Box::new(ResidualOutlier::default()),
-        "ewma_cpd" => Box::new(EwmaChangePoint::default()),
-        "drift_cap" => Box::new(DriftCap::default()),
-        "triangle" => Box::new(TriangleCheck),
-        "trusted" => Box::new(TrustedBaseline::new(trusted.iter().copied())),
-        other => unreachable!("unknown defensekit strategy label {other}"),
-    }
-}
-
-/// Paper-style verified set for Vivaldi: the first tenth of the node ids
-/// (at least 8) are declared infrastructure. Trust is an assumption, not
-/// knowledge — the uniform attacker draw can and does hit this set.
-fn vivaldi_trusted(n: usize) -> Vec<usize> {
-    (0..n.div_ceil(10).max(8).min(n)).collect()
-}
-
-fn vivaldi_defense(label: &str, sim: &VivaldiSim) -> Box<dyn DefenseStrategy> {
-    defense_by(label, &vivaldi_trusted(sim.coords().len()))
-}
-
-/// NPS already postulates a verified set: the landmarks.
-fn nps_defense(label: &str, sim: &NpsSim) -> Box<dyn DefenseStrategy> {
-    defense_by(label, &sim.landmark_ids())
-}
 
 /// Error under every defense; detection quality under the real ones.
 const BLOCKS: [Block; 3] = [
@@ -88,7 +61,7 @@ fn sweep_note(attack: &str, cells: &[Cell]) -> String {
     format!(
         "{attack}: undefended err {:.2}; best defense {} (err {:.2}, tpr {:.2}, fpr {:.2}); drift-cap tpr {:.2}",
         cells[0].err,
-        DEFENSES[best_idx],
+        DEFENSES[best_idx].0,
         best.err,
         best.tpr(),
         best.fpr(),
@@ -98,20 +71,14 @@ fn sweep_note(attack: &str, cells: &[Cell]) -> String {
 
 /// The full attack×defense matrix at 30 % malicious: converged honest
 /// error per cell plus node-level TPR/FPR per defense.
-fn sweep<'a, S: System>(
-    scale: &'a Scale,
-    seed: u64,
-    defense_by: fn(&str, &S) -> Box<dyn DefenseStrategy>,
-) -> Matrix<'a, S> {
+fn sweep<S: System>(scale: &Scale, seed: u64) -> Matrix<'_, S> {
     Matrix {
         base: RunSpec {
             fraction: FRACTION,
             ..RunSpec::new(scale, seed)
         },
         attacks: &STRATEGIES,
-        attack_by: strategy_by,
         defenses: &DEFENSES,
-        defense_by,
         blocks: &BLOCKS,
         note: sweep_note,
     }
@@ -125,7 +92,7 @@ fn frog_vs<'a>(
 ) -> RunSpec<'a, VivaldiSim> {
     RunSpec {
         fraction: FRACTION,
-        adversary: &|_, _, _| (strategy_by("frog_boiling"), None),
+        adversary: &|_, _, _| (Box::new(FrogBoiling::default()), None),
         defense: Some(defense),
         ..RunSpec::new(scale, seed)
     }
@@ -144,12 +111,13 @@ fn frog_vs<'a>(
 /// colluders — the *integrated* directed pull is what it bounds — at a
 /// false-positive rate of zero.
 fn def_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
-    let defenses: [&'static str; 3] = ["none", "mad_outlier", "drift_cap"];
+    // none, mad_outlier, drift_cap
+    let defenses = [DEFENSES[0], DEFENSES[1], DEFENSES[3]];
     let mut columns = vec!["tick".to_string()];
-    columns.extend(defenses.iter().map(|d| format!("drift_{d}")));
-    columns.extend(defenses.iter().map(|d| format!("err_{d}")));
+    columns.extend(defenses.iter().map(|(d, _)| format!("drift_{d}")));
+    columns.extend(defenses.iter().map(|(d, _)| format!("err_{d}")));
     let mut fig = FigureResult::new(columns);
-    let deploys = defenses.map(|defense| move |sim: &VivaldiSim| vivaldi_defense(defense, sim));
+    let deploys = defenses.map(|(_, make)| move |sim: &VivaldiSim| make(&sim.trusted()));
     let specs: Vec<_> = deploys
         .iter()
         .map(|deploy| frog_vs(scale, seed, deploy))
@@ -157,7 +125,7 @@ fn def_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
     let runs = repeat_all(&specs);
     let mut drift_avgs = Vec::new();
     let mut err_avgs = Vec::new();
-    for (defense, runs) in defenses.iter().zip(&runs) {
+    for ((defense, _), runs) in defenses.iter().zip(&runs) {
         let cell = Cell::of(runs);
         let drift_avg = mean_series(runs, |r| r.drift_series.clone());
         fig.notes.push(format!(
@@ -232,12 +200,12 @@ pub(crate) const FIGURES: &[Figure] = &[
         id: "def-sweep-vivaldi",
         title:
             "defensekit strategies vs attackkit strategies on Vivaldi: error and detection quality",
-        run: |scale, seed| sweep(scale, seed, vivaldi_defense).figure(),
+        run: |scale, seed| sweep::<VivaldiSim>(scale, seed).figure(),
     },
     Figure {
         id: "def-sweep-nps",
         title: "defensekit strategies vs attackkit strategies on NPS: error and detection quality",
-        run: |scale, seed| sweep(scale, seed, nps_defense).figure(),
+        run: |scale, seed| sweep::<NpsSim>(scale, seed).figure(),
     },
     Figure {
         id: "def-frog-drift",
@@ -255,22 +223,18 @@ pub(crate) const FIGURES: &[Figure] = &[
 mod tests {
     use super::*;
     use crate::experiments::run_figure;
-
-    #[test]
-    fn every_defense_label_resolves() {
-        // The labels name CSV columns, so they must be distinct.
-        let distinct: std::collections::BTreeSet<_> = DEFENSES.iter().collect();
-        assert_eq!(distinct.len(), DEFENSES.len(), "{DEFENSES:?}");
-        for d in DEFENSES {
-            defense_by(d, &[0, 1]);
-        }
-    }
+    use vcoord_netsim::SeedStream;
+    use vcoord_topo::RttMatrix;
 
     #[test]
     fn vivaldi_trusted_is_small_but_nonempty() {
-        assert_eq!(vivaldi_trusted(400).len(), 40);
-        assert_eq!(vivaldi_trusted(72).len(), 8);
-        assert_eq!(vivaldi_trusted(4).len(), 4, "clamped to the population");
+        let trusted = |n| {
+            let sim = VivaldiSim::new(RttMatrix::zeros(n), Default::default(), &SeedStream::new(1));
+            sim.trusted().len()
+        };
+        assert_eq!(trusted(400), 40);
+        assert_eq!(trusted(72), 8);
+        assert_eq!(trusted(4), 4, "clamped to the population");
     }
 
     #[test]
@@ -304,9 +268,9 @@ mod tests {
         // share of the dragged honest population.
         let scale = Scale::smoke();
         let cells = Matrix {
-            attacks: &["frog_boiling"],
-            defenses: &["drift_cap", "mad_outlier"],
-            ..sweep(&scale, 2006, vivaldi_defense)
+            attacks: &STRATEGIES[..1],
+            defenses: &[DEFENSES[3], DEFENSES[1]],
+            ..sweep::<VivaldiSim>(&scale, 2006)
         }
         .cells();
         let (frog, mad) = (&cells[0], &cells[1]);

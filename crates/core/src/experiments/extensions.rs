@@ -12,80 +12,39 @@
 //!   inputs.
 
 use crate::attacks::vivaldi::VivaldiDisorder;
+use crate::experiments::harness::{plain, repeat_all, Run, RunSpec};
 use crate::experiments::registry::Figure;
-use crate::experiments::shapes::cross;
-use crate::experiments::{run_grid, FigureResult, GridJob, Scale};
+use crate::experiments::shapes::{cross, mean_of};
+use crate::experiments::{FigureResult, Scale};
 use vcoord_metrics::stats::mean;
-use vcoord_metrics::EvalPlan;
-use vcoord_netsim::{LinkModel, SeedStream};
-use vcoord_topo::{KingLike, KingLikeConfig};
+use vcoord_netsim::LinkModel;
 use vcoord_vivaldi::{VivaldiConfig, VivaldiSim};
 
-/// When the malicious population becomes active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AttackTiming {
-    /// Attackers are present from the system's creation (reference \[9\]'s
-    /// scenario): honest nodes never get a clean convergence phase.
-    Genesis,
-    /// Attackers are injected into a converged system (the paper's §5
-    /// scenario).
-    Injection,
-}
-
-/// Final average relative error of the honest nodes of one default Vivaldi
-/// system over `link`, seeded from the stream `label` (the committed CSVs
-/// hang on it, so it does not follow a renamed figure id): `attack` is the
-/// timing and fraction of its disorder attackers, `None` a run that never
-/// injects (so its trace carries no injection event either).
-fn disorder_run(
-    scale: &Scale,
-    label: &str,
-    link: LinkModel,
-    attack: Option<(AttackTiming, f64)>,
-    seed: u64,
-    job: GridJob,
-) -> f64 {
-    let seeds = SeedStream::new(seed).derive_indexed(label, job.rep);
-    let matrix =
-        KingLike::new(KingLikeConfig::with_nodes(scale.nodes)).generate(&mut seeds.rng("topo"));
-    let config = VivaldiConfig {
-        link,
-        ..VivaldiConfig::default()
-    };
-    let mut sim = VivaldiSim::new(matrix, config, &seeds);
-
-    // A genesis attacker is there before the first probe is answered.
-    let clean_ticks = match attack {
-        Some((AttackTiming::Genesis, _)) => 0,
-        _ => scale.vivaldi_warmup_ticks,
-    };
-    if clean_ticks > 0 {
-        sim.run_ticks(clean_ticks);
-    }
-    if let Some((_, fraction)) = attack {
-        let attackers = sim.pick_attackers(fraction);
-        sim.inject_adversary(&attackers, Box::new(VivaldiDisorder::default()));
-    }
-    sim.run_ticks(scale.vivaldi_warmup_ticks + scale.vivaldi_attack_ticks - clean_ticks);
-    let plan = EvalPlan::with_params(
-        &sim.honest_nodes(),
-        scale.eval_all_pairs_threshold,
-        scale.eval_sample_peers,
-        &mut seeds.rng("plan"),
-    );
-    plan.avg_error(sim.coords(), sim.space(), sim.matrix())
+/// The honest nodes' final average relative error, averaged over
+/// repetitions.
+fn final_err(runs: &[Run]) -> f64 {
+    mean_of(runs, |r| mean(&r.final_errors))
 }
 
 /// Genesis vs injection comparison across attacker fractions.
 fn ext_genesis(scale: &Scale, seed: u64) -> FigureResult {
     let fractions = [0.0, 0.10, 0.20, 0.30];
-    let timings = [AttackTiming::Genesis, AttackTiming::Injection];
-    let cells: Vec<_> = cross(&fractions, &timings).collect();
-    let errs = run_grid(&vec![scale.repetitions; cells.len()], |job| {
-        let (&f, &timing) = cells[job.cell];
-        let attack = Some((timing, f));
-        disorder_run(scale, "ext-genesis", LinkModel::ideal(), attack, seed, job)
-    });
+    // A genesis attacker is there before the first probe is answered: no
+    // clean warm-up, and a window that ends on the injection run's last tick.
+    let genesis = Scale {
+        vivaldi_warmup_ticks: 0,
+        vivaldi_attack_ticks: scale.vivaldi_warmup_ticks + scale.vivaldi_attack_ticks,
+        ..scale.clone()
+    };
+    let disorder = plain(|| Box::new(VivaldiDisorder::default()));
+    let specs: Vec<_> = cross(&fractions, &[&genesis, scale])
+        .map(|(&fraction, &timing)| RunSpec::<VivaldiSim> {
+            fraction,
+            adversary: &disorder,
+            ..RunSpec::new(timing, seed)
+        })
+        .collect();
+    let runs = repeat_all(&specs);
     let mut fig = FigureResult::new(vec![
         "fraction_pct".into(),
         "err_genesis".into(),
@@ -93,8 +52,8 @@ fn ext_genesis(scale: &Scale, seed: u64) -> FigureResult {
     ]);
     fig.rows = fractions
         .iter()
-        .zip(errs.chunks(timings.len()))
-        .map(|(&f, pair)| vec![f * 100.0, mean(&pair[0]), mean(&pair[1])])
+        .zip(runs.chunks(2))
+        .map(|(&f, pair)| vec![f * 100.0, final_err(&pair[0]), final_err(&pair[1])])
         .collect();
     fig.notes = vec![
         "extension beyond the paper: §5.2 notes injection is the realistic scenario; genesis is its companion work [9]".into(),
@@ -105,23 +64,31 @@ fn ext_genesis(scale: &Scale, seed: u64) -> FigureResult {
 
 /// Benign-fault sweep vs a light attack.
 fn ext_faults(scale: &Scale, seed: u64) -> FigureResult {
-    let lossy = |loss, jitter_ms| LinkModel { loss, jitter_ms };
-    let cases: [(LinkModel, Option<(AttackTiming, f64)>); 5] = [
-        (LinkModel::ideal(), None),
-        (lossy(0.2, 0.0), None),
-        (lossy(0.0, 10.0), None),
-        (lossy(0.2, 10.0), None),
-        (LinkModel::ideal(), Some((AttackTiming::Injection, 0.10))),
+    let base = RunSpec::<VivaldiSim>::new(scale, seed);
+    let lossy = |loss, jitter_ms| RunSpec {
+        config: VivaldiConfig {
+            link: LinkModel { loss, jitter_ms },
+            ..VivaldiConfig::default()
+        },
+        ..base.clone()
+    };
+    let disorder = plain(|| Box::new(VivaldiDisorder::default()));
+    let specs = [
+        base.clone(),
+        lossy(0.2, 0.0),
+        lossy(0.0, 10.0),
+        lossy(0.2, 10.0),
+        RunSpec {
+            fraction: 0.10,
+            adversary: &disorder,
+            ..base.clone()
+        },
     ];
-    let errs = run_grid(&vec![scale.repetitions; cases.len()], |job| {
-        let (link, attack) = cases[job.cell];
-        disorder_run(scale, "ext-faults", link, attack, seed, job)
-    });
     let mut fig = FigureResult::new(vec!["case".into(), "avg_rel_error".into()]);
-    fig.rows = errs
+    fig.rows = repeat_all(&specs)
         .iter()
         .enumerate()
-        .map(|(idx, errs)| vec![idx as f64, mean(errs)])
+        .map(|(idx, runs)| vec![idx as f64, final_err(runs)])
         .collect();
     fig.notes = vec![
         "row index: 0=clean 1=20% loss 2=10ms jitter 3=both 4=10% disorder attackers".into(),
@@ -161,5 +128,18 @@ mod tests {
         let attacked = &fig.rows[3];
         assert!(attacked[1] > clean[1] * 3.0);
         assert!(attacked[2] > clean[2] * 3.0);
+
+        // The benign-fault note: faults cost little, a light attack a lot.
+        let faults = ext_faults(&scale, 3);
+        let err: Vec<f64> = faults.rows.iter().map(|row| row[1]).collect();
+        assert_eq!(err.len(), 5);
+        for (case, &e) in err[1..4].iter().enumerate() {
+            assert!(
+                e < 2.0 * err[0] && err[0] < 2.0 * e,
+                "case {}: {err:?}",
+                case + 1
+            );
+        }
+        assert!(err[4] >= 10.0 * err[0], "{err:?}");
     }
 }

@@ -132,6 +132,11 @@ pub(crate) trait System: Sized + Send + Clone + 'static {
     /// Running (security-filter, probe-threshold) elimination ledgers; both
     /// empty for a system without built-in filtering.
     fn ledgers(&self) -> [FilterLedger; 2];
+
+    /// The verified set a trusted-baseline defense anchors on. Trust is an
+    /// assumption, not knowledge: the uniform attacker draw can and does
+    /// hit this set.
+    fn trusted(&self) -> Vec<usize>;
 }
 
 impl System for VivaldiSim {
@@ -208,6 +213,12 @@ impl System for VivaldiSim {
     }
     fn ledgers(&self) -> [FilterLedger; 2] {
         [FilterLedger::new(); 2]
+    }
+    /// Vivaldi postulates no verified set: the first tenth of the node ids
+    /// (at least 8) are declared infrastructure.
+    fn trusted(&self) -> Vec<usize> {
+        let n = self.coords().len();
+        (0..n.div_ceil(10).max(8).min(n)).collect()
     }
 }
 
@@ -317,6 +328,10 @@ impl System for NpsSim {
     }
     fn ledgers(&self) -> [FilterLedger; 2] {
         [self.ledger(), self.threshold_ledger()]
+    }
+    /// NPS already postulates a verified set: the landmarks.
+    fn trusted(&self) -> Vec<usize> {
+        self.landmark_ids()
     }
 }
 
@@ -831,6 +846,7 @@ mod tests {
     use super::*;
     use crate::attacks::nps::NpsSimpleDisorder;
     use crate::attacks::vivaldi::VivaldiDisorder;
+    use crate::experiments::tests::traced;
     use std::fmt::Debug;
     use vcoord_attackkit::{Collusion, CoordView, Lie, Probe, RandomLie};
     use vcoord_defense::NoDefense;
@@ -1245,16 +1261,6 @@ mod tests {
 
     #[test]
     fn units_of_one_two_and_four_jobs_are_width_invariant() {
-        /// Obs recording on for the test's body, off again however it ends.
-        /// The mode is process-global: no other unit test of this crate
-        /// sets it or reads a report.
-        struct Tracing;
-        impl Drop for Tracing {
-            fn drop(&mut self) {
-                vcoord_obs::set_mode(vcoord_obs::ObsMode::Off);
-            }
-        }
-
         let scale = Scale::smoke();
         let disorder = plain(|| Box::new(NpsSimpleDisorder));
         let base = RunSpec::<NpsSim> {
@@ -1286,25 +1292,25 @@ mod tests {
             .map(|s| vec![window_end::<NpsSim>(s.scale)])
             .collect();
 
-        vcoord_obs::set_mode(vcoord_obs::ObsMode::Trace);
-        let _tracing = Tracing;
-        let traced = |width| {
+        let run_at = |width| {
             vcoord_obs::reset();
             let runs = repeat_on(width, &specs, &ends);
             let mut report = vcoord_obs::drain();
             report.strip_timings();
             (runs, report)
         };
-        let (want, want_report) = traced(1);
-        assert!(!want_report.events().is_empty(), "the order is visible");
-        for width in [2, 3] {
-            let (runs, report) = traced(width);
-            for (cell, (got, want)) in runs.iter().zip(&want).enumerate() {
-                let (got, want) = (&got[0][0], &want[0][0]);
-                assert_same_run(got, want, &format!("cell {cell} at width {width}"));
+        traced(|| {
+            let (want, want_report) = run_at(1);
+            assert!(!want_report.events().is_empty(), "the order is visible");
+            for width in [2, 3] {
+                let (runs, report) = run_at(width);
+                for (cell, (got, want)) in runs.iter().zip(&want).enumerate() {
+                    let (got, want) = (&got[0][0], &want[0][0]);
+                    assert_same_run(got, want, &format!("cell {cell} at width {width}"));
+                }
+                assert!(report == want_report, "absorbed reports at width {width}");
             }
-            assert!(report == want_report, "absorbed reports at width {width}");
-        }
+        });
     }
 
     #[test]

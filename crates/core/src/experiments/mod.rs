@@ -3,10 +3,10 @@
 //! lists them, [`run_figure`] runs one).
 //!
 //! Every runner takes a [`Scale`] (quick vs full/paper scale) and a master
-//! seed, fans its (cell, repetition) jobs out over one pool of threads —
-//! [`run_grid`], the only pool a figure run has — and returns a
-//! [`FigureResult`]: a header plus numeric rows mirroring the series the
-//! paper plots. The `figures` binary in `vcoord-bench` prints/persists
+//! seed, declares its cells as injection runs of the one harness
+//! (`harness::repeat_all`), whose (cell, repetition) jobs share one pool of
+//! threads (`Pool`), and returns a [`FigureResult`]: a header plus numeric
+//! rows mirroring the series the paper plots. The `figures` binary in `vcoord-bench` prints/persists
 //! these; integration tests run them at tiny scale.
 //!
 //! See `DESIGN.md` for the figure-by-figure index and `EXPERIMENTS.md` for
@@ -188,66 +188,27 @@ pub(crate) fn average_series(series: &[TimeSeries]) -> TimeSeries {
     out
 }
 
-/// One job of a [`run_grid`] call: repetition `rep` of cell `cell`.
+/// One job of a figure: repetition `rep` of cell `cell`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GridJob {
+pub(crate) struct GridJob {
     /// Index of the cell in the grid.
-    pub cell: usize,
+    pub(crate) cell: usize,
     /// Repetition index within the cell.
-    pub rep: u64,
+    pub(crate) rep: u64,
 }
 
-/// Run a whole figure's jobs — `reps_of[c]` repetitions of every cell `c` —
-/// on one bounded pool of worker threads and collect the results as
-/// `cells[c][rep]`. Every figure runner declares its cells and calls this
-/// once; CPU-bound work, so plain scoped threads (see DESIGN.md
-/// guide-conformance notes).
-///
-/// The pool is capped at [`vcoord_metrics::worker_threads`] — the machine's
-/// available parallelism unless a budget pins it (the binaries install
-/// `VCOORD_THREADS` as one, so CI and bench runs are reproducible on any
-/// core count) — and it is the only level of threads a figure has: cells are
-/// never fanned out around it, and a job's [`EvalPlan`] sweeps run on the
-/// job's own thread. Each job is a unit of its own (see `Pool`), so
-/// workers take the jobs cell-major, rep-minor, and a sweep of many
-/// one-repetition cells keeps every worker as busy as one cell of many
-/// repetitions does.
-///
-/// This is also the observability merge seam: when the `vcoord_obs` gated
-/// plane is on, each worker drains its thread-local recorder after every
-/// job (tagging the events with the job's repetition index) and the
-/// coordinator absorbs the reports *in job order* — the order the cells
-/// would run in one after the other — so per-figure traces are
-/// byte-identical for any pool width, exactly like the figure CSVs
-/// themselves.
-///
-/// A panicking job stops the grid: the other workers finish the job they
-/// hold and take no further one, and the panic of the earliest failed job
-/// in job order is resumed on the caller with its original payload.
-///
-/// [`EvalPlan`]: vcoord_metrics::EvalPlan
-pub fn run_grid<T, F>(reps_of: &[usize], f: F) -> Vec<Vec<T>>
-where
-    T: Send,
-    F: Fn(GridJob) -> T + Sync,
-{
-    let jobs: Vec<Vec<(usize, u64)>> = reps_of
-        .iter()
-        .enumerate()
-        .flat_map(|(cell, &reps)| (0..reps as u64).map(move |rep| vec![(cell, rep)]))
-        .collect();
-    let pool = Pool::new(&jobs, repetition_pool_width(jobs.len()));
-    let values = pool.run(|_| (), |_| (), |job, ()| f(job));
-    by_cell(reps_of, &jobs.concat(), values)
-}
-
-/// The pool behind [`run_grid`] and `harness::repeat_all`: `units` of jobs,
-/// each unit converged once by its first job's warm-up and its other jobs
-/// run on copies of that converged system, on `workers` threads.
+/// The one pool of a figure run, behind `harness::repeat_at`: `units` of
+/// jobs, each unit converged once by its first job's warm-up and its other
+/// jobs run on copies of that converged system, on `workers` threads.
+/// CPU-bound work, so plain scoped threads (see DESIGN.md
+/// guide-conformance notes), and the only level of threads a figure has: a
+/// job's [`EvalPlan`] sweeps run on the job's own thread.
 ///
 /// *Job order* is `units` concatenated. The values come back, and the obs
 /// reports are absorbed, in job order whatever ran where, so results and
-/// traces are width-invariant.
+/// traces are width-invariant: when the `vcoord_obs` gated plane is on,
+/// each worker drains its thread-local recorder after every job, tagging
+/// the events with the job's repetition index.
 ///
 /// The pick is work-conserving: a free worker takes the first of
 /// 1. the next job of a published unit that it warmed up itself, on a clone
@@ -265,8 +226,12 @@ where
 ///
 /// A warm-up starts only when no published unit has a job left, so at most
 /// `workers` snapshots are alive, and at width 1 the jobs run in job order.
-/// A job that panics, warm-up included, stops the pool as in [`run_grid`];
-/// the jobs of a unit whose warm-up failed never start.
+/// A panicking job, warm-up included, stops the pool: the other workers
+/// finish the job they hold and take no further one, the jobs of a unit
+/// whose warm-up failed never start, and the panic of the earliest failed
+/// job in job order is resumed on the caller with its original payload.
+///
+/// [`EvalPlan`]: vcoord_metrics::EvalPlan
 pub(crate) struct Pool<'u, W> {
     units: &'u [Vec<(usize, u64)>],
     workers: usize,
@@ -532,8 +497,10 @@ pub(crate) fn by_cell<T>(reps_of: &[usize], jobs: &[(usize, u64)], values: Vec<T
     cells
 }
 
-/// Width of the pool for `jobs` jobs: the worker budget, or fewer if there
-/// are fewer jobs.
+/// Width of the pool for `jobs` jobs: [`vcoord_metrics::worker_threads`] —
+/// the machine's available parallelism unless a budget pins it (the
+/// binaries install `VCOORD_THREADS` as one) — or fewer if there are fewer
+/// jobs.
 pub(crate) fn repetition_pool_width(jobs: usize) -> usize {
     vcoord_metrics::worker_threads().min(jobs).max(1)
 }
@@ -570,9 +537,42 @@ mod tests {
         assert_eq!(avg.points()[2], (2, 4.0));
     }
 
+    /// Obs recording in `Trace` mode for `body`, off again however it ends.
+    /// The mode is process-global, so every unit test of this crate that
+    /// sets it or reads a report runs under this lock.
+    pub(super) fn traced<T>(body: impl FnOnce() -> T) -> T {
+        static TRACING: Mutex<()> = Mutex::new(());
+        struct Off;
+        impl Drop for Off {
+            fn drop(&mut self) {
+                vcoord_obs::set_mode(vcoord_obs::ObsMode::Off);
+            }
+        }
+        let _one_at_a_time = TRACING.lock().unwrap_or_else(PoisonError::into_inner);
+        vcoord_obs::set_mode(vcoord_obs::ObsMode::Trace);
+        let _off = Off;
+        body()
+    }
+
+    /// `reps_of[c]` repetitions of every cell `c`, each job a unit of its
+    /// own, on a [`Pool`] `width` wide: the values as `cells[c][rep]`.
+    fn grid<T: Send>(
+        width: usize,
+        reps_of: &[usize],
+        f: impl Fn(GridJob) -> T + Sync,
+    ) -> Vec<Vec<T>> {
+        let units: Vec<Vec<(usize, u64)>> = reps_of
+            .iter()
+            .enumerate()
+            .flat_map(|(cell, &reps)| (0..reps as u64).map(move |rep| vec![(cell, rep)]))
+            .collect();
+        let values = Pool::new(&units, width).run(|_| (), |_| (), |job, ()| f(job));
+        by_cell(reps_of, &units.concat(), values)
+    }
+
     #[test]
     fn one_cell_grid_preserves_repetition_order() {
-        let out = run_grid(&[8], |job| job.rep * 10);
+        let out = grid(repetition_pool_width(8), &[8], |job| job.rep * 10);
         assert_eq!(out, vec![vec![0, 10, 20, 30, 40, 50, 60, 70]]);
     }
 
@@ -581,18 +581,19 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         let cap = vcoord_metrics::worker_threads();
+        let jobs = 4 * cap + 3;
         let active = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         // Far more repetitions than cores: the pool must still finish, keep
         // order, and never run more jobs at once than the cap.
-        let out = run_grid(&[4 * cap + 3], |job| {
+        let out = grid(repetition_pool_width(jobs), &[jobs], |job| {
             let now = active.fetch_add(1, Ordering::SeqCst) + 1;
             peak.fetch_max(now, Ordering::SeqCst);
             std::thread::sleep(std::time::Duration::from_millis(1));
             active.fetch_sub(1, Ordering::SeqCst);
             job.rep
         });
-        assert_eq!(out, vec![(0..(4 * cap as u64 + 3)).collect::<Vec<_>>()]);
+        assert_eq!(out, vec![(0..jobs as u64).collect::<Vec<_>>()]);
         assert!(
             peak.load(Ordering::SeqCst) <= cap,
             "worker pool exceeded available parallelism: {} > {cap}",
@@ -602,17 +603,75 @@ mod tests {
 
     #[test]
     fn grid_returns_ragged_cells_in_repetition_order() {
-        let cells = run_grid(&[3, 0, 1, 2], |job| (job.cell, job.rep));
-        assert_eq!(
-            cells,
-            vec![
-                vec![(0, 0), (0, 1), (0, 2)],
-                vec![],
-                vec![(2, 0)],
-                vec![(3, 0), (3, 1)],
-            ]
-        );
-        assert_eq!(run_grid(&[], |job| job.rep), Vec::<Vec<u64>>::new());
+        for width in [1, 2, 3] {
+            let cells = grid(width, &[3, 0, 1, 2], |job| (job.cell, job.rep));
+            assert_eq!(
+                cells,
+                vec![
+                    vec![(0, 0), (0, 1), (0, 2)],
+                    vec![],
+                    vec![(2, 0)],
+                    vec![(3, 0), (3, 1)],
+                ],
+                "width {width}"
+            );
+            assert_eq!(grid(width, &[], |job| job.rep), Vec::<Vec<u64>>::new());
+        }
+    }
+
+    #[test]
+    fn absorbed_reports_are_in_job_order_with_rep_tags_at_every_width() {
+        use vcoord_obs::{counter_add, event, metric, observe, NO_NODE};
+
+        // Ragged on purpose: an empty cell, a one-repetition cell, unequal
+        // others.
+        const REPS_OF: [usize; 5] = [3, 1, 0, 2, 4];
+        let reports = traced(|| {
+            [1, 2, 3].map(|width| {
+                vcoord_obs::reset();
+                let cells = grid(width, &REPS_OF, |job| {
+                    counter_add(metric("test.grid.jobs"), 1);
+                    observe(metric("test.grid.cell"), job.cell as f64);
+                    // Two events per job, so per-job order is visible too.
+                    for step in 0..2 {
+                        event(
+                            metric("test.grid.step"),
+                            job.cell as u64,
+                            NO_NODE,
+                            step as f64,
+                        );
+                    }
+                    (job.cell, job.rep)
+                });
+                for (c, (cell, &reps)) in cells.iter().zip(&REPS_OF).enumerate() {
+                    let want: Vec<(usize, u64)> = (0..reps as u64).map(|rep| (c, rep)).collect();
+                    assert_eq!(cell, &want, "cell {c} at width {width}");
+                }
+                let mut report = vcoord_obs::drain();
+                // (cell, rep, step) of every event, in absorbed order:
+                // cell-major, rep-minor, each tagged with its repetition
+                // (not its job) index.
+                let seen: Vec<(u64, i32, f64)> = report
+                    .events()
+                    .iter()
+                    .map(|e| (e.round, e.rep, e.value))
+                    .collect();
+                let mut want = Vec::new();
+                for (c, &reps) in REPS_OF.iter().enumerate() {
+                    for rep in 0..reps as i32 {
+                        want.extend([(c as u64, rep, 0.0), (c as u64, rep, 1.0)]);
+                    }
+                }
+                assert_eq!(seen, want, "event order and rep tags at width {width}");
+                assert_eq!(report.counter(metric("test.grid.jobs")), 10);
+                // Wall-clock spans aside, the merged report is the same
+                // object at every width.
+                report.strip_timings();
+                report
+            })
+        });
+        assert_eq!(reports[0], reports[1], "width 1 vs 2");
+        assert_eq!(reports[0], reports[2], "width 1 vs 3");
     }
 
     #[test]
@@ -631,7 +690,7 @@ mod tests {
         let started = AtomicUsize::new(0);
         let unwinding = AtomicBool::new(false);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_grid(&[40], |job| {
+            grid(width, &[40], |job| {
                 let rep = job.rep;
                 started.fetch_add(1, Ordering::SeqCst);
                 if rep == 2 {

@@ -4,7 +4,7 @@
 //! injection happens at `scale.nps_warmup_rounds`.
 
 use crate::attacks::nps::{
-    NpsAntiDetection, NpsCollusionIsolation, NpsCombined, NpsSimpleDisorder, VICTIM_FRACTION,
+    victim_pool, NpsAntiDetection, NpsCollusionIsolation, NpsCombined, NpsSimpleDisorder,
 };
 use crate::experiments::harness::{honest, plain, repeat_all, Adversary, Choice, Run, RunSpec};
 use crate::experiments::registry::Figure;
@@ -14,7 +14,6 @@ use crate::experiments::shapes::{
 };
 use crate::experiments::{FigureResult, Scale};
 use crate::knowledge::Knowledge;
-use rand::seq::SliceRandom;
 use vcoord_attackkit::AttackStrategy;
 use vcoord_metrics::stats::mean;
 use vcoord_metrics::FilterLedger;
@@ -41,12 +40,12 @@ fn anti_detection(knowledge: Knowledge, sophisticated: bool) -> Box<dyn AttackSt
 fn collusion(sim: &NpsSim, attackers: &[usize], seeds: &SeedStream) -> Choice {
     // Choose the common victim set here so it can double as the focus
     // set; pass it to the adversary as a preset.
-    let mut pool: Vec<usize> = (0..sim.matrix().len())
-        .filter(|&i| sim.layers_of()[i] == 2 && !attackers.contains(&i))
-        .collect();
-    pool.shuffle(&mut seeds.rng("collusion-victims"));
-    let k = ((pool.len() as f64) * VICTIM_FRACTION).round().max(1.0) as usize;
-    pool.truncate(k);
+    let pool = victim_pool(
+        sim.matrix().len(),
+        |i| sim.layers_of()[i],
+        |i| attackers.contains(&i),
+        &mut seeds.rng("collusion-victims"),
+    );
     let mut adv = NpsCollusionIsolation::default();
     adv.preset_victims(pool.iter().copied().collect());
     (Box::new(adv), Some(pool))

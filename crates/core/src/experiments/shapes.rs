@@ -196,20 +196,27 @@ impl Cell {
     }
 }
 
+/// An entry of an attack menu: its label, which names CSV columns and
+/// notes, and its workspace-default instance.
+pub(crate) type Attack = (&'static str, fn() -> Box<dyn AttackStrategy>);
+
+/// An entry of a defense menu: its label and its instance over the
+/// system's verified set ([`System::trusted`]), which only the
+/// trusted-baseline defense reads.
+pub(crate) type Defense = (&'static str, fn(&[usize]) -> Box<dyn DefenseStrategy>);
+
 /// A column block of a [`Matrix`]: one column per defense, named
 /// `<prefix>_<defense>`, leaving out the first `skip` defenses:
 /// `(prefix, skip, value)`.
 pub(crate) type Block = (&'static str, usize, fn(&Cell) -> f64);
 
-/// An attack × defense matrix figure: one row per attack label, and per
-/// block of `blocks` one column per defense label.
+/// An attack × defense matrix figure: one row per attack, and per block of
+/// `blocks` one column per defense.
 pub(crate) struct Matrix<'a, S: System> {
     /// Every cell's run, up to the adversary and the defense.
     pub base: RunSpec<'a, S>,
-    pub attacks: &'a [&'static str],
-    pub attack_by: fn(&str) -> Box<dyn AttackStrategy>,
-    pub defenses: &'a [&'static str],
-    pub defense_by: fn(&str, &S) -> Box<dyn DefenseStrategy>,
+    pub attacks: &'a [Attack],
+    pub defenses: &'a [Defense],
     pub blocks: &'a [Block],
     /// The row's note, from its attack label and its cells in defense order.
     pub note: fn(&str, &[Cell]) -> String,
@@ -218,16 +225,11 @@ pub(crate) struct Matrix<'a, S: System> {
 impl<S: System> Matrix<'_, S> {
     /// The (attack × defense) cells, attack-major, as one job grid.
     pub(crate) fn cells(&self) -> Vec<Cell> {
-        let (attack_by, defense_by) = (self.attack_by, self.defense_by);
-        let attacks: Vec<_> = self
-            .attacks
-            .iter()
-            .map(|&attack| plain(move || attack_by(attack)))
-            .collect();
+        let attacks: Vec<_> = self.attacks.iter().map(|&(_, make)| plain(make)).collect();
         let defenses: Vec<_> = self
             .defenses
             .iter()
-            .map(|&defense| move |sim: &S| defense_by(defense, sim))
+            .map(|&(_, make)| move |sim: &S| make(&sim.trusted()))
             .collect();
         let specs: Vec<_> = cross(&attacks, &defenses)
             .map(|(attack, defense)| RunSpec {
@@ -244,11 +246,11 @@ impl<S: System> Matrix<'_, S> {
         for (prefix, skip, _) in self.blocks {
             let defenses = self.defenses.iter().skip(*skip);
             fig.columns
-                .extend(defenses.map(|d| format!("{prefix}_{d}")));
+                .extend(defenses.map(|(d, _)| format!("{prefix}_{d}")));
         }
         let cells = self.cells();
         let rows = cells.chunks(self.defenses.len());
-        for (a_idx, (attack, cells)) in self.attacks.iter().zip(rows).enumerate() {
+        for (a_idx, ((attack, _), cells)) in self.attacks.iter().zip(rows).enumerate() {
             let mut row = vec![a_idx as f64];
             for (_, skip, value) in self.blocks {
                 row.extend(cells.iter().skip(*skip).map(value));

@@ -73,9 +73,7 @@ pub use record::{
     NO_NODE,
 };
 pub use registry::{metric, metric_name, MetricId};
-pub use report::{
-    digest, summarize, summary_csv, summary_text, Digest, HistRow, RoundRow, SummaryRow,
-};
+pub use report::{digest, summarize, summary_text, Digest, HistRow, RoundRow, SummaryRow};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

@@ -156,32 +156,6 @@ impl Digest {
         }
         out
     }
-
-    /// Machine-readable CSV:
-    /// `kind,metric,round,count,sum,min,max,p50,p90,p95,p99` with empty
-    /// cells where a column does not apply.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("kind,metric,round,count,sum,min,max,p50,p90,p95,p99\n");
-        for (metric, value) in &self.counters {
-            let _ = writeln!(out, "counter,{metric},,{value},,,,,,,");
-        }
-        for h in &self.hists {
-            let [p50, p90, p95, p99] = h.quantiles;
-            let _ = writeln!(
-                out,
-                "hist,{},,{},{},{},{},{p50},{p90},{p95},{p99}",
-                h.metric, h.count, h.sum, h.min, h.max
-            );
-        }
-        for r in &self.rounds {
-            let _ = writeln!(
-                out,
-                "round,{},{},{},{},,,,,,",
-                r.metric, r.round, r.events, r.sum
-            );
-        }
-        out
-    }
 }
 
 /// One row of the cross-trace health matrix: the defense / chaos vitals of
@@ -233,19 +207,6 @@ pub fn summary_text(rows: &[SummaryRow]) -> String {
         let _ = writeln!(
             out,
             "{:<28} {:>10} {:>10} {:>8} {:>8} {:>8} {:>10}",
-            r.fig, r.accepts, r.rejects, r.bans, r.reinstates, r.faults, r.recoveries
-        );
-    }
-    out
-}
-
-/// Render the health matrix as CSV.
-pub fn summary_csv(rows: &[SummaryRow]) -> String {
-    let mut out = String::from("fig,accepts,rejects,bans,reinstates,faults,recoveries\n");
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{}",
             r.fig, r.accepts, r.rejects, r.bans, r.reinstates, r.faults, r.recoveries
         );
     }
@@ -325,9 +286,6 @@ mod tests {
         let text = d.to_text();
         assert!(text.contains("trace figX"));
         assert!(text.contains("a.counter"));
-        let csv = d.to_csv();
-        assert!(csv.starts_with("kind,metric,round,count,sum,min,max,p50,p90,p95,p99\n"));
-        assert!(csv.contains("round,e.flag,2,2,2,,,,,,"));
     }
 
     #[test]
@@ -351,7 +309,6 @@ mod tests {
         ];
         let d = digest(&lines);
         assert_eq!(d.hists[0].quantiles, [2.5, 4.5, 4.5, 4.5]);
-        assert!(d.to_csv().contains("hist,h.q,,4,10,1,4,2.5,4.5,4.5,4.5"));
         assert!(d.to_text().contains("p50"));
     }
 
@@ -382,9 +339,5 @@ mod tests {
         assert_eq!(rows[0].bans, 7);
         let text = summary_text(&rows);
         assert!(text.contains("chaos-x"));
-        let csv = summary_csv(&rows);
-        assert!(csv.starts_with("fig,accepts,"));
-        assert!(csv.contains("chaos-x,0,0,7,1,3,7\n"));
-        assert!(csv.contains("fig1,0,0,0,0,0,0\n"));
     }
 }

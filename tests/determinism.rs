@@ -49,8 +49,8 @@ fn figure_csv_is_seed_deterministic() {
 
 #[test]
 fn parallel_repetitions_do_not_perturb_determinism() {
-    // run_grid runs a figure's jobs on threads; results must not depend on
-    // scheduling.
+    // A figure's jobs run on the harness's pool of threads; results must
+    // not depend on scheduling.
     let scale = Scale::smoke();
     let a = run_figure("fig12", &scale, 9).expect("known id").to_csv();
     let b = run_figure("fig12", &scale, 9).expect("known id").to_csv();
